@@ -214,10 +214,10 @@ def _soak(nodes: int) -> dict:
     before the tree is dropped: the memory claim (streaming stays bounded)
     says nothing about wall clock, so the report records what out-of-core
     answering costs in seconds relative to keeping the document resident.
-    The reference is ``evaluate_answers`` -- the same one the cross-check
-    uses for k-ary heads -- because the planner's static x-property tier
-    enumerates k-ary answers per candidate tuple and is quadratic here
-    (minutes at 20k nodes vs ~0.5s at 100k for the Yannakakis path).
+    The reference is ``evaluate_answers``, the join-tree enumeration default
+    routing now picks for every k-ary head (and the one the cross-check
+    uses); it is called directly so the soak keeps timing that engine even
+    if routing changes again.
     """
     query = parse_query(SOAK_QUERY)
     with tempfile.TemporaryDirectory() as tmp:

@@ -556,9 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=Engine.AUTO.value,
         help=(
             "evaluation engine override (default: auto = planner choice; "
-            "'decomposition' forces the hypertree/Yannakakis engine, "
-            "'backtracking' the exponential fallback, 'sql' the SQLite "
-            "accel-table backend)"
+            "'decomposition' is the hypertree/Yannakakis engine and the "
+            "default for k-ary heads, 'backtracking' the exponential "
+            "fallback, 'sql' the SQLite accel-table backend; 'xproperty', "
+            "'acyclic' and 'backtracking' answer a k-ary head by the paper's "
+            "per-tuple reduction)"
         ),
     )
     evaluate_parser.add_argument(

@@ -2,7 +2,9 @@
 
 The engine behind ``Engine.DECOMPOSITION``: evaluate a *cyclic* conjunctive
 query in time polynomial for bounded decomposition width, instead of the
-planner's exponential backtracking fallback.  The pipeline is the classical
+planner's exponential backtracking fallback -- and enumerate the answers of
+*any* k-ary head in time polynomial in input + output, instead of one
+Boolean evaluation per candidate head tuple.  The pipeline is the classical
 one (Yannakakis 1981, via Gottlob-Leone-Scarcello's hypertree programme),
 instantiated over the arc-consistent prevaluation and the interval index:
 
@@ -29,7 +31,8 @@ instantiated over the arc-consistent prevaluation and the interval index:
 Correctness does not depend on the width: the engine is exact for every
 conjunctive query (the property tests pit it against backtracking across all
 propagators, cyclic and acyclic shapes, with and without pinning).  The
-planner merely *prefers* it when the width is small.
+planner makes it the default for every head that one fixpoint cannot answer
+and merely *prefers* it, in the cyclic residue, when the width is small.
 """
 
 from __future__ import annotations

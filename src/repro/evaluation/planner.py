@@ -1,33 +1,37 @@
-"""The evaluation planner: dispatching on the dichotomy.
+"""The evaluation planner: dispatching on the head and on the dichotomy.
 
-Given a query, the planner chooses the cheapest applicable engine:
+:func:`choose_engine` is the one static routing rule (``plan_query``, the
+query cache and ``evaluate(engine=AUTO)`` all go through it):
 
-1. **X-property evaluation** (Theorem 3.5) whenever the query's signature is
-   on the tractable side of the dichotomy (Theorem 1.1),
-2. **acyclic evaluation** (Yannakakis-style) whenever the query graph's shadow
-   is a forest -- this covers every signature, since acyclic queries are
-   tractable regardless of the axes used,
-3. **decomposition evaluation** (:mod:`repro.decomposition`) for cyclic
-   queries whose constraint graph has a tree decomposition of width at most
-   :data:`MAX_AUTO_DECOMPOSITION_WIDTH` -- bag materialization plus
-   Yannakakis semijoin passes, polynomial for bounded width even though the
-   signature is NP-hard in general,
-4. **backtracking search** otherwise (cyclic *and* high-width query over an
-   NP-hard signature; by Section 5 no general polynomial algorithm is
-   expected).  Backtracking remains selectable everywhere as the ablation
-   and cross-check path.
+1. A **Boolean** head, or a **monadic** head over a forest-shaped body, is
+   answered by one arc-consistency fixpoint (on shadow forests the fixpoint is
+   globally consistent, so the head variable's domain *is* the answer set):
+   **X-property evaluation** (Theorem 3.5) on the tractable side of the
+   dichotomy (Theorem 1.1), **acyclic evaluation** on shadow forests.
+2. Every other head over a forest-shaped body is enumerated by the
+   **decomposition engine** (:mod:`repro.decomposition`): one fixpoint, bag
+   materialization, semijoin passes and a join-project traversal over the
+   width-1 join tree, polynomial in input + output.
+3. What is left is the **cyclic residue** -- an NP-hard cyclic body, or a
+   cyclic body under a head rule 1 cannot serve: decomposition up to
+   :data:`MAX_AUTO_DECOMPOSITION_WIDTH`, **backtracking** beyond.  That bound
+   is the rule without statistics (library calls, ``routing="static"``); the
+   cost planner (:func:`repro.planning.plan_query`) arbitrates the residue
+   per instance instead.
 
-Orthogonally to the engine choice, every path needs the subset-maximal
-arc-consistent prevaluation; *how* it is computed is the second planner
-dimension, ``propagator=`` (:class:`~repro.evaluation.propagation.Propagator`):
-``ac4`` -- the support-counting engine over interval ranks (the default) --
-with ``ac3`` (worklist) and ``horn`` (unit propagation) kept as cross-checked
-ablations.
+The paper's own k-ary procedure -- the singleton-relation reduction after
+Theorem 3.5: one pinned Boolean evaluation per candidate head tuple,
+``O(|A|^k . ||A|| . |Q|)`` on the tractable side -- is therefore no default.
+It runs under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
+``backtracking``) or a residue route that lands on ``backtracking``: the
+literal procedure, the independent oracle of the property tests, and the
+ablation baseline of the committed benchmarks.
 
-k-ary answer enumeration is reduced to Boolean evaluation with singleton
-("pinned") domains, exactly as described after Theorem 3.5: checking whether a
-tuple is an answer adds fresh singleton unary relations, so a k-ary query is
-answered in ``O(|A|^k . ||A|| . |Q|)`` on the tractable side.
+Orthogonally, every path needs the subset-maximal arc-consistent
+prevaluation; *how* it is computed is the second planner dimension,
+``propagator=`` (:class:`~repro.evaluation.propagation.Propagator`): ``ac4``
+(support counting over interval ranks, the default) with ``ac3`` (worklist)
+and ``horn`` (unit propagation) kept as cross-checked ablations.
 """
 
 from __future__ import annotations
@@ -70,12 +74,14 @@ class Engine(str, Enum):
         return self.value
 
 
-#: Cyclic queries whose tree decomposition achieves at most this width are
-#: routed to the decomposition engine instead of backtracking.  Width 2 covers
+#: The static rule for the cyclic residue: without document statistics, a
+#: cyclic query whose tree decomposition achieves at most this width goes to
+#: the decomposition engine, a wider one to backtracking.  Width 2 covers
 #: triangles, diamonds and every series-parallel constraint graph while
 #: keeping bag materialization at O(n^3) worst case; wider queries would pay
 #: n^(w+1) bag sizes, where first-solution backtracking is usually the better
-#: gamble.  Forcing ``engine="decomposition"`` bypasses the bound.
+#: gamble.  ``plan_query(routing="cost")`` replaces the bound by a
+#: per-instance estimate; forcing ``engine="decomposition"`` bypasses it.
 MAX_AUTO_DECOMPOSITION_WIDTH = 2
 
 
@@ -90,11 +96,20 @@ def choose_engine(query: ConjunctiveQuery, accel_only: bool = False) -> Engine:
     """
     if accel_only:
         return Engine.SQL
-    if is_tractable(query.signature()):
-        return Engine.XPROPERTY
-    if QueryGraph(query).is_acyclic():
-        return Engine.ACYCLIC
-    if compile_query(query).decomposition.width <= MAX_AUTO_DECOMPOSITION_WIDTH:
+    compiled = compile_query(query)
+    if query.is_boolean or (query.is_monadic and compiled.shadow_is_forest):
+        # One fixpoint decides (Boolean) or *is* (monadic projection) the
+        # answer: dispatch on the body's complexity class.
+        if is_tractable(query.signature()):
+            return Engine.XPROPERTY
+        if QueryGraph(query).is_acyclic():
+            return Engine.ACYCLIC
+    elif compiled.shadow_is_forest:
+        # Every other head is enumerated over the join tree; a forest-shaped
+        # body has width 1, which is the right complexity class, not a guess.
+        return Engine.DECOMPOSITION
+    # The cyclic residue (the cost planner arbitrates it per instance).
+    if compiled.decomposition.width <= MAX_AUTO_DECOMPOSITION_WIDTH:
         return Engine.DECOMPOSITION
     return Engine.BACKTRACKING
 
@@ -174,16 +189,17 @@ def evaluate(
     """Compute all answers of a k-ary query.
 
     Boolean queries return ``{()}`` when satisfied and the empty set otherwise.
-    Monadic acyclic queries read their answers straight off the arc-consistent
-    fixpoint: on forest-shaped queries the fixpoint is globally consistent
-    (every surviving candidate extends to a full solution of its component --
-    the same fact the acyclic enumerator rests on), so the head variable's
-    domain *is* the answer set.  Queries routed (or forced) to the
-    decomposition engine enumerate their answers in one join-tree traversal
-    (:func:`repro.decomposition.yannakakis.evaluate_answers`), never touching
-    the per-tuple Boolean reduction.  Remaining k-ary queries enumerate
-    candidate head tuples from the fixpoint (a sound over-approximation of
-    the answer projection) and check each tuple via the Boolean reduction.
+    Under default routing (:func:`choose_engine`) every request costs **one**
+    propagation fixpoint: a monadic head over a forest-shaped body reads its
+    answers straight off the arc-consistent fixpoint (globally consistent on
+    shadow forests, so the head variable's domain *is* the answer set), any
+    other head is enumerated by one join-tree traversal
+    (:func:`repro.decomposition.yannakakis.evaluate_answers`, which runs the
+    fixpoint itself).  The singleton-relation reduction -- candidate head
+    tuples from the fixpoint (a sound over-approximation of the answer
+    projection), one pinned Boolean evaluation each -- runs only when the
+    engine says so: an explicit ``xproperty`` / ``acyclic`` /
+    ``backtracking``, or a cyclic-residue route that landed on the latter.
 
     ``compiled`` lets callers that keep compiled artifacts resident (the
     serving layer's query cache) bypass the compile-cache lookup; it must be
@@ -231,9 +247,10 @@ def evaluate(
             answers = frozenset((node,) for node in result.sorted_domain(query.head[0]))
             tracing.annotate(answers=len(answers))
         return answers
-    # Atoms connecting two head variables can be checked in O(1) per candidate
-    # tuple from the tree's rank arrays, skipping the full Boolean evaluation
-    # for tuples that already violate one of them.
+    # The singleton-relation reduction (explicit engine or backtracking
+    # residue only).  Atoms connecting two head variables can be checked in
+    # O(1) per candidate tuple from the tree's rank arrays, skipping the full
+    # Boolean evaluation for tuples that already violate one of them.
     head_set = set(query.head)
     head_atoms = [
         atom
@@ -264,7 +281,7 @@ def evaluate(
                     for atom in head_atoms
                 ):
                     continue
-                if is_satisfied(query, structure, engine, pinned, propagator):
+                if is_satisfied(query, structure, chosen, pinned, propagator):
                     answers.add(tuple(candidate))
         tracing.annotate(answers=len(answers))
     return frozenset(answers)

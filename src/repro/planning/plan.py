@@ -3,14 +3,18 @@
 ``plan_query`` is the single choke point every consumer (serving layer, CLI,
 EXPLAIN, benchmarks) goes through.  Two routings exist:
 
-* ``routing="cost"`` (the default) keeps the dichotomy's *complexity* tiers
-  exactly as the static rule picks them -- X-property signatures, acyclic
-  shadows and accel-only SQL are already the right asymptotic class and stay
+* ``routing="cost"`` (the default) keeps the *complexity* tiers exactly as the
+  static rule (:func:`~repro.evaluation.planner.choose_engine`) picks them --
+  Boolean and monadic-projection heads over X-property signatures and acyclic
+  shadows, every other head over a forest-shaped body (the width-1 join
+  tree), and accel-only SQL are already the right asymptotic class and stay
   static -- and spends the estimates where the static rule was guessing:
 
-  - the cyclic residue: ``MAX_AUTO_DECOMPOSITION_WIDTH`` is replaced by
-    comparing the estimated decomposition cost (sum of per-bag row
-    estimates) against the estimated backtracking cost on *this* document;
+  - the cyclic residue (NP-hard cyclic bodies, and non-projection heads over
+    cyclic bodies on any signature): ``MAX_AUTO_DECOMPOSITION_WIDTH`` is
+    replaced by comparing the estimated decomposition cost (sum of per-bag
+    row estimates) against the estimated backtracking cost -- for a
+    non-Boolean head, the per-candidate-tuple reduction -- on *this* document;
   - the SQL lowering: ``"flat"`` when the single-block join is estimated
     cheaper than the join-tree CTE cascade, plus TEMP-table materialization
     of large bags;
@@ -54,8 +58,9 @@ ROUTINGS: tuple[str, ...] = ("cost", "static")
 
 #: Engine tiers the cost router never second-guesses: they are the *complexity*
 #: dispatch (tractable signature / acyclic shadow / residency), not a
-#: performance guess.  Only the cyclic residue (decomposition vs backtracking)
-#: is arbitrated by estimates.
+#: performance guess.  So is the decomposition engine on a forest-shaped head
+#: (width 1); only the cyclic residue (decomposition vs backtracking) is
+#: arbitrated by estimates.
 _STATIC_TIERS = frozenset({Engine.XPROPERTY, Engine.ACYCLIC, Engine.SQL})
 
 
@@ -156,9 +161,10 @@ def plan_query(
     fixpoint = fixpoint_cost_estimate(compiled, stats)
 
     static_engine = choose_engine(query, accel_only=accel_only)
+    forest_head = compiled.shadow_is_forest and not query.is_boolean
     if engine is not None and engine is not Engine.AUTO:
         chosen_engine = engine
-    elif routing == "static" or static_engine in _STATIC_TIERS:
+    elif routing == "static" or static_engine in _STATIC_TIERS or forest_head:
         chosen_engine = static_engine
     else:
         # The cyclic residue: per-instance decomposition-vs-backtracking
@@ -194,8 +200,12 @@ def plan_query(
         estimated = decomposition_total
     elif chosen_engine is Engine.BACKTRACKING:
         estimated = backtracking_total
-    else:  # XPROPERTY / ACYCLIC: fixpoint-driven evaluation.
-        estimated = fixpoint
+    else:
+        # XPROPERTY / ACYCLIC: one fixpoint -- unless forced onto a head that
+        # needs enumeration, where they run the per-tuple reduction.  The
+        # backtracking estimate prices exactly that (and a monadic forest
+        # projection at one fixpoint).
+        estimated = fixpoint if query.is_boolean else backtracking_total
 
     return QueryPlan(
         routing=routing,

@@ -9,7 +9,9 @@ behind a renaming-invariant key (:func:`repro.queries.canonical.canonical_key`):
   so byte-identical resubmissions skip even the parser;
 * **entry cache** -- canonical key to :class:`CachedQuery`: the canonical
   representative query, its :class:`~repro.evaluation.compile.CompiledQuery`,
-  and the planner's engine choice.  Alpha-equivalent submissions -- textually
+  and the planner's static engine choice (``choose_engine``, the rule every
+  :class:`~repro.planning.plan.QueryPlan` starts from, so entries, plans and
+  responses name one engine).  Alpha-equivalent submissions -- textually
   different, even mixed datalog/XPath -- share one entry, and because the
   entry holds the *canonical* query value, ``compile_query``'s per-value
   ``lru_cache`` is hit across cache instances as well.

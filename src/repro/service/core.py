@@ -554,7 +554,9 @@ def run_request(store: DocumentStore, cache: QueryCache, request: Request) -> Re
     its batch, kill its worker thread, or poison its shard process.
 
     Engine routing: an explicit ``request.engine`` always wins; otherwise the
-    planner's per-query choice applies, except that documents resident only
+    planner's per-query choice applies (``result.engine``, the plan counters,
+    the slow log and the drift ledger all name the engine that ran: k-ary
+    heads enumerate on ``decomposition``), except that documents resident only
     in the accel store auto-route to :attr:`Engine.SQL` (the sole engine that
     can see them) with answers streamed out of SQLite in sorted order --
     byte-identical to what the in-memory engines would produce.

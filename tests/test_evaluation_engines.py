@@ -30,11 +30,22 @@ from repro.evaluation import (
 )
 from repro.evaluation.arc_consistency import maximal_arc_consistent
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
+from repro.evaluation.propagation import PROPAGATE_SECONDS
 from repro.evaluation.xprop_evaluator import XPropertyEvaluationError
 from repro.hardness import random_cyclic_query
+from repro.observability import tracing
 from repro.queries import as_union, parse_query
 from repro.trees import Order, TreeStructure, from_nested, random_tree
 from repro.trees.axes import Axis
+from repro.workloads import auction_document
+
+
+def _enumerate_strategies(root) -> list[str]:
+    """The ``strategy`` of every ``enumerate`` span under ``root``."""
+    found = [root.attributes["strategy"]] if root.name == "enumerate" else []
+    for child in root.children:
+        found.extend(_enumerate_strategies(child))
+    return found
 
 
 class TestXPropertyEvaluator:
@@ -258,6 +269,68 @@ class TestPlanner:
             )
             is Engine.BACKTRACKING
         )
+
+    def test_engine_choice_depends_on_the_head(self):
+        """Boolean and monadic-forest heads read one fixpoint; every other
+        head is enumerated over the join tree, whatever the signature."""
+        body = "NP(x), Child(x, y), NN(y)"  # tractable signature, forest
+        assert choose_engine(parse_query(f"Q <- {body}")) is Engine.XPROPERTY
+        assert choose_engine(parse_query(f"Q(x) <- {body}")) is Engine.XPROPERTY
+        assert choose_engine(parse_query(f"Q(x, y) <- {body}")) is Engine.DECOMPOSITION
+        assert choose_engine(parse_query(f"Q(x, x) <- {body}")) is Engine.DECOMPOSITION
+        mixed = "Child(x, y), Following(y, z)"  # NP-hard signature, forest
+        assert choose_engine(parse_query(f"Q(z) <- {mixed}")) is Engine.ACYCLIC
+        assert choose_engine(parse_query(f"Q(x, z) <- {mixed}")) is Engine.DECOMPOSITION
+        # A monadic head over a cyclic shadow is no fixpoint projection: it
+        # joins the cyclic residue even on a tractable signature.
+        cyclic = "Child+(x, y), Child*(y, z), Child+(x, z)"
+        assert choose_engine(parse_query(f"Q <- {cyclic}")) is Engine.XPROPERTY
+        assert choose_engine(parse_query(f"Q(x) <- {cyclic}")) is Engine.DECOMPOSITION
+        k4 = (
+            "Child+(a, b), Child+(a, c), Child+(a, d), "
+            "Child+(b, c), Child+(b, d), Child+(c, d)"
+        )
+        assert choose_engine(parse_query(f"Q <- {k4}")) is Engine.XPROPERTY
+        assert choose_engine(parse_query(f"Q(a, d) <- {k4}")) is Engine.BACKTRACKING
+
+    def test_default_kary_evaluation_runs_one_fixpoint(self):
+        """A count, not a timing: one propagation per request, no per-tuple loop."""
+        # The 1k auction document of the end-to-end benchmark's kary_1k mix.
+        structure = TreeStructure(
+            auction_document(seed=42, num_items=55, num_people=30, num_bids=85)
+        )
+        query = parse_query("Q(d, l) <- description(d), Child+(d, l), listitem(l)")
+
+        def propagations() -> int:
+            return PROPAGATE_SECONDS.totals(propagator="ac4")[0]
+
+        before = propagations()
+        with tracing.trace("default") as root:
+            answers = evaluate(query, structure)
+        assert propagations() - before == 1
+        assert len(answers) > 50  # the reduction pays a fixpoint per candidate tuple
+        assert root.find("enumerate").attributes["strategy"] == "join_tree"
+
+        # The reduction is still there, behind an explicit engine only.
+        before = propagations()
+        with tracing.trace("forced") as root:
+            forced = evaluate(query, structure, engine=Engine.XPROPERTY)
+        assert forced == answers
+        assert propagations() - before > len(answers)
+        assert root.find("enumerate").attributes["strategy"] == "candidate_product"
+
+    def test_default_routing_never_enumerates_per_tuple(self, sentence_structure):
+        for text in (
+            "Q(x, y) <- NP(x), Child(x, y), NN(y)",
+            "Q(x, y, x) <- NP(x), Following(x, y), PP(y)",
+            "Q(x, y) <- NP(x), PP(y)",
+            "Q(x) <- NP(x), Child+(x, y), Child*(x, y)",
+            "Q(x, z) <- Child(x, y), Following(y, z), Child+(x, z)",
+        ):
+            with tracing.trace("request") as root:
+                evaluate(parse_query(text), sentence_structure)
+            strategies = _enumerate_strategies(root)
+            assert strategies == ["join_tree"], (text, strategies)
 
     def test_is_satisfied_all_engines_agree(self, sentence_structure):
         query = parse_query("Q <- S(x), Child+(x, y), NP(y), Child+(x, z), PP(z)")

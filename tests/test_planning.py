@@ -11,7 +11,8 @@ Covers the :class:`QueryPlan` contract end to end:
   win, the materialization threshold;
 * the serving layer: plans cached per (canonical query, stats bucket),
   invalidated by re-registration through the bucket key, EXPLAIN reporting
-  the lowering that actually runs (the satellite bugfix);
+  the lowering that actually runs (the satellite bugfix), and every
+  attribution surface naming the engine that actually ran a k-ary head;
 * the property suite: answers byte-identical under ``routing="cost"`` vs
   ``routing="static"`` across cyclic and acyclic shapes, every engine
   override and every propagator; plan choice invariant under
@@ -20,6 +21,7 @@ Covers the :class:`QueryPlan` contract end to end:
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -41,12 +43,16 @@ from repro.planning import (
 )
 from repro.evaluation.compile import compile_query
 from repro.evaluation.planner import choose_engine
+from repro.observability.accounting import ACCOUNTING
+from repro.observability.metrics import SLOW_LOG
 from repro.queries import ConjunctiveQuery, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
+from repro.service import BatchExecutor, ShardedExecutor
 from repro.service.cache import QueryCache
-from repro.service.core import Request, run_request
+from repro.service.core import PLAN_CHOICES, Request, run_request
 from repro.service.store import DocumentNotFound, DocumentStore
-from repro.trees import Axis, Tree, random_tree
+from repro.trees import Axis, Tree, random_tree, to_xml
+from repro.workloads import random_corpus
 
 ALPHABET = ("A", "B", "C")
 
@@ -56,6 +62,8 @@ FOUR_CYCLE = (
 )
 ACYCLIC_CHAIN = "Q(a) <- A(a), Child+(a, b), B(b), Following(b, c), C(c)"
 TRIANGLE = "Q(a) <- A(a), Child+(a, b), B(b), Following(a, c), Following(b, c), C(c)"
+#: A binary head over a tractable signature: the per-tuple reduction's home turf.
+KARY_HEAD = "Q(x, y) <- NP(x), Child(x, y), NN(y)"
 
 
 def _tree(size: int = 60, seed: int = 7) -> Tree:
@@ -171,6 +179,46 @@ def test_cost_routing_keeps_static_tiers():
         if cyclic.decomposition_cost <= cyclic.backtracking_cost
         else Engine.BACKTRACKING
     )
+
+
+def test_forest_heads_take_the_join_tree_tier_statically():
+    stats = DocumentStats.of_tree(_tree())
+    for text in (
+        "Q(a, b) <- A(a), Child+(a, b), B(b)",  # tractable signature
+        "Q(a, c) <- A(a), Child+(a, b), B(b), Following(b, c), C(c)",  # NP-hard one
+        "Q(a, c) <- A(a), C(c)",  # two components, no axis atom
+    ):
+        query = parse_query(text)
+        assert choose_engine(query) is Engine.DECOMPOSITION
+        for routing in ("cost", "static"):
+            plan = plan_query(query, stats, routing=routing)
+            assert plan.engine is Engine.DECOMPOSITION
+            assert plan.estimated_cost == plan.decomposition_cost
+
+
+def test_cyclic_heads_over_tractable_signatures_join_the_arbitration():
+    stats = DocumentStats.of_tree(_tree())
+    text = "Q(a, c) <- A(a), Child+(a, b), Child*(b, c), Child+(a, c), C(c)"
+    for head in ("a", "a, c"):  # monadic over a cyclic shadow, and binary
+        plan = plan_query(parse_query(text.replace("a, c", head, 1)), stats)
+        assert plan.engine is (
+            Engine.DECOMPOSITION
+            if plan.decomposition_cost <= plan.backtracking_cost
+            else Engine.BACKTRACKING
+        )
+    # The Boolean head over the same body stays on the X-property tier.
+    assert plan_query(parse_query(text.replace("Q(a, c)", "Q")), stats).engine is Engine.XPROPERTY
+
+
+def test_forced_per_tuple_engine_is_priced_as_the_reduction():
+    stats = DocumentStats.of_tree(_tree())
+    binary = parse_query("Q(a, b) <- A(a), Child+(a, b), B(b)")
+    forced = plan_query(binary, stats, engine=Engine.XPROPERTY)
+    assert forced.engine is Engine.XPROPERTY
+    assert forced.estimated_cost == forced.backtracking_cost  # |D(a)|.|D(b)| fixpoints
+    monadic = plan_query(parse_query("Q(a) <- A(a), Child+(a, b), B(b)"), stats)
+    assert monadic.engine is Engine.XPROPERTY
+    assert monadic.estimated_cost < forced.estimated_cost  # one fixpoint
 
 
 def test_overrides_always_win():
@@ -335,6 +383,62 @@ def test_explain_static_routing_is_the_ablation():
     assert result.explain["materialize"] is False
     assert result.explain["lowering"] == "tree"
     assert result.explain["propagator"] == DEFAULT_PROPAGATOR.value
+
+
+def _stable(payload: dict) -> dict:
+    return {k: v for k, v in payload.items() if k not in ("elapsed_ms", "cache_hit")}
+
+
+def _plan_choices(engine: str) -> float:
+    return sum(
+        PLAN_CHOICES.value(routing="cost", engine=engine, lowering=lowering)
+        for lowering in ("tree", "flat")
+    )
+
+
+def test_kary_head_is_attributed_to_the_engine_that_ran():
+    """Response, explain, plan counter, slow log and drift ledger all say
+    ``decomposition`` -- no request is ledgered as one x-property fixpoint
+    while running one per candidate tuple -- identically on both backends."""
+    corpus_xml = to_xml(random_corpus(seed=5, num_sentences=12))
+    requests = [
+        Request(doc="corpus", query=KARY_HEAD),
+        Request(doc="corpus", query=KARY_HEAD, explain=True),
+    ]
+    threaded, sharded = BatchExecutor(), ShardedExecutor(shards=2)
+    threshold = SLOW_LOG.threshold_ms
+    SLOW_LOG.threshold_ms = 0.0  # record everything for the duration
+    ACCOUNTING.clear()
+    try:
+        threaded.register_payload({"doc": "corpus", "xml": corpus_xml})
+        sharded.register_payload({"doc": "corpus", "xml": corpus_xml})
+        before = {engine: _plan_choices(engine) for engine in ("decomposition", "xproperty")}
+        ours = threaded.execute_batch(requests)
+        slow_entry = SLOW_LOG.entries()[-1]  # explain requests are not metered
+        after = {engine: _plan_choices(engine) for engine in before}
+        theirs = sharded.execute_batch(requests)
+        ledgers = [executor.stats()["plan_accounting"] for executor in (threaded, sharded)]
+    finally:
+        SLOW_LOG.threshold_ms = threshold
+        threaded.close()
+        sharded.close()
+    result, explained = ours
+    assert result.ok and result.count > 0
+    assert result.engine == "decomposition"
+    estimates = explained.explain["estimates"]
+    assert explained.explain["engine"] == "decomposition"
+    assert estimates["estimated_cost"] == estimates["decomposition_cost"]
+    for mine, other in zip(ours, theirs):
+        assert json.dumps(_stable(mine.to_json_dict())) == json.dumps(
+            _stable(other.to_json_dict())
+        )
+    assert after["decomposition"] - before["decomposition"] == len(requests)
+    assert after["xproperty"] == before["xproperty"]
+    assert slow_entry["engine"] == "decomposition"
+    for ledger in ledgers:
+        assert ledger["requests"] == 1
+        assert set(ledger["engines"]) == {"decomposition"}
+        assert {entry["engine"] for entry in ledger["top_drift"]} == {"decomposition"}
 
 
 def test_unknown_routing_is_a_client_error():

@@ -7,6 +7,9 @@ These cover the invariants the paper's machinery relies on:
   implementations agree,
 * the X-property evaluator agrees with backtracking on tractable signatures
   (Lemma 3.4 / Theorem 3.5),
+* default routing (one fixpoint + one join-tree traversal for every k-ary
+  head) answers exactly like the paper's per-tuple reduction under every
+  explicit engine and like the Horn-SAT oracle,
 * the CQ -> APQ rewriting preserves semantics and produces acyclic disjuncts
   (Lemma 6.5 / Theorem 6.6),
 * Theorem 4.1's positive X-property claims hold on arbitrary generated trees.
@@ -30,12 +33,12 @@ from repro.evaluation import (
 )
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
 from repro.evaluation.xprop_evaluator import boolean_query_holds as xp_holds
-from repro.queries import ConjunctiveQuery, is_acyclic
+from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.rewriting import to_apq
 from repro.trees import Axis, Order, Tree, TreeStructure, random_tree
-from repro.trees.axes import AX, holds
-from repro.xproperty import X_PROPERTY_AXES, has_x_property
+from repro.trees.axes import AX, INVERSE, holds
+from repro.xproperty import X_PROPERTY_AXES, has_x_property, is_tractable
 
 SETTINGS = settings(
     max_examples=25,
@@ -261,6 +264,112 @@ class TestDecompositionEngineProperties:
         assert sorted(evaluate(query, structure)) == sorted(
             evaluate(query, structure, engine=Engine.BACKTRACKING)
         )
+
+
+#: The tractable axis sets of Theorem 4.1 (one witnessing order each), plus an
+#: NP-hard mix with inverse axes that only ever gets forest-shaped bodies.
+_TRACTABLE_GROUPS = (
+    (Axis.CHILD_PLUS, Axis.CHILD_STAR, Axis.DOCUMENT_ORDER, Axis.SUCC_PRE),
+    (Axis.FOLLOWING,),
+    (Axis.CHILD, Axis.NEXT_SIBLING, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING_STAR),
+)
+_MIXED_GROUP = (Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING, Axis.PARENT, Axis.PRECEDING_SIBLING)
+
+
+@st.composite
+def edge_head_queries(draw) -> ConjunctiveQuery:
+    """Acyclic and tractable-signature bodies with awkward k-ary heads.
+
+    Forest-shaped bodies over any axis group (several components likely),
+    cyclic atom soups over the tractable groups only; on top, verbatim
+    duplicate atoms, the same constraint restated through the inverse axis
+    (which takes the signature off the tractable side, not the answers),
+    and self-loop atoms (possibly on a variable no other atom touches).  The
+    head has arity 1-3 with repetition allowed, so ``Q(x, y, x)``, heads
+    spanning components, heads on loop-only variables and monadic heads over
+    a cyclic shadow all occur.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    group = draw(st.sampled_from(_TRACTABLE_GROUPS + (_MIXED_GROUP,)))
+    forest = group is _MIXED_GROUP or draw(st.booleans())
+    variables = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    atoms: list = []
+    if forest:
+        for i in range(1, len(variables)):
+            if rng.random() < 0.8:  # else: a new connected component
+                pair = [variables[rng.randrange(i)], variables[i]]
+                rng.shuffle(pair)
+                atoms.append(AxisAtom(rng.choice(group), *pair))
+    elif len(variables) >= 2:
+        for _ in range(rng.randint(1, len(variables) + 2)):
+            atoms.append(AxisAtom(rng.choice(group), *rng.sample(variables, 2)))
+    if atoms and rng.random() < 0.3:
+        atoms.append(rng.choice(atoms))
+    if atoms and rng.random() < 0.2:  # restated through the inverse axis
+        atom = rng.choice(atoms)
+        if atom.axis in INVERSE:
+            atoms.append(AxisAtom(INVERSE[atom.axis], atom.target, atom.source))
+    if rng.random() < 0.3:
+        loop_variable = rng.choice(variables)
+        atoms.append(AxisAtom(rng.choice(group), loop_variable, loop_variable))
+    for variable in variables:
+        if rng.random() < 0.5 or not any(variable in atom.variables() for atom in atoms):
+            atoms.append(LabelAtom(rng.choice(ALPHABET), variable))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    head = tuple(rng.choice(variables) for _ in range(arity))
+    return ConjunctiveQuery(head, tuple(atoms), "Q")
+
+
+def _per_tuple_engines(query: ConjunctiveQuery) -> list[Engine]:
+    """The explicit engines applicable to ``query`` (all run the reduction)."""
+    engines = [Engine.BACKTRACKING]
+    if is_tractable(query.signature()):
+        engines.append(Engine.XPROPERTY)
+    if is_acyclic(query):
+        engines.append(Engine.ACYCLIC)
+    return engines
+
+
+class TestDefaultEnumerationProperties:
+    """Default routing vs the paper's per-tuple reduction vs the Horn oracle.
+
+    ``evaluate()`` without an engine enumerates every non-projection head over
+    the join tree; the explicit ``xproperty`` / ``acyclic`` / ``backtracking``
+    engines still run one pinned Boolean evaluation per candidate head tuple.
+    The two must emit byte-identical sorted answers.
+    """
+
+    @staticmethod
+    def _assert_all_agree(query: ConjunctiveQuery, structure: TreeStructure) -> None:
+        default = repr(sorted(evaluate(query, structure)))
+        for engine in _per_tuple_engines(query):
+            assert repr(sorted(evaluate(query, structure, engine=engine))) == default, engine
+        oracle = evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn")
+        assert repr(sorted(oracle)) == default
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees(max_size=10), edge_head_queries())
+    def test_default_matches_per_tuple_engines_and_horn_oracle(self, tree, query):
+        self._assert_all_agree(query, TreeStructure(tree))
+
+    def test_named_edge_heads(self):
+        shapes = [
+            "Q(x, y, x) <- A(x), Child+(x, y), B(y)",  # repeated head variable
+            "Q(x, y) <- A(x), B(y)",  # head across components, no axis atom
+            "Q(x, y) <- A(x), Child(x, z), B(y), Following(y, w)",
+            "Q(x, y) <- Child*(x, x), B(y)",  # head on a loop-only variable
+            "Q(x, x) <- Child(x, x)",  # unsatisfiable loop
+            "Q(x, y) <- A(x), Child(x, y), Parent(y, x), Child(x, y)",  # inverse + duplicate
+            "Q(x) <- A(x), Child+(x, y), Child*(x, y)",  # monadic over a cyclic shadow
+            "Q(y) <- Child+(x, y), Child*(y, z), Ancestor(x, z)",
+            "Q(x, z) <- Child+(x, y), Child*(y, z), Child+(x, z)",  # cyclic, tractable, binary
+        ]
+        for seed in range(6):
+            structure = TreeStructure(
+                random_tree(9 + seed, alphabet=ALPHABET, max_children=3, seed=seed)
+            )
+            for text in shapes:
+                self._assert_all_agree(parse_query(text), structure)
 
 
 class TestRewritingProperties:
