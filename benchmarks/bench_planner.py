@@ -47,8 +47,9 @@ static configuration on every measured instance.
 
 ``ablation_*`` entries are kept honest and out of the headline: TEMP-table
 materialization on the dense labeled four-cycle (SQLite auto-indexes
-materialized CTE subqueries, so ~1x) and the hybrid-vs-AC-4 propagator pick
-on an unlabeled ``Child+`` chain (a mild, not 5x, win).
+materialized CTE subqueries, so ~1x), the propagator pick -- AC-4 vs
+hybrid vs the semijoin full reducer -- on an unlabeled ``Child+`` chain, and
+the full reducer's bisection-vs-kernels crossover against either side forced.
 
 Run standalone (``python benchmarks/bench_planner.py``) to regenerate
 ``BENCH_planner.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
@@ -59,12 +60,15 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from unittest import mock
 
 import pytest
 from bench_config import SMOKE, scaled
 
 from repro.backends.sqlite import SQLiteBackend
-from repro.evaluation import Engine, evaluate
+from repro.evaluation import Engine, evaluate, reducer
+from repro.evaluation.compile import compile_query
+from repro.evaluation.reducer import semijoin_fixpoint
 from repro.planning import DocumentStats, plan_query
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
@@ -117,8 +121,9 @@ ABLATION_CYCLE4_SQL = (
 )
 
 #: Unlabeled chain for the propagator ablation: both endpoints of each
-#: ``Child+`` edge are full-domain, exactly where ``choose_propagator``
-#: prefers the interval hybrid over AC-4's quadratic support seeding.
+#: ``Child+`` edge are full-domain, where the hybrid beats AC-4's quadratic
+#: support seeding -- and, the body being forest-shaped, where
+#: ``choose_propagator`` now picks the semijoin full reducer over both.
 ABLATION_PROPAGATOR = "Q(x) <- Child+(x, y), Child+(y, z)"
 
 
@@ -254,21 +259,28 @@ def _measure_materialize_ablation(size, repeats):
     )
 
 
+#: The propagators the ablation measures: the AC-4 default, the hybrid the
+#: planner used to pick here, and the semijoin full reducer it picks now.
+ABLATION_PROPAGATORS = ("ac4", "hybrid", "semijoin")
+
+
 def _measure_propagator_ablation(size, repeats):
-    """The cost router's hybrid pick vs the AC-4 default on unlabeled chains."""
+    """The cost router's propagator pick vs the alternatives on unlabeled chains."""
     query = parse_query(ABLATION_PROPAGATOR)
     tree = _resident_tree(size)
     structure = TreeStructure(tree)
     plan = plan_query(query, DocumentStats.of_tree(tree))
-    if sorted(evaluate(query, structure, propagator="hybrid")) != sorted(
-        evaluate(query, structure, propagator="ac4")
-    ):
+    renderings = {
+        repr(sorted(evaluate(query, structure, propagator=propagator)))
+        for propagator in ABLATION_PROPAGATORS
+    }
+    if len(renderings) != 1:
         raise AssertionError(f"propagator answer mismatch (n={size})")
     static_seconds = {
         propagator: _best_time(
             lambda: evaluate(query, structure, propagator=propagator), repeats
         )
-        for propagator in ("ac4", "hybrid")
+        for propagator in ABLATION_PROPAGATORS
     }
     return _entry(
         size,
@@ -278,6 +290,32 @@ def _measure_propagator_ablation(size, repeats):
         plan.propagator.value,
         static_seconds,
     )
+
+
+#: The two regimes of the full reducer's ``Child+``/``Child*`` semijoin: both
+#: columns unlabeled (the cumulative-membership kernels' side of the crossover)
+#: and both label-selective (the per-candidate bisection's side).
+ABLATION_REDUCER = {
+    "ablation_reducer_unlabeled": ABLATION_PROPAGATOR,
+    "ablation_reducer_selective": "Q(x) <- L05(i), Child*(x, i), L03(x)",
+}
+
+
+def _measure_reducer_kernel_ablation(name, size, repeats):
+    """``reducer.BISECT_STEPS_PER_NODE`` vs forcing either kernel everywhere."""
+    compiled = compile_query(parse_query(ABLATION_REDUCER[name]))
+    structure = TreeStructure(_resident_tree(size))
+    reference = semijoin_fixpoint(compiled, structure)
+    threshold = reducer.BISECT_STEPS_PER_NODE
+    seconds = {}
+    for label, steps in (("threshold", threshold), ("bisect", float("inf")), ("kernels", 0)):
+        with mock.patch.object(reducer, "BISECT_STEPS_PER_NODE", steps):
+            if semijoin_fixpoint(compiled, structure) != reference:
+                raise AssertionError(f"reducer kernel mismatch on {name} (n={size}, {label})")
+            # Repeats x 5: the selective regime runs in tens of microseconds.
+            seconds[label] = _best_time(lambda: semijoin_fixpoint(compiled, structure), repeats * 5)
+    cost_seconds = seconds.pop("threshold")
+    return _entry(size, name, "ablation", cost_seconds, f"threshold={threshold}", seconds)
 
 
 def run(repeats: int = 3) -> dict:
@@ -293,6 +331,8 @@ def run(repeats: int = 3) -> dict:
         results.append(_measure_materialize_ablation(size, repeats))
     for size in RESIDENT_SIZES:
         results.append(_measure_propagator_ablation(size, repeats))
+        for name in ABLATION_REDUCER:
+            results.append(_measure_reducer_kernel_ablation(name, size, repeats))
 
     gating = [entry for entry in results if entry["kind"] == "gating"]
     min_speedup = min(entry["speedup"] for entry in gating)

@@ -223,6 +223,34 @@ class CompiledQuery:
 
         return decompose(self)
 
+    @cached_property
+    def sweep_order(self) -> tuple[tuple[Variable, CompiledAtom], ...]:
+        """The shadow forest's edges as ``(child, atom)``, every parent first.
+
+        The order the semijoin full reducer (:mod:`repro.evaluation.reducer`)
+        sweeps in: backwards it is a leaves-to-root pass, forwards a
+        root-to-leaves pass.  Each component is rooted at a head variable when
+        it has one, otherwise at its first variable.  Precondition:
+        :attr:`shadow_is_forest` (the reducer checks it); on a cyclic body
+        this is merely a spanning forest that drops the chord atoms.
+        """
+        order: list[tuple[Variable, CompiledAtom]] = []
+        seen: set[Variable] = set()
+        for root in (*dict.fromkeys(self.query.head), *self.variables):
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [root]
+            while stack:
+                variable = stack.pop()
+                for atom in self.adjacency[variable]:
+                    child = atom.other(variable)
+                    if child not in seen:
+                        seen.add(child)
+                        order.append((child, atom))
+                        stack.append(child)
+        return tuple(order)
+
     # -- convenience -----------------------------------------------------------
 
     def atoms_of(self, variable: Variable) -> tuple[CompiledAtom, ...]:

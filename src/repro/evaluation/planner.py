@@ -30,8 +30,12 @@ ablation baseline of the committed benchmarks.
 Orthogonally, every path needs the subset-maximal arc-consistent
 prevaluation; *how* it is computed is the second planner dimension,
 ``propagator=`` (:class:`~repro.evaluation.propagation.Propagator`): ``ac4``
-(support counting over interval ranks, the default) with ``ac3`` (worklist)
-and ``horn`` (unit propagation) kept as cross-checked ablations.
+(support counting over interval ranks, the library default), ``hybrid`` (one
+bulk revise sweep, then AC-4), ``ac3`` (worklist) and ``horn`` (unit
+propagation) as cross-checked ablations, and ``semijoin`` -- the Yannakakis
+full reducer (:mod:`repro.evaluation.reducer`), two semijoin sweeps along the
+shadow forest, which only accepts forest-shaped bodies (a ``ValueError``
+otherwise) and which the cost planner picks for every one of them.
 """
 
 from __future__ import annotations

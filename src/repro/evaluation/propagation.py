@@ -1,4 +1,4 @@
-"""The propagator dimension: one fixpoint, three interchangeable engines.
+"""The propagator dimension: one fixpoint, five interchangeable engines.
 
 Every evaluator needs the subset-maximal arc-consistent prevaluation
 (Proposition 3.1); *how* it is computed is an engineering choice the planner
@@ -15,15 +15,24 @@ now exposes as the ``propagator=`` dimension:
 * :attr:`Propagator.HYBRID` -- one bulk AC-3 revise sweep to harvest the
   cheap deletions at bulk-scan cost, then AC-4 support counting on the
   shrunken domains (closing the ROADMAP gap on fast-converging pure
-  ``Child+`` chains where AC-3's set scans beat AC-4's bookkeeping).
+  ``Child+`` chains where AC-3's set scans beat AC-4's bookkeeping);
+* :attr:`Propagator.SEMIJOIN` -- the Yannakakis full reducer of
+  :mod:`repro.evaluation.reducer`: two directional semijoin sweeps along the
+  shadow forest over sorted columns.  **Forest-shaped bodies only** (there
+  the fixpoint is the projection of the solution set); on a cyclic body it
+  raises :class:`ValueError`.  The cost planner picks it for every
+  forest-shaped body.
 
-All three compute the same fixpoint (the deletion rules are confluent); the
+All five compute the same fixpoint (the deletion rules are confluent); the
 property tests assert it.  :func:`propagate` wraps the choice and returns a
 :class:`PropagationResult` carrying both the plain domain sets and -- for
 consumers that keep querying witnesses, like the backtracking forward checker
 and the acyclic enumerator -- per-variable sorted-array views, which AC-4
 hands over for free (its maintained views ARE the fixpoint) and the other
-engines build once on demand.
+engines build once on demand.  The full reducer hands over its sorted
+survivor columns: :meth:`PropagationResult.sorted_domain` returns them as they
+are, and sets and views are built from them (no re-sort) only for the
+consumers that ask.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .ac4 import Views, ac4_fixpoint, hybrid_fixpoint
 from .arc_consistency import maximal_arc_consistent, maximal_arc_consistent_horn
 from .compile import CompiledQuery, compile_query
 from .domains import Domains
+from .reducer import semijoin_fixpoint
 
 PROPAGATE_SECONDS = REGISTRY.histogram(
     "cqtrees_propagate_seconds",
@@ -56,6 +66,8 @@ class Propagator(str, Enum):
     AC3 = "ac3"
     HORN = "horn"
     HYBRID = "hybrid"
+    #: Forest-shaped bodies only (see :mod:`repro.evaluation.reducer`).
+    SEMIJOIN = "semijoin"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -68,7 +80,7 @@ DEFAULT_PROPAGATOR = Propagator.AC4
 
 
 def as_propagator(value: PropagatorLike) -> Propagator:
-    """Coerce ``"ac4" | "ac3" | "horn"`` (or the enum) to :class:`Propagator`."""
+    """Coerce ``"ac4" | "ac3" | "horn" | "hybrid" | "semijoin"`` (or the enum)."""
     if isinstance(value, Propagator):
         return value
     try:
@@ -87,38 +99,61 @@ class PropagationResult:
     maps each variable to a sorted-array view suitable for the index witness
     primitives; for AC-4 these are the maintained
     :class:`~repro.trees.index.MutableDomainView` objects straight out of the
-    engine, for AC-3/Horn they are built once on first access.
+    engine, for the others they are built once on first access.  The full
+    reducer passes ``columns`` -- the same domains as sorted lists -- instead
+    of ``domains``; sets and views are then both built from the columns on
+    first access, the views without a sort.
     """
 
-    __slots__ = ("_structure", "domains", "_views")
+    __slots__ = ("_structure", "_domains", "_views", "_columns")
 
     def __init__(
         self,
         structure: TreeStructure,
-        domains: Domains,
+        domains: Optional[Domains] = None,
         views: Optional[Views] = None,
+        columns: Optional[Mapping[Variable, list[int]]] = None,
     ):
         self._structure = structure
-        self.domains = domains
+        self._domains = domains
         self._views = views
+        self._columns = columns
+
+    @property
+    def domains(self) -> Domains:
+        if self._domains is None:
+            self._domains = {variable: set(column) for variable, column in self._columns.items()}
+        return self._domains
 
     @property
     def views(self):
         if self._views is None:
             index = self._structure.index
-            self._views = {
-                variable: index.mutable_view(nodes)
-                for variable, nodes in self.domains.items()
-            }
+            if self._columns is not None:
+                self._views = {
+                    variable: index.mutable_view(column, presorted=True)
+                    for variable, column in self._columns.items()
+                }
+            else:
+                self._views = {
+                    variable: index.mutable_view(nodes)
+                    for variable, nodes in self._domains.items()
+                }
         return self._views
 
     def sorted_domain(self, variable: Variable) -> list[int]:
         """The surviving candidates of ``variable`` in ascending node order."""
+        if self._columns is not None:
+            return self._columns[variable]
         return list(self.views[variable].array)
 
+    def domain_sizes(self) -> dict[Variable, int]:
+        """Surviving candidates per variable (no set or view is built for it)."""
+        sized = self._columns if self._columns is not None else self._domains
+        return {variable: len(sized[variable]) for variable in sorted(sized)}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = {variable: len(nodes) for variable, nodes in self.domains.items()}
-        return f"PropagationResult({sizes})"
+        return f"PropagationResult({self.domain_sizes()})"
 
 
 def propagate(
@@ -137,7 +172,7 @@ def propagate(
 
     ``columnar=False`` forces the per-candidate ablation paths of the chosen
     engine (same fixpoint; benchmark/cross-check use only).  The Horn engine
-    has no columnar dimension and ignores the flag.
+    and the full reducer have no columnar dimension and ignore the flag.
 
     Every call lands in the per-propagator latency histogram
     (:data:`PROPAGATE_SECONDS`); inside an active trace a ``propagate`` span
@@ -165,12 +200,7 @@ def propagate(
         if result is None:
             tracing.annotate(satisfiable=False)
         else:
-            tracing.annotate(
-                satisfiable=True,
-                domains_after={
-                    variable: len(nodes) for variable, nodes in sorted(result.domains.items())
-                },
-            )
+            tracing.annotate(satisfiable=True, domains_after=result.domain_sizes())
     return result
 
 
@@ -188,6 +218,12 @@ def _propagate(
             return None
         domains = {variable: view.members for variable, view in views.items()}
         return PropagationResult(structure, domains, views)
+    if chosen is Propagator.SEMIJOIN:
+        compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
+        columns = semijoin_fixpoint(compiled, structure, pinned)
+        if columns is None:
+            return None
+        return PropagationResult(structure, columns=columns)
     if chosen is Propagator.AC3:
         domains = maximal_arc_consistent(query, structure, pinned, columnar=columnar)
     else:

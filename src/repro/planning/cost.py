@@ -157,12 +157,28 @@ def decomposition_cost_estimate(
     return bag_rows, max(sum(bag_rows), 1.0)
 
 
-def fixpoint_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
-    """One arc-consistency fixpoint: roughly nodes x atoms work."""
+def fixpoint_cost_estimate(
+    compiled: CompiledQuery, stats: DocumentStats, propagator: Optional[Propagator] = None
+) -> float:
+    """One arc-consistency fixpoint: roughly nodes x atoms work.
+
+    The semijoin full reducer never touches a node outside the label columns:
+    each edge costs its two endpoint domains (once per sweep), so it is priced
+    by their estimated sizes instead.
+    """
+    if propagator is Propagator.SEMIJOIN:
+        touched = sum(
+            variable_domain_estimate(atom.source, compiled, stats)
+            + variable_domain_estimate(atom.target, compiled, stats)
+            for atom in compiled.edges
+        )
+        return max(touched, 1.0)
     return float(stats.nodes) * max(1, len(compiled.atoms))
 
 
-def backtracking_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
+def backtracking_cost_estimate(
+    compiled: CompiledQuery, stats: DocumentStats, propagator: Optional[Propagator] = None
+) -> float:
     """Cost of the backtracking engine as the serving layer actually runs it.
 
     Boolean queries cost about two fixpoints (propagate, then first-witness
@@ -171,7 +187,7 @@ def backtracking_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) ->
     candidate-product: the product of distinct head-variable domain estimates,
     times a per-candidate satisfiability check priced as one fixpoint.
     """
-    fixpoint = fixpoint_cost_estimate(compiled, stats)
+    fixpoint = fixpoint_cost_estimate(compiled, stats, propagator)
     head = compiled.query.head
     if not head:
         return 2.0 * fixpoint
@@ -189,14 +205,19 @@ def flat_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
 
 
 def choose_propagator(compiled: CompiledQuery) -> Propagator:
-    """Propagator pick backed by the BENCH_ac4 ``ablation_hybrid`` ablation.
+    """Propagator pick: the full reducer on forests, else the BENCH_ac4 ablations.
 
-    Hybrid wins when some edge joins two unlabeled (full-domain) variables
-    over a non-global axis -- AC-4's support counters are quadratic to seed
-    exactly there, while the interval representation stays closed-form.  On
-    global axes (``Following``, ``DocumentOrder``) AC-4 keeps a measured
-    9.4x-vs-3.5x edge over the hybrid on deep chains, so those stay AC-4.
+    A forest-shaped body gets the two semijoin sweeps of
+    :mod:`repro.evaluation.reducer` (no worklist; ``benchmarks/e2e``
+    ``mixed_10k``).  On cyclic bodies hybrid wins when some edge joins two
+    unlabeled (full-domain) variables over a non-global axis -- AC-4's support
+    counters are quadratic to seed exactly there, while the interval
+    representation stays closed-form.  On global axes (``Following``,
+    ``DocumentOrder``) AC-4 keeps a measured 9.4x-vs-3.5x edge over the hybrid
+    on deep chains, so those stay AC-4.
     """
+    if compiled.shadow_is_forest:
+        return Propagator.SEMIJOIN
     for atom in compiled.edges:
         if atom.axis in (Axis.FOLLOWING, Axis.DOCUMENT_ORDER):
             continue

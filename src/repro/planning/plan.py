@@ -18,7 +18,8 @@ EXPLAIN, benchmarks) goes through.  Two routings exist:
   - the SQL lowering: ``"flat"`` when the single-block join is estimated
     cheaper than the join-tree CTE cascade, plus TEMP-table materialization
     of large bags;
-  - the propagator: hybrid where the AC-4 ablations show it winning.
+  - the propagator: the semijoin full reducer on every forest-shaped body,
+    hybrid on cyclic bodies where the AC-4 ablations show it winning.
 
 * ``routing="static"`` reproduces the pre-planner behaviour bit for bit
   (static engine rule, AC-4, tree lowering, no materialization) and is kept
@@ -153,12 +154,19 @@ def plan_query(
     if compiled is None:
         compiled = compile_query(query)
 
+    if propagator is not None:
+        chosen_propagator = propagator
+    elif routing == "cost":
+        chosen_propagator = choose_propagator(compiled)
+    else:
+        chosen_propagator = DEFAULT_PROPAGATOR
+
     decomposition = compiled.decomposition
     bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)
-    backtracking_total = backtracking_cost_estimate(compiled, stats)
+    backtracking_total = backtracking_cost_estimate(compiled, stats, chosen_propagator)
     tree_cost = decomposition_total
     flat_cost = flat_cost_estimate(compiled, stats)
-    fixpoint = fixpoint_cost_estimate(compiled, stats)
+    fixpoint = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
 
     static_engine = choose_engine(query, accel_only=accel_only)
     forest_head = compiled.shadow_is_forest and not query.is_boolean
@@ -174,13 +182,6 @@ def plan_query(
             if decomposition_total <= backtracking_total
             else Engine.BACKTRACKING
         )
-
-    if propagator is not None:
-        chosen_propagator = propagator
-    elif routing == "cost":
-        chosen_propagator = choose_propagator(compiled)
-    else:
-        chosen_propagator = DEFAULT_PROPAGATOR
 
     if routing == "cost":
         lowering = "flat" if flat_cost < tree_cost else "tree"

@@ -270,10 +270,12 @@ class MutableDomainView:
         "_live_mask",
     )
 
-    def __init__(self, index: "AxisIndex", nodes: Iterable[int]):
+    def __init__(self, index: "AxisIndex", nodes: Iterable[int], presorted: bool = False):
         self.index = index
         self.members: set[int] = set(nodes)
-        self._array: array = array(COLUMN_TYPECODE, sorted(self.members))
+        # ``presorted``: ``nodes`` is already an ascending duplicate-free
+        # sequence (the full reducer's columns), so skip the sort.
+        self._array: array = array(COLUMN_TYPECODE, nodes if presorted else sorted(self.members))
         self._dead = 0
         self._invalidate()
 
@@ -520,9 +522,9 @@ class AxisIndex:
         """Wrap a candidate set in a :class:`DomainView` bound to this index."""
         return DomainView(self, nodes)
 
-    def mutable_view(self, nodes: Iterable[int]) -> MutableDomainView:
+    def mutable_view(self, nodes: Iterable[int], presorted: bool = False) -> MutableDomainView:
         """Wrap a candidate set in a delete-aware :class:`MutableDomainView`."""
-        return MutableDomainView(self, nodes)
+        return MutableDomainView(self, nodes, presorted)
 
     # -- witness tests ---------------------------------------------------------
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.evaluation import (
     Propagator,
+    compile_query,
     evaluate,
     is_satisfied,
     maximal_arc_consistent,
@@ -346,7 +347,12 @@ class TestMonadicAcyclicFastPath:
             for node in tree.node_ids()
             if is_satisfied(monadic, structure, pinned={body_variables[0]: node})
         )
+        forest = compile_query(monadic).shadow_is_forest
         for propagator in Propagator:
+            if propagator is Propagator.SEMIJOIN and not forest:
+                with pytest.raises(ValueError, match="forest-shaped"):
+                    evaluate(monadic, structure, propagator=propagator)
+                continue
             assert evaluate(monadic, structure, propagator=propagator) == expected
 
 

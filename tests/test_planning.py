@@ -37,6 +37,7 @@ from repro.planning import (
     QueryPlan,
     bag_rows_estimate,
     choose_propagator,
+    fixpoint_cost_estimate,
     plan_query,
     validate_routing,
     variable_domain_estimate,
@@ -133,17 +134,41 @@ def test_bag_rows_at_least_one_and_label_sensitive():
 
 
 def test_choose_propagator_rule():
-    # Two unlabeled endpoints on a local axis: the hybrid's closed-form
-    # intervals beat AC-4's quadratic support seeding.
-    assert choose_propagator(compile_query(parse_query("Q() <- Child+(x, y)"))) is (
-        Propagator.HYBRID
-    )
+    # A forest-shaped body gets the two semijoin sweeps, labeled or not, on
+    # local and global axes alike.
+    for text in ("Q() <- Child+(x, y)", ACYCLIC_CHAIN, "Q() <- Following(x, y)"):
+        assert choose_propagator(compile_query(parse_query(text))) is Propagator.SEMIJOIN
+    # Cyclic bodies keep the worklist rule.  Two unlabeled endpoints on a
+    # non-global axis: the hybrid's closed-form intervals beat AC-4's
+    # quadratic support seeding.
+    assert choose_propagator(
+        compile_query(parse_query("Q() <- Child+(x, y), Child+(y, z), Following(x, z)"))
+    ) is Propagator.HYBRID
     # Labels on every edge endpoint: AC-4.
-    assert choose_propagator(compile_query(parse_query(ACYCLIC_CHAIN))) is Propagator.AC4
+    assert choose_propagator(compile_query(parse_query(FOUR_CYCLE))) is Propagator.AC4
     # Global axes stay AC-4 even unlabeled (the measured ablation).
-    assert choose_propagator(compile_query(parse_query("Q() <- Following(x, y)"))) is (
-        Propagator.AC4
+    assert choose_propagator(
+        compile_query(parse_query("Q() <- Following(x, y), Following(y, z), DocumentOrder(x, z)"))
+    ) is Propagator.AC4
+
+
+def test_semijoin_fixpoint_is_priced_by_label_columns():
+    stats = DocumentStats.of_tree(_tree(size=400))
+    query = parse_query("Q(a) <- A(a), Child(a, b), B(b)")
+    compiled = compile_query(query)
+    touched = variable_domain_estimate("a", compiled, stats) + variable_domain_estimate(
+        "b", compiled, stats
     )
+    assert fixpoint_cost_estimate(compiled, stats, Propagator.SEMIJOIN) == touched
+    assert fixpoint_cost_estimate(compiled, stats) == stats.nodes * len(compiled.atoms)
+    # The plan charges what its propagator does: a monadic forest projection
+    # costs one fixpoint under either pricing.
+    assert plan_query(query, stats).estimated_cost == touched
+    forced = plan_query(query, stats, propagator=Propagator.AC4)
+    assert forced.estimated_cost == stats.nodes * len(compiled.atoms)
+    # No edge at all: never a zero cost (the ledger divides by it).
+    lone = compile_query(parse_query("Q(a) <- A(a)"))
+    assert fixpoint_cost_estimate(lone, stats, Propagator.SEMIJOIN) == 1.0
 
 
 # -- plan_query routing --------------------------------------------------------
@@ -350,6 +375,23 @@ def test_plans_cached_per_bucket_and_invalidated_by_reregistration():
     assert replanned.stats_bucket != first.stats_bucket
 
 
+def test_plan_cache_key_separates_explicit_propagator_from_automatic_pick():
+    store, cache = _service()
+    entry, _ = cache.resolve_text(ACYCLIC_CHAIN)
+    stats = store.stats_for("doc")
+    automatic = cache.plan_for(entry, stats)
+    assert automatic.propagator is Propagator.SEMIJOIN
+    # Naming the propagator the planner would pick anyway is still an
+    # override: its own cache slot, its own plan.
+    named = cache.plan_for(entry, stats, propagator=Propagator.SEMIJOIN)
+    assert named is not automatic and named.propagator is Propagator.SEMIJOIN
+    forced = cache.plan_for(entry, stats, propagator=Propagator.AC4)
+    assert forced.propagator is Propagator.AC4
+    assert cache.plan_for(entry, stats) is automatic
+    assert cache.plan_for(entry, stats, propagator=Propagator.AC4) is forced
+    assert cache.plan_for(entry, stats, routing="static").propagator is DEFAULT_PROPAGATOR
+
+
 def test_explain_reports_chosen_lowering_and_estimates():
     store, cache = _service()
     result = run_request(store, cache, Request(doc="accel", query=FOUR_CYCLE, explain=True))
@@ -493,7 +535,12 @@ def test_cost_and_static_routing_are_byte_identical(query, size, seed):
     cache = QueryCache()
     store.register_tree("doc", random_tree(size, alphabet=ALPHABET, max_children=3, seed=seed))
     variants = [{"propagator": p} for p in ("auto", "ac4", "ac3", "hybrid")]
-    variants += [{"engine": e} for e in ("decomposition", "backtracking")]
+    variants += [{"engine": "decomposition"}]
+    # A forced per-tuple engine refuses to pin a head variable no atom
+    # mentions ("pinned variable not in the query", a ROADMAP open item) under
+    # either routing; every other variant keeps the unsafe heads.
+    if set(query.head) <= set(query.as_boolean().variables()):
+        variants += [{"engine": "backtracking"}]
     for overrides in variants:
         results = {
             routing: run_request(

@@ -1,0 +1,268 @@
+"""The semijoin full reducer (``Propagator.SEMIJOIN``) against every other fixpoint.
+
+Over a forest-shaped body two directional semijoin sweeps must land on exactly
+the subset-maximal arc-consistent prevaluation the worklist engines compute:
+
+* ``propagate(..., "semijoin").domains`` equals ``ac4``, ``ac3`` and the
+  Horn-SAT ground truth, set for set, on random forest-shaped queries over all
+  nine churn axes plus the inverse axes -- multi-label variables, self-loops,
+  several components, pinning, unsatisfiable instances;
+* sorted answers through ``evaluate`` are the same under every engine;
+* both regimes of the ``Child+``/``Child*`` kernel (bisection, cumulative
+  membership columns) agree with a brute-force semijoin;
+* a cyclic body is refused with a typed client error, end to end.
+"""
+
+from __future__ import annotations
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.evaluation import Engine, Propagator, compile_query, evaluate, propagate
+from repro.evaluation import reducer
+from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
+from repro.queries.atoms import AxisAtom, LabelAtom
+from repro.service.cache import QueryCache
+from repro.service.core import Request, run_request
+from repro.service.store import DocumentStore
+from repro.trees import Axis, TreeStructure, random_tree
+from repro.trees.axes import INVERSE
+from repro.xproperty.dichotomy import is_tractable
+
+SETTINGS = settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+ALPHABET = ("A", "B", "C")
+#: An extra (non-label) unary relation, so multi-label variables intersect
+#: a label column with something that is not a label column.
+EXTRA = "X"
+
+#: The nine axes of the e2e churn generator (``benchmarks/e2e/workloads.py``).
+CHURN_AXES = (
+    Axis.CHILD,
+    Axis.CHILD_PLUS,
+    Axis.CHILD_STAR,
+    Axis.NEXT_SIBLING,
+    Axis.NEXT_SIBLING_PLUS,
+    Axis.NEXT_SIBLING_STAR,
+    Axis.FOLLOWING,
+    Axis.DOCUMENT_ORDER,
+    Axis.SUCC_PRE,
+)
+INVERSE_AXES = (
+    Axis.PARENT,
+    Axis.ANCESTOR,
+    Axis.ANCESTOR_OR_SELF,
+    Axis.PREVIOUS_SIBLING,
+    Axis.PRECEDING_SIBLING,
+    Axis.PRECEDING,
+)
+ALL_AXES = CHURN_AXES + INVERSE_AXES + (Axis.SELF,)
+
+TRIANGLE = "Q(a) <- A(a), Child+(a, b), B(b), Following(a, c), Following(b, c), C(c)"
+
+
+@st.composite
+def structures(draw, max_size: int = 18) -> TreeStructure:
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    tree = random_tree(
+        size,
+        alphabet=ALPHABET,
+        max_children=draw(st.sampled_from([2, 4])),
+        multi_label_probability=0.3,
+        unlabeled_probability=draw(st.sampled_from([0.0, 0.3])),
+        seed=seed,
+    )
+    rng = random.Random(seed)
+    extra = [node for node in range(size) if rng.random() < 0.6]
+    return TreeStructure(tree, extra_unary={EXTRA: extra})
+
+
+@st.composite
+def forest_queries(draw) -> ConjunctiveQuery:
+    """Forest-shaped bodies: several components, loops, restated atoms, 0-3 labels."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    variables = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    atoms: list = []
+    for i in range(1, len(variables)):
+        if rng.random() < 0.8:  # else: a new connected component
+            pair = [variables[rng.randrange(i)], variables[i]]
+            rng.shuffle(pair)
+            atoms.append(AxisAtom(rng.choice(ALL_AXES), *pair))
+    if atoms and rng.random() < 0.2:
+        atoms.append(rng.choice(atoms))
+    if atoms and rng.random() < 0.2:  # the same constraint through the inverse axis
+        atom = rng.choice(atoms)
+        if atom.axis in INVERSE:
+            atoms.append(AxisAtom(INVERSE[atom.axis], atom.target, atom.source))
+    if rng.random() < 0.3:
+        loop_variable = rng.choice(variables)
+        atoms.append(AxisAtom(rng.choice(ALL_AXES), loop_variable, loop_variable))
+    for variable in variables:
+        touched = any(variable in atom.variables() for atom in atoms)
+        for label in rng.sample(ALPHABET + (EXTRA,), rng.choice([0, 1, 1, 2, 3])):
+            atoms.append(LabelAtom(label, variable))
+            touched = True
+        if not touched:
+            atoms.append(LabelAtom(rng.choice(ALPHABET), variable))
+    head = tuple(rng.choice(variables) for _ in range(draw(st.integers(0, 2))))
+    query = ConjunctiveQuery(head, tuple(atoms), "Q")
+    assume(compile_query(query).shadow_is_forest)
+    return query
+
+
+def _pin(data, query: ConjunctiveQuery, structure: TreeStructure):
+    if not data.draw(st.booleans(), label="pin a variable"):
+        return None
+    variable = data.draw(st.sampled_from(query.variables()), label="pinned variable")
+    node = data.draw(st.integers(0, structure.domain_size - 1), label="pinned node")
+    return {variable: node}
+
+
+class TestFixpointEquality:
+    @SETTINGS
+    @given(structures(), forest_queries(), st.data())
+    def test_domains_equal_ac4_ac3_and_horn(self, structure, query, data):
+        pinned = _pin(data, query, structure)
+        result = propagate(query, structure, pinned, Propagator.SEMIJOIN)
+        for other in (Propagator.AC4, Propagator.AC3, Propagator.HORN):
+            reference = propagate(query, structure, pinned, other)
+            if reference is None:
+                assert result is None, other
+            else:
+                assert result is not None and result.domains == reference.domains, other
+        if result is not None:
+            for variable, nodes in result.domains.items():
+                assert result.sorted_domain(variable) == sorted(nodes)
+                assert list(result.views[variable].array) == sorted(nodes)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(structures(max_size=10), forest_queries())
+    def test_answers_equal_under_every_engine(self, structure, query):
+        oracle = sorted(evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn"))
+        engines = [Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING]
+        if is_tractable(query.signature()):
+            engines.append(Engine.XPROPERTY)
+        if is_acyclic(query):
+            engines.append(Engine.ACYCLIC)
+        for engine in engines:
+            found = evaluate(query, structure, engine=engine, propagator=Propagator.SEMIJOIN)
+            assert repr(sorted(found)) == repr(oracle), engine
+
+
+class TestSubtreeKernel:
+    """Both regimes of the ``Child+``/``Child*`` semijoin vs brute force."""
+
+    @SETTINGS
+    @given(structures(max_size=30), st.data())
+    def test_bisection_and_cumulative_columns_agree(self, structure, data):
+        index = structure.index
+        nodes = st.lists(st.integers(0, index.n - 1), min_size=1, unique=True).map(sorted)
+        watched = data.draw(nodes, label="watched")
+        support = data.draw(nodes, label="support")
+        tree = structure.tree
+        for reflexive in (False, True):
+            for forward in (False, True):
+
+                def related(u, w):
+                    ancestor, descendant = (u, w) if forward else (w, u)
+                    return tree.is_descendant(ancestor, descendant) or (reflexive and u == w)
+
+                expected = [u for u in watched if any(related(u, w) for w in support)]
+                for steps in (0, 10**9):  # always the columns, always bisection
+                    with mock.patch.object(reducer, "BISECT_STEPS_PER_NODE", steps):
+                        found = reducer._subtree_semijoin(
+                            watched, support, forward, reflexive, index
+                        )
+                    assert found == expected, (forward, reflexive, steps)
+
+
+class TestNamedCases:
+    def test_sweep_order_is_head_rooted_and_parents_first(self):
+        compiled = compile_query(
+            parse_query("Q(c) <- Child(a, b), Child+(b, c), Following(c, d), A(e), Child(e, f)")
+        )
+        order = compiled.sweep_order
+        placed: set = set()
+        roots = []
+        for child, atom in order:
+            parent = atom.other(child)
+            if parent not in placed:  # only a component root has no edge above it
+                roots.append(parent)
+                placed.add(parent)
+            assert child not in placed
+            placed.add(child)
+        assert roots == ["c", "e"]  # the head variable, then the first one left
+        assert placed == set(compiled.variables)
+        assert compiled.sweep_order is order  # memoized on the compiled artifact
+
+    def test_unsatisfiable_and_empty_domains(self, sentence_structure):
+        for text, pinned in (
+            ("Q(x) <- ZZ(x)", None),  # a label the tree does not have
+            ("Q(x) <- NP(x), PP(x)", None),  # an empty multi-label intersection
+            ("Q(x) <- NP(x), Child(x, x)", None),  # an unsatisfiable loop
+            ("Q(x) <- PP(x), Child(x, y)", None),  # the only PP is a leaf
+            ("Q(x) <- NP(x), Child(x, y), NN(y)", {"x": 4}),  # pinned off the label
+            ("Q(x) <- NP(x), Child(x, y), NN(y)", {"y": 99}),  # pinned off the document
+        ):
+            query = parse_query(text)
+            assert propagate(query, sentence_structure, pinned, "semijoin") is None, text
+            assert propagate(query, sentence_structure, pinned, "ac4") is None, text
+        with pytest.raises(ValueError, match="not in the query"):
+            propagate(parse_query("Q(x) <- NP(x)"), sentence_structure, {"z": 1}, "semijoin")
+
+    def test_results_never_alias_resident_columns(self, sentence_structure):
+        # An isolated variable's column goes through no semijoin at all.
+        query = parse_query("Q(x, y) <- NP(x), NN(y), Child*(y, y)")
+        before = list(sentence_structure.tree.nodes_with_label("NP"))
+        result = propagate(query, sentence_structure, propagator="semijoin")
+        assert result.sorted_domain("x") == before
+        result.sorted_domain("x").append(-1)
+        assert sentence_structure.tree.nodes_with_label("NP") == before
+        unlabeled = propagate(
+            parse_query("Q(x) <- Self(x, x)"), sentence_structure, propagator="semijoin"
+        )
+        unlabeled.sorted_domain("x").clear()
+        assert sentence_structure.index.pre == list(range(9))
+
+    def test_planner_picks_it_for_forests_only(self):
+        tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
+        store, cache = DocumentStore(), QueryCache()
+        store.register_tree("doc", tree)
+        forest = "Q(a) <- A(a), Child+(a, b), B(b)"
+        served = run_request(store, cache, Request(doc="doc", query=forest))
+        assert served.ok and served.propagator == "semijoin"
+        static = run_request(store, cache, Request(doc="doc", query=forest, routing="static"))
+        assert static.propagator == "ac4" and static.answers == served.answers
+        forced = run_request(store, cache, Request(doc="doc", query=forest, propagator="ac3"))
+        assert forced.propagator == "ac3" and forced.answers == served.answers
+        cyclic = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
+        assert cyclic.ok and cyclic.propagator != "semijoin"
+
+
+class TestCyclicBodiesAreRefused:
+    def test_library_call_raises_a_value_error(self, sentence_structure):
+        with pytest.raises(ValueError, match="forest-shaped"):
+            propagate(parse_query(TRIANGLE), sentence_structure, propagator="semijoin")
+
+    @pytest.mark.parametrize("engine", [None, "decomposition", "backtracking"])
+    def test_run_request_reports_a_client_error_with_attribution(self, engine):
+        tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
+        store, cache = DocumentStore(), QueryCache()
+        store.register_tree("doc", tree)
+        request = Request(doc="doc", query=TRIANGLE, propagator="semijoin", engine=engine)
+        result = run_request(store, cache, request)
+        assert not result.ok
+        assert "forest-shaped" in result.error and not result.error.startswith("internal:")
+        assert result.propagator == "semijoin"
+        assert result.engine == (engine or "decomposition")
+        body = result.to_json_dict()
+        assert body["propagator"] == "semijoin" and body["engine"] == result.engine
+        # The next request on the same store is unaffected.
+        assert run_request(store, cache, Request(doc="doc", query=TRIANGLE)).ok
