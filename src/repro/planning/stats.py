@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from ..trees.tree import Tree
@@ -101,8 +102,13 @@ class DocumentStats:
         Stable across cosmetic re-registrations, different whenever the tree
         changed materially (node-count, depth or fanout size class, or any
         label's frequency class) -- which is exactly the plan-invalidation
-        granularity the cache wants.
+        granularity the cache wants.  Computed once per (frozen) stats object:
+        the plan cache asks on every request.
         """
+        return self._bucket
+
+    @cached_property
+    def _bucket(self) -> str:
         histogram = sorted(
             (label, _log_bucket(count)) for label, count in self.label_counts.items()
         )

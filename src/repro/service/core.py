@@ -350,26 +350,18 @@ def _stream_sql_answers(
 
     The answers arrive already sorted (the SQL carries a deterministic
     ``ORDER BY``) and the ``limit`` is pushed into the statement, so a
-    truncated request never materializes the full answer set anywhere --
-    streaming ``limit + 1`` rows detects truncation, and the exact total
-    then comes from one ``COUNT(*)`` that needs O(1) result memory.  The
-    plan's SQL knobs (lowering shape, TEMP-table materialization) apply to
-    both the stream and the count.
+    truncated request never materializes the full answer set in Python; the
+    exact total rides on the same statement as a window count.  The plan's
+    SQL knobs (lowering shape, TEMP-table materialization) apply throughout.
     """
     sql_knobs = {"lowering": plan.lowering, "materialize": plan.materialize}
     if request.limit is None:
         answers = list(backend.stream_answers(request.doc, query, **sql_knobs))
         return answers, len(answers), False
-    answers = list(
-        backend.stream_answers(request.doc, query, limit=request.limit + 1, **sql_knobs)
+    answers, count = backend.page_answers(
+        request.doc, query, limit=request.limit, **sql_knobs
     )
-    if len(answers) <= request.limit:
-        return answers, len(answers), False
-    return (
-        answers[: request.limit],
-        backend.count_answers(request.doc, query, **sql_knobs),
-        True,
-    )
+    return answers, count, count > len(answers)
 
 
 def _resolve_plan(

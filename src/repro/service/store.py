@@ -117,7 +117,9 @@ class DocumentStore:
         self.capacity = capacity
         self.accel_backend = accel_backend
         self._documents: "OrderedDict[str, StoredDocument]" = OrderedDict()
-        self._accel_only: dict[str, int] = {}  # doc id -> node count
+        # Accel-only documents: doc id -> the approximate planner statistics
+        # (all a node count gives), built once per registration or attach.
+        self._accel_only: dict[str, DocumentStats] = {}
         self._lock = threading.RLock()
         self._registered = 0
         self._evicted = 0
@@ -167,7 +169,7 @@ class DocumentStore:
         self.accel_backend.ensure_document(doc_id, tree)
         nodes = len(tree)
         with self._lock:
-            self._accel_only[doc_id] = nodes
+            self._accel_only[doc_id] = DocumentStats.approximate_from_nodes(nodes)
             self._registered += 1
         return {"doc": doc_id, "nodes": nodes, "source": source, "accel_only": True}
 
@@ -232,7 +234,8 @@ class DocumentStore:
         Accel-only documents only have a node count in the registry (the tree
         itself was dropped), so they get the approximate profile --
         ``DocumentStats.approximate_from_nodes`` -- which the estimators treat
-        conservatively (unknown labels fall back to full domains).
+        conservatively (unknown labels fall back to full domains).  It is
+        built once, when the document is registered or lazily attached.
         """
         with self._lock:
             document = self._documents.get(doc_id)
@@ -245,10 +248,9 @@ class DocumentStore:
             return self.stats_for(doc_id)
         if residency == "accel":
             with self._lock:
-                nodes = self._accel_only.get(doc_id, 0)
-            if not nodes and self.accel_backend is not None:
-                nodes = self.accel_backend.document_nodes(doc_id) or 0
-            return DocumentStats.approximate_from_nodes(max(nodes, 1))
+                stats = self._accel_only.get(doc_id)
+            # ``None``: upgraded to resident between the two lookups.
+            return stats if stats is not None else self.stats_for(doc_id)
         raise DocumentNotFound(doc_id)
 
     def residency(self, doc_id: str) -> Optional[str]:
@@ -270,7 +272,9 @@ class DocumentStore:
             if nodes is not None:
                 with self._lock:
                     if doc_id not in self._documents:
-                        self._accel_only.setdefault(doc_id, nodes)
+                        self._accel_only.setdefault(
+                            doc_id, DocumentStats.approximate_from_nodes(nodes)
+                        )
                         return "accel"
                 return "resident"
         return None
@@ -297,7 +301,9 @@ class DocumentStore:
         with self._lock:
             described = [document.describe() for document in self._documents.values()]
             accel_only = {
-                doc: nodes for doc, nodes in self._accel_only.items() if doc not in self._documents
+                doc: stats.nodes
+                for doc, stats in self._accel_only.items()
+                if doc not in self._documents
             }
         backend = self.accel_backend
         for doc, nodes in accel_only.items():

@@ -133,6 +133,98 @@ class TestCrossBackendIdentity:
         )
 
 
+#: Every way the SQL backend can lower a query.
+SQL_VARIANTS = (
+    {"lowering": "tree"},
+    {"lowering": "tree", "materialize": True},
+    {"lowering": "flat"},
+)
+
+
+@st.composite
+def labelled_queries(draw, max_variables: int = 4):
+    """Queries that stress the label-driven row sources.
+
+    Per variable: no label (an unlabelled variable beside labelled ones), one
+    label, several labels, a label absent from every document (``Z``), the
+    extra-unary relation ``X``, or a label *and* ``X`` on the same variable.
+    Axes cover the whole forward and inverse vocabulary, self-loops included.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    variables = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=max_variables)))]
+    atoms: list = []
+    for _ in range(rng.randint(0 if len(variables) == 1 else 1, len(variables) + 1)):
+        if len(variables) == 1 or rng.random() < 0.1:
+            source = target = rng.choice(variables)
+        else:
+            source, target = rng.sample(variables, 2)
+        atoms.append(AxisAtom(rng.choice(list(Axis)), source, target))
+    for variable in variables:
+        for label in rng.choice(
+            [(), ("A",), ("B",), ("A", "B"), ("A", "B", "C"), ("Z",), ("X",), ("A", "X")]
+        ):
+            atoms.append(LabelAtom(label, variable))
+    if not atoms:
+        atoms.append(LabelAtom("A", variables[0]))
+    body_variables = sorted({v for atom in atoms for v in atom.variables()})
+    head = tuple(rng.choice(body_variables) for _ in range(rng.randint(0, 3)))
+    return ConjunctiveQuery(head, tuple(atoms), "H")
+
+
+class TestLabelAccessPaths:
+    """Label-driven row sources: every lowering against the in-memory oracle."""
+
+    @staticmethod
+    def _setting(tree, seed):
+        rng = random.Random(seed)
+        members = frozenset(rng.sample(range(len(tree)), rng.randint(0, len(tree))))
+        structure = TreeStructure(tree)
+        structure.add_unary("X", members)
+        backend = SQLiteBackend()
+        backend.register_tree("doc", tree)
+        return structure, backend, {"X": members}
+
+    @SETTINGS
+    @given(trees(max_size=30), labelled_queries(), st.integers(min_value=0, max_value=10_000))
+    def test_every_lowering_matches_in_memory(self, tree, query, seed):
+        structure, backend, extras = self._setting(tree, seed)
+        expected = evaluate(query, structure, engine=Engine.BACKTRACKING)
+        with backend:
+            for variant in SQL_VARIANTS:
+                assert backend.evaluate("doc", query, None, extras, **variant) == expected, variant
+                assert list(backend.stream_answers("doc", query, None, extras, **variant)) == (
+                    sorted(expected)
+                ), variant
+                assert backend.count_answers("doc", query, None, extras, **variant) == (
+                    len(expected)
+                ), variant
+
+    @SETTINGS
+    @given(trees(max_size=30), labelled_queries(), st.integers(min_value=0, max_value=10_000))
+    def test_pinned_labelled_variable_agrees(self, tree, query, seed):
+        structure, backend, extras = self._setting(tree, seed)
+        rng = random.Random(seed)
+        pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
+        expected = is_satisfied(query, structure, Engine.BACKTRACKING, pinned)
+        with backend:
+            for variant in SQL_VARIANTS:
+                assert backend.is_satisfied("doc", query, pinned, extras, **variant) == (
+                    expected
+                ), variant
+
+    @SETTINGS
+    @given(trees(max_size=30), labelled_queries(), st.integers(min_value=0, max_value=4))
+    def test_page_is_the_sorted_prefix_plus_exact_total(self, tree, query, limit):
+        backend = SQLiteBackend()
+        backend.register_tree("doc", tree)
+        no_extras = {"X": frozenset()}
+        with backend:
+            for variant in SQL_VARIANTS:
+                answers = sorted(backend.evaluate("doc", query, None, no_extras, **variant))
+                page = backend.page_answers("doc", query, None, no_extras, limit=limit, **variant)
+                assert page == (answers[:limit], len(answers)), variant
+
+
 class TestSQLiteBackendDirect:
     def tree(self) -> Tree:
         return parse_sexpr("(A (B (C) (A)) (B) (C (B (A))))")

@@ -19,9 +19,14 @@ Four concern groups, matching the PR 7 surface:
   ``Engine.SQL``, explicit engine overrides win, and responses are
   byte-identical across the routing paths (including ``limit``/``truncated``
   and boolean semantics).
+* **Access paths**: no labelled variable is reached through a document-wide
+  scan -- measured in SQLite VM steps (``set_progress_handler``), never by
+  ``EXPLAIN QUERY PLAN`` wording, which differs between SQLite versions.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,9 +39,11 @@ from repro.backends.sqlite import (
 )
 from repro.decomposition.yannakakis import boolean_query_holds, evaluate_answers
 from repro.evaluation import Engine, choose_engine, evaluate
-from repro.queries import parse_query
+from repro.queries import parse_query, xpath_to_cq
 from repro.service import DocumentStore, QueryCache, Request, run_request
-from repro.trees import Axis, TreeStructure, parse_sexpr, random_tree
+from repro.trees import Axis, Tree, TreeStructure, parse_sexpr, random_tree
+from repro.trees.node import Node
+from repro.workloads import auction_document, random_corpus
 
 SETTINGS = settings(
     max_examples=8,
@@ -336,6 +343,130 @@ def test_lazy_residency_attach_from_shared_file(tmp_path):
         assert result.ok and result.engine == "sql"
         expected = sorted(evaluate(parse_query(ROUTING_QUERY), TreeStructure(tree)))
         assert result.answers == expected
+
+
+@given(
+    tree=window_trees(max_size=60),
+    seed=st.integers(min_value=0, max_value=10_000),
+    limit=st.sampled_from([None, 0, 1, 3]),
+)
+@SETTINGS
+def test_run_request_identical_on_accel_only_documents(tree, seed, limit):
+    """Boolean, ``limit 0`` and truncated requests: one statement, same bytes."""
+    rng = random.Random(seed)
+    head = rng.choice(["", "x", "y", "x, y", "z, x"])
+    axes = [rng.choice(["Child", "Child+", "Following", "NextSibling+"]) for _ in range(2)]
+    labels = ", ".join(f"{rng.choice('ABZ')}({v})" for v in "xyz" if rng.random() < 0.7)
+    text = f"Q({head}) <- {axes[0]}(x, y), {axes[1]}(y, z)" + (f", {labels}" if labels else "")
+    with SQLiteBackend() as backend:
+        store = DocumentStore(accel_backend=backend)
+        store.register_tree("resident", tree)
+        store.register_tree_accel_only("cold", tree)
+        cache = QueryCache()
+        resident = run_request(store, cache, Request(doc="resident", query=text, limit=limit))
+        cold = run_request(store, cache, Request(doc="cold", query=text, limit=limit))
+    assert resident.ok and cold.ok and cold.engine == "sql", (resident.error, cold.error)
+    assert (resident.answers, resident.count, resident.truncated, resident.satisfied) == (
+        cold.answers,
+        cold.count,
+        cold.truncated,
+        cold.satisfied,
+    ), text
+
+
+# ---------------------------------------------------------------------------
+# Access paths: VM steps must not grow with nodes the query's labels never name.
+# ---------------------------------------------------------------------------
+
+#: The 13 request shapes of the end-to-end ``accel_10k`` workload
+#: (``benchmarks/e2e/workloads.py``: the mixed batch plus the two k-ary extras).
+BIDDER_TRIANGLE = (
+    "open_auction(a), Child(a, b1), bidder(b1), Child(a, b2), bidder(b2), Following(b1, b2)"
+)
+ACCEL_SHAPES = (
+    ("auction", "query", "Q(i) <- item(i), Child(i, p), payment(p)"),
+    ("auction", "query", "R(it) <- payment(pay), item(it), Child(it, pay)"),
+    ("auction", "xpath", "//description//listitem"),
+    ("auction", "xpath", "//person[profile/interest]"),
+    ("auction", "query", f"Q <- {BIDDER_TRIANGLE}"),
+    (
+        "auction",
+        "query",
+        "Q(i) <- item(i), Child(i, d), description(d), Child+(d, l), listitem(l)",
+    ),
+    ("corpus", "query", "Q(x) <- NP(x), Child(x, y), NN(y)"),
+    ("corpus", "xpath", "//NP[NN]"),
+    ("corpus", "query", "Q(v) <- VP(v), Child(v, w), VB(w)"),
+    ("corpus", "query", "Q <- NP(x), Following(x, y), PP(y)"),
+    ("corpus", "xpath", "//VP[VB]/NP"),
+    (
+        "auction",
+        "query",
+        "Q(i, l) <- item(i), Child(i, d), description(d), Child+(d, l), listitem(l)",
+    ),
+    ("auction", "query", "Q(d, l) <- description(d), Child+(d, l), listitem(l)"),
+)
+
+
+def _padded(tree: Tree, factor: int = 10) -> Tree:
+    """``tree`` grown to ``factor`` times its size with ``pad``-labelled nodes.
+
+    The padding hangs off the root as its last subtree, so every original
+    node keeps its id and the answers of a query that never names ``pad``
+    stay the same -- only a scan of the whole document gets longer.
+    """
+    extra = (factor - 1) * len(tree)
+    pad = Node(("pad",))
+    frontier = [pad]
+    for count in range(extra - 1):
+        frontier.append(frontier[count // 8].add_child(Node(("pad",))))
+    tree.root.add_child(pad)
+    return Tree(tree.root)
+
+
+@pytest.fixture(scope="module")
+def padded_backend():
+    documents = {
+        "auction": lambda: auction_document(num_items=55, num_people=30, num_bids=85, seed=42),
+        "corpus": lambda: random_corpus(num_sentences=45, seed=42),
+    }
+    with SQLiteBackend() as backend:
+        for doc, build in documents.items():
+            backend.register_tree(doc, build())
+            backend.register_tree(f"{doc}_padded", _padded(build()))
+            assert backend.document_nodes(f"{doc}_padded") == 10 * backend.document_nodes(doc)
+        yield backend
+
+
+def _vm_steps(backend, doc, query, **knobs):
+    """``(SQLite VM instructions, answers)`` of one evaluation."""
+    steps = 0
+
+    def tick() -> int:
+        nonlocal steps
+        steps += 1
+        return 0
+
+    backend._connection.set_progress_handler(tick, 1)
+    try:
+        answers = backend.evaluate(doc, query, **knobs)
+    finally:
+        backend._connection.set_progress_handler(None, 1)
+    return steps, answers
+
+
+@pytest.mark.parametrize("lowering", ["tree", "flat"])
+@pytest.mark.parametrize("doc, kind, text", ACCEL_SHAPES, ids=[s[2] for s in ACCEL_SHAPES])
+def test_no_labelled_variable_is_reached_by_a_document_scan(
+    padded_backend, doc, kind, text, lowering
+):
+    query = xpath_to_cq(text) if kind == "xpath" else parse_query(text)
+    steps, answers = _vm_steps(padded_backend, doc, query, lowering=lowering)
+    padded_steps, padded_answers = _vm_steps(
+        padded_backend, f"{doc}_padded", query, lowering=lowering
+    )
+    assert answers == padded_answers and answers
+    assert padded_steps <= 2 * steps, (steps, padded_steps)
 
 
 # ---------------------------------------------------------------------------
