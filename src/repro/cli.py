@@ -24,7 +24,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .evaluation import Engine, Propagator, evaluate
+from .evaluation import Engine, Propagator, answer_page
 from .queries import ConjunctiveQuery, parse_query, xpath_to_cq
 from .rewriting import RewriteTrace, to_apq
 from .trees import Tree, TreeStructure, from_xml_file, parse_sexpr
@@ -140,17 +140,15 @@ def _command_evaluate(args: argparse.Namespace) -> int:
                 propagator=propagator_override,
             )
             engine = plan.engine
-            answers = sorted(
-                evaluate(
-                    query,
-                    structure,
-                    engine=plan.engine,
-                    propagator=plan.propagator,
-                    lowering=plan.lowering,
-                    materialize=plan.materialize,
-                )
+            answers, count = answer_page(
+                query,
+                structure,
+                engine=plan.engine,
+                propagator=plan.propagator,
+                limit=print_limit,
+                lowering=plan.lowering,
+                materialize=plan.materialize,
             )
-            count = len(answers)
             node_count = len(tree)
     except ValueError as error:
         # A forced engine can be inapplicable (e.g. --engine acyclic on a

@@ -8,8 +8,13 @@ Boolean evaluation per candidate head tuple.  The pipeline is the classical
 one (Yannakakis 1981, via Gottlob-Leone-Scarcello's hypertree programme),
 instantiated over the arc-consistent prevaluation and the interval index:
 
-1. **propagate** -- the AC fixpoint (any ``propagator=``) prunes every
-   variable's domain first; an empty fixpoint already decides unsatisfiable.
+1. **candidates** -- sorted candidate columns per variable.  They only have
+   to be *sound supersets* of the solution projections (every atom is enforced
+   inside a bag, global consistency comes from the semijoin passes of step 3),
+   so ``propagator="semijoin"`` means the reducer's two sweeps along a
+   spanning forest on any body (:func:`repro.evaluation.reducer.semijoin_sweeps`);
+   every other ``propagator=`` runs its exact AC fixpoint.  An empty column
+   already decides unsatisfiable.
 2. **bag materialization** -- every decomposition bag becomes an explicit
    relation over its variables: candidates come from the fixpoint's domain
    views, tuples are generated atom-driven through
@@ -26,7 +31,11 @@ instantiated over the arc-consistent prevaluation and the interval index:
    pass keeps, per bag, only the columns still needed above it (the separator
    to its parent plus the head variables collected in its subtree), so k-ary
    answers come out in time polynomial in input + output without ever
-   materializing the full join.
+   materializing the full join, as one list sorted once.  Bags instantiate
+   their head variables first and in head order wherever the atoms allow, so
+   the rows of a one-bag join tree *are* the answers, in wire order: steps 3
+   and 4 have nothing to fold, and a ``limit`` stops building rows and only
+   counts the rest (:func:`answer_page`).
 
 Correctness does not depend on the width: the engine is exact for every
 conjunctive query (the property tests pit it against backtracking across all
@@ -37,8 +46,11 @@ and merely *prefers* it, in the cyclic residue, when the width is small.
 
 from __future__ import annotations
 
+import sys
+import time
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
@@ -80,6 +92,14 @@ class _BagRelation:
         return tuple(self.position[variable] for variable in variables)
 
 
+def _projector(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[p] for p in positions)``, at C speed from two positions up."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
 def _materialize_bag(
     bag: frozenset[Variable],
     atoms: Sequence["CompiledAtom"],
@@ -88,7 +108,9 @@ def _materialize_bag(
     variable_index: Mapping[Variable, int],
     needed: frozenset[Variable],
     columnar: bool = True,
-) -> _BagRelation:
+    head: tuple[Variable, ...] = (),
+    limit: Optional[int] = None,
+) -> tuple[_BagRelation, int]:
     """Enumerate the bag's relation, projected onto its ``needed`` columns.
 
     ``needed`` holds the columns the join tree actually consumes above and
@@ -99,19 +121,25 @@ def _materialize_bag(
     triangle query ``Q(x)`` this is the difference between one witness search
     per head candidate and materializing all O(n^2) satisfying pairs.)
 
-    Variables are instantiated smallest-domain-first, each subsequent one
-    driven by an atom connecting it to the already-assigned prefix whenever
-    one exists (witness *enumeration* through the index, so the work is
-    proportional to the candidates produced, not to the domain size); the
-    remaining connecting atoms are O(1) ``holds`` checks.  Needed variables
-    are preferred at every step, pushing the local existentials into a
-    trailing suffix whenever the constraint graph allows; that suffix is
-    resolved by a first-witness search with early cut-off.
+    Variables are instantiated head variables first, in ``head`` order, for as
+    long as each one connects to the already-assigned prefix; otherwise
+    smallest-domain-first, each subsequent one driven by an atom connecting
+    it to the prefix whenever one exists (witness *enumeration* through the
+    index, so the work is proportional to the candidates produced, not to the
+    domain size).  Needed variables are preferred at every step, pushing the
+    local existentials into a trailing suffix whenever the constraint graph
+    allows; that suffix is resolved by a first-witness search with early
+    cut-off.  Candidates come out ascending at every level and the columns
+    are the head variables in head order (then the other separators), so
+    whenever the enumeration could follow the columns the rows are emitted
+    sorted and duplicate-free.  Only then is ``limit`` honoured: rows past it
+    are counted, not built.  Returns the relation and its exact row count.
     """
     index = structure.index
     order: list[Variable] = []
     assigned: set[Variable] = set()
     remaining = set(bag)
+    leads = [variable for variable in dict.fromkeys(head) if variable in bag]
 
     def domain_size(variable: Variable) -> int:
         return len(views[variable].array)
@@ -125,12 +153,14 @@ def _materialize_bag(
         )
 
     while remaining:
-        connected = [v for v in remaining if connects(v)]
-        pool = connected if connected else sorted(remaining)
-        pick = min(
-            pool,
-            key=lambda v: (v not in needed, domain_size(v), variable_index[v]),
-        )
+        pick = next((variable for variable in leads if variable in remaining), None)
+        if pick is None or (order and not connects(pick)):
+            connected = [v for v in remaining if connects(v)]
+            pool = connected if connected else sorted(remaining)
+            pick = min(
+                pool,
+                key=lambda v: (v not in needed, domain_size(v), variable_index[v]),
+            )
         order.append(pick)
         assigned.add(pick)
         remaining.discard(pick)
@@ -147,7 +177,7 @@ def _materialize_bag(
 
     # Per position: how candidates for the variable are produced, given the
     # assigned prefix.  Every connecting atom is used exactly once -- as the
-    # candidate source or as an O(1) residual check:
+    # candidate source, in the window, or as an O(1) residual check:
     #
     # * a *point* atom (next-sibling, parent, ...) has at most one witness,
     #   so it always wins as the driver;
@@ -155,9 +185,12 @@ def _materialize_bag(
     #   enumerates through :meth:`AxisIndex.successors_in` /
     #   :meth:`predecessors_in` -- walks are bounded by local tree shape
     #   (degree, sibling count, depth), which beats slicing a subtree range;
-    # * otherwise all *range* atoms (the interval axes) are intersected into
-    #   one pre-order window ``[lo, hi)`` answered by two bisections -- a
-    #   ``Child+`` plus a ``Following`` constraint becomes the exact slice
+    #   what a walk yields depends on the anchor alone, so it is kept per
+    #   anchor for the rest of this materialization;
+    # * all *range* atoms (the interval axes) are intersected into one
+    #   pre-order window ``[lo, hi)`` and cut out of the driver's candidates
+    #   (the whole domain view without one) by two bisections -- a ``Child+``
+    #   plus a ``Following`` constraint becomes the exact slice
     #   ``(max(x, end(y)), end(x)]`` instead of a scan of either;
     # * an unconnected variable iterates its whole domain view.
     drivers: list[Optional[tuple["CompiledAtom", bool]]] = [None]
@@ -173,48 +206,26 @@ def _materialize_bag(
                 connecting.append((atom, False))
             elif atom.target == variable and atom.source in prefix:
                 connecting.append((atom, True))
-        point = next(
-            (
-                (atom, forward)
-                for atom, forward in connecting
-                if atom.axis in (_POINT_FORWARD if forward else _POINT_BACKWARD)
-            ),
-            None,
-        )
-        range_atoms = [
+        window = [
             (atom, forward)
             for atom, forward in connecting
             if atom.axis in (_RANGE_FORWARD if forward else _RANGE_BACKWARD)
         ]
-        walk = next(
+        local = [pair for pair in connecting if pair not in window]
+        driver = next(
             (
                 (atom, forward)
-                for atom, forward in connecting
-                if atom.axis not in (_POINT_FORWARD if forward else _POINT_BACKWARD)
-                and atom.axis not in (_RANGE_FORWARD if forward else _RANGE_BACKWARD)
+                for atom, forward in local
+                if atom.axis in (_POINT_FORWARD if forward else _POINT_BACKWARD)
             ),
-            None,
+            local[0] if local else None,
         )
-        driver: Optional[tuple["CompiledAtom", bool]] = None
-        window: list[tuple["CompiledAtom", bool]] = []
-        residual: list["CompiledAtom"] = []
-        if point is not None:
-            driver = point
-            residual = [atom for atom, _ in connecting if atom is not point[0]]
-        elif walk is not None:
-            driver = walk
-            residual = [atom for atom, _ in connecting if atom is not walk[0]]
-        elif range_atoms:
-            window = range_atoms
-            in_window = {id(atom) for atom, _ in range_atoms}
-            residual = [atom for atom, _ in connecting if id(atom) not in in_window]
-            # A backward Following window is a superset ([0, anchor)): keep
-            # the O(1) membership test as a residual check.
-            residual.extend(
-                atom
-                for atom, forward in range_atoms
-                if not forward and atom.axis is Axis.FOLLOWING
-            )
+        # A backward Following window is a superset ([0, anchor)): keep the
+        # O(1) membership test as a residual check.
+        residual = [atom for atom, _ in local if driver is None or atom is not driver[0]]
+        residual.extend(
+            atom for atom, forward in window if not forward and atom.axis is Axis.FOLLOWING
+        )
         drivers.append(driver)
         ranges.append(window)
         checks.append(residual)
@@ -251,7 +262,8 @@ def _materialize_bag(
             if variable in needed or (i - 1) in skip:
                 continue
             nxt = i + 1
-            if not ranges[nxt]:
+            # The union is taken over windows of the whole domain view.
+            if not ranges[nxt] or drivers[nxt] is not None:
                 continue
             if not any(
                 (atom.source if forward else atom.target) == variable
@@ -274,50 +286,57 @@ def _materialize_bag(
     )
 
     position = {variable: i for i, variable in enumerate(order)}
-    columns = tuple(variable for variable in order[:cut] if variable in needed)
-    keep_positions = tuple(
-        i for i, variable in enumerate(order[:cut]) if variable in needed
+    # Head variables in head order, then the other separators as enumerated.
+    columns = tuple(
+        sorted(
+            (variable for variable in order[:cut] if variable in needed),
+            key=lambda variable: leads.index(variable) if variable in leads else len(leads),
+        )
     )
+    keep_positions = tuple(position[variable] for variable in columns)
+    if limit is None or must_deduplicate or list(keep_positions) != sorted(keep_positions):
+        limit = sys.maxsize  # rows are not emitted in column order: build them all
     rows: list[Row] = []
+    count = 0
     current: list[int] = [0] * len(order)
     subtree_end = index.subtree_end
     n = index.n
+    walked: list[dict[int, Sequence[int]]] = [{} for _ in order]
 
-    def candidates_at(depth: int):
-        variable = order[depth]
-        view = views[variable]
-        window = ranges[depth]
-        if window:
-            lo, hi = 0, n
-            for atom, forward in window:
-                if forward:
-                    anchor = current[position[atom.source]]
-                    if atom.axis is Axis.CHILD_PLUS:
-                        lo = max(lo, anchor + 1)
-                        hi = min(hi, subtree_end[anchor] + 1)
-                    elif atom.axis is Axis.CHILD_STAR:
-                        lo = max(lo, anchor)
-                        hi = min(hi, subtree_end[anchor] + 1)
-                    elif atom.axis is Axis.FOLLOWING:
-                        lo = max(lo, subtree_end[anchor] + 1)
-                    else:  # DocumentOrder
-                        lo = max(lo, anchor + 1)
-                else:
-                    anchor = current[position[atom.target]]
-                    hi = min(hi, anchor)  # Following / DocumentOrder source
-            if hi <= lo:
-                return ()
-            array = view.array
-            return array[bisect_left(array, lo) : bisect_left(array, hi)]
+    def narrow(lo: int, hi: int, atom: "CompiledAtom", forward: bool, anchor: int):
+        """Intersect the pre-order window ``[lo, hi)`` with one range atom at ``anchor``."""
+        if not forward:
+            return lo, min(hi, anchor)  # Following / DocumentOrder source
+        if atom.axis is Axis.CHILD_PLUS:
+            return max(lo, anchor + 1), min(hi, subtree_end[anchor] + 1)
+        if atom.axis is Axis.CHILD_STAR:
+            return max(lo, anchor), min(hi, subtree_end[anchor] + 1)
+        if atom.axis is Axis.FOLLOWING:
+            return max(lo, subtree_end[anchor] + 1), hi
+        return max(lo, anchor + 1), hi  # DocumentOrder
+
+    def candidates_at(depth: int) -> Sequence[int]:
+        view = views[order[depth]]
         driver = drivers[depth]
         if driver is None:
-            return view.array
-        atom, forward = driver
-        if forward:
-            anchor = current[position[atom.source]]
-            return index.successors_in(atom.axis, anchor, view)
-        anchor = current[position[atom.target]]
-        return index.predecessors_in(atom.axis, anchor, view)
+            base = view.array
+        else:
+            atom, forward = driver
+            anchor = current[position[atom.source if forward else atom.target]]
+            base = walked[depth].get(anchor)
+            if base is None:
+                walk = index.successors_in if forward else index.predecessors_in
+                base = walked[depth][anchor] = list(walk(atom.axis, anchor, view))
+        window = ranges[depth]
+        if not window:
+            return base
+        lo, hi = 0, n
+        for atom, forward in window:
+            anchor = current[position[atom.source if forward else atom.target]]
+            lo, hi = narrow(lo, hi, atom, forward, anchor)
+        if hi <= lo:
+            return ()
+        return base[bisect_left(base, lo) : bisect_left(base, hi)]
 
     def satisfies_checks(depth: int, node: int) -> bool:
         variable = order[depth]
@@ -338,6 +357,28 @@ def _materialize_bag(
                 if witness(depth + 1):
                     return True
         return False
+
+    # Bulk tail: the last column has no residual checks and no witness suffix
+    # behind it, so *every* candidate the driver or window produces completes
+    # the prefix into a row -- the whole candidate column is emitted (past the
+    # limit: merely counted) at once instead of recursing per node.
+    bulk_depth = (
+        cut - 1
+        if columnar
+        and cut == len(order)
+        and keep_positions
+        and keep_positions[-1] == cut - 1
+        and not checks[cut - 1]
+        else -1
+    )
+
+    def emit_tail(nodes: Sequence[int]) -> None:
+        nonlocal count
+        room = limit - count
+        count += len(nodes)
+        if room > 0:
+            stem = tuple(current[p] for p in keep_positions[:-1])
+            rows.extend(stem + (node,) for node in (nodes if room >= len(nodes) else nodes[:room]))
 
     def extend_union(depth: int) -> None:
         """Enumerate ``order[depth + 1]`` once over the union of windows.
@@ -362,38 +403,14 @@ def _materialize_bag(
                 anchored.append((atom, forward))
                 continue
             anchor = current[position[anchor_variable]]
-            if forward:
-                if atom.axis is Axis.CHILD_PLUS:
-                    fixed_lo = max(fixed_lo, anchor + 1)
-                    fixed_hi = min(fixed_hi, subtree_end[anchor] + 1)
-                elif atom.axis is Axis.CHILD_STAR:
-                    fixed_lo = max(fixed_lo, anchor)
-                    fixed_hi = min(fixed_hi, subtree_end[anchor] + 1)
-                elif atom.axis is Axis.FOLLOWING:
-                    fixed_lo = max(fixed_lo, subtree_end[anchor] + 1)
-                else:  # DocumentOrder
-                    fixed_lo = max(fixed_lo, anchor + 1)
-            else:
-                fixed_hi = min(fixed_hi, anchor)
+            fixed_lo, fixed_hi = narrow(fixed_lo, fixed_hi, atom, forward, anchor)
         intervals: list[tuple[int, int]] = []
         for node in candidates_at(depth):
             if not satisfies_checks(depth, node):
                 continue
             lo, hi = fixed_lo, fixed_hi
             for atom, forward in anchored:
-                if forward:
-                    if atom.axis is Axis.CHILD_PLUS:
-                        lo = max(lo, node + 1)
-                        hi = min(hi, subtree_end[node] + 1)
-                    elif atom.axis is Axis.CHILD_STAR:
-                        lo = max(lo, node)
-                        hi = min(hi, subtree_end[node] + 1)
-                    elif atom.axis is Axis.FOLLOWING:
-                        lo = max(lo, subtree_end[node] + 1)
-                    else:  # DocumentOrder
-                        lo = max(lo, node + 1)
-                else:
-                    hi = min(hi, node)
+                lo, hi = narrow(lo, hi, atom, forward, node)
             if lo < hi:
                 intervals.append((lo, hi))
         if not intervals:
@@ -405,60 +422,52 @@ def _materialize_bag(
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
-        if (
-            nxt == cut - 1
-            and cut == len(order)
-            and not checks[nxt]
-            and keep_positions
-            and keep_positions[-1] == nxt
-        ):
-            # Same bulk tail as extend(): every candidate completes a row.
-            head = tuple(current[p] for p in keep_positions[:-1])
-            for lo, hi in merged:
-                chunk = array[bisect_left(array, lo) : bisect_left(array, hi)]
-                rows.extend(head + (node,) for node in chunk)
-            return
         for lo, hi in merged:
-            for node in array[bisect_left(array, lo) : bisect_left(array, hi)]:
+            chunk = array[bisect_left(array, lo) : bisect_left(array, hi)]
+            if nxt == bulk_depth:
+                emit_tail(chunk)
+                continue
+            for node in chunk:
                 if satisfies_checks(nxt, node):
                     current[nxt] = node
                     extend(nxt + 1)
 
     def extend(depth: int) -> None:
+        nonlocal count
         if depth == cut:
             if witness(depth):
-                rows.append(tuple(current[p] for p in keep_positions))
+                count += 1
+                if count <= limit:
+                    rows.append(tuple(current[p] for p in keep_positions))
             return
         if depth in skip:
             extend_union(depth)
             return
-        if (
-            columnar
-            and depth == cut - 1
-            and cut == len(order)
-            and not checks[depth]
-            and keep_positions
-            and keep_positions[-1] == depth
-        ):
-            # Bulk tail: the final variable has no residual checks and no
-            # witness suffix behind it, so *every* candidate the driver or
-            # window produces completes the prefix into a row -- emit the
-            # whole candidate column at once instead of recursing per node.
-            head = tuple(current[p] for p in keep_positions[:-1])
-            rows.extend(head + (node,) for node in candidates_at(depth))
+        if depth == bulk_depth:
+            emit_tail(candidates_at(depth))
             return
         for node in candidates_at(depth):
             if satisfies_checks(depth, node):
                 current[depth] = node
                 extend(depth + 1)
 
-    if order:
-        extend(0)
-    else:
-        rows.append(())
+    extend(0)
+    # The recursive helpers hold themselves in their own closure cells: unbound,
+    # what this call allocated dies with the frame, not at the next full GC.
+    del extend, extend_union, witness
     if must_deduplicate:
-        rows = sorted(set(rows))
-    return _BagRelation(columns, rows)
+        rows = list(set(rows))
+        count = len(rows)
+    return _BagRelation(columns, rows), count
+
+
+def _separators(decomposition: TreeDecomposition) -> list[tuple[Variable, ...]]:
+    """Per bag, the (sorted) variables it shares with its parent; ``()`` at a root."""
+    bags = decomposition.bags
+    return [
+        tuple(sorted(bags[i] & bags[parent])) if parent >= 0 else ()
+        for i, parent in enumerate(decomposition.parent)
+    ]
 
 
 def _reduce(
@@ -467,51 +476,26 @@ def _reduce(
 ) -> bool:
     """Bottom-up then top-down semijoin passes; False iff some bag empties."""
     parent = decomposition.parent
-    separators: list[tuple[Variable, ...]] = []
-    for i, parent_index in enumerate(parent):
-        if parent_index < 0:
-            separators.append(())
-        else:
-            shared = decomposition.bags[i] & decomposition.bags[parent_index]
-            separators.append(tuple(sorted(shared)))
+    separators = _separators(decomposition)
+
+    def semijoin(watched: _BagRelation, support: _BagRelation, separator) -> bool:
+        keys = set(map(_projector(support.project_positions(separator)), support.rows))
+        key_of = _projector(watched.project_positions(separator))
+        watched.rows = [row for row in watched.rows if key_of(row) in keys]
+        return bool(watched.rows)
 
     # Bottom-up: children have larger indices, so visiting bags in decreasing
     # index order sees every child fully reduced before it filters its parent.
     for i in range(len(parent) - 1, -1, -1):
-        parent_index = parent[i]
-        if parent_index < 0:
-            if not relations[i].rows:
-                return False
-            continue
-        child_positions = relations[i].project_positions(separators[i])
-        keys = {tuple(row[p] for p in child_positions) for row in relations[i].rows}
-        parent_relation = relations[parent_index]
-        parent_positions = parent_relation.project_positions(separators[i])
-        parent_relation.rows = [
-            row
-            for row in parent_relation.rows
-            if tuple(row[p] for p in parent_positions) in keys
-        ]
         if not relations[i].rows:
             return False
-
+        if parent[i] >= 0:
+            semijoin(relations[parent[i]], relations[i], separators[i])
     # Top-down: parents precede children, so increasing order propagates the
     # root's reduction all the way down; afterwards every relation is globally
     # consistent along the tree.
     for i in range(len(parent)):
-        parent_index = parent[i]
-        if parent_index < 0:
-            continue
-        parent_relation = relations[parent_index]
-        parent_positions = parent_relation.project_positions(separators[i])
-        keys = {tuple(row[p] for p in parent_positions) for row in parent_relation.rows}
-        child_positions = relations[i].project_positions(separators[i])
-        relations[i].rows = [
-            row
-            for row in relations[i].rows
-            if tuple(row[p] for p in child_positions) in keys
-        ]
-        if not relations[i].rows:
+        if parent[i] >= 0 and not semijoin(relations[i], relations[parent[i]], separators[i]):
             return False
     return True
 
@@ -532,13 +516,7 @@ def _first_witness(
     """
     parent = decomposition.parent
     children = decomposition.children()
-    separators: list[tuple[Variable, ...]] = []
-    for i, parent_index in enumerate(parent):
-        if parent_index < 0:
-            separators.append(())
-        else:
-            shared = decomposition.bags[i] & decomposition.bags[parent_index]
-            separators.append(tuple(sorted(shared)))
+    separators = _separators(decomposition)
     # For a row of bag i, the lookup key into child c is c's separator read
     # out of i's columns (the separator is shared, so both bags carry it).
     child_key_positions = [
@@ -583,70 +561,57 @@ def _collect_answers(
     decomposition: TreeDecomposition,
     relations: list[_BagRelation],
     head: tuple[Variable, ...],
-) -> frozenset[Row]:
-    """Bottom-up join-project pass: answers without the full join.
+) -> list[Row]:
+    """Bottom-up join-project pass: the sorted answers without the full join.
 
     Each bag reduces to a relation over ``separator(bag) U (head variables
     seen in its subtree)``; children are folded in one at a time through a
-    hash join on their separator and the result is deduplicated immediately,
-    so intermediate sizes stay polynomial in input + output for bounded
-    width and arity.
+    hash join on their separator and a projection that drops columns is
+    deduplicated immediately, so intermediate sizes stay polynomial in
+    input + output for bounded width and arity.  Nothing is sorted before the
+    end, and that one sort is a linear scan when the rows arrive in wire
+    order -- as the rows of a one-bag tree do, for which every loop below is
+    empty.
     """
     parent = decomposition.parent
+    bags = decomposition.bags
     head_set = set(head)
     children = decomposition.children()
 
     reduced: list[Optional[_BagRelation]] = [None] * len(parent)
     for i in range(len(parent) - 1, -1, -1):
         relation = relations[i]
-        acc_columns = list(relation.columns)
-        acc_rows: list[Row] = relation.rows
+        columns = list(relation.columns)
+        rows = relation.rows
         for child in children[i]:
             child_relation = reduced[child]
             assert child_relation is not None
             shared = [v for v in child_relation.columns if v in relation.position]
             extra = [v for v in child_relation.columns if v not in relation.position]
-            shared_positions = child_relation.project_positions(shared)
-            extra_positions = child_relation.project_positions(extra)
+            key_of = _projector(child_relation.project_positions(shared))
+            extra_of = _projector(child_relation.project_positions(extra))
             matches: dict[Row, list[Row]] = {}
             for row in child_relation.rows:
-                key = tuple(row[p] for p in shared_positions)
-                matches.setdefault(key, []).append(
-                    tuple(row[p] for p in extra_positions)
-                )
-            acc_positions = [acc_columns.index(v) for v in shared]
-            joined: list[Row] = []
-            for row in acc_rows:
-                key = tuple(row[p] for p in acc_positions)
-                for extension in matches.get(key, ()):
-                    joined.append(row + extension)
-            acc_columns.extend(extra)
-            acc_rows = joined
+                matches.setdefault(key_of(row), []).append(extra_of(row))
+            key_of = _projector([columns.index(v) for v in shared])
+            rows = [row + extension for row in rows for extension in matches.get(key_of(row), ())]
+            columns.extend(extra)
             reduced[child] = None  # free the child relation eagerly
-        if parent[i] >= 0:
-            keep_set = (decomposition.bags[i] & decomposition.bags[parent[i]]) | (
-                head_set & set(acc_columns)
-            )
-        else:
-            keep_set = head_set & set(acc_columns)
-        keep = [v for v in acc_columns if v in keep_set]
-        keep_positions = [acc_columns.index(v) for v in keep]
-        projected = {tuple(row[p] for p in keep_positions) for row in acc_rows}
-        reduced[i] = _BagRelation(tuple(keep), sorted(projected))
+        keep = [v for v in columns if v in head_set or (parent[i] >= 0 and v in bags[parent[i]])]
+        if len(keep) < len(columns):
+            rows = list(set(map(_projector([columns.index(v) for v in keep]), rows)))
+        reduced[i] = _BagRelation(tuple(keep), rows)
 
     # Cross-combine the (disjoint) root relations and read the head off.
-    mapping_columns: list[Variable] = []
-    combined: list[Row] = [()]
-    for root in decomposition.roots:
-        root_relation = reduced[root]
-        assert root_relation is not None
-        if not root_relation.rows:
-            return frozenset()
-        mapping_columns.extend(root_relation.columns)
-        combined = [row + suffix for row in combined for suffix in root_relation.rows]
-    position = {variable: i for i, variable in enumerate(mapping_columns)}
-    answers = {tuple(row[position[v]] for v in head) for row in combined}
-    return frozenset(answers)
+    first, *others = (reduced[root] for root in decomposition.roots)
+    columns, answers = list(first.columns), first.rows
+    for root_relation in others:
+        columns.extend(root_relation.columns)
+        answers = [row + suffix for row in answers for suffix in root_relation.rows]
+    if tuple(columns) != head:
+        answers = list(map(_projector([columns.index(v) for v in head]), answers))
+    answers.sort()
+    return answers
 
 
 def _evaluate(
@@ -657,18 +622,33 @@ def _evaluate(
     compiled: Optional["CompiledQuery"],
     boolean_only: bool,
     columnar: bool = True,
-) -> Optional[frozenset[Row]]:
+    limit: Optional[int] = None,
+) -> tuple[list[Row], int]:
+    """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
+    from ..evaluation import propagation
     from ..evaluation.compile import compile_query
-    from ..evaluation.propagation import propagate
+    from ..evaluation.reducer import semijoin_sweeps
     from ..observability import tracing
 
     if compiled is None:
         compiled = compile_query(query)
     if not compiled.variables:
-        return frozenset({()})
-    result = propagate(compiled, structure, pinned, propagator, columnar=columnar)
+        return [()], 1
+    chosen = propagation.as_propagator(propagator or propagation.DEFAULT_PROPAGATOR)
+    if chosen is propagation.Propagator.SEMIJOIN and not compiled.shadow_is_forest:
+        # Sound supersets are all the bags need in front of them (they enforce
+        # every atom): the reducer's two sweeps along a spanning forest.
+        started = time.perf_counter()
+        with tracing.span("propagate", propagator=chosen.value, exact=False):
+            swept = semijoin_sweeps(compiled, structure, pinned)
+        propagation.PROPAGATE_SECONDS.observe(
+            time.perf_counter() - started, propagator=chosen.value
+        )
+        result = None if swept is None else propagation.PropagationResult(structure, columns=swept)
+    else:
+        result = propagation.propagate(compiled, structure, pinned, chosen, columnar=columnar)
     if result is None:
-        return None if boolean_only else frozenset()
+        return [], 0
     with tracing.span("decompose"):
         decomposition = compiled.decomposition
         tracing.annotate(
@@ -678,8 +658,13 @@ def _evaluate(
             bags=len(decomposition.bags),
         )
     views = result.views
-    head_set = frozenset() if boolean_only else frozenset(query.head)
+    head = query.head
+    head_set = frozenset(head)
     children = decomposition.children()
+    # The rows of a one-bag tree are the answers: only there can a limit stop
+    # the building of rows (never the first: empty means unsatisfiable).
+    single = len(decomposition.bags) == 1
+    bag_limit = max(limit, 1) if single and limit is not None else None
     relations: list[_BagRelation] = []
     with tracing.span("materialize_bags"):
         for index, bag in enumerate(decomposition.bags):
@@ -697,7 +682,7 @@ def _evaluate(
                 needed |= bag & decomposition.bags[parent_index]
             for child in children[index]:
                 needed |= bag & decomposition.bags[child]
-            relation = _materialize_bag(
+            relation, count = _materialize_bag(
                 bag,
                 bag_atoms,
                 views,
@@ -705,9 +690,11 @@ def _evaluate(
                 compiled.variable_index,
                 frozenset(needed),
                 columnar=columnar,
+                head=head,
+                limit=bag_limit,
             )
             if not relation.rows:
-                return None if boolean_only else frozenset()
+                return [], 0
             relations.append(relation)
         tracing.annotate(bag_rows=[len(relation.rows) for relation in relations])
     if boolean_only:
@@ -715,15 +702,17 @@ def _evaluate(
         # globally consistent assignment, not fully reduced bags.
         with tracing.span("semijoin", mode="first_witness"):
             witness = _first_witness(decomposition, relations)
-        return frozenset({()}) if witness else None
+        return ([()], 1) if witness else ([], 0)
     with tracing.span("semijoin", mode="reduce"):
         reduced = _reduce(decomposition, relations)
     if not reduced:
-        return frozenset()
+        return [], 0
     with tracing.span("enumerate", strategy="join_tree"):
-        answers = _collect_answers(decomposition, relations, query.head)
-        tracing.annotate(answers=len(answers))
-    return answers
+        answers = _collect_answers(decomposition, relations, head)
+        if not single:
+            count = len(answers)
+        tracing.annotate(answers=count)
+    return answers, count
 
 
 def boolean_query_holds(
@@ -734,19 +723,30 @@ def boolean_query_holds(
     columnar: bool = True,
 ) -> bool:
     """Boolean evaluation: materialize the bags, stop at the first witness."""
-    from ..evaluation.propagation import DEFAULT_PROPAGATOR
+    _, count = _evaluate(query.as_boolean(), structure, pinned, propagator, None, True, columnar)
+    return count > 0
 
-    chosen = DEFAULT_PROPAGATOR if propagator is None else propagator
-    outcome = _evaluate(
-        query.as_boolean(),
-        structure,
-        pinned,
-        chosen,
-        None,
-        boolean_only=True,
-        columnar=columnar,
+
+def answer_page(
+    query: ConjunctiveQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]] = None,
+    propagator=None,
+    compiled: Optional["CompiledQuery"] = None,
+    columnar: bool = True,
+    limit: Optional[int] = None,
+) -> tuple[list[Row], int]:
+    """The first ``limit`` answers in ascending order, and how many there are.
+
+    Boolean queries yield ``[()]`` / ``[]``.  ``propagator`` names what prunes
+    the candidate columns in front of the bags: ``semijoin`` (the cost
+    planner's pick for this engine) is two sweeps along a spanning forest on
+    any body, everything else its exact fixpoint; the answers are the same.
+    """
+    answers, count = _evaluate(
+        query, structure, pinned, propagator, compiled, False, columnar, limit
     )
-    return outcome is not None
+    return answers[:limit], count
 
 
 def evaluate_answers(
@@ -759,15 +759,8 @@ def evaluate_answers(
 ) -> frozenset[Row]:
     """All answers of a (possibly cyclic) k-ary query via the join tree.
 
-    Boolean queries yield ``{()}`` / ``frozenset()``; the answer *set* is
+    :func:`answer_page` without a limit, as a set; the answer *set* is
     identical to the backtracking engine's on every query, which the property
     tests enforce.
     """
-    from ..evaluation.propagation import DEFAULT_PROPAGATOR
-
-    chosen = DEFAULT_PROPAGATOR if propagator is None else propagator
-    outcome = _evaluate(
-        query, structure, pinned, chosen, compiled, boolean_only=False, columnar=columnar
-    )
-    assert outcome is not None
-    return outcome
+    return frozenset(answer_page(query, structure, pinned, propagator, compiled, columnar)[0])

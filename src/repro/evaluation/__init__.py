@@ -18,6 +18,7 @@ from .domains import Domains, Valuation, domain_views, initial_domains, valuatio
 from .planner import (
     MAX_AUTO_DECOMPOSITION_WIDTH,
     Engine,
+    answer_page,
     check_answer,
     choose_engine,
     evaluate,
@@ -55,6 +56,7 @@ __all__ = [
     "XPropertyEvaluationError",
     "ac4_fixpoint",
     "acyclic",
+    "answer_page",
     "boolean_query_holds",
     "check_answer",
     "choose_engine",

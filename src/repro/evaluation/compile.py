@@ -230,9 +230,9 @@ class CompiledQuery:
         The order the semijoin full reducer (:mod:`repro.evaluation.reducer`)
         sweeps in: backwards it is a leaves-to-root pass, forwards a
         root-to-leaves pass.  Each component is rooted at a head variable when
-        it has one, otherwise at its first variable.  Precondition:
-        :attr:`shadow_is_forest` (the reducer checks it); on a cyclic body
-        this is merely a spanning forest that drops the chord atoms.
+        it has one, otherwise at its first variable.  On a cyclic body this
+        is a spanning forest that drops the chord atoms: sweeping it yields
+        supersets of the fixpoint, which is all the decomposition engine asks.
         """
         order: list[tuple[Variable, CompiledAtom]] = []
         seen: set[Variable] = set()

@@ -34,8 +34,12 @@ prevaluation; *how* it is computed is the second planner dimension,
 bulk revise sweep, then AC-4), ``ac3`` (worklist) and ``horn`` (unit
 propagation) as cross-checked ablations, and ``semijoin`` -- the Yannakakis
 full reducer (:mod:`repro.evaluation.reducer`), two semijoin sweeps along the
-shadow forest, which only accepts forest-shaped bodies (a ``ValueError``
-otherwise) and which the cost planner picks for every one of them.
+shadow forest, exact on forest-shaped bodies only: there the cost planner
+always picks it; on a cyclic body it is a ``ValueError`` everywhere except in
+front of the decomposition engine, whose bags only need the supersets.
+
+Whatever the route, :func:`answer_page` is what comes out: the first ``limit``
+answers in ascending order plus the exact count (:func:`evaluate` is its set).
 """
 
 from __future__ import annotations
@@ -190,20 +194,41 @@ def evaluate(
     lowering: str = "tree",
     materialize: bool = False,
 ) -> frozenset[tuple[int, ...]]:
-    """Compute all answers of a k-ary query.
+    """Compute all answers of a k-ary query: :func:`answer_page` as a set.
 
     Boolean queries return ``{()}`` when satisfied and the empty set otherwise.
-    Under default routing (:func:`choose_engine`) every request costs **one**
-    propagation fixpoint: a monadic head over a forest-shaped body reads its
-    answers straight off the arc-consistent fixpoint (globally consistent on
-    shadow forests, so the head variable's domain *is* the answer set), any
-    other head is enumerated by one join-tree traversal
-    (:func:`repro.decomposition.yannakakis.evaluate_answers`, which runs the
-    fixpoint itself).  The singleton-relation reduction -- candidate head
-    tuples from the fixpoint (a sound over-approximation of the answer
-    projection), one pinned Boolean evaluation each -- runs only when the
-    engine says so: an explicit ``xproperty`` / ``acyclic`` /
-    ``backtracking``, or a cyclic-residue route that landed on the latter.
+    """
+    page = answer_page(query, structure, engine, propagator, compiled, None, lowering, materialize)
+    return frozenset(page[0])
+
+
+def answer_page(
+    query: ConjunctiveQuery,
+    structure: TreeStructure,
+    engine: Engine = Engine.AUTO,
+    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    compiled: Optional[CompiledQuery] = None,
+    limit: Optional[int] = None,
+    lowering: str = "tree",
+    materialize: bool = False,
+) -> tuple[list[tuple[int, ...]], int]:
+    """The first ``limit`` answers in ascending order, plus the exact count.
+
+    The one thing an engine hands the serving core: rows sorted, already
+    truncated, and how many there are in all.  Under default routing
+    (:func:`choose_engine`) every request costs **one** propagation pass: a
+    monadic head over a forest-shaped body reads its answers straight off the
+    arc-consistent fixpoint (globally consistent on shadow forests, so the
+    head variable's sorted column *is* the answer list and ``limit`` a slice
+    of it), any other head is enumerated in wire order by one join-tree
+    traversal (:func:`repro.decomposition.yannakakis.answer_page`, which
+    prunes its own candidates and stops building rows at ``limit``).  The
+    singleton-relation reduction -- candidate head tuples from the fixpoint
+    (a sound over-approximation of the answer projection), one pinned Boolean
+    evaluation each -- runs only when the engine says so: an explicit
+    ``xproperty`` / ``acyclic`` / ``backtracking``, or a cyclic-residue route
+    that landed on the latter.  It, the SQL engine on a resident document and
+    Boolean heads produce a set, which is sorted here, once.
 
     ``compiled`` lets callers that keep compiled artifacts resident (the
     serving layer's query cache) bypass the compile-cache lookup; it must be
@@ -220,7 +245,7 @@ def evaluate(
                 materialize=materialize,
             )
             tracing.annotate(satisfied=satisfied)
-        return frozenset({()}) if satisfied else frozenset()
+        return ([()] if satisfied else [])[:limit], int(satisfied)
 
     if engine is Engine.SQL:
         from ..backends.sqlite import evaluate_structure
@@ -230,17 +255,17 @@ def evaluate(
                 query, structure, lowering=lowering, materialize=materialize
             )
             tracing.annotate(answers=len(answers))
-        return answers
+        return sorted(answers)[:limit], len(answers)
     if compiled is None:
         compiled = compile_query(query)
     chosen = choose_engine(query) if engine is Engine.AUTO else engine
     if chosen is Engine.DECOMPOSITION:
-        return yannakakis.evaluate_answers(
-            query, structure, propagator=propagator, compiled=compiled
+        return yannakakis.answer_page(
+            query, structure, propagator=propagator, compiled=compiled, limit=limit
         )
     result = propagate(compiled, structure, propagator=propagator)
     if result is None:
-        return frozenset()
+        return [], 0
     if query.is_monadic and compiled.shadow_is_forest:
         # Global consistency of the arc-consistent fixpoint on shadow forests:
         # no per-candidate Boolean checks needed.  Forest-ness is judged on the
@@ -248,9 +273,9 @@ def evaluate(
         # constraints on one variable pair count as a cycle and never take
         # this path, while self-loops were already applied as static filters.
         with tracing.span("enumerate", strategy="fixpoint_projection"):
-            answers = frozenset((node,) for node in result.sorted_domain(query.head[0]))
-            tracing.annotate(answers=len(answers))
-        return answers
+            column = result.sorted_domain(query.head[0])
+            tracing.annotate(answers=len(column))
+        return list(zip(column[:limit])), len(column)
     # The singleton-relation reduction (explicit engine or backtracking
     # residue only).  Atoms connecting two head variables can be checked in
     # O(1) per candidate tuple from the tree's rank arrays, skipping the full
@@ -288,7 +313,7 @@ def evaluate(
                 if is_satisfied(query, structure, chosen, pinned, propagator):
                     answers.add(tuple(candidate))
         tracing.annotate(answers=len(answers))
-    return frozenset(answers)
+    return sorted(answers)[:limit], len(answers)
 
 
 def evaluate_union(

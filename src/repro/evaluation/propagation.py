@@ -19,9 +19,11 @@ now exposes as the ``propagator=`` dimension:
 * :attr:`Propagator.SEMIJOIN` -- the Yannakakis full reducer of
   :mod:`repro.evaluation.reducer`: two directional semijoin sweeps along the
   shadow forest over sorted columns.  **Forest-shaped bodies only** (there
-  the fixpoint is the projection of the solution set); on a cyclic body it
-  raises :class:`ValueError`.  The cost planner picks it for every
-  forest-shaped body.
+  the fixpoint is the projection of the solution set); on a cyclic body
+  :func:`propagate` raises :class:`ValueError`, because the sweeps then
+  yield supersets -- which only the decomposition engine can use, and asks
+  the reducer for directly.  The cost planner picks it for every
+  forest-shaped body and for every decomposition-routed plan.
 
 All five compute the same fixpoint (the deletion rules are confluent); the
 property tests assert it.  :func:`propagate` wraps the choice and returns a
@@ -66,7 +68,7 @@ class Propagator(str, Enum):
     AC3 = "ac3"
     HORN = "horn"
     HYBRID = "hybrid"
-    #: Forest-shaped bodies only (see :mod:`repro.evaluation.reducer`).
+    #: Exact on forest-shaped bodies only (see :mod:`repro.evaluation.reducer`).
     SEMIJOIN = "semijoin"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,9 +12,11 @@ columns in a few C-level passes.
 
 Domains start from the resident sorted label columns (the identity column
 ``index.pre`` for an unlabeled variable) and stay sorted throughout, so
-nothing downstream re-sorts them.  Cyclic bodies are refused: there
-the sweeps compute a superset of the fixpoint, and the worklist engines are
-the right tool.
+nothing downstream re-sorts them.  On a cyclic body the same two sweeps run
+over a spanning forest (:attr:`CompiledQuery.sweep_order` drops the chord
+atoms) and compute a *superset* of the fixpoint: refused by ``propagate``
+(its contract is the exact prevaluation), swept by the decomposition engine
+(:func:`semijoin_sweeps`), whose bags enforce every atom anyway.
 """
 
 from __future__ import annotations
@@ -62,6 +64,21 @@ def semijoin_fixpoint(
             "propagator 'semijoin' needs a forest-shaped body; "
             "use ac4, ac3, horn or hybrid on cyclic queries"
         )
+    return semijoin_sweeps(compiled, structure, pinned)
+
+
+def semijoin_sweeps(
+    compiled: CompiledQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]] = None,
+) -> Optional[dict[Variable, list[int]]]:
+    """One leaves-to-root and one root-to-leaves sweep over ``sweep_order``.
+
+    On a forest-shaped body this is the fixpoint; on a cyclic one the columns
+    are arc consistent along the spanning forest only -- sorted supersets of
+    the fixpoint's domains (and subsets of the initial ones), ``None`` when
+    one of them empties, which already refutes the query.
+    """
     columns = _initial_columns(compiled, structure, pinned)
     if columns is None:
         return None

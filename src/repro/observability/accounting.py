@@ -83,7 +83,7 @@ class PlanAccounting:
         self,
         *,
         query_key: str,
-        query_text: str,
+        query_text: object,
         doc: str,
         rows: int,
         elapsed_ms: float,
@@ -101,7 +101,8 @@ class PlanAccounting:
         Requests with a non-positive cost estimate or elapsed time carry no
         calibration signal and are counted as skipped (returns ``None``).
         The first request an engine ever serves seeds its calibration and
-        records drift ``1.0`` by definition.
+        records drift ``1.0`` by definition.  ``query_text`` is rendered with
+        ``str()`` only if the request enters the top-drift table.
         """
         seconds = elapsed_ms / 1000.0
         if estimated_cost <= 0 or seconds <= 0:
@@ -119,33 +120,37 @@ class PlanAccounting:
             calibration[0] += 1
             calibration[1] += math.log(rate)
             self._requests += 1
-            entry = {
-                "drift": round(drift, 4),
-                "direction": "under-estimate" if drift >= 1.0 else "over-estimate",
-                "doc": doc,
-                "query_key": query_key,
-                "query": query_text,
-                "engine": engine,
-                "propagator": propagator,
-                "lowering": lowering,
-                "routing": routing,
-                "stats_bucket": stats_bucket,
-                "estimated_cost": round(estimated_cost, 1),
-                "estimated_rows": round(estimated_rows, 1),
-                "rows": rows,
-                "elapsed_ms": round(elapsed_ms, 3),
-                "stage_ms": {name: round(value, 3) for name, value in stage_ms.items()},
-            }
-            self._top.append(entry)
-            self._rerank()
+            # Steady state: the table is full (and kept worst first) and this
+            # request does not beat its mildest entry -- a tie loses, as it
+            # would to the stable sort -- so no entry or query text is built.
+            severity = _severity(round(drift, 4))
+            if len(self._top) < self.capacity or severity > _severity(self._top[-1]["drift"]):
+                entry = {
+                    "drift": round(drift, 4),
+                    "direction": "under-estimate" if drift >= 1.0 else "over-estimate",
+                    "doc": doc,
+                    "query_key": query_key,
+                    "query": str(query_text),
+                    "engine": engine,
+                    "propagator": propagator,
+                    "lowering": lowering,
+                    "routing": routing,
+                    "stats_bucket": stats_bucket,
+                    "estimated_cost": round(estimated_cost, 1),
+                    "estimated_rows": round(estimated_rows, 1),
+                    "rows": rows,
+                    "elapsed_ms": round(elapsed_ms, 3),
+                    "stage_ms": {name: round(value, 3) for name, value in stage_ms.items()},
+                }
+                self._top.append(entry)
+                self._rerank()
         PLAN_DRIFT.observe(drift, engine=engine, propagator=propagator, lowering=lowering)
         return drift
 
     def _rerank(self) -> None:
-        """Keep only the ``capacity`` worst entries (call with the lock held)."""
-        if len(self._top) > self.capacity:
-            self._top.sort(key=lambda entry: _severity(entry["drift"]), reverse=True)
-            del self._top[self.capacity :]
+        """Worst first, at most ``capacity`` entries (call with the lock held)."""
+        self._top.sort(key=lambda entry: _severity(entry["drift"]), reverse=True)
+        del self._top[self.capacity :]
 
     # -- merge / snapshot ------------------------------------------------------
 

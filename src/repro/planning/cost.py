@@ -205,11 +205,14 @@ def flat_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
 
 
 def choose_propagator(compiled: CompiledQuery) -> Propagator:
-    """Propagator pick: the full reducer on forests, else the BENCH_ac4 ablations.
+    """Propagator pick for an engine that needs the exact fixpoint.
 
     A forest-shaped body gets the two semijoin sweeps of
     :mod:`repro.evaluation.reducer` (no worklist; ``benchmarks/e2e``
-    ``mixed_10k``).  On cyclic bodies hybrid wins when some edge joins two
+    ``mixed_10k``).  A cyclic body keeps a worklist engine here -- backtracking
+    forward-checks against arc-consistent domains -- while ``plan_query`` gives
+    the decomposition engine the same sweeps on any body, as supersets.  Among
+    the worklist engines hybrid wins when some edge joins two
     unlabeled (full-domain) variables over a non-global axis -- AC-4's support
     counters are quadratic to seed exactly there, while the interval
     representation stays closed-form.  On global axes (``Following``,

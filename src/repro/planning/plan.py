@@ -18,8 +18,10 @@ EXPLAIN, benchmarks) goes through.  Two routings exist:
   - the SQL lowering: ``"flat"`` when the single-block join is estimated
     cheaper than the join-tree CTE cascade, plus TEMP-table materialization
     of large bags;
-  - the propagator: the semijoin full reducer on every forest-shaped body,
-    hybrid on cyclic bodies where the AC-4 ablations show it winning.
+  - the propagator: the semijoin sweeps on every forest-shaped body (the
+    exact full reducer there) and in front of the decomposition engine on any
+    body (supersets suffice); a cyclic body routed to backtracking keeps arc
+    consistency: hybrid where the AC-4 ablations show it winning, else AC-4.
 
 * ``routing="static"`` reproduces the pre-planner behaviour bit for bit
   (static engine rule, AC-4, tree lowering, no materialization) and is kept
@@ -182,6 +184,12 @@ def plan_query(
             if decomposition_total <= backtracking_total
             else Engine.BACKTRACKING
         )
+
+    if propagator is None and routing == "cost" and chosen_engine is Engine.DECOMPOSITION:
+        # The bags enforce every atom and their semijoin passes supply global
+        # consistency: sound candidate supersets are enough in front of them
+        # (the pick above still priced what backtracking would have run).
+        chosen_propagator = Propagator.SEMIJOIN
 
     if routing == "cost":
         lowering = "flat" if flat_cost < tree_cost else "tree"

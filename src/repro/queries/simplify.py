@@ -81,51 +81,71 @@ def _projectable(query: ConjunctiveQuery) -> set[Variable]:
     return {v for v in query.variables() if v not in blocked}
 
 
-def _simplify_once(query: ConjunctiveQuery) -> ConjunctiveQuery | None:
-    """One rewrite step, or ``None`` when no rule applies."""
-    axis_atoms = [a for a in query.body if isinstance(a, AxisAtom)]
+def _incident(query: ConjunctiveQuery) -> dict[Variable, list[AxisAtom]]:
+    """The non-loop axis atoms touching each variable, in body order."""
     incident: dict[Variable, list[AxisAtom]] = {}
-    for atom in axis_atoms:
-        if atom.source != atom.target:
+    for atom in query.body:
+        if isinstance(atom, AxisAtom) and atom.source != atom.target:
             incident.setdefault(atom.source, []).append(atom)
             incident.setdefault(atom.target, []).append(atom)
+    return incident
 
+
+def _drop_dangling(query: ConjunctiveQuery, incident: dict) -> ConjunctiveQuery | None:
+    """Drop one dangling reflexive atom, or ``None`` when there is none."""
     for variable in sorted(_projectable(query)):
         atoms = incident.get(variable, [])
-        if len(atoms) == 1:
-            atom = atoms[0]
-            if atom.axis not in _REFLEXIVE_AXES:
-                continue
-            other = atom.target if atom.source == variable else atom.source
-            body = tuple(a for a in query.body if a is not atom)
-            if other in query.head and not any(other in a.variables() for a in body):
-                # Dropping the atom would make the query unsafe (a head
-                # variable with no body occurrence); keep it.
-                continue
-            return ConjunctiveQuery(query.head, body, query.name)
-        elif len(atoms) == 2:
-            first, second = atoms
-            # Orient into a directed chain A(x, z), B(z, y) through z.
-            if second.target == variable:
-                first, second = second, first
-            if first.target != variable or second.source != variable:
-                continue
-            composed = _compose(first.axis, second.axis)
-            if composed is None or first.source == second.target:
-                continue
-            replacement = AxisAtom(composed, first.source, second.target)
-            body = tuple(
-                replacement if a is first else a
-                for a in query.body
-                if a is not second
-            )
-            return ConjunctiveQuery(query.head, body, query.name)
+        if len(atoms) != 1 or atoms[0].axis not in _REFLEXIVE_AXES:
+            continue
+        (atom,) = atoms
+        other = atom.target if atom.source == variable else atom.source
+        body = tuple(a for a in query.body if a is not atom)
+        if other in query.head and not any(other in a.variables() for a in body):
+            # Dropping the atom would make the query unsafe (a head
+            # variable with no body occurrence); keep it.
+            continue
+        return ConjunctiveQuery(query.head, body, query.name)
     return None
+
+
+def _compose_chain(query: ConjunctiveQuery, incident: dict) -> ConjunctiveQuery | None:
+    """Project one chain joint out, or ``None`` when no chain composes.
+
+    Which joint goes first matters where the algebra is partial (in ``Child+
+    . Child* . Child`` either neighbour can absorb the ``Child*``), so the
+    axis pair decides, the variable name only between like joints.
+    """
+    candidates = []
+    for variable in _projectable(query):
+        atoms = incident.get(variable, [])
+        if len(atoms) != 2:
+            continue
+        first, second = atoms
+        # Orient into a directed chain A(x, z), B(z, y) through z.
+        if second.target == variable:
+            first, second = second, first
+        if first.target != variable or second.source != variable:
+            continue
+        composed = _compose(first.axis, second.axis)
+        if composed is not None and first.source != second.target:
+            replacement = AxisAtom(composed, first.source, second.target)
+            candidates.append(
+                (first.axis.value, second.axis.value, variable, first, second, replacement)
+            )
+    if not candidates:
+        return None
+    *_, first, second, replacement = min(candidates, key=lambda candidate: candidate[:3])
+    body = tuple(replacement if a is first else a for a in query.body if a is not second)
+    return ConjunctiveQuery(query.head, body, query.name)
 
 
 @lru_cache(maxsize=4096)
 def simplify_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """The fixpoint of the vacuous-existential rewrites; same answers always.
+
+    Dangling atoms are dropped to exhaustion before every single composition:
+    the rules do not commute (in ``Child*(a, b), Child(b, c)`` drop ``a`` or
+    compose ``b`` away), and alpha-equivalent texts must simplify alike.
 
     (:class:`~repro.queries.query.ConjunctiveQuery` deduplicates repeated
     atoms itself, so a composition collapsing two chains onto the same atom
@@ -133,8 +153,10 @@ def simplify_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """
     current = query
     while True:
-        rewritten = _simplify_once(current)
+        incident = _incident(current)
+        rewritten = _drop_dangling(current, incident)
         if rewritten is None:
-            break
+            rewritten = _compose_chain(current, incident)
+        if rewritten is None:
+            return current
         current = rewritten
-    return current

@@ -1,15 +1,19 @@
 """The request-execution core shared by the thread and process backends.
 
 :class:`Request` (the wire format), :class:`RequestResult` (the outcome) and
-:func:`run_request` (resolve the cached plan, fetch the resident document,
-evaluate, sort, truncate) live here so that every serving backend --
+:func:`run_request` (resolve the cached plan, fetch the resident document, ask
+the engine for its page of answers) live here so that every serving backend --
 :class:`~repro.service.executor.BatchExecutor`'s worker threads and
 :class:`~repro.service.shards.ShardedExecutor`'s worker processes -- executes
 requests through one code path and therefore honours one contract:
 
-* results are deterministic: answers sorted ascending, ``limit`` applied
-  *after* sorting, byte-identical to a sequential
-  :func:`repro.evaluation.planner.evaluate` call for every propagator;
+* results are deterministic: what an engine hands over is the first ``limit``
+  answers in ascending order plus the exact total
+  (:func:`repro.evaluation.planner.answer_page` for resident documents, the
+  SQL backend's ordered cursor for accel-only ones) -- the core neither sorts
+  nor slices -- byte-identical to the sorted, then truncated
+  :func:`repro.evaluation.planner.evaluate` set for every engine and
+  propagator;
 * failures are per-request values, never batch aborts.  Client mistakes
   (unknown document, parse errors, bad parameters) are reported verbatim in
   ``RequestResult.error``; anything else -- a genuine bug in the evaluation
@@ -26,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..evaluation.planner import Engine, evaluate
+from ..evaluation.planner import Engine, answer_page
 from ..evaluation.propagation import DEFAULT_PROPAGATOR, as_propagator
 from ..observability import tracing
 from ..observability.accounting import ACCOUNTING
@@ -273,7 +277,7 @@ class RequestResult:
         payload = {
             "doc": self.doc,
             "query_key": self.query_key,
-            "answers": [list(answer) for answer in self.answers or []],
+            "answers": self.answers or [],
             "count": self.count,
             "truncated": self.truncated,
             "elapsed_ms": round(self.elapsed_ms, 3),
@@ -439,21 +443,17 @@ def _execute_request(
         with tracing.span(
             "evaluate", engine=plan.engine.value, propagator=plan.propagator.value
         ):
-            answers = sorted(
-                evaluate(
-                    entry.query,
-                    document.structure,
-                    engine=plan.engine,
-                    propagator=plan.propagator,
-                    compiled=entry.compiled,
-                    lowering=plan.lowering,
-                    materialize=plan.materialize,
-                )
+            answers, count = answer_page(
+                entry.query,
+                document.structure,
+                engine=plan.engine,
+                propagator=plan.propagator,
+                compiled=entry.compiled,
+                limit=request.limit,
+                lowering=plan.lowering,
+                materialize=plan.materialize,
             )
-        count = len(answers)
-        truncated = request.limit is not None and count > request.limit
-        if truncated:
-            answers = answers[: request.limit]
+        truncated = count > len(answers)
     finished = time.perf_counter()
     elapsed_ms = (finished - started) * 1000.0
     if elapsed_ms > 0.0:
@@ -467,7 +467,7 @@ def _execute_request(
     # /metrics histogram, the /stats top-drift table and the slow log.
     drift = ACCOUNTING.record(
         query_key=entry.key,
-        query_text=str(entry.query),
+        query_text=entry.query,
         doc=request.doc,
         rows=count,
         elapsed_ms=elapsed_ms,

@@ -101,6 +101,32 @@ class TestBoundingAndMerge:
         assert severities == sorted(severities, reverse=True)
         assert ledger.stats()["requests"] == 6  # bounding the table loses no counts
 
+    def test_a_request_below_the_floor_builds_no_entry(self):
+        class Text:
+            rendered = 0
+
+            def __str__(self):
+                Text.rendered += 1
+                return "Q(x) <- A(x)"
+
+        ledger = PlanAccounting(capacity=2)
+        record(ledger, "e", 100.0, 100.0, query_text=Text())  # drift 1.0, room: admitted
+        record(ledger, "e", 100.0, 400.0, query_text=Text())  # drift 4.0, room: admitted
+        assert Text.rendered == 2
+        # Calibration is now 500 u/s (geometric mean of 1000 and 250): a
+        # request at exactly that rate has severity 0 and ties with the floor
+        # entry (drift 1.0) -- the resident entry wins, nothing is rendered.
+        assert record(ledger, "e", 100.0, 200.0, query_text=Text()) == pytest.approx(1.0)
+        assert Text.rendered == 2
+        stats = ledger.stats()
+        assert stats["requests"] == 3 and [e["drift"] for e in stats["top_drift"]] == [4.0, 1.0]
+        # One that beats the floor is rendered once and evicts it.
+        record(ledger, "e", 100.0, 3200.0, query_text=Text(), query_key="worse")
+        assert Text.rendered == 3
+        top = ledger.stats()["top_drift"]
+        assert [e["query_key"] for e in top] == ["worse", "k0"] and top[1]["drift"] == 4.0
+        assert all(e["query"] == "Q(x) <- A(x)" for e in top)
+
     def test_merge_sums_calibrations_and_reranks_tops(self):
         left, right = PlanAccounting(capacity=4), PlanAccounting(capacity=4)
         record(left, "e", 100.0, 100.0)

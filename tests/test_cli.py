@@ -84,7 +84,7 @@ class TestEvaluateCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "engine   : decomposition (propagator: ac4, routing: cost)" in output
+        assert "engine   : decomposition (propagator: semijoin, routing: cost)" in output
         assert "answers  : 1" in output
 
     def test_engine_override_forces_backtracking(self, capsys):

@@ -309,6 +309,108 @@ class TestYannakakisEvaluation:
         )
 
 
+class TestBagEmission:
+    """``_materialize_bag``: wire order where the atoms allow, honest counts.
+
+    The exact decomposition search never builds a one-bag tree with two
+    non-adjacent variables, so the shapes the order cannot follow are driven
+    through the kernel directly: columns are the head variables in head
+    order, rows come out sorted (and ``limit`` is honoured) exactly when the
+    enumeration could follow them, and the count is exact either way.
+    """
+
+    @pytest.fixture(scope="class")
+    def structure(self):
+        return TreeStructure(random_tree(60, alphabet=("A", "B", "C"), max_children=3, seed=5))
+
+    @staticmethod
+    def _bag(structure, body, needed, head, limit=None):
+        from repro.decomposition.yannakakis import _materialize_bag
+
+        compiled = compile_query(parse_query(f"Q <- {body}"))
+        views = {
+            variable: structure.index.mutable_view(range(len(structure.tree)))
+            for variable in compiled.variables
+        }
+        relation, count = _materialize_bag(
+            frozenset(compiled.variables),
+            compiled.atoms,
+            views,
+            structure,
+            compiled.variable_index,
+            frozenset(needed),
+            head=tuple(head),
+            limit=limit,
+        )
+        expected = sorted(
+            evaluate(parse_query(f"Q({', '.join(relation.columns)}) <- {body}"), structure)
+        )
+        return relation, count, expected
+
+    @pytest.mark.parametrize("head", [("x", "y"), ("y", "x")])
+    def test_head_order_is_followed_and_the_limit_stops_the_rows(self, structure, head):
+        relation, count, expected = self._bag(structure, "Following(x, y)", "xy", head, limit=3)
+        assert relation.columns == head
+        assert relation.rows == expected[:3] and count == len(expected) > 3
+
+    def test_trailing_witness_is_tested_not_built_past_the_limit(self, structure):
+        relation, count, expected = self._bag(
+            structure, "Child+(x, y), Child(y, z), Child+(x, z)", "xy", ("x", "y"), limit=2
+        )
+        assert relation.columns == ("x", "y")
+        assert relation.rows == expected[:2] and count == len(expected) > 2
+
+    def test_union_of_ranges_keeps_the_order(self, structure):
+        # ``b`` sits between the two columns but only anchors c's window: its
+        # witnesses are merged, nothing repeats, and the limit still holds.
+        relation, count, expected = self._bag(
+            structure, "Child+(a, b), Following(b, c)", "ac", ("a", "c"), limit=4
+        )
+        assert relation.columns == ("a", "c")
+        assert relation.rows == expected[:4] and count == len(expected) > 4
+
+    def test_existential_before_the_cut_deduplicates_and_ignores_the_limit(self, structure):
+        # y does not connect to x except through z, which no window absorbs:
+        # projected rows repeat, so every row is built, then deduplicated.
+        relation, count, expected = self._bag(
+            structure, "Child(z, x), Child(z, y)", "xy", ("x", "y"), limit=2
+        )
+        assert relation.columns == ("x", "y")
+        assert sorted(relation.rows) == expected and count == len(expected) > 2
+
+    def test_columns_the_enumeration_cannot_follow_are_sorted_later(self, structure):
+        # Columns (x, y, z), enumeration x, z, y: rows are complete and
+        # distinct but not in column order; ``_collect_answers`` sorts once.
+        relation, count, expected = self._bag(
+            structure, "Following(z, x), Following(z, y)", "xyz", ("x", "y"), limit=2
+        )
+        assert relation.columns == ("x", "y", "z")
+        assert relation.rows != expected and sorted(relation.rows) == expected
+        assert count == len(expected) > 2
+
+    def test_limit_ten_of_173942_answers_builds_ten_rows(self, monkeypatch):
+        """The ``kary`` cliff of the e2e README: count everything, build a page."""
+        from repro.decomposition import yannakakis
+        from repro.workloads import random_corpus
+
+        built = []
+        relation_type = yannakakis._BagRelation
+
+        def counting(columns, rows):
+            built.append(len(rows))
+            return relation_type(columns, rows)
+
+        monkeypatch.setattr(yannakakis, "_BagRelation", counting)
+        structure = TreeStructure(random_corpus(seed=42, num_sentences=440))
+        query = parse_query("Q(x, y) <- NP(x), Following(x, y), VB(y)")
+        rows, count = yannakakis.answer_page(query, structure, propagator="semijoin", limit=10)
+        assert count == 173_942 and len(rows) == 10 and rows == sorted(rows)
+        assert built and max(built) <= 10
+        # The page is the head of the full list, which builds every row.
+        full, _ = yannakakis.answer_page(query, structure, propagator="semijoin", limit=10_000)
+        assert full[:10] == rows and max(built) == 10_000
+
+
 class TestWitnessEnumeration:
     @pytest.mark.parametrize(
         "axis",

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation import (
+    Engine,
     Propagator,
     compile_query,
     evaluate,
@@ -349,11 +350,15 @@ class TestMonadicAcyclicFastPath:
         )
         forest = compile_query(monadic).shadow_is_forest
         for propagator in Propagator:
-            if propagator is Propagator.SEMIJOIN and not forest:
-                with pytest.raises(ValueError, match="forest-shaped"):
-                    evaluate(monadic, structure, propagator=propagator)
-                continue
             assert evaluate(monadic, structure, propagator=propagator) == expected
+        if not forest:
+            # On a cyclic body ``semijoin`` is a superset sweep: enough for the
+            # decomposition engine (the route above), refused by the engines
+            # that need the exact fixpoint.
+            with pytest.raises(ValueError, match="forest-shaped"):
+                evaluate(
+                    monadic, structure, engine=Engine.BACKTRACKING, propagator=Propagator.SEMIJOIN
+                )
 
 
 class TestDeterministicEnumeration:

@@ -152,6 +152,27 @@ def test_choose_propagator_rule():
     ) is Propagator.AC4
 
 
+def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
+    """The bags enforce every atom: supersets in front of them, on any body."""
+    stats = DocumentStats.of_tree(_tree())
+    unlabeled = "Q() <- Child+(x, y), Child+(y, z), Following(x, z)"
+    for text in (FOUR_CYCLE, TRIANGLE, KARY_HEAD, unlabeled):
+        query = parse_query(text)
+        forced = plan_query(query, stats, engine=Engine.DECOMPOSITION)
+        assert forced.propagator is Propagator.SEMIJOIN, text
+        routed = plan_query(query, stats)
+        if routed.engine is Engine.DECOMPOSITION:
+            assert routed.propagator is Propagator.SEMIJOIN, text
+        # Forward checking needs arc consistency: the exact rule stays.
+        searched = plan_query(query, stats, engine=Engine.BACKTRACKING)
+        assert searched.propagator is choose_propagator(compile_query(query)), text
+        # Overrides and the static ablation are untouched.
+        named = plan_query(query, stats, engine=Engine.DECOMPOSITION, propagator=Propagator.HYBRID)
+        assert named.propagator is Propagator.HYBRID
+        static = plan_query(query, stats, routing="static", engine=Engine.DECOMPOSITION)
+        assert static.propagator is Propagator.AC4
+
+
 def test_semijoin_fixpoint_is_priced_by_label_columns():
     stats = DocumentStats.of_tree(_tree(size=400))
     query = parse_query("Q(a) <- A(a), Child(a, b), B(b)")

@@ -10,6 +10,9 @@ These cover the invariants the paper's machinery relies on:
 * default routing (one fixpoint + one join-tree traversal for every k-ary
   head) answers exactly like the paper's per-tuple reduction under every
   explicit engine and like the Horn-SAT oracle,
+* the answer contract of the serving core -- ``answer_page``: the first
+  ``limit`` answers in ascending order plus the exact count -- holds for every
+  plan the planner can emit and every forced engine,
 * the CQ -> APQ rewriting preserves semantics and produces acyclic disjuncts
   (Lemma 6.5 / Theorem 6.6),
 * Theorem 4.1's positive X-property claims hold on arbitrary generated trees.
@@ -22,8 +25,12 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.decomposition import yannakakis
 from repro.evaluation import (
     Engine,
+    Propagator,
+    answer_page,
+    compile_query,
     evaluate,
     evaluate_on_tree,
     is_satisfied,
@@ -33,6 +40,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
 from repro.evaluation.xprop_evaluator import boolean_query_holds as xp_holds
+from repro.planning import DocumentStats, plan_query
 from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.rewriting import to_apq
@@ -370,6 +378,119 @@ class TestDefaultEnumerationProperties:
             )
             for text in shapes:
                 self._assert_all_agree(parse_query(text), structure)
+
+
+def _oracle(query: ConjunctiveQuery, structure: TreeStructure, pinned=None) -> list:
+    """Sorted answers by the Horn-propagated per-tuple reduction (Prop. 3.1)."""
+    answers = evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn")
+    if pinned:
+        # Every answer under pinning is an answer without it: filter those.
+        answers = {
+            answer
+            for answer in answers
+            if all(pinned.get(v, node) == node for v, node in zip(query.head, answer))
+            and is_satisfied(
+                query,
+                structure,
+                Engine.BACKTRACKING,
+                {**pinned, **dict(zip(query.head, answer))},
+                "horn",
+            )
+        }
+    return sorted(answers)
+
+
+def _limits(count: int) -> list:
+    return [None, 0, 1, 3, count, count + 1]
+
+
+class TestAnswerPageContract:
+    """``answer_page == (sorted(oracle)[:limit], len(oracle))`` on every route.
+
+    What the serving core relies on instead of sorting and slicing itself:
+    whatever engine and propagator a plan names, the rows come back ascending,
+    cut at ``limit``, with the exact total.
+    """
+
+    @staticmethod
+    def _plans(query: ConjunctiveQuery, tree: Tree):
+        """Every plan ``plan_query`` can emit for ``query``, forced engines included."""
+        stats = DocumentStats.of_tree(tree)
+        engines = [None, Engine.DECOMPOSITION, Engine.SQL, *_per_tuple_engines(query)]
+        for routing in ("cost", "static"):
+            for engine in engines:
+                yield plan_query(query, stats, routing=routing, engine=engine)
+        for propagator in Propagator:
+            if propagator is not Propagator.SEMIJOIN:  # cost routing's own pick
+                yield plan_query(query, stats, propagator=propagator)
+
+    def _assert_contract(self, query: ConjunctiveQuery, tree: Tree) -> None:
+        structure = TreeStructure(tree)
+        expected = _oracle(query, structure)
+        compiled = compile_query(query)
+        seen = set()
+        for plan in self._plans(query, tree):
+            knobs = (plan.engine, plan.propagator, plan.lowering, plan.materialize)
+            if knobs in seen:
+                continue
+            seen.add(knobs)
+            for limit in _limits(len(expected)):
+                page = answer_page(
+                    query,
+                    structure,
+                    plan.engine,
+                    plan.propagator,
+                    compiled,
+                    limit,
+                    plan.lowering,
+                    plan.materialize,
+                )
+                assert page == (expected[:limit], len(expected)), (knobs, limit)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        trees(max_size=10),
+        head_queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING), max_arity=3),
+    )
+    def test_every_plan_on_random_atom_soups(self, tree, query):
+        self._assert_contract(query, tree)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees(max_size=10), edge_head_queries())
+    def test_every_plan_on_awkward_heads(self, tree, query):
+        self._assert_contract(query, tree)
+
+    def test_named_shapes(self):
+        shapes = [
+            "Q(x, x) <- A(x), Child+(x, y)",  # repeated head variable
+            "Q <- A(x), Child+(x, y), Child+(x, z), Following(y, z)",  # Boolean, cyclic
+            "Q(z, y, x) <- Child+(x, y), Child+(x, z), Following(y, z)",  # head against body order
+            "Q(x, y) <- Child+(x, y), Child*(x, y)",  # one bag, two parallel atoms
+            "Q(x, y) <- Child(z, x), Child(z, y), Following(x, y)",  # cyclic, existential apex
+            "Q(x, w) <- Child+(x, y), Following(y, z), Child+(z, w)",  # multi-bag chain
+            "Q(x, y) <- A(x), B(y)",  # two roots
+            "Q(a, c) <- Child+(a, b), Child+(b, c), Following(c, d), Child+(a, d)",  # 4-cycle
+        ]
+        for seed in range(4):
+            tree = random_tree(11 + seed, alphabet=ALPHABET, max_children=3, seed=seed)
+            for text in shapes:
+                self._assert_contract(parse_query(text), tree)
+
+    @SETTINGS
+    @given(
+        trees(max_size=12),
+        head_queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING), max_arity=3),
+        st.sampled_from(list(Propagator)),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_join_tree_pages_under_pinning(self, tree, query, propagator, seed):
+        structure = TreeStructure(tree)
+        rng = random.Random(seed)
+        pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
+        expected = _oracle(query, structure, pinned)
+        for limit in _limits(len(expected)):
+            page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
+            assert page == (expected[:limit], len(expected)), limit
 
 
 class TestRewritingProperties:

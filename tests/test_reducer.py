@@ -10,7 +10,10 @@ the subset-maximal arc-consistent prevaluation the worklist engines compute:
 * sorted answers through ``evaluate`` are the same under every engine;
 * both regimes of the ``Child+``/``Child*`` kernel (bisection, cumulative
   membership columns) agree with a brute-force semijoin;
-* a cyclic body is refused with a typed client error, end to end.
+* on a cyclic body the sweeps run along a spanning forest and land between
+  the initial domains and the exact fixpoint (sound supersets -- all the
+  decomposition engine needs), while ``propagate`` and the engines that need
+  the exact fixpoint refuse with a typed client error, end to end.
 """
 
 from __future__ import annotations
@@ -156,6 +159,47 @@ class TestFixpointEquality:
             assert repr(sorted(found)) == repr(oracle), engine
 
 
+@st.composite
+def atom_soups(draw) -> ConjunctiveQuery:
+    """Cyclic and forest-shaped bodies alike: random atoms over 2-4 variables."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    variables = [f"v{i}" for i in range(draw(st.integers(min_value=2, max_value=4)))]
+    atoms: list = [
+        AxisAtom(rng.choice(ALL_AXES), *rng.sample(variables, 2))
+        for _ in range(draw(st.integers(min_value=1, max_value=len(variables) + 2)))
+    ]
+    if rng.random() < 0.3:
+        loop_variable = rng.choice(variables)
+        atoms.append(AxisAtom(rng.choice(ALL_AXES), loop_variable, loop_variable))
+    for variable in variables:
+        if rng.random() < 0.5 or not any(variable in atom.variables() for atom in atoms):
+            atoms.append(LabelAtom(rng.choice(ALPHABET + (EXTRA,)), variable))
+    head = tuple(rng.choice(variables) for _ in range(draw(st.integers(0, 2))))
+    return ConjunctiveQuery(head, tuple(atoms), "Q")
+
+
+class TestSweepsAreSoundSupersets:
+    @SETTINGS
+    @given(structures(), atom_soups(), st.data())
+    def test_initial_domains_contain_sweeps_contain_the_fixpoint(self, structure, query, data):
+        pinned = _pin(data, query, structure)
+        compiled = compile_query(query)
+        swept = reducer.semijoin_sweeps(compiled, structure, pinned)
+        exact = propagate(compiled, structure, pinned, Propagator.AC4)
+        if swept is None:
+            assert exact is None  # an empty superset refutes the query
+            return
+        initial = compiled.initial_domains(structure, pinned)
+        for variable, column in swept.items():
+            assert column == sorted(set(column)) and set(column) <= initial[variable]
+            if exact is not None:
+                assert exact.domains[variable] <= set(column), variable
+                if compiled.shadow_is_forest:
+                    assert exact.domains[variable] == set(column), variable
+        if compiled.shadow_is_forest:
+            assert exact is not None
+
+
 class TestSubtreeKernel:
     """Both regimes of the ``Child+``/``Child*`` semijoin vs brute force."""
 
@@ -231,7 +275,7 @@ class TestNamedCases:
         unlabeled.sorted_domain("x").clear()
         assert sentence_structure.index.pre == list(range(9))
 
-    def test_planner_picks_it_for_forests_only(self):
+    def test_planner_picks_it_for_forests_and_decomposition(self):
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
         store, cache = DocumentStore(), QueryCache()
         store.register_tree("doc", tree)
@@ -242,8 +286,17 @@ class TestNamedCases:
         assert static.propagator == "ac4" and static.answers == served.answers
         forced = run_request(store, cache, Request(doc="doc", query=forest, propagator="ac3"))
         assert forced.propagator == "ac3" and forced.answers == served.answers
+        # A cyclic body gets the sweeps too, but only as candidate supersets
+        # in front of the decomposition engine; an engine that needs the
+        # exact fixpoint keeps a worklist propagator.
         cyclic = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
-        assert cyclic.ok and cyclic.propagator != "semijoin"
+        assert cyclic.ok and (cyclic.engine, cyclic.propagator) == ("decomposition", "semijoin")
+        exact = run_request(store, cache, Request(doc="doc", query=TRIANGLE, propagator="ac4"))
+        assert exact.propagator == "ac4" and exact.answers == cyclic.answers
+        searched = run_request(
+            store, cache, Request(doc="doc", query=TRIANGLE, engine="backtracking")
+        )
+        assert searched.propagator in ("ac4", "hybrid") and searched.answers == cyclic.answers
 
 
 class TestCyclicBodiesAreRefused:
@@ -251,8 +304,9 @@ class TestCyclicBodiesAreRefused:
         with pytest.raises(ValueError, match="forest-shaped"):
             propagate(parse_query(TRIANGLE), sentence_structure, propagator="semijoin")
 
-    @pytest.mark.parametrize("engine", [None, "decomposition", "backtracking"])
+    @pytest.mark.parametrize("engine", ["backtracking", "xproperty", "acyclic"])
     def test_run_request_reports_a_client_error_with_attribution(self, engine):
+        """Engines that need the exact fixpoint refuse; decomposition sweeps."""
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
         store, cache = DocumentStore(), QueryCache()
         store.register_tree("doc", tree)
@@ -261,8 +315,15 @@ class TestCyclicBodiesAreRefused:
         assert not result.ok
         assert "forest-shaped" in result.error and not result.error.startswith("internal:")
         assert result.propagator == "semijoin"
-        assert result.engine == (engine or "decomposition")
+        assert result.engine == engine
         body = result.to_json_dict()
         assert body["propagator"] == "semijoin" and body["engine"] == result.engine
-        # The next request on the same store is unaffected.
-        assert run_request(store, cache, Request(doc="doc", query=TRIANGLE)).ok
+        # The next request on the same store is unaffected, and the same
+        # override in front of the decomposition engine is served.
+        plain = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
+        swept = run_request(
+            store,
+            cache,
+            Request(doc="doc", query=TRIANGLE, propagator="semijoin", engine="decomposition"),
+        )
+        assert plain.ok and swept.ok and swept.answers == plain.answers

@@ -377,7 +377,7 @@ class TestContractFixes:
         ``internal:`` error value while the batchmates stay alive."""
         import repro.service.core as core
 
-        real_evaluate = core.evaluate
+        real_evaluate = core.answer_page
         poisoned = executor.store.get("auction").structure
 
         def crashing_evaluate(query, structure, **kwargs):
@@ -385,7 +385,7 @@ class TestContractFixes:
                 raise RuntimeError("kaboom")
             return real_evaluate(query, structure, **kwargs)
 
-        monkeypatch.setattr(core, "evaluate", crashing_evaluate)
+        monkeypatch.setattr(core, "answer_page", crashing_evaluate)
         errors_before = executor.stats()["executor"]["errors"]
         # max_workers=2 forces the dedicated-pool map path the bug lived in.
         results = executor.execute_batch(

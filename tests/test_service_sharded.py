@@ -58,6 +58,22 @@ def _workload_requests() -> list[Request]:
         Request(doc="sentence", xpath="//NP[NN]"),
         Request(doc="sentence", query="Q(x) <- NP(x), Child(x, y), NN(y)", propagator="ac3"),
         Request(doc="ghost", query="Q(x) <- A(x)"),  # stays a per-request error
+        # ``limit`` on every resident route: a fixpoint projection, a one-bag
+        # and a multi-bag join tree, a cyclic body, a Boolean head, limit 0.
+        Request(doc="auction", xpath="//description//listitem", limit=3),
+        Request(doc="auction", query="Q(i, p) <- item(i), Child(i, p), payment(p)", limit=2),
+        Request(
+            doc="auction",
+            query="Q(i, l) <- item(i), Child(i, d), description(d), Child+(d, l), listitem(l)",
+            limit=4,
+        ),
+        Request(
+            doc="sentence",
+            query="Q(s, x, y) <- S(s), Child+(s, x), NP(x), Child+(s, y), NN(y), Following(x, y)",
+            limit=1,
+        ),
+        Request(doc="sentence", query="Q(x, y) <- NP(x), Following(x, y), NN(y)", limit=0),
+        Request(doc="sentence", query="Q <- NP(x), Following(x, y), PP(y)", limit=0),
     ]
 
 
@@ -132,6 +148,16 @@ class TestShardedExecutor:
             assert json.dumps(_stable(ours.to_json_dict())) == json.dumps(
                 _stable(theirs.to_json_dict())
             )
+        limited = [r for r, request in zip(sharded_results, requests) if request.limit is not None]
+        assert [(len(r.answers), r.count) for r in limited] == [
+            (3, 9),
+            (2, 5),
+            (4, 9),
+            (1, 1),
+            (0, 1),
+            (0, 1),
+        ]
+        assert [r.truncated for r in limited] == [True, True, True, False, True, True]
         threaded.close()
 
     def test_registration_errors_travel_back_as_values(self, sharded):
