@@ -8,18 +8,29 @@ of C-level ``array`` traversals (:mod:`repro.trees.columnar`).  The AC-3
 worklist re-asks that question on every revise pass, so slow-convergence
 shapes multiply whatever the per-pass primitive costs.
 
-Two entry groups are measured, both as ``columnar=True`` vs the
-``columnar=False`` per-candidate ablation of the *same* fixpoint:
+Three entry groups are measured, each as ``columnar=True`` vs the
+``columnar=False`` per-candidate ablation of the *same* computation:
 
 * ``pain_*`` -- label-free ``Following`` chains, the worst revise-pass
   multipliers for the AC-3 worklist.  The committed headline
   (``min_speedup``) is the minimum columnar speedup over this group at the
   largest size and must meet the >= 5x acceptance bar.
+* ``bag_*`` -- bag materialization in the decomposition engine, the second
+  headline (``bag_headline``, bar >= 3x at the largest size): the level-at-a-
+  time kernel (one window per prefix per pass, levels expanded, counted or
+  tested) against the depth-first recursion it replaced, on the bag shapes of
+  the e2e workloads -- a large ``Child+`` pair bag, the bidder triangle
+  (``Child`` walks cut by a ``Following`` window) unlimited, under ``limit:
+  10`` (the last level is only counted) and with its last variable
+  witness-only (the level is only tested).  Both sides start from the same
+  swept candidate columns, so the number is the bag alone; each entry also
+  carries ``request_speedup``, the same comparison through ``answer_page``
+  with the reducer's sweeps in front (what a request pays).
 * ``ablation_*`` -- entries kept to report where the columnar kernels win
-  less, excluded from the headline: mixed ``Child+`` / ``Following`` chains
+  less, excluded from both headlines: mixed ``Child+`` / ``Following`` chains
   (~3-5x), pure ``Child+`` chains (~2-3x), the hybrid propagator (~2x), and
-  bag materialization through the decomposition engine, where the bulk tail
-  emission trims constant factors only (~1-1.5x).  The former
+  the sentence-pair bag (two range atoms per level, ~2-3x: both paths pay the
+  same two bisections per prefix, which is most of that bag).  The former
   ``ablation_ac4_init`` entry measured at parity by design (AC-4's
   ``Following`` trackers are threshold-based in both modes) and was retired
   along with the columnar counter-init path itself.
@@ -42,13 +53,17 @@ import time
 import pytest
 from bench_config import SMOKE, scaled
 
-from repro.decomposition.yannakakis import evaluate_answers
+from repro.decomposition.yannakakis import _materialize_bag, answer_page, evaluate_answers
 from repro.evaluation import (
+    PropagationResult,
+    compile_query,
     maximal_arc_consistent,
     maximal_arc_consistent_hybrid,
 )
+from repro.evaluation.reducer import semijoin_sweeps
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
+from repro.workloads import auction_document, random_corpus
 
 # The 5_000 size is shared between the full and smoke grids on purpose:
 # check_regression.py matches entries on (query, tree_size), so the smoke run
@@ -84,10 +99,25 @@ AC3_QUERIES = {**PAIN_QUERIES, **ABLATION_AC3_QUERIES}
 #: The query whose AC-4 init / hybrid sweep is measured in both modes.
 PROPAGATOR_ABLATION_QUERY = "pain_following_chain8"
 
-#: Acyclic k-ary query driving the bag-materialization ablation: the last bag
-#: variable carries no residual checks, so the columnar path emits each
-#: head-prefix's tail slice in bulk.
+#: The large pair bag (147k rows at 100k nodes); also the SQLite cross-check.
 BAG_QUERY = "Q(x, y) <- A(x), Child+(x, y), B(y)"
+
+_TRIANGLE = "open_auction(a), Child(a, b1), bidder(b1), Child(a, b2), bidder(b2), Following(b1, b2)"
+_SENTENCE_PAIR = "S(s), Child+(s, x), NP(x), Child+(s, y), NN(y), Following(x, y)"
+
+#: ``name: (document, query, limit)`` -- the one-bag shapes of the e2e
+#: workloads (``benchmarks/e2e/workloads.py``), on documents of the nominal size.
+BAG_SHAPES = {
+    "bag_pair": ("random", BAG_QUERY, None),
+    "bag_triangle": ("auction", f"Q(a, b1, b2) <- {_TRIANGLE}", None),
+    "bag_triangle_limit10": ("auction", f"Q(a, b1, b2) <- {_TRIANGLE}", 10),
+    "bag_triangle_witness": ("auction", f"Q(a, b1) <- {_TRIANGLE}", None),
+    "ablation_bag_sentence_pair": ("corpus", f"Q(s, x, y) <- {_SENTENCE_PAIR}", None),
+    "ablation_bag_sentence_pair_limit10": ("corpus", f"Q(s, x, y) <- {_SENTENCE_PAIR}", 10),
+}
+
+#: The bags cost milliseconds: medians over more runs than the fixpoints get.
+BAG_REPEATS = 15
 
 
 def _tree(size: int):
@@ -96,6 +126,28 @@ def _tree(size: int):
 
 def _labeled_tree(size: int):
     return random_tree(size, alphabet=("A", "B", "C"), seed=42)
+
+
+def _bag_documents(size: int) -> dict[str, TreeStructure]:
+    """The three documents of the bag shapes, ~``size`` nodes each.
+
+    Generator parameters scale the e2e ``10k`` documents (560 items, 300
+    people, 850 bids; 440 sentences) linearly in the nominal size.
+    """
+    documents = {
+        "random": _labeled_tree(size),
+        "auction": auction_document(
+            seed=42,
+            num_items=round(0.056 * size),
+            num_people=round(0.03 * size),
+            num_bids=round(0.085 * size),
+        ),
+        "corpus": random_corpus(seed=42, num_sentences=round(0.044 * size)),
+    }
+    structures = {name: TreeStructure(tree) for name, tree in documents.items()}
+    for structure in structures.values():
+        structure.index
+    return structures
 
 
 def _median_time(function, repeats: int) -> float:
@@ -139,6 +191,51 @@ def _measure_fixpoint(fixpoint, query, structure, repeats):
     return slow, fast
 
 
+def _measure_bag(name: str, structures, size: int) -> dict:
+    """One bag shape: the level kernel vs the recursion, alone and per request."""
+    document, text, limit = BAG_SHAPES[name]
+    structure = structures[document]
+    query = parse_query(text)
+    compiled = compile_query(query)
+    if len(compiled.decomposition.bags) != 1:
+        raise AssertionError(f"{name}: not a one-bag shape")
+    swept = semijoin_sweeps(compiled, structure, None)
+
+    def bag(columnar):
+        return _materialize_bag(
+            frozenset(compiled.variables),
+            compiled.atoms,
+            PropagationResult(structure, columns=swept),
+            structure,
+            compiled.variable_index,
+            frozenset(query.head),
+            columnar=columnar,
+            head=query.head,
+            limit=limit,
+        )
+
+    def request(columnar):
+        return answer_page(query, structure, None, "semijoin", compiled, columnar, limit)
+
+    (fast_relation, fast_count), (slow_relation, slow_count) = bag(True), bag(False)
+    if (fast_relation.rows, fast_count) != (slow_relation.rows, slow_count):
+        raise AssertionError(f"bag materialization mismatch: {name} (n={size})")
+    page = request(True)
+    if page != request(False) or page[1] != fast_count:
+        raise AssertionError(f"answer page mismatch: {name} (n={size})")
+    fast = _median_time(lambda: bag(True), BAG_REPEATS)
+    slow = _median_time(lambda: bag(False), BAG_REPEATS)
+    entry = _entry(size, name, "bag_rows", name.startswith("bag_"), slow, fast)
+    entry["rows"] = fast_count
+    entry["limit"] = limit
+    fast = _median_time(lambda: request(True), BAG_REPEATS)
+    slow = _median_time(lambda: request(False), BAG_REPEATS)
+    entry["request_per_candidate_seconds"] = slow
+    entry["request_columnar_seconds"] = fast
+    entry["request_speedup"] = slow / fast
+    return entry
+
+
 def _crosscheck_sqlite(size: int) -> int:
     """Columnar, per-candidate and SQLite answers agree on a fixed document."""
     from repro.backends.sqlite import SQLiteBackend
@@ -179,37 +276,26 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
             maximal_arc_consistent_hybrid, query, structure, repeats
         )
         results.append(_entry(size, "ablation_hybrid", "hybrid", False, slow, fast))
-        # Bag materialization through the decomposition engine on a labeled
-        # tree: identical row sets, bulk tail emission vs per-row recursion.
-        labeled = TreeStructure(_labeled_tree(size))
-        labeled.index
-        bag_query = parse_query(BAG_QUERY)
-        fast_rows = evaluate_answers(bag_query, labeled, columnar=True)
-        slow_rows = evaluate_answers(bag_query, labeled, columnar=False)
-        if repr(sorted(fast_rows)) != repr(sorted(slow_rows)):
-            raise AssertionError(f"bag materialization mismatch (n={size})")
-        fast = _median_time(
-            lambda: evaluate_answers(bag_query, labeled, columnar=True), repeats
-        )
-        slow = _median_time(
-            lambda: evaluate_answers(bag_query, labeled, columnar=False), repeats
-        )
-        entry = _entry(size, "ablation_pair_bag", "bag_rows", False, slow, fast)
-        entry["rows"] = len(fast_rows)
-        results.append(entry)
+        # Bag materialization in the decomposition engine: identical rows and
+        # counts, one level at a time vs one prefix at a time.
+        structures = _bag_documents(size)
+        for name in BAG_SHAPES:
+            results.append(_measure_bag(name, structures, size))
     crosscheck_rows = _crosscheck_sqlite(CROSSCHECK_SIZE)
     print(f"sqlite cross-check: {crosscheck_rows} rows byte-identical at n={CROSSCHECK_SIZE}")
     largest = max(sizes)
+    at_largest = [entry for entry in results if entry["tree_size"] == largest]
     headline = min(
         entry["speedup"]
-        for entry in results
-        if entry["tree_size"] == largest and entry["pain_case"]
+        for entry in at_largest
+        if entry["pain_case"] and entry["kind"] == "ac3_worklist"
     )
-    ablation_at_largest = [
-        entry
-        for entry in results
-        if entry["tree_size"] == largest and not entry["pain_case"]
-    ]
+    bag_headline = min(
+        entry["speedup"]
+        for entry in at_largest
+        if entry["pain_case"] and entry["kind"] == "bag_rows"
+    )
+    ablation_at_largest = [entry for entry in at_largest if not entry["pain_case"]]
     return {
         "benchmark": "columnar axis kernels vs per-candidate bisection paths",
         "sizes": list(sizes),
@@ -224,9 +310,20 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
             ),
             "holds": headline >= 5.0,
         },
-        # Where the kernels do NOT dominate, kept honest and out of the
-        # headline: AC-4 init is parity by design, bag emission trims
-        # constant factors only.
+        "bag_headline": {
+            "tree_size": largest,
+            "min_speedup": bag_headline,
+            "claim": (
+                "level-at-a-time bag materialization >= 3x faster than the "
+                "per-prefix recursion on the pair and bidder-triangle bags "
+                "(unlimited, limit 10, witness-only last level), from the same "
+                "swept candidate columns"
+            ),
+            "holds": bag_headline >= 3.0,
+        },
+        # Where the kernels dominate less, kept honest and out of the
+        # headlines: fast-converging chains, the hybrid propagator, the
+        # sentence-pair bag (bisection-bound in both modes).
         "ablation": {
             "tree_size": largest,
             "min_speedup": min(e["speedup"] for e in ablation_at_largest),
@@ -253,8 +350,15 @@ def main(argv=None) -> int:
         f"wrote {args.out}; headline min pain-case speedup on "
         f"n={report['headline']['tree_size']}: {report['headline']['min_speedup']:.1f}x"
     )
+    print(
+        f"bag headline min speedup on n={report['bag_headline']['tree_size']}: "
+        f"{report['bag_headline']['min_speedup']:.1f}x"
+    )
     if not report["headline"]["holds"]:
         print("FAIL: the >=5x speedup claim does not hold at these sizes")
+        return 1
+    if not report["bag_headline"]["holds"]:
+        print("FAIL: the >=3x bag materialization claim does not hold at these sizes")
         return 1
     return 0
 

@@ -16,13 +16,16 @@ Two query groups over random 16-label trees:
   NP-hard signatures ({Child+, Following} and {Child+, NextSibling+}):
   triangles, fused double triangles, sibling triangles.  The committed
   headline is the *minimum* decomposition speedup over this group at the
-  largest size and must meet the >= 5x acceptance bar; measured 188x-598x
-  at 10k nodes since union-of-ranges bag pruning (the wedge-follow shape
-  is the committed minimum).
+  largest size and must meet the >= 5x acceptance bar; measured 205x-748x
+  at 10k nodes (re-measured with the level-at-a-time bag kernel; 188x-598x
+  since union-of-ranges bag pruning; the double triangle is the committed
+  minimum).
 * ``ablation_*`` -- shapes kept to report where the win shrinks, excluded
   from the headline: the four-cycle (its decomposition has a mid-bag local
   existential, once genuinely quadratic in the subtree sizes at ~4.5x; the
-  union-of-ranges window merge lifted it to ~39x) and an AC-refutable
+  union-of-ranges window merge lifted it to ~39x; ~83x in the committed
+  re-measurement, of which the merge as a level of the bag kernel is a
+  1.2x) and an AC-refutable
   unsatisfiable diamond (arc consistency already empties the domains, so
   both engines terminate immediately, ~1x).
 

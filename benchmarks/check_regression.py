@@ -15,9 +15,9 @@ A benchmark can land in the same PR as its first CI run:
 skip instead of an error (scoped to that one invocation, so a typoed
 ``--committed`` path elsewhere still fails loudly).  The opposite direction,
 ``--require-baseline``, additionally insists the committed file carries a
-*holding* headline claim (``headline.holds == true``) -- CI passes it so a
-baseline committed from a failed full-size run cannot make the comparisons
-vacuous.
+*holding* headline claim (``headline.holds == true``, and the same for every
+further ``*_headline`` entry) -- CI passes it so a baseline committed from a
+failed full-size run cannot make the comparisons vacuous.
 
 Usage::
 
@@ -108,14 +108,20 @@ def main(argv=None) -> int:
     with open(args.committed) as handle:
         committed = json.load(handle)
     if args.require_baseline:
-        headline = committed.get("headline", {})
-        if headline.get("holds") is not True:
-            print(
-                f"ERROR: committed baseline {args.committed} has no holding "
-                f"headline claim (headline.holds={headline.get('holds')!r}); "
-                "regenerate it with a full-size run that meets its speedup bar"
-            )
-            return 1
+        # ``headline`` must be there and hold; so must every further
+        # ``*_headline`` a file carries (``BENCH_columnar.json``'s bag kernel).
+        headlines = {"headline": committed.get("headline", {})}
+        headlines.update(
+            (key, value) for key, value in committed.items() if key.endswith("_headline")
+        )
+        for key, headline in headlines.items():
+            if headline.get("holds") is not True:
+                print(
+                    f"ERROR: committed baseline {args.committed} has no holding "
+                    f"{key} claim ({key}.holds={headline.get('holds')!r}); "
+                    "regenerate it with a full-size run that meets its speedup bar"
+                )
+                return 1
     with open(args.fresh) as handle:
         fresh = json.load(handle)
     regressions = compare(committed, fresh, args.factor)

@@ -16,13 +16,26 @@ instantiated over the arc-consistent prevaluation and the interval index:
    every other ``propagator=`` runs its exact AC fixpoint.  An empty column
    already decides unsatisfiable.
 2. **bag materialization** -- every decomposition bag becomes an explicit
-   relation over its variables: candidates come from the fixpoint's domain
-   views, tuples are generated atom-driven through
-   :meth:`~repro.trees.index.AxisIndex.successors_in` /
-   :meth:`~repro.trees.index.AxisIndex.predecessors_in` (contiguous pre-order
-   ranges for the interval axes, pointer walks for the local ones), and every
-   query atom whose endpoints lie inside the bag is enforced.  Cost is
-   output-proportional: O(n^(width+1)) worst case, far less after AC pruning.
+   relation over its variables, built *a level at a time* from the sorted
+   candidate columns (:func:`_expand_levels`).  Every axis makes the
+   candidates of a prefix a window of a sorted column -- the paper's Eq. (1)
+   read as pre-order ranges for the interval axes; children and later /
+   earlier siblings are a run of the column regrouped by parent -- so for the
+   next variable one pass gives *every* prefix its window (all range atoms of
+   the level intersected on key columns, cut out by bisection), and the level
+   is then **expanded** (windows concatenated, prefix columns repeated,
+   residual checks applied in one ``compress``), **counted** (the last level
+   under a ``limit``: the sum of the window sizes, only the first ``limit``
+   rows are built) or **tested** (a single trailing witness-only level: the
+   prefixes with a non-empty window stay).  Every query atom whose endpoints
+   lie inside the bag is enforced, as a driver, a window or a check.  Cost is
+   output-proportional -- O(n^(width+1)) worst case, far less after pruning
+   -- and paid in a handful of C-level passes per level, not in interpreter
+   steps per prefix.  A first-witness search (:class:`_DepthFirst`) remains
+   where only *existence* is asked more than one level deep -- Boolean bags,
+   longer witness suffixes -- because stopping at the first completion beats
+   any level-wide pass there; the same class, driven through every level, is
+   the ``columnar=False`` oracle the kernel is pinned against.
 3. **bottom-up / top-down semijoin passes** along the join tree (children
    precede parents by construction).  After the bottom-up pass a component is
    satisfiable iff its root relation is non-empty; the top-down pass makes
@@ -49,17 +62,29 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_left
-from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import and_, itemgetter, lt, sub
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import Axis
+from ..trees.columnar import (
+    ancestor_paths,
+    expand_windows,
+    group_by_parent,
+    holds_column,
+    repeat_each,
+    window_bounds,
+)
 from ..trees.structure import TreeStructure
 from .decompose import TreeDecomposition
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
     from ..evaluation.compile import CompiledAtom, CompiledQuery
+    from ..evaluation.propagation import PropagationResult
+    from ..trees.index import AxisIndex
 
 Row = tuple[int, ...]
 
@@ -100,49 +125,50 @@ def _projector(positions: Sequence[int]) -> Callable[[Row], Row]:
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _materialize_bag(
+@dataclass(slots=True)
+class _BagPlan:
+    """How one bag is enumerated: the variable order and, per position, the atoms in play."""
+
+    order: list[Variable]
+    #: ``order.index``, as a mapping.
+    position: dict[Variable, int]
+    #: Per position: the atom whose partners are the candidates (``None``: the
+    #: whole column), the range atoms cutting them, the atoms left to check.
+    drivers: list[Optional[tuple["CompiledAtom", bool]]]
+    ranges: list[list[tuple["CompiledAtom", bool]]]
+    checks: list[list["CompiledAtom"]]
+    #: Everything from ``order[cut]`` onwards is witness-only.
+    cut: int
+    #: Positions of mid-bag existentials absorbed by a union of windows.
+    skip: set[int]
+    #: The emitted columns and where each sits in ``order``.
+    columns: tuple[Variable, ...]
+    keep_positions: tuple[int, ...]
+    must_deduplicate: bool
+
+
+def _plan_bag(
     bag: frozenset[Variable],
     atoms: Sequence["CompiledAtom"],
-    views: Mapping[Variable, object],
-    structure: TreeStructure,
+    domain_sizes: Mapping[Variable, int],
     variable_index: Mapping[Variable, int],
     needed: frozenset[Variable],
-    columnar: bool = True,
-    head: tuple[Variable, ...] = (),
-    limit: Optional[int] = None,
-) -> tuple[_BagRelation, int]:
-    """Enumerate the bag's relation, projected onto its ``needed`` columns.
-
-    ``needed`` holds the columns the join tree actually consumes above and
-    below this bag -- the separators to the parent and children plus the head
-    variables it contains.  Everything else is a *local existential*: it only
-    has to be witnessed, never reported, so it is projected out during
-    enumeration instead of multiplying the relation.  (For a single-bag
-    triangle query ``Q(x)`` this is the difference between one witness search
-    per head candidate and materializing all O(n^2) satisfying pairs.)
+    head: tuple[Variable, ...],
+    merge_unions: bool,
+) -> _BagPlan:
+    """Pick the instantiation order of a bag and assign every atom its role.
 
     Variables are instantiated head variables first, in ``head`` order, for as
     long as each one connects to the already-assigned prefix; otherwise
     smallest-domain-first, each subsequent one driven by an atom connecting
-    it to the prefix whenever one exists (witness *enumeration* through the
-    index, so the work is proportional to the candidates produced, not to the
-    domain size).  Needed variables are preferred at every step, pushing the
-    local existentials into a trailing suffix whenever the constraint graph
-    allows; that suffix is resolved by a first-witness search with early
-    cut-off.  Candidates come out ascending at every level and the columns
-    are the head variables in head order (then the other separators), so
-    whenever the enumeration could follow the columns the rows are emitted
-    sorted and duplicate-free.  Only then is ``limit`` honoured: rows past it
-    are counted, not built.  Returns the relation and its exact row count.
+    it to the prefix whenever one exists.  Needed variables are preferred at
+    every step, pushing the local existentials into a trailing suffix whenever
+    the constraint graph allows.
     """
-    index = structure.index
     order: list[Variable] = []
     assigned: set[Variable] = set()
     remaining = set(bag)
     leads = [variable for variable in dict.fromkeys(head) if variable in bag]
-
-    def domain_size(variable: Variable) -> int:
-        return len(views[variable].array)
 
     def connects(variable: Variable) -> bool:
         return any(
@@ -159,7 +185,7 @@ def _materialize_bag(
             pool = connected if connected else sorted(remaining)
             pick = min(
                 pool,
-                key=lambda v: (v not in needed, domain_size(v), variable_index[v]),
+                key=lambda v: (v not in needed, domain_sizes[v], variable_index[v]),
             )
         order.append(pick)
         assigned.add(pick)
@@ -182,17 +208,14 @@ def _materialize_bag(
     # * a *point* atom (next-sibling, parent, ...) has at most one witness,
     #   so it always wins as the driver;
     # * otherwise a *walk* atom (child fan-out, sibling chain, ancestor path)
-    #   enumerates through :meth:`AxisIndex.successors_in` /
-    #   :meth:`predecessors_in` -- walks are bounded by local tree shape
-    #   (degree, sibling count, depth), which beats slicing a subtree range;
-    #   what a walk yields depends on the anchor alone, so it is kept per
-    #   anchor for the rest of this materialization;
+    #   drives -- walks are bounded by local tree shape (degree, sibling
+    #   count, depth), which beats slicing a subtree range;
     # * all *range* atoms (the interval axes) are intersected into one
     #   pre-order window ``[lo, hi)`` and cut out of the driver's candidates
-    #   (the whole domain view without one) by two bisections -- a ``Child+``
-    #   plus a ``Following`` constraint becomes the exact slice
+    #   (the whole candidate column without one) by two bisections -- a
+    #   ``Child+`` plus a ``Following`` constraint becomes the exact slice
     #   ``(max(x, end(y)), end(x)]`` instead of a scan of either;
-    # * an unconnected variable iterates its whole domain view.
+    # * an unconnected variable iterates its whole candidate column.
     drivers: list[Optional[tuple["CompiledAtom", bool]]] = [None]
     ranges: list[list[tuple["CompiledAtom", bool]]] = [[]]
     checks: list[list["CompiledAtom"]] = [[]]
@@ -256,13 +279,13 @@ def _materialize_bag(
         return referenced
 
     skip: set[int] = set()
-    if columnar:
+    if merge_unions:
         for i in range(cut - 1):
             variable = order[i]
             if variable in needed or (i - 1) in skip:
                 continue
             nxt = i + 1
-            # The union is taken over windows of the whole domain view.
+            # The union is taken over windows of the whole candidate column.
             if not ranges[nxt] or drivers[nxt] is not None:
                 continue
             if not any(
@@ -294,19 +317,44 @@ def _materialize_bag(
         )
     )
     keep_positions = tuple(position[variable] for variable in columns)
-    if limit is None or must_deduplicate or list(keep_positions) != sorted(keep_positions):
-        limit = sys.maxsize  # rows are not emitted in column order: build them all
-    rows: list[Row] = []
-    count = 0
-    current: list[int] = [0] * len(order)
-    subtree_end = index.subtree_end
-    n = index.n
-    walked: list[dict[int, Sequence[int]]] = [{} for _ in order]
+    return _BagPlan(
+        order=order,
+        position=position,
+        drivers=drivers,
+        ranges=ranges,
+        checks=checks,
+        cut=cut,
+        skip=skip,
+        columns=columns,
+        keep_positions=keep_positions,
+        must_deduplicate=must_deduplicate,
+    )
 
-    def narrow(lo: int, hi: int, atom: "CompiledAtom", forward: bool, anchor: int):
+
+class _DepthFirst:
+    """One prefix at a time: the first-witness search and the reference enumeration.
+
+    The search answers *existence* -- does this prefix complete? -- and stops
+    at the first completion, which no level-wide pass can beat; it serves
+    Boolean bags and witness suffixes more than one level deep.  :meth:`rows`
+    drives the same candidate production through every level: the
+    ``columnar=False`` oracle the level kernel is pinned against.
+    """
+
+    def __init__(self, plan: _BagPlan, views: Mapping[Variable, object], index: "AxisIndex"):
+        self.plan = plan
+        self.views = views
+        self.index = index
+        self.current = [0] * len(plan.order)
+        # What a walk yields depends on the anchor alone: kept per anchor.
+        self.walked: list[dict[int, Sequence[int]]] = [{} for _ in plan.order]
+        self.count = 0  # rows found by the last :meth:`rows`, built or not
+
+    def narrow(self, lo: int, hi: int, atom: "CompiledAtom", forward: bool, anchor: int):
         """Intersect the pre-order window ``[lo, hi)`` with one range atom at ``anchor``."""
         if not forward:
             return lo, min(hi, anchor)  # Following / DocumentOrder source
+        subtree_end = self.index.subtree_end
         if atom.axis is Axis.CHILD_PLUS:
             return max(lo, anchor + 1), min(hi, subtree_end[anchor] + 1)
         if atom.axis is Axis.CHILD_STAR:
@@ -315,150 +363,298 @@ def _materialize_bag(
             return max(lo, subtree_end[anchor] + 1), hi
         return max(lo, anchor + 1), hi  # DocumentOrder
 
-    def candidates_at(depth: int) -> Sequence[int]:
-        view = views[order[depth]]
-        driver = drivers[depth]
+    def candidates_at(self, depth: int) -> Sequence[int]:
+        plan, current, position = self.plan, self.current, self.plan.position
+        view = self.views[plan.order[depth]]
+        driver = plan.drivers[depth]
         if driver is None:
             base = view.array
         else:
             atom, forward = driver
             anchor = current[position[atom.source if forward else atom.target]]
-            base = walked[depth].get(anchor)
+            base = self.walked[depth].get(anchor)
             if base is None:
-                walk = index.successors_in if forward else index.predecessors_in
-                base = walked[depth][anchor] = list(walk(atom.axis, anchor, view))
-        window = ranges[depth]
+                walk = self.index.successors_in if forward else self.index.predecessors_in
+                base = self.walked[depth][anchor] = list(walk(atom.axis, anchor, view))
+        window = plan.ranges[depth]
         if not window:
             return base
-        lo, hi = 0, n
+        lo, hi = 0, self.index.n
         for atom, forward in window:
             anchor = current[position[atom.source if forward else atom.target]]
-            lo, hi = narrow(lo, hi, atom, forward, anchor)
+            lo, hi = self.narrow(lo, hi, atom, forward, anchor)
         if hi <= lo:
             return ()
         return base[bisect_left(base, lo) : bisect_left(base, hi)]
 
-    def satisfies_checks(depth: int, node: int) -> bool:
-        variable = order[depth]
-        for atom in checks[depth]:
+    def satisfies_checks(self, depth: int, node: int) -> bool:
+        current, position = self.current, self.plan.position
+        variable = self.plan.order[depth]
+        for atom in self.plan.checks[depth]:
             source = node if atom.source == variable else current[position[atom.source]]
             target = node if atom.target == variable else current[position[atom.target]]
-            if not index.holds(atom.axis, source, target):
+            if not self.index.holds(atom.axis, source, target):
                 return False
         return True
 
-    def witness(depth: int) -> bool:
-        """First-witness search over the trailing local existentials."""
-        if depth == len(order):
+    def witness(self, depth: int) -> bool:
+        """First-witness search over the local existentials from ``depth`` on."""
+        if depth == len(self.plan.order):
             return True
-        for node in candidates_at(depth):
-            if satisfies_checks(depth, node):
-                current[depth] = node
-                if witness(depth + 1):
+        for node in self.candidates_at(depth):
+            if self.satisfies_checks(depth, node):
+                self.current[depth] = node
+                if self.witness(depth + 1):
                     return True
         return False
 
-    # Bulk tail: the last column has no residual checks and no witness suffix
-    # behind it, so *every* candidate the driver or window produces completes
-    # the prefix into a row -- the whole candidate column is emitted (past the
-    # limit: merely counted) at once instead of recursing per node.
-    bulk_depth = (
-        cut - 1
-        if columnar
-        and cut == len(order)
-        and keep_positions
-        and keep_positions[-1] == cut - 1
-        and not checks[cut - 1]
-        else -1
-    )
+    def rows(self, limit: int) -> tuple[list[Row], int]:
+        """Every row in enumeration order; past ``limit`` they are counted, not built."""
+        rows: list[Row] = []
+        self.count = 0
+        self._extend(0, rows, limit)
+        return rows, self.count
 
-    def emit_tail(nodes: Sequence[int]) -> None:
-        nonlocal count
-        room = limit - count
-        count += len(nodes)
-        if room > 0:
-            stem = tuple(current[p] for p in keep_positions[:-1])
-            rows.extend(stem + (node,) for node in (nodes if room >= len(nodes) else nodes[:room]))
+    def _extend(self, depth: int, rows: list[Row], limit: int) -> None:
+        if depth == self.plan.cut:
+            if self.witness(depth):
+                self.count += 1
+                if self.count <= limit:
+                    rows.append(tuple(self.current[p] for p in self.plan.keep_positions))
+            return
+        for node in self.candidates_at(depth):
+            if self.satisfies_checks(depth, node):
+                self.current[depth] = node
+                self._extend(depth + 1, rows, limit)
 
-    def extend_union(depth: int) -> None:
-        """Enumerate ``order[depth + 1]`` once over the union of windows.
+
+#: Key of the column that numbers the prefixes while a union level is staged.
+_PREFIX = -1
+_successor = (1).__add__
+
+
+def _expand_levels(
+    plan: _BagPlan, candidates: "PropagationResult", index: "AxisIndex", limit: int
+) -> tuple[list[Row], int]:
+    """Enumerate the bag a level at a time over parallel prefix columns.
+
+    The table of prefixes is one column per instantiated position.  For the
+    next variable one pass gives *every* prefix its candidate window
+    ``base[lo:hi]`` (:func:`windows`), and the level is then
+
+    * **expanded** -- the new column is all windows concatenated, the prefix
+      columns are repeated by window size, residual checks filter the result in
+      one ``compress``; rows are zipped once, at the very end;
+    * **counted** -- the last level under a ``limit``: the count is the sum of
+      the window sizes and only the prefixes that make up the first ``limit``
+      rows are expanded;
+    * **tested** -- a single trailing witness-only level: the prefixes with a
+      non-empty window stay (the in-memory threshold aggregate).
+
+    Only what asks for mere existence more than one level deep (a longer
+    witness suffix, a Boolean bag, a tested level with a residual check) goes
+    through the first-witness search, one call per surviving prefix.
+    """
+    order, position, cut = plan.order, plan.position, plan.cut
+    parent = index.parent
+    end_plus1 = index.subtree_end_plus1.__getitem__
+
+    def windows(depth: int, table: Mapping[int, Sequence[int]], rows: int):
+        """``(base, lo, hi)``: the candidates of prefix ``i`` are ``base[lo[i]:hi[i]]``."""
+        base = candidates.sorted_domain(order[depth])
+        starts = stops = None
+        lows: list[Iterable[int]] = []
+        highs: list[Iterable[int]] = []
+        driver = plan.drivers[depth]
+        if driver is not None:
+            atom, forward = driver
+            axis = atom.axis
+            anchors = table[position[atom.source if forward else atom.target]]
+            if axis in (_POINT_FORWARD if forward else _POINT_BACKWARD):
+                # At most one candidate ``t``: the window ``[t, t + 1)`` (no node is -1 or n).
+                if axis is Axis.SELF:
+                    points = anchors
+                elif axis is Axis.SUCC_PRE:
+                    points = list(map((1 if forward else -1).__add__, anchors))
+                elif axis is Axis.NEXT_SIBLING:
+                    sibling = index.next_sibling if forward else index.prev_sibling
+                    points = list(map(sibling.__getitem__, anchors))
+                else:  # Child, towards the parent
+                    points = list(map(parent.__getitem__, anchors))
+                lows.append(points)
+                highs.append(map(_successor, points))
+            elif axis is Axis.CHILD_PLUS or axis is Axis.CHILD_STAR:
+                base, starts, stops = ancestor_paths(base, anchors, parent, axis is Axis.CHILD_STAR)
+            else:
+                # Children, or siblings ("same parent and later / earlier"): a
+                # run of the column regrouped by parent.
+                base, start_of, stop_of = group_by_parent(base, parent)
+                if axis is not Axis.CHILD:
+                    reflexive = axis is Axis.NEXT_SIBLING_STAR
+                    if forward:
+                        lows.append(anchors if reflexive else map(_successor, anchors))
+                    else:
+                        highs.append(map(_successor, anchors) if reflexive else anchors)
+                    anchors = list(map(parent.__getitem__, anchors))
+                starts = list(map(start_of.get, anchors, repeat(0)))
+                stops = list(map(stop_of.get, anchors, repeat(0)))
+        for atom, forward in plan.ranges[depth]:
+            anchors = table[position[atom.source if forward else atom.target]]
+            if not forward:  # Following / DocumentOrder source: before the anchor
+                highs.append(anchors)
+            elif atom.axis is Axis.CHILD_PLUS:
+                lows.append(map(_successor, anchors))
+                highs.append(map(end_plus1, anchors))
+            elif atom.axis is Axis.CHILD_STAR:
+                lows.append(anchors)
+                highs.append(map(end_plus1, anchors))
+            elif atom.axis is Axis.FOLLOWING:
+                lows.append(map(end_plus1, anchors))
+            else:  # DocumentOrder
+                lows.append(map(_successor, anchors))
+        lo, hi = window_bounds(base, lows, highs, rows, starts, stops)
+        return base, lo, hi
+
+    def expand(depth, table, base, lo, hi, sizes) -> dict[int, Sequence[int]]:
+        """The table one level on: every window unrolled, residual checks applied."""
+        table = {p: repeat_each(column, sizes) for p, column in table.items()}
+        table[depth] = expand_windows(base, lo, hi)
+        held = None
+        for atom in plan.checks[depth]:
+            mask = holds_column(
+                index, atom.axis, table[position[atom.source]], table[position[atom.target]]
+            )
+            held = mask if held is None else map(and_, held, mask)
+        return table if held is None else select(table, list(held))
+
+    def select(table, mask) -> dict[int, Sequence[int]]:
+        return {p: list(compress(column, mask)) for p, column in table.items()}
+
+    def union_windows(depth: int, table, rows: int):
+        """The windows of ``order[depth + 1]``, merged over the witnesses of ``order[depth]``.
 
         ``order[depth]`` is a skipped mid-bag existential: each of its
-        witnesses contributes one pre-order window for the next variable;
-        the windows are merged into disjoint intervals so every candidate of
-        the next variable is produced (and recursed on) exactly once per
-        prefix.  ``current[depth]`` is left stale, which is safe by the skip
-        conditions (nothing at depth > ``depth + 1`` references it).
+        witnesses contributes one window for the next variable.  The level is
+        staged (every witness tagged with the prefix it extends), the windows
+        are taken per staged row and merged into disjoint intervals per
+        prefix, so every candidate of the next variable is produced exactly
+        once per prefix and ascending.  Returns the table with one row per
+        merged interval; by the skip conditions nothing later reads the
+        witness column, which is dropped.
         """
-        nxt = depth + 1
-        skipped = order[depth]
-        array = views[order[nxt]].array
-        # Windows from range atoms anchored on *other* prefix variables are
-        # identical for every witness: intersect them once.
-        fixed_lo, fixed_hi = 0, n
-        anchored = []
-        for atom, forward in ranges[nxt]:
-            anchor_variable = atom.source if forward else atom.target
-            if anchor_variable == skipped:
-                anchored.append((atom, forward))
+        base, lo, hi = windows(depth, table, rows)
+        staged = {**table, _PREFIX: range(rows)}
+        staged = expand(depth, staged, base, lo, hi, list(map(sub, hi, lo)))
+        base, lo, hi = windows(depth + 1, staged, len(staged[depth]))
+        owners: list[int] = []
+        merged_lo: list[int] = []
+        merged_hi: list[int] = []
+        for owner, low, high in sorted(zip(staged[_PREFIX], lo, hi)):
+            if low == high:
                 continue
-            anchor = current[position[anchor_variable]]
-            fixed_lo, fixed_hi = narrow(fixed_lo, fixed_hi, atom, forward, anchor)
-        intervals: list[tuple[int, int]] = []
-        for node in candidates_at(depth):
-            if not satisfies_checks(depth, node):
-                continue
-            lo, hi = fixed_lo, fixed_hi
-            for atom, forward in anchored:
-                lo, hi = narrow(lo, hi, atom, forward, node)
-            if lo < hi:
-                intervals.append((lo, hi))
-        if not intervals:
-            return
-        intervals.sort()
-        merged: list[list[int]] = [list(intervals[0])]
-        for lo, hi in intervals[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
+            if owners and owners[-1] == owner and low <= merged_hi[-1]:
+                if high > merged_hi[-1]:
+                    merged_hi[-1] = high
             else:
-                merged.append([lo, hi])
-        for lo, hi in merged:
-            chunk = array[bisect_left(array, lo) : bisect_left(array, hi)]
-            if nxt == bulk_depth:
-                emit_tail(chunk)
-                continue
-            for node in chunk:
-                if satisfies_checks(nxt, node):
-                    current[nxt] = node
-                    extend(nxt + 1)
+                owners.append(owner)
+                merged_lo.append(low)
+                merged_hi.append(high)
+        table = {p: list(map(column.__getitem__, owners)) for p, column in table.items()}
+        return table, base, merged_lo, merged_hi
 
-    def extend(depth: int) -> None:
-        nonlocal count
-        if depth == cut:
-            if witness(depth):
-                count += 1
-                if count <= limit:
-                    rows.append(tuple(current[p] for p in keep_positions))
-            return
-        if depth in skip:
-            extend_union(depth)
-            return
-        if depth == bulk_depth:
-            emit_tail(candidates_at(depth))
-            return
-        for node in candidates_at(depth):
-            if satisfies_checks(depth, node):
-                current[depth] = node
-                extend(depth + 1)
+    table: dict[int, Sequence[int]] = {}
+    rows = 1  # the empty prefix
+    count = None
+    for depth in range(cut):
+        if depth in plan.skip:
+            continue  # absorbed by the next level's windows
+        if depth - 1 in plan.skip:
+            table, base, lo, hi = union_windows(depth - 1, table, rows)
+        else:
+            base, lo, hi = windows(depth, table, rows)
+        sizes = list(map(sub, hi, lo))
+        if depth == len(order) - 1 and limit < sys.maxsize and not plan.checks[depth]:
+            # Counted: every candidate of the last level completes a row.
+            count = sum(sizes)
+            if count > limit:
+                filled = bisect_left(list(accumulate(sizes)), limit) + 1
+                lo, hi, sizes = lo[:filled], hi[:filled], sizes[:filled]
+                table = {p: column[:filled] for p, column in table.items()}
+        table = expand(depth, table, base, lo, hi, sizes)
+        rows = len(table[depth])
+        if not rows:
+            return [], count or 0
+    if cut < len(order):
+        if cut == len(order) - 1 and not plan.checks[cut]:
+            # Tested: one more variable to witness, any candidate will do.
+            _, lo, hi = windows(cut, table, rows)
+            alive = list(map(lt, lo, hi))
+        else:
+            search = _DepthFirst(plan, candidates.views, index)
+            held = sorted(table)  # skipped positions have no column, and no reader
 
-    extend(0)
-    # The recursive helpers hold themselves in their own closure cells: unbound,
-    # what this call allocated dies with the frame, not at the next full GC.
-    del extend, extend_union, witness
-    if must_deduplicate:
+            def completes(*prefix: int) -> bool:
+                for p, node in zip(held, prefix):
+                    search.current[p] = node
+                return search.witness(cut)
+
+            alive = list(map(completes, *map(table.get, held))) if held else [completes()]
+        table = select(table, alive)
+        rows = sum(alive)
+    if count is None:
+        count = rows
+    kept = [table[p][:limit] if count > limit else table[p] for p in plan.keep_positions]
+    return (list(zip(*kept)) if kept else [()] * min(rows, limit)), count
+
+
+def _materialize_bag(
+    bag: frozenset[Variable],
+    atoms: Sequence["CompiledAtom"],
+    candidates: "PropagationResult",
+    structure: TreeStructure,
+    variable_index: Mapping[Variable, int],
+    needed: frozenset[Variable],
+    columnar: bool = True,
+    head: tuple[Variable, ...] = (),
+    limit: Optional[int] = None,
+) -> tuple[_BagRelation, int]:
+    """Enumerate the bag's relation, projected onto its ``needed`` columns.
+
+    ``needed`` holds the columns the join tree actually consumes above and
+    below this bag -- the separators to the parent and children plus the head
+    variables it contains.  Everything else is a *local existential*: it only
+    has to be witnessed, never reported, so it is projected out during
+    enumeration instead of multiplying the relation.  (For a single-bag
+    triangle query ``Q(x)`` this is the difference between one witness search
+    per head candidate and materializing all O(n^2) satisfying pairs.)
+
+    :func:`_plan_bag` fixes the order (head variables first and in head order
+    wherever the atoms allow, local existentials in a trailing suffix) and the
+    role of every atom; :func:`_expand_levels` then runs it a level at a time
+    over the sorted candidate columns of ``candidates``.  Candidates come out
+    ascending at every level and the columns are the head variables in head
+    order (then the other separators), so whenever the enumeration could
+    follow the columns the rows are emitted sorted and duplicate-free.  Only
+    then is ``limit`` honoured: rows past it are counted, not built.
+    ``columnar=False`` enumerates depth first, one prefix at a time, through
+    the index's witness generators (:class:`_DepthFirst`) -- the oracle of
+    the differential tests and the ablation side of ``BENCH_columnar.json``.
+    Returns the relation and its exact row count.
+    """
+    plan = _plan_bag(
+        bag, atoms, candidates.domain_sizes(), variable_index, needed, head, merge_unions=columnar
+    )
+    keep = list(plan.keep_positions)
+    if limit is None or plan.must_deduplicate or keep != sorted(keep):
+        limit = sys.maxsize  # rows are not emitted in column order: build them all
+    if columnar:
+        rows, count = _expand_levels(plan, candidates, structure.index, limit)
+    else:
+        rows, count = _DepthFirst(plan, candidates.views, structure.index).rows(limit)
+    if plan.must_deduplicate:
         rows = list(set(rows))
         count = len(rows)
-    return _BagRelation(columns, rows), count
+    return _BagRelation(plan.columns, rows), count
 
 
 def _separators(decomposition: TreeDecomposition) -> list[tuple[Variable, ...]]:
@@ -657,7 +853,6 @@ def _evaluate(
             method=decomposition.method,
             bags=len(decomposition.bags),
         )
-    views = result.views
     head = query.head
     head_set = frozenset(head)
     children = decomposition.children()
@@ -666,6 +861,7 @@ def _evaluate(
     single = len(decomposition.bags) == 1
     bag_limit = max(limit, 1) if single and limit is not None else None
     relations: list[_BagRelation] = []
+    bag_rows: list[int] = []
     with tracing.span("materialize_bags"):
         for index, bag in enumerate(decomposition.bags):
             bag_atoms = [
@@ -685,7 +881,7 @@ def _evaluate(
             relation, count = _materialize_bag(
                 bag,
                 bag_atoms,
-                views,
+                result,
                 structure,
                 compiled.variable_index,
                 frozenset(needed),
@@ -696,7 +892,11 @@ def _evaluate(
             if not relation.rows:
                 return [], 0
             relations.append(relation)
-        tracing.annotate(bag_rows=[len(relation.rows) for relation in relations])
+            bag_rows.append(count)
+        # Under a limit a bag counts rows it does not build: report both.
+        tracing.annotate(
+            bag_rows=bag_rows, rows_built=[len(relation.rows) for relation in relations]
+        )
     if boolean_only:
         # First-solution short-circuit: a Boolean query only needs one
         # globally consistent assignment, not fully reduced bags.

@@ -34,7 +34,8 @@ hands over for free (its maintained views ARE the fixpoint) and the other
 engines build once on demand.  The full reducer hands over its sorted
 survivor columns: :meth:`PropagationResult.sorted_domain` returns them as they
 are, and sets and views are built from them (no re-sort) only for the
-consumers that ask.
+consumers that ask -- the decomposition engine's level kernel reads the
+columns alone, so a default-routed join-tree request builds no view at all.
 """
 
 from __future__ import annotations
@@ -144,10 +145,18 @@ class PropagationResult:
         return self._views
 
     def sorted_domain(self, variable: Variable) -> list[int]:
-        """The surviving candidates of ``variable`` in ascending node order."""
+        """The surviving candidates of ``variable`` in ascending node order.
+
+        The reducer's column as it is, a copy of AC-4's maintained array, one
+        sort of the plain set otherwise -- never a view built for the purpose,
+        so the column consumers (the acyclic enumerator, the decomposition
+        engine's level kernel) leave :attr:`views` to those that probe them.
+        """
         if self._columns is not None:
             return self._columns[variable]
-        return list(self.views[variable].array)
+        if self._views is not None:
+            return list(self._views[variable].array)
+        return sorted(self._domains[variable])
 
     def domain_sizes(self) -> dict[Variable, int]:
         """Surviving candidates per variable (no set or view is built for it)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress, filterfalse, repeat
-from operator import le
+from operator import le, lt
 from typing import Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
@@ -154,6 +154,15 @@ def _semijoin(
         members = range(index.n) if len(support) == index.n else set(support)
         return list(compress(watched, map(members.__contains__, map(parent.__getitem__, watched))))
     if axis is Axis.CHILD_PLUS or axis is Axis.CHILD_STAR:
+        if len(support) == index.n:
+            # Every node is a support: u has itself, a strict descendant iff
+            # its subtree is more than u, a strict ancestor iff it has a parent.
+            if axis is Axis.CHILD_STAR:
+                return watched
+            if forward:
+                ends = map(index.subtree_end.__getitem__, watched)
+                return list(compress(watched, map(lt, watched, ends)))
+            return list(compress(watched, map((0).__le__, map(index.parent.__getitem__, watched))))
         return _subtree_semijoin(watched, support, forward, axis is Axis.CHILD_STAR, index)
     if axis is Axis.FOLLOWING:
         end = index.subtree_end

@@ -7,8 +7,9 @@ per-candidate interval primitives of :mod:`repro.trees.index` (``range_count``,
 set, and every :class:`~repro.trees.index.MutableDomainView` deletion state --
 the columnar paths are pure performance refactors, so any divergence is a bug.
 The same goes one level up: the columnar fixpoints (AC-3 worklist, AC-4
-counter init, hybrid) and the columnar bag materialization must compute
-exactly what their per-candidate ablations compute.
+counter init, hybrid) and the level-at-a-time bag materialization must compute
+exactly what their per-candidate ablations compute, and the window kernels the
+levels are made of are pinned to brute force one by one.
 """
 
 from __future__ import annotations
@@ -28,15 +29,22 @@ from repro.evaluation.arc_consistency import (
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.queries.query import ConjunctiveQuery
 from repro.trees import Axis, Tree, TreeStructure, random_tree
+from repro.trees.axes import holds
 from repro.trees.columnar import (
     ancestor_counts,
+    ancestor_paths,
     casualties,
     cumulative_end_membership,
     cumulative_membership,
     descendant_counts,
+    expand_windows,
+    group_by_parent,
+    holds_column,
     membership_mask,
+    repeat_each,
     survivors,
     threshold_casualties_by_end,
+    window_bounds,
 )
 from repro.trees.index import range_count
 
@@ -185,6 +193,79 @@ class TestCountKernels:
         assert dead == expected
 
 
+class TestLevelKernels:
+    """The window kernels of the level-at-a-time bag materialization vs brute force."""
+
+    @SETTINGS
+    @given(tree_and_subsets(), st.integers(0, 10_000), st.integers(0, 2), st.integers(0, 2))
+    def test_window_bounds_cut_what_the_keys_say(self, data, seed, num_lows, num_highs):
+        tree, _, base = data
+        rng = random.Random(seed)
+        n, rows = len(tree), rng.randint(0, 6)
+        # Keys beyond either end and contradictory bounds (low > high) included.
+        lows = [[rng.randint(-2, n + 1) for _ in range(rows)] for _ in range(num_lows)]
+        highs = [[rng.randint(-2, n + 1) for _ in range(rows)] for _ in range(num_highs)]
+        lo, hi = window_bounds(base, [iter(low) for low in lows], highs, rows)
+        assert len(lo) == len(hi) == rows
+        for i in range(rows):
+            low = max((column[i] for column in lows), default=-1)
+            high = min((column[i] for column in highs), default=n)
+            assert base[lo[i] : hi[i]] == [node for node in base if low <= node < high]
+            assert 0 <= lo[i] <= hi[i] <= len(base)  # empty, never negative
+        sizes = [h - l for l, h in zip(lo, hi)]
+        expanded = expand_windows(base, lo, hi)
+        assert expanded == [node for l, h in zip(lo, hi) for node in base[l:h]]
+        owners = [i for i, size in enumerate(sizes) for _ in range(size)]
+        assert repeat_each(range(rows), sizes) == owners
+        assert len(expanded) == sum(sizes)
+
+    @SETTINGS
+    @given(tree_and_subsets())
+    def test_group_by_parent_runs_are_children_and_siblings(self, data):
+        tree, anchors, column = data
+        grouped, start_of, stop_of = group_by_parent(column, tree.parent)
+        assert sorted(grouped) == column
+        for u in range(len(tree)):
+            run = grouped[start_of.get(u, 0) : stop_of.get(u, 0)]
+            assert run == [v for v in column if tree.parent[v] == u]
+        # Windows inside a run: bounded by the anchor's run, cut by a key.
+        parents = [tree.parent[v] for v in anchors]
+        starts = [start_of.get(p, 0) for p in parents]
+        stops = [stop_of.get(p, 0) for p in parents]
+        later = window_bounds(grouped, [[v + 1 for v in anchors]], [], len(anchors), starts, stops)
+        earlier = window_bounds(grouped, [], [anchors], len(anchors), starts, stops)
+        for v, lo, hi in zip(anchors, *later):
+            assert grouped[lo:hi] == [
+                w for w in column if holds(tree, Axis.NEXT_SIBLING_PLUS, v, w)
+            ]
+        for v, lo, hi in zip(anchors, *earlier):
+            assert grouped[lo:hi] == [
+                w for w in column if holds(tree, Axis.NEXT_SIBLING_PLUS, w, v)
+            ]
+
+    @SETTINGS
+    @given(tree_and_subsets(), st.booleans())
+    def test_ancestor_paths_are_the_ancestors_in_the_column(self, data, reflexive):
+        tree, anchors, column = data
+        anchors = anchors + anchors[:2]  # repeated anchors share one walk
+        axis = Axis.CHILD_STAR if reflexive else Axis.CHILD_PLUS
+        base, starts, stops = ancestor_paths(column, anchors, tree.parent, reflexive)
+        assert len(starts) == len(stops) == len(anchors)
+        for v, start, stop in zip(anchors, starts, stops):
+            assert base[start:stop] == [u for u in column if holds(tree, axis, u, v)]
+
+    @SETTINGS
+    @given(tree_and_subsets(), st.sampled_from(KERNEL_AXES + (Axis.SELF,)))
+    def test_holds_column_is_holds_row_by_row(self, data, axis):
+        tree, sources, targets = data
+        pairs = [(u, v) for u in sources for v in targets]
+        found = holds_column(tree.index, axis, [u for u, _ in pairs], [v for _, v in pairs])
+        assert [bool(flag) for flag in found] == [tree.index.holds(axis, u, v) for u, v in pairs]
+        assert [tree.index.holds(axis, u, v) for u, v in pairs] == [
+            holds(tree, axis, u, v) for u, v in pairs
+        ]
+
+
 class TestUnsupportedKernels:
     """The bulk revise kernels vs brute-force witness search, on every axis."""
 
@@ -302,8 +383,8 @@ class TestFixpointAblation:
 
 class TestDecompositionColumnar:
     @SETTINGS
-    @given(trees(), queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)))
-    def test_bag_materialization_bulk_tail_matches(self, tree, query):
+    @given(trees(), queries(KERNEL_AXES + (Axis.SELF, Axis.ANCESTOR, Axis.PRECEDING_SIBLING)))
+    def test_bag_materialization_levels_match_the_recursion(self, tree, query):
         rng = random.Random(len(tree) + len(query.body))
         body_variables = sorted({v for atom in query.body for v in atom.variables()})
         head = tuple(rng.sample(body_variables, rng.randint(0, min(2, len(body_variables)))))

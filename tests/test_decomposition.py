@@ -8,6 +8,7 @@ enumeration primitives the evaluator is built on.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from repro.decomposition.decompose import decomposition_from_order
 from repro.evaluation import (
     MAX_AUTO_DECOMPOSITION_WIDTH,
     Engine,
+    PropagationResult,
     choose_engine,
     compile_query,
     evaluate,
@@ -309,6 +311,20 @@ class TestYannakakisEvaluation:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _small_structure(seed):
+    return TreeStructure(
+        random_tree(8 + 3 * seed, alphabet=("A", "B", "C"), max_children=3, seed=seed)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _horn_oracle(structure, text):
+    """Sorted answers by the Horn per-tuple reduction: never the kernel against itself."""
+    query = parse_query(text)
+    return sorted(evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn"))
+
+
 class TestBagEmission:
     """``_materialize_bag``: wire order where the atoms allow, honest counts.
 
@@ -316,7 +332,10 @@ class TestBagEmission:
     non-adjacent variables, so the shapes the order cannot follow are driven
     through the kernel directly: columns are the head variables in head
     order, rows come out sorted (and ``limit`` is honoured) exactly when the
-    enumeration could follow them, and the count is exact either way.
+    enumeration could follow them, and the count is exact either way.  The
+    level-at-a-time kernel (``columnar=True``) is pinned, shape by shape and
+    on random bags over every axis, to the per-prefix recursion
+    (``columnar=False``) and to the Horn per-tuple oracle.
     """
 
     @pytest.fixture(scope="class")
@@ -324,28 +343,34 @@ class TestBagEmission:
         return TreeStructure(random_tree(60, alphabet=("A", "B", "C"), max_children=3, seed=5))
 
     @staticmethod
-    def _bag(structure, body, needed, head, limit=None):
+    def _bag(structure, body, needed, head, limit=None, columnar=True, horn=False):
         from repro.decomposition.yannakakis import _materialize_bag
 
         compiled = compile_query(parse_query(f"Q <- {body}"))
-        views = {
-            variable: structure.index.mutable_view(range(len(structure.tree)))
-            for variable in compiled.variables
-        }
+        # Label columns as the candidates: what the reducer starts from.
+        candidates = PropagationResult(
+            structure,
+            columns={
+                variable: sorted(nodes)
+                for variable, nodes in compiled.initial_domains(structure).items()
+            },
+        )
         relation, count = _materialize_bag(
             frozenset(compiled.variables),
             compiled.atoms,
-            views,
+            candidates,
             structure,
             compiled.variable_index,
             frozenset(needed),
+            columnar=columnar,
             head=tuple(head),
             limit=limit,
         )
-        expected = sorted(
-            evaluate(parse_query(f"Q({', '.join(relation.columns)}) <- {body}"), structure)
-        )
-        return relation, count, expected
+        text = f"Q({', '.join(relation.columns)}) <- {body}"
+        # Per-tuple Horn on the small trees; the 60-node fixture cannot afford it.
+        if horn:
+            return relation, count, _horn_oracle(structure, text)
+        return relation, count, sorted(evaluate(parse_query(text), structure))
 
     @pytest.mark.parametrize("head", [("x", "y"), ("y", "x")])
     def test_head_order_is_followed_and_the_limit_stops_the_rows(self, structure, head):
@@ -387,6 +412,174 @@ class TestBagEmission:
         assert relation.columns == ("x", "y", "z")
         assert relation.rows != expected and sorted(relation.rows) == expected
         assert count == len(expected) > 2
+
+    #: ``name: (how the plan ends, body, needed, head)`` -- one per kind of level.
+    KERNEL_SHAPES = {
+        "walk driver cut by a range atom (the triangle)": (
+            "expanded", "A(a), Child(a, b1), Child(a, b2), Following(b1, b2)", "a b1 b2", "a b1 b2"
+        ),
+        "two range atoms on one level (the sentence pair)": (
+            "expanded", "Child+(s, x), B(x), Child+(s, y), Following(x, y)", "s x y", "s x y"
+        ),
+        "one trailing witness level": (
+            "tested", "Child(a, b1), Child(a, b2), Following(b1, b2)", "a b1", "a b1"
+        ),
+        "a witness suffix two deep": (
+            "searched", "Child(a, b1), Child(a, b2), Following(b1, b2)", "a", "a"
+        ),
+        "a trailing witness level with a residual check": (
+            "searched", "Child(p, x), Child(p, y), NextSibling(x, y)", "p x", "p x"
+        ),
+        "a Boolean bag": ("searched", "Child(a, b1), Child(a, b2), Following(b1, b2)", "", ""),
+        "a level with a residual check": (
+            "expanded", "Child(p, x), Child(p, y), NextSibling(x, y)", "p x y", "p x y"
+        ),
+        "a backward Following window keeps its check": (
+            "expanded", "Following(y, x), A(y)", "x y", "x y"
+        ),
+        "later siblings are a run of the column grouped by parent": (
+            "expanded", "NextSibling+(x, y), B(y)", "x y", "x y"
+        ),
+        "earlier siblings, reflexive": ("expanded", "NextSibling*(x, y), A(x)", "x y", "y x"),
+        "siblings cut by a range atom": (
+            "expanded", "Child(p, x), NextSibling+(x, y), Child+(p, y)", "p x y", "p x y"
+        ),
+        "point drivers either way": (
+            "expanded", "NextSibling(x, y), SuccPre(y, z), Child(w, z)", "x y z w", "y x z w"
+        ),
+        "self and document order": (
+            "expanded", "Self(x, y), DocumentOrder(y, z), C(z)", "x y z", "x y z"
+        ),
+        "ancestor paths": ("expanded", "Child+(y, x), Child*(z, y), A(z)", "x y z", "x y z"),
+        "nested windows merged": ("union", "Child+(a, b), Child+(b, c)", "a c", "a c"),
+        "one suffix per prefix": ("union", "Child+(a, b), Following(b, c)", "a c", "a c"),
+        "a union whose witnesses pass a check": (
+            "union",
+            "Child(a, x), Child(a, b), NextSibling+(x, b), Following(b, c)",
+            "a x c",
+            "a x c",
+        ),
+        "windows that are empty or contradictory": (
+            "expanded", "Child*(y, x), DocumentOrder(x, z), DocumentOrder(z, y)", "x y z", "x y z"
+        ),
+        "empty windows between full ones": (
+            "expanded", "Child+(x, y), DocumentOrder(x, z), DocumentOrder(z, y)", "x y z", "x y z"
+        ),
+        "a projection that needs the dedupe": (
+            "deduplicated", "Child(z, x), Child(z, y)", "x y", "x y"
+        ),
+        "an unconnected variable (cross product)": (
+            "tested", "A(x), B(y), Child(y, z)", "x y", "x y"
+        ),
+    }
+
+    @staticmethod
+    def _ending(body, needed, head):
+        """How the kernel finishes this bag, read off its plan."""
+        from repro.decomposition.yannakakis import _plan_bag
+
+        compiled = compile_query(parse_query(f"Q <- {body}"))
+        plan = _plan_bag(
+            frozenset(compiled.variables),
+            compiled.atoms,
+            dict.fromkeys(compiled.variables, 1),
+            compiled.variable_index,
+            frozenset(needed),
+            tuple(head),
+            merge_unions=True,
+        )
+        if plan.must_deduplicate:
+            return "deduplicated"
+        if plan.skip:
+            return "union"
+        if plan.cut == len(plan.order):
+            return "expanded"
+        return "searched" if len(plan.order) - plan.cut > 1 or plan.checks[plan.cut] else "tested"
+
+    @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+    def test_level_kernel_equals_recursion_and_oracle(self, shape):
+        ending, body, needed, head = self.KERNEL_SHAPES[shape]
+        needed, head = needed.split(), head.split()
+        assert self._ending(body, needed, head) == ending  # the shape is what its name says
+        for seed in range(4):
+            structure = _small_structure(seed)
+            for limit in (None, 0, 1, 3, 1000):
+                for columnar in (True, False):
+                    relation, count, expected = self._bag(
+                        structure, body, needed, head, limit, columnar, horn=True
+                    )
+                    assert relation.columns == tuple(head)
+                    assert count == len(expected), (seed, limit, columnar)
+                    # Sorted and cut at the limit, or every row in any order.
+                    assert relation.rows == expected[:limit] or (
+                        sorted(relation.rows) == expected
+                    ), (seed, limit, columnar)
+                    if columnar and limit is not None and ending != "deduplicated":
+                        assert len(relation.rows) <= limit, (seed, limit)
+
+    def test_random_bags_over_every_axis(self):
+        """One bag over a random body: random needed set, head order and limit."""
+        for seed in range(150):
+            rng = random.Random(seed)
+            structure = TreeStructure(
+                random_tree(rng.randint(1, 12), alphabet=("A", "B", "C"), max_children=3, seed=seed)
+            )
+            variables = [f"v{i}" for i in range(rng.randint(1, 5))]
+            axes = rng.sample(list(Axis), 3)
+            atoms = [f"{rng.choice('ABC')}({variables[0]})"]
+            for i in range(1, len(variables)):
+                pair = [variables[rng.randrange(i)], variables[i]]
+                rng.shuffle(pair)
+                atoms.append(f"{rng.choice(axes).value}({pair[0]}, {pair[1]})")
+            for _ in range(rng.randint(0, 2) if len(variables) > 1 else 0):
+                source, target = rng.sample(variables, 2)
+                atoms.append(f"{rng.choice(axes).value}({source}, {target})")
+            needed = [v for v in variables if rng.random() < 0.6]
+            head = [v for v in needed if rng.random() < 0.7]
+            rng.shuffle(head)
+            limit = rng.choice([None, 0, 1, 2, 5])
+            fast, fast_count, expected = self._bag(
+                structure, ", ".join(atoms), needed, head, limit, columnar=True, horn=True
+            )
+            slow, slow_count, _ = self._bag(
+                structure, ", ".join(atoms), needed, head, limit, columnar=False, horn=True
+            )
+            assert fast.columns == slow.columns
+            assert fast_count == slow_count == len(expected), (seed, atoms)
+            for relation in (fast, slow):
+                assert relation.rows == expected[:limit] or sorted(relation.rows) == expected, (
+                    seed,
+                    atoms,
+                    needed,
+                    head,
+                    limit,
+                )
+
+    def test_default_route_builds_no_domain_view(self, monkeypatch):
+        """The level kernel reads the reducer's sorted columns, nothing else."""
+        from repro.decomposition import yannakakis
+        from repro.trees import index as index_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a MutableDomainView was built on the default route")
+
+        structure = TreeStructure(random_tree(120, alphabet=("A", "B", "C"), seed=11))
+        triangle = "A(a), Child(a, b1), Child(a, b2), Following(b1, b2)"
+        pages = {}
+        for head in ("a, b1, b2", "a, b1"):
+            query = parse_query(f"Q({head}) <- {triangle}")
+            assert choose_engine(query) is Engine.DECOMPOSITION
+            for limit in (None, 2):
+                with monkeypatch.context() as patched:
+                    patched.setattr(index_module.MutableDomainView, "__init__", refuse)
+                    pages[head, limit] = yannakakis.answer_page(
+                        query, structure, propagator="semijoin", limit=limit
+                    )
+                # The recursion (and a first-witness search) still probes views.
+                assert pages[head, limit] == yannakakis.answer_page(
+                    query, structure, propagator="semijoin", columnar=False, limit=limit
+                )
+        assert pages["a, b1, b2", None][1] > pages["a, b1", None][1] > 2
 
     def test_limit_ten_of_173942_answers_builds_ten_rows(self, monkeypatch):
         """The ``kary`` cliff of the e2e README: count everything, build a page."""

@@ -43,6 +43,7 @@ from repro.service import (
 from repro.service.core import run_request
 from repro.service.http_metrics import METRICS_CONTENT_TYPE
 from repro.trees.builders import parse_sexpr
+from repro.workloads import random_corpus
 
 SEXPR = "(a (b) (c (b (d))))"
 CYCLIC = "Q(x) <- b(x), Child+(x, y), Child+(y, z), Child+(x, z)"
@@ -389,6 +390,22 @@ class TestRequestTracing:
             assert payload["trace"]["name"] == "request"
         finally:
             sharded.close()
+
+    def test_materialize_bags_span_reports_bag_sizes_beside_rows_built(self):
+        """Under a ``limit`` a bag counts rows it never builds: the span says both."""
+        store = DocumentStore()
+        store.register_tree("corpus", random_corpus(seed=42, num_sentences=45))  # `kary_1k`
+        query = "Q(x, y) <- NP(x), Following(x, y), VB(y)"
+        truncated = run_request(
+            store, QueryCache(), Request(doc="corpus", query=query, limit=10, debug=True)
+        )
+        assert truncated.ok and truncated.truncated and len(truncated.answers) == 10
+        attributes = _find_span(truncated.trace, "materialize_bags")["attributes"]
+        assert attributes["bag_rows"] == [truncated.count] == [1656]
+        assert attributes["rows_built"] == [10]
+        full = run_request(store, QueryCache(), Request(doc="corpus", query=query, debug=True))
+        attributes = _find_span(full.trace, "materialize_bags")["attributes"]
+        assert attributes["bag_rows"] == attributes["rows_built"] == [1656]
 
     def test_no_debug_no_trace(self, executor):
         result = executor.execute(Request(doc="doc", query="Q(x) <- b(x)"))

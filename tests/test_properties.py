@@ -12,7 +12,9 @@ These cover the invariants the paper's machinery relies on:
   explicit engine and like the Horn-SAT oracle,
 * the answer contract of the serving core -- ``answer_page``: the first
   ``limit`` answers in ascending order plus the exact count -- holds for every
-  plan the planner can emit and every forced engine,
+  plan the planner can emit and every forced engine, and the join-tree
+  engine's level-at-a-time bag kernel returns the very pages of the per-prefix
+  recursion it replaced,
 * the CQ -> APQ rewriting preserves semantics and produces acyclic disjuncts
   (Lemma 6.5 / Theorem 6.6),
 * Theorem 4.1's positive X-property claims hold on arbitrary generated trees.
@@ -491,6 +493,65 @@ class TestAnswerPageContract:
         for limit in _limits(len(expected)):
             page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
             assert page == (expected[:limit], len(expected)), limit
+
+
+    # -- the level kernel vs the recursion vs the oracle ----------------------------
+
+    @staticmethod
+    def _assert_kernel_identity(query, structure, pinned, propagator) -> None:
+        """``columnar=True`` == ``columnar=False`` == the oracle page, for every limit."""
+        expected = _oracle(query, structure, pinned)
+        for limit in _limits(len(expected)):
+            want = (expected[:limit], len(expected))
+            fast = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
+            slow = yannakakis.answer_page(
+                query, structure, pinned, propagator, columnar=False, limit=limit
+            )
+            assert fast == want, (limit, "level kernel")
+            assert slow == want, (limit, "recursion")
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        trees(max_size=10),
+        head_queries(tuple(Axis), max_arity=3),
+        st.sampled_from(list(Propagator)),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_level_kernel_on_random_atom_soups_over_every_axis(self, tree, query, propagator, seed):
+        structure = TreeStructure(tree)
+        rng = random.Random(seed)
+        pinned = None
+        if rng.random() < 0.4:
+            pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
+        self._assert_kernel_identity(query, structure, pinned, propagator)
+
+    def test_level_kernel_named_shapes(self):
+        triangle = "A(a), Child(a, b1), Child(a, b2), Following(b1, b2)"
+        pair = "A(s), Child+(s, x), B(x), Child+(s, y), Following(x, y)"
+        shapes = [
+            f"Q(a, b1, b2) <- {triangle}",  # walk driver cut by a range atom
+            f"Q(s, x, y) <- {pair}",  # two range atoms on one level
+            f"Q(a, b1) <- {triangle}",  # one trailing witness level: tested
+            f"Q(a) <- {triangle}",  # a witness suffix two deep: searched
+            f"Q <- {triangle}",  # a Boolean bag
+            f"Q(b2, a, a) <- {triangle}",  # head against the body, repeated
+            "Q(p, x, y) <- Child(p, x), Child(p, y), NextSibling(x, y)",  # residual check
+            "Q(x, y) <- NextSibling+(x, y), NextSibling*(z, x), A(z)",  # sibling windows
+            "Q(y, x) <- B(x), PrecedingSibling(x, y)",  # earlier siblings
+            "Q(a, c) <- Child+(a, b), Child+(b, c), Following(c, d), Child+(a, d)",  # 4-cycle
+            "Q(x, w) <- Child+(x, y), Following(y, z), Child+(z, w)",  # multi-bag chain
+            "Q(x, y, z) <- Child*(y, x), DocumentOrder(x, z), DocumentOrder(z, y)",  # no window
+            "Q(x, y) <- Child(z, x), Child(z, y)",  # a projection that needs the dedupe
+            "Q(x, y) <- A(x), B(y), SuccPre(y, z)",  # cross product, point witness
+        ]
+        for seed in range(4):
+            tree = random_tree(10 + seed, alphabet=ALPHABET, max_children=3, seed=seed)
+            structure = TreeStructure(tree)
+            for text in shapes:
+                query = parse_query(text)
+                self._assert_kernel_identity(query, structure, None, "semijoin")
+                pinned = {query.variables()[0]: seed + 1}
+                self._assert_kernel_identity(query, structure, pinned, "ac4")
 
 
 class TestRewritingProperties:

@@ -9,7 +9,8 @@ the subset-maximal arc-consistent prevaluation the worklist engines compute:
   several components, pinning, unsatisfiable instances;
 * sorted answers through ``evaluate`` are the same under every engine;
 * both regimes of the ``Child+``/``Child*`` kernel (bisection, cumulative
-  membership columns) agree with a brute-force semijoin;
+  membership columns) agree with a brute-force semijoin, and the closed form
+  for a support column holding every node agrees with both;
 * on a cyclic body the sweeps run along a spanning forest and land between
   the initial domains and the exact fixpoint (sound supersets -- all the
   decomposition engine needs), while ``propagate`` and the engines that need
@@ -225,6 +226,58 @@ class TestSubtreeKernel:
                             watched, support, forward, reflexive, index
                         )
                     assert found == expected, (forward, reflexive, steps)
+
+
+class TestFullDomainSupport:
+    """A support column holding every node has a closed form: no cumulative build."""
+
+    @SETTINGS
+    @given(structures(max_size=30), st.data())
+    def test_closed_form_equals_the_subtree_kernel(self, structure, data):
+        index = structure.index
+        nodes = st.lists(st.integers(0, index.n - 1), min_size=1, unique=True).map(sorted)
+        watched = data.draw(nodes, label="watched")
+        for axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
+            for forward in (False, True):
+                expected = reducer._subtree_semijoin(
+                    watched, index.pre, forward, axis is Axis.CHILD_STAR, index
+                )
+                with mock.patch.object(reducer, "_subtree_semijoin", side_effect=AssertionError):
+                    found = reducer._semijoin(axis, watched, index.pre, forward, structure)
+                assert list(found) == expected, (axis, forward)
+
+    @SETTINGS
+    @given(structures(), st.data())
+    def test_unlabeled_endpoints_match_ac4_and_horn(self, structure, data):
+        text = data.draw(
+            st.sampled_from(
+                [
+                    "Q(x) <- Child+(r, x)",  # the e2e `answers_10k` slot
+                    "Q(r) <- Child+(r, x)",
+                    "Q(x) <- Child*(r, x)",
+                    "Q(r) <- Child*(r, x), A(x)",
+                    "Q(x) <- A(x), Child+(x, y)",
+                    "Q(x) <- B(x), Ancestor(x, y), Child+(y, z)",
+                ]
+            )
+        )
+        query = parse_query(text)
+        pinned = _pin(data, query, structure)
+        result = propagate(query, structure, pinned, Propagator.SEMIJOIN)
+        for other in (Propagator.AC4, Propagator.HORN):
+            reference = propagate(query, structure, pinned, other)
+            if reference is None:
+                assert result is None, other
+            else:
+                assert result is not None and result.domains == reference.domains, other
+
+    def test_the_upward_semijoin_of_the_answers_slot_builds_no_column(self):
+        structure = TreeStructure(random_tree(200, alphabet=ALPHABET, max_children=3, seed=9))
+        query = parse_query("Q(x) <- Child+(r, x)")
+        with mock.patch.object(reducer, "cumulative_end_membership", side_effect=AssertionError):
+            result = propagate(query, structure, propagator="semijoin")
+        assert result.sorted_domain("x") == list(range(1, 200))
+        assert result.domains == propagate(query, structure, propagator="ac4").domains
 
 
 class TestNamedCases:
