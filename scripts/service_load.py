@@ -21,7 +21,17 @@ size) against a real server process, in two phases per serve mode:
   unqueued phase is precisely the regime where honest telemetry must match
   the wire, bucket for bucket.
 
-After both phases, ``/stats`` must show a populated plan-vs-actual drift
+* **malformed-HTTP phase** -- the first slice of a fault schedule: a chunked
+  body, an unsupported method, an oversized, a negative and a missing
+  ``Content-Length``, a header flood, and half a request followed by a close,
+  each on its own socket, interleaved with checked ``/query`` traffic on a
+  persistent connection and under a concurrent client.  Every malformed
+  exchange must end in the route table's JSON error or a clean close, no
+  innocent request may see a wrong answer, and a fresh connection must work
+  afterwards; any miss fails the run regardless of ``--report-only``.  (No
+  stalled-client case yet: the server has no read timeout to test.)
+
+After the phases, ``/stats`` must show a populated plan-vs-actual drift
 table and an HTTP latency summary for ``/query`` -- the closed loop.
 
 Both serve modes run by default: the threaded front end and the async sharded
@@ -108,6 +118,13 @@ def expected_bodies(documents: dict) -> tuple[list[bytes], list[str], list[int]]
     return bodies, answers, counts
 
 
+def answer_matches(payload: dict, slot: int, answers: list[str], counts: list[int]) -> bool:
+    """Whether a ``/query`` response is the precomputed answer of its workload slot."""
+    return payload.get("count") == counts[slot] and (
+        json.dumps(payload.get("answers")) == answers[slot]
+    )
+
+
 class ClientWorker(threading.Thread):
     """One persistent connection issuing its share of the workload."""
 
@@ -146,9 +163,7 @@ class ClientWorker(threading.Thread):
                     return
                 if position % self.check_every == 0:
                     payload = json.loads(raw)
-                    if payload["count"] != self.counts[slot] or (
-                        json.dumps(payload["answers"]) != self.answers[slot]
-                    ):
+                    if not answer_matches(payload, slot, self.answers, self.counts):
                         self.errors.append(
                             f"client {self.index}: WRONG ANSWER at request {position} "
                             f"(workload slot {slot}): got count={payload['count']}, "
@@ -159,6 +174,104 @@ class ClientWorker(threading.Thread):
             self.errors.append(f"client {self.index}: connection error: {error}")
         finally:
             connection.close()
+
+
+def malformed_cases() -> list[tuple[str, bytes]]:
+    """``(name, bytes to send on a fresh socket)`` for the malformed-HTTP phase."""
+    body = json.dumps(WORKLOAD[0]).encode("utf-8")
+    post = b"POST /query HTTP/1.1\r\n"
+    chunk = f"{len(body):x}\r\n".encode("ascii") + body + b"\r\n0\r\n\r\n"
+    # Behind a body the server refuses to read: must never be answered.
+    probe = b"GET /healthz HTTP/1.1\r\nHost: load\r\n\r\n"
+    flood = b"".join(b"x-%d: y\r\n" % index for index in range(5000))
+    return [
+        ("chunked body", post + b"Transfer-Encoding: chunked\r\n\r\n" + chunk + probe),
+        ("unsupported method", b"PUT /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}" + probe),
+        ("oversized Content-Length", post + b"Content-Length: 99999999999\r\n\r\n" + probe),
+        ("negative Content-Length", post + b"Content-Length: -1\r\n\r\n" + probe),
+        # Read as an empty body; the body bytes are then refused as a request line.
+        ("missing Content-Length", post + b"\r\n" + body),
+        ("header flood", b"GET /healthz HTTP/1.1\r\n" + flood),
+        ("half a request line", b"GET /hea"),
+    ]
+
+
+def malformed_exchange(host: str, port: int, name: str, data: bytes) -> "str | None":
+    """Run one malformed exchange; ``None`` if it ended as it must, else why not."""
+    received = b""
+    try:
+        with socket.create_connection((host, port), timeout=10) as raw:
+            try:
+                raw.sendall(data)
+                raw.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass  # the server may refuse and close while the flood is still being sent
+            while chunk := raw.recv(65536):
+                received += chunk
+    except (ConnectionResetError, BrokenPipeError):
+        pass  # closed under the flood: a clean close as far as the client can tell
+    except OSError as error:  # a timeout: the exchange did not end
+        return f"{name}: {type(error).__name__}: {error} after {received[:120]!r}"
+    # Whatever was answered must be the table's JSON error form, never HTML
+    # and never a 2xx (the pipelined probe behind a refused body included).
+    while received:
+        if received.startswith(b"HTTP/"):
+            head, _, received = received.partition(b"\r\n\r\n")
+            status = int(head.split(b" ", 2)[1])
+            length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+            body, received = received[:length], received[length:]
+        else:  # http.server answers a version-less request line with a bare body
+            status, body, received = 400, received, b""
+        try:
+            described = "error" in json.loads(body)
+        except ValueError:
+            described = False
+        if status < 400 or not described:
+            return f"{name}: answered {status} {body[:120]!r}"
+    return None
+
+
+def run_malformed_phase(label, host, port, prepared) -> "dict | None":
+    """Malformed exchanges interleaved with checked traffic; ``None`` on any miss."""
+    bodies, answers, counts = prepared
+    cases = malformed_cases()
+    errors: list[str] = []
+    concurrent = ClientWorker(0, host, port, 25 * len(cases), 1, prepared, errors)
+    concurrent.start()
+    innocent = HTTPConnection(host, port, timeout=60)
+    checked = 0
+    try:
+        for index, (name, data) in enumerate(cases * 2):
+            slot = index % len(WORKLOAD)
+            innocent.request("POST", "/query", bodies[slot], {"Content-Type": "application/json"})
+            payload = json.loads(innocent.getresponse().read())
+            if not answer_matches(payload, slot, answers, counts):
+                errors.append(f"WRONG ANSWER on the persistent connection before {name!r}")
+            checked += 1
+            problem = malformed_exchange(host, port, name, data)
+            if problem is not None:
+                errors.append(problem)
+    except OSError as error:
+        errors.append(f"persistent connection died: {error}")
+    finally:
+        innocent.close()
+        concurrent.join()
+    try:
+        health = call(f"http://{host}:{port}", "GET", "/healthz")
+        if health.get("status") != "ok":
+            errors.append(f"/healthz after the schedule: {health!r}")
+    except OSError as error:
+        errors.append(f"a fresh connection after the schedule failed: {error}")
+    for message in errors:
+        print(f"FAIL [{label}]: malformed-HTTP phase: {message}")
+    if errors:
+        return None
+    checked += len(concurrent.latencies)
+    print(
+        f"[{label}] malformed: {2 * len(cases)} exchange(s) ended in a JSON error or a clean "
+        f"close, {checked} interleaved response(s) cross-checked, 0 wrong"
+    )
+    return {"exchanges": 2 * len(cases), "checked": checked, "wrong_answers": 0}
 
 
 def call(base: str, method: str, path: str, payload=None):
@@ -341,6 +454,12 @@ def run_mode(label: str, extra_args: list[str], args, documents, prepared) -> "d
                     f"agreement {name}: client bucket {client_slot} vs server bucket "
                     f"{server_slot} differ by more than one"
                 )
+
+        # Phase 3 -- malformed HTTP beside innocent traffic (outside both
+        # measured windows above).  Hard-fail, like wrong answers.
+        report["malformed"] = run_malformed_phase(label, host, port, prepared)
+        if report["malformed"] is None:
+            return None
 
         # The closed loop: the server must have *accounted* for what it just
         # served -- a populated drift table and an HTTP latency summary.

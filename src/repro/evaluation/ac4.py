@@ -549,7 +549,6 @@ def ac4_fixpoint(
     pinned: Optional[Mapping[Variable, int]] = None,
     initial_domains: Optional[Domains] = None,
     initial_views: Optional[Views] = None,
-    columnar: bool = True,
 ) -> Optional[Views]:
     """The maximal arc-consistent prevaluation as maintained mutable views.
 
@@ -567,12 +566,6 @@ def ac4_fixpoint(
     filters applied and be non-empty; confluence of the deletion rules
     guarantees the fixpoint is unchanged.  ``pinned`` therefore cannot be
     combined with a seed (the seed is expected to embody it already).
-
-    ``columnar`` is accepted for API stability but no longer changes the
-    counter initialisation: the columnar interval-counter init measured at
-    parity with the per-candidate bisection/sweep paths (both are
-    bisection-bound), so the ablation retired it and the per-candidate paths
-    are now the only implementation.
     """
     if initial_domains is not None and initial_views is not None:
         raise ValueError("initial_domains and initial_views are mutually exclusive seeds")
@@ -667,7 +660,7 @@ def hybrid_fixpoint(
 
     if not bulk_revise_sweep(compiled, domains, structure, columnar=False):
         return None
-    return ac4_fixpoint(compiled, structure, initial_domains=domains, columnar=False)
+    return ac4_fixpoint(compiled, structure, initial_domains=domains)
 
 
 def maximal_arc_consistent_hybrid(
@@ -687,14 +680,13 @@ def maximal_arc_consistent_ac4(
     query: ConjunctiveQuery | CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    columnar: bool = True,
 ) -> Optional[Domains]:
     """AC-4 twin of :func:`~repro.evaluation.arc_consistency.maximal_arc_consistent`.
 
     Same fixpoint, support-counting propagation; returns plain per-variable
     node sets (the live member sets of the maintained views).
     """
-    views = ac4_fixpoint(query, structure, pinned, columnar=columnar)
+    views = ac4_fixpoint(query, structure, pinned)
     if views is None:
         return None
     return {variable: view.members for variable, view in views.items()}

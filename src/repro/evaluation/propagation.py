@@ -182,8 +182,8 @@ def propagate(
     serving layer's query cache) skip even the compile-cache lookup.
 
     ``columnar=False`` forces the per-candidate ablation paths of the chosen
-    engine (same fixpoint; benchmark/cross-check use only).  The Horn engine
-    and the full reducer have no columnar dimension and ignore the flag.
+    engine (same fixpoint; benchmark/cross-check use only).  AC-4, the Horn
+    engine and the full reducer have no columnar dimension and ignore the flag.
 
     Every call lands in the per-propagator latency histogram
     (:data:`PROPAGATE_SECONDS`); inside an active trace a ``propagate`` span
@@ -223,8 +223,10 @@ def _propagate(
     columnar: bool,
 ) -> Optional[PropagationResult]:
     if chosen is Propagator.AC4 or chosen is Propagator.HYBRID:
-        fixpoint = ac4_fixpoint if chosen is Propagator.AC4 else hybrid_fixpoint
-        views = fixpoint(query, structure, pinned, columnar=columnar)
+        if chosen is Propagator.AC4:
+            views = ac4_fixpoint(query, structure, pinned)
+        else:
+            views = hybrid_fixpoint(query, structure, pinned, columnar=columnar)
         if views is None:
             return None
         domains = {variable: view.members for variable, view in views.items()}

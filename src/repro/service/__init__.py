@@ -17,12 +17,14 @@ requests, the way an embedded or networked query service runs:
   deterministic evaluation of request batches over the shared artifacts
   (thread backend);
 * :mod:`~repro.service.shards` -- :class:`ShardedExecutor`: N worker
-  *processes*, each owning a per-process store + cache, documents routed by
-  stable hash of their id (multi-core backend);
-* :mod:`~repro.service.server` -- a stdlib-only threaded HTTP JSON front end
-  (``cq-trees serve``);
-* :mod:`~repro.service.async_server` -- the asyncio front end: persistent
-  HTTP/1.1 connections, bounded in-flight requests
+  *processes*, each a private ``BatchExecutor`` behind a queue, documents
+  routed by stable hash of their id (multi-core backend);
+* :mod:`~repro.service.routes` -- the HTTP contract, written once: the table
+  from ``(method, path)`` to *validate -> call the executor -> render*;
+* :mod:`~repro.service.server` -- the threaded socket loop: stdlib-only
+  HTTP/1.1 framing around that table (``cq-trees serve``);
+* :mod:`~repro.service.async_server` -- the asyncio socket loop around the
+  same table: persistent connections, bounded in-flight requests
   (``cq-trees serve --async [--shards N]``).
 """
 

@@ -1,21 +1,22 @@
-"""An asyncio HTTP/1.1 front end over the serving backends.
+"""The asyncio socket loop: HTTP/1.1 framing around the route table.
 
-The threaded front end (:mod:`repro.service.server`) spends one OS thread per
+The threaded loop (:mod:`repro.service.server`) spends one OS thread per
 connection, which caps how many concurrent (and mostly idle) clients it can
-hold open.  This module serves the same JSON protocol -- identical routes,
-identical payloads, byte-identical response bodies -- on
-:func:`asyncio.start_server`: connections are cheap coroutines, HTTP/1.1
-keep-alive is the default so clients reuse them across requests, and a
-**bounded in-flight semaphore** keeps the number of requests actually
-executing at once under control no matter how many connections are parked.
+hold open.  This module frames the same contract -- the one table of
+:mod:`repro.service.routes`, so routes, payloads and response bodies are
+identical by construction -- on :func:`asyncio.start_server`: connections are
+cheap coroutines, HTTP/1.1 keep-alive is the default so clients reuse them
+across requests, and a **bounded in-flight semaphore** keeps the number of
+requests actually executing at once under control no matter how many
+connections are parked.
 
-Request execution is dispatched to a serving backend --
+Beyond framing, the loop decides one thing: *how to wait* for the executor
+call the table asks for.  A route whose backend --
 :class:`~repro.service.executor.BatchExecutor` (threads, shared artifacts) or
 :class:`~repro.service.shards.ShardedExecutor` (processes, hash-routed
-documents) -- both of which expose the same surface, so the front end does
-not care which one it fronts.  Single ``/query`` requests are awaited through
-``backend.submit()`` futures; everything else runs on a private thread pool
-sized to the in-flight bound.
+documents) -- can answer with a future (``/query`` through ``submit()``) is
+awaited directly; every other call runs on a private thread pool sized to the
+in-flight bound.
 
 ``cq-trees serve --async [--shards N]`` is the CLI entry;
 :class:`AsyncServerThread` runs the same server on a background event-loop
@@ -26,25 +27,16 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
-import json
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Union
+from http import HTTPStatus
+from typing import Optional
 
 from ..observability.logging import get_logger
-from ..queries.parser import QueryParseError
-from ..queries.xpath import XPathTranslationError
-from ..trees.xmlio import XMLParseError
-from .core import Request, execute_batch_payload, profile_control_payload
-from .http_metrics import METRICS_CONTENT_TYPE, observe_http, route_latency_summary
-from .server import MAX_BODY_BYTES
+from . import routes
+from .server import body_length
 
 _LOG = get_logger("repro.service.async")
-
-#: Exceptions answered as HTTP 400 (mirrors the threaded front end).
-_CLIENT_ERRORS = (QueryParseError, XPathTranslationError, XMLParseError, ValueError)
 
 #: Default bound on requests executing concurrently (not on open connections).
 DEFAULT_MAX_IN_FLIGHT = 64
@@ -74,17 +66,15 @@ class AsyncServiceServer:
         self._host = host
         self._port = port
         self._server: Optional[asyncio.base_events.Server] = None
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._semaphore = asyncio.Semaphore(max_in_flight)
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="cq-trees-async")
+        #: Open connections: handler task -> its writer (see :meth:`close`).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
         """Bind the listening socket; returns ``(host, port)``."""
-        self._semaphore = asyncio.Semaphore(self.max_in_flight)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_in_flight, thread_name_prefix="cq-trees-async"
-        )
         self._server = await asyncio.start_server(self._handle_connection, self._host, self._port)
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
@@ -97,21 +87,30 @@ class AsyncServiceServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting connections and release the worker pool."""
+        """Stop accepting, close open connections, release the worker pool."""
         if self._server is not None:
             self._server.close()
+            # A parked keep-alive connection would sit in its read until the
+            # loop's teardown cancels its handler, which the stream protocol
+            # logs as an error (and since Python 3.12 ``wait_closed`` waits
+            # for it).  Closing the transport makes that read return EOF: the
+            # handler ends on its own, one in mid-request after its request.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections))
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
+        self._pool.shutdown(wait=False)
 
     # -- connection handling ---------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One persistent connection: parse, dispatch, respond, repeat."""
+        """One persistent connection: read a request, answer it, repeat."""
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -122,53 +121,41 @@ class AsyncServiceServer:
                     break
                 parts = request_line.decode("latin-1").strip().split()
                 if len(parts) != 3:
-                    await self._send(writer, 400, {"error": "malformed request line"}, close=True)
+                    refusal = routes.refuse(400, "malformed request line")
+                    await self._write(writer, refusal, close=True)
                     break
                 method, path, version = parts
                 headers = await self._read_headers(reader)
                 if headers is None:
                     break
-                close_after = (
-                    version.upper() != "HTTP/1.1"
-                    or headers.get("connection", "").lower() == "close"
-                )
-                if "transfer-encoding" in headers:
-                    await self._send(
-                        writer, 501, {"error": "chunked bodies are not supported"}, close=True
-                    )
-                    break
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    length = -1
-                if length < 0 or length > MAX_BODY_BYTES:
-                    # The unread body would desync the persistent stream, so
-                    # the connection drops after answering (as the threaded
-                    # front end does).
-                    await self._send(
-                        writer, 400, {"error": "missing or oversized Content-Length"}, close=True
-                    )
+                length = body_length(method, path, headers)
+                if not isinstance(length, int):
+                    await self._write(writer, length, close=True)
                     break
                 body = await reader.readexactly(length) if length else b""
-                started = time.perf_counter()
                 if method == "POST":
                     # Only evaluation work holds an in-flight slot; GET
                     # control-plane probes (/healthz above all) must answer
                     # even when the server is saturated, as the threaded
                     # front end does.
                     async with self._semaphore:
-                        status, payload = await self._dispatch(method, path, body)
+                        response = await routes.exchange(method, path, body, self._call)
                 else:
-                    status, payload = await self._dispatch(method, path, body)
-                observe_http(path, method, status, time.perf_counter() - started)
+                    response = await routes.exchange(method, path, body, self._call)
                 if not self.quiet:  # pragma: no cover - log formatting
-                    _LOG.info("request", method=method, path=path, status=status)
-                await self._send(writer, status, payload, close=close_after)
-                if close_after:
+                    _LOG.info("request", method=method, path=path, status=response.status)
+                close = (
+                    version.upper() != "HTTP/1.1"
+                    or headers.get("connection", "").lower() == "close"
+                    or response.status == 501  # for the reason given in the threaded loop
+                )
+                await self._write(writer, response, close)
+                if close:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -195,161 +182,70 @@ class AsyncServiceServer:
                 headers[name.strip().lower()] = value.strip()
         return None
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Union[dict, str],
-        close: bool = False,
+    async def _write(
+        self, writer: asyncio.StreamWriter, response: routes.Response, close: bool
     ) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found", 501: "Not Implemented"}
-        if isinstance(payload, str):
-            # Pre-rendered text payloads (the /metrics exposition).
-            body = payload.encode("utf-8")
-            content_type = METRICS_CONTENT_TYPE
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
         head = (
-            f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
+            f"HTTP/1.1 {response.status} {HTTPStatus(response.status).phrase}\r\n"
+            f"Content-Type: {response.content_type}\r\n"
+            f"Content-Length: {len(response.body)}\r\n"
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
             f"\r\n"
         ).encode("latin-1")
-        writer.write(head + body)
+        writer.write(head + response.body)
         await writer.drain()
 
-    # -- routing ---------------------------------------------------------------
-
-    async def _call(self, function, /, *args, **kwargs):
-        """Run one (potentially blocking) backend call on the private pool."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool, functools.partial(function, *args, **kwargs)
+    async def _call(self, route: routes.Route, arguments: tuple):
+        """How this loop waits for an executor call: never on its own thread."""
+        if route.future is not None:
+            # The backend hands out a future (``/query``): no pool thread is
+            # parked on the call, and a sharded backend pays no extra hop.
+            return await asyncio.wrap_future(getattr(self.executor, route.future)(*arguments))
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, getattr(self.executor, route.call), *arguments
         )
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
-        """Route one parsed request; returns ``(status, payload)``."""
-        executor = self.executor
-        try:
-            if method == "GET":
-                if path == "/healthz":
-                    count = await self._call(executor.document_count)
-                    return 200, {"status": "ok", "documents": count}
-                if path == "/stats":
-                    # HTTP-layer latency summary merged front-end-side, as in
-                    # the threaded server (it is parent-process state under
-                    # both backends).
-                    stats = await self._call(executor.stats)
-                    stats["http"] = route_latency_summary()
-                    return 200, stats
-                if path == "/metrics":
-                    return 200, await self._call(executor.render_metrics)
-                if path == "/documents":
-                    return 200, {"documents": await self._call(executor.describe_documents)}
-                if path == "/profile":
-                    return 200, await self._call(executor.profile_snapshot)
-                return 404, {"error": f"unknown path {path!r}"}
-            if method == "DELETE":
-                prefix = "/documents/"
-                if path.startswith(prefix) and len(path) > len(prefix):
-                    doc_id = path[len(prefix) :]
-                    if await self._call(executor.evict_document, doc_id):
-                        return 200, {"evicted": doc_id}
-                    return 404, {"error": f"unknown document id {doc_id!r}"}
-                return 404, {"error": f"unknown path {path!r}"}
-            if method != "POST":
-                # 501 like the threaded front end's BaseHTTPRequestHandler
-                # (the body is JSON here, not stdlib HTML).
-                return 501, {"error": f"Unsupported method ({method!r})"}
-            payload = self._parse_body(body)
-            if path == "/documents":
-                # allow_files stays False over HTTP: clients must not be able
-                # to make the server read its own filesystem.
-                return 200, await self._call(executor.register_payload, payload)
-            if path == "/query":
-                request = Request.from_json_dict(payload)
-                result = await asyncio.wrap_future(executor.submit(request))
-                return (200 if result.ok else 400), result.to_json_dict()
-            if path == "/batch":
-                # The shared helper (validation + execution + rendering) runs
-                # entirely on the pool thread; its ValueErrors surface here.
-                return 200, await self._call(execute_batch_payload, self.executor, payload)
-            if path == "/profile":
-                return 200, await self._call(profile_control_payload, self.executor, payload)
-            return 404, {"error": f"unknown path {path!r}"}
-        except _CLIENT_ERRORS as error:
-            return 400, {"error": str(error)}
-
-    def _parse_body(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ValueError(f"invalid JSON body: {error}") from None
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
 
 class AsyncServerThread:
     """Run an :class:`AsyncServiceServer` on a private event-loop thread.
 
     The synchronous face of the async front end, for tests and the smoke
-    script: ``start()`` blocks until the socket is bound (``.address`` holds
-    the ephemeral port), ``stop()`` shuts the loop down cleanly.
+    script: ``start()`` returns once the socket is bound (``.address`` holds
+    the ephemeral port); ``stop()`` closes the server on its loop -- open
+    connections included -- and only then stops the loop.
     """
 
     def __init__(self, executor, host: str = "127.0.0.1", port: int = 0, **server_kwargs):
-        self._server_args = (executor, host, port)
-        self._server_kwargs = server_kwargs
-        self._ready = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server = AsyncServiceServer(executor, host, port, **server_kwargs)
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._run, name="cq-trees-async-server", daemon=True
+            target=self._loop.run_forever, name="cq-trees-async-server", daemon=True
         )
         self.address: Optional[tuple[str, int]] = None
-        self.error: Optional[BaseException] = None
+
+    def _on_loop(self, coroutine):
+        """Run a coroutine on the server's loop; its result, or its exception, here."""
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout=30)
 
     def start(self) -> "AsyncServerThread":
         self._thread.start()
-        self._ready.wait(timeout=30)
-        if self.error is not None:
-            raise self.error
-        if self.address is None:
-            raise RuntimeError("async server failed to start within 30s")
+        try:
+            self.address = self._on_loop(self._server.start())
+        except BaseException:
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
+        if self._loop.is_closed():
+            return
+        self._on_loop(self._server.close())
+        self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=30)
+        self._loop.close()
 
     def __enter__(self) -> "AsyncServerThread":
         return self.start()
 
     def __exit__(self, *_exc_info) -> None:
         self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:  # pragma: no cover - startup failure
-            self.error = error
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = AsyncServiceServer(*self._server_args, **self._server_kwargs)
-        try:
-            self.address = await server.start()
-        except BaseException as error:
-            self.error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.close()

@@ -27,7 +27,7 @@ requests through one code path and therefore honours one contract:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from ..evaluation.planner import Engine, answer_page
@@ -127,19 +127,6 @@ def validate_engine(engine: object) -> Optional[Engine]:
     return None if member is Engine.AUTO else member
 
 
-def validate_max_workers(max_workers: object) -> Optional[int]:
-    """Check a wire-format ``max_workers``: a positive integer or ``None``.
-
-    Rejects ``bool`` for the same reason as :func:`validate_limit` --
-    ``{"max_workers": true}`` must not be accepted as ``1``.
-    """
-    if max_workers is not None and (
-        isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1
-    ):
-        raise ValueError("'max_workers' must be a positive integer")
-    return max_workers
-
-
 @dataclass(frozen=True)
 class Request:
     """One evaluation request.
@@ -175,17 +162,7 @@ class Request:
         """Build a request from a JSON object (HTTP body / JSONL line)."""
         if not isinstance(payload, dict):
             raise ValueError(f"request must be a JSON object, got {type(payload).__name__}")
-        unknown = set(payload) - {
-            "doc",
-            "query",
-            "xpath",
-            "propagator",
-            "limit",
-            "engine",
-            "routing",
-            "debug",
-            "explain",
-        }
+        unknown = set(payload) - _WIRE_FIELDS
         if unknown:
             raise ValueError(f"unknown request field(s): {', '.join(sorted(unknown))}")
         doc = payload.get("doc")
@@ -219,6 +196,10 @@ class Request:
         )
 
 
+#: A request's wire fields are its dataclass fields, by the same names.
+_WIRE_FIELDS = frozenset(field.name for field in fields(Request))
+
+
 @dataclass
 class RequestResult:
     """The outcome of one request: answers or an error, plus timings."""
@@ -249,85 +230,40 @@ class RequestResult:
 
     def to_json_dict(self) -> dict:
         """A stable JSON rendering (HTTP responses and JSONL output)."""
+        # Every shape carries the attribution fields, error results included:
+        # latency accounting must be able to see what a failed request cost
+        # and which engine/propagator pair it was (or would have been) routed to.
+        attribution = {
+            "elapsed_ms": round(self.elapsed_ms, 3),
+            "propagator": self.propagator,
+            "engine": self.engine,
+        }
         if not self.ok:
-            # Error results keep their attribution fields: latency accounting
-            # must be able to see what a failed request cost and which
-            # engine/propagator pair it was (or would have been) routed to.
-            payload = {
-                "doc": self.doc,
-                "error": self.error,
-                "elapsed_ms": round(self.elapsed_ms, 3),
-                "propagator": self.propagator,
-                "engine": self.engine,
-            }
-            if self.trace is not None:
-                payload["trace"] = self.trace
-            return payload
-        if self.explain is not None:
+            payload = {"doc": self.doc, "error": self.error, **attribution}
+        elif self.explain is not None:
             # Explain results never executed: answers/count would be noise.
             return {
                 "doc": self.doc,
                 "query_key": self.query_key,
                 "explain": self.explain,
-                "elapsed_ms": round(self.elapsed_ms, 3),
-                "propagator": self.propagator,
-                "engine": self.engine,
+                **attribution,
                 "cache_hit": self.cache_hit,
             }
-        payload = {
-            "doc": self.doc,
-            "query_key": self.query_key,
-            "answers": self.answers or [],
-            "count": self.count,
-            "truncated": self.truncated,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-            "propagator": self.propagator,
-            "engine": self.engine,
-            "cache_hit": self.cache_hit,
-        }
-        if self.satisfied is not None:
-            payload["satisfied"] = self.satisfied
+        else:
+            payload = {
+                "doc": self.doc,
+                "query_key": self.query_key,
+                "answers": self.answers or [],
+                "count": self.count,
+                "truncated": self.truncated,
+                **attribution,
+                "cache_hit": self.cache_hit,
+            }
+            if self.satisfied is not None:
+                payload["satisfied"] = self.satisfied
         if self.trace is not None:
             payload["trace"] = self.trace
         return payload
-
-
-def execute_batch_payload(executor, payload: dict) -> dict:
-    """Validate and execute a ``/batch`` wire payload against any backend.
-
-    Shared by the threaded and async HTTP front ends so the batch
-    request/response shaping cannot drift between them.  Raises
-    :class:`ValueError` on malformed payloads (the front ends answer 400).
-    """
-    raw_requests = payload.get("requests")
-    if not isinstance(raw_requests, list):
-        raise ValueError("batch body needs a 'requests' list")
-    max_workers = validate_max_workers(payload.get("max_workers"))
-    requests = [Request.from_json_dict(item) for item in raw_requests]
-    results = executor.execute_batch(requests, max_workers=max_workers)
-    return {
-        "results": [result.to_json_dict() for result in results],
-        "errors": sum(1 for result in results if not result.ok),
-    }
-
-
-def profile_control_payload(executor, payload: dict) -> dict:
-    """Validate and apply a ``POST /profile`` wire payload against any backend.
-
-    Shared by both HTTP front ends (like :func:`execute_batch_payload`) so the
-    profiler control surface cannot drift between them.  Raises
-    :class:`ValueError` on malformed payloads (the front ends answer 400).
-    """
-    unknown = set(payload) - {"action", "hz"}
-    if unknown:
-        raise ValueError(f"unknown profile field(s): {', '.join(sorted(unknown))}")
-    action = payload.get("action")
-    if not isinstance(action, str) or not action:
-        raise ValueError("profile body needs an 'action' string (start|stop|clear)")
-    hz = payload.get("hz")
-    if hz is not None and (isinstance(hz, bool) or not isinstance(hz, int)):
-        raise ValueError("'hz' must be an integer")
-    return executor.profile_control(action, hz)
 
 
 def resolve_entry(cache: QueryCache, request: Request) -> tuple[CachedQuery, bool]:

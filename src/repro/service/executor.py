@@ -6,10 +6,10 @@ query object), a propagator, and an optional answer limit.
 :class:`~repro.service.store.DocumentStore` and a
 :class:`~repro.service.cache.QueryCache`, evaluates single requests, and fans
 request batches out over a thread pool -- every worker sharing the same
-resident indexes, label sets and compiled plans.  The actual request
-execution (:func:`~repro.service.core.run_request`) is shared with the
-process-sharded backend (:class:`~repro.service.shards.ShardedExecutor`), so
-both uphold the same contract.
+resident indexes, label sets and compiled plans.  The process-sharded backend
+(:class:`~repro.service.shards.ShardedExecutor`) does not re-implement any of
+this: each of its worker processes owns a ``BatchExecutor`` and calls the
+methods below by name, so both uphold the same contract.
 
 Determinism: results come back in request order; each answer list is sorted
 ascending (node-id tuples), with ``limit`` applied *after* sorting; and the
@@ -31,11 +31,8 @@ from ..observability.accounting import ACCOUNTING
 from ..observability.metrics import REGISTRY, SLOW_LOG
 from ..observability.profiler import PROFILER
 from .cache import QueryCache
-from .core import REQUEST_ERRORS, Request, RequestResult, run_request
+from .core import Request, RequestResult, run_request
 from .store import DocumentStore
-
-#: Backward-compatible aliases; the canonical definitions live in ``core``.
-_REQUEST_ERRORS = REQUEST_ERRORS
 
 __all__ = ["BatchExecutor", "DEFAULT_MAX_WORKERS", "Request", "RequestResult"]
 

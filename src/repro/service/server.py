@@ -1,31 +1,11 @@
-"""A stdlib-only HTTP JSON front end over the batch executor.
+"""The threaded socket loop: HTTP/1.1 framing around the route table.
 
-``cq-trees serve`` exposes the serving subsystem to non-Python clients:
-
-================  ======  ====================================================
-path              method  behaviour
-================  ======  ====================================================
-``/healthz``      GET     liveness: ``{"status": "ok", "documents": N}``
-``/stats``        GET     executor + store + cache statistics + slow queries
-``/metrics``      GET     Prometheus text exposition (shard-merged histograms)
-``/documents``    GET     resident document summaries
-``/documents``    POST    register: ``{"doc": id, "xml": ...}`` or
-                          ``{"doc": id, "sexpr": ...}``
-``/documents/ID`` DELETE  evict a document
-``/query``        POST    one request object (see below)
-``/batch``        POST    ``{"requests": [...], "max_workers"?: N}``
-================  ======  ====================================================
-
-A request object is ``{"doc": id, "query": datalog}`` or
-``{"doc": id, "xpath": expr}`` plus optional ``"propagator"``, ``"limit"``,
-``"engine"``, ``"debug"`` (attach a tracing span tree) and ``"explain"``
-(describe the plan without executing);
-responses mirror :meth:`repro.service.executor.RequestResult.to_json_dict`.
-Malformed bodies answer 400 and unknown paths 404.  Unknown document *ids*
-are request-level failures, not path lookups: ``/query`` answers 400 with the
-error, and inside a batch they stay per-request (HTTP 200 with ``error``
-fields), so one bad request never voids its batchmates.  Only
-``DELETE /documents/ID`` treats the id as a resource and answers 404.
+``cq-trees serve`` exposes the serving subsystem to non-Python clients.  What
+a request *means* -- paths, validation, status codes, bodies -- is
+:mod:`repro.service.routes`; this module only frames: the request line and
+headers (``http.server``), ``Content-Length`` / ``Transfer-Encoding`` and the
+body cap (:func:`body_length`, shared with the asyncio loop), keep-alive, and
+the write.  The table is called inline on the connection's thread.
 
 Built on :class:`http.server.ThreadingHTTPServer` -- no dependencies, one
 thread per connection, all of them sharing the executor's resident artifacts.
@@ -33,20 +13,33 @@ thread per connection, all of them sharing the executor's resident artifacts.
 
 from __future__ import annotations
 
-import json
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Mapping, Union
 
-from ..queries.parser import QueryParseError
-from ..queries.xpath import XPathTranslationError
-from ..trees.xmlio import XMLParseError
-from .core import Request, execute_batch_payload, profile_control_payload
+from . import routes
 from .executor import BatchExecutor
-from .http_metrics import METRICS_CONTENT_TYPE, observe_http, route_latency_summary
 
 #: Upper bound on accepted request bodies (64 MiB); guards the worker threads.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def body_length(method: str, path: str, headers: Mapping[str, str]) -> Union[int, routes.Response]:
+    """How many body bytes follow the head -- or the refusal to answer with.
+
+    The framing decision both loops share (``headers`` looks names up in
+    lower case).  A refused request leaves its body unread, which would desync
+    the persistent HTTP/1.1 stream (the next request line would be parsed out
+    of body bytes), so the loop drops the connection after answering.
+    """
+    if "transfer-encoding" in headers:
+        return routes.refuse(501, "chunked bodies are not supported", method, path)
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        length = -1
+    if length < 0 or length > MAX_BODY_BYTES:
+        return routes.refuse(400, "missing or oversized Content-Length", method, path)
+    return length
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -71,166 +64,43 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # default, so this keeps the two front ends' latency profiles comparable.
     disable_nagle_algorithm = True
 
-    # -- plumbing --------------------------------------------------------------
-
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         if not self.server.quiet:  # pragma: no cover - log formatting
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(status, body, "application/json")
+    def parse_request(self) -> bool:
+        # http.server would now dispatch on ``do_<METHOD>`` and refuse a missing
+        # one itself; every method, supported or not, is the table's to answer.
+        if super().parse_request():
+            self._exchange()
+        return False  # "already answered": nothing is left for the caller to do
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_bytes(status, text.encode("utf-8"), content_type)
+    def _exchange(self) -> None:
+        length = body_length(self.command, self.path, self.headers)
+        if isinstance(length, int):
+            response = routes.respond(
+                self.server.executor, self.command, self.path, self.rfile.read(length)
+            )
+            # A 501 answers a method this server does not know, so it cannot
+            # know how its client frames the answer either (a HEAD response
+            # has no body): the connection does not outlive it.
+            self._write(response, close=response.status == 501)
+        else:
+            self._write(length, close=True)
 
-    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
-        self._status = status
-        # Observe before the body is flushed (as the asyncio front end does):
-        # a client that reads this response and immediately scrapes /metrics
-        # must find the request already counted -- observing in ``_observed``'s
-        # ``finally`` raced that scrape.
-        started = getattr(self, "_observe_started", None)
-        if started is not None:
-            self._observe_started = None
-            observe_http(self.path, self.command, status, time.perf_counter() - started)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+    def send_error(self, code: int, message=None, explain=None) -> None:  # noqa: ARG002
+        """``http.server``'s own refusals (a malformed request line, a header
+        flood, ...) in the table's error form instead of stdlib HTML."""
+        self._write(routes.refuse(code, message or self.responses[code][0]), close=True)
+
+    def _write(self, response: routes.Response, close: bool) -> None:
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self.send_header("Content-Length", str(len(response.body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends the keep-alive loop
         self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> Optional[dict]:
-        """The request body as JSON, or ``None`` after answering 400."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            # The unread body would desync the persistent HTTP/1.1 stream
-            # (the next request line would be parsed out of body bytes), so
-            # drop the connection after answering.
-            self.close_connection = True
-            self._send_json(400, {"error": "missing or oversized Content-Length"})
-            return None
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._send_json(400, {"error": f"invalid JSON body: {error}"})
-            return None
-        if not isinstance(payload, dict):
-            self._send_json(400, {"error": "request body must be a JSON object"})
-            return None
-        return payload
-
-    # -- routes ----------------------------------------------------------------
-
-    def _observed(self, handler) -> None:
-        """Run one route handler, recording per-route count + latency.
-
-        ``self._status`` is set by ``_send_bytes``; a handler that crashes
-        before sending anything records status 500 (the connection is about
-        to die anyway, but the scrape should still see the failure).
-        """
-        started = time.perf_counter()
-        self._status = 0
-        self._observe_started = started
-        try:
-            handler()
-        finally:
-            if self._observe_started is not None:
-                # The handler crashed before sending anything: record the
-                # failure (the connection is about to die anyway, but the
-                # scrape should still see it).
-                self._observe_started = None
-                observe_http(
-                    self.path,
-                    self.command,
-                    self._status or 500,
-                    time.perf_counter() - started,
-                )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._observed(self._do_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._observed(self._do_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._observed(self._do_delete)
-
-    def _do_get(self) -> None:
-        executor = self.server.executor
-        try:
-            if self.path == "/healthz":
-                self._send_json(200, {"status": "ok", "documents": executor.document_count()})
-            elif self.path == "/stats":
-                # The HTTP-layer latency summary is front-end state (it lives
-                # in this process under both backends), so it is merged here
-                # rather than inside the executor.
-                payload = executor.stats()
-                payload["http"] = route_latency_summary()
-                self._send_json(200, payload)
-            elif self.path == "/metrics":
-                self._send_text(200, executor.render_metrics(), METRICS_CONTENT_TYPE)
-            elif self.path == "/documents":
-                self._send_json(200, {"documents": executor.describe_documents()})
-            elif self.path == "/profile":
-                self._send_json(200, executor.profile_snapshot())
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except ValueError as error:  # e.g. a sharded backend with a dead worker
-            self._send_json(400, {"error": str(error)})
-
-    def _do_post(self) -> None:
-        executor = self.server.executor
-        payload = self._read_json()
-        if payload is None:
-            return
-        try:
-            if self.path == "/documents":
-                self._register_document(payload)
-            elif self.path == "/query":
-                result = executor.execute(Request.from_json_dict(payload))
-                self._send_json(200 if result.ok else 400, result.to_json_dict())
-            elif self.path == "/batch":
-                self._execute_batch(payload)
-            elif self.path == "/profile":
-                self._send_json(200, self._profile_control(payload))
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except (QueryParseError, XPathTranslationError, XMLParseError, ValueError) as error:
-            self._send_json(400, {"error": str(error)})
-
-    def _do_delete(self) -> None:
-        executor = self.server.executor
-        prefix = "/documents/"
-        try:
-            if self.path.startswith(prefix) and len(self.path) > len(prefix):
-                doc_id = self.path[len(prefix) :]
-                if executor.evict_document(doc_id):
-                    self._send_json(200, {"evicted": doc_id})
-                else:
-                    self._send_json(404, {"error": f"unknown document id {doc_id!r}"})
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except ValueError as error:  # e.g. a sharded backend with a dead worker
-            self._send_json(400, {"error": str(error)})
-
-    # -- handlers --------------------------------------------------------------
-
-    def _register_document(self, payload: dict) -> None:
-        # allow_files stays False over HTTP: clients must not be able to make
-        # the server read its own filesystem.
-        summary = self.server.executor.register_payload(payload)
-        self._send_json(200, summary)
-
-    def _execute_batch(self, payload: dict) -> None:
-        self._send_json(200, execute_batch_payload(self.server.executor, payload))
-
-    def _profile_control(self, payload: dict) -> dict:
-        return profile_control_payload(self.server.executor, payload)
+        self.wfile.write(response.body)
 
 
 def make_server(

@@ -4,13 +4,13 @@ The thread-pool backend (:class:`~repro.service.executor.BatchExecutor`)
 shares one set of resident artifacts across worker threads -- simple and
 memory-lean, but CPython's GIL serializes the actual evaluation work, so one
 process can never use more than one core.  :class:`ShardedExecutor` scales
-*out* instead: it owns ``N`` worker **processes**, each holding a full
-per-process :class:`~repro.service.store.DocumentStore` +
-:class:`~repro.service.cache.QueryCache` and executing requests through the
-same shared core (:func:`~repro.service.core.run_request`) as the thread
-backend, so the serving contract -- sorted answers, post-sort limit,
-per-request errors, byte-identity with sequential ``evaluate()`` -- is
-identical by construction.
+*out* instead: it owns ``N`` worker **processes**, each a private
+``BatchExecutor`` (its own :class:`~repro.service.store.DocumentStore` +
+:class:`~repro.service.cache.QueryCache`) behind a queue.  A message names one
+of that executor's methods (:data:`WORKER_METHODS`); the worker implements
+nothing of its own, so the serving contract -- sorted answers, post-sort
+limit, per-request errors, byte-identity with sequential ``evaluate()`` -- is
+the thread backend's by construction.
 
 Routing is by **stable hash of the document id** (:func:`shard_for`,
 CRC-32 -- deliberately not Python's salted ``hash()``): a document is
@@ -42,7 +42,8 @@ from ..observability.accounting import ACCOUNTING, PlanAccounting
 from ..observability.metrics import REGISTRY, SLOW_LOG, MetricsRegistry
 from ..observability.profiler import PROFILER, merge_snapshots
 from .cache import QueryCache
-from .core import REQUEST_ERRORS, Request, RequestResult, run_request
+from .core import REQUEST_ERRORS, Request, RequestResult
+from .executor import BatchExecutor
 from .store import DocumentStore
 
 #: Default number of worker processes.
@@ -74,6 +75,20 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+#: What a message may name: the worker calls the same-named ``BatchExecutor``
+#: method with the message's arguments.  (``stats`` and ``metrics`` get the
+#: snapshot forms in :func:`_shard_worker_main`: the parent merges them.)
+WORKER_METHODS = (
+    "execute",
+    "register_payload",
+    "evict_document",
+    "describe_documents",
+    "document_count",
+    "profile_control",
+    "profile_snapshot",
+)
+
+
 def _shard_worker_main(
     shard_id: int,
     inbox,
@@ -82,13 +97,15 @@ def _shard_worker_main(
     cache_capacity: Optional[int],
     accel_db: Optional[str] = None,
 ) -> None:
-    """One worker process: a private store + cache, serving its inbox FIFO.
+    """One worker process: a private ``BatchExecutor``, serving its inbox FIFO.
 
-    Every message is ``(seq, op, payload)``; every reply is ``(seq, status,
-    value)`` with ``status`` in ``{"ok", "error"}``.  ``None`` is the
-    shutdown sentinel.  The loop never dies on a bad message: operation
-    errors are reported back as values, mirroring the per-request error
-    contract.
+    Every message is ``(seq, method, arguments)`` with ``method`` one of
+    :data:`WORKER_METHODS`; every reply is ``(seq, status, value)`` with
+    ``status`` in ``{"ok", "error"}``.  ``None`` is the shutdown sentinel.
+    The worker does not implement the serving contract, it owns the executor
+    that does, so a sharded request runs the very code a threaded one runs.
+    The loop never dies on a bad message: errors are reported back as values,
+    mirroring the per-request error contract.
 
     ``accel_db`` names a SQLite accel database file each worker opens with
     its *own* connection (SQLite connections must not cross process forks).
@@ -101,8 +118,10 @@ def _shard_worker_main(
         from ..backends.sqlite import SQLiteBackend
 
         accel_backend = SQLiteBackend(accel_db)
-    store = DocumentStore(capacity=store_capacity, accel_backend=accel_backend)
-    cache = QueryCache(capacity=cache_capacity)
+    executor = BatchExecutor(
+        DocumentStore(capacity=store_capacity, accel_backend=accel_backend),
+        QueryCache(capacity=cache_capacity),
+    )
     # A forked worker inherits the parent's process-global metrics registry
     # *values*; zero them (in place, keeping the families valid) so the
     # parent's shard-merge never double-counts pre-fork observations.  The
@@ -113,9 +132,29 @@ def _shard_worker_main(
     SLOW_LOG.clear()
     ACCOUNTING.clear()
     PROFILER.reset()
+
+    def stats() -> dict:
+        snapshot = executor.stats()
+        counters = snapshot.pop("executor")
+        # Shipped as a snapshot (not a rendering): the parent merges
+        # calibrations and re-ranks the union of top-drift tables.
+        snapshot["plan_accounting"] = ACCOUNTING.snapshot()
+        return {
+            "shard": shard_id,
+            "requests": counters["requests"],
+            "errors": counters["errors"],
+            **snapshot,
+        }
+
+    def metrics() -> dict:
+        # This worker's bucket arrays and counters, which the parent sums
+        # into the fleet-wide /metrics exposition.
+        executor.store.refresh_metrics()
+        return REGISTRY.snapshot()
+
+    handlers = {method: getattr(executor, method) for method in WORKER_METHODS}
+    handlers.update(stats=stats, metrics=metrics)
     parent = multiprocessing.parent_process()
-    requests = 0
-    errors = 0
     while True:
         try:
             message = inbox.get(timeout=_PARENT_POLL_SECONDS)
@@ -127,55 +166,11 @@ def _shard_worker_main(
             continue
         if message is None:
             break
-        seq, op, payload = message
+        seq, method, arguments = message
         try:
-            if op == "request":
-                requests += 1
-                result = run_request(store, cache, payload)
-                if not result.ok:
-                    errors += 1
-                outbox.put((seq, "ok", result))
-            elif op == "register":
-                payload_dict, allow_files = payload
-                document = store.register_payload(payload_dict, allow_files=allow_files)
-                outbox.put((seq, "ok", document.describe()))
-            elif op == "evict":
-                outbox.put((seq, "ok", store.evict(payload)))
-            elif op == "documents":
-                outbox.put((seq, "ok", store.describe()))
-            elif op == "count":
-                outbox.put((seq, "ok", len(store)))
-            elif op == "stats":
-                outbox.put(
-                    (
-                        seq,
-                        "ok",
-                        {
-                            "shard": shard_id,
-                            "requests": requests,
-                            "errors": errors,
-                            "store": store.stats(),
-                            "cache": cache.stats(),
-                            "slow_queries": SLOW_LOG.stats(),
-                            # Shipped as a snapshot (not a rendering): the
-                            # parent merges calibrations and re-ranks the
-                            # union of top-drift tables.
-                            "plan_accounting": ACCOUNTING.snapshot(),
-                        },
-                    )
-                )
-            elif op == "metrics":
-                # Ship this worker's bucket arrays and counters to the parent,
-                # which sums them into the fleet-wide /metrics exposition.
-                store.refresh_metrics()
-                outbox.put((seq, "ok", REGISTRY.snapshot()))
-            elif op == "profile":
-                action, hz = payload
-                outbox.put((seq, "ok", PROFILER.control(action, hz)))
-            elif op == "profile_dump":
-                outbox.put((seq, "ok", PROFILER.snapshot()))
-            else:
-                outbox.put((seq, "error", f"unknown shard op {op!r}"))
+            if method not in handlers:
+                raise ValueError(f"unknown shard method {method!r}")
+            outbox.put((seq, "ok", handlers[method](*arguments)))
         except REQUEST_ERRORS as error:
             # Client-fault errors cross the boundary verbatim so the parent's
             # re-raise carries the same message as the threaded backend would
@@ -292,22 +287,26 @@ class ShardedExecutor:
                 ValueError(f"shard {shard} worker died; its in-flight requests were dropped")
             )
 
-    def _dispatch(self, shard: int, op: str, payload) -> Future:
-        """Enqueue one operation on one shard; returns its reply future."""
+    def _dispatch(self, shard: int, method: str, *arguments) -> Future:
+        """Enqueue one method call on one shard; returns its reply future."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("ShardedExecutor is closed")
-            if shard in self._broken:
-                raise ValueError(f"shard {shard} worker is not running (restart the server)")
-            seq = next(self._seq)
             future: Future = Future()
+            if shard in self._broken:
+                # Like every other failure of the call, a value in its future.
+                future.set_exception(
+                    ValueError(f"shard {shard} worker is not running (restart the server)")
+                )
+                return future
+            seq = next(self._seq)
             self._pending[seq] = (future, shard)
-        self._inboxes[shard].put((seq, op, payload))
+        self._inboxes[shard].put((seq, method, arguments))
         return future
 
-    def _broadcast(self, op: str, payload=None) -> list:
-        """Run one operation on every shard; replies in shard order."""
-        futures = [self._dispatch(shard, op, payload) for shard in range(self.shards)]
+    def _broadcast(self, method: str, *arguments) -> list:
+        """Call one method on every shard; replies in shard order."""
+        futures = [self._dispatch(shard, method, *arguments) for shard in range(self.shards)]
         return [future.result() for future in futures]
 
     def shard_of(self, doc_id: str) -> int:
@@ -347,7 +346,7 @@ class ShardedExecutor:
 
     def submit(self, request: Request) -> "Future[RequestResult]":
         """Route one request to its document's shard; returns its future."""
-        return self._dispatch(self.shard_of(request.doc), "request", request)
+        return self._dispatch(self.shard_of(request.doc), "execute", request)
 
     def execute(self, request: Request) -> RequestResult:
         """Evaluate one request on its owning shard (blocking)."""
@@ -370,14 +369,7 @@ class ShardedExecutor:
         """
         with self._lock:
             self._batches += 1
-        futures: list = []
-        for request in requests:
-            try:
-                futures.append(self.submit(request))
-            except ValueError as error:  # broken shard: fail fast, per request
-                failed: Future = Future()
-                failed.set_exception(error)
-                futures.append(failed)
+        futures = [self.submit(request) for request in requests]
         results = []
         for request, future in zip(requests, futures):
             try:
@@ -402,24 +394,24 @@ class ShardedExecutor:
         if not isinstance(doc_id, str) or not doc_id:
             raise ValueError("registration needs a non-empty 'doc' document id")
         return self._dispatch(
-            self.shard_of(doc_id), "register", (dict(payload), allow_files)
+            self.shard_of(doc_id), "register_payload", dict(payload), allow_files
         ).result()
 
     def evict_document(self, doc_id: str) -> bool:
         """Evict from the owning shard; ``True`` iff it was resident."""
-        return self._dispatch(self.shard_of(doc_id), "evict", doc_id).result()
+        return self._dispatch(self.shard_of(doc_id), "evict_document", doc_id).result()
 
     def describe_documents(self) -> list[dict]:
         """Every shard's resident-document summaries, in shard order."""
         return [
             summary
-            for shard_documents in self._broadcast("documents")
+            for shard_documents in self._broadcast("describe_documents")
             for summary in shard_documents
         ]
 
     def document_count(self) -> int:
         """Total resident documents across all shards."""
-        return sum(self._broadcast("count"))
+        return sum(self._broadcast("document_count"))
 
     # -- statistics ------------------------------------------------------------
 
@@ -472,8 +464,8 @@ class ShardedExecutor:
         cache = {key: sum(s["cache"][key] for s in shard_stats) for key in cache_keys}
         # Capacities are per shard; the fleet-level bound is their sum, so
         # aggregated documents/entries can never exceed the reported capacity.
-        store_capacity = shard_stats[0]["store"]["capacity"] if shard_stats else None
-        cache_capacity = shard_stats[0]["cache"]["capacity"] if shard_stats else None
+        store_capacity = shard_stats[0]["store"]["capacity"]
+        cache_capacity = shard_stats[0]["cache"]["capacity"]
         store["capacity"] = None if store_capacity is None else store_capacity * self.shards
         cache["capacity"] = None if cache_capacity is None else cache_capacity * self.shards
         lookups = cache["hits"] + cache["misses"]
@@ -485,15 +477,13 @@ class ShardedExecutor:
         slow_entries = [
             {**entry, "shard": s["shard"]}
             for s in shard_stats
-            for entry in s.get("slow_queries", {}).get("entries", ())
+            for entry in s["slow_queries"]["entries"]
         ]
         slow_entries.sort(key=lambda entry: entry["elapsed_ms"], reverse=True)
         slow_queries = {
             "capacity": SLOW_LOG.capacity,
             "threshold_ms": SLOW_LOG.threshold_ms,
-            "recorded": sum(
-                s.get("slow_queries", {}).get("recorded", 0) for s in shard_stats
-            ),
+            "recorded": sum(s["slow_queries"]["recorded"] for s in shard_stats),
             "entries": slow_entries[: SLOW_LOG.capacity],
         }
         # Plan-vs-actual accounting merges like the histograms do: each shard
@@ -503,9 +493,7 @@ class ShardedExecutor:
         # supersedes them).
         accounting = PlanAccounting(capacity=ACCOUNTING.capacity)
         for s in shard_stats:
-            snapshot = s.pop("plan_accounting", None)
-            if snapshot is not None:
-                accounting.merge_snapshot(snapshot)
+            accounting.merge_snapshot(s.pop("plan_accounting"))
         return {
             "executor": {
                 "backend": "sharded",
@@ -526,7 +514,7 @@ class ShardedExecutor:
         """Fleet-wide Prometheus text: every worker's snapshot summed.
 
         Each worker ships its counter values and histogram bucket arrays over
-        the control channel (the ``metrics`` op); the parent sums them --
+        the control channel (the ``metrics`` message); the parent sums them --
         element-wise for buckets -- together with its own registry (front-end
         route metrics live in the parent), so one scrape sees fleet totals
         and true merged latency distributions.
@@ -549,13 +537,13 @@ class ShardedExecutor:
         the actions are idempotent).
         """
         status = PROFILER.control(action, hz)
-        workers = self._broadcast("profile", (action, hz))
+        workers = self._broadcast("profile_control", action, hz)
         status["workers"] = len(workers)
         return status
 
     def profile_snapshot(self) -> dict:
         """Fleet-wide folded stacks: the parent's plus every worker's, summed."""
-        return merge_snapshots([PROFILER.snapshot(), *self._broadcast("profile_dump")])
+        return merge_snapshots([PROFILER.snapshot(), *self._broadcast("profile_snapshot")])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardedExecutor(shards={self.shards}, closed={self._closed})"

@@ -146,6 +146,10 @@ class DomainView:
         # later mutates the set it was built from.
         self.members = frozenset(nodes)
         self.array: array = array(COLUMN_TYPECODE, sorted(self.members))
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Forget every aggregate; each is rebuilt from ``array`` on next use."""
         self._prefix_max_end: list[int] | None = None
         self._min_end: int | None = None
         self._max_sibling_rank: dict[int, int] | None = None
@@ -155,7 +159,7 @@ class DomainView:
         self._live_mask: bytearray | None = None
 
     def __len__(self) -> int:
-        return len(self.array)
+        return len(self.members)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.members
@@ -232,7 +236,7 @@ class DomainView:
         return self._min_sibling_rank
 
 
-class MutableDomainView:
+class MutableDomainView(DomainView):
     """A delete-aware candidate set: sorted array with lazy compaction.
 
     The AC-4 propagation engine (:mod:`repro.evaluation.ac4`) shrinks domains
@@ -246,29 +250,18 @@ class MutableDomainView:
     * :meth:`iter_live_range` -- the live members with ids in ``[lo, hi)``;
     * membership (``in``) and ``len`` against the *live* set.
 
-    It implements the same read protocol as :class:`DomainView` (``array``,
-    ``members``, and the lazy aggregates), so
+    It *is* a :class:`DomainView` over the live members (``array``,
+    ``members`` and the inherited lazy aggregates), so
     :meth:`AxisIndex.has_successor_in` / :meth:`AxisIndex.has_predecessor_in`
     accept either: after propagation reaches its fixpoint, the maintained
     views are handed directly to the acyclic enumerator and the backtracking
-    forward checker instead of being rebuilt.  Accessing :attr:`array` or an
-    aggregate first compacts away dead entries; aggregates are invalidated by
-    every deletion and rebuilt on next use.
+    forward checker instead of being rebuilt.  Accessing :attr:`array` (and
+    with it any aggregate) first compacts away dead entries; aggregates are
+    invalidated by every deletion and rebuilt on next use.
     """
 
-    __slots__ = (
-        "index",
-        "members",
-        "_array",
-        "_dead",
-        "_prefix_max_end",
-        "_min_end",
-        "_max_sibling_rank",
-        "_min_sibling_rank",
-        "_cum_pre",
-        "_cum_end",
-        "_live_mask",
-    )
+    # ``array`` is a property here, over the backing ``_array``.
+    __slots__ = ("_array", "_dead")
 
     def __init__(self, index: "AxisIndex", nodes: Iterable[int], presorted: bool = False):
         self.index = index
@@ -278,21 +271,6 @@ class MutableDomainView:
         self._array: array = array(COLUMN_TYPECODE, nodes if presorted else sorted(self.members))
         self._dead = 0
         self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._prefix_max_end: list[int] | None = None
-        self._min_end: int | None = None
-        self._max_sibling_rank: dict[int, int] | None = None
-        self._min_sibling_rank: dict[int, int] | None = None
-        self._cum_pre: list[int] | None = None
-        self._cum_end: list[int] | None = None
-        self._live_mask: bytearray | None = None
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.members
 
     # -- mutation --------------------------------------------------------------
 
@@ -340,79 +318,6 @@ class MutableDomainView:
             node_id = array[position]
             if node_id in members:
                 yield node_id
-
-    # -- DomainView-protocol aggregates (for post-fixpoint consumers) ----------
-
-    @property
-    def prefix_max_end(self) -> list[int]:
-        """``prefix_max_end[i] = max(subtree_end[array[j]] for j <= i)``."""
-        if self._prefix_max_end is None:
-            end = self.index.subtree_end
-            self._prefix_max_end = list(accumulate(map(end.__getitem__, self.array), max))
-        return self._prefix_max_end
-
-    @property
-    def min_end(self) -> int:
-        """Minimum ``subtree_end`` over the live members (``n`` when empty)."""
-        if self._min_end is None:
-            end = self.index.subtree_end
-            self._min_end = min(map(end.__getitem__, self.array), default=len(end))
-        return self._min_end
-
-    @property
-    def cum_pre(self) -> list[int]:
-        """Cumulative membership column over the live members (see kernels)."""
-        if self._cum_pre is None:
-            self._cum_pre = cumulative_membership(self.array, self.index.n)
-        return self._cum_pre
-
-    @property
-    def cum_end(self) -> list[int]:
-        """``cum_end[j] = |{live s : subtree_end[s] < j}|`` (ancestor kernel)."""
-        if self._cum_end is None:
-            self._cum_end = cumulative_end_membership(
-                self.array, self.index.subtree_end, self.index.n
-            )
-        return self._cum_end
-
-    @property
-    def live_mask(self) -> bytearray:
-        """0/1 byte mask of the live members, for or-self kernel corrections."""
-        if self._live_mask is None:
-            self._live_mask = membership_mask(self.array, self.index.n)
-        return self._live_mask
-
-    @property
-    def max_sibling_rank(self) -> dict[int, int]:
-        """Per parent id, the maximum sibling rank of a live member under it."""
-        if self._max_sibling_rank is None:
-            parent = self.index.parent
-            rank = self.index.sibling_index
-            extrema: dict[int, int] = {}
-            for node_id in self.array:
-                parent_id = parent[node_id]
-                if parent_id >= 0:
-                    node_rank = rank[node_id]
-                    if extrema.get(parent_id, -1) < node_rank:
-                        extrema[parent_id] = node_rank
-            self._max_sibling_rank = extrema
-        return self._max_sibling_rank
-
-    @property
-    def min_sibling_rank(self) -> dict[int, int]:
-        """Per parent id, the minimum sibling rank of a live member under it."""
-        if self._min_sibling_rank is None:
-            parent = self.index.parent
-            rank = self.index.sibling_index
-            extrema: dict[int, int] = {}
-            for node_id in self.array:
-                parent_id = parent[node_id]
-                if parent_id >= 0:
-                    node_rank = rank[node_id]
-                    if extrema.get(parent_id, len(rank)) > node_rank:
-                        extrema[parent_id] = node_rank
-            self._min_sibling_rank = extrema
-        return self._min_sibling_rank
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MutableDomainView(live={len(self.members)}, dead={self._dead})"

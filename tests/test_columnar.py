@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.decomposition.yannakakis import evaluate_answers
-from repro.evaluation.ac4 import ac4_fixpoint, hybrid_fixpoint
+from repro.evaluation.ac4 import hybrid_fixpoint
 from repro.evaluation.arc_consistency import (
     _unsupported_backward,
     _unsupported_forward,
@@ -339,19 +339,6 @@ class TestFixpointAblation:
         fast = maximal_arc_consistent(query, structure, columnar=True)
         slow = maximal_arc_consistent(query, structure, columnar=False)
         assert fast == slow
-
-    @SETTINGS
-    @given(trees(), queries(KERNEL_AXES))
-    def test_ac4_columnar_matches_per_candidate(self, tree, query):
-        structure = TreeStructure(tree)
-        fast = ac4_fixpoint(query, structure, columnar=True)
-        slow = ac4_fixpoint(query, structure, columnar=False)
-        if fast is None or slow is None:
-            assert fast is None and slow is None
-            return
-        assert {v: set(view.members) for v, view in fast.items()} == {
-            v: set(view.members) for v, view in slow.items()
-        }
 
     @SETTINGS
     @given(trees(), queries(KERNEL_AXES))

@@ -1,8 +1,47 @@
-"""Tests for the HTTP JSON front end (in-process server on an ephemeral port)."""
+"""Both socket loops, in process on an ephemeral port: framing, and one round trip.
+
+What a request *means* is the route table's business and is pinned without a
+socket in ``tests/test_service_routes.py``.  A loop reads a request and writes
+a response, so this module tests exactly that, once, parametrised over the
+threaded loop (``make_server``) and the asyncio one (``AsyncServerThread``).
+It replaces the per-loop copies that used to live here (threaded only) and in
+``test_service_sharded.py::TestAsyncFrontEnd`` (asyncio only); for each of
+those, the test that covers it now:
+
+* ``TestServerRoundTrip`` (threaded; nine tests) -> ``TestRoundTrip``, both
+  loops: the batch, error-status and bool-limit tests kept their assertions
+  (``test_healthz_and_stats``, ``test_batch_errors_stay_per_request`` and the
+  ``/batch`` half of ``test_error_payloads_carry_latency_attribution`` are in
+  ``test_register_query_batch_matches_direct_evaluate``;
+  ``test_non_string_registration_values_answer_400`` and the ``/query`` half
+  in ``test_error_statuses_and_attribution``); ``test_single_query_endpoint``
+  -> ``TestFraming.test_keep_alive_connection_is_reused``;
+  ``test_document_listing_and_eviction`` ->
+  ``TestRoundTrip.test_socket_answers_are_the_tables``;
+* ``test_persistent_connection_serves_many_requests`` (asyncio) ->
+  ``TestFraming.test_keep_alive_connection_is_reused``, both loops;
+* ``test_header_flood_is_bounded_and_dropped`` (asyncio) ->
+  ``TestFraming.test_header_flood_is_bounded``, both loops;
+* ``test_async_rejects_bool_limit_and_max_workers`` (asyncio) and its threaded
+  twin -> ``TestRoundTrip.test_bool_limit_and_max_workers_rejected`` on both
+  loops, and ``test_service_routes.py::test_invalid_fields_never_reach_the_executor``;
+* ``test_round_trip_byte_identical_with_threaded_server[threaded|sharded]``
+  (asyncio vs threaded, eleven exchanges compared pairwise) -> the two loops
+  call one table, so what is left to check per loop is that it hands the
+  table what it read and writes what the table answered:
+  ``TestRoundTrip.test_socket_answers_are_the_tables`` (the same eleven
+  exchanges against ``routes.respond``; the asyncio case runs over two
+  shards), with ``TestShardedExecutor.test_matches_threaded_backend_result_for_result``
+  and ``TestShardWorker`` for sharded == threaded.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import logging
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -11,33 +50,47 @@ import pytest
 
 from repro.evaluation import evaluate
 from repro.queries import parse_query
-from repro.service import BatchExecutor, make_server
+from repro.service import AsyncServerThread, BatchExecutor, ShardedExecutor, make_server, routes
+from repro.service.http_metrics import HTTP_REQUESTS
+from repro.service.server import MAX_BODY_BYTES
 from repro.trees import TreeStructure, to_xml
 from repro.workloads import auction_document
 
+SENTENCE_SEXPR = "(S (NP (DT) (NN)) (VP (VB) (NP (NN))) (PP))"
 
-@pytest.fixture
-def server():
-    httpd = make_server(BatchExecutor(), host="127.0.0.1", port=0)
+
+@contextlib.contextmanager
+def _serve(loop: str, executor):
+    """``executor`` behind one of the two loops; yields the bound ``(host, port)``."""
+    if loop == "asyncio":
+        with AsyncServerThread(executor) as handle:
+            yield handle.address
+        return
+    httpd = make_server(executor, host="127.0.0.1", port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
-        yield httpd
+        yield httpd.server_address[:2]
     finally:
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
-def _call(server, method: str, path: str, payload=None):
-    host, port = server.server_address[:2]
+@pytest.fixture(params=["threaded", "asyncio"])
+def address(request):
+    executor = BatchExecutor()
+    with _serve(request.param, executor) as bound:
+        yield bound
+    executor.close()
+
+
+def _call(address, method: str, path: str, payload=None):
+    """One request on its own connection: ``(status, parsed JSON body)``."""
+    host, port = address
     data = None if payload is None else json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json"} if data else {},
-    )
+    request = urllib.request.Request(f"http://{host}:{port}{path}", data=data, method=method)
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read().decode("utf-8"))
@@ -45,145 +98,291 @@ def _call(server, method: str, path: str, payload=None):
         return error.code, json.loads(error.read().decode("utf-8"))
 
 
-class TestServerRoundTrip:
-    def test_healthz_and_stats(self, server):
-        status, payload = _call(server, "GET", "/healthz")
-        assert status == 200 and payload["status"] == "ok"
-        status, payload = _call(server, "GET", "/stats")
-        assert status == 200
-        assert {"executor", "store", "cache"} <= set(payload)
+def _raw(address, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket; everything the server writes until it closes."""
+    received = b""
+    with socket.create_connection(address, timeout=30) as raw:
+        raw.sendall(data)
+        while chunk := raw.recv(65536):
+            received += chunk
+    return received
 
-    def test_register_query_batch_matches_direct_evaluate(self, server):
+
+def _responses(stream: bytes) -> list[tuple[int, dict, bytes]]:
+    """Split a byte stream of responses into ``(status, headers, body)``."""
+    responses = []
+    while stream:
+        head, _, stream = stream.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line.startswith("HTTP/1.1 "), status_line
+        headers = {}
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        responses.append((int(status_line.split()[1]), headers, stream[:length]))
+        stream = stream[length:]
+    return responses
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+HEALTHZ_CLOSE = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+HEALTHY = b'{"status": "ok", "documents": 0}'
+
+
+class TestFraming:
+    def test_keep_alive_connection_is_reused(self, address):
+        connection = http.client.HTTPConnection(*address, timeout=30)
+        try:
+            connection.request(
+                "POST", "/documents", body=json.dumps({"doc": "d", "sexpr": "(A (B) (B))"})
+            )
+            assert connection.getresponse().read()  # drain, keep alive
+            first_socket = connection.sock
+            for _ in range(3):
+                body = json.dumps({"doc": "d", "query": "Q(x) <- B(x)"})
+                connection.request("POST", "/query", body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["answers"] == [[1], [2]]
+            assert connection.sock is first_socket
+        finally:
+            connection.close()
+
+    def test_pipelined_requests_are_answered_in_order(self, address):
+        # ``_raw`` returns only once the server has closed the socket.
+        stream = _raw(address, HEALTHZ + b"GET /nope HTTP/1.1\r\n\r\n" + HEALTHZ_CLOSE)
+        assert [status for status, _, _ in _responses(stream)] == [200, 404, 200]
+
+    def test_connection_close_and_http_1_0_close_after_one_answer(self, address):
+        for request in (HEALTHZ_CLOSE, b"GET /healthz HTTP/1.0\r\n\r\n"):
+            ((status, _headers, body),) = _responses(_raw(address, request + HEALTHZ))
+            assert (status, body) == (200, HEALTHY)
+
+    @pytest.mark.parametrize(
+        "content_length", [b"-5", b"nope", str(MAX_BODY_BYTES + 1).encode("ascii")]
+    )
+    def test_unusable_content_length_answers_400_and_closes(self, address, content_length):
+        head = b"POST /query HTTP/1.1\r\nContent-Length: " + content_length + b"\r\n\r\n"
+        # The unread body would be parsed as the next request: the pipelined
+        # GET must never be answered.
+        ((status, headers, body),) = _responses(_raw(address, head + b'{"doc"' + HEALTHZ))
+        assert status == 400 and headers["connection"] == "close"
+        assert json.loads(body) == {"error": "missing or oversized Content-Length"}
+
+    def test_missing_content_length_means_an_empty_body(self, address):
+        ((status, _headers, body),) = _responses(
+            _raw(address, b"POST /query HTTP/1.1\r\nConnection: close\r\n\r\n")
+        )
+        assert status == 400 and b"invalid JSON body" in body
+
+    def test_chunked_body_answers_501_and_no_body_byte_becomes_a_request(self, address):
+        """Regression: the threaded loop ignored ``Transfer-Encoding``, answered
+        400 for the 'empty' body and then parsed the chunk-size line as the
+        next request line on the kept-alive stream."""
+        body = json.dumps({"doc": "d", "query": "Q(x) <- B(x)"}).encode("utf-8")
+        chunked = (
+            b"POST /query HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode("ascii")
+            + body
+            + b"\r\n0\r\n\r\n"
+        )
+        ((status, headers, answer),) = _responses(_raw(address, chunked + HEALTHZ))
+        assert status == 501 and headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert json.loads(answer) == {"error": "chunked bodies are not supported"}
+        assert _call(address, "GET", "/healthz")[0] == 200  # a fresh connection works
+
+    @pytest.mark.parametrize("method", ["PUT", "HEAD", "PATCH", "BREW"])
+    def test_unsupported_method_gets_the_tables_501_and_is_counted(self, address, method):
+        """Regression: the threaded loop answered stdlib HTML that
+        ``cqtrees_http_*`` never counted."""
+        labels = {"route": "/healthz", "method": method, "code": "501"}
+        before = HTTP_REQUESTS.value(**labels)
+        request = f"{method} /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{{}}".encode("ascii")
+        ((status, headers, body),) = _responses(_raw(address, request + HEALTHZ))
+        assert status == 501 and headers["content-type"] == "application/json"
+        assert json.loads(body) == {"error": f"Unsupported method ({method!r})"}
+        assert HTTP_REQUESTS.value(**labels) == before + 1
+
+    def test_request_after_an_error_on_the_same_connection(self, address):
+        bad = b"POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\n{not json"
+        responses = _responses(_raw(address, bad + HEALTHZ_CLOSE))
+        assert [status for status, _, _ in responses] == [400, 200]
+        assert responses[1][2] == HEALTHY
+
+    def test_header_flood_is_bounded(self, address):
+        """A client streaming endless header lines must get disconnected,
+        not grow server memory without bound."""
+        with socket.create_connection(address, timeout=30) as raw:
+            raw.sendall(b"GET /healthz HTTP/1.1\r\n")
+            with pytest.raises((BrokenPipeError, ConnectionResetError)):
+                for index in range(5000):
+                    raw.sendall(f"x-h{index}: y\r\n".encode())
+                # The server has answered with a refusal at most, and closed.
+                raw.settimeout(5)
+                while raw.recv(65536):
+                    pass
+                raise ConnectionResetError
+        assert _call(address, "GET", "/healthz")[0] == 200
+
+    def test_malformed_request_line_is_refused_in_json(self, address):
+        received = _raw(address, b"GARBAGE\r\n\r\n")
+        assert "error" in json.loads(received[received.index(b"{") :])
+        assert _call(address, "GET", "/healthz")[0] == 200
+
+    def test_half_a_request_then_close_leaves_the_server_healthy(self, address):
+        for fragment in (b"GET /hea", b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{"):
+            with socket.create_connection(address, timeout=30) as raw:
+                raw.sendall(fragment)
+        assert _call(address, "GET", "/healthz")[0] == 200
+
+
+class TestRoundTrip:
+    def test_register_query_batch_matches_direct_evaluate(self, address):
         auction = auction_document(num_items=10, seed=9)
         status, payload = _call(
-            server, "POST", "/documents", {"doc": "auction", "xml": to_xml(auction)}
+            address, "POST", "/documents", {"doc": "auction", "xml": to_xml(auction)}
         )
         assert status == 200 and payload["doc"] == "auction"
         status, payload = _call(
-            server,
-            "POST",
-            "/documents",
-            {"doc": "sentence", "sexpr": "(S (NP (NN)) (VP (VB) (NP (NN))))"},
+            address, "POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR}
         )
-        assert status == 200 and payload["nodes"] == 7
+        assert status == 200 and payload["nodes"] == 9
+        status, payload = _call(address, "GET", "/stats")
+        assert status == 200 and {"executor", "store", "cache", "http"} <= set(payload)
 
         batch = {
             "requests": [
                 {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
                 {"doc": "auction", "xpath": "//description//listitem", "propagator": "hybrid"},
                 {"doc": "sentence", "xpath": "//NP[NN]"},
+                {"doc": "ghost", "query": "Q(x) <- A(x)"},
             ]
         }
-        status, payload = _call(server, "POST", "/batch", batch)
-        assert status == 200 and payload["errors"] == 0
-
-        direct_auction = TreeStructure(auction)
+        status, payload = _call(address, "POST", "/batch", batch)
+        assert status == 200 and payload["errors"] == 1
         expected_first = sorted(
             evaluate(
-                parse_query("Q(i) <- item(i), Child(i, p), payment(p)"), direct_auction
+                parse_query("Q(i) <- item(i), Child(i, p), payment(p)"), TreeStructure(auction)
             )
         )
         assert payload["results"][0]["answers"] == [list(a) for a in expected_first]
         assert payload["results"][2]["count"] == 2
-
-    def test_single_query_endpoint(self, server):
-        _call(server, "POST", "/documents", {"doc": "d", "sexpr": "(A (B) (B))"})
-        status, payload = _call(
-            server, "POST", "/query", {"doc": "d", "query": "Q(x) <- B(x)"}
-        )
-        assert status == 200
-        assert payload["answers"] == [[1], [2]]
-
-    def test_document_listing_and_eviction(self, server):
-        _call(server, "POST", "/documents", {"doc": "d", "sexpr": "(A)"})
-        status, payload = _call(server, "GET", "/documents")
-        assert status == 200 and payload["documents"][0]["doc"] == "d"
-        status, payload = _call(server, "DELETE", "/documents/d")
-        assert status == 200 and payload["evicted"] == "d"
-        status, _ = _call(server, "DELETE", "/documents/d")
-        assert status == 404
-
-    def test_non_string_registration_values_answer_400(self, server):
-        status, payload = _call(server, "POST", "/documents", {"doc": "d", "xml": 123})
-        assert status == 400 and "'xml' must be a string" in payload["error"]
-        # Server-side file paths are not a remote registration source.
-        status, payload = _call(
-            server, "POST", "/documents", {"doc": "d", "xml_file": "/etc/hostname"}
-        )
-        assert status == 400 and "exactly one of 'xml', 'sexpr'" in payload["error"]
-
-    def test_error_statuses(self, server):
-        # Bad XML -> 400 with the clean parse error.
-        status, payload = _call(
-            server, "POST", "/documents", {"doc": "bad", "xml": "<a><b></a>"}
-        )
-        assert status == 400 and "not well-formed" in payload["error"]
-        # Unknown route -> 404.
-        status, _ = _call(server, "GET", "/nope")
-        assert status == 404
-        # Malformed batch body -> 400.
-        status, payload = _call(server, "POST", "/batch", {"nope": []})
-        assert status == 400 and "requests" in payload["error"]
-        # Unknown document in a single query -> 400 with the error field.
-        status, payload = _call(
-            server, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)"}
-        )
-        assert status == 400 and "unknown document" in payload["error"]
-
-    def test_bool_limit_and_max_workers_rejected_over_http(self, server):
-        """Regression: JSON ``true`` passes ``isinstance(x, int)``, so
-        ``{"limit": true}`` / ``{"max_workers": true}`` used to be accepted
-        as ``1``; both must answer 400."""
-        _call(server, "POST", "/documents", {"doc": "d", "sexpr": "(A (B))"})
-        status, payload = _call(
-            server, "POST", "/query", {"doc": "d", "query": "Q(x) <- B(x)", "limit": True}
-        )
-        assert status == 400 and "non-negative integer" in payload["error"]
-        status, payload = _call(
-            server,
-            "POST",
-            "/batch",
-            {"requests": [{"doc": "d", "query": "Q(x) <- B(x)"}], "max_workers": True},
-        )
-        assert status == 400 and "positive integer" in payload["error"]
-        # A genuine integer limit still works end to end.
-        status, payload = _call(
-            server, "POST", "/query", {"doc": "d", "query": "Q(x) <- B(x)", "limit": 0}
-        )
-        assert status == 200 and payload["truncated"] and payload["answers"] == []
-
-    def test_error_payloads_carry_latency_attribution(self, server):
-        """Regression: error results dropped ``elapsed_ms``/``propagator``
-        from the wire schema, so failures vanished from latency accounting."""
-        status, payload = _call(
-            server, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)", "propagator": "ac3"}
-        )
-        assert status == 400 and "unknown document" in payload["error"]
-        assert payload["propagator"] == "ac3"
-        assert isinstance(payload["elapsed_ms"], (int, float)) and payload["elapsed_ms"] >= 0
-        status, payload = _call(
-            server, "POST", "/batch", {"requests": [{"doc": "ghost", "query": "Q <- A(x)"}]}
-        )
-        assert status == 200
-        result = payload["results"][0]
+        ghost = payload["results"][3]
+        assert "unknown document" in ghost["error"]
         # No explicit propagator and routing never resolved a plan: the
         # attribution honestly reports the unresolved "auto" default.
-        assert "elapsed_ms" in result and result["propagator"] == "auto"
+        assert "elapsed_ms" in ghost and ghost["propagator"] == "auto"
 
-    def test_batch_errors_stay_per_request(self, server):
-        _call(server, "POST", "/documents", {"doc": "d", "sexpr": "(A (B))"})
+    def test_error_statuses_and_attribution(self, address):
+        # Bad XML -> 400 with the clean parse error; file paths are not a
+        # remote registration source.
+        status, payload = _call(address, "POST", "/documents", {"doc": "bad", "xml": "<a><b></a>"})
+        assert status == 400 and "not well-formed" in payload["error"]
+        status, payload = _call(address, "POST", "/documents", {"doc": "d", "xml": 123})
+        assert status == 400 and "'xml' must be a string" in payload["error"]
         status, payload = _call(
-            server,
-            "POST",
-            "/batch",
-            {
-                "requests": [
-                    {"doc": "d", "query": "Q(x) <- A(x)"},
-                    {"doc": "ghost", "query": "Q(x) <- A(x)"},
-                ]
-            },
+            address, "POST", "/documents", {"doc": "d", "xml_file": "/etc/hostname"}
         )
-        assert status == 200
-        assert payload["errors"] == 1
-        assert payload["results"][0]["count"] == 1
-        assert "unknown document" in payload["results"][1]["error"]
+        assert status == 400 and "exactly one of 'xml', 'sexpr'" in payload["error"]
+        assert _call(address, "GET", "/nope")[0] == 404
+        assert _call(address, "DELETE", "/documents/ghost")[0] == 404
+        # Regression: error results dropped ``elapsed_ms``/``propagator`` from
+        # the wire schema, so failures vanished from latency accounting.
+        status, payload = _call(
+            address, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)", "propagator": "ac3"}
+        )
+        assert status == 400 and "unknown document" in payload["error"]
+        assert payload["propagator"] == "ac3" and payload["elapsed_ms"] >= 0
+
+    def test_bool_limit_and_max_workers_rejected(self, address):
+        """Regression: JSON ``true`` passes ``isinstance(x, int)``, so
+        ``{"limit": true}`` / ``{"max_workers": true}`` used to mean ``1``."""
+        _call(address, "POST", "/documents", {"doc": "d", "sexpr": "(A (B))"})
+        query = {"doc": "d", "query": "Q(x) <- B(x)"}
+        status, payload = _call(address, "POST", "/query", {**query, "limit": True})
+        assert status == 400 and "non-negative integer" in payload["error"]
+        status, payload = _call(
+            address, "POST", "/batch", {"requests": [query], "max_workers": True}
+        )
+        assert status == 400 and "positive integer" in payload["error"]
+        status, payload = _call(address, "POST", "/query", {**query, "limit": 0})
+        assert status == 200 and payload["truncated"] and payload["answers"] == []
+
+    @pytest.mark.parametrize("loop", ["threaded", "asyncio"])
+    def test_socket_answers_are_the_tables(self, loop):
+        """One smoke per loop: what crosses the socket is what the table says.
+
+        The asyncio loop fronts two shard processes here, so this is also the
+        ``--async --shards 2`` mode against the in-process thread backend.
+        """
+        auction = auction_document(num_items=10, seed=9)
+        item_query = "Q(i) <- item(i), Child(i, p), payment(p)"
+        batch = [
+            {"doc": "auction", "xpath": "//description//listitem", "propagator": "hybrid"},
+            {"doc": "sentence", "xpath": "//NP[NN]"},
+            {"doc": "ghost", "query": "Q <- A(x)"},
+        ]
+        exchanges = [
+            ("GET", "/healthz", None),
+            ("POST", "/documents", {"doc": "auction", "xml": to_xml(auction)}),
+            ("POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR}),
+            ("GET", "/healthz", None),
+            ("GET", "/documents", None),
+            ("POST", "/query", {"doc": "auction", "query": item_query}),
+            ("POST", "/query", {"doc": "ghost", "query": "Q <- A(x)"}),
+            ("POST", "/batch", {"requests": batch}),
+            ("DELETE", "/documents/sentence", None),
+            ("DELETE", "/documents/sentence", None),
+            ("GET", "/nope", None),
+        ]
+        served = ShardedExecutor(shards=2) if loop == "asyncio" else BatchExecutor()
+        reference = BatchExecutor()
+        try:
+            with _serve(loop, served) as bound:
+                for method, path, payload in exchanges:
+                    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+                    expected = routes.respond(reference, method, path, body)
+                    status, answer = _call(bound, method, path, payload)
+                    assert status == expected.status, (method, path)
+                    assert json.dumps(_strip_volatile(answer)) == json.dumps(
+                        _strip_volatile(json.loads(expected.body))
+                    ), (method, path)
+        finally:
+            served.close()
+            reference.close()
+
+
+def _strip_volatile(payload):
+    """Drop timing/cache fields before byte comparison."""
+    if isinstance(payload, dict):
+        return {
+            key: _strip_volatile(value)
+            for key, value in payload.items()
+            if key not in ("elapsed_ms", "cache_hit")
+        }
+    if isinstance(payload, list):
+        return [_strip_volatile(item) for item in payload]
+    return payload
+
+
+def test_stopping_the_asyncio_loop_with_a_parked_connection_logs_nothing(caplog):
+    """Regression: the parked handler was cancelled by the loop's teardown,
+    which the stream protocol reported as ``Exception in callback ...
+    CancelledError`` on the ``asyncio`` logger."""
+    executor = BatchExecutor()
+    handle = AsyncServerThread(executor).start()
+    connection = http.client.HTTPConnection(*handle.address, timeout=30)
+    try:
+        connection.request("GET", "/healthz")
+        assert connection.getresponse().read() == HEALTHY
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            handle.stop()
+        assert [record for record in caplog.records if record.name == "asyncio"] == []
+        # The server closed the parked connection; it did not leave it dangling.
+        connection.sock.settimeout(5)
+        assert connection.sock.recv(1) == b""
+    finally:
+        connection.close()
+        executor.close()

@@ -1,31 +1,25 @@
-"""Tests for the process-sharded backend and the asyncio HTTP front end.
+"""Tests for the process-sharded backend.
 
-The serving contract must be indistinguishable across backends and front
-ends: same routes, same payloads, same sorted answers, same per-request error
-envelopes.  These tests drive the same workload through every combination and
-assert byte-identity on the stable parts of the wire format.
+The serving contract must be indistinguishable across backends: same sorted
+answers, same per-request error envelopes.  These tests drive the same
+workload through both and assert byte-identity on the stable parts of the
+wire format, then check that a shard worker is nothing but a ``BatchExecutor``
+behind a queue.  (The socket loops are in ``test_service_server.py``.)
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.evaluation import evaluate
+from repro.observability.metrics import MetricsRegistry
 from repro.queries import parse_query
-from repro.service import (
-    AsyncServerThread,
-    BatchExecutor,
-    Request,
-    ShardedExecutor,
-    make_server,
-    shard_for,
-)
+from repro.service import AsyncServerThread, BatchExecutor, Request, ShardedExecutor, shard_for
+from repro.service.shards import WORKER_METHODS
 from repro.trees import TreeStructure, to_xml
 from repro.workloads import auction_document
 
@@ -220,7 +214,76 @@ class TestShardedExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Async front end: threaded and sharded backends, vs the threaded server.
+# The shard worker: a BatchExecutor behind a queue.
+# ---------------------------------------------------------------------------
+
+
+class TestShardWorker:
+    """A message names a ``BatchExecutor`` method; the worker has no contract of its own."""
+
+    def test_every_allow_listed_method_answers_as_an_in_process_executor(self):
+        request = Request(doc="d", query="Q(x) <- B(x)", limit=1)
+        calls = [
+            ("document_count", ()),
+            ("register_payload", ({"doc": "d", "sexpr": "(A (B) (B))"}, False)),
+            ("register_payload", ({"doc": "e", "sexpr": "(A)"}, False)),
+            ("document_count", ()),
+            ("describe_documents", ()),
+            ("execute", (request,)),
+            ("execute", (Request(doc="ghost", query="Q(x) <- B(x)"),)),
+            ("evict_document", ("e",)),
+            ("evict_document", ("e",)),
+            ("profile_control", ("clear", None)),
+            ("profile_snapshot", ()),
+        ]
+        assert {method for method, _ in calls} == set(WORKER_METHODS)
+        sharded, local = ShardedExecutor(shards=1), BatchExecutor()
+        try:
+            for method, arguments in calls:
+                remote = sharded._dispatch(0, method, *arguments).result(timeout=30)
+                here = getattr(local, method)(*arguments)
+                if method == "execute":
+                    remote, here = _stable(remote.to_json_dict()), _stable(here.to_json_dict())
+                elif method.startswith("profile"):
+                    # The profiler is process-global: this process's may have
+                    # been started (at another rate) by an earlier test.
+                    volatile = ("hz", "running", "active_seconds")
+                    remote = {k: v for k, v in remote.items() if k not in volatile}
+                    here = {k: v for k, v in here.items() if k not in volatile}
+                assert remote == here, method
+        finally:
+            sharded.close()
+            local.close()
+
+    def test_snapshot_forms_are_what_the_parent_merges(self):
+        sharded = ShardedExecutor(shards=1)
+        try:
+            sharded.register_payload({"doc": "d", "sexpr": "(A (B))"})
+            assert sharded.execute(Request(doc="d", query="Q(x) <- B(x)")).ok
+            assert not sharded.execute(Request(doc="ghost", query="Q(x) <- B(x)")).ok
+            stats = sharded._dispatch(0, "stats").result(timeout=30)
+            assert list(stats) == [
+                "shard", "requests", "errors", "store", "cache", "slow_queries", "plan_accounting",
+            ]
+            assert (stats["shard"], stats["requests"], stats["errors"]) == (0, 2, 1)
+            metrics = sharded._dispatch(0, "metrics").result(timeout=30)
+            merged = MetricsRegistry()
+            merged.merge_snapshot(metrics)
+            assert 'cqtrees_requests_total{status="ok"} 1' in merged.render()
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("method", ["close", "store", "_shared_pool", "execute_batch", "nope"])
+    def test_unknown_method_is_an_error_value_not_a_dead_worker(self, sharded, method):
+        with pytest.raises(ValueError, match=f"unknown shard method '{method}'"):
+            sharded._dispatch(0, method).result(timeout=30)
+        assert sharded.document_count() >= 0
+        assert all(load["alive"] for load in sharded.shard_load())
+
+
+# ---------------------------------------------------------------------------
+# The sharded backend behind the asyncio loop (framing and the per-loop smoke
+# live in test_service_server.py).
 # ---------------------------------------------------------------------------
 
 
@@ -234,149 +297,23 @@ def _http(base: str, method: str, path: str, payload=None):
         return error.code, error.read()
 
 
-@pytest.fixture
-def threaded_server():
-    httpd = make_server(BatchExecutor(), host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
+def test_stats_aggregate_across_shards(auction):
+    backend = ShardedExecutor(shards=2)
     try:
-        yield f"http://{host}:{port}"
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5)
-
-
-class TestAsyncFrontEnd:
-    @pytest.mark.parametrize("backend_kind", ["threaded", "sharded"])
-    def test_round_trip_byte_identical_with_threaded_server(
-        self, backend_kind, threaded_server, auction
-    ):
-        backend = BatchExecutor() if backend_kind == "threaded" else ShardedExecutor(shards=2)
-        try:
-            with AsyncServerThread(backend) as handle:
-                host, port = handle.address
-                base = f"http://{host}:{port}"
-                exchanges = [
-                    ("GET", "/healthz", None),
-                    ("POST", "/documents", {"doc": "auction", "xml": to_xml(auction)}),
-                    ("POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR}),
-                    ("GET", "/healthz", None),
-                    ("GET", "/documents", None),
-                    ("POST", "/query",
-                     {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"}),
-                    ("POST", "/query", {"doc": "ghost", "query": "Q <- A(x)"}),
-                    ("POST", "/batch", {"requests": [
-                        {"doc": "auction", "xpath": "//description//listitem",
-                         "propagator": "hybrid"},
-                        {"doc": "sentence", "xpath": "//NP[NN]"},
-                        {"doc": "ghost", "query": "Q <- A(x)"},
-                    ]}),
-                    ("DELETE", "/documents/sentence", None),
-                    ("DELETE", "/documents/sentence", None),
-                    ("GET", "/nope", None),
-                ]
-                for method, path, payload in exchanges:
-                    async_status, async_body = _http(base, method, path, payload)
-                    threaded_status, threaded_body = _http(threaded_server, method, path, payload)
-                    assert async_status == threaded_status, (method, path)
-                    stable_async = _strip_volatile(json.loads(async_body))
-                    stable_threaded = _strip_volatile(json.loads(threaded_body))
-                    assert json.dumps(stable_async) == json.dumps(stable_threaded), (method, path)
-        finally:
-            if backend_kind == "sharded":
-                backend.close()
-
-    def test_persistent_connection_serves_many_requests(self):
-        backend = BatchExecutor()
-        with AsyncServerThread(backend) as handle:
-            host, port = handle.address
-            connection = http.client.HTTPConnection(host, port, timeout=30)
-            try:
-                body = json.dumps({"doc": "d", "sexpr": "(A (B) (B))"})
-                connection.request("POST", "/documents", body=body)
-                assert connection.getresponse().read()  # drain, keep alive
-                for _ in range(3):
-                    connection.request(
-                        "POST", "/query",
-                        body=json.dumps({"doc": "d", "query": "Q(x) <- B(x)"}),
-                    )
-                    response = connection.getresponse()
-                    assert response.status == 200
-                    payload = json.loads(response.read())
-                    assert payload["answers"] == [[1], [2]]
-            finally:
-                connection.close()
-
-    def test_header_flood_is_bounded_and_dropped(self):
-        """A client streaming endless header lines must get disconnected,
-        not grow server memory without bound."""
-        backend = BatchExecutor()
-        with AsyncServerThread(backend) as handle:
-            host, port = handle.address
-            import socket
-
-            with socket.create_connection((host, port), timeout=30) as raw:
-                raw.sendall(b"GET /healthz HTTP/1.1\r\n")
-                with pytest.raises((BrokenPipeError, ConnectionResetError, TimeoutError)):
-                    for index in range(5000):
-                        raw.sendall(f"x-h{index}: y\r\n".encode())
-                    # The server closed on us; drain to surface it.
-                    raw.settimeout(5)
-                    if raw.recv(1024) == b"":
-                        raise ConnectionResetError
-            # The server is still healthy for well-formed clients.
-            status, body = _http(f"http://{host}:{port}", "GET", "/healthz")
-            assert status == 200 and b'"ok"' in body
-
-    def test_async_rejects_bool_limit_and_max_workers(self):
-        backend = BatchExecutor()
         with AsyncServerThread(backend) as handle:
             host, port = handle.address
             base = f"http://{host}:{port}"
-            _http(base, "POST", "/documents", {"doc": "d", "sexpr": "(A (B))"})
-            status, body = _http(
-                base, "POST", "/query", {"doc": "d", "query": "Q(x) <- B(x)", "limit": True}
-            )
-            assert status == 400 and b"non-negative integer" in body
-            status, body = _http(
-                base, "POST", "/batch",
-                {"requests": [{"doc": "d", "query": "Q(x) <- B(x)"}], "max_workers": True},
-            )
-            assert status == 400 and b"positive integer" in body
-
-    def test_stats_aggregate_across_shards(self, auction):
-        backend = ShardedExecutor(shards=2)
-        try:
-            with AsyncServerThread(backend) as handle:
-                host, port = handle.address
-                base = f"http://{host}:{port}"
-                _http(base, "POST", "/documents", {"doc": "auction", "xml": to_xml(auction)})
-                _http(base, "POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR})
-                for _ in range(2):
-                    _http(base, "POST", "/query",
-                          {"doc": "sentence", "query": "Q(x) <- NN(x)"})
-                status, body = _http(base, "GET", "/stats")
-                assert status == 200
-                stats = json.loads(body)
-                assert stats["executor"]["backend"] == "sharded"
-                assert stats["store"]["documents"] == 2
-                assert stats["executor"]["requests"] >= 2
-                assert len(stats["shards"]) == 2
-                assert stats["cache"]["hit_rate"] >= 0.0
-        finally:
-            backend.close()
-
-
-def _strip_volatile(payload):
-    """Drop timing/cache fields (and stats bodies) before byte comparison."""
-    if isinstance(payload, dict):
-        return {
-            key: _strip_volatile(value)
-            for key, value in payload.items()
-            if key not in ("elapsed_ms", "cache_hit")
-        }
-    if isinstance(payload, list):
-        return [_strip_volatile(item) for item in payload]
-    return payload
+            _http(base, "POST", "/documents", {"doc": "auction", "xml": to_xml(auction)})
+            _http(base, "POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR})
+            for _ in range(2):
+                _http(base, "POST", "/query", {"doc": "sentence", "query": "Q(x) <- NN(x)"})
+            status, body = _http(base, "GET", "/stats")
+            assert status == 200
+            stats = json.loads(body)
+            assert stats["executor"]["backend"] == "sharded"
+            assert stats["store"]["documents"] == 2
+            assert stats["executor"]["requests"] >= 2
+            assert len(stats["shards"]) == 2
+            assert stats["cache"]["hit_rate"] >= 0.0
+    finally:
+        backend.close()
