@@ -23,13 +23,17 @@ size) against a real server process, in two phases per serve mode:
 
 * **malformed-HTTP phase** -- the first slice of a fault schedule: a chunked
   body, an unsupported method, an oversized, a negative and a missing
-  ``Content-Length``, a header flood, and half a request followed by a close,
-  each on its own socket, interleaved with checked ``/query`` traffic on a
-  persistent connection and under a concurrent client.  Every malformed
-  exchange must end in the route table's JSON error or a clean close, no
-  innocent request may see a wrong answer, and a fresh connection must work
-  afterwards; any miss fails the run regardless of ``--report-only``.  (No
-  stalled-client case yet: the server has no read timeout to test.)
+  ``Content-Length``, a header flood, an over-long header line, ``HTTP/2.0``, a
+  version-less request line, ``Expect: 100-continue``, and half a request
+  followed by a close, each on its own socket, interleaved with checked
+  ``/query`` traffic on a persistent connection and under a concurrent client;
+  beside them a client that stalls mid-head for the whole phase.  Every
+  exchange must end in exactly the framed statuses its case names (errors in
+  the route table's JSON form), the stalled client must be dropped unanswered
+  once the server's read timeout is up and not before, no innocent request
+  may see a wrong answer, and a fresh connection must work afterwards.  The
+  two front ends must answer every case with the *same* statuses.  Any miss
+  fails the run regardless of ``--report-only``.
 
 After the phases, ``/stats`` must show a populated plan-vs-actual drift
 table and an HTTP latency summary for ``/query`` -- the closed loop.
@@ -66,6 +70,7 @@ sys.path.insert(0, SRC)
 from repro.evaluation import evaluate  # noqa: E402
 from repro.observability.metrics import percentile_from_buckets  # noqa: E402
 from repro.queries import parse_query, xpath_to_cq  # noqa: E402
+from repro.service.framing import READ_TIMEOUT_S  # noqa: E402
 from repro.trees import TreeStructure, to_xml  # noqa: E402
 from repro.workloads import auction_document, random_corpus  # noqa: E402
 
@@ -176,27 +181,37 @@ class ClientWorker(threading.Thread):
             connection.close()
 
 
-def malformed_cases() -> list[tuple[str, bytes]]:
-    """``(name, bytes to send on a fresh socket)`` for the malformed-HTTP phase."""
+def malformed_cases() -> list[tuple[str, bytes, list[int]]]:
+    """``(name, bytes to send on a fresh socket, the statuses it must be answered with)``."""
     body = json.dumps(WORKLOAD[0]).encode("utf-8")
     post = b"POST /query HTTP/1.1\r\n"
+    length = b"Content-Length: %d\r\n" % len(body)
     chunk = f"{len(body):x}\r\n".encode("ascii") + body + b"\r\n0\r\n\r\n"
-    # Behind a body the server refuses to read: must never be answered.
+    # Behind a head or body the server refuses to read: must never be answered.
     probe = b"GET /healthz HTTP/1.1\r\nHost: load\r\n\r\n"
     flood = b"".join(b"x-%d: y\r\n" % index for index in range(5000))
     return [
-        ("chunked body", post + b"Transfer-Encoding: chunked\r\n\r\n" + chunk + probe),
-        ("unsupported method", b"PUT /query HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}" + probe),
-        ("oversized Content-Length", post + b"Content-Length: 99999999999\r\n\r\n" + probe),
-        ("negative Content-Length", post + b"Content-Length: -1\r\n\r\n" + probe),
-        # Read as an empty body; the body bytes are then refused as a request line.
-        ("missing Content-Length", post + b"\r\n" + body),
-        ("header flood", b"GET /healthz HTTP/1.1\r\n" + flood),
-        ("half a request line", b"GET /hea"),
+        ("chunked body", post + b"Transfer-Encoding: chunked\r\n\r\n" + chunk + probe, [501]),
+        ("unsupported method", b"PUT /q HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}" + probe, [501]),
+        ("oversized Content-Length", post + b"Content-Length: 99999999999\r\n\r\n" + probe, [400]),
+        ("negative Content-Length", post + b"Content-Length: -1\r\n\r\n" + probe, [400]),
+        # Read as an empty body; the body bytes are then half a request line.
+        ("missing Content-Length", post + b"\r\n" + body, [400]),
+        ("header flood", b"GET /healthz HTTP/1.1\r\n" + flood, [431]),
+        ("over-long header line", post + b"X: " + b"a" * 70_000 + b"\r\n\r\n" + probe, [431]),
+        ("HTTP/2.0", b"GET /healthz HTTP/2.0\r\n\r\n" + probe, [505]),
+        ("version-less request line", b"GET /healthz\r\n\r\n" + probe, [400]),
+        # Well-formed: the interim answer, then the query's.
+        (
+            "Expect: 100-continue",
+            post + length + b"Expect: 100-continue\r\nConnection: close\r\n\r\n" + body,
+            [100, 200],
+        ),
+        ("half a request line", b"GET /hea", []),
     ]
 
 
-def malformed_exchange(host: str, port: int, name: str, data: bytes) -> "str | None":
+def malformed_exchange(host: str, port: int, name: str, data: bytes, expected: list[int]):
     """Run one malformed exchange; ``None`` if it ended as it must, else why not."""
     received = b""
     try:
@@ -212,22 +227,43 @@ def malformed_exchange(host: str, port: int, name: str, data: bytes) -> "str | N
         pass  # closed under the flood: a clean close as far as the client can tell
     except OSError as error:  # a timeout: the exchange did not end
         return f"{name}: {type(error).__name__}: {error} after {received[:120]!r}"
-    # Whatever was answered must be the table's JSON error form, never HTML
-    # and never a 2xx (the pipelined probe behind a refused body included).
+    # Whatever was answered must be framed (a status line, a length), and an
+    # error must be in the table's JSON form, never HTML.
+    statuses = []
     while received:
-        if received.startswith(b"HTTP/"):
-            head, _, received = received.partition(b"\r\n\r\n")
-            status = int(head.split(b" ", 2)[1])
-            length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
-            body, received = received[:length], received[length:]
-        else:  # http.server answers a version-less request line with a bare body
-            status, body, received = 400, received, b""
+        head, _, received = received.partition(b"\r\n\r\n")
+        if not head.startswith(b"HTTP/1.1 "):
+            return f"{name}: answered without a status line: {head[:120]!r}"
+        statuses.append(int(head.split(b" ", 2)[1]))
+        if statuses[-1] == 100:
+            continue
+        length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+        body, received = received[:length], received[length:]
         try:
             described = "error" in json.loads(body)
         except ValueError:
             described = False
-        if status < 400 or not described:
-            return f"{name}: answered {status} {body[:120]!r}"
+        if statuses[-1] >= 400 and not described:
+            return f"{name}: answered {statuses[-1]} {body[:120]!r}"
+    if statuses != expected:
+        return f"{name}: answered {statuses}, expected {expected}"
+    return None
+
+
+def stalled_client_outcome(stalled: socket.socket, started: float) -> "str | None":
+    """Wait for the server to drop a client that stalled mid-head at ``started``."""
+    stalled.settimeout(max(1.0, READ_TIMEOUT_S + 5.0 - (time.monotonic() - started)))
+    try:
+        answer = stalled.recv(65536)
+    except socket.timeout:
+        return f"stalled client: still connected {READ_TIMEOUT_S + 5.0:.0f} s after it stalled"
+    except ConnectionError:
+        answer = b""
+    waited = time.monotonic() - started
+    if answer:
+        return f"stalled client: answered {answer[:120]!r}"
+    if waited < READ_TIMEOUT_S - 1.0:
+        return f"stalled client: dropped after {waited:.1f} s, before the read timeout"
     return None
 
 
@@ -236,25 +272,38 @@ def run_malformed_phase(label, host, port, prepared) -> "dict | None":
     bodies, answers, counts = prepared
     cases = malformed_cases()
     errors: list[str] = []
+    stalled = socket.create_connection((host, port))
+    stalled.sendall(b"POST /query HTTP/1.1\r\nContent-Le")
+    stalled_at = time.monotonic()
     concurrent = ClientWorker(0, host, port, 25 * len(cases), 1, prepared, errors)
     concurrent.start()
     innocent = HTTPConnection(host, port, timeout=60)
     checked = 0
     try:
-        for index, (name, data) in enumerate(cases * 2):
+        for index, (name, data, expected) in enumerate(cases * 2):
             slot = index % len(WORKLOAD)
             innocent.request("POST", "/query", bodies[slot], {"Content-Type": "application/json"})
             payload = json.loads(innocent.getresponse().read())
             if not answer_matches(payload, slot, answers, counts):
                 errors.append(f"WRONG ANSWER on the persistent connection before {name!r}")
             checked += 1
-            problem = malformed_exchange(host, port, name, data)
+            problem = malformed_exchange(host, port, name, data, expected)
             if problem is not None:
                 errors.append(problem)
+        # The persistent connection then sits idle for as long as the stalled
+        # client takes to be dropped -- and must still be served afterwards.
+        problem = stalled_client_outcome(stalled, stalled_at)
+        if problem is not None:
+            errors.append(problem)
+        innocent.request("POST", "/query", bodies[0], {"Content-Type": "application/json"})
+        if not answer_matches(json.loads(innocent.getresponse().read()), 0, answers, counts):
+            errors.append("WRONG ANSWER on the persistent connection after it sat idle")
+        checked += 1
     except OSError as error:
         errors.append(f"persistent connection died: {error}")
     finally:
         innocent.close()
+        stalled.close()
         concurrent.join()
     try:
         health = call(f"http://{host}:{port}", "GET", "/healthz")
@@ -268,8 +317,9 @@ def run_malformed_phase(label, host, port, prepared) -> "dict | None":
         return None
     checked += len(concurrent.latencies)
     print(
-        f"[{label}] malformed: {2 * len(cases)} exchange(s) ended in a JSON error or a clean "
-        f"close, {checked} interleaved response(s) cross-checked, 0 wrong"
+        f"[{label}] malformed: {2 * len(cases)} exchange(s) answered as their case names, a "
+        f"stalled client dropped after {READ_TIMEOUT_S:g} s, {checked} interleaved "
+        f"response(s) cross-checked, 0 wrong"
     )
     return {"exchanges": 2 * len(cases), "checked": checked, "wrong_answers": 0}
 

@@ -14,7 +14,9 @@ Each mode registers two documents, POSTs a batch of queries, scrapes
 request counters -- shard-merged in the sharded mode), evicts a document, and
 reads ``/stats``.  Answers are asserted byte-identical to
 direct in-process ``evaluate()`` calls -- and byte-identical *across the two
-modes*, which is the serving contract the sharded backend must uphold.
+modes*, which is the serving contract the sharded backend must uphold.  Each
+server is then stopped by SIGTERM with a keep-alive connection still open, and
+must exit 0 having written nothing to stderr.
 
 Usage: ``python scripts/service_smoke.py`` (exit code 0 on success).
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import time
@@ -102,9 +105,11 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
         [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1", "--port", "0"]
         + extra_args,
         stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         env=environment,
     )
+    parked = None
     try:
         banner = process.stdout.readline()
         match = re.search(r"http://([\d.]+):(\d+)", banner)
@@ -113,6 +118,13 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
             return None
         base = f"http://{match.group(1)}:{match.group(2)}"
         print(f"[{label}] server up at {base}")
+        # A keep-alive connection, answered once and then left open: the
+        # server is stopped with it parked between two requests.
+        parked = socket.create_connection((match.group(1), int(match.group(2))), timeout=30)
+        parked.sendall(b"GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n")
+        if b'"status": "ok"' not in parked.recv(65536):
+            print(f"FAIL [{label}]: no /healthz answer on the keep-alive connection")
+            return None
 
         if call(base, "GET", "/healthz")["status"] != "ok":
             print(f"FAIL [{label}]: /healthz not ok")
@@ -203,13 +215,22 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
         print(f"[{label}] stats: backend={stats['executor'].get('backend')}, "
               f"{stats['store']['documents']} document(s), "
               f"cache hit rate {stats['cache']['hit_rate']:.2f}")
-        return response["results"]
+        results = response["results"]
     finally:
         process.terminate()
         try:
-            process.wait(timeout=10)
+            _, stderr = process.communicate(timeout=10)
         except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
             process.kill()
+            _, stderr = process.communicate()
+        if parked is not None:
+            parked.close()
+    if process.returncode != 0 or stderr:
+        print(f"FAIL [{label}]: SIGTERM with a connection open: exit code "
+              f"{process.returncode}, stderr:\n{stderr}")
+        return None
+    print(f"[{label}] SIGTERM with a connection open: exit 0, stderr empty")
+    return results
 
 
 def main() -> int:

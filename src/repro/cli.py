@@ -337,6 +337,7 @@ def _serve_threaded(executor, args: argparse.Namespace) -> int:
 
 def _serve_async(executor, args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .service import AsyncServiceServer
 
@@ -350,8 +351,13 @@ def _serve_async(executor, args: argparse.Namespace) -> int:
         )
         host, port = await server.start()
         print(_banner(executor, host, port), flush=True)
+        # SIGTERM as an event of the loop, not an exception raised into
+        # whatever callback the loop happens to be running (asyncio logs that
+        # as an unhandled error of the connection it was answering).
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
         try:
-            await server.serve_forever()
+            await stop.wait()  # the server has been accepting since ``start()``
         finally:
             await server.close()
 

@@ -21,10 +21,12 @@ requests, the way an embedded or networked query service runs:
   routed by stable hash of their id (multi-core backend);
 * :mod:`~repro.service.routes` -- the HTTP contract, written once: the table
   from ``(method, path)`` to *validate -> call the executor -> render*;
-* :mod:`~repro.service.server` -- the threaded socket loop: stdlib-only
-  HTTP/1.1 framing around that table (``cq-trees serve``);
+* :mod:`~repro.service.framing` -- HTTP/1.1 framing, written once: the head
+  parser, the body-length rule, the read path and the head renderer;
+* :mod:`~repro.service.server` -- the threaded socket loop around the two
+  (``cq-trees serve``): one thread per connection, the table called inline;
 * :mod:`~repro.service.async_server` -- the asyncio socket loop around the
-  same table: persistent connections, bounded in-flight requests
+  same two: cheap parked connections, bounded in-flight requests
   (``cq-trees serve --async [--shards N]``).
 """
 

@@ -1,8 +1,10 @@
 """Both socket loops, in process on an ephemeral port: framing, and one round trip.
 
 What a request *means* is the route table's business and is pinned without a
-socket in ``tests/test_service_routes.py``.  A loop reads a request and writes
-a response, so this module tests exactly that, once, parametrised over the
+socket in ``tests/test_service_routes.py``; how its bytes are parsed and its
+answer's head rendered is ``repro.service.framing``'s, pinned without a socket
+in ``tests/test_service_framing.py``.  A loop reads a request and writes a
+response, so this module tests exactly that, once, parametrised over the
 threaded loop (``make_server``) and the asyncio one (``AsyncServerThread``).
 It replaces the per-loop copies that used to live here (threaded only) and in
 ``test_service_sharded.py::TestAsyncFrontEnd`` (asyncio only); for each of
@@ -39,10 +41,14 @@ from __future__ import annotations
 
 import contextlib
 import http.client
+import http.server
 import json
 import logging
+import re
 import socket
+import struct
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -50,9 +56,16 @@ import pytest
 
 from repro.evaluation import evaluate
 from repro.queries import parse_query
-from repro.service import AsyncServerThread, BatchExecutor, ShardedExecutor, make_server, routes
+from repro.service import (
+    AsyncServerThread,
+    BatchExecutor,
+    ShardedExecutor,
+    framing,
+    make_server,
+    routes,
+)
+from repro.service.framing import MAX_BODY_BYTES, MAX_HEADER_LINES, MAX_LINE_BYTES
 from repro.service.http_metrics import HTTP_REQUESTS
-from repro.service.server import MAX_BODY_BYTES
 from repro.trees import TreeStructure, to_xml
 from repro.workloads import auction_document
 
@@ -83,6 +96,15 @@ def address(request):
     executor = BatchExecutor()
     with _serve(request.param, executor) as bound:
         yield bound
+    executor.close()
+
+
+@pytest.fixture
+def both_addresses():
+    """Both loops up at once, for what must be the same bytes on either."""
+    executor = BatchExecutor()
+    with _serve("threaded", executor) as threaded, _serve("asyncio", executor) as asynchronous:
+        yield {"threaded": threaded, "asyncio": asynchronous}
     executor.close()
 
 
@@ -236,6 +258,147 @@ class TestFraming:
             with socket.create_connection(address, timeout=30) as raw:
                 raw.sendall(fragment)
         assert _call(address, "GET", "/healthz")[0] == 200
+
+    def test_http_1_0_keep_alive_is_honoured_when_asked_for(self, address):
+        old = b"GET /healthz HTTP/1.0\r\n"
+        stream = _raw(address, old + b"Connection: keep-alive\r\n\r\n" + old + b"\r\n" + HEALTHZ)
+        first, second = _responses(stream)
+        assert (first[0], first[1]["connection"], first[2]) == (200, "keep-alive", HEALTHY)
+        assert (second[0], second[1]["connection"], second[2]) == (200, "close", HEALTHY)
+
+    def test_expect_100_continue_is_answered_before_the_body(self, address):
+        """``curl -d @doc.xml`` waits a second for this on every body over 1 kB."""
+        body = json.dumps({"doc": "d", "sexpr": "(A (B) (B))"}).encode("utf-8")
+        head = f"POST /documents HTTP/1.1\r\nContent-Length: {len(body)}\r\n".encode("ascii")
+        with socket.create_connection(address, timeout=5) as raw:
+            raw.sendall(head + b"Expect: 100-continue\r\nConnection: close\r\n\r\n")
+            assert raw.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"  # before any body byte
+            raw.sendall(body)
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+        ((status, _headers, answer),) = _responses(received)
+        assert status == 200 and json.loads(answer)["nodes"] == 3
+
+    def test_a_stalled_client_is_dropped_and_an_idle_one_is_not(self, address, monkeypatch):
+        monkeypatch.setattr(framing, "READ_TIMEOUT_S", 0.2)
+        stalls = (
+            b"G",
+            b"POST /query HTTP/1.1\r\nContent-Le",
+            b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{",
+        )
+        with contextlib.ExitStack() as stack:
+            idle = stack.enter_context(socket.create_connection(address, timeout=5))
+            idle.sendall(HEALTHZ)
+            assert HEALTHY in idle.recv(65536)  # answered; now parked between requests
+            stalled = [
+                stack.enter_context(socket.create_connection(address, timeout=5)) for _ in stalls
+            ]
+            started = time.monotonic()
+            for raw, fragment in zip(stalled, stalls):
+                raw.sendall(fragment)
+            for raw in stalled:
+                assert raw.recv(65536) == b""  # closed unanswered (a timeout here fails the test)
+            assert time.monotonic() - started < 3
+            # The idle connection sat through several timeouts' worth of nothing.
+            idle.sendall(HEALTHZ_CLOSE)
+            ((status, _headers, body),) = _responses(idle.recv(65536))
+            assert (status, body) == (200, HEALTHY)
+
+    def test_a_client_that_disconnects_mid_response_ends_quietly(self, address, capsys, caplog):
+        """Regression: the threaded loop printed a ``socketserver`` traceback
+        (``BrokenPipeError``) to stderr per such client."""
+        counted = {"route": "/healthz", "method": "GET", "code": "200"}
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            raw = socket.create_connection(address, timeout=5)
+            # Answers start flowing back while requests are still queued; the
+            # reset (SO_LINGER 0) then fails a write in the middle of them.
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            raw.sendall(HEALTHZ * 2000)
+            raw.close()
+            answered = -1
+            while answered != HTTP_REQUESTS.value(**counted):  # until the server is done with it
+                answered = HTTP_REQUESTS.value(**counted)
+                time.sleep(0.1)
+            assert _call(address, "GET", "/healthz")[0] == 200
+        assert capsys.readouterr().err == ""
+        assert [record for record in caplog.records if record.name == "asyncio"] == []
+
+    def test_no_stdlib_http_parser_is_on_the_request_path(self, address, monkeypatch):
+        """The guard: ``http.server``'s request parser and ``http.client``'s header
+        parser (the ``email`` feed parser) cost more than answering the request."""
+
+        def off_the_path(*_args, **_kwargs):
+            raise AssertionError("a stdlib HTTP parser ran on the request path")
+
+        monkeypatch.setattr(http.client, "parse_headers", off_the_path)
+        monkeypatch.setattr(http.server.BaseHTTPRequestHandler, "parse_request", off_the_path)
+        body = b'{"doc": "ghost", "query": "Q(x) <- A(x)"}'
+        post = b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%b" % (len(body), body)
+        responses = _responses(_raw(address, HEALTHZ + post + HEALTHZ_CLOSE))
+        assert [status for status, _, _ in responses] == [200, 400, 200]
+        assert [headers["connection"] for _, headers, _ in responses] == (
+            ["keep-alive", "keep-alive", "close"]
+        )
+
+
+#: What a loop refuses before the table is asked: ``(case, bytes, status, error)``.
+REFUSED_HEADS = [
+    (
+        "request line over the cap",
+        b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n",
+        414,
+        "request line too long",
+    ),
+    (
+        "header line over the cap",
+        b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n",
+        431,
+        "header line too long",
+    ),
+    (
+        "header flood",
+        b"GET /healthz HTTP/1.1\r\n" + b"x: y\r\n" * (MAX_HEADER_LINES + 1) + b"\r\n",
+        431,
+        "too many headers",
+    ),
+    ("malformed request line", b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+    ("version-less request line", b"GET /healthz\r\n\r\n", 400, "malformed request line"),
+    ("HTTP/2.0", b"GET /healthz HTTP/2.0\r\n\r\n", 505, "HTTP version not supported"),
+    (
+        "malformed header line",
+        b"GET /healthz HTTP/1.1\r\nno colon\r\n\r\n",
+        400,
+        "malformed header line",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("data", "status", "message"),
+    [case[1:] for case in REFUSED_HEADS],
+    ids=[case[0] for case in REFUSED_HEADS],
+)
+def test_a_refused_head_is_the_same_framed_answer_on_both_loops(
+    both_addresses, data, status, message
+):
+    """Probed before ``parse_head``: 431 vs a silent drop, 200 vs a bare body
+    without a status line, 400 vs HTTP/0.9 semantics nobody asked for."""
+    route = "/healthz" if b"/healthz HTTP/" in data else "other"
+    labels = {"route": route, "method": "GET" if route == "/healthz" else "", "code": str(status)}
+    before = HTTP_REQUESTS.value(**labels)
+    # A pipelined request behind a refused head is never answered.
+    answers = {loop: _raw(bound, data + HEALTHZ) for loop, bound in both_addresses.items()}
+    assert HTTP_REQUESTS.value(**labels) == before + 2
+    ((answered, headers, body),) = _responses(answers["threaded"])
+    assert (answered, headers["connection"]) == (status, "close")
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body) == {"error": message}
+    undated = {
+        loop: re.sub(rb"\r\nDate: [^\r]+ GMT\r\n", b"\r\nDate: -\r\n", answer, count=1)
+        for loop, answer in answers.items()
+    }
+    assert undated["threaded"] == undated["asyncio"] != answers["asyncio"]
 
 
 class TestRoundTrip:
