@@ -35,6 +35,17 @@ size) against a real server process, in two phases per serve mode:
   two front ends must answer every case with the *same* statuses.  Any miss
   fails the run regardless of ``--report-only``.
 
+* **shard-fault phase** -- on a server of its own per sharded deployment
+  (``--async --shards 2`` and ``--shards 2``), since it ends with a dead
+  worker.  *Stall*: shard 0's worker is SIGSTOPped and 40 clients send it 20 kB
+  ``/query`` bodies (800 kB, past the socket buffer); checked traffic for the
+  other shard must keep answering 200 within a second each, and after SIGCONT
+  all 40 must be answered 200 with the right rows.  *Death*: the worker is
+  stopped again, sent one ``/query`` and SIGKILLed; that client must have its
+  400 (``shard 0 worker died; ...``) within half a second of the kill, the
+  next request for the shard must be refused by name (``... is not running``),
+  and the other shard must still answer.  Hard-fail, like wrong answers.
+
 After the phases, ``/stats`` must show a populated plan-vs-actual drift
 table and an HTTP latency summary for ``/query`` -- the closed loop.
 
@@ -55,6 +66,7 @@ import json
 import math
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -70,6 +82,7 @@ sys.path.insert(0, SRC)
 from repro.evaluation import evaluate  # noqa: E402
 from repro.observability.metrics import percentile_from_buckets  # noqa: E402
 from repro.queries import parse_query, xpath_to_cq  # noqa: E402
+from repro.service import shard_for  # noqa: E402
 from repro.service.framing import READ_TIMEOUT_S  # noqa: E402
 from repro.trees import TreeStructure, to_xml  # noqa: E402
 from repro.workloads import auction_document, random_corpus  # noqa: E402
@@ -324,6 +337,134 @@ def run_malformed_phase(label, host, port, prepared) -> "dict | None":
     return {"exchanges": 2 * len(cases), "checked": checked, "wrong_answers": 0}
 
 
+#: The shard-fault phase: flood size, seconds an innocent request may take
+#: beside a stalled shard, seconds a killed worker's client may wait for its 400.
+FLOOD_CLIENTS, FLOOD_PADDING = 40, 20_000
+INNOCENT_BOUND_S, DEATH_BOUND_S = 1.0, 0.5
+
+
+def timed_query(host: str, port: int, payload: dict) -> tuple[int, dict, float]:
+    """One ``/query`` on a fresh connection: ``(status, body, when it was answered)``."""
+    connection = HTTPConnection(host, port, timeout=60)
+    try:
+        body = json.dumps(payload).encode("utf-8")
+        connection.request("POST", "/query", body, {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        answered = json.loads(response.read())
+        return response.status, answered, time.monotonic()
+    finally:
+        connection.close()
+
+
+def shard_fault_errors(process, host: str, port: int, documents, prepared) -> "list[str] | None":
+    """Stall, then kill, shard 0's worker under traffic; what went wrong (``None``: skipped)."""
+    children_path = f"/proc/{process.pid}/task/{process.pid}/children"
+    if not os.path.exists(children_path):
+        return None
+    with open(children_path) as handle:
+        workers = [int(pid) for pid in handle.read().split()]  # oldest first: shard order
+    if len(workers) != 2:
+        return [f"expected 2 shard workers, found {workers}"]
+    _bodies, answers, counts = prepared
+    base = f"http://{host}:{port}"
+    # The auction document under one id per shard; WORKLOAD[0] is asked of both.
+    doc_on = {}
+    for suffix in range(64):
+        doc_on.setdefault(shard_for(f"auction-{suffix}", 2), f"auction-{suffix}")
+    for doc_id in doc_on.values():
+        call(base, "POST", "/documents", {"doc": doc_id, "xml": to_xml(documents["auction"])})
+    query = WORKLOAD[0]["query"]
+    errors: list[str] = []
+
+    def innocent(when: str) -> None:
+        started = time.monotonic()
+        status, payload, answered = timed_query(host, port, {"doc": doc_on[1], "query": query})
+        if status != 200 or not answer_matches(payload, 0, answers, counts):
+            errors.append(f"{when}: shard 1 answered {status} {str(payload)[:120]}")
+        elif answered - started > INNOCENT_BOUND_S:
+            errors.append(f"{when}: shard 1 took {answered - started:.2f} s")
+
+    # Stall: a flood past the socket buffer to a worker that does not read.
+    os.kill(workers[0], signal.SIGSTOP)
+    flooded: list = []
+    plain = {"doc": doc_on[0], "query": query}
+    padded = {"doc": doc_on[0], "query": query + " " * FLOOD_PADDING}
+
+    def flood() -> None:
+        try:
+            flooded.append(timed_query(host, port, padded))
+        except OSError as error:
+            errors.append(f"stall: a flood client lost its connection: {error}")
+
+    clients = [threading.Thread(target=flood) for _ in range(FLOOD_CLIENTS)]
+    try:
+        for client in clients:
+            client.start()
+        time.sleep(0.3)  # the flood is in: nothing of it may have been answered
+        if flooded:
+            errors.append(f"stall: a stopped worker answered {flooded[0][:2]}")
+        for _ in range(20):
+            innocent("stall")
+    finally:
+        os.kill(workers[0], signal.SIGCONT)
+    for client in clients:
+        client.join(timeout=60)
+    wrong = [
+        (status, str(payload)[:120])
+        for status, payload, _answered in flooded
+        if status != 200 or not answer_matches(payload, 0, answers, counts)
+    ]
+    if len(flooded) != FLOOD_CLIENTS or wrong:
+        errors.append(f"stall: {len(flooded)} of {FLOOD_CLIENTS} answered, wrong: {wrong[:3]}")
+
+    # Death: SIGKILL with one request in flight.
+    os.kill(workers[0], signal.SIGSTOP)
+    doomed: list = []
+    client = threading.Thread(target=lambda: doomed.append(timed_query(host, port, plain)))
+    client.start()
+    time.sleep(0.3)
+    killed = time.monotonic()
+    os.kill(workers[0], signal.SIGKILL)
+    client.join(timeout=60)
+    died = {"error": "shard 0 worker died; its in-flight requests were dropped"}
+    if not doomed or doomed[0][:2] != (400, died):
+        errors.append(f"death: the in-flight request ended as {doomed and doomed[0][:2]}")
+    elif doomed[0][2] - killed > DEATH_BOUND_S:
+        errors.append(f"death: the 400 came {doomed[0][2] - killed:.2f} s after the kill")
+    status, payload, _answered = timed_query(host, port, plain)
+    refused = {"error": "shard 0 worker is not running (restart the server)"}
+    if (status, payload) != (400, refused):
+        errors.append(f"death: the dead shard then answered {status} {str(payload)[:120]}")
+    innocent("death")
+    return errors
+
+
+def run_shard_fault_phase(label: str, extra_args: list[str], documents, prepared):
+    """The shard-fault schedule against a server of its own; ``None`` on any miss."""
+    process, host, port = start_server(label, extra_args)
+    if process is None:
+        return None
+    try:
+        errors = shard_fault_errors(process, host, port, documents, prepared)
+    finally:
+        code = stop_server(process)
+    if errors is None:
+        print(f"[{label}] shard faults: skipped (no /proc children interface)")
+        return {"skipped": True}
+    if code != 0:
+        errors.append(f"the server exited {code} on SIGTERM after the schedule")
+    for message in errors:
+        print(f"FAIL [{label}]: shard-fault phase: {message}")
+    if errors:
+        return None
+    print(
+        f"[{label}] shard faults: {FLOOD_CLIENTS} x {FLOOD_PADDING // 1000} kB to a stopped "
+        f"worker all answered after SIGCONT, 21 innocent request(s) each under "
+        f"{INNOCENT_BOUND_S:g} s, a killed worker's request failed within {DEATH_BOUND_S:g} s"
+    )
+    return {"flooded": FLOOD_CLIENTS, "innocent": 21, "wrong_answers": 0}
+
+
 def call(base: str, method: str, path: str, payload=None):
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(base + path, data=data, method=method)
@@ -396,7 +537,8 @@ def run_window(base, host, port, connections, requests, check_every, prepared):
     return latencies, bounds, deltas, wall_seconds, errors
 
 
-def run_mode(label: str, extra_args: list[str], args, documents, prepared) -> "dict | None":
+def start_server(label: str, extra_args: list[str]):
+    """``(process, host, port)`` of a fresh ``cq-trees serve``; ``(None, ...)`` without a banner."""
     environment = dict(os.environ)
     environment["PYTHONPATH"] = SRC + os.pathsep + environment.get("PYTHONPATH", "")
     process = subprocess.Popen(
@@ -406,15 +548,32 @@ def run_mode(label: str, extra_args: list[str], args, documents, prepared) -> "d
         text=True,
         env=environment,
     )
+    banner = process.stdout.readline()
+    match = re.search(r"http://([\d.]+):(\d+)", banner)
+    if not match:
+        print(f"FAIL [{label}]: no port announcement in banner {banner!r}")
+        process.kill()
+        return None, None, None
+    print(f"[{label}] server up at http://{match.group(1)}:{match.group(2)}")
+    return process, match.group(1), int(match.group(2))
+
+
+def stop_server(process) -> "int | str":
+    """SIGTERM the server; its exit code (``"killed"`` if it had to be)."""
+    process.terminate()
     try:
-        banner = process.stdout.readline()
-        match = re.search(r"http://([\d.]+):(\d+)", banner)
-        if not match:
-            print(f"FAIL [{label}]: no port announcement in banner {banner!r}")
-            return None
-        host, port = match.group(1), int(match.group(2))
+        return process.wait(timeout=15)
+    except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
+        process.kill()
+        return "killed"
+
+
+def run_mode(label: str, extra_args: list[str], args, documents, prepared) -> "dict | None":
+    process, host, port = start_server(label, extra_args)
+    if process is None:
+        return None
+    try:
         base = f"http://{host}:{port}"
-        print(f"[{label}] server up at {base}")
 
         for doc_id, tree in documents.items():
             call(base, "POST", "/documents", {"doc": doc_id, "xml": to_xml(tree)})
@@ -537,11 +696,7 @@ def run_mode(label: str, extra_args: list[str], args, documents, prepared) -> "d
             print(f"WARN [{label}] (report-only): {message}")
         return report
     finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
-            process.kill()
+        stop_server(process)
 
 
 def main(argv=None) -> int:
@@ -582,6 +737,13 @@ def main(argv=None) -> int:
         if report is None:
             return 1
         reports.append(report)
+        for label, front_end in (("async+sharded", ["--async"]), ("threaded+sharded", [])):
+            faults = run_shard_fault_phase(
+                f"{label} faults", front_end + ["--shards", "2"], documents, prepared
+            )
+            if faults is None:
+                return 1
+            reports.append({"mode": label, "shard_faults": faults})
 
     if args.out:
         with open(args.out, "w") as handle:

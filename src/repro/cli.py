@@ -314,10 +314,10 @@ def _build_executor(args: argparse.Namespace):
     return executor
 
 
-def _banner(executor, host: str, port: int) -> str:
+def _banner(documents: int, host: str, port: int) -> str:
     # Printed (and flushed) first so callers that picked port 0 learn the
     # ephemeral port; the CI smoke script depends on this line.
-    return f"serving on http://{host}:{port} ({executor.document_count()} document(s) resident)"
+    return f"serving on http://{host}:{port} ({documents} document(s) resident)"
 
 
 def _serve_threaded(executor, args: argparse.Namespace) -> int:
@@ -325,7 +325,7 @@ def _serve_threaded(executor, args: argparse.Namespace) -> int:
 
     server = make_server(executor, host=args.host, port=args.port, quiet=not args.verbose)
     host, port = server.server_address[:2]
-    print(_banner(executor, host, port), flush=True)
+    print(_banner(executor.document_count(), host, port), flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
@@ -341,6 +341,10 @@ def _serve_async(executor, args: argparse.Namespace) -> int:
 
     from .service import AsyncServiceServer
 
+    # Counted before the loop runs: a blocking executor call on the loop's own
+    # thread would wait for replies only that thread can read (--shards).
+    documents = executor.document_count()
+
     async def _run() -> None:
         server = AsyncServiceServer(
             executor,
@@ -350,7 +354,7 @@ def _serve_async(executor, args: argparse.Namespace) -> int:
             quiet=not args.verbose,
         )
         host, port = await server.start()
-        print(_banner(executor, host, port), flush=True)
+        print(_banner(documents, host, port), flush=True)
         # SIGTERM as an event of the loop, not an exception raised into
         # whatever callback the loop happens to be running (asyncio logs that
         # as an unhandled error of the connection it was answering).

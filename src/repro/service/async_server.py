@@ -65,6 +65,8 @@ class AsyncServiceServer:
             self._handle_connection, self._host, self._port, limit=framing.MAX_LINE_BYTES
         )
         self.address = self._server.sockets[0].getsockname()[:2]
+        if hasattr(self.executor, "attach"):  # shard channels ride this loop: no hand-off
+            self.executor.attach(asyncio.get_running_loop())
         return self.address
 
     async def close(self) -> None:
@@ -82,6 +84,8 @@ class AsyncServiceServer:
                 await asyncio.wait(list(self._connections))
             await self._server.wait_closed()
             self._server = None
+        if hasattr(self.executor, "detach"):
+            self.executor.detach()
         self._pool.shutdown(wait=False)
 
     async def _handle_connection(self, reader, writer: asyncio.StreamWriter) -> None:

@@ -27,6 +27,8 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: The accept backlog (``socketserver``'s 5 resets connections of a burst of 40).
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], executor: BatchExecutor, quiet: bool = True):
         super().__init__(address, _Connection)

@@ -6,7 +6,7 @@ memory-lean, but CPython's GIL serializes the actual evaluation work, so one
 process can never use more than one core.  :class:`ShardedExecutor` scales
 *out* instead: it owns ``N`` worker **processes**, each a private
 ``BatchExecutor`` (its own :class:`~repro.service.store.DocumentStore` +
-:class:`~repro.service.cache.QueryCache`) behind a queue.  A message names one
+:class:`~repro.service.cache.QueryCache`) behind a socket.  A message names one
 of that executor's methods (:data:`WORKER_METHODS`); the worker implements
 nothing of its own, so the serving contract -- sorted answers, post-sort
 limit, per-request errors, byte-identity with sequential ``evaluate()`` -- is
@@ -21,22 +21,36 @@ operations (``stats``, ``describe_documents``, ``document_count``) are
 *broadcast* to all shards and aggregated, so ``/stats`` reports totals across
 the whole fleet plus a per-shard breakdown.
 
-The parent talks to each worker over a pair of ``multiprocessing`` queues;
-:meth:`ShardedExecutor.submit` returns a :class:`concurrent.futures.Future`
-resolved by a per-shard listener thread, which is what the async front end
-awaits.  Each shard consumes its inbox in FIFO order, so per-shard execution
-is serial and deterministic; cross-shard parallelism is the scaling axis.
+The parent talks to each worker over one ``socket.socketpair()`` carrying
+length-prefixed pickled frames (:func:`encode_frame`, :func:`pop_frames`).  A
+worker is single-threaded: one wait on its socket *and* its parent's death,
+one ``sendall`` per reply.  The parent's end is a :class:`_Channel`: whoever
+dispatches writes the frame itself (non-blocking; a remainder waits in a
+buffer), and replies are read by the readiness callbacks of *an* event loop --
+a private I/O loop thread, or, after :meth:`ShardedExecutor.attach`, the
+asyncio front end's own, where a ``/query`` never leaves the loop thread.
+Nothing polls: a worker's death is the EOF on its channel, a parent's death
+the worker's wake-up.  Blocking calls wait on the future ``submit`` returns,
+so they refuse to run on the loop thread that would resolve it.  A shard takes
+its frames in FIFO order: per-shard execution is serial and deterministic;
+cross-shard parallelism is the scaling axis.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import itertools
 import multiprocessing
-import queue
+import pickle
+import selectors
+import socket
+import struct
 import threading
 import zlib
 from concurrent.futures import Future
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from ..observability.accounting import ACCOUNTING, PlanAccounting
 from ..observability.metrics import REGISTRY, SLOW_LOG, MetricsRegistry
@@ -49,14 +63,31 @@ from .store import DocumentStore
 #: Default number of worker processes.
 DEFAULT_SHARDS = 2
 
-#: Seconds to wait for a worker to drain and exit at close before terminating.
+#: Seconds to wait for a worker to exit at close before terminating it.
 _JOIN_TIMEOUT = 10.0
 
-#: How often an idle worker checks whether its parent process still exists.
-_PARENT_POLL_SECONDS = 5.0
+#: Bytes asked of one ``recv``: a burst of ``/query`` frames is one system call.
+_RECV_BYTES = 1 << 16
+_LENGTH = struct.Struct("!I")
 
-#: How often an idle listener checks whether its worker process still exists.
-_WORKER_POLL_SECONDS = 1.0
+
+def encode_frame(message) -> bytes:
+    """One message as it crosses a shard socket: four bytes of length, then its pickle."""
+    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return _LENGTH.pack(len(payload)) + payload
+
+
+def pop_frames(buffer: bytearray) -> list:
+    """Cut every complete frame off the head of ``buffer``; their messages, in order."""
+    messages, start = [], 0
+    while len(buffer) - start >= _LENGTH.size:
+        end = start + _LENGTH.size + _LENGTH.unpack_from(buffer, start)[0]
+        if end > len(buffer):
+            break
+        messages.append(pickle.loads(buffer[start + _LENGTH.size : end]))
+        start = end
+    del buffer[:start]
+    return messages
 
 
 def shard_for(doc_id: str, shards: int) -> int:
@@ -91,17 +122,16 @@ WORKER_METHODS = (
 
 def _shard_worker_main(
     shard_id: int,
-    inbox,
-    outbox,
+    channel: socket.socket,
     store_capacity: Optional[int],
     cache_capacity: Optional[int],
     accel_db: Optional[str] = None,
 ) -> None:
-    """One worker process: a private ``BatchExecutor``, serving its inbox FIFO.
+    """One worker process: a private ``BatchExecutor``, serving its socket FIFO.
 
     Every message is ``(seq, method, arguments)`` with ``method`` one of
     :data:`WORKER_METHODS`; every reply is ``(seq, status, value)`` with
-    ``status`` in ``{"ok", "error"}``.  ``None`` is the shutdown sentinel.
+    ``status`` in ``{"ok", "error"}``.  EOF (``close()``) is the shutdown.
     The worker does not implement the serving contract, it owns the executor
     that does, so a sharded request runs the very code a threaded one runs.
     The loop never dies on a bad message: errors are reported back as values,
@@ -154,30 +184,111 @@ def _shard_worker_main(
 
     handlers = {method: getattr(executor, method) for method in WORKER_METHODS}
     handlers.update(stats=stats, metrics=metrics)
-    parent = multiprocessing.parent_process()
-    while True:
-        try:
-            message = inbox.get(timeout=_PARENT_POLL_SECONDS)
-        except queue.Empty:
-            # If the parent died without sending the sentinel (SIGKILL, hard
-            # crash), exit instead of lingering as an orphan forever.
-            if parent is not None and not parent.is_alive():
-                break
-            continue
-        if message is None:
-            break
-        seq, method, arguments = message
+
+    def reply(seq: int, method: str, arguments: tuple) -> bytes:
         try:
             if method not in handlers:
                 raise ValueError(f"unknown shard method {method!r}")
-            outbox.put((seq, "ok", handlers[method](*arguments)))
+            return encode_frame((seq, "ok", handlers[method](*arguments)))
         except REQUEST_ERRORS as error:
-            # Client-fault errors cross the boundary verbatim so the parent's
-            # re-raise carries the same message as the threaded backend would
-            # (e.g. a malformed-XML registration answers the identical 400).
-            outbox.put((seq, "error", str(error)))
+            # Client faults cross the boundary verbatim: the parent's re-raise
+            # answers the threaded backend's very 400 (e.g. for malformed XML).
+            return encode_frame((seq, "error", str(error)))
         except Exception as error:  # noqa: BLE001 - errors travel as values
-            outbox.put((seq, "error", f"{type(error).__name__}: {error}"))
+            return encode_frame((seq, "error", f"{type(error).__name__}: {error}"))
+
+    # One thread, one wait: the socket, and the parent's sentinel -- a parent
+    # that died without closing (SIGKILL) is not an EOF while a forked sibling
+    # holds a copy of its end, and must not leave orphans.
+    watch = selectors.DefaultSelector()
+    watch.register(channel, selectors.EVENT_READ)
+    watch.register(multiprocessing.parent_process().sentinel, selectors.EVENT_READ)
+    incoming = bytearray()
+    with contextlib.suppress(OSError):  # the parent hung up mid-exchange
+        while [key.fileobj for key, _events in watch.select()] == [channel]:
+            if not (chunk := channel.recv(_RECV_BYTES)):
+                break  # ``close()``
+            incoming += chunk
+            for message in pop_frames(incoming):
+                channel.sendall(reply(*message))
+
+
+class _Channel:
+    """The parent's end of one shard's socket: two byte buffers and a lock, no thread.
+
+    Any thread sends (a worker that does not read costs memory, never a
+    thread's time); the readiness callbacks of the loop that drives the channel
+    read the replies and flush what a send left behind.  The buffers are the
+    channel's, so nothing is lost when the loop changes, and the lock makes the
+    moment both loops watch the socket harmless.
+    """
+
+    def __init__(self, sock: socket.socket, on_message: Callable, on_eof: Callable[[], None]):
+        sock.setblocking(False)
+        self.sock = sock
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.lock = threading.Lock()
+        self.incoming, self.outgoing = bytearray(), bytearray()
+        self._on_message, self._on_eof = on_message, on_eof
+
+    def move(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Hand the socket to ``loop`` (from any thread); each loop (un)registers it on its own."""
+        with self.lock:
+            old, self.loop = self.loop, loop
+        if old is not None:
+            old.call_soon_threadsafe(self._watch, old)
+        loop.call_soon_threadsafe(self._watch, loop)
+
+    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """On ``loop``'s thread: watch the socket if the channel is ``loop``'s, else let go."""
+        with self.lock:
+            if loop is not self.loop:
+                loop.remove_reader(self.sock)
+                loop.remove_writer(self.sock)
+                return
+            loop.add_reader(self.sock, self.readable, loop)
+            if self.outgoing:
+                loop.add_writer(self.sock, self.writable, loop)
+
+    def readable(self, loop: asyncio.AbstractEventLoop) -> None:
+        with self.lock:
+            try:
+                chunk = self.sock.recv(_RECV_BYTES)
+            except BlockingIOError:  # the other loop of a hand-over read it
+                return
+            except OSError:
+                chunk = b""
+            self.incoming += chunk
+            messages = pop_frames(self.incoming)
+        for message in messages:
+            self._on_message(message)
+        if not chunk:  # EOF: the worker is gone
+            loop.remove_reader(self.sock)
+            self._on_eof()
+
+    def send(self, frame: bytes) -> None:
+        """Never blocks: what the socket does not take now waits for :meth:`writable`."""
+        with self.lock:
+            idle = not self.outgoing
+            self.outgoing += frame
+            if idle and not self._flush():
+                self.loop.call_soon_threadsafe(self._watch, self.loop)
+
+    def writable(self, loop: asyncio.AbstractEventLoop) -> None:
+        with self.lock:
+            if self._flush():
+                loop.remove_writer(self.sock)
+
+    def _flush(self) -> bool:
+        """Write what the socket takes of ``outgoing``; whether that was all of it."""
+        try:
+            sent = self.sock.send(self.outgoing)
+        except BlockingIOError:
+            sent = 0
+        except OSError:  # a dead worker: the EOF on the read side reports it
+            sent = len(self.outgoing)
+        del self.outgoing[:sent]
+        return not self.outgoing
 
 
 class ShardedExecutor:
@@ -211,101 +322,96 @@ class ShardedExecutor:
         self._broken: set[int] = set()
         self._batches = 0
         self._closed = False
-        self._inboxes = [context.Queue() for _ in range(shards)]
-        self._outboxes = [context.Queue() for _ in range(shards)]
-        self._processes = [
-            context.Process(
+        self._processes, self._channels = [], []
+        for shard in range(shards):
+            ours, theirs = socket.socketpair()
+            process = context.Process(
                 target=_shard_worker_main,
-                args=(shard, self._inboxes[shard], self._outboxes[shard],
-                      store_capacity, cache_capacity, accel_db),
+                args=(shard, theirs, store_capacity, cache_capacity, accel_db),
                 name=f"cq-trees-shard-{shard}",
                 daemon=True,
             )
-            for shard in range(shards)
-        ]
-        for process in self._processes:
             process.start()
-        # Listener threads go up only after the forks: workers must not
-        # inherit half-started parent threads.
-        self._listeners = [
-            threading.Thread(
-                target=self._listen,
-                args=(shard,),
-                name=f"cq-trees-shard-listener-{shard}",
-                daemon=True,
-            )
-            for shard in range(shards)
-        ]
-        for listener in self._listeners:
-            listener.start()
+            # The worker holds the only copy of its end (a sibling forked later
+            # must not inherit one), so its death is an EOF on ours.
+            theirs.close()
+            self._processes.append(process)
+            self._channels.append(_Channel(ours, self._resolve, partial(self._fail_shard, shard)))
+        # The I/O loop goes up only after the forks: workers must not inherit
+        # a half-started parent thread.
+        self._io_loop = asyncio.new_event_loop()
+        self._io_thread = threading.Thread(
+            target=self._io_loop.run_forever, name="cq-trees-shard-io", daemon=True
+        )
+        self._io_thread.start()
+        self.detach()
 
     # -- plumbing --------------------------------------------------------------
 
-    def _listen(self, shard: int) -> None:
-        """Resolve futures from one shard's reply queue until the sentinel.
-
-        The blocking get is bounded so a worker that died without replying
-        (OOM kill, segfault) is noticed within :data:`_WORKER_POLL_SECONDS`:
-        its in-flight requests fail instead of hanging their clients forever,
-        and the shard is marked broken so later dispatches fail fast.
+    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Drive the channels from ``loop`` (running; :meth:`detach` before it
+        stops): replies resolve on its thread, with no hand-off.  Safe under
+        traffic: a request in flight resolves once, on one loop or the other.
         """
-        outbox = self._outboxes[shard]
-        process = self._processes[shard]
-        while True:
-            try:
-                message = outbox.get(timeout=_WORKER_POLL_SECONDS)
-            except queue.Empty:
-                if not process.is_alive() and not self._closed:
-                    self._fail_shard(shard)
-                    return
-                continue
-            if message is None:
-                return
-            seq, status, value = message
-            with self._lock:
-                future, _ = self._pending.pop(seq, (None, None))
-            if future is None:  # pragma: no cover - reply after cancellation
-                continue
-            if status == "ok":
-                future.set_result(value)
-            else:
-                future.set_exception(ValueError(value))
+        if self._closed:
+            return
+        for channel in self._channels:
+            channel.move(loop)
+
+    def detach(self) -> None:
+        """Give the channels (back) to the private I/O loop thread."""
+        self.attach(self._io_loop)
+
+    def _off_loop(self) -> None:
+        """The guard of every call that blocks on a reply: not on the thread that reads it."""
+        if asyncio._get_running_loop() is self._channels[0].loop:  # ``None`` off every loop
+            raise RuntimeError("blocking ShardedExecutor call on the loop that reads its replies")
+
+    def _resolve(self, message: tuple) -> None:
+        """One reply off a channel: settle the future that waits for it."""
+        seq, status, value = message
+        with self._lock:
+            future, _ = self._pending.pop(seq, (None, None))
+        if future is not None and status == "ok":
+            future.set_result(value)
+        elif future is not None:  # ``None``: a reply that crossed ``close()``
+            future.set_exception(ValueError(value))
 
     def _fail_shard(self, shard: int) -> None:
         """A worker died: fail its in-flight requests, refuse new ones."""
         with self._lock:
+            if self._closed:  # the EOF ``close()`` asked for
+                return
             self._broken.add(shard)
-            doomed = [
-                (seq, future)
-                for seq, (future, owner) in self._pending.items()
-                if owner == shard
-            ]
-            for seq, _future in doomed:
-                del self._pending[seq]
-        for _seq, future in doomed:
+            doomed = [seq for seq, (_future, owner) in self._pending.items() if owner == shard]
+            futures = [self._pending.pop(seq)[0] for seq in doomed]
+        for future in futures:
             future.set_exception(
                 ValueError(f"shard {shard} worker died; its in-flight requests were dropped")
             )
 
     def _dispatch(self, shard: int, method: str, *arguments) -> Future:
-        """Enqueue one method call on one shard; returns its reply future."""
+        """Send one method call to one shard; returns its reply future."""
+        seq = next(self._seq)
+        frame = encode_frame((seq, method, arguments))  # pickled on the caller's thread
         with self._lock:
             if self._closed:
                 raise RuntimeError("ShardedExecutor is closed")
             future: Future = Future()
+            future.set_running_or_notify_cancel()  # sent at once: nothing left to cancel
             if shard in self._broken:
                 # Like every other failure of the call, a value in its future.
                 future.set_exception(
                     ValueError(f"shard {shard} worker is not running (restart the server)")
                 )
                 return future
-            seq = next(self._seq)
             self._pending[seq] = (future, shard)
-        self._inboxes[shard].put((seq, method, arguments))
+        self._channels[shard].send(frame)
         return future
 
     def _broadcast(self, method: str, *arguments) -> list:
         """Call one method on every shard; replies in shard order."""
+        self._off_loop()
         futures = [self._dispatch(shard, method, *arguments) for shard in range(self.shards)]
         return [future.result() for future in futures]
 
@@ -314,27 +420,29 @@ class ShardedExecutor:
         return shard_for(doc_id, self.shards)
 
     def close(self) -> None:
-        """Stop the workers and listeners; pending requests get an error."""
+        """Stop the workers and the I/O loop; pending requests get an error."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             pending = list(self._pending.values())
             self._pending.clear()
-        for inbox in self._inboxes:
-            inbox.put(None)
+        for channel in self._channels:
+            # EOF at the worker, whoever else holds a copy of this end: it
+            # exits after the request it is in.
+            channel.sock.shutdown(socket.SHUT_RDWR)
         for process in self._processes:
             process.join(timeout=_JOIN_TIMEOUT)
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
                 process.join(timeout=_JOIN_TIMEOUT)
-        for outbox in self._outboxes:
-            outbox.put(None)
-        for listener in self._listeners:
-            listener.join(timeout=_JOIN_TIMEOUT)
+        self._io_loop.call_soon_threadsafe(self._io_loop.stop)
+        self._io_thread.join(timeout=_JOIN_TIMEOUT)
+        self._io_loop.close()
+        for channel in self._channels:
+            channel.sock.close()
         for future, _shard in pending:  # pragma: no cover - close with work in flight
-            if not future.done():
-                future.set_exception(RuntimeError("ShardedExecutor closed"))
+            future.set_exception(RuntimeError("ShardedExecutor closed"))
 
     def __enter__(self) -> "ShardedExecutor":
         return self
@@ -350,6 +458,7 @@ class ShardedExecutor:
 
     def execute(self, request: Request) -> RequestResult:
         """Evaluate one request on its owning shard (blocking)."""
+        self._off_loop()
         return self.submit(request).result()
 
     def execute_batch(
@@ -367,6 +476,7 @@ class ShardedExecutor:
         come back as per-request ``internal:`` errors, like every other
         failure.
         """
+        self._off_loop()
         with self._lock:
             self._batches += 1
         futures = [self.submit(request) for request in requests]
@@ -393,12 +503,14 @@ class ShardedExecutor:
         doc_id = payload.get("doc")
         if not isinstance(doc_id, str) or not doc_id:
             raise ValueError("registration needs a non-empty 'doc' document id")
+        self._off_loop()
         return self._dispatch(
             self.shard_of(doc_id), "register_payload", dict(payload), allow_files
         ).result()
 
     def evict_document(self, doc_id: str) -> bool:
         """Evict from the owning shard; ``True`` iff it was resident."""
+        self._off_loop()
         return self._dispatch(self.shard_of(doc_id), "evict_document", doc_id).result()
 
     def describe_documents(self) -> list[dict]:
@@ -419,32 +531,25 @@ class ShardedExecutor:
         """Per-shard live-load snapshot: queue depth, in-flight ops, liveness.
 
         Fleet sums hide a hot shard (one worker pegged while the others idle
-        averages out to "fine"); this surfaces the skew per shard.  Queue
-        depths come from the parent's end of each inbox (``None`` on
-        platforms whose queues cannot report a size); in-flight counts are
-        the parent's pending futures per owning shard.  Taken *before* any
-        stats broadcast so the probe does not count itself.
+        averages out to "fine"); this surfaces the skew per shard.  In-flight
+        counts are the parent's pending futures per owning shard; a shard is
+        FIFO-serial, so all but one of them are queued (``queue_depth``).
+        Taken *before* any stats broadcast so the probe does not count itself.
         """
         with self._lock:
-            in_flight = {shard: 0 for shard in range(self.shards)}
+            in_flight = [0] * self.shards
             for _future, owner in self._pending.values():
-                in_flight[owner] = in_flight.get(owner, 0) + 1
+                in_flight[owner] += 1
             broken = set(self._broken)
-        load = []
-        for shard in range(self.shards):
-            try:
-                depth = self._inboxes[shard].qsize()
-            except NotImplementedError:  # pragma: no cover - macOS qsize
-                depth = None
-            load.append(
-                {
-                    "shard": shard,
-                    "queue_depth": depth,
-                    "in_flight": in_flight[shard],
-                    "alive": shard not in broken,
-                }
-            )
-        return load
+        return [
+            {
+                "shard": shard,
+                "queue_depth": max(in_flight[shard] - 1, 0),
+                "in_flight": in_flight[shard],
+                "alive": shard not in broken,
+            }
+            for shard in range(self.shards)
+        ]
 
     def stats(self) -> dict:
         """Aggregated executor/store/cache statistics plus per-shard detail."""
@@ -530,11 +635,10 @@ class ShardedExecutor:
     def profile_control(self, action: str, hz: Optional[int] = None) -> dict:
         """Apply a profiler action fleet-wide: the parent *and* every worker.
 
-        Evaluation happens in the workers but the front end, the listener
-        threads and the queue plumbing live in the parent, so both sides
-        sample.  Returns the parent's status annotated with the worker count
-        (a worker whose action disagreed -- e.g. already running -- is fine:
-        the actions are idempotent).
+        Evaluation happens in the workers but the front end and the channel
+        I/O live in the parent, so both sides sample.  Returns the parent's
+        status annotated with the worker count (a worker whose action disagreed
+        -- e.g. already running -- is fine: the actions are idempotent).
         """
         status = PROFILER.control(action, hz)
         workers = self._broadcast("profile_control", action, hz)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -268,10 +269,9 @@ class TestEndToEndSmoke:
         )
         assert completed.returncode != 0
 
-    def test_serve_sigterm_leaves_no_orphan_shard_workers(self):
-        """Regression: SIGTERM (docker stop, ``process.terminate()``) used to
-        kill ``serve --async --shards N`` without running ``executor.close()``,
-        orphaning the shard worker processes forever."""
+    def _orphans_after(self, signum: int, bound: float) -> list[int]:
+        """Start ``serve --async --shards 2``, signal it, and return the shard
+        workers still running ``bound`` seconds later."""
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--port", "0", "--async", "--shards", "2"],
@@ -295,7 +295,7 @@ class TestEndToEndSmoke:
                 time.sleep(0.1)
             assert len(children) >= 2, "shard workers did not come up"
         finally:
-            process.terminate()
+            process.send_signal(signum)
             process.wait(timeout=15)
             process.stdout.close()
 
@@ -309,14 +309,27 @@ class TestEndToEndSmoke:
                 return False
             return state not in ("Z", "X")
 
-        deadline = time.monotonic() + 15
+        deadline = time.monotonic() + bound
         alive = children
         while time.monotonic() < deadline:
             alive = [pid for pid in alive if running(pid)]
             if not alive:
                 break
-            time.sleep(0.2)
+            time.sleep(0.05)
+        return alive
+
+    def test_serve_sigterm_leaves_no_orphan_shard_workers(self):
+        """Regression: SIGTERM (docker stop, ``process.terminate()``) used to
+        kill ``serve --async --shards N`` without running ``executor.close()``,
+        orphaning the shard worker processes forever."""
+        alive = self._orphans_after(signal.SIGTERM, 15)
         assert not alive, f"orphaned shard worker processes: {alive}"
+
+    def test_serve_sigkill_leaves_no_orphan_shard_workers(self):
+        """A parent that dies without ``close()`` is an event at the workers
+        (its sentinel wakes their one blocking wait), not something they poll for."""
+        alive = self._orphans_after(signal.SIGKILL, 2)
+        assert not alive, f"shard workers outlived a SIGKILLed parent by 2 s: {alive}"
 
     def test_console_script_entry_point_target(self):
         """The ``cq-trees = repro.cli:main`` target resolves and runs."""
