@@ -1,42 +1,40 @@
 """Benchmark: columnar axis kernels vs the per-candidate bisection paths.
 
 The interval index answers "does candidate ``u`` still have a support in
-domain ``S``?" either per candidate (a bisection probe per watched node, the
-``columnar=False`` ablation) or in bulk: one staircase merge over the sorted
-rank columns answers the question for *every* watched node in a single pass
-of C-level ``array`` traversals (:mod:`repro.trees.columnar`).  The AC-3
-worklist re-asks that question on every revise pass, so slow-convergence
-shapes multiply whatever the per-pass primitive costs.
+domain ``S``?" either per candidate (a bisection probe per watched node) or
+in bulk: one staircase merge over the sorted rank columns answers the
+question for *every* watched node in a single pass of C-level ``array``
+traversals (:mod:`repro.trees.columnar`).  The AC-3 worklist re-asks that
+question on every revise pass, so slow-convergence shapes multiply whatever
+the per-pass primitive costs.
 
-Three entry groups are measured, each as ``columnar=True`` vs the
-``columnar=False`` per-candidate ablation of the *same* computation:
+Two entry groups are measured, each as the production path vs a
+per-candidate reference computing the *same* result:
 
 * ``pain_*`` -- label-free ``Following`` chains, the worst revise-pass
-  multipliers for the AC-3 worklist.  The committed headline
-  (``min_speedup``) is the minimum columnar speedup over this group at the
-  largest size and must meet the >= 5x acceptance bar.
+  multipliers for the AC-3 worklist: :func:`maximal_arc_consistent` against
+  :func:`_per_candidate_arc_consistency`, the set-based worklist with a
+  bisection witness test per candidate that this file keeps as its baseline.
+  The committed headline (``min_speedup``) is the minimum columnar speedup
+  over this group at the largest size and must meet the >= 5x acceptance bar.
 * ``bag_*`` -- bag materialization in the decomposition engine, the second
   headline (``bag_headline``, bar >= 3x at the largest size): the level-at-a-
   time kernel (one window per prefix per pass, levels expanded, counted or
-  tested) against the depth-first recursion it replaced, on the bag shapes of
-  the e2e workloads -- a large ``Child+`` pair bag, the bidder triangle
-  (``Child`` walks cut by a ``Following`` window) unlimited, under ``limit:
-  10`` (the last level is only counted) and with its last variable
+  tested) against the depth-first recursion it replaced
+  (:func:`_reference_bag`, ``_DepthFirst.rows`` reached directly), on the bag
+  shapes of the e2e workloads -- a large ``Child+`` pair bag, the bidder
+  triangle (``Child`` walks cut by a ``Following`` window) unlimited, under
+  ``limit: 10`` (the last level is only counted) and with its last variable
   witness-only (the level is only tested).  Both sides start from the same
-  swept candidate columns, so the number is the bag alone; each entry also
-  carries ``request_speedup``, the same comparison through ``answer_page``
-  with the reducer's sweeps in front (what a request pays).
+  swept candidate columns, so the number is the bag alone.
 * ``ablation_*`` -- entries kept to report where the columnar kernels win
   less, excluded from both headlines: mixed ``Child+`` / ``Following`` chains
-  (~3-5x), pure ``Child+`` chains (~2-3x), the hybrid propagator (~2x), and
-  the sentence-pair bag (two range atoms per level, ~2-3x: both paths pay the
-  same two bisections per prefix, which is most of that bag).  The former
-  ``ablation_ac4_init`` entry measured at parity by design (AC-4's
-  ``Following`` trackers are threshold-based in both modes) and was retired
-  along with the columnar counter-init path itself.
+  (~3-5x), pure ``Child+`` chains (~2-3x), and the sentence-pair bag (two
+  range atoms per level, ~2-3x: both paths pay the same two bisections per
+  prefix, which is most of that bag).
 
-Byte-identity between the two modes is asserted on every measured instance,
-and the SQLite accel-table backend (:mod:`repro.backends.sqlite`) is
+Identity between the two sides is asserted on every measured instance, and
+the SQLite accel-table backend (:mod:`repro.backends.sqlite`) is
 cross-checked against both on a fixed small document.
 
 Run standalone (``python benchmarks/bench_columnar.py``) to regenerate
@@ -48,18 +46,20 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 import time
+from collections import deque
 
 import pytest
 from bench_config import SMOKE, scaled
 
-from repro.decomposition.yannakakis import _materialize_bag, answer_page, evaluate_answers
-from repro.evaluation import (
-    PropagationResult,
-    compile_query,
-    maximal_arc_consistent,
-    maximal_arc_consistent_hybrid,
+from repro.decomposition.yannakakis import (
+    _DepthFirst,
+    _materialize_bag,
+    _plan_bag,
+    evaluate_answers,
 )
+from repro.evaluation import PropagationResult, compile_query, maximal_arc_consistent
 from repro.evaluation.reducer import semijoin_sweeps
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
@@ -95,9 +95,6 @@ ABLATION_AC3_QUERIES = {
 }
 
 AC3_QUERIES = {**PAIN_QUERIES, **ABLATION_AC3_QUERIES}
-
-#: The query whose AC-4 init / hybrid sweep is measured in both modes.
-PROPAGATOR_ABLATION_QUERY = "pain_following_chain8"
 
 #: The large pair bag (147k rows at 100k nodes); also the SQLite cross-check.
 BAG_QUERY = "Q(x, y) <- A(x), Child+(x, y), B(y)"
@@ -180,19 +177,86 @@ def _entry(size, name, kind, pain, slow, fast):
     return entry
 
 
-def _measure_fixpoint(fixpoint, query, structure, repeats):
-    """Byte-identity check plus median timings for one fixpoint, both modes."""
-    fast_domains = fixpoint(query, structure, columnar=True)
-    slow_domains = fixpoint(query, structure, columnar=False)
+def _per_candidate_arc_consistency(query, structure):
+    """The AC-3 worklist over plain sets, one bisection witness test per candidate.
+
+    Every revise re-sorts both domains into fresh
+    :class:`~repro.trees.index.DomainView` snapshots and asks
+    ``has_successor_in`` / ``has_predecessor_in`` once per candidate.  Same
+    fixpoint as :func:`maximal_arc_consistent`.
+    """
+    compiled = compile_query(query)
+    domains = compiled.initial_domains(structure)
+    if any(not domain for domain in domains.values()):
+        return None
+    if not compiled.apply_loop_filters(domains, structure):
+        return None
+    index = structure.index
+
+    def revise(atom):
+        changed = []
+        source, target = domains[atom.source], domains[atom.target]
+        view = index.view(target)
+        keep = {v for v in source if index.has_successor_in(atom.axis, v, view)}
+        if keep != source:
+            domains[atom.source] = source = keep
+            changed.append(atom.source)
+        view = index.view(source)
+        keep = {w for w in target if index.has_predecessor_in(atom.axis, w, view)}
+        if keep != target:
+            domains[atom.target] = keep
+            changed.append(atom.target)
+        return changed
+
+    queue = deque(compiled.edges)
+    queued = set(compiled.edges)
+    while queue:
+        atom = queue.popleft()
+        queued.discard(atom)
+        for variable in revise(atom):
+            if not domains[variable]:
+                return None
+            for neighbour_atom in compiled.atoms_of(variable):
+                if neighbour_atom not in queued:
+                    queue.append(neighbour_atom)
+                    queued.add(neighbour_atom)
+    return domains
+
+
+def _measure_fixpoint(query, structure, repeats):
+    """Identity check plus median timings: columnar worklist vs per-candidate."""
+    fast_domains = maximal_arc_consistent(query, structure)
+    slow_domains = _per_candidate_arc_consistency(query, structure)
     if _as_sets(fast_domains) != _as_sets(slow_domains):
         raise AssertionError(f"columnar/per-candidate fixpoint mismatch: {query}")
-    fast = _median_time(lambda: fixpoint(query, structure, columnar=True), repeats)
-    slow = _median_time(lambda: fixpoint(query, structure, columnar=False), repeats)
+    fast = _median_time(lambda: maximal_arc_consistent(query, structure), repeats)
+    slow = _median_time(lambda: _per_candidate_arc_consistency(query, structure), repeats)
     return slow, fast
 
 
+def _reference_bag(query, compiled, structure, swept, limit):
+    """The one bag by the per-prefix recursion: ``(rows, count)``.
+
+    ``_DepthFirst.rows`` over a plan that merges no unions (the recursion
+    enumerates every witness of a mid-bag existential), from the same swept
+    columns the level kernel starts from.
+    """
+    candidates = PropagationResult(structure, columns=swept)
+    plan = _plan_bag(
+        frozenset(compiled.variables),
+        compiled.atoms,
+        candidates.domain_sizes(),
+        compiled.variable_index,
+        frozenset(query.head),
+        query.head,
+        merge_unions=False,
+    )
+    search = _DepthFirst(plan, candidates.views, structure.index)
+    return search.rows(sys.maxsize if limit is None else limit)
+
+
 def _measure_bag(name: str, structures, size: int) -> dict:
-    """One bag shape: the level kernel vs the recursion, alone and per request."""
+    """One bag shape: the level kernel vs the per-prefix recursion."""
     document, text, limit = BAG_SHAPES[name]
     structure = structures[document]
     query = parse_query(text)
@@ -201,7 +265,7 @@ def _measure_bag(name: str, structures, size: int) -> dict:
         raise AssertionError(f"{name}: not a one-bag shape")
     swept = semijoin_sweeps(compiled, structure, None)
 
-    def bag(columnar):
+    def bag():
         return _materialize_bag(
             frozenset(compiled.variables),
             compiled.atoms,
@@ -209,48 +273,41 @@ def _measure_bag(name: str, structures, size: int) -> dict:
             structure,
             compiled.variable_index,
             frozenset(query.head),
-            columnar=columnar,
             head=query.head,
             limit=limit,
         )
 
-    def request(columnar):
-        return answer_page(query, structure, None, "semijoin", compiled, columnar, limit)
+    def reference():
+        return _reference_bag(query, compiled, structure, swept, limit)
 
-    (fast_relation, fast_count), (slow_relation, slow_count) = bag(True), bag(False)
-    if (fast_relation.rows, fast_count) != (slow_relation.rows, slow_count):
+    relation, count = bag()
+    if (relation.rows, count) != reference():
         raise AssertionError(f"bag materialization mismatch: {name} (n={size})")
-    page = request(True)
-    if page != request(False) or page[1] != fast_count:
-        raise AssertionError(f"answer page mismatch: {name} (n={size})")
-    fast = _median_time(lambda: bag(True), BAG_REPEATS)
-    slow = _median_time(lambda: bag(False), BAG_REPEATS)
+    fast = _median_time(bag, BAG_REPEATS)
+    slow = _median_time(reference, BAG_REPEATS)
     entry = _entry(size, name, "bag_rows", name.startswith("bag_"), slow, fast)
-    entry["rows"] = fast_count
+    entry["rows"] = count
     entry["limit"] = limit
-    fast = _median_time(lambda: request(True), BAG_REPEATS)
-    slow = _median_time(lambda: request(False), BAG_REPEATS)
-    entry["request_per_candidate_seconds"] = slow
-    entry["request_columnar_seconds"] = fast
-    entry["request_speedup"] = slow / fast
     return entry
 
 
 def _crosscheck_sqlite(size: int) -> int:
-    """Columnar, per-candidate and SQLite answers agree on a fixed document."""
+    """Join-tree, per-prefix reference and SQLite answers agree on a fixed document."""
     from repro.backends.sqlite import SQLiteBackend
 
     tree = _labeled_tree(size)
     structure = TreeStructure(tree)
     query = parse_query(BAG_QUERY)
-    columnar = sorted(evaluate_answers(query, structure, columnar=True))
-    per_candidate = sorted(evaluate_answers(query, structure, columnar=False))
+    compiled = compile_query(query)
+    join_tree = sorted(evaluate_answers(query, structure))
+    swept = semijoin_sweeps(compiled, structure, None)
+    reference = sorted(_reference_bag(query, compiled, structure, swept, None)[0])
     with SQLiteBackend() as backend:
         backend.register_tree("doc", tree)
         sql = sorted(backend.evaluate("doc", query))
-    if not (repr(columnar) == repr(per_candidate) == repr(sql)):
+    if not (repr(join_tree) == repr(reference) == repr(sql)):
         raise AssertionError("cross-backend answer mismatch on the bag query")
-    return len(columnar)
+    return len(join_tree)
 
 
 def run(sizes=SIZES, repeats: int = 3) -> dict:
@@ -261,21 +318,10 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
         structure.index  # the O(n) index build is shared and paid up front
         for name, text in AC3_QUERIES.items():
             query = parse_query(text)
-            slow, fast = _measure_fixpoint(
-                maximal_arc_consistent, query, structure, repeats
-            )
+            slow, fast = _measure_fixpoint(query, structure, repeats)
             results.append(
                 _entry(size, name, "ac3_worklist", name in PAIN_QUERIES, slow, fast)
             )
-        # Hybrid on the chain shape: the ablation that shows where the
-        # columnar flag changes less (its AC-4 stage's Following trackers are
-        # threshold-based in both modes; the retired ac4_init entry measured
-        # at parity by design and is no longer carried).
-        query = parse_query(AC3_QUERIES[PROPAGATOR_ABLATION_QUERY])
-        slow, fast = _measure_fixpoint(
-            maximal_arc_consistent_hybrid, query, structure, repeats
-        )
-        results.append(_entry(size, "ablation_hybrid", "hybrid", False, slow, fast))
         # Bag materialization in the decomposition engine: identical rows and
         # counts, one level at a time vs one prefix at a time.
         structures = _bag_documents(size)
@@ -322,8 +368,8 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
             "holds": bag_headline >= 3.0,
         },
         # Where the kernels dominate less, kept honest and out of the
-        # headlines: fast-converging chains, the hybrid propagator, the
-        # sentence-pair bag (bisection-bound in both modes).
+        # headlines: fast-converging chains, the sentence-pair bag
+        # (bisection-bound in both modes).
         "ablation": {
             "tree_size": largest,
             "min_speedup": min(e["speedup"] for e in ablation_at_largest),
@@ -373,7 +419,7 @@ BENCH_TREE = _tree(SMALLEST)
 def test_columnar_pain_queries(benchmark, name):
     query = parse_query(PAIN_QUERIES[name])
     structure = TreeStructure(BENCH_TREE)
-    benchmark(lambda: maximal_arc_consistent(query, structure, columnar=True))
+    benchmark(lambda: maximal_arc_consistent(query, structure))
 
 
 @pytest.mark.parametrize(
@@ -382,11 +428,11 @@ def test_columnar_pain_queries(benchmark, name):
 def test_per_candidate_pain_queries(benchmark, name):
     query = parse_query(PAIN_QUERIES[name])
     structure = TreeStructure(BENCH_TREE)
-    benchmark(lambda: maximal_arc_consistent(query, structure, columnar=False))
+    benchmark(lambda: _per_candidate_arc_consistency(query, structure))
 
 
 def test_cross_backend_byte_identity_smoke():
-    """The three backends agree on the bag query on a small fixed document."""
+    """The three answer paths agree on the bag query on a small fixed document."""
     assert _crosscheck_sqlite(1_000) > 0
 
 
@@ -401,8 +447,8 @@ def test_columnar_speedup_meets_claim():
     """
     structure = TreeStructure(BENCH_TREE)
     query = parse_query(PAIN_QUERIES["pain_following_chain8"])
-    fast = _median_time(lambda: maximal_arc_consistent(query, structure, columnar=True), 3)
-    slow = _median_time(lambda: maximal_arc_consistent(query, structure, columnar=False), 3)
+    fast = _median_time(lambda: maximal_arc_consistent(query, structure), 3)
+    slow = _median_time(lambda: _per_candidate_arc_consistency(query, structure), 3)
     assert slow >= 2.0 * fast
 
 

@@ -182,7 +182,7 @@ class _TreeLowering:
     """Builds the join-tree (or flat) SQL for one query against one document.
 
     The decomposition's bags become CTEs ``bag_i`` emitted children-first
-    along the join tree re-rooted at a head bag (:meth:`_reduced_head_tree`).
+    along the join tree re-rooted at a head bag (:meth:`_head_tree`).
     Each ``bag_i`` selects the bag's *keep* columns -- the separator to its
     parent, the separators to children whose subtrees contain head variables,
     and the bag's own head variables -- with the bottom-up Yannakakis semijoin
@@ -265,90 +265,58 @@ class _TreeLowering:
     def _bag_name(self, index: int) -> str:
         return f"{self._prefix}bag_{index}"
 
-    def _reduced_head_tree(
-        self,
-    ) -> tuple[list[frozenset], list[int], list[list[int]], list[int]]:
-        """The compiled join tree, subset bags contracted, rooted at head bags.
+    def _head_tree(self) -> tuple[list[frozenset], list[int], list[list[int]], list[int]]:
+        """The compiled join tree, re-rooted at head bags.
 
-        Two normalizations the compiled decomposition does not promise but
-        the lowering's cost model depends on:
-
-        * **Reduction**: a bag that is a subset of a neighbour carries no
-          constraint of its own, yet as a separate CTE it would materialize
-          its separator (for an atom-free pair, a full cross product).
-          Contracting subset bags into their neighbours -- the *reduced* tree
-          decomposition, which keeps running intersection -- removes them.
-        * **Orientation**: variables outside the keep sets are eliminated as
-          cheap witnesses, and keep sets grow along the path from the head
-          bags to the root, so a tree rooted at the far end of an acyclic
-          tail drags every tail variable into materialized separators.
-          Re-rooted at the bag sharing the most head variables (ties to the
-          lowest index; headless components keep their compiled root when it
-          survives reduction) the same tail reduces bottom-up to semijoins.
+        Variables outside the keep sets are eliminated as cheap witnesses, and
+        keep sets grow along the path from the head bags to the root, so a
+        tree rooted at the far end of an acyclic tail drags every tail
+        variable into materialized separators.  Re-rooted at the bag sharing
+        the most head variables (ties to the lowest index; headless components
+        keep their compiled root) the same tail reduces bottom-up to
+        semijoins.  The compiled decomposition is already *reduced* -- no bag
+        is a subset of a tree neighbour (``decompose.prune_subset_bags``) --
+        so no bag CTE materializes a bare separator.
         """
         decomposition = self.compiled.decomposition
-        count = len(decomposition.bags)
         bags = list(decomposition.bags)
-        neighbours: list[set[int]] = [set() for _ in range(count)]
+        neighbours: list[list[int]] = [[] for _ in bags]
         for index, parent_index in enumerate(decomposition.parent):
             if parent_index >= 0:
-                neighbours[index].add(parent_index)
-                neighbours[parent_index].add(index)
-        alive = set(range(count))
-        merged = True
-        while merged:
-            merged = False
-            for i in sorted(alive):
-                target = next((j for j in sorted(neighbours[i]) if bags[i] <= bags[j]), None)
-                if target is None:
-                    continue
-                neighbours[target].discard(i)
-                for k in neighbours[i]:
-                    if k != target:
-                        neighbours[k].discard(i)
-                        neighbours[k].add(target)
-                        neighbours[target].add(k)
-                neighbours[i].clear()
-                alive.discard(i)
-                merged = True
-                break
-
-        relabel = {old: new for new, old in enumerate(sorted(alive))}
-        reduced_bags = [bags[old] for old in sorted(alive)]
-        reduced_neighbours: list[list[int]] = [[] for _ in relabel]
-        for old in sorted(alive):
-            reduced_neighbours[relabel[old]] = sorted(relabel[k] for k in neighbours[old])
+                neighbours[index].append(parent_index)
+                neighbours[parent_index].append(index)
+        for adjacent in neighbours:
+            adjacent.sort()
 
         head_set = set(self.query.head)
-        reduced_count = len(reduced_bags)
-        parent = [-2] * reduced_count
-        children: list[list[int]] = [[] for _ in range(reduced_count)]
+        parent = [-2] * len(bags)
+        children: list[list[int]] = [[] for _ in bags]
         roots: list[int] = []
-        for start in range(reduced_count):
+        for start in range(len(bags)):
             if parent[start] != -2:
                 continue
             component = [start]
             seen = {start}
             for bag in component:
-                for neighbour in reduced_neighbours[bag]:
+                for neighbour in neighbours[bag]:
                     if neighbour not in seen:
                         seen.add(neighbour)
                         component.append(neighbour)
-            best = max(len(reduced_bags[i] & head_set) for i in component)
+            best = max(len(bags[i] & head_set) for i in component)
             root = component[0]
             if best:
-                root = min(i for i in component if len(reduced_bags[i] & head_set) == best)
+                root = min(i for i in component if len(bags[i] & head_set) == best)
             roots.append(root)
             parent[root] = -1
             stack = [root]
             while stack:
                 bag = stack.pop()
-                for neighbour in reduced_neighbours[bag]:
+                for neighbour in neighbours[bag]:
                     if parent[neighbour] == -2:
                         parent[neighbour] = bag
                         children[bag].append(neighbour)
                         stack.append(neighbour)
-        return reduced_bags, parent, children, roots
+        return bags, parent, children, roots
 
     # -- row sources -------------------------------------------------------------
 
@@ -647,7 +615,7 @@ class _TreeLowering:
         return sql, self.params, self.temp_tables
 
     def lower(self, boolean: bool) -> tuple[str, list, list[str]]:
-        self.bags, self.parent, self.children, self.roots = self._reduced_head_tree()
+        self.bags, self.parent, self.children, self.roots = self._head_tree()
         bags, parent, count, vix = self.bags, self.parent, len(self.bags), self.vix
         head = () if boolean else self.query.head
         head_set = set(head)

@@ -34,8 +34,9 @@ instantiated over the arc-consistent prevaluation and the interval index:
    steps per prefix.  A first-witness search (:class:`_DepthFirst`) remains
    where only *existence* is asked more than one level deep -- Boolean bags,
    longer witness suffixes -- because stopping at the first completion beats
-   any level-wide pass there; the same class, driven through every level, is
-   the ``columnar=False`` oracle the kernel is pinned against.
+   any level-wide pass there; the same class, driven through every level
+   (:meth:`_DepthFirst.rows`), is the reference the kernel is pinned against
+   in the tests and benchmarks.
 3. **bottom-up / top-down semijoin passes** along the join tree (children
    precede parents by construction).  After the bottom-up pass a component is
    satisfiable iff its root relation is non-empty; the top-down pass makes
@@ -337,8 +338,9 @@ class _DepthFirst:
     The search answers *existence* -- does this prefix complete? -- and stops
     at the first completion, which no level-wide pass can beat; it serves
     Boolean bags and witness suffixes more than one level deep.  :meth:`rows`
-    drives the same candidate production through every level: the
-    ``columnar=False`` oracle the level kernel is pinned against.
+    drives the same candidate production through every level: the reference
+    the level kernel is pinned against (over a plan built with
+    ``merge_unions=False``, which it does not follow).
     """
 
     def __init__(self, plan: _BagPlan, views: Mapping[Variable, object], index: "AxisIndex"):
@@ -614,7 +616,6 @@ def _materialize_bag(
     structure: TreeStructure,
     variable_index: Mapping[Variable, int],
     needed: frozenset[Variable],
-    columnar: bool = True,
     head: tuple[Variable, ...] = (),
     limit: Optional[int] = None,
 ) -> tuple[_BagRelation, int]:
@@ -636,21 +637,15 @@ def _materialize_bag(
     order (then the other separators), so whenever the enumeration could
     follow the columns the rows are emitted sorted and duplicate-free.  Only
     then is ``limit`` honoured: rows past it are counted, not built.
-    ``columnar=False`` enumerates depth first, one prefix at a time, through
-    the index's witness generators (:class:`_DepthFirst`) -- the oracle of
-    the differential tests and the ablation side of ``BENCH_columnar.json``.
     Returns the relation and its exact row count.
     """
     plan = _plan_bag(
-        bag, atoms, candidates.domain_sizes(), variable_index, needed, head, merge_unions=columnar
+        bag, atoms, candidates.domain_sizes(), variable_index, needed, head, merge_unions=True
     )
     keep = list(plan.keep_positions)
     if limit is None or plan.must_deduplicate or keep != sorted(keep):
         limit = sys.maxsize  # rows are not emitted in column order: build them all
-    if columnar:
-        rows, count = _expand_levels(plan, candidates, structure.index, limit)
-    else:
-        rows, count = _DepthFirst(plan, candidates.views, structure.index).rows(limit)
+    rows, count = _expand_levels(plan, candidates, structure.index, limit)
     if plan.must_deduplicate:
         rows = list(set(rows))
         count = len(rows)
@@ -817,7 +812,6 @@ def _evaluate(
     propagator,
     compiled: Optional["CompiledQuery"],
     boolean_only: bool,
-    columnar: bool = True,
     limit: Optional[int] = None,
 ) -> tuple[list[Row], int]:
     """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
@@ -842,7 +836,7 @@ def _evaluate(
         )
         result = None if swept is None else propagation.PropagationResult(structure, columns=swept)
     else:
-        result = propagation.propagate(compiled, structure, pinned, chosen, columnar=columnar)
+        result = propagation.propagate(compiled, structure, pinned, chosen)
     if result is None:
         return [], 0
     with tracing.span("decompose"):
@@ -885,7 +879,6 @@ def _evaluate(
                 structure,
                 compiled.variable_index,
                 frozenset(needed),
-                columnar=columnar,
                 head=head,
                 limit=bag_limit,
             )
@@ -920,10 +913,9 @@ def boolean_query_holds(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
     propagator=None,
-    columnar: bool = True,
 ) -> bool:
     """Boolean evaluation: materialize the bags, stop at the first witness."""
-    _, count = _evaluate(query.as_boolean(), structure, pinned, propagator, None, True, columnar)
+    _, count = _evaluate(query.as_boolean(), structure, pinned, propagator, None, True)
     return count > 0
 
 
@@ -933,7 +925,6 @@ def answer_page(
     pinned: Optional[Mapping[Variable, int]] = None,
     propagator=None,
     compiled: Optional["CompiledQuery"] = None,
-    columnar: bool = True,
     limit: Optional[int] = None,
 ) -> tuple[list[Row], int]:
     """The first ``limit`` answers in ascending order, and how many there are.
@@ -943,9 +934,7 @@ def answer_page(
     planner's pick for this engine) is two sweeps along a spanning forest on
     any body, everything else its exact fixpoint; the answers are the same.
     """
-    answers, count = _evaluate(
-        query, structure, pinned, propagator, compiled, False, columnar, limit
-    )
+    answers, count = _evaluate(query, structure, pinned, propagator, compiled, False, limit)
     return answers[:limit], count
 
 
@@ -955,7 +944,6 @@ def evaluate_answers(
     pinned: Optional[Mapping[Variable, int]] = None,
     propagator=None,
     compiled: Optional["CompiledQuery"] = None,
-    columnar: bool = True,
 ) -> frozenset[Row]:
     """All answers of a (possibly cyclic) k-ary query via the join tree.
 
@@ -963,4 +951,4 @@ def evaluate_answers(
     identical to the backtracking engine's on every query, which the property
     tests enforce.
     """
-    return frozenset(answer_page(query, structure, pinned, propagator, compiled, columnar)[0])
+    return frozenset(answer_page(query, structure, pinned, propagator, compiled)[0])

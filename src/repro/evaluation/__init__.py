@@ -13,7 +13,7 @@ from .arc_consistency import (
     maximal_arc_consistent_horn,
 )
 from .backtracking import SearchStatistics, count_solutions, find_solution, iter_solutions
-from .compile import AxisClass, CompiledAtom, CompiledQuery, compile_query
+from .compile import CompiledAtom, CompiledQuery, compile_query
 from .domains import Domains, Valuation, domain_views, initial_domains, valuation_satisfies
 from .planner import (
     MAX_AUTO_DECOMPOSITION_WIDTH,
@@ -42,7 +42,6 @@ from .xprop_evaluator import (
 )
 
 __all__ = [
-    "AxisClass",
     "CompiledAtom",
     "CompiledQuery",
     "DEFAULT_PROPAGATOR",

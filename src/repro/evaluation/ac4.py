@@ -1,10 +1,10 @@
 """AC-4 support-counting propagation over pre/post interval ranks.
 
 The AC-3 worklist of :mod:`arc_consistency` re-scans both whole domains of an
-atom on every revise pass and rebuilds a fresh sorted-array view each time; on
-label-free transitive queries over large trees the worklist needs many passes,
-so the same candidates are re-tested over and over.  This module bounds the
-total propagation work in the AC-4 style instead: compute, once, how much
+atom on every revise pass; on label-free transitive queries over large trees
+the worklist needs many passes, so the same candidates are re-tested over and
+over.  This module bounds the total propagation work in the AC-4 style
+instead: compute, once, how much
 support every (atom-direction, candidate) pair has, then drive all further
 work off *deletions* -- when a node leaves a domain, only the candidates it
 actually supported are touched, each with an O(1) counter decrement or an
@@ -52,6 +52,7 @@ from ..queries.query import ConjunctiveQuery
 from ..trees.axes import Axis
 from ..trees.index import MutableDomainView
 from ..trees.structure import TreeStructure
+from .arc_consistency import bulk_revise_views
 from .compile import CompiledQuery, compile_query
 from .domains import Domains
 
@@ -547,7 +548,6 @@ def ac4_fixpoint(
     query: ConjunctiveQuery | CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    initial_domains: Optional[Domains] = None,
     initial_views: Optional[Views] = None,
 ) -> Optional[Views]:
     """The maximal arc-consistent prevaluation as maintained mutable views.
@@ -557,39 +557,32 @@ def ac4_fixpoint(
     delete-aware representation: callers may hand them straight to the index
     witness primitives or to the backtracking forward checker.
 
-    ``initial_domains`` lets a caller seed the engine with domains it has
-    already (soundly) narrowed -- the hybrid propagator's bulk revise sweep
-    uses this.  ``initial_views`` is the same idea one step further: already
-    maintained views (e.g. straight out of
-    :func:`~repro.evaluation.arc_consistency.bulk_revise_views`) are adopted
-    without rebuilding.  Seeded domains/views must have the pin and self-loop
-    filters applied and be non-empty; confluence of the deletion rules
-    guarantees the fixpoint is unchanged.  ``pinned`` therefore cannot be
-    combined with a seed (the seed is expected to embody it already).
+    ``initial_views`` lets a caller seed the engine with views it has already
+    (soundly) narrowed -- the hybrid propagator's bulk revise sweep
+    (:func:`~repro.evaluation.arc_consistency.bulk_revise_views`) uses this;
+    they are adopted without rebuilding.  Seeded views must have the pin and
+    self-loop filters applied and be non-empty; confluence of the deletion
+    rules guarantees the fixpoint is unchanged.  ``pinned`` therefore cannot
+    be combined with a seed (the seed is expected to embody it already).
     """
-    if initial_domains is not None and initial_views is not None:
-        raise ValueError("initial_domains and initial_views are mutually exclusive seeds")
-    if pinned is not None and (initial_domains is not None or initial_views is not None):
+    if pinned is not None and initial_views is not None:
         raise ValueError(
-            "pinned cannot be combined with initial_domains/initial_views; "
+            "pinned cannot be combined with initial_views; "
             "apply the pin while building the seed instead"
         )
     compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
-    index = structure.index
 
     if initial_views is not None:
         views = initial_views
     else:
-        if initial_domains is None:
-            domains = compiled.initial_domains(structure, pinned)
-            for domain in domains.values():
-                if not domain:
-                    return None
-            # Self-loops R(x, x) are static per-node filters, applied once up front.
-            if not compiled.apply_loop_filters(domains, structure):
+        domains = compiled.initial_domains(structure, pinned)
+        for domain in domains.values():
+            if not domain:
                 return None
-        else:
-            domains = initial_domains
+        # Self-loops R(x, x) are static per-node filters, applied once up front.
+        if not compiled.apply_loop_filters(domains, structure):
+            return None
+        index = structure.index
         views = {
             variable: index.mutable_view(domains[variable]) for variable in compiled.variables
         }
@@ -620,7 +613,6 @@ def hybrid_fixpoint(
     query: ConjunctiveQuery | CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    columnar: bool = True,
 ) -> Optional[Views]:
     """One bulk AC-3 revise sweep, then AC-4 support counting (``hybrid``).
 
@@ -628,16 +620,12 @@ def hybrid_fixpoint(
     AC-3's bulk scans beat AC-4's per-candidate bookkeeping, while on
     slow-converging ones (``Following`` chains, cyclic shapes) AC-4's bounded
     total work wins by orders of magnitude.  The hybrid takes one bulk
-    interval-revise pass over every edge first -- harvesting the cheap
-    deletions at bulk-scan cost -- and hands the shrunken domains to the AC-4
-    engine, whose counter initialisation is now proportionally cheaper.  Both
-    stages delete only unsupported candidates, so the fixpoint (and therefore
-    every consumer downstream) is identical to the other propagators'.
-
-    With ``columnar=True`` the sweep runs the staircase kernels directly on
-    maintained views and the AC-4 stage adopts those views as its seed -- no
-    set round trip, no re-sort; ``columnar=False`` keeps the per-candidate
-    set-based pipeline as the ablation.
+    revise pass over every edge first -- harvesting the cheap deletions at
+    bulk-scan cost, with the staircase kernels running directly on maintained
+    views -- and the AC-4 engine adopts those views as its seed, whose counter
+    initialisation is now proportionally cheaper.  Both stages delete only
+    unsupported candidates, so the fixpoint (and therefore every consumer
+    downstream) is identical to the other propagators'.
     """
     compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
     domains = compiled.initial_domains(structure, pinned)
@@ -646,31 +634,22 @@ def hybrid_fixpoint(
             return None
     if not compiled.apply_loop_filters(domains, structure):
         return None
-    if columnar:
-        from .arc_consistency import bulk_revise_views
-
-        index = structure.index
-        views: Views = {
-            variable: index.mutable_view(domains[variable]) for variable in compiled.variables
-        }
-        if not bulk_revise_views(compiled, views, structure):
-            return None
-        return ac4_fixpoint(compiled, structure, initial_views=views)
-    from .arc_consistency import bulk_revise_sweep
-
-    if not bulk_revise_sweep(compiled, domains, structure, columnar=False):
+    index = structure.index
+    views: Views = {
+        variable: index.mutable_view(domains[variable]) for variable in compiled.variables
+    }
+    if not bulk_revise_views(compiled, views, structure):
         return None
-    return ac4_fixpoint(compiled, structure, initial_domains=domains)
+    return ac4_fixpoint(compiled, structure, initial_views=views)
 
 
 def maximal_arc_consistent_hybrid(
     query: ConjunctiveQuery | CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    columnar: bool = True,
 ) -> Optional[Domains]:
     """Hybrid twin of :func:`maximal_arc_consistent_ac4` (same fixpoint)."""
-    views = hybrid_fixpoint(query, structure, pinned, columnar=columnar)
+    views = hybrid_fixpoint(query, structure, pinned)
     if views is None:
         return None
     return {variable: view.members for variable, view in views.items()}

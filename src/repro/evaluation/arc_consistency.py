@@ -13,12 +13,18 @@ time O(||A|| * |Q|).  Two implementations are provided:
 
 * :func:`maximal_arc_consistent` -- a worklist (AC-3 style) algorithm over the
   per-variable candidate domains.  It computes exactly the same fixpoint (the
-  greatest simultaneous fixpoint of the deletion rules); since the AC-4
-  support-counting engine (:mod:`repro.evaluation.ac4`) became the planner
-  default it serves as the first-line ablation and cross-check.
+  greatest simultaneous fixpoint of the deletion rules).  Every domain lives
+  in a delete-aware :class:`~repro.trees.index.MutableDomainView` and a revise
+  step discards all unsupported candidates of an atom at once with the
+  staircase kernels of :mod:`repro.trees.columnar` -- support counts for the
+  interval axes come from cumulative membership columns in a few fused
+  C-level passes, deletions are O(1) amortized discards, so a revise pass
+  never sorts and never loops per candidate.  The same revise pass, once over
+  every edge, is the opening sweep of the ``hybrid`` propagator
+  (:func:`bulk_revise_views`).
 * :func:`maximal_arc_consistent_horn` -- a literal transcription of the Horn
-  program from the proof (unit propagation over ``Remove(x, v)`` atoms), kept
-  as an ablation baseline and as a cross-check in the tests.
+  program from the proof (unit propagation over ``Remove(x, v)`` atoms), the
+  ground truth every other propagator is tested against.
 
 Engine selection lives in :mod:`repro.evaluation.propagation` (the planner's
 ``propagator=`` dimension); all engines consume the shared
@@ -27,26 +33,6 @@ Engine selection lives in :mod:`repro.evaluation.propagation` (the planner's
 Both return ``None`` when no arc-consistent prevaluation exists (some variable
 loses all candidates), in which case the query is unsatisfiable on the
 structure.
-
-The worklist algorithm's revise step has three interchangeable implementations
-(cross-checked against each other in the tests):
-
-* the *columnar* worklist (the default) keeps every domain in a delete-aware
-  :class:`~repro.trees.index.MutableDomainView` and revises whole domains at
-  once with the staircase kernels of :mod:`repro.trees.columnar` -- support
-  counts for the interval axes come from cumulative membership columns in a
-  few fused C-level passes, and deletions are O(1) amortized discards, so a
-  revise pass never sorts and never loops per candidate;
-* :func:`_revise_interval` asks the tree's pre/post interval index
-  (:mod:`repro.trees.index`) whether each candidate has a witness inside
-  the opposite domain -- O(1) or O(log n) per candidate against a sorted-array
-  view, so one revise pass is O((|Phi(x)| + |Phi(y)|) log n).  It is the
-  per-candidate ablation baseline the columnar kernels are benchmarked
-  against (``columnar=False``);
-* :func:`_revise_enumeration` materializes ``axis_successors`` /
-  ``axis_predecessors`` per candidate and intersects -- O(n) per candidate for
-  the transitive axes.  It is kept as the fallback for axes the index does not
-  know and as the deepest ablation baseline (``use_index=False``).
 """
 
 from __future__ import annotations
@@ -66,7 +52,7 @@ from ..trees.columnar import (
 )
 from ..trees.index import AxisIndex, MutableDomainView
 from ..trees.structure import TreeStructure
-from .compile import AxisClass, CompiledAtom, CompiledQuery, compile_query
+from .compile import CompiledAtom, CompiledQuery, compile_query
 from .domains import Domains
 
 
@@ -74,8 +60,6 @@ def maximal_arc_consistent(
     query: ConjunctiveQuery | CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    use_index: bool = True,
-    columnar: bool = True,
 ) -> Optional[Domains]:
     """Compute the subset-maximal arc-consistent prevaluation (worklist form).
 
@@ -85,15 +69,12 @@ def maximal_arc_consistent(
     complement).
 
     Runs on the compile-once representation (:mod:`repro.evaluation.compile`):
-    normalized atoms, precomputed adjacency, per-atom axis classification and
-    the initial-domain recipe all come from the :class:`CompiledQuery` instead
-    of being re-derived per call.
-
-    ``columnar=False`` forces the per-candidate interval revise step instead
-    of the bulk columnar kernels; ``use_index=False`` additionally forces the
-    materializing enumeration revise step.  All three reach the same fixpoint
-    (the deletion rules are confluent), so the flags exist only for ablation
-    benchmarks and cross-checking tests.
+    normalized atoms, precomputed adjacency and the initial-domain recipe all
+    come from the :class:`CompiledQuery` instead of being re-derived per call.
+    The domains *live* in delete-aware views -- kept sorted by construction,
+    with bulk kernels producing the exact casualty list of each revise -- so
+    total deletion work is bounded by the total number of deletions and each
+    pass costs a handful of C-level column sweeps.
     """
     compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
     domains = compiled.initial_domains(structure, pinned)
@@ -104,68 +85,21 @@ def maximal_arc_consistent(
     if not compiled.apply_loop_filters(domains, structure):
         return None
 
-    if use_index and columnar:
-        views = {
-            variable: structure.index.mutable_view(domains[variable])
-            for variable in compiled.variables
-        }
-        if not _worklist_columnar(compiled, views, structure):
-            return None
-        return {variable: view.members for variable, view in views.items()}
-
+    index = structure.index
+    views = {variable: index.mutable_view(domains[variable]) for variable in compiled.variables}
     queue: deque[CompiledAtom] = deque(compiled.edges)
     queued: set[CompiledAtom] = set(compiled.edges)
-
     while queue:
         atom = queue.popleft()
         queued.discard(atom)
-        changed_variables = _revise(atom, domains, structure, use_index)
-        for variable in changed_variables:
-            if not domains[variable]:
+        for variable in _revise(atom, views, index):
+            if not views[variable].members:
                 return None
             for neighbour_atom in compiled.atoms_of(variable):
                 if neighbour_atom not in queued:
                     queue.append(neighbour_atom)
                     queued.add(neighbour_atom)
-    return domains
-
-
-def bulk_revise_sweep(
-    compiled: CompiledQuery,
-    domains: Domains,
-    structure: TreeStructure,
-    columnar: bool = True,
-) -> bool:
-    """One bulk interval-revise pass over every edge (no worklist, no repeats).
-
-    This is the opening move of the ``hybrid`` propagator
-    (:func:`repro.evaluation.ac4.hybrid_fixpoint`): on fast-converging queries
-    (pure ``Child+`` chains) a single pass of AC-3's bulk scans removes the
-    bulk of the dead candidates far cheaper than per-candidate support
-    bookkeeping, and whatever it leaves behind is finished off by the
-    deletion-driven AC-4 engine.  Deleting only unsupported candidates keeps
-    the fixpoint unchanged (the deletion rules are confluent).
-
-    Mutates ``domains`` in place; returns ``False`` iff some domain empties.
-    With ``columnar=True`` the pass runs the staircase kernels over fresh
-    mutable views and writes the surviving member sets back; the hybrid
-    propagator avoids even that round trip by calling
-    :func:`bulk_revise_views` on views it keeps.
-    """
-    if columnar:
-        views = {
-            variable: structure.index.mutable_view(domains[variable])
-            for variable in compiled.variables
-        }
-        alive = bulk_revise_views(compiled, views, structure)
-        for variable, view in views.items():
-            domains[variable] = view.members
-        return alive
-    for atom in compiled.edges:
-        for variable in _revise(atom, domains, structure):
-            if not domains[variable]:
-                return False
-    return True
+    return {variable: view.members for variable, view in views.items()}
 
 
 def bulk_revise_views(
@@ -173,7 +107,15 @@ def bulk_revise_views(
     views: Mapping[Variable, MutableDomainView],
     structure: TreeStructure,
 ) -> bool:
-    """One columnar revise pass over every edge, mutating the views in place.
+    """One revise pass over every edge (no worklist, no repeats), in place.
+
+    This is the opening move of the ``hybrid`` propagator
+    (:func:`repro.evaluation.ac4.hybrid_fixpoint`): on fast-converging queries
+    (pure ``Child+`` chains) a single pass of the bulk kernels removes the
+    bulk of the dead candidates far cheaper than per-candidate support
+    bookkeeping, and whatever it leaves behind is finished off by the
+    deletion-driven AC-4 engine.  Deleting only unsupported candidates keeps
+    the fixpoint unchanged (the deletion rules are confluent).
 
     Returns ``False`` iff some view empties.  The views stay valid (and
     maintained) either way, so the hybrid propagator hands them straight to
@@ -181,90 +123,26 @@ def bulk_revise_views(
     """
     index = structure.index
     for atom in compiled.edges:
-        for variable in _revise_columnar(atom, views, index, structure):
+        for variable in _revise(atom, views, index):
             if not views[variable].members:
                 return False
     return True
 
 
-# ---------------------------------------------------------------------------
-# Columnar worklist: staircase kernels over maintained mutable views.
-# ---------------------------------------------------------------------------
-
-
-def _worklist_columnar(
-    compiled: CompiledQuery,
-    views: Mapping[Variable, MutableDomainView],
-    structure: TreeStructure,
-) -> bool:
-    """Run the worklist to fixpoint over mutable views; False iff some empties.
-
-    The per-candidate worklist re-sorts both domains into fresh
-    :class:`~repro.trees.index.DomainView` snapshots on every revise of every
-    atom; over a long-converging query that sorting alone dominates.  Here the
-    domains *live* in delete-aware views -- kept sorted by construction, with
-    bulk kernels producing the exact casualty list of each revise -- so total
-    deletion work is bounded by the total number of deletions and each pass
-    costs a handful of C-level column sweeps.
-    """
-    index = structure.index
-    queue: deque[CompiledAtom] = deque(compiled.edges)
-    queued: set[CompiledAtom] = set(compiled.edges)
-    while queue:
-        atom = queue.popleft()
-        queued.discard(atom)
-        for variable in _revise_columnar(atom, views, index, structure):
-            if not views[variable].members:
-                return False
-            for neighbour_atom in compiled.atoms_of(variable):
-                if neighbour_atom not in queued:
-                    queue.append(neighbour_atom)
-                    queued.add(neighbour_atom)
-    return True
-
-
-def _revise_columnar(
+def _revise(
     atom: CompiledAtom,
     views: Mapping[Variable, MutableDomainView],
     index: AxisIndex,
-    structure: TreeStructure,
 ) -> list[Variable]:
-    """Columnar revise of one atom: discard all unsupported candidates at once.
+    """Revise one atom: discard all unsupported candidates at once.
 
-    Returns the variables whose domains shrank.  (When used by
-    :func:`bulk_revise_views` the returned variables' views may be consulted
-    directly; the worklist uses the names to re-enqueue neighbours.)
+    Returns the variables whose domains shrank.
     """
     changed: list[Variable] = []
     source_view = views[atom.source]
     target_view = views[atom.target]
 
-    if atom.axis_class is AxisClass.ENUMERATION:
-        # Axes outside the index vocabulary (none after normalization, but the
-        # engine stays total): materialize the relation per candidate.
-        dead = [
-            u
-            for u in source_view.array
-            if not target_view.members.intersection(structure.axis_successors(atom.axis, u))
-        ]
-        if dead:
-            for node in dead:
-                source_view.discard(node)
-            changed.append(atom.source)
-            if not source_view.members:
-                return changed
-        dead = [
-            w
-            for w in target_view.array
-            if not source_view.members.intersection(structure.axis_predecessors(atom.axis, w))
-        ]
-        if dead:
-            for node in dead:
-                target_view.discard(node)
-            changed.append(atom.target)
-        return changed
-
-    dead = _unsupported_forward(atom.axis, source_view, target_view, index, structure)
+    dead = _unsupported_forward(atom.axis, source_view, target_view, index)
     if dead:
         discard = source_view.discard
         for node in dead:
@@ -273,7 +151,7 @@ def _revise_columnar(
         if not source_view.members:
             return changed
 
-    dead = _unsupported_backward(atom.axis, target_view, source_view, index, structure)
+    dead = _unsupported_backward(atom.axis, target_view, source_view, index)
     if dead:
         discard = target_view.discard
         for node in dead:
@@ -287,7 +165,6 @@ def _unsupported_forward(
     watched: MutableDomainView,
     support: MutableDomainView,
     index: AxisIndex,
-    structure: TreeStructure,
 ) -> list[int]:
     """Watched candidates ``u`` with no ``v`` in the support: ``axis(u, v)``."""
     candidates = watched.array
@@ -318,7 +195,6 @@ def _unsupported_backward(
     watched: MutableDomainView,
     support: MutableDomainView,
     index: AxisIndex,
-    structure: TreeStructure,
 ) -> list[int]:
     """Watched candidates ``w`` with no ``u`` in the support: ``axis(u, w)``."""
     candidates = watched.array
@@ -344,93 +220,6 @@ def _unsupported_backward(
         return list(candidates[: bisect_right(candidates, support_array[0])])
     has_predecessor_in = index.has_predecessor_in
     return [w for w in candidates if not has_predecessor_in(axis, w, support)]
-
-
-def _revise(
-    atom: CompiledAtom,
-    domains: Domains,
-    structure: TreeStructure,
-    use_index: bool = True,
-) -> list[Variable]:
-    """Remove unsupported candidates for both endpoints of ``atom``.
-
-    Dispatches on the compile-time axis classification: interval/local axes go
-    through the index revise step, enumeration-class axes through the
-    materializing one.  Returns the variables whose domains shrank.
-    """
-    if use_index and atom.axis_class is not AxisClass.ENUMERATION:
-        return _revise_interval(atom, domains, structure)
-    return _revise_enumeration(atom, domains, structure)
-
-
-def _revise_interval(
-    atom: CompiledAtom, domains: Domains, structure: TreeStructure
-) -> list[Variable]:
-    """Interval-index revise: witness tests against sorted-array domain views.
-
-    Local axes (``Child``, ``NextSibling``, ``SuccPre``, ...) are answered by
-    direct array lookups, interval axes (``Child+``, ``Child*``, ``Following``,
-    ``NextSibling+``, ...) by bisection and per-view aggregates -- never by
-    enumerating the relation.
-    """
-    changed: list[Variable] = []
-    index = structure.index
-    source_domain = domains[atom.source]
-    target_domain = domains[atom.target]
-
-    # Forward direction: every v in Phi(source) needs a witness in Phi(target).
-    target_view = index.view(target_domain)
-    keep_source = {
-        v
-        for v in source_domain
-        if index.has_successor_in(atom.axis, v, target_view)
-    }
-    if keep_source != source_domain:
-        domains[atom.source] = keep_source
-        changed.append(atom.source)
-
-    # Backward direction: every w in Phi(target) needs a witness in Phi(source).
-    source_view = index.view(domains[atom.source])
-    keep_target = {
-        w
-        for w in target_domain
-        if index.has_predecessor_in(atom.axis, w, source_view)
-    }
-    if keep_target != target_domain:
-        domains[atom.target] = keep_target
-        changed.append(atom.target)
-    return changed
-
-
-def _revise_enumeration(
-    atom: CompiledAtom, domains: Domains, structure: TreeStructure
-) -> list[Variable]:
-    """Enumeration revise: materialize the relation per candidate (baseline)."""
-    changed: list[Variable] = []
-    source_domain = domains[atom.source]
-    target_domain = domains[atom.target]
-
-    # Forward direction: every v in Phi(source) needs a witness in Phi(target).
-    keep_source = set()
-    for v in source_domain:
-        successors = structure.axis_successors(atom.axis, v)
-        if target_domain.intersection(successors):
-            keep_source.add(v)
-    if keep_source != source_domain:
-        domains[atom.source] = keep_source
-        changed.append(atom.source)
-
-    # Backward direction: every w in Phi(target) needs a witness in Phi(source).
-    source_domain = domains[atom.source]
-    keep_target = set()
-    for w in target_domain:
-        predecessors = structure.axis_predecessors(atom.axis, w)
-        if any(v in source_domain for v in predecessors):
-            keep_target.add(w)
-    if keep_target != target_domain:
-        domains[atom.target] = keep_target
-        changed.append(atom.target)
-    return changed
 
 
 def is_arc_consistent(
@@ -463,7 +252,7 @@ def is_arc_consistent(
 
 
 # ---------------------------------------------------------------------------
-# Literal Horn-program implementation (Proposition 3.1), used as an ablation.
+# Literal Horn-program implementation (Proposition 3.1), the ground truth.
 # ---------------------------------------------------------------------------
 
 

@@ -13,12 +13,7 @@ by :func:`compile_query`:
   ``Preceding``, ...) are rewritten to their forward counterpart with the
   endpoints swapped (``Parent(x, y)`` denotes the same constraint as
   ``Child(y, x)``), and duplicate constraints are dropped, so engines only ever
-  see the forward axis vocabulary;
-* **axis classification** -- each atom is tagged :class:`AxisClass` ``INTERVAL``
-  (answerable by bisection/aggregates over pre/post ranks), ``LOCAL``
-  (answerable by direct array lookups) or ``ENUMERATION`` (requires
-  materializing the relation), which replaces the try/except dispatch the AC-3
-  revise step used;
+  see the ten forward axes, every one answered by the interval index;
 * **adjacency** -- per-variable tuples of the (non-loop) atoms touching the
   variable, plus the self-loop atoms separately (a self-loop is a static node
   filter, not a propagation edge);
@@ -34,7 +29,6 @@ Compilation depends only on the query (never on the structure), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -47,34 +41,6 @@ from ..trees.axes import INVERSE, Axis
 from ..trees.structure import TreeStructure
 from .domains import Domains
 
-
-class AxisClass(str, Enum):
-    """How the interval index can answer witness queries for an axis."""
-
-    INTERVAL = "interval"
-    LOCAL = "local"
-    ENUMERATION = "enumeration"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
-#: Axes answered by bisection / order statistics over pre/post rank arrays.
-INTERVAL_AXES: frozenset[Axis] = frozenset(
-    {
-        Axis.CHILD_PLUS,
-        Axis.CHILD_STAR,
-        Axis.FOLLOWING,
-        Axis.NEXT_SIBLING_PLUS,
-        Axis.NEXT_SIBLING_STAR,
-        Axis.DOCUMENT_ORDER,
-    }
-)
-
-#: Axes answered by a direct local-structure array lookup (parent, sibling, ...).
-LOCAL_AXES: frozenset[Axis] = frozenset(
-    {Axis.CHILD, Axis.NEXT_SIBLING, Axis.SUCC_PRE, Axis.SELF}
-)
 
 #: Inverse axes normalised away during compilation (argument swap).
 _REVERSED_AXES: frozenset[Axis] = frozenset(
@@ -89,23 +55,13 @@ _REVERSED_AXES: frozenset[Axis] = frozenset(
 )
 
 
-def classify_axis(axis: Axis) -> AxisClass:
-    """The index's answer strategy for ``axis`` (after normalization)."""
-    if axis in INTERVAL_AXES:
-        return AxisClass.INTERVAL
-    if axis in LOCAL_AXES:
-        return AxisClass.LOCAL
-    return AxisClass.ENUMERATION
-
-
 @dataclass(frozen=True)
 class CompiledAtom:
-    """A normalized binary atom: forward axis, classified, original kept."""
+    """A normalized binary atom: forward axis, original kept."""
 
     axis: Axis
     source: Variable
     target: Variable
-    axis_class: AxisClass
     original: AxisAtom
 
     @property
@@ -125,7 +81,7 @@ def normalize_atom(atom: AxisAtom) -> CompiledAtom:
     axis, source, target = atom.axis, atom.source, atom.target
     if axis in _REVERSED_AXES:
         axis, source, target = INVERSE[axis], target, source
-    return CompiledAtom(axis, source, target, classify_axis(axis), atom)
+    return CompiledAtom(axis, source, target, atom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +212,6 @@ class CompiledQuery:
     def atoms_of(self, variable: Variable) -> tuple[CompiledAtom, ...]:
         """The non-loop atoms touching ``variable`` (the propagation edges)."""
         return self.adjacency.get(variable, ())
-
-    @property
-    def has_enumeration_atoms(self) -> bool:
-        return any(atom.axis_class is AxisClass.ENUMERATION for atom in self.atoms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,11 +31,13 @@ Orthogonally, every path needs the subset-maximal arc-consistent
 prevaluation; *how* it is computed is the second planner dimension,
 ``propagator=`` (:class:`~repro.evaluation.propagation.Propagator`): ``ac4``
 (support counting over interval ranks, the library default), ``hybrid`` (one
-bulk revise sweep, then AC-4), ``ac3`` (worklist) and ``horn`` (unit
-propagation) as cross-checked ablations, and ``semijoin`` -- the Yannakakis
-full reducer (:mod:`repro.evaluation.reducer`), two semijoin sweeps along the
-shadow forest, exact on forest-shaped bodies only: there the cost planner
-always picks it; on a cyclic body it is a ``ValueError`` everywhere except in
+bulk revise sweep, then AC-4; the cost planner's pick for some cyclic bodies
+routed to backtracking), ``ac3`` (the worklist, selectable on the wire),
+``horn`` (unit propagation, the ground truth the tests hold every other
+engine to), and ``semijoin`` -- the Yannakakis full reducer
+(:mod:`repro.evaluation.reducer`), two semijoin sweeps along the shadow
+forest, exact on forest-shaped bodies only: there the cost planner always
+picks it; on a cyclic body it is a ``ValueError`` everywhere except in
 front of the decomposition engine, whose bags only need the supersets.
 
 Whatever the route, :func:`answer_page` is what comes out: the first ``limit``

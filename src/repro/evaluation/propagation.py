@@ -8,10 +8,11 @@ now exposes as the ``propagator=`` dimension:
   :mod:`repro.evaluation.ac4`: counters/thresholds over pre/post interval
   ranks, deletion-driven, maintained (never rebuilt) domain views;
 * :attr:`Propagator.AC3` -- the worklist engine of
-  :mod:`repro.evaluation.arc_consistency` (interval-index revise steps), kept
-  as the cross-checked ablation;
+  :mod:`repro.evaluation.arc_consistency` (bulk revise kernels over
+  maintained views), a wire value kept beside AC-4;
 * :attr:`Propagator.HORN` -- the literal Horn-SAT transcription of the
-  Proposition 3.1 proof, the ground-truth baseline;
+  Proposition 3.1 proof, the ground truth every other engine is tested
+  against;
 * :attr:`Propagator.HYBRID` -- one bulk AC-3 revise sweep to harvest the
   cheap deletions at bulk-scan cost, then AC-4 support counting on the
   shrunken domains (closing the ROADMAP gap on fast-converging pure
@@ -172,7 +173,6 @@ def propagate(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
     propagator: PropagatorLike = DEFAULT_PROPAGATOR,
-    columnar: bool = True,
 ) -> Optional[PropagationResult]:
     """Compute the maximal arc-consistent prevaluation with the chosen engine.
 
@@ -180,10 +180,6 @@ def propagate(
     empties), i.e. the query is unsatisfiable on the structure.  Accepts a
     pre-compiled query directly, so callers holding resident artifacts (the
     serving layer's query cache) skip even the compile-cache lookup.
-
-    ``columnar=False`` forces the per-candidate ablation paths of the chosen
-    engine (same fixpoint; benchmark/cross-check use only).  AC-4, the Horn
-    engine and the full reducer have no columnar dimension and ignore the flag.
 
     Every call lands in the per-propagator latency histogram
     (:data:`PROPAGATE_SECONDS`); inside an active trace a ``propagate`` span
@@ -194,7 +190,7 @@ def propagate(
     chosen = as_propagator(propagator)
     if not tracing.is_active():
         started = time.perf_counter()
-        result = _propagate(query, structure, pinned, chosen, columnar)
+        result = _propagate(query, structure, pinned, chosen)
         PROPAGATE_SECONDS.observe(time.perf_counter() - started, propagator=chosen.value)
         return result
     with tracing.span("propagate", propagator=chosen.value):
@@ -206,7 +202,7 @@ def propagate(
             }
         )
         started = time.perf_counter()
-        result = _propagate(compiled, structure, pinned, chosen, columnar)
+        result = _propagate(compiled, structure, pinned, chosen)
         PROPAGATE_SECONDS.observe(time.perf_counter() - started, propagator=chosen.value)
         if result is None:
             tracing.annotate(satisfiable=False)
@@ -220,13 +216,12 @@ def _propagate(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]],
     chosen: Propagator,
-    columnar: bool,
 ) -> Optional[PropagationResult]:
     if chosen is Propagator.AC4 or chosen is Propagator.HYBRID:
         if chosen is Propagator.AC4:
             views = ac4_fixpoint(query, structure, pinned)
         else:
-            views = hybrid_fixpoint(query, structure, pinned, columnar=columnar)
+            views = hybrid_fixpoint(query, structure, pinned)
         if views is None:
             return None
         domains = {variable: view.members for variable, view in views.items()}
@@ -238,7 +233,7 @@ def _propagate(
             return None
         return PropagationResult(structure, columns=columns)
     if chosen is Propagator.AC3:
-        domains = maximal_arc_consistent(query, structure, pinned, columnar=columnar)
+        domains = maximal_arc_consistent(query, structure, pinned)
     else:
         domains = maximal_arc_consistent_horn(query, structure, pinned)
     if domains is None:

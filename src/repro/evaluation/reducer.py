@@ -179,7 +179,7 @@ def _semijoin(
         return watched[bisect_right(watched, support[0]) :]
     unsupported = _unsupported_forward if forward else _unsupported_backward
     dead = unsupported(
-        axis, index.mutable_view(watched, True), index.mutable_view(support, True), index, structure
+        axis, index.mutable_view(watched, True), index.mutable_view(support, True), index
     )
     return list(filterfalse(set(dead).__contains__, watched)) if dead else watched
 

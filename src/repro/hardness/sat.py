@@ -138,15 +138,15 @@ def solve_backtracking(instance: OneInThreeInstance) -> Optional[Assignment]:
                 newly_fixed.append(literal)
         return newly_fixed
 
-    def search(clause_index: int) -> bool:
-        if clause_index == instance.num_clauses:
+    def search(depth: int) -> bool:
+        if depth == instance.num_clauses:
             return True
-        clause = instance.clauses[clause_index]
+        clause = instance.clauses[depth]
         for position in range(3):
             newly_fixed = consistent_choice(clause, position)
             if newly_fixed is None:
                 continue
-            if search(clause_index + 1):
+            if search(depth + 1):
                 return True
             for fixed in newly_fixed:
                 del assignment[fixed]

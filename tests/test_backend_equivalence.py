@@ -1,10 +1,10 @@
-"""Cross-backend byte-identity: in-memory vs columnar vs SQLite accel.
+"""Cross-backend byte-identity: in-memory vs SQLite accel vs the Horn oracle.
 
 Every query must produce byte-identical answers through
 
-* the in-memory planner with the per-candidate (``columnar=False``) paths,
-* the in-memory planner with the columnar kernels (the default),
+* the in-memory planner (the default routes),
 * the SQLite accel-table backend (``Engine.SQL``),
+* the Horn per-tuple oracle (backtracking over the literal Horn program),
 
 across boolean/monadic/k-ary heads (including repeated head variables),
 labels, pinning, cyclic shapes, and extra unary relations.  The CI
@@ -88,10 +88,10 @@ class TestCrossBackendIdentity:
     @given(trees(), head_queries())
     def test_three_backends_agree(self, tree, query):
         structure = TreeStructure(tree)
-        columnar = repr(sorted(evaluate(query, structure)))
+        in_memory = repr(sorted(evaluate(query, structure)))
         sql = _answer_bytes(query, structure, Engine.SQL)
-        per_candidate = repr(sorted(evaluate_answers(query, structure, columnar=False)))
-        assert columnar == sql == per_candidate
+        horn = _answer_bytes(query, structure, Engine.BACKTRACKING, propagator="horn")
+        assert in_memory == sql == horn
 
     @SETTINGS
     @given(trees(), head_queries(max_arity=0), st.integers(min_value=0, max_value=10_000))

@@ -6,10 +6,10 @@ per-candidate interval primitives of :mod:`repro.trees.index` (``range_count``,
 ``has_successor_in``, ``has_predecessor_in``) on every axis, every support
 set, and every :class:`~repro.trees.index.MutableDomainView` deletion state --
 the columnar paths are pure performance refactors, so any divergence is a bug.
-The same goes one level up: the columnar fixpoints (AC-3 worklist, AC-4
-counter init, hybrid) and the level-at-a-time bag materialization must compute
-exactly what their per-candidate ablations compute, and the window kernels the
-levels are made of are pinned to brute force one by one.
+One level up, the fixpoints built on them (AC-3 worklist, hybrid) must equal
+the literal Horn program of Proposition 3.1 and the level-at-a-time bag
+materialization the Horn per-tuple oracle; the window kernels the levels are
+made of are pinned to brute force one by one.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.decomposition.yannakakis import evaluate_answers
-from repro.evaluation.ac4 import hybrid_fixpoint
+from repro.evaluation import Engine, evaluate
+from repro.evaluation.ac4 import maximal_arc_consistent_hybrid
 from repro.evaluation.arc_consistency import (
     _unsupported_backward,
     _unsupported_forward,
     maximal_arc_consistent,
+    maximal_arc_consistent_horn,
 )
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.queries.query import ConjunctiveQuery
@@ -277,7 +279,7 @@ class TestUnsupportedKernels:
         index = tree.index
         watched_view = index.mutable_view(watched)
         support_view = index.mutable_view(support)
-        dead = _unsupported_forward(axis, watched_view, support_view, index, structure)
+        dead = _unsupported_forward(axis, watched_view, support_view, index)
         support_set = set(support)
         expected = [
             u
@@ -294,7 +296,7 @@ class TestUnsupportedKernels:
         index = tree.index
         watched_view = index.mutable_view(watched)
         support_view = index.mutable_view(support)
-        dead = _unsupported_backward(axis, watched_view, support_view, index, structure)
+        dead = _unsupported_backward(axis, watched_view, support_view, index)
         support_set = set(support)
         expected = [
             w
@@ -308,7 +310,6 @@ class TestUnsupportedKernels:
     def test_kernels_respect_view_deletion_state(self, data, axis):
         """Aggregates rebuilt after discards: kernels see only live members."""
         tree, watched, support = data
-        structure = TreeStructure(tree)
         index = tree.index
         support_view = index.mutable_view(range(len(tree)))
         # Force the cached aggregates, then invalidate them through discards.
@@ -322,36 +323,29 @@ class TestUnsupportedKernels:
         assert support_view.cum_pre == fresh_support.cum_pre
         assert support_view.cum_end == fresh_support.cum_end
         assert support_view.live_mask == fresh_support.live_mask
-        assert list(
-            _unsupported_forward(axis, watched_view, support_view, index, structure)
-        ) == list(
-            _unsupported_forward(axis, watched_view, fresh_support, index, structure)
+        assert list(_unsupported_forward(axis, watched_view, support_view, index)) == list(
+            _unsupported_forward(axis, watched_view, fresh_support, index)
         )
 
 
-class TestFixpointAblation:
-    """Columnar fixpoints are byte-identical to their per-candidate ablations."""
+class TestFixpointsAgainstHorn:
+    """The columnar fixpoints equal the literal Horn program of Proposition 3.1."""
 
     @SETTINGS
     @given(trees(), queries(KERNEL_AXES))
-    def test_ac3_worklist_columnar_matches_per_candidate(self, tree, query):
+    def test_ac3_worklist_matches_horn(self, tree, query):
         structure = TreeStructure(tree)
-        fast = maximal_arc_consistent(query, structure, columnar=True)
-        slow = maximal_arc_consistent(query, structure, columnar=False)
-        assert fast == slow
+        assert maximal_arc_consistent(query, structure) == maximal_arc_consistent_horn(
+            query, structure
+        )
 
     @SETTINGS
     @given(trees(), queries(KERNEL_AXES))
-    def test_hybrid_columnar_matches_per_candidate(self, tree, query):
+    def test_hybrid_matches_horn(self, tree, query):
         structure = TreeStructure(tree)
-        fast = hybrid_fixpoint(query, structure, columnar=True)
-        slow = hybrid_fixpoint(query, structure, columnar=False)
-        if fast is None or slow is None:
-            assert fast is None and slow is None
-            return
-        assert {v: set(view.members) for v, view in fast.items()} == {
-            v: set(view.members) for v, view in slow.items()
-        }
+        assert maximal_arc_consistent_hybrid(query, structure) == maximal_arc_consistent_horn(
+            query, structure
+        )
 
     @SETTINGS
     @given(
@@ -359,24 +353,24 @@ class TestFixpointAblation:
         queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)),
         st.integers(min_value=0, max_value=10_000),
     )
-    def test_columnar_fixpoint_with_pinning(self, tree, query, seed):
+    def test_fixpoint_with_pinning_matches_horn(self, tree, query, seed):
         structure = TreeStructure(tree)
         rng = random.Random(seed)
         pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
-        assert maximal_arc_consistent(
-            query, structure, pinned, columnar=True
-        ) == maximal_arc_consistent(query, structure, pinned, columnar=False)
+        assert maximal_arc_consistent(query, structure, pinned) == maximal_arc_consistent_horn(
+            query, structure, pinned
+        )
 
 
 class TestDecompositionColumnar:
     @SETTINGS
     @given(trees(), queries(KERNEL_AXES + (Axis.SELF, Axis.ANCESTOR, Axis.PRECEDING_SIBLING)))
-    def test_bag_materialization_levels_match_the_recursion(self, tree, query):
+    def test_bag_materialization_levels_match_the_horn_oracle(self, tree, query):
         rng = random.Random(len(tree) + len(query.body))
         body_variables = sorted({v for atom in query.body for v in atom.variables()})
         head = tuple(rng.sample(body_variables, rng.randint(0, min(2, len(body_variables)))))
         kary = query.with_head(head)
         structure = TreeStructure(tree)
-        fast = evaluate_answers(kary, structure, columnar=True)
-        slow = evaluate_answers(kary, structure, columnar=False)
-        assert repr(sorted(fast)) == repr(sorted(slow))
+        levels = evaluate_answers(kary, structure)
+        oracle = evaluate(kary, structure, engine=Engine.BACKTRACKING, propagator="horn")
+        assert repr(sorted(levels)) == repr(sorted(oracle))

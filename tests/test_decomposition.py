@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.decomposition import (
     min_fill_order,
     query_hypergraph,
 )
-from repro.decomposition.decompose import decomposition_from_order
+from repro.decomposition.decompose import EXACT_VERTEX_LIMIT, decomposition_from_order
 from repro.evaluation import (
     MAX_AUTO_DECOMPOSITION_WIDTH,
     Engine,
@@ -184,6 +185,25 @@ class TestDecompose:
         compiled = compile_query(parse_query(TRIANGLE))
         assert compiled.decomposition is compiled.decomposition
 
+    def test_no_bag_is_a_subset_of_a_tree_neighbour(self):
+        """``decompose`` returns the reduced decomposition; the SQL lowering relies on it."""
+        rng = random.Random(7)
+        axes = list(Axis)
+        for trial in range(240):
+            size = rng.randint(2, 9) if trial < 200 else rng.randint(13, 18)
+            variables = [f"v{i}" for i in range(size)]
+            # A spanning tree keeps every variable in the body, then chords.
+            pairs = [(variables[rng.randrange(i)], variables[i]) for i in range(1, size)]
+            pairs += [tuple(rng.sample(variables, 2)) for _ in range(rng.randint(0, size))]
+            atoms = tuple(AxisAtom(rng.choice(axes), *rng.sample(pair, 2)) for pair in pairs)
+            decomposition = compile_query(ConjunctiveQuery((), atoms, "Q")).decomposition
+            assert decomposition.exact == (size <= EXACT_VERTEX_LIMIT)
+            bags = decomposition.bags
+            for child, parent in enumerate(decomposition.parent):
+                if parent >= 0:
+                    assert not bags[child] <= bags[parent], (atoms, decomposition)
+                    assert not bags[parent] <= bags[child], (atoms, decomposition)
+
     def test_parents_precede_children(self):
         decomposition = compile_query(parse_query(DIAMOND)).decomposition
         for index, parent in enumerate(decomposition.parent):
@@ -333,9 +353,9 @@ class TestBagEmission:
     through the kernel directly: columns are the head variables in head
     order, rows come out sorted (and ``limit`` is honoured) exactly when the
     enumeration could follow them, and the count is exact either way.  The
-    level-at-a-time kernel (``columnar=True``) is pinned, shape by shape and
-    on random bags over every axis, to the per-prefix recursion
-    (``columnar=False``) and to the Horn per-tuple oracle.
+    level-at-a-time kernel is pinned, shape by shape and on random bags over
+    every axis, to the per-prefix recursion (``_DepthFirst.rows``, reached
+    directly) and to the Horn per-tuple oracle.
     """
 
     @pytest.fixture(scope="class")
@@ -343,8 +363,14 @@ class TestBagEmission:
         return TreeStructure(random_tree(60, alphabet=("A", "B", "C"), max_children=3, seed=5))
 
     @staticmethod
-    def _bag(structure, body, needed, head, limit=None, columnar=True, horn=False):
-        from repro.decomposition.yannakakis import _materialize_bag
+    def _bag(structure, body, needed, head, limit=None, reference=False, horn=False):
+        """The bag by the level kernel, or (``reference``) by the per-prefix recursion."""
+        from repro.decomposition.yannakakis import (
+            _BagRelation,
+            _DepthFirst,
+            _materialize_bag,
+            _plan_bag,
+        )
 
         compiled = compile_query(parse_query(f"Q <- {body}"))
         # Label columns as the candidates: what the reducer starts from.
@@ -355,17 +381,36 @@ class TestBagEmission:
                 for variable, nodes in compiled.initial_domains(structure).items()
             },
         )
-        relation, count = _materialize_bag(
-            frozenset(compiled.variables),
-            compiled.atoms,
-            candidates,
-            structure,
-            compiled.variable_index,
-            frozenset(needed),
-            columnar=columnar,
-            head=tuple(head),
-            limit=limit,
-        )
+        bag, needed, head = frozenset(compiled.variables), frozenset(needed), tuple(head)
+        if reference:
+            plan = _plan_bag(
+                bag,
+                compiled.atoms,
+                candidates.domain_sizes(),
+                compiled.variable_index,
+                needed,
+                head,
+                merge_unions=False,
+            )
+            keep = list(plan.keep_positions)
+            in_order = limit is not None and not plan.must_deduplicate and keep == sorted(keep)
+            search = _DepthFirst(plan, candidates.views, structure.index)
+            rows, count = search.rows(limit if in_order else sys.maxsize)
+            if plan.must_deduplicate:
+                rows = list(set(rows))
+                count = len(rows)
+            relation = _BagRelation(plan.columns, rows)
+        else:
+            relation, count = _materialize_bag(
+                bag,
+                compiled.atoms,
+                candidates,
+                structure,
+                compiled.variable_index,
+                needed,
+                head=head,
+                limit=limit,
+            )
         text = f"Q({', '.join(relation.columns)}) <- {body}"
         # Per-tuple Horn on the small trees; the 60-node fixture cannot afford it.
         if horn:
@@ -504,17 +549,17 @@ class TestBagEmission:
         for seed in range(4):
             structure = _small_structure(seed)
             for limit in (None, 0, 1, 3, 1000):
-                for columnar in (True, False):
+                for reference in (False, True):
                     relation, count, expected = self._bag(
-                        structure, body, needed, head, limit, columnar, horn=True
+                        structure, body, needed, head, limit, reference, horn=True
                     )
                     assert relation.columns == tuple(head)
-                    assert count == len(expected), (seed, limit, columnar)
+                    assert count == len(expected), (seed, limit, reference)
                     # Sorted and cut at the limit, or every row in any order.
                     assert relation.rows == expected[:limit] or (
                         sorted(relation.rows) == expected
-                    ), (seed, limit, columnar)
-                    if columnar and limit is not None and ending != "deduplicated":
+                    ), (seed, limit, reference)
+                    if not reference and limit is not None and ending != "deduplicated":
                         assert len(relation.rows) <= limit, (seed, limit)
 
     def test_random_bags_over_every_axis(self):
@@ -539,10 +584,10 @@ class TestBagEmission:
             rng.shuffle(head)
             limit = rng.choice([None, 0, 1, 2, 5])
             fast, fast_count, expected = self._bag(
-                structure, ", ".join(atoms), needed, head, limit, columnar=True, horn=True
+                structure, ", ".join(atoms), needed, head, limit, horn=True
             )
             slow, slow_count, _ = self._bag(
-                structure, ", ".join(atoms), needed, head, limit, columnar=False, horn=True
+                structure, ", ".join(atoms), needed, head, limit, reference=True, horn=True
             )
             assert fast.columns == slow.columns
             assert fast_count == slow_count == len(expected), (seed, atoms)
@@ -563,8 +608,19 @@ class TestBagEmission:
         def refuse(*args, **kwargs):
             raise AssertionError("a MutableDomainView was built on the default route")
 
-        structure = TreeStructure(random_tree(120, alphabet=("A", "B", "C"), seed=11))
+        tree = random_tree(120, alphabet=("A", "B", "C"), seed=11)
+        structure = TreeStructure(tree)
         triangle = "A(a), Child(a, b1), Child(a, b2), Following(b1, b2)"
+        # Brute force over the tree itself, for both heads.
+        triples = sorted(
+            (a, b1, b2)
+            for a in tree.node_ids()
+            if tree.has_label(a, "A")
+            for b1 in tree.children_of[a]
+            for b2 in tree.children_of[a]
+            if tree.index.holds(Axis.FOLLOWING, b1, b2)
+        )
+        brute = {"a, b1, b2": triples, "a, b1": sorted({(a, b1) for a, b1, _ in triples})}
         pages = {}
         for head in ("a, b1, b2", "a, b1"):
             query = parse_query(f"Q({head}) <- {triangle}")
@@ -575,10 +631,7 @@ class TestBagEmission:
                     pages[head, limit] = yannakakis.answer_page(
                         query, structure, propagator="semijoin", limit=limit
                     )
-                # The recursion (and a first-witness search) still probes views.
-                assert pages[head, limit] == yannakakis.answer_page(
-                    query, structure, propagator="semijoin", columnar=False, limit=limit
-                )
+                assert pages[head, limit] == (brute[head][:limit], len(brute[head]))
         assert pages["a, b1, b2", None][1] > pages["a, b1", None][1] > 2
 
     def test_limit_ten_of_173942_answers_builds_ten_rows(self, monkeypatch):

@@ -1,8 +1,8 @@
 """Tests for the AC-4 support-counting engine and the propagator dimension.
 
 The key invariant: all propagation engines (AC-4 support counting, the AC-3
-worklist with either revise step, and the Horn-SAT transcription) compute the
-same unique subset-maximal arc-consistent prevaluation.  The hypothesis
+worklist, the hybrid, and the Horn-SAT transcription) compute the same unique
+subset-maximal arc-consistent prevaluation.  The hypothesis
 property test below asserts fixpoint equality on random trees x random
 signatures, including pinned-variable instances.
 """
@@ -156,16 +156,13 @@ class TestAc4Engine:
             maximal_arc_consistent_ac4(query, sentence_structure, pinned={"x": 8}) is None
         )
 
-    def test_pinned_rejected_with_seeded_domains(self, sentence_structure):
+    def test_pinned_rejected_with_seeded_views(self, sentence_structure):
         """A seed is expected to embody the pin; the combination is an error."""
         query = parse_query("Q <- NP(x), Child(x, y)")
+        index = sentence_structure.index
+        seed = {"x": index.mutable_view({1, 6}), "y": index.mutable_view({2, 3, 7})}
         with pytest.raises(ValueError, match="pinned cannot be combined"):
-            ac4_fixpoint(
-                query,
-                sentence_structure,
-                pinned={"x": 1},
-                initial_domains={"x": {1, 6}, "y": {2, 3, 7}},
-            )
+            ac4_fixpoint(query, sentence_structure, pinned={"x": 1}, initial_views=seed)
 
     def test_fixpoint_views_stay_consistent(self, medium_random_tree):
         """The maintained views equal a fresh view of the final domains."""
@@ -237,13 +234,10 @@ class TestFixpointEquality:
                 )
             }
         ac4 = _as_sets(maximal_arc_consistent_ac4(query, structure, pinned))
-        ac3_interval = _as_sets(maximal_arc_consistent(query, structure, pinned))
-        ac3_enumeration = _as_sets(
-            maximal_arc_consistent(query, structure, pinned, use_index=False)
-        )
+        ac3 = _as_sets(maximal_arc_consistent(query, structure, pinned))
         horn = _as_sets(maximal_arc_consistent_horn(query, structure, pinned))
         hybrid = _as_sets(maximal_arc_consistent_hybrid(query, structure, pinned))
-        assert ac4 == ac3_interval == ac3_enumeration == horn == hybrid
+        assert ac4 == ac3 == horn == hybrid
 
     @SETTINGS
     @given(trees(max_size=12), queries(axes=(Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)))

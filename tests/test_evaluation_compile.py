@@ -5,14 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.evaluation import initial_domains
-from repro.evaluation.compile import (
-    AxisClass,
-    classify_axis,
-    compile_query,
-    normalize_atom,
-)
+from repro.evaluation.compile import compile_query, normalize_atom
 from repro.queries import parse_query
 from repro.queries.atoms import AxisAtom
+from repro.queries.query import ConjunctiveQuery
 from repro.trees.axes import Axis
 
 
@@ -48,19 +44,11 @@ class TestNormalization:
         assert len(compiled.atoms) == 1
         assert compiled.atoms[0].axis is Axis.CHILD
 
-
-class TestClassification:
-    def test_interval_local_split(self):
-        assert classify_axis(Axis.CHILD_PLUS) is AxisClass.INTERVAL
-        assert classify_axis(Axis.FOLLOWING) is AxisClass.INTERVAL
-        assert classify_axis(Axis.NEXT_SIBLING_STAR) is AxisClass.INTERVAL
-        assert classify_axis(Axis.CHILD) is AxisClass.LOCAL
-        assert classify_axis(Axis.SUCC_PRE) is AxisClass.LOCAL
-        assert classify_axis(Axis.SELF) is AxisClass.LOCAL
-
-    def test_every_forward_axis_is_indexable(self):
-        """After normalization no atom should need the enumeration fallback."""
-        for axis in (
+    def test_compiled_atoms_carry_only_the_forward_axes(self):
+        """Every engine's axis vocabulary: the ten forward axes, nothing else."""
+        atoms = tuple(AxisAtom(axis, "x", "y") for axis in Axis)
+        compiled = compile_query(ConjunctiveQuery((), atoms, "Q"))
+        assert {atom.axis for atom in compiled.atoms} == {
             Axis.CHILD,
             Axis.CHILD_PLUS,
             Axis.CHILD_STAR,
@@ -71,8 +59,7 @@ class TestClassification:
             Axis.DOCUMENT_ORDER,
             Axis.SUCC_PRE,
             Axis.SELF,
-        ):
-            assert classify_axis(axis) is not AxisClass.ENUMERATION
+        }
 
 
 class TestStructure:

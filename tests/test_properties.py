@@ -495,20 +495,15 @@ class TestAnswerPageContract:
             assert page == (expected[:limit], len(expected)), limit
 
 
-    # -- the level kernel vs the recursion vs the oracle ----------------------------
+    # -- the level kernel vs the oracle --------------------------------------------
 
     @staticmethod
     def _assert_kernel_identity(query, structure, pinned, propagator) -> None:
-        """``columnar=True`` == ``columnar=False`` == the oracle page, for every limit."""
+        """The level kernel's page is the oracle page, for every limit."""
         expected = _oracle(query, structure, pinned)
         for limit in _limits(len(expected)):
-            want = (expected[:limit], len(expected))
-            fast = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
-            slow = yannakakis.answer_page(
-                query, structure, pinned, propagator, columnar=False, limit=limit
-            )
-            assert fast == want, (limit, "level kernel")
-            assert slow == want, (limit, "recursion")
+            page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
+            assert page == (expected[:limit], len(expected)), limit
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -2,9 +2,9 @@
 
 The index must agree *exactly* with the traversal-based reference
 implementation in :mod:`repro.trees.axes` -- on ``holds`` for every axis and
-on witness existence against arbitrary candidate sets -- and the interval
-revise step must reach the same arc-consistency fixpoint as both the
-enumeration revise step and the literal Horn program of Proposition 3.1.
+on witness existence against arbitrary candidate sets -- and the worklist
+built on it must reach the same arc-consistency fixpoint as the literal Horn
+program of Proposition 3.1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.evaluation import (
     maximal_arc_consistent,
     maximal_arc_consistent_horn,
 )
-from repro.evaluation.arc_consistency import _revise_enumeration, _revise_interval
 from repro.hardness import random_cyclic_query
 from repro.queries import parse_query
 from repro.trees import (
@@ -210,7 +209,7 @@ class TestWitnesses:
 
 
 # ---------------------------------------------------------------------------
-# Revise steps: interval vs enumeration, fixpoint vs Horn program.
+# Per-atom witness tests vs enumeration, fixpoint vs Horn program.
 # ---------------------------------------------------------------------------
 
 
@@ -242,28 +241,32 @@ def random_queries(rng):
 
 
 class TestReviseAgreement:
-    def test_single_revise_steps_agree(self):
+    def test_per_atom_witness_tests_match_axis_successors(self):
+        """Every candidate keeps its witness verdict against the materialized relation."""
         rng = random.Random(5)
         for tree in TREES:
             structure = TreeStructure(tree)
+            index = structure.index
+            successors, predecessors = structure.axis_successors, structure.axis_predecessors
             for query in random_queries(rng):
+                domains = initial_domains(query, structure)
                 for atom in query.axis_atoms():
-                    domains_a = initial_domains(query, structure)
-                    domains_b = {k: set(v) for k, v in domains_a.items()}
-                    changed_a = _revise_interval(atom, domains_a, structure)
-                    changed_b = _revise_enumeration(atom, domains_b, structure)
-                    assert domains_a == domains_b
-                    assert sorted(changed_a) == sorted(changed_b)
+                    source, target = domains[atom.source], domains[atom.target]
+                    target_view, source_view = index.view(target), index.view(source)
+                    for v in source:
+                        expected = bool(target.intersection(successors(atom.axis, v)))
+                        assert index.has_successor_in(atom.axis, v, target_view) == expected
+                    for w in target:
+                        expected = bool(source.intersection(predecessors(atom.axis, w)))
+                        assert index.has_predecessor_in(atom.axis, w, source_view) == expected
 
-    def test_fixpoint_matches_enumeration_and_horn(self):
+    def test_fixpoint_matches_horn(self):
         rng = random.Random(6)
         for tree in TREES:
             structure = TreeStructure(tree)
             for query in random_queries(rng):
-                via_index = maximal_arc_consistent(query, structure, use_index=True)
-                via_enum = maximal_arc_consistent(query, structure, use_index=False)
+                via_index = maximal_arc_consistent(query, structure)
                 via_horn = maximal_arc_consistent_horn(query, structure)
-                assert via_index == via_enum
                 assert via_index == via_horn
                 if via_index is not None:
                     assert is_arc_consistent(query, structure, via_index)
@@ -288,6 +291,6 @@ class TestReviseAgreement:
             num_extra_atoms=rng.randint(0, 2),
             seed=seed,
         )
-        via_index = maximal_arc_consistent(query, structure, use_index=True)
+        via_index = maximal_arc_consistent(query, structure)
         via_horn = maximal_arc_consistent_horn(query, structure)
         assert via_index == via_horn
