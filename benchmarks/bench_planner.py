@@ -27,9 +27,9 @@ Gating entries (the headline; all three must pass both bars):
 
 Per entry we measure cost routing plus every *applicable* static
 configuration (forced engines on resident documents, forced lowerings on
-accel-only ones; ``routing="static"`` itself coincides with the
-``decomposition`` / ``tree`` column on these shapes).  The committed
-headline asserts, at every measured size:
+accel-only ones; the pre-planner rule coincides with the ``decomposition`` /
+``tree`` column on these shapes).  The committed headline asserts, at every
+measured size:
 
 * cost routing is >= 5x faster than the worst static choice
   (``speedup`` -- the number ``check_regression.py`` tracks), and

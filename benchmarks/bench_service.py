@@ -341,7 +341,7 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
     stage_ms = {"plan": 0.1, "execute": 0.9}
     started = time.perf_counter()
     for _ in range(iterations):
-        service_core.PLAN_CHOICES.inc(routing="cost_model", engine="xproperty", lowering="none")
+        service_core.PLAN_CHOICES.inc(engine="xproperty", lowering="none")
         service_core.PLAN_ESTIMATED_COST.observe(1234.5, engine="xproperty")
         service_core.PLAN_COST_PER_SECOND.observe(1234.5 / 0.001, engine="xproperty")
         ACCOUNTING.record(
@@ -354,7 +354,6 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
             engine="xproperty",
             propagator="ac4",
             lowering="none",
-            routing="cost_model",
             stats_bucket="resident",
             estimated_cost=1234.5,
             estimated_rows=10.0,
@@ -369,7 +368,6 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
             propagator="ac4",
             ok=True,
             lowering="none",
-            routing="cost_model",
             estimated_cost=1234.5,
             drift=1.01,
         )

@@ -31,7 +31,7 @@ from repro import (
     to_apq,
     xpath_to_cq,
 )
-from repro.evaluation import choose_engine
+from repro.planning import DocumentStats, plan_query
 from repro.queries import cq_to_xpath
 
 
@@ -77,7 +77,7 @@ def main() -> None:
 
     # ------------------------------------------------------------- evaluation
     print("\nFigure 1 query:", figure1)
-    print("  planner engine:", choose_engine(figure1).value)
+    print("  planner engine:", plan_query(figure1, DocumentStats.of_tree(sentence)).engine.value)
     print("  answers (node ids):", sorted(evaluate_on_tree(figure1, sentence)))
 
     print("\nXPath //NP[NN] as a conjunctive query:", xpath_query)

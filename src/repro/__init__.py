@@ -34,7 +34,6 @@ Quickstart::
 from .evaluation import (
     Engine,
     check_answer,
-    choose_engine,
     evaluate,
     evaluate_on_tree,
     evaluate_union,
@@ -78,7 +77,6 @@ __all__ = [
     "TreeStructure",
     "UnionQuery",
     "check_answer",
-    "choose_engine",
     "classify",
     "cq_to_xpath",
     "evaluate",

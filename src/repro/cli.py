@@ -113,7 +113,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
             plan = plan_query(
                 query,
                 stats,
-                routing=args.routing,
                 engine=None if requested is Engine.AUTO else requested,
                 propagator=propagator_override,
                 accel_only=True,
@@ -135,7 +134,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
             plan = plan_query(
                 query,
                 DocumentStats.of_tree(tree),
-                routing=args.routing,
                 engine=None if requested is Engine.AUTO else requested,
                 propagator=propagator_override,
             )
@@ -157,7 +155,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     forced = "" if requested is Engine.AUTO else " (forced)"
     print(f"query    : {query}")
     print(f"signature: {query.signature()}  ({classify(query.signature()).value})")
-    detail = f"propagator: {plan.propagator.value}, routing: {plan.routing}"
+    detail = f"propagator: {plan.propagator.value}"
     if engine is Engine.SQL:
         detail += f", lowering: {plan.lowering}"
         if plan.materialize:
@@ -218,7 +216,6 @@ def _command_explain(args: argparse.Namespace) -> int:
         xpath=getattr(args, "xpath", None),
         propagator=args.propagator,
         engine=args.engine if args.engine != Engine.AUTO.value else None,
-        routing=args.routing,
         explain=True,
     )
     result = run_request(store, QueryCache(), request)
@@ -549,16 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arc-consistency engine (default: auto = the plan's choice)",
     )
     evaluate_parser.add_argument(
-        "--routing",
-        choices=["cost", "static"],
-        default="cost",
-        help=(
-            "planner routing: 'cost' uses document-statistics estimates "
-            "(default); 'static' keeps the pre-planner shape rules as the "
-            "ablation baseline (answers are byte-identical either way)"
-        ),
-    )
-    evaluate_parser.add_argument(
         "--engine",
         choices=[engine.value for engine in Engine],
         default=Engine.AUTO.value,
@@ -605,12 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto"] + [propagator.value for propagator in Propagator],
         default="auto",
         help="arc-consistency engine the plan would use (default: auto)",
-    )
-    explain_parser.add_argument(
-        "--routing",
-        choices=["cost", "static"],
-        default="cost",
-        help="planner routing to explain: 'cost' (default) or 'static' (ablation)",
     )
     explain_parser.add_argument(
         "--engine",

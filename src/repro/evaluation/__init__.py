@@ -16,11 +16,9 @@ from .backtracking import SearchStatistics, count_solutions, find_solution, iter
 from .compile import CompiledAtom, CompiledQuery, compile_query
 from .domains import Domains, Valuation, domain_views, initial_domains, valuation_satisfies
 from .planner import (
-    MAX_AUTO_DECOMPOSITION_WIDTH,
     Engine,
     answer_page,
     check_answer,
-    choose_engine,
     evaluate,
     evaluate_on_tree,
     evaluate_union,
@@ -47,7 +45,6 @@ __all__ = [
     "DEFAULT_PROPAGATOR",
     "Domains",
     "Engine",
-    "MAX_AUTO_DECOMPOSITION_WIDTH",
     "PropagationResult",
     "Propagator",
     "SearchStatistics",
@@ -58,7 +55,6 @@ __all__ = [
     "answer_page",
     "boolean_query_holds",
     "check_answer",
-    "choose_engine",
     "choose_order",
     "compile_query",
     "count_solutions",

@@ -452,16 +452,6 @@ class _SiblingThreshold(_Tracker):
         return lost
 
 
-class _EnumerationCounter(_LocalCounter):
-    """Fallback for axes outside the interval/local vocabulary.
-
-    Uses the structure's (cached) relation enumeration to find, per witness,
-    the candidates it supports.  After compile-time normalization every axis
-    in :class:`~repro.trees.axes.Axis` has a dedicated tracker, so this only
-    runs for hypothetical future axes -- it keeps the engine total.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Tracker construction.
 # ---------------------------------------------------------------------------
@@ -528,14 +518,11 @@ def _make_trackers(
             fwd(_LocalCounter, lambda w: (w - 1,) if w > 0 else ()),
             bwd(_LocalCounter, lambda v: (v + 1,) if v + 1 < n else ()),
         )
-    if axis is Axis.SELF:
-        return (
-            fwd(_LocalCounter, lambda w: (w,)),
-            bwd(_LocalCounter, lambda v: (v,)),
-        )
+    # Axis.SELF: compiled atoms carry only the ten forward axes, so the last
+    # one needs no test.
     return (
-        fwd(_EnumerationCounter, lambda w: structure.axis_predecessors(axis, w)),
-        bwd(_EnumerationCounter, lambda v: structure.axis_successors(axis, v)),
+        fwd(_LocalCounter, lambda w: (w,)),
+        bwd(_LocalCounter, lambda v: (v,)),
     )
 
 

@@ -173,7 +173,7 @@ class CompiledQuery:
         resident for the lifetime of the compiled artifact -- the serving
         layer's query cache holds these, so a decomposition is searched once
         per distinct (alpha-equivalence class of) query, not per request.
-        ``decomposition.width`` is what the planner's engine routing consults.
+        Its bags are what the planner prices the decomposition engine by.
         """
         from ..decomposition.decompose import decompose
 

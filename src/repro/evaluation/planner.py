@@ -1,29 +1,19 @@
-"""The evaluation planner: dispatching on the head and on the dichotomy.
+"""The evaluation entry points: one engine per request, chosen by the plan.
 
-:func:`choose_engine` is the one static routing rule (``plan_query``, the
-query cache and ``evaluate(engine=AUTO)`` all go through it):
-
-1. A **Boolean** head, or a **monadic** head over a forest-shaped body, is
-   answered by one arc-consistency fixpoint (on shadow forests the fixpoint is
-   globally consistent, so the head variable's domain *is* the answer set):
-   **X-property evaluation** (Theorem 3.5) on the tractable side of the
-   dichotomy (Theorem 1.1), **acyclic evaluation** on shadow forests.
-2. Every other head over a forest-shaped body is enumerated by the
-   **decomposition engine** (:mod:`repro.decomposition`): one fixpoint, bag
-   materialization, semijoin passes and a join-project traversal over the
-   width-1 join tree, polynomial in input + output.
-3. What is left is the **cyclic residue** -- an NP-hard cyclic body, or a
-   cyclic body under a head rule 1 cannot serve: decomposition up to
-   :data:`MAX_AUTO_DECOMPOSITION_WIDTH`, **backtracking** beyond.  That bound
-   is the rule without statistics (library calls, ``routing="static"``); the
-   cost planner (:func:`repro.planning.plan_query`) arbitrates the residue
-   per instance instead.
+:func:`repro.planning.plan_query` is the one routing rule -- the paper's
+dichotomy as a table (Boolean and monadic-forest heads on one fixpoint:
+**X-property evaluation**, Theorem 3.5, on tractable signatures, **acyclic
+evaluation** on shadow forests; every other forest head on the
+**decomposition engine**; the cyclic residue, decomposition vs
+**backtracking**, by estimated cost).  ``engine=Engine.AUTO`` here asks it,
+with the document statistics of the structure's tree (measured once per
+tree) and the caller's propagator; an explicit engine runs as named.
 
 The paper's own k-ary procedure -- the singleton-relation reduction after
 Theorem 3.5: one pinned Boolean evaluation per candidate head tuple,
 ``O(|A|^k . ||A|| . |Q|)`` on the tractable side -- is therefore no default.
 It runs under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
-``backtracking``) or a residue route that lands on ``backtracking``: the
+``backtracking``) or a residue plan that lands on ``backtracking``: the
 literal procedure, the independent oracle of the property tests, and the
 ablation baseline of the committed benchmarks.
 
@@ -53,7 +43,6 @@ from typing import Mapping, Optional
 from ..decomposition import yannakakis
 from ..observability import tracing
 from ..queries.apq import UnionQuery, as_union
-from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
 from ..trees.tree import Tree
@@ -61,7 +50,7 @@ from ..xproperty.dichotomy import is_tractable
 from . import acyclic, backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
-from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, propagate
+from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, as_propagator, propagate
 
 
 class Engine(str, Enum):
@@ -74,7 +63,7 @@ class Engine(str, Enum):
     BACKTRACKING = "backtracking"
     #: The SQLite accel-table backend (:mod:`repro.backends.sqlite`): the
     #: out-of-core path.  Auto-chosen only when the document lives solely in
-    #: the accel store (``choose_engine(..., accel_only=True)``, which the
+    #: the accel store (``plan_query(..., accel_only=True)``, which the
     #: serving layer derives from :meth:`DocumentStore.residency`); always
     #: selectable for cross-checking.  Ignores ``propagator`` (SQLite plans
     #: the join).
@@ -84,44 +73,30 @@ class Engine(str, Enum):
         return self.value
 
 
-#: The static rule for the cyclic residue: without document statistics, a
-#: cyclic query whose tree decomposition achieves at most this width goes to
-#: the decomposition engine, a wider one to backtracking.  Width 2 covers
-#: triangles, diamonds and every series-parallel constraint graph while
-#: keeping bag materialization at O(n^3) worst case; wider queries would pay
-#: n^(w+1) bag sizes, where first-solution backtracking is usually the better
-#: gamble.  ``plan_query(routing="cost")`` replaces the bound by a
-#: per-instance estimate; forcing ``engine="decomposition"`` bypasses it.
-MAX_AUTO_DECOMPOSITION_WIDTH = 2
+def _resolve_engine(
+    engine: Engine,
+    query: ConjunctiveQuery,
+    structure: TreeStructure,
+    propagator: PropagatorLike,
+    compiled: Optional[CompiledQuery] = None,
+) -> Engine:
+    """``engine``, or for ``Engine.AUTO`` what :func:`repro.planning.plan_query` picks.
 
-
-def choose_engine(query: ConjunctiveQuery, accel_only: bool = False) -> Engine:
-    """Pick the engine the planner would use for this query.
-
-    ``accel_only`` is the document-residency signal: a document that lives
-    only in the SQLite accel store (no resident ``TreeStructure``/axis index)
-    can only be evaluated by the SQL backend, so residency overrides the
-    query-shape dispatch.  Without it the choice depends on the query alone
-    and never selects :attr:`Engine.SQL`.
+    Where the dichotomy fixes the engine, that is the plan's pick without
+    pricing anything; only the cyclic residue builds the plan.
     """
-    if accel_only:
-        return Engine.SQL
-    compiled = compile_query(query)
-    if query.is_boolean or (query.is_monadic and compiled.shadow_is_forest):
-        # One fixpoint decides (Boolean) or *is* (monadic projection) the
-        # answer: dispatch on the body's complexity class.
-        if is_tractable(query.signature()):
-            return Engine.XPROPERTY
-        if QueryGraph(query).is_acyclic():
-            return Engine.ACYCLIC
-    elif compiled.shadow_is_forest:
-        # Every other head is enumerated over the join tree; a forest-shaped
-        # body has width 1, which is the right complexity class, not a guess.
-        return Engine.DECOMPOSITION
-    # The cyclic residue (the cost planner arbitrates it per instance).
-    if compiled.decomposition.width <= MAX_AUTO_DECOMPOSITION_WIDTH:
-        return Engine.DECOMPOSITION
-    return Engine.BACKTRACKING
+    if engine is not Engine.AUTO:
+        return engine
+    from ..planning import DocumentStats, plan_query  # planning imports this module
+    from ..planning.plan import _tier
+
+    if compiled is None:
+        compiled = compile_query(query)
+    tier = _tier(query, compiled, accel_only=False)
+    if tier is not None:
+        return tier
+    stats = DocumentStats.of_tree(structure.tree)
+    return plan_query(query, stats, compiled=compiled, propagator=as_propagator(propagator)).engine
 
 
 def is_satisfied(
@@ -137,10 +112,16 @@ def is_satisfied(
 
     ``lowering`` / ``materialize`` only affect the SQL engine, where they pick
     the join-tree vs single-block translation and TEMP-table bag
-    materialization; every in-memory engine ignores them.
+    materialization; every in-memory engine ignores them.  A pinned head
+    variable the body never mentions ranges over every node, so its pin
+    constrains nothing and is dropped.
     """
     boolean_query = query.as_boolean()
-    chosen = choose_engine(boolean_query) if engine is Engine.AUTO else engine
+    if pinned:
+        unsafe = set(query.head).difference(boolean_query.variables())
+        if unsafe:
+            pinned = {v: node for v, node in pinned.items() if v not in unsafe}
+    chosen = _resolve_engine(engine, boolean_query, structure, propagator)
     if chosen is Engine.SQL:
         from ..backends.sqlite import structure_is_satisfied
 
@@ -217,8 +198,8 @@ def answer_page(
     """The first ``limit`` answers in ascending order, plus the exact count.
 
     The one thing an engine hands the serving core: rows sorted, already
-    truncated, and how many there are in all.  Under default routing
-    (:func:`choose_engine`) every request costs **one** propagation pass: a
+    truncated, and how many there are in all.  Under the plan's engine
+    (``Engine.AUTO``) every request costs **one** propagation pass: a
     monadic head over a forest-shaped body reads its answers straight off the
     arc-consistent fixpoint (globally consistent on shadow forests, so the
     head variable's sorted column *is* the answer list and ``limit`` a slice
@@ -228,7 +209,7 @@ def answer_page(
     singleton-relation reduction -- candidate head tuples from the fixpoint
     (a sound over-approximation of the answer projection), one pinned Boolean
     evaluation each -- runs only when the engine says so: an explicit
-    ``xproperty`` / ``acyclic`` / ``backtracking``, or a cyclic-residue route
+    ``xproperty`` / ``acyclic`` / ``backtracking``, or a cyclic-residue plan
     that landed on the latter.  It, the SQL engine on a resident document and
     Boolean heads produce a set, which is sorted here, once.
 
@@ -260,7 +241,7 @@ def answer_page(
         return sorted(answers)[:limit], len(answers)
     if compiled is None:
         compiled = compile_query(query)
-    chosen = choose_engine(query) if engine is Engine.AUTO else engine
+    chosen = _resolve_engine(engine, query, structure, propagator, compiled)
     if chosen is Engine.DECOMPOSITION:
         return yannakakis.answer_page(
             query, structure, propagator=propagator, compiled=compiled, limit=limit

@@ -91,7 +91,6 @@ class PlanAccounting:
         engine: str,
         propagator: str,
         lowering: str,
-        routing: str,
         stats_bucket: str,
         estimated_cost: float,
         estimated_rows: float,
@@ -134,7 +133,6 @@ class PlanAccounting:
                     "engine": engine,
                     "propagator": propagator,
                     "lowering": lowering,
-                    "routing": routing,
                     "stats_bucket": stats_bucket,
                     "estimated_cost": round(estimated_cost, 1),
                     "estimated_rows": round(estimated_rows, 1),

@@ -1,16 +1,16 @@
 """Cost-based query planning: one :class:`QueryPlan` across every consumer.
 
 The dichotomy (acyclic / X-property / bounded width) says *which* algorithm is
-polynomial; this package decides *which is fastest on this document*.  It
-combines cheap per-document statistics collected at registration
-(:class:`~repro.planning.stats.DocumentStats`) with per-axis selectivity
-estimates derived from the pre/post rank characterizations
-(:mod:`repro.planning.cost`) into a single :class:`~repro.planning.plan.QueryPlan`
-value -- engine, propagator, SQL lowering, decomposition, per-bag cardinality
-estimates and an estimated cost -- consumed by the serving layer, the CLI and
-the EXPLAIN surface.  The previous hard-coded rules survive as the
-``routing="static"`` ablation, byte-identical by construction (every engine
-and propagator computes the same answer set).
+polynomial; this package decides *which is fastest on this document* where
+the dichotomy leaves a choice.  It combines cheap per-document statistics
+collected at registration (:class:`~repro.planning.stats.DocumentStats`) with
+per-axis selectivity estimates derived from the pre/post rank
+characterizations (:mod:`repro.planning.cost`) into a single
+:class:`~repro.planning.plan.QueryPlan` value -- engine, propagator, SQL
+lowering, decomposition, per-bag cardinality estimates and an estimated cost
+-- consumed by the serving layer, the CLI, the EXPLAIN surface and the
+library's ``evaluate(engine=AUTO)``.  :func:`~repro.planning.plan.plan_query`
+is the only place an engine is chosen.
 """
 
 from .cost import (
@@ -23,14 +23,13 @@ from .cost import (
     flat_cost_estimate,
     variable_domain_estimate,
 )
-from .plan import ROUTINGS, QueryPlan, plan_query, validate_routing
+from .plan import QueryPlan, plan_query
 from .stats import DocumentStats
 
 __all__ = [
     "DocumentStats",
     "MATERIALIZE_ROWS_THRESHOLD",
     "QueryPlan",
-    "ROUTINGS",
     "backtracking_cost_estimate",
     "bag_rows_estimate",
     "choose_propagator",
@@ -38,6 +37,5 @@ __all__ = [
     "fixpoint_cost_estimate",
     "flat_cost_estimate",
     "plan_query",
-    "validate_routing",
     "variable_domain_estimate",
 ]

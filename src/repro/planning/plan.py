@@ -1,33 +1,34 @@
-"""The :class:`QueryPlan` value and the routing decision that produces it.
+"""The :class:`QueryPlan` value and the one routing rule that produces it.
 
 ``plan_query`` is the single choke point every consumer (serving layer, CLI,
-EXPLAIN, benchmarks) goes through.  Two routings exist:
+EXPLAIN, benchmarks, library ``evaluate(engine=AUTO)``) goes through, and the
+only place an engine is chosen.  The *complexity* tier comes first -- the
+paper's dichotomy as a table:
 
-* ``routing="cost"`` (the default) keeps the *complexity* tiers exactly as the
-  static rule (:func:`~repro.evaluation.planner.choose_engine`) picks them --
-  Boolean and monadic-projection heads over X-property signatures and acyclic
-  shadows, every other head over a forest-shaped body (the width-1 join
-  tree), and accel-only SQL are already the right asymptotic class and stay
-  static -- and spends the estimates where the static rule was guessing:
+* accel residency: SQL, the only engine that can see the document;
+* a Boolean head, or a monadic head over a forest-shaped body: one fixpoint
+  decides or *is* the answer -- X-property evaluation on a tractable
+  signature (Theorem 3.5), acyclic evaluation on an acyclic query graph;
+* any other head over a forest-shaped body: the decomposition engine over the
+  width-1 join tree.
 
-  - the cyclic residue (NP-hard cyclic bodies, and non-projection heads over
-    cyclic bodies on any signature): ``MAX_AUTO_DECOMPOSITION_WIDTH`` is
-    replaced by comparing the estimated decomposition cost (sum of per-bag
-    row estimates) against the estimated backtracking cost -- for a
-    non-Boolean head, the per-candidate-tuple reduction -- on *this* document;
-  - the SQL lowering: ``"flat"`` when the single-block join is estimated
-    cheaper than the join-tree CTE cascade, plus TEMP-table materialization
-    of large bags;
-  - the propagator: the semijoin sweeps on every forest-shaped body (the
-    exact full reducer there) and in front of the decomposition engine on any
-    body (supersets suffice); a cyclic body routed to backtracking keeps arc
-    consistency: hybrid where the AC-4 ablations show it winning, else AC-4.
+Everything else is the **cyclic residue** (NP-hard cyclic bodies, and
+non-projection heads over cyclic bodies on any signature), settled on *this*
+document by comparing the estimated decomposition cost (sum of per-bag row
+estimates) against the estimated backtracking cost -- for a non-Boolean head,
+the per-candidate-tuple reduction -- unless the caller forces the semijoin
+sweeps, which only the decomposition engine accepts on a cyclic body.  The
+estimates also pick:
 
-* ``routing="static"`` reproduces the pre-planner behaviour bit for bit
-  (static engine rule, AC-4, tree lowering, no materialization) and is kept
-  on every entry point as the ablation baseline.  Answers are byte-identical
-  under both routings by construction: every engine and propagator computes
-  the same answer set.
+* the propagator: the semijoin sweeps on every forest-shaped body (the exact
+  full reducer there) and in front of the decomposition engine on any body
+  (supersets suffice); a cyclic body routed to backtracking keeps arc
+  consistency: hybrid where the AC-4 ablations show it winning, else AC-4;
+* the SQL lowering, only where SQL can run (accel residency or an explicit
+  ``engine=sql``): ``"flat"`` when the single-block join is estimated cheaper
+  than the join-tree CTE cascade, plus TEMP-table materialization of large
+  bags.  Elsewhere the flat join is never priced (its estimator is quartic in
+  the variable count) and the plan reads ``lowering="tree"``.
 
 Plans are pure functions of (canonical query, stats bucket, overrides), which
 is what makes them cacheable in :class:`~repro.service.cache.QueryCache` and
@@ -40,9 +41,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
-from ..evaluation.planner import Engine, choose_engine
-from ..evaluation.propagation import DEFAULT_PROPAGATOR, Propagator
+from ..evaluation.planner import Engine
+from ..evaluation.propagation import Propagator
+from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
+from ..xproperty.dichotomy import is_tractable
 from .cost import (
     MATERIALIZE_ROWS_THRESHOLD,
     backtracking_cost_estimate,
@@ -56,33 +59,14 @@ from .stats import DocumentStats
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..decomposition.decompose import TreeDecomposition
 
-#: Accepted values of the ``routing`` knob on every entry point.
-ROUTINGS: tuple[str, ...] = ("cost", "static")
-
-#: Engine tiers the cost router never second-guesses: they are the *complexity*
-#: dispatch (tractable signature / acyclic shadow / residency), not a
-#: performance guess.  So is the decomposition engine on a forest-shaped head
-#: (width 1); only the cyclic residue (decomposition vs backtracking) is
-#: arbitrated by estimates.
-_STATIC_TIERS = frozenset({Engine.XPROPERTY, Engine.ACYCLIC, Engine.SQL})
-
-
-def validate_routing(value: str) -> str:
-    """Validate a wire/CLI ``routing`` value."""
-    if value not in ROUTINGS:
-        raise ValueError(f"unknown routing: {value!r} (expected one of {ROUTINGS})")
-    return value
-
 
 @dataclass(frozen=True, eq=False)
 class QueryPlan:
     """Everything downstream needs to run (and explain) one query on one document."""
 
-    routing: str
     engine: Engine
     propagator: Propagator
-    #: SQL lowering shape; meaningful only when ``engine`` is SQL but always
-    #: reported so EXPLAIN shows the lowering that *would* run.
+    #: SQL lowering shape: chosen by cost where SQL can run, ``"tree"`` elsewhere.
     lowering: str
     #: Materialize large bag CTEs as indexed TEMP tables (SQL tree lowering).
     materialize: bool
@@ -90,10 +74,11 @@ class QueryPlan:
     stats_bucket: str
     #: Estimated rows per decomposition bag, in ``decomposition.bags`` order.
     bag_rows: tuple[float, ...]
+    #: Also the join-tree SQL lowering's estimate (one CTE per bag).
     decomposition_cost: float
     backtracking_cost: float
-    tree_cost: float
-    flat_cost: float
+    #: The single-block SQL join; ``None`` where SQL cannot run.
+    flat_cost: Optional[float]
     #: The estimate for the engine/lowering actually chosen.
     estimated_cost: float
 
@@ -109,7 +94,6 @@ class QueryPlan:
             "engine": self.engine.value,
             "propagator": self.propagator.value,
             "lowering": self.lowering,
-            "routing": self.routing,
             "stats_bucket": self.stats_bucket,
             "estimated_cost": self.estimated_cost,
             "estimated_rows": max(self.bag_rows) if self.bag_rows else 0.0,
@@ -118,7 +102,6 @@ class QueryPlan:
     def describe(self) -> dict:
         """JSON-friendly rendering for EXPLAIN surfaces."""
         return {
-            "routing": self.routing,
             "engine": self.engine.value,
             "propagator": self.propagator.value,
             "lowering": self.lowering,
@@ -128,11 +111,28 @@ class QueryPlan:
                 "bag_rows": [round(rows, 1) for rows in self.bag_rows],
                 "decomposition_cost": round(self.decomposition_cost, 1),
                 "backtracking_cost": round(self.backtracking_cost, 1),
-                "tree_cost": round(self.tree_cost, 1),
-                "flat_cost": round(self.flat_cost, 1),
+                "flat_cost": None if self.flat_cost is None else round(self.flat_cost, 1),
                 "estimated_cost": round(self.estimated_cost, 1),
             },
         }
+
+
+def _tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool) -> Optional[Engine]:
+    """The engine the dichotomy fixes, or ``None`` for the cyclic residue."""
+    if accel_only:
+        return Engine.SQL
+    if query.is_boolean or (query.is_monadic and compiled.shadow_is_forest):
+        # One fixpoint decides (Boolean) or *is* (monadic projection) the
+        # answer: dispatch on the body's complexity class.
+        if is_tractable(query.signature()):
+            return Engine.XPROPERTY
+        if QueryGraph(query).is_acyclic():
+            return Engine.ACYCLIC
+    if not query.is_boolean and compiled.shadow_is_forest:
+        # Every other head is enumerated over the join tree; a forest-shaped
+        # body has width 1, which is the right complexity class, not a guess.
+        return Engine.DECOMPOSITION
+    return None
 
 
 def plan_query(
@@ -140,84 +140,74 @@ def plan_query(
     stats: DocumentStats,
     *,
     compiled: Optional[CompiledQuery] = None,
-    routing: str = "cost",
     engine: Optional[Engine] = None,
     propagator: Optional[Propagator] = None,
     accel_only: bool = False,
 ) -> QueryPlan:
     """Produce the :class:`QueryPlan` for ``query`` over a document with ``stats``.
 
-    ``engine`` / ``propagator`` are explicit user overrides and always win
-    over both routings.  ``accel_only`` is the residency signal: such
-    documents can only run on the SQL backend, so the engine tier is pinned
-    there regardless of routing.
+    ``engine`` / ``propagator`` are explicit user overrides and always win.
+    ``accel_only`` is the residency signal: such documents can only run on
+    the SQL backend, so the engine tier is pinned there.
     """
-    validate_routing(routing)
     if compiled is None:
         compiled = compile_query(query)
-
-    if propagator is not None:
-        chosen_propagator = propagator
-    elif routing == "cost":
-        chosen_propagator = choose_propagator(compiled)
-    else:
-        chosen_propagator = DEFAULT_PROPAGATOR
+    chosen_propagator = propagator if propagator is not None else choose_propagator(compiled)
 
     decomposition = compiled.decomposition
     bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)
     backtracking_total = backtracking_cost_estimate(compiled, stats, chosen_propagator)
-    tree_cost = decomposition_total
-    flat_cost = flat_cost_estimate(compiled, stats)
-    fixpoint = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
 
-    static_engine = choose_engine(query, accel_only=accel_only)
-    forest_head = compiled.shadow_is_forest and not query.is_boolean
     if engine is not None and engine is not Engine.AUTO:
         chosen_engine = engine
-    elif routing == "static" or static_engine in _STATIC_TIERS or forest_head:
-        chosen_engine = static_engine
     else:
-        # The cyclic residue: per-instance decomposition-vs-backtracking
-        # arbitration, replacing the static MAX_AUTO_DECOMPOSITION_WIDTH bound.
-        chosen_engine = (
-            Engine.DECOMPOSITION
-            if decomposition_total <= backtracking_total
-            else Engine.BACKTRACKING
-        )
+        chosen_engine = _tier(query, compiled, accel_only)
+    if chosen_engine is None:
+        if propagator is Propagator.SEMIJOIN and not compiled.shadow_is_forest:
+            # The sweeps are exact on forests only: on a cyclic body the
+            # decomposition engine is the one that accepts them (as supersets).
+            chosen_engine = Engine.DECOMPOSITION
+        elif decomposition_total <= backtracking_total:
+            chosen_engine = Engine.DECOMPOSITION
+        else:
+            chosen_engine = Engine.BACKTRACKING
 
-    if propagator is None and routing == "cost" and chosen_engine is Engine.DECOMPOSITION:
+    if propagator is None and chosen_engine is Engine.DECOMPOSITION:
         # The bags enforce every atom and their semijoin passes supply global
         # consistency: sound candidate supersets are enough in front of them
         # (the pick above still priced what backtracking would have run).
         chosen_propagator = Propagator.SEMIJOIN
 
-    if routing == "cost":
-        lowering = "flat" if flat_cost < tree_cost else "tree"
+    flat_cost: Optional[float] = None
+    lowering = "tree"
+    materialize = False
+    if accel_only or engine is Engine.SQL:
+        flat_cost = flat_cost_estimate(compiled, stats)
+        if flat_cost < decomposition_total:
+            lowering = "flat"
         materialize = (
             chosen_engine is Engine.SQL
             and lowering == "tree"
             and bool(bag_rows)
             and max(bag_rows) > MATERIALIZE_ROWS_THRESHOLD
         )
-    else:
-        lowering = "tree"
-        materialize = False
 
     if chosen_engine is Engine.SQL:
-        estimated = flat_cost if lowering == "flat" else tree_cost
+        estimated = flat_cost if lowering == "flat" else decomposition_total
     elif chosen_engine is Engine.DECOMPOSITION:
         estimated = decomposition_total
     elif chosen_engine is Engine.BACKTRACKING:
         estimated = backtracking_total
+    elif query.is_boolean:
+        # XPROPERTY / ACYCLIC: one fixpoint.
+        estimated = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
     else:
-        # XPROPERTY / ACYCLIC: one fixpoint -- unless forced onto a head that
-        # needs enumeration, where they run the per-tuple reduction.  The
-        # backtracking estimate prices exactly that (and a monadic forest
-        # projection at one fixpoint).
-        estimated = fixpoint if query.is_boolean else backtracking_total
+        # Forced onto a head that needs enumeration, they run the per-tuple
+        # reduction.  The backtracking estimate prices exactly that (and a
+        # monadic forest projection at one fixpoint).
+        estimated = backtracking_total
 
     return QueryPlan(
-        routing=routing,
         engine=chosen_engine,
         propagator=chosen_propagator,
         lowering=lowering,
@@ -227,7 +217,6 @@ def plan_query(
         bag_rows=bag_rows,
         decomposition_cost=decomposition_total,
         backtracking_cost=backtracking_total,
-        tree_cost=tree_cost,
         flat_cost=flat_cost,
         estimated_cost=estimated,
     )

@@ -1,9 +1,10 @@
 """Per-document statistics feeding the cost-based planner.
 
-Collected once at registration (:meth:`DocumentStore.register_tree` forces the
-axis index anyway, so every input here is one O(n) array sweep away): node
-count, depth and fanout profiles, and the label-frequency histogram.  Two
-derived quantities matter downstream:
+Measured once per tree (:meth:`DocumentStats.of_tree` is memoized, and
+:meth:`DocumentStore.register_tree` calls it next to the axis index build, so
+every input here is one O(n) array sweep away): node count, depth and fanout
+profiles, and the label-frequency histogram.  Two derived quantities matter
+downstream:
 
 * the **average depth** doubles as the average descendant count -- summing
   ``|descendants(v)|`` over all nodes counts each node once per proper
@@ -28,6 +29,7 @@ bucket is marked approximate so it never collides with measured stats.
 from __future__ import annotations
 
 import math
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -59,7 +61,18 @@ class DocumentStats:
 
     @classmethod
     def of_tree(cls, tree: Tree) -> "DocumentStats":
-        """Measure a finalised tree (register-time: the arrays already exist)."""
+        """Measure a finalised tree, once: later calls return the same value.
+
+        Trees are immutable, so the measurement never needs invalidation; the
+        memo holds trees weakly and dies with them.
+        """
+        stats = _MEASURED.get(tree)
+        if stats is None:
+            stats = _MEASURED[tree] = cls._measure(tree)
+        return stats
+
+    @classmethod
+    def _measure(cls, tree: Tree) -> "DocumentStats":
         n = len(tree)
         depths = tree.depth
         fanouts = [len(children) for children in tree.children_of]
@@ -133,3 +146,7 @@ class DocumentStats:
             "approximate": self.approximate,
             "bucket": self.bucket(),
         }
+
+
+#: :meth:`DocumentStats.of_tree`'s memo: every plan over one tree reads one value.
+_MEASURED: "weakref.WeakKeyDictionary[Tree, DocumentStats]" = weakref.WeakKeyDictionary()

@@ -8,13 +8,13 @@ behind a renaming-invariant key (:func:`repro.queries.canonical.canonical_key`):
 * **parse cache** -- raw request text (datalog or XPath) to its cache entry,
   so byte-identical resubmissions skip even the parser;
 * **entry cache** -- canonical key to :class:`CachedQuery`: the canonical
-  representative query, its :class:`~repro.evaluation.compile.CompiledQuery`,
-  and the planner's static engine choice (``choose_engine``, the rule every
-  :class:`~repro.planning.plan.QueryPlan` starts from, so entries, plans and
-  responses name one engine).  Alpha-equivalent submissions -- textually
-  different, even mixed datalog/XPath -- share one entry, and because the
-  entry holds the *canonical* query value, ``compile_query``'s per-value
-  ``lru_cache`` is hit across cache instances as well.
+  representative query, its :class:`~repro.evaluation.compile.CompiledQuery`
+  and its plans per stats bucket and overrides (:meth:`QueryCache.plan_for`;
+  a :class:`~repro.planning.plan.QueryPlan` is what names an engine).
+  Alpha-equivalent submissions -- textually different, even mixed
+  datalog/XPath -- share one entry, and because the entry holds the
+  *canonical* query value, ``compile_query``'s per-value ``lru_cache`` is hit
+  across cache instances as well.
 
 Both maps are LRU-bounded by ``capacity`` and thread-safe; statistics
 (:meth:`stats`) expose hit rates so an operator can see the amortization
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
-from ..evaluation.planner import Engine, choose_engine
+from ..evaluation.planner import Engine
 from ..evaluation.propagation import Propagator
 from ..observability import tracing
 from ..observability.metrics import REGISTRY
@@ -54,32 +54,30 @@ CACHE_LOOKUPS = REGISTRY.counter(
 
 @dataclass
 class CachedQuery:
-    """One resident query plan: canonical query, compiled form, engine choice."""
+    """One resident query: canonical query, compiled form, plans."""
 
     key: str
     query: ConjunctiveQuery
     compiled: CompiledQuery
-    engine: Engine
     hits: int = field(default=0)
     #: Memoized :class:`~repro.planning.plan.QueryPlan` values, keyed by
-    #: (stats bucket, routing, engine override, propagator override,
-    #: accel_only).  Bucket-keying is the invalidation story: re-registering a
-    #: document with different contents moves it to another stats bucket, so
-    #: stale plans are never served (they only age out of the bounded map).
+    #: (stats bucket, engine override, propagator override, accel_only).
+    #: Bucket-keying is the invalidation story: re-registering a document with
+    #: different contents moves it to another stats bucket, so stale plans are
+    #: never served (they only age out of the bounded map).
     plans: dict = field(default_factory=dict)
 
     def describe(self) -> dict:
         # Report the decomposition width only when the lazy cached property
-        # was already materialized (engine routing forces it for every cyclic
-        # query).  Forcing it here would run the exact treewidth search for
-        # entries that never needed one -- tens of milliseconds per 12-variable
-        # entry, under the cache lock -- just to describe them.
+        # was already materialized (planning forces it).  Forcing it here
+        # would run the exact treewidth search for entries never planned --
+        # tens of milliseconds per 12-variable entry, under the cache lock --
+        # just to describe them.
         decomposition = self.compiled.__dict__.get("decomposition")
         return {
             "key": self.key,
             "arity": self.query.arity,
             "atoms": len(self.query.body),
-            "engine": self.engine.value,
             "width": decomposition.width if decomposition is not None else None,
             "hits": self.hits,
             "plans": len(self.plans),
@@ -175,13 +173,7 @@ class QueryCache:
         with tracing.span("canonicalize"):
             canonical = canonicalize(query)
         with tracing.span("compile"):
-            entry = CachedQuery(
-                key=key,
-                query=canonical,
-                compiled=compile_query(canonical),
-                engine=choose_engine(canonical),
-            )
-            tracing.annotate(engine=entry.engine.value)
+            entry = CachedQuery(key=key, query=canonical, compiled=compile_query(canonical))
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -207,7 +199,6 @@ class QueryCache:
         entry: CachedQuery,
         stats: DocumentStats,
         *,
-        routing: str = "cost",
         engine: Optional[Engine] = None,
         propagator: Optional[Propagator] = None,
         accel_only: bool = False,
@@ -220,7 +211,6 @@ class QueryCache:
         """
         plan_key = (
             stats.bucket(),
-            routing,
             engine.value if engine is not None else None,
             propagator.value if propagator is not None else None,
             accel_only,
@@ -233,7 +223,6 @@ class QueryCache:
             entry.query,
             stats,
             compiled=entry.compiled,
-            routing=routing,
             engine=engine,
             propagator=propagator,
             accel_only=accel_only,

@@ -35,7 +35,7 @@ from ..evaluation.propagation import DEFAULT_PROPAGATOR, as_propagator
 from ..observability import tracing
 from ..observability.accounting import ACCOUNTING
 from ..observability.metrics import REGISTRY, SLOW_LOG
-from ..planning import QueryPlan, validate_routing
+from ..planning import QueryPlan
 from ..queries.parser import QueryParseError
 from ..queries.query import ConjunctiveQuery
 from ..queries.xpath import XPathTranslationError
@@ -57,12 +57,12 @@ REQUEST_SECONDS = REGISTRY.histogram(
     "End-to-end request latency in seconds, by engine and propagator.",
     ("engine", "propagator"),
 )
-#: Planner choices, one increment per routed request: which routing made the
-#: call and where it sent the query.
+#: Planner choices, one increment per planned request: where the plan sent
+#: the query.
 PLAN_CHOICES = REGISTRY.counter(
     "cqtrees_plan_choices_total",
-    "Planner choices by routing, engine and SQL lowering.",
-    ("routing", "engine", "lowering"),
+    "Planner choices by engine and SQL lowering.",
+    ("engine", "lowering"),
 )
 #: Cost-model estimates span many orders of magnitude (label-selective bags
 #: vs cartesian n^(w+1) terms), so both plan histograms bucket by decade.
@@ -135,14 +135,11 @@ class Request:
     :class:`~repro.queries.query.ConjunctiveQuery`) and ``xpath`` must be
     given.  ``limit`` truncates the *sorted* answer list; the total count is
     reported either way.  ``engine`` forces a specific evaluation engine
-    (``"sql"``, ``"backtracking"``, ...); by default the planner chooses from
-    the query shape, the document's statistics and its residency (accel-only
-    documents route to SQL automatically).  ``routing`` selects how the
-    planner chooses: ``"cost"`` (document-statistics estimates, the default)
-    or ``"static"`` (the pre-planner shape rules, kept as the ablation
-    baseline -- answers are byte-identical either way).  ``propagator`` is
-    ``"auto"`` by default (the plan's choice); naming one (``"ac4"``,
-    ``"ac3"``, ``"hybrid"``, ...) forces it.
+    (``"sql"``, ``"backtracking"``, ...); by default
+    :func:`~repro.planning.plan_query` chooses from the query shape, the
+    document's statistics and its residency (accel-only documents route to
+    SQL automatically).  ``propagator`` is ``"auto"`` by default (the plan's
+    choice); naming one (``"ac4"``, ``"ac3"``, ``"hybrid"``, ...) forces it.
     """
 
     doc: str
@@ -151,7 +148,6 @@ class Request:
     propagator: str = "auto"
     limit: Optional[int] = None
     engine: Optional[str] = None
-    routing: str = "cost"
     #: Record a tracing span tree for this request (attached as ``trace``).
     debug: bool = False
     #: Explain the plan -- engine, width, bags, SQL -- without executing.
@@ -176,10 +172,6 @@ class Request:
         propagator = payload.get("propagator", "auto")
         if not isinstance(propagator, str):
             raise ValueError("'propagator' must be a string")
-        routing = payload.get("routing", "cost")
-        if not isinstance(routing, str):
-            raise ValueError("'routing' must be a string")
-        validate_routing(routing)  # fail fast on unknown routings
         for key in ("debug", "explain"):
             if not isinstance(payload.get(key, False), bool):
                 raise ValueError(f"'{key}' must be a boolean")
@@ -190,7 +182,6 @@ class Request:
             propagator=propagator,
             limit=limit,
             engine=payload.get("engine"),
-            routing=routing,
             debug=bool(payload.get("debug", False)),
             explain=bool(payload.get("explain", False)),
         )
@@ -322,7 +313,6 @@ def _resolve_plan(
     established, so even a routing failure is attributed to the engine it
     was routed to.
     """
-    routing = validate_routing(request.routing)
     propagator_override = (
         None if request.propagator == "auto" else as_propagator(request.propagator)
     )
@@ -339,7 +329,6 @@ def _resolve_plan(
     plan = cache.plan_for(
         entry,
         store.stats_for(request.doc),
-        routing=routing,
         engine=override,
         propagator=propagator_override,
         accel_only=accel_only,
@@ -353,7 +342,7 @@ def _resolve_plan(
             f"document {request.doc!r} is accel-only; "
             f"engine {plan.engine.value!r} needs a resident document"
         )
-    PLAN_CHOICES.inc(routing=plan.routing, engine=plan.engine.value, lowering=plan.lowering)
+    PLAN_CHOICES.inc(engine=plan.engine.value, lowering=plan.lowering)
     PLAN_ESTIMATED_COST.observe(plan.estimated_cost, engine=plan.engine.value)
     return plan, entry, cache_hit, residency
 
@@ -426,7 +415,6 @@ def _execute_request(
         cache_hit=cache_hit,
         plan_attribution={
             "lowering": plan.lowering,
-            "routing": plan.routing,
             "estimated_cost": round(plan.estimated_cost, 1),
             "drift": drift if drift is None else round(drift, 4),
         },
@@ -523,8 +511,8 @@ def _run_request(store: DocumentStore, cache: QueryCache, request: Request) -> R
 def explain_request(store: DocumentStore, cache: QueryCache, request: Request) -> RequestResult:
     """Describe the plan a request would run -- without executing it.
 
-    The ``explain`` payload reports the full :class:`QueryPlan`: routing,
-    chosen engine and propagator, the SQL lowering that *would actually run*
+    The ``explain`` payload reports the full :class:`QueryPlan`: the chosen
+    engine and propagator, the SQL lowering that *would actually run*
     (including TEMP-table materialization), the document's residency and
     stats bucket, the cost-model estimates that produced the choice, cache
     state, the compiled decomposition (achieved width, exactness, method,
@@ -546,7 +534,6 @@ def explain_request(store: DocumentStore, cache: QueryCache, request: Request) -
         payload = {
             "doc": request.doc,
             "residency": residency,
-            "routing": plan.routing,
             "engine": plan.engine.value,
             "propagator": plan.propagator.value,
             "lowering": plan.lowering,

@@ -75,9 +75,6 @@ class StoredDocument:
     tree: Tree
     structure: TreeStructure
     source: str
-    #: Per-document statistics collected at registration (node count,
-    #: depth/fanout profile, label histogram) -- the cost model's input.
-    stats: Optional[DocumentStats] = None
     registered_at: float = field(default_factory=time.time)
 
     @property
@@ -136,7 +133,8 @@ class DocumentStore:
         structure.index  # force the O(n) interval index build at registration
         for label in tree.alphabet():
             structure.unary_member_set(label)  # warm the label inverted index
-        document = StoredDocument(doc_id, tree, structure, source, stats=DocumentStats.of_tree(tree))
+        DocumentStats.of_tree(tree)  # measure the planner statistics now (memoized per tree)
+        document = StoredDocument(doc_id, tree, structure, source)
         if self.accel_backend is not None:
             self.accel_backend.ensure_document(doc_id, tree)
         with self._lock:
@@ -240,9 +238,7 @@ class DocumentStore:
         with self._lock:
             document = self._documents.get(doc_id)
             if document is not None:
-                if document.stats is None:  # documents stored before stats existed
-                    document.stats = DocumentStats.of_tree(document.tree)
-                return document.stats
+                return DocumentStats.of_tree(document.tree)
         residency = self.residency(doc_id)
         if residency == "resident":  # registered between the two lookups
             return self.stats_for(doc_id)

@@ -30,7 +30,6 @@ BASE = dict(
     stage_ms={"plan": 0.2, "execute": 0.8},
     propagator="ac4",
     lowering="none",
-    routing="cost_model",
     stats_bucket="resident",
     estimated_rows=5.0,
 )
@@ -209,7 +208,7 @@ class TestServingIntegration:
             executor.close()
         assert result.ok
         assert result.plan_attribution is not None
-        assert {"lowering", "routing", "estimated_cost", "drift"} <= set(result.plan_attribution)
+        assert set(result.plan_attribution) == {"lowering", "estimated_cost", "drift"}
         # The wire body must stay byte-identical to the pre-accounting era.
         assert sorted(result.to_json_dict()) == [
             "answers",
@@ -234,5 +233,6 @@ class TestServingIntegration:
         finally:
             SLOW_LOG.threshold_ms = threshold
             executor.close()
-        assert {"lowering", "routing", "estimated_cost", "drift"} <= set(entry)
+        assert {"lowering", "estimated_cost", "drift"} <= set(entry)
+        assert "routing" not in entry
         assert entry["engine"] is not None

@@ -301,7 +301,9 @@ class TestStoreMirror:
 
 @pytest.mark.parametrize("engine", [Engine.SQL])
 def test_planner_sql_engine_never_auto_chosen(engine):
-    from repro.evaluation.planner import choose_engine
+    from repro.planning import DocumentStats, plan_query
 
     query = parse_query("Q(x) <- A(x), Child(x, y), B(y)")
-    assert choose_engine(query) is not engine
+    stats = DocumentStats.of_tree(parse_sexpr("(A (B) (C (B)))"))
+    assert plan_query(query, stats).engine is not engine
+    assert plan_query(query, stats, accel_only=True).engine is engine

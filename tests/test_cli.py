@@ -85,7 +85,7 @@ class TestEvaluateCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "engine   : decomposition (propagator: semijoin, routing: cost)" in output
+        assert "engine   : decomposition (propagator: semijoin)" in output
         assert "answers  : 1" in output
 
     def test_engine_override_forces_backtracking(self, capsys):
@@ -102,7 +102,7 @@ class TestEvaluateCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "engine   : backtracking (forced) (propagator: ac4, routing: cost)" in output
+        assert "engine   : backtracking (forced) (propagator: ac4)" in output
         assert "answers  : 1" in output
 
     def test_engine_overrides_agree_in_process(self, capsys):

@@ -28,14 +28,13 @@ from repro.decomposition import (
 )
 from repro.decomposition.decompose import EXACT_VERTEX_LIMIT, decomposition_from_order
 from repro.evaluation import (
-    MAX_AUTO_DECOMPOSITION_WIDTH,
     Engine,
     PropagationResult,
-    choose_engine,
     compile_query,
     evaluate,
     is_satisfied,
 )
+from repro.planning import DocumentStats, plan_query
 from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.trees import Axis, TreeStructure, random_tree
@@ -222,25 +221,17 @@ class TestDecompose:
 
 
 class TestPlannerRouting:
-    def test_cyclic_bounded_width_routes_to_decomposition(self):
-        query = parse_query(TRIANGLE)
-        assert choose_engine(query) is Engine.DECOMPOSITION
-        assert compile_query(query).decomposition.width <= MAX_AUTO_DECOMPOSITION_WIDTH
-
-    def test_high_width_routes_to_backtracking(self):
-        query = parse_query(K4)
-        assert compile_query(query).decomposition.width == 3
-        assert choose_engine(query) is Engine.BACKTRACKING
+    STATS = DocumentStats.of_tree(random_tree(60, alphabet=("A", "B", "C"), seed=7))
 
     def test_tractable_signature_still_wins(self):
         # A cyclic query over {Child+, Child*} stays with the X-property
         # evaluator: the dichotomy routing is unchanged.
         query = parse_query("Q <- Child+(x, y), Child*(y, z), Child+(z, x)")
-        assert choose_engine(query) is Engine.XPROPERTY
+        assert plan_query(query, self.STATS).engine is Engine.XPROPERTY
 
     def test_acyclic_still_wins(self):
         query = parse_query("Q <- Child(x, y), Following(y, z)")
-        assert choose_engine(query) is Engine.ACYCLIC
+        assert plan_query(query, self.STATS).engine is Engine.ACYCLIC
 
 
 class TestYannakakisEvaluation:
@@ -295,8 +286,8 @@ class TestYannakakisEvaluation:
             )
 
     def test_high_width_query_still_exact(self, structure):
-        # Routing avoids K4-shaped queries, but forcing the engine must still
-        # give exact answers (the width bound is a preference, not a limit).
+        # Width 3: forcing the engine must still give exact answers (width
+        # prices a plan, it does not limit the engine).
         query = parse_query(K4)
         assert is_satisfied(query, structure, Engine.DECOMPOSITION) == is_satisfied(
             query, structure, Engine.BACKTRACKING
@@ -624,7 +615,6 @@ class TestBagEmission:
         pages = {}
         for head in ("a, b1, b2", "a, b1"):
             query = parse_query(f"Q({head}) <- {triangle}")
-            assert choose_engine(query) is Engine.DECOMPOSITION
             for limit in (None, 2):
                 with monkeypatch.context() as patched:
                     patched.setattr(index_module.MutableDomainView, "__init__", refuse)
@@ -698,14 +688,13 @@ class TestWitnessEnumeration:
 
 
 class TestServingIntegration:
-    def test_cache_entry_reports_width_and_engine(self):
+    def test_planned_cache_entry_reports_width(self):
         from repro.service import QueryCache
 
         cache = QueryCache()
         entry, _ = cache.resolve_text(TRIANGLE)
-        description = entry.describe()
-        assert description["engine"] == "decomposition"
-        assert description["width"] == 2
+        cache.plan_for(entry, TestPlannerRouting.STATS)
+        assert entry.describe()["width"] == 2
         # The decomposition is resident on the shared compiled artifact.
         assert "decomposition" in entry.compiled.__dict__
 

@@ -7,6 +7,8 @@ backtracking engine is the ground truth).
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from repro.evaluation import (
@@ -15,7 +17,6 @@ from repro.evaluation import (
     acyclic,
     boolean_query_holds,
     check_answer,
-    choose_engine,
     choose_order,
     count_solutions,
     evaluate,
@@ -30,12 +31,13 @@ from repro.evaluation import (
 )
 from repro.evaluation.arc_consistency import maximal_arc_consistent
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
-from repro.evaluation.propagation import PROPAGATE_SECONDS
+from repro.evaluation.propagation import PROPAGATE_SECONDS, Propagator
 from repro.evaluation.xprop_evaluator import XPropertyEvaluationError
 from repro.hardness import random_cyclic_query
 from repro.observability import tracing
-from repro.queries import as_union, parse_query
-from repro.trees import Order, TreeStructure, from_nested, random_tree
+from repro.planning import DocumentStats, plan_query
+from repro.queries import ConjunctiveQuery, as_union, parse_query
+from repro.trees import Order, TreeStructure, from_nested, parse_sexpr, random_tree
 from repro.trees.axes import Axis
 from repro.workloads import auction_document
 
@@ -46,6 +48,20 @@ def _enumerate_strategies(root) -> list[str]:
     for child in root.children:
         found.extend(_enumerate_strategies(child))
     return found
+
+
+def _plan(text: str, tree):
+    """The plan library ``evaluate(engine=AUTO)`` runs (propagator ``ac4``)."""
+    return plan_query(parse_query(text), DocumentStats.of_tree(tree), propagator=Propagator.AC4)
+
+
+def _assert_arbitrated(plan) -> None:
+    """The cyclic residue goes to whichever engine is estimated cheaper."""
+    assert plan.engine is (
+        Engine.DECOMPOSITION
+        if plan.decomposition_cost <= plan.backtracking_cost
+        else Engine.BACKTRACKING
+    )
 
 
 class TestXPropertyEvaluator:
@@ -240,58 +256,42 @@ class TestBacktrackingEvaluator:
 
 
 class TestPlanner:
-    def test_engine_choice(self):
-        assert (
-            choose_engine(parse_query("Q <- Child+(x, y), Child*(y, z), Child+(z, x)"))
-            is Engine.XPROPERTY
-        )
-        assert choose_engine(parse_query("Q <- Child(x, y), Following(y, z)")) is Engine.ACYCLIC
-        # Cyclic (parallel edges / triangles) but of bounded decomposition
-        # width: the structural engine takes these now.
-        assert (
-            choose_engine(parse_query("Q <- Child(x, y), Child+(x, y)"))
-            is Engine.DECOMPOSITION
-        )
-        assert (
-            choose_engine(
-                parse_query("Q <- Child(x, y), Following(y, z), Child+(x, z)")
-            )
-            is Engine.DECOMPOSITION
-        )
-        # Width 3 (a K4 over an NP-hard signature): backtracking remains the
-        # fallback beyond MAX_AUTO_DECOMPOSITION_WIDTH.
-        assert (
-            choose_engine(
-                parse_query(
-                    "Q <- Child(a, b), Child+(a, c), Following(a, d), "
-                    "Child+(b, c), Child(b, d), Following(c, d)"
-                )
-            )
-            is Engine.BACKTRACKING
-        )
+    def test_engine_choice(self, sentence_tree):
+        tractable = "Q <- Child+(x, y), Child*(y, z), Child+(z, x)"
+        assert _plan(tractable, sentence_tree).engine is Engine.XPROPERTY
+        assert _plan("Q <- Child(x, y), Following(y, z)", sentence_tree).engine is Engine.ACYCLIC
+        # Cyclic (parallel edges / triangles) and, width 3, a K4 over an
+        # NP-hard signature: the cyclic residue, settled by cost.
+        for text in (
+            "Q <- Child(x, y), Child+(x, y)",
+            "Q <- Child(x, y), Following(y, z), Child+(x, z)",
+            "Q <- Child(a, b), Child+(a, c), Following(a, d), "
+            "Child+(b, c), Child(b, d), Following(c, d)",
+        ):
+            _assert_arbitrated(_plan(text, sentence_tree))
 
-    def test_engine_choice_depends_on_the_head(self):
+    def test_engine_choice_depends_on_the_head(self, sentence_tree):
         """Boolean and monadic-forest heads read one fixpoint; every other
         head is enumerated over the join tree, whatever the signature."""
         body = "NP(x), Child(x, y), NN(y)"  # tractable signature, forest
-        assert choose_engine(parse_query(f"Q <- {body}")) is Engine.XPROPERTY
-        assert choose_engine(parse_query(f"Q(x) <- {body}")) is Engine.XPROPERTY
-        assert choose_engine(parse_query(f"Q(x, y) <- {body}")) is Engine.DECOMPOSITION
-        assert choose_engine(parse_query(f"Q(x, x) <- {body}")) is Engine.DECOMPOSITION
+        assert _plan(f"Q <- {body}", sentence_tree).engine is Engine.XPROPERTY
+        assert _plan(f"Q(x) <- {body}", sentence_tree).engine is Engine.XPROPERTY
+        assert _plan(f"Q(x, y) <- {body}", sentence_tree).engine is Engine.DECOMPOSITION
+        assert _plan(f"Q(x, x) <- {body}", sentence_tree).engine is Engine.DECOMPOSITION
         mixed = "Child(x, y), Following(y, z)"  # NP-hard signature, forest
-        assert choose_engine(parse_query(f"Q(z) <- {mixed}")) is Engine.ACYCLIC
-        assert choose_engine(parse_query(f"Q(x, z) <- {mixed}")) is Engine.DECOMPOSITION
+        assert _plan(f"Q(z) <- {mixed}", sentence_tree).engine is Engine.ACYCLIC
+        assert _plan(f"Q(x, z) <- {mixed}", sentence_tree).engine is Engine.DECOMPOSITION
         # A monadic head over a cyclic shadow is no fixpoint projection: it
         # joins the cyclic residue even on a tractable signature.
         cyclic = "Child+(x, y), Child*(y, z), Child+(x, z)"
-        assert choose_engine(parse_query(f"Q <- {cyclic}")) is Engine.XPROPERTY
-        assert choose_engine(parse_query(f"Q(x) <- {cyclic}")) is Engine.DECOMPOSITION
+        assert _plan(f"Q <- {cyclic}", sentence_tree).engine is Engine.XPROPERTY
+        _assert_arbitrated(_plan(f"Q(x) <- {cyclic}", sentence_tree))
         k4 = (
             "Child+(a, b), Child+(a, c), Child+(a, d), "
             "Child+(b, c), Child+(b, d), Child+(c, d)"
         )
-        assert choose_engine(parse_query(f"Q <- {k4}")) is Engine.XPROPERTY
-        assert choose_engine(parse_query(f"Q(a, d) <- {k4}")) is Engine.BACKTRACKING
+        assert _plan(f"Q <- {k4}", sentence_tree).engine is Engine.XPROPERTY
+        _assert_arbitrated(_plan(f"Q(a, d) <- {k4}", sentence_tree))
 
     def test_default_kary_evaluation_runs_one_fixpoint(self):
         """A count, not a timing: one propagation per request, no per-tuple loop."""
@@ -320,17 +320,27 @@ class TestPlanner:
         assert root.find("enumerate").attributes["strategy"] == "candidate_product"
 
     def test_default_routing_never_enumerates_per_tuple(self, sentence_structure):
-        for text in (
+        """Forest heads always take the join tree; cyclic ones follow the plan."""
+        strategy = {Engine.DECOMPOSITION: "join_tree", Engine.BACKTRACKING: "candidate_product"}
+        forest = (
             "Q(x, y) <- NP(x), Child(x, y), NN(y)",
             "Q(x, y, x) <- NP(x), Following(x, y), PP(y)",
             "Q(x, y) <- NP(x), PP(y)",
+        )
+        cyclic = (
             "Q(x) <- NP(x), Child+(x, y), Child*(x, y)",
             "Q(x, z) <- Child(x, y), Following(y, z), Child+(x, z)",
-        ):
+        )
+        for text in forest + cyclic:
+            plan = _plan(text, sentence_structure.tree)
+            if text in forest:
+                assert plan.engine is Engine.DECOMPOSITION, text
+            else:
+                _assert_arbitrated(plan)
             with tracing.trace("request") as root:
                 evaluate(parse_query(text), sentence_structure)
             strategies = _enumerate_strategies(root)
-            assert strategies == ["join_tree"], (text, strategies)
+            assert strategies == [strategy[plan.engine]], (text, strategies)
 
     def test_is_satisfied_all_engines_agree(self, sentence_structure):
         query = parse_query("Q <- S(x), Child+(x, y), NP(y), Child+(x, z), PP(z)")
@@ -363,6 +373,17 @@ class TestPlanner:
     def test_evaluate_repeated_head_variable(self, sentence_tree):
         query = parse_query("Q(x, x) <- NP(x)")
         assert evaluate_on_tree(query, sentence_tree) == frozenset({(1, 1), (6, 6)})
+
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_unsafe_head_variable_ranges_over_every_node(self, engine):
+        """A head variable no atom mentions pairs with every node, on every engine."""
+        structure = TreeStructure(parse_sexpr("(A (B) (A (B)))"))
+        body = parse_query("Q(x) <- A(x), Child(x, z)").body
+        query = ConjunctiveQuery(("x", "y"), body, "Q")
+        expected = frozenset((x, y) for x in (0, 2) for y in range(4))
+        assert evaluate(query, structure, engine=engine) == expected
+        for answer in product(range(4), repeat=2):
+            assert check_answer(query, structure, answer, engine) == (answer in expected)
 
     def test_check_answer(self, sentence_structure):
         query = parse_query("Q(x) <- NP(x), Child(x, y), NN(y)")

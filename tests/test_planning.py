@@ -6,31 +6,31 @@ Covers the :class:`QueryPlan` contract end to end:
   documents, stable stats buckets;
 * the estimators: domains bounded by label histograms, bag rows >= 1,
   the propagator rule;
-* ``plan_query`` routing: ``"static"`` reproduces the pre-planner rule bit
-  for bit, ``"cost"`` only arbitrates the cyclic residue, overrides always
-  win, the materialization threshold;
+* ``plan_query``, the one routing rule: the dichotomy tiers, cost only for
+  the cyclic residue, the flat SQL join priced only where SQL can run,
+  overrides always win, the materialization threshold;
 * the serving layer: plans cached per (canonical query, stats bucket),
   invalidated by re-registration through the bucket key, EXPLAIN reporting
   the lowering that actually runs (the satellite bugfix), and every
   attribution surface naming the engine that actually ran a k-ary head;
-* the property suite: answers byte-identical under ``routing="cost"`` vs
-  ``routing="static"`` across cyclic and acyclic shapes, every engine
-  override and every propagator; plan choice invariant under
-  alpha-renaming.
+* the property suite: answers byte-identical between the default plan and
+  every forced engine and propagator across cyclic and acyclic shapes,
+  unsafe heads included; plan choice invariant under alpha-renaming.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.decomposition.decompose import prune_subset_bags
-from repro.evaluation import Engine
-from repro.evaluation.propagation import DEFAULT_PROPAGATOR, Propagator
+from repro.evaluation import Engine, evaluate
+from repro.evaluation.propagation import Propagator
 from repro.planning import (
     MATERIALIZE_ROWS_THRESHOLD,
     DocumentStats,
@@ -39,11 +39,10 @@ from repro.planning import (
     choose_propagator,
     fixpoint_cost_estimate,
     plan_query,
-    validate_routing,
     variable_domain_estimate,
 )
 from repro.evaluation.compile import compile_query
-from repro.evaluation.planner import choose_engine
+from repro.hardness import theorem51_workload
 from repro.observability.accounting import ACCOUNTING
 from repro.observability.metrics import SLOW_LOG
 from repro.queries import ConjunctiveQuery, parse_query
@@ -52,7 +51,7 @@ from repro.service import BatchExecutor, ShardedExecutor
 from repro.service.cache import QueryCache
 from repro.service.core import PLAN_CHOICES, Request, run_request
 from repro.service.store import DocumentNotFound, DocumentStore
-from repro.trees import Axis, Tree, random_tree, to_xml
+from repro.trees import Axis, Tree, TreeStructure, random_tree, to_xml
 from repro.workloads import random_corpus
 
 ALPHABET = ("A", "B", "C")
@@ -166,11 +165,9 @@ def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
         # Forward checking needs arc consistency: the exact rule stays.
         searched = plan_query(query, stats, engine=Engine.BACKTRACKING)
         assert searched.propagator is choose_propagator(compile_query(query)), text
-        # Overrides and the static ablation are untouched.
+        # Overrides are untouched.
         named = plan_query(query, stats, engine=Engine.DECOMPOSITION, propagator=Propagator.HYBRID)
         assert named.propagator is Propagator.HYBRID
-        static = plan_query(query, stats, routing="static", engine=Engine.DECOMPOSITION)
-        assert static.propagator is Propagator.AC4
 
 
 def test_semijoin_fixpoint_is_priced_by_label_columns():
@@ -192,39 +189,39 @@ def test_semijoin_fixpoint_is_priced_by_label_columns():
     assert fixpoint_cost_estimate(lone, stats, Propagator.SEMIJOIN) == 1.0
 
 
-# -- plan_query routing --------------------------------------------------------
+# -- plan_query ----------------------------------------------------------------
 
 
-def test_validate_routing():
-    assert validate_routing("cost") == "cost"
-    assert validate_routing("static") == "static"
-    with pytest.raises(ValueError):
-        validate_routing("greedy")
-
-
-def test_static_routing_reproduces_pre_planner_rule():
-    stats = DocumentStats.of_tree(_tree())
-    for text in (FOUR_CYCLE, ACYCLIC_CHAIN, TRIANGLE):
-        query = parse_query(text)
-        plan = plan_query(query, stats, routing="static")
-        assert plan.engine is choose_engine(query)
-        assert plan.propagator is DEFAULT_PROPAGATOR
-        assert plan.lowering == "tree"
-        assert plan.materialize is False
-
-
-def test_cost_routing_keeps_static_tiers():
-    stats = DocumentStats.of_tree(_tree())
-    for text in (ACYCLIC_CHAIN, TRIANGLE):
-        query = parse_query(text)
-        assert plan_query(query, stats, routing="cost").engine is choose_engine(query)
-    cyclic = plan_query(parse_query(FOUR_CYCLE), stats, routing="cost")
-    assert cyclic.engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING)
-    assert cyclic.engine is (
+def _assert_arbitrated(plan: QueryPlan) -> None:
+    assert plan.engine is (
         Engine.DECOMPOSITION
-        if cyclic.decomposition_cost <= cyclic.backtracking_cost
+        if plan.decomposition_cost <= plan.backtracking_cost
         else Engine.BACKTRACKING
     )
+
+
+def test_resident_plans_price_no_flat_join():
+    """The flat SQL join is priced only where SQL can run."""
+    stats = DocumentStats.of_tree(_tree())
+    for text in (FOUR_CYCLE, ACYCLIC_CHAIN, TRIANGLE, KARY_HEAD):
+        query = parse_query(text)
+        plan = plan_query(query, stats)
+        assert (plan.lowering, plan.materialize, plan.flat_cost) == ("tree", False, None)
+        assert plan.describe()["estimates"]["flat_cost"] is None
+        for sql in (
+            plan_query(query, stats, engine=Engine.SQL),
+            plan_query(query, stats, accel_only=True),
+        ):
+            assert sql.engine is Engine.SQL
+            assert sql.flat_cost is not None
+            assert sql.lowering == ("flat" if sql.flat_cost < sql.decomposition_cost else "tree")
+
+
+def test_plan_keeps_the_dichotomy_tiers():
+    stats = DocumentStats.of_tree(_tree())
+    assert plan_query(parse_query(ACYCLIC_CHAIN), stats).engine is Engine.ACYCLIC
+    for text in (TRIANGLE, FOUR_CYCLE):  # monadic heads over cyclic bodies
+        _assert_arbitrated(plan_query(parse_query(text), stats))
 
 
 def test_forest_heads_take_the_join_tree_tier_statically():
@@ -234,24 +231,16 @@ def test_forest_heads_take_the_join_tree_tier_statically():
         "Q(a, c) <- A(a), Child+(a, b), B(b), Following(b, c), C(c)",  # NP-hard one
         "Q(a, c) <- A(a), C(c)",  # two components, no axis atom
     ):
-        query = parse_query(text)
-        assert choose_engine(query) is Engine.DECOMPOSITION
-        for routing in ("cost", "static"):
-            plan = plan_query(query, stats, routing=routing)
-            assert plan.engine is Engine.DECOMPOSITION
-            assert plan.estimated_cost == plan.decomposition_cost
+        plan = plan_query(parse_query(text), stats)
+        assert plan.engine is Engine.DECOMPOSITION
+        assert plan.estimated_cost == plan.decomposition_cost
 
 
 def test_cyclic_heads_over_tractable_signatures_join_the_arbitration():
     stats = DocumentStats.of_tree(_tree())
     text = "Q(a, c) <- A(a), Child+(a, b), Child*(b, c), Child+(a, c), C(c)"
     for head in ("a", "a, c"):  # monadic over a cyclic shadow, and binary
-        plan = plan_query(parse_query(text.replace("a, c", head, 1)), stats)
-        assert plan.engine is (
-            Engine.DECOMPOSITION
-            if plan.decomposition_cost <= plan.backtracking_cost
-            else Engine.BACKTRACKING
-        )
+        _assert_arbitrated(plan_query(parse_query(text.replace("a, c", head, 1)), stats))
     # The Boolean head over the same body stays on the X-property tier.
     assert plan_query(parse_query(text.replace("Q(a, c)", "Q")), stats).engine is Engine.XPROPERTY
 
@@ -270,16 +259,9 @@ def test_forced_per_tuple_engine_is_priced_as_the_reduction():
 def test_overrides_always_win():
     stats = DocumentStats.of_tree(_tree())
     query = parse_query(FOUR_CYCLE)
-    for routing in ("cost", "static"):
-        plan = plan_query(
-            query,
-            stats,
-            routing=routing,
-            engine=Engine.BACKTRACKING,
-            propagator=Propagator.AC3,
-        )
-        assert plan.engine is Engine.BACKTRACKING
-        assert plan.propagator is Propagator.AC3
+    plan = plan_query(query, stats, engine=Engine.BACKTRACKING, propagator=Propagator.AC3)
+    assert plan.engine is Engine.BACKTRACKING
+    assert plan.propagator is Propagator.AC3
 
 
 def test_accel_only_pins_sql_and_materialize_threshold():
@@ -297,14 +279,6 @@ def test_accel_only_pins_sql_and_materialize_threshold():
     assert big.lowering == "tree"
     assert max(big.bag_rows) > MATERIALIZE_ROWS_THRESHOLD
     assert big.materialize is True
-    # The ablation baseline never materializes.
-    static = plan_query(
-        parse_query(FOUR_CYCLE),
-        DocumentStats.approximate_from_nodes(50_000),
-        routing="static",
-        accel_only=True,
-    )
-    assert static.materialize is False
 
 
 def test_estimated_cost_tracks_chosen_engine():
@@ -317,22 +291,90 @@ def test_estimated_cost_tracks_chosen_engine():
     )
     assert plan.estimated_cost == expected
     sql = plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True)
-    assert sql.estimated_cost == (sql.flat_cost if sql.lowering == "flat" else sql.tree_cost)
+    assert sql.estimated_cost == (
+        sql.flat_cost if sql.lowering == "flat" else sql.decomposition_cost
+    )
 
 
 def test_describe_is_json_friendly():
     plan = plan_query(parse_query(FOUR_CYCLE), DocumentStats.of_tree(_tree()))
     assert isinstance(plan, QueryPlan)
     described = plan.describe()
-    assert described["routing"] == "cost"
+    json.dumps(described)
     assert set(described["estimates"]) == {
         "bag_rows",
         "decomposition_cost",
         "backtracking_cost",
-        "tree_cost",
         "flat_cost",
         "estimated_cost",
     }
+
+
+# -- ROADMAP item 1, probe rows 1-2: a cold plan is bounded --------------------
+
+
+def _cold_plan(query: ConjunctiveQuery) -> tuple[QueryPlan, float]:
+    """Simplify, canonicalize, compile, decompose and plan on a resident 1k tree."""
+    store, cache = DocumentStore(), QueryCache()
+    store.register_tree("doc", random_tree(1000, alphabet=ALPHABET, seed=42))
+    started = time.perf_counter()
+    entry, cache_hit = cache.resolve_query(query)
+    plan = cache.plan_for(entry, store.stats_for("doc"))
+    seconds = time.perf_counter() - started
+    assert not cache_hit
+    return plan, seconds
+
+
+def test_cold_200_variable_chain_plans_in_under_a_second():
+    names = [f"x{i}" for i in range(200)]
+    atoms = tuple(AxisAtom(Axis.CHILD_PLUS, a, b) for a, b in zip(names, names[1:]))
+    plan, seconds = _cold_plan(ConjunctiveQuery(("x0",), atoms, "Chain"))
+    assert plan.engine is Engine.XPROPERTY and plan.flat_cost is None
+    assert seconds < 1.0
+
+
+def test_cold_theorem51_reduction_reaches_an_engine_in_under_five_seconds():
+    reduction = theorem51_workload(8)
+    plan, seconds = _cold_plan(reduction.query)
+    assert len(set().union(*plan.decomposition.bags)) == 624
+    assert plan.engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING)
+    assert plan.flat_cost is None
+    assert seconds < 5.0
+
+
+def test_library_evaluate_takes_the_plans_engine_on_route_bool_cycle4(monkeypatch):
+    """``evaluate(engine=AUTO)`` runs ``plan_query``'s engine, not a width guess."""
+    from repro.evaluation import planner
+
+    tree = random_tree(1000, alphabet=tuple(f"L{i:02d}" for i in range(16)), seed=42)
+    query = parse_query("Q <- Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)")
+    plan = plan_query(query, DocumentStats.of_tree(tree), propagator=Propagator.AC4)
+    assert plan.engine is Engine.BACKTRACKING
+    searched = []
+    search = planner.backtracking.boolean_query_holds
+    monkeypatch.setattr(
+        planner.backtracking,
+        "boolean_query_holds",
+        lambda *args, **kwargs: searched.append(args) or search(*args, **kwargs),
+    )
+    monkeypatch.setattr(planner.yannakakis, "boolean_query_holds", None)  # must not run
+    assert planner.evaluate(query, TreeStructure(tree)) == frozenset({()})
+    assert len(searched) == 1
+
+
+def test_forced_semijoin_sends_the_cyclic_residue_to_decomposition():
+    """The sweeps are exact on forests only; decomposition is the engine that takes them."""
+    tree = random_tree(1000, alphabet=tuple(f"L{i:02d}" for i in range(16)), seed=42)
+    structure = TreeStructure(tree)
+    stats = DocumentStats.of_tree(tree)
+    body = "Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)"  # width 2
+    for text in (f"Q <- {body}", f"Q(a) <- {body}, L03(a)"):
+        query = parse_query(text)
+        assert plan_query(query, stats).engine is Engine.BACKTRACKING, text
+        plan = plan_query(query, stats, propagator=Propagator.SEMIJOIN)
+        assert plan.engine is Engine.DECOMPOSITION, text
+        expected = evaluate(query, structure, propagator="ac4")
+        assert evaluate(query, structure, propagator="semijoin") == expected, text
 
 
 # -- decomposition pruning (union-of-ranges prerequisite) ----------------------
@@ -410,7 +452,6 @@ def test_plan_cache_key_separates_explicit_propagator_from_automatic_pick():
     assert forced.propagator is Propagator.AC4
     assert cache.plan_for(entry, stats) is automatic
     assert cache.plan_for(entry, stats, propagator=Propagator.AC4) is forced
-    assert cache.plan_for(entry, stats, routing="static").propagator is DEFAULT_PROPAGATOR
 
 
 def test_explain_reports_chosen_lowering_and_estimates():
@@ -418,7 +459,6 @@ def test_explain_reports_chosen_lowering_and_estimates():
     result = run_request(store, cache, Request(doc="accel", query=FOUR_CYCLE, explain=True))
     assert result.ok
     explain = result.explain
-    assert explain["routing"] == "cost"
     assert explain["engine"] == "sql"
     assert explain["lowering"] in ("tree", "flat")
     assert isinstance(explain["materialize"], bool)
@@ -426,7 +466,7 @@ def test_explain_reports_chosen_lowering_and_estimates():
     assert explain["estimates"]["estimated_cost"] == (
         explain["estimates"]["flat_cost"]
         if explain["lowering"] == "flat"
-        else explain["estimates"]["tree_cost"]
+        else explain["estimates"]["decomposition_cost"]
     )
     assert "decomposition_static_cost" in explain
     # The satellite bugfix: the SQL text matches the lowering that runs.
@@ -436,25 +476,13 @@ def test_explain_reports_chosen_lowering_and_estimates():
         assert "bag_0" in explain["sql"]
 
 
-def test_explain_static_routing_is_the_ablation():
-    store, cache = _service()
-    result = run_request(
-        store, cache, Request(doc="doc", query=FOUR_CYCLE, explain=True, routing="static")
-    )
-    assert result.ok
-    assert result.explain["routing"] == "static"
-    assert result.explain["materialize"] is False
-    assert result.explain["lowering"] == "tree"
-    assert result.explain["propagator"] == DEFAULT_PROPAGATOR.value
-
-
 def _stable(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k not in ("elapsed_ms", "cache_hit")}
 
 
 def _plan_choices(engine: str) -> float:
     return sum(
-        PLAN_CHOICES.value(routing="cost", engine=engine, lowering=lowering)
+        PLAN_CHOICES.value(engine=engine, lowering=lowering)
         for lowering in ("tree", "flat")
     )
 
@@ -504,11 +532,9 @@ def test_kary_head_is_attributed_to_the_engine_that_ran():
         assert {entry["engine"] for entry in ledger["top_drift"]} == {"decomposition"}
 
 
-def test_unknown_routing_is_a_client_error():
-    store, cache = _service()
-    result = run_request(store, cache, Request(doc="doc", query=FOUR_CYCLE, routing="bad"))
-    assert not result.ok
-    assert "unknown routing" in result.error
+def test_routing_is_an_unknown_wire_field():
+    with pytest.raises(ValueError, match="unknown request field"):
+        Request.from_json_dict({"doc": "doc", "query": FOUR_CYCLE, "routing": "cost"})
 
 
 # -- property suite ------------------------------------------------------------
@@ -545,34 +571,26 @@ def small_queries(draw) -> ConjunctiveQuery:
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @SETTINGS
-def test_cost_and_static_routing_are_byte_identical(query, size, seed):
-    """The acceptance invariant: routing never changes answers.
+def test_default_plan_and_forced_variants_are_byte_identical(query, size, seed):
+    """The acceptance invariant: no engine or propagator choice changes answers.
 
     Exercised through ``run_request`` (the full serving path: cache, plan,
-    evaluate, sort) for the default engine choice under every propagator,
-    and for the two engine overrides that accept every query shape.
+    evaluate, sort) for the default plan against every propagator and the two
+    engine overrides that accept every query shape -- unsafe heads (a head
+    variable no atom mentions) included.
     """
     store = DocumentStore()
     cache = QueryCache()
     store.register_tree("doc", random_tree(size, alphabet=ALPHABET, max_children=3, seed=seed))
-    variants = [{"propagator": p} for p in ("auto", "ac4", "ac3", "hybrid")]
-    variants += [{"engine": "decomposition"}]
-    # A forced per-tuple engine refuses to pin a head variable no atom
-    # mentions ("pinned variable not in the query", a ROADMAP open item) under
-    # either routing; every other variant keeps the unsafe heads.
-    if set(query.head) <= set(query.as_boolean().variables()):
-        variants += [{"engine": "backtracking"}]
+    default = run_request(store, cache, Request(doc="doc", query=query))
+    assert default.ok, default.error
+    variants = [{"propagator": p} for p in ("ac4", "ac3", "hybrid")]
+    variants += [{"engine": "decomposition"}, {"engine": "backtracking"}]
     for overrides in variants:
-        results = {
-            routing: run_request(
-                store, cache, Request(doc="doc", query=query, routing=routing, **overrides)
-            )
-            for routing in ("cost", "static")
-        }
-        for result in results.values():
-            assert result.ok, result.error
-        assert results["cost"].answers == results["static"].answers, overrides
-        assert results["cost"].count == results["static"].count
+        result = run_request(store, cache, Request(doc="doc", query=query, **overrides))
+        assert result.ok, (overrides, result.error)
+        assert result.answers == default.answers, overrides
+        assert result.count == default.count
 
 
 @given(

@@ -335,8 +335,8 @@ class TestNamedCases:
         forest = "Q(a) <- A(a), Child+(a, b), B(b)"
         served = run_request(store, cache, Request(doc="doc", query=forest))
         assert served.ok and served.propagator == "semijoin"
-        static = run_request(store, cache, Request(doc="doc", query=forest, routing="static"))
-        assert static.propagator == "ac4" and static.answers == served.answers
+        ac4 = run_request(store, cache, Request(doc="doc", query=forest, propagator="ac4"))
+        assert ac4.propagator == "ac4" and ac4.answers == served.answers
         forced = run_request(store, cache, Request(doc="doc", query=forest, propagator="ac3"))
         assert forced.propagator == "ac3" and forced.answers == served.answers
         # A cyclic body gets the sweeps too, but only as candidate supersets

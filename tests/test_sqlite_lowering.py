@@ -38,7 +38,8 @@ from repro.backends.sqlite import (
     structure_is_satisfied,
 )
 from repro.decomposition.yannakakis import boolean_query_holds, evaluate_answers
-from repro.evaluation import Engine, choose_engine, evaluate
+from repro.evaluation import Engine, evaluate
+from repro.planning import plan_query
 from repro.queries import parse_query, xpath_to_cq
 from repro.service import DocumentStore, QueryCache, Request, run_request
 from repro.trees import Axis, Tree, TreeStructure, parse_sexpr, random_tree
@@ -250,10 +251,14 @@ def test_residency_and_containment(routed):
     assert store.stats()["accel_only_documents"] == 1
 
 
-def test_choose_engine_consults_residency():
+def test_plan_consults_residency(routed):
+    store, _cache = routed
     query = parse_query(ROUTING_QUERY)
-    assert choose_engine(query) is not Engine.SQL
-    assert choose_engine(query, accel_only=True) is Engine.SQL
+    stats = store.stats_for("resident")
+    resident = plan_query(query, stats)
+    assert resident.engine is not Engine.SQL
+    assert (resident.lowering, resident.materialize, resident.flat_cost) == ("tree", False, None)
+    assert plan_query(query, stats, accel_only=True).engine is Engine.SQL
 
 
 def test_accel_only_auto_routes_to_sql(routed):
