@@ -3,16 +3,12 @@
 The load harness (``scripts/service_load.py``) asserts SLOs against real
 server processes; this benchmark measures the same request path in-process,
 where pytest-benchmark can time it repeatably: a burst of concurrent
-``POST /query`` requests over persistent HTTP/1.1 connections against
-
-* the threaded front end (:func:`repro.service.make_server` over a
-  :class:`~repro.service.executor.BatchExecutor`), and
-* the asyncio front end (:class:`~repro.service.AsyncServerThread` over the
-  same executor class),
-
-both warm (documents resident, query cache primed by a prior pass).  Each
-burst is ``connections x rounds`` requests drawn round-robin from the mixed
-workload; every response must answer 200.  This times the full stack --
+``POST /query`` requests over persistent HTTP/1.1 connections against the
+front end (:func:`repro.service.make_server` over a
+:class:`~repro.service.executor.BatchExecutor`), warm (documents resident,
+query cache primed by a prior pass).  Each burst is ``connections x rounds``
+requests drawn round-robin from the mixed workload; every response must
+answer 200.  This times the full stack --
 socket, HTTP parsing, executor dispatch, JSON rendering, metrics and
 plan-accounting hooks -- so regressions in the observability layer's
 per-request overhead surface here as well as in ``bench_service.py``.
@@ -23,6 +19,7 @@ throughput print; under pytest the cases feed the benchmark suite.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -32,7 +29,7 @@ from http.client import HTTPConnection
 import pytest
 from bench_config import scaled
 
-from repro.service import AsyncServerThread, BatchExecutor, make_server
+from repro.service import BatchExecutor, make_server
 from repro.trees import to_xml
 from repro.workloads import auction_document, random_corpus
 
@@ -84,15 +81,16 @@ def run_burst(host: str, port: int, connections: int = CONNECTIONS, rounds: int 
         raise AssertionError(f"burst failed: {errors}")
 
 
-@pytest.fixture(scope="module")
-def threaded_server():
+@contextlib.contextmanager
+def warm_server():
+    """The front end over a warm executor; yields its ``(host, port)``."""
     executor = build_executor()
     httpd = make_server(executor, host="127.0.0.1", port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     host, port = httpd.server_address[:2]
-    run_burst(host, port, connections=1, rounds=len(BODIES))  # warm the caches
     try:
+        run_burst(host, port, connections=1, rounds=len(BODIES))  # warm the caches
         yield host, port
     finally:
         httpd.shutdown()
@@ -102,13 +100,9 @@ def threaded_server():
 
 
 @pytest.fixture(scope="module")
-def async_server():
-    executor = build_executor()
-    with AsyncServerThread(executor) as handle:
-        host, port = handle.address
-        run_burst(host, port, connections=1, rounds=len(BODIES))  # warm the caches
-        yield host, port
-    executor.close()
+def threaded_server():
+    with warm_server() as address:
+        yield address
 
 
 def test_load_burst_threaded_frontend(benchmark, threaded_server):
@@ -116,37 +110,13 @@ def test_load_burst_threaded_frontend(benchmark, threaded_server):
     benchmark(lambda: run_burst(host, port))
 
 
-def test_load_burst_async_frontend(benchmark, async_server):
-    host, port = async_server
-    benchmark(lambda: run_burst(host, port))
-
-
 def main() -> int:
-    for label in ("threaded", "async"):
-        executor = build_executor()
-        if label == "threaded":
-            httpd = make_server(executor, host="127.0.0.1", port=0)
-            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-            thread.start()
-            host, port = httpd.server_address[:2]
-        else:
-            handle = AsyncServerThread(executor).start()
-            host, port = handle.address
-        try:
-            run_burst(host, port, connections=1, rounds=len(BODIES))
-            started = time.perf_counter()
-            run_burst(host, port)
-            elapsed = time.perf_counter() - started
-            total = CONNECTIONS * ROUNDS
-            print(f"{label}: {total} requests in {elapsed:.3f}s -> {total / elapsed:.1f} q/s")
-        finally:
-            if label == "threaded":
-                httpd.shutdown()
-                httpd.server_close()
-                thread.join(timeout=5)
-            else:
-                handle.stop()
-            executor.close()
+    with warm_server() as (host, port):
+        started = time.perf_counter()
+        run_burst(host, port)
+        elapsed = time.perf_counter() - started
+    total = CONNECTIONS * ROUNDS
+    print(f"threaded: {total} requests in {elapsed:.3f}s -> {total / elapsed:.1f} q/s")
     return 0
 
 

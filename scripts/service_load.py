@@ -31,28 +31,27 @@ size) against a real server process, in two phases per serve mode:
   exchange must end in exactly the framed statuses its case names (errors in
   the route table's JSON form), the stalled client must be dropped unanswered
   once the server's read timeout is up and not before, no innocent request
-  may see a wrong answer, and a fresh connection must work afterwards.  The
-  two front ends must answer every case with the *same* statuses.  Any miss
-  fails the run regardless of ``--report-only``.
+  may see a wrong answer, and a fresh connection must work afterwards.  Any
+  miss fails the run regardless of ``--report-only``.
 
-* **shard-fault phase** -- on a server of its own per sharded deployment
-  (``--async --shards 2`` and ``--shards 2``), since it ends with a dead
-  worker.  *Stall*: shard 0's worker is SIGSTOPped and 40 clients send it 20 kB
-  ``/query`` bodies (800 kB, past the socket buffer); checked traffic for the
-  other shard must keep answering 200 within a second each, and after SIGCONT
-  all 40 must be answered 200 with the right rows.  *Death*: the worker is
-  stopped again, sent one ``/query`` and SIGKILLed; that client must have its
-  400 (``shard 0 worker died; ...``) within half a second of the kill, the
-  next request for the shard must be refused by name (``... is not running``),
-  and the other shard must still answer.  Hard-fail, like wrong answers.
+* **shard-fault phase** -- on a ``--shards 2`` server of its own, since it
+  ends with a dead worker.  *Stall*: shard 0's worker is SIGSTOPped and 40
+  clients send it 20 kB ``/query`` bodies (800 kB, past the socket buffer);
+  checked traffic for the other shard must keep answering 200 within a second
+  each, and after SIGCONT all 40 must be answered 200 with the right rows.
+  *Death*: the worker is stopped again, sent one ``/query`` and SIGKILLed;
+  that client must have its 400 (``shard 0 worker died; ...``) within half a
+  second of the kill, the next request for the shard must be refused by name
+  (``... is not running``), and the other shard must still answer.
+  Hard-fail, like wrong answers.
 
 After the phases, ``/stats`` must show a populated plan-vs-actual drift
 table and an HTTP latency summary for ``/query`` -- the closed loop.
 
-Both serve modes run by default: the threaded front end and the async sharded
-front end (``--async --shards N``).  A warm-up pass (one request per workload
-entry, excluded from every measured window) precedes the clock so cold
-parse/compile/plan latencies do not pollute the comparison.
+Both serve modes run by default: the thread backend and the sharded backend
+(``--shards N``) behind the one front end.  A warm-up pass (one request per
+workload entry, excluded from every measured window) precedes the clock so
+cold parse/compile/plan latencies do not pollute the comparison.
 
 Usage: ``python scripts/service_load.py [--connections 4] [--report-only]``
 (exit code 0 on success).
@@ -731,19 +730,15 @@ def main(argv=None) -> int:
             return 1
         reports.append(report)
     if args.mode in ("both", "sharded"):
-        report = run_mode(
-            "async+sharded", ["--async", "--shards", str(args.shards)], args, documents, prepared
-        )
+        label = "threaded+sharded"
+        report = run_mode(label, ["--shards", str(args.shards)], args, documents, prepared)
         if report is None:
             return 1
         reports.append(report)
-        for label, front_end in (("async+sharded", ["--async"]), ("threaded+sharded", [])):
-            faults = run_shard_fault_phase(
-                f"{label} faults", front_end + ["--shards", "2"], documents, prepared
-            )
-            if faults is None:
-                return 1
-            reports.append({"mode": label, "shard_faults": faults})
+        faults = run_shard_fault_phase(f"{label} faults", ["--shards", "2"], documents, prepared)
+        if faults is None:
+            return 1
+        reports.append({"mode": label, "shard_faults": faults})
 
     if args.out:
         with open(args.out, "w") as handle:

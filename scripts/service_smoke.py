@@ -1,13 +1,12 @@
 """CI smoke test: real ``cq-trees serve`` processes answering real HTTP.
 
-Runs the serving front ends the way CI cannot cover in-process: the console
+Runs the serving front end the way CI cannot cover in-process: the console
 entry point, the port-announcement banner, and full network round trips.
 Two server modes are exercised:
 
-* the threaded front end (``cq-trees serve``), and
-* the async sharded front end (``cq-trees serve --async --shards 2``):
-  asyncio HTTP/1.1 with persistent connections over two worker processes,
-  documents routed by stable hash of their id.
+* the thread backend (``cq-trees serve``), and
+* the sharded backend (``cq-trees serve --shards 2``): the same front end over
+  two worker processes, documents routed by stable hash of their id.
 
 Each mode registers two documents, POSTs a batch of queries, scrapes
 ``/metrics`` (asserting a well-formed Prometheus exposition with nonzero
@@ -238,7 +237,7 @@ def main() -> int:
     threaded = run_mode("threaded", [], auction)
     if threaded is None:
         return 1
-    sharded = run_mode("async+sharded", ["--async", "--shards", "2"], auction)
+    sharded = run_mode("threaded+sharded", ["--shards", "2"], auction)
     if sharded is None:
         return 1
     # The two modes must serve byte-identical answers (timings aside).
@@ -250,7 +249,7 @@ def main() -> int:
             print(f"FAIL: threaded and sharded results diverge at request {position}: "
                   f"{ours} != {theirs}")
             return 1
-    print("service smoke PASSED (threaded + async sharded, byte-identical)")
+    print("service smoke PASSED (threaded + threaded+sharded, byte-identical)")
     return 0
 
 

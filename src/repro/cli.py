@@ -10,7 +10,7 @@ Usage (after installation, or with ``python -m repro.cli``)::
     python -m repro.cli table1
     python -m repro.cli report --quick
     python -m repro.cli serve --port 8080 --document site=doc.xml
-    python -m repro.cli serve --async --shards 4 --port 8080 --profile
+    python -m repro.cli serve --shards 4 --port 8080 --profile
     python -m repro.cli drift --url http://127.0.0.1:8080
     python -m repro.cli batch --input requests.jsonl --output results.jsonl
 
@@ -317,7 +317,7 @@ def _banner(documents: int, host: str, port: int) -> str:
     return f"serving on http://{host}:{port} ({documents} document(s) resident)"
 
 
-def _serve_threaded(executor, args: argparse.Namespace) -> int:
+def _serve(executor, args: argparse.Namespace) -> int:
     from .service import make_server
 
     server = make_server(executor, host=args.host, port=args.port, quiet=not args.verbose)
@@ -329,43 +329,6 @@ def _serve_threaded(executor, args: argparse.Namespace) -> int:
         pass
     finally:
         server.server_close()
-    return 0
-
-
-def _serve_async(executor, args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from .service import AsyncServiceServer
-
-    # Counted before the loop runs: a blocking executor call on the loop's own
-    # thread would wait for replies only that thread can read (--shards).
-    documents = executor.document_count()
-
-    async def _run() -> None:
-        server = AsyncServiceServer(
-            executor,
-            host=args.host,
-            port=args.port,
-            max_in_flight=args.max_in_flight,
-            quiet=not args.verbose,
-        )
-        host, port = await server.start()
-        print(_banner(documents, host, port), flush=True)
-        # SIGTERM as an event of the loop, not an exception raised into
-        # whatever callback the loop happens to be running (asyncio logs that
-        # as an unhandled error of the connection it was answering).
-        stop = asyncio.Event()
-        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
-        try:
-            await stop.wait()  # the server has been accepting since ``start()``
-        finally:
-            await server.close()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
     return 0
 
 
@@ -390,9 +353,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             executor.close()
             raise SystemExit(f"--profile: {error}") from None
     try:
-        if args.use_async:
-            return _serve_async(executor, args)
-        return _serve_threaded(executor, args)
+        return _serve(executor, args)
     finally:
         executor.close()
 
@@ -690,18 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="bind port (0 picks an ephemeral port)"
     )
     serve_parser.add_argument("--verbose", action="store_true", help="log every request")
-    serve_parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="asyncio front end: persistent HTTP/1.1 connections, bounded in-flight requests",
-    )
-    serve_parser.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=64,
-        help="bound on concurrently executing requests for --async (default 64)",
-    )
+    # A no-op, accepted because benchmarks/e2e (``point_1k_sharded``) still passes it.
+    serve_parser.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve_parser.add_argument(
         "--profile",
         type=int,

@@ -4,7 +4,7 @@ Runtime output in ``src/`` goes through here instead of bare ``print`` (the
 ruff ``T201`` gate enforces that); the CLI keeps printing because stdout *is*
 its interface.  Lines are ``key=value`` structured text on stderr::
 
-    2026-08-08T12:00:00Z level=info logger=repro.service.async request method=POST path=/query status=200
+    2026-08-08T12:00:00Z level=info logger=repro.service.server request method=POST path=/query status=200
 
 Level comes from ``REPRO_LOG_LEVEL`` (default ``info``); the handler writes to
 stderr so servers started by the smoke harness keep stdout clean for banners.

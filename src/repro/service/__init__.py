@@ -17,20 +17,17 @@ requests, the way an embedded or networked query service runs:
   deterministic evaluation of request batches over the shared artifacts
   (thread backend);
 * :mod:`~repro.service.shards` -- :class:`ShardedExecutor`: N worker
-  *processes*, each a private ``BatchExecutor`` behind a queue, documents
+  *processes*, each a private ``BatchExecutor`` behind a socket, documents
   routed by stable hash of their id (multi-core backend);
 * :mod:`~repro.service.routes` -- the HTTP contract, written once: the table
   from ``(method, path)`` to *validate -> call the executor -> render*;
 * :mod:`~repro.service.framing` -- HTTP/1.1 framing, written once: the head
   parser, the body-length rule, the read path and the head renderer;
-* :mod:`~repro.service.server` -- the threaded socket loop around the two
-  (``cq-trees serve``): one thread per connection, the table called inline;
-* :mod:`~repro.service.async_server` -- the asyncio socket loop around the
-  same two: cheap parked connections, bounded in-flight requests
-  (``cq-trees serve --async [--shards N]``).
+* :mod:`~repro.service.server` -- the socket loop around the two
+  (``cq-trees serve [--shards N]``): one thread per connection, the table
+  called inline, whichever executor is behind it.
 """
 
-from .async_server import AsyncServerThread, AsyncServiceServer
 from .cache import CachedQuery, QueryCache
 from .core import Request, RequestResult, run_request
 from .executor import BatchExecutor
@@ -39,8 +36,6 @@ from .shards import ShardedExecutor, shard_for
 from .store import DocumentNotFound, DocumentStore, StoredDocument, preload
 
 __all__ = [
-    "AsyncServerThread",
-    "AsyncServiceServer",
     "BatchExecutor",
     "CachedQuery",
     "DocumentNotFound",

@@ -6,7 +6,8 @@ query object), a propagator, and an optional answer limit.
 :class:`~repro.service.store.DocumentStore` and a
 :class:`~repro.service.cache.QueryCache`, evaluates single requests, and fans
 request batches out over a thread pool -- every worker sharing the same
-resident indexes, label sets and compiled plans.  The process-sharded backend
+resident indexes, label sets and compiled plans.  The HTTP front end calls it
+inline, on each connection's thread.  The process-sharded backend
 (:class:`~repro.service.shards.ShardedExecutor`) does not re-implement any of
 this: each of its worker processes owns a ``BatchExecutor`` and calls the
 methods below by name, so both uphold the same contract.
@@ -24,7 +25,7 @@ unexpected (``internal:``) exceptions, which are caught into the result.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from ..observability.accounting import ACCOUNTING
@@ -90,15 +91,6 @@ class BatchExecutor:
             with self._lock:
                 self._errors += 1
         return result
-
-    def submit(self, request: Request) -> "Future[RequestResult]":
-        """Schedule one request on the shared pool; returns its future.
-
-        This is the hook the async front end awaits
-        (:func:`asyncio.wrap_future`), mirroring
-        :meth:`~repro.service.shards.ShardedExecutor.submit`.
-        """
-        return self._shared_pool().submit(self.execute, request)
 
     # -- batches ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""HTTP/1.1 framing, decided once for both socket loops.
+"""HTTP/1.1 framing, decided once.
 
 What a request *means* is :mod:`repro.service.routes`; what its bytes are is
 here.  :func:`parse_head` is the only place a request line, a version, a
@@ -6,10 +6,9 @@ header line or the keep-alive rule is decided, :func:`body_length` the only
 place a body is sized or refused, :func:`render_head` the only place a
 response head is formatted: pure functions, pinned without a socket in
 ``tests/test_service_framing.py``.  :func:`read_request` strings them into the
-one read path, a coroutine whose only awaits are the reads: the asyncio loop
-awaits its stream, the threaded loop runs it inline (:func:`routes.run_inline`).
-``http.server``, ``http.client.parse_headers`` and the ``email`` parser are
-not on the path: for three header lines they cost more than the answer did.
+one read path over a connection's ``readline`` / ``read``.  ``http.server``,
+``http.client.parse_headers`` and the ``email`` parser are not on the path:
+for three header lines they cost more than the answer did.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ MAX_LINE_BYTES = 65536
 #: can make the server hold before it has sent a request worth reading.
 MAX_HEADER_LINES = 100
 #: From its first byte a request (head and body) has this many seconds to
-#: arrive, or the connection is dropped; one parked *between* requests is not timed.
+#: arrive, and its answer as many to leave, or the connection is dropped; one
+#: parked *between* requests is not timed.
 READ_TIMEOUT_S = 30.0
 
 _BLANK = (b"\r\n", b"\n")
@@ -97,26 +97,21 @@ def body_length(head: Head) -> Union[int, routes.Response]:
     return length
 
 
-async def read_request(first: bytes, readline, read, write):
+def read_request(readline, read, write):
     """One request off a connection: ``(head, body)``, the refusal to answer
     with, or ``None`` when the client left in the middle of it.
 
-    ``first`` is what the loop consumed of the request line while waiting for
-    one; ``await readline()`` a line with its end, ``b""`` at EOF, of an
-    over-long line more than ``MAX_LINE_BYTES`` or ``ValueError`` (the way of
-    :class:`asyncio.StreamReader`); ``await read(n)`` ``n`` bytes, fewer at EOF.
+    ``readline(limit)`` is a line with its end, at most ``limit`` bytes (so an
+    over-long line comes back longer than ``MAX_LINE_BYTES``), ``b""`` at EOF;
+    ``read(n)`` is ``n`` bytes, fewer at EOF -- a buffered socket file's own.
     """
-    lines: list[bytes] = []
-    try:
-        lines.append(first + await readline())
-        while (
-            lines[-1] not in _BLANK
-            and 0 < len(lines[-1]) <= MAX_LINE_BYTES
-            and len(lines) < MAX_HEADER_LINES + 2  # the request line, the headers, the blank
-        ):
-            lines.append(await readline())
-    except ValueError:
-        lines.append(b"?" * (MAX_LINE_BYTES + 1))  # stands for the line the reader gave up on
+    lines = [readline(MAX_LINE_BYTES + 1)]
+    while (
+        lines[-1] not in _BLANK
+        and 0 < len(lines[-1]) <= MAX_LINE_BYTES
+        and len(lines) < MAX_HEADER_LINES + 2  # the request line, the headers, the blank
+    ):
+        lines.append(readline(MAX_LINE_BYTES + 1))
     if not lines[-1]:
         return None
     head = parse_head(lines)
@@ -127,7 +122,7 @@ async def read_request(first: bytes, readline, read, write):
         return head, b""
     if head.headers.get("expect", "").lower() == "100-continue":
         write(b"HTTP/1.1 100 Continue\r\n\r\n")  # or the client waits before sending the body
-    body = await read(length)
+    body = read(length)
     return (head, body) if len(body) == length else None
 
 
@@ -149,7 +144,7 @@ def render_head(response: routes.Response, close: bool) -> bytes:
 
 
 def frame(response: routes.Response, head: Optional[Head]) -> tuple[bytes, bool]:
-    """What a loop writes -- head and body, one write -- and whether it then
+    """What the loop writes -- head and body, one write -- and whether it then
     closes the connection.  ``head`` is ``None`` when ``response`` refuses one.
     A 501 answers a method this server does not know, so it cannot know how
     its client frames the answer either (a HEAD response has no body): the

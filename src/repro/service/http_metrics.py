@@ -1,10 +1,9 @@
-"""HTTP-layer metrics shared by the threaded and asyncio front ends.
+"""HTTP-layer metrics of the front end, whichever executor is behind it.
 
-Both front ends route the same paths; this module owns the per-route request
-counter and latency histogram plus the route-label normalization
-(``/documents/<id>`` collapses to ``/documents/{id}``, anything unknown to
-``other``) so the two expositions stay label-compatible and unbounded ids
-never explode the label space.
+This module owns the per-route request counter and latency histogram plus the
+route-label normalization (``/documents/<id>`` collapses to
+``/documents/{id}``, anything unknown to ``other``) so unbounded ids never
+explode the label space.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from ..observability.metrics import REGISTRY
 #: The Prometheus text exposition content type (version 0.0.4).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Routes served by both front ends (label values; see :func:`normalize_route`).
+#: Routes served by the front end (label values; see :func:`normalize_route`).
 KNOWN_ROUTES = ("/healthz", "/stats", "/metrics", "/documents", "/query", "/batch", "/profile")
 
 HTTP_REQUESTS = REGISTRY.counter(
@@ -39,7 +38,7 @@ def normalize_route(path: str) -> str:
 
 
 def observe_http(path: str, method: str, code: int, seconds: float) -> None:
-    """Record one served HTTP request (both front ends call this)."""
+    """Record one served HTTP request (the route table calls this)."""
     route = normalize_route(path)
     HTTP_REQUESTS.inc(route=route, method=method, code=str(code))
     HTTP_SECONDS.observe(seconds, route=route)

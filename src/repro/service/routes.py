@@ -1,9 +1,9 @@
 """The serving contract, written once: a table from ``(method, path)`` to an answer.
 
-This is the only module that knows a path (:data:`ROUTES`).  Both socket loops
-(:mod:`~repro.service.server`, :mod:`~repro.service.async_server`) are
-*framing* around it -- they read a request and write a response -- and every
-row is *validate the input -> call the executor -> render*.
+This is the only module that knows a path (:data:`ROUTES`).  The socket loop
+(:mod:`~repro.service.server`) is *framing* around it -- it reads a request
+and writes a response -- and every row is *validate the input -> call the
+executor -> render*.
 
 A request object is the wire form of :class:`~repro.service.core.Request`;
 responses mirror :meth:`~repro.service.core.RequestResult.to_json_dict`.
@@ -14,24 +14,23 @@ per-request (HTTP 200 with ``error`` fields), so one bad request never voids
 its batchmates.  Only ``DELETE /documents/ID`` treats the id as a resource and
 answers 404.
 
-:func:`exchange` is the whole contract as one coroutine whose only ``await``
-is the executor call, so a loop decides *how to wait* for it and nothing else:
-the asyncio loop awaits a future or a pool thread, :func:`respond` calls
-inline.  JSON encode, client error -> 400 and the route metric each happen once.
+:func:`respond` is the whole contract, the executor called inline on the
+connection's thread: JSON encode, client error -> 400 and the route metric
+each happen once.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
 from .core import REQUEST_ERRORS, Request
 from .http_metrics import METRICS_CONTENT_TYPE, observe_http, route_latency_summary
 
 
 class Response(NamedTuple):
-    """All a socket loop needs to write."""
+    """All the socket loop needs to write."""
 
     status: int
     content_type: str
@@ -54,10 +53,6 @@ class Route(NamedTuple):
     #: ``(the call's value, *its arguments) -> (status, payload)``; a ``str``
     #: payload is a pre-rendered text exposition, anything else is JSON.
     render: Callable[..., tuple[int, Any]] = lambda value, *_arguments: (200, value)
-    #: The backend method that answers the same arguments with a
-    #: :class:`concurrent.futures.Future`, where there is one: a loop that
-    #: can await it parks no thread on the call.
-    future: Optional[str] = None
 
 
 def _batch_arguments(payload: dict) -> tuple:
@@ -138,7 +133,6 @@ ROUTES: dict[tuple[str, str], Route] = {
         "execute",
         lambda payload: (Request.from_json_dict(payload),),
         lambda result, _request: (200 if result.ok else 400, result.to_json_dict()),
-        future="submit",
     ),
     # ``{"requests": [request object, ...], "max_workers"?: N}``.
     ("POST", "/batch"): Route("execute_batch", _batch_arguments, _render_batch),
@@ -166,7 +160,7 @@ def _answer(started: float, method: str, path: str, status: int, payload: Any) -
 
 
 def refuse(status: int, message: str, method: str = "", path: str = "") -> Response:
-    """A socket loop's own refusal (a malformed head, a body it will not read)
+    """The socket loop's own refusal (a malformed head, a body it will not read)
     in the table's error form; ``method`` and ``path`` as far as it parsed them."""
     return _answer(time.perf_counter(), method, path, status, {"error": message})
 
@@ -181,13 +175,11 @@ def _json_object(body: bytes) -> dict:
     return payload
 
 
-async def exchange(method: str, path: str, body: bytes, call) -> Response:
+def respond(executor, method: str, path: str, body: bytes) -> Response:
     """One request through the table: find the row, validate, call, render.
 
-    ``await call(route, arguments)`` is the executor call -- the one step a
-    socket loop does its own way.  The rest is decided here: 501 for a method
-    no row has, 404 for an unknown path, 400 for a malformed input or a
-    client error out of the call.
+    501 for a method no row has, 404 for an unknown path, 400 for a malformed
+    input or a client error out of the executor call.
     """
     started = time.perf_counter()
     try:
@@ -204,7 +196,8 @@ async def exchange(method: str, path: str, body: bytes, call) -> Response:
                 status, payload = 404, {"error": f"unknown path {path!r}"}
             else:
                 arguments = route.arguments(given)
-                status, payload = route.render(await call(route, arguments), *arguments)
+                value = getattr(executor, route.call)(*arguments)
+                status, payload = route.render(value, *arguments)
     except REQUEST_ERRORS as error:  # e.g. malformed XML, a shard whose worker died
         status, payload = 400, {"error": str(error)}
     except Exception:
@@ -213,22 +206,3 @@ async def exchange(method: str, path: str, body: bytes, call) -> Response:
         observe_http(path, method, 500, time.perf_counter() - started)
         raise
     return _answer(started, method, path, status, payload)
-
-
-def run_inline(coroutine):
-    """The value of a coroutine none of whose awaits suspends (the threaded
-    loop's way to share code with the asyncio one): one ``send`` runs it."""
-    try:
-        coroutine.send(None)
-    except StopIteration as finished:
-        return finished.value
-    raise RuntimeError("an inline call cannot suspend")  # pragma: no cover
-
-
-def respond(executor, method: str, path: str, body: bytes) -> Response:
-    """One whole exchange on the calling thread, the executor called inline."""
-
-    async def call(route: Route, arguments: tuple):
-        return getattr(executor, route.call)(*arguments)
-
-    return run_inline(exchange(method, path, body, call))

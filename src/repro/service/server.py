@@ -1,11 +1,13 @@
-"""The threaded socket loop around the route table.
+"""The socket loop around the route table.
 
 ``cq-trees serve`` exposes the serving subsystem to non-Python clients.  What
 a request *means* is :mod:`repro.service.routes`, what its bytes are is
 :mod:`repro.service.framing`; this module moves the bytes: one thread per
-connection (:mod:`socketserver`, no dependencies), all sharing the executor's
-resident artifacts, each reading a request through the shared read path,
-calling the table inline and answering with one ``sendall``.
+connection (:mod:`socketserver`, no dependencies), all sharing one executor
+-- a :class:`~repro.service.executor.BatchExecutor` or, under ``--shards N``,
+a :class:`~repro.service.shards.ShardedExecutor` -- each reading a request
+through the shared read path, calling the table inline and answering with one
+``sendall``.
 """
 
 from __future__ import annotations
@@ -34,16 +36,17 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Connection)
         self.executor = executor
         self.quiet = quiet
-        #: Connections in the middle of reading a request -> when it must be in.
-        self.reading: dict[socket.socket, float] = {}
+        #: Connections in the middle of reading a request or writing its
+        #: answer -> when that must be done.
+        self.deadlines: dict[socket.socket, float] = {}
 
     def service_actions(self) -> None:
         """Between accepts (every ``poll_interval`` at the latest): shut down
         the socket of a client stalled past its deadline, which ends the
-        blocked read of its thread with EOF.  One sweep for all threads keeps
+        blocked read or write of its thread.  One sweep for all threads keeps
         the sockets blocking and timer calls off the request path."""
         now = time.monotonic()
-        for connection, deadline in self.reading.copy().items():  # threads add and remove
+        for connection, deadline in self.deadlines.copy().items():  # threads add and remove
             if deadline < now:
                 with contextlib.suppress(OSError):  # already gone
                     connection.shutdown(socket.SHUT_RDWR)
@@ -52,8 +55,7 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
 class _Connection(socketserver.StreamRequestHandler):
     server: ServiceHTTPServer
     # ``100 Continue`` and the answer are two writes; with Nagle on, the second
-    # waits for the client's delayed ACK (~40 ms).  asyncio transports disable
-    # Nagle too, so the two loops' latency profiles stay comparable.
+    # waits for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
@@ -61,11 +63,15 @@ class _Connection(socketserver.StreamRequestHandler):
             while self._exchange():
                 pass
 
-    async def _readline(self) -> bytes:
-        return self.rfile.readline(framing.MAX_LINE_BYTES + 1)
-
-    async def _read(self, length: int) -> bytes:
-        return self.rfile.read(length)
+    @contextlib.contextmanager
+    def _deadline(self):
+        """Under the server's sweep for ``READ_TIMEOUT_S``."""
+        deadlines, connection = self.server.deadlines, self.connection
+        deadlines[connection] = time.monotonic() + framing.READ_TIMEOUT_S
+        try:
+            yield
+        finally:
+            del deadlines[connection]
 
     def _exchange(self) -> bool:
         """Read one request and answer it; whether the connection goes on.
@@ -73,13 +79,8 @@ class _Connection(socketserver.StreamRequestHandler):
         if not self.rfile.peek(1):  # parked here between requests, untimed
             return False
         server, connection = self.server, self.connection
-        server.reading[connection] = time.monotonic() + framing.READ_TIMEOUT_S
-        try:
-            request = routes.run_inline(
-                framing.read_request(b"", self._readline, self._read, connection.sendall)
-            )
-        finally:
-            del server.reading[connection]
+        with self._deadline():
+            request = framing.read_request(self.rfile.readline, self.rfile.read, connection.sendall)
         if request is None:
             return False
         if isinstance(request, routes.Response):
@@ -90,7 +91,8 @@ class _Connection(socketserver.StreamRequestHandler):
             if not server.quiet:  # pragma: no cover - log formatting
                 _LOG.info("request", method=head.method, path=head.path, status=response.status)
         wire, close = framing.frame(response, head)
-        connection.sendall(wire)
+        with self._deadline():  # a client that does not read its answers is stalled too
+            connection.sendall(wire)
         return not close
 
 

@@ -26,12 +26,11 @@ length-prefixed pickled frames (:func:`encode_frame`, :func:`pop_frames`).  A
 worker is single-threaded: one wait on its socket *and* its parent's death,
 one ``sendall`` per reply.  The parent's end is a :class:`_Channel`: whoever
 dispatches writes the frame itself (non-blocking; a remainder waits in a
-buffer), and replies are read by the readiness callbacks of *an* event loop --
-a private I/O loop thread, or, after :meth:`ShardedExecutor.attach`, the
-asyncio front end's own, where a ``/query`` never leaves the loop thread.
-Nothing polls: a worker's death is the EOF on its channel, a parent's death
-the worker's wake-up.  Blocking calls wait on the future ``submit`` returns,
-so they refuse to run on the loop thread that would resolve it.  A shard takes
+buffer), and replies are read by the readiness callbacks of one private I/O
+loop thread.  Nothing polls: a worker's death is the EOF on its channel, a
+parent's death the worker's wake-up.  Blocking calls wait on the future
+``submit`` returns, so they refuse to run on the loop thread that would
+resolve it (where a done-callback of that future runs).  A shard takes
 its frames in FIFO order: per-shard execution is serial and deterministic;
 cross-shard parallelism is the scaling axis.
 """
@@ -217,53 +216,35 @@ class _Channel:
     """The parent's end of one shard's socket: two byte buffers and a lock, no thread.
 
     Any thread sends (a worker that does not read costs memory, never a
-    thread's time); the readiness callbacks of the loop that drives the channel
-    read the replies and flush what a send left behind.  The buffers are the
-    channel's, so nothing is lost when the loop changes, and the lock makes the
-    moment both loops watch the socket harmless.
+    thread's time); the readiness callbacks of ``loop`` read the replies and
+    flush what a send left behind.  The lock is the outgoing buffer's: any
+    thread sends while the loop flushes.
     """
 
-    def __init__(self, sock: socket.socket, on_message: Callable, on_eof: Callable[[], None]):
+    def __init__(
+        self,
+        sock: socket.socket,
+        loop: asyncio.AbstractEventLoop,
+        on_message: Callable,
+        on_eof: Callable[[], None],
+    ):
         sock.setblocking(False)
-        self.sock = sock
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.sock, self.loop = sock, loop
         self.lock = threading.Lock()
         self.incoming, self.outgoing = bytearray(), bytearray()
         self._on_message, self._on_eof = on_message, on_eof
+        loop.call_soon_threadsafe(loop.add_reader, sock, self.readable)
 
-    def move(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Hand the socket to ``loop`` (from any thread); each loop (un)registers it on its own."""
-        with self.lock:
-            old, self.loop = self.loop, loop
-        if old is not None:
-            old.call_soon_threadsafe(self._watch, old)
-        loop.call_soon_threadsafe(self._watch, loop)
-
-    def _watch(self, loop: asyncio.AbstractEventLoop) -> None:
-        """On ``loop``'s thread: watch the socket if the channel is ``loop``'s, else let go."""
-        with self.lock:
-            if loop is not self.loop:
-                loop.remove_reader(self.sock)
-                loop.remove_writer(self.sock)
-                return
-            loop.add_reader(self.sock, self.readable, loop)
-            if self.outgoing:
-                loop.add_writer(self.sock, self.writable, loop)
-
-    def readable(self, loop: asyncio.AbstractEventLoop) -> None:
-        with self.lock:
-            try:
-                chunk = self.sock.recv(_RECV_BYTES)
-            except BlockingIOError:  # the other loop of a hand-over read it
-                return
-            except OSError:
-                chunk = b""
-            self.incoming += chunk
-            messages = pop_frames(self.incoming)
-        for message in messages:
+    def readable(self) -> None:
+        try:
+            chunk = self.sock.recv(_RECV_BYTES)
+        except OSError:
+            chunk = b""
+        self.incoming += chunk
+        for message in pop_frames(self.incoming):
             self._on_message(message)
         if not chunk:  # EOF: the worker is gone
-            loop.remove_reader(self.sock)
+            self.loop.remove_reader(self.sock)
             self._on_eof()
 
     def send(self, frame: bytes) -> None:
@@ -272,12 +253,12 @@ class _Channel:
             idle = not self.outgoing
             self.outgoing += frame
             if idle and not self._flush():
-                self.loop.call_soon_threadsafe(self._watch, self.loop)
+                self.loop.call_soon_threadsafe(self.loop.add_writer, self.sock, self.writable)
 
-    def writable(self, loop: asyncio.AbstractEventLoop) -> None:
+    def writable(self) -> None:
         with self.lock:
             if self._flush():
-                loop.remove_writer(self.sock)
+                self.loop.remove_writer(self.sock)
 
     def _flush(self) -> bool:
         """Write what the socket takes of ``outgoing``; whether that was all of it."""
@@ -295,10 +276,10 @@ class ShardedExecutor:
     """N worker processes, documents routed by stable hash of their id.
 
     Implements the same serving-backend surface as
-    :class:`~repro.service.executor.BatchExecutor` (``execute``, ``submit``,
+    :class:`~repro.service.executor.BatchExecutor` (``execute``,
     ``execute_batch``, ``register_payload``, ``evict_document``,
     ``describe_documents``, ``document_count``, ``stats``), so the HTTP front
-    ends work with either interchangeably.
+    end works with either interchangeably.
     """
 
     def __init__(
@@ -322,7 +303,7 @@ class ShardedExecutor:
         self._broken: set[int] = set()
         self._batches = 0
         self._closed = False
-        self._processes, self._channels = [], []
+        self._processes, sockets = [], []
         for shard in range(shards):
             ours, theirs = socket.socketpair()
             process = context.Process(
@@ -336,35 +317,24 @@ class ShardedExecutor:
             # must not inherit one), so its death is an EOF on ours.
             theirs.close()
             self._processes.append(process)
-            self._channels.append(_Channel(ours, self._resolve, partial(self._fail_shard, shard)))
+            sockets.append(ours)
         # The I/O loop goes up only after the forks: workers must not inherit
         # a half-started parent thread.
         self._io_loop = asyncio.new_event_loop()
+        self._channels = [
+            _Channel(ours, self._io_loop, self._resolve, partial(self._fail_shard, shard))
+            for shard, ours in enumerate(sockets)
+        ]
         self._io_thread = threading.Thread(
             target=self._io_loop.run_forever, name="cq-trees-shard-io", daemon=True
         )
         self._io_thread.start()
-        self.detach()
 
     # -- plumbing --------------------------------------------------------------
 
-    def attach(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Drive the channels from ``loop`` (running; :meth:`detach` before it
-        stops): replies resolve on its thread, with no hand-off.  Safe under
-        traffic: a request in flight resolves once, on one loop or the other.
-        """
-        if self._closed:
-            return
-        for channel in self._channels:
-            channel.move(loop)
-
-    def detach(self) -> None:
-        """Give the channels (back) to the private I/O loop thread."""
-        self.attach(self._io_loop)
-
     def _off_loop(self) -> None:
         """The guard of every call that blocks on a reply: not on the thread that reads it."""
-        if asyncio._get_running_loop() is self._channels[0].loop:  # ``None`` off every loop
+        if asyncio._get_running_loop() is self._io_loop:  # ``None`` off every loop
             raise RuntimeError("blocking ShardedExecutor call on the loop that reads its replies")
 
     def _resolve(self, message: tuple) -> None:

@@ -2,10 +2,37 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.service import make_server
 from repro.trees import Tree, from_nested, random_tree
 from repro.trees.structure import TreeStructure
+
+
+@pytest.fixture
+def serve():
+    """``serve(executor)``: the HTTP front end over ``executor`` on an ephemeral
+    port, its loop on a thread; returns the server (``.server_address``).
+    Every server started this way is stopped at teardown."""
+    started = []
+
+    def start(executor):
+        httpd = make_server(executor)
+        thread = threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        started.append((httpd, thread))
+        return httpd
+
+    yield start
+    for httpd, thread in started:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 @pytest.fixture

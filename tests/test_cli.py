@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 import time
+import urllib.request
 
 import pytest
 
@@ -269,12 +272,31 @@ class TestEndToEndSmoke:
         )
         assert completed.returncode != 0
 
-    def _orphans_after(self, signum: int, bound: float) -> list[int]:
-        """Start ``serve --async --shards 2``, signal it, and return the shard
-        workers still running ``bound`` seconds later."""
+    def test_serve_still_accepts_the_async_flag(self):
+        """``--async`` is a no-op kept for the end-to-end harness, which passes it."""
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--port", "0", "--async", "--shards", "2"],
+            [sys.executable, "-m", "repro", "serve", "--async", "--shards", "2", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=self._subprocess_env(),
+        )
+        try:
+            match = re.search(r"http://([\d.]+):(\d+)", process.stdout.readline())
+            assert match, "no port announcement"
+            url = f"http://{match.group(1)}:{match.group(2)}/healthz"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert json.loads(response.read()) == {"status": "ok", "documents": 0}
+        finally:
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=15)
+        assert (process.returncode, stderr) == (0, "")
+
+    def _orphans_after(self, signum: int, bound: float) -> list[int]:
+        """Start ``serve --shards 2``, signal it, and return the shard workers
+        still running ``bound`` seconds later."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--shards", "2"],
             stdout=subprocess.PIPE,
             text=True,
             env=self._subprocess_env(),
@@ -320,7 +342,7 @@ class TestEndToEndSmoke:
 
     def test_serve_sigterm_leaves_no_orphan_shard_workers(self):
         """Regression: SIGTERM (docker stop, ``process.terminate()``) used to
-        kill ``serve --async --shards N`` without running ``executor.close()``,
+        kill ``serve --shards N`` without running ``executor.close()``,
         orphaning the shard worker processes forever."""
         alive = self._orphans_after(signal.SIGTERM, 15)
         assert not alive, f"orphaned shard worker processes: {alive}"
@@ -375,8 +397,6 @@ class TestEndToEndSmoke:
 
 class TestBatchCommand:
     def test_jsonl_round_trip(self, tmp_path, xml_file):
-        import json
-
         input_path = tmp_path / "requests.jsonl"
         output_path = tmp_path / "results.jsonl"
         lines = [
@@ -396,8 +416,6 @@ class TestBatchCommand:
         assert results[2]["propagator"] == "hybrid"
 
     def test_register_is_a_barrier_for_later_queries(self, tmp_path):
-        import json
-
         input_path = tmp_path / "requests.jsonl"
         output_path = tmp_path / "results.jsonl"
         lines = [
@@ -416,8 +434,6 @@ class TestBatchCommand:
         assert results[2]["answers"] == [[1]]
 
     def test_unknown_op_is_reported_not_misrouted(self, tmp_path):
-        import json
-
         input_path = tmp_path / "requests.jsonl"
         output_path = tmp_path / "results.jsonl"
         input_path.write_text(
@@ -428,8 +444,6 @@ class TestBatchCommand:
         assert "unknown op 'registre'" in result["error"]
 
     def test_malformed_lines_reported_in_order(self, tmp_path):
-        import json
-
         input_path = tmp_path / "requests.jsonl"
         output_path = tmp_path / "results.jsonl"
         input_path.write_text("this is not json\n")
@@ -438,8 +452,6 @@ class TestBatchCommand:
         assert "line 1" in results[0]["error"]
 
     def test_document_preregistration_flag(self, tmp_path, xml_file):
-        import json
-
         input_path = tmp_path / "requests.jsonl"
         output_path = tmp_path / "results.jsonl"
         input_path.write_text(json.dumps({"doc": "site", "xpath": "//payment"}) + "\n")

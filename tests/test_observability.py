@@ -4,8 +4,8 @@ Covers the mergeable-histogram contract (merging shard snapshots must equal
 observing the union of their samples), thread safety of concurrent observes,
 Prometheus text well-formedness, the request span tree, plan explanation on
 both resident and accel-only documents, error-path engine attribution across
-backends, per-shard load surfacing, and the ``/metrics`` route on both HTTP
-front ends.
+backends, per-shard load surfacing, and the ``/metrics`` route over both
+backends.
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ from repro.observability.metrics import (
     percentile_from_buckets,
 )
 from repro.queries import parse_query
-from repro.service import (
-    AsyncServerThread,
-    BatchExecutor,
-    DocumentStore,
-    QueryCache,
-    Request,
-    ShardedExecutor,
-    make_server,
-)
+from repro.service import BatchExecutor, DocumentStore, QueryCache, Request, ShardedExecutor
 from repro.service.core import run_request
 from repro.service.http_metrics import METRICS_CONTENT_TYPE
 from repro.trees.builders import parse_sexpr
@@ -538,7 +530,7 @@ class TestShardLoad:
 
 
 # ---------------------------------------------------------------------------
-# /metrics on both HTTP front ends.
+# /metrics over both backends.
 # ---------------------------------------------------------------------------
 
 
@@ -568,64 +560,54 @@ def _counter_value(text: str, series: str) -> float:
     return 0.0
 
 
-class TestMetricsEndpoint:
-    def test_threaded_front_end_serves_prometheus_text(self):
-        httpd = make_server(BatchExecutor(), host="127.0.0.1", port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        base = f"http://{host}:{port}"
-        try:
-            before = _counter_value(
-                _scrape(base)[2], 'cqtrees_requests_total{status="ok"}'
-            )
-            _post(base, "/documents", {"doc": "doc", "sexpr": SEXPR})
-            status, payload = _post(base, "/query", {"doc": "doc", "query": "Q(x) <- b(x)"})
-            assert status == 200 and payload["count"] == 2
-            status, content_type, text = _scrape(base)
-            assert status == 200
-            assert content_type == METRICS_CONTENT_TYPE
-            _assert_well_formed_exposition(text)
-            after = _counter_value(text, 'cqtrees_requests_total{status="ok"}')
-            assert after == before + 1
-            assert 'cqtrees_http_requests_total{route="/query",method="POST",code="200"}' in text
-            assert "cqtrees_request_seconds_bucket" in text
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
+def _base(server) -> str:
+    host, port = server.server_address
+    return f"http://{host}:{port}"
 
-    def test_async_sharded_front_end_merges_worker_histograms(self):
+
+class TestMetricsEndpoint:
+    def test_threaded_front_end_serves_prometheus_text(self, serve):
+        base = _base(serve(BatchExecutor()))
+        before = _counter_value(_scrape(base)[2], 'cqtrees_requests_total{status="ok"}')
+        _post(base, "/documents", {"doc": "doc", "sexpr": SEXPR})
+        status, payload = _post(base, "/query", {"doc": "doc", "query": "Q(x) <- b(x)"})
+        assert status == 200 and payload["count"] == 2
+        status, content_type, text = _scrape(base)
+        assert status == 200
+        assert content_type == METRICS_CONTENT_TYPE
+        _assert_well_formed_exposition(text)
+        after = _counter_value(text, 'cqtrees_requests_total{status="ok"}')
+        assert after == before + 1
+        assert 'cqtrees_http_requests_total{route="/query",method="POST",code="200"}' in text
+        assert "cqtrees_request_seconds_bucket" in text
+
+    def test_sharded_backend_merges_worker_histograms(self, serve):
         backend = ShardedExecutor(shards=2)
         try:
-            with AsyncServerThread(backend) as server:
-                host, port = server.address
-                base = f"http://{host}:{port}"
-                before = _counter_value(
-                    _scrape(base)[2], 'cqtrees_requests_total{status="ok"}'
-                )
-                _post(base, "/documents", {"doc": "d1", "sexpr": SEXPR})
-                _post(base, "/documents", {"doc": "d2", "sexpr": SEXPR})
-                for doc in ("d1", "d2"):
-                    status, payload = _post(base, "/query", {"doc": doc, "query": "Q(x) <- b(x)"})
-                    assert status == 200 and payload["count"] == 2
-                status, content_type, text = _scrape(base)
-                assert status == 200 and content_type == METRICS_CONTENT_TYPE
-                _assert_well_formed_exposition(text)
-                # Worker-side evaluation counters reach the parent's scrape:
-                # the workers were reset at fork, so the delta is exactly the
-                # two queries above.
-                after = _counter_value(text, 'cqtrees_requests_total{status="ok"}')
-                assert after == before + 2
-                # Front-end HTTP metrics (parent process) are in the same scrape.
-                http_series = 'cqtrees_http_requests_total{route="/query",method="POST",code="200"}'
-                assert http_series in text
+            base = _base(serve(backend))
+            before = _counter_value(_scrape(base)[2], 'cqtrees_requests_total{status="ok"}')
+            _post(base, "/documents", {"doc": "d1", "sexpr": SEXPR})
+            _post(base, "/documents", {"doc": "d2", "sexpr": SEXPR})
+            for doc in ("d1", "d2"):
+                status, payload = _post(base, "/query", {"doc": doc, "query": "Q(x) <- b(x)"})
+                assert status == 200 and payload["count"] == 2
+            status, content_type, text = _scrape(base)
+            assert status == 200 and content_type == METRICS_CONTENT_TYPE
+            _assert_well_formed_exposition(text)
+            # Worker-side evaluation counters reach the parent's scrape: the
+            # workers were reset at fork, so the delta is exactly the two
+            # queries above.
+            after = _counter_value(text, 'cqtrees_requests_total{status="ok"}')
+            assert after == before + 2
+            # Front-end HTTP metrics (parent process) are in the same scrape.
+            http_series = 'cqtrees_http_requests_total{route="/query",method="POST",code="200"}'
+            assert http_series in text
         finally:
             backend.close()
 
 
 class TestStatsLatencySummary:
-    def test_stats_expose_per_route_percentiles_on_both_front_ends(self):
+    def test_stats_expose_per_route_percentiles_on_both_front_ends(self, serve):
         def check(base: str) -> None:
             _post(base, "/documents", {"doc": "doc", "sexpr": SEXPR})
             status, payload = _post(base, "/query", {"doc": "doc", "query": "Q(x) <- b(x)"})
@@ -639,22 +621,10 @@ class TestStatsLatencySummary:
             assert entry["count"] >= 1
             assert 0.0 <= entry["p50_ms"] <= entry["p99_ms"]
 
-        httpd = make_server(BatchExecutor(), host="127.0.0.1", port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        try:
-            check(f"http://{host}:{port}")
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
-
+        check(_base(serve(BatchExecutor())))
         backend = ShardedExecutor(shards=2)
         try:
-            with AsyncServerThread(backend) as server:
-                host, port = server.address
-                check(f"http://{host}:{port}")
+            check(_base(serve(backend)))
         finally:
             backend.close()
 

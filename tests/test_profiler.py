@@ -3,27 +3,21 @@
 The profiler's contract: ``start``/``stop`` are idempotent and report whether
 they changed anything; a busy thread shows up in the folded-stack table under
 its function name; ``merge_snapshots`` sums fleet samples; the sharded
-backend broadcasts control actions and merges worker snapshots; both HTTP
-front ends expose ``GET/POST /profile``; and a running sampler at a moderate
-rate must not meaningfully slow the sampled workload down.
+backend broadcasts control actions and merges worker snapshots; the HTTP
+front end exposes ``GET/POST /profile`` over both backends; and a running
+sampler at a moderate rate must not meaningfully slow the sampled workload down.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service import (
-    AsyncServerThread,
-    BatchExecutor,
-    ShardedExecutor,
-    make_server,
-)
+from repro.service import BatchExecutor, ShardedExecutor
 from repro.observability.profiler import (
     MAX_HZ,
     SamplingProfiler,
@@ -196,11 +190,9 @@ def _call(base: str, method: str, path: str, payload=None):
 
 
 class TestHTTPProfileRoute:
-    def test_threaded_frontend_profile_route(self):
-        httpd = make_server(BatchExecutor(), host="127.0.0.1", port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
+    def test_threaded_frontend_profile_route(self, serve):
+        httpd = serve(BatchExecutor())
+        host, port = httpd.server_address
         base = f"http://{host}:{port}"
         try:
             status, body = _call(base, "POST", "/profile", {"action": "start", "hz": 500})
@@ -220,21 +212,20 @@ class TestHTTPProfileRoute:
             assert status == 400
         finally:
             httpd.executor.profile_control("stop")
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=5)
 
-    def test_async_frontend_profile_route(self):
-        backend = BatchExecutor()
-        with AsyncServerThread(backend) as server:
-            host, port = server.address
+    def test_sharded_backend_profile_route(self, serve):
+        backend = ShardedExecutor(shards=2)
+        try:
+            host, port = serve(backend).server_address
             base = f"http://{host}:{port}"
             status, body = _call(base, "POST", "/profile", {"action": "start", "hz": 500})
-            assert status == 200 and body["running"] is True
+            assert status == 200 and body["running"] is True and body["workers"] == 2
             status, body = _call(base, "GET", "/profile")
             assert status == 200 and body["running"] is True
             status, body = _call(base, "POST", "/profile", {"action": "stop"})
             assert status == 200 and body["running"] is False
             status, body = _call(base, "POST", "/profile", {"action": "nope"})
             assert status == 400 and "error" in body
-        backend.close()
+        finally:
+            backend.profile_control("stop")
+            backend.close()

@@ -1,10 +1,9 @@
 """The shard transport: frames and the channel without a process, then a fleet
-whose workers are stopped, killed and handed between event loops.
+whose workers are stopped and killed behind the HTTP front end.
 
 The contract under test is the one the module docstring of
 ``repro.service.shards`` states: a worker's death and a parent's death are
-events, no loop ever blocks on a shard, and requests dispatched before, during
-and after ``attach`` / ``detach`` resolve exactly once.
+events, and neither the front end nor the I/O loop ever blocks on a shard.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import AsyncServerThread, Request, ShardedExecutor, shard_for
+from repro.service import Request, ShardedExecutor, shard_for
 from repro.service.shards import _Channel, encode_frame, pop_frames
 
 QUERY = "Q(x) <- B(x)"
@@ -93,36 +92,26 @@ class TestFrames:
 # ---------------------------------------------------------------------------
 
 
-class _LoopThread:
-    """A running event loop on its own thread."""
-
-    def __init__(self):
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
-        self.thread.start()
-
-    def stop(self):
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
-
-
 @pytest.fixture
-def loops():
-    pair = [_LoopThread(), _LoopThread()]
-    yield [entry.loop for entry in pair]
-    for entry in pair:
-        entry.stop()
+def loop():
+    """A running event loop on its own thread."""
+    running = asyncio.new_event_loop()
+    thread = threading.Thread(target=running.run_forever, daemon=True)
+    thread.start()
+    yield running
+    running.call_soon_threadsafe(running.stop)
+    thread.join(timeout=10)
+    running.close()
 
 
 class _Peer:
     """A channel and the far end of its socket, with everything delivered recorded."""
 
-    def __init__(self):
+    def __init__(self, loop):
         ours, self.far = socket.socketpair()
         self.messages: list = []
         self.eofs = 0
-        self.channel = _Channel(ours, self.messages.append, self._on_eof)
+        self.channel = _Channel(ours, loop, self.messages.append, self._on_eof)
 
     def _on_eof(self):
         self.eofs += 1
@@ -143,8 +132,8 @@ class _Peer:
 
 
 @pytest.fixture
-def peer():
-    entry = _Peer()
+def peer(loop):
+    entry = _Peer(loop)
     yield entry
     entry.close()
 
@@ -159,8 +148,7 @@ def _until(condition, timeout: float = 10.0) -> bool:
 
 
 class TestChannel:
-    def test_replies_in_pieces_are_delivered_whole_and_in_order(self, loops, peer):
-        peer.channel.move(loops[0])
+    def test_replies_in_pieces_are_delivered_whole_and_in_order(self, peer):
         messages = [(seq, "ok", "v" * seq) for seq in range(30)]
         wire = b"".join(map(encode_frame, messages))
         for start in range(0, len(wire), 7):
@@ -168,10 +156,9 @@ class TestChannel:
         assert _until(lambda: len(peer.messages) == len(messages))
         assert peer.messages == messages
 
-    def test_a_peer_that_does_not_read_never_blocks_the_sender(self, loops, peer):
+    def test_a_peer_that_does_not_read_never_blocks_the_sender(self, peer):
         """800 kB to a socket nobody reads: every ``send`` returns at once, the
         remainder waits in ``outgoing`` and is flushed when the peer wakes up."""
-        peer.channel.move(loops[0])
         frames = [encode_frame((seq, "execute", ("q" * 20_000,))) for seq in range(40)]
         sender = threading.Thread(
             target=lambda: [peer.channel.send(frame) for frame in frames], daemon=True
@@ -187,8 +174,7 @@ class TestChannel:
         peer.far.sendall(encode_frame("reply"))
         assert _until(lambda: peer.messages == ["reply"])
 
-    def test_eof_is_reported_once_and_the_reader_is_removed(self, loops, peer):
-        peer.channel.move(loops[0])
+    def test_eof_is_reported_once_and_the_reader_is_removed(self, peer):
         peer.far.sendall(encode_frame("last words"))
         peer.far.close()
         assert _until(lambda: peer.eofs == 1)
@@ -197,32 +183,9 @@ class TestChannel:
         assert peer.eofs == 1
         peer.channel.send(encode_frame("to nobody"))  # dropped, not raised
 
-    def test_moving_between_loops_under_traffic_loses_and_repeats_nothing(self, loops, peer):
-        total = 2_000
-        peer.channel.move(loops[0])
-
-        def echo():
-            for message in peer.read_frames(total):
-                peer.far.sendall(encode_frame(message))
-
-        def produce():
-            for seq in range(total):
-                peer.channel.send(encode_frame(seq))
-
-        workers = [threading.Thread(target=echo), threading.Thread(target=produce)]
-        for worker in workers:
-            worker.start()
-        turn = 0
-        while any(worker.is_alive() for worker in workers) or turn < 20:
-            turn += 1
-            peer.channel.move(loops[turn % 2])
-            time.sleep(0.001)
-        assert _until(lambda: len(peer.messages) == total)
-        assert sorted(peer.messages) == list(range(total))
-
 
 # ---------------------------------------------------------------------------
-# A fleet: death, stalls, loop changes.
+# A fleet: death and stalls.
 # ---------------------------------------------------------------------------
 
 
@@ -252,30 +215,28 @@ def _post_query(address, doc: str, query: str = QUERY, timeout: float = 30.0):
 
 
 class TestDeathIsAnEvent:
-    def test_a_killed_worker_fails_its_in_flight_request_at_once(self, fleet):
-        with AsyncServerThread(fleet) as handle:
-            os.kill(fleet._processes[0].pid, signal.SIGSTOP)
-            answers = []
-            client = threading.Thread(
-                target=lambda: answers.append(_post_query(handle.address, DOC_ON[0]))
-            )
-            client.start()
-            assert _until(lambda: fleet.shard_load()[0]["in_flight"] == 1)
-            killed = time.perf_counter()
-            os.kill(fleet._processes[0].pid, signal.SIGKILL)
-            client.join(timeout=10)
-            assert time.perf_counter() - killed < 0.5
-            assert answers == [
-                (400, {"error": "shard 0 worker died; its in-flight requests were dropped"})
-            ]
-            # The other shard keeps answering; the dead one refuses by name.
-            status, payload = _post_query(handle.address, DOC_ON[1])
-            assert status == 200 and payload["answers"] == [[1]]
-            assert _post_query(handle.address, DOC_ON[0]) == (
-                400,
-                {"error": "shard 0 worker is not running (restart the server)"},
-            )
-            assert [load["alive"] for load in fleet.shard_load()] == [False, True]
+    def test_a_killed_worker_fails_its_in_flight_request_at_once(self, fleet, serve):
+        address = serve(fleet).server_address
+        os.kill(fleet._processes[0].pid, signal.SIGSTOP)
+        answers = []
+        client = threading.Thread(target=lambda: answers.append(_post_query(address, DOC_ON[0])))
+        client.start()
+        assert _until(lambda: fleet.shard_load()[0]["in_flight"] == 1)
+        killed = time.perf_counter()
+        os.kill(fleet._processes[0].pid, signal.SIGKILL)
+        client.join(timeout=10)
+        assert time.perf_counter() - killed < 0.5
+        assert answers == [
+            (400, {"error": "shard 0 worker died; its in-flight requests were dropped"})
+        ]
+        # The other shard keeps answering; the dead one refuses by name.
+        status, payload = _post_query(address, DOC_ON[1])
+        assert status == 200 and payload["answers"] == [[1]]
+        assert _post_query(address, DOC_ON[0]) == (
+            400,
+            {"error": "shard 0 worker is not running (restart the server)"},
+        )
+        assert [load["alive"] for load in fleet.shard_load()] == [False, True]
 
     def test_on_the_private_loop_too(self, fleet):
         os.kill(fleet._processes[1].pid, signal.SIGSTOP)
@@ -297,72 +258,35 @@ class TestDeathIsAnEvent:
 
 
 class TestTheLoopNeverBlocksOnAShard:
-    def test_a_flood_to_a_stopped_shard_leaves_the_other_shard_fast(self, fleet):
+    def test_a_flood_to_a_stopped_shard_leaves_the_other_shard_fast(self, fleet, serve):
         padded = QUERY + " " * 20_000  # 40 of these are past the socket buffer
-        with AsyncServerThread(fleet) as handle:
-            os.kill(fleet._processes[0].pid, signal.SIGSTOP)
-            answers = []
-            clients = [
-                threading.Thread(
-                    target=lambda: answers.append(_post_query(handle.address, DOC_ON[0], padded))
-                )
-                for _ in range(40)
-            ]
-            for client in clients:
-                client.start()
-            assert _until(lambda: fleet.shard_load()[0]["in_flight"] == 40)
-            assert fleet.shard_load()[0]["queue_depth"] == 39
-            assert len(fleet._channels[0].outgoing) > 0
-            started = time.perf_counter()
-            status, payload = _post_query(handle.address, DOC_ON[1], timeout=5)
-            assert time.perf_counter() - started < 1.0
-            assert status == 200 and payload["answers"] == [[1]]
-            os.kill(fleet._processes[0].pid, signal.SIGCONT)
-            for client in clients:
-                client.join(timeout=30)
-            assert [status for status, _payload in answers] == [200] * 40
-            assert all(payload["answers"] == [[1]] for _status, payload in answers)
-            idle = {"shard": 0, "queue_depth": 0, "in_flight": 0, "alive": True}
-            assert fleet.shard_load()[0] == idle
-
-
-class TestAttachDetach:
-    def test_requests_before_during_and_after_the_switch_resolve_exactly_once(self, fleet):
-        stop = threading.Event()
-        outcomes: list = []
-
-        def hammer():
-            turn = 0
-            while not stop.is_set():
-                turn += 1
-                try:
-                    result = fleet.execute(Request(doc=DOC_ON[turn % 2], query=QUERY))
-                    outcomes.append(result.answers)
-                except Exception as error:  # noqa: BLE001 - the assertion below names it
-                    outcomes.append(error)
-
-        thread = threading.Thread(target=hammer)
-        thread.start()
-        try:
-            for _ in range(3):
-                seen = len(outcomes)
-                with AsyncServerThread(fleet) as handle:
-                    for shard in (0, 1):
-                        status, payload = _post_query(handle.address, DOC_ON[shard])
-                        assert status == 200 and payload["answers"] == [[1]]
-                    assert _until(lambda: len(outcomes) > seen + 20)  # served while attached
-                seen = len(outcomes)
-                assert _until(lambda: len(outcomes) > seen + 20)  # and after the hand-back
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert outcomes and all(outcome == [(1,)] for outcome in outcomes)
-        assert fleet.shard_load() == [
-            {"shard": shard, "queue_depth": 0, "in_flight": 0, "alive": True} for shard in (0, 1)
+        address = serve(fleet).server_address
+        os.kill(fleet._processes[0].pid, signal.SIGSTOP)
+        answers = []
+        clients = [
+            threading.Thread(
+                target=lambda: answers.append(_post_query(address, DOC_ON[0], padded))
+            )
+            for _ in range(40)
         ]
+        for client in clients:
+            client.start()
+        assert _until(lambda: fleet.shard_load()[0]["in_flight"] == 40)
+        assert fleet.shard_load()[0]["queue_depth"] == 39
+        assert len(fleet._channels[0].outgoing) > 0
+        started = time.perf_counter()
+        status, payload = _post_query(address, DOC_ON[1], timeout=5)
+        assert time.perf_counter() - started < 1.0
+        assert status == 200 and payload["answers"] == [[1]]
+        os.kill(fleet._processes[0].pid, signal.SIGCONT)
+        for client in clients:
+            client.join(timeout=30)
+        assert [status for status, _payload in answers] == [200] * 40
+        assert all(payload["answers"] == [[1]] for _status, payload in answers)
+        idle = {"shard": 0, "queue_depth": 0, "in_flight": 0, "alive": True}
+        assert fleet.shard_load()[0] == idle
 
-    def test_a_blocking_call_on_the_driving_loop_is_an_error_with_a_name(self, fleet):
+    def test_a_blocking_call_on_the_io_loop_is_an_error_with_a_name(self, fleet):
         request = Request(doc=DOC_ON[0], query=QUERY)
         blocking = [
             lambda: fleet.execute(request),
@@ -380,9 +304,6 @@ class TestAttachDetach:
             # What the loop is meant to do instead.
             return await asyncio.wrap_future(fleet.submit(request))
 
-        with AsyncServerThread(fleet) as handle:
-            assert handle._on_loop(on_the_loop()).answers == [(1,)]
-            assert fleet.execute(request).answers == [(1,)]  # fine from this thread
-        # Handed back: the private loop's thread is now the one that must not block.
         outcome = asyncio.run_coroutine_threadsafe(on_the_loop(), fleet._io_loop)
         assert outcome.result(timeout=10).answers == [(1,)]
+        assert fleet.execute(request).answers == [(1,)]  # fine from this thread

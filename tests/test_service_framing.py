@@ -1,9 +1,9 @@
 """HTTP framing, driven with byte strings and no socket.
 
 ``repro.service.framing`` is the one place a request line, a version, a header
-line, the keep-alive rule, a body length and a response head are decided; both
-socket loops only move bytes around it (``tests/test_service_server.py`` covers
-that they do).  So the decisions are pinned here: a table of heads -> parsed
+line, the keep-alive rule, a body length and a response head are decided; the
+socket loop only moves bytes around it (``tests/test_service_server.py`` covers
+that it does).  So the decisions are pinned here: a table of heads -> parsed
 form or refusal, the read path over an in-memory stream, exact response heads.
 """
 
@@ -23,18 +23,10 @@ from repro.service.framing import MAX_HEADER_LINES, MAX_LINE_BYTES, Head
 from repro.service.http_metrics import HTTP_REQUESTS
 
 
-def read(raw: bytes, first: bytes = b""):
+def read(raw: bytes):
     """``raw`` through the shared read path: ``(what it returned, what it wrote)``."""
     stream, written = io.BytesIO(raw), []
-
-    async def readline() -> bytes:
-        return stream.readline(MAX_LINE_BYTES + 1)
-
-    async def read_body(length: int) -> bytes:
-        return stream.read(length)
-
-    request = routes.run_inline(framing.read_request(first, readline, read_body, written.append))
-    return request, written
+    return framing.read_request(stream.readline, stream.read, written.append), written
 
 
 def parse(raw: bytes):
@@ -138,28 +130,6 @@ def test_the_caps_are_inclusive():
     assert len(parse(b"GET / HTTP/1.1\r\n" + header + b"\r\n").headers["x"]) == MAX_LINE_BYTES - 5
 
 
-def test_a_reader_that_gives_up_on_a_line_is_an_over_long_line():
-    """``asyncio.StreamReader.readline`` raises ``ValueError`` over its limit."""
-
-    def reader(lines):
-        async def readline():
-            line = next(lines)
-            if line is None:
-                raise ValueError("Separator is not found, and chunk exceed the limit")
-            return line
-
-        return readline
-
-    async def read_body(_length):  # pragma: no cover - never reached
-        raise AssertionError
-
-    for lines, status in (([None], 414), ([b"GET / HTTP/1.1\r\n", b"Host: t\r\n", None], 431)):
-        refusal = routes.run_inline(
-            framing.read_request(b"", reader(iter(lines)), read_body, lambda _data: None)
-        )
-        assert refusal.status == status
-
-
 TOKEN = string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~"
 #: Latin-1 without controls and blanks (``str.isspace`` counts U+0085 and U+00A0).
 VISIBLE = st.characters(min_codepoint=0x21, max_codepoint=0xFF, blacklist_categories=("Cc", "Zs"))
@@ -213,10 +183,6 @@ class TestBodyAndReadPath:
         post = b"POST /query HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody"
         (head, body), written = read(post + GET + b"\r\n")
         assert (head.method, head.path, body, written) == ("POST", "/query", b"body", [])
-
-    def test_bytes_the_loop_consumed_while_waiting_are_the_start_of_the_line(self):
-        request, _written = read(b"ET /healthz HTTP/1.1\r\n\r\n", first=b"G")
-        assert request == (Head("GET", "/healthz", True, {}), b"")
 
     def test_expect_100_continue_is_answered_before_the_body_is_read(self):
         head = b"POST /documents HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-Continue\r\n\r\n"

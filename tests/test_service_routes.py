@@ -1,16 +1,14 @@
 """The route table, driven with a fake executor and no socket.
 
-``repro.service.routes`` is the serving contract written once; both socket
-loops only frame around it (``tests/test_service_server.py`` covers the
+``repro.service.routes`` is the serving contract written once; the socket
+loop only frames around it (``tests/test_service_server.py`` covers the
 framing).  So the contract is pinned here, for every row of the table and
 every way a request can go wrong: exact status, content type and body bytes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from concurrent.futures import Future
 
 import pytest
 
@@ -80,14 +78,6 @@ class FakeExecutor:
 
     def execute(self, request):
         return self._called("execute", self.result, request)
-
-    def submit(self, request):
-        future: Future = Future()
-        try:
-            future.set_result(self.execute(request))
-        except Exception as error:  # noqa: BLE001 - a future carries what the call raised
-            future.set_exception(error)
-        return future
 
     def execute_batch(self, requests, max_workers=None):
         return self._called("execute_batch", [OK_RESULT, ERROR_RESULT], requests, max_workers)
@@ -278,33 +268,6 @@ class TestMalformedRequests:
         response = routes.respond(FakeExecutor(), method, path, b"{not json")
         assert response == _json(501, {"error": f"Unsupported method ({method!r})"})
         assert HTTP_REQUESTS.value(**labels) == before + 1
-
-
-class TestDrivenByALoopThatAwaits:
-    """``exchange`` with a ``call`` that really suspends (the asyncio loop's way)."""
-
-    @staticmethod
-    def _exchange(executor, method, path, body):
-        async def call(route, arguments):
-            await asyncio.sleep(0)
-            name = route.future or route.call
-            value = getattr(executor, name)(*arguments)
-            return await asyncio.wrap_future(value) if route.future else value
-
-        return asyncio.run(routes.exchange(method, path, _encode(body), call))
-
-    @pytest.mark.parametrize(("method", "path", "body", "status", "payload"), ROWS, ids=ROW_IDS)
-    def test_same_answers_as_inline(self, method, path, body, status, payload):
-        assert self._exchange(FakeExecutor(), method, path, body) == _json(status, payload)
-
-    def test_only_the_query_row_has_a_future_form(self):
-        futures = {key: route.future for key, route in routes.ROUTES.items() if route.future}
-        assert futures == {("POST", "/query"): "submit"}
-
-    def test_client_error_out_of_a_future_is_a_400(self):
-        error = ValueError("shard 1 worker died; its in-flight requests were dropped")
-        response = self._exchange(FakeExecutor(error=error), "POST", "/query", QUERY)
-        assert response == _json(400, {"error": str(error)})
 
 
 def test_refusals_use_the_tables_error_form_and_are_counted():

@@ -1,40 +1,14 @@
-"""Both socket loops, in process on an ephemeral port: framing, and one round trip.
+"""The socket loop, in process on an ephemeral port: framing, and one round trip.
 
 What a request *means* is the route table's business and is pinned without a
 socket in ``tests/test_service_routes.py``; how its bytes are parsed and its
 answer's head rendered is ``repro.service.framing``'s, pinned without a socket
-in ``tests/test_service_framing.py``.  A loop reads a request and writes a
-response, so this module tests exactly that, once, parametrised over the
-threaded loop (``make_server``) and the asyncio one (``AsyncServerThread``).
-It replaces the per-loop copies that used to live here (threaded only) and in
-``test_service_sharded.py::TestAsyncFrontEnd`` (asyncio only); for each of
-those, the test that covers it now:
-
-* ``TestServerRoundTrip`` (threaded; nine tests) -> ``TestRoundTrip``, both
-  loops: the batch, error-status and bool-limit tests kept their assertions
-  (``test_healthz_and_stats``, ``test_batch_errors_stay_per_request`` and the
-  ``/batch`` half of ``test_error_payloads_carry_latency_attribution`` are in
-  ``test_register_query_batch_matches_direct_evaluate``;
-  ``test_non_string_registration_values_answer_400`` and the ``/query`` half
-  in ``test_error_statuses_and_attribution``); ``test_single_query_endpoint``
-  -> ``TestFraming.test_keep_alive_connection_is_reused``;
-  ``test_document_listing_and_eviction`` ->
-  ``TestRoundTrip.test_socket_answers_are_the_tables``;
-* ``test_persistent_connection_serves_many_requests`` (asyncio) ->
-  ``TestFraming.test_keep_alive_connection_is_reused``, both loops;
-* ``test_header_flood_is_bounded_and_dropped`` (asyncio) ->
-  ``TestFraming.test_header_flood_is_bounded``, both loops;
-* ``test_async_rejects_bool_limit_and_max_workers`` (asyncio) and its threaded
-  twin -> ``TestRoundTrip.test_bool_limit_and_max_workers_rejected`` on both
-  loops, and ``test_service_routes.py::test_invalid_fields_never_reach_the_executor``;
-* ``test_round_trip_byte_identical_with_threaded_server[threaded|sharded]``
-  (asyncio vs threaded, eleven exchanges compared pairwise) -> the two loops
-  call one table, so what is left to check per loop is that it hands the
-  table what it read and writes what the table answered:
-  ``TestRoundTrip.test_socket_answers_are_the_tables`` (the same eleven
-  exchanges against ``routes.respond``; the asyncio case runs over two
-  shards), with ``TestShardedExecutor.test_matches_threaded_backend_result_for_result``
-  and ``TestShardWorker`` for sharded == threaded.
+in ``tests/test_service_framing.py``.  The loop (``make_server``) reads a
+request and writes a response, so this module tests exactly that: framing on
+the wire, deadlines, and that what crosses the socket is what the table says
+(``TestRoundTrip.test_socket_answers_are_the_tables``).  Every test runs in
+front of both backends the loop serves: the thread backend and two shard
+processes.
 """
 
 from __future__ import annotations
@@ -43,7 +17,6 @@ import contextlib
 import http.client
 import http.server
 import json
-import logging
 import re
 import socket
 import struct
@@ -56,14 +29,7 @@ import pytest
 
 from repro.evaluation import evaluate
 from repro.queries import parse_query
-from repro.service import (
-    AsyncServerThread,
-    BatchExecutor,
-    ShardedExecutor,
-    framing,
-    make_server,
-    routes,
-)
+from repro.service import BatchExecutor, ShardedExecutor, framing, routes
 from repro.service.framing import MAX_BODY_BYTES, MAX_HEADER_LINES, MAX_LINE_BYTES
 from repro.service.http_metrics import HTTP_REQUESTS
 from repro.trees import TreeStructure, to_xml
@@ -72,40 +38,38 @@ from repro.workloads import auction_document
 SENTENCE_SEXPR = "(S (NP (DT) (NN)) (VP (VB) (NP (NN))) (PP))"
 
 
-@contextlib.contextmanager
-def _serve(loop: str, executor):
-    """``executor`` behind one of the two loops; yields the bound ``(host, port)``."""
-    if loop == "asyncio":
-        with AsyncServerThread(executor) as handle:
-            yield handle.address
-        return
-    httpd = make_server(executor, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield httpd.server_address[:2]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-@pytest.fixture(params=["threaded", "asyncio"])
-def address(request):
-    executor = BatchExecutor()
-    with _serve(request.param, executor) as bound:
-        yield bound
-    executor.close()
+@pytest.fixture(params=["resident", "sharded"])
+def executor(request):
+    """Each backend the loop fronts: ``serve`` and ``serve --shards 2``."""
+    backend = ShardedExecutor(shards=2) if request.param == "sharded" else BatchExecutor()
+    yield backend
+    backend.close()
 
 
 @pytest.fixture
-def both_addresses():
-    """Both loops up at once, for what must be the same bytes on either."""
-    executor = BatchExecutor()
-    with _serve("threaded", executor) as threaded, _serve("asyncio", executor) as asynchronous:
-        yield {"threaded": threaded, "asyncio": asynchronous}
-    executor.close()
+def server(serve, executor):
+    return serve(executor)
+
+
+@pytest.fixture
+def address(server):
+    return server.server_address
+
+
+@pytest.fixture
+def ended(server, monkeypatch):
+    """Set once a connection thread of ``server`` is done with its client."""
+    event = threading.Event()
+    process = server.process_request_thread
+
+    def process_then_signal(*args):
+        try:
+            process(*args)
+        finally:
+            event.set()
+
+    monkeypatch.setattr(server, "process_request_thread", process_then_signal)
+    return event
 
 
 def _call(address, method: str, path: str, payload=None):
@@ -145,6 +109,11 @@ def _responses(stream: bytes) -> list[tuple[int, dict, bytes]]:
         responses.append((int(status_line.split()[1]), headers, stream[:length]))
         stream = stream[length:]
     return responses
+
+
+def _undated(wire: bytes) -> bytes:
+    """``wire`` with the value of its ``Date`` header blanked."""
+    return re.sub(rb"\r\nDate: [^\r]+ GMT\r\n", b"\r\nDate: -\r\n", wire, count=1)
 
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -305,24 +274,80 @@ class TestFraming:
             ((status, _headers, body),) = _responses(idle.recv(65536))
             assert (status, body) == (200, HEALTHY)
 
-    def test_a_client_that_disconnects_mid_response_ends_quietly(self, address, capsys, caplog):
+    def test_a_client_that_never_reads_its_answers_is_dropped(self, server, ended, monkeypatch):
+        """Regression: the deadline sweep covered reads only, so a client that
+        pipelined requests and read nothing pinned its thread in ``sendall``."""
+        monkeypatch.setattr(framing, "READ_TIMEOUT_S", 0.2)
+        framed = []  # when each answer went to its write: the last write is the one cut
+        frame = framing.frame
+
+        def timed_frame(*args):
+            framed.append(time.monotonic())
+            return frame(*args)
+
+        monkeypatch.setattr(framing, "frame", timed_frame)
+        auction = to_xml(auction_document(num_items=200, num_people=100, num_bids=300, seed=1))
+        server.executor.register_payload({"doc": "auction", "xml": auction})
+        body = json.dumps({"doc": "auction", "query": "Q(x) <- Child+(r, x)"}).encode("utf-8")
+        post = b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%b" % (len(body), body)
+        with socket.socket() as raw:
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.settimeout(5)
+            raw.connect(server.server_address)
+            raw.sendall(post * 400)
+            # Blocked in its write until the sweep drops the client: within a
+            # few timeouts of the write that stalled (the answers before it,
+            # which fill the buffers, take as long as the host is busy).
+            assert ended.wait(timeout=5) and time.monotonic() - framed[-1] < 1
+            assert server.deadlines == {}
+            received = b""
+            with contextlib.suppress(ConnectionResetError):
+                while chunk := raw.recv(65536):
+                    received += chunk
+        assert 0 < received.count(b"HTTP/1.1 200 OK\r\n") < 400
+
+    @pytest.mark.parametrize(
+        ("data", "leave"),
+        [
+            (HEALTHZ_CLOSE, "read"),
+            (b"GET /healthz HTTP/2.0\r\n\r\n", "read"),
+            (b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n\r\n{", "close"),
+            (b"G", "read"),
+            (HEALTHZ * 2000, "reset"),
+        ],
+        ids=["answered", "refused", "left mid-request", "stalled mid-request", "reset mid-answer"],
+    )
+    def test_every_way_a_connection_ends_leaves_no_deadline_behind(
+        self, server, ended, monkeypatch, data, leave
+    ):
+        """A socket is in ``deadlines`` only while its read or write is under
+        way; one left behind would be kept, and swept, for ever."""
+        monkeypatch.setattr(framing, "READ_TIMEOUT_S", 0.2)
+        with socket.create_connection(server.server_address, timeout=5) as raw:
+            if leave == "reset":
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            raw.sendall(data)
+            while leave == "read" and raw.recv(65536):
+                pass
+        assert ended.wait(timeout=5)
+        assert server.deadlines == {}
+
+    def test_a_client_that_disconnects_mid_response_ends_quietly(self, address, capsys):
         """Regression: the threaded loop printed a ``socketserver`` traceback
         (``BrokenPipeError``) to stderr per such client."""
         counted = {"route": "/healthz", "method": "GET", "code": "200"}
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            raw = socket.create_connection(address, timeout=5)
-            # Answers start flowing back while requests are still queued; the
-            # reset (SO_LINGER 0) then fails a write in the middle of them.
-            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-            raw.sendall(HEALTHZ * 2000)
-            raw.close()
-            answered = -1
-            while answered != HTTP_REQUESTS.value(**counted):  # until the server is done with it
-                answered = HTTP_REQUESTS.value(**counted)
-                time.sleep(0.1)
-            assert _call(address, "GET", "/healthz")[0] == 200
+        raw = socket.create_connection(address, timeout=5)
+        # Answers start flowing back while requests are still queued; the
+        # reset (SO_LINGER 0) then fails a write in the middle of them.
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        raw.sendall(HEALTHZ * 2000)
+        raw.close()
+        answered = -1
+        while answered != HTTP_REQUESTS.value(**counted):  # until the server is done with it
+            answered = HTTP_REQUESTS.value(**counted)
+            time.sleep(0.1)
+        assert _call(address, "GET", "/healthz")[0] == 200
         assert capsys.readouterr().err == ""
-        assert [record for record in caplog.records if record.name == "asyncio"] == []
 
     def test_no_stdlib_http_parser_is_on_the_request_path(self, address, monkeypatch):
         """The guard: ``http.server``'s request parser and ``http.client``'s header
@@ -379,26 +404,22 @@ REFUSED_HEADS = [
     [case[1:] for case in REFUSED_HEADS],
     ids=[case[0] for case in REFUSED_HEADS],
 )
-def test_a_refused_head_is_the_same_framed_answer_on_both_loops(
-    both_addresses, data, status, message
-):
+def test_a_refused_head_is_a_framed_answer_and_is_counted(address, data, status, message):
     """Probed before ``parse_head``: 431 vs a silent drop, 200 vs a bare body
     without a status line, 400 vs HTTP/0.9 semantics nobody asked for."""
     route = "/healthz" if b"/healthz HTTP/" in data else "other"
     labels = {"route": route, "method": "GET" if route == "/healthz" else "", "code": str(status)}
     before = HTTP_REQUESTS.value(**labels)
     # A pipelined request behind a refused head is never answered.
-    answers = {loop: _raw(bound, data + HEALTHZ) for loop, bound in both_addresses.items()}
-    assert HTTP_REQUESTS.value(**labels) == before + 2
-    ((answered, headers, body),) = _responses(answers["threaded"])
+    answer = _raw(address, data + HEALTHZ)
+    assert HTTP_REQUESTS.value(**labels) == before + 1
+    ((answered, headers, body),) = _responses(answer)
     assert (answered, headers["connection"]) == (status, "close")
     assert headers["content-type"] == "application/json"
     assert json.loads(body) == {"error": message}
-    undated = {
-        loop: re.sub(rb"\r\nDate: [^\r]+ GMT\r\n", b"\r\nDate: -\r\n", answer, count=1)
-        for loop, answer in answers.items()
-    }
-    assert undated["threaded"] == undated["asyncio"] != answers["asyncio"]
+    # Dated, and otherwise exactly the frame of the refusal.
+    refusal = routes.Response(status, "application/json", body)
+    assert _undated(answer) == _undated(framing.frame(refusal, None)[0]) != answer
 
 
 class TestRoundTrip:
@@ -473,12 +494,12 @@ class TestRoundTrip:
         status, payload = _call(address, "POST", "/query", {**query, "limit": 0})
         assert status == 200 and payload["truncated"] and payload["answers"] == []
 
-    @pytest.mark.parametrize("loop", ["threaded", "asyncio"])
-    def test_socket_answers_are_the_tables(self, loop):
-        """One smoke per loop: what crosses the socket is what the table says.
+    @pytest.mark.parametrize("backend", ["threaded", "sharded"])
+    def test_socket_answers_are_the_tables(self, serve, backend):
+        """One smoke per backend: what crosses the socket is what the table says.
 
-        The asyncio loop fronts two shard processes here, so this is also the
-        ``--async --shards 2`` mode against the in-process thread backend.
+        The sharded case fronts two shard processes, so it is also the
+        ``--shards 2`` mode against the in-process thread backend.
         """
         auction = auction_document(num_items=10, seed=9)
         item_query = "Q(i) <- item(i), Child(i, p), payment(p)"
@@ -500,18 +521,18 @@ class TestRoundTrip:
             ("DELETE", "/documents/sentence", None),
             ("GET", "/nope", None),
         ]
-        served = ShardedExecutor(shards=2) if loop == "asyncio" else BatchExecutor()
+        served = ShardedExecutor(shards=2) if backend == "sharded" else BatchExecutor()
         reference = BatchExecutor()
         try:
-            with _serve(loop, served) as bound:
-                for method, path, payload in exchanges:
-                    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-                    expected = routes.respond(reference, method, path, body)
-                    status, answer = _call(bound, method, path, payload)
-                    assert status == expected.status, (method, path)
-                    assert json.dumps(_strip_volatile(answer)) == json.dumps(
-                        _strip_volatile(json.loads(expected.body))
-                    ), (method, path)
+            bound = serve(served).server_address
+            for method, path, payload in exchanges:
+                body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+                expected = routes.respond(reference, method, path, body)
+                status, answer = _call(bound, method, path, payload)
+                assert status == expected.status, (method, path)
+                assert json.dumps(_strip_volatile(answer)) == json.dumps(
+                    _strip_volatile(json.loads(expected.body))
+                ), (method, path)
         finally:
             served.close()
             reference.close()
@@ -528,24 +549,3 @@ def _strip_volatile(payload):
     if isinstance(payload, list):
         return [_strip_volatile(item) for item in payload]
     return payload
-
-
-def test_stopping_the_asyncio_loop_with_a_parked_connection_logs_nothing(caplog):
-    """Regression: the parked handler was cancelled by the loop's teardown,
-    which the stream protocol reported as ``Exception in callback ...
-    CancelledError`` on the ``asyncio`` logger."""
-    executor = BatchExecutor()
-    handle = AsyncServerThread(executor).start()
-    connection = http.client.HTTPConnection(*handle.address, timeout=30)
-    try:
-        connection.request("GET", "/healthz")
-        assert connection.getresponse().read() == HEALTHY
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            handle.stop()
-        assert [record for record in caplog.records if record.name == "asyncio"] == []
-        # The server closed the parked connection; it did not leave it dangling.
-        connection.sock.settimeout(5)
-        assert connection.sock.recv(1) == b""
-    finally:
-        connection.close()
-        executor.close()

@@ -4,7 +4,7 @@ The serving contract must be indistinguishable across backends: same sorted
 answers, same per-request error envelopes.  These tests drive the same
 workload through both and assert byte-identity on the stable parts of the
 wire format, then check that a shard worker is nothing but a ``BatchExecutor``
-behind a queue.  (The socket loops are in ``test_service_server.py``.)
+behind a socket.  (The socket loop is in ``test_service_server.py``.)
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from repro.evaluation import evaluate
 from repro.observability.metrics import MetricsRegistry
 from repro.queries import parse_query
-from repro.service import AsyncServerThread, BatchExecutor, Request, ShardedExecutor, shard_for
+from repro.service import BatchExecutor, Request, ShardedExecutor, shard_for
 from repro.service.shards import WORKER_METHODS
 from repro.trees import TreeStructure, to_xml
 from repro.workloads import auction_document
@@ -282,8 +282,8 @@ class TestShardWorker:
 
 
 # ---------------------------------------------------------------------------
-# The sharded backend behind the asyncio loop (framing and the per-loop smoke
-# live in test_service_server.py).
+# The sharded backend behind the socket loop (framing and the per-backend
+# smoke live in test_service_server.py).
 # ---------------------------------------------------------------------------
 
 
@@ -297,23 +297,22 @@ def _http(base: str, method: str, path: str, payload=None):
         return error.code, error.read()
 
 
-def test_stats_aggregate_across_shards(auction):
+def test_stats_aggregate_across_shards(auction, serve):
     backend = ShardedExecutor(shards=2)
     try:
-        with AsyncServerThread(backend) as handle:
-            host, port = handle.address
-            base = f"http://{host}:{port}"
-            _http(base, "POST", "/documents", {"doc": "auction", "xml": to_xml(auction)})
-            _http(base, "POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR})
-            for _ in range(2):
-                _http(base, "POST", "/query", {"doc": "sentence", "query": "Q(x) <- NN(x)"})
-            status, body = _http(base, "GET", "/stats")
-            assert status == 200
-            stats = json.loads(body)
-            assert stats["executor"]["backend"] == "sharded"
-            assert stats["store"]["documents"] == 2
-            assert stats["executor"]["requests"] >= 2
-            assert len(stats["shards"]) == 2
-            assert stats["cache"]["hit_rate"] >= 0.0
+        host, port = serve(backend).server_address
+        base = f"http://{host}:{port}"
+        _http(base, "POST", "/documents", {"doc": "auction", "xml": to_xml(auction)})
+        _http(base, "POST", "/documents", {"doc": "sentence", "sexpr": SENTENCE_SEXPR})
+        for _ in range(2):
+            _http(base, "POST", "/query", {"doc": "sentence", "query": "Q(x) <- NN(x)"})
+        status, body = _http(base, "GET", "/stats")
+        assert status == 200
+        stats = json.loads(body)
+        assert stats["executor"]["backend"] == "sharded"
+        assert stats["store"]["documents"] == 2
+        assert stats["executor"]["requests"] >= 2
+        assert len(stats["shards"]) == 2
+        assert stats["cache"]["hit_rate"] >= 0.0
     finally:
         backend.close()
