@@ -73,7 +73,7 @@ from bench_config import SMOKE, scaled
 from repro.backends.sqlite import SQLiteBackend
 from repro.evaluation import Engine, evaluate, reducer
 from repro.evaluation.compile import compile_query
-from repro.evaluation.reducer import semijoin_fixpoint
+from repro.evaluation.reducer import semijoin_sweeps
 from repro.planning import DocumentStats, plan_query
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
@@ -310,15 +310,15 @@ def _measure_reducer_kernel_ablation(name, size, repeats):
     """``reducer.BISECT_STEPS_PER_NODE`` vs forcing either kernel everywhere."""
     compiled = compile_query(parse_query(ABLATION_REDUCER[name]))
     structure = TreeStructure(_resident_tree(size))
-    reference = semijoin_fixpoint(compiled, structure)
+    reference = semijoin_sweeps(compiled, structure)
     threshold = reducer.BISECT_STEPS_PER_NODE
     seconds = {}
     for label, steps in (("threshold", threshold), ("bisect", float("inf")), ("kernels", 0)):
         with mock.patch.object(reducer, "BISECT_STEPS_PER_NODE", steps):
-            if semijoin_fixpoint(compiled, structure) != reference:
+            if semijoin_sweeps(compiled, structure) != reference:
                 raise AssertionError(f"reducer kernel mismatch on {name} (n={size}, {label})")
             # Repeats x 5: the selective regime runs in tens of microseconds.
-            seconds[label] = _best_time(lambda: semijoin_fixpoint(compiled, structure), repeats * 5)
+            seconds[label] = _best_time(lambda: semijoin_sweeps(compiled, structure), repeats * 5)
     cost_seconds = seconds.pop("threshold")
     return _entry(size, name, "ablation", cost_seconds, f"threshold={threshold}", seconds)
 

@@ -207,6 +207,15 @@ class CompiledQuery:
                         stack.append(child)
         return tuple(order)
 
+    @cached_property
+    def sweep_roots(self) -> frozenset[Variable]:
+        """The component roots of :attr:`sweep_order`: no edge hangs them below a parent.
+
+        The variables whose column the reducer's leaves-to-root sweep alone
+        makes exact on a forest -- a monadic head is one of them.
+        """
+        return frozenset(self.variables).difference(child for child, _ in self.sweep_order)
+
     # -- convenience -----------------------------------------------------------
 
     def atoms_of(self, variable: Variable) -> tuple[CompiledAtom, ...]:

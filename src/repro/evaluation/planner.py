@@ -25,8 +25,9 @@ bulk revise sweep, then AC-4; the cost planner's pick for some cyclic bodies
 routed to backtracking), ``ac3`` (the worklist, selectable on the wire),
 ``horn`` (unit propagation, the ground truth the tests hold every other
 engine to), and ``semijoin`` -- the Yannakakis full reducer
-(:mod:`repro.evaluation.reducer`), two semijoin sweeps along the shadow
-forest, exact on forest-shaped bodies only: there the cost planner always
+(:mod:`repro.evaluation.reducer`), semijoin sweeps along the shadow forest
+(the root-to-leaves one only when a non-root column is read), exact on
+forest-shaped bodies only: there the cost planner always
 picks it; on a cyclic body it is a ``ValueError`` everywhere except in
 front of the decomposition engine, whose bags only need the supersets.
 
@@ -203,7 +204,9 @@ def answer_page(
     monadic head over a forest-shaped body reads its answers straight off the
     arc-consistent fixpoint (globally consistent on shadow forests, so the
     head variable's sorted column *is* the answer list and ``limit`` a slice
-    of it), any other head is enumerated in wire order by one join-tree
+    of it; the head roots the reducer's sweep, so its column is exact after
+    the leaves-to-root sweep alone and the root-to-leaves one never runs),
+    any other head is enumerated in wire order by one join-tree
     traversal (:func:`repro.decomposition.yannakakis.answer_page`, which
     prunes its own candidates and stops building rows at ``limit``).  The
     singleton-relation reduction -- candidate head tuples from the fixpoint

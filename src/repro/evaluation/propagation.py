@@ -18,13 +18,14 @@ now exposes as the ``propagator=`` dimension:
   shrunken domains (closing the ROADMAP gap on fast-converging pure
   ``Child+`` chains where AC-3's set scans beat AC-4's bookkeeping);
 * :attr:`Propagator.SEMIJOIN` -- the Yannakakis full reducer of
-  :mod:`repro.evaluation.reducer`: two directional semijoin sweeps along the
-  shadow forest over sorted columns.  **Forest-shaped bodies only** (there
-  the fixpoint is the projection of the solution set); on a cyclic body
-  :func:`propagate` raises :class:`ValueError`, because the sweeps then
-  yield supersets -- which only the decomposition engine can use, and asks
-  the reducer for directly.  The cost planner picks it for every
-  forest-shaped body and for every decomposition-routed plan.
+  :mod:`repro.evaluation.reducer`: a leaves-to-root semijoin sweep along the
+  shadow forest over sorted columns, and the root-to-leaves sweep only once
+  a consumer reads a column the first one left inexact.  **Forest-shaped
+  bodies only** (there the fixpoint is the projection of the solution set);
+  on a cyclic body :func:`propagate` raises :class:`ValueError`, because the
+  sweeps then yield supersets -- which only the decomposition engine can
+  use, and asks the reducer for directly.  The cost planner picks it for
+  every forest-shaped body and for every decomposition-routed plan.
 
 All five compute the same fixpoint (the deletion rules are confluent); the
 property tests assert it.  :func:`propagate` wraps the choice and returns a
@@ -33,17 +34,23 @@ consumers that keep querying witnesses, like the backtracking forward checker
 and the acyclic enumerator -- per-variable sorted-array views, which AC-4
 hands over for free (its maintained views ARE the fixpoint) and the other
 engines build once on demand.  The full reducer hands over its sorted
-survivor columns: :meth:`PropagationResult.sorted_domain` returns them as they
-are, and sets and views are built from them (no re-sort) only for the
-consumers that ask -- the decomposition engine's level kernel reads the
-columns alone, so a default-routed join-tree request builds no view at all.
+survivor columns after the leaves-to-root sweep alone, which already settles
+every component root (:attr:`~repro.evaluation.compile.CompiledQuery.sweep_roots`):
+a Boolean request reads nothing, a monadic one reads its head -- a root --
+through :meth:`PropagationResult.sorted_domain`, and neither pays for the
+second sweep.  Reading any other column, :attr:`~PropagationResult.domains`,
+:attr:`~PropagationResult.views` or :meth:`~PropagationResult.domain_sizes`
+runs it once; sets and views are then built from the columns (no re-sort)
+only for the consumers that ask -- the decomposition engine's level kernel
+reads the columns alone, so a default-routed join-tree request builds no
+view at all.
 """
 
 from __future__ import annotations
 
 import time
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ..observability import tracing
 from ..observability.metrics import REGISTRY
@@ -54,7 +61,7 @@ from .ac4 import Views, ac4_fixpoint, hybrid_fixpoint
 from .arc_consistency import maximal_arc_consistent, maximal_arc_consistent_horn
 from .compile import CompiledQuery, compile_query
 from .domains import Domains
-from .reducer import semijoin_fixpoint
+from .reducer import downward_sweep, upward_sweep
 
 PROPAGATE_SECONDS = REGISTRY.histogram(
     "cqtrees_propagate_seconds",
@@ -106,27 +113,48 @@ class PropagationResult:
     engine, for the others they are built once on first access.  The full
     reducer passes ``columns`` -- the same domains as sorted lists -- instead
     of ``domains``; sets and views are then both built from the columns on
-    first access, the views without a sort.
+    first access, the views without a sort.  With ``unswept`` (the compiled
+    query) the columns are only swept leaves to root: exact at
+    ``unswept.sweep_roots``, and the root-to-leaves sweep runs on the first
+    read of anything else.
     """
 
-    __slots__ = ("_structure", "_domains", "_views", "_columns")
+    __slots__ = ("_structure", "_domains", "_views", "_columns", "_unswept")
 
     def __init__(
         self,
         structure: TreeStructure,
         domains: Optional[Domains] = None,
         views: Optional[Views] = None,
-        columns: Optional[Mapping[Variable, list[int]]] = None,
+        columns: Optional[Mapping[Variable, Sequence[int]]] = None,
+        unswept: Optional[CompiledQuery] = None,
     ):
         self._structure = structure
         self._domains = domains
         self._views = views
         self._columns = columns
+        self._unswept = unswept
+
+    def _exact_columns(self) -> Mapping[Variable, list[int]]:
+        """The reducer's columns, after the root-to-leaves sweep (run once, here)."""
+        compiled, columns = self._unswept, self._columns
+        if compiled is not None:
+            sweeps = ["root_to_leaves"]
+            with tracing.span("propagate", propagator="semijoin", sweeps=sweeps) as span:
+                downward_sweep(compiled, self._structure, columns)
+                # Fresh lists: an isolated variable's column is still the resident one.
+                self._columns = {variable: list(column) for variable, column in columns.items()}
+                self._unswept = None
+                if span is not None:
+                    span.attributes["domains_after"] = self.domain_sizes()
+        return self._columns
 
     @property
     def domains(self) -> Domains:
         if self._domains is None:
-            self._domains = {variable: set(column) for variable, column in self._columns.items()}
+            self._domains = {
+                variable: set(column) for variable, column in self._exact_columns().items()
+            }
         return self._domains
 
     @property
@@ -136,7 +164,7 @@ class PropagationResult:
             if self._columns is not None:
                 self._views = {
                     variable: index.mutable_view(column, presorted=True)
-                    for variable, column in self._columns.items()
+                    for variable, column in self._exact_columns().items()
                 }
             else:
                 self._views = {
@@ -152,20 +180,35 @@ class PropagationResult:
         sort of the plain set otherwise -- never a view built for the purpose,
         so the column consumers (the acyclic enumerator, the decomposition
         engine's level kernel) leave :attr:`views` to those that probe them.
+        A root read before the root-to-leaves sweep does not run it: its
+        column is already exact, and copied (it may be a resident one).
         """
         if self._columns is not None:
-            return self._columns[variable]
+            if self._unswept is not None and variable in self._unswept.sweep_roots:
+                return list(self._columns[variable])
+            return self._exact_columns()[variable]
         if self._views is not None:
             return list(self._views[variable].array)
         return sorted(self._domains[variable])
 
     def domain_sizes(self) -> dict[Variable, int]:
         """Surviving candidates per variable (no set or view is built for it)."""
-        sized = self._columns if self._columns is not None else self._domains
+        sized = self._exact_columns() if self._columns is not None else self._domains
         return {variable: len(sized[variable]) for variable in sorted(sized)}
 
+    def final_sizes(self) -> dict[Variable, int]:
+        """:meth:`domain_sizes` of the variables already exact, running no sweep.
+
+        Every variable, except the non-roots while the reducer's
+        root-to-leaves sweep is still owed.
+        """
+        if self._unswept is None:
+            return self.domain_sizes()
+        roots = self._unswept.sweep_roots
+        return {variable: len(self._columns[variable]) for variable in sorted(roots)}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PropagationResult({self.domain_sizes()})"
+        return f"PropagationResult({self.final_sizes()})"
 
 
 def propagate(
@@ -207,7 +250,11 @@ def propagate(
         if result is None:
             tracing.annotate(satisfiable=False)
         else:
-            tracing.annotate(satisfiable=True, domains_after=result.domain_sizes())
+            # Sizes the fixpoint already settled: reading the others would
+            # run a sweep the untraced request never pays for.
+            tracing.annotate(satisfiable=True, domains_after=result.final_sizes())
+            if chosen is Propagator.SEMIJOIN:
+                tracing.annotate(sweeps=["leaves_to_root"])
     return result
 
 
@@ -228,10 +275,16 @@ def _propagate(
         return PropagationResult(structure, domains, views)
     if chosen is Propagator.SEMIJOIN:
         compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
-        columns = semijoin_fixpoint(compiled, structure, pinned)
+        if not compiled.shadow_is_forest:
+            raise ValueError(
+                "propagator 'semijoin' needs a forest-shaped body; "
+                "use ac4, ac3, horn or hybrid on cyclic queries"
+            )
+        # A column that empties on the way up already refutes the query.
+        columns = upward_sweep(compiled, structure, pinned)
         if columns is None:
             return None
-        return PropagationResult(structure, columns=columns)
+        return PropagationResult(structure, columns=columns, unswept=compiled)
     if chosen is Propagator.AC3:
         domains = maximal_arc_consistent(query, structure, pinned)
     else:

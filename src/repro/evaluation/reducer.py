@@ -4,11 +4,20 @@ Over a forest-shaped body the subset-maximal arc-consistent prevaluation of
 Proposition 3.1 *is* the per-variable projection of the solution set, and two
 directional semijoin sweeps along the query's own shadow forest compute that
 projection exactly (the full reducer of acyclic evaluation, Gottlob-Leone-
-Scarcello): leaves to root, every parent keeps the candidates with a partner
-in each child; root to leaves, every child keeps the candidates with a partner
-in its parent.  No worklist, no support counters, no deletions: one semijoin
-per edge per sweep, each producing a *sorted* survivor column from two sorted
+Scarcello): leaves to root (:func:`upward_sweep`), every parent keeps the
+candidates with a partner in each child; root to leaves
+(:func:`downward_sweep`), every child keeps the candidates with a partner in
+its parent.  No worklist, no support counters, no deletions: one semijoin per
+edge per sweep, each producing a *sorted* survivor column from two sorted
 columns in a few C-level passes.
+
+The first sweep alone already makes every component root's column exact (a
+kept root candidate extends to a solution of its whole component), and the
+roots are head variables wherever the head has one
+(:attr:`CompiledQuery.sweep_roots`): a Boolean body holds iff no column
+empties on the way up, and a monadic head's answers are its root column.  So
+:func:`repro.evaluation.propagation.propagate` runs the second sweep only when
+a consumer reads a column it did not settle.
 
 Domains start from the resident sorted label columns (the identity column
 ``index.pre`` for an unlabeled variable) and stay sorted throughout, so
@@ -49,24 +58,6 @@ from .compile import CompiledQuery
 BISECT_STEPS_PER_NODE = 4
 
 
-def semijoin_fixpoint(
-    compiled: CompiledQuery,
-    structure: TreeStructure,
-    pinned: Optional[Mapping[Variable, int]] = None,
-) -> Optional[dict[Variable, list[int]]]:
-    """The arc-consistent fixpoint of a forest-shaped body, as sorted columns.
-
-    Returns ``None`` when some variable loses every candidate.  Raises
-    :class:`ValueError` on a cyclic body (a client error on the wire).
-    """
-    if not compiled.shadow_is_forest:
-        raise ValueError(
-            "propagator 'semijoin' needs a forest-shaped body; "
-            "use ac4, ac3, horn or hybrid on cyclic queries"
-        )
-    return semijoin_sweeps(compiled, structure, pinned)
-
-
 def semijoin_sweeps(
     compiled: CompiledQuery,
     structure: TreeStructure,
@@ -79,11 +70,29 @@ def semijoin_sweeps(
     the fixpoint's domains (and subsets of the initial ones), ``None`` when
     one of them empties, which already refutes the query.
     """
+    columns = upward_sweep(compiled, structure, pinned)
+    if columns is None:
+        return None
+    downward_sweep(compiled, structure, columns)
+    # Fresh lists: an isolated variable's column is still the resident one.
+    return {variable: list(column) for variable, column in columns.items()}
+
+
+def upward_sweep(
+    compiled: CompiledQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]] = None,
+) -> Optional[dict[Variable, Sequence[int]]]:
+    """The leaves-to-root half: every parent keeps the candidates with a partner in each child.
+
+    ``None`` when a column empties.  The columns are sorted and may be the
+    resident ones (a column no semijoin narrowed is not copied); on a forest
+    the roots' columns are exact, the others still supersets.
+    """
     columns = _initial_columns(compiled, structure, pinned)
     if columns is None:
         return None
-    order = compiled.sweep_order
-    for child, atom in reversed(order):
+    for child, atom in reversed(compiled.sweep_order):
         parent = atom.other(child)
         kept = _semijoin(
             atom.axis, columns[parent], columns[child], parent == atom.source, structure
@@ -91,15 +100,25 @@ def semijoin_sweeps(
         if not kept:
             return None
         columns[parent] = kept
-    # Every surviving parent candidate has a partner in each child, so the
-    # downward sweep cannot empty a column.
-    for child, atom in order:
+    return columns
+
+
+def downward_sweep(
+    compiled: CompiledQuery,
+    structure: TreeStructure,
+    columns: dict[Variable, Sequence[int]],
+) -> None:
+    """The root-to-leaves half, in place on the columns of :func:`upward_sweep`.
+
+    Every child keeps the candidates with a partner in its parent.  Every
+    surviving parent candidate has a partner in each child, so no column
+    empties, and the roots' columns do not change.
+    """
+    for child, atom in compiled.sweep_order:
         parent = atom.other(child)
         columns[child] = _semijoin(
             atom.axis, columns[child], columns[parent], child == atom.source, structure
         )
-    # Fresh lists: an isolated variable's column is still the resident one.
-    return {variable: list(column) for variable, column in columns.items()}
 
 
 def _initial_columns(

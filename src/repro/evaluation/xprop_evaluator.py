@@ -25,7 +25,6 @@ from ..queries.query import ConjunctiveQuery
 from ..trees.orders import Order, minimum
 from ..trees.structure import TreeStructure
 from ..xproperty.dichotomy import order_for
-from .compile import compile_query
 from .domains import Domains, Valuation, valuation_satisfies
 from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, propagate
 
@@ -43,10 +42,7 @@ def minimum_valuation(
     structure: TreeStructure, domains: Domains, order: Order
 ) -> Valuation:
     """The minimum valuation of a prevaluation w.r.t. an order (Lemma 3.4)."""
-    return {
-        variable: minimum(structure.tree, order, sorted(nodes))
-        for variable, nodes in domains.items()
-    }
+    return {variable: minimum(structure.tree, order, nodes) for variable, nodes in domains.items()}
 
 
 def boolean_query_holds(
@@ -84,11 +80,11 @@ def boolean_query_holds(
     result = propagate(query, structure, pinned, propagator)
     if result is None:
         return False
-    if not compile_query(query).variables:
-        # A query with an empty body is trivially true.
-        return True
-    valuation = minimum_valuation(structure, result.domains, order)
-    if verify and not valuation_satisfies(query, structure, valuation):
+    # Lemma 3.4: the prevaluation exists, so the minimum valuation satisfies
+    # the query; only ``verify`` builds it to check.
+    if verify and not valuation_satisfies(
+        query, structure, minimum_valuation(structure, result.domains, order)
+    ):
         raise XPropertyEvaluationError(
             "minimum valuation is not a satisfaction although an arc-consistent "
             "prevaluation exists; the structure/order pair lacks the X-property"

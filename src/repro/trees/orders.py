@@ -14,7 +14,7 @@ polynomial-time evaluation of Theorem 3.5.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .tree import Tree
 
@@ -62,7 +62,7 @@ def sorted_nodes(tree: Tree, order: Order) -> list[int]:
     return sorted(tree.node_ids(), key=lambda node_id: ranks[node_id])
 
 
-def minimum(tree: Tree, order: Order, nodes: Sequence[int]) -> int:
+def minimum(tree: Tree, order: Order, nodes: Collection[int]) -> int:
     """The ``order``-minimal node of a non-empty collection.
 
     This is the ingredient of the *minimum valuation* of Lemma 3.4.

@@ -8,6 +8,10 @@ the subset-maximal arc-consistent prevaluation the worklist engines compute:
   nine churn axes plus the inverse axes -- multi-label variables, self-loops,
   several components, pinning, unsatisfiable instances;
 * sorted answers through ``evaluate`` are the same under every engine;
+* ``propagate(..., "semijoin")`` sweeps leaves to root only: the component
+  roots are exact before anything else is read, one non-root read runs the
+  root-to-leaves sweep once, and a default-routed monadic or Boolean request
+  (traced or not) makes one semijoin per edge;
 * both regimes of the ``Child+``/``Child*`` kernel (bisection, cumulative
   membership columns) agree with a brute-force semijoin, and the closed form
   for a support column holding every node agrees with both;
@@ -26,7 +30,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import Engine, Propagator, compile_query, evaluate, propagate
+from repro.evaluation import (
+    Engine,
+    Propagator,
+    answer_page,
+    compile_query,
+    evaluate,
+    propagate,
+    xprop_evaluator,
+)
 from repro.evaluation import reducer
 from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
@@ -89,10 +101,13 @@ def structures(draw, max_size: int = 18) -> TreeStructure:
 
 
 @st.composite
-def forest_queries(draw) -> ConjunctiveQuery:
+def forest_queries(
+    draw, min_variables: int = 1, label_counts: tuple[int, ...] = (0, 1, 1, 2, 3)
+) -> ConjunctiveQuery:
     """Forest-shaped bodies: several components, loops, restated atoms, 0-3 labels."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
-    variables = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    count = draw(st.integers(min_value=min_variables, max_value=5))
+    variables = [f"v{i}" for i in range(count)]
     atoms: list = []
     for i in range(1, len(variables)):
         if rng.random() < 0.8:  # else: a new connected component
@@ -110,7 +125,7 @@ def forest_queries(draw) -> ConjunctiveQuery:
         atoms.append(AxisAtom(rng.choice(ALL_AXES), loop_variable, loop_variable))
     for variable in variables:
         touched = any(variable in atom.variables() for atom in atoms)
-        for label in rng.sample(ALPHABET + (EXTRA,), rng.choice([0, 1, 1, 2, 3])):
+        for label in rng.sample(ALPHABET + (EXTRA,), rng.choice(label_counts)):
             atoms.append(LabelAtom(label, variable))
             touched = True
         if not touched:
@@ -177,6 +192,84 @@ def atom_soups(draw) -> ConjunctiveQuery:
             atoms.append(LabelAtom(rng.choice(ALPHABET + (EXTRA,)), variable))
     head = tuple(rng.choice(variables) for _ in range(draw(st.integers(0, 2))))
     return ConjunctiveQuery(head, tuple(atoms), "Q")
+
+
+def _counting_semijoins():
+    return mock.patch.object(reducer, "_semijoin", wraps=reducer._semijoin)
+
+
+class TestOneSweepContract:
+    """The root-to-leaves sweep runs at most once, and only for a non-root read."""
+
+    # Three or more variables with at most one label each: enough satisfiable
+    # bodies with non-root variables that the upward sweep leaves inexact.
+    @SETTINGS
+    @given(structures(), forest_queries(min_variables=3, label_counts=(0, 0, 1)), st.data())
+    def test_roots_first_then_every_column_equal_horn(self, structure, query, data):
+        pinned = _pin(data, query, structure)
+        compiled = compile_query(query)
+        horn = propagate(query, structure, pinned, Propagator.HORN)
+        with _counting_semijoins() as semijoin:
+            result = propagate(compiled, structure, pinned, Propagator.SEMIJOIN)
+            assert (result is None) == (horn is None)
+            if result is None:
+                return
+            roots = sorted(compiled.sweep_roots)
+            for root in roots:
+                assert result.sorted_domain(root) == sorted(horn.domains[root]), root
+            assert semijoin.call_count == len(compiled.sweep_order)
+            others = [variable for variable in compiled.variables if variable not in roots]
+            if others:
+                first = data.draw(st.sampled_from(others), label="first non-root read")
+                assert result.sorted_domain(first) == sorted(horn.domains[first])
+        for variable in compiled.variables:
+            assert result.sorted_domain(variable) == sorted(horn.domains[variable]), variable
+        assert result.domains == horn.domains
+
+    @pytest.mark.parametrize(
+        "text, answers",
+        [
+            ("Q(x) <- Child+(r, x)", [(node,) for node in range(1, 9)]),
+            ("Q <- NP(x), Following(x, y), PP(y)", [()]),
+        ],
+    )
+    def test_default_routed_monadic_and_boolean_requests_sweep_once(
+        self, sentence_tree, text, answers
+    ):
+        store, cache = DocumentStore(), QueryCache()
+        store.register_tree("doc", sentence_tree)
+        edges = len(compile_query(parse_query(text)).sweep_order)
+        for debug in (False, True):
+            with _counting_semijoins() as semijoin, mock.patch.object(
+                xprop_evaluator, "minimum_valuation", side_effect=AssertionError
+            ):
+                served = run_request(store, cache, Request(doc="doc", query=text, debug=debug))
+            assert served.ok and served.propagator == "semijoin", debug
+            assert served.answers == answers, debug
+            assert semijoin.call_count == edges, debug
+        # The trace reports what ran: one sweep, the sizes it settled.
+        propagated = served.trace["children"]
+        while propagated[0]["name"] != "propagate":
+            propagated = [child for node in propagated for child in node.get("children", ())]
+        attributes = propagated[0]["attributes"]
+        assert attributes["sweeps"] == ["leaves_to_root"]
+        assert len(attributes["domains_after"]) == len(compile_query(parse_query(text)).sweep_roots)
+
+    def test_a_non_root_read_sweeps_down_once(self, sentence_structure):
+        compiled = compile_query(
+            parse_query("Q(x) <- NP(x), Child(x, y), NN(y), Following(x, z), PP(z)")
+        )
+        edges = len(compiled.sweep_order)
+        with _counting_semijoins() as semijoin:
+            result = propagate(compiled, sentence_structure, propagator="semijoin")
+            assert semijoin.call_count == edges
+            assert result.sorted_domain("x") == [1, 6] and semijoin.call_count == edges
+            assert result.sorted_domain("y") == [3, 7] and semijoin.call_count == 2 * edges
+            assert result.sorted_domain("z") == [8]
+            assert result.domains == {"x": {1, 6}, "y": {3, 7}, "z": {8}}
+            assert list(result.views["y"].array) == [3, 7]
+            assert result.domain_sizes() == {"x": 2, "y": 2, "z": 1}
+            assert semijoin.call_count == 2 * edges
 
 
 class TestSweepsAreSoundSupersets:
@@ -327,6 +420,18 @@ class TestNamedCases:
         )
         unlabeled.sorted_domain("x").clear()
         assert sentence_structure.index.pre == list(range(9))
+        # A monadic head without edges is a root the upward sweep never
+        # narrowed: read before (and instead of) the downward sweep.
+        monadic = parse_query("Q(x) <- NP(x), NN(y), Child*(y, y)")
+        rows, count = answer_page(monadic, sentence_structure, propagator="semijoin")
+        assert (rows, count) == ([(node,) for node in before], len(before))
+        result = propagate(monadic, sentence_structure, propagator="semijoin")
+        column = result.sorted_domain("x")
+        assert column is not sentence_structure.unary_members("NP")
+        column.append(-1)
+        assert result.sorted_domain("x") == before
+        assert sentence_structure.tree.nodes_with_label("NP") == before
+        assert sentence_structure.unary_members("NP") == before
 
     def test_planner_picks_it_for_forests_and_decomposition(self):
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
