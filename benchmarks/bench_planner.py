@@ -44,9 +44,8 @@ matching a warm server: ``QueryCache.plan_for`` memoizes plans per
 Answers are cross-checked byte-identical across cost routing and every
 static configuration on every measured instance.
 
-``ablation_*`` entries are kept honest and out of the headline: TEMP-table
-materialization on the dense labeled four-cycle (SQLite auto-indexes
-materialized CTE subqueries, so ~1x), the lowering pick on the width-2 fan
+``ablation_*`` entries are kept honest and out of the headline: the lowering
+pick on the width-2 fan
 (``ablation_sql_fan`` -- a gating entry at 608x while the flat join read
 labels through an ``EXISTS`` per accel row; with label-driven row sources
 the flat join is 3-8x behind, inside the 5x bar), the propagator pick -- AC-4 vs
@@ -115,14 +114,6 @@ GATING_ENTRIES = {
 ABLATION_SQL_FAN = (
     "Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z), B(y), C(z), "
     "Following(x, w), B(w), NextSibling+(x, v), C(v)"
-)
-
-#: Dense labeled four-cycle for the materialization ablation (both variants
-#: must enumerate the cyclic core; SQLite auto-indexes the materialized
-#: subquery either way, so the TEMP-table variant is ~1x, not a win).
-ABLATION_CYCLE4_SQL = (
-    "Q(a) <- A(a), Child+(a, b), B(b), Following(b, c), C(c), "
-    "Child+(d, c), A(d), Following(a, d)"
 )
 
 #: Unlabeled chain for the propagator ablation: both endpoints of each
@@ -213,9 +204,7 @@ def _measure_accel(name, text, size, repeats, kind="gating"):
     plan = plan_query(query, DocumentStats.of_tree(tree), accel_only=True)
     with SQLiteBackend() as backend:
         backend.register_tree("doc", tree)
-        reference = backend.evaluate(
-            "doc", query, lowering=plan.lowering, materialize=plan.materialize
-        )
+        reference = backend.evaluate("doc", query, lowering=plan.lowering)
         static_seconds = {}
         for lowering in ("tree", "flat"):
             if backend.evaluate("doc", query, lowering=lowering) != reference:
@@ -226,42 +215,9 @@ def _measure_accel(name, text, size, repeats, kind="gating"):
                 lambda: backend.evaluate("doc", query, lowering=lowering), repeats
             )
         cost_seconds = _best_time(
-            lambda: backend.evaluate(
-                "doc", query, lowering=plan.lowering, materialize=plan.materialize
-            ),
-            repeats,
+            lambda: backend.evaluate("doc", query, lowering=plan.lowering), repeats
         )
-    choice = plan.lowering + ("+materialize" if plan.materialize else "")
-    return _entry(size, name, kind, cost_seconds, choice, static_seconds)
-
-
-def _measure_materialize_ablation(size, repeats):
-    """TEMP-table materialization vs plain CTEs on the dense four-cycle."""
-    query = parse_query(ABLATION_CYCLE4_SQL)
-    tree = _accel_tree(size)
-    with SQLiteBackend() as backend:
-        backend.register_tree("doc", tree)
-        cte = backend.evaluate("doc", query, lowering="tree")
-        temp = backend.evaluate("doc", query, lowering="tree", materialize=True)
-        if cte != temp:
-            raise AssertionError(f"materialize answer mismatch (n={size})")
-        static_seconds = {
-            "cte": _best_time(
-                lambda: backend.evaluate("doc", query, lowering="tree"), repeats
-            ),
-            "temp_table": _best_time(
-                lambda: backend.evaluate("doc", query, lowering="tree", materialize=True),
-                repeats,
-            ),
-        }
-    return _entry(
-        size,
-        "ablation_cycle4_sql",
-        "ablation",
-        static_seconds["temp_table"],
-        "temp_table",
-        static_seconds,
-    )
+    return _entry(size, name, kind, cost_seconds, plan.lowering, static_seconds)
 
 
 #: The propagators the ablation measures: the AC-4 default, the hybrid the
@@ -379,7 +335,6 @@ def run(repeats: int = 3) -> dict:
             else:
                 results.append(_measure_accel(name, text, size, repeats))
     for size in SQL_SIZES:
-        results.append(_measure_materialize_ablation(size, repeats))
         results.append(
             _measure_accel("ablation_sql_fan", ABLATION_SQL_FAN, size, repeats, kind="ablation")
         )

@@ -20,17 +20,19 @@ by the label relations, never by the document (:meth:`_TreeLowering._bind`
 holds the rule).  Two lowerings share that vocabulary and that rule:
 
 * ``lowering="tree"`` (the default) -- **join-tree lowering**: the query's
-  tree decomposition (``CompiledQuery.decomposition``) becomes one CTE per
-  bag, defined children-first so every bag CTE embeds the bottom-up semijoin
-  (``EXISTS``/``IN`` pushdown onto its children's CTEs) -- the SQL mirror of
-  the Yannakakis reduction.  Witness-only variables are never joined: their
-  order-statistic atoms (``Following``, ``DocumentOrder``,
-  ``NextSibling+``/``*``) lower to comparisons against aggregates of the
-  witness relation -- the SQL mirror of AC-4's ``_GlobalThreshold`` /
-  ``_SiblingThreshold`` trackers -- a labelled ancestor to a semijoin driven
-  from its label range, and the rest to correlated first-witness ``EXISTS``
-  probes.  The final statement joins only the bags on the head variables'
-  root paths, so a monadic chain never materialises a quadratic intermediate.
+  join tree (``CompiledQuery.decomposition``, rooted at the head by
+  ``decompose``: the tree the in-memory decomposition engine runs) is printed
+  as one plain CTE per bag, defined children-first so every bag CTE embeds
+  the bottom-up semijoin (``EXISTS``/``IN`` pushdown onto its children's
+  CTEs) -- the SQL mirror of the Yannakakis reduction.  Witness-only
+  variables are never joined: their order-statistic atoms (``Following``,
+  ``DocumentOrder``, ``NextSibling+``/``*``) lower to comparisons against
+  aggregates of the witness relation -- the SQL mirror of AC-4's
+  ``_GlobalThreshold`` / ``_SiblingThreshold`` trackers -- a labelled
+  ancestor to a semijoin driven from its label range, and the rest to
+  correlated first-witness ``EXISTS`` probes.  The final statement joins only
+  the bags on the head variables' root paths, so a monadic chain never
+  materialises a quadratic intermediate.
 * ``lowering="flat"`` -- the original one-big-join lowering, kept as the
   ablation and cross-check path.
 
@@ -181,11 +183,13 @@ CREATE TABLE IF NOT EXISTS label (
 class _TreeLowering:
     """Builds the join-tree (or flat) SQL for one query against one document.
 
-    The decomposition's bags become CTEs ``bag_i`` emitted children-first
-    along the join tree re-rooted at a head bag (:meth:`_head_tree`).
-    Each ``bag_i`` selects the bag's *keep* columns -- the separator to its
-    parent, the separators to children whose subtrees contain head variables,
-    and the bag's own head variables -- with the bottom-up Yannakakis semijoin
+    The compiled decomposition's bags become CTEs ``bag_i`` emitted
+    children-first along the join tree exactly as ``decompose`` rooted it (at
+    the head bags, so an acyclic tail reduces bottom-up to semijoins; the tree
+    is reduced, so no bag CTE materializes a bare separator).  Each ``bag_i``
+    selects the bag's *keep* columns -- the separator to its parent, the
+    separators to children whose subtrees contain head variables, and the
+    bag's own head variables -- with the bottom-up Yannakakis semijoin
     folded in as ``IN``/``EXISTS`` conditions over the children's CTEs.
     Everything else in the bag is witness-only and is never joined
     (:meth:`_witness_condition`).
@@ -223,7 +227,6 @@ class _TreeLowering:
         query: ConjunctiveQuery,
         pinned: Optional[Mapping[Variable, int]],
         extra_unary: Mapping[str, frozenset[int]],
-        materialize: bool = False,
     ):
         from ..evaluation.compile import compile_query
 
@@ -245,78 +248,9 @@ class _TreeLowering:
         self.temp_tables: list[str] = []
         self.ctes: list[str] = []
         self._sibling_counter = 0
-        # With ``materialize=True`` every bag (and sibling-window) relation is
-        # executed eagerly into a separator-indexed TEMP table instead of
-        # staying a CTE that SQLite re-evaluates per correlated probe (the
-        # dense-cycle case).  The caller holds the backend lock for the whole
-        # lowering, so bumping the counter is race-free; the unique prefix
-        # keeps concurrent streams (which release the lock between batches)
-        # from colliding.
-        self.materialize = materialize
-        if materialize:
-            backend._temp_counter += 1
-            self._prefix = f"tmp_plan_{backend._temp_counter}_"
-        else:
-            self._prefix = ""
         self.loops_by_variable: dict[Variable, list] = {}
         for loop in self.compiled.loops:
             self.loops_by_variable.setdefault(loop.source, []).append(loop)
-
-    def _bag_name(self, index: int) -> str:
-        return f"{self._prefix}bag_{index}"
-
-    def _head_tree(self) -> tuple[list[frozenset], list[int], list[list[int]], list[int]]:
-        """The compiled join tree, re-rooted at head bags.
-
-        Variables outside the keep sets are eliminated as cheap witnesses, and
-        keep sets grow along the path from the head bags to the root, so a
-        tree rooted at the far end of an acyclic tail drags every tail
-        variable into materialized separators.  Re-rooted at the bag sharing
-        the most head variables (ties to the lowest index; headless components
-        keep their compiled root) the same tail reduces bottom-up to
-        semijoins.  The compiled decomposition is already *reduced* -- no bag
-        is a subset of a tree neighbour (``decompose.prune_subset_bags``) --
-        so no bag CTE materializes a bare separator.
-        """
-        decomposition = self.compiled.decomposition
-        bags = list(decomposition.bags)
-        neighbours: list[list[int]] = [[] for _ in bags]
-        for index, parent_index in enumerate(decomposition.parent):
-            if parent_index >= 0:
-                neighbours[index].append(parent_index)
-                neighbours[parent_index].append(index)
-        for adjacent in neighbours:
-            adjacent.sort()
-
-        head_set = set(self.query.head)
-        parent = [-2] * len(bags)
-        children: list[list[int]] = [[] for _ in bags]
-        roots: list[int] = []
-        for start in range(len(bags)):
-            if parent[start] != -2:
-                continue
-            component = [start]
-            seen = {start}
-            for bag in component:
-                for neighbour in neighbours[bag]:
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        component.append(neighbour)
-            best = max(len(bags[i] & head_set) for i in component)
-            root = component[0]
-            if best:
-                root = min(i for i in component if len(bags[i] & head_set) == best)
-            roots.append(root)
-            parent[root] = -1
-            stack = [root]
-            while stack:
-                bag = stack.pop()
-                for neighbour in neighbours[bag]:
-                    if parent[neighbour] == -2:
-                        parent[neighbour] = bag
-                        children[bag].append(neighbour)
-                        stack.append(neighbour)
-        return bags, parent, children, roots
 
     # -- row sources -------------------------------------------------------------
 
@@ -427,7 +361,7 @@ class _TreeLowering:
                 params.append(self.pinned[variable])
             member = f"+{ident}" if local else ident
             conditions.extend(
-                f"{member} IN (SELECT c{vix[variable]} FROM {self._bag_name(child)})"
+                f"{member} IN (SELECT c{vix[variable]} FROM bag_{child})"
                 for child in refining.get(variable, ())
             )
             conditions.extend(
@@ -480,18 +414,15 @@ class _TreeLowering:
                 bound = f"{walias}.subtree_end" if following else wid
                 return f"{other_id} > (SELECT MIN({bound}) {relation})"
             self._sibling_counter += 1
-            name = f"{self._prefix}sib_{self._sibling_counter}"
+            name = f"sib_{self._sibling_counter}"
             aggregate = "MAX" if dropped_is_target else "MIN"
             body = (
                 f"SELECT DISTINCT {walias}.parent AS parent, "
                 f"{aggregate}({walias}.sibling_index) "
                 f"OVER (PARTITION BY {walias}.parent) AS si {relation}"
             )
-            if self.materialize:
-                self._execute_temp_table(name, body, params)
-            else:
-                self.ctes.append(f"{name} AS ({body})")
-                self.params.extend(params)
+            self.ctes.append(f"{name} AS ({body})")
+            self.params.extend(params)
             strict = single.axis is Axis.NEXT_SIBLING_PLUS
             operator = (">" if strict else ">=") if dropped_is_target else ("<" if strict else "<=")
             return (
@@ -561,7 +492,7 @@ class _TreeLowering:
             (v for v in bag if v not in droppable), atoms, names, "v", params, refining
         )
         for child, separator in exists_children:
-            child_name = self._bag_name(child)
+            child_name = f"bag_{child}"
             equalities = " AND ".join(f"{child_name}.c{vix[v]} = {names[v][1]}" for v in separator)
             conditions.append(f"EXISTS (SELECT 1 FROM {child_name} WHERE {equalities or 1})")
         for variable in sorted(droppable, key=vix.__getitem__):
@@ -579,24 +510,8 @@ class _TreeLowering:
         else:
             # Witness-only bag (a headless component): one row iff satisfiable.
             body = f"SELECT 1 AS ok{from_clause} WHERE {where} LIMIT 1"
-        name = self._bag_name(index)
-        if self.materialize:
-            self._execute_temp_table(name, body, params)
-            if separators[index]:
-                # Index the separator to the parent: that is the column set
-                # the parent's IN / EXISTS probes hit once per parent row.
-                index_columns = ", ".join(f"c{vix[v]}" for v in separators[index])
-                self.backend._connection.execute(
-                    f"CREATE INDEX idx_{name} ON {name} ({index_columns})"
-                )
-        else:
-            self.ctes.append(f"{name} AS ({body})")
-            self.params.extend(params)
-
-    def _execute_temp_table(self, name: str, body: str, params: list) -> None:
-        """Eagerly materialize one relation; registered for cleanup."""
-        self.backend._connection.execute(f"CREATE TEMP TABLE {name} AS {body}", params)
-        self.temp_tables.append(name)
+        self.ctes.append(f"bag_{index} AS ({body})")
+        self.params.extend(params)
 
     # -- whole statements ------------------------------------------------------
 
@@ -615,8 +530,10 @@ class _TreeLowering:
         return sql, self.params, self.temp_tables
 
     def lower(self, boolean: bool) -> tuple[str, list, list[str]]:
-        self.bags, self.parent, self.children, self.roots = self._head_tree()
-        bags, parent, count, vix = self.bags, self.parent, len(self.bags), self.vix
+        decomposition = self.compiled.decomposition
+        self.bags, self.children = decomposition.bags, decomposition.children()
+        bags, parent, roots = self.bags, decomposition.parent, decomposition.roots
+        count, vix = len(bags), self.vix
         head = () if boolean else self.query.head
         head_set = set(head)
 
@@ -631,11 +548,11 @@ class _TreeLowering:
             for i in range(count)
         ]
 
-        # Parents-first order of the (re-rooted) tree; reversed it is the
-        # children-first CTE emission order (a CTE may only reference CTEs
-        # defined before it, and each bag references its children's).
+        # Parents-first order of the tree; reversed it is the children-first
+        # CTE emission order (a CTE may only reference CTEs defined before it,
+        # and each bag references its children's).
         top_down: list[int] = []
-        stack = list(self.roots)
+        stack = list(roots)
         while stack:
             bag_index = stack.pop()
             top_down.append(bag_index)
@@ -658,30 +575,27 @@ class _TreeLowering:
             self._emit_bag(index, bag_atoms[index], keep[index], separators)
 
         if not head:
-            conditions = " AND ".join(
-                f"EXISTS (SELECT 1 FROM {self._bag_name(root)})" for root in self.roots
-            )
+            conditions = " AND ".join(f"EXISTS (SELECT 1 FROM bag_{root})" for root in roots)
             final = f"SELECT 1 WHERE {conditions} LIMIT 1"
         else:
             # The final join touches only the head bags and their root paths;
             # every other subtree is already folded in by the semijoins.
             kept_order = [index for index in range(count) if subtree_has_head[index]]
             conditions = [
-                f"{self._bag_name(index)}.c{vix[v]} = {self._bag_name(parent[index])}.c{vix[v]}"
+                f"bag_{index}.c{vix[v]} = bag_{parent[index]}.c{vix[v]}"
                 for index in kept_order
                 for v in separators[index]
             ]
             conditions.extend(
-                f"EXISTS (SELECT 1 FROM {self._bag_name(root)})"
-                for root in self.roots
+                f"EXISTS (SELECT 1 FROM bag_{root})"
+                for root in roots
                 if not subtree_has_head[root]
             )
             home = {v: min(i for i in kept_order if v in keep[i]) for v in head_set}
-            columns = ", ".join(f"{self._bag_name(home[v])}.c{vix[v]}" for v in head)
-            from_clause = ", ".join(self._bag_name(index) for index in kept_order)
+            columns = ", ".join(f"bag_{home[v]}.c{vix[v]}" for v in head)
+            from_clause = ", ".join(f"bag_{index}" for index in kept_order)
             where = " AND ".join(conditions) or "1"
             final = f"SELECT DISTINCT {columns} FROM {from_clause} WHERE {where}"
-        # Fully materialized, the final statement reads TEMP tables only.
         prelude = "WITH " + ",\n     ".join(self.ctes) + "\n" if self.ctes else ""
         return prelude + final, self.params, self.temp_tables
 
@@ -796,20 +710,16 @@ class SQLiteBackend:
         extra_unary: Mapping[str, frozenset[int]],
         boolean: bool,
         lowering: str,
-        materialize: bool = False,
     ) -> tuple[str, list, list[str]]:
         """Compile the query to ``(sql, parameters, temp_tables)``.
 
-        The caller drops the temp tables (staged extra-unary relations and,
-        under ``materialize=True``, the eagerly-built bags) after fetching.
+        The caller drops the temp tables (staged extra-unary relations) after
+        fetching.
         """
         if lowering not in LOWERINGS:
             raise ValueError(f"unknown lowering {lowering!r} (expected one of {LOWERINGS})")
-        flat = lowering == "flat"
-        plan = _TreeLowering(
-            self, doc_id, query, pinned, extra_unary, materialize=materialize and not flat
-        )
-        return plan.lower_flat(boolean) if flat else plan.lower(boolean)
+        plan = _TreeLowering(self, doc_id, query, pinned, extra_unary)
+        return plan.lower_flat(boolean) if lowering == "flat" else plan.lower(boolean)
 
     def _unary_condition(
         self,
@@ -848,14 +758,13 @@ class SQLiteBackend:
         pinned: Optional[Mapping[Variable, int]],
         extra_unary: Optional[Mapping[str, frozenset[int]]],
         lowering: str,
-        materialize: bool,
         boolean: bool = False,
         wrap: str = "{}",
     ) -> list:
         """Lower, run ``wrap`` around the statement, fetch all, drop temp tables."""
         with self._lock:
             sql, params, temp_tables = self._lower(
-                doc_id, query, pinned, extra_unary or {}, boolean, lowering, materialize
+                doc_id, query, pinned, extra_unary or {}, boolean, lowering
             )
             sql = wrap.format(sql)
             tracing.annotate(sql=sql, doc=doc_id)
@@ -871,7 +780,6 @@ class SQLiteBackend:
         pinned: Optional[Mapping[Variable, int]] = None,
         extra_unary: Optional[Mapping[str, frozenset[int]]] = None,
         lowering: str = "tree",
-        materialize: bool = False,
     ) -> frozenset[Row]:
         """All answers of ``query`` on the registered document.
 
@@ -879,7 +787,7 @@ class SQLiteBackend:
         byte-identical to :func:`repro.evaluation.planner.evaluate` on every
         query and under both lowerings, which the equivalence suite enforces.
         """
-        knobs = (doc_id, query, pinned, extra_unary, lowering, materialize)
+        knobs = (doc_id, query, pinned, extra_unary, lowering)
         if not query.variables() or query.is_boolean:
             return frozenset({()}) if self.is_satisfied(*knobs) else frozenset()
         return frozenset(tuple(row) for row in self._fetch(*knobs))
@@ -894,7 +802,7 @@ class SQLiteBackend:
         limit: Optional[int] = None,
         batch_size: int = STREAM_BATCH_SIZE,
         lowering: str = "tree",
-        materialize: bool = False,
+        materialize: bool = False,  # ignored: benchmarks/e2e/layers.py still passes it
     ) -> Iterator[Row]:
         """Answers in ascending head-tuple order, streamed in cursor batches.
 
@@ -906,13 +814,13 @@ class SQLiteBackend:
         """
         if not query.variables() or query.is_boolean:
             if (limit is None or limit > 0) and self.is_satisfied(
-                doc_id, query, pinned, extra_unary, lowering, materialize
+                doc_id, query, pinned, extra_unary, lowering
             ):
                 yield ()
             return
         with self._lock:
             sql, params, temp_tables = self._lower(
-                doc_id, query, pinned, extra_unary or {}, False, lowering, materialize
+                doc_id, query, pinned, extra_unary or {}, False, lowering
             )
             sql += f" ORDER BY {_head_order(query)}"
             if limit is not None:
@@ -952,10 +860,10 @@ class SQLiteBackend:
         pinned: Optional[Mapping[Variable, int]] = None,
         extra_unary: Optional[Mapping[str, frozenset[int]]] = None,
         lowering: str = "tree",
-        materialize: bool = False,
+        materialize: bool = False,  # ignored: benchmarks/e2e/layers.py still passes it
     ) -> int:
         """Exact answer count, without materialising any answers in Python."""
-        knobs = (doc_id, query, pinned, extra_unary, lowering, materialize)
+        knobs = (doc_id, query, pinned, extra_unary, lowering)
         if not query.variables() or query.is_boolean:
             return int(self.is_satisfied(*knobs))
         return self._fetch(*knobs, wrap="SELECT COUNT(*) FROM ({})")[0][0]
@@ -969,7 +877,6 @@ class SQLiteBackend:
         *,
         limit: int,
         lowering: str = "tree",
-        materialize: bool = False,
     ) -> tuple[list[Row], int]:
         """The first ``limit`` answers in head-tuple order plus the exact total.
 
@@ -980,20 +887,16 @@ class SQLiteBackend:
         """
         knobs = (doc_id, query, pinned, extra_unary)
         if not _HAS_WINDOW_FUNCTIONS or not query.variables() or query.is_boolean:
-            rows = list(
-                self.stream_answers(
-                    *knobs, limit=limit + 1, lowering=lowering, materialize=materialize
-                )
-            )
+            rows = list(self.stream_answers(*knobs, limit=limit + 1, lowering=lowering))
             if len(rows) <= limit:
                 return rows, len(rows)
-            return rows[:limit], self.count_answers(*knobs, lowering, materialize)
+            return rows[:limit], self.count_answers(*knobs, lowering)
         # LIMIT 0 would leave no row to read the total from.
         wrap = (
             f"SELECT *, COUNT(*) OVER () FROM ({{}}) "
             f"ORDER BY {_head_order(query)} LIMIT {max(int(limit), 1)}"
         )
-        rows = self._fetch(*knobs, lowering, materialize, wrap=wrap)
+        rows = self._fetch(*knobs, lowering, wrap=wrap)
         SQL_ROWS_STREAMED.inc(min(len(rows), limit))
         tracing.annotate(rows_streamed=min(len(rows), limit))
         return [tuple(row[:-1]) for row in rows[:limit]], rows[0][-1] if rows else 0
@@ -1005,14 +908,11 @@ class SQLiteBackend:
         pinned: Optional[Mapping[Variable, int]] = None,
         extra_unary: Optional[Mapping[str, frozenset[int]]] = None,
         lowering: str = "tree",
-        materialize: bool = False,
     ) -> bool:
         """Boolean evaluation (existential closure) of ``query``."""
         if not query.variables():
             return True
-        return bool(
-            self._fetch(doc_id, query, pinned, extra_unary, lowering, materialize, boolean=True)
-        )
+        return bool(self._fetch(doc_id, query, pinned, extra_unary, lowering, boolean=True))
 
     def _drop_temp_tables(self, temp_tables: Iterable[str]) -> None:
         for name in temp_tables:
@@ -1076,11 +976,10 @@ def evaluate_structure(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
     lowering: str = "tree",
-    materialize: bool = False,
 ) -> frozenset[Row]:
     """``Engine.SQL`` entry point: answers of ``query`` over ``structure``."""
     return backend_for_tree(structure.tree).evaluate(
-        _TREE_DOC_ID, query, pinned, structure.extra_unary_relations(), lowering, materialize
+        _TREE_DOC_ID, query, pinned, structure.extra_unary_relations(), lowering
     )
 
 
@@ -1089,11 +988,10 @@ def structure_is_satisfied(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
     lowering: str = "tree",
-    materialize: bool = False,
 ) -> bool:
     """``Engine.SQL`` Boolean entry point."""
     return backend_for_tree(structure.tree).is_satisfied(
-        _TREE_DOC_ID, query, pinned, structure.extra_unary_relations(), lowering, materialize
+        _TREE_DOC_ID, query, pinned, structure.extra_unary_relations(), lowering
     )
 
 

@@ -103,8 +103,8 @@ def _command_evaluate(args: argparse.Namespace) -> int:
                 node_count = nodes
             # Mirrors serving-layer routing: accel residency plans with
             # ``accel_only=True`` (pinning the SQL engine); an explicit
-            # ``--engine sql`` still wins, and the plan's lowering knobs
-            # (flat vs tree, TEMP-table materialization) apply to every call.
+            # ``--engine sql`` still wins, and the plan's lowering (flat vs
+            # tree) applies.
             stats = (
                 DocumentStats.of_tree(tree)
                 if tree is not None
@@ -118,17 +118,12 @@ def _command_evaluate(args: argparse.Namespace) -> int:
                 accel_only=True,
             )
             engine = plan.engine
-            sql_knobs = {"lowering": plan.lowering, "materialize": plan.materialize}
-            if query.is_boolean:
-                count = 1 if backend.is_satisfied(doc_id, query, **sql_knobs) else 0
-                answers = [()] if count else []
-            else:
-                # Streamed + limit pushdown: only the printed prefix is ever
-                # materialised in Python; the exact total is one COUNT(*).
-                count = backend.count_answers(doc_id, query, **sql_knobs)
-                answers = list(
-                    backend.stream_answers(doc_id, query, limit=print_limit, **sql_knobs)
-                )
+            # The serving layer's page: only the printed prefix is ever
+            # materialised in Python, and the exact total rides on the same
+            # statement.
+            answers, count = backend.page_answers(
+                doc_id, query, limit=print_limit, lowering=plan.lowering
+            )
         else:
             structure = TreeStructure(tree)
             plan = plan_query(
@@ -145,7 +140,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
                 propagator=plan.propagator,
                 limit=print_limit,
                 lowering=plan.lowering,
-                materialize=plan.materialize,
             )
             node_count = len(tree)
     except ValueError as error:
@@ -158,8 +152,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     detail = f"propagator: {plan.propagator.value}"
     if engine is Engine.SQL:
         detail += f", lowering: {plan.lowering}"
-        if plan.materialize:
-            detail += " (materialized)"
     print(f"engine   : {engine.value}{forced} ({detail})")
     if accel_line is not None:
         print(accel_line)

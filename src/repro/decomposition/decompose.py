@@ -34,9 +34,16 @@ subset DP picks the cheapest order among those achieving the certified width.
 
 Either way the result reports the *achieved* width (recomputed from the bags,
 never trusted from the search), the method that produced it, and for the exact
-path the certified optimum.  Decompositions depend only on the query, so the
-compiled query caches its decomposition (`CompiledQuery.decomposition`) and
-the serving layer's resident plans reuse it across requests for free.
+path the certified optimum.
+
+The tree is then *reduced* (:func:`prune_subset_bags`: no bag is a subset of
+a tree neighbour) and *rooted* at the head (:func:`root_at_head`: each
+component hangs from the bag sharing the most head variables).  That rooted
+tree is the one join tree of the query: the in-memory decomposition engine
+runs it and the SQL lowering prints it as one CTE per bag.  Decompositions
+depend only on the query, so the compiled query caches its decomposition
+(`CompiledQuery.decomposition`) and the serving layer's resident plans reuse
+it across requests for free.
 """
 
 from __future__ import annotations
@@ -142,7 +149,9 @@ class TreeDecomposition:
     ``bags[i]`` is the i-th bag; ``parent[i]`` the index of its parent bag
     (``-1`` for roots).  Bags are topologically ordered: a bag's parent always
     has a smaller index, so iterating ``bags`` in reverse visits children
-    before parents (the bottom-up order the semijoin passes want).
+    before parents (the bottom-up order the semijoin passes want).  As
+    :func:`decompose` returns it, each root holds the most head variables of
+    its component (:func:`root_at_head`).
     """
 
     bags: tuple[frozenset[Variable], ...]
@@ -354,13 +363,59 @@ def prune_subset_bags(decomposition: TreeDecomposition) -> TreeDecomposition:
                 changed = True
     if all(alive):
         return decomposition
-    # Re-number in BFS order from the roots so parents precede children
-    # (the class invariant the semijoin passes rely on).
+    return _renumbered(decomposition, bags, parent, alive)
+
+
+def root_at_head(decomposition: TreeDecomposition, head: Sequence[Variable]) -> TreeDecomposition:
+    """Re-root each component at the bag sharing the most head variables.
+
+    Both engines keep a bag's separators and head variables and eliminate the
+    rest as witnesses, and the kept columns grow along the path from the head
+    bags to the root: a tree rooted at the far end of an acyclic tail drags
+    every tail variable into materialized separators, while the same tree
+    rooted at the head reduces that tail bottom-up to semijoins.  Ties go to
+    the lowest index and headless components keep their root.  When every
+    root already qualifies the decomposition itself is returned, so its
+    numbering (and the SQL text printed from it) does not move.
+    """
+    head_set = frozenset(head)
+    bags, parent = decomposition.bags, list(decomposition.parent)
+    children = decomposition.children()
+    moved = False
+    for root in decomposition.roots:
+        component = [root]
+        for index in component:  # grows during iteration: the root's subtree
+            component.extend(children[index])
+        # A root has the lowest index of its component, so it wins every tie.
+        best = min(component, key=lambda i: (-len(bags[i] & head_set), i))
+        if best == root:
+            continue
+        moved = True
+        # Reverse the parent links on the path from the new root to the old.
+        previous, index = -1, best
+        while index >= 0:
+            following = parent[index]
+            parent[index] = previous
+            previous, index = index, following
+    if not moved:
+        return decomposition
+    return _renumbered(decomposition, bags, parent, [True] * len(bags))
+
+
+def _renumbered(
+    decomposition: TreeDecomposition,
+    bags: Sequence[frozenset[Variable]],
+    parent: Sequence[int],
+    alive: Sequence[bool],
+) -> TreeDecomposition:
+    """The live ``bags`` under the forest ``parent``, numbered parents-first.
+
+    BFS from the roots, roots and children in ascending old index, so a bag's
+    parent always precedes it (the class invariant the semijoin passes rely on).
+    """
     order = [i for i in range(len(bags)) if alive[i] and parent[i] < 0]
-    for index in order:  # grows during iteration: a BFS over the pruned tree
-        order.extend(
-            j for j in range(len(bags)) if alive[j] and parent[j] == index
-        )
+    for index in order:  # grows during iteration: a BFS over the forest
+        order.extend(j for j in range(len(bags)) if alive[j] and parent[j] == index)
     final_index = {old: new for new, old in enumerate(order)}
     return TreeDecomposition(
         bags=tuple(bags[old] for old in order),
@@ -523,7 +578,6 @@ def cost_optimal_order(
 
 def decompose_hypergraph(
     hypergraph: Hypergraph,
-    exact_limit: int = EXACT_VERTEX_LIMIT,
     pair_costs: Optional[PairCosts] = None,
 ) -> TreeDecomposition:
     """Best tree decomposition we can find for the hypergraph's primal graph.
@@ -539,7 +593,7 @@ def decompose_hypergraph(
         return TreeDecomposition(
             bags=(), parent=(), width=-1, method="empty", exact=True
         )
-    if len(adjacency) <= exact_limit:
+    if len(adjacency) <= EXACT_VERTEX_LIMIT:
         order, width = exact_elimination_order(adjacency)
         if pair_costs is not None:
             order = cost_optimal_order(adjacency, width, pair_costs)
@@ -568,18 +622,15 @@ def decompose_hypergraph(
     return decomposition
 
 
-def decompose(
-    compiled: "CompiledQuery",
-    exact_limit: int = EXACT_VERTEX_LIMIT,
-) -> TreeDecomposition:
-    """Tree decomposition of a compiled query's constraint graph.
+def decompose(compiled: "CompiledQuery") -> TreeDecomposition:
+    """The join tree of a compiled query: both engines run this one tree.
 
     Cost-aware: the compiled atoms supply per-pair axis weights, so among
     width-optimal trees the one with the cheapest estimated bag
     materialization wins -- invariant under the canonicalizer's renaming.
+    The reduced tree is then rooted at the query head (:func:`root_at_head`).
     """
-    return decompose_hypergraph(
-        Hypergraph.of_compiled(compiled),
-        exact_limit,
-        pair_costs=atom_pair_costs(compiled),
+    decomposition = decompose_hypergraph(
+        Hypergraph.of_compiled(compiled), pair_costs=atom_pair_costs(compiled)
     )
+    return root_at_head(decomposition, compiled.query.head)

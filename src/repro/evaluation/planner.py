@@ -107,13 +107,11 @@ def is_satisfied(
     pinned: Optional[Mapping[str, int]] = None,
     propagator: PropagatorLike = DEFAULT_PROPAGATOR,
     lowering: str = "tree",
-    materialize: bool = False,
 ) -> bool:
     """Boolean evaluation of (the existential closure of) a query.
 
-    ``lowering`` / ``materialize`` only affect the SQL engine, where they pick
-    the join-tree vs single-block translation and TEMP-table bag
-    materialization; every in-memory engine ignores them.  A pinned head
+    ``lowering`` only affects the SQL engine, where it picks the join-tree vs
+    single-block translation; every in-memory engine ignores it.  A pinned head
     variable the body never mentions ranges over every node, so its pin
     constrains nothing and is dropped.
     """
@@ -126,13 +124,7 @@ def is_satisfied(
     if chosen is Engine.SQL:
         from ..backends.sqlite import structure_is_satisfied
 
-        return structure_is_satisfied(
-            boolean_query,
-            structure,
-            pinned=pinned,
-            lowering=lowering,
-            materialize=materialize,
-        )
+        return structure_is_satisfied(boolean_query, structure, pinned=pinned, lowering=lowering)
     if chosen is Engine.XPROPERTY:
         return xprop_evaluator.boolean_query_holds(
             boolean_query, structure, pinned=pinned, propagator=propagator
@@ -176,13 +168,12 @@ def evaluate(
     propagator: PropagatorLike = DEFAULT_PROPAGATOR,
     compiled: Optional[CompiledQuery] = None,
     lowering: str = "tree",
-    materialize: bool = False,
 ) -> frozenset[tuple[int, ...]]:
     """Compute all answers of a k-ary query: :func:`answer_page` as a set.
 
     Boolean queries return ``{()}`` when satisfied and the empty set otherwise.
     """
-    page = answer_page(query, structure, engine, propagator, compiled, None, lowering, materialize)
+    page = answer_page(query, structure, engine, propagator, compiled, None, lowering)
     return frozenset(page[0])
 
 
@@ -194,7 +185,6 @@ def answer_page(
     compiled: Optional[CompiledQuery] = None,
     limit: Optional[int] = None,
     lowering: str = "tree",
-    materialize: bool = False,
 ) -> tuple[list[tuple[int, ...]], int]:
     """The first ``limit`` answers in ascending order, plus the exact count.
 
@@ -223,12 +213,7 @@ def answer_page(
     if query.is_boolean:
         with tracing.span("enumerate", strategy="boolean"):
             satisfied = is_satisfied(
-                query,
-                structure,
-                engine,
-                propagator=propagator,
-                lowering=lowering,
-                materialize=materialize,
+                query, structure, engine, propagator=propagator, lowering=lowering
             )
             tracing.annotate(satisfied=satisfied)
         return ([()] if satisfied else [])[:limit], int(satisfied)
@@ -237,9 +222,7 @@ def answer_page(
         from ..backends.sqlite import evaluate_structure
 
         with tracing.span("sql_execute", engine="sql"):
-            answers = evaluate_structure(
-                query, structure, lowering=lowering, materialize=materialize
-            )
+            answers = evaluate_structure(query, structure, lowering=lowering)
             tracing.annotate(answers=len(answers))
         return sorted(answers)[:limit], len(answers)
     if compiled is None:

@@ -14,7 +14,6 @@ is the only place an engine is chosen.
 """
 
 from .cost import (
-    MATERIALIZE_ROWS_THRESHOLD,
     backtracking_cost_estimate,
     bag_rows_estimate,
     choose_propagator,
@@ -28,7 +27,6 @@ from .stats import DocumentStats
 
 __all__ = [
     "DocumentStats",
-    "MATERIALIZE_ROWS_THRESHOLD",
     "QueryPlan",
     "backtracking_cost_estimate",
     "bag_rows_estimate",

@@ -30,15 +30,6 @@ from ..evaluation.propagation import Propagator
 from ..trees.axes import Axis
 from .stats import DocumentStats
 
-#: Estimated bag-relation rows above which the SQL lowering materializes the
-#: bag as an indexed TEMP table instead of a plain CTE (satellite: the
-#: ``ablation_cycle4`` dense-cycle gap, where SQLite re-evaluates large bag
-#: CTEs inside correlated subqueries).  Below this the whole query runs in
-#: milliseconds and the TEMP-table setup is pure overhead (measured ~1.3x on
-#: 500-node documents at a 10k threshold), so the bar sits where bag CTEs
-#: genuinely reach the re-evaluation regime.
-MATERIALIZE_ROWS_THRESHOLD = 100_000.0
-
 
 def _partner_estimate(axis: Axis, stats: DocumentStats) -> float:
     """Average ``|{v : axis(u, v)}|`` over nodes ``u`` (forward axes).

@@ -26,9 +26,9 @@ estimates also pick:
   consistency: hybrid where the AC-4 ablations show it winning, else AC-4;
 * the SQL lowering, only where SQL can run (accel residency or an explicit
   ``engine=sql``): ``"flat"`` when the single-block join is estimated cheaper
-  than the join-tree CTE cascade, plus TEMP-table materialization of large
-  bags.  Elsewhere the flat join is never priced (its estimator is quartic in
-  the variable count) and the plan reads ``lowering="tree"``.
+  than the join-tree CTE cascade.  Elsewhere the flat join is never priced
+  (its estimator is quartic in the variable count) and the plan reads
+  ``lowering="tree"``.
 
 Plans are pure functions of (canonical query, stats bucket, overrides), which
 is what makes them cacheable in :class:`~repro.service.cache.QueryCache` and
@@ -47,7 +47,6 @@ from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
 from ..xproperty.dichotomy import is_tractable
 from .cost import (
-    MATERIALIZE_ROWS_THRESHOLD,
     backtracking_cost_estimate,
     choose_propagator,
     decomposition_cost_estimate,
@@ -68,8 +67,6 @@ class QueryPlan:
     propagator: Propagator
     #: SQL lowering shape: chosen by cost where SQL can run, ``"tree"`` elsewhere.
     lowering: str
-    #: Materialize large bag CTEs as indexed TEMP tables (SQL tree lowering).
-    materialize: bool
     decomposition: "TreeDecomposition"
     stats_bucket: str
     #: Estimated rows per decomposition bag, in ``decomposition.bags`` order.
@@ -81,6 +78,8 @@ class QueryPlan:
     flat_cost: Optional[float]
     #: The estimate for the engine/lowering actually chosen.
     estimated_cost: float
+    # Not a field: benchmarks/e2e/layers.py still reads it as a SQL knob.
+    materialize = False
 
     def accounting_fields(self) -> dict:
         """The plan attribution the plan-vs-actual ledger records per request.
@@ -105,7 +104,6 @@ class QueryPlan:
             "engine": self.engine.value,
             "propagator": self.propagator.value,
             "lowering": self.lowering,
-            "materialize": self.materialize,
             "stats_bucket": self.stats_bucket,
             "estimates": {
                 "bag_rows": [round(rows, 1) for rows in self.bag_rows],
@@ -180,17 +178,10 @@ def plan_query(
 
     flat_cost: Optional[float] = None
     lowering = "tree"
-    materialize = False
     if accel_only or engine is Engine.SQL:
         flat_cost = flat_cost_estimate(compiled, stats)
         if flat_cost < decomposition_total:
             lowering = "flat"
-        materialize = (
-            chosen_engine is Engine.SQL
-            and lowering == "tree"
-            and bool(bag_rows)
-            and max(bag_rows) > MATERIALIZE_ROWS_THRESHOLD
-        )
 
     if chosen_engine is Engine.SQL:
         estimated = flat_cost if lowering == "flat" else decomposition_total
@@ -211,7 +202,6 @@ def plan_query(
         engine=chosen_engine,
         propagator=chosen_propagator,
         lowering=lowering,
-        materialize=materialize,
         decomposition=decomposition,
         stats_bucket=stats.bucket(),
         bag_rows=bag_rows,

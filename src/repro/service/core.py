@@ -283,14 +283,13 @@ def _stream_sql_answers(
     ``ORDER BY``) and the ``limit`` is pushed into the statement, so a
     truncated request never materializes the full answer set in Python; the
     exact total rides on the same statement as a window count.  The plan's
-    SQL knobs (lowering shape, TEMP-table materialization) apply throughout.
+    lowering shape applies throughout.
     """
-    sql_knobs = {"lowering": plan.lowering, "materialize": plan.materialize}
     if request.limit is None:
-        answers = list(backend.stream_answers(request.doc, query, **sql_knobs))
+        answers = list(backend.stream_answers(request.doc, query, lowering=plan.lowering))
         return answers, len(answers), False
     answers, count = backend.page_answers(
-        request.doc, query, limit=request.limit, **sql_knobs
+        request.doc, query, limit=request.limit, lowering=plan.lowering
     )
     return answers, count, count > len(answers)
 
@@ -376,7 +375,6 @@ def _execute_request(
                 compiled=entry.compiled,
                 limit=request.limit,
                 lowering=plan.lowering,
-                materialize=plan.materialize,
             )
         truncated = count > len(answers)
     finished = time.perf_counter()
@@ -512,12 +510,12 @@ def explain_request(store: DocumentStore, cache: QueryCache, request: Request) -
     """Describe the plan a request would run -- without executing it.
 
     The ``explain`` payload reports the full :class:`QueryPlan`: the chosen
-    engine and propagator, the SQL lowering that *would actually run*
-    (including TEMP-table materialization), the document's residency and
-    stats bucket, the cost-model estimates that produced the choice, cache
-    state, the compiled decomposition (achieved width, exactness, method,
-    bag structure as sorted variable lists plus the join-tree parent vector,
-    the static per-bag cost the width tie-break uses) and -- for
+    engine and propagator, the SQL lowering that *would actually run*, the
+    document's residency and stats bucket, the cost-model estimates that
+    produced the choice, cache state, the compiled decomposition (achieved
+    width, exactness, method, bag structure as sorted variable lists plus the
+    parent vector of the head-rooted join tree both engines run, the static
+    per-bag cost the width tie-break uses) and -- for
     :attr:`Engine.SQL` -- the generated SQL text for the *chosen* lowering
     (lowered with an empty extra-unary environment: the statement a plain
     evaluation of the canonical query would execute).  Errors follow the
@@ -537,7 +535,6 @@ def explain_request(store: DocumentStore, cache: QueryCache, request: Request) -
             "engine": plan.engine.value,
             "propagator": plan.propagator.value,
             "lowering": plan.lowering,
-            "materialize": plan.materialize,
             "stats_bucket": plan.stats_bucket,
             "cache_hit": cache_hit,
             "cache_hits": entry.hits,

@@ -136,7 +136,6 @@ class TestCrossBackendIdentity:
 #: Every way the SQL backend can lower a query.
 SQL_VARIANTS = (
     {"lowering": "tree"},
-    {"lowering": "tree", "materialize": True},
     {"lowering": "flat"},
 )
 

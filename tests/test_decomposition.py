@@ -26,7 +26,12 @@ from repro.decomposition import (
     min_fill_order,
     query_hypergraph,
 )
-from repro.decomposition.decompose import EXACT_VERTEX_LIMIT, decomposition_from_order
+from repro.decomposition.decompose import (
+    EXACT_VERTEX_LIMIT,
+    atom_pair_costs,
+    decomposition_from_order,
+    root_at_head,
+)
 from repro.evaluation import (
     Engine,
     PropagationResult,
@@ -202,6 +207,46 @@ class TestDecompose:
                 if parent >= 0:
                     assert not bags[child] <= bags[parent], (atoms, decomposition)
                     assert not bags[parent] <= bags[child], (atoms, decomposition)
+
+    def test_roots_hold_the_most_head_variables(self):
+        """``decompose`` roots each component at its head: the one tree both engines run."""
+        rng = random.Random(29)
+        axes = list(Axis)
+        rerooted = 0
+        for trial in range(240):
+            size = rng.randint(2, 9) if trial < 200 else rng.randint(13, 18)
+            variables = [f"v{i}" for i in range(size)]
+            pairs = [(variables[rng.randrange(i)], variables[i]) for i in range(1, size)]
+            # Few chords, and some dropped tree edges: several components.
+            pairs = [pair for pair in pairs if rng.random() < 0.85]
+            pairs += [tuple(rng.sample(variables, 2)) for _ in range(rng.randint(0, size // 2))]
+            atoms = tuple(AxisAtom(rng.choice(axes), *rng.sample(pair, 2)) for pair in pairs)
+            body = atoms + tuple(LabelAtom("A", v) for v in variables)
+            head = tuple(rng.sample(variables, rng.randint(0, min(4, size))))
+            compiled = compile_query(ConjunctiveQuery(head, body, "Q"))
+            hypergraph = Hypergraph.of_compiled(compiled)
+            decomposition = compiled.decomposition
+            bags, parent = decomposition.bags, decomposition.parent
+            decomposition.validate(hypergraph)
+            for child, up in enumerate(parent):
+                assert up < child, (head, atoms, decomposition)
+                if up >= 0:
+                    assert not bags[child] <= bags[up] and not bags[up] <= bags[child]
+            children = decomposition.children()
+            for root in decomposition.roots:
+                component = [root]
+                for index in component:
+                    component.extend(children[index])
+                most = max(len(bags[i] & set(head)) for i in component)
+                assert len(bags[root] & set(head)) == most, (head, atoms, decomposition)
+            # Rooted already: returned as the same object, numbering untouched.
+            assert root_at_head(decomposition, head) is decomposition
+            searched = decompose_hypergraph(hypergraph, pair_costs=atom_pair_costs(compiled))
+            if searched.bags == bags and searched.parent == parent:
+                assert root_at_head(searched, head) is searched
+            else:
+                rerooted += 1
+        assert rerooted >= 20  # the property is not vacuous
 
     def test_parents_precede_children(self):
         decomposition = compile_query(parse_query(DIAMOND)).decomposition

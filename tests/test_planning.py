@@ -28,11 +28,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.decomposition.decompose import prune_subset_bags
+from repro.decomposition import Hypergraph, decompose_hypergraph
+from repro.decomposition.decompose import atom_pair_costs, prune_subset_bags
 from repro.evaluation import Engine, evaluate
 from repro.evaluation.propagation import Propagator
 from repro.planning import (
-    MATERIALIZE_ROWS_THRESHOLD,
     DocumentStats,
     QueryPlan,
     bag_rows_estimate,
@@ -206,7 +206,7 @@ def test_resident_plans_price_no_flat_join():
     for text in (FOUR_CYCLE, ACYCLIC_CHAIN, TRIANGLE, KARY_HEAD):
         query = parse_query(text)
         plan = plan_query(query, stats)
-        assert (plan.lowering, plan.materialize, plan.flat_cost) == ("tree", False, None)
+        assert (plan.lowering, plan.flat_cost) == ("tree", None)
         assert plan.describe()["estimates"]["flat_cost"] is None
         for sql in (
             plan_query(query, stats, engine=Engine.SQL),
@@ -264,12 +264,11 @@ def test_overrides_always_win():
     assert plan.propagator is Propagator.AC3
 
 
-def test_accel_only_pins_sql_and_materialize_threshold():
+def test_accel_only_pins_sql():
     small = plan_query(
         parse_query(FOUR_CYCLE), DocumentStats.of_tree(_tree()), accel_only=True
     )
     assert small.engine is Engine.SQL
-    assert small.materialize is False  # tiny bags stay plain CTEs
     big = plan_query(
         parse_query(FOUR_CYCLE),
         DocumentStats.approximate_from_nodes(50_000),
@@ -277,8 +276,6 @@ def test_accel_only_pins_sql_and_materialize_threshold():
     )
     assert big.engine is Engine.SQL
     assert big.lowering == "tree"
-    assert max(big.bag_rows) > MATERIALIZE_ROWS_THRESHOLD
-    assert big.materialize is True
 
 
 def test_estimated_cost_tracks_chosen_engine():
@@ -461,7 +458,7 @@ def test_explain_reports_chosen_lowering_and_estimates():
     explain = result.explain
     assert explain["engine"] == "sql"
     assert explain["lowering"] in ("tree", "flat")
-    assert isinstance(explain["materialize"], bool)
+    assert "materialize" not in explain
     assert explain["stats_bucket"].startswith("~")
     assert explain["estimates"]["estimated_cost"] == (
         explain["estimates"]["flat_cost"]
@@ -474,6 +471,29 @@ def test_explain_reports_chosen_lowering_and_estimates():
         assert "bag_0" not in explain["sql"]
     else:
         assert "bag_0" in explain["sql"]
+
+
+#: A chain past the exact-search limit: the min-degree heuristic eliminates its
+#: head end first, so the searched join tree hangs from the far side.
+FAR_HEAD_CHAIN = "Q(x0) <- A(x0), " + ", ".join(f"Child+(x{i}, x{i + 1})" for i in range(12))
+
+
+def test_explain_reports_the_tree_that_runs():
+    """Explain's root bag holds the head: the tree both engines run."""
+    store, cache = _service()
+    entry, _ = cache.resolve_text(FAR_HEAD_CHAIN)
+    (head,) = entry.query.head
+    compiled = entry.compiled
+    searched = decompose_hypergraph(
+        Hypergraph.of_compiled(compiled), pair_costs=atom_pair_costs(compiled)
+    )
+    assert all(head not in searched.bags[root] for root in searched.roots)  # it re-roots
+    for doc in ("doc", "accel"):
+        result = run_request(store, cache, Request(doc=doc, query=FAR_HEAD_CHAIN, explain=True))
+        assert result.ok, result.error
+        explain = result.explain
+        (root,) = [i for i, parent in enumerate(explain["bag_parents"]) if parent == -1]
+        assert head in explain["bags"][root]
 
 
 def _stable(payload: dict) -> dict:

@@ -438,7 +438,7 @@ class TestAnswerPageContract:
         compiled = compile_query(query)
         seen = set()
         for plan in self._plans(query, tree):
-            knobs = (plan.engine, plan.propagator, plan.lowering, plan.materialize)
+            knobs = (plan.engine, plan.propagator, plan.lowering)
             if knobs in seen:
                 continue
             seen.add(knobs)
@@ -451,7 +451,6 @@ class TestAnswerPageContract:
                     compiled,
                     limit,
                     plan.lowering,
-                    plan.materialize,
                 )
                 assert page == (expected[:limit], len(expected)), (knobs, limit)
 

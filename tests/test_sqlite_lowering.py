@@ -257,7 +257,7 @@ def test_plan_consults_residency(routed):
     stats = store.stats_for("resident")
     resident = plan_query(query, stats)
     assert resident.engine is not Engine.SQL
-    assert (resident.lowering, resident.materialize, resident.flat_cost) == ("tree", False, None)
+    assert (resident.lowering, resident.flat_cost) == ("tree", None)
     assert plan_query(query, stats, accel_only=True).engine is Engine.SQL
 
 
