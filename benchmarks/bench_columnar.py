@@ -21,7 +21,7 @@ per-candidate reference computing the *same* result:
   headline (``bag_headline``, bar >= 3x at the largest size): the level-at-a-
   time kernel (one window per prefix per pass, levels expanded, counted or
   tested) against the depth-first recursion it replaced
-  (:func:`_reference_bag`, ``_DepthFirst.rows`` reached directly), on the bag
+  (:func:`_reference_bag`, a ``_DepthFirst`` walk reached directly), on the bag
   shapes of the e2e workloads -- a large ``Child+`` pair bag, the bidder
   triangle (``Child`` walks cut by a ``Following`` window) unlimited, under
   ``limit: 10`` (the last level is only counted) and with its last variable
@@ -237,7 +237,7 @@ def _measure_fixpoint(query, structure, repeats):
 def _reference_bag(query, compiled, structure, swept, limit):
     """The one bag by the per-prefix recursion: ``(rows, count)``.
 
-    ``_DepthFirst.rows`` over a plan that merges no unions (the recursion
+    A ``_DepthFirst`` walk over a plan that merges no unions (the recursion
     enumerates every witness of a mid-bag existential), from the same swept
     columns the level kernel starts from.
     """
@@ -252,7 +252,13 @@ def _reference_bag(query, compiled, structure, swept, limit):
         merge_unions=False,
     )
     search = _DepthFirst(plan, candidates.views, structure.index)
-    return search.rows(sys.maxsize if limit is None else limit)
+    limit = sys.maxsize if limit is None else limit
+    rows, count = [], 0
+    for _ in search.prefixes(0):
+        count += 1
+        if count <= limit:
+            rows.append(tuple(search.current[p] for p in plan.keep_positions))
+    return rows, count
 
 
 def _measure_bag(name: str, structures, size: int) -> dict:

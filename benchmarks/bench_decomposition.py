@@ -3,12 +3,13 @@
 Until this subsystem existed, the planner sent *every* cyclic query over an
 NP-hard signature to backtracking -- for k-ary answer enumeration that means
 one pinned Boolean evaluation (a full propagation fixpoint plus search) per
-candidate head tuple.  The decomposition engine instead materializes the bags
-of a width-2 tree decomposition from the AC fixpoint domains (projected onto
-the join-tree columns, interval-index driven), runs the bottom-up/top-down
-semijoin passes and reads all answers off one join-tree traversal:
-polynomial, and one propagation fixpoint *total* instead of one per
-candidate.
+candidate head tuple.  The decomposition engine instead works over a width-2
+tree decomposition from the AC fixpoint domains, with one propagation
+fixpoint *total* instead of one per candidate: a one-bag monadic head reads
+its answers off the level-at-a-time bag kernel, and a monadic head over
+several bags runs the memoised join-tree search once per head candidate
+(one memo per request, keyed on (bag, separator assignment)).  It is now the
+planner's only engine for this residue; backtracking runs only when forced.
 
 Two query groups over random 16-label trees:
 
@@ -16,18 +17,17 @@ Two query groups over random 16-label trees:
   NP-hard signatures ({Child+, Following} and {Child+, NextSibling+}):
   triangles, fused double triangles, sibling triangles.  The committed
   headline is the *minimum* decomposition speedup over this group at the
-  largest size and must meet the >= 5x acceptance bar; measured 205x-748x
-  at 10k nodes (re-measured with the level-at-a-time bag kernel; 188x-598x
-  since union-of-ranges bag pruning; the double triangle is the committed
-  minimum).
+  largest size and must meet the >= 5x acceptance bar; measured 134x-735x
+  at 10k nodes in the committed re-measurement with the memoised search
+  (205x-748x with the bags materialized; the sibling triangle, a one-bag
+  shape the search does not touch, is the committed minimum).
 * ``ablation_*`` -- shapes kept to report where the win shrinks, excluded
-  from the headline: the four-cycle (its decomposition has a mid-bag local
-  existential, once genuinely quadratic in the subtree sizes at ~4.5x; the
-  union-of-ranges window merge lifted it to ~39x; ~83x in the committed
-  re-measurement, of which the merge as a level of the bag kernel is a
-  1.2x) and an AC-refutable
-  unsatisfiable diamond (arc consistency already empties the domains, so
-  both engines terminate immediately, ~1x).
+  from the headline: the four-cycle (its materialized bag had a mid-bag
+  local existential, genuinely quadratic in the subtree sizes at ~4.5x,
+  ~83x with the union-of-ranges window merge; the memoised search never
+  builds that bag: ~182x) and an AC-refutable unsatisfiable diamond (arc
+  consistency already empties the domains, so both engines terminate
+  immediately, ~1x).
 
 Answer sets are cross-checked byte-identical (as sorted lists) between the
 two engines on every measured instance -- across *all four* propagators at
@@ -200,9 +200,9 @@ def run(sizes=SIZES, repeats: int = 2) -> dict:
             "tree_size": largest,
             "min_speedup": min(e["speedup"] for e in ablation_at_largest),
             "note": (
-                "four-cycle: a mid-bag local existential forces a genuinely "
-                "quadratic bag relation; unsat diamond: arc consistency "
-                "refutes it before either engine starts"
+                "four-cycle: the memoised search walks its bags one separator "
+                "assignment at a time; unsat diamond: arc consistency refutes "
+                "it before either engine starts"
             ),
         },
     }

@@ -1,50 +1,42 @@
-"""Benchmark: cost-based routing vs every applicable static choice.
+"""Benchmark: what the planner still decides by cost, and the residue it no longer arbitrates.
 
-The routing pain set is chosen so that **no single static choice wins**: each
-entry makes a different fixed configuration lose, so any static rule -- in
-particular the pre-planner one, which sends every width-2 cyclic query to the
-decomposition engine and every accel-only query through the plain join-tree
-CTE lowering -- is the worst choice on at least one entry.
+Two headlines.
 
-Gating entries (the headline; all three must pass both bars):
+The **cost-routing headline** gates the one choice still made by cost: the
+SQL lowering on an accel-only document (SQL is the only engine there).
 
-* ``route_enum_wedge`` -- k-ary enumeration of a width-2 cyclic wedge over a
-  16-label tree.  Backtracking pays one pinned Boolean evaluation per head
-  candidate and loses by orders of magnitude; the cost router's bag-row
-  estimates (~1e4) sit far below the candidate-product estimate (~1e6), so
-  it picks decomposition.
+* ``route_sql_chain`` -- the flat single-block join multiplies the tuple
+  space by every witness variable's candidate set and loses 35-110x to the
+  join-tree lowering; the cost router's flat-join estimate exceeds the
+  bag-sum estimate, so it lowers ``"tree"``.
+
+It asserts, at every measured size, that cost routing is >= 5x faster than
+the worst static lowering (``speedup`` -- the number ``check_regression.py``
+tracks) and never > 1.2x slower than the best one (it pays only the plan
+lookup, cached per stats bucket in serving).
+
+The **residue headline** (``residue_headline``) covers the cyclic residue the
+dichotomy leaves NP-hard.  The planner used to settle it by pricing the
+decomposition engine against backtracking, and whichever lost, lost by two to
+three orders of magnitude.  It now always plans ``decomposition``, whose
+memoised join-tree search serves Boolean and monadic heads.  Each entry
+times that plan (``cost_seconds``) against forced backtracking; the headline
+holds when the plan is >= 2x faster at every size:
+
+* ``route_enum_wedge`` -- a monadic head over a width-2 cyclic wedge on a
+  16-label tree, where backtracking pays one pinned Boolean evaluation per
+  head candidate;
 * ``route_bool_cycle4`` -- Boolean satisfiability of a fully *unlabeled*
-  four-cycle.  Here the static rule's own pick (width 2 -> decomposition)
-  loses ~100x: every bag relation is quadratic in the unlabeled domains,
-  while backtracking is one propagation fixpoint plus a first-witness probe.
-  The cost router sees bag-row estimates in the millions vs two fixpoints
-  and picks backtracking.
-* ``route_sql_chain`` -- an accel-only document (SQL is the only engine),
-  where the choice left is the lowering: the flat single-block join
-  multiplies the tuple space by every witness variable's candidate set and
-  loses 35-110x to the join-tree lowering; the cost router's flat-join
-  estimate exceeds the bag-sum estimate, so it lowers ``"tree"``.
-
-Per entry we measure cost routing plus every *applicable* static
-configuration (forced engines on resident documents, forced lowerings on
-accel-only ones; the pre-planner rule coincides with the ``decomposition`` /
-``tree`` column on these shapes).  The committed headline asserts, at every
-measured size:
-
-* cost routing is >= 5x faster than the worst static choice
-  (``speedup`` -- the number ``check_regression.py`` tracks), and
-* cost routing is never > 1.2x slower than the best static choice
-  (it pays only the plan lookup, cached per stats bucket in serving), and
-* at least two different static choices win somewhere (the pain-set
-  property).
+  four-cycle, backtracking's best case (one fixpoint plus a first-witness
+  probe), where materializing the bags used to lose ~100x.
 
 The plan is computed once per (query, document) outside the timed loop,
 matching a warm server: ``QueryCache.plan_for`` memoizes plans per
 (canonical query, stats bucket), so steady-state serving does not re-plan.
-Answers are cross-checked byte-identical across cost routing and every
-static configuration on every measured instance.
+Answers are cross-checked byte-identical across the plan and every forced
+configuration on every measured instance.
 
-``ablation_*`` entries are kept honest and out of the headline: the lowering
+``ablation_*`` entries are kept honest and out of the headlines: the lowering
 pick on the width-2 fan
 (``ablation_sql_fan`` -- a gating entry at 608x while the flat join read
 labels through an ``EXISTS`` per accel row; with label-driven row sources
@@ -53,7 +45,7 @@ hybrid vs the semijoin full reducer -- on an unlabeled ``Child+`` chain, the
 full reducer's bisection-vs-kernels crossover against either side forced, and
 what prunes the candidates in front of the decomposition engine on a cyclic
 body (``ablation_sweeps_*``: the exact AC-4 fixpoint against the two
-spanning-forest sweeps every cost-routed decomposition plan now carries).
+spanning-forest sweeps every decomposition plan carries).
 
 Run standalone (``python benchmarks/bench_planner.py``) to regenerate
 ``BENCH_planner.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
@@ -62,6 +54,7 @@ Run standalone (``python benchmarks/bench_planner.py``) to regenerate
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import time
 from unittest import mock
@@ -72,6 +65,7 @@ from bench_config import SMOKE, scaled
 from repro.backends.sqlite import SQLiteBackend
 from repro.evaluation import Engine, evaluate, reducer
 from repro.evaluation.compile import compile_query
+from repro.evaluation.propagation import Propagator
 from repro.evaluation.reducer import semijoin_sweeps
 from repro.planning import DocumentStats, plan_query
 from repro.queries import parse_query
@@ -88,25 +82,22 @@ LABELS = tuple(f"L{i:02d}" for i in range(16))
 RESIDENT_SIZES = scaled((1_000, 4_000), (1_000,))
 SQL_SIZES = scaled((500, 1_000), (500,))
 
-#: Gating entries: (query text, "resident" | "accel", sizes).
+#: Gating entries of the cost-routing headline: accel-only documents.
 GATING_ENTRIES = {
-    "route_enum_wedge": (
-        "Q(x) <- L05(x), Child+(x, y), Following(y, z), Child+(x, z), "
-        "Following(z, w), Child+(x, w)",
-        "resident",
-        RESIDENT_SIZES,
-    ),
-    "route_bool_cycle4": (
-        "Q <- Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)",
-        "resident",
-        RESIDENT_SIZES,
-    ),
     "route_sql_chain": (
         "Q(x0) <- A(x0), Child+(x0, x1), B(x1), Following(x1, x2), C(x2), "
-        "Child+(x2, x3), A(x3)",
-        "accel",
-        SQL_SIZES,
+        "Child+(x2, x3), A(x3)"
     ),
+}
+
+#: Entries of the residue headline: cyclic bodies over NP-hard signatures on
+#: resident documents.
+RESIDUE_ENTRIES = {
+    "route_enum_wedge": (
+        "Q(x) <- L05(x), Child+(x, y), Following(y, z), Child+(x, z), "
+        "Following(z, w), Child+(x, w)"
+    ),
+    "route_bool_cycle4": "Q <- Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)",
 }
 
 #: The width-2 fan: tree-vs-flat on an accel-only document, out of the
@@ -134,11 +125,9 @@ def _accel_tree(size: int):
 def _best_time(function, repeats: int) -> float:
     """Minimum over ``repeats`` runs.
 
-    The 1.2x bar compares the cost-routed run against the best static run of
-    the *same* deterministic code path, so scheduler noise is one-sided and
-    the minimum is the faithful estimator -- a median-of-3 at millisecond
-    scale flaps past 1.2x on loaded CI machines.  The >= 5x speedups have
-    20x+ margins and are insensitive to the choice.
+    Every run is the same deterministic code path, so scheduler noise is
+    one-sided and the minimum is the faithful estimator -- a median-of-3 at
+    millisecond scale flaps on loaded CI machines.
     """
     return min(
         _timed(function) for _ in range(repeats)
@@ -146,6 +135,7 @@ def _best_time(function, repeats: int) -> float:
 
 
 def _timed(function) -> float:
+    gc.collect()  # not the garbage of the previous run (the flat join's rows)
     start = time.perf_counter()
     function()
     return time.perf_counter() - start
@@ -175,48 +165,50 @@ def _entry(size, name, kind, cost_seconds, cost_choice, static_seconds):
     return entry
 
 
-def _measure_resident(name, text, size, repeats):
-    """Cost routing vs forced-engine statics on a resident document."""
+def _measure_residue(name, text, size, repeats):
+    """The plan vs forced backtracking on a resident document."""
     query = parse_query(text)
     tree = _resident_tree(size)
     structure = TreeStructure(tree)
     plan = plan_query(query, DocumentStats.of_tree(tree))
-    reference = sorted(evaluate(query, structure, engine=plan.engine, propagator=plan.propagator))
-    static_seconds = {}
-    for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
-        answers = sorted(evaluate(query, structure, engine=engine))
-        if repr(answers) != repr(reference):
-            raise AssertionError(f"answer mismatch on {name} (n={size}, engine={engine.value})")
-        static_seconds[engine.value] = _best_time(
-            lambda: evaluate(query, structure, engine=engine), repeats
-        )
-    cost_seconds = _best_time(
-        lambda: evaluate(query, structure, engine=plan.engine, propagator=plan.propagator),
-        repeats,
-    )
-    return _entry(size, name, "gating", cost_seconds, plan.engine.value, static_seconds)
+
+    def planned():
+        return evaluate(query, structure, engine=plan.engine, propagator=plan.propagator)
+
+    def backtracking():
+        return evaluate(query, structure, engine=Engine.BACKTRACKING)
+
+    if repr(sorted(planned())) != repr(sorted(backtracking())):
+        raise AssertionError(f"answer mismatch on {name} (n={size})")
+    static_seconds = {"backtracking": _best_time(backtracking, repeats)}
+    cost_seconds = _best_time(planned, repeats)
+    return _entry(size, name, "residue", cost_seconds, plan.engine.value, static_seconds)
 
 
 def _measure_accel(name, text, size, repeats, kind="gating"):
-    """Cost routing vs forced-lowering statics on an accel-only document."""
+    """The cost-chosen lowering vs forced-lowering statics on an accel-only document."""
     query = parse_query(text)
     tree = _accel_tree(size)
     plan = plan_query(query, DocumentStats.of_tree(tree), accel_only=True)
     with SQLiteBackend() as backend:
         backend.register_tree("doc", tree)
         reference = backend.evaluate("doc", query, lowering=plan.lowering)
-        static_seconds = {}
         for lowering in ("tree", "flat"):
             if backend.evaluate("doc", query, lowering=lowering) != reference:
                 raise AssertionError(
                     f"answer mismatch on {name} (n={size}, lowering={lowering})"
                 )
-            static_seconds[lowering] = _best_time(
-                lambda: backend.evaluate("doc", query, lowering=lowering), repeats
-            )
-        cost_seconds = _best_time(
-            lambda: backend.evaluate("doc", query, lowering=plan.lowering), repeats
-        )
+        # The tree lowering runs in well under a millisecond and the 1.2x bar
+        # compares two timings of that very statement: the three runs take
+        # turns for repeats x 5 rounds, every other round in reverse, so drift
+        # and the wake of the flat join's big result hit the two alike.
+        runs = {"tree": [], "flat": [], "cost": []}
+        for turn in range(repeats * 5):
+            for key in list(runs) if turn % 2 else list(reversed(runs)):
+                lowering = plan.lowering if key == "cost" else key
+                runs[key].append(_timed(lambda: backend.evaluate("doc", query, lowering=lowering)))
+        cost_seconds = min(runs.pop("cost"))
+        static_seconds = {lowering: min(timings) for lowering, timings in runs.items()}
     return _entry(size, name, kind, cost_seconds, plan.lowering, static_seconds)
 
 
@@ -226,7 +218,7 @@ ABLATION_PROPAGATORS = ("ac4", "hybrid", "semijoin")
 
 
 def _measure_propagator_ablation(size, repeats):
-    """The cost router's propagator pick vs the alternatives on unlabeled chains."""
+    """The planner's propagator pick vs the alternatives on unlabeled chains."""
     query = parse_query(ABLATION_PROPAGATOR)
     tree = _resident_tree(size)
     structure = TreeStructure(tree)
@@ -328,12 +320,12 @@ def _measure_sweeps_ablation(name, repeats):
 def run(repeats: int = 3) -> dict:
     """Measure every entry, assert byte-identity, and compute the headline."""
     results = []
-    for name, (text, mode, sizes) in GATING_ENTRIES.items():
-        for size in sizes:
-            if mode == "resident":
-                results.append(_measure_resident(name, text, size, repeats))
-            else:
-                results.append(_measure_accel(name, text, size, repeats))
+    for name, text in GATING_ENTRIES.items():
+        for size in SQL_SIZES:
+            results.append(_measure_accel(name, text, size, repeats))
+    for name, text in RESIDUE_ENTRIES.items():
+        for size in RESIDENT_SIZES:
+            results.append(_measure_residue(name, text, size, repeats))
     for size in SQL_SIZES:
         results.append(
             _measure_accel("ablation_sql_fan", ABLATION_SQL_FAN, size, repeats, kind="ablation")
@@ -348,9 +340,9 @@ def run(repeats: int = 3) -> dict:
     gating = [entry for entry in results if entry["kind"] == "gating"]
     min_speedup = min(entry["speedup"] for entry in gating)
     max_vs_best = max(entry["vs_best"] for entry in gating)
-    winners = sorted({entry["best_static"] for entry in gating})
+    residue_speedup = min(entry["speedup"] for entry in results if entry["kind"] == "residue")
     return {
-        "benchmark": "cost-based routing vs static engine/lowering choices",
+        "benchmark": "cost-based lowering vs static lowerings; the residue plan vs backtracking",
         "sizes": {
             "resident": list(RESIDENT_SIZES),
             "accel": list(SQL_SIZES),
@@ -360,13 +352,19 @@ def run(repeats: int = 3) -> dict:
         "headline": {
             "min_speedup_vs_worst_static": min_speedup,
             "max_slowdown_vs_best_static": max_vs_best,
-            "best_statics": winners,
             "claim": (
-                "cost routing is >= 5x faster than the worst static choice and "
-                "never > 1.2x slower than the best one, on a pain set where no "
-                "single static choice wins"
+                "cost-chosen SQL lowering is >= 5x faster than the worst static "
+                "lowering and never > 1.2x slower than the best one"
             ),
-            "holds": min_speedup >= 5.0 and max_vs_best <= 1.2 and len(winners) >= 2,
+            "holds": min_speedup >= 5.0 and max_vs_best <= 1.2,
+        },
+        "residue_headline": {
+            "min_speedup_vs_backtracking": residue_speedup,
+            "claim": (
+                "the planned decomposition engine is >= 2x faster than forced "
+                "backtracking on the cyclic residue at every size"
+            ),
+            "holds": residue_speedup >= 2.0,
         },
     }
 
@@ -380,16 +378,20 @@ def main(argv=None) -> int:
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    headline = report["headline"]
+    headline, residue = report["headline"], report["residue_headline"]
     print(
         f"wrote {args.out}; min speedup vs worst static "
         f"{headline['min_speedup_vs_worst_static']:.1f}x, max slowdown vs best "
-        f"{headline['max_slowdown_vs_best_static']:.2f}x, winners {headline['best_statics']}"
+        f"{headline['max_slowdown_vs_best_static']:.2f}x; residue plan vs backtracking "
+        f"{residue['min_speedup_vs_backtracking']:.1f}x"
     )
     if SMOKE:
         print("note: BENCH_SMOKE=1 -- do not commit smoke numbers as the baseline")
-    if not report["headline"]["holds"]:
+    if not headline["holds"]:
         print("FAIL: the cost-routing headline claim does not hold")
+        return 1
+    if not residue["holds"]:
+        print("FAIL: the residue headline claim does not hold")
         return 1
     return 0
 
@@ -402,9 +404,9 @@ BENCH_STRUCTURE = TreeStructure(BENCH_TREE)
 BENCH_STATS = DocumentStats.of_tree(BENCH_TREE)
 
 
-@pytest.mark.parametrize("name", ["route_enum_wedge", "route_bool_cycle4"])
+@pytest.mark.parametrize("name", sorted(RESIDUE_ENTRIES))
 def test_cost_routed_evaluation(benchmark, name):
-    query = parse_query(GATING_ENTRIES[name][0])
+    query = parse_query(RESIDUE_ENTRIES[name])
     plan = plan_query(query, BENCH_STATS)
     benchmark(
         lambda: evaluate(
@@ -415,20 +417,19 @@ def test_cost_routed_evaluation(benchmark, name):
 
 def test_plan_query_overhead(benchmark):
     """Planning itself must stay negligible next to any evaluation."""
-    query = parse_query(GATING_ENTRIES["route_enum_wedge"][0])
+    query = parse_query(RESIDUE_ENTRIES["route_enum_wedge"])
     plan_query(query, BENCH_STATS)  # warm the compile cache
     benchmark(lambda: plan_query(query, BENCH_STATS))
 
 
 def test_cost_router_picks_each_side():
-    """The pain set routes to different choices per entry, as designed."""
-    wedge = plan_query(parse_query(GATING_ENTRIES["route_enum_wedge"][0]), BENCH_STATS)
-    cycle = plan_query(parse_query(GATING_ENTRIES["route_bool_cycle4"][0]), BENCH_STATS)
-    assert wedge.engine is Engine.DECOMPOSITION
-    assert cycle.engine is Engine.BACKTRACKING
+    """The residue plans decomposition; the accel-only chain lowers by cost to the tree."""
+    for text in RESIDUE_ENTRIES.values():
+        plan = plan_query(parse_query(text), BENCH_STATS)
+        assert (plan.engine, plan.propagator) == (Engine.DECOMPOSITION, Propagator.SEMIJOIN)
     accel_tree = _accel_tree(min(SQL_SIZES))
     chain = plan_query(
-        parse_query(GATING_ENTRIES["route_sql_chain"][0]),
+        parse_query(GATING_ENTRIES["route_sql_chain"]),
         DocumentStats.of_tree(accel_tree),
         accel_only=True,
     )
@@ -436,23 +437,24 @@ def test_cost_router_picks_each_side():
 
 
 def test_cost_routing_beats_worst_static():
-    """A relaxed wall-clock guard against losing the routing win entirely.
+    """A relaxed wall-clock guard on the residue headline.
 
-    The real >= 5x claim is enforced by ``main`` (run by CI's bench-smoke job
-    and gated by ``check_regression.py`` against the committed baseline);
-    this pytest variant uses a 2x margin on the boolean four-cycle -- whose
-    full-size gap is ~100x -- so it stays robust on loaded machines.
+    The real claim is enforced by ``main`` (run by CI's bench-smoke job and
+    gated by ``check_regression.py`` against the committed baseline); this
+    pytest variant asserts the same 2x on the Boolean four-cycle, the entry
+    where backtracking comes closest.
     """
-    query = parse_query(GATING_ENTRIES["route_bool_cycle4"][0])
+    query = parse_query(RESIDUE_ENTRIES["route_bool_cycle4"])
     plan = plan_query(query, BENCH_STATS)
-    assert plan.engine is Engine.BACKTRACKING
-    cost = _best_time(
-        lambda: evaluate(query, BENCH_STRUCTURE, engine=plan.engine), 3
+    assert plan.engine is Engine.DECOMPOSITION
+    planned = _best_time(
+        lambda: evaluate(query, BENCH_STRUCTURE, engine=plan.engine, propagator=plan.propagator),
+        3,
     )
-    worst = _best_time(
-        lambda: evaluate(query, BENCH_STRUCTURE, engine=Engine.DECOMPOSITION), 3
+    backtracking = _best_time(
+        lambda: evaluate(query, BENCH_STRUCTURE, engine=Engine.BACKTRACKING), 3
     )
-    assert worst >= 2.0 * cost
+    assert backtracking >= 2.0 * planned
 
 
 if __name__ == "__main__":

@@ -504,11 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=Engine.AUTO.value,
         help=(
             "evaluation engine override (default: auto = planner choice; "
-            "'decomposition' is the hypertree/Yannakakis engine and the "
-            "default for k-ary heads, 'backtracking' the exponential "
-            "fallback, 'sql' the SQLite accel-table backend; 'xproperty', "
-            "'acyclic' and 'backtracking' answer a k-ary head by the paper's "
-            "per-tuple reduction)"
+            "'decomposition' is the hypertree/Yannakakis engine, the "
+            "default for k-ary heads and for every cyclic query one fixpoint "
+            "cannot answer, 'backtracking' the exponential search, run only "
+            "when named here, 'sql' the SQLite accel-table backend; "
+            "'xproperty', 'acyclic' and 'backtracking' answer a k-ary head by "
+            "the paper's per-tuple reduction)"
         ),
     )
     evaluate_parser.add_argument(

@@ -1,12 +1,13 @@
 """Structural decomposition: hypergraphs, tree decompositions, Yannakakis.
 
-The planner's answer to cyclic queries used to be exponential backtracking,
-full stop.  This package adds the structural middle ground from the
-decomposition literature (Gottlob-Leone-Scarcello): build the query's atom
-hypergraph (:mod:`hypergraph`), search for a low-width tree decomposition of
-its primal graph (:mod:`decompose`), and when the width is small evaluate by
-bag materialization + semijoin passes + join-tree answer enumeration
-(:mod:`yannakakis`) -- polynomial for bounded width, exact for every query.
+Outside the paper's tractable axis sets cyclic queries are NP-hard; what
+stays polynomial is bounded width (Gottlob-Leone-Scarcello).  This package
+builds the query's atom hypergraph (:mod:`hypergraph`), searches for a
+low-width tree decomposition of its primal graph (:mod:`decompose`), and
+evaluates over it (:mod:`yannakakis`): a memoised join-tree search for
+Boolean and monadic heads, bag materialization + semijoin passes + join-tree
+answer enumeration for the rest -- polynomial for bounded width, exact for
+every query.
 """
 
 from .decompose import (

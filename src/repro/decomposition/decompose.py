@@ -6,10 +6,10 @@ endpoint pair is contained in some bag, and (iii) each variable's bags form a
 connected subtree.  Its *width* is the maximum bag size minus one: forests
 have width 1 (bags are the edges), cycles width 2, cliques of size k width
 k - 1.  Bounded width is the tractability handle for cyclic queries: the bags
-of a width-w decomposition can be materialized in O(n^(w+1)) and joined along
-the tree Yannakakis-style (:mod:`repro.decomposition.yannakakis`), so a cyclic
-query of width 2 evaluates in polynomial time where the generic planner
-fallback resorts to exponential backtracking.
+of a width-w decomposition can be searched or materialized in O(n^(w+1)) and
+joined along the tree Yannakakis-style (:mod:`repro.decomposition.yannakakis`),
+so a cyclic query of width 2 evaluates in polynomial time even over the
+NP-hard signatures: the planner's engine for the whole cyclic residue.
 
 Search strategy (:func:`decompose`):
 

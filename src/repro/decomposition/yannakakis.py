@@ -1,61 +1,61 @@
 """Yannakakis semijoin evaluation over a tree decomposition.
 
 The engine behind ``Engine.DECOMPOSITION``: evaluate a *cyclic* conjunctive
-query in time polynomial for bounded decomposition width, instead of the
-planner's exponential backtracking fallback -- and enumerate the answers of
-*any* k-ary head in time polynomial in input + output, instead of one
-Boolean evaluation per candidate head tuple.  The pipeline is the classical
-one (Yannakakis 1981, via Gottlob-Leone-Scarcello's hypertree programme),
-instantiated over the arc-consistent prevaluation and the interval index:
+query in time polynomial for bounded decomposition width -- the planner's one
+engine for the cyclic residue the dichotomy leaves NP-hard -- and enumerate
+the answers of *any* k-ary head in time polynomial in input + output.  The
+pipeline is the classical one (Yannakakis 1981, via Gottlob-Leone-Scarcello's
+hypertree programme), instantiated over the arc-consistent prevaluation and
+the interval index:
 
 1. **candidates** -- sorted candidate columns per variable.  They only have
    to be *sound supersets* of the solution projections (every atom is enforced
-   inside a bag, global consistency comes from the semijoin passes of step 3),
-   so ``propagator="semijoin"`` means the reducer's two sweeps along a
-   spanning forest on any body (:func:`repro.evaluation.reducer.semijoin_sweeps`);
+   inside a bag, global consistency comes from the join tree), so
+   ``propagator="semijoin"`` means the reducer's two sweeps along a spanning
+   forest on any body (:func:`repro.evaluation.reducer.semijoin_sweeps`);
    every other ``propagator=`` runs its exact AC fixpoint.  An empty column
    already decides unsatisfiable.
-2. **bag materialization** -- every decomposition bag becomes an explicit
-   relation over its variables, built *a level at a time* from the sorted
-   candidate columns (:func:`_expand_levels`).  Every axis makes the
-   candidates of a prefix a window of a sorted column -- the paper's Eq. (1)
-   read as pre-order ranges for the interval axes; children and later /
-   earlier siblings are a run of the column regrouped by parent -- so for the
-   next variable one pass gives *every* prefix its window (all range atoms of
-   the level intersected on key columns, cut out by bisection), and the level
-   is then **expanded** (windows concatenated, prefix columns repeated,
-   residual checks applied in one ``compress``), **counted** (the last level
-   under a ``limit``: the sum of the window sizes, only the first ``limit``
-   rows are built) or **tested** (a single trailing witness-only level: the
-   prefixes with a non-empty window stay).  Every query atom whose endpoints
-   lie inside the bag is enforced, as a driver, a window or a check.  Cost is
-   output-proportional -- O(n^(width+1)) worst case, far less after pruning
-   -- and paid in a handful of C-level passes per level, not in interpreter
-   steps per prefix.  A first-witness search (:class:`_DepthFirst`) remains
-   where only *existence* is asked more than one level deep -- Boolean bags,
-   longer witness suffixes -- because stopping at the first completion beats
-   any level-wide pass there; the same class, driven through every level
-   (:meth:`_DepthFirst.rows`), is the reference the kernel is pinned against
-   in the tests and benchmarks.
-3. **bottom-up / top-down semijoin passes** along the join tree (children
-   precede parents by construction).  After the bottom-up pass a component is
-   satisfiable iff its root relation is non-empty; the top-down pass makes
-   every relation globally consistent, bounding the enumeration join sizes.
+2. **the memoised search** -- Boolean heads, and monadic heads on a multi-bag
+   tree (:class:`_JoinTreeSearch`): depth-first in the join tree's bag order,
+   each bag walked one prefix at a time (:class:`_DepthFirst`) with its
+   separator to the parent pinned first, whether a subtree completes
+   memoised per ``(bag, separator assignment)`` for the whole request -- the
+   goods and nogoods of Jegou & Terrioux (*AIJ* 2003).  First-witness speed
+   when a witness exists, O(n^(width+1)) per bag when none does, and its own
+   stack instead of recursion along the tree.  A monadic head is one search
+   per head candidate, ascending, pinned at the root bag, sharing the memo:
+   its answers come out in wire order.
+3. **bag materialization** -- every other head (k-ary, or monadic on one
+   bag, where no separator is left to memoise on): each bag becomes an
+   explicit relation, built *a level at a time* from the sorted candidate
+   columns (:func:`_expand_levels`).  Every axis makes the candidates of a
+   prefix a window of a sorted column -- the paper's Eq. (1) read as
+   pre-order ranges for the interval axes; children and later / earlier
+   siblings are a run of the column regrouped by parent -- so one pass gives
+   *every* prefix its window, and the level is then **expanded** (windows
+   concatenated, prefix columns repeated, residual checks applied in one
+   ``compress``), **counted** (the last level under a ``limit``: only the
+   first ``limit`` rows are built) or **tested** (a single trailing
+   witness-only level: the prefixes with a non-empty window stay, the
+   first-witness test in C).  Cost is output-proportional -- O(n^(width+1))
+   worst case -- and paid in a handful of C-level passes per level.  Longer
+   witness suffixes go through :class:`_DepthFirst`, which walked from the
+   empty prefix is also the reference the kernel is pinned against.
+   Bottom-up then top-down semijoin passes along the
+   join tree (children precede parents) make every relation globally
+   consistent.
 4. **answer enumeration by join-tree traversal** -- a bottom-up join-project
    pass keeps, per bag, only the columns still needed above it (the separator
    to its parent plus the head variables collected in its subtree), so k-ary
-   answers come out in time polynomial in input + output without ever
-   materializing the full join, as one list sorted once.  Bags instantiate
-   their head variables first and in head order wherever the atoms allow, so
-   the rows of a one-bag join tree *are* the answers, in wire order: steps 3
-   and 4 have nothing to fold, and a ``limit`` stops building rows and only
+   answers come out without ever materializing the full join, as one list
+   sorted once.  Bags instantiate their head variables first and in head
+   order wherever the atoms allow, so the rows of a one-bag join tree *are*
+   the answers, in wire order, and a ``limit`` stops building rows and only
    counts the rest (:func:`answer_page`).
 
 Correctness does not depend on the width: the engine is exact for every
-conjunctive query (the property tests pit it against backtracking across all
-propagators, cyclic and acyclic shapes, with and without pinning).  The
-planner makes it the default for every head that one fixpoint cannot answer
-and merely *prefers* it, in the cyclic residue, when the width is small.
+conjunctive query (the property tests pit it against backtracking and the
+Horn oracle across propagators, shapes and pinning).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from operator import and_, itemgetter, lt, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
@@ -80,7 +80,7 @@ from ..trees.columnar import (
     window_bounds,
 )
 from ..trees.structure import TreeStructure
-from .decompose import TreeDecomposition
+from .decompose import AXIS_WEIGHTS, FILL_WEIGHT, TreeDecomposition
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
     from ..evaluation.compile import CompiledAtom, CompiledQuery
@@ -156,37 +156,50 @@ def _plan_bag(
     needed: frozenset[Variable],
     head: tuple[Variable, ...],
     merge_unions: bool,
+    pinned: tuple[Variable, ...] = (),
 ) -> _BagPlan:
     """Pick the instantiation order of a bag and assign every atom its role.
 
-    Variables are instantiated head variables first, in ``head`` order, for as
-    long as each one connects to the already-assigned prefix; otherwise
-    smallest-domain-first, each subsequent one driven by an atom connecting
-    it to the prefix whenever one exists.  Needed variables are preferred at
-    every step, pushing the local existentials into a trailing suffix whenever
-    the constraint graph allows.
+    ``pinned`` variables come first, their values set by the caller (the
+    separator the memoised search fixes; atoms among them are the parent
+    bag's to check).  Then head variables, in ``head`` order, for as long as
+    each one connects to the already-assigned prefix; otherwise
+    smallest-domain-first -- behind a pinned prefix, domain times the
+    :data:`~repro.decomposition.decompose.AXIS_WEIGHTS` fan-out of the
+    narrowest connecting atom, so the search branches on the fewest
+    candidates first -- each subsequent one driven by an atom connecting it
+    to the prefix whenever one exists.  Needed variables are preferred at
+    every step, pushing the local existentials into a trailing suffix
+    whenever the constraint graph allows.
     """
-    order: list[Variable] = []
-    assigned: set[Variable] = set()
-    remaining = set(bag)
+    order: list[Variable] = list(pinned)
+    assigned: set[Variable] = set(pinned)
+    remaining = set(bag).difference(pinned)
     leads = [variable for variable in dict.fromkeys(head) if variable in bag]
 
-    def connects(variable: Variable) -> bool:
-        return any(
-            (atom.source == variable and atom.target in assigned)
-            or (atom.target == variable and atom.source in assigned)
-            for atom in atoms
-            if not atom.is_loop
+    def fan_out(variable: Variable) -> Optional[int]:
+        return min(
+            (
+                AXIS_WEIGHTS.get(atom.axis, FILL_WEIGHT)
+                for atom in atoms
+                if (atom.source == variable and atom.target in assigned)
+                or (atom.target == variable and atom.source in assigned)
+            ),
+            default=None,
         )
 
     while remaining:
         pick = next((variable for variable in leads if variable in remaining), None)
-        if pick is None or (order and not connects(pick)):
-            connected = [v for v in remaining if connects(v)]
-            pool = connected if connected else sorted(remaining)
+        if pick is None or (order and fan_out(pick) is None):
+            weights = {v: fan_out(v) for v in remaining}
+            pool = [v for v in remaining if weights[v] is not None] or sorted(remaining)
             pick = min(
                 pool,
-                key=lambda v: (v not in needed, domain_sizes[v], variable_index[v]),
+                key=lambda v: (
+                    v not in needed,
+                    domain_sizes[v] * ((weights[v] or 1) if pinned else 1),
+                    variable_index[v],
+                ),
             )
         order.append(pick)
         assigned.add(pick)
@@ -333,24 +346,35 @@ def _plan_bag(
 
 
 class _DepthFirst:
-    """One prefix at a time: the first-witness search and the reference enumeration.
+    """One prefix at a time: the bag walk of the memoised search.
 
-    The search answers *existence* -- does this prefix complete? -- and stops
-    at the first completion, which no level-wide pass can beat; it serves
-    Boolean bags and witness suffixes more than one level deep.  :meth:`rows`
-    drives the same candidate production through every level: the reference
-    the level kernel is pinned against (over a plan built with
-    ``merge_unions=False``, which it does not follow).
+    :meth:`prefixes` walks the bag from a given depth (the positions before it
+    set by the caller) and stops at every completing prefix up to the plan's
+    cut; :meth:`witness` answers whether a prefix completes at all, at the
+    first completion, which no level-wide pass can beat.  Walked from the
+    empty prefix over a plan built with ``merge_unions=False``, it is also the
+    reference the level kernel is pinned against in the tests.
     """
 
-    def __init__(self, plan: _BagPlan, views: Mapping[Variable, object], index: "AxisIndex"):
+    def __init__(
+        self,
+        plan: _BagPlan,
+        views: Mapping[Variable, object],
+        index: "AxisIndex",
+        ahead: Optional[list[list[tuple[Axis, bool, object]]]] = None,
+    ):
         self.plan = plan
         self.views = views
         self.index = index
         self.current = [0] * len(plan.order)
+        # Per position: the atoms to variables outside the bag, as ``(axis,
+        # whether the node is the source, the other end's view)``.  A node
+        # with no witness there completes no subtree below; the views are
+        # static, so each node is looked at once per position.
+        self.ahead = ahead or [[] for _ in plan.order]
+        self.looked: list[dict[int, bool]] = [{} for _ in plan.order]
         # What a walk yields depends on the anchor alone: kept per anchor.
         self.walked: list[dict[int, Sequence[int]]] = [{} for _ in plan.order]
-        self.count = 0  # rows found by the last :meth:`rows`, built or not
 
     def narrow(self, lo: int, hi: int, atom: "CompiledAtom", forward: bool, anchor: int):
         """Intersect the pre-order window ``[lo, hi)`` with one range atom at ``anchor``."""
@@ -397,7 +421,15 @@ class _DepthFirst:
             target = node if atom.target == variable else current[position[atom.target]]
             if not self.index.holds(atom.axis, source, target):
                 return False
-        return True
+        if not self.ahead[depth]:
+            return True
+        looked, index = self.looked[depth], self.index
+        if node not in looked:
+            looked[node] = all(
+                (index.has_successor_in if forward else index.has_predecessor_in)(axis, node, view)
+                for axis, forward, view in self.ahead[depth]
+            )
+        return looked[node]
 
     def witness(self, depth: int) -> bool:
         """First-witness search over the local existentials from ``depth`` on."""
@@ -410,24 +442,16 @@ class _DepthFirst:
                     return True
         return False
 
-    def rows(self, limit: int) -> tuple[list[Row], int]:
-        """Every row in enumeration order; past ``limit`` they are counted, not built."""
-        rows: list[Row] = []
-        self.count = 0
-        self._extend(0, rows, limit)
-        return rows, self.count
-
-    def _extend(self, depth: int, rows: list[Row], limit: int) -> None:
+    def prefixes(self, depth: int) -> Iterator[None]:
+        """Stop at every completing prefix up to the cut, the positions before ``depth`` given."""
         if depth == self.plan.cut:
             if self.witness(depth):
-                self.count += 1
-                if self.count <= limit:
-                    rows.append(tuple(self.current[p] for p in self.plan.keep_positions))
+                yield
             return
         for node in self.candidates_at(depth):
             if self.satisfies_checks(depth, node):
                 self.current[depth] = node
-                self._extend(depth + 1, rows, limit)
+                yield from self.prefixes(depth + 1)
 
 
 #: Key of the column that numbers the prefixes while a union level is staged.
@@ -652,6 +676,99 @@ def _materialize_bag(
     return _BagRelation(plan.columns, rows), count
 
 
+class _JoinTreeSearch:
+    """Depth-first search in the join tree's bag order, memoised per separator assignment.
+
+    :meth:`holds`: does the subtree below a bag complete under an assignment
+    of its separator to the parent (at a root: of its pinned head variable,
+    or of nothing)?  A bag holds at the first completed prefix of its walk
+    that every child accepts; each verdict is kept for the whole request.
+    """
+
+    def __init__(
+        self,
+        decomposition: TreeDecomposition,
+        compiled: "CompiledQuery",
+        candidates: "PropagationResult",
+        index: "AxisIndex",
+        head: tuple[Variable, ...],
+    ):
+        self.decomposition = decomposition
+        self.candidates = candidates
+        self.pinned = _separators(decomposition)
+        for root in decomposition.roots:
+            self.pinned[root] = tuple(v for v in head if v in decomposition.bags[root])
+        self.memo: dict[tuple[int, Row], bool] = {}
+        # Per bag: its walk, and each child with how to read its key off the walk.
+        self.walks: list[tuple[_DepthFirst, list]] = []
+        views, sizes = candidates.views, candidates.domain_sizes()
+        for bag, pinned, children in zip(decomposition.bags, self.pinned, decomposition.children()):
+            plan = _plan_bag(
+                bag,
+                [atom for atom in compiled.atoms if atom.source in bag and atom.target in bag],
+                sizes,
+                compiled.variable_index,
+                frozenset(pinned).union(*(self.pinned[c] for c in children)),
+                (),
+                merge_unions=False,
+                pinned=pinned,
+            )
+            ahead = [
+                [
+                    (atom.axis, atom.source == variable, views[atom.other(variable)])
+                    for atom in compiled.atoms_of(variable)
+                    if atom.other(variable) not in bag
+                ]
+                for variable in plan.order
+            ]
+            requests = [
+                (child, _projector([plan.position[v] for v in self.pinned[child]]))
+                for child in children
+            ]
+            self.walks.append((_DepthFirst(plan, views, index, ahead), requests))
+
+    def _bag(self, i: int, key: Row):
+        """One bag under ``key``: yields ``(child, child key)``, is sent each verdict."""
+        search, requests = self.walks[i]
+        current = search.current
+        current[: len(key)] = key
+        for _ in search.prefixes(len(key)):
+            for child, project in requests:
+                if not (yield child, project(current)):
+                    break
+            else:
+                return True
+        return False
+
+    def holds(self, bag: int, key: Row) -> bool:
+        """Does ``bag``'s subtree complete under ``key``?  One explicit stack of bag walks."""
+        memo, verdict = self.memo, None
+        stack = [((bag, key), self._bag(bag, key))]
+        while stack:
+            asked, walk = stack[-1]
+            try:
+                request = walk.send(verdict)
+            except StopIteration as done:
+                verdict = memo[asked] = done.value
+                stack.pop()
+                continue
+            verdict = memo.get(request)
+            if verdict is None:
+                stack.append((request, self._bag(*request)))
+        return verdict
+
+    def answers(self) -> list[Row]:
+        """``[()]`` / ``[]`` for a Boolean head; a monadic head's answers, ascending."""
+        roots = self.decomposition.roots
+        if not all(self.holds(root, ()) for root in roots if not self.pinned[root]):
+            return []
+        for root in roots:  # the monadic head's
+            for variable in self.pinned[root]:
+                column = self.candidates.sorted_domain(variable)
+                return [(node,) for node in column if self.holds(root, (node,))]
+        return [()]
+
+
 def _separators(decomposition: TreeDecomposition) -> list[tuple[Variable, ...]]:
     """Per bag, the (sorted) variables it shares with its parent; ``()`` at a root."""
     bags = decomposition.bags
@@ -689,63 +806,6 @@ def _reduce(
         if parent[i] >= 0 and not semijoin(relations[i], relations[parent[i]], separators[i]):
             return False
     return True
-
-
-def _first_witness(
-    decomposition: TreeDecomposition,
-    relations: list[_BagRelation],
-) -> bool:
-    """First-solution search down the join tree for Boolean queries.
-
-    Instead of the full bottom-up + top-down semijoin passes (which reduce
-    *every* bag globally before answering), walk the tree once looking for a
-    single globally consistent assignment: a bag row is a witness iff every
-    child bag has a witness row agreeing with it on their separator.  Outcomes
-    are memoized per ``(bag, separator key)`` and each bag's separator index
-    is built lazily on first access, so a satisfiable instance can stop after
-    touching a handful of rows while the worst case stays one semijoin pass.
-    """
-    parent = decomposition.parent
-    children = decomposition.children()
-    separators = _separators(decomposition)
-    # For a row of bag i, the lookup key into child c is c's separator read
-    # out of i's columns (the separator is shared, so both bags carry it).
-    child_key_positions = [
-        [(c, relations[i].project_positions(separators[c])) for c in children[i]]
-        for i in range(len(parent))
-    ]
-    own_positions = [
-        relations[i].project_positions(separators[i]) for i in range(len(parent))
-    ]
-    key_index: list[Optional[dict[Row, list[Row]]]] = [None] * len(parent)
-    memo: dict[tuple[int, Row], bool] = {}
-
-    def rows_for(i: int, key: Row) -> list[Row]:
-        index = key_index[i]
-        if index is None:
-            index = {}
-            positions = own_positions[i]
-            for row in relations[i].rows:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
-            key_index[i] = index
-        return index.get(key, [])
-
-    def witness(i: int, key: Row) -> bool:
-        cached = memo.get((i, key))
-        if cached is not None:
-            return cached
-        found = False
-        for row in rows_for(i, key):
-            if all(
-                witness(c, tuple(row[p] for p in positions))
-                for c, positions in child_key_positions[i]
-            ):
-                found = True
-                break
-        memo[(i, key)] = found
-        return found
-
-    return all(witness(root, ()) for root in decomposition.roots)
 
 
 def _collect_answers(
@@ -811,7 +871,6 @@ def _evaluate(
     pinned: Optional[Mapping[Variable, int]],
     propagator,
     compiled: Optional["CompiledQuery"],
-    boolean_only: bool,
     limit: Optional[int] = None,
 ) -> tuple[list[Row], int]:
     """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
@@ -848,6 +907,12 @@ def _evaluate(
             bags=len(decomposition.bags),
         )
     head = query.head
+    if not head or (len(head) == 1 and len(decomposition.bags) > 1):
+        with tracing.span("search", bags=len(decomposition.bags)):
+            search = _JoinTreeSearch(decomposition, compiled, result, structure.index, head)
+            answers = search.answers()
+            tracing.annotate(memo=len(search.memo), answers=len(answers))
+        return answers, len(answers)
     head_set = frozenset(head)
     children = decomposition.children()
     # The rows of a one-bag tree are the answers: only there can a limit stop
@@ -890,13 +955,7 @@ def _evaluate(
         tracing.annotate(
             bag_rows=bag_rows, rows_built=[len(relation.rows) for relation in relations]
         )
-    if boolean_only:
-        # First-solution short-circuit: a Boolean query only needs one
-        # globally consistent assignment, not fully reduced bags.
-        with tracing.span("semijoin", mode="first_witness"):
-            witness = _first_witness(decomposition, relations)
-        return ([()], 1) if witness else ([], 0)
-    with tracing.span("semijoin", mode="reduce"):
+    with tracing.span("semijoin"):
         reduced = _reduce(decomposition, relations)
     if not reduced:
         return [], 0
@@ -914,8 +973,8 @@ def boolean_query_holds(
     pinned: Optional[Mapping[Variable, int]] = None,
     propagator=None,
 ) -> bool:
-    """Boolean evaluation: materialize the bags, stop at the first witness."""
-    _, count = _evaluate(query.as_boolean(), structure, pinned, propagator, None, True)
+    """Boolean evaluation: the memoised join-tree search, stopped at the first witness."""
+    _, count = _evaluate(query.as_boolean(), structure, pinned, propagator, None)
     return count > 0
 
 
@@ -934,7 +993,7 @@ def answer_page(
     planner's pick for this engine) is two sweeps along a spanning forest on
     any body, everything else its exact fixpoint; the answers are the same.
     """
-    answers, count = _evaluate(query, structure, pinned, propagator, compiled, False, limit)
+    answers, count = _evaluate(query, structure, pinned, propagator, compiled, limit)
     return answers[:limit], count
 
 

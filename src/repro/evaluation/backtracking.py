@@ -1,15 +1,12 @@
 """The generic backtracking evaluator (the exponential baseline).
 
-This evaluator works for every conjunctive query (cyclic or not, any axes) and
-serves three purposes in the reproduction:
-
-* it is the *baseline* against which the polynomial-time algorithms are
-  compared (Table I benchmarks: the tractable side scales, the NP-hard side
-  blows up),
-* it is the ground truth for correctness tests of the faster evaluators on
-  small instances,
-* with ``count_solutions`` / ``iter_solutions`` it powers answer enumeration
-  for arbitrary queries.
+This evaluator works for every conjunctive query (cyclic or not, any axes).
+No plan routes to it -- evaluation runs it only under an explicit
+``engine=backtracking`` -- and it serves the reproduction as the *baseline*
+the polynomial-time algorithms are compared against (Table I and the forced
+columns of the committed benchmarks), as the ground truth, beside the Horn
+program, of the correctness tests on small instances, and as a plain
+enumeration of satisfying valuations (``iter_solutions`` / ``find_solution``).
 
 The search uses arc consistency as preprocessing (through the pluggable
 ``propagator=`` engine, AC-4 support counting by default), a

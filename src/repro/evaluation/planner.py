@@ -3,26 +3,25 @@
 :func:`repro.planning.plan_query` is the one routing rule -- the paper's
 dichotomy as a table (Boolean and monadic-forest heads on one fixpoint:
 **X-property evaluation**, Theorem 3.5, on tractable signatures, **acyclic
-evaluation** on shadow forests; every other forest head on the
-**decomposition engine**; the cyclic residue, decomposition vs
-**backtracking**, by estimated cost).  ``engine=Engine.AUTO`` here asks it,
-with the document statistics of the structure's tree (measured once per
-tree) and the caller's propagator; an explicit engine runs as named.
+evaluation** on shadow forests; every other query, the cyclic residue
+included, on the **decomposition engine**).  ``engine=Engine.AUTO`` here
+reads that table (:func:`repro.planning.plan._tier`), which needs no document
+statistics; an explicit engine runs as named, and **backtracking** runs only
+so.
 
 The paper's own k-ary procedure -- the singleton-relation reduction after
 Theorem 3.5: one pinned Boolean evaluation per candidate head tuple,
 ``O(|A|^k . ||A|| . |Q|)`` on the tractable side -- is therefore no default.
-It runs under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
-``backtracking``) or a residue plan that lands on ``backtracking``: the
-literal procedure, the independent oracle of the property tests, and the
-ablation baseline of the committed benchmarks.
+It runs only under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
+``backtracking``): the literal procedure, the independent oracle of the
+property tests, and the ablation baseline of the committed benchmarks.
 
 Orthogonally, every path needs the subset-maximal arc-consistent
 prevaluation; *how* it is computed is the second planner dimension,
 ``propagator=`` (:class:`~repro.evaluation.propagation.Propagator`): ``ac4``
 (support counting over interval ranks, the library default), ``hybrid`` (one
-bulk revise sweep, then AC-4; the cost planner's pick for some cyclic bodies
-routed to backtracking), ``ac3`` (the worklist, selectable on the wire),
+bulk revise sweep, then AC-4; the planner's pick for some cyclic bodies on a
+fixpoint engine), ``ac3`` (the worklist, selectable on the wire),
 ``horn`` (unit propagation, the ground truth the tests hold every other
 engine to), and ``semijoin`` -- the Yannakakis full reducer
 (:mod:`repro.evaluation.reducer`), semijoin sweeps along the shadow forest
@@ -51,7 +50,7 @@ from ..xproperty.dichotomy import is_tractable
 from . import acyclic, backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
-from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, as_propagator, propagate
+from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, propagate
 
 
 class Engine(str, Enum):
@@ -75,29 +74,17 @@ class Engine(str, Enum):
 
 
 def _resolve_engine(
-    engine: Engine,
-    query: ConjunctiveQuery,
-    structure: TreeStructure,
-    propagator: PropagatorLike,
-    compiled: Optional[CompiledQuery] = None,
+    engine: Engine, query: ConjunctiveQuery, compiled: Optional[CompiledQuery] = None
 ) -> Engine:
-    """``engine``, or for ``Engine.AUTO`` what :func:`repro.planning.plan_query` picks.
+    """``engine``, or for ``Engine.AUTO`` the engine :func:`repro.planning.plan_query` picks.
 
-    Where the dichotomy fixes the engine, that is the plan's pick without
-    pricing anything; only the cyclic residue builds the plan.
+    That is the dichotomy's table alone: nothing about the document is priced.
     """
     if engine is not Engine.AUTO:
         return engine
-    from ..planning import DocumentStats, plan_query  # planning imports this module
-    from ..planning.plan import _tier
+    from ..planning.plan import _tier  # planning imports this module
 
-    if compiled is None:
-        compiled = compile_query(query)
-    tier = _tier(query, compiled, accel_only=False)
-    if tier is not None:
-        return tier
-    stats = DocumentStats.of_tree(structure.tree)
-    return plan_query(query, stats, compiled=compiled, propagator=as_propagator(propagator)).engine
+    return _tier(query, compiled or compile_query(query), accel_only=False)
 
 
 def is_satisfied(
@@ -120,26 +107,18 @@ def is_satisfied(
         unsafe = set(query.head).difference(boolean_query.variables())
         if unsafe:
             pinned = {v: node for v, node in pinned.items() if v not in unsafe}
-    chosen = _resolve_engine(engine, boolean_query, structure, propagator)
+    chosen = _resolve_engine(engine, boolean_query)
     if chosen is Engine.SQL:
         from ..backends.sqlite import structure_is_satisfied
 
         return structure_is_satisfied(boolean_query, structure, pinned=pinned, lowering=lowering)
-    if chosen is Engine.XPROPERTY:
-        return xprop_evaluator.boolean_query_holds(
-            boolean_query, structure, pinned=pinned, propagator=propagator
-        )
-    if chosen is Engine.ACYCLIC:
-        return acyclic.boolean_query_holds(
-            boolean_query, structure, pinned=pinned, propagator=propagator
-        )
-    if chosen is Engine.DECOMPOSITION:
-        return yannakakis.boolean_query_holds(
-            boolean_query, structure, pinned=pinned, propagator=propagator
-        )
-    return backtracking.boolean_query_holds(
-        boolean_query, structure, pinned=pinned, propagator=propagator
-    )
+    holds = {
+        Engine.XPROPERTY: xprop_evaluator.boolean_query_holds,
+        Engine.ACYCLIC: acyclic.boolean_query_holds,
+        Engine.DECOMPOSITION: yannakakis.boolean_query_holds,
+        Engine.BACKTRACKING: backtracking.boolean_query_holds,
+    }[chosen]
+    return holds(boolean_query, structure, pinned=pinned, propagator=propagator)
 
 
 def check_answer(
@@ -196,15 +175,15 @@ def answer_page(
     head variable's sorted column *is* the answer list and ``limit`` a slice
     of it; the head roots the reducer's sweep, so its column is exact after
     the leaves-to-root sweep alone and the root-to-leaves one never runs),
-    any other head is enumerated in wire order by one join-tree
-    traversal (:func:`repro.decomposition.yannakakis.answer_page`, which
-    prunes its own candidates and stops building rows at ``limit``).  The
-    singleton-relation reduction -- candidate head tuples from the fixpoint
-    (a sound over-approximation of the answer projection), one pinned Boolean
-    evaluation each -- runs only when the engine says so: an explicit
-    ``xproperty`` / ``acyclic`` / ``backtracking``, or a cyclic-residue plan
-    that landed on the latter.  It, the SQL engine on a resident document and
-    Boolean heads produce a set, which is sorted here, once.
+    any other head is answered in wire order over the join tree
+    (:func:`repro.decomposition.yannakakis.answer_page`, which prunes its own
+    candidates, searches a monadic head over a cyclic body one candidate at a
+    time and stops building rows at ``limit``).  The singleton-relation
+    reduction -- candidate head tuples from the fixpoint (a sound
+    over-approximation of the answer projection), one pinned Boolean
+    evaluation each -- runs only under an explicit ``xproperty`` /
+    ``acyclic`` / ``backtracking``.  It, the SQL engine on a resident document
+    and Boolean heads produce a set, which is sorted here, once.
 
     ``compiled`` lets callers that keep compiled artifacts resident (the
     serving layer's query cache) bypass the compile-cache lookup; it must be
@@ -227,7 +206,7 @@ def answer_page(
         return sorted(answers)[:limit], len(answers)
     if compiled is None:
         compiled = compile_query(query)
-    chosen = _resolve_engine(engine, query, structure, propagator, compiled)
+    chosen = _resolve_engine(engine, query, compiled)
     if chosen is Engine.DECOMPOSITION:
         return yannakakis.answer_page(
             query, structure, propagator=propagator, compiled=compiled, limit=limit
@@ -245,10 +224,10 @@ def answer_page(
             column = result.sorted_domain(query.head[0])
             tracing.annotate(answers=len(column))
         return list(zip(column[:limit])), len(column)
-    # The singleton-relation reduction (explicit engine or backtracking
-    # residue only).  Atoms connecting two head variables can be checked in
-    # O(1) per candidate tuple from the tree's rank arrays, skipping the full
-    # Boolean evaluation for tuples that already violate one of them.
+    # The singleton-relation reduction (explicit engine only).  Atoms
+    # connecting two head variables can be checked in O(1) per candidate tuple
+    # from the tree's rank arrays, skipping the full Boolean evaluation for
+    # tuples that already violate one of them.
     head_set = set(query.head)
     head_atoms = [
         atom

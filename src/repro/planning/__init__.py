@@ -1,8 +1,9 @@
 """Cost-based query planning: one :class:`QueryPlan` across every consumer.
 
 The dichotomy (acyclic / X-property / bounded width) says *which* algorithm is
-polynomial; this package decides *which is fastest on this document* where
-the dichotomy leaves a choice.  It combines cheap per-document statistics
+polynomial and so which engine runs; this package prices that plan on this
+document and makes the choices it leaves -- the propagator, and where SQL can
+run the lowering, by cost.  It combines cheap per-document statistics
 collected at registration (:class:`~repro.planning.stats.DocumentStats`) with
 per-axis selectivity estimates derived from the pre/post rank
 characterizations (:mod:`repro.planning.cost`) into a single
@@ -14,7 +15,6 @@ is the only place an engine is chosen.
 """
 
 from .cost import (
-    backtracking_cost_estimate,
     bag_rows_estimate,
     choose_propagator,
     decomposition_cost_estimate,
@@ -28,7 +28,6 @@ from .stats import DocumentStats
 __all__ = [
     "DocumentStats",
     "QueryPlan",
-    "backtracking_cost_estimate",
     "bag_rows_estimate",
     "choose_propagator",
     "decomposition_cost_estimate",

@@ -167,29 +167,6 @@ def fixpoint_cost_estimate(
     return float(stats.nodes) * max(1, len(compiled.atoms))
 
 
-def backtracking_cost_estimate(
-    compiled: CompiledQuery, stats: DocumentStats, propagator: Optional[Propagator] = None
-) -> float:
-    """Cost of the backtracking engine as the serving layer actually runs it.
-
-    Boolean queries cost about two fixpoints (propagate, then first-witness
-    search over the pruned domains).  Monadic queries over forest-shaped
-    constraint graphs project the fixpoint directly.  Everything else pays the
-    candidate-product: the product of distinct head-variable domain estimates,
-    times a per-candidate satisfiability check priced as one fixpoint.
-    """
-    fixpoint = fixpoint_cost_estimate(compiled, stats, propagator)
-    head = compiled.query.head
-    if not head:
-        return 2.0 * fixpoint
-    if len(head) == 1 and compiled.shadow_is_forest:
-        return fixpoint
-    product = 1.0
-    for variable in dict.fromkeys(head):
-        product *= max(variable_domain_estimate(variable, compiled, stats), 1.0)
-    return product * fixpoint
-
-
 def flat_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
     """The flat (single-block) SQL lowering: one join over all variables."""
     return bag_rows_estimate(frozenset(compiled.variables), compiled, stats)
@@ -200,15 +177,15 @@ def choose_propagator(compiled: CompiledQuery) -> Propagator:
 
     A forest-shaped body gets the two semijoin sweeps of
     :mod:`repro.evaluation.reducer` (no worklist; ``benchmarks/e2e``
-    ``mixed_10k``).  A cyclic body keeps a worklist engine here -- backtracking
-    forward-checks against arc-consistent domains -- while ``plan_query`` gives
-    the decomposition engine the same sweeps on any body, as supersets.  Among
-    the worklist engines hybrid wins when some edge joins two
-    unlabeled (full-domain) variables over a non-global axis -- AC-4's support
-    counters are quadratic to seed exactly there, while the interval
-    representation stays closed-form.  On global axes (``Following``,
-    ``DocumentOrder``) AC-4 keeps a measured 9.4x-vs-3.5x edge over the hybrid
-    on deep chains, so those stay AC-4.
+    ``mixed_10k``).  A cyclic body keeps a worklist engine here: a fixpoint
+    engine's answer *is* its fixpoint, which the sweeps only over-approximate
+    off a forest (``plan_query`` gives the decomposition engine the sweeps on
+    any body, as supersets).  Among the worklist engines hybrid wins when some
+    edge joins two unlabeled (full-domain) variables over a non-global axis --
+    AC-4's support counters are quadratic to seed exactly there, while the
+    interval representation stays closed-form.  On global axes
+    (``Following``, ``DocumentOrder``) AC-4 keeps a measured 9.4x-vs-3.5x
+    edge over the hybrid on deep chains, so those stay AC-4.
     """
     if compiled.shadow_is_forest:
         return Propagator.SEMIJOIN

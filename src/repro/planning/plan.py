@@ -2,30 +2,28 @@
 
 ``plan_query`` is the single choke point every consumer (serving layer, CLI,
 EXPLAIN, benchmarks, library ``evaluate(engine=AUTO)``) goes through, and the
-only place an engine is chosen.  The *complexity* tier comes first -- the
-paper's dichotomy as a table:
+only place an engine is chosen.  The engine is the paper's dichotomy as a
+table (:func:`_tier`), decided by the query and the document's residency
+alone:
 
 * accel residency: SQL, the only engine that can see the document;
 * a Boolean head, or a monadic head over a forest-shaped body: one fixpoint
   decides or *is* the answer -- X-property evaluation on a tractable
   signature (Theorem 3.5), acyclic evaluation on an acyclic query graph;
-* any other head over a forest-shaped body: the decomposition engine over the
-  width-1 join tree.
+* everything else, the **cyclic residue** included (NP-hard cyclic bodies,
+  and non-projection heads over cyclic bodies on any signature): the
+  decomposition engine, polynomial for bounded width -- what stays tractable
+  outside the paper's axis sets (Section 5; Gottlob-Leone-Scarcello).
 
-Everything else is the **cyclic residue** (NP-hard cyclic bodies, and
-non-projection heads over cyclic bodies on any signature), settled on *this*
-document by comparing the estimated decomposition cost (sum of per-bag row
-estimates) against the estimated backtracking cost -- for a non-Boolean head,
-the per-candidate-tuple reduction -- unless the caller forces the semijoin
-sweeps, which only the decomposition engine accepts on a cyclic body.  The
-estimates also pick:
+An explicit ``engine=`` always wins; ``backtracking`` is only ever that.  The
+plan then fixes:
 
 * the propagator: the semijoin sweeps on every forest-shaped body (the exact
   full reducer there) and in front of the decomposition engine on any body
-  (supersets suffice); a cyclic body routed to backtracking keeps arc
-  consistency: hybrid where the AC-4 ablations show it winning, else AC-4;
-* the SQL lowering, only where SQL can run (accel residency or an explicit
-  ``engine=sql``): ``"flat"`` when the single-block join is estimated cheaper
+  (supersets suffice); a fixpoint engine on a cyclic body keeps arc
+  consistency (:func:`~repro.planning.cost.choose_propagator`);
+* the SQL lowering, by cost, only where SQL can run (accel residency or an
+  explicit ``engine=sql``): ``"flat"`` when the single-block join is estimated cheaper
   than the join-tree CTE cascade.  Elsewhere the flat join is never priced
   (its estimator is quartic in the variable count) and the plan reads
   ``lowering="tree"``.
@@ -47,11 +45,11 @@ from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
 from ..xproperty.dichotomy import is_tractable
 from .cost import (
-    backtracking_cost_estimate,
     choose_propagator,
     decomposition_cost_estimate,
     fixpoint_cost_estimate,
     flat_cost_estimate,
+    variable_domain_estimate,
 )
 from .stats import DocumentStats
 
@@ -73,7 +71,6 @@ class QueryPlan:
     bag_rows: tuple[float, ...]
     #: Also the join-tree SQL lowering's estimate (one CTE per bag).
     decomposition_cost: float
-    backtracking_cost: float
     #: The single-block SQL join; ``None`` where SQL cannot run.
     flat_cost: Optional[float]
     #: The estimate for the engine/lowering actually chosen.
@@ -108,15 +105,14 @@ class QueryPlan:
             "estimates": {
                 "bag_rows": [round(rows, 1) for rows in self.bag_rows],
                 "decomposition_cost": round(self.decomposition_cost, 1),
-                "backtracking_cost": round(self.backtracking_cost, 1),
                 "flat_cost": None if self.flat_cost is None else round(self.flat_cost, 1),
                 "estimated_cost": round(self.estimated_cost, 1),
             },
         }
 
 
-def _tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool) -> Optional[Engine]:
-    """The engine the dichotomy fixes, or ``None`` for the cyclic residue."""
+def _tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool) -> Engine:
+    """The engine the dichotomy fixes for ``query``."""
     if accel_only:
         return Engine.SQL
     if query.is_boolean or (query.is_monadic and compiled.shadow_is_forest):
@@ -126,11 +122,9 @@ def _tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool) ->
             return Engine.XPROPERTY
         if QueryGraph(query).is_acyclic():
             return Engine.ACYCLIC
-    if not query.is_boolean and compiled.shadow_is_forest:
-        # Every other head is enumerated over the join tree; a forest-shaped
-        # body has width 1, which is the right complexity class, not a guess.
-        return Engine.DECOMPOSITION
-    return None
+    # Every other head is enumerated over the join tree (a forest-shaped body
+    # has width 1), and the cyclic residue is searched over it.
+    return Engine.DECOMPOSITION
 
 
 def plan_query(
@@ -150,31 +144,21 @@ def plan_query(
     """
     if compiled is None:
         compiled = compile_query(query)
-    chosen_propagator = propagator if propagator is not None else choose_propagator(compiled)
-
-    decomposition = compiled.decomposition
-    bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)
-    backtracking_total = backtracking_cost_estimate(compiled, stats, chosen_propagator)
-
     if engine is not None and engine is not Engine.AUTO:
         chosen_engine = engine
     else:
         chosen_engine = _tier(query, compiled, accel_only)
-    if chosen_engine is None:
-        if propagator is Propagator.SEMIJOIN and not compiled.shadow_is_forest:
-            # The sweeps are exact on forests only: on a cyclic body the
-            # decomposition engine is the one that accepts them (as supersets).
-            chosen_engine = Engine.DECOMPOSITION
-        elif decomposition_total <= backtracking_total:
-            chosen_engine = Engine.DECOMPOSITION
-        else:
-            chosen_engine = Engine.BACKTRACKING
-
-    if propagator is None and chosen_engine is Engine.DECOMPOSITION:
-        # The bags enforce every atom and their semijoin passes supply global
-        # consistency: sound candidate supersets are enough in front of them
-        # (the pick above still priced what backtracking would have run).
+    if propagator is not None:
+        chosen_propagator = propagator
+    elif chosen_engine is Engine.DECOMPOSITION:
+        # The bags enforce every atom and the join tree supplies global
+        # consistency: sound candidate supersets are enough in front of them.
         chosen_propagator = Propagator.SEMIJOIN
+    else:
+        chosen_propagator = choose_propagator(compiled)
+
+    decomposition = compiled.decomposition
+    bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)
 
     flat_cost: Optional[float] = None
     lowering = "tree"
@@ -187,16 +171,15 @@ def plan_query(
         estimated = flat_cost if lowering == "flat" else decomposition_total
     elif chosen_engine is Engine.DECOMPOSITION:
         estimated = decomposition_total
-    elif chosen_engine is Engine.BACKTRACKING:
-        estimated = backtracking_total
-    elif query.is_boolean:
-        # XPROPERTY / ACYCLIC: one fixpoint.
-        estimated = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
     else:
-        # Forced onto a head that needs enumeration, they run the per-tuple
-        # reduction.  The backtracking estimate prices exactly that (and a
-        # monadic forest projection at one fixpoint).
-        estimated = backtracking_total
+        # One fixpoint decides a Boolean head and *is* a monadic forest
+        # projection; forced onto any other head, a fixpoint engine (or
+        # backtracking) runs the per-candidate-tuple reduction: one fixpoint
+        # per tuple of the head's candidate product.
+        estimated = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
+        if not query.is_boolean and not (query.is_monadic and compiled.shadow_is_forest):
+            for variable in dict.fromkeys(query.head):
+                estimated *= max(variable_domain_estimate(variable, compiled, stats), 1.0)
 
     return QueryPlan(
         engine=chosen_engine,
@@ -206,7 +189,6 @@ def plan_query(
         stats_bucket=stats.bucket(),
         bag_rows=bag_rows,
         decomposition_cost=decomposition_total,
-        backtracking_cost=backtracking_total,
         flat_cost=flat_cost,
         estimated_cost=estimated,
     )

@@ -381,6 +381,16 @@ def _horn_oracle(structure, text):
     return sorted(evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn"))
 
 
+def _reference_rows(search, limit):
+    """Every row of a ``_DepthFirst`` walk from the empty prefix; past ``limit`` only counted."""
+    rows, count = [], 0
+    for _ in search.prefixes(0):
+        count += 1
+        if count <= limit:
+            rows.append(tuple(search.current[p] for p in search.plan.keep_positions))
+    return rows, count
+
+
 class TestBagEmission:
     """``_materialize_bag``: wire order where the atoms allow, honest counts.
 
@@ -390,7 +400,7 @@ class TestBagEmission:
     order, rows come out sorted (and ``limit`` is honoured) exactly when the
     enumeration could follow them, and the count is exact either way.  The
     level-at-a-time kernel is pinned, shape by shape and on random bags over
-    every axis, to the per-prefix recursion (``_DepthFirst.rows``, reached
+    every axis, to the per-prefix recursion (a ``_DepthFirst`` walk, reached
     directly) and to the Horn per-tuple oracle.
     """
 
@@ -431,7 +441,7 @@ class TestBagEmission:
             keep = list(plan.keep_positions)
             in_order = limit is not None and not plan.must_deduplicate and keep == sorted(keep)
             search = _DepthFirst(plan, candidates.views, structure.index)
-            rows, count = search.rows(limit if in_order else sys.maxsize)
+            rows, count = _reference_rows(search, limit if in_order else sys.maxsize)
             if plan.must_deduplicate:
                 rows = list(set(rows))
                 count = len(rows)

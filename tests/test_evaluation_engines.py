@@ -55,13 +55,9 @@ def _plan(text: str, tree):
     return plan_query(parse_query(text), DocumentStats.of_tree(tree), propagator=Propagator.AC4)
 
 
-def _assert_arbitrated(plan) -> None:
-    """The cyclic residue goes to whichever engine is estimated cheaper."""
-    assert plan.engine is (
-        Engine.DECOMPOSITION
-        if plan.decomposition_cost <= plan.backtracking_cost
-        else Engine.BACKTRACKING
-    )
+def _assert_residue(plan) -> None:
+    """The cyclic residue goes to the decomposition engine, whatever the estimates."""
+    assert plan.engine is Engine.DECOMPOSITION
 
 
 class TestXPropertyEvaluator:
@@ -261,14 +257,14 @@ class TestPlanner:
         assert _plan(tractable, sentence_tree).engine is Engine.XPROPERTY
         assert _plan("Q <- Child(x, y), Following(y, z)", sentence_tree).engine is Engine.ACYCLIC
         # Cyclic (parallel edges / triangles) and, width 3, a K4 over an
-        # NP-hard signature: the cyclic residue, settled by cost.
+        # NP-hard signature: the cyclic residue, searched over the join tree.
         for text in (
             "Q <- Child(x, y), Child+(x, y)",
             "Q <- Child(x, y), Following(y, z), Child+(x, z)",
             "Q <- Child(a, b), Child+(a, c), Following(a, d), "
             "Child+(b, c), Child(b, d), Following(c, d)",
         ):
-            _assert_arbitrated(_plan(text, sentence_tree))
+            _assert_residue(_plan(text, sentence_tree))
 
     def test_engine_choice_depends_on_the_head(self, sentence_tree):
         """Boolean and monadic-forest heads read one fixpoint; every other
@@ -285,13 +281,13 @@ class TestPlanner:
         # joins the cyclic residue even on a tractable signature.
         cyclic = "Child+(x, y), Child*(y, z), Child+(x, z)"
         assert _plan(f"Q <- {cyclic}", sentence_tree).engine is Engine.XPROPERTY
-        _assert_arbitrated(_plan(f"Q(x) <- {cyclic}", sentence_tree))
+        _assert_residue(_plan(f"Q(x) <- {cyclic}", sentence_tree))
         k4 = (
             "Child+(a, b), Child+(a, c), Child+(a, d), "
             "Child+(b, c), Child+(b, d), Child+(c, d)"
         )
         assert _plan(f"Q <- {k4}", sentence_tree).engine is Engine.XPROPERTY
-        _assert_arbitrated(_plan(f"Q(a, d) <- {k4}", sentence_tree))
+        _assert_residue(_plan(f"Q(a, d) <- {k4}", sentence_tree))
 
     def test_default_kary_evaluation_runs_one_fixpoint(self):
         """A count, not a timing: one propagation per request, no per-tuple loop."""
@@ -320,8 +316,7 @@ class TestPlanner:
         assert root.find("enumerate").attributes["strategy"] == "candidate_product"
 
     def test_default_routing_never_enumerates_per_tuple(self, sentence_structure):
-        """Forest heads always take the join tree; cyclic ones follow the plan."""
-        strategy = {Engine.DECOMPOSITION: "join_tree", Engine.BACKTRACKING: "candidate_product"}
+        """Forest heads take the join tree; a cyclic monadic head is searched over it."""
         forest = (
             "Q(x, y) <- NP(x), Child(x, y), NN(y)",
             "Q(x, y, x) <- NP(x), Following(x, y), PP(y)",
@@ -336,11 +331,17 @@ class TestPlanner:
             if text in forest:
                 assert plan.engine is Engine.DECOMPOSITION, text
             else:
-                _assert_arbitrated(plan)
+                _assert_residue(plan)
             with tracing.trace("request") as root:
                 evaluate(parse_query(text), sentence_structure)
             strategies = _enumerate_strategies(root)
-            assert strategies == [strategy[plan.engine]], (text, strategies)
+            assert strategies == ["join_tree"], (text, strategies)
+        # Over a multi-bag cyclic body a monadic head is searched, not enumerated.
+        text = "Q(a) <- NP(a), Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)"
+        _assert_residue(_plan(text, sentence_structure.tree))
+        with tracing.trace("request") as root:
+            evaluate(parse_query(text), sentence_structure)
+        assert _enumerate_strategies(root) == [] and root.find("search") is not None
 
     def test_is_satisfied_all_engines_agree(self, sentence_structure):
         query = parse_query("Q <- S(x), Child+(x, y), NP(y), Child+(x, z), PP(z)")

@@ -6,9 +6,9 @@ Covers the :class:`QueryPlan` contract end to end:
   documents, stable stats buckets;
 * the estimators: domains bounded by label histograms, bag rows >= 1,
   the propagator rule;
-* ``plan_query``, the one routing rule: the dichotomy tiers, cost only for
-  the cyclic residue, the flat SQL join priced only where SQL can run,
-  overrides always win, the materialization threshold;
+* ``plan_query``, the one routing rule: the dichotomy tiers, the cyclic
+  residue on the decomposition engine, the flat SQL join priced only where
+  SQL can run, overrides always win, the materialization threshold;
 * the serving layer: plans cached per (canonical query, stats bucket),
   invalidated by re-registration through the bucket key, EXPLAIN reporting
   the lowering that actually runs (the satellite bugfix), and every
@@ -160,8 +160,8 @@ def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
         forced = plan_query(query, stats, engine=Engine.DECOMPOSITION)
         assert forced.propagator is Propagator.SEMIJOIN, text
         routed = plan_query(query, stats)
-        if routed.engine is Engine.DECOMPOSITION:
-            assert routed.propagator is Propagator.SEMIJOIN, text
+        assert routed.engine is Engine.DECOMPOSITION, text
+        assert routed.propagator is Propagator.SEMIJOIN, text
         # Forward checking needs arc consistency: the exact rule stays.
         searched = plan_query(query, stats, engine=Engine.BACKTRACKING)
         assert searched.propagator is choose_propagator(compile_query(query)), text
@@ -192,12 +192,10 @@ def test_semijoin_fixpoint_is_priced_by_label_columns():
 # -- plan_query ----------------------------------------------------------------
 
 
-def _assert_arbitrated(plan: QueryPlan) -> None:
-    assert plan.engine is (
-        Engine.DECOMPOSITION
-        if plan.decomposition_cost <= plan.backtracking_cost
-        else Engine.BACKTRACKING
-    )
+def _assert_residue(plan: QueryPlan) -> None:
+    """The cyclic residue runs on the decomposition engine, whatever the estimates."""
+    assert plan.engine is Engine.DECOMPOSITION
+    assert plan.estimated_cost == plan.decomposition_cost
 
 
 def test_resident_plans_price_no_flat_join():
@@ -221,7 +219,7 @@ def test_plan_keeps_the_dichotomy_tiers():
     stats = DocumentStats.of_tree(_tree())
     assert plan_query(parse_query(ACYCLIC_CHAIN), stats).engine is Engine.ACYCLIC
     for text in (TRIANGLE, FOUR_CYCLE):  # monadic heads over cyclic bodies
-        _assert_arbitrated(plan_query(parse_query(text), stats))
+        _assert_residue(plan_query(parse_query(text), stats))
 
 
 def test_forest_heads_take_the_join_tree_tier_statically():
@@ -236,11 +234,11 @@ def test_forest_heads_take_the_join_tree_tier_statically():
         assert plan.estimated_cost == plan.decomposition_cost
 
 
-def test_cyclic_heads_over_tractable_signatures_join_the_arbitration():
+def test_cyclic_heads_over_tractable_signatures_join_the_residue():
     stats = DocumentStats.of_tree(_tree())
     text = "Q(a, c) <- A(a), Child+(a, b), Child*(b, c), Child+(a, c), C(c)"
     for head in ("a", "a, c"):  # monadic over a cyclic shadow, and binary
-        _assert_arbitrated(plan_query(parse_query(text.replace("a, c", head, 1)), stats))
+        _assert_residue(plan_query(parse_query(text.replace("a, c", head, 1)), stats))
     # The Boolean head over the same body stays on the X-property tier.
     assert plan_query(parse_query(text.replace("Q(a, c)", "Q")), stats).engine is Engine.XPROPERTY
 
@@ -250,7 +248,10 @@ def test_forced_per_tuple_engine_is_priced_as_the_reduction():
     binary = parse_query("Q(a, b) <- A(a), Child+(a, b), B(b)")
     forced = plan_query(binary, stats, engine=Engine.XPROPERTY)
     assert forced.engine is Engine.XPROPERTY
-    assert forced.estimated_cost == forced.backtracking_cost  # |D(a)|.|D(b)| fixpoints
+    compiled = compile_query(binary)
+    fixpoint = fixpoint_cost_estimate(compiled, stats, forced.propagator)
+    candidates = [variable_domain_estimate(v, compiled, stats) for v in ("a", "b")]
+    assert forced.estimated_cost == fixpoint * candidates[0] * candidates[1]  # |D(a)|.|D(b)|
     monadic = plan_query(parse_query("Q(a) <- A(a), Child+(a, b), B(b)"), stats)
     assert monadic.engine is Engine.XPROPERTY
     assert monadic.estimated_cost < forced.estimated_cost  # one fixpoint
@@ -280,13 +281,9 @@ def test_accel_only_pins_sql():
 
 def test_estimated_cost_tracks_chosen_engine():
     stats = DocumentStats.of_tree(_tree())
-    plan = plan_query(parse_query(FOUR_CYCLE), stats)
-    expected = (
-        plan.decomposition_cost
-        if plan.engine is Engine.DECOMPOSITION
-        else plan.backtracking_cost
-    )
-    assert plan.estimated_cost == expected
+    _assert_residue(plan_query(parse_query(FOUR_CYCLE), stats))
+    forced = plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.BACKTRACKING)
+    assert forced.estimated_cost > forced.decomposition_cost  # the per-candidate reduction
     sql = plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True)
     assert sql.estimated_cost == (
         sql.flat_cost if sql.lowering == "flat" else sql.decomposition_cost
@@ -301,7 +298,6 @@ def test_describe_is_json_friendly():
     assert set(described["estimates"]) == {
         "bag_rows",
         "decomposition_cost",
-        "backtracking_cost",
         "flat_cost",
         "estimated_cost",
     }
@@ -334,29 +330,30 @@ def test_cold_theorem51_reduction_reaches_an_engine_in_under_five_seconds():
     reduction = theorem51_workload(8)
     plan, seconds = _cold_plan(reduction.query)
     assert len(set().union(*plan.decomposition.bags)) == 624
-    assert plan.engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING)
+    assert plan.engine is Engine.DECOMPOSITION
     assert plan.flat_cost is None
     assert seconds < 5.0
 
 
 def test_library_evaluate_takes_the_plans_engine_on_route_bool_cycle4(monkeypatch):
-    """``evaluate(engine=AUTO)`` runs ``plan_query``'s engine, not a width guess."""
+    """``evaluate(engine=AUTO)`` runs ``plan_query``'s engine: the memoised search."""
+    from repro.decomposition import yannakakis
     from repro.evaluation import planner
 
     tree = random_tree(1000, alphabet=tuple(f"L{i:02d}" for i in range(16)), seed=42)
     query = parse_query("Q <- Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)")
     plan = plan_query(query, DocumentStats.of_tree(tree), propagator=Propagator.AC4)
-    assert plan.engine is Engine.BACKTRACKING
+    assert plan.engine is Engine.DECOMPOSITION
     searched = []
-    search = planner.backtracking.boolean_query_holds
+    search = yannakakis._JoinTreeSearch.answers
     monkeypatch.setattr(
-        planner.backtracking,
-        "boolean_query_holds",
-        lambda *args, **kwargs: searched.append(args) or search(*args, **kwargs),
+        yannakakis._JoinTreeSearch,
+        "answers",
+        lambda self: searched.append(self) or search(self),
     )
-    monkeypatch.setattr(planner.yannakakis, "boolean_query_holds", None)  # must not run
+    monkeypatch.setattr(planner.backtracking, "boolean_query_holds", None)  # must not run
     assert planner.evaluate(query, TreeStructure(tree)) == frozenset({()})
-    assert len(searched) == 1
+    assert len(searched) == 1 and searched[0].memo
 
 
 def test_forced_semijoin_sends_the_cyclic_residue_to_decomposition():
@@ -367,11 +364,13 @@ def test_forced_semijoin_sends_the_cyclic_residue_to_decomposition():
     body = "Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)"  # width 2
     for text in (f"Q <- {body}", f"Q(a) <- {body}, L03(a)"):
         query = parse_query(text)
-        assert plan_query(query, stats).engine is Engine.BACKTRACKING, text
+        routed = plan_query(query, stats)
+        assert (routed.engine, routed.propagator) == (Engine.DECOMPOSITION, Propagator.SEMIJOIN)
         plan = plan_query(query, stats, propagator=Propagator.SEMIJOIN)
         assert plan.engine is Engine.DECOMPOSITION, text
         expected = evaluate(query, structure, propagator="ac4")
         assert evaluate(query, structure, propagator="semijoin") == expected, text
+        assert evaluate(query, structure, Engine.BACKTRACKING) == expected, text
 
 
 # -- decomposition pruning (union-of-ranges prerequisite) ----------------------
