@@ -15,8 +15,11 @@ Search strategy (:func:`decompose`):
 
 * **exact** for small queries (up to :data:`EXACT_VERTEX_LIMIT` variables) --
   the Held-Karp-style subset dynamic program over elimination prefixes
-  (Bodlaender et al., *Treewidth computations I*), O(2^n poly(n)), which is
-  nothing for query-sized graphs;
+  (Bodlaender et al., *Treewidth computations I*).  Vertices are bits of an
+  int in sorted order; the elimination neighbourhood q(S, v) of every prefix
+  S and vertex v goes into one flat table, each entry one O(1) step from the
+  prefix without its lowest vertex, and both subset DPs below read that table:
+  O(2^n * n) int operations, a few milliseconds at 12 variables;
 * **min-fill and min-degree** elimination heuristics otherwise, keeping the
   better of the two orders.
 
@@ -30,7 +33,10 @@ variable names.  The search therefore minimizes ``(width, static cost)``: a
 rename-invariant estimate of bag materialization expense from axis density
 (:data:`AXIS_WEIGHTS` -- point axes cheap, subtree axes medium, the interval
 order axes dense, atom-less fill pairs worst).  On the exact path a second
-subset DP picks the cheapest order among those achieving the certified width.
+subset DP picks the cheapest order among those achieving the certified width,
+pricing each distinct bag once.  A forest needs no width DP: its treewidth is
+1 (0 without edges), certified by m = n - components, so with pair costs the
+cost DP runs alone.
 
 Either way the result reports the *achieved* width (recomputed from the bags,
 never trusted from the search), the method that produced it, and for the exact
@@ -115,24 +121,25 @@ def _bag_cost(bag: frozenset, pair_costs: PairCosts) -> int:
     members = sorted(bag)
     if len(members) <= 1:
         return 1
-
-    def cheapest_link(variable, assigned: list) -> int:
-        return min(
-            pair_costs.get(frozenset({variable, other}), FILL_WEIGHT)
-            for other in assigned
-        )
-
+    if len(members) == 2:
+        return pair_costs.get(frozenset(members), FILL_WEIGHT)
+    weight = {
+        (u, v): pair_costs.get(frozenset((u, v)), FILL_WEIGHT)
+        for u in members
+        for v in members
+        if u != v
+    }
     best: Optional[int] = None
     for start in members:
-        assigned = [start]
-        rest = [m for m in members if m != start]
+        # Each unassigned variable's cheapest link into the assigned prefix.
+        link = {v: weight[start, v] for v in members if v != start}
         total = 1
-        while rest:
-            weights = {v: cheapest_link(v, assigned) for v in rest}
-            pick = min(rest, key=lambda v: (weights[v], v))
-            total *= weights[pick]
-            assigned.append(pick)
-            rest.remove(pick)
+        while link:
+            pick = min(link, key=lambda v: (link[v], v))
+            total *= link.pop(pick)
+            for v in link:
+                if weight[pick, v] < link[v]:
+                    link[v] = weight[pick, v]
         best = total if best is None else min(best, total)
     return best if best is not None else 1
 
@@ -433,41 +440,137 @@ def _renumbered(
 # ---------------------------------------------------------------------------
 
 
-def _q_neighbours(
+def _bit_graph(
     adjacency: Mapping[Variable, set[Variable]],
-    eliminated: frozenset[Variable],
-    vertex: Variable,
-) -> set[Variable]:
-    """{w not eliminated, w != vertex, reachable from vertex through eliminated}.
+) -> tuple[tuple[Variable, ...], list[int]]:
+    """The vertices in sorted order and each one's neighbours as a bitmask over them."""
+    vertices = tuple(sorted(adjacency))
+    position = {vertex: i for i, vertex in enumerate(vertices)}
+    neighbours = [0] * len(vertices)
+    for vertex, adjacent in adjacency.items():
+        bits = 0
+        for other in adjacent:
+            bits |= 1 << position[other]
+        neighbours[position[vertex]] = bits & ~(1 << position[vertex])
+    return vertices, neighbours
 
-    These are exactly the neighbours ``vertex`` has at the moment it is
-    eliminated after the set ``eliminated`` (fill edges included), computed by
-    a BFS that may only pass through eliminated vertices; its own bag is
-    ``{vertex} | _q_neighbours(...)``.
+
+def _neighbourhood_table(neighbours: Sequence[int]) -> list[int]:
+    """``table[S * n + v]`` = q(S, v) as a bitmask, for every prefix S and v not in S.
+
+    q(S, v) is the set of vertices outside ``S | {v}`` reachable from ``v``
+    through ``S``: exactly ``v``'s neighbours, fill edges included, when it is
+    eliminated right after the set ``S``; its bag is ``q(S, v) | {v}``.  Row S
+    follows from row ``S' = S - u`` (u the lowest bit of S): a path from v
+    through S either avoids u, or reaches u through S' and leaves it through S',
+    so q(S, v) = q(S', v) when u is not in q(S', v), and otherwise
+    (q(S', v) | q(S', u)) - {u, v}.  One O(1) step per entry, where a search
+    through S would cost O(n + m).
     """
-    seen = {vertex}
-    frontier = [vertex]
-    reachable: set[Variable] = set()
-    while frontier:
-        current = frontier.pop()
-        for neighbour in adjacency[current]:
-            if neighbour in seen:
+    n = len(neighbours)
+    table = [0] * (n << n)
+    table[:n] = neighbours
+    for prefix in range(1, 1 << n):
+        low = prefix & -prefix
+        base, below = prefix * n, (prefix ^ low) * n
+        via_low = table[below + low.bit_length() - 1]
+        for v in range(n):
+            if not prefix >> v & 1:
+                reach = table[below + v]
+                if reach & low:
+                    reach = (reach | via_low) & ~(low | 1 << v)
+                table[base + v] = reach
+    return table
+
+
+def _order_from_choices(
+    choice: Sequence[int], vertices: Sequence[Variable]
+) -> tuple[Variable, ...]:
+    """Walk the DP's per-prefix last vertex back from the full set."""
+    order_reversed: list[Variable] = []
+    mask = (1 << len(vertices)) - 1
+    while mask:
+        i = choice[mask]
+        order_reversed.append(vertices[i])
+        mask ^= 1 << i
+    return tuple(reversed(order_reversed))
+
+
+def _min_width_choices(n: int, table: Sequence[int]) -> tuple[list[int], int]:
+    """The width DP over ``table``: per-prefix last vertex and the treewidth."""
+    dp = [0] * (1 << n)
+    choice = [-1] * (1 << n)
+    for mask in range(1, 1 << n):
+        best, best_vertex = n, -1  # every degree is < n
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            previous = mask ^ bit
+            cost = table[previous * n + i].bit_count()
+            if dp[previous] > cost:
+                cost = dp[previous]
+            if cost < best:
+                best, best_vertex = cost, i
+        dp[mask] = best
+        choice[mask] = best_vertex
+    return choice, dp[(1 << n) - 1]
+
+
+def _min_cost_choices(
+    vertices: Sequence[Variable], table: Sequence[int], width: int, pair_costs: PairCosts
+) -> list[int]:
+    """The cost DP over ``table``: per-prefix last vertex of the cheapest width-``width`` order."""
+    n = len(vertices)
+    bag_limit = width + 1
+    bag_costs: dict[int, int] = {}
+    infinity = float("inf")
+    dp: list[float] = [infinity] * (1 << n)
+    dp[0] = 0
+    choice = [-1] * (1 << n)
+    for mask in range(1, 1 << n):
+        best, best_vertex = infinity, -1
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            previous = mask ^ bit
+            if dp[previous] == infinity:
                 continue
-            seen.add(neighbour)
-            if neighbour in eliminated:
-                frontier.append(neighbour)
-            else:
-                reachable.add(neighbour)
-    return reachable
+            i = bit.bit_length() - 1
+            bag = table[previous * n + i] | bit
+            if bag.bit_count() > bag_limit:
+                continue
+            bag_cost = bag_costs.get(bag)
+            if bag_cost is None:
+                members = frozenset(vertices[j] for j in range(n) if bag >> j & 1)
+                bag_cost = bag_costs[bag] = _bag_cost(members, pair_costs)
+            cost = dp[previous] + bag_cost
+            if cost < best:
+                best, best_vertex = cost, i
+        dp[mask] = best
+        choice[mask] = best_vertex
+    if choice[-1] < 0:  # pragma: no cover - exact width is always feasible
+        raise AssertionError(f"no elimination order of width {width} found")
+    return choice
 
 
-def _q_degree(
-    adjacency: Mapping[Variable, set[Variable]],
-    eliminated: frozenset[Variable],
-    vertex: Variable,
-) -> int:
-    """The elimination degree of ``vertex`` after ``eliminated``."""
-    return len(_q_neighbours(adjacency, eliminated, vertex))
+def _is_forest(neighbours: Sequence[int]) -> bool:
+    """Whether the graph is acyclic: m = n - (number of components)."""
+    edges = sum(bits.bit_count() for bits in neighbours) // 2
+    components, unseen = 0, (1 << len(neighbours)) - 1
+    while unseen:
+        components += 1
+        reached = frontier = unseen & -unseen
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            fresh = neighbours[bit.bit_length() - 1] & ~reached
+            reached |= fresh
+            frontier |= fresh
+        unseen &= ~reached
+    return edges == len(neighbours) - components
 
 
 def exact_elimination_order(
@@ -478,41 +581,16 @@ def exact_elimination_order(
     ``dp[S]`` is the best achievable maximum elimination degree over orders
     that eliminate exactly the vertices of ``S`` first:
 
-        dp[S] = min over v in S of  max(dp[S - v], q(S - v, v))
+        dp[S] = min over v in S of  max(dp[S - v], |q(S - v, v)|)
 
-    O(2^n * n * (n + m)); callers gate on :data:`EXACT_VERTEX_LIMIT`.
+    the first ``v`` (ascending) winning ties.  O(2^n * n) over the
+    neighbourhood table; callers gate on :data:`EXACT_VERTEX_LIMIT`.
     """
-    vertices = tuple(sorted(adjacency))
-    n = len(vertices)
-    if n == 0:
+    vertices, neighbours = _bit_graph(adjacency)
+    if not vertices:
         return (), -1
-
-    def members(mask: int) -> frozenset[Variable]:
-        return frozenset(vertices[i] for i in range(n) if mask & (1 << i))
-
-    dp = [0] * (1 << n)
-    choice = [-1] * (1 << n)
-    for mask in range(1, 1 << n):
-        best, best_vertex = None, -1
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            i = bit.bit_length() - 1
-            previous = mask ^ bit
-            cost = max(dp[previous], _q_degree(adjacency, members(previous), vertices[i]))
-            if best is None or cost < best:
-                best, best_vertex = cost, i
-        dp[mask] = best if best is not None else 0
-        choice[mask] = best_vertex
-    order_reversed: list[Variable] = []
-    mask = (1 << n) - 1
-    while mask:
-        i = choice[mask]
-        order_reversed.append(vertices[i])
-        mask ^= 1 << i
-    order = tuple(reversed(order_reversed))
-    return order, dp[(1 << n) - 1]
+    choice, width = _min_width_choices(len(vertices), _neighbourhood_table(neighbours))
+    return _order_from_choices(choice, vertices), width
 
 
 def cost_optimal_order(
@@ -525,50 +603,36 @@ def cost_optimal_order(
     A second subset DP over elimination prefixes, now constrained to steps of
     elimination degree at most ``width`` (so the certified treewidth is kept)
     and minimizing the *sum* of static bag costs instead of the maximum
-    degree.  Always feasible when ``width`` comes from
-    :func:`exact_elimination_order` -- that order itself satisfies the
-    constraint -- and the same O(2^n poly(n)) as the width DP.
+    degree, each distinct bag priced once.  Always feasible when ``width``
+    comes from :func:`exact_elimination_order` -- that order itself satisfies
+    the constraint -- and the same O(2^n * n) as the width DP.
     """
-    vertices = tuple(sorted(adjacency))
-    n = len(vertices)
-    if n == 0:
+    vertices, neighbours = _bit_graph(adjacency)
+    if not vertices:
         return ()
+    table = _neighbourhood_table(neighbours)
+    return _order_from_choices(_min_cost_choices(vertices, table, width, pair_costs), vertices)
 
-    def members(mask: int) -> frozenset[Variable]:
-        return frozenset(vertices[i] for i in range(n) if mask & (1 << i))
 
-    infinity = float("inf")
-    dp: list[float] = [infinity] * (1 << n)
-    dp[0] = 0
-    choice = [-1] * (1 << n)
-    for mask in range(1, 1 << n):
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            i = bit.bit_length() - 1
-            previous = mask ^ bit
-            if dp[previous] == infinity:
-                continue
-            eliminated = members(previous)
-            neighbours = _q_neighbours(adjacency, eliminated, vertices[i])
-            if len(neighbours) > width:
-                continue
-            bag = frozenset({vertices[i]}) | neighbours
-            cost = dp[previous] + _bag_cost(bag, pair_costs)
-            if cost < dp[mask]:
-                dp[mask] = cost
-                choice[mask] = i
-    full = (1 << n) - 1
-    if choice[full] < 0:  # pragma: no cover - exact width is always feasible
-        raise AssertionError(f"no elimination order of width {width} found")
-    order_reversed: list[Variable] = []
-    mask = full
-    while mask:
-        i = choice[mask]
-        order_reversed.append(vertices[i])
-        mask ^= 1 << i
-    return tuple(reversed(order_reversed))
+def _exact_order(
+    adjacency: Mapping[Variable, set[Variable]], pair_costs: Optional[PairCosts]
+) -> tuple[tuple[Variable, ...], int]:
+    """The exact path's order and certified width; both DPs read one table.
+
+    With pair costs on a forest the width DP is skipped: a forest's treewidth
+    is 1, or 0 without edges, and the cost DP fixes the order anyway.
+    """
+    vertices, neighbours = _bit_graph(adjacency)
+    table = _neighbourhood_table(neighbours)
+    if pair_costs is None:
+        choice, width = _min_width_choices(len(vertices), table)
+        return _order_from_choices(choice, vertices), width
+    if _is_forest(neighbours):
+        width = 1 if any(neighbours) else 0
+    else:
+        width = _min_width_choices(len(vertices), table)[1]
+    choice = _min_cost_choices(vertices, table, width, pair_costs)
+    return _order_from_choices(choice, vertices), width
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +658,7 @@ def decompose_hypergraph(
             bags=(), parent=(), width=-1, method="empty", exact=True
         )
     if len(adjacency) <= EXACT_VERTEX_LIMIT:
-        order, width = exact_elimination_order(adjacency)
-        if pair_costs is not None:
-            order = cost_optimal_order(adjacency, width, pair_costs)
+        order, width = _exact_order(adjacency, pair_costs)
         decomposition = decomposition_from_order(adjacency, order, "exact", exact=True)
         # The bag-derived width is authoritative; the DP value cross-checks it.
         if decomposition.width != width:  # pragma: no cover - internal invariant

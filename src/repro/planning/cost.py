@@ -22,10 +22,11 @@ per-instance, domain-aware half the ROADMAP left open.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from ..decomposition.decompose import TreeDecomposition
-from ..evaluation.compile import CompiledAtom, CompiledQuery
+from ..evaluation.compile import CompiledQuery
 from ..evaluation.propagation import Propagator
 from ..trees.axes import Axis
 from .stats import DocumentStats
@@ -74,22 +75,6 @@ def variable_domain_estimate(
     return float(max(min(counts), 1))
 
 
-def _cheapest_connection(
-    variable: str,
-    placed: set[str],
-    atoms_by_pair: dict[frozenset[str], list[CompiledAtom]],
-    stats: DocumentStats,
-) -> Optional[float]:
-    """Min partner estimate over atoms connecting ``variable`` to ``placed``."""
-    best: Optional[float] = None
-    for other in placed:
-        for atom in atoms_by_pair.get(frozenset((variable, other)), ()):
-            estimate = _partner_estimate(atom.axis, stats)
-            if best is None or estimate < best:
-                best = estimate
-    return best
-
-
 def bag_rows_estimate(
     bag: frozenset[str], compiled: CompiledQuery, stats: DocumentStats
 ) -> float:
@@ -97,44 +82,67 @@ def bag_rows_estimate(
 
     Greedy join-order estimate mirroring ``_bag_cost``'s cheapest-connection
     order: start from each variable in turn, repeatedly add the variable with
-    the cheapest extension, and take the minimum over starts.  Extending by
-    ``v`` through an atom with partner estimate ``p`` multiplies rows by
-    ``min(domain(v), p * domain(v) / n)`` -- the axis fan-out capped by the
-    label filter -- and a fill edge (no atom) multiplies by ``domain(v)``
-    outright, the cartesian ``n^(width+1)`` term decompositions are priced by.
+    the cheapest extension (the first in sorted order among equals), and take
+    the minimum over starts.  Extending by ``v`` through an atom with partner
+    estimate ``p`` multiplies rows by ``min(domain(v), p * domain(v) / n)`` --
+    the axis fan-out capped by the label filter -- and a fill edge (no atom)
+    multiplies by ``domain(v)`` outright, the cartesian ``n^(width+1)`` term
+    decompositions are priced by.
+
+    Extending by ``v`` through one atom costs the same whatever the start, so
+    each atom's two extension factors are priced once.  Each start then keeps
+    every unplaced variable's cheapest extension, lowers it only through the
+    atoms of the variable just placed, and pops the next variable from a heap
+    keyed ``(candidate, sorted rank)``: O(k (k + m) log k) for ``k`` variables
+    and ``m`` atoms, so the flat estimate over a whole long query stays cheap.
+    The factor is monotone in ``p``, so the cheapest factor is the factor of
+    the cheapest atom, as the rescanning greedy computed it.
     """
     variables = sorted(bag)
     if not variables:
         return 1.0
-    domains = {v: variable_domain_estimate(v, compiled, stats) for v in variables}
+    domains = [variable_domain_estimate(v, compiled, stats) for v in variables]
     if len(variables) == 1:
-        return max(domains[variables[0]], 1.0)
-
-    atoms_by_pair: dict[frozenset[str], list[CompiledAtom]] = {}
-    for atom in compiled.edges:
-        if atom.source in bag and atom.target in bag:
-            atoms_by_pair.setdefault(frozenset((atom.source, atom.target)), []).append(atom)
+        return max(domains[0], 1.0)
 
     n = float(max(stats.nodes, 1))
+    rank = {v: i for i, v in enumerate(variables)}
+    # links[i]: (j, factor of extending the prefix by j through an atom on i).
+    links: list[list[tuple[int, float]]] = [[] for _ in variables]
+    for atom in compiled.edges:
+        if atom.source in rank and atom.target in rank:
+            source, target = rank[atom.source], rank[atom.target]
+            estimate = _partner_estimate(atom.axis, stats)
+            links[source].append((target, min(domains[target], estimate * domains[target] / n)))
+            links[target].append((source, min(domains[source], estimate * domains[source] / n)))
+
+    if len(variables) == 2:  # one step from either start: no order to choose
+        by_start = [
+            domains[start] * max(min([domains[1 - start], *(f for _, f in links[start])]), 1e-6)
+            for start in (0, 1)
+        ]
+        return max(min(by_start), 1.0)
+    ranks = range(len(variables))
     best_rows: Optional[float] = None
-    for start in variables:
+    for start in ranks:
         rows = domains[start]
-        placed = {start}
-        remaining = [v for v in variables if v != start]
-        while remaining:
-            step_rows: Optional[float] = None
-            step_variable = remaining[0]
-            for v in remaining:
-                cheapest = _cheapest_connection(v, placed, atoms_by_pair, stats)
-                if cheapest is None:
-                    candidate = domains[v]  # fill edge: cartesian extension
-                else:
-                    candidate = min(domains[v], cheapest * domains[v] / n)
-                if step_rows is None or candidate < step_rows:
-                    step_rows, step_variable = candidate, v
-            rows *= max(step_rows, 1e-6) if step_rows is not None else 1.0
-            placed.add(step_variable)
-            remaining.remove(step_variable)
+        # Unconnected variables extend by a fill edge: their whole domain.
+        # A placed variable's candidate drops to -1, below every factor.
+        candidate = domains[:]
+        heap = [(domains[v], v) for v in ranks if v != start]
+        heapify(heap)
+        step = start
+        for _ in ranks[1:]:
+            candidate[step] = -1.0
+            for other, factor in links[step]:
+                if factor < candidate[other]:
+                    candidate[other] = factor
+                    heappush(heap, (factor, other))
+            while True:  # skip placed variables and entries lowered since
+                step_rows, step = heappop(heap)
+                if step_rows == candidate[step]:
+                    break
+            rows *= max(step_rows, 1e-6)
         if best_rows is None or rows < best_rows:
             best_rows = rows
     return max(best_rows if best_rows is not None else 1.0, 1.0)

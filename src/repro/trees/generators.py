@@ -59,10 +59,22 @@ def random_tree(
 
     root = Node(draw_labels())
     nodes = [root]
+    # The nodes below ``max_children`` in creation order, kept up to date in
+    # place (a node leaves when it fills), so each draw is the very draw of a
+    # list rebuilt from ``nodes`` before every node.
+    eligible = [root] if max_children > 0 else []
     for _ in range(size - 1):
-        eligible = [node for node in nodes if len(node.children) < max_children]
-        parent = rng.choice(eligible) if eligible else rng.choice(nodes)
-        nodes.append(parent.add(draw_labels()))
+        if eligible:
+            slot = rng.choice(range(len(eligible)))
+            parent = eligible[slot]
+        else:
+            parent = rng.choice(nodes)
+        child = parent.add(draw_labels())
+        if eligible and len(parent.children) >= max_children:
+            del eligible[slot]
+        nodes.append(child)
+        if max_children > 0:
+            eligible.append(child)
     return Tree(root)
 
 

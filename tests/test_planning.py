@@ -326,6 +326,25 @@ def test_cold_200_variable_chain_plans_in_under_a_second():
     assert seconds < 1.0
 
 
+def test_cold_200_variable_chain_plans_accel_only_in_under_two_seconds():
+    """The flat SQL estimate over all 200 variables is priced incrementally."""
+    from repro.backends.sqlite import SQLiteBackend
+
+    names = [f"x{i}" for i in range(200)]
+    atoms = tuple(AxisAtom(Axis.CHILD_PLUS, a, b) for a, b in zip(names, names[1:]))
+    with SQLiteBackend() as backend:
+        store, cache = DocumentStore(accel_backend=backend), QueryCache()
+        store.register_tree_accel_only("doc", random_tree(1000, alphabet=ALPHABET, seed=42))
+        assert store.accel_only("doc")
+        started = time.perf_counter()
+        entry, cache_hit = cache.resolve_query(ConjunctiveQuery(("x0",), atoms, "Chain"))
+        plan = cache.plan_for(entry, store.stats_for("doc"), accel_only=True)
+        seconds = time.perf_counter() - started
+    assert not cache_hit
+    assert plan.engine is Engine.SQL and plan.flat_cost is not None
+    assert seconds < 2.0
+
+
 def test_cold_theorem51_reduction_reaches_an_engine_in_under_five_seconds():
     reduction = theorem51_workload(8)
     plan, seconds = _cold_plan(reduction.query)

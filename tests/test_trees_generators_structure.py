@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from repro.trees import (
     Axis,
     Signature,
@@ -46,6 +47,23 @@ class TestRandomTree:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             random_tree(0)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 60, 500])
+    @pytest.mark.parametrize("max_children", [0, 1, 2, 4])
+    def test_seeded_trees_match_the_rebuilding_construction(self, size, max_children):
+        """Nodes leave the eligible list in place: every draw, and so every tree, is kept."""
+        for seed in (0, 1, 42):
+            for multi, unlabeled in ((0.0, 0.0), (0.3, 0.2)):
+                options = dict(
+                    alphabet=("A", "B", "C"),
+                    max_children=max_children,
+                    multi_label_probability=multi,
+                    unlabeled_probability=unlabeled,
+                    seed=seed,
+                )
+                got, expected = random_tree(size, **options), oracle.random_tree(size, **options)
+                assert got.labels_of == expected.labels_of
+                assert got.children_of == expected.children_of
 
     def test_binary_and_path_shapes(self):
         binary = random_binary_tree(20, seed=2)
