@@ -22,12 +22,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .evaluation import Engine, Propagator, answer_page
-from .queries import ConjunctiveQuery, parse_query, xpath_to_cq
+from .evaluation import Engine, Propagator
+from .queries import (
+    ConjunctiveQuery,
+    QueryParseError,
+    XPathTranslationError,
+    parse_query,
+    xpath_to_cq,
+)
 from .rewriting import RewriteTrace, to_apq
-from .trees import Tree, TreeStructure, from_xml_file, parse_sexpr
+from .trees import Tree, from_xml_file, parse_sexpr
 from .trees.axes import axis_from_name
 from .xproperty import classify, order_for, render_table1
 
@@ -41,136 +48,112 @@ def _load_tree(args: argparse.Namespace) -> Tree:
 
 
 def _load_query(args: argparse.Namespace) -> ConjunctiveQuery:
-    if getattr(args, "query", None):
-        return parse_query(args.query)
-    if getattr(args, "xpath", None):
-        return xpath_to_cq(args.xpath)
+    try:
+        if getattr(args, "query", None):
+            return parse_query(args.query)
+        if getattr(args, "xpath", None):
+            return xpath_to_cq(args.xpath)
+    except (QueryParseError, XPathTranslationError) as error:
+        raise SystemExit(str(error)) from None
     raise SystemExit("provide a query via --query 'Q(x) <- ...' or --xpath '//A[B]'")
 
 
+@contextmanager
+def _open_document(args: argparse.Namespace):
+    """``(store, doc_id, tree, accel_line)``: where ``evaluate`` / ``explain`` run.
+
+    Without ``--accel-db`` the tree is registered resident.  With it, the tree
+    is written to the accel database (once: a later run reuses the rows) and
+    nothing stays resident, so the document is accel-only; ``--doc`` without a
+    tree source names a document already there, and no tree is loaded
+    (``tree`` is ``None``).  ``accel_line`` says which of those happened.  The
+    database is closed on exit.
+    """
+    from .service import DocumentStore
+
+    if args.accel_db is None:
+        tree = _load_tree(args)
+        store = DocumentStore()
+        doc_id = args.doc or args.tree or "cli"
+        store.register_tree(doc_id, tree)
+        yield store, doc_id, tree, None
+        return
+    import hashlib
+
+    from .backends.sqlite import SQLiteBackend
+
+    with SQLiteBackend(args.accel_db) as backend:
+        store = DocumentStore(accel_backend=backend)
+        if args.doc is not None and not (args.tree or args.sexpr):
+            if backend.document_nodes(args.doc) is None:
+                raise SystemExit(
+                    f"document {args.doc!r} is not in {args.accel_db}; "
+                    "register it first (or pass --tree/--sexpr alongside --doc)"
+                )
+            yield store, args.doc, None, f"accel    : {args.accel_db} (accel-only doc {args.doc!r})"
+            return
+        tree = _load_tree(args)
+        doc_id = args.doc or args.tree or (
+            "sexpr:" + hashlib.sha256(args.sexpr.encode("utf-8")).hexdigest()[:16]
+        )
+        reused = "materialised" if backend.ensure_document(doc_id, tree) else "reused"
+        yield store, doc_id, tree, f"accel    : {args.accel_db} ({reused} doc {doc_id!r})"
+
+
+def _request(args: argparse.Namespace, doc_id: str, **fields):
+    """The wire request the shared ``evaluate`` / ``explain`` flags describe."""
+    from .service import Request
+
+    return Request(
+        doc=doc_id,
+        query=args.query,
+        xpath=args.xpath,
+        propagator=args.propagator,
+        engine=None if args.engine == Engine.AUTO.value else args.engine,
+        **fields,
+    )
+
+
 def _command_evaluate(args: argparse.Namespace) -> int:
-    from .planning import DocumentStats, plan_query
+    """Run the query the way the server does (:func:`run_request`) and print the page."""
+    from .service import QueryCache
+    from .service.core import run_request, validate_limit
 
     query = _load_query(args)
-    requested = Engine(args.engine)
-    propagator_override = (
-        None if args.propagator == "auto" else Propagator(args.propagator)
-    )
-    if args.doc is not None and args.accel_db is None:
-        raise SystemExit("--doc requires --accel-db (it names a document in the accel database)")
-    # Pure out-of-core mode: --doc names an already-materialised document in
-    # the accel database, so no tree source is needed (or loaded).
-    out_of_core = (
-        args.accel_db is not None and args.doc is not None and not (args.tree or args.sexpr)
-    )
-    tree = None if out_of_core else _load_tree(args)
-    accel_line = None
-    print_limit = args.limit if args.limit is not None else 20
     try:
-        if args.accel_db is not None:
-            if requested not in (Engine.AUTO, Engine.SQL):
-                raise SystemExit(
-                    f"--accel-db documents evaluate on the SQL engine; "
-                    f"--engine {requested.value} needs a resident tree"
-                )
-            # Out-of-core path: materialise the document into a file-backed
-            # accel database once, then evaluate there; later runs against the
-            # same database skip re-materialisation.
-            import hashlib
-
-            from .backends.sqlite import SQLiteBackend
-
-            backend = SQLiteBackend(args.accel_db)
-            if tree is not None:
-                doc_id = args.doc or args.tree or (
-                    "sexpr:" + hashlib.sha256(args.sexpr.encode("utf-8")).hexdigest()[:16]
-                )
-                materialised = backend.ensure_document(doc_id, tree)
-                accel_line = (
-                    f"accel    : {args.accel_db} "
-                    f"({'materialised' if materialised else 'reused'} doc {doc_id!r})"
-                )
-                node_count = len(tree)
-            else:
-                doc_id = args.doc
-                nodes = backend.document_nodes(doc_id)
-                if nodes is None:
-                    raise SystemExit(
-                        f"document {doc_id!r} is not in {args.accel_db}; "
-                        "register it first (or pass --tree/--sexpr alongside --doc)"
-                    )
-                accel_line = f"accel    : {args.accel_db} (accel-only doc {doc_id!r})"
-                node_count = nodes
-            # Mirrors serving-layer routing: accel residency plans with
-            # ``accel_only=True`` (pinning the SQL engine); an explicit
-            # ``--engine sql`` still wins, and the plan's lowering (flat vs
-            # tree) applies.
-            stats = (
-                DocumentStats.of_tree(tree)
-                if tree is not None
-                else DocumentStats.approximate_from_nodes(node_count)
-            )
-            plan = plan_query(
-                query,
-                stats,
-                engine=None if requested is Engine.AUTO else requested,
-                propagator=propagator_override,
-                accel_only=True,
-            )
-            engine = plan.engine
-            # The serving layer's page: only the printed prefix is ever
-            # materialised in Python, and the exact total rides on the same
-            # statement.
-            answers, count = backend.page_answers(
-                doc_id, query, limit=print_limit, lowering=plan.lowering
-            )
-        else:
-            structure = TreeStructure(tree)
-            plan = plan_query(
-                query,
-                DocumentStats.of_tree(tree),
-                engine=None if requested is Engine.AUTO else requested,
-                propagator=propagator_override,
-            )
-            engine = plan.engine
-            answers, count = answer_page(
-                query,
-                structure,
-                engine=plan.engine,
-                propagator=plan.propagator,
-                limit=print_limit,
-                lowering=plan.lowering,
-            )
-            node_count = len(tree)
+        limit = validate_limit(20 if args.limit is None else args.limit)
     except ValueError as error:
+        raise SystemExit(str(error)) from None
+    with _open_document(args) as (store, doc_id, tree, accel_line):
+        result = run_request(store, QueryCache(), _request(args, doc_id, limit=limit))
+        nodes = store.stats_for(doc_id).nodes
+    forced = args.engine != Engine.AUTO.value
+    if not result.ok:
         # A forced engine can be inapplicable (e.g. --engine acyclic on a
         # cyclic query); report it like any other bad-flag combination.
-        raise SystemExit(f"--engine {requested.value}: {error}") from None
-    forced = "" if requested is Engine.AUTO else " (forced)"
+        raise SystemExit(f"--engine {args.engine}: {result.error}" if forced else result.error)
     print(f"query    : {query}")
     print(f"signature: {query.signature()}  ({classify(query.signature()).value})")
-    detail = f"propagator: {plan.propagator.value}"
-    if engine is Engine.SQL:
-        detail += f", lowering: {plan.lowering}"
-    print(f"engine   : {engine.value}{forced} ({detail})")
+    detail = f"propagator: {result.propagator}"
+    if result.engine == Engine.SQL.value:
+        detail += f", lowering: {result.plan_attribution['lowering']}"
+    print(f"engine   : {result.engine}{' (forced)' if forced else ''} ({detail})")
     if accel_line is not None:
         print(accel_line)
-    print(f"tree     : {node_count} nodes")
+    print(f"tree     : {nodes} nodes")
     if query.is_boolean:
-        print(f"answer   : {'true' if count else 'false'}")
-    else:
-        print(f"answers  : {count}")
-        for answer in answers[:print_limit]:
-            if tree is not None:
-                labels = [",".join(sorted(tree.labels(node))) or "-" for node in answer]
-                rendered = ", ".join(
-                    f"{node}({label})" for node, label in zip(answer, labels)
-                )
-            else:
-                rendered = ", ".join(str(node) for node in answer)
-            print(f"    {rendered}")
-        if count > print_limit:
-            print(f"    ... {count - print_limit} more")
+        print(f"answer   : {'true' if result.count else 'false'}")
+        return 0
+    print(f"answers  : {result.count}")
+    for answer in result.answers:
+        if tree is not None:
+            labels = [",".join(sorted(tree.labels(node))) or "-" for node in answer]
+            rendered = ", ".join(f"{node}({label})" for node, label in zip(answer, labels))
+        else:
+            rendered = ", ".join(str(node) for node in answer)
+        print(f"    {rendered}")
+    if result.truncated:
+        print(f"    ... {result.count - len(result.answers)} more")
     return 0
 
 
@@ -179,38 +162,11 @@ def _command_explain(args: argparse.Namespace) -> int:
     executing it (the CLI face of ``"explain": true`` on ``/query``)."""
     import json
 
-    from .service import DocumentStore, QueryCache, Request
+    from .service import QueryCache
     from .service.core import run_request
 
-    accel_backend = None
-    if args.accel_db is not None:
-        from .backends.sqlite import SQLiteBackend
-
-        accel_backend = SQLiteBackend(args.accel_db)
-    store = DocumentStore(accel_backend=accel_backend)
-    accel_only = (
-        args.accel_db is not None and args.doc is not None and not (args.tree or args.sexpr)
-    )
-    if accel_only:
-        doc_id = args.doc
-        if accel_backend.document_nodes(doc_id) is None:
-            raise SystemExit(
-                f"document {doc_id!r} is not in {args.accel_db}; "
-                "register it first (or pass --tree/--sexpr alongside --doc)"
-            )
-    else:
-        tree = _load_tree(args)
-        doc_id = args.doc or args.tree or "cli"
-        store.register_tree(doc_id, tree)
-    request = Request(
-        doc=doc_id,
-        query=getattr(args, "query", None),
-        xpath=getattr(args, "xpath", None),
-        propagator=args.propagator,
-        engine=args.engine if args.engine != Engine.AUTO.value else None,
-        explain=True,
-    )
-    result = run_request(store, QueryCache(), request)
+    with _open_document(args) as (store, doc_id, _tree, _accel_line):
+        result = run_request(store, QueryCache(), _request(args, doc_id, explain=True))
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0 if result.ok else 1
 
@@ -486,85 +442,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    def add_request_arguments(subparser: argparse.ArgumentParser) -> None:
+        subparser.add_argument("--tree", help="XML file containing the data tree")
+        subparser.add_argument("--sexpr", help="the data tree as an s-expression")
+        subparser.add_argument("--query", help="conjunctive query in datalog notation")
+        subparser.add_argument("--xpath", help="query as an XPath expression")
+        subparser.add_argument(
+            "--propagator",
+            choices=["auto"] + [propagator.value for propagator in Propagator],
+            default="auto",
+            help="arc-consistency engine (default: auto = the plan's choice)",
+        )
+        subparser.add_argument(
+            "--engine",
+            choices=[engine.value for engine in Engine],
+            default=Engine.AUTO.value,
+            help=(
+                "evaluation engine override (default: auto = planner choice; "
+                "'decomposition' is the hypertree/Yannakakis engine, the "
+                "default for k-ary heads and for every cyclic query one fixpoint "
+                "cannot answer, 'backtracking' the exponential search, run only "
+                "when named here, 'sql' the SQLite accel-table backend; "
+                "'xproperty', 'acyclic' and 'backtracking' answer a k-ary head by "
+                "the paper's per-tuple reduction)"
+            ),
+        )
+        subparser.add_argument(
+            "--accel-db",
+            default=None,
+            metavar="PATH",
+            help=(
+                "file-backed accel database to write the document into "
+                "(and reuse on later runs) -- the out-of-core path, auto-routed "
+                "to the SQL engine"
+            ),
+        )
+        subparser.add_argument(
+            "--doc",
+            default=None,
+            metavar="ID",
+            help=(
+                "document id (default: the --tree path); with --accel-db and no "
+                "tree source, an accel-only document to query (no tree is loaded)"
+            ),
+        )
+
     evaluate_parser = commands.add_parser("evaluate", help="evaluate a query on a tree")
-    evaluate_parser.add_argument("--tree", help="XML file containing the data tree")
-    evaluate_parser.add_argument("--sexpr", help="the data tree as an s-expression")
-    evaluate_parser.add_argument("--query", help="conjunctive query in datalog notation")
-    evaluate_parser.add_argument("--xpath", help="query as an XPath expression")
+    add_request_arguments(evaluate_parser)
     evaluate_parser.add_argument("--limit", type=int, default=None, help="max answers to print")
-    evaluate_parser.add_argument(
-        "--propagator",
-        choices=["auto"] + [propagator.value for propagator in Propagator],
-        default="auto",
-        help="arc-consistency engine (default: auto = the plan's choice)",
-    )
-    evaluate_parser.add_argument(
-        "--engine",
-        choices=[engine.value for engine in Engine],
-        default=Engine.AUTO.value,
-        help=(
-            "evaluation engine override (default: auto = planner choice; "
-            "'decomposition' is the hypertree/Yannakakis engine, the "
-            "default for k-ary heads and for every cyclic query one fixpoint "
-            "cannot answer, 'backtracking' the exponential search, run only "
-            "when named here, 'sql' the SQLite accel-table backend; "
-            "'xproperty', 'acyclic' and 'backtracking' answer a k-ary head by "
-            "the paper's per-tuple reduction)"
-        ),
-    )
-    evaluate_parser.add_argument(
-        "--accel-db",
-        default=None,
-        metavar="PATH",
-        help=(
-            "file-backed accel database to materialise the document into "
-            "(and reuse on later runs) -- the out-of-core path, auto-routed "
-            "to the SQL engine"
-        ),
-    )
-    evaluate_parser.add_argument(
-        "--doc",
-        default=None,
-        metavar="ID",
-        help=(
-            "with --accel-db: the document id to register under (with a tree "
-            "source) or to query accel-only (without one, no tree is loaded)"
-        ),
-    )
     evaluate_parser.set_defaults(handler=_command_evaluate)
 
     explain_parser = commands.add_parser(
         "explain",
         help="describe the plan for a query (engine, width, bags, SQL) without running it",
     )
-    explain_parser.add_argument("--tree", help="XML file containing the data tree")
-    explain_parser.add_argument("--sexpr", help="the data tree as an s-expression")
-    explain_parser.add_argument("--query", help="conjunctive query in datalog notation")
-    explain_parser.add_argument("--xpath", help="query as an XPath expression")
-    explain_parser.add_argument(
-        "--propagator",
-        choices=["auto"] + [propagator.value for propagator in Propagator],
-        default="auto",
-        help="arc-consistency engine the plan would use (default: auto)",
-    )
-    explain_parser.add_argument(
-        "--engine",
-        choices=[engine.value for engine in Engine],
-        default=Engine.AUTO.value,
-        help="evaluation engine override (default: auto = planner choice)",
-    )
-    explain_parser.add_argument(
-        "--accel-db",
-        default=None,
-        metavar="PATH",
-        help="SQLite accel database; with --doc and no tree source, explain accel-only",
-    )
-    explain_parser.add_argument(
-        "--doc",
-        default=None,
-        metavar="ID",
-        help="document id (defaults to the --tree path, or 'cli')",
-    )
+    add_request_arguments(explain_parser)
     explain_parser.set_defaults(handler=_command_explain)
 
     classify_parser = commands.add_parser(

@@ -1,6 +1,5 @@
 """Evaluation engines for conjunctive queries over trees."""
 
-from . import acyclic
 from .ac4 import (
     ac4_fixpoint,
     hybrid_fixpoint,
@@ -51,7 +50,6 @@ __all__ = [
     "Valuation",
     "XPropertyEvaluationError",
     "ac4_fixpoint",
-    "acyclic",
     "answer_page",
     "boolean_query_holds",
     "check_answer",

@@ -34,8 +34,8 @@ as the index (ROADMAP "Performance & indexing"), one strategy per axis shape:
 
 Domains are held in delete-aware
 :class:`~repro.trees.index.MutableDomainView`\\ s, which are *maintained*, not
-rebuilt, and remain valid at the fixpoint -- the acyclic enumerator and the
-backtracking forward checker consume them directly.
+rebuilt, and remain valid at the fixpoint -- the backtracking forward
+checker consumes them directly.
 
 The result equals the AC-3 fixpoint and the Horn-SAT least model complement
 (the deletion rules are confluent); the property tests cross-check all three.

@@ -49,11 +49,6 @@ def initial_domains(
     return compile_query(query).initial_domains(structure, pinned)
 
 
-def is_total(domains: Domains) -> bool:
-    """A prevaluation must assign a *non-empty* set to every variable."""
-    return all(domain for domain in domains.values())
-
-
 def valuation_satisfies(
     query: ConjunctiveQuery, structure: TreeStructure, valuation: Mapping[Variable, int]
 ) -> bool:
@@ -70,10 +65,6 @@ def valuation_satisfies(
             ):
                 return False
     return True
-
-
-def copy_domains(domains: Domains) -> Domains:
-    return {variable: set(nodes) for variable, nodes in domains.items()}
 
 
 def domain_views(structure: TreeStructure, domains: Domains) -> dict[Variable, DomainView]:

@@ -1,11 +1,14 @@
 """The evaluation entry points: one engine per request, chosen by the plan.
 
-:func:`repro.planning.plan_query` is the one routing rule -- the paper's
-dichotomy as a table (Boolean and monadic-forest heads on one fixpoint:
-**X-property evaluation**, Theorem 3.5, on tractable signatures, **acyclic
-evaluation** on shadow forests; every other query, the cyclic residue
-included, on the **decomposition engine**).  ``engine=Engine.AUTO`` here
-reads that table (:func:`repro.planning.plan._tier`), which needs no document
+The paper's dichotomy is a table, :func:`tier`, kept here beside
+:class:`Engine`: a head one fixpoint answers (:func:`fixpoint_answers`:
+Boolean, or monadic over a forest-shaped body) runs **X-property
+evaluation** (Theorem 3.5) on a tractable signature and **acyclic
+evaluation** (the same fixpoint, which on an acyclic body is the Yannakakis
+semijoin reduction) on an acyclic query graph; every other query, the cyclic
+residue included, runs on the **decomposition engine**.
+:func:`repro.planning.plan_query` (the one routing rule) and
+``engine=Engine.AUTO`` here both read that table, which needs no document
 statistics; an explicit engine runs as named, and **backtracking** runs only
 so.
 
@@ -43,11 +46,12 @@ from typing import Mapping, Optional
 from ..decomposition import yannakakis
 from ..observability import tracing
 from ..queries.apq import UnionQuery, as_union
+from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
 from ..trees.tree import Tree
 from ..xproperty.dichotomy import is_tractable
-from . import acyclic, backtracking, xprop_evaluator
+from . import backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
 from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, propagate
@@ -73,18 +77,62 @@ class Engine(str, Enum):
         return self.value
 
 
+def fixpoint_answers(query: ConjunctiveQuery, compiled: CompiledQuery) -> bool:
+    """Does one arc-consistency fixpoint answer ``query``'s head?
+
+    It decides a Boolean head (Prop. 3.1 / Theorem 3.5) and *is* the answer
+    of a monadic head over a forest-shaped body (the fixpoint is globally
+    consistent there, so the head's column lists the answers).  Forest-ness
+    is judged on the compiled (normalized, deduplicated) edges: distinct
+    parallel constraints on one variable pair count as a cycle.
+    """
+    return query.is_boolean or (query.is_monadic and compiled.shadow_is_forest)
+
+
+def tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool = False) -> Engine:
+    """The engine the dichotomy fixes for ``query``: the table the plan reads."""
+    if accel_only:
+        return Engine.SQL
+    if fixpoint_answers(query, compiled):
+        # One fixpoint decides or is the answer: dispatch on the body's
+        # complexity class.
+        if is_tractable(query.signature()):
+            return Engine.XPROPERTY
+        if QueryGraph(query).is_acyclic():
+            return Engine.ACYCLIC
+    # Every other head is enumerated over the join tree (a forest-shaped body
+    # has width 1), and the cyclic residue is searched over it.
+    return Engine.DECOMPOSITION
+
+
 def _resolve_engine(
     engine: Engine, query: ConjunctiveQuery, compiled: Optional[CompiledQuery] = None
 ) -> Engine:
-    """``engine``, or for ``Engine.AUTO`` the engine :func:`repro.planning.plan_query` picks.
+    """``engine``, or for ``Engine.AUTO`` the dichotomy's :func:`tier`.
 
-    That is the dichotomy's table alone: nothing about the document is priced.
+    That is what :func:`repro.planning.plan_query` picks for a resident
+    document: nothing about the document is priced.
     """
     if engine is not Engine.AUTO:
         return engine
-    from ..planning.plan import _tier  # planning imports this module
+    return tier(query, compiled or compile_query(query))
 
-    return _tier(query, compiled or compile_query(query), accel_only=False)
+
+def _acyclic_holds(
+    query: ConjunctiveQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[str, int]] = None,
+    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+) -> bool:
+    """Boolean evaluation of an *acyclic* query: the fixpoint exists iff it holds.
+
+    On an acyclic query graph arc consistency is the full semijoin reduction,
+    complete on join trees (Yannakakis).  Raises ``ValueError`` on cyclic
+    queries, for which this equivalence does not hold.
+    """
+    if not QueryGraph(query).is_acyclic():
+        raise ValueError("the acyclic evaluator requires an acyclic query")
+    return propagate(query, structure, pinned, propagator) is not None
 
 
 def is_satisfied(
@@ -114,7 +162,7 @@ def is_satisfied(
         return structure_is_satisfied(boolean_query, structure, pinned=pinned, lowering=lowering)
     holds = {
         Engine.XPROPERTY: xprop_evaluator.boolean_query_holds,
-        Engine.ACYCLIC: acyclic.boolean_query_holds,
+        Engine.ACYCLIC: _acyclic_holds,
         Engine.DECOMPOSITION: yannakakis.boolean_query_holds,
         Engine.BACKTRACKING: backtracking.boolean_query_holds,
     }[chosen]
@@ -214,12 +262,9 @@ def answer_page(
     result = propagate(compiled, structure, propagator=propagator)
     if result is None:
         return [], 0
-    if query.is_monadic and compiled.shadow_is_forest:
-        # Global consistency of the arc-consistent fixpoint on shadow forests:
-        # no per-candidate Boolean checks needed.  Forest-ness is judged on the
-        # compiled (normalized, deduplicated) edges -- distinct parallel
-        # constraints on one variable pair count as a cycle and never take
-        # this path, while self-loops were already applied as static filters.
+    if fixpoint_answers(query, compiled):
+        # A monadic head over a forest (Boolean heads returned above): the
+        # fixpoint is globally consistent, so no per-candidate Boolean checks.
         with tracing.span("enumerate", strategy="fixpoint_projection"):
             column = result.sorted_domain(query.head[0])
             tracing.annotate(answers=len(column))

@@ -31,7 +31,7 @@ All five compute the same fixpoint (the deletion rules are confluent); the
 property tests assert it.  :func:`propagate` wraps the choice and returns a
 :class:`PropagationResult` carrying both the plain domain sets and -- for
 consumers that keep querying witnesses, like the backtracking forward checker
-and the acyclic enumerator -- per-variable sorted-array views, which AC-4
+-- per-variable sorted-array views, which AC-4
 hands over for free (its maintained views ARE the fixpoint) and the other
 engines build once on demand.  The full reducer hands over its sorted
 survivor columns after the leaves-to-root sweep alone, which already settles
@@ -178,8 +178,8 @@ class PropagationResult:
 
         The reducer's column as it is, a copy of AC-4's maintained array, one
         sort of the plain set otherwise -- never a view built for the purpose,
-        so the column consumers (the acyclic enumerator, the decomposition
-        engine's level kernel) leave :attr:`views` to those that probe them.
+        so the column consumers (a monadic head's projection, the
+        decomposition engine's level kernel) leave :attr:`views` to those that probe them.
         A root read before the root-to-leaves sweep does not run it: its
         column is already exact, and copied (it may be a resident one).
         """

@@ -1,10 +1,11 @@
 """The :class:`QueryPlan` value and the one routing rule that produces it.
 
 ``plan_query`` is the single choke point every consumer (serving layer, CLI,
-EXPLAIN, benchmarks, library ``evaluate(engine=AUTO)``) goes through, and the
-only place an engine is chosen.  The engine is the paper's dichotomy as a
-table (:func:`_tier`), decided by the query and the document's residency
-alone:
+EXPLAIN, benchmarks) goes through, and the only place an engine is chosen.
+The engine is the paper's dichotomy as a table,
+:func:`repro.evaluation.planner.tier` (which library
+``evaluate(engine=AUTO)`` reads directly), decided by the query and the
+document's residency alone:
 
 * accel residency: SQL, the only engine that can see the document;
 * a Boolean head, or a monadic head over a forest-shaped body: one fixpoint
@@ -39,11 +40,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
-from ..evaluation.planner import Engine
+from ..evaluation.planner import Engine, fixpoint_answers, tier
 from ..evaluation.propagation import Propagator
-from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
-from ..xproperty.dichotomy import is_tractable
 from .cost import (
     choose_propagator,
     decomposition_cost_estimate,
@@ -111,22 +110,6 @@ class QueryPlan:
         }
 
 
-def _tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool) -> Engine:
-    """The engine the dichotomy fixes for ``query``."""
-    if accel_only:
-        return Engine.SQL
-    if query.is_boolean or (query.is_monadic and compiled.shadow_is_forest):
-        # One fixpoint decides (Boolean) or *is* (monadic projection) the
-        # answer: dispatch on the body's complexity class.
-        if is_tractable(query.signature()):
-            return Engine.XPROPERTY
-        if QueryGraph(query).is_acyclic():
-            return Engine.ACYCLIC
-    # Every other head is enumerated over the join tree (a forest-shaped body
-    # has width 1), and the cyclic residue is searched over it.
-    return Engine.DECOMPOSITION
-
-
 def plan_query(
     query: ConjunctiveQuery,
     stats: DocumentStats,
@@ -147,7 +130,7 @@ def plan_query(
     if engine is not None and engine is not Engine.AUTO:
         chosen_engine = engine
     else:
-        chosen_engine = _tier(query, compiled, accel_only)
+        chosen_engine = tier(query, compiled, accel_only)
     if propagator is not None:
         chosen_propagator = propagator
     elif chosen_engine is Engine.DECOMPOSITION:
@@ -177,7 +160,7 @@ def plan_query(
         # backtracking) runs the per-candidate-tuple reduction: one fixpoint
         # per tuple of the head's candidate product.
         estimated = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
-        if not query.is_boolean and not (query.is_monadic and compiled.shadow_is_forest):
+        if not fixpoint_answers(query, compiled):
             for variable in dict.fromkeys(query.head):
                 estimated *= max(variable_domain_estimate(variable, compiled, stats), 1.0)
 

@@ -83,13 +83,6 @@ def _collapse(
     return ConjunctiveQuery(new_head, tuple(kept), query.name)
 
 
-def _body_variables(query: ConjunctiveQuery) -> set[str]:
-    variables: set[str] = set()
-    for atom in query.body:
-        variables.update(atom.variables())
-    return variables
-
-
 def is_trivially_unsatisfiable(query: ConjunctiveQuery) -> bool:
     """Quick test: does Lemma 6.4 already show the query unsatisfiable?"""
     return eliminate_directed_cycles(query) is None

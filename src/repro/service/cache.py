@@ -233,10 +233,6 @@ class QueryCache:
                 entry.plans.pop(next(iter(entry.plans)))
         return existing
 
-    def entry_for_text(self, text: str, kind: str = "datalog") -> CachedQuery:
-        """Convenience wrapper around :meth:`resolve_text`."""
-        return self.resolve_text(text, kind)[0]
-
     def entry_for_query(self, query: ConjunctiveQuery) -> CachedQuery:
         """Convenience wrapper around :meth:`resolve_query`."""
         return self.resolve_query(query)[0]

@@ -58,7 +58,6 @@ The kernels are cross-checked against the bisection primitives
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, eq, le, lt, not_, sub
@@ -71,11 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the index imports us
 
 #: The array typecode used for all rank columns (signed, at least 32 bits).
 COLUMN_TYPECODE = "l"
-
-
-def as_column(ids: Iterable[int]) -> array:
-    """Materialise node ids as a contiguous ``array``-module column."""
-    return array(COLUMN_TYPECODE, ids)
 
 
 # ---------------------------------------------------------------------------

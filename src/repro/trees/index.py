@@ -254,8 +254,8 @@ class MutableDomainView(DomainView):
     ``members`` and the inherited lazy aggregates), so
     :meth:`AxisIndex.has_successor_in` / :meth:`AxisIndex.has_predecessor_in`
     accept either: after propagation reaches its fixpoint, the maintained
-    views are handed directly to the acyclic enumerator and the backtracking
-    forward checker instead of being rebuilt.  Accessing :attr:`array` (and
+    views are handed directly to the backtracking forward checker
+    and the decomposition engine instead of being rebuilt.  Accessing :attr:`array` (and
     with it any aggregate) first compacts away dead entries; aggregates are
     invalidated by every deletion and rebuilt on next use.
     """

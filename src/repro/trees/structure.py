@@ -45,9 +45,6 @@ class Signature:
     def union(self, other: "Signature") -> "Signature":
         return Signature(self.axes | other.axes)
 
-    def restricted_to_ax(self) -> "Signature":
-        return Signature(self.axes & AX)
-
     def __str__(self) -> str:
         return "{" + ", ".join(axis.value for axis in self) + "}"
 

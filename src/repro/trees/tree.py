@@ -221,8 +221,3 @@ class Tree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tree(n={len(self.nodes)}, alphabet={sorted(self.alphabet())})"
-
-
-def tree_from_node(root: Node) -> Tree:
-    """Finalise a node-built tree."""
-    return Tree(root)

@@ -160,6 +160,75 @@ class TestEvaluateCommand:
             )
         assert "--engine acyclic" in str(excinfo.value)
 
+    def test_negative_limit_is_rejected(self, capsys):
+        argv = ["evaluate", "--sexpr", "(A (B) (B) (B))", "--limit", "-1"]
+        with pytest.raises(SystemExit, match="'limit' must be a non-negative integer"):
+            main(argv + ["--query", "Q(y) <- A(x), Child(x, y), B(y)"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--sexpr", "(A (B))", "--query", "Q <- A(x), Child(x"], "cannot parse"),
+            (["evaluate", "--sexpr", "(A (B))", "--xpath", "//B["], "unbalanced predicate"),
+            (["rewrite", "Q <- A(x), Child(x"], "cannot parse"),
+            (["rewrite", "--xpath", "//B["], "unbalanced predicate"),
+        ],
+    )
+    def test_malformed_query_exits_with_the_message(self, argv, message):
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+
+
+class TestEvaluateAccelDb:
+    """``evaluate --accel-db``: write the tree once, reuse it, then query it accel-only."""
+
+    SEXPR = "(A (B (C) (A)) (B) (C (B (A))))"
+    QUERY = "Q(x, y) <- A(x), Child+(x, y), B(y)"
+
+    @staticmethod
+    def _answers(output: str) -> str:
+        return output[output.index("answers  :") :]
+
+    def test_round_trip_matches_the_resident_run(self, tmp_path, capsys):
+        database = str(tmp_path / "accel.db")
+        resident = ["evaluate", "--sexpr", self.SEXPR, "--query", self.QUERY]
+        assert main(resident) == 0
+        expected = self._answers(capsys.readouterr().out)
+        accel = resident + ["--doc", "cold", "--accel-db", database]
+        assert main(accel) == 0
+        first = capsys.readouterr().out
+        assert f"accel    : {database} (materialised doc 'cold')" in first
+        assert "engine   : sql" in first
+        assert self._answers(first) == expected
+        assert main(accel) == 0
+        second = capsys.readouterr().out
+        assert f"accel    : {database} (reused doc 'cold')" in second
+        assert self._answers(second) == expected
+        # No tree source: the document is read from the database alone.
+        cold_argv = ["evaluate", "--doc", "cold", "--query", self.QUERY, "--accel-db", database]
+        assert main(cold_argv) == 0
+        cold = capsys.readouterr().out
+        assert f"accel    : {database} (accel-only doc 'cold')" in cold
+        assert "engine   : sql (propagator: semijoin, lowering: tree)" in cold
+        assert "tree     : 8 nodes" in cold
+        # Without the tree there are no labels to print, only node ids.
+        assert self._answers(cold) == re.sub(r"\([A-Z]+\)", "", expected)
+
+    def test_sexpr_without_doc_id_is_reused_by_content(self, tmp_path, capsys):
+        database = str(tmp_path / "accel.db")
+        argv = ["evaluate", "--sexpr", self.SEXPR, "--query", self.QUERY]
+        argv += ["--engine", "sql", "--accel-db", database]
+        assert main(argv) == 0
+        assert "materialised doc 'sexpr:" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "reused doc 'sexpr:" in capsys.readouterr().out
+
+    def test_unknown_accel_only_document_errors(self, tmp_path):
+        database = str(tmp_path / "accel.db")
+        with pytest.raises(SystemExit, match="'missing' is not in"):
+            main(["evaluate", "--doc", "missing", "--query", self.QUERY, "--accel-db", database])
+
 
 class TestClassifyCommand:
     def test_tractable_signature(self, capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.evaluation import (
     Engine,
     Propagator,
+    answer_page,
     compile_query,
     evaluate,
     is_satisfied,
@@ -28,7 +29,6 @@ from repro.evaluation import (
     propagate,
 )
 from repro.evaluation.ac4 import ac4_fixpoint
-from repro.evaluation.acyclic import iter_satisfactions
 from repro.queries import parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.queries.query import ConjunctiveQuery
@@ -356,26 +356,14 @@ class TestMonadicAcyclicFastPath:
 
 
 class TestDeterministicEnumeration:
-    def test_iter_satisfactions_sorted_and_repeatable(self, medium_random_tree):
-        structure = TreeStructure(medium_random_tree)
-        query = parse_query("Q <- A(x), Child+(x, y), B(y)")
-        first = [tuple(sorted(v.items())) for v in iter_satisfactions(query, structure)]
-        second = [tuple(sorted(v.items())) for v in iter_satisfactions(query, structure)]
-        assert first == second
-        # Root variable candidates appear in ascending node order.
-        roots = [dict(v)["x"] for v in (dict(items) for items in first)]
-        assert roots == sorted(roots)
-
     def test_enumeration_order_independent_of_propagator(self, medium_random_tree):
         structure = TreeStructure(medium_random_tree)
-        query = parse_query("Q <- A(x), Child(x, y), Following(y, z)")
+        query = parse_query("Q(x, y, z) <- A(x), Child(x, y), Following(y, z)")
         sequences = {
-            propagator: [
-                tuple(sorted(v.items()))
-                for v in iter_satisfactions(query, structure, propagator=propagator)
-            ]
+            propagator: answer_page(query, structure, propagator=propagator)[0]
             for propagator in Propagator
         }
         assert sequences[Propagator.AC4] == sequences[Propagator.AC3]
         assert sequences[Propagator.AC4] == sequences[Propagator.HORN]
+        assert sequences[Propagator.AC4] == sequences[Propagator.SEMIJOIN]
         assert sequences[Propagator.AC4]  # non-empty on this tree

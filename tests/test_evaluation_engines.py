@@ -14,7 +14,6 @@ import pytest
 from repro.evaluation import (
     Engine,
     SearchStatistics,
-    acyclic,
     boolean_query_holds,
     check_answer,
     choose_order,
@@ -168,25 +167,30 @@ class TestXPropertyEvaluator:
         assert valuation["x"] == min(domains["x"])
 
 
+def _valuations(query, structure):
+    """Every satisfying valuation of the body: ``evaluate`` with the body's variables as head."""
+    variables = query.variables()
+    answers = evaluate(query.with_head(variables), structure)
+    return {frozenset(zip(variables, answer)) for answer in answers}
+
+
 class TestAcyclicEvaluator:
     def test_boolean_and_enumeration(self, sentence_structure):
         query = parse_query("Q <- S(x), Child(x, y), NP(y), Child(y, z), NN(z)")
-        assert acyclic.boolean_query_holds(query, sentence_structure)
-        solutions = list(acyclic.iter_satisfactions(query, sentence_structure))
-        assert {frozenset(s.items()) for s in solutions} == {
+        assert is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC)
+        assert _valuations(query, sentence_structure) == {
             frozenset({("x", 0), ("y", 1), ("z", 3)})
         }
-        assert acyclic.count_satisfactions(query, sentence_structure) == 1
 
     def test_rejects_cyclic_queries(self, sentence_structure):
         query = parse_query("Q <- Child(x, y), Child+(x, y)")
         with pytest.raises(ValueError):
-            acyclic.boolean_query_holds(query, sentence_structure)
+            is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC)
 
     def test_unsatisfiable(self, sentence_structure):
         query = parse_query("Q <- PP(x), Child(x, y)")
-        assert not acyclic.boolean_query_holds(query, sentence_structure)
-        assert list(acyclic.iter_satisfactions(query, sentence_structure)) == []
+        assert not is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC)
+        assert _valuations(query, sentence_structure) == set()
 
     def test_agreement_with_backtracking(self, sentence_structure):
         queries = [
@@ -197,24 +201,19 @@ class TestAcyclicEvaluator:
         ]
         for text in queries:
             query = parse_query(text)
-            assert acyclic.boolean_query_holds(query, sentence_structure) == bt_holds(
+            assert is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC) == bt_holds(
                 query, sentence_structure
             )
-            lhs = {
-                frozenset(s.items())
-                for s in acyclic.iter_satisfactions(query, sentence_structure)
-            }
             rhs = {
                 frozenset(s.items())
                 for s in iter_solutions(query, sentence_structure)
             }
-            assert lhs == rhs
+            assert _valuations(query, sentence_structure) == rhs
 
     def test_multi_component_query(self, sentence_structure):
         query = parse_query("Q <- NP(x), Child(x, y), PP(z)")
-        count = acyclic.count_satisfactions(query, sentence_structure)
         # Two NPs with two/one children times one PP.
-        assert count == 3
+        assert len(_valuations(query, sentence_structure)) == 3
 
 
 class TestBacktrackingEvaluator:
