@@ -9,6 +9,7 @@ relational accel table::
           subtree_end, sibling_index)      -- + index accel_parent(doc, parent)
     label(doc, node, name)                 -- primary key (doc, name, node)
     documents(doc, nodes, registered_at)
+    digests(doc, digest)                   -- content digest: when rows are reused
 
 Every forward axis becomes a constant-size SQL predicate over two aliases
 (compilation rewrites inverse axes away).  **Labels are the access path, not
@@ -29,10 +30,11 @@ holds the rule).  Two lowerings share that vocabulary and that rule:
   ``DocumentOrder``, ``NextSibling+``/``*``) lower to comparisons against
   aggregates of the witness relation -- the SQL mirror of AC-4's
   ``_GlobalThreshold`` / ``_SiblingThreshold`` trackers -- a labelled
-  ancestor to a semijoin driven from its label range, and the rest to
-  correlated first-witness ``EXISTS`` probes.  The final statement joins only
-  the bags on the head variables' root paths, so a monadic chain never
-  materialises a quadratic intermediate.
+  ancestor to a semijoin driven from its label range, a labelled child of an
+  unpinned parent to the uncorrelated list of its label's parents, and the
+  rest to correlated first-witness ``EXISTS`` probes.  The final statement
+  joins only the bags on the head variables' root paths, so a monadic chain
+  never materialises a quadratic intermediate.
 * ``lowering="flat"`` -- the original one-big-join lowering, kept as the
   ablation and cross-check path.
 
@@ -54,9 +56,11 @@ document is registered *accel-only*.
 
 from __future__ import annotations
 
+import hashlib
 import sqlite3
 import threading
 import time
+from array import array
 from typing import Iterable, Iterator, Mapping, Optional
 from weakref import WeakKeyDictionary
 
@@ -177,7 +181,23 @@ CREATE TABLE IF NOT EXISTS label (
     name  TEXT NOT NULL,
     PRIMARY KEY (doc, name, node)
 ) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS digests (
+    doc     TEXT PRIMARY KEY,
+    digest  TEXT NOT NULL
+);
 """
+
+
+def _content_digest(tree: Tree) -> str:
+    """SHA-256 over the parent array and every node's sorted label set.
+
+    Node ids are pre-order ranks, so the parent array fixes the shape and the
+    sibling order; every other accel column follows from it.
+    """
+    digest = hashlib.sha256(array("q", tree.parent).tobytes())
+    labels = "\x1e".join("\x1f".join(sorted(names)) for names in tree.labels_of)
+    digest.update(labels.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class _TreeLowering:
@@ -194,6 +214,17 @@ class _TreeLowering:
     Everything else in the bag is witness-only and is never joined
     (:meth:`_witness_condition`).
 
+    **Witnesses** cost one pass over their label, never a probe per outer
+    row.  (a) A labelled ``Child`` witness of an unpinned parent is
+    ``parent IN (SELECT w.parent FROM label lw CROSS JOIN accel w ...)``:
+    an uncorrelated list, built once and probed per outer row; a pinned
+    parent has one outer row and keeps the correlated probe.  (b) In a
+    headless bag (``SELECT 1 ... LIMIT 1``) a witness pair joined by
+    ``Following`` keeps its source, so the dropped target is the index seek
+    ``v.subtree_end < (SELECT MAX(id) ...)`` and the scan stops at the first
+    witness.  A bag that keeps columns scans all its rows whichever endpoint
+    it keeps, so it keeps the higher-index one, as before.
+
     **Row sources** (:meth:`_bind`, shared by bags, witnesses and the flat
     join).  (1) A labelled variable's rows come from the label index --
     ``label l CROSS JOIN accel v``, or ``l.node`` alone when no rank column of
@@ -201,7 +232,7 @@ class _TreeLowering:
     residual filters.  (2) An interval atom towards a labelled endpoint is a
     range scan of that label.  (3) A variable reached over a local axis
     (``Child``, siblings) rides ``accel_parent`` / the accel primary key with
-    its label as a point check.  Three measured traps shape the SQL text:
+    its label as a point check.  Four measured traps shape the SQL text:
 
     * a plain ``JOIN`` is not enough -- on default statistics SQLite puts
       ``accel`` outermost again (and prefers ``doc = ?`` on the primary key
@@ -212,7 +243,11 @@ class _TreeLowering:
       hence rule 3;
     * a child-bag ``IN (SELECT c FROM bag_k)`` on a walked variable becomes
       the index driver (one probe per bag member per outer row) unless it is
-      shielded as ``+w.id IN (...)``.
+      shielded as ``+w.id IN (...)``;
+    * a per-row ``Child`` probe costs fan-out: it walks every child of every
+      outer row to find one labelled witness (1.35 ms for ``item`` /
+      ``payment`` at 10k nodes, 0.60 ms as one pass over ``payment``) --
+      hence witness rule (a).
 
     Parameter ordering: SQLite binds ``?`` placeholders left-to-right over
     the *whole* statement (CTE bodies included), so every fragment collects
@@ -444,6 +479,23 @@ class _TreeLowering:
                 f"{names[inner][1]} IN (SELECT {scope[inner][1]} FROM {sources} "
                 f"WHERE {' AND '.join(conditions)})"
             )
+        if (
+            single is not None
+            and single.axis is Axis.CHILD
+            and single.target == variable
+            and self.stored_labels[variable]
+            and single.source not in self.pinned
+        ):
+            # A labelled child witness: a correlated probe walks every child
+            # of every outer row (fan-out).  Decorrelate it into the parents
+            # of the witness label -- one pass over the label, an uncorrelated
+            # list probed once per outer row.  A pinned parent has one outer
+            # row, so its probe stays correlated.
+            sources, conditions = self._bind([variable], atoms, scope, "w", params, refining)
+            return (
+                f"{names[single.source][1]} IN (SELECT {scope[variable][0]}.parent "
+                f"FROM {sources} WHERE {' AND '.join(conditions)})"
+            )
         # Generic first-witness probe: one EXISTS over all of the variable's
         # in-bag atoms (they share the single witness).
         scope.update(names)
@@ -484,7 +536,13 @@ class _TreeLowering:
         # to joined aliases only.
         for atom in atoms:
             if atom.source in droppable and atom.target in droppable:
-                droppable.discard(max(atom.source, atom.target, key=vix.__getitem__))
+                if not keep and atom.axis is Axis.FOLLOWING:
+                    # Headless: keep the source, so the dropped target is the
+                    # index seek ``subtree_end < MAX(id)`` and the scan stops
+                    # at the first witness.
+                    droppable.discard(atom.source)
+                else:
+                    droppable.discard(max(atom.source, atom.target, key=vix.__getitem__))
 
         names: dict[Variable, tuple[str, str]] = {}
         params: list = []
@@ -628,6 +686,9 @@ class SQLiteBackend:
 
     def register_tree(self, doc_id: str, tree: Tree) -> None:
         """Materialise ``tree``'s accel columns under ``doc_id`` (replacing)."""
+        self._materialise(doc_id, tree, _content_digest(tree))
+
+    def _materialise(self, doc_id: str, tree: Tree, digest: str) -> None:
         n = len(tree)
         subtree_end = tree.subtree_end
         accel_rows = (
@@ -660,18 +721,27 @@ class SQLiteBackend:
                 "INSERT OR REPLACE INTO documents VALUES (?, ?, ?)",
                 (doc_id, n, time.time()),
             )
+            cursor.execute("INSERT OR REPLACE INTO digests VALUES (?, ?)", (doc_id, digest))
             self._connection.commit()
 
     def ensure_document(self, doc_id: str, tree: Tree) -> bool:
-        """Register ``tree`` unless ``doc_id`` is already materialised.
+        """Register ``tree`` unless ``doc_id`` already holds exactly its rows.
 
         Returns ``True`` when the document was (re)materialised, ``False``
         when the existing accel rows were reused -- the out-of-core fast path
-        for file-backed databases surviving across sessions.
+        for file-backed databases surviving across sessions.  Rows are reused
+        only when the stored :func:`_content_digest` matches ``tree``'s, so a
+        different tree of the same size under the same id is rewritten (and a
+        database written before digests were stored re-materialises once).
         """
-        if self.document_nodes(doc_id) == len(tree):
+        digest = _content_digest(tree)
+        with self._lock:
+            row = self._connection.execute(
+                "SELECT digest FROM digests WHERE doc = ?", (doc_id,)
+            ).fetchone()
+        if row is not None and row[0] == digest:
             return False
-        self.register_tree(doc_id, tree)
+        self._materialise(doc_id, tree, digest)
         return True
 
     def has_document(self, doc_id: str) -> bool:

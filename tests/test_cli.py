@@ -224,6 +224,23 @@ class TestEvaluateAccelDb:
         assert main(argv) == 0
         assert "reused doc 'sexpr:" in capsys.readouterr().out
 
+    def test_edited_tree_file_of_the_same_size_is_rematerialised(self, tmp_path, capsys):
+        """The rows are reused by content, not by node count."""
+        database = str(tmp_path / "accel.db")
+        path = tmp_path / "doc.xml"
+        argv = ["evaluate", "--tree", str(path), "--query", "Q(x) <- B(x)"]
+        argv += ["--accel-db", database]
+        path.write_text("<A><B/><C/></A>")
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "(materialised doc" in first and "answers  : 1" in first
+        assert main(argv) == 0
+        assert "(reused doc" in capsys.readouterr().out
+        path.write_text("<A><C/><C/></A>")  # same node count, different labels
+        assert main(argv) == 0
+        edited = capsys.readouterr().out
+        assert "(materialised doc" in edited and "answers  : 0" in edited
+
     def test_unknown_accel_only_document_errors(self, tmp_path):
         database = str(tmp_path / "accel.db")
         with pytest.raises(SystemExit, match="'missing' is not in"):

@@ -1,6 +1,6 @@
 """The join-tree SQL lowering and the out-of-core serving path.
 
-Four concern groups, matching the PR 7 surface:
+The concern groups:
 
 * **Window/threshold formulations**: the order-statistic axes (``Following``,
   ``NextSibling+``, ``DocumentOrder`` and their inverses) lower to aggregate
@@ -22,11 +22,20 @@ Four concern groups, matching the PR 7 surface:
 * **Access paths**: no labelled variable is reached through a document-wide
   scan -- measured in SQLite VM steps (``set_progress_handler``), never by
   ``EXPLAIN QUERY PLAN`` wording, which differs between SQLite versions.
+* **Witness access paths**: a labelled ``Child`` witness costs one pass over
+  its label, not the fan-out of every outer row (unless its parent is
+  pinned), a headless ``Following`` pair stops at its first witness, and the
+  benchmark entries' SQL text stays byte-identical.
+* **Stale rows**: accel rows are reused by content digest, never by node
+  count.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +44,7 @@ from hypothesis import strategies as st
 from repro.backends.sqlite import (
     SQLiteBackend,
     evaluate_structure,
+    explain_sql,
     structure_is_satisfied,
 )
 from repro.decomposition.yannakakis import boolean_query_holds, evaluate_answers
@@ -472,6 +482,158 @@ def test_no_labelled_variable_is_reached_by_a_document_scan(
     )
     assert answers == padded_answers and answers
     assert padded_steps <= 2 * steps, (steps, padded_steps)
+
+
+# ---------------------------------------------------------------------------
+# Witness access paths: one pass over the witness label, never per-row fan-out.
+# ---------------------------------------------------------------------------
+
+CHILD_WITNESS = "Q(i) <- item(i), Child(i, p), payment(p)"
+
+
+def _auction(extra_item_children: int = 0, extra_payments: int = 0) -> Tree:
+    """The fixture's auction with unlabelled children added to every ``item``
+    and ``payment`` nodes added in a last root subtree."""
+    tree = auction_document(num_items=55, num_people=30, num_bids=85, seed=42)
+    for node in list(tree.nodes):
+        if "item" in node.labels:
+            for _ in range(extra_item_children):
+                node.add_child(Node(()))
+    if extra_payments:
+        pad = tree.root.add_child(Node(("pad",)))
+        for _ in range(extra_payments):
+            pad.add_child(Node(("payment",)))
+    return Tree(tree.root)
+
+
+def test_child_witness_steps_do_not_grow_with_fan_out():
+    """A labelled ``Child`` witness is the parents of its label, not a walk of
+    every child of every outer row."""
+    query = parse_query(CHILD_WITNESS)
+    with SQLiteBackend() as backend:
+        backend.register_tree("plain", _auction())
+        backend.register_tree("fanned", _auction(extra_item_children=20))
+        steps, answers = _vm_steps(backend, "plain", query)
+        fanned_steps, fanned_answers = _vm_steps(backend, "fanned", query)
+    assert answers and len(fanned_answers) == len(answers)
+    assert fanned_steps <= steps * 1.1, (steps, fanned_steps)
+
+
+def test_pinned_child_witness_keeps_the_correlated_probe():
+    """One outer row: walking its children beats a pass over the label."""
+    query = parse_query(CHILD_WITNESS)
+    plain, padded = _auction(), _auction(extra_payments=2_000)
+    expected = evaluate(query, TreeStructure(plain))
+    items = [node for node, labels in enumerate(plain.labels_of) if "item" in labels]
+    pins = [min(expected)[0], next(node for node in items if (node,) not in expected)]
+    with SQLiteBackend() as backend:
+        backend.register_tree("plain", plain)
+        backend.register_tree("padded", padded)
+        for node in pins:
+            pinned = {"i": node}
+            steps, answers = _vm_steps(backend, "plain", query, pinned=pinned)
+            padded_steps, padded_answers = _vm_steps(backend, "padded", query, pinned=pinned)
+            assert answers == padded_answers == expected & {(node,)}, node
+            assert padded_steps <= steps * 1.1, (node, steps, padded_steps)
+
+
+def _sentence(noun_phrases: int) -> Tree:
+    return parse_sexpr("(S " + "(NP (NN)) " * noun_phrases + "(PP))")
+
+
+def test_boolean_following_witness_stops_at_the_first_witness():
+    """Headless ``Following``: ``subtree_end < MAX(id)`` is an index seek and
+    the scan of the source label stops at its first row below it."""
+    query = parse_query("Q <- NP(x), Following(x, y), PP(y)")
+    with SQLiteBackend() as backend:
+        backend.register_tree("short", _sentence(50))
+        backend.register_tree("long", _sentence(500))
+        steps, answers = _vm_steps(backend, "short", query)
+        long_steps, long_answers = _vm_steps(backend, "long", query)
+    assert answers == long_answers == frozenset({()})
+    assert long_steps <= steps * 1.1, (steps, long_steps)
+
+
+def test_unsatisfiable_following_witness_twin_is_refuted():
+    """No ``NP`` follows the ``PP``; a descendant ``NP`` does not count."""
+    twin = parse_query("Q <- PP(x), Following(x, y), NP(y)")
+    cases = (
+        (_sentence(50), False),
+        (parse_sexpr("(S (PP (NP)))"), False),
+        (parse_sexpr("(S (PP (NP)) (NP))"), True),
+    )
+    for tree, satisfied in cases:
+        expected = frozenset({()}) if satisfied else frozenset()
+        assert evaluate(twin, TreeStructure(tree)) == expected
+        with SQLiteBackend() as backend:
+            backend.register_tree("doc", tree)
+            assert backend.evaluate("doc", twin) == expected, satisfied
+            assert backend.evaluate("doc", twin, lowering="flat") == expected, satisfied
+
+
+def _bench_queries(monkeypatch) -> dict[str, str]:
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    bench_sqlite = importlib.import_module("bench_sqlite")
+    bench_planner = importlib.import_module("bench_planner")
+    return {
+        **bench_sqlite.PAIN_QUERIES,
+        **bench_sqlite.ABLATION_QUERIES,
+        "route_sql_chain": bench_planner.GATING_ENTRIES["route_sql_chain"],
+    }
+
+
+#: ``sha256(explain_sql(...))[:16]`` per lowering of the benchmark entries:
+#: the witness rules above rewrite none of them, so their headlines measure
+#: the same statements as before.
+BENCH_SQL_DIGESTS = {
+    "pain_following_chain3": ("12c80e89344e0327", "c843e14400592b79"),
+    "pain_mixed_chain4": ("8df8124f437db49c", "98d2c5eed8c21382"),
+    "pain_triangle_w2": ("be775548d06cca60", "5c11b4ac5945fc74"),
+    "pain_triangle_fan": ("297135eaf9492047", "60ab24931ed3a3c4"),
+    "ablation_cycle4": ("60dc30e877ce822e", "992a76f6de846a42"),
+    "ablation_pair_child": ("87f03e644ab5aff1", "7c8aca360ed84d35"),
+    "route_sql_chain": ("8df8124f437db49c", "98d2c5eed8c21382"),
+}
+
+
+def test_witness_rules_leave_the_benchmark_sql_byte_identical(monkeypatch):
+    queries = _bench_queries(monkeypatch)
+    assert queries.keys() == BENCH_SQL_DIGESTS.keys()
+    for name, text in queries.items():
+        texts = (explain_sql(parse_query(text), lowering=lowering) for lowering in ("tree", "flat"))
+        digests = tuple(hashlib.sha256(sql.encode()).hexdigest()[:16] for sql in texts)
+        assert digests == BENCH_SQL_DIGESTS[name], name
+
+
+# ---------------------------------------------------------------------------
+# Stale rows: reuse by content digest, never by node count.
+# ---------------------------------------------------------------------------
+
+
+def test_stale_rows_same_size_reregistration_is_rewritten(tmp_path):
+    path = str(tmp_path / "accel.db")
+    query = parse_query("Q(x) <- B(x)")
+    with SQLiteBackend(path) as backend:
+        store = DocumentStore(accel_backend=backend)
+        store.register_tree_accel_only("d", parse_sexpr("(A (B) (C))"))
+        assert backend.evaluate("d", query) == frozenset({(1,)})
+        store.register_tree_accel_only("d", parse_sexpr("(A (C) (C))"))
+        assert backend.evaluate("d", query) == frozenset()
+        assert backend.ensure_document("d", parse_sexpr("(A (C) (C))")) is False
+
+
+def test_stale_rows_database_without_digests_rematerialises_once(tmp_path):
+    path = str(tmp_path / "accel.db")
+    tree = parse_sexpr("(A (B) (C))")
+    with SQLiteBackend(path) as backend:
+        backend.register_tree("d", tree)
+        # A database written before digests were stored has none.
+        backend._connection.execute("DELETE FROM digests")
+        backend._connection.commit()
+    with SQLiteBackend(path) as backend:
+        assert backend.ensure_document("d", tree) is True
+        assert backend.ensure_document("d", tree) is False
+        assert backend.evaluate("d", parse_query("Q(x) <- B(x)")) == frozenset({(1,)})
 
 
 # ---------------------------------------------------------------------------
