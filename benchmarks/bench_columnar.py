@@ -1,24 +1,15 @@
-"""Benchmark: columnar axis kernels vs the per-candidate bisection paths.
+"""Benchmark: columnar bag kernels vs the per-prefix bisection path.
 
-The interval index answers "does candidate ``u`` still have a support in
-domain ``S``?" either per candidate (a bisection probe per watched node) or
-in bulk: one staircase merge over the sorted rank columns answers the
-question for *every* watched node in a single pass of C-level ``array``
-traversals (:mod:`repro.trees.columnar`).  The AC-3 worklist re-asks that
-question on every revise pass, so slow-convergence shapes multiply whatever
-the per-pass primitive costs.
+The interval index answers "which candidates of ``S`` are partners of this
+prefix?" either one prefix at a time (a bisection probe per prefix, the
+depth-first recursion) or in bulk: one pass over the sorted rank columns
+gives *every* prefix of a level its window, in C-level ``array`` traversals
+(:mod:`repro.trees.columnar`).
 
-Two entry groups are measured, each as the production path vs a
-per-candidate reference computing the *same* result:
+The entries measure bag materialization in the decomposition engine as the
+production path vs a per-prefix reference computing the *same* rows:
 
-* ``pain_*`` -- label-free ``Following`` chains, the worst revise-pass
-  multipliers for the AC-3 worklist: :func:`maximal_arc_consistent` against
-  :func:`_per_candidate_arc_consistency`, the set-based worklist with a
-  bisection witness test per candidate that this file keeps as its baseline.
-  The committed headline (``min_speedup``) is the minimum columnar speedup
-  over this group at the largest size and must meet the >= 5x acceptance bar.
-* ``bag_*`` -- bag materialization in the decomposition engine, the second
-  headline (``bag_headline``, bar >= 3x at the largest size): the level-at-a-
+* ``bag_*`` -- the headline (bar >= 3x at the largest size): the level-at-a-
   time kernel (one window per prefix per pass, levels expanded, counted or
   tested) against the depth-first recursion it replaced
   (:func:`_reference_bag`, a ``_DepthFirst`` walk reached directly), on the bag
@@ -28,10 +19,9 @@ per-candidate reference computing the *same* result:
   witness-only (the level is only tested).  Both sides start from the same
   swept candidate columns, so the number is the bag alone.
 * ``ablation_*`` -- entries kept to report where the columnar kernels win
-  less, excluded from both headlines: mixed ``Child+`` / ``Following`` chains
-  (~3-5x), pure ``Child+`` chains (~2-3x), and the sentence-pair bag (two
-  range atoms per level, ~2-3x: both paths pay the same two bisections per
-  prefix, which is most of that bag).
+  less, excluded from the headline: the sentence-pair bag (two range atoms
+  per level, ~2-3x: both paths pay the same two bisections per prefix, which
+  is most of that bag).
 
 Identity between the two sides is asserted on every measured instance, and
 the SQLite accel-table backend (:mod:`repro.backends.sqlite`) is
@@ -48,10 +38,9 @@ import json
 import statistics
 import sys
 import time
-from collections import deque
 
 import pytest
-from bench_config import SMOKE, scaled
+from bench_config import scaled
 
 from repro.decomposition.yannakakis import (
     _DepthFirst,
@@ -59,7 +48,7 @@ from repro.decomposition.yannakakis import (
     _plan_bag,
     evaluate_answers,
 )
-from repro.evaluation import PropagationResult, compile_query, maximal_arc_consistent
+from repro.evaluation import PropagationResult, compile_query
 from repro.evaluation.reducer import semijoin_sweeps
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
@@ -73,28 +62,6 @@ SIZES = scaled((5_000, 100_000), (2_000, 5_000))
 #: Node count of the fixed labeled document used for the SQLite cross-check.
 CROSSCHECK_SIZE = scaled(5_000, 1_000)
 
-
-def _chain(axis: str, length: int) -> str:
-    return "Q <- " + ", ".join(f"{axis}(x{i}, x{i + 1})" for i in range(length))
-
-
-#: Label-free Following chains: many revise passes, every pass re-scans whole
-#: domains, so the per-pass staircase merge vs bisection gap compounds.
-PAIN_QUERIES = {
-    "pain_following_chain8": _chain("Following", 8),
-    "pain_following_chain12": _chain("Following", 12),
-}
-
-#: AC-3 shapes where the worklist converges quickly, so fewer passes amortise
-#: the columnar win; reported honestly, excluded from the headline.
-ABLATION_AC3_QUERIES = {
-    "ablation_mix_chain5": (
-        "Q <- Child+(a, b), Following(b, c), Child+(c, d), Following(d, e), Child+(e, f)"
-    ),
-    "ablation_childplus_chain6": _chain("Child+", 6),
-}
-
-AC3_QUERIES = {**PAIN_QUERIES, **ABLATION_AC3_QUERIES}
 
 #: The large pair bag (147k rows at 100k nodes); also the SQLite cross-check.
 BAG_QUERY = "Q(x, y) <- A(x), Child+(x, y), B(y)"
@@ -113,12 +80,8 @@ BAG_SHAPES = {
     "ablation_bag_sentence_pair_limit10": ("corpus", f"Q(s, x, y) <- {_SENTENCE_PAIR}", 10),
 }
 
-#: The bags cost milliseconds: medians over more runs than the fixpoints get.
+#: The bags cost milliseconds: medians over many runs.
 BAG_REPEATS = 15
-
-
-def _tree(size: int):
-    return random_tree(size, alphabet=(), seed=42)
 
 
 def _labeled_tree(size: int):
@@ -156,10 +119,6 @@ def _median_time(function, repeats: int) -> float:
     return statistics.median(timings)
 
 
-def _as_sets(domains):
-    return None if domains is None else {v: set(nodes) for v, nodes in domains.items()}
-
-
 def _entry(size, name, kind, pain, slow, fast):
     entry = {
         "tree_size": size,
@@ -175,63 +134,6 @@ def _entry(size, name, kind, pain, slow, fast):
         f"columnar={fast:.4f}s speedup={entry['speedup']:.1f}x"
     )
     return entry
-
-
-def _per_candidate_arc_consistency(query, structure):
-    """The AC-3 worklist over plain sets, one bisection witness test per candidate.
-
-    Every revise re-sorts both domains into fresh
-    :class:`~repro.trees.index.DomainView` snapshots and asks
-    ``has_successor_in`` / ``has_predecessor_in`` once per candidate.  Same
-    fixpoint as :func:`maximal_arc_consistent`.
-    """
-    compiled = compile_query(query)
-    domains = compiled.initial_domains(structure)
-    if any(not domain for domain in domains.values()):
-        return None
-    if not compiled.apply_loop_filters(domains, structure):
-        return None
-    index = structure.index
-
-    def revise(atom):
-        changed = []
-        source, target = domains[atom.source], domains[atom.target]
-        view = index.view(target)
-        keep = {v for v in source if index.has_successor_in(atom.axis, v, view)}
-        if keep != source:
-            domains[atom.source] = source = keep
-            changed.append(atom.source)
-        view = index.view(source)
-        keep = {w for w in target if index.has_predecessor_in(atom.axis, w, view)}
-        if keep != target:
-            domains[atom.target] = keep
-            changed.append(atom.target)
-        return changed
-
-    queue = deque(compiled.edges)
-    queued = set(compiled.edges)
-    while queue:
-        atom = queue.popleft()
-        queued.discard(atom)
-        for variable in revise(atom):
-            if not domains[variable]:
-                return None
-            for neighbour_atom in compiled.atoms_of(variable):
-                if neighbour_atom not in queued:
-                    queue.append(neighbour_atom)
-                    queued.add(neighbour_atom)
-    return domains
-
-
-def _measure_fixpoint(query, structure, repeats):
-    """Identity check plus median timings: columnar worklist vs per-candidate."""
-    fast_domains = maximal_arc_consistent(query, structure)
-    slow_domains = _per_candidate_arc_consistency(query, structure)
-    if _as_sets(fast_domains) != _as_sets(slow_domains):
-        raise AssertionError(f"columnar/per-candidate fixpoint mismatch: {query}")
-    fast = _median_time(lambda: maximal_arc_consistent(query, structure), repeats)
-    slow = _median_time(lambda: _per_candidate_arc_consistency(query, structure), repeats)
-    return slow, fast
 
 
 def _reference_bag(query, compiled, structure, swept, limit):
@@ -316,20 +218,11 @@ def _crosscheck_sqlite(size: int) -> int:
     return len(join_tree)
 
 
-def run(sizes=SIZES, repeats: int = 3) -> dict:
-    """Measure columnar vs per-candidate paths on every (size, entry) pair."""
+def run(sizes=SIZES) -> dict:
+    """Measure the level kernel vs the per-prefix recursion on every (size, bag) pair."""
     results = []
     for size in sizes:
-        structure = TreeStructure(_tree(size))
-        structure.index  # the O(n) index build is shared and paid up front
-        for name, text in AC3_QUERIES.items():
-            query = parse_query(text)
-            slow, fast = _measure_fixpoint(query, structure, repeats)
-            results.append(
-                _entry(size, name, "ac3_worklist", name in PAIN_QUERIES, slow, fast)
-            )
-        # Bag materialization in the decomposition engine: identical rows and
-        # counts, one level at a time vs one prefix at a time.
+        # Identical rows and counts, one level at a time vs one prefix at a time.
         structures = _bag_documents(size)
         for name in BAG_SHAPES:
             results.append(_measure_bag(name, structures, size))
@@ -337,45 +230,26 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
     print(f"sqlite cross-check: {crosscheck_rows} rows byte-identical at n={CROSSCHECK_SIZE}")
     largest = max(sizes)
     at_largest = [entry for entry in results if entry["tree_size"] == largest]
-    headline = min(
-        entry["speedup"]
-        for entry in at_largest
-        if entry["pain_case"] and entry["kind"] == "ac3_worklist"
-    )
-    bag_headline = min(
-        entry["speedup"]
-        for entry in at_largest
-        if entry["pain_case"] and entry["kind"] == "bag_rows"
-    )
+    headline = min(entry["speedup"] for entry in at_largest if entry["pain_case"])
     ablation_at_largest = [entry for entry in at_largest if not entry["pain_case"]]
     return {
-        "benchmark": "columnar axis kernels vs per-candidate bisection paths",
+        "benchmark": "columnar bag kernels vs the per-prefix bisection path",
         "sizes": list(sizes),
-        "repeats": repeats,
+        "repeats": BAG_REPEATS,
         "results": results,
         "headline": {
             "tree_size": largest,
             "min_speedup": headline,
-            "claim": (
-                "columnar AC-3 worklist >= 5x faster than the per-candidate "
-                "bisection path on label-free Following chains"
-            ),
-            "holds": headline >= 5.0,
-        },
-        "bag_headline": {
-            "tree_size": largest,
-            "min_speedup": bag_headline,
             "claim": (
                 "level-at-a-time bag materialization >= 3x faster than the "
                 "per-prefix recursion on the pair and bidder-triangle bags "
                 "(unlimited, limit 10, witness-only last level), from the same "
                 "swept candidate columns"
             ),
-            "holds": bag_headline >= 3.0,
+            "holds": headline >= 3.0,
         },
         # Where the kernels dominate less, kept honest and out of the
-        # headlines: fast-converging chains, the sentence-pair bag
-        # (bisection-bound in both modes).
+        # headline: the sentence-pair bag (bisection-bound in both modes).
         "ablation": {
             "tree_size": largest,
             "min_speedup": min(e["speedup"] for e in ablation_at_largest),
@@ -392,24 +266,16 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_columnar.json", help="output JSON path")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    report = run(repeats=args.repeats)
+    report = run()
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(
-        f"wrote {args.out}; headline min pain-case speedup on "
+        f"wrote {args.out}; headline min bag speedup on "
         f"n={report['headline']['tree_size']}: {report['headline']['min_speedup']:.1f}x"
     )
-    print(
-        f"bag headline min speedup on n={report['bag_headline']['tree_size']}: "
-        f"{report['bag_headline']['min_speedup']:.1f}x"
-    )
     if not report["headline"]["holds"]:
-        print("FAIL: the >=5x speedup claim does not hold at these sizes")
-        return 1
-    if not report["bag_headline"]["holds"]:
         print("FAIL: the >=3x bag materialization claim does not hold at these sizes")
         return 1
     return 0
@@ -418,23 +284,36 @@ def main(argv=None) -> int:
 # -- pytest-benchmark cases ----------------------------------------------------
 
 SMALLEST = min(SIZES)
-BENCH_TREE = _tree(SMALLEST)
 
 
-@pytest.mark.parametrize("name", sorted(PAIN_QUERIES))
-def test_columnar_pain_queries(benchmark, name):
-    query = parse_query(PAIN_QUERIES[name])
-    structure = TreeStructure(BENCH_TREE)
-    benchmark(lambda: maximal_arc_consistent(query, structure))
+@pytest.fixture(scope="module")
+def triangle_bag():
+    """The bidder-triangle bag at the smallest size: ``(level kernel, reference)``."""
+    structure = _bag_documents(SMALLEST)["auction"]
+    query = parse_query(BAG_SHAPES["bag_triangle"][1])
+    compiled = compile_query(query)
+    swept = semijoin_sweeps(compiled, structure, None)
+
+    def bag():
+        return _materialize_bag(
+            frozenset(compiled.variables),
+            compiled.atoms,
+            PropagationResult(structure, columns=swept),
+            structure,
+            compiled.variable_index,
+            frozenset(query.head),
+            head=query.head,
+        )
+
+    return bag, lambda: _reference_bag(query, compiled, structure, swept, None)
 
 
-@pytest.mark.parametrize(
-    "name", sorted(PAIN_QUERIES)[:1] if SMOKE else sorted(PAIN_QUERIES)
-)
-def test_per_candidate_pain_queries(benchmark, name):
-    query = parse_query(PAIN_QUERIES[name])
-    structure = TreeStructure(BENCH_TREE)
-    benchmark(lambda: _per_candidate_arc_consistency(query, structure))
+def test_level_kernel_triangle_bag(benchmark, triangle_bag):
+    benchmark(triangle_bag[0])
+
+
+def test_per_prefix_triangle_bag(benchmark, triangle_bag):
+    benchmark(triangle_bag[1])
 
 
 def test_cross_backend_byte_identity_smoke():
@@ -442,20 +321,19 @@ def test_cross_backend_byte_identity_smoke():
     assert _crosscheck_sqlite(1_000) > 0
 
 
-def test_columnar_speedup_meets_claim():
+def test_columnar_speedup_meets_claim(triangle_bag):
     """A relaxed wall-clock guard against losing the speedup entirely.
 
-    The real >=5x claim is enforced by ``main`` (run by CI's bench-smoke job
+    The real >=3x claim is enforced by ``main`` (run by CI's bench-smoke job
     and gated by ``check_regression.py`` against the committed baseline);
-    this pytest variant uses a 2x margin at the smallest size so it stays
+    this pytest variant uses a 1.5x margin at the smallest size so it stays
     robust on loaded machines, while still catching a regression that makes
-    the columnar worklist no faster than the per-candidate path.
+    the level kernel no faster than the per-prefix recursion.
     """
-    structure = TreeStructure(BENCH_TREE)
-    query = parse_query(PAIN_QUERIES["pain_following_chain8"])
-    fast = _median_time(lambda: maximal_arc_consistent(query, structure), 3)
-    slow = _median_time(lambda: _per_candidate_arc_consistency(query, structure), 3)
-    assert slow >= 2.0 * fast
+    bag, reference = triangle_bag
+    relation, count = bag()
+    assert (relation.rows, count) == reference()
+    assert _median_time(reference, 5) >= 1.5 * _median_time(bag, 5)
 
 
 if __name__ == "__main__":

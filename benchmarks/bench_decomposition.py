@@ -2,10 +2,10 @@
 
 Until this subsystem existed, the planner sent *every* cyclic query over an
 NP-hard signature to backtracking -- for k-ary answer enumeration that means
-one pinned Boolean evaluation (a full propagation fixpoint plus search) per
-candidate head tuple.  The decomposition engine instead works over a width-2
-tree decomposition from the AC fixpoint domains, with one propagation
-fixpoint *total* instead of one per candidate: a one-bag monadic head reads
+one pinned Boolean evaluation (a pruning pass plus search) per candidate head
+tuple.  The decomposition engine instead works over a width-2 tree
+decomposition from the pruned candidate columns, with one pruning pass
+*total* instead of one per candidate: a one-bag monadic head reads
 its answers off the level-at-a-time bag kernel, and a monadic head over
 several bags runs the memoised join-tree search once per head candidate
 (one memo per request, keyed on (bag, separator assignment)).  It is now the
@@ -17,22 +17,22 @@ Two query groups over random 16-label trees:
   NP-hard signatures ({Child+, Following} and {Child+, NextSibling+}):
   triangles, fused double triangles, sibling triangles.  The committed
   headline is the *minimum* decomposition speedup over this group at the
-  largest size and must meet the >= 5x acceptance bar; measured 134x-735x
-  at 10k nodes in the committed re-measurement with the memoised search
-  (205x-748x with the bags materialized; the sibling triangle, a one-bag
-  shape the search does not touch, is the committed minimum).
+  largest size and must meet the >= 5x acceptance bar; measured 50x-118x
+  at 10k nodes with both engines behind the plan's semijoin sweeps and
+  backtracking forward-checking (134x-735x while both paid an AC-4
+  fixpoint and backtracking checked against static domains).
 * ``ablation_*`` -- shapes kept to report where the win shrinks, excluded
   from the headline: the four-cycle (its materialized bag had a mid-bag
   local existential, genuinely quadratic in the subtree sizes at ~4.5x,
   ~83x with the union-of-ranges window merge; the memoised search never
-  builds that bag: ~182x) and an AC-refutable unsatisfiable diamond (arc
-  consistency already empties the domains, so both engines terminate
-  immediately, ~1x).
+  builds that bag: ~70x) and an unsatisfiable diamond (arc consistency
+  would empty its domains, the spanning-forest sweeps do not, so both
+  engines search to refute it: ~2x).
 
 Answer sets are cross-checked byte-identical (as sorted lists) between the
-two engines on every measured instance -- across *all four* propagators at
-the smaller sizes, and with the default AC-4 propagator at every size (the
-backtracking side is too slow to re-measure four times at 10k).
+two engines on every measured instance, each under its default (the plan's)
+propagator: the semijoin sweeps, as candidate supersets, on these cyclic
+NP-hard shapes.
 
 Run standalone (``python benchmarks/bench_decomposition.py``) to regenerate
 ``BENCH_decomposition.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
@@ -89,10 +89,6 @@ ABLATION_QUERIES = {
 
 QUERIES = {**PAIN_QUERIES, **ABLATION_QUERIES}
 
-#: Sizes up to which the byte-identity cross-check runs on every propagator
-#: (including the Horn-SAT ground truth); above it AC-4 alone is re-checked.
-FULL_CROSSCHECK_LIMIT = 1_000
-
 
 def _tree(size: int):
     return random_tree(size, alphabet=LABELS, seed=42)
@@ -108,20 +104,10 @@ def _median_time(function, repeats: int) -> float:
 
 
 def _crosscheck(query, structure, size: int) -> None:
-    propagators = (
-        ("ac4", "ac3", "horn", "hybrid") if size <= FULL_CROSSCHECK_LIMIT else ("ac4",)
-    )
-    for propagator in propagators:
-        decomposition_answers = sorted(
-            evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator=propagator)
-        )
-        backtracking_answers = sorted(
-            evaluate(query, structure, engine=Engine.BACKTRACKING, propagator=propagator)
-        )
-        if repr(decomposition_answers) != repr(backtracking_answers):
-            raise AssertionError(
-                f"answer mismatch on {query.name} (n={size}, propagator={propagator})"
-            )
+    decomposition_answers = sorted(evaluate(query, structure, engine=Engine.DECOMPOSITION))
+    backtracking_answers = sorted(evaluate(query, structure, engine=Engine.BACKTRACKING))
+    if repr(decomposition_answers) != repr(backtracking_answers):
+        raise AssertionError(f"answer mismatch on {query.name} (n={size})")
 
 
 def run(sizes=SIZES, repeats: int = 2) -> dict:
@@ -201,8 +187,8 @@ def run(sizes=SIZES, repeats: int = 2) -> dict:
             "min_speedup": min(e["speedup"] for e in ablation_at_largest),
             "note": (
                 "four-cycle: the memoised search walks its bags one separator "
-                "assignment at a time; unsat diamond: arc consistency refutes "
-                "it before either engine starts"
+                "assignment at a time; unsat diamond: the sweeps leave it to "
+                "both engines' searches to refute"
             ),
         },
     }

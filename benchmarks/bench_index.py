@@ -1,19 +1,24 @@
-"""Benchmark ``prop3.1``: interval-index vs enumeration arc consistency.
+"""Benchmark ``prop3.1``: interval-index propagation vs enumeration arc consistency.
 
 The tentpole claim of the AxisIndex subsystem (:mod:`repro.trees.index`) is
-that answering "does this candidate have an axis witness in the opposite
-domain?" from pre/post rank arrays turns one arc-consistency revise pass from
-O(|domain| * n) into O(|domain| log n) for the transitive axes.  This file
-measures exactly that, two ways:
+that answering "does this candidate have an axis partner in the opposite
+domain?" from pre/post rank arrays instead of materialized axis relations
+turns candidate pruning from O(|domain| * n) into O(|domain| log n) for the
+transitive axes.  This file measures that, two ways:
 
 * as pytest-benchmark cases (run with ``--benchmark-only``), and
 * as a standalone script (``python benchmarks/bench_index.py``) that times
-  :func:`repro.evaluation.arc_consistency.maximal_arc_consistent` against
-  :func:`_enumeration_arc_consistency` -- the same worklist with a revise
-  step that materializes ``axis_successors`` / ``axis_predecessors`` per
-  candidate, the baseline this file keeps to itself -- on random trees and
-  writes the results (including the headline speedup on the largest tree)
-  to ``BENCH_index.json``.
+  :func:`repro.evaluation.propagate` under the plan's propagator (the
+  semijoin full reducer on the forest-shaped chain, the pointer walk on the
+  cyclic body) against :func:`_enumeration_arc_consistency` -- an AC-3
+  worklist whose revise step materializes ``axis_successors`` /
+  ``axis_predecessors`` per candidate, the baseline this file keeps to itself
+  -- on random trees, and writes the results (including the headline speedup
+  on the largest tree) to ``BENCH_index.json``.
+
+Both sides must agree on every instance: on the verdict always, and on the
+domains on forest-shaped bodies, where the reducer's columns are the
+arc-consistent prevaluation (the walk's columns are sound supersets only).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from collections import deque
 import pytest
 from bench_config import scaled
 
-from repro.evaluation import compile_query, maximal_arc_consistent
+from repro.evaluation import choose_propagator, compile_query, propagate
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
 
@@ -38,8 +43,7 @@ QUERIES = {
         "Q <- A(x), Child+(x, y), B(y), Following(y, z), C(z), NextSibling+(z, w)"
     ),
     "cyclic_labelled": (
-        "Q <- A(x), Child+(x, y), B(y), Following(y, z), C(z), "
-        "Child+(z, w), A(w), Child+(x, w)"
+        "Q <- A(x), Child+(x, y), B(y), Child*(y, z), C(z), Child+(z, w), A(w), Child+(x, w)"
     ),
 }
 
@@ -53,13 +57,16 @@ def _enumeration_arc_consistency(query, structure):
 
     Per candidate, the revise step materializes the axis relation and
     intersects it with the opposite domain -- O(n) per candidate for the
-    transitive axes.  Same fixpoint as :func:`maximal_arc_consistent`.
+    transitive axes.  Returns the maximal arc-consistent prevaluation, or
+    ``None`` when a domain empties.
     """
     compiled = compile_query(query)
     domains = compiled.initial_domains(structure)
+    for loop in compiled.loops:
+        domains[loop.source] = {
+            v for v in domains[loop.source] if structure.axis_holds(loop.axis, v, v)
+        }
     if any(not domain for domain in domains.values()):
-        return None
-    if not compiled.apply_loop_filters(domains, structure):
         return None
 
     def revise(atom):
@@ -94,61 +101,79 @@ def _enumeration_arc_consistency(query, structure):
     return domains
 
 
-def _time_arc_consistency(tree, query, indexed: bool, repeats: int) -> float:
+def _planned(query, structure):
+    """``propagate()`` under the propagator the plan picks for ``query``."""
+    compiled = compile_query(query)
+    return propagate(compiled, structure, propagator=choose_propagator(compiled))
+
+
+def _crosscheck(query, structure) -> None:
+    """Same verdict always; the same domains where the reducer's columns are exact."""
+    planned = _planned(query, structure)
+    enumerated = _enumeration_arc_consistency(query, structure)
+    if (planned is None) != (enumerated is None):
+        raise AssertionError(f"verdict mismatch: {query}")
+    if planned is not None and compile_query(query).shadow_is_forest:
+        if planned.domains != enumerated:
+            raise AssertionError(f"domain mismatch on a forest: {query}")
+
+
+def _time_pruning(tree, query, indexed: bool, repeats: int) -> float:
     """Median wall time over ``repeats`` runs, each on a fresh structure.
 
     A fresh :class:`TreeStructure` per run gives each run an empty
     ``AxisOracle`` cache, so the enumeration path is not flattered by
     re-enumerations cached during a previous run.
     """
-    fixpoint = maximal_arc_consistent if indexed else _enumeration_arc_consistency
+    prune = _planned if indexed else _enumeration_arc_consistency
     timings = []
     for _ in range(repeats):
         structure = TreeStructure(tree)
         structure.index  # the O(n) index build is shared and paid up front
         start = time.perf_counter()
-        fixpoint(query, structure)
+        prune(query, structure)
         timings.append(time.perf_counter() - start)
     return statistics.median(timings)
 
 
 def run(sizes=SIZES, repeats: int = 3) -> dict:
-    """Measure both revise strategies for every (size, query) combination."""
+    """Measure both sides for every (size, query) combination."""
     results = []
     for size in sizes:
         tree = _tree(size)
         for name, text in QUERIES.items():
             query = parse_query(text)
-            interval = _time_arc_consistency(tree, query, True, repeats)
+            _crosscheck(query, TreeStructure(tree))
+            interval = _time_pruning(tree, query, True, repeats)
             # The enumeration path is O(n^2)-ish: one repeat on big trees.
             enum_repeats = repeats if size <= 1_000 else 1
-            enumeration = _time_arc_consistency(tree, query, False, enum_repeats)
+            enumeration = _time_pruning(tree, query, False, enum_repeats)
             results.append(
                 {
                     "tree_size": size,
                     "query": name,
+                    "propagator": choose_propagator(compile_query(query)).value,
                     "interval_seconds": interval,
                     "enumeration_seconds": enumeration,
                     "speedup": enumeration / interval if interval > 0 else float("inf"),
                 }
             )
             print(
-                f"n={size:>6} {name:<16} interval={interval:.4f}s "
-                f"enumeration={enumeration:.4f}s speedup={results[-1]['speedup']:.1f}x"
+                f"n={size:>6} {name:<16} {results[-1]['propagator']:<8} "
+                f"interval={interval:.4f}s enumeration={enumeration:.4f}s "
+                f"speedup={results[-1]['speedup']:.1f}x"
             )
     largest = max(sizes)
-    headline = min(
-        entry["speedup"] for entry in results if entry["tree_size"] == largest
-    )
+    headline = min(entry["speedup"] for entry in results if entry["tree_size"] == largest)
     return {
-        "benchmark": "arc consistency: interval index vs relation enumeration",
+        "benchmark": "planned propagation on the interval index vs enumeration arc consistency",
         "sizes": list(sizes),
         "repeats": repeats,
         "results": results,
         "headline": {
             "tree_size": largest,
             "min_speedup": headline,
-            "claim": "interval-based arc consistency >= 5x faster",
+            "claim": "planned propagation on the interval index >= 5x faster",
             "holds": headline >= 5.0,
         },
     }
@@ -180,9 +205,9 @@ BENCH_TREE = _tree(SMALLEST)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
-def test_interval_arc_consistency(benchmark, name):
+def test_planned_propagation(benchmark, name):
     query = parse_query(QUERIES[name])
-    benchmark(lambda: maximal_arc_consistent(query, TreeStructure(BENCH_TREE)))
+    benchmark(lambda: _planned(query, TreeStructure(BENCH_TREE)))
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -202,12 +227,9 @@ def test_speedup_meets_claim():
     """
     tree = _tree(SMALLEST)
     query = parse_query(QUERIES["acyclic_chain"])
-    structure = TreeStructure(tree)
-    assert _enumeration_arc_consistency(query, structure) == maximal_arc_consistent(
-        query, structure
-    )
-    interval = _time_arc_consistency(tree, query, True, 3)
-    enumeration = _time_arc_consistency(tree, query, False, 3)
+    _crosscheck(query, TreeStructure(tree))
+    interval = _time_pruning(tree, query, True, 3)
+    enumeration = _time_pruning(tree, query, False, 3)
     assert enumeration >= 2.0 * interval
 
 

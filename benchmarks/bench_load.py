@@ -40,7 +40,7 @@ WORKLOAD = [
     {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
     {"doc": "auction", "xpath": "//description//listitem"},
     {"doc": "corpus", "query": "Q(x) <- NP(x), Child(x, y), NN(y)"},
-    {"doc": "corpus", "xpath": "//NP[NN]", "propagator": "ac3"},
+    {"doc": "corpus", "xpath": "//NP[NN]"},
 ]
 BODIES = [json.dumps(request).encode("utf-8") for request in WORKLOAD]
 

@@ -27,8 +27,11 @@ holds when the plan is >= 2x faster at every size:
   16-label tree, where backtracking pays one pinned Boolean evaluation per
   head candidate;
 * ``route_bool_cycle4`` -- Boolean satisfiability of a fully *unlabeled*
-  four-cycle, backtracking's best case (one fixpoint plus a first-witness
-  probe), where materializing the bags used to lose ~100x.
+  four-cycle, backtracking's best case (one pruning pass plus a
+  first-witness probe), where materializing the bags used to lose ~100x.
+  Since backtracking prunes with the plan's sweeps instead of an AC-4
+  fixpoint and forward-checks, it reads ~0.7x here, below the residue
+  headline's bar.
 
 The plan is computed once per (query, document) outside the timed loop,
 matching a warm server: ``QueryCache.plan_for`` memoizes plans per
@@ -40,12 +43,10 @@ configuration on every measured instance.
 pick on the width-2 fan
 (``ablation_sql_fan`` -- a gating entry at 608x while the flat join read
 labels through an ``EXISTS`` per accel row; with label-driven row sources
-the flat join is 3-8x behind, inside the 5x bar), the propagator pick -- AC-4 vs
-hybrid vs the semijoin full reducer -- on an unlabeled ``Child+`` chain, the
-full reducer's bisection-vs-kernels crossover against either side forced, and
-what prunes the candidates in front of the decomposition engine on a cyclic
-body (``ablation_sweeps_*``: the exact AC-4 fixpoint against the two
-spanning-forest sweeps every decomposition plan carries).
+the flat join is 3-8x behind, inside the 5x bar), the propagator pick -- the
+semijoin full reducer vs Theorem 3.5's pointer walk -- on an unlabeled Boolean
+``Child+`` chain, and the full reducer's bisection-vs-kernels crossover
+against either side forced.
 
 Run standalone (``python benchmarks/bench_planner.py``) to regenerate
 ``BENCH_planner.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
@@ -70,7 +71,6 @@ from repro.evaluation.reducer import semijoin_sweeps
 from repro.planning import DocumentStats, plan_query
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
-from repro.workloads import auction_document, random_corpus
 
 #: 16 labels for the resident entries (heads in the hundreds, existentials
 #: label-free) -- the bench_decomposition regime where routing matters.
@@ -107,11 +107,10 @@ ABLATION_SQL_FAN = (
     "Following(x, w), B(w), NextSibling+(x, v), C(v)"
 )
 
-#: Unlabeled chain for the propagator ablation: both endpoints of each
-#: ``Child+`` edge are full-domain, where the hybrid beats AC-4's quadratic
-#: support seeding -- and, the body being forest-shaped, where
-#: ``choose_propagator`` now picks the semijoin full reducer over both.
-ABLATION_PROPAGATOR = "Q(x) <- Child+(x, y), Child+(y, z)"
+#: Unlabeled Boolean chain for the propagator ablation: every column is
+#: full-domain, and the body being forest-shaped, ``choose_propagator`` picks
+#: the semijoin full reducer over the walk (either decides it).
+ABLATION_PROPAGATOR = "Q <- Child+(x, y), Child+(y, z)"
 
 
 def _resident_tree(size: int):
@@ -212,9 +211,8 @@ def _measure_accel(name, text, size, repeats, kind="gating"):
     return _entry(size, name, kind, cost_seconds, plan.lowering, static_seconds)
 
 
-#: The propagators the ablation measures: the AC-4 default, the hybrid the
-#: planner used to pick here, and the semijoin full reducer it picks now.
-ABLATION_PROPAGATORS = ("ac4", "hybrid", "semijoin")
+#: The propagators the ablation measures: the planner's pick and the walk.
+ABLATION_PROPAGATORS = ("semijoin", "walk")
 
 
 def _measure_propagator_ablation(size, repeats):
@@ -249,7 +247,7 @@ def _measure_propagator_ablation(size, repeats):
 #: columns unlabeled (the cumulative-membership kernels' side of the crossover)
 #: and both label-selective (the per-candidate bisection's side).
 ABLATION_REDUCER = {
-    "ablation_reducer_unlabeled": ABLATION_PROPAGATOR,
+    "ablation_reducer_unlabeled": "Q(x) <- Child+(x, y), Child+(y, z)",
     "ablation_reducer_selective": "Q(x) <- L05(i), Child*(x, i), L03(x)",
 }
 
@@ -271,52 +269,6 @@ def _measure_reducer_kernel_ablation(name, size, repeats):
     return _entry(size, name, "ablation", cost_seconds, f"threshold={threshold}", seconds)
 
 
-#: Cyclic bodies on the decomposition route: the two labelled shapes of the
-#: e2e ``answers_10k`` / ``kary_1k`` workloads on their own documents (the
-#: generator parameters of ``benchmarks/e2e/workloads.py``), and a label-free
-#: wedge where the sweeps have no label column to start from and AC-4's extra
-#: pruning has the most to offer.
-ABLATION_SWEEPS = {
-    "ablation_sweeps_triangle": (
-        "Q(a, b1, b2) <- open_auction(a), Child(a, b1), bidder(b1), Child(a, b2), "
-        "bidder(b2), Following(b1, b2)",
-        lambda: auction_document(
-            seed=42,
-            **scaled(
-                dict(num_items=560, num_people=300, num_bids=850),
-                dict(num_items=55, num_people=30, num_bids=85),
-            ),
-        ),
-    ),
-    "ablation_sweeps_sentence_pair": (
-        "Q(s, x, y) <- S(s), Child+(s, x), NP(x), Child+(s, y), NN(y), Following(x, y)",
-        lambda: random_corpus(seed=42, num_sentences=scaled(440, 45)),
-    ),
-    "ablation_sweeps_unlabeled": (
-        "Q(x) <- Child+(x, y), Child+(x, z), Following(y, z)",
-        lambda: _resident_tree(min(RESIDENT_SIZES)),
-    ),
-}
-
-
-def _measure_sweeps_ablation(name, repeats):
-    """AC-4 vs the spanning-forest sweeps in front of the decomposition engine."""
-    text, make_tree = ABLATION_SWEEPS[name]
-    query = parse_query(text)
-    tree = make_tree()
-    structure = TreeStructure(tree)
-    plan = plan_query(query, DocumentStats.of_tree(tree), engine=Engine.DECOMPOSITION)
-
-    def run_with(propagator):
-        return evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator=propagator)
-
-    if run_with("ac4") != run_with("semijoin"):
-        raise AssertionError(f"sweeps answer mismatch on {name}")
-    static_seconds = {p: _best_time(lambda: run_with(p), repeats * 3) for p in ("ac4", "semijoin")}
-    chosen = plan.propagator.value
-    return _entry(len(tree), name, "ablation", static_seconds[chosen], chosen, static_seconds)
-
-
 def run(repeats: int = 3) -> dict:
     """Measure every entry, assert byte-identity, and compute the headline."""
     results = []
@@ -334,8 +286,6 @@ def run(repeats: int = 3) -> dict:
         results.append(_measure_propagator_ablation(size, repeats))
         for name in ABLATION_REDUCER:
             results.append(_measure_reducer_kernel_ablation(name, size, repeats))
-    for name in ABLATION_SWEEPS:
-        results.append(_measure_sweeps_ablation(name, repeats))
 
     gating = [entry for entry in results if entry["kind"] == "gating"]
     min_speedup = min(entry["speedup"] for entry in gating)

@@ -1,10 +1,9 @@
 """Benchmark ``thm3.5``: near-linear scaling of the X-property evaluator.
 
-Measures the Theorem 3.5 algorithm while scaling (a) the tree and (b) the
-query, plus two ablations called out in DESIGN.md:
-
-* worklist arc consistency vs the literal Horn program of Proposition 3.1,
-* lazy axis access vs materialised axis relations.
+Measures the Theorem 3.5 pointer walk
+(:func:`~repro.evaluation.xprop_evaluator.least_valuation`) while scaling (a)
+the tree and (b) the query, plus one ablation: lazy axis access vs
+materialised axis relations.
 """
 
 from __future__ import annotations
@@ -12,17 +11,15 @@ from __future__ import annotations
 import pytest
 from bench_config import scaled
 
-from repro.evaluation.arc_consistency import (
-    maximal_arc_consistent,
-    maximal_arc_consistent_horn,
-)
-from repro.evaluation.xprop_evaluator import boolean_query_holds
+from repro.evaluation import compile_query, least_valuation
 from repro.hardness import random_cyclic_query
 from repro.trees import TreeStructure, random_tree
 from repro.trees.axes import Axis, materialise
 
-QUERY = random_cyclic_query(
-    (Axis.CHILD_PLUS, Axis.CHILD_STAR), num_variables=8, num_extra_atoms=4, seed=0
+QUERY = compile_query(
+    random_cyclic_query(
+        (Axis.CHILD_PLUS, Axis.CHILD_STAR), num_variables=8, num_extra_atoms=4, seed=0
+    )
 )
 
 TREE_SIZES = scaled((100, 200, 400, 800), (50, 100))
@@ -38,7 +35,7 @@ TREES = {
 @pytest.mark.parametrize("size", sorted(TREE_SIZES))
 def test_tree_scaling(benchmark, size):
     structure = TreeStructure(TREES[size])
-    benchmark(lambda: boolean_query_holds(QUERY, structure))
+    benchmark(lambda: least_valuation(QUERY, structure))
 
 
 @pytest.mark.parametrize("num_variables", VARIABLE_COUNTS)
@@ -50,19 +47,8 @@ def test_query_scaling(benchmark, num_variables):
         num_extra_atoms=num_variables // 2,
         seed=num_variables,
     )
-    benchmark(lambda: boolean_query_holds(query, structure))
-
-
-@pytest.mark.parametrize("size", scaled([50, 100, 200], [50, 100]))
-def test_ablation_arc_consistency_worklist(benchmark, size):
-    structure = TreeStructure(random_tree(size, alphabet=("A", "B", "C"), seed=7 * size))
-    benchmark(lambda: maximal_arc_consistent(QUERY, structure))
-
-
-@pytest.mark.parametrize("size", scaled([50, 100, 200], [50, 100]))
-def test_ablation_arc_consistency_horn(benchmark, size):
-    structure = TreeStructure(random_tree(size, alphabet=("A", "B", "C"), seed=7 * size))
-    benchmark(lambda: maximal_arc_consistent_horn(QUERY, structure))
+    compiled = compile_query(query)
+    benchmark(lambda: least_valuation(compiled, structure))
 
 
 @pytest.mark.parametrize("size", scaled([100, 200], [50, 100]))

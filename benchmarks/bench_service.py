@@ -19,9 +19,8 @@ corpus), at nominal document sizes of 1k and 10k nodes:
 Acceptance (ISSUE 3): warm-path batch throughput >= 10x cold-path at the 10k
 nominal size.  Every measured request is also cross-checked for byte-identical
 answers (through the JSON rendering) against a direct sequential
-:func:`repro.evaluation.planner.evaluate` call; the 1k workload includes every
-propagator (``ac4``, ``ac3``, ``horn``, ``hybrid``), the 10k workload drops
-``horn`` whose clause materialization is quadratic at that size.
+:func:`repro.evaluation.planner.evaluate` call; every request runs the plan's
+propagator.
 
 A second mode (ISSUE 4) compares the two serving *backends* head to head:
 the thread-pool :class:`~repro.service.executor.BatchExecutor` (GIL-bound:
@@ -83,21 +82,14 @@ def build_documents(nominal: int) -> dict[str, object]:
 
 
 def build_workload(nominal: int) -> list[Request]:
-    """The mixed request batch: datalog + XPath, monadic + Boolean, propagators.
-
-    ``horn`` requests only appear at the 1k size (its Horn-program
-    materialization is quadratic in the tree, which is the point of the other
-    propagators); the all-propagator byte-identity acceptance check therefore
-    runs on the 1k workload.
-    """
+    """The mixed request batch: datalog + XPath, monadic + Boolean."""
     requests = [
         # Auction: XPath-style monadic queries and a cyclic Boolean join.
         Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)"),
         # Alpha-renamed twin of the previous query: must hit the same entry.
-        Request(doc="auction", query="R(it) <- payment(pay), item(it), Child(it, pay)",
-                propagator="hybrid"),
+        Request(doc="auction", query="R(it) <- payment(pay), item(it), Child(it, pay)"),
         Request(doc="auction", xpath="//description//listitem"),
-        Request(doc="auction", xpath="//person[profile/interest]", propagator="ac3"),
+        Request(doc="auction", xpath="//person[profile/interest]"),
         Request(doc="auction", query=(
             "Q <- open_auction(a), Child(a, b1), bidder(b1), "
             "Child(a, b2), bidder(b2), Following(b1, b2)")),
@@ -106,20 +98,12 @@ def build_workload(nominal: int) -> list[Request]:
         # Corpus: linguistics-flavoured navigation.
         Request(doc="corpus", query="Q(x) <- NP(x), Child(x, y), NN(y)"),
         Request(doc="corpus", xpath="//NP[NN]"),  # same class as the previous one?
-        Request(doc="corpus", query="Q(v) <- VP(v), Child(v, w), VB(w)",
-                propagator="hybrid"),
+        Request(doc="corpus", query="Q(v) <- VP(v), Child(v, w), VB(w)"),
         Request(doc="corpus", query="Q <- NP(x), Following(x, y), PP(y)"),
-        Request(doc="corpus", xpath="//VP[VB]/NP", propagator="ac3"),
+        Request(doc="corpus", xpath="//VP[VB]/NP"),
         # Byte-identical resubmission: exercises the parse cache.
         Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)"),
     ]
-    if nominal <= 1_000:
-        requests.extend([
-            Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)",
-                    propagator="horn"),
-            Request(doc="corpus", query="Q(x) <- NP(x), Child(x, y), NN(y)",
-                    propagator="horn"),
-        ])
     return requests
 
 
@@ -352,20 +336,20 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
             elapsed_ms=1.0,
             stage_ms=stage_ms,
             engine="xproperty",
-            propagator="ac4",
+            propagator="semijoin",
             lowering="none",
             stats_bucket="resident",
             estimated_cost=1234.5,
             estimated_rows=10.0,
         )
         service_core.REQUESTS_TOTAL.inc(status="ok")
-        service_core.REQUEST_SECONDS.observe(0.001, engine="xproperty", propagator="ac4")
+        service_core.REQUEST_SECONDS.observe(0.001, engine="xproperty", propagator="semijoin")
         SLOW_LOG.maybe_record(
             1.0,
             doc="bench",
             query_key="bench:hook",
             engine="xproperty",
-            propagator="ac4",
+            propagator="semijoin",
             ok=True,
             lowering="none",
             estimated_cost=1234.5,

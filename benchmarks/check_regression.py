@@ -22,7 +22,7 @@ failed full-size run cannot make the comparisons vacuous.
 Usage::
 
     python benchmarks/check_regression.py \\
-        --committed BENCH_ac4.json --fresh bench-results/BENCH_ac4_smoke.json
+        --committed BENCH_index.json --fresh bench-results/BENCH_index_smoke.json
 """
 
 from __future__ import annotations

@@ -86,13 +86,13 @@ from repro.service.framing import READ_TIMEOUT_S  # noqa: E402
 from repro.trees import TreeStructure, to_xml  # noqa: E402
 from repro.workloads import auction_document, random_corpus  # noqa: E402
 
-#: The mixed wire workload: datalog + XPath, monadic + Boolean, mixed
-#: propagators, over both documents (the ~1k-node generator calibration from
+#: The mixed wire workload: datalog + XPath, monadic + Boolean, over both
+#: documents (the ~1k-node generator calibration from
 #: ``benchmarks/bench_service.py``).
 WORKLOAD: list[dict] = [
     {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
     {"doc": "auction", "xpath": "//description//listitem"},
-    {"doc": "auction", "xpath": "//person[profile/interest]", "propagator": "ac3"},
+    {"doc": "auction", "xpath": "//person[profile/interest]"},
     {
         "doc": "auction",
         "query": (
@@ -102,8 +102,8 @@ WORKLOAD: list[dict] = [
     },
     {"doc": "corpus", "query": "Q(x) <- NP(x), Child(x, y), NN(y)"},
     {"doc": "corpus", "xpath": "//NP[NN]"},
-    {"doc": "corpus", "query": "Q(v) <- VP(v), Child(v, w), VB(w)", "propagator": "hybrid"},
-    {"doc": "corpus", "xpath": "//VP[VB]/NP", "propagator": "ac3"},
+    {"doc": "corpus", "query": "Q(v) <- VP(v), Child(v, w), VB(w)"},
+    {"doc": "corpus", "xpath": "//VP[VB]/NP"},
 ]
 
 QUERY_BUCKET_RE = re.compile(
@@ -126,9 +126,7 @@ def expected_bodies(documents: dict) -> tuple[list[bytes], list[str], list[int]]
         query = (
             xpath_to_cq(request["xpath"]) if "xpath" in request else parse_query(request["query"])
         )
-        direct = sorted(
-            evaluate(query, structures[request["doc"]], propagator=request.get("propagator", "ac4"))
-        )
+        direct = sorted(evaluate(query, structures[request["doc"]]))
         bodies.append(json.dumps(request).encode("utf-8"))
         answers.append(json.dumps([list(answer) for answer in direct]))
         counts.append(len(direct))

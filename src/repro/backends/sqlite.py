@@ -28,8 +28,9 @@ holds the rule).  Two lowerings share that vocabulary and that rule:
   CTEs) -- the SQL mirror of the Yannakakis reduction.  Witness-only
   variables are never joined: their order-statistic atoms (``Following``,
   ``DocumentOrder``, ``NextSibling+``/``*``) lower to comparisons against
-  aggregates of the witness relation -- the SQL mirror of AC-4's
-  ``_GlobalThreshold`` / ``_SiblingThreshold`` trackers -- a labelled
+  aggregates of the witness relation -- the thresholds the interval index's
+  witness primitives read (max pre rank, min subtree end, per-parent sibling
+  extrema) -- a labelled
   ancestor to a semijoin driven from its label range, a labelled child of an
   unpinned parent to the uncorrelated list of its label's parents, and the
   rest to correlated first-witness ``EXISTS`` probes.  The final statement

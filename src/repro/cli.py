@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--propagator",
             choices=["auto"] + [propagator.value for propagator in Propagator],
             default="auto",
-            help="arc-consistency engine (default: auto = the plan's choice)",
+            help="candidate pruning: semijoin or walk (default: auto = the plan's choice)",
         )
         subparser.add_argument(
             "--engine",

@@ -5,16 +5,17 @@ query in time polynomial for bounded decomposition width -- the planner's one
 engine for the cyclic residue the dichotomy leaves NP-hard -- and enumerate
 the answers of *any* k-ary head in time polynomial in input + output.  The
 pipeline is the classical one (Yannakakis 1981, via Gottlob-Leone-Scarcello's
-hypertree programme), instantiated over the arc-consistent prevaluation and
-the interval index:
+hypertree programme), instantiated over pruned candidate columns and the
+interval index:
 
 1. **candidates** -- sorted candidate columns per variable.  They only have
    to be *sound supersets* of the solution projections (every atom is enforced
    inside a bag, global consistency comes from the join tree), so
-   ``propagator="semijoin"`` means the reducer's two sweeps along a spanning
-   forest on any body (:func:`repro.evaluation.reducer.semijoin_sweeps`);
-   every other ``propagator=`` runs its exact AC fixpoint.  An empty column
-   already decides unsatisfiable.
+   ``propagator="semijoin"`` (the plan's pick for this engine) means the
+   reducer's two sweeps along a spanning forest on any body, ``"walk"`` the
+   suffixes of Theorem 3.5's pointer walk
+   (:func:`repro.evaluation.propagation.candidate_supersets`).  An empty
+   column already decides unsatisfiable.
 2. **the memoised search** -- Boolean heads, and monadic heads on a multi-bag
    tree (:class:`_JoinTreeSearch`): depth-first in the join tree's bag order,
    each bag walked one prefix at a time (:class:`_DepthFirst`) with its
@@ -61,7 +62,6 @@ Horn oracle across propagators, shapes and pinning).
 from __future__ import annotations
 
 import sys
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
@@ -874,28 +874,17 @@ def _evaluate(
     limit: Optional[int] = None,
 ) -> tuple[list[Row], int]:
     """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
-    from ..evaluation import propagation
     from ..evaluation.compile import compile_query
-    from ..evaluation.reducer import semijoin_sweeps
+    from ..evaluation.propagation import candidate_supersets
     from ..observability import tracing
 
     if compiled is None:
         compiled = compile_query(query)
     if not compiled.variables:
         return [()], 1
-    chosen = propagation.as_propagator(propagator or propagation.DEFAULT_PROPAGATOR)
-    if chosen is propagation.Propagator.SEMIJOIN and not compiled.shadow_is_forest:
-        # Sound supersets are all the bags need in front of them (they enforce
-        # every atom): the reducer's two sweeps along a spanning forest.
-        started = time.perf_counter()
-        with tracing.span("propagate", propagator=chosen.value, exact=False):
-            swept = semijoin_sweeps(compiled, structure, pinned)
-        propagation.PROPAGATE_SECONDS.observe(
-            time.perf_counter() - started, propagator=chosen.value
-        )
-        result = None if swept is None else propagation.PropagationResult(structure, columns=swept)
-    else:
-        result = propagation.propagate(compiled, structure, pinned, chosen)
+    # Sound supersets are all the bags need in front of them (they enforce
+    # every atom): on a cyclic body ``semijoin`` sweeps a spanning forest.
+    result = candidate_supersets(compiled, structure, pinned, propagator)
     if result is None:
         return [], 0
     with tracing.span("decompose"):
@@ -991,7 +980,9 @@ def answer_page(
     Boolean queries yield ``[()]`` / ``[]``.  ``propagator`` names what prunes
     the candidate columns in front of the bags: ``semijoin`` (the cost
     planner's pick for this engine) is two sweeps along a spanning forest on
-    any body, everything else its exact fixpoint; the answers are the same.
+    any body, ``walk`` the pointer walk's suffixes, ``None`` the compiled
+    query's :func:`~repro.evaluation.propagation.choose_propagator`; the
+    answers are the same.
     """
     answers, count = _evaluate(query, structure, pinned, propagator, compiled, limit)
     return answers[:limit], count

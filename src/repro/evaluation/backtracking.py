@@ -4,35 +4,42 @@ This evaluator works for every conjunctive query (cyclic or not, any axes).
 No plan routes to it -- evaluation runs it only under an explicit
 ``engine=backtracking`` -- and it serves the reproduction as the *baseline*
 the polynomial-time algorithms are compared against (Table I and the forced
-columns of the committed benchmarks), as the ground truth, beside the Horn
-program, of the correctness tests on small instances, and as a plain
+columns of the committed benchmarks), as a reference of the correctness tests
+(beside the brute-force Horn oracle of ``tests/oracle.py``), and as a plain
 enumeration of satisfying valuations (``iter_solutions`` / ``find_solution``).
 
-The search uses arc consistency as preprocessing (through the pluggable
-``propagator=`` engine, AC-4 support counting by default), a
-smallest-domain-first variable order restricted to variables connected to
-already-assigned ones, consistency checks against already-assigned neighbours,
-and *index-based forward checking*: a freshly assigned node must still have an
-axis witness inside the (static) candidate domain of every unassigned
-neighbour, a necessary condition tested in O(log n) against the domain's
-sorted-array view (:mod:`repro.trees.index`) before the subtree of the search
-is entered.  The views are the ones the propagation engine already maintains
--- AC-4 hands its incremental views over at the fixpoint instead of having
-them rebuilt.  Candidates are tried in ascending node order, so the solution
-sequence is deterministic.  The worst case remains exponential -- necessarily
-so, by Section 5.
+The search prunes its candidates first (through the ``propagator=``
+dimension: sound supersets are all it needs, so ``semijoin`` sweeps a
+spanning forest of a cyclic body -- see
+:func:`~repro.evaluation.propagation.candidate_supersets`), then runs with
+*forward checking*: assigning a node narrows the candidate list of every
+unassigned neighbour to the node's partners (a pre-order slice for the
+interval axes, an ``AxisIndex.holds`` filter otherwise), a neighbour left
+without candidates rejects the node before its subtree is entered, and the
+next variable is the connected one with the fewest candidates left.  Every
+candidate of an assigned variable was kept by all its assigned neighbours,
+so no separate consistency check runs.  Candidates are tried in ascending
+node order, so the solution sequence is deterministic.  The worst case
+remains exponential -- necessarily so, by Section 5.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
+from ..trees.axes import Axis
+from ..trees.index import AxisIndex
 from ..trees.structure import TreeStructure
 from .compile import compile_query
 from .domains import Valuation, valuation_satisfies
-from .propagation import DEFAULT_PROPAGATOR, PropagationResult, PropagatorLike, propagate
+from .propagation import PropagatorLike, candidate_supersets
+from .reducer import initial_columns
+
+#: Each variable's candidates still in play, ascending.
+Columns = Mapping[Variable, Sequence[int]]
 
 
 class SearchStatistics:
@@ -56,7 +63,7 @@ def iter_solutions(
     pinned: Optional[Mapping[Variable, int]] = None,
     use_arc_consistency: bool = True,
     statistics: Optional[SearchStatistics] = None,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> Iterator[Valuation]:
     """Enumerate all satisfying valuations by backtracking search."""
     compiled = compile_query(query)
@@ -66,79 +73,66 @@ def iter_solutions(
         return
 
     if use_arc_consistency:
-        result = propagate(query, structure, pinned, propagator)
-        if result is None:
-            return
+        result = candidate_supersets(compiled, structure, pinned, propagator)
+        columns = None if result is None else {v: result.sorted_domain(v) for v in variables}
     else:
-        domains = compiled.initial_domains(structure, pinned)
-        if any(not domain for domain in domains.values()):
-            return
-        result = PropagationResult(structure, domains)
+        columns = initial_columns(compiled, structure, pinned)
+    if columns is None:
+        return
 
-    domains = result.domains
-    # Sorted-array views of the (static) domains, for forward witness checks
-    # and deterministic candidate order; maintained views when AC-4 ran.
-    views = result.views
     index = structure.index
-    loops = compiled.loops
-
+    holds = index.holds
     stats = statistics if statistics is not None else SearchStatistics()
 
-    def select_variable(assignment: Valuation) -> Variable:
+    def select_variable(assignment: Valuation, live: Columns) -> Variable:
         unassigned = [v for v in variables if v not in assignment]
         connected = [
             v
             for v in unassigned
-            if any(
-                (atom.source in assignment or atom.target in assignment)
-                for atom in compiled.atoms_of(v)
-            )
+            if any(atom.other(v) in assignment for atom in compiled.atoms_of(v))
         ]
-        pool = connected if connected else unassigned
-        return min(pool, key=lambda v: len(domains[v]))
+        return min(connected or unassigned, key=lambda v: len(live[v]))
 
-    def consistent(variable: Variable, node: int, assignment: Valuation) -> bool:
+    def narrow(
+        variable: Variable, node: int, assignment: Valuation, live: Columns
+    ) -> Optional[dict[Variable, Sequence[int]]]:
+        """Forward checking: the unassigned neighbours' candidates that still fit ``node``."""
+        narrowed: dict[Variable, Sequence[int]] = {}
         for atom in compiled.atoms_of(variable):
-            source = node if atom.source == variable else assignment.get(atom.source)
-            target = node if atom.target == variable else assignment.get(atom.target)
-            if source is None or target is None:
+            other = atom.other(variable)
+            if other in assignment:
                 continue
-            if not index.holds(atom.axis, source, target):
-                return False
-        for atom in loops:
-            if atom.source == variable and not index.holds(atom.axis, node, node):
-                return False
-        return True
+            column = narrowed.get(other, live[other])
+            if atom.source == variable:
+                kept = _partners(atom.axis, node, column, index)
+            else:
+                kept = [u for u in column if holds(atom.axis, u, node)]
+            if not kept:
+                return None
+            narrowed[other] = kept
+        return narrowed
 
-    def forward_check(variable: Variable, node: int, assignment: Valuation) -> bool:
-        """A necessary condition: witnesses must survive in unassigned domains."""
-        for atom in compiled.atoms_of(variable):
-            if atom.source == variable and atom.target not in assignment:
-                if not index.has_successor_in(atom.axis, node, views[atom.target]):
-                    return False
-            elif atom.target == variable and atom.source not in assignment:
-                if not index.has_predecessor_in(atom.axis, node, views[atom.source]):
-                    return False
-        return True
-
-    def search(assignment: Valuation) -> Iterator[Valuation]:
+    def search(assignment: Valuation, live: Columns) -> Iterator[Valuation]:
         if len(assignment) == len(variables):
             yield dict(assignment)
             return
-        variable = select_variable(assignment)
-        for node in views[variable].array:
+        variable = select_variable(assignment, live)
+        for node in live[variable]:
             stats.nodes_expanded += 1
-            if not consistent(variable, node, assignment):
-                stats.backtracks += 1
-                continue
-            if not forward_check(variable, node, assignment):
+            narrowed = narrow(variable, node, assignment, live)
+            if narrowed is None:
                 stats.forward_prunes += 1
                 continue
             assignment[variable] = node
-            yield from search(assignment)
+            found = False
+            for solution in search(assignment, {**live, **narrowed}):
+                found = True
+                yield solution
+            if not found:
+                stats.backtracks += 1
             del assignment[variable]
 
-    yield from search({})
+    yield from search({}, columns)
 
 
 def boolean_query_holds(
@@ -147,7 +141,7 @@ def boolean_query_holds(
     pinned: Optional[Mapping[Variable, int]] = None,
     use_arc_consistency: bool = True,
     statistics: Optional[SearchStatistics] = None,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Boolean evaluation: is there at least one satisfying valuation?"""
     for _ in iter_solutions(
@@ -161,7 +155,7 @@ def count_solutions(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> int:
     """Count all satisfying valuations (exponentially many in the worst case)."""
     return sum(1 for _ in iter_solutions(query, structure, pinned, propagator=propagator))
@@ -171,10 +165,25 @@ def find_solution(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> Optional[Valuation]:
     """Return some satisfying valuation, or ``None``."""
     for solution in iter_solutions(query, structure, pinned, propagator=propagator):
         assert valuation_satisfies(query, structure, solution)
         return solution
     return None
+
+
+def _partners(axis: Axis, node: int, column: Sequence[int], index: AxisIndex) -> Sequence[int]:
+    """The nodes ``w`` of the sorted ``column`` with ``axis(node, w)``."""
+    end = index.subtree_end
+    if axis is Axis.CHILD_PLUS:
+        return column[bisect_right(column, node) : bisect_right(column, end[node])]
+    if axis is Axis.CHILD_STAR:
+        return column[bisect_left(column, node) : bisect_right(column, end[node])]
+    if axis is Axis.FOLLOWING:
+        return column[bisect_right(column, end[node]) :]
+    if axis is Axis.DOCUMENT_ORDER:
+        return column[bisect_right(column, node) :]
+    holds = index.holds
+    return [w for w in column if holds(axis, node, w)]

@@ -2,7 +2,7 @@
 
 Every evaluator used to re-derive the same facts about a query on every call:
 ``axis_atoms()`` filtered the body, ``atoms_of``/adjacency maps were rebuilt by
-hand in :mod:`arc_consistency`, the acyclic evaluator and :mod:`backtracking`, and the
+hand in the propagators, the acyclic evaluator and :mod:`backtracking`, and the
 initial-domain computation re-walked the body per evaluation.  This module
 factors all of that into a single :class:`CompiledQuery` produced (and cached)
 by :func:`compile_query`:
@@ -38,7 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
 from ..queries.atoms import AxisAtom, LabelAtom, Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import INVERSE, Axis
+from ..trees.orders import Order
 from ..trees.structure import TreeStructure
+from ..xproperty.dichotomy import order_for
 from .domains import Domains
 
 
@@ -145,24 +147,6 @@ class CompiledQuery:
                 domains[variable] &= {node}
         return domains
 
-    def apply_loop_filters(self, domains: Domains, structure: TreeStructure) -> bool:
-        """Apply the self-loop atoms ``R(x, x)`` as static per-node filters.
-
-        A self-loop constrains each candidate in isolation (``R(v, v)`` either
-        holds or not, independently of every other domain), so it is applied
-        once up front rather than propagated.  Mutates ``domains`` in place;
-        returns ``False`` iff some domain empties (no arc-consistent
-        prevaluation exists).  Shared by the AC-3 and AC-4 engines so their
-        fixpoints cannot diverge on loop semantics.
-        """
-        for loop in self.loops:
-            domain = domains[loop.source]
-            keep = {v for v in domain if structure.axis_holds(loop.axis, v, v)}
-            if not keep:
-                return False
-            domains[loop.source] = keep
-        return True
-
     # -- structural decomposition ----------------------------------------------
 
     @cached_property
@@ -178,6 +162,16 @@ class CompiledQuery:
         from ..decomposition.decompose import decompose
 
         return decompose(self)
+
+    @cached_property
+    def order(self) -> Optional[Order]:
+        """An order w.r.t. which every edge's axis has the X-property (``None``: none).
+
+        What :func:`repro.evaluation.xprop_evaluator.least_valuation` walks in.
+        Judged on the normalized edges, so an inverse axis counts as its
+        forward one; self-loops are static filters and do not count.
+        """
+        return order_for(atom.axis for atom in self.edges)
 
     @cached_property
     def sweep_order(self) -> tuple[tuple[Variable, CompiledAtom], ...]:

@@ -10,10 +10,11 @@ all nodes satisfying its unary atoms (and, for pinned variables, exactly the
 pinned node).  This corresponds to applying the first clause group of the
 Horn program of Proposition 3.1.
 
-Alongside the mutable ``set`` form, domains have a *sorted-array companion
-representation*: a :class:`~repro.trees.index.DomainView` per variable
-(:func:`domain_views`), against which the tree's interval index answers
-witness queries by bisection instead of relation enumeration.
+Alongside the ``set`` form, the propagators hand domains over as sorted
+columns (:class:`~repro.evaluation.propagation.PropagationResult`), with a
+:class:`~repro.trees.index.DomainView` per variable on demand, against which
+the tree's interval index answers witness queries by bisection instead of
+relation enumeration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Mapping, Optional
 
 from ..queries.atoms import LabelAtom, Variable
 from ..queries.query import ConjunctiveQuery
-from ..trees.index import DomainView
 from ..trees.structure import TreeStructure
 
 Domains = dict[Variable, set[int]]
@@ -65,17 +65,3 @@ def valuation_satisfies(
             ):
                 return False
     return True
-
-
-def domain_views(structure: TreeStructure, domains: Domains) -> dict[Variable, DomainView]:
-    """Sorted-array companion views of every domain (one per variable).
-
-    The views are frozen snapshots: they stay valid for as long as the
-    underlying sets are not mutated.  The evaluation pipeline itself now
-    carries *maintained* delete-aware views through propagation
-    (:class:`~repro.trees.index.MutableDomainView`, handed over by
-    :class:`~repro.evaluation.propagation.PropagationResult`); this helper
-    remains for consumers that have a plain prevaluation in hand.
-    """
-    index = structure.index
-    return {variable: index.view(nodes) for variable, nodes in domains.items()}

@@ -19,19 +19,20 @@ It runs only under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
 ``backtracking``): the literal procedure, the independent oracle of the
 property tests, and the ablation baseline of the committed benchmarks.
 
-Orthogonally, every path needs the subset-maximal arc-consistent
-prevaluation; *how* it is computed is the second planner dimension,
-``propagator=`` (:class:`~repro.evaluation.propagation.Propagator`): ``ac4``
-(support counting over interval ranks, the library default), ``hybrid`` (one
-bulk revise sweep, then AC-4; the planner's pick for some cyclic bodies on a
-fixpoint engine), ``ac3`` (the worklist, selectable on the wire),
-``horn`` (unit propagation, the ground truth the tests hold every other
-engine to), and ``semijoin`` -- the Yannakakis full reducer
-(:mod:`repro.evaluation.reducer`), semijoin sweeps along the shadow forest
-(the root-to-leaves one only when a non-root column is read), exact on
-forest-shaped bodies only: there the cost planner always
-picks it; on a cyclic body it is a ``ValueError`` everywhere except in
-front of the decomposition engine, whose bags only need the supersets.
+Orthogonally, every path prunes its candidate columns first; *how* is the
+second planner dimension, ``propagator=``
+(:class:`~repro.evaluation.propagation.Propagator`), ``None`` everywhere
+meaning the plan's pick (:func:`~repro.evaluation.propagation.choose_propagator`):
+``semijoin`` -- the Yannakakis full reducer (:mod:`repro.evaluation.reducer`),
+semijoin sweeps along the shadow forest (the root-to-leaves one only when a
+non-root column is read), exact on forest-shaped bodies and the pick there --
+and ``walk`` -- the pointer walk of Theorem 3.5
+(:func:`~repro.evaluation.xprop_evaluator.least_valuation`), exact verdict on
+any body over a tractable signature and the pick for every cyclic such body.  The
+engines that enforce every atom themselves (decomposition, backtracking, the
+per-tuple reduction) only need candidate supersets, so ``semijoin`` also
+runs in front of them on a cyclic body; a fixpoint engine forced onto
+``semijoin`` over a cyclic body is a ``ValueError``.
 
 Whatever the route, :func:`answer_page` is what comes out: the first ``limit``
 answers in ascending order plus the exact count (:func:`evaluate` is its set).
@@ -54,7 +55,13 @@ from ..xproperty.dichotomy import is_tractable
 from . import backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
-from .propagation import DEFAULT_PROPAGATOR, PropagatorLike, propagate
+from .propagation import (
+    Propagator,
+    PropagatorLike,
+    as_propagator,
+    candidate_supersets,
+    propagate,
+)
 
 
 class Engine(str, Enum):
@@ -122,7 +129,7 @@ def _acyclic_holds(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[str, int]] = None,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Boolean evaluation of an *acyclic* query: the fixpoint exists iff it holds.
 
@@ -140,7 +147,7 @@ def is_satisfied(
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
     pinned: Optional[Mapping[str, int]] = None,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
     lowering: str = "tree",
 ) -> bool:
     """Boolean evaluation of (the existential closure of) a query.
@@ -174,7 +181,7 @@ def check_answer(
     structure: TreeStructure,
     answer: tuple[int, ...],
     engine: Engine = Engine.AUTO,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Is ``answer`` (a tuple of nodes, one per head variable) in the result?
 
@@ -192,7 +199,7 @@ def evaluate(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
     compiled: Optional[CompiledQuery] = None,
     lowering: str = "tree",
 ) -> frozenset[tuple[int, ...]]:
@@ -208,7 +215,7 @@ def answer_page(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
     compiled: Optional[CompiledQuery] = None,
     limit: Optional[int] = None,
     lowering: str = "tree",
@@ -259,12 +266,18 @@ def answer_page(
         return yannakakis.answer_page(
             query, structure, propagator=propagator, compiled=compiled, limit=limit
         )
-    result = propagate(compiled, structure, propagator=propagator)
+    # A monadic head over a forest (Boolean heads returned above) reads its
+    # answers off the reducer's columns: exact, and globally consistent there.
+    # Any other head, or the walk's superset columns, takes the per-tuple
+    # reduction over candidate supersets.
+    project = fixpoint_answers(query, compiled) and (
+        propagator is None or as_propagator(propagator) is Propagator.SEMIJOIN
+    )
+    prune = propagate if project else candidate_supersets
+    result = prune(compiled, structure, None, propagator)
     if result is None:
         return [], 0
-    if fixpoint_answers(query, compiled):
-        # A monadic head over a forest (Boolean heads returned above): the
-        # fixpoint is globally consistent, so no per-candidate Boolean checks.
+    if project:
         with tracing.span("enumerate", strategy="fixpoint_projection"):
             column = result.sorted_domain(query.head[0])
             tracing.annotate(answers=len(column))
@@ -313,7 +326,7 @@ def evaluate_union(
     union: UnionQuery | ConjunctiveQuery,
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> frozenset[tuple[int, ...]]:
     """Evaluate a union of conjunctive queries (a PQ / APQ)."""
     union = as_union(union)
@@ -327,7 +340,7 @@ def evaluate_on_tree(
     query: ConjunctiveQuery | UnionQuery,
     tree: Tree,
     engine: Engine = Engine.AUTO,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> frozenset[tuple[int, ...]]:
     """Convenience wrapper evaluating directly on a tree (full Ax signature)."""
     structure = TreeStructure(tree)
@@ -339,16 +352,16 @@ def evaluate_on_tree(
 def satisfying_assignment(
     query: ConjunctiveQuery,
     structure: TreeStructure,
-    propagator: PropagatorLike = DEFAULT_PROPAGATOR,
+    propagator: Optional[PropagatorLike] = None,
 ) -> Optional[Valuation]:
     """Return some satisfying valuation of the query's body (or ``None``).
 
-    Uses the X-property witness on tractable signatures and backtracking
-    otherwise.
+    Uses the X-property walk's least valuation on tractable signatures and
+    backtracking otherwise.
     """
     boolean_query = query.as_boolean()
     if is_tractable(boolean_query.signature()):
-        witness = xprop_evaluator.witness(boolean_query, structure, propagator=propagator)
+        witness = xprop_evaluator.witness(boolean_query, structure)
         if witness is not None:
             return witness
     return backtracking.find_solution(boolean_query, structure, propagator=propagator)

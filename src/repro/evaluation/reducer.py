@@ -24,14 +24,16 @@ Domains start from the resident sorted label columns (the identity column
 nothing downstream re-sorts them.  On a cyclic body the same two sweeps run
 over a spanning forest (:attr:`CompiledQuery.sweep_order` drops the chord
 atoms) and compute a *superset* of the fixpoint: refused by ``propagate``
-(its contract is the exact prevaluation), swept by the decomposition engine
-(:func:`semijoin_sweeps`), whose bags enforce every atom anyway.
+(its verdict must be exact), swept by
+:func:`~repro.evaluation.propagation.candidate_supersets` for the engines
+that enforce every atom anyway (decomposition, backtracking, the per-tuple
+reduction).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, filterfalse, repeat
+from itertools import compress, repeat
 from operator import le, lt
 from typing import Mapping, Optional, Sequence
 
@@ -47,7 +49,6 @@ from ..trees.columnar import (
 )
 from ..trees.index import AxisIndex
 from ..trees.structure import TreeStructure
-from .arc_consistency import _unsupported_backward, _unsupported_forward
 from .compile import CompiledQuery
 
 #: Above this many bisection steps per tree node, one ``Child+``/``Child*``
@@ -89,7 +90,7 @@ def upward_sweep(
     resident ones (a column no semijoin narrowed is not copied); on a forest
     the roots' columns are exact, the others still supersets.
     """
-    columns = _initial_columns(compiled, structure, pinned)
+    columns = initial_columns(compiled, structure, pinned)
     if columns is None:
         return None
     for child, atom in reversed(compiled.sweep_order):
@@ -121,7 +122,7 @@ def downward_sweep(
         )
 
 
-def _initial_columns(
+def initial_columns(
     compiled: CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]],
@@ -196,11 +197,11 @@ def _semijoin(
         if forward:
             return watched[: bisect_left(watched, support[-1])]
         return watched[bisect_right(watched, support[0]) :]
-    unsupported = _unsupported_forward if forward else _unsupported_backward
-    dead = unsupported(
-        axis, index.mutable_view(watched, True), index.mutable_view(support, True), index
-    )
-    return list(filterfalse(set(dead).__contains__, watched)) if dead else watched
+    # Local and sibling axes: one O(1) witness test per candidate against the
+    # support's view (its per-parent sibling extrema are built once).
+    view = index.view(support, presorted=True)
+    has_partner = index.has_successor_in if forward else index.has_predecessor_in
+    return [node for node in watched if has_partner(axis, node, view)]
 
 
 def _subtree_semijoin(

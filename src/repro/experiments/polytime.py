@@ -1,16 +1,15 @@
 """Experiment ``thm3.5``: the O(||A|| * |Q|) evaluation bound, measured.
 
-Theorem 3.5 gives an ``O(||A|| * |Q|)`` algorithm for Boolean conjunctive
-queries on structures with the X-property.  This experiment measures the
-evaluator's wall-clock time while scaling
+Theorem 3.5 gives a polynomial algorithm for Boolean conjunctive queries on
+structures with the X-property.  This experiment measures the wall-clock time
+of its pointer walk (:func:`~repro.evaluation.xprop_evaluator.least_valuation`)
+while scaling
 
 * the tree size at fixed query size, and
 * the query size at fixed tree size,
 
 and reports the growth ratios; both should look (near-)linear, i.e. doubling
-the input roughly doubles the time.  An ablation compares the worklist
-arc-consistency implementation against the literal Horn-program implementation
-of Proposition 3.1.
+the input roughly doubles the time.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..evaluation.arc_consistency import maximal_arc_consistent, maximal_arc_consistent_horn
-from ..evaluation.xprop_evaluator import boolean_query_holds
+from ..evaluation.compile import compile_query
+from ..evaluation.xprop_evaluator import least_valuation
 from ..hardness.hard_instances import random_cyclic_query
 from ..trees.axes import Axis
 from ..trees.generators import random_tree
@@ -37,8 +36,6 @@ class TimingPoint:
 class PolytimeResult:
     tree_scaling: list[TimingPoint] = field(default_factory=list)
     query_scaling: list[TimingPoint] = field(default_factory=list)
-    ablation_worklist: list[TimingPoint] = field(default_factory=list)
-    ablation_horn: list[TimingPoint] = field(default_factory=list)
 
     def render(self) -> str:
         lines = ["Theorem 3.5: polynomial-time evaluation, measured", ""]
@@ -52,12 +49,6 @@ class PolytimeResult:
             f"  |Q| = {point.parameter:5d}   {point.seconds * 1000:9.2f} ms"
             for point in self.query_scaling
         )
-        lines.append("Arc-consistency ablation (worklist vs literal Horn program):")
-        for worklist, horn in zip(self.ablation_worklist, self.ablation_horn):
-            lines.append(
-                f"  |A| = {worklist.parameter:5d}   worklist {worklist.seconds * 1000:8.2f} ms"
-                f"   horn {horn.seconds * 1000:8.2f} ms"
-            )
         return "\n".join(lines)
 
 
@@ -70,18 +61,19 @@ def _time(function: Callable[[], object]) -> float:
 def run(
     tree_sizes: tuple[int, ...] = (100, 200, 400, 800),
     query_sizes: tuple[int, ...] = (4, 8, 16, 32),
-    ablation_sizes: tuple[int, ...] = (50, 100, 200),
     seed: int = 0,
 ) -> PolytimeResult:
     result = PolytimeResult()
-    fixed_query = random_cyclic_query(
-        (Axis.CHILD_PLUS, Axis.CHILD_STAR), num_variables=8, num_extra_atoms=4, seed=seed
+    fixed_query = compile_query(
+        random_cyclic_query(
+            (Axis.CHILD_PLUS, Axis.CHILD_STAR), num_variables=8, num_extra_atoms=4, seed=seed
+        )
     )
     for size in tree_sizes:
         tree = random_tree(size, alphabet=("A", "B", "C"), seed=seed + size)
         structure = TreeStructure(tree)
         result.tree_scaling.append(
-            TimingPoint(size, _time(lambda: boolean_query_holds(fixed_query, structure)))
+            TimingPoint(size, _time(lambda: least_valuation(fixed_query, structure)))
         )
 
     fixed_tree = random_tree(300, alphabet=("A", "B", "C"), seed=seed + 1)
@@ -93,25 +85,8 @@ def run(
             num_extra_atoms=size // 2,
             seed=seed + size,
         )
+        compiled = compile_query(query)
         result.query_scaling.append(
-            TimingPoint(
-                query.size(),
-                _time(lambda: boolean_query_holds(query, fixed_structure)),
-            )
-        )
-
-    ablation_query = random_cyclic_query(
-        (Axis.CHILD_PLUS, Axis.CHILD_STAR), num_variables=6, num_extra_atoms=3, seed=seed
-    )
-    for size in ablation_sizes:
-        tree = random_tree(size, alphabet=("A", "B", "C"), seed=seed + 7 * size)
-        structure = TreeStructure(tree)
-        result.ablation_worklist.append(
-            TimingPoint(size, _time(lambda: maximal_arc_consistent(ablation_query, structure)))
-        )
-        result.ablation_horn.append(
-            TimingPoint(
-                size, _time(lambda: maximal_arc_consistent_horn(ablation_query, structure))
-            )
+            TimingPoint(query.size(), _time(lambda: least_valuation(compiled, fixed_structure)))
         )
     return result

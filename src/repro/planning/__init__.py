@@ -14,9 +14,9 @@ library's ``evaluate(engine=AUTO)``.  :func:`~repro.planning.plan.plan_query`
 is the only place an engine is chosen.
 """
 
+from ..evaluation.propagation import choose_propagator
 from .cost import (
     bag_rows_estimate,
-    choose_propagator,
     decomposition_cost_estimate,
     fixpoint_cost_estimate,
     flat_cost_estimate,

@@ -159,11 +159,13 @@ def decomposition_cost_estimate(
 def fixpoint_cost_estimate(
     compiled: CompiledQuery, stats: DocumentStats, propagator: Optional[Propagator] = None
 ) -> float:
-    """One arc-consistency fixpoint: roughly nodes x atoms work.
+    """One pruning pass in front of a fixpoint engine.
 
-    The semijoin full reducer never touches a node outside the label columns:
-    each edge costs its two endpoint domains (once per sweep), so it is priced
-    by their estimated sizes instead.
+    The pointer walk is priced at nodes x atoms (a pointer crosses each
+    candidate once, probing every incident atom).  The semijoin full reducer
+    never touches a node outside the label columns: each edge costs its two
+    endpoint domains (once per sweep), so it is priced by their estimated
+    sizes instead.
     """
     if propagator is Propagator.SEMIJOIN:
         touched = sum(
@@ -178,30 +180,3 @@ def fixpoint_cost_estimate(
 def flat_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
     """The flat (single-block) SQL lowering: one join over all variables."""
     return bag_rows_estimate(frozenset(compiled.variables), compiled, stats)
-
-
-def choose_propagator(compiled: CompiledQuery) -> Propagator:
-    """Propagator pick for an engine that needs the exact fixpoint.
-
-    A forest-shaped body gets the two semijoin sweeps of
-    :mod:`repro.evaluation.reducer` (no worklist; ``benchmarks/e2e``
-    ``mixed_10k``).  A cyclic body keeps a worklist engine here: a fixpoint
-    engine's answer *is* its fixpoint, which the sweeps only over-approximate
-    off a forest (``plan_query`` gives the decomposition engine the sweeps on
-    any body, as supersets).  Among the worklist engines hybrid wins when some
-    edge joins two unlabeled (full-domain) variables over a non-global axis --
-    AC-4's support counters are quadratic to seed exactly there, while the
-    interval representation stays closed-form.  On global axes
-    (``Following``, ``DocumentOrder``) AC-4 keeps a measured 9.4x-vs-3.5x
-    edge over the hybrid on deep chains, so those stay AC-4.
-    """
-    if compiled.shadow_is_forest:
-        return Propagator.SEMIJOIN
-    for atom in compiled.edges:
-        if atom.axis in (Axis.FOLLOWING, Axis.DOCUMENT_ORDER):
-            continue
-        if not compiled.labels_by_variable.get(
-            atom.source
-        ) and not compiled.labels_by_variable.get(atom.target):
-            return Propagator.HYBRID
-    return Propagator.AC4

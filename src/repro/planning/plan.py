@@ -21,8 +21,9 @@ plan then fixes:
 
 * the propagator: the semijoin sweeps on every forest-shaped body (the exact
   full reducer there) and in front of the decomposition engine on any body
-  (supersets suffice); a fixpoint engine on a cyclic body keeps arc
-  consistency (:func:`~repro.planning.cost.choose_propagator`);
+  (supersets suffice); any other cyclic body over a tractable signature runs
+  Theorem 3.5's pointer walk
+  (:func:`~repro.evaluation.propagation.choose_propagator`);
 * the SQL lowering, by cost, only where SQL can run (accel residency or an
   explicit ``engine=sql``): ``"flat"`` when the single-block join is estimated cheaper
   than the join-tree CTE cascade.  Elsewhere the flat join is never priced
@@ -41,10 +42,9 @@ from typing import TYPE_CHECKING, Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
 from ..evaluation.planner import Engine, fixpoint_answers, tier
-from ..evaluation.propagation import Propagator
+from ..evaluation.propagation import Propagator, choose_propagator
 from ..queries.query import ConjunctiveQuery
 from .cost import (
-    choose_propagator,
     decomposition_cost_estimate,
     fixpoint_cost_estimate,
     flat_cost_estimate,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from ..evaluation.planner import Engine, answer_page
-from ..evaluation.propagation import DEFAULT_PROPAGATOR, as_propagator
+from ..evaluation.propagation import as_propagator
 from ..observability import tracing
 from ..observability.accounting import ACCOUNTING
 from ..observability.metrics import REGISTRY, SLOW_LOG
@@ -139,7 +139,7 @@ class Request:
     :func:`~repro.planning.plan_query` chooses from the query shape, the
     document's statistics and its residency (accel-only documents route to
     SQL automatically).  ``propagator`` is ``"auto"`` by default (the plan's
-    choice); naming one (``"ac4"``, ``"ac3"``, ``"hybrid"``, ...) forces it.
+    choice); naming one (``"semijoin"`` or ``"walk"``) forces it.
     """
 
     doc: str
@@ -202,7 +202,7 @@ class RequestResult:
     truncated: bool = False
     satisfied: Optional[bool] = None
     elapsed_ms: float = 0.0
-    propagator: str = str(DEFAULT_PROPAGATOR)
+    propagator: str = "auto"
     engine: Optional[str] = None
     cache_hit: bool = False
     error: Optional[str] = None

@@ -2,11 +2,11 @@
 
 The per-candidate witness primitives of :mod:`repro.trees.index` answer "does
 ``u`` have an axis witness in ``S``?" one ``u`` at a time -- two bisections
-plus a method dispatch per candidate.  When an arc-consistency revise pass or
-an AC-4 counter initialisation asks that question for *every* candidate of a
-domain, the per-call constant dominates: the work is a pure function of two
+plus a method dispatch per candidate.  When a semijoin of the full reducer
+(:mod:`repro.evaluation.reducer`) asks that question for *every* candidate of
+a column, the per-call constant dominates: the work is a pure function of two
 sorted integer columns and can run as a handful of fused C-level passes
-instead of |domain| interpreted loop iterations.
+instead of |column| interpreted loop iterations.
 
 This module holds those bulk kernels.  Everything is plain stdlib -- the
 ``array`` module for contiguous columns, ``bytearray`` masks,
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, eq, le, lt, not_, sub
+from operator import add, and_, eq, le, lt, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .axes import Axis
@@ -160,31 +160,13 @@ def ancestor_counts(
 
 
 # ---------------------------------------------------------------------------
-# Survivor / casualty selection.
+# Survivor selection.
 # ---------------------------------------------------------------------------
 
 
 def survivors(candidates: Sequence[int], counts: Sequence[int]) -> list[int]:
     """The candidates whose support count is non-zero (one C pass)."""
     return list(compress(candidates, counts))
-
-
-def casualties(candidates: Sequence[int], counts: Sequence[int]) -> list[int]:
-    """The candidates whose support count is zero (one C pass)."""
-    return list(compress(candidates, map(not_, counts)))
-
-
-def threshold_casualties_by_end(
-    candidates: Sequence[int], subtree_end: Sequence[int], bound: int
-) -> list[int]:
-    """Candidates ``u`` with ``subtree_end[u] >= bound``.
-
-    The ``Following``-forward staircase: ``u`` keeps a witness iff some
-    support node opens after ``u``'s subtree closes, i.e. iff
-    ``subtree_end[u] < max(support)``.  With ``bound = max(support) `` this
-    selects exactly the unsupported candidates.
-    """
-    return list(compress(candidates, map(bound.__le__, map(subtree_end.__getitem__, candidates))))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ turns every axis test into a comparison of a constant number of integer ranks.
 :class:`AxisIndex` packages, per tree,
 
 * the rank arrays ``pre`` (identity on node ids), ``post``, ``bflr``,
-* the local-structure arrays ``parent``, ``first_child``, ``next_sibling``,
-  ``prev_sibling``, ``sibling_index``, ``subtree_end``,
-* per-label sorted node lists,
+* the local-structure arrays ``parent``, ``next_sibling``, ``prev_sibling``,
+  ``sibling_index``, ``subtree_end``,
 
 and answers the two questions the evaluation algorithms actually ask:
 
@@ -41,10 +40,10 @@ and answers the two questions the evaluation algorithms actually ask:
   ``S`` with lazily built companion aggregates) instead of enumerating the
   axis relation.
 
-The witness primitives are what make one arc-consistency revise step
+The witness primitives are what make one semijoin over a local axis
 O((|S| + |T|) log n) instead of O(|S| * n) (see
-:mod:`repro.evaluation.arc_consistency`), closing most of the gap to the
-O(||A|| * |Q|) bound of Proposition 3.1.
+:mod:`repro.evaluation.reducer`), and the backtracking forward checker and
+the decomposition engine's bag builders probe them per candidate.
 
 Interval reasoning used by the witness tests (``end`` = ``subtree_end``):
 
@@ -65,12 +64,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .axes import INVERSE, Axis
-from .columnar import (
-    COLUMN_TYPECODE,
-    cumulative_end_membership,
-    cumulative_membership,
-    membership_mask,
-)
+from .columnar import COLUMN_TYPECODE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Tree builds us lazily)
     from .tree import Tree
@@ -107,24 +101,21 @@ def nodes_in_pre_range(sorted_ids: Sequence[int], lo: int, hi: int) -> Sequence[
 class DomainView:
     """A candidate node set ``S`` as a sorted array plus lazy aggregates.
 
-    The evaluation algorithms manipulate domains as plain ``set`` objects;
-    a ``DomainView`` is the companion representation the index queries run
-    against.  Construction is O(|S| log |S|) (one sort); each aggregate is
-    built on first use in O(|S|) and cached:
+    The evaluation algorithms hand candidates around as sorted columns or
+    plain ``set`` objects; a ``DomainView`` is the companion representation
+    the index queries run against.  Construction is one sort (none when the
+    nodes come ``presorted``); each aggregate is built on first use in
+    O(|S|) and cached:
 
     * :attr:`prefix_max_end` -- running maximum of ``subtree_end`` in pre
       order, for ancestor (``Child+`` predecessor) witnesses;
     * :attr:`min_end` -- minimum ``subtree_end`` over ``S``, for ``Following``
       predecessor witnesses;
     * :attr:`max_sibling_rank` / :attr:`min_sibling_rank` -- per-parent
-      extrema of sibling ranks, for ``NextSibling+`` witnesses;
-    * :attr:`cum_pre` / :attr:`cum_end` / :attr:`live_mask` -- the cumulative
-      membership columns consumed by the bulk kernels of
-      :mod:`repro.trees.columnar`.
+      extrema of sibling ranks, for ``NextSibling+`` witnesses.
 
     ``array`` is a contiguous ``array``-module column (pre-order sorted), so
-    bulk consumers slice and scan it at C speed; it supports the same
-    bisection/iteration protocol the previous list representation did.
+    bulk consumers slice and scan it at C speed.
     """
 
     __slots__ = (
@@ -135,28 +126,19 @@ class DomainView:
         "_min_end",
         "_max_sibling_rank",
         "_min_sibling_rank",
-        "_cum_pre",
-        "_cum_end",
-        "_live_mask",
     )
 
-    def __init__(self, index: "AxisIndex", nodes: Iterable[int]):
+    def __init__(self, index: "AxisIndex", nodes: Iterable[int], presorted: bool = False):
         self.index = index
         # Snapshot: a view must stay internally consistent even if the caller
-        # later mutates the set it was built from.
+        # later mutates the set it was built from.  ``presorted``: ``nodes``
+        # is already an ascending duplicate-free sequence, so skip the sort.
         self.members = frozenset(nodes)
-        self.array: array = array(COLUMN_TYPECODE, sorted(self.members))
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        """Forget every aggregate; each is rebuilt from ``array`` on next use."""
+        self.array: array = array(COLUMN_TYPECODE, nodes if presorted else sorted(self.members))
         self._prefix_max_end: list[int] | None = None
         self._min_end: int | None = None
         self._max_sibling_rank: dict[int, int] | None = None
         self._min_sibling_rank: dict[int, int] | None = None
-        self._cum_pre: list[int] | None = None
-        self._cum_end: list[int] | None = None
-        self._live_mask: bytearray | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -179,29 +161,6 @@ class DomainView:
             end = self.index.subtree_end
             self._min_end = min(map(end.__getitem__, self.array), default=len(end))
         return self._min_end
-
-    @property
-    def cum_pre(self) -> list[int]:
-        """Cumulative membership column ``cum_pre[j] = |{s in S : s < j}|``."""
-        if self._cum_pre is None:
-            self._cum_pre = cumulative_membership(self.array, self.index.n)
-        return self._cum_pre
-
-    @property
-    def cum_end(self) -> list[int]:
-        """``cum_end[j] = |{s in S : subtree_end[s] < j}|`` (ancestor kernel)."""
-        if self._cum_end is None:
-            self._cum_end = cumulative_end_membership(
-                self.array, self.index.subtree_end, self.index.n
-            )
-        return self._cum_end
-
-    @property
-    def live_mask(self) -> bytearray:
-        """0/1 byte mask of the members, for or-self kernel corrections."""
-        if self._live_mask is None:
-            self._live_mask = membership_mask(self.array, self.index.n)
-        return self._live_mask
 
     @property
     def max_sibling_rank(self) -> dict[int, int]:
@@ -234,93 +193,6 @@ class DomainView:
                         extrema[parent_id] = node_rank
             self._min_sibling_rank = extrema
         return self._min_sibling_rank
-
-
-class MutableDomainView(DomainView):
-    """A delete-aware candidate set: sorted array with lazy compaction.
-
-    The AC-4 propagation engine (:mod:`repro.evaluation.ac4`) shrinks domains
-    one node at a time; rebuilding a :class:`DomainView` per deletion (or per
-    revise pass, as AC-3 does) costs O(|S| log |S|) each time.  A
-    ``MutableDomainView`` instead supports
-
-    * :meth:`discard` -- O(1) amortized deletion (the sorted array keeps dead
-      entries until more than half are dead, then compacts in one O(|S|)
-      sweep, so scans pay at most a 2x overhead);
-    * :meth:`iter_live_range` -- the live members with ids in ``[lo, hi)``;
-    * membership (``in``) and ``len`` against the *live* set.
-
-    It *is* a :class:`DomainView` over the live members (``array``,
-    ``members`` and the inherited lazy aggregates), so
-    :meth:`AxisIndex.has_successor_in` / :meth:`AxisIndex.has_predecessor_in`
-    accept either: after propagation reaches its fixpoint, the maintained
-    views are handed directly to the backtracking forward checker
-    and the decomposition engine instead of being rebuilt.  Accessing :attr:`array` (and
-    with it any aggregate) first compacts away dead entries; aggregates are
-    invalidated by every deletion and rebuilt on next use.
-    """
-
-    # ``array`` is a property here, over the backing ``_array``.
-    __slots__ = ("_array", "_dead")
-
-    def __init__(self, index: "AxisIndex", nodes: Iterable[int], presorted: bool = False):
-        self.index = index
-        self.members: set[int] = set(nodes)
-        # ``presorted``: ``nodes`` is already an ascending duplicate-free
-        # sequence (the full reducer's columns), so skip the sort.
-        self._array: array = array(COLUMN_TYPECODE, nodes if presorted else sorted(self.members))
-        self._dead = 0
-        self._invalidate()
-
-    # -- mutation --------------------------------------------------------------
-
-    def discard(self, node_id: int) -> bool:
-        """Remove ``node_id`` from the live set; True iff it was a member."""
-        if node_id not in self.members:
-            return False
-        self.members.discard(node_id)
-        self._dead += 1
-        self._invalidate()
-        if self._dead * 2 >= len(self._array):
-            self._compact()
-        return True
-
-    def _compact(self) -> None:
-        members = self.members
-        self._array = array(
-            COLUMN_TYPECODE, (node_id for node_id in self._array if node_id in members)
-        )
-        self._dead = 0
-
-    # -- reads -----------------------------------------------------------------
-
-    @property
-    def array(self) -> array:
-        """The live members as a sorted column (compacts dead entries first)."""
-        if self._dead:
-            self._compact()
-        return self._array
-
-    @property
-    def unpruned_array(self) -> array:
-        """The sorted backing array, possibly still containing dead entries.
-
-        For hot scan loops that tolerate (or liveness-check) dead nodes; the
-        compaction policy bounds the dead fraction below one half.
-        """
-        return self._array
-
-    def iter_live_range(self, lo: int, hi: int) -> Iterator[int]:
-        """Live members with ids in the half-open range ``[lo, hi)``."""
-        array = self._array
-        members = self.members
-        for position in range(bisect_left(array, lo), bisect_left(array, hi)):
-            node_id = array[position]
-            if node_id in members:
-                yield node_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MutableDomainView(live={len(self.members)}, dead={self._dead})"
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +236,6 @@ class AxisIndex:
         #: ``subtree_end[u] + 1`` precomputed once, so the columnar kernels'
         #: upper-bound lookups run as a single fused ``map`` pipeline.
         self.subtree_end_plus1: list[int] = [end + 1 for end in tree.subtree_end]
-        self.first_child: list[int] = [
-            children[0] if children else -1 for children in tree.children_of
-        ]
         next_sibling = [-1] * n
         prev_sibling = [-1] * n
         for children in tree.children_of:
@@ -375,14 +244,6 @@ class AxisIndex:
                 prev_sibling[right] = left
         self.next_sibling: list[int] = next_sibling
         self.prev_sibling: list[int] = prev_sibling
-        #: Node ids sorted by post-order rank (the inverse permutation of post).
-        self.nodes_by_post: list[int] = sorted(range(n), key=self.post.__getitem__)
-
-    # -- per-label sorted node lists ------------------------------------------
-
-    def label_nodes(self, label: str) -> Sequence[int]:
-        """Sorted (pre-order) node ids carrying ``label``."""
-        return self.tree.nodes_with_label(label)
 
     # -- O(1) membership from rank arrays -------------------------------------
 
@@ -423,13 +284,10 @@ class AxisIndex:
 
     # -- sorted-array views ----------------------------------------------------
 
-    def view(self, nodes: Iterable[int]) -> DomainView:
+    def view(self, nodes: Iterable[int], presorted: bool = False) -> DomainView:
         """Wrap a candidate set in a :class:`DomainView` bound to this index."""
-        return DomainView(self, nodes)
+        return DomainView(self, nodes, presorted)
 
-    def mutable_view(self, nodes: Iterable[int], presorted: bool = False) -> MutableDomainView:
-        """Wrap a candidate set in a delete-aware :class:`MutableDomainView`."""
-        return MutableDomainView(self, nodes, presorted)
 
     # -- witness tests ---------------------------------------------------------
 

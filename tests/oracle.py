@@ -13,12 +13,21 @@ trees -- so a property test can compare the two outright:
 * :func:`bag_rows_estimate` -- the greedy cheapest-connection estimator of
   :mod:`repro.planning.cost`, rescanning every placed variable per step;
 * :func:`random_tree` -- :func:`repro.trees.random_tree` rebuilding its list
-  of non-full nodes before every draw.
+  of non-full nodes before every draw;
+* :func:`maximal_arc_consistent_horn` -- Proposition 3.1 itself: the
+  subset-maximal arc-consistent prevaluation as the least model of a
+  propositional Horn program, by unit propagation.  Every propagator and
+  engine is held to it: the semijoin reducer equals it on forests, the pointer
+  walk's verdict matches it and its valuation is the minimum of it (Lemma
+  3.4), and every pruned column contains it; :func:`answers` enumerates every
+  satisfying valuation over its domains by brute force -- the answer oracle
+  of the engine tests.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Mapping, Optional, Sequence
 
 from repro.decomposition.decompose import (
@@ -29,11 +38,13 @@ from repro.decomposition.decompose import (
     prune_subset_bags,
 )
 from repro.decomposition.hypergraph import Hypergraph
-from repro.evaluation.compile import CompiledAtom, CompiledQuery
+from repro.evaluation.compile import CompiledAtom, CompiledQuery, compile_query
+from repro.evaluation.domains import Domains
 from repro.planning.cost import _partner_estimate, variable_domain_estimate
 from repro.planning.stats import DocumentStats
-from repro.queries.atoms import Variable
-from repro.trees import Node, Tree
+from repro.queries.atoms import AxisAtom, Variable
+from repro.queries.query import ConjunctiveQuery
+from repro.trees import Node, Tree, TreeStructure
 
 # ---------------------------------------------------------------------------
 # Exact elimination orders.
@@ -269,3 +280,148 @@ def random_tree(
         parent = rng.choice(eligible) if eligible else rng.choice(nodes)
         nodes.append(parent.add(draw_labels()))
     return Tree(root)
+
+
+# ---------------------------------------------------------------------------
+# Proposition 3.1: the maximal arc-consistent prevaluation as a Horn program.
+# ---------------------------------------------------------------------------
+
+
+def maximal_arc_consistent_horn(
+    query: ConjunctiveQuery | CompiledQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]] = None,
+) -> Optional[Domains]:
+    """Compute the maximal arc-consistent prevaluation via the Horn program.
+
+    The propositional atoms are ``Remove(x, v)``; the program contains
+
+    * a fact ``Remove(x, v)`` for each unary atom ``P(x)`` and node ``v`` with
+      ``not P(v)`` (and for pinned variables, each node other than the pin),
+    * for each binary atom ``R(x, y)`` and node ``v``:
+      ``Remove(x, v) <- AND { Remove(y, w) | R(v, w) }``,
+    * for each binary atom ``R(x, y)`` and node ``w``:
+      ``Remove(y, w) <- AND { Remove(x, v) | R(v, w) }``.
+
+    Unit propagation (linear in the program size) computes the least model;
+    the complement of ``Remove`` is the maximal arc-consistent prevaluation.
+    """
+    compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
+    variables = compiled.variables
+    nodes = list(structure.domain())
+
+    # Proposition index: (variable, node) -> proposition id.
+    proposition_of: dict[tuple[Variable, int], int] = {}
+    for variable in variables:
+        for node in nodes:
+            proposition_of[(variable, node)] = len(proposition_of)
+
+    facts: list[int] = []
+    # clauses: body size countdown + head; body_of maps proposition -> clause ids.
+    clause_heads: list[int] = []
+    clause_counts: list[int] = []
+    watchers: dict[int, list[int]] = {}
+
+    def add_clause(head: int, body: list[int]) -> None:
+        if not body:
+            facts.append(head)
+            return
+        clause_id = len(clause_heads)
+        clause_heads.append(head)
+        clause_counts.append(len(body))
+        for proposition in body:
+            watchers.setdefault(proposition, []).append(clause_id)
+
+    # Unary facts.
+    for variable, labels in compiled.labels_by_variable.items():
+        for label_name in labels:
+            for node in nodes:
+                if not structure.unary_holds(label_name, node):
+                    facts.append(proposition_of[(variable, node)])
+    if pinned:
+        for variable, pin in pinned.items():
+            if variable not in compiled.variable_index:
+                raise ValueError(f"pinned variable {variable!r} not in the query")
+            for node in nodes:
+                if node != pin:
+                    facts.append(proposition_of[(variable, node)])
+
+    # Binary clauses (normalized atoms; self-loops included).
+    for atom in compiled.atoms:
+        for v in nodes:
+            body = [
+                proposition_of[(atom.target, w)]
+                for w in structure.axis_successors(atom.axis, v)
+            ]
+            add_clause(proposition_of[(atom.source, v)], body)
+        for w in nodes:
+            body = [
+                proposition_of[(atom.source, v)]
+                for v in structure.axis_predecessors(atom.axis, w)
+            ]
+            add_clause(proposition_of[(atom.target, w)], body)
+
+    # Unit propagation over the Horn program.
+    true_propositions: set[int] = set()
+    queue = deque(facts)
+    while queue:
+        proposition = queue.popleft()
+        if proposition in true_propositions:
+            continue
+        true_propositions.add(proposition)
+        for clause_id in watchers.get(proposition, ()):
+            clause_counts[clause_id] -= 1
+            if clause_counts[clause_id] == 0:
+                head = clause_heads[clause_id]
+                if head not in true_propositions:
+                    queue.append(head)
+
+    # Complement: T = (Vars x A) - Remove.
+    domains: Domains = {variable: set() for variable in variables}
+    for (variable, node), proposition in proposition_of.items():
+        if proposition not in true_propositions:
+            domains[variable].add(node)
+    if any(not domain for domain in domains.values()):
+        return None
+    return domains
+
+
+def answers(
+    query: ConjunctiveQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]] = None,
+) -> list[tuple[int, ...]]:
+    """The sorted head projections of every satisfying valuation (``pinned`` held).
+
+    Brute force over the Horn program's domains: variables in first-occurrence
+    order, each axis atom checked by :meth:`TreeStructure.axis_holds` once its
+    later endpoint is assigned.  A Boolean query answers ``[()]`` or ``[]``.
+    """
+    domains = maximal_arc_consistent_horn(query, structure, pinned)
+    if domains is None:
+        return []
+    variables = list(domains)
+    position = {variable: i for i, variable in enumerate(variables)}
+    checks: dict[Variable, list[AxisAtom]] = {variable: [] for variable in variables}
+    for atom in query.body:
+        if isinstance(atom, AxisAtom):
+            checks[max(atom.source, atom.target, key=position.__getitem__)].append(atom)
+    found: set[tuple[int, ...]] = set()
+    valuation: dict[Variable, int] = {}
+
+    def extend(depth: int) -> None:
+        if depth == len(variables):
+            found.add(tuple(valuation[variable] for variable in query.head))
+            return
+        variable = variables[depth]
+        for node in sorted(domains[variable]):
+            valuation[variable] = node
+            if all(
+                structure.axis_holds(atom.axis, valuation[atom.source], valuation[atom.target])
+                for atom in checks[variable]
+            ):
+                extend(depth + 1)
+        del valuation[variable]
+
+    extend(0)
+    return sorted(found)

@@ -28,7 +28,7 @@ BASE = dict(
     doc="doc",
     rows=5,
     stage_ms={"plan": 0.2, "execute": 0.8},
-    propagator="ac4",
+    propagator="walk",
     lowering="none",
     stats_bucket="resident",
     estimated_rows=5.0,

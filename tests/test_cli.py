@@ -105,7 +105,7 @@ class TestEvaluateCommand:
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "engine   : backtracking (forced) (propagator: ac4)" in output
+        assert "engine   : backtracking (forced) (propagator: semijoin)" in output
         assert "answers  : 1" in output
 
     def test_engine_overrides_agree_in_process(self, capsys):
@@ -337,7 +337,7 @@ class TestEndToEndSmoke:
                 "--query",
                 "Q <- A(x), Child(x, y), B(y)",
                 "--propagator",
-                "ac3",
+                "walk",
             ],
             capture_output=True,
             text=True,
@@ -346,7 +346,7 @@ class TestEndToEndSmoke:
         )
         assert completed.returncode == 0, completed.stderr
         assert "answer   : true" in completed.stdout
-        assert "propagator: ac3" in completed.stdout
+        assert "propagator: walk" in completed.stdout
 
     def test_python_dash_m_repro_bad_usage_fails(self):
         completed = subprocess.run(
@@ -463,7 +463,7 @@ class TestEndToEndSmoke:
 
     def test_evaluate_propagators_agree_in_process(self, xml_file, capsys):
         outputs = []
-        for propagator in ("ac4", "ac3", "horn"):
+        for propagator in ("auto", "semijoin", "walk"):
             exit_code = main(
                 [
                     "evaluate",
@@ -488,7 +488,7 @@ class TestBatchCommand:
         lines = [
             {"op": "register", "doc": "site", "xml_file": xml_file},
             {"doc": "site", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
-            {"doc": "site", "xpath": "//item", "propagator": "hybrid", "limit": 1},
+            {"doc": "site", "xpath": "//item", "propagator": "walk", "limit": 1},
         ]
         input_path.write_text("\n".join(json.dumps(line) for line in lines))
         exit_code = main(
@@ -499,7 +499,7 @@ class TestBatchCommand:
         assert results[0]["ok"] and results[0]["doc"] == "site"
         assert results[1]["count"] == 1
         assert results[2]["truncated"] and results[2]["count"] == 2
-        assert results[2]["propagator"] == "hybrid"
+        assert results[2]["propagator"] == "walk"
 
     def test_register_is_a_barrier_for_later_queries(self, tmp_path):
         input_path = tmp_path / "requests.jsonl"

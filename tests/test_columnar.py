@@ -1,15 +1,14 @@
 """Property tests pinning the columnar kernels to the bisection primitives.
 
-The staircase-merge / galloping-intersection kernels of
-:mod:`repro.trees.columnar` must return byte-identical results to the
-per-candidate interval primitives of :mod:`repro.trees.index` (``range_count``,
-``has_successor_in``, ``has_predecessor_in``) on every axis, every support
-set, and every :class:`~repro.trees.index.MutableDomainView` deletion state --
-the columnar paths are pure performance refactors, so any divergence is a bug.
-One level up, the fixpoints built on them (AC-3 worklist, hybrid) must equal
-the literal Horn program of Proposition 3.1 and the level-at-a-time bag
-materialization the Horn per-tuple oracle; the window kernels the levels are
-made of are pinned to brute force one by one.
+The staircase-merge kernels of :mod:`repro.trees.columnar` must return
+byte-identical results to the per-candidate interval primitives of
+:mod:`repro.trees.index` (``range_count``, ``has_successor_in``,
+``has_predecessor_in``) on every axis and every support set -- the columnar
+paths are pure performance refactors, so any divergence is a bug.  One level
+up, the full reducer's semijoin built on them must equal a brute-force
+witness search on every axis, and the level-at-a-time bag materialization the
+Horn oracle (``tests/oracle.py``); the window kernels the levels are made of
+are pinned to brute force one by one.
 """
 
 from __future__ import annotations
@@ -19,15 +18,9 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.decomposition.yannakakis import evaluate_answers
-from repro.evaluation import Engine, evaluate
-from repro.evaluation.ac4 import maximal_arc_consistent_hybrid
-from repro.evaluation.arc_consistency import (
-    _unsupported_backward,
-    _unsupported_forward,
-    maximal_arc_consistent,
-    maximal_arc_consistent_horn,
-)
+from repro.evaluation import reducer
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.queries.query import ConjunctiveQuery
 from repro.trees import Axis, Tree, TreeStructure, random_tree
@@ -35,7 +28,6 @@ from repro.trees.axes import holds
 from repro.trees.columnar import (
     ancestor_counts,
     ancestor_paths,
-    casualties,
     cumulative_end_membership,
     cumulative_membership,
     descendant_counts,
@@ -45,7 +37,6 @@ from repro.trees.columnar import (
     membership_mask,
     repeat_each,
     survivors,
-    threshold_casualties_by_end,
     window_bounds,
 )
 from repro.trees.index import range_count
@@ -58,7 +49,7 @@ SETTINGS = settings(
 
 ALPHABET = ("A", "B", "C")
 
-#: Every axis the revise kernels may see (interval, local, sibling, extras).
+#: Every axis a semijoin may see (interval, local, sibling, extras).
 KERNEL_AXES = (
     Axis.CHILD,
     Axis.CHILD_PLUS,
@@ -174,25 +165,11 @@ class TestCountKernels:
 
     @SETTINGS
     @given(tree_and_subsets())
-    def test_survivors_and_casualties_partition(self, data):
+    def test_survivors_keep_the_supported(self, data):
         tree, watched, support = data
         cum = cumulative_membership(support, len(tree))
         counts = descendant_counts(watched, tree.index.subtree_end_plus1, cum, False)
-        kept = survivors(watched, counts)
-        dead = casualties(watched, counts)
-        assert sorted(kept + dead) == watched
-        assert all(count > 0 for u, count in zip(watched, counts) if u in set(kept))
-
-    @SETTINGS
-    @given(tree_and_subsets())
-    def test_following_threshold_matches_definition(self, data):
-        tree, watched, support = data
-        if not support:
-            return
-        bound = support[-1]
-        dead = threshold_casualties_by_end(watched, tree.subtree_end, bound)
-        expected = [u for u in watched if tree.subtree_end[u] >= bound]
-        assert dead == expected
+        assert survivors(watched, counts) == [u for u, count in zip(watched, counts) if count]
 
 
 class TestLevelKernels:
@@ -268,98 +245,23 @@ class TestLevelKernels:
         ]
 
 
-class TestUnsupportedKernels:
-    """The bulk revise kernels vs brute-force witness search, on every axis."""
+class TestSemijoinKernels:
+    """The full reducer's semijoin vs brute-force witness search, on every axis."""
 
     @SETTINGS
-    @given(tree_and_subsets(), st.sampled_from(KERNEL_AXES))
-    def test_unsupported_forward_matches_brute_force(self, data, axis):
+    @given(tree_and_subsets(), st.sampled_from(KERNEL_AXES), st.booleans())
+    def test_semijoin_matches_brute_force(self, data, axis, forward):
         tree, watched, support = data
+        if not watched or not support:
+            return
         structure = TreeStructure(tree)
-        index = tree.index
-        watched_view = index.mutable_view(watched)
-        support_view = index.mutable_view(support)
-        dead = _unsupported_forward(axis, watched_view, support_view, index)
-        support_set = set(support)
-        expected = [
-            u
-            for u in watched
-            if not any(structure.axis_holds(axis, u, v) for v in support_set)
-        ]
-        assert list(dead) == expected
+        kept = reducer._semijoin(axis, watched, support, forward, structure)
 
-    @SETTINGS
-    @given(tree_and_subsets(), st.sampled_from(KERNEL_AXES))
-    def test_unsupported_backward_matches_brute_force(self, data, axis):
-        tree, watched, support = data
-        structure = TreeStructure(tree)
-        index = tree.index
-        watched_view = index.mutable_view(watched)
-        support_view = index.mutable_view(support)
-        dead = _unsupported_backward(axis, watched_view, support_view, index)
-        support_set = set(support)
-        expected = [
-            w
-            for w in watched
-            if not any(structure.axis_holds(axis, u, w) for u in support_set)
-        ]
-        assert list(dead) == expected
+        def related(node, partner):
+            pair = (node, partner) if forward else (partner, node)
+            return structure.axis_holds(axis, *pair)
 
-    @SETTINGS
-    @given(tree_and_subsets(), st.sampled_from(KERNEL_AXES))
-    def test_kernels_respect_view_deletion_state(self, data, axis):
-        """Aggregates rebuilt after discards: kernels see only live members."""
-        tree, watched, support = data
-        index = tree.index
-        support_view = index.mutable_view(range(len(tree)))
-        # Force the cached aggregates, then invalidate them through discards.
-        support_view.cum_pre, support_view.cum_end, support_view.live_mask
-        for node in range(len(tree)):
-            if node not in set(support):
-                support_view.discard(node)
-        watched_view = index.mutable_view(watched)
-        fresh_support = index.mutable_view(support)
-        assert list(support_view.array) == list(fresh_support.array)
-        assert support_view.cum_pre == fresh_support.cum_pre
-        assert support_view.cum_end == fresh_support.cum_end
-        assert support_view.live_mask == fresh_support.live_mask
-        assert list(_unsupported_forward(axis, watched_view, support_view, index)) == list(
-            _unsupported_forward(axis, watched_view, fresh_support, index)
-        )
-
-
-class TestFixpointsAgainstHorn:
-    """The columnar fixpoints equal the literal Horn program of Proposition 3.1."""
-
-    @SETTINGS
-    @given(trees(), queries(KERNEL_AXES))
-    def test_ac3_worklist_matches_horn(self, tree, query):
-        structure = TreeStructure(tree)
-        assert maximal_arc_consistent(query, structure) == maximal_arc_consistent_horn(
-            query, structure
-        )
-
-    @SETTINGS
-    @given(trees(), queries(KERNEL_AXES))
-    def test_hybrid_matches_horn(self, tree, query):
-        structure = TreeStructure(tree)
-        assert maximal_arc_consistent_hybrid(query, structure) == maximal_arc_consistent_horn(
-            query, structure
-        )
-
-    @SETTINGS
-    @given(
-        trees(),
-        queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_fixpoint_with_pinning_matches_horn(self, tree, query, seed):
-        structure = TreeStructure(tree)
-        rng = random.Random(seed)
-        pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
-        assert maximal_arc_consistent(query, structure, pinned) == maximal_arc_consistent_horn(
-            query, structure, pinned
-        )
+        assert list(kept) == [u for u in watched if any(related(u, v) for v in support)]
 
 
 class TestDecompositionColumnar:
@@ -372,5 +274,4 @@ class TestDecompositionColumnar:
         kary = query.with_head(head)
         structure = TreeStructure(tree)
         levels = evaluate_answers(kary, structure)
-        oracle = evaluate(kary, structure, engine=Engine.BACKTRACKING, propagator="horn")
-        assert repr(sorted(levels)) == repr(sorted(oracle))
+        assert repr(sorted(levels)) == repr(oracle.answers(kary, structure))

@@ -1,20 +1,17 @@
-"""Tests for arc consistency (Proposition 3.1): worklist and Horn implementations."""
+"""Tests for the starting prevaluation and for Proposition 3.1's Horn program.
+
+The Horn program (``tests/oracle.py``) is the ground truth every propagator
+and engine is held to, so its own answers on the sentence tree are pinned
+here.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.evaluation import (
-    initial_domains,
-    is_arc_consistent,
-    maximal_arc_consistent,
-    maximal_arc_consistent_horn,
-    valuation_satisfies,
-)
-from repro.hardness import random_cyclic_query
+from oracle import maximal_arc_consistent_horn
+from repro.evaluation import initial_domains, valuation_satisfies
 from repro.queries import parse_query
-from repro.trees import TreeStructure, random_tree
-from repro.trees.axes import Axis
 
 
 class TestInitialDomains:
@@ -37,33 +34,27 @@ class TestInitialDomains:
             initial_domains(query, sentence_structure, pinned={"zzz": 0})
 
 
-class TestWorklistArcConsistency:
+class TestHornProgram:
     def test_simple_child_query(self, sentence_structure):
         query = parse_query("Q <- NP(x), Child(x, y), NN(y)")
-        domains = maximal_arc_consistent(query, sentence_structure)
+        domains = maximal_arc_consistent_horn(query, sentence_structure)
         assert domains is not None
         assert domains["x"] == {1, 6}
         assert domains["y"] == {3, 7}
 
     def test_unsatisfiable_by_labels(self, sentence_structure):
         query = parse_query("Q <- Missing(x), Child(x, y)")
-        assert maximal_arc_consistent(query, sentence_structure) is None
+        assert maximal_arc_consistent_horn(query, sentence_structure) is None
 
     def test_unsatisfiable_by_structure(self, sentence_structure):
         # A PP with an NN child does not exist in the sentence tree.
         query = parse_query("Q <- PP(x), Child(x, y), NN(y)")
-        assert maximal_arc_consistent(query, sentence_structure) is None
-
-    def test_result_is_arc_consistent(self, sentence_structure):
-        query = parse_query("Q <- S(x), Child+(x, y), NP(y), Following(y, z), PP(z)")
-        domains = maximal_arc_consistent(query, sentence_structure)
-        assert domains is not None
-        assert is_arc_consistent(query, sentence_structure, domains)
+        assert maximal_arc_consistent_horn(query, sentence_structure) is None
 
     def test_maximality(self, sentence_structure):
         """Every arc-consistent prevaluation is contained in the computed one."""
         query = parse_query("Q <- NP(x), Child(x, y)")
-        maximal = maximal_arc_consistent(query, sentence_structure)
+        maximal = maximal_arc_consistent_horn(query, sentence_structure)
         assert maximal is not None
         # A satisfying valuation is a (singleton) arc-consistent prevaluation,
         # so each satisfying value must appear in the maximal domains.
@@ -75,18 +66,18 @@ class TestWorklistArcConsistency:
 
     def test_self_loop_atom(self, sentence_structure):
         query = parse_query("Q <- Child*(x, x), NP(x)")
-        domains = maximal_arc_consistent(query, sentence_structure)
+        domains = maximal_arc_consistent_horn(query, sentence_structure)
         assert domains is not None
         assert domains["x"] == {1, 6}
         hard = parse_query("Q <- Child+(x, x)")
-        assert maximal_arc_consistent(hard, sentence_structure) is None
+        assert maximal_arc_consistent_horn(hard, sentence_structure) is None
 
     def test_pinned_consistency(self, sentence_structure):
         query = parse_query("Q <- NP(x), Child(x, y), NN(y)")
-        domains = maximal_arc_consistent(query, sentence_structure, pinned={"x": 6})
+        domains = maximal_arc_consistent_horn(query, sentence_structure, pinned={"x": 6})
         assert domains is not None
         assert domains["y"] == {7}
-        assert maximal_arc_consistent(query, sentence_structure, pinned={"x": 8}) is None
+        assert maximal_arc_consistent_horn(query, sentence_structure, pinned={"x": 8}) is None
 
     def test_arc_consistency_no_false_negative_on_satisfiable(self, sentence_structure):
         """If a query is satisfiable, arc consistency must not report failure."""
@@ -100,37 +91,7 @@ class TestWorklistArcConsistency:
         for query in queries:
             has_solution = any(True for _ in iter_solutions(query, sentence_structure))
             assert has_solution
-            assert maximal_arc_consistent(query, sentence_structure) is not None
-
-
-class TestHornImplementationAgrees:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_same_fixpoint_on_random_inputs(self, seed):
-        tree = random_tree(18, alphabet=("A", "B", "C"), seed=seed, unlabeled_probability=0.2)
-        structure = TreeStructure(tree)
-        query = random_cyclic_query(
-            (Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING, Axis.NEXT_SIBLING_PLUS),
-            num_variables=5,
-            num_extra_atoms=2,
-            seed=seed,
-        )
-        worklist = maximal_arc_consistent(query, structure)
-        horn = maximal_arc_consistent_horn(query, structure)
-        assert (worklist is None) == (horn is None)
-        if worklist is not None and horn is not None:
-            assert worklist == horn
-
-    def test_same_fixpoint_on_sentence(self, sentence_structure):
-        query = parse_query("Q <- S(x), Child+(x, y), NP(y), Following(y, z), PP(z)")
-        assert maximal_arc_consistent(query, sentence_structure) == maximal_arc_consistent_horn(
-            query, sentence_structure
-        )
-
-    def test_horn_with_pinning(self, sentence_structure):
-        query = parse_query("Q <- NP(x), Child(x, y), NN(y)")
-        assert maximal_arc_consistent_horn(
-            query, sentence_structure, pinned={"x": 6}
-        ) == maximal_arc_consistent(query, sentence_structure, pinned={"x": 6})
+            assert maximal_arc_consistent_horn(query, sentence_structure) is not None
 
 
 class TestValuationSatisfies:

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+import oracle
 from repro.evaluation import (
     Engine,
     SearchStatistics,
@@ -28,9 +29,8 @@ from repro.evaluation import (
     satisfying_assignment,
     witness,
 )
-from repro.evaluation.arc_consistency import maximal_arc_consistent
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
-from repro.evaluation.propagation import PROPAGATE_SECONDS, Propagator
+from repro.evaluation.propagation import PROPAGATE_SECONDS
 from repro.evaluation.xprop_evaluator import XPropertyEvaluationError
 from repro.hardness import random_cyclic_query
 from repro.observability import tracing
@@ -50,8 +50,8 @@ def _enumerate_strategies(root) -> list[str]:
 
 
 def _plan(text: str, tree):
-    """The plan library ``evaluate(engine=AUTO)`` runs (propagator ``ac4``)."""
-    return plan_query(parse_query(text), DocumentStats.of_tree(tree), propagator=Propagator.AC4)
+    """The plan library ``evaluate(engine=AUTO)`` runs."""
+    return plan_query(parse_query(text), DocumentStats.of_tree(tree))
 
 
 def _assert_residue(plan) -> None:
@@ -161,7 +161,7 @@ class TestXPropertyEvaluator:
 
     def test_minimum_valuation_helper(self, sentence_structure):
         query = parse_query("Q <- NP(x), Child+(x, y)")
-        domains = maximal_arc_consistent(query, sentence_structure)
+        domains = oracle.maximal_arc_consistent_horn(query, sentence_structure)
         assert domains is not None
         valuation = minimum_valuation(sentence_structure, domains, Order.PRE)
         assert valuation["x"] == min(domains["x"])
@@ -297,7 +297,7 @@ class TestPlanner:
         query = parse_query("Q(d, l) <- description(d), Child+(d, l), listitem(l)")
 
         def propagations() -> int:
-            return PROPAGATE_SECONDS.totals(propagator="ac4")[0]
+            return PROPAGATE_SECONDS.totals(propagator="semijoin")[0]
 
         before = propagations()
         with tracing.trace("default") as root:

@@ -81,12 +81,9 @@ class TestFigure9Experiment:
 
 class TestPolytimeExperiment:
     def test_run_small(self):
-        result = polytime.run(
-            tree_sizes=(40, 80), query_sizes=(4, 8), ablation_sizes=(30,)
-        )
+        result = polytime.run(tree_sizes=(40, 80), query_sizes=(4, 8))
         assert len(result.tree_scaling) == 2
         assert len(result.query_scaling) == 2
-        assert len(result.ablation_worklist) == len(result.ablation_horn) == 1
         assert "Theorem 3.5" in result.render()
 
 

@@ -137,18 +137,23 @@ def test_choose_propagator_rule():
     # local and global axes alike.
     for text in ("Q() <- Child+(x, y)", ACYCLIC_CHAIN, "Q() <- Following(x, y)"):
         assert choose_propagator(compile_query(parse_query(text))) is Propagator.SEMIJOIN
-    # Cyclic bodies keep the worklist rule.  Two unlabeled endpoints on a
-    # non-global axis: the hybrid's closed-form intervals beat AC-4's
-    # quadratic support seeding.
-    assert choose_propagator(
-        compile_query(parse_query("Q() <- Child+(x, y), Child+(y, z), Following(x, z)"))
-    ) is Propagator.HYBRID
-    # Labels on every edge endpoint: AC-4.
-    assert choose_propagator(compile_query(parse_query(FOUR_CYCLE))) is Propagator.AC4
-    # Global axes stay AC-4 even unlabeled (the measured ablation).
-    assert choose_propagator(
-        compile_query(parse_query("Q() <- Following(x, y), Following(y, z), DocumentOrder(x, z)"))
-    ) is Propagator.AC4
+    # A cyclic body over one of Theorem 4.1's axis groups walks, labeled or
+    # not, whichever group.
+    for text in (
+        "Q() <- Child+(x, y), Child+(y, z), Child*(x, z)",
+        "Q() <- A(x), Following(x, y), Following(y, z), Following(x, z)",
+        "Q() <- Child(x, y), Child(x, z), NextSibling+(y, z), B(z)",
+        "Q() <- Child+(x, y), Ancestor(z, y), Child*(x, z)",  # through an inverse axis
+    ):
+        assert choose_propagator(compile_query(parse_query(text))) is Propagator.WALK, text
+    # A cyclic body with no X-property order keeps the sweeps: only the
+    # engines that take candidate supersets can run it.
+    for text in (
+        FOUR_CYCLE,
+        "Q() <- Child+(x, y), Child+(y, z), Following(x, z)",
+        "Q() <- Following(x, y), Following(y, z), DocumentOrder(x, z)",
+    ):
+        assert choose_propagator(compile_query(parse_query(text))) is Propagator.SEMIJOIN, text
 
 
 def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
@@ -162,12 +167,12 @@ def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
         routed = plan_query(query, stats)
         assert routed.engine is Engine.DECOMPOSITION, text
         assert routed.propagator is Propagator.SEMIJOIN, text
-        # Forward checking needs arc consistency: the exact rule stays.
+        # Forced backtracking takes the rule's pick (supersets suffice there too).
         searched = plan_query(query, stats, engine=Engine.BACKTRACKING)
         assert searched.propagator is choose_propagator(compile_query(query)), text
         # Overrides are untouched.
-        named = plan_query(query, stats, engine=Engine.DECOMPOSITION, propagator=Propagator.HYBRID)
-        assert named.propagator is Propagator.HYBRID
+        named = plan_query(query, stats, engine=Engine.DECOMPOSITION, propagator=Propagator.WALK)
+        assert named.propagator is Propagator.WALK
 
 
 def test_semijoin_fixpoint_is_priced_by_label_columns():
@@ -182,7 +187,7 @@ def test_semijoin_fixpoint_is_priced_by_label_columns():
     # The plan charges what its propagator does: a monadic forest projection
     # costs one fixpoint under either pricing.
     assert plan_query(query, stats).estimated_cost == touched
-    forced = plan_query(query, stats, propagator=Propagator.AC4)
+    forced = plan_query(query, stats, propagator=Propagator.WALK)
     assert forced.estimated_cost == stats.nodes * len(compiled.atoms)
     # No edge at all: never a zero cost (the ledger divides by it).
     lone = compile_query(parse_query("Q(a) <- A(a)"))
@@ -260,9 +265,9 @@ def test_forced_per_tuple_engine_is_priced_as_the_reduction():
 def test_overrides_always_win():
     stats = DocumentStats.of_tree(_tree())
     query = parse_query(FOUR_CYCLE)
-    plan = plan_query(query, stats, engine=Engine.BACKTRACKING, propagator=Propagator.AC3)
+    plan = plan_query(query, stats, engine=Engine.BACKTRACKING, propagator=Propagator.WALK)
     assert plan.engine is Engine.BACKTRACKING
-    assert plan.propagator is Propagator.AC3
+    assert plan.propagator is Propagator.WALK
 
 
 def test_accel_only_pins_sql():
@@ -361,7 +366,7 @@ def test_library_evaluate_takes_the_plans_engine_on_route_bool_cycle4(monkeypatc
 
     tree = random_tree(1000, alphabet=tuple(f"L{i:02d}" for i in range(16)), seed=42)
     query = parse_query("Q <- Child+(a, b), Following(b, c), Child+(d, c), Following(a, d)")
-    plan = plan_query(query, DocumentStats.of_tree(tree), propagator=Propagator.AC4)
+    plan = plan_query(query, DocumentStats.of_tree(tree))
     assert plan.engine is Engine.DECOMPOSITION
     searched = []
     search = yannakakis._JoinTreeSearch.answers
@@ -387,9 +392,9 @@ def test_forced_semijoin_sends_the_cyclic_residue_to_decomposition():
         assert (routed.engine, routed.propagator) == (Engine.DECOMPOSITION, Propagator.SEMIJOIN)
         plan = plan_query(query, stats, propagator=Propagator.SEMIJOIN)
         assert plan.engine is Engine.DECOMPOSITION, text
-        expected = evaluate(query, structure, propagator="ac4")
+        expected = evaluate(query, structure, Engine.BACKTRACKING)
         assert evaluate(query, structure, propagator="semijoin") == expected, text
-        assert evaluate(query, structure, Engine.BACKTRACKING) == expected, text
+        assert evaluate(query, structure) == expected, text
 
 
 # -- decomposition pruning (union-of-ranges prerequisite) ----------------------
@@ -463,10 +468,10 @@ def test_plan_cache_key_separates_explicit_propagator_from_automatic_pick():
     # override: its own cache slot, its own plan.
     named = cache.plan_for(entry, stats, propagator=Propagator.SEMIJOIN)
     assert named is not automatic and named.propagator is Propagator.SEMIJOIN
-    forced = cache.plan_for(entry, stats, propagator=Propagator.AC4)
-    assert forced.propagator is Propagator.AC4
+    forced = cache.plan_for(entry, stats, propagator=Propagator.WALK)
+    assert forced.propagator is Propagator.WALK
     assert cache.plan_for(entry, stats) is automatic
-    assert cache.plan_for(entry, stats, propagator=Propagator.AC4) is forced
+    assert cache.plan_for(entry, stats, propagator=Propagator.WALK) is forced
 
 
 def test_explain_reports_chosen_lowering_and_estimates():
@@ -613,17 +618,23 @@ def test_default_plan_and_forced_variants_are_byte_identical(query, size, seed):
     """The acceptance invariant: no engine or propagator choice changes answers.
 
     Exercised through ``run_request`` (the full serving path: cache, plan,
-    evaluate, sort) for the default plan against every propagator and the two
-    engine overrides that accept every query shape -- unsafe heads (a head
-    variable no atom mentions) included.
+    evaluate, sort) for the default plan against every propagator that can
+    run the plan's engine and the two engine overrides that accept every query
+    shape -- unsafe heads (a head variable no atom mentions) included.
     """
     store = DocumentStore()
     cache = QueryCache()
     store.register_tree("doc", random_tree(size, alphabet=ALPHABET, max_children=3, seed=seed))
     default = run_request(store, cache, Request(doc="doc", query=query))
     assert default.ok, default.error
-    variants = [{"propagator": p} for p in ("ac4", "ac3", "hybrid")]
-    variants += [{"engine": "decomposition"}, {"engine": "backtracking"}]
+    compiled = cache.resolve_query(query)[0].compiled
+    variants = [{"engine": "decomposition"}, {"engine": "backtracking"}]
+    # The sweeps decide a fixpoint engine's query only on a forest; the walk
+    # needs an X-property order.
+    if compiled.shadow_is_forest or default.engine == "decomposition":
+        variants.append({"propagator": "semijoin"})
+    if compiled.order is not None:
+        variants.append({"propagator": "walk"})
     for overrides in variants:
         result = run_request(store, cache, Request(doc="doc", query=query, **overrides))
         assert result.ok, (overrides, result.error)

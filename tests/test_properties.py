@@ -3,8 +3,11 @@
 These cover the invariants the paper's machinery relies on:
 
 * tree numberings are consistent permutations and characterise the axes,
-* arc consistency is sound (never discards satisfying values) and its two
-  implementations agree,
+* pruning is sound (never discards satisfying values) under both
+  propagators,
+* the pointer walk decides exactly what Proposition 3.1's Horn program
+  decides, and its valuation is Lemma 3.4's minimum valuation of the Horn
+  fixpoint, on every axis group of Theorem 4.1,
 * the X-property evaluator agrees with backtracking on tractable signatures
   (Lemma 3.4 / Theorem 3.5),
 * default routing (one fixpoint + one join-tree traversal for every k-ary
@@ -23,10 +26,12 @@ These cover the invariants the paper's machinery relies on:
 from __future__ import annotations
 
 import random
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.decomposition import yannakakis
 from repro.evaluation import (
     Engine,
@@ -37,17 +42,20 @@ from repro.evaluation import (
     evaluate_on_tree,
     is_satisfied,
     iter_solutions,
-    maximal_arc_consistent,
-    maximal_arc_consistent_horn,
+    least_valuation,
+    minimum_valuation,
+    propagate,
 )
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
+from repro.evaluation.propagation import candidate_supersets
 from repro.evaluation.xprop_evaluator import boolean_query_holds as xp_holds
 from repro.planning import DocumentStats, plan_query
 from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.rewriting import to_apq
-from repro.trees import Axis, Order, Tree, TreeStructure, random_tree
+from repro.trees import Axis, Order, Tree, TreeStructure, chain, random_tree
 from repro.trees.axes import AX, INVERSE, holds
+from repro.trees.orders import rank
 from repro.xproperty import X_PROPERTY_AXES, has_x_property, is_tractable
 
 SETTINGS = settings(
@@ -160,29 +168,88 @@ class TestTheorem41Property:
                 assert has_x_property(tree, axis, order)
 
 
-class TestArcConsistencyProperties:
+#: Theorem 4.1's axis groups, by the order they have the X-property for.
+_ORDERS = (Order.PRE, Order.POST, Order.BFLR)
+
+
+def _pin(query: ConjunctiveQuery, tree: Tree, data) -> dict:
+    """Pin each variable with probability 1/4 (to a random node)."""
+    pinned = {}
+    for variable in query.variables():
+        if data.draw(st.integers(min_value=0, max_value=3), label=f"pin {variable}?") == 0:
+            pinned[variable] = data.draw(
+                st.integers(min_value=0, max_value=len(tree) - 1), label=f"{variable} ="
+            )
+    return pinned
+
+
+def _propagators(query: ConjunctiveQuery) -> list[Propagator]:
+    """Every propagator that can prune ``query``: the walk needs an X-property order."""
+    if compile_query(query).order is None:
+        return [Propagator.SEMIJOIN]
+    return [Propagator.SEMIJOIN, Propagator.WALK]
+
+
+class TestPruningProperties:
     @SETTINGS
     @given(trees(max_size=12), queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)))
     def test_soundness_every_solution_survives(self, tree: Tree, query: ConjunctiveQuery):
         structure = TreeStructure(tree)
-        domains = maximal_arc_consistent(query, structure)
-        solutions = list(iter_solutions(query, structure))
-        if solutions:
-            assert domains is not None
-            for solution in solutions:
-                for variable, node in solution.items():
-                    assert node in domains[variable]
+        compiled = compile_query(query)
+        solutions = list(iter_solutions(query, structure, use_arc_consistency=False))
+        for propagator in _propagators(query):
+            result = candidate_supersets(compiled, structure, None, propagator)
+            if solutions:
+                assert result is not None
+                for solution in solutions:
+                    for variable, node in solution.items():
+                        assert node in result.domains[variable]
+
+
+class TestWalkProperties:
+    """The pointer walk vs Proposition 3.1's Horn program (``tests/oracle.py``)."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trees(), st.sampled_from(_ORDERS), st.data())
+    def test_walk_matches_horn_on_every_axis_group(self, tree, order, data):
+        axes = tuple(sorted(X_PROPERTY_AXES[order], key=str))
+        query = data.draw(queries(axes, max_variables=5), label="query")
+        structure = TreeStructure(tree)
+        pinned = _pin(query, tree, data)
+        horn = oracle.maximal_arc_consistent_horn(query, structure, pinned)
+        walk = least_valuation(compile_query(query), structure, pinned, order)
+        assert (walk is None) == (horn is None)
+        if horn is None:
+            return
+        least = {variable: column[0] for variable, column in walk.items()}
+        assert least == minimum_valuation(structure, horn, order)
+        ranks = rank(tree, order)
+        for variable, column in walk.items():
+            assert horn[variable] <= set(column)
+            assert [ranks[node] for node in column] == sorted(ranks[node] for node in column)
 
     @SETTINGS
-    @given(
-        trees(max_size=10),
-        queries((Axis.CHILD, Axis.CHILD_STAR, Axis.NEXT_SIBLING_PLUS)),
-    )
-    def test_worklist_and_horn_agree(self, tree: Tree, query: ConjunctiveQuery):
+    @given(trees(), st.sampled_from(_ORDERS), st.data())
+    def test_walk_propagator_verdict_and_columns_match_horn(self, tree, order, data):
+        axes = tuple(sorted(X_PROPERTY_AXES[order] - {Axis.SELF}, key=str))
+        query = data.draw(queries(axes, max_variables=5), label="query")
         structure = TreeStructure(tree)
-        assert maximal_arc_consistent(query, structure) == maximal_arc_consistent_horn(
-            query, structure
-        )
+        pinned = _pin(query, tree, data)
+        horn = oracle.maximal_arc_consistent_horn(query, structure, pinned)
+        result = propagate(query, structure, pinned, Propagator.WALK)
+        assert (result is None) == (horn is None)
+        if result is not None:
+            for variable, nodes in horn.items():
+                column = list(result.sorted_domain(variable))
+                assert column == sorted(column) and nodes <= set(column)
+
+    def test_unsatisfiable_child_plus_triangle_on_a_long_path(self):
+        """The walk refutes a directed ``Child+`` 3-cycle on a 2 000-node path in < 1 s."""
+        structure = TreeStructure(chain(["A"] * 2000))
+        query = parse_query("Q <- Child+(x, y), Child+(y, z), Child+(z, x)")
+        started = time.perf_counter()
+        assert propagate(query, structure, propagator=Propagator.WALK) is None
+        assert time.perf_counter() - started < 1.0
 
 
 class TestEvaluatorAgreementProperties:
@@ -214,48 +281,59 @@ class TestEvaluatorAgreementProperties:
         assert is_satisfied(query, structure) == bt_holds(query, structure)
 
 
+#: The tractable axis sets of Theorem 4.1 (one witnessing order each), plus an
+#: NP-hard mix with inverse axes that only ever gets forest-shaped bodies.
+_TRACTABLE_GROUPS = (
+    (Axis.CHILD_PLUS, Axis.CHILD_STAR, Axis.DOCUMENT_ORDER, Axis.SUCC_PRE),
+    (Axis.FOLLOWING,),
+    (Axis.CHILD, Axis.NEXT_SIBLING, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING_STAR),
+)
+_MIXED_GROUP = (Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING, Axis.PARENT, Axis.PRECEDING_SIBLING)
+
+
 class TestDecompositionEngineProperties:
     """The structural engine must agree with backtracking *exactly*.
 
     The matrix covers cyclic and acyclic shapes (the random atom soup produces
-    both), every propagator, random k-ary heads (including repeated head
-    variables) and pinning; answers are compared as byte-identical sorted
-    lists, which is what the serving layer ultimately emits.
+    both), both propagators (the walk on the tractable groups), random k-ary
+    heads (including repeated head variables) and pinning; answers are
+    compared as byte-identical sorted lists, which is what the serving layer
+    ultimately emits.
     """
 
     @SETTINGS
     @given(
         trees(max_size=12),
-        head_queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)),
-        st.sampled_from(["ac4", "ac3", "horn", "hybrid"]),
+        st.sampled_from(((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING), *_TRACTABLE_GROUPS)),
+        st.data(),
     )
-    def test_answers_match_backtracking(self, tree, query, propagator):
+    def test_answers_match_backtracking(self, tree, axes, data):
+        query = data.draw(head_queries(axes), label="query")
         structure = TreeStructure(tree)
-        decomposition_answers = sorted(
-            evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator=propagator)
-        )
-        backtracking_answers = sorted(
-            evaluate(query, structure, engine=Engine.BACKTRACKING, propagator=propagator)
-        )
-        assert repr(decomposition_answers) == repr(backtracking_answers)
+        expected = oracle.answers(query, structure)
+        for propagator in _propagators(query):
+            for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
+                answers = sorted(evaluate(query, structure, engine=engine, propagator=propagator))
+                assert repr(answers) == repr(expected), (engine, propagator)
 
     @SETTINGS
     @given(
         trees(max_size=12),
-        queries((Axis.CHILD, Axis.NEXT_SIBLING_PLUS, Axis.FOLLOWING)),
-        st.sampled_from(["ac4", "ac3", "horn", "hybrid"]),
+        st.sampled_from(((Axis.CHILD, Axis.NEXT_SIBLING_PLUS, Axis.FOLLOWING), *_TRACTABLE_GROUPS)),
         st.integers(min_value=0, max_value=10_000),
+        st.data(),
     )
-    def test_boolean_with_pinning_matches_backtracking(
-        self, tree, query, propagator, seed
-    ):
+    def test_boolean_with_pinning_matches_backtracking(self, tree, axes, seed, data):
+        query = data.draw(queries(axes), label="query")
         structure = TreeStructure(tree)
         rng = random.Random(seed)
         variable = rng.choice(query.variables())
         pinned = {variable: rng.randrange(len(tree))}
-        assert is_satisfied(
-            query, structure, Engine.DECOMPOSITION, pinned, propagator
-        ) == is_satisfied(query, structure, Engine.BACKTRACKING, pinned, propagator)
+        expected = bool(oracle.answers(query, structure, pinned))
+        for propagator in _propagators(query):
+            for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
+                holds = is_satisfied(query, structure, engine, pinned, propagator)
+                assert holds == expected, (engine, propagator)
 
     @SETTINGS
     @given(trees(max_size=12), head_queries((Axis.CHILD_STAR, Axis.NEXT_SIBLING_STAR)))
@@ -274,16 +352,6 @@ class TestDecompositionEngineProperties:
         assert sorted(evaluate(query, structure)) == sorted(
             evaluate(query, structure, engine=Engine.BACKTRACKING)
         )
-
-
-#: The tractable axis sets of Theorem 4.1 (one witnessing order each), plus an
-#: NP-hard mix with inverse axes that only ever gets forest-shaped bodies.
-_TRACTABLE_GROUPS = (
-    (Axis.CHILD_PLUS, Axis.CHILD_STAR, Axis.DOCUMENT_ORDER, Axis.SUCC_PRE),
-    (Axis.FOLLOWING,),
-    (Axis.CHILD, Axis.NEXT_SIBLING, Axis.NEXT_SIBLING_PLUS, Axis.NEXT_SIBLING_STAR),
-)
-_MIXED_GROUP = (Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING, Axis.PARENT, Axis.PRECEDING_SIBLING)
 
 
 @st.composite
@@ -354,8 +422,7 @@ class TestDefaultEnumerationProperties:
         default = repr(sorted(evaluate(query, structure)))
         for engine in _per_tuple_engines(query):
             assert repr(sorted(evaluate(query, structure, engine=engine))) == default, engine
-        oracle = evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn")
-        assert repr(sorted(oracle)) == default
+        assert repr(oracle.answers(query, structure)) == default
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(trees(max_size=10), edge_head_queries())
@@ -382,26 +449,6 @@ class TestDefaultEnumerationProperties:
                 self._assert_all_agree(parse_query(text), structure)
 
 
-def _oracle(query: ConjunctiveQuery, structure: TreeStructure, pinned=None) -> list:
-    """Sorted answers by the Horn-propagated per-tuple reduction (Prop. 3.1)."""
-    answers = evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn")
-    if pinned:
-        # Every answer under pinning is an answer without it: filter those.
-        answers = {
-            answer
-            for answer in answers
-            if all(pinned.get(v, node) == node for v, node in zip(query.head, answer))
-            and is_satisfied(
-                query,
-                structure,
-                Engine.BACKTRACKING,
-                {**pinned, **dict(zip(query.head, answer))},
-                "horn",
-            )
-        }
-    return sorted(answers)
-
-
 def _limits(count: int) -> list:
     return [None, 0, 1, 3, count, count + 1]
 
@@ -419,22 +466,22 @@ class TestAnswerPageContract:
         """Every plan ``plan_query`` can emit for ``query``, forced engines included."""
         stats = DocumentStats.of_tree(tree)
         engines = [None, Engine.DECOMPOSITION, Engine.SQL, *_per_tuple_engines(query)]
+        forest = compile_query(query).shadow_is_forest
         for engine in engines:
             yield plan_query(query, stats, engine=engine)
-            yield plan_query(query, stats, engine=engine, propagator=Propagator.AC4)
-        forest = compile_query(query).shadow_is_forest
-        for propagator in Propagator:
-            plan = plan_query(query, stats, propagator=propagator)
-            # The sweeps are exact on forests only: on a cyclic body the
-            # dichotomy's fixpoint engines refuse them (a residue plan does not).
-            if forest or plan.propagator is not Propagator.SEMIJOIN or (
-                plan.engine is Engine.DECOMPOSITION
-            ):
-                yield plan
+            for propagator in _propagators(query):
+                plan = plan_query(query, stats, engine=engine, propagator=propagator)
+                # The sweeps are exact on forests only: on a cyclic body a
+                # fixpoint engine refuses them (the others take supersets).
+                if forest or propagator is Propagator.WALK or plan.engine not in (
+                    Engine.XPROPERTY,
+                    Engine.ACYCLIC,
+                ):
+                    yield plan
 
     def _assert_contract(self, query: ConjunctiveQuery, tree: Tree) -> None:
         structure = TreeStructure(tree)
-        expected = _oracle(query, structure)
+        expected = oracle.answers(query, structure)
         compiled = compile_query(query)
         seen = set()
         for plan in self._plans(query, tree):
@@ -487,17 +534,17 @@ class TestAnswerPageContract:
     @given(
         trees(max_size=12),
         head_queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING), max_arity=3),
-        st.sampled_from(list(Propagator)),
         st.integers(min_value=0, max_value=10_000),
     )
-    def test_join_tree_pages_under_pinning(self, tree, query, propagator, seed):
+    def test_join_tree_pages_under_pinning(self, tree, query, seed):
         structure = TreeStructure(tree)
         rng = random.Random(seed)
         pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
-        expected = _oracle(query, structure, pinned)
-        for limit in _limits(len(expected)):
-            page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
-            assert page == (expected[:limit], len(expected)), limit
+        expected = oracle.answers(query, structure, pinned)
+        for propagator in _propagators(query):
+            for limit in _limits(len(expected)):
+                page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
+                assert page == (expected[:limit], len(expected)), (propagator, limit)
 
 
     # -- the level kernel vs the oracle --------------------------------------------
@@ -505,7 +552,7 @@ class TestAnswerPageContract:
     @staticmethod
     def _assert_kernel_identity(query, structure, pinned, propagator) -> None:
         """The level kernel's page is the oracle page, for every limit."""
-        expected = _oracle(query, structure, pinned)
+        expected = oracle.answers(query, structure, pinned)
         for limit in _limits(len(expected)):
             page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
             assert page == (expected[:limit], len(expected)), limit
@@ -514,15 +561,15 @@ class TestAnswerPageContract:
     @given(
         trees(max_size=10),
         head_queries(tuple(Axis), max_arity=3),
-        st.sampled_from(list(Propagator)),
         st.integers(min_value=0, max_value=10_000),
     )
-    def test_level_kernel_on_random_atom_soups_over_every_axis(self, tree, query, propagator, seed):
+    def test_level_kernel_on_random_atom_soups_over_every_axis(self, tree, query, seed):
         structure = TreeStructure(tree)
         rng = random.Random(seed)
         pinned = None
         if rng.random() < 0.4:
             pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
+        propagator = rng.choice(_propagators(query))
         self._assert_kernel_identity(query, structure, pinned, propagator)
 
     def test_level_kernel_named_shapes(self):
@@ -551,7 +598,7 @@ class TestAnswerPageContract:
                 query = parse_query(text)
                 self._assert_kernel_identity(query, structure, None, "semijoin")
                 pinned = {query.variables()[0]: seed + 1}
-                self._assert_kernel_identity(query, structure, pinned, "ac4")
+                self._assert_kernel_identity(query, structure, pinned, None)
 
 
 class TestRewritingProperties:

@@ -1,12 +1,13 @@
-"""The semijoin full reducer (``Propagator.SEMIJOIN``) against every other fixpoint.
+"""The semijoin full reducer (``Propagator.SEMIJOIN``) against Proposition 3.1.
 
 Over a forest-shaped body two directional semijoin sweeps must land on exactly
-the subset-maximal arc-consistent prevaluation the worklist engines compute:
+the subset-maximal arc-consistent prevaluation of the Horn program
+(``tests/oracle.py``):
 
-* ``propagate(..., "semijoin").domains`` equals ``ac4``, ``ac3`` and the
-  Horn-SAT ground truth, set for set, on random forest-shaped queries over all
-  nine churn axes plus the inverse axes -- multi-label variables, self-loops,
-  several components, pinning, unsatisfiable instances;
+* ``propagate(..., "semijoin").domains`` equals the Horn-SAT ground truth,
+  set for set, on random forest-shaped queries over all nine churn axes plus
+  the inverse axes -- multi-label variables, self-loops, several components,
+  pinning, unsatisfiable instances;
 * sorted answers through ``evaluate`` are the same under every engine;
 * ``propagate(..., "semijoin")`` sweeps leaves to root only: the component
   roots are exact before anything else is read, one non-root read runs the
@@ -17,8 +18,9 @@ the subset-maximal arc-consistent prevaluation the worklist engines compute:
   for a support column holding every node agrees with both;
 * on a cyclic body the sweeps run along a spanning forest and land between
   the initial domains and the exact fixpoint (sound supersets -- all the
-  decomposition engine needs), while ``propagate`` and the engines that need
-  the exact fixpoint refuse with a typed client error, end to end.
+  decomposition engine, backtracking and the per-tuple reduction need), while
+  ``propagate`` and a fixpoint engine refuse them with a typed client error
+  that names the walk, end to end.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.evaluation import (
     Engine,
     Propagator,
@@ -81,6 +84,8 @@ INVERSE_AXES = (
 ALL_AXES = CHURN_AXES + INVERSE_AXES + (Axis.SELF,)
 
 TRIANGLE = "Q(a) <- A(a), Child+(a, b), B(b), Following(a, c), Following(b, c), C(c)"
+#: A cyclic Boolean body over the pre-order group (Theorem 4.1): the walk's.
+TRACTABLE_CYCLE = "Q <- A(a), Child+(a, b), B(b), Child*(b, c), Child+(a, c), C(c)"
 
 
 @st.composite
@@ -147,16 +152,13 @@ def _pin(data, query: ConjunctiveQuery, structure: TreeStructure):
 class TestFixpointEquality:
     @SETTINGS
     @given(structures(), forest_queries(), st.data())
-    def test_domains_equal_ac4_ac3_and_horn(self, structure, query, data):
+    def test_domains_equal_horn(self, structure, query, data):
         pinned = _pin(data, query, structure)
         result = propagate(query, structure, pinned, Propagator.SEMIJOIN)
-        for other in (Propagator.AC4, Propagator.AC3, Propagator.HORN):
-            reference = propagate(query, structure, pinned, other)
-            if reference is None:
-                assert result is None, other
-            else:
-                assert result is not None and result.domains == reference.domains, other
+        reference = oracle.maximal_arc_consistent_horn(query, structure, pinned)
+        assert (result is None) == (reference is None)
         if result is not None:
+            assert result.domains == reference
             for variable, nodes in result.domains.items():
                 assert result.sorted_domain(variable) == sorted(nodes)
                 assert list(result.views[variable].array) == sorted(nodes)
@@ -164,7 +166,7 @@ class TestFixpointEquality:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(structures(max_size=10), forest_queries())
     def test_answers_equal_under_every_engine(self, structure, query):
-        oracle = sorted(evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn"))
+        expected = oracle.answers(query, structure)
         engines = [Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING]
         if is_tractable(query.signature()):
             engines.append(Engine.XPROPERTY)
@@ -172,7 +174,7 @@ class TestFixpointEquality:
             engines.append(Engine.ACYCLIC)
         for engine in engines:
             found = evaluate(query, structure, engine=engine, propagator=Propagator.SEMIJOIN)
-            assert repr(sorted(found)) == repr(oracle), engine
+            assert repr(sorted(found)) == repr(expected), engine
 
 
 @st.composite
@@ -208,7 +210,7 @@ class TestOneSweepContract:
     def test_roots_first_then_every_column_equal_horn(self, structure, query, data):
         pinned = _pin(data, query, structure)
         compiled = compile_query(query)
-        horn = propagate(query, structure, pinned, Propagator.HORN)
+        horn = oracle.maximal_arc_consistent_horn(query, structure, pinned)
         with _counting_semijoins() as semijoin:
             result = propagate(compiled, structure, pinned, Propagator.SEMIJOIN)
             assert (result is None) == (horn is None)
@@ -216,15 +218,15 @@ class TestOneSweepContract:
                 return
             roots = sorted(compiled.sweep_roots)
             for root in roots:
-                assert result.sorted_domain(root) == sorted(horn.domains[root]), root
+                assert result.sorted_domain(root) == sorted(horn[root]), root
             assert semijoin.call_count == len(compiled.sweep_order)
             others = [variable for variable in compiled.variables if variable not in roots]
             if others:
                 first = data.draw(st.sampled_from(others), label="first non-root read")
-                assert result.sorted_domain(first) == sorted(horn.domains[first])
+                assert result.sorted_domain(first) == sorted(horn[first])
         for variable in compiled.variables:
-            assert result.sorted_domain(variable) == sorted(horn.domains[variable]), variable
-        assert result.domains == horn.domains
+            assert result.sorted_domain(variable) == sorted(horn[variable]), variable
+        assert result.domains == horn
 
     @pytest.mark.parametrize(
         "text, answers",
@@ -279,7 +281,7 @@ class TestSweepsAreSoundSupersets:
         pinned = _pin(data, query, structure)
         compiled = compile_query(query)
         swept = reducer.semijoin_sweeps(compiled, structure, pinned)
-        exact = propagate(compiled, structure, pinned, Propagator.AC4)
+        exact = oracle.maximal_arc_consistent_horn(query, structure, pinned)
         if swept is None:
             assert exact is None  # an empty superset refutes the query
             return
@@ -287,9 +289,9 @@ class TestSweepsAreSoundSupersets:
         for variable, column in swept.items():
             assert column == sorted(set(column)) and set(column) <= initial[variable]
             if exact is not None:
-                assert exact.domains[variable] <= set(column), variable
+                assert exact[variable] <= set(column), variable
                 if compiled.shadow_is_forest:
-                    assert exact.domains[variable] == set(column), variable
+                    assert exact[variable] == set(column), variable
         if compiled.shadow_is_forest:
             assert exact is not None
 
@@ -341,7 +343,7 @@ class TestFullDomainSupport:
 
     @SETTINGS
     @given(structures(), st.data())
-    def test_unlabeled_endpoints_match_ac4_and_horn(self, structure, data):
+    def test_unlabeled_endpoints_match_horn(self, structure, data):
         text = data.draw(
             st.sampled_from(
                 [
@@ -357,12 +359,10 @@ class TestFullDomainSupport:
         query = parse_query(text)
         pinned = _pin(data, query, structure)
         result = propagate(query, structure, pinned, Propagator.SEMIJOIN)
-        for other in (Propagator.AC4, Propagator.HORN):
-            reference = propagate(query, structure, pinned, other)
-            if reference is None:
-                assert result is None, other
-            else:
-                assert result is not None and result.domains == reference.domains, other
+        reference = oracle.maximal_arc_consistent_horn(query, structure, pinned)
+        assert (result is None) == (reference is None)
+        if result is not None:
+            assert result.domains == reference
 
     def test_the_upward_semijoin_of_the_answers_slot_builds_no_column(self):
         structure = TreeStructure(random_tree(200, alphabet=ALPHABET, max_children=3, seed=9))
@@ -370,7 +370,7 @@ class TestFullDomainSupport:
         with mock.patch.object(reducer, "cumulative_end_membership", side_effect=AssertionError):
             result = propagate(query, structure, propagator="semijoin")
         assert result.sorted_domain("x") == list(range(1, 200))
-        assert result.domains == propagate(query, structure, propagator="ac4").domains
+        assert result.domains == oracle.maximal_arc_consistent_horn(query, structure)
 
 
 class TestNamedCases:
@@ -403,7 +403,7 @@ class TestNamedCases:
         ):
             query = parse_query(text)
             assert propagate(query, sentence_structure, pinned, "semijoin") is None, text
-            assert propagate(query, sentence_structure, pinned, "ac4") is None, text
+            assert oracle.maximal_arc_consistent_horn(query, sentence_structure, pinned) is None
         with pytest.raises(ValueError, match="not in the query"):
             propagate(parse_query("Q(x) <- NP(x)"), sentence_structure, {"z": 1}, "semijoin")
 
@@ -440,48 +440,63 @@ class TestNamedCases:
         forest = "Q(a) <- A(a), Child+(a, b), B(b)"
         served = run_request(store, cache, Request(doc="doc", query=forest))
         assert served.ok and served.propagator == "semijoin"
-        ac4 = run_request(store, cache, Request(doc="doc", query=forest, propagator="ac4"))
-        assert ac4.propagator == "ac4" and ac4.answers == served.answers
-        forced = run_request(store, cache, Request(doc="doc", query=forest, propagator="ac3"))
-        assert forced.propagator == "ac3" and forced.answers == served.answers
-        # A cyclic body gets the sweeps too, but only as candidate supersets
-        # in front of the decomposition engine; an engine that needs the
-        # exact fixpoint keeps a worklist propagator.
+        walked = run_request(store, cache, Request(doc="doc", query=forest, propagator="walk"))
+        assert walked.propagator == "walk" and walked.answers == served.answers
+        # A cyclic body gets the sweeps too, as candidate supersets in front
+        # of the decomposition engine and of forced backtracking; a fixpoint
+        # engine on a tractable cyclic body walks.
         cyclic = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
         assert cyclic.ok and (cyclic.engine, cyclic.propagator) == ("decomposition", "semijoin")
-        exact = run_request(store, cache, Request(doc="doc", query=TRIANGLE, propagator="ac4"))
-        assert exact.propagator == "ac4" and exact.answers == cyclic.answers
         searched = run_request(
             store, cache, Request(doc="doc", query=TRIANGLE, engine="backtracking")
         )
-        assert searched.propagator in ("ac4", "hybrid") and searched.answers == cyclic.answers
+        assert searched.propagator == "semijoin" and searched.answers == cyclic.answers
+        walked = run_request(store, cache, Request(doc="doc", query=TRACTABLE_CYCLE))
+        assert walked.ok and (walked.engine, walked.propagator) == ("xproperty", "walk")
 
 
 class TestCyclicBodiesAreRefused:
-    def test_library_call_raises_a_value_error(self, sentence_structure):
-        with pytest.raises(ValueError, match="forest-shaped"):
+    def test_library_call_raises_a_value_error_naming_the_walk(self, sentence_structure):
+        with pytest.raises(ValueError, match="forest-shaped body; use walk on cyclic queries"):
             propagate(parse_query(TRIANGLE), sentence_structure, propagator="semijoin")
 
-    @pytest.mark.parametrize("engine", ["backtracking", "xproperty", "acyclic"])
+    @pytest.mark.parametrize("engine", [None, "xproperty"])
     def test_run_request_reports_a_client_error_with_attribution(self, engine):
-        """Engines that need the exact fixpoint refuse; decomposition sweeps."""
+        """A fixpoint engine refuses the sweeps on a cyclic body; supersets suffice elsewhere."""
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
         store, cache = DocumentStore(), QueryCache()
         store.register_tree("doc", tree)
-        request = Request(doc="doc", query=TRIANGLE, propagator="semijoin", engine=engine)
+        request = Request(doc="doc", query=TRACTABLE_CYCLE, propagator="semijoin", engine=engine)
         result = run_request(store, cache, request)
         assert not result.ok
-        assert "forest-shaped" in result.error and not result.error.startswith("internal:")
+        assert "use walk on cyclic queries" in result.error
+        assert not result.error.startswith("internal:")
         assert result.propagator == "semijoin"
-        assert result.engine == engine
+        assert result.engine == "xproperty"
         body = result.to_json_dict()
         assert body["propagator"] == "semijoin" and body["engine"] == result.engine
         # The next request on the same store is unaffected, and the same
-        # override in front of the decomposition engine is served.
-        plain = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
-        swept = run_request(
+        # override in front of the decomposition engine and backtracking is served.
+        plain = run_request(store, cache, Request(doc="doc", query=TRACTABLE_CYCLE))
+        assert plain.ok and plain.propagator == "walk"
+        for forced in ("decomposition", "backtracking"):
+            swept = run_request(
+                store,
+                cache,
+                Request(doc="doc", query=TRACTABLE_CYCLE, propagator="semijoin", engine=forced),
+            )
+            assert swept.ok and swept.answers == plain.answers, forced
+
+    def test_forced_backtracking_takes_the_sweeps_on_a_cyclic_body(self, sentence_tree):
+        store, cache = DocumentStore(), QueryCache()
+        store.register_tree("doc", sentence_tree)
+        text = "Q(y) <- NP(x), Child(x, y), Child(x, z), Child+(y, z)"
+        forced = run_request(
             store,
             cache,
-            Request(doc="doc", query=TRIANGLE, propagator="semijoin", engine="decomposition"),
+            Request(doc="doc", query=text, engine="backtracking", propagator="semijoin"),
         )
-        assert plain.ok and swept.ok and swept.answers == plain.answers
+        assert forced.ok, forced.error
+        assert (forced.engine, forced.propagator) == ("backtracking", "semijoin")
+        assert forced.answers == oracle.answers(parse_query(text), TreeStructure(sentence_tree))
+        assert forced.answers == run_request(store, cache, Request(doc="doc", query=text)).answers

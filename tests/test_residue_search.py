@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+import oracle
 from repro.decomposition import yannakakis
 from repro.evaluation import Engine, compile_query, evaluate, is_satisfied
 from repro.hardness import grid_query, hard_workload
@@ -58,9 +59,8 @@ def test_search_matches_backtracking_and_horn(signature, size, seed):
         for query in _heads(body):
             expected = evaluate(query, structure, engine=Engine.BACKTRACKING)
             if size <= HORN_LIMIT:
-                horn = evaluate(query, structure, engine=Engine.BACKTRACKING, propagator="horn")
-                assert horn == expected, query
-            for propagator in ("semijoin", "ac4"):
+                assert oracle.answers(query, structure) == sorted(expected), query
+            for propagator in (None, "semijoin"):
                 got = evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator=propagator)
                 assert got == expected, (query, propagator)
             # One pin, on a variable the head does not bind.
@@ -141,7 +141,7 @@ def test_400_bag_chain_is_answered_at_the_default_recursion_limit():
     assert plan.engine is Engine.DECOMPOSITION
     assert sys.getrecursionlimit() <= 1000
     structure = TreeStructure(tree)
-    assert evaluate(query, structure, Engine.AUTO, plan.propagator) == frozenset({()})
+    assert evaluate(query, structure) == frozenset({()})
 
 
 def test_monadic_grid_probe_answers_within_two_seconds():

@@ -234,7 +234,7 @@ class TestBatchExecutor:
                 if request.query is not None
                 else xpath_to_cq(request.xpath)
             )
-            direct = sorted(evaluate(query, fresh, propagator=request.propagator))
+            direct = sorted(evaluate(query, fresh))
             # Byte-identical through the JSON rendering.
             assert json.dumps(result.to_json_dict()["answers"]) == json.dumps(
                 [list(answer) for answer in direct]
@@ -352,7 +352,7 @@ class TestBatchExecutor:
         with pytest.raises(ValueError, match="'limit'"):
             Request.from_json_dict({"doc": "d", "query": "Q <- A(x)", "limit": -1})
         request = Request.from_json_dict(
-            {"doc": "d", "xpath": "//A", "propagator": "hybrid", "limit": 5}
+            {"doc": "d", "xpath": "//A", "propagator": "walk", "limit": 5}
         )
         assert request.xpath == "//A" and request.limit == 5
 
@@ -413,12 +413,21 @@ class TestContractFixes:
         ``elapsed_ms`` and ``propagator``, making failures unattributable in
         latency accounting."""
         result = executor.execute(
-            Request(doc="ghost", query="Q(x) <- A(x)", propagator="ac3")
+            Request(doc="ghost", query="Q(x) <- A(x)", propagator="walk")
         )
         payload = result.to_json_dict()
         assert not result.ok
-        assert payload["propagator"] == "ac3"
+        assert payload["propagator"] == "walk"
         assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0.0
+
+    @pytest.mark.parametrize("retired", ["ac4", "ac3", "hybrid", "horn"])
+    def test_retired_propagators_are_unknown(self, executor, retired):
+        """Only ``semijoin`` and ``walk`` remain: any other name is a typed client error."""
+        result = executor.execute(
+            Request(doc="sentence", query="Q(x) <- NP(x)", propagator=retired)
+        )
+        assert not result.ok and not result.error.startswith("internal:")
+        assert result.error == f"unknown propagator {retired!r}; expected one of semijoin, walk"
 
     def test_bool_limit_is_rejected(self):
         """Regression: ``True`` passes ``isinstance(x, int)``, so

@@ -439,7 +439,7 @@ class TestRoundTrip:
         batch = {
             "requests": [
                 {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
-                {"doc": "auction", "xpath": "//description//listitem", "propagator": "hybrid"},
+                {"doc": "auction", "xpath": "//description//listitem", "propagator": "walk"},
                 {"doc": "sentence", "xpath": "//NP[NN]"},
                 {"doc": "ghost", "query": "Q(x) <- A(x)"},
             ]
@@ -475,10 +475,10 @@ class TestRoundTrip:
         # Regression: error results dropped ``elapsed_ms``/``propagator`` from
         # the wire schema, so failures vanished from latency accounting.
         status, payload = _call(
-            address, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)", "propagator": "ac3"}
+            address, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)", "propagator": "walk"}
         )
         assert status == 400 and "unknown document" in payload["error"]
-        assert payload["propagator"] == "ac3" and payload["elapsed_ms"] >= 0
+        assert payload["propagator"] == "walk" and payload["elapsed_ms"] >= 0
 
     def test_bool_limit_and_max_workers_rejected(self, address):
         """Regression: JSON ``true`` passes ``isinstance(x, int)``, so
@@ -504,7 +504,7 @@ class TestRoundTrip:
         auction = auction_document(num_items=10, seed=9)
         item_query = "Q(i) <- item(i), Child(i, p), payment(p)"
         batch = [
-            {"doc": "auction", "xpath": "//description//listitem", "propagator": "hybrid"},
+            {"doc": "auction", "xpath": "//description//listitem", "propagator": "walk"},
             {"doc": "sentence", "xpath": "//NP[NN]"},
             {"doc": "ghost", "query": "Q <- A(x)"},
         ]

@@ -2,9 +2,7 @@
 
 The index must agree *exactly* with the traversal-based reference
 implementation in :mod:`repro.trees.axes` -- on ``holds`` for every axis and
-on witness existence against arbitrary candidate sets -- and the worklist
-built on it must reach the same arc-consistency fixpoint as the literal Horn
-program of Proposition 3.1.
+on witness existence against arbitrary candidate sets.
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import (
-    initial_domains,
-    is_arc_consistent,
-    maximal_arc_consistent,
-    maximal_arc_consistent_horn,
-)
+from repro.evaluation import initial_domains
 from repro.hardness import random_cyclic_query
 from repro.queries import parse_query
 from repro.trees import (
@@ -95,7 +88,7 @@ class TestPrimitives:
 
 
 # ---------------------------------------------------------------------------
-# Rank arrays and per-label lists.
+# Rank arrays.
 # ---------------------------------------------------------------------------
 
 
@@ -107,24 +100,11 @@ class TestRankArrays:
         n = len(tree)
         assert index.pre == list(range(n))
         assert sorted(index.post) == list(range(n))
-        assert [index.post[node] for node in index.nodes_by_post] == list(range(n))
         for node in tree.node_ids():
-            children = tree.children_of[node]
-            assert index.first_child[node] == (children[0] if children else -1)
             expected_next = tree.next_sibling(node)
             assert index.next_sibling[node] == (expected_next if expected_next is not None else -1)
             if index.prev_sibling[node] >= 0:
                 assert tree.next_sibling(index.prev_sibling[node]) == node
-
-    @pytest.mark.parametrize("tree_index", range(len(TREES)))
-    def test_label_nodes_sorted_and_complete(self, tree_index):
-        tree = TREES[tree_index]
-        index = tree.index
-        for label in tree.alphabet():
-            nodes = list(index.label_nodes(label))
-            assert nodes == sorted(nodes)
-            assert nodes == [v for v in tree.node_ids() if tree.has_label(v, label)]
-        assert list(index.label_nodes("no-such-label")) == []
 
     def test_index_is_cached_and_shared(self):
         tree = TREES[3]
@@ -209,7 +189,7 @@ class TestWitnesses:
 
 
 # ---------------------------------------------------------------------------
-# Per-atom witness tests vs enumeration, fixpoint vs Horn program.
+# Per-atom witness tests vs enumeration.
 # ---------------------------------------------------------------------------
 
 
@@ -259,38 +239,3 @@ class TestReviseAgreement:
                     for w in target:
                         expected = bool(source.intersection(predecessors(atom.axis, w)))
                         assert index.has_predecessor_in(atom.axis, w, source_view) == expected
-
-    def test_fixpoint_matches_horn(self):
-        rng = random.Random(6)
-        for tree in TREES:
-            structure = TreeStructure(tree)
-            for query in random_queries(rng):
-                via_index = maximal_arc_consistent(query, structure)
-                via_horn = maximal_arc_consistent_horn(query, structure)
-                assert via_index == via_horn
-                if via_index is not None:
-                    assert is_arc_consistent(query, structure, via_index)
-
-    def test_fixpoint_matches_horn_with_pinning(self):
-        tree = TREES[5]
-        structure = TreeStructure(tree)
-        query = parse_query("Q(x) <- A(x), Child+(x, y), B(y)")
-        for pin in range(len(tree)):
-            via_index = maximal_arc_consistent(query, structure, pinned={"x": pin})
-            via_horn = maximal_arc_consistent_horn(query, structure, pinned={"x": pin})
-            assert via_index == via_horn
-
-    @SETTINGS
-    @given(trees(), st.integers(min_value=0, max_value=10_000))
-    def test_fixpoint_equality_hypothesis(self, tree, seed):
-        rng = random.Random(seed)
-        structure = TreeStructure(tree)
-        query = random_cyclic_query(
-            tuple(Axis(a) for a in ("Child", "Child+", "Child*", "Following")),
-            num_variables=rng.randint(3, 4),
-            num_extra_atoms=rng.randint(0, 2),
-            seed=seed,
-        )
-        via_index = maximal_arc_consistent(query, structure)
-        via_horn = maximal_arc_consistent_horn(query, structure)
-        assert via_index == via_horn
