@@ -2,7 +2,7 @@
 
 The Horn program (``tests/oracle.py``) is the ground truth every propagator
 and engine is held to, so its own answers on the sentence tree are pinned
-here.
+here, and the pointer walk is held to it on random cyclic queries.
 """
 
 from __future__ import annotations
@@ -10,8 +10,18 @@ from __future__ import annotations
 import pytest
 
 from oracle import maximal_arc_consistent_horn
-from repro.evaluation import initial_domains, valuation_satisfies
+from repro.evaluation import (
+    compile_query,
+    initial_domains,
+    least_valuation,
+    minimum_valuation,
+    valuation_satisfies,
+)
+from repro.evaluation.propagation import candidate_supersets
+from repro.hardness import random_cyclic_query
 from repro.queries import parse_query
+from repro.trees import Order, TreeStructure, random_tree
+from repro.xproperty import X_PROPERTY_AXES
 
 
 class TestInitialDomains:
@@ -92,6 +102,57 @@ class TestHornProgram:
             has_solution = any(True for _ in iter_solutions(query, sentence_structure))
             assert has_solution
             assert maximal_arc_consistent_horn(query, sentence_structure) is not None
+
+
+def _walk_agrees_with_horn(query, structure, pinned=None):
+    """Same verdict; the walk's first nodes are the minimum of Horn's fixpoint."""
+    compiled = compile_query(query)
+    walk = least_valuation(compiled, structure, pinned)
+    horn = maximal_arc_consistent_horn(query, structure, pinned)
+    assert (walk is None) == (horn is None)
+    if horn is not None:
+        least = {variable: column[0] for variable, column in walk.items()}
+        assert least == minimum_valuation(structure, horn, compiled.order)
+        assert all(nodes <= set(walk[variable]) for variable, nodes in horn.items())
+    return horn
+
+
+class TestWalkAgreesWithHorn:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_same_verdict_on_random_inputs(self, seed):
+        tree = random_tree(18, alphabet=("A", "B", "C"), seed=seed, unlabeled_probability=0.2)
+        structure = TreeStructure(tree)
+        for order in (Order.PRE, Order.POST, Order.BFLR):
+            query = random_cyclic_query(
+                tuple(sorted(X_PROPERTY_AXES[order], key=str)),
+                num_variables=5,
+                num_extra_atoms=2,
+                seed=seed,
+            )
+            horn = _walk_agrees_with_horn(query, structure)
+            # The sweeps an engine takes on a cyclic body contain the fixpoint too.
+            supersets = candidate_supersets(compile_query(query), structure, None, "semijoin")
+            if horn is not None:
+                assert all(nodes <= supersets.domains[v] for v, nodes in horn.items())
+
+    def test_same_verdict_on_sentence(self, sentence_structure):
+        for text in (
+            "Q <- S(x), Child+(x, y), NP(y), Child*(y, z), NN(z), Child+(x, z)",
+            "Q <- NP(x), Child(x, y), NextSibling(y, z), Child(x, z), NN(z)",
+            "Q <- NP(x), Following(x, y), Following(y, z), Following(x, z), PP(z)",
+            "Q <- PP(x), Child+(x, y), Child+(y, z), Child+(x, z)",
+        ):
+            _walk_agrees_with_horn(parse_query(text), sentence_structure)
+
+    def test_walk_with_pinning(self, sentence_structure):
+        query = parse_query("Q <- NP(x), Child(x, y), NN(y), NextSibling+(z, y), Child(x, z)")
+        for pin in range(9):
+            _walk_agrees_with_horn(query, sentence_structure, pinned={"x": pin})
+        assert _walk_agrees_with_horn(query, sentence_structure, pinned={"x": 1}) == {
+            "x": {1},
+            "y": {3},
+            "z": {2},
+        }
 
 
 class TestValuationSatisfies:

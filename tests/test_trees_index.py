@@ -2,7 +2,8 @@
 
 The index must agree *exactly* with the traversal-based reference
 implementation in :mod:`repro.trees.axes` -- on ``holds`` for every axis and
-on witness existence against arbitrary candidate sets.
+on witness existence against arbitrary candidate sets -- and the propagators
+built on it must agree with the literal Horn program of Proposition 3.1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation import initial_domains
+import oracle
+from repro.evaluation import (
+    Engine,
+    Propagator,
+    compile_query,
+    initial_domains,
+    is_satisfied,
+    least_valuation,
+    minimum_valuation,
+    propagate,
+)
+from repro.evaluation.propagation import candidate_supersets
 from repro.hardness import random_cyclic_query
 from repro.queries import parse_query
 from repro.trees import (
@@ -88,7 +100,7 @@ class TestPrimitives:
 
 
 # ---------------------------------------------------------------------------
-# Rank arrays.
+# Rank arrays and per-label lists.
 # ---------------------------------------------------------------------------
 
 
@@ -105,6 +117,16 @@ class TestRankArrays:
             assert index.next_sibling[node] == (expected_next if expected_next is not None else -1)
             if index.prev_sibling[node] >= 0:
                 assert tree.next_sibling(index.prev_sibling[node]) == node
+
+    @pytest.mark.parametrize("tree_index", range(len(TREES)))
+    def test_label_nodes_sorted_and_complete(self, tree_index):
+        """The per-label lists the initial columns are read from."""
+        tree = TREES[tree_index]
+        for label in tree.alphabet():
+            nodes = list(tree.nodes_with_label(label))
+            assert nodes == sorted(nodes)
+            assert nodes == [v for v in tree.node_ids() if tree.has_label(v, label)]
+        assert list(tree.nodes_with_label("no-such-label")) == []
 
     def test_index_is_cached_and_shared(self):
         tree = TREES[3]
@@ -189,7 +211,7 @@ class TestWitnesses:
 
 
 # ---------------------------------------------------------------------------
-# Per-atom witness tests vs enumeration.
+# Per-atom witness tests vs enumeration, propagators vs Horn program.
 # ---------------------------------------------------------------------------
 
 
@@ -239,3 +261,55 @@ class TestReviseAgreement:
                     for w in target:
                         expected = bool(source.intersection(predecessors(atom.axis, w)))
                         assert index.has_predecessor_in(atom.axis, w, source_view) == expected
+
+    def test_propagators_match_horn(self):
+        rng = random.Random(6)
+        for tree in TREES:
+            structure = TreeStructure(tree)
+            for query in random_queries(rng):
+                _assert_propagators_match_horn(query, structure)
+
+    def test_propagators_match_horn_with_pinning(self):
+        tree = TREES[5]
+        structure = TreeStructure(tree)
+        for text in (
+            "Q(x) <- A(x), Child+(x, y), B(y)",
+            "Q(x) <- A(x), Child+(x, y), Child*(y, z), Child+(x, z), B(z)",
+        ):
+            query = parse_query(text)
+            for pin in range(len(tree)):
+                _assert_propagators_match_horn(query, structure, pinned={"x": pin})
+
+    @SETTINGS
+    @given(trees(), st.integers(min_value=0, max_value=10_000))
+    def test_propagator_equality_hypothesis(self, tree, seed):
+        rng = random.Random(seed)
+        structure = TreeStructure(tree)
+        query = random_cyclic_query(
+            tuple(Axis(a) for a in ("Child", "Child+", "Child*", "Following")),
+            num_variables=rng.randint(3, 4),
+            num_extra_atoms=rng.randint(0, 2),
+            seed=seed,
+        )
+        _assert_propagators_match_horn(query, structure)
+
+
+def _assert_propagators_match_horn(query, structure, pinned=None):
+    """Semijoin is Horn on forests; the walk decides like Horn; supersets contain it."""
+    compiled = compile_query(query)
+    horn = oracle.maximal_arc_consistent_horn(query, structure, pinned)
+    if compiled.shadow_is_forest:
+        result = propagate(query, structure, pinned, Propagator.SEMIJOIN)
+        assert (None if result is None else result.domains) == horn
+    if compiled.order is not None:
+        walk = least_valuation(compiled, structure, pinned)
+        assert (walk is None) == (horn is None)
+        if horn is not None:
+            least = {variable: column[0] for variable, column in walk.items()}
+            assert least == minimum_valuation(structure, horn, compiled.order)
+    supersets = candidate_supersets(compiled, structure, pinned)
+    if horn is not None:
+        assert supersets is not None
+        assert all(nodes <= supersets.domains[v] for v, nodes in horn.items())
+    expected = bool(oracle.answers(query, structure, pinned))
+    assert is_satisfied(query, structure, pinned=pinned, engine=Engine.BACKTRACKING) == expected
