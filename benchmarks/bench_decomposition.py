@@ -25,9 +25,9 @@ Two query groups over random 16-label trees:
   from the headline: the four-cycle (its materialized bag had a mid-bag
   local existential, genuinely quadratic in the subtree sizes at ~4.5x,
   ~83x with the union-of-ranges window merge; the memoised search never
-  builds that bag: ~70x) and an unsatisfiable diamond (arc consistency
+  builds that bag: ~65x) and an unsatisfiable diamond (arc consistency
   would empty its domains, the spanning-forest sweeps do not, so both
-  engines search to refute it: ~2x).
+  engines search to refute it: 0.7-1.2x).
 
 Answer sets are cross-checked byte-identical (as sorted lists) between the
 two engines on every measured instance, each under its default (the plan's)

@@ -30,8 +30,8 @@ holds when the plan is >= 2x faster at every size:
   four-cycle, backtracking's best case (one pruning pass plus a
   first-witness probe), where materializing the bags used to lose ~100x.
   Since backtracking prunes with the plan's sweeps instead of an AC-4
-  fixpoint and forward-checks, it reads ~0.7x here, below the residue
-  headline's bar.
+  fixpoint and forward-checks (one semijoin against the assigned node), it
+  reads 0.5-0.8x here, below the residue headline's bar.
 
 The plan is computed once per (query, document) outside the timed loop,
 matching a warm server: ``QueryCache.plan_for`` memoizes plans per

@@ -875,7 +875,7 @@ def _evaluate(
 ) -> tuple[list[Row], int]:
     """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
     from ..evaluation.compile import compile_query
-    from ..evaluation.propagation import candidate_supersets
+    from ..evaluation.propagation import candidate_supersets, choose_propagator
     from ..observability import tracing
 
     if compiled is None:
@@ -884,6 +884,8 @@ def _evaluate(
         return [()], 1
     # Sound supersets are all the bags need in front of them (they enforce
     # every atom): on a cyclic body ``semijoin`` sweeps a spanning forest.
+    if propagator is None:
+        propagator = choose_propagator(compiled, decomposition=True)
     result = candidate_supersets(compiled, structure, pinned, propagator)
     if result is None:
         return [], 0
@@ -980,9 +982,9 @@ def answer_page(
     Boolean queries yield ``[()]`` / ``[]``.  ``propagator`` names what prunes
     the candidate columns in front of the bags: ``semijoin`` (the cost
     planner's pick for this engine) is two sweeps along a spanning forest on
-    any body, ``walk`` the pointer walk's suffixes, ``None`` the compiled
-    query's :func:`~repro.evaluation.propagation.choose_propagator`; the
-    answers are the same.
+    any body, ``walk`` the pointer walk's suffixes, ``None`` the plan's pick
+    for this engine (:func:`~repro.evaluation.propagation.choose_propagator`,
+    so ``semijoin``); the answers are the same.
     """
     answers, count = _evaluate(query, structure, pinned, propagator, compiled, limit)
     return answers[:limit], count

@@ -19,7 +19,6 @@ from .xprop_evaluator import (
     boolean_query_holds,
     choose_order,
     least_valuation,
-    minimum_valuation,
     witness,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "is_satisfied",
     "iter_solutions",
     "least_valuation",
-    "minimum_valuation",
     "propagate",
     "satisfying_assignment",
     "valuation_satisfies",

@@ -13,10 +13,10 @@ dimension: sound supersets are all it needs, so ``semijoin`` sweeps a
 spanning forest of a cyclic body -- see
 :func:`~repro.evaluation.propagation.candidate_supersets`), then runs with
 *forward checking*: assigning a node narrows the candidate list of every
-unassigned neighbour to the node's partners (a pre-order slice for the
-interval axes, an ``AxisIndex.holds`` filter otherwise), a neighbour left
-without candidates rejects the node before its subtree is entered, and the
-next variable is the connected one with the fewest candidates left.  Every
+unassigned neighbour to the node's partners (the full reducer's semijoin
+against that one node), a neighbour left without candidates rejects the node
+before its subtree is entered, and the next variable is the connected one
+with the fewest candidates left.  Every
 candidate of an assigned variable was kept by all its assigned neighbours,
 so no separate consistency check runs.  Candidates are tried in ascending
 node order, so the solution sequence is deterministic.  The worst case
@@ -25,18 +25,15 @@ remains exponential -- necessarily so, by Section 5.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
-from ..trees.axes import Axis
-from ..trees.index import AxisIndex
 from ..trees.structure import TreeStructure
 from .compile import compile_query
 from .domains import Valuation, valuation_satisfies
 from .propagation import PropagatorLike, candidate_supersets
-from .reducer import initial_columns
+from .reducer import _semijoin, initial_columns
 
 #: Each variable's candidates still in play, ascending.
 Columns = Mapping[Variable, Sequence[int]]
@@ -80,8 +77,6 @@ def iter_solutions(
     if columns is None:
         return
 
-    index = structure.index
-    holds = index.holds
     stats = statistics if statistics is not None else SearchStatistics()
 
     def select_variable(assignment: Valuation, live: Columns) -> Variable:
@@ -103,10 +98,7 @@ def iter_solutions(
             if other in assignment:
                 continue
             column = narrowed.get(other, live[other])
-            if atom.source == variable:
-                kept = _partners(atom.axis, node, column, index)
-            else:
-                kept = [u for u in column if holds(atom.axis, u, node)]
+            kept = _semijoin(atom.axis, column, (node,), atom.source == other, structure)
             if not kept:
                 return None
             narrowed[other] = kept
@@ -173,17 +165,3 @@ def find_solution(
         return solution
     return None
 
-
-def _partners(axis: Axis, node: int, column: Sequence[int], index: AxisIndex) -> Sequence[int]:
-    """The nodes ``w`` of the sorted ``column`` with ``axis(node, w)``."""
-    end = index.subtree_end
-    if axis is Axis.CHILD_PLUS:
-        return column[bisect_right(column, node) : bisect_right(column, end[node])]
-    if axis is Axis.CHILD_STAR:
-        return column[bisect_left(column, node) : bisect_right(column, end[node])]
-    if axis is Axis.FOLLOWING:
-        return column[bisect_right(column, end[node]) :]
-    if axis is Axis.DOCUMENT_ORDER:
-        return column[bisect_right(column, node) :]
-    holds = index.holds
-    return [w for w in column if holds(axis, node, w)]

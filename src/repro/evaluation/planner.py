@@ -28,10 +28,11 @@ semijoin sweeps along the shadow forest (the root-to-leaves one only when a
 non-root column is read), exact on forest-shaped bodies and the pick there --
 and ``walk`` -- the pointer walk of Theorem 3.5
 (:func:`~repro.evaluation.xprop_evaluator.least_valuation`), exact verdict on
-any body over a tractable signature and the pick for every cyclic such body.  The
-engines that enforce every atom themselves (decomposition, backtracking, the
-per-tuple reduction) only need candidate supersets, so ``semijoin`` also
-runs in front of them on a cyclic body; a fixpoint engine forced onto
+any body over a tractable signature and the pick for every other cyclic such
+body.  The engines that enforce every atom themselves (decomposition,
+backtracking, the per-tuple reduction) only need candidate supersets, so
+they also take ``semijoin`` on a cyclic body, and it is the pick in front of
+the decomposition engine on any body; a fixpoint engine forced onto
 ``semijoin`` over a cyclic body is a ``ValueError``.
 
 Whatever the route, :func:`answer_page` is what comes out: the first ``limit``

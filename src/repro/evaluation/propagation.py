@@ -20,9 +20,9 @@ dimension, with two values:
   and its columns -- the candidates at or above the pointers -- are sound
   supersets of the solutions' projections.
 
-:func:`choose_propagator` is the pick: ``semijoin`` on forests (and on cyclic
-bodies with no X-property order, where only supersets are asked for),
-``walk`` on every other cyclic body.
+:func:`choose_propagator` is the pick: ``semijoin`` on forests, in front of
+the decomposition engine and on cyclic bodies with no X-property order (only
+supersets are asked for there), ``walk`` on every other cyclic body.
 
 :func:`propagate` returns a :class:`PropagationResult`: sorted columns, with
 sets and sorted-array views built from them (no re-sort) only for the
@@ -89,17 +89,20 @@ def as_propagator(value: PropagatorLike) -> Propagator:
         ) from None
 
 
-def choose_propagator(compiled: CompiledQuery) -> Propagator:
+def choose_propagator(compiled: CompiledQuery, decomposition: bool = False) -> Propagator:
     """The propagator a plan runs (and what ``propagator=None`` means everywhere).
 
     A forest-shaped body gets the two semijoin sweeps of
     :mod:`repro.evaluation.reducer` (``benchmarks/e2e`` ``mixed_10k``), whose
-    columns are exact there.  A cyclic body over a tractable signature gets
-    the pointer walk, whose verdict is exact.  A cyclic body with no
-    X-property order keeps the sweeps: only the engines that take candidate
-    supersets (:func:`candidate_supersets`) can run it.
+    columns are exact there, and so does every body in front of the
+    ``decomposition`` engine: its bags enforce every atom and its join tree
+    supplies global consistency, so sound supersets are enough.  Any other
+    cyclic body over a tractable signature gets the pointer walk, whose
+    verdict is exact.  A cyclic body with no X-property order keeps the
+    sweeps: only the engines that take candidate supersets
+    (:func:`candidate_supersets`) can run it.
     """
-    if compiled.shadow_is_forest or compiled.order is None:
+    if decomposition or compiled.shadow_is_forest or compiled.order is None:
         return Propagator.SEMIJOIN
     return Propagator.WALK
 

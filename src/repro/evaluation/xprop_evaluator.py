@@ -41,11 +41,11 @@ from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import Axis
 from ..trees.index import AxisIndex
-from ..trees.orders import Order, minimum, rank
+from ..trees.orders import Order, rank
 from ..trees.structure import TreeStructure
 from ..xproperty.dichotomy import order_for
 from .compile import CompiledAtom, CompiledQuery, compile_query
-from .domains import Domains, Valuation, valuation_satisfies
+from .domains import Valuation, valuation_satisfies
 from .propagation import PropagatorLike, propagate
 from .reducer import initial_columns
 
@@ -62,13 +62,6 @@ class XPropertyEvaluationError(RuntimeError):
 def choose_order(query: ConjunctiveQuery) -> Optional[Order]:
     """Pick an order making all of the query's axes X (None if impossible)."""
     return order_for(query.signature())
-
-
-def minimum_valuation(
-    structure: TreeStructure, domains: Domains, order: Order
-) -> Valuation:
-    """The minimum valuation of a prevaluation w.r.t. an order (Lemma 3.4)."""
-    return {variable: minimum(structure.tree, order, nodes) for variable, nodes in domains.items()}
 
 
 def least_valuation(

@@ -133,12 +133,10 @@ def plan_query(
         chosen_engine = tier(query, compiled, accel_only)
     if propagator is not None:
         chosen_propagator = propagator
-    elif chosen_engine is Engine.DECOMPOSITION:
-        # The bags enforce every atom and the join tree supplies global
-        # consistency: sound candidate supersets are enough in front of them.
-        chosen_propagator = Propagator.SEMIJOIN
     else:
-        chosen_propagator = choose_propagator(compiled)
+        chosen_propagator = choose_propagator(
+            compiled, decomposition=chosen_engine is Engine.DECOMPOSITION
+        )
 
     decomposition = compiled.decomposition
     bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)

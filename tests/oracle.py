@@ -19,9 +19,9 @@ trees -- so a property test can compare the two outright:
   propositional Horn program, by unit propagation.  Every propagator and
   engine is held to it: the semijoin reducer equals it on forests, the pointer
   walk's verdict matches it and its valuation is the minimum of it (Lemma
-  3.4), and every pruned column contains it; :func:`answers` enumerates every
-  satisfying valuation over its domains by brute force -- the answer oracle
-  of the engine tests.
+  3.4, :func:`minimum_valuation`), and every pruned column contains it;
+  :func:`answers` enumerates every satisfying valuation over its domains by
+  brute force -- the answer oracle of the engine tests.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ from repro.decomposition.decompose import (
 )
 from repro.decomposition.hypergraph import Hypergraph
 from repro.evaluation.compile import CompiledAtom, CompiledQuery, compile_query
-from repro.evaluation.domains import Domains
+from repro.evaluation.domains import Domains, Valuation
 from repro.planning.cost import _partner_estimate, variable_domain_estimate
 from repro.planning.stats import DocumentStats
 from repro.queries.atoms import AxisAtom, Variable
 from repro.queries.query import ConjunctiveQuery
-from repro.trees import Node, Tree, TreeStructure
+from repro.trees import Node, Order, Tree, TreeStructure, minimum
 
 # ---------------------------------------------------------------------------
 # Exact elimination orders.
@@ -384,6 +384,11 @@ def maximal_arc_consistent_horn(
     if any(not domain for domain in domains.values()):
         return None
     return domains
+
+
+def minimum_valuation(structure: TreeStructure, domains: Domains, order: Order) -> Valuation:
+    """The minimum valuation of a prevaluation w.r.t. an order (Lemma 3.4)."""
+    return {variable: minimum(structure.tree, order, nodes) for variable, nodes in domains.items()}
 
 
 def answers(

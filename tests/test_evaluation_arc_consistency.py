@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from oracle import maximal_arc_consistent_horn
+from oracle import maximal_arc_consistent_horn, minimum_valuation
 from repro.evaluation import (
     compile_query,
     initial_domains,
     least_valuation,
-    minimum_valuation,
     valuation_satisfies,
 )
 from repro.evaluation.propagation import candidate_supersets

@@ -14,6 +14,7 @@ import pytest
 import oracle
 from repro.evaluation import (
     Engine,
+    Propagator,
     SearchStatistics,
     boolean_query_holds,
     check_answer,
@@ -25,7 +26,6 @@ from repro.evaluation import (
     find_solution,
     is_satisfied,
     iter_solutions,
-    minimum_valuation,
     satisfying_assignment,
     witness,
 )
@@ -163,7 +163,7 @@ class TestXPropertyEvaluator:
         query = parse_query("Q <- NP(x), Child+(x, y)")
         domains = oracle.maximal_arc_consistent_horn(query, sentence_structure)
         assert domains is not None
-        valuation = minimum_valuation(sentence_structure, domains, Order.PRE)
+        valuation = oracle.minimum_valuation(sentence_structure, domains, Order.PRE)
         assert valuation["x"] == min(domains["x"])
 
 
@@ -287,6 +287,29 @@ class TestPlanner:
         )
         assert _plan(f"Q <- {k4}", sentence_tree).engine is Engine.XPROPERTY
         _assert_residue(_plan(f"Q(a, d) <- {k4}", sentence_tree))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Q(x) <- Child+(x, y), Child+(y, z), Child+(x, z)",  # decomposition
+            "Q <- Child+(x, y), Child+(y, z), Child+(x, z)",  # xproperty
+            "Q(x, z) <- NP(x), Child+(x, y), Child*(y, z), Child+(x, z)",  # decomposition
+            "Q(x) <- NP(x), Child(x, y), Following(y, z), Child+(x, z)",  # decomposition
+        ],
+    )
+    def test_library_default_propagator_is_the_plans(self, sentence_structure, text):
+        """``evaluate(q, s)`` prunes with ``plan_query(q, stats).propagator``, and only with it."""
+        plan = _plan(text, sentence_structure.tree)
+
+        def propagations() -> dict:
+            return {p: PROPAGATE_SECONDS.totals(propagator=p.value)[0] for p in Propagator}
+
+        before = propagations()
+        answers = evaluate(parse_query(text), sentence_structure)
+        after = propagations()
+        ran = {p for p in Propagator if after[p] > before[p]}
+        assert ran == {plan.propagator}, (text, plan.engine, ran)
+        assert sorted(answers) == oracle.answers(parse_query(text), sentence_structure)
 
     def test_default_kary_evaluation_runs_one_fixpoint(self):
         """A count, not a timing: one propagation per request, no per-tuple loop."""

@@ -25,7 +25,6 @@ from repro.evaluation import (
     evaluate,
     is_satisfied,
     least_valuation,
-    minimum_valuation,
     propagate,
     valuation_satisfies,
 )
@@ -68,7 +67,7 @@ def _assert_walk_matches_horn(query, structure, pinned=None):
     if horn is None:
         return
     least = {variable: column[0] for variable, column in walk.items()}
-    assert least == minimum_valuation(structure, horn, compiled.order)
+    assert least == oracle.minimum_valuation(structure, horn, compiled.order)
     assert valuation_satisfies(query, structure, least)
     for variable, nodes in horn.items():
         assert nodes <= set(walk[variable])

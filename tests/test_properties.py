@@ -43,7 +43,6 @@ from repro.evaluation import (
     is_satisfied,
     iter_solutions,
     least_valuation,
-    minimum_valuation,
     propagate,
 )
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
@@ -222,7 +221,7 @@ class TestWalkProperties:
         if horn is None:
             return
         least = {variable: column[0] for variable, column in walk.items()}
-        assert least == minimum_valuation(structure, horn, order)
+        assert least == oracle.minimum_valuation(structure, horn, order)
         ranks = rank(tree, order)
         for variable, column in walk.items():
             assert horn[variable] <= set(column)

@@ -243,7 +243,7 @@ class TestOneSweepContract:
         edges = len(compile_query(parse_query(text)).sweep_order)
         for debug in (False, True):
             with _counting_semijoins() as semijoin, mock.patch.object(
-                xprop_evaluator, "minimum_valuation", side_effect=AssertionError
+                xprop_evaluator, "least_valuation", side_effect=AssertionError
             ):
                 served = run_request(store, cache, Request(doc="doc", query=text, debug=debug))
             assert served.ok and served.propagator == "semijoin", debug

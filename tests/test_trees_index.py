@@ -22,7 +22,6 @@ from repro.evaluation import (
     initial_domains,
     is_satisfied,
     least_valuation,
-    minimum_valuation,
     propagate,
 )
 from repro.evaluation.propagation import candidate_supersets
@@ -306,7 +305,7 @@ def _assert_propagators_match_horn(query, structure, pinned=None):
         assert (walk is None) == (horn is None)
         if horn is not None:
             least = {variable: column[0] for variable, column in walk.items()}
-            assert least == minimum_valuation(structure, horn, compiled.order)
+            assert least == oracle.minimum_valuation(structure, horn, compiled.order)
     supersets = candidate_supersets(compiled, structure, pinned)
     if horn is not None:
         assert supersets is not None
