@@ -43,10 +43,10 @@ configuration on every measured instance.
 pick on the width-2 fan
 (``ablation_sql_fan`` -- a gating entry at 608x while the flat join read
 labels through an ``EXISTS`` per accel row; with label-driven row sources
-the flat join is 3-8x behind, inside the 5x bar), the propagator pick -- the
-semijoin full reducer vs Theorem 3.5's pointer walk -- on an unlabeled Boolean
-``Child+`` chain, and the full reducer's bisection-vs-kernels crossover
-against either side forced.
+the flat join is 3-8x behind, inside the 5x bar), the propagator the plan
+records -- the semijoin full reducer vs Theorem 3.5's pointer walk, both
+timed through ``propagate()`` -- on an unlabeled Boolean ``Child+`` chain, and
+the full reducer's bisection-vs-kernels crossover against either side forced.
 
 Run standalone (``python benchmarks/bench_planner.py``) to regenerate
 ``BENCH_planner.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
@@ -64,7 +64,7 @@ import pytest
 from bench_config import SMOKE, scaled
 
 from repro.backends.sqlite import SQLiteBackend
-from repro.evaluation import Engine, evaluate, reducer
+from repro.evaluation import Engine, evaluate, propagate, reducer
 from repro.evaluation.compile import compile_query
 from repro.evaluation.propagation import Propagator
 from repro.evaluation.reducer import semijoin_sweeps
@@ -172,7 +172,7 @@ def _measure_residue(name, text, size, repeats):
     plan = plan_query(query, DocumentStats.of_tree(tree))
 
     def planned():
-        return evaluate(query, structure, engine=plan.engine, propagator=plan.propagator)
+        return evaluate(query, structure, engine=plan.engine)
 
     def backtracking():
         return evaluate(query, structure, engine=Engine.BACKTRACKING)
@@ -211,27 +211,18 @@ def _measure_accel(name, text, size, repeats, kind="gating"):
     return _entry(size, name, kind, cost_seconds, plan.lowering, static_seconds)
 
 
-#: The propagators the ablation measures: the planner's pick and the walk.
-ABLATION_PROPAGATORS = ("semijoin", "walk")
-
-
 def _measure_propagator_ablation(size, repeats):
-    """The planner's propagator pick vs the alternatives on unlabeled chains."""
-    query = parse_query(ABLATION_PROPAGATOR)
+    """The plan's propagator vs the other one, through ``propagate()``, on an unlabeled chain."""
+    compiled = compile_query(parse_query(ABLATION_PROPAGATOR))
     tree = _resident_tree(size)
     structure = TreeStructure(tree)
-    plan = plan_query(query, DocumentStats.of_tree(tree))
-    renderings = {
-        repr(sorted(evaluate(query, structure, propagator=propagator)))
-        for propagator in ABLATION_PROPAGATORS
-    }
-    if len(renderings) != 1:
-        raise AssertionError(f"propagator answer mismatch (n={size})")
+    plan = plan_query(compiled.query, DocumentStats.of_tree(tree), compiled=compiled)
+    verdicts = {propagate(compiled, structure, propagator=p) is None for p in Propagator}
+    if len(verdicts) != 1:
+        raise AssertionError(f"propagator verdict mismatch (n={size})")
     static_seconds = {
-        propagator: _best_time(
-            lambda: evaluate(query, structure, propagator=propagator), repeats
-        )
-        for propagator in ABLATION_PROPAGATORS
+        p.value: _best_time(lambda: propagate(compiled, structure, propagator=p), repeats)
+        for p in Propagator
     }
     return _entry(
         size,
@@ -358,11 +349,7 @@ BENCH_STATS = DocumentStats.of_tree(BENCH_TREE)
 def test_cost_routed_evaluation(benchmark, name):
     query = parse_query(RESIDUE_ENTRIES[name])
     plan = plan_query(query, BENCH_STATS)
-    benchmark(
-        lambda: evaluate(
-            query, BENCH_STRUCTURE, engine=plan.engine, propagator=plan.propagator
-        )
-    )
+    benchmark(lambda: evaluate(query, BENCH_STRUCTURE, engine=plan.engine))
 
 
 def test_plan_query_overhead(benchmark):
@@ -397,10 +384,7 @@ def test_cost_routing_beats_worst_static():
     query = parse_query(RESIDUE_ENTRIES["route_bool_cycle4"])
     plan = plan_query(query, BENCH_STATS)
     assert plan.engine is Engine.DECOMPOSITION
-    planned = _best_time(
-        lambda: evaluate(query, BENCH_STRUCTURE, engine=plan.engine, propagator=plan.propagator),
-        3,
-    )
+    planned = _best_time(lambda: evaluate(query, BENCH_STRUCTURE, engine=plan.engine), 3)
     backtracking = _best_time(
         lambda: evaluate(query, BENCH_STRUCTURE, engine=Engine.BACKTRACKING), 3
     )

@@ -145,15 +145,7 @@ def check_byte_identical(executor: BatchExecutor, requests, documents) -> None:
     for request, result in zip(requests, results):
         if not result.ok:
             raise AssertionError(f"request failed: {result.error}")
-        direct = sorted(
-            evaluate(
-                _request_query(request),
-                TreeStructure(documents[request.doc]),
-                # "auto" is resolved by the planner; cross-check against the
-                # propagator the serving layer actually chose.
-                propagator=result.propagator,
-            )
-        )
+        direct = sorted(evaluate(_request_query(request), TreeStructure(documents[request.doc])))
         batch_bytes = json.dumps(result.to_json_dict()["answers"]).encode()
         direct_bytes = json.dumps([list(answer) for answer in direct]).encode()
         if batch_bytes != direct_bytes:
@@ -224,16 +216,9 @@ def run_sharded(sizes=SIZES, repeats: int = 3, shards: int = 2) -> dict:
                 served = json.dumps(theirs.to_json_dict()["answers"]).encode()
                 if served != json.dumps(ours.to_json_dict()["answers"]).encode():
                     raise AssertionError(f"backends diverge for {request}")
-                direct = sorted(
-                    evaluate(
-                        _request_query(request),
-                        TreeStructure(documents[next(
-                            original for original, mapped in mapping.items()
-                            if mapped == request.doc
-                        )]),
-                        propagator=ours.propagator,
-                    )
-                )
+                original = next(o for o, mapped in mapping.items() if mapped == request.doc)
+                structure = TreeStructure(documents[original])
+                direct = sorted(evaluate(_request_query(request), structure))
                 if served != json.dumps([list(answer) for answer in direct]).encode():
                     raise AssertionError(f"sharded answers diverge from evaluate() for {request}")
 
@@ -327,7 +312,6 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
     for _ in range(iterations):
         service_core.PLAN_CHOICES.inc(engine="xproperty", lowering="none")
         service_core.PLAN_ESTIMATED_COST.observe(1234.5, engine="xproperty")
-        service_core.PLAN_COST_PER_SECOND.observe(1234.5 / 0.001, engine="xproperty")
         ACCOUNTING.record(
             query_key="bench:hook",
             query_text="Q(x) <- A(x)",
@@ -336,14 +320,13 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
             elapsed_ms=1.0,
             stage_ms=stage_ms,
             engine="xproperty",
-            propagator="semijoin",
             lowering="none",
             stats_bucket="resident",
             estimated_cost=1234.5,
             estimated_rows=10.0,
         )
         service_core.REQUESTS_TOTAL.inc(status="ok")
-        service_core.REQUEST_SECONDS.observe(0.001, engine="xproperty", propagator="semijoin")
+        service_core.REQUEST_SECONDS.observe(0.001, engine="xproperty")
         SLOW_LOG.maybe_record(
             1.0,
             doc="bench",
@@ -475,7 +458,7 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
             warm_total += warm
             entry = {
                 "tree_size": nominal,
-                "query": f"req{position:02d}_{request.doc}_{request.propagator}",
+                "query": f"req{position:02d}_{request.doc}",
                 "text": request.xpath or str(request.query),
                 "cold_seconds": cold,
                 "warm_seconds": warm,

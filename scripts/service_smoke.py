@@ -11,7 +11,9 @@ Two server modes are exercised:
 Each mode registers two documents, POSTs a batch of queries, scrapes
 ``/metrics`` (asserting a well-formed Prometheus exposition with nonzero
 request counters -- shard-merged in the sharded mode), evicts a document, and
-reads ``/stats``.  Answers are asserted byte-identical to
+reads ``/stats``.  A request naming a ``propagator`` (the query fixes it, so it
+is no wire field) must get the same 400 body in both modes.  Answers are
+asserted byte-identical to
 direct in-process ``evaluate()`` calls -- and byte-identical *across the two
 modes*, which is the serving contract the sharded backend must uphold.  Each
 server is then stopped by SIGTERM with a keep-alive connection still open, and
@@ -29,6 +31,7 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,6 +54,11 @@ BATCH = {
         {"doc": "ghost", "query": "Q <- A(x)"},  # stays a per-request error
     ]
 }
+
+
+#: A request naming a propagator, and the one 400 body both modes answer it with.
+PROPAGATOR_REQUEST = {**BATCH["requests"][0], "propagator": "walk"}
+PROPAGATOR_REFUSAL = b'{"error": "unknown request field(s): propagator"}'
 
 
 def call(base: str, method: str, path: str, payload=None):
@@ -142,6 +150,15 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
         if "elapsed_ms" not in ghost or "propagator" not in ghost:
             print(f"FAIL [{label}]: error result lacks attribution fields: {ghost}")
             return None
+        try:
+            call(base, "POST", "/query", PROPAGATOR_REQUEST)
+            refused = None
+        except urllib.error.HTTPError as error:
+            refused = (error.code, error.read())
+        if refused != (400, PROPAGATOR_REFUSAL):
+            print(f"FAIL [{label}]: a wire propagator was not refused: {refused}")
+            return None
+        print(f"[{label}] a wire propagator: 400 {PROPAGATOR_REFUSAL.decode()}")
 
         structures = {
             "auction": TreeStructure(auction),

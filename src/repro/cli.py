@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .evaluation import Engine, Propagator
+from .evaluation import Engine
 from .queries import (
     ConjunctiveQuery,
     QueryParseError,
@@ -108,7 +108,6 @@ def _request(args: argparse.Namespace, doc_id: str, **fields):
         doc=doc_id,
         query=args.query,
         xpath=args.xpath,
-        propagator=args.propagator,
         engine=None if args.engine == Engine.AUTO.value else args.engine,
         **fields,
     )
@@ -352,7 +351,7 @@ def _command_drift(args: argparse.Namespace) -> int:
         stage = entry.get("stage_ms", {})
         print(
             f"    x{entry.get('drift'):<9} {entry.get('direction', '?'):<14} "
-            f"{entry.get('engine')}/{entry.get('propagator')}/{entry.get('lowering')} "
+            f"{entry.get('engine')}/{entry.get('lowering')} "
             f"est={entry.get('estimated_cost')} rows={entry.get('rows')} "
             f"elapsed={entry.get('elapsed_ms')}ms "
             f"(plan={stage.get('plan')}ms exec={stage.get('execute')}ms)"
@@ -447,12 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument("--sexpr", help="the data tree as an s-expression")
         subparser.add_argument("--query", help="conjunctive query in datalog notation")
         subparser.add_argument("--xpath", help="query as an XPath expression")
-        subparser.add_argument(
-            "--propagator",
-            choices=["auto"] + [propagator.value for propagator in Propagator],
-            default="auto",
-            help="candidate pruning: semijoin or walk (default: auto = the plan's choice)",
-        )
         subparser.add_argument(
             "--engine",
             choices=[engine.value for engine in Engine],

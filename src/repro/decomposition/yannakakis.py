@@ -10,12 +10,11 @@ interval index:
 
 1. **candidates** -- sorted candidate columns per variable.  They only have
    to be *sound supersets* of the solution projections (every atom is enforced
-   inside a bag, global consistency comes from the join tree), so
-   ``propagator="semijoin"`` (the plan's pick for this engine) means the
-   reducer's two sweeps along a spanning forest on any body, ``"walk"`` the
-   suffixes of Theorem 3.5's pointer walk
-   (:func:`repro.evaluation.propagation.candidate_supersets`).  An empty
-   column already decides unsatisfiable.
+   inside a bag, global consistency comes from the join tree), so on any body
+   they are the reducer's two semijoin sweeps along a spanning forest
+   (:func:`repro.evaluation.propagation.candidate_supersets`, the
+   propagator :func:`~repro.evaluation.propagation.choose_propagator` picks
+   for this engine).  An empty column already decides unsatisfiable.
 2. **the memoised search** -- Boolean heads, and monadic heads on a multi-bag
    tree (:class:`_JoinTreeSearch`): depth-first in the join tree's bag order,
    each bag walked one prefix at a time (:class:`_DepthFirst`) with its
@@ -56,7 +55,7 @@ interval index:
 
 Correctness does not depend on the width: the engine is exact for every
 conjunctive query (the property tests pit it against backtracking and the
-Horn oracle across propagators, shapes and pinning).
+Horn oracle across shapes and pinning).
 """
 
 from __future__ import annotations
@@ -869,7 +868,6 @@ def _evaluate(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]],
-    propagator,
     compiled: Optional["CompiledQuery"],
     limit: Optional[int] = None,
 ) -> tuple[list[Row], int]:
@@ -884,8 +882,7 @@ def _evaluate(
         return [()], 1
     # Sound supersets are all the bags need in front of them (they enforce
     # every atom): on a cyclic body ``semijoin`` sweeps a spanning forest.
-    if propagator is None:
-        propagator = choose_propagator(compiled, decomposition=True)
+    propagator = choose_propagator(compiled, decomposition=True)
     result = candidate_supersets(compiled, structure, pinned, propagator)
     if result is None:
         return [], 0
@@ -962,10 +959,9 @@ def boolean_query_holds(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator=None,
 ) -> bool:
     """Boolean evaluation: the memoised join-tree search, stopped at the first witness."""
-    _, count = _evaluate(query.as_boolean(), structure, pinned, propagator, None)
+    _, count = _evaluate(query.as_boolean(), structure, pinned, None)
     return count > 0
 
 
@@ -973,20 +969,14 @@ def answer_page(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator=None,
     compiled: Optional["CompiledQuery"] = None,
     limit: Optional[int] = None,
 ) -> tuple[list[Row], int]:
     """The first ``limit`` answers in ascending order, and how many there are.
 
-    Boolean queries yield ``[()]`` / ``[]``.  ``propagator`` names what prunes
-    the candidate columns in front of the bags: ``semijoin`` (the cost
-    planner's pick for this engine) is two sweeps along a spanning forest on
-    any body, ``walk`` the pointer walk's suffixes, ``None`` the plan's pick
-    for this engine (:func:`~repro.evaluation.propagation.choose_propagator`,
-    so ``semijoin``); the answers are the same.
+    Boolean queries yield ``[()]`` / ``[]``.
     """
-    answers, count = _evaluate(query, structure, pinned, propagator, compiled, limit)
+    answers, count = _evaluate(query, structure, pinned, compiled, limit)
     return answers[:limit], count
 
 
@@ -994,13 +984,24 @@ def evaluate_answers(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator=None,
     compiled: Optional["CompiledQuery"] = None,
+    *,
+    propagator=None,
 ) -> frozenset[Row]:
     """All answers of a (possibly cyclic) k-ary query via the join tree.
 
     :func:`answer_page` without a limit, as a set; the answer *set* is
     identical to the backtracking engine's on every query, which the property
-    tests enforce.
+    tests enforce.  ``propagator`` chooses nothing: it must be the plan's
+    pick for this engine (``semijoin``), else ``ValueError``.
     """
-    return frozenset(answer_page(query, structure, pinned, propagator, compiled)[0])
+    # benchmarks/e2e/layers.py still passes the plan's pick; the keyword
+    # leaves with ROADMAP item 2, like QueryPlan.materialize.
+    if propagator is not None:
+        from ..evaluation.compile import compile_query
+        from ..evaluation.propagation import check_propagator
+
+        if compiled is None:
+            compiled = compile_query(query)
+        check_propagator(compiled, propagator, decomposition=True)
+    return frozenset(answer_page(query, structure, pinned, compiled)[0])

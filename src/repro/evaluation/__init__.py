@@ -2,7 +2,7 @@
 
 from .backtracking import SearchStatistics, count_solutions, find_solution, iter_solutions
 from .compile import CompiledAtom, CompiledQuery, compile_query
-from .domains import Domains, Valuation, initial_domains, valuation_satisfies
+from .domains import Valuation, valuation_satisfies
 from .planner import (
     Engine,
     answer_page,
@@ -25,7 +25,6 @@ from .xprop_evaluator import (
 __all__ = [
     "CompiledAtom",
     "CompiledQuery",
-    "Domains",
     "Engine",
     "PropagationResult",
     "Propagator",
@@ -43,7 +42,6 @@ __all__ = [
     "evaluate_on_tree",
     "evaluate_union",
     "find_solution",
-    "initial_domains",
     "is_satisfied",
     "iter_solutions",
     "least_valuation",

@@ -8,15 +8,14 @@ columns of the committed benchmarks), as a reference of the correctness tests
 (beside the brute-force Horn oracle of ``tests/oracle.py``), and as a plain
 enumeration of satisfying valuations (``iter_solutions`` / ``find_solution``).
 
-The search prunes its candidates first (through the ``propagator=``
-dimension: sound supersets are all it needs, so ``semijoin`` sweeps a
-spanning forest of a cyclic body -- see
-:func:`~repro.evaluation.propagation.candidate_supersets`), then runs with
-*forward checking*: assigning a node narrows the candidate list of every
-unassigned neighbour to the node's partners (the full reducer's semijoin
-against that one node), a neighbour left without candidates rejects the node
-before its subtree is entered, and the next variable is the connected one
-with the fewest candidates left.  Every
+The search prunes its candidates first (sound supersets are all it needs,
+so :func:`~repro.evaluation.propagation.candidate_supersets` runs the plan's
+propagator, which on a cyclic body with no X-property order sweeps a
+spanning forest), then runs with *forward checking*: assigning a node
+narrows the candidate list of every unassigned neighbour to the node's
+partners (the full reducer's semijoin against that one node), a neighbour
+left without candidates rejects the node before its subtree is entered, and
+the next variable is the connected one with the fewest candidates left.  Every
 candidate of an assigned variable was kept by all its assigned neighbours,
 so no separate consistency check runs.  Candidates are tried in ascending
 node order, so the solution sequence is deterministic.  The worst case
@@ -32,7 +31,7 @@ from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
 from .compile import compile_query
 from .domains import Valuation, valuation_satisfies
-from .propagation import PropagatorLike, candidate_supersets
+from .propagation import candidate_supersets
 from .reducer import _semijoin, initial_columns
 
 #: Each variable's candidates still in play, ascending.
@@ -60,7 +59,6 @@ def iter_solutions(
     pinned: Optional[Mapping[Variable, int]] = None,
     use_arc_consistency: bool = True,
     statistics: Optional[SearchStatistics] = None,
-    propagator: Optional[PropagatorLike] = None,
 ) -> Iterator[Valuation]:
     """Enumerate all satisfying valuations by backtracking search."""
     compiled = compile_query(query)
@@ -70,11 +68,11 @@ def iter_solutions(
         return
 
     if use_arc_consistency:
-        result = candidate_supersets(compiled, structure, pinned, propagator)
+        result = candidate_supersets(compiled, structure, pinned)
         columns = None if result is None else {v: result.sorted_domain(v) for v in variables}
     else:
         columns = initial_columns(compiled, structure, pinned)
-    if columns is None:
+    if columns is None or not all(columns.values()):
         return
 
     stats = statistics if statistics is not None else SearchStatistics()
@@ -133,12 +131,9 @@ def boolean_query_holds(
     pinned: Optional[Mapping[Variable, int]] = None,
     use_arc_consistency: bool = True,
     statistics: Optional[SearchStatistics] = None,
-    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Boolean evaluation: is there at least one satisfying valuation?"""
-    for _ in iter_solutions(
-        query, structure, pinned, use_arc_consistency, statistics, propagator
-    ):
+    for _ in iter_solutions(query, structure, pinned, use_arc_consistency, statistics):
         return True
     return False
 
@@ -147,20 +142,18 @@ def count_solutions(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator: Optional[PropagatorLike] = None,
 ) -> int:
     """Count all satisfying valuations (exponentially many in the worst case)."""
-    return sum(1 for _ in iter_solutions(query, structure, pinned, propagator=propagator))
+    return sum(1 for _ in iter_solutions(query, structure, pinned))
 
 
 def find_solution(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
-    propagator: Optional[PropagatorLike] = None,
 ) -> Optional[Valuation]:
     """Return some satisfying valuation, or ``None``."""
-    for solution in iter_solutions(query, structure, pinned, propagator=propagator):
+    for solution in iter_solutions(query, structure, pinned):
         assert valuation_satisfies(query, structure, solution)
         return solution
     return None

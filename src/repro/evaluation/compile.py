@@ -17,9 +17,9 @@ by :func:`compile_query`:
 * **adjacency** -- per-variable tuples of the (non-loop) atoms touching the
   variable, plus the self-loop atoms separately (a self-loop is a static node
   filter, not a propagation edge);
-* **initial-domain recipe** -- the per-variable unary relation names, so
-  :meth:`CompiledQuery.initial_domains` builds the starting prevaluation
-  without re-scanning the body.
+* **initial-column recipe** -- the per-variable unary relation names, so
+  :func:`repro.evaluation.reducer.initial_columns` builds the starting
+  prevaluation without re-scanning the body.
 
 Compilation depends only on the query (never on the structure), so
 :func:`compile_query` memoizes on the (hashable, immutable)
@@ -39,9 +39,7 @@ from ..queries.atoms import AxisAtom, LabelAtom, Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import INVERSE, Axis
 from ..trees.orders import Order
-from ..trees.structure import TreeStructure
 from ..xproperty.dichotomy import order_for
-from .domains import Domains
 
 
 #: Inverse axes normalised away during compilation (argument swap).
@@ -110,42 +108,6 @@ class CompiledQuery:
     #: filters) and do not.  On forests the arc-consistent fixpoint is
     #: globally consistent, which the planner's monadic fast path exploits.
     shadow_is_forest: bool
-
-    # -- initial-domain recipe -------------------------------------------------
-
-    def initial_domains(
-        self,
-        structure: TreeStructure,
-        pinned: Optional[Mapping[Variable, int]] = None,
-    ) -> Domains:
-        """Per-variable candidate node sets before propagation.
-
-        Equivalent to :func:`repro.evaluation.domains.initial_domains`, but
-        driven by the precomputed per-variable label lists instead of a body
-        scan.  ``pinned`` restricts the given variables to a single node each
-        (the singleton-relation reduction of k-ary answering to Boolean
-        evaluation).
-        """
-        all_nodes = structure.domain()
-        domains: Domains = {}
-        for variable in self.variables:
-            labels = self.labels_by_variable.get(variable, ())
-            if labels:
-                # unary_member_set is memoized on the structure, so resident
-                # documents (the serving layer) hand out their label sets
-                # without re-materializing them per evaluation.
-                candidates = set(structure.unary_member_set(labels[0]))
-                for label in labels[1:]:
-                    candidates &= structure.unary_member_set(label)
-            else:
-                candidates = set(all_nodes)
-            domains[variable] = candidates
-        if pinned:
-            for variable, node in pinned.items():
-                if variable not in domains:
-                    raise ValueError(f"pinned variable {variable!r} not in the query")
-                domains[variable] &= {node}
-        return domains
 
     # -- structural decomposition ----------------------------------------------
 

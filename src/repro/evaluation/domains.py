@@ -1,17 +1,13 @@
-"""Prevaluations, valuations and initial candidate domains (Section 3).
+"""Valuations (Section 3) and the check that one satisfies a query.
 
 A *prevaluation* Phi assigns to each query variable a non-empty set of nodes;
-a *valuation* theta assigns a single node.  The evaluation algorithms
-manipulate prevaluations as ``dict[Variable, set[int]]`` ("domains") and
-valuations as ``dict[Variable, int]``.
-
-:func:`initial_domains` builds the starting prevaluation: every variable gets
-all nodes satisfying its unary atoms (and, for pinned variables, exactly the
-pinned node).  This corresponds to applying the first clause group of the
-Horn program of Proposition 3.1.
-
-Alongside the ``set`` form, the propagators hand domains over as sorted
-columns (:class:`~repro.evaluation.propagation.PropagationResult`), with a
+a *valuation* theta assigns a single node, here a ``dict[Variable, int]``.
+The evaluation algorithms hold prevaluations as sorted candidate columns:
+:func:`repro.evaluation.reducer.initial_columns` builds the starting one
+(every variable gets the nodes satisfying its unary atoms, a pinned variable
+exactly its node -- the first clause group of the Horn program of
+Proposition 3.1), and the propagators hand theirs over as a
+:class:`~repro.evaluation.propagation.PropagationResult`, with a
 :class:`~repro.trees.index.DomainView` per variable on demand, against which
 the tree's interval index answers witness queries by bisection instead of
 relation enumeration.
@@ -19,34 +15,13 @@ relation enumeration.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from ..queries.atoms import LabelAtom, Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
 
-Domains = dict[Variable, set[int]]
 Valuation = dict[Variable, int]
-
-
-def initial_domains(
-    query: ConjunctiveQuery,
-    structure: TreeStructure,
-    pinned: Optional[Mapping[Variable, int]] = None,
-) -> Domains:
-    """Per-variable candidate node sets before arc consistency.
-
-    ``pinned`` restricts the given variables to a single node each -- the
-    singleton-relation trick used to reduce answer checking to Boolean
-    evaluation (discussion after Theorem 3.5).
-
-    Delegates to the compile-once recipe
-    (:meth:`repro.evaluation.compile.CompiledQuery.initial_domains`) so there
-    is exactly one implementation of the starting prevaluation.
-    """
-    from .compile import compile_query  # local import: compile depends on this module
-
-    return compile_query(query).initial_domains(structure, pinned)
 
 
 def valuation_satisfies(

@@ -19,21 +19,16 @@ It runs only under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
 ``backtracking``): the literal procedure, the independent oracle of the
 property tests, and the ablation baseline of the committed benchmarks.
 
-Orthogonally, every path prunes its candidate columns first; *how* is the
-second planner dimension, ``propagator=``
-(:class:`~repro.evaluation.propagation.Propagator`), ``None`` everywhere
-meaning the plan's pick (:func:`~repro.evaluation.propagation.choose_propagator`):
-``semijoin`` -- the Yannakakis full reducer (:mod:`repro.evaluation.reducer`),
-semijoin sweeps along the shadow forest (the root-to-leaves one only when a
-non-root column is read), exact on forest-shaped bodies and the pick there --
-and ``walk`` -- the pointer walk of Theorem 3.5
-(:func:`~repro.evaluation.xprop_evaluator.least_valuation`), exact verdict on
-any body over a tractable signature and the pick for every other cyclic such
-body.  The engines that enforce every atom themselves (decomposition,
-backtracking, the per-tuple reduction) only need candidate supersets, so
-they also take ``semijoin`` on a cyclic body, and it is the pick in front of
-the decomposition engine on any body; a fixpoint engine forced onto
-``semijoin`` over a cyclic body is a ``ValueError``.
+Every path prunes its candidate columns first, and the query fixes how
+(:func:`~repro.evaluation.propagation.choose_propagator`, which each engine
+calls itself): the Yannakakis semijoin sweeps on a forest-shaped body, where
+they are exact, and in front of the decomposition engine on any body (its
+bags enforce every atom, so supersets suffice); Theorem 3.5's pointer walk on
+every other cyclic body over a tractable signature, where its verdict is
+exact.  A cyclic body with no X-property order keeps the sweeps, whose
+supersets only the engines that enforce every atom themselves
+(decomposition, backtracking, the per-tuple reduction) can take; a fixpoint
+engine forced onto it is a ``ValueError``.
 
 Whatever the route, :func:`answer_page` is what comes out: the first ``limit``
 answers in ascending order plus the exact count (:func:`evaluate` is its set).
@@ -48,7 +43,6 @@ from typing import Mapping, Optional
 from ..decomposition import yannakakis
 from ..observability import tracing
 from ..queries.apq import UnionQuery, as_union
-from ..queries.graph import QueryGraph
 from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
 from ..trees.tree import Tree
@@ -57,10 +51,9 @@ from . import backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
 from .propagation import (
-    Propagator,
     PropagatorLike,
-    as_propagator,
     candidate_supersets,
+    check_propagator,
     propagate,
 )
 
@@ -77,8 +70,7 @@ class Engine(str, Enum):
     #: out-of-core path.  Auto-chosen only when the document lives solely in
     #: the accel store (``plan_query(..., accel_only=True)``, which the
     #: serving layer derives from :meth:`DocumentStore.residency`); always
-    #: selectable for cross-checking.  Ignores ``propagator`` (SQLite plans
-    #: the join).
+    #: selectable for cross-checking.
     SQL = "sql"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -106,7 +98,7 @@ def tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool = Fa
         # complexity class.
         if is_tractable(query.signature()):
             return Engine.XPROPERTY
-        if QueryGraph(query).is_acyclic():
+        if compiled.shadow_is_forest:
             return Engine.ACYCLIC
     # Every other head is enumerated over the join tree (a forest-shaped body
     # has width 1), and the cyclic residue is searched over it.
@@ -130,17 +122,18 @@ def _acyclic_holds(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[str, int]] = None,
-    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Boolean evaluation of an *acyclic* query: the fixpoint exists iff it holds.
 
-    On an acyclic query graph arc consistency is the full semijoin reduction,
-    complete on join trees (Yannakakis).  Raises ``ValueError`` on cyclic
-    queries, for which this equivalence does not hold.
+    On a forest-shaped body (judged on the compiled edges, as :func:`tier`
+    does) arc consistency is the full semijoin reduction, complete on join
+    trees (Yannakakis).  Raises ``ValueError`` on cyclic queries, for which
+    this equivalence does not hold.
     """
-    if not QueryGraph(query).is_acyclic():
+    compiled = compile_query(query)
+    if not compiled.shadow_is_forest:
         raise ValueError("the acyclic evaluator requires an acyclic query")
-    return propagate(query, structure, pinned, propagator) is not None
+    return propagate(compiled, structure, pinned) is not None
 
 
 def is_satisfied(
@@ -148,7 +141,6 @@ def is_satisfied(
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
     pinned: Optional[Mapping[str, int]] = None,
-    propagator: Optional[PropagatorLike] = None,
     lowering: str = "tree",
 ) -> bool:
     """Boolean evaluation of (the existential closure of) a query.
@@ -174,7 +166,7 @@ def is_satisfied(
         Engine.DECOMPOSITION: yannakakis.boolean_query_holds,
         Engine.BACKTRACKING: backtracking.boolean_query_holds,
     }[chosen]
-    return holds(boolean_query, structure, pinned=pinned, propagator=propagator)
+    return holds(boolean_query, structure, pinned=pinned)
 
 
 def check_answer(
@@ -182,7 +174,6 @@ def check_answer(
     structure: TreeStructure,
     answer: tuple[int, ...],
     engine: Engine = Engine.AUTO,
-    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Is ``answer`` (a tuple of nodes, one per head variable) in the result?
 
@@ -193,30 +184,38 @@ def check_answer(
             f"answer arity {len(answer)} does not match query arity {query.arity}"
         )
     pinned = dict(zip(query.head, answer))
-    return is_satisfied(query, structure, engine, pinned, propagator)
+    return is_satisfied(query, structure, engine, pinned)
 
 
 def evaluate(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
-    propagator: Optional[PropagatorLike] = None,
     compiled: Optional[CompiledQuery] = None,
     lowering: str = "tree",
+    *,
+    propagator: Optional[PropagatorLike] = None,
 ) -> frozenset[tuple[int, ...]]:
     """Compute all answers of a k-ary query: :func:`answer_page` as a set.
 
     Boolean queries return ``{()}`` when satisfied and the empty set otherwise.
+    ``propagator`` chooses nothing: it must be what the plan records for the
+    engine that runs, else ``ValueError``.
     """
-    page = answer_page(query, structure, engine, propagator, compiled, None, lowering)
-    return frozenset(page[0])
+    # benchmarks/e2e/layers.py still passes the plan's pick; the keyword
+    # leaves with ROADMAP item 2, like QueryPlan.materialize.
+    if propagator is not None:
+        if compiled is None:
+            compiled = compile_query(query)
+        chosen = _resolve_engine(engine, query, compiled)
+        check_propagator(compiled, propagator, decomposition=chosen is Engine.DECOMPOSITION)
+    return frozenset(answer_page(query, structure, engine, compiled, None, lowering)[0])
 
 
 def answer_page(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
-    propagator: Optional[PropagatorLike] = None,
     compiled: Optional[CompiledQuery] = None,
     limit: Optional[int] = None,
     lowering: str = "tree",
@@ -247,9 +246,7 @@ def answer_page(
     """
     if query.is_boolean:
         with tracing.span("enumerate", strategy="boolean"):
-            satisfied = is_satisfied(
-                query, structure, engine, propagator=propagator, lowering=lowering
-            )
+            satisfied = is_satisfied(query, structure, engine, lowering=lowering)
             tracing.annotate(satisfied=satisfied)
         return ([()] if satisfied else [])[:limit], int(satisfied)
 
@@ -264,18 +261,12 @@ def answer_page(
         compiled = compile_query(query)
     chosen = _resolve_engine(engine, query, compiled)
     if chosen is Engine.DECOMPOSITION:
-        return yannakakis.answer_page(
-            query, structure, propagator=propagator, compiled=compiled, limit=limit
-        )
+        return yannakakis.answer_page(query, structure, compiled=compiled, limit=limit)
     # A monadic head over a forest (Boolean heads returned above) reads its
     # answers off the reducer's columns: exact, and globally consistent there.
-    # Any other head, or the walk's superset columns, takes the per-tuple
-    # reduction over candidate supersets.
-    project = fixpoint_answers(query, compiled) and (
-        propagator is None or as_propagator(propagator) is Propagator.SEMIJOIN
-    )
-    prune = propagate if project else candidate_supersets
-    result = prune(compiled, structure, None, propagator)
+    # Any other head takes the per-tuple reduction over candidate supersets.
+    project = fixpoint_answers(query, compiled)
+    result = (propagate if project else candidate_supersets)(compiled, structure)
     if result is None:
         return [], 0
     if project:
@@ -317,7 +308,7 @@ def answer_page(
                     for atom in head_atoms
                 ):
                     continue
-                if is_satisfied(query, structure, chosen, pinned, propagator):
+                if is_satisfied(query, structure, chosen, pinned):
                     answers.add(tuple(candidate))
         tracing.annotate(answers=len(answers))
     return sorted(answers)[:limit], len(answers)
@@ -327,13 +318,12 @@ def evaluate_union(
     union: UnionQuery | ConjunctiveQuery,
     structure: TreeStructure,
     engine: Engine = Engine.AUTO,
-    propagator: Optional[PropagatorLike] = None,
 ) -> frozenset[tuple[int, ...]]:
     """Evaluate a union of conjunctive queries (a PQ / APQ)."""
     union = as_union(union)
     answers: set[tuple[int, ...]] = set()
     for disjunct in union:
-        answers.update(evaluate(disjunct, structure, engine, propagator))
+        answers.update(evaluate(disjunct, structure, engine))
     return frozenset(answers)
 
 
@@ -341,20 +331,15 @@ def evaluate_on_tree(
     query: ConjunctiveQuery | UnionQuery,
     tree: Tree,
     engine: Engine = Engine.AUTO,
-    propagator: Optional[PropagatorLike] = None,
 ) -> frozenset[tuple[int, ...]]:
     """Convenience wrapper evaluating directly on a tree (full Ax signature)."""
     structure = TreeStructure(tree)
     if isinstance(query, UnionQuery):
-        return evaluate_union(query, structure, engine, propagator)
-    return evaluate(query, structure, engine, propagator)
+        return evaluate_union(query, structure, engine)
+    return evaluate(query, structure, engine)
 
 
-def satisfying_assignment(
-    query: ConjunctiveQuery,
-    structure: TreeStructure,
-    propagator: Optional[PropagatorLike] = None,
-) -> Optional[Valuation]:
+def satisfying_assignment(query: ConjunctiveQuery, structure: TreeStructure) -> Optional[Valuation]:
     """Return some satisfying valuation of the query's body (or ``None``).
 
     Uses the X-property walk's least valuation on tractable signatures and
@@ -365,4 +350,4 @@ def satisfying_assignment(
         witness = xprop_evaluator.witness(boolean_query, structure)
         if witness is not None:
             return witness
-    return backtracking.find_solution(boolean_query, structure, propagator=propagator)
+    return backtracking.find_solution(boolean_query, structure)

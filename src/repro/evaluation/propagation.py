@@ -1,8 +1,9 @@
-"""The propagator dimension: what prunes the candidates in front of an engine.
+"""What prunes the candidates in front of an engine: a function of the plan.
 
-Every evaluator starts from per-variable candidate columns; *how* they are
-pruned is an engineering choice the planner exposes as the ``propagator=``
-dimension, with two values:
+Every evaluator starts from per-variable candidate columns, and the query
+fixes which pruning is exact, so no caller above this module picks one:
+:func:`choose_propagator` is the one rule, which every engine and
+:func:`repro.planning.plan_query` read.  There are two algorithms:
 
 * :attr:`Propagator.SEMIJOIN` -- the Yannakakis full reducer of
   :mod:`repro.evaluation.reducer`: a leaves-to-root semijoin sweep along the
@@ -20,20 +21,22 @@ dimension, with two values:
   and its columns -- the candidates at or above the pointers -- are sound
   supersets of the solutions' projections.
 
-:func:`choose_propagator` is the pick: ``semijoin`` on forests, in front of
-the decomposition engine and on cyclic bodies with no X-property order (only
+:func:`choose_propagator` picks ``semijoin`` on forests, in front of the
+decomposition engine and on cyclic bodies with no X-property order (only
 supersets are asked for there), ``walk`` on every other cyclic body.
+:func:`propagate` and :func:`candidate_supersets` take it by default; their
+own ``propagator=`` argument is where the two algorithms are compared (the
+tests hold both to Horn, the benchmarks time one against the other).
 
 :func:`propagate` returns a :class:`PropagationResult`: sorted columns, with
-sets and sorted-array views built from them (no re-sort) only for the
-consumers that ask.  The full reducer hands over its columns after the
-leaves-to-root sweep alone, which already settles every component root
+sorted-array views built from them (no re-sort) only for the consumers that
+ask.  The full reducer hands over its columns after the leaves-to-root sweep
+alone, which already settles every component root
 (:attr:`~repro.evaluation.compile.CompiledQuery.sweep_roots`): a Boolean
 request reads nothing, a monadic one reads its head -- a root -- through
 :meth:`PropagationResult.sorted_domain`, and neither pays for the second
-sweep.  Reading any other column, :attr:`~PropagationResult.domains`,
-:attr:`~PropagationResult.views` or :meth:`~PropagationResult.domain_sizes`
-runs it once.
+sweep.  Reading any other column, :attr:`~PropagationResult.views` or
+:meth:`~PropagationResult.domain_sizes` runs it once.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ from ..trees.index import DomainView
 from ..trees.orders import Order
 from ..trees.structure import TreeStructure
 from .compile import CompiledQuery, compile_query
-from .domains import Domains
-from .reducer import downward_sweep, semijoin_sweeps, upward_sweep
+from .reducer import downward_sweep, initial_columns, semijoin_sweeps, upward_sweep
 
 PROPAGATE_SECONDS = REGISTRY.histogram(
     "cqtrees_propagate_seconds",
@@ -90,7 +92,7 @@ def as_propagator(value: PropagatorLike) -> Propagator:
 
 
 def choose_propagator(compiled: CompiledQuery, decomposition: bool = False) -> Propagator:
-    """The propagator a plan runs (and what ``propagator=None`` means everywhere).
+    """The propagator a plan runs: the one rule, read by every engine.
 
     A forest-shaped body gets the two semijoin sweeps of
     :mod:`repro.evaluation.reducer` (``benchmarks/e2e`` ``mixed_10k``), whose
@@ -107,20 +109,31 @@ def choose_propagator(compiled: CompiledQuery, decomposition: bool = False) -> P
     return Propagator.WALK
 
 
+def check_propagator(
+    compiled: CompiledQuery, propagator: PropagatorLike, decomposition: bool = False
+) -> None:
+    """Refuse a ``propagator`` other than :func:`choose_propagator`'s pick."""
+    runs, given = choose_propagator(compiled, decomposition), as_propagator(propagator)
+    if given is not runs:
+        raise ValueError(
+            f"propagator {given.value!r} is not the plan's; this query runs {runs.value!r}"
+        )
+
+
 class PropagationResult:
-    """Each variable's surviving candidates as a sorted column, sets and views on demand.
+    """Each variable's surviving candidates as a sorted column, views on demand.
 
     ``columns`` maps each variable to its candidates in ascending node order:
     exact from the semijoin reducer on a forest, sound supersets from the
     walk or from the sweeps on a cyclic body.  With ``unswept`` (the compiled
     query) the columns are only swept leaves to root: exact at
     ``unswept.sweep_roots``, and the root-to-leaves sweep runs on the first
-    read of anything else.  :attr:`domains` (sets) and :attr:`views` (sorted
-    arrays for the index witness primitives) are built from the columns,
-    without a sort, on first access.
+    read of anything else.  :attr:`views` (sorted arrays for the index
+    witness primitives) are built from the columns, without a sort, on first
+    access.
     """
 
-    __slots__ = ("_structure", "_columns", "_unswept", "_domains", "_views")
+    __slots__ = ("_structure", "_columns", "_unswept", "_views")
 
     def __init__(
         self,
@@ -131,7 +144,6 @@ class PropagationResult:
         self._structure = structure
         self._columns = columns
         self._unswept = unswept
-        self._domains: Optional[Domains] = None
         self._views: Optional[dict[Variable, DomainView]] = None
 
     def _swept_columns(self) -> Mapping[Variable, Sequence[int]]:
@@ -147,14 +159,6 @@ class PropagationResult:
                 if span is not None:
                     span.attributes["domains_after"] = self.domain_sizes()
         return self._columns
-
-    @property
-    def domains(self) -> Domains:
-        if self._domains is None:
-            self._domains = {
-                variable: set(column) for variable, column in self._swept_columns().items()
-            }
-        return self._domains
 
     @property
     def views(self) -> dict[Variable, DomainView]:
@@ -215,8 +219,8 @@ def propagate(
     Every call lands in the per-propagator latency histogram
     (:data:`PROPAGATE_SECONDS`); inside an active trace a ``propagate`` span
     records per-variable domain sizes before and after -- the domain-shrinkage
-    signal the cost model reads -- which costs an initial-domain
-    materialization and is therefore trace-only.
+    signal the cost model reads.  The sizes before are the initial label
+    columns' (an emptied one counts 0), read a second time, so trace-only.
     """
     compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
     chosen = choose_propagator(compiled) if propagator is None else as_propagator(propagator)
@@ -226,11 +230,9 @@ def propagate(
         PROPAGATE_SECONDS.observe(time.perf_counter() - started, propagator=chosen.value)
         return result
     with tracing.span("propagate", propagator=chosen.value):
-        initial = compiled.initial_domains(structure, pinned)
+        initial = initial_columns(compiled, structure, pinned)
         tracing.annotate(
-            domains_before={
-                variable: len(nodes) for variable, nodes in sorted(initial.items())
-            }
+            domains_before={variable: len(initial[variable]) for variable in sorted(initial)}
         )
         started = time.perf_counter()
         result = _propagate(compiled, structure, pinned, chosen)

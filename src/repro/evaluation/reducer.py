@@ -91,7 +91,7 @@ def upward_sweep(
     the roots' columns are exact, the others still supersets.
     """
     columns = initial_columns(compiled, structure, pinned)
-    if columns is None:
+    if not all(columns.values()):
         return None
     for child, atom in reversed(compiled.sweep_order):
         parent = atom.other(child)
@@ -126,8 +126,8 @@ def initial_columns(
     compiled: CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]],
-) -> Optional[dict[Variable, Sequence[int]]]:
-    """Sorted label columns with pinning and the loop filters applied."""
+) -> dict[Variable, Sequence[int]]:
+    """Sorted label columns with pinning and the loop filters applied (some may be empty)."""
     columns: dict[Variable, Sequence[int]] = {}
     for variable in compiled.variables:
         labels = compiled.labels_by_variable.get(variable, ())
@@ -149,7 +149,7 @@ def initial_columns(
         columns[loop.source] = [
             node for node in columns[loop.source] if structure.axis_holds(loop.axis, node, node)
         ]
-    return columns if all(columns.values()) else None
+    return columns
 
 
 def _semijoin(

@@ -46,7 +46,7 @@ from ..trees.structure import TreeStructure
 from ..xproperty.dichotomy import order_for
 from .compile import CompiledAtom, CompiledQuery, compile_query
 from .domains import Valuation, valuation_satisfies
-from .propagation import PropagatorLike, propagate
+from .propagation import propagate
 from .reducer import initial_columns
 
 #: Does a node have a partner at or above the other end's pointer?
@@ -86,7 +86,7 @@ def least_valuation(
                 "use the decomposition or backtracking engine"
             )
     columns = initial_columns(compiled, structure, pinned)
-    if columns is None:
+    if not all(columns.values()):
         return None
     index = structure.index
     ranks = rank(structure.tree, order)
@@ -298,7 +298,6 @@ def boolean_query_holds(
     order: Optional[Order] = None,
     pinned: Optional[Mapping[Variable, int]] = None,
     verify: bool = False,
-    propagator: Optional[PropagatorLike] = None,
 ) -> bool:
     """Evaluate a Boolean query using the Theorem 3.5 algorithm.
 
@@ -316,10 +315,8 @@ def boolean_query_holds(
         When True, the walk runs in ``order`` and the valuation under its
         pointers is re-checked against the query; an
         :class:`XPropertyEvaluationError` is raised if it fails.  This is how
-        the tests certify Lemma 3.4 empirically.
-    propagator:
-        What decides the query when ``verify`` is off (default: the plan's
-        :func:`~repro.evaluation.propagation.choose_propagator`).
+        the tests certify Lemma 3.4 empirically.  Off, the plan's propagator
+        (:func:`~repro.evaluation.propagation.choose_propagator`) decides.
     """
     if order is None:
         order = choose_order(query)
@@ -330,7 +327,7 @@ def boolean_query_holds(
             )
     compiled = compile_query(query)
     if not verify:
-        return propagate(compiled, structure, pinned, propagator) is not None
+        return propagate(compiled, structure, pinned) is not None
     suffixes = least_valuation(compiled, structure, pinned, order)
     if suffixes is None:
         return False

@@ -14,7 +14,7 @@ them to what execution *actually* cost.  This module closes that loop:
   means the plan under-estimated (the request was slower than its cost
   implied), ``< 1`` over-estimated;
 * drift ratios land in the :data:`PLAN_DRIFT` histogram (labelled by
-  engine/propagator/lowering, power-of-two buckets) in the process
+  engine and lowering, power-of-two buckets) in the process
   :data:`~repro.observability.metrics.REGISTRY`, so ``/metrics`` exposes the
   drift distribution and shard snapshots merge it for free;
 * the worst offenders survive in a bounded **top-drift table** (canonical
@@ -49,7 +49,7 @@ PLAN_DRIFT = REGISTRY.histogram(
     "cqtrees_plan_drift_ratio",
     "Actual-over-predicted request seconds per executed plan "
     "(1.0 = the cost estimate matched this engine's calibration)",
-    ("engine", "propagator", "lowering"),
+    ("engine", "lowering"),
     buckets=DRIFT_BUCKETS,
 )
 
@@ -89,7 +89,6 @@ class PlanAccounting:
         elapsed_ms: float,
         stage_ms: dict,
         engine: str,
-        propagator: str,
         lowering: str,
         stats_bucket: str,
         estimated_cost: float,
@@ -131,7 +130,6 @@ class PlanAccounting:
                     "query_key": query_key,
                     "query": str(query_text),
                     "engine": engine,
-                    "propagator": propagator,
                     "lowering": lowering,
                     "stats_bucket": stats_bucket,
                     "estimated_cost": round(estimated_cost, 1),
@@ -142,7 +140,7 @@ class PlanAccounting:
                 }
                 self._top.append(entry)
                 self._rerank()
-        PLAN_DRIFT.observe(drift, engine=engine, propagator=propagator, lowering=lowering)
+        PLAN_DRIFT.observe(drift, engine=engine, lowering=lowering)
         return drift
 
     def _rerank(self) -> None:

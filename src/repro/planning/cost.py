@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..decomposition.decompose import TreeDecomposition
 from ..evaluation.compile import CompiledQuery
-from ..evaluation.propagation import Propagator
+from ..evaluation.propagation import Propagator, choose_propagator
 from ..trees.axes import Axis
 from .stats import DocumentStats
 
@@ -156,10 +156,8 @@ def decomposition_cost_estimate(
     return bag_rows, max(sum(bag_rows), 1.0)
 
 
-def fixpoint_cost_estimate(
-    compiled: CompiledQuery, stats: DocumentStats, propagator: Optional[Propagator] = None
-) -> float:
-    """One pruning pass in front of a fixpoint engine.
+def fixpoint_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
+    """One pruning pass in front of a fixpoint engine, by the propagator it runs.
 
     The pointer walk is priced at nodes x atoms (a pointer crosses each
     candidate once, probing every incident atom).  The semijoin full reducer
@@ -167,7 +165,7 @@ def fixpoint_cost_estimate(
     endpoint domains (once per sweep), so it is priced by their estimated
     sizes instead.
     """
-    if propagator is Propagator.SEMIJOIN:
+    if choose_propagator(compiled) is Propagator.SEMIJOIN:
         touched = sum(
             variable_domain_estimate(atom.source, compiled, stats)
             + variable_domain_estimate(atom.target, compiled, stats)

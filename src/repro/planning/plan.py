@@ -17,22 +17,21 @@ document's residency alone:
   outside the paper's axis sets (Section 5; Gottlob-Leone-Scarcello).
 
 An explicit ``engine=`` always wins; ``backtracking`` is only ever that.  The
-plan then fixes:
+plan then records the propagator that engine runs, which the query fixes
+(:func:`~repro.evaluation.propagation.choose_propagator`, the rule every
+engine calls itself): the semijoin sweeps on every forest-shaped body (the
+exact full reducer there) and in front of the decomposition engine on any
+body (supersets suffice), Theorem 3.5's pointer walk on any other cyclic body
+over a tractable signature.  It chooses the SQL lowering, by cost, only where
+SQL can run (accel residency or an explicit ``engine=sql``): ``"flat"`` when
+the single-block join is estimated cheaper than the join-tree CTE cascade.
+Elsewhere the flat join is never priced (its estimator is quartic in the
+variable count) and the plan reads ``lowering="tree"``.
 
-* the propagator: the semijoin sweeps on every forest-shaped body (the exact
-  full reducer there) and in front of the decomposition engine on any body
-  (supersets suffice); any other cyclic body over a tractable signature runs
-  Theorem 3.5's pointer walk
-  (:func:`~repro.evaluation.propagation.choose_propagator`);
-* the SQL lowering, by cost, only where SQL can run (accel residency or an
-  explicit ``engine=sql``): ``"flat"`` when the single-block join is estimated cheaper
-  than the join-tree CTE cascade.  Elsewhere the flat join is never priced
-  (its estimator is quartic in the variable count) and the plan reads
-  ``lowering="tree"``.
-
-Plans are pure functions of (canonical query, stats bucket, overrides), which
-is what makes them cacheable in :class:`~repro.service.cache.QueryCache` and
-alpha-renaming invariant (planning happens after canonicalization).
+Plans are pure functions of (canonical query, stats bucket, engine override,
+residency), which is what makes them cacheable in
+:class:`~repro.service.cache.QueryCache` and alpha-renaming invariant
+(planning happens after canonicalization).
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ class QueryPlan:
     """Everything downstream needs to run (and explain) one query on one document."""
 
     engine: Engine
+    #: What the engine runs (:func:`choose_propagator`): a record, not a choice.
     propagator: Propagator
     #: SQL lowering shape: chosen by cost where SQL can run, ``"tree"`` elsewhere.
     lowering: str
@@ -87,7 +87,6 @@ class QueryPlan:
         """
         return {
             "engine": self.engine.value,
-            "propagator": self.propagator.value,
             "lowering": self.lowering,
             "stats_bucket": self.stats_bucket,
             "estimated_cost": self.estimated_cost,
@@ -116,14 +115,13 @@ def plan_query(
     *,
     compiled: Optional[CompiledQuery] = None,
     engine: Optional[Engine] = None,
-    propagator: Optional[Propagator] = None,
     accel_only: bool = False,
 ) -> QueryPlan:
     """Produce the :class:`QueryPlan` for ``query`` over a document with ``stats``.
 
-    ``engine`` / ``propagator`` are explicit user overrides and always win.
-    ``accel_only`` is the residency signal: such documents can only run on
-    the SQL backend, so the engine tier is pinned there.
+    ``engine`` is an explicit user override and always wins.  ``accel_only``
+    is the residency signal: such documents can only run on the SQL backend,
+    so the engine tier is pinned there.
     """
     if compiled is None:
         compiled = compile_query(query)
@@ -131,12 +129,7 @@ def plan_query(
         chosen_engine = engine
     else:
         chosen_engine = tier(query, compiled, accel_only)
-    if propagator is not None:
-        chosen_propagator = propagator
-    else:
-        chosen_propagator = choose_propagator(
-            compiled, decomposition=chosen_engine is Engine.DECOMPOSITION
-        )
+    propagator = choose_propagator(compiled, decomposition=chosen_engine is Engine.DECOMPOSITION)
 
     decomposition = compiled.decomposition
     bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)
@@ -157,14 +150,14 @@ def plan_query(
         # projection; forced onto any other head, a fixpoint engine (or
         # backtracking) runs the per-candidate-tuple reduction: one fixpoint
         # per tuple of the head's candidate product.
-        estimated = fixpoint_cost_estimate(compiled, stats, chosen_propagator)
+        estimated = fixpoint_cost_estimate(compiled, stats)
         if not fixpoint_answers(query, compiled):
             for variable in dict.fromkeys(query.head):
                 estimated *= max(variable_domain_estimate(variable, compiled, stats), 1.0)
 
     return QueryPlan(
         engine=chosen_engine,
-        propagator=chosen_propagator,
+        propagator=propagator,
         lowering=lowering,
         decomposition=decomposition,
         stats_bucket=stats.bucket(),

@@ -30,7 +30,6 @@ from typing import Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
 from ..evaluation.planner import Engine
-from ..evaluation.propagation import Propagator
 from ..observability import tracing
 from ..observability.metrics import REGISTRY
 from ..planning import DocumentStats, QueryPlan, plan_query
@@ -61,7 +60,7 @@ class CachedQuery:
     compiled: CompiledQuery
     hits: int = field(default=0)
     #: Memoized :class:`~repro.planning.plan.QueryPlan` values, keyed by
-    #: (stats bucket, engine override, propagator override, accel_only).
+    #: (stats bucket, engine override, accel_only).
     #: Bucket-keying is the invalidation story: re-registering a document with
     #: different contents moves it to another stats bucket, so stale plans are
     #: never served (they only age out of the bounded map).
@@ -200,21 +199,16 @@ class QueryCache:
         stats: DocumentStats,
         *,
         engine: Optional[Engine] = None,
-        propagator: Optional[Propagator] = None,
         accel_only: bool = False,
     ) -> QueryPlan:
         """The :class:`QueryPlan` for ``entry`` on a document in ``stats``'s bucket.
 
-        Plans are pure functions of (canonical query, stats bucket, overrides)
-        -- ``entry`` holds the canonical query, so alpha-equivalent
-        submissions share plans exactly as they share compiled artifacts.
+        Plans are pure functions of (canonical query, stats bucket, engine
+        override, residency) -- ``entry`` holds the canonical query, so
+        alpha-equivalent submissions share plans exactly as they share
+        compiled artifacts.
         """
-        plan_key = (
-            stats.bucket(),
-            engine.value if engine is not None else None,
-            propagator.value if propagator is not None else None,
-            accel_only,
-        )
+        plan_key = (stats.bucket(), engine.value if engine is not None else None, accel_only)
         with self._lock:
             plan = entry.plans.get(plan_key)
             if plan is not None:
@@ -224,7 +218,6 @@ class QueryCache:
             stats,
             compiled=entry.compiled,
             engine=engine,
-            propagator=propagator,
             accel_only=accel_only,
         )
         with self._lock:

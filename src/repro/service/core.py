@@ -12,8 +12,7 @@ requests through one code path and therefore honours one contract:
   (:func:`repro.evaluation.planner.answer_page` for resident documents, the
   SQL backend's ordered cursor for accel-only ones) -- the core neither sorts
   nor slices -- byte-identical to the sorted, then truncated
-  :func:`repro.evaluation.planner.evaluate` set for every engine and
-  propagator;
+  :func:`repro.evaluation.planner.evaluate` set for every engine;
 * failures are per-request values, never batch aborts.  Client mistakes
   (unknown document, parse errors, bad parameters) are reported verbatim in
   ``RequestResult.error``; anything else -- a genuine bug in the evaluation
@@ -31,7 +30,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from ..evaluation.planner import Engine, answer_page
-from ..evaluation.propagation import as_propagator
 from ..observability import tracing
 from ..observability.accounting import ACCOUNTING
 from ..observability.metrics import REGISTRY, SLOW_LOG
@@ -49,13 +47,13 @@ REQUESTS_TOTAL = REGISTRY.counter(
     "Evaluation requests executed, by outcome.",
     ("status",),
 )
-#: End-to-end request latency, attributed to the engine/propagator pair that
-#: served it (errors attribute to the engine chosen before the failure, or
-#: ``none`` when routing itself failed).
+#: End-to-end request latency, attributed to the engine that served it
+#: (errors attribute to the engine chosen before the failure, or ``none``
+#: when routing itself failed).
 REQUEST_SECONDS = REGISTRY.histogram(
     "cqtrees_request_seconds",
-    "End-to-end request latency in seconds, by engine and propagator.",
-    ("engine", "propagator"),
+    "End-to-end request latency in seconds, by engine.",
+    ("engine",),
 )
 #: Planner choices, one increment per planned request: where the plan sent
 #: the query.
@@ -65,22 +63,14 @@ PLAN_CHOICES = REGISTRY.counter(
     ("engine", "lowering"),
 )
 #: Cost-model estimates span many orders of magnitude (label-selective bags
-#: vs cartesian n^(w+1) terms), so both plan histograms bucket by decade.
-_DECADE_BUCKETS = tuple(10.0**exponent for exponent in range(13))
+#: vs cartesian n^(w+1) terms), so the histogram buckets by decade.  How the
+#: estimates compare with what requests actually cost is the drift ledger's
+#: (:mod:`repro.observability.accounting`).
 PLAN_ESTIMATED_COST = REGISTRY.histogram(
     "cqtrees_plan_estimated_cost",
     "Estimated cost (cost-model work units) of the chosen plan, by engine.",
     ("engine",),
-    buckets=_DECADE_BUCKETS,
-)
-#: Estimated-vs-actual: work units retired per wall-clock second.  A stable
-#: band per engine means the estimates rank plans correctly; drift flags a
-#: mis-modelled workload.
-PLAN_COST_PER_SECOND = REGISTRY.histogram(
-    "cqtrees_plan_cost_per_second",
-    "Estimated plan cost divided by actual request seconds, by engine.",
-    ("engine",),
-    buckets=_DECADE_BUCKETS,
+    buckets=tuple(10.0**exponent for exponent in range(13)),
 )
 
 #: Exceptions that are the client's fault; reported verbatim per request.
@@ -138,14 +128,13 @@ class Request:
     (``"sql"``, ``"backtracking"``, ...); by default
     :func:`~repro.planning.plan_query` chooses from the query shape, the
     document's statistics and its residency (accel-only documents route to
-    SQL automatically).  ``propagator`` is ``"auto"`` by default (the plan's
-    choice); naming one (``"semijoin"`` or ``"walk"``) forces it.
+    SQL automatically).  What prunes the candidates is no field: the query
+    fixes it, and the result's ``propagator`` reports what ran.
     """
 
     doc: str
     query: Union[str, ConjunctiveQuery, None] = None
     xpath: Optional[str] = None
-    propagator: str = "auto"
     limit: Optional[int] = None
     engine: Optional[str] = None
     #: Record a tracing span tree for this request (attached as ``trace``).
@@ -169,9 +158,6 @@ class Request:
         for key in ("query", "xpath"):
             if payload.get(key) is not None and not isinstance(payload[key], str):
                 raise ValueError(f"'{key}' must be a string")
-        propagator = payload.get("propagator", "auto")
-        if not isinstance(propagator, str):
-            raise ValueError("'propagator' must be a string")
         for key in ("debug", "explain"):
             if not isinstance(payload.get(key, False), bool):
                 raise ValueError(f"'{key}' must be a boolean")
@@ -179,7 +165,6 @@ class Request:
             doc=doc,
             query=payload.get("query"),
             xpath=payload.get("xpath"),
-            propagator=propagator,
             limit=limit,
             engine=payload.get("engine"),
             debug=bool(payload.get("debug", False)),
@@ -202,6 +187,7 @@ class RequestResult:
     truncated: bool = False
     satisfied: Optional[bool] = None
     elapsed_ms: float = 0.0
+    #: The propagator that ran (the plan's record); ``"auto"`` before a plan.
     propagator: str = "auto"
     engine: Optional[str] = None
     cache_hit: bool = False
@@ -303,20 +289,15 @@ def _resolve_plan(
     """Shared routing front half: ``(plan, entry, cache_hit, residency)``.
 
     Produces the single :class:`~repro.planning.plan.QueryPlan` every entry
-    point runs from, memoized per (canonical query, stats bucket, overrides)
-    in the query cache.  Explicit ``request.engine`` / ``request.propagator``
-    overrides always win; documents resident only in the accel store plan
+    point runs from, memoized per (canonical query, stats bucket, engine
+    override, residency) in the query cache.  An explicit ``request.engine``
+    override always wins; documents resident only in the accel store plan
     with ``accel_only=True`` and so pin :attr:`Engine.SQL` (the sole engine
     that can see them).  Raises :data:`REQUEST_ERRORS` members on routing
     mistakes; ``attribution`` (when given) is filled as facts are
     established, so even a routing failure is attributed to the engine it
     was routed to.
     """
-    propagator_override = (
-        None if request.propagator == "auto" else as_propagator(request.propagator)
-    )
-    if propagator_override is not None and attribution is not None:
-        attribution["propagator"] = propagator_override.value
     override = validate_engine(request.engine)
     if override is not None and attribution is not None:
         attribution["engine"] = override.value
@@ -329,7 +310,6 @@ def _resolve_plan(
         entry,
         store.stats_for(request.doc),
         engine=override,
-        propagator=propagator_override,
         accel_only=accel_only,
     )
     if attribution is not None:
@@ -371,7 +351,6 @@ def _execute_request(
                 entry.query,
                 document.structure,
                 engine=plan.engine,
-                propagator=plan.propagator,
                 compiled=entry.compiled,
                 limit=request.limit,
                 lowering=plan.lowering,
@@ -379,12 +358,6 @@ def _execute_request(
         truncated = count > len(answers)
     finished = time.perf_counter()
     elapsed_ms = (finished - started) * 1000.0
-    if elapsed_ms > 0.0:
-        # Estimated-vs-actual: how many estimated work units one second of
-        # this engine's wall-clock retired on this request.
-        PLAN_COST_PER_SECOND.observe(
-            plan.estimated_cost / (elapsed_ms / 1000.0), engine=plan.engine.value
-        )
     # Close the planning loop: ledger the actuals (elapsed, rows enumerated,
     # stage split) against the plan's estimates.  The drift ratio feeds the
     # /metrics histogram, the /stats top-drift table and the slow log.
@@ -423,7 +396,7 @@ def _error_result(request: Request, attribution: dict, started: float, error: st
     return RequestResult(
         doc=request.doc,
         query_key=attribution.get("query_key"),
-        propagator=attribution.get("propagator", str(request.propagator)),
+        propagator=attribution.get("propagator", "auto"),
         engine=attribution.get("engine"),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         error=error,
@@ -439,11 +412,7 @@ def _observe_result(result: RequestResult) -> RequestResult:
     else:
         status = "error"
     REQUESTS_TOTAL.inc(status=status)
-    REQUEST_SECONDS.observe(
-        result.elapsed_ms / 1000.0,
-        engine=result.engine or "none",
-        propagator=result.propagator,
-    )
+    REQUEST_SECONDS.observe(result.elapsed_ms / 1000.0, engine=result.engine or "none")
     # Plan attribution (when execution got far enough to have a plan) lets
     # the slow log answer "was this slow because the estimate was wrong?".
     SLOW_LOG.maybe_record(

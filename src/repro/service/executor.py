@@ -1,7 +1,7 @@
 """The batch executor: concurrent request evaluation over resident artifacts.
 
 A request names a resident document, a query (datalog text, XPath text, or a
-query object), a propagator, and an optional answer limit.
+query object), and an optional answer limit.
 :class:`BatchExecutor` is the in-process serving backend: it owns a
 :class:`~repro.service.store.DocumentStore` and a
 :class:`~repro.service.cache.QueryCache`, evaluates single requests, and fans
@@ -15,7 +15,7 @@ methods below by name, so both uphold the same contract.
 Determinism: results come back in request order; each answer list is sorted
 ascending (node-id tuples), with ``limit`` applied *after* sorting; and the
 answer sets are byte-for-byte those of a sequential
-:func:`repro.evaluation.planner.evaluate` call, for every propagator --
+:func:`repro.evaluation.planner.evaluate` call --
 evaluation over the shared artifacts is pure, and CPython's GIL plus the
 read-only index structures make the concurrent path safe.  Failures are
 per-request values (``error`` field), never batch aborts -- including

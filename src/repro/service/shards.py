@@ -456,11 +456,7 @@ class ShardedExecutor:
                 results.append(future.result())
             except Exception as error:  # noqa: BLE001 - per-request contract
                 results.append(
-                    RequestResult(
-                        doc=request.doc,
-                        propagator=str(request.propagator),
-                        error=f"internal: {error}",
-                    )
+                    RequestResult(doc=request.doc, error=f"internal: {error}")
                 )
         return results
 

@@ -39,7 +39,7 @@ from repro.decomposition.decompose import (
 )
 from repro.decomposition.hypergraph import Hypergraph
 from repro.evaluation.compile import CompiledAtom, CompiledQuery, compile_query
-from repro.evaluation.domains import Domains, Valuation
+from repro.evaluation.domains import Valuation
 from repro.planning.cost import _partner_estimate, variable_domain_estimate
 from repro.planning.stats import DocumentStats
 from repro.queries.atoms import AxisAtom, Variable
@@ -286,6 +286,35 @@ def random_tree(
 # Proposition 3.1: the maximal arc-consistent prevaluation as a Horn program.
 # ---------------------------------------------------------------------------
 
+#: A prevaluation in set form: each variable's candidate nodes.
+Domains = dict[Variable, set[int]]
+
+
+def initial_domains(
+    query: ConjunctiveQuery | CompiledQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]] = None,
+) -> Domains:
+    """The starting prevaluation: each variable's nodes that carry all its labels.
+
+    A pinned variable keeps at most its pinned node.  This is the first clause
+    group of the Horn program below; self-loop atoms are not applied.
+    """
+    compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
+    domains: Domains = {}
+    for variable in compiled.variables:
+        labels = compiled.labels_by_variable.get(variable, ())
+        domains[variable] = {
+            node
+            for node in structure.domain()
+            if all(structure.unary_holds(label, node) for label in labels)
+        }
+    for variable, node in (pinned or {}).items():
+        if variable not in domains:
+            raise ValueError(f"pinned variable {variable!r} not in the query")
+        domains[variable] &= {node}
+    return domains
+
 
 def maximal_arc_consistent_horn(
     query: ConjunctiveQuery | CompiledQuery,
@@ -384,6 +413,14 @@ def maximal_arc_consistent_horn(
     if any(not domain for domain in domains.values()):
         return None
     return domains
+
+
+def domains_of(result, query: ConjunctiveQuery | CompiledQuery) -> Optional[Domains]:
+    """A propagation result's ``sorted_domain`` columns as sets (``None`` stays ``None``)."""
+    if result is None:
+        return None
+    compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
+    return {variable: set(result.sorted_domain(variable)) for variable in compiled.variables}
 
 
 def minimum_valuation(structure: TreeStructure, domains: Domains, order: Order) -> Valuation:

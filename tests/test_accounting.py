@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from repro.observability.accounting import ACCOUNTING, PlanAccounting
+from repro.observability.accounting import ACCOUNTING, PLAN_DRIFT, PlanAccounting
 from repro.observability.metrics import SLOW_LOG
 from repro.service import BatchExecutor, Request, ShardedExecutor
 from repro.trees import to_xml
@@ -28,7 +28,6 @@ BASE = dict(
     doc="doc",
     rows=5,
     stage_ms={"plan": 0.2, "execute": 0.8},
-    propagator="walk",
     lowering="none",
     stats_bucket="resident",
     estimated_rows=5.0,
@@ -183,6 +182,10 @@ class TestServingIntegration:
         assert {"drift", "direction", "engine", "lowering", "estimated_cost", "stage_ms"} <= set(
             entry
         )
+        # The propagator is the plan's record, not a plan knob: no drift row or
+        # drift label carries it.
+        assert "propagator" not in entry
+        assert PLAN_DRIFT.labelnames == ("engine", "lowering")
 
     def test_sharded_executor_merges_worker_ledgers(self, auction_xml):
         executor = ShardedExecutor(shards=2)

@@ -128,7 +128,7 @@ class TestEvaluateCommand:
         assert len(answer_lines) == 1
 
     def test_engine_rejects_unknown_value(self, capsys):
-        # argparse validates the choice list, matching the --propagator style.
+        # argparse validates the choice list.
         with pytest.raises(SystemExit):
             main(
                 [
@@ -325,7 +325,8 @@ class TestEndToEndSmoke:
         assert completed.returncode == 0, completed.stderr
         assert "answers  : 1" in completed.stdout
 
-    def test_python_dash_m_repro_classify_and_propagator_flag(self):
+    def test_python_dash_m_repro_prints_the_plans_propagator(self):
+        # A cyclic body over a tractable signature: the plan walks.
         completed = subprocess.run(
             [
                 sys.executable,
@@ -333,11 +334,9 @@ class TestEndToEndSmoke:
                 "repro",
                 "evaluate",
                 "--sexpr",
-                "(A (B))",
+                "(A (B (C)))",
                 "--query",
-                "Q <- A(x), Child(x, y), B(y)",
-                "--propagator",
-                "walk",
+                "Q <- A(x), Child+(x, y), Child+(y, z), Child+(x, z), C(z)",
             ],
             capture_output=True,
             text=True,
@@ -461,9 +460,9 @@ class TestEndToEndSmoke:
         assert completed.returncode == 0, completed.stderr
         assert "NP-hard" in completed.stdout
 
-    def test_evaluate_propagators_agree_in_process(self, xml_file, capsys):
+    def test_evaluate_engines_agree_in_process(self, xml_file, capsys):
         outputs = []
-        for propagator in ("auto", "semijoin", "walk"):
+        for engine in ("auto", "xproperty", "acyclic", "decomposition", "backtracking"):
             exit_code = main(
                 [
                     "evaluate",
@@ -471,14 +470,23 @@ class TestEndToEndSmoke:
                     xml_file,
                     "--query",
                     "Q(i) <- item(i), Child(i, p), payment(p)",
-                    "--propagator",
-                    propagator,
+                    "--engine",
+                    engine,
                 ]
             )
             assert exit_code == 0
             out = capsys.readouterr().out
+            # Every engine runs the sweeps on this forest body: the plan's pick.
+            assert "(propagator: semijoin)" in out, engine
             outputs.append(out[out.index("answers") :])
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(set(outputs)) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_propagator_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--sexpr", "(A)", "--query", "Q <- A(x)", "--propagator", "walk"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --propagator walk" in capsys.readouterr().err
 
 
 class TestBatchCommand:
@@ -488,7 +496,7 @@ class TestBatchCommand:
         lines = [
             {"op": "register", "doc": "site", "xml_file": xml_file},
             {"doc": "site", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
-            {"doc": "site", "xpath": "//item", "propagator": "walk", "limit": 1},
+            {"doc": "site", "xpath": "//item", "limit": 1},
         ]
         input_path.write_text("\n".join(json.dumps(line) for line in lines))
         exit_code = main(
@@ -499,7 +507,7 @@ class TestBatchCommand:
         assert results[0]["ok"] and results[0]["doc"] == "site"
         assert results[1]["count"] == 1
         assert results[2]["truncated"] and results[2]["count"] == 2
-        assert results[2]["propagator"] == "walk"
+        assert results[2]["propagator"] == "semijoin"
 
     def test_register_is_a_barrier_for_later_queries(self, tmp_path):
         input_path = tmp_path / "requests.jsonl"

@@ -285,14 +285,10 @@ class TestYannakakisEvaluation:
     def structure(self):
         return TreeStructure(random_tree(160, alphabet=("A", "B", "C"), seed=11))
 
-    @pytest.mark.parametrize("propagator", [None, "semijoin"])
-    def test_triangle_matches_backtracking(self, structure, propagator):
+    @pytest.mark.parametrize("engine", [Engine.DECOMPOSITION, Engine.BACKTRACKING])
+    def test_triangle_matches_the_oracle(self, structure, engine):
         query = parse_query("Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z)")
-        assert sorted(
-            evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator=propagator)
-        ) == sorted(
-            evaluate(query, structure, engine=Engine.BACKTRACKING, propagator=propagator)
-        )
+        assert sorted(evaluate(query, structure, engine=engine)) == oracle.answers(query, structure)
 
     def test_unsatisfiable_diamond_is_empty(self, structure):
         # Following(y, z) contradicts y and z sharing the descendant w.
@@ -417,16 +413,11 @@ class TestBagEmission:
             _materialize_bag,
             _plan_bag,
         )
+        from repro.evaluation.reducer import initial_columns
 
         compiled = compile_query(parse_query(f"Q <- {body}"))
         # Label columns as the candidates: what the reducer starts from.
-        candidates = PropagationResult(
-            structure,
-            columns={
-                variable: sorted(nodes)
-                for variable, nodes in compiled.initial_domains(structure).items()
-            },
-        )
+        candidates = PropagationResult(structure, initial_columns(compiled, structure, None))
         bag, needed, head = frozenset(compiled.variables), frozenset(needed), tuple(head)
         if reference:
             plan = _plan_bag(
@@ -673,9 +664,7 @@ class TestBagEmission:
             for limit in (None, 2):
                 with monkeypatch.context() as patched:
                     patched.setattr(index_module.DomainView, "__init__", refuse)
-                    pages[head, limit] = yannakakis.answer_page(
-                        query, structure, propagator="semijoin", limit=limit
-                    )
+                    pages[head, limit] = yannakakis.answer_page(query, structure, limit=limit)
                 assert pages[head, limit] == (brute[head][:limit], len(brute[head]))
         assert pages["a, b1, b2", None][1] > pages["a, b1", None][1] > 2
 
@@ -694,11 +683,11 @@ class TestBagEmission:
         monkeypatch.setattr(yannakakis, "_BagRelation", counting)
         structure = TreeStructure(random_corpus(seed=42, num_sentences=440))
         query = parse_query("Q(x, y) <- NP(x), Following(x, y), VB(y)")
-        rows, count = yannakakis.answer_page(query, structure, propagator="semijoin", limit=10)
+        rows, count = yannakakis.answer_page(query, structure, limit=10)
         assert count == 173_942 and len(rows) == 10 and rows == sorted(rows)
         assert built and max(built) <= 10
         # The page is the head of the full list, which builds every row.
-        full, _ = yannakakis.answer_page(query, structure, propagator="semijoin", limit=10_000)
+        full, _ = yannakakis.answer_page(query, structure, limit=10_000)
         assert full[:10] == rows and max(built) == 10_000
 
 

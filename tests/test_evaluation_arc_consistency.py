@@ -10,13 +10,9 @@ from __future__ import annotations
 import pytest
 
 from oracle import maximal_arc_consistent_horn, minimum_valuation
-from repro.evaluation import (
-    compile_query,
-    initial_domains,
-    least_valuation,
-    valuation_satisfies,
-)
+from repro.evaluation import compile_query, least_valuation, valuation_satisfies
 from repro.evaluation.propagation import candidate_supersets
+from repro.evaluation.reducer import initial_columns
 from repro.hardness import random_cyclic_query
 from repro.queries import parse_query
 from repro.trees import Order, TreeStructure, random_tree
@@ -25,22 +21,20 @@ from repro.xproperty import X_PROPERTY_AXES
 
 class TestInitialDomains:
     def test_label_restriction(self, sentence_structure):
-        query = parse_query("Q <- NP(x), Child(x, y)")
-        domains = initial_domains(query, sentence_structure)
-        assert domains["x"] == {1, 6}
-        assert domains["y"] == set(sentence_structure.domain())
+        compiled = compile_query(parse_query("Q <- NP(x), Child(x, y)"))
+        columns = initial_columns(compiled, sentence_structure, None)
+        assert list(columns["x"]) == [1, 6]
+        assert list(columns["y"]) == sorted(sentence_structure.domain())
 
     def test_multiple_labels_intersect(self, sentence_structure):
-        query = parse_query("Q <- NP(x), VP(x)")
-        domains = initial_domains(query, sentence_structure)
-        assert domains["x"] == set()
+        compiled = compile_query(parse_query("Q <- NP(x), VP(x)"))
+        assert list(initial_columns(compiled, sentence_structure, None)["x"]) == []
 
     def test_pinning(self, sentence_structure):
-        query = parse_query("Q <- NP(x), Child(x, y)")
-        domains = initial_domains(query, sentence_structure, pinned={"x": 6})
-        assert domains["x"] == {6}
+        compiled = compile_query(parse_query("Q <- NP(x), Child(x, y)"))
+        assert initial_columns(compiled, sentence_structure, {"x": 6})["x"] == [6]
         with pytest.raises(ValueError):
-            initial_domains(query, sentence_structure, pinned={"zzz": 0})
+            initial_columns(compiled, sentence_structure, {"zzz": 0})
 
 
 class TestHornProgram:
@@ -132,7 +126,7 @@ class TestWalkAgreesWithHorn:
             # The sweeps an engine takes on a cyclic body contain the fixpoint too.
             supersets = candidate_supersets(compile_query(query), structure, None, "semijoin")
             if horn is not None:
-                assert all(nodes <= supersets.domains[v] for v, nodes in horn.items())
+                assert all(nodes <= set(supersets.sorted_domain(v)) for v, nodes in horn.items())
 
     def test_same_verdict_on_sentence(self, sentence_structure):
         for text in (

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation import initial_domains
+import oracle
 from repro.evaluation.compile import compile_query, normalize_atom
+from repro.evaluation.reducer import initial_columns
 from repro.queries import parse_query
 from repro.queries.atoms import AxisAtom
 from repro.queries.query import ConjunctiveQuery
@@ -103,15 +104,13 @@ class TestInitialDomainRecipe:
         ]
         for text in queries:
             query = parse_query(text)
-            compiled = compile_query(query)
-            assert compiled.initial_domains(sentence_structure) == initial_domains(
-                query, sentence_structure
+            columns = initial_columns(compile_query(query), sentence_structure, None)
+            assert {variable: set(column) for variable, column in columns.items()} == (
+                oracle.initial_domains(query, sentence_structure)
             )
 
     def test_pinning(self, sentence_structure):
-        query = parse_query("Q <- NP(x), Child(x, y)")
-        compiled = compile_query(query)
-        domains = compiled.initial_domains(sentence_structure, pinned={"x": 6})
-        assert domains["x"] == {6}
+        compiled = compile_query(parse_query("Q <- NP(x), Child(x, y)"))
+        assert initial_columns(compiled, sentence_structure, {"x": 6})["x"] == [6]
         with pytest.raises(ValueError):
-            compiled.initial_domains(sentence_structure, pinned={"zzz": 0})
+            initial_columns(compiled, sentence_structure, {"zzz": 0})

@@ -19,6 +19,8 @@ from repro.evaluation import (
     boolean_query_holds,
     check_answer,
     choose_order,
+    choose_propagator,
+    compile_query,
     count_solutions,
     evaluate,
     evaluate_on_tree,
@@ -310,6 +312,65 @@ class TestPlanner:
         ran = {p for p in Propagator if after[p] > before[p]}
         assert ran == {plan.propagator}, (text, plan.engine, ran)
         assert sorted(answers) == oracle.answers(parse_query(text), sentence_structure)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Q(x) <- NP(x), Child(x, y), NN(y)",  # forest, monadic
+            "Q(x, y) <- NP(x), Following(x, y), PP(y)",  # forest, binary
+            "Q <- Child+(x, y), Child+(y, z), Child+(x, z)",  # cyclic, tractable
+            "Q(x) <- Child+(x, y), Child+(y, z), Child+(x, z)",  # cyclic, tractable
+            "Q(x) <- NP(x), Child(x, y), Following(y, z), Child+(x, z)",  # cyclic, NP-hard
+        ],
+    )
+    def test_every_engine_runs_the_rules_pick(self, sentence_structure, text):
+        """Each engine prunes with ``choose_propagator``'s pick: what its plan records."""
+        query = parse_query(text)
+        stats = DocumentStats.of_tree(sentence_structure.tree)
+        engines = [Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING]
+        if choose_order(query) is not None:
+            engines.append(Engine.XPROPERTY)
+        if compile_query(query).shadow_is_forest:
+            engines.append(Engine.ACYCLIC)
+        expected = oracle.answers(query, sentence_structure)
+        for engine in engines:
+            plan = plan_query(query, stats, engine=engine)
+            runs = choose_propagator(
+                compile_query(query), decomposition=plan.engine is Engine.DECOMPOSITION
+            )
+            assert plan.propagator is runs, engine
+            before = {p: PROPAGATE_SECONDS.totals(propagator=p.value)[0] for p in Propagator}
+            with tracing.trace("engine") as root:
+                answers = evaluate(query, sentence_structure, engine=engine)
+            after = {p: PROPAGATE_SECONDS.totals(propagator=p.value)[0] for p in Propagator}
+            assert {p for p in Propagator if after[p] > before[p]} == {runs}, engine
+            assert root.find("propagate").attributes["propagator"] == runs.value, engine
+            assert sorted(answers) == expected, engine
+
+    def test_a_propagator_other_than_the_plans_raises(self, sentence_structure):
+        """The two keywords left for the frozen harness check; they never choose."""
+        from repro.decomposition import yannakakis
+
+        query = parse_query("Q(x, y) <- NP(x), Following(x, y), PP(y)")
+        answers = evaluate(query, sentence_structure)
+        assert evaluate(query, sentence_structure, propagator="semijoin") == answers
+        with pytest.raises(ValueError, match="propagator 'walk' is not the plan's"):
+            evaluate(query, sentence_structure, propagator="walk")
+        with pytest.raises(ValueError, match="unknown propagator"):
+            evaluate(query, sentence_structure, propagator="ac4")
+        joined = yannakakis.evaluate_answers(query, sentence_structure, propagator="semijoin")
+        assert joined == answers
+        with pytest.raises(ValueError, match="propagator 'walk' is not the plan's"):
+            yannakakis.evaluate_answers(query, sentence_structure, propagator=Propagator.WALK)
+        # A cyclic body over a tractable signature: a fixpoint engine walks.
+        cyclic = parse_query("Q <- Child+(x, y), Child+(y, z), Child+(x, z)")
+        assert evaluate(cyclic, sentence_structure, propagator="walk") == frozenset({()})
+        with pytest.raises(ValueError, match="this query runs 'walk'"):
+            evaluate(cyclic, sentence_structure, Engine.XPROPERTY, propagator="semijoin")
+        decomposition = Engine.DECOMPOSITION
+        assert evaluate(cyclic, sentence_structure, decomposition, propagator="semijoin")
+        with pytest.raises(TypeError):
+            is_satisfied(cyclic, sentence_structure, propagator="walk")
 
     def test_default_kary_evaluation_runs_one_fixpoint(self):
         """A count, not a timing: one propagation per request, no per-tuple loop."""

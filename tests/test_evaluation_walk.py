@@ -1,11 +1,11 @@
-"""Tests for the pointer walk and the two-valued propagator dimension.
+"""Tests for the pointer walk and the two propagators the plan picks between.
 
 The key invariants, held to Proposition 3.1's Horn program
 (``tests/oracle.py``): on a forest-shaped body the semijoin reducer computes
 exactly the subset-maximal arc-consistent prevaluation; on a tractable
 signature the pointer walk refutes exactly when Horn does, its first nodes
 are Lemma 3.4's minimum valuation of the Horn fixpoint, and its columns
-contain the fixpoint; every engine answers the same under either propagator.
+contain the fixpoint; every engine answers the same under its own pick.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.evaluation import (
     Engine,
     Propagator,
     answer_page,
+    choose_order,
     compile_query,
     evaluate,
     is_satisfied,
@@ -134,7 +135,7 @@ class TestWalk:
         query = parse_query(f"Q <- A(x), {axis}(x, y), B(y)")
         result = propagate(query, structure, propagator=Propagator.SEMIJOIN)
         expected = oracle.maximal_arc_consistent_horn(query, structure)
-        assert (None if result is None else result.domains) == expected
+        assert oracle.domains_of(result, query) == expected
 
     @pytest.mark.parametrize("axis", [axis.value for axis in ALL_AXES])
     def test_triangle_every_axis(self, medium_random_tree, axis):
@@ -144,8 +145,10 @@ class TestWalk:
         assert compile_query(query).order is not None
         _assert_walk_matches_horn(query, structure)
         expected = bool(oracle.answers(query, structure))
-        assert is_satisfied(query, structure) == expected
-        assert is_satisfied(query, structure, propagator=Propagator.WALK) == expected
+        # The plan's pick on this cyclic body is the walk.
+        assert (propagate(query, structure) is not None) == expected
+        for engine in (Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING):
+            assert is_satisfied(query, structure, engine=engine) == expected, engine
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +205,27 @@ class TestFixpointEquality:
         if horn is not None:
             assert supersets is not None
             for variable, nodes in horn.items():
-                assert nodes <= supersets.domains[variable]
+                assert nodes <= set(supersets.sorted_domain(variable))
         if compiled.shadow_is_forest:
             semijoin = propagate(query, structure, pinned, Propagator.SEMIJOIN)
-            assert (None if semijoin is None else semijoin.domains) == horn
+            assert oracle.domains_of(semijoin, compiled) == horn
         if compiled.order is not None:
             _assert_walk_matches_horn(query, structure, pinned)
 
     @SETTINGS
     @given(trees(max_size=12), queries(axes=(Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)))
-    def test_planner_answers_agree_across_propagators(self, tree, query):
+    def test_planner_answers_agree_across_engines(self, tree, query):
         structure = TreeStructure(tree)
         expected = bool(oracle.answers(query, structure))
-        compiled = compile_query(query)
         assert is_satisfied(query, structure) == expected
         for engine in (Engine.BACKTRACKING, Engine.DECOMPOSITION):
-            assert is_satisfied(query, structure, engine=engine, propagator="semijoin") == expected
-            if compiled.order is not None:
-                assert is_satisfied(query, structure, engine=engine, propagator="walk") == expected
+            assert is_satisfied(query, structure, engine=engine) == expected
+        if choose_order(query) is not None:
+            assert is_satisfied(query, structure, engine=Engine.XPROPERTY) == expected
 
 
 # ---------------------------------------------------------------------------
-# The propagator dimension and deterministic enumeration.
+# The two propagators at propagate(), and deterministic enumeration.
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +235,7 @@ class TestPropagatorDimension:
         for propagator in ("semijoin", "walk"):
             result = propagate(query, sentence_structure, propagator=propagator)
             assert result is not None
-            assert result.domains["x"] == {1, 6}
+            assert result.sorted_domain("x") == [1, 6]
         with pytest.raises(ValueError, match="unknown propagator"):
             propagate(query, sentence_structure, propagator="ac5")
 
@@ -245,16 +247,13 @@ class TestPropagatorDimension:
         with pytest.raises(ValueError, match="unknown propagator"):
             evaluate(query, sentence_structure, propagator=retired)
 
-    def test_evaluate_same_answers_across_propagators(self, sentence_structure):
+    def test_evaluate_same_answers_across_engines(self, sentence_structure):
         query = parse_query("Q(x, y) <- NP(x), Child+(x, y)")
         reference = evaluate(query, sentence_structure)
         assert reference  # non-trivial
         assert sorted(reference) == oracle.answers(query, sentence_structure)
-        for propagator in Propagator:
-            assert reference == evaluate(query, sentence_structure, propagator=propagator)
-            assert reference == evaluate(
-                query, sentence_structure, engine=Engine.BACKTRACKING, propagator=propagator
-            )
+        for engine in (Engine.XPROPERTY, Engine.DECOMPOSITION, Engine.BACKTRACKING):
+            assert reference == evaluate(query, sentence_structure, engine=engine)
 
 
 class TestMonadicAcyclicFastPath:
@@ -305,23 +304,21 @@ class TestMonadicAcyclicFastPath:
         assert evaluate(monadic, structure) == expected
         compiled = compile_query(monadic)
         if compiled.order is not None:
-            assert evaluate(monadic, structure, propagator=Propagator.WALK) == expected
-        # Forced backtracking takes candidate supersets: semijoin runs on any body.
-        forced = evaluate(
-            monadic, structure, engine=Engine.BACKTRACKING, propagator=Propagator.SEMIJOIN
-        )
-        assert forced == expected
+            # Cyclic: the per-tuple reduction over the walk's superset columns.
+            assert evaluate(monadic, structure, engine=Engine.XPROPERTY) == expected
+        # Forced backtracking takes candidate supersets on any body.
+        assert evaluate(monadic, structure, engine=Engine.BACKTRACKING) == expected
 
 
 class TestDeterministicEnumeration:
-    def test_enumeration_order_independent_of_propagator(self, medium_random_tree):
+    def test_enumeration_order_independent_of_engine(self, medium_random_tree):
         structure = TreeStructure(medium_random_tree)
         query = parse_query("Q(x, y, z) <- A(x), Child(x, y), NextSibling+(y, z)")
         sequences = {
-            propagator: answer_page(query, structure, propagator=propagator)[0]
-            for propagator in Propagator
+            engine: answer_page(query, structure, engine)[0]
+            for engine in (Engine.AUTO, Engine.XPROPERTY, Engine.BACKTRACKING)
         }
-        assert sequences[Propagator.SEMIJOIN] == sequences[Propagator.WALK]
-        assert sequences[Propagator.SEMIJOIN] == answer_page(query, structure)[0]
-        assert list(sequences[Propagator.SEMIJOIN]) == oracle.answers(query, structure)
-        assert sequences[Propagator.SEMIJOIN]  # non-empty on this tree
+        assert sequences[Engine.AUTO] == sequences[Engine.XPROPERTY]
+        assert sequences[Engine.AUTO] == sequences[Engine.BACKTRACKING]
+        assert list(sequences[Engine.AUTO]) == oracle.answers(query, structure)
+        assert sequences[Engine.AUTO]  # non-empty on this tree

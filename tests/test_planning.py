@@ -14,7 +14,7 @@ Covers the :class:`QueryPlan` contract end to end:
   the lowering that actually runs (the satellite bugfix), and every
   attribution surface naming the engine that actually ran a k-ary head;
 * the property suite: answers byte-identical between the default plan and
-  every forced engine and propagator across cyclic and acyclic shapes,
+  every forced engine across cyclic and acyclic shapes,
   unsafe heads included; plan choice invariant under alpha-renaming.
 """
 
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.decomposition import Hypergraph, decompose_hypergraph
 from repro.decomposition.decompose import atom_pair_costs, prune_subset_bags
 from repro.evaluation import Engine, evaluate
@@ -170,9 +171,6 @@ def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
         # Forced backtracking takes the rule's pick (supersets suffice there too).
         searched = plan_query(query, stats, engine=Engine.BACKTRACKING)
         assert searched.propagator is choose_propagator(compile_query(query)), text
-        # Overrides are untouched.
-        named = plan_query(query, stats, engine=Engine.DECOMPOSITION, propagator=Propagator.WALK)
-        assert named.propagator is Propagator.WALK
 
 
 def test_semijoin_fixpoint_is_priced_by_label_columns():
@@ -182,16 +180,19 @@ def test_semijoin_fixpoint_is_priced_by_label_columns():
     touched = variable_domain_estimate("a", compiled, stats) + variable_domain_estimate(
         "b", compiled, stats
     )
-    assert fixpoint_cost_estimate(compiled, stats, Propagator.SEMIJOIN) == touched
-    assert fixpoint_cost_estimate(compiled, stats) == stats.nodes * len(compiled.atoms)
+    assert fixpoint_cost_estimate(compiled, stats) == touched
     # The plan charges what its propagator does: a monadic forest projection
-    # costs one fixpoint under either pricing.
+    # costs one sweep.
     assert plan_query(query, stats).estimated_cost == touched
-    forced = plan_query(query, stats, propagator=Propagator.WALK)
-    assert forced.estimated_cost == stats.nodes * len(compiled.atoms)
+    # The walk on a cyclic tractable body is priced at nodes x atoms.
+    cycle = parse_query("Q <- A(a), Child+(a, b), Child+(b, c), Child+(a, c)")
+    walked = compile_query(cycle)
+    assert choose_propagator(walked) is Propagator.WALK
+    assert fixpoint_cost_estimate(walked, stats) == stats.nodes * len(walked.atoms)
+    assert plan_query(cycle, stats).estimated_cost == stats.nodes * len(walked.atoms)
     # No edge at all: never a zero cost (the ledger divides by it).
     lone = compile_query(parse_query("Q(a) <- A(a)"))
-    assert fixpoint_cost_estimate(lone, stats, Propagator.SEMIJOIN) == 1.0
+    assert fixpoint_cost_estimate(lone, stats) == 1.0
 
 
 # -- plan_query ----------------------------------------------------------------
@@ -254,7 +255,7 @@ def test_forced_per_tuple_engine_is_priced_as_the_reduction():
     forced = plan_query(binary, stats, engine=Engine.XPROPERTY)
     assert forced.engine is Engine.XPROPERTY
     compiled = compile_query(binary)
-    fixpoint = fixpoint_cost_estimate(compiled, stats, forced.propagator)
+    fixpoint = fixpoint_cost_estimate(compiled, stats)
     candidates = [variable_domain_estimate(v, compiled, stats) for v in ("a", "b")]
     assert forced.estimated_cost == fixpoint * candidates[0] * candidates[1]  # |D(a)|.|D(b)|
     monadic = plan_query(parse_query("Q(a) <- A(a), Child+(a, b), B(b)"), stats)
@@ -265,9 +266,37 @@ def test_forced_per_tuple_engine_is_priced_as_the_reduction():
 def test_overrides_always_win():
     stats = DocumentStats.of_tree(_tree())
     query = parse_query(FOUR_CYCLE)
-    plan = plan_query(query, stats, engine=Engine.BACKTRACKING, propagator=Propagator.WALK)
+    plan = plan_query(query, stats, engine=Engine.BACKTRACKING)
     assert plan.engine is Engine.BACKTRACKING
-    assert plan.propagator is Propagator.WALK
+    # The propagator is no override: the plan records what that engine runs.
+    assert plan.propagator is choose_propagator(compile_query(query)) is Propagator.SEMIJOIN
+    with pytest.raises(TypeError):
+        plan_query(query, stats, propagator=Propagator.WALK)
+
+
+@pytest.mark.parametrize(
+    "text, engine",
+    [
+        ("Q <- A(x), Child*(x, x), Following(x, y)", None),
+        ("Q(x) <- A(x), Child(x, y), Parent(y, x), Following(y, z)", None),
+        ("Q <- A(x), Child(x, x)", "acyclic"),
+    ],
+)
+def test_forest_bodies_with_loops_or_inverse_duplicates_plan_acyclic(text, engine):
+    """The dichotomy table judges forests as the sweep does: on the compiled edges."""
+    tree = _tree(size=80)
+    structure = TreeStructure(tree)
+    query = parse_query(text)
+    assert compile_query(query).shadow_is_forest
+    forced = None if engine is None else Engine(engine)
+    assert plan_query(query, DocumentStats.of_tree(tree), engine=forced).engine is Engine.ACYCLIC
+    expected = oracle.answers(query, structure)
+    assert sorted(evaluate(query, structure, forced or Engine.AUTO)) == expected
+    store = DocumentStore()
+    store.register_tree("doc", tree)
+    served = run_request(store, QueryCache(), Request(doc="doc", query=text, engine=engine))
+    assert served.ok, served.error
+    assert (served.engine, served.answers) == ("acyclic", expected)
 
 
 def test_accel_only_pins_sql():
@@ -380,7 +409,7 @@ def test_library_evaluate_takes_the_plans_engine_on_route_bool_cycle4(monkeypatc
     assert len(searched) == 1 and searched[0].memo
 
 
-def test_forced_semijoin_sends_the_cyclic_residue_to_decomposition():
+def test_the_cyclic_residue_takes_the_sweeps_on_decomposition():
     """The sweeps are exact on forests only; decomposition is the engine that takes them."""
     tree = random_tree(1000, alphabet=tuple(f"L{i:02d}" for i in range(16)), seed=42)
     structure = TreeStructure(tree)
@@ -390,10 +419,7 @@ def test_forced_semijoin_sends_the_cyclic_residue_to_decomposition():
         query = parse_query(text)
         routed = plan_query(query, stats)
         assert (routed.engine, routed.propagator) == (Engine.DECOMPOSITION, Propagator.SEMIJOIN)
-        plan = plan_query(query, stats, propagator=Propagator.SEMIJOIN)
-        assert plan.engine is Engine.DECOMPOSITION, text
         expected = evaluate(query, structure, Engine.BACKTRACKING)
-        assert evaluate(query, structure, propagator="semijoin") == expected, text
         assert evaluate(query, structure) == expected, text
 
 
@@ -458,20 +484,26 @@ def test_plans_cached_per_bucket_and_invalidated_by_reregistration():
     assert replanned.stats_bucket != first.stats_bucket
 
 
-def test_plan_cache_key_separates_explicit_propagator_from_automatic_pick():
+def test_plan_cache_keeps_one_plan_per_bucket_engine_and_residency():
     store, cache = _service()
     entry, _ = cache.resolve_text(ACYCLIC_CHAIN)
     stats = store.stats_for("doc")
     automatic = cache.plan_for(entry, stats)
     assert automatic.propagator is Propagator.SEMIJOIN
-    # Naming the propagator the planner would pick anyway is still an
-    # override: its own cache slot, its own plan.
-    named = cache.plan_for(entry, stats, propagator=Propagator.SEMIJOIN)
-    assert named is not automatic and named.propagator is Propagator.SEMIJOIN
-    forced = cache.plan_for(entry, stats, propagator=Propagator.WALK)
-    assert forced.propagator is Propagator.WALK
+    forced = cache.plan_for(entry, stats, engine=Engine.BACKTRACKING)
+    accel = cache.plan_for(entry, stats, accel_only=True)
+    assert len({id(automatic), id(forced), id(accel)}) == 3
     assert cache.plan_for(entry, stats) is automatic
-    assert cache.plan_for(entry, stats, propagator=Propagator.WALK) is forced
+    assert cache.plan_for(entry, stats, engine=Engine.BACKTRACKING) is forced
+    assert cache.plan_for(entry, stats, accel_only=True) is accel
+    bucket = stats.bucket()
+    assert set(entry.plans) == {
+        (bucket, None, False),
+        (bucket, "backtracking", False),
+        (bucket, None, True),
+    }
+    with pytest.raises(TypeError):
+        cache.plan_for(entry, stats, propagator=Propagator.WALK)
 
 
 def test_explain_reports_chosen_lowering_and_estimates():
@@ -615,12 +647,12 @@ def small_queries(draw) -> ConjunctiveQuery:
 )
 @SETTINGS
 def test_default_plan_and_forced_variants_are_byte_identical(query, size, seed):
-    """The acceptance invariant: no engine or propagator choice changes answers.
+    """The acceptance invariant: no engine choice changes answers.
 
     Exercised through ``run_request`` (the full serving path: cache, plan,
-    evaluate, sort) for the default plan against every propagator that can
-    run the plan's engine and the two engine overrides that accept every query
-    shape -- unsafe heads (a head variable no atom mentions) included.
+    evaluate, sort) for the default plan against the two engine overrides that
+    accept every query shape -- unsafe heads (a head variable no atom
+    mentions) included -- each running the propagator the rule picks for it.
     """
     store = DocumentStore()
     cache = QueryCache()
@@ -628,18 +660,13 @@ def test_default_plan_and_forced_variants_are_byte_identical(query, size, seed):
     default = run_request(store, cache, Request(doc="doc", query=query))
     assert default.ok, default.error
     compiled = cache.resolve_query(query)[0].compiled
-    variants = [{"engine": "decomposition"}, {"engine": "backtracking"}]
-    # The sweeps decide a fixpoint engine's query only on a forest; the walk
-    # needs an X-property order.
-    if compiled.shadow_is_forest or default.engine == "decomposition":
-        variants.append({"propagator": "semijoin"})
-    if compiled.order is not None:
-        variants.append({"propagator": "walk"})
-    for overrides in variants:
-        result = run_request(store, cache, Request(doc="doc", query=query, **overrides))
-        assert result.ok, (overrides, result.error)
-        assert result.answers == default.answers, overrides
+    for engine in (None, "decomposition", "backtracking"):
+        result = run_request(store, cache, Request(doc="doc", query=query, engine=engine))
+        assert result.ok, (engine, result.error)
+        assert result.answers == default.answers, engine
         assert result.count == default.count
+        runs = choose_propagator(compiled, decomposition=result.engine == "decomposition")
+        assert result.propagator == runs.value, engine
 
 
 @given(

@@ -202,7 +202,7 @@ class TestPruningProperties:
                 assert result is not None
                 for solution in solutions:
                     for variable, node in solution.items():
-                        assert node in result.domains[variable]
+                        assert node in result.sorted_domain(variable)
 
 
 class TestWalkProperties:
@@ -294,7 +294,7 @@ class TestDecompositionEngineProperties:
     """The structural engine must agree with backtracking *exactly*.
 
     The matrix covers cyclic and acyclic shapes (the random atom soup produces
-    both), both propagators (the walk on the tractable groups), random k-ary
+    both), each engine under the propagator the plan picks for it, random k-ary
     heads (including repeated head variables) and pinning; answers are
     compared as byte-identical sorted lists, which is what the serving layer
     ultimately emits.
@@ -310,10 +310,9 @@ class TestDecompositionEngineProperties:
         query = data.draw(head_queries(axes), label="query")
         structure = TreeStructure(tree)
         expected = oracle.answers(query, structure)
-        for propagator in _propagators(query):
-            for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
-                answers = sorted(evaluate(query, structure, engine=engine, propagator=propagator))
-                assert repr(answers) == repr(expected), (engine, propagator)
+        for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
+            answers = sorted(evaluate(query, structure, engine=engine))
+            assert repr(answers) == repr(expected), engine
 
     @SETTINGS
     @given(
@@ -329,10 +328,8 @@ class TestDecompositionEngineProperties:
         variable = rng.choice(query.variables())
         pinned = {variable: rng.randrange(len(tree))}
         expected = bool(oracle.answers(query, structure, pinned))
-        for propagator in _propagators(query):
-            for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
-                holds = is_satisfied(query, structure, engine, pinned, propagator)
-                assert holds == expected, (engine, propagator)
+        for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
+            assert is_satisfied(query, structure, engine, pinned) == expected, engine
 
     @SETTINGS
     @given(trees(max_size=12), head_queries((Axis.CHILD_STAR, Axis.NEXT_SIBLING_STAR)))
@@ -456,7 +453,7 @@ class TestAnswerPageContract:
     """``answer_page == (sorted(oracle)[:limit], len(oracle))`` on every route.
 
     What the serving core relies on instead of sorting and slicing itself:
-    whatever engine and propagator a plan names, the rows come back ascending,
+    whatever engine a plan names, the rows come back ascending,
     cut at ``limit``, with the exact total.
     """
 
@@ -465,18 +462,8 @@ class TestAnswerPageContract:
         """Every plan ``plan_query`` can emit for ``query``, forced engines included."""
         stats = DocumentStats.of_tree(tree)
         engines = [None, Engine.DECOMPOSITION, Engine.SQL, *_per_tuple_engines(query)]
-        forest = compile_query(query).shadow_is_forest
         for engine in engines:
             yield plan_query(query, stats, engine=engine)
-            for propagator in _propagators(query):
-                plan = plan_query(query, stats, engine=engine, propagator=propagator)
-                # The sweeps are exact on forests only: on a cyclic body a
-                # fixpoint engine refuses them (the others take supersets).
-                if forest or propagator is Propagator.WALK or plan.engine not in (
-                    Engine.XPROPERTY,
-                    Engine.ACYCLIC,
-                ):
-                    yield plan
 
     def _assert_contract(self, query: ConjunctiveQuery, tree: Tree) -> None:
         structure = TreeStructure(tree)
@@ -489,15 +476,7 @@ class TestAnswerPageContract:
                 continue
             seen.add(knobs)
             for limit in _limits(len(expected)):
-                page = answer_page(
-                    query,
-                    structure,
-                    plan.engine,
-                    plan.propagator,
-                    compiled,
-                    limit,
-                    plan.lowering,
-                )
+                page = answer_page(query, structure, plan.engine, compiled, limit, plan.lowering)
                 assert page == (expected[:limit], len(expected)), (knobs, limit)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -540,20 +519,19 @@ class TestAnswerPageContract:
         rng = random.Random(seed)
         pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
         expected = oracle.answers(query, structure, pinned)
-        for propagator in _propagators(query):
-            for limit in _limits(len(expected)):
-                page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
-                assert page == (expected[:limit], len(expected)), (propagator, limit)
+        for limit in _limits(len(expected)):
+            page = yannakakis.answer_page(query, structure, pinned, limit=limit)
+            assert page == (expected[:limit], len(expected)), limit
 
 
     # -- the level kernel vs the oracle --------------------------------------------
 
     @staticmethod
-    def _assert_kernel_identity(query, structure, pinned, propagator) -> None:
+    def _assert_kernel_identity(query, structure, pinned) -> None:
         """The level kernel's page is the oracle page, for every limit."""
         expected = oracle.answers(query, structure, pinned)
         for limit in _limits(len(expected)):
-            page = yannakakis.answer_page(query, structure, pinned, propagator, limit=limit)
+            page = yannakakis.answer_page(query, structure, pinned, limit=limit)
             assert page == (expected[:limit], len(expected)), limit
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -568,8 +546,7 @@ class TestAnswerPageContract:
         pinned = None
         if rng.random() < 0.4:
             pinned = {rng.choice(query.variables()): rng.randrange(len(tree))}
-        propagator = rng.choice(_propagators(query))
-        self._assert_kernel_identity(query, structure, pinned, propagator)
+        self._assert_kernel_identity(query, structure, pinned)
 
     def test_level_kernel_named_shapes(self):
         triangle = "A(a), Child(a, b1), Child(a, b2), Following(b1, b2)"
@@ -595,9 +572,9 @@ class TestAnswerPageContract:
             structure = TreeStructure(tree)
             for text in shapes:
                 query = parse_query(text)
-                self._assert_kernel_identity(query, structure, None, "semijoin")
+                self._assert_kernel_identity(query, structure, None)
                 pinned = {query.variables()[0]: seed + 1}
-                self._assert_kernel_identity(query, structure, pinned, None)
+                self._assert_kernel_identity(query, structure, pinned)
 
 
 class TestRewritingProperties:

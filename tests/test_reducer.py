@@ -4,7 +4,7 @@ Over a forest-shaped body two directional semijoin sweeps must land on exactly
 the subset-maximal arc-consistent prevaluation of the Horn program
 (``tests/oracle.py``):
 
-* ``propagate(..., "semijoin").domains`` equals the Horn-SAT ground truth,
+* ``propagate(..., "semijoin")``'s columns equal the Horn-SAT ground truth,
   set for set, on random forest-shaped queries over all nine churn axes plus
   the inverse axes -- multi-label variables, self-loops, several components,
   pinning, unsatisfiable instances;
@@ -43,7 +43,7 @@ from repro.evaluation import (
     xprop_evaluator,
 )
 from repro.evaluation import reducer
-from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
+from repro.queries import ConjunctiveQuery, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.service.cache import QueryCache
 from repro.service.core import Request, run_request
@@ -158,8 +158,8 @@ class TestFixpointEquality:
         reference = oracle.maximal_arc_consistent_horn(query, structure, pinned)
         assert (result is None) == (reference is None)
         if result is not None:
-            assert result.domains == reference
-            for variable, nodes in result.domains.items():
+            assert oracle.domains_of(result, query) == reference
+            for variable, nodes in reference.items():
                 assert result.sorted_domain(variable) == sorted(nodes)
                 assert list(result.views[variable].array) == sorted(nodes)
 
@@ -170,10 +170,10 @@ class TestFixpointEquality:
         engines = [Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING]
         if is_tractable(query.signature()):
             engines.append(Engine.XPROPERTY)
-        if is_acyclic(query):
+        if compile_query(query).shadow_is_forest:
             engines.append(Engine.ACYCLIC)
         for engine in engines:
-            found = evaluate(query, structure, engine=engine, propagator=Propagator.SEMIJOIN)
+            found = evaluate(query, structure, engine=engine)
             assert repr(sorted(found)) == repr(expected), engine
 
 
@@ -226,7 +226,7 @@ class TestOneSweepContract:
                 assert result.sorted_domain(first) == sorted(horn[first])
         for variable in compiled.variables:
             assert result.sorted_domain(variable) == sorted(horn[variable]), variable
-        assert result.domains == horn
+        assert oracle.domains_of(result, compiled) == horn
 
     @pytest.mark.parametrize(
         "text, answers",
@@ -268,7 +268,6 @@ class TestOneSweepContract:
             assert result.sorted_domain("x") == [1, 6] and semijoin.call_count == edges
             assert result.sorted_domain("y") == [3, 7] and semijoin.call_count == 2 * edges
             assert result.sorted_domain("z") == [8]
-            assert result.domains == {"x": {1, 6}, "y": {3, 7}, "z": {8}}
             assert list(result.views["y"].array) == [3, 7]
             assert result.domain_sizes() == {"x": 2, "y": 2, "z": 1}
             assert semijoin.call_count == 2 * edges
@@ -285,7 +284,7 @@ class TestSweepsAreSoundSupersets:
         if swept is None:
             assert exact is None  # an empty superset refutes the query
             return
-        initial = compiled.initial_domains(structure, pinned)
+        initial = oracle.initial_domains(compiled, structure, pinned)
         for variable, column in swept.items():
             assert column == sorted(set(column)) and set(column) <= initial[variable]
             if exact is not None:
@@ -362,7 +361,7 @@ class TestFullDomainSupport:
         reference = oracle.maximal_arc_consistent_horn(query, structure, pinned)
         assert (result is None) == (reference is None)
         if result is not None:
-            assert result.domains == reference
+            assert oracle.domains_of(result, query) == reference
 
     def test_the_upward_semijoin_of_the_answers_slot_builds_no_column(self):
         structure = TreeStructure(random_tree(200, alphabet=ALPHABET, max_children=3, seed=9))
@@ -370,7 +369,9 @@ class TestFullDomainSupport:
         with mock.patch.object(reducer, "cumulative_end_membership", side_effect=AssertionError):
             result = propagate(query, structure, propagator="semijoin")
         assert result.sorted_domain("x") == list(range(1, 200))
-        assert result.domains == oracle.maximal_arc_consistent_horn(query, structure)
+        assert oracle.domains_of(result, query) == oracle.maximal_arc_consistent_horn(
+            query, structure
+        )
 
 
 class TestNamedCases:
@@ -423,7 +424,7 @@ class TestNamedCases:
         # A monadic head without edges is a root the upward sweep never
         # narrowed: read before (and instead of) the downward sweep.
         monadic = parse_query("Q(x) <- NP(x), NN(y), Child*(y, y)")
-        rows, count = answer_page(monadic, sentence_structure, propagator="semijoin")
+        rows, count = answer_page(monadic, sentence_structure)
         assert (rows, count) == ([(node,) for node in before], len(before))
         result = propagate(monadic, sentence_structure, propagator="semijoin")
         column = result.sorted_domain("x")
@@ -440,8 +441,8 @@ class TestNamedCases:
         forest = "Q(a) <- A(a), Child+(a, b), B(b)"
         served = run_request(store, cache, Request(doc="doc", query=forest))
         assert served.ok and served.propagator == "semijoin"
-        walked = run_request(store, cache, Request(doc="doc", query=forest, propagator="walk"))
-        assert walked.propagator == "walk" and walked.answers == served.answers
+        joined = run_request(store, cache, Request(doc="doc", query=forest, engine="decomposition"))
+        assert joined.propagator == "semijoin" and joined.answers == served.answers
         # A cyclic body gets the sweeps too, as candidate supersets in front
         # of the decomposition engine and of forced backtracking; a fixpoint
         # engine on a tractable cyclic body walks.
@@ -460,32 +461,29 @@ class TestCyclicBodiesAreRefused:
         with pytest.raises(ValueError, match="forest-shaped body; use walk on cyclic queries"):
             propagate(parse_query(TRIANGLE), sentence_structure, propagator="semijoin")
 
-    @pytest.mark.parametrize("engine", [None, "xproperty"])
-    def test_run_request_reports_a_client_error_with_attribution(self, engine):
-        """A fixpoint engine refuses the sweeps on a cyclic body; supersets suffice elsewhere."""
+    @pytest.mark.parametrize(
+        "engine, error", [("xproperty", "is not tractable"), ("acyclic", "requires an acyclic")]
+    )
+    def test_run_request_reports_a_client_error_with_attribution(self, engine, error):
+        """A fixpoint engine refuses a cyclic NP-hard body; the supersets engines serve it."""
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
         store, cache = DocumentStore(), QueryCache()
         store.register_tree("doc", tree)
-        request = Request(doc="doc", query=TRACTABLE_CYCLE, propagator="semijoin", engine=engine)
-        result = run_request(store, cache, request)
+        result = run_request(store, cache, Request(doc="doc", query=TRIANGLE, engine=engine))
         assert not result.ok
-        assert "use walk on cyclic queries" in result.error
+        assert error in result.error
         assert not result.error.startswith("internal:")
-        assert result.propagator == "semijoin"
-        assert result.engine == "xproperty"
+        assert (result.engine, result.propagator) == (engine, "semijoin")
         body = result.to_json_dict()
         assert body["propagator"] == "semijoin" and body["engine"] == result.engine
-        # The next request on the same store is unaffected, and the same
-        # override in front of the decomposition engine and backtracking is served.
-        plain = run_request(store, cache, Request(doc="doc", query=TRACTABLE_CYCLE))
-        assert plain.ok and plain.propagator == "walk"
+        # The next request on the same store is unaffected, and the engines
+        # that take the sweeps as supersets serve the same body.
+        plain = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
+        assert plain.ok and (plain.engine, plain.propagator) == ("decomposition", "semijoin")
         for forced in ("decomposition", "backtracking"):
-            swept = run_request(
-                store,
-                cache,
-                Request(doc="doc", query=TRACTABLE_CYCLE, propagator="semijoin", engine=forced),
-            )
-            assert swept.ok and swept.answers == plain.answers, forced
+            swept = run_request(store, cache, Request(doc="doc", query=TRIANGLE, engine=forced))
+            assert swept.ok and swept.propagator == "semijoin", forced
+            assert swept.answers == plain.answers, forced
 
     def test_forced_backtracking_takes_the_sweeps_on_a_cyclic_body(self, sentence_tree):
         store, cache = DocumentStore(), QueryCache()
@@ -494,7 +492,7 @@ class TestCyclicBodiesAreRefused:
         forced = run_request(
             store,
             cache,
-            Request(doc="doc", query=text, engine="backtracking", propagator="semijoin"),
+            Request(doc="doc", query=text, engine="backtracking"),
         )
         assert forced.ok, forced.error
         assert (forced.engine, forced.propagator) == ("backtracking", "semijoin")

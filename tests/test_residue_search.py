@@ -60,14 +60,12 @@ def test_search_matches_backtracking_and_horn(signature, size, seed):
             expected = evaluate(query, structure, engine=Engine.BACKTRACKING)
             if size <= HORN_LIMIT:
                 assert oracle.answers(query, structure) == sorted(expected), query
-            for propagator in (None, "semijoin"):
-                got = evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator=propagator)
-                assert got == expected, (query, propagator)
+            assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == expected, query
             # One pin, on a variable the head does not bind.
             variable = query.variables()[-1]
             for node in range(0, size, 9):
                 pinned = {variable: node}
-                got = is_satisfied(query, structure, Engine.DECOMPOSITION, pinned, "semijoin")
+                got = is_satisfied(query, structure, Engine.DECOMPOSITION, pinned)
                 assert got == is_satisfied(query, structure, Engine.BACKTRACKING, pinned), node
             searched += query.is_boolean or len(compile_query(query).decomposition.bags) > 1
     assert searched  # the suite reaches the search, not only the level kernel
@@ -90,7 +88,7 @@ def test_monadic_grids_match_backtracking(vertical, horizontal):
         query = grid.with_head(("g0_0",))
         assert len(compile_query(query).decomposition.bags) > 1
         expected = evaluate(query, structure, engine=Engine.BACKTRACKING)
-        got = evaluate(query, structure, engine=Engine.DECOMPOSITION, propagator="semijoin")
+        got = evaluate(query, structure, engine=Engine.DECOMPOSITION)
         assert got == expected, (vertical, horizontal, seed)
 
 
@@ -103,7 +101,7 @@ def test_monadic_answers_come_out_in_wire_order_with_a_shared_memo(monkeypatch):
     monkeypatch.setattr(
         yannakakis._JoinTreeSearch, "answers", lambda self: searches.append(self) or answers(self)
     )
-    rows, count = yannakakis.answer_page(query, structure, propagator="semijoin", limit=5)
+    rows, count = yannakakis.answer_page(query, structure, limit=5)
     (search,) = searches
     everything = sorted(evaluate(query, structure, Engine.BACKTRACKING))
     assert rows == everything[:5] and count == len(everything) > 5

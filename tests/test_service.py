@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.evaluation import Propagator, compile_query, evaluate
+from repro.evaluation import compile_query, evaluate
 from repro.queries import parse_query, xpath_to_cq
 from repro.service import (
     BatchExecutor,
@@ -211,20 +211,16 @@ class TestBatchExecutor:
         assert result.answers == direct
         assert result.count == len(direct)
 
-    def test_batch_results_identical_to_sequential_across_propagators(self, executor):
+    def test_batch_results_identical_to_sequential_across_engines(self, executor):
         auction_tree = executor.store.get("auction").tree
         fresh = TreeStructure(auction_tree)
+        engines = (None, "decomposition", "backtracking")
         requests = [
-            Request(
-                doc="auction",
-                query="Q(i) <- item(i), Child(i, p), payment(p)",
-                propagator=propagator.value,
-            )
-            for propagator in Propagator
+            Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)", engine=engine)
+            for engine in engines
         ] + [
-            Request(doc="auction", xpath="//description//listitem",
-                    propagator=propagator.value)
-            for propagator in Propagator
+            Request(doc="auction", xpath="//description//listitem", engine=engine)
+            for engine in engines
         ]
         results = executor.execute_batch(requests, max_workers=4)
         for request, result in zip(requests, results):
@@ -256,14 +252,14 @@ class TestBatchExecutor:
                 Request(doc="sentence", query="Q(x) <- NP(x)"),
                 Request(doc="missing", query="Q(x) <- NP(x)"),
                 Request(doc="sentence", query="(((nope"),
-                Request(doc="sentence", query="Q <- NP(x)", propagator="warp-drive"),
+                Request(doc="sentence", query="Q <- NP(x)", engine="warp-drive"),
                 Request(doc="sentence"),  # neither query nor xpath
             ]
         )
         assert results[0].ok
         assert "unknown document" in results[1].error
         assert not results[2].ok
-        assert "unknown propagator" in results[3].error
+        assert "unknown engine" in results[3].error
         assert "exactly one of" in results[4].error
         assert executor.stats()["executor"]["errors"] == 4
 
@@ -306,7 +302,7 @@ class TestBatchExecutor:
             Request.from_json_dict({"doc": "d", "xpath": 123})
         with pytest.raises(ValueError, match="'query' must be a string"):
             Request.from_json_dict({"doc": "d", "query": ["Q"]})
-        with pytest.raises(ValueError, match="'propagator' must be a string"):
+        with pytest.raises(ValueError, match=r"unknown request field\(s\): propagator"):
             Request.from_json_dict({"doc": "d", "query": "Q <- A(x)", "propagator": 4})
 
     def test_register_payload_validation(self, sentence_tree):
@@ -351,9 +347,7 @@ class TestBatchExecutor:
             Request.from_json_dict({"doc": "d", "query": "Q <- A(x)", "bogus": 1})
         with pytest.raises(ValueError, match="'limit'"):
             Request.from_json_dict({"doc": "d", "query": "Q <- A(x)", "limit": -1})
-        request = Request.from_json_dict(
-            {"doc": "d", "xpath": "//A", "propagator": "walk", "limit": 5}
-        )
+        request = Request.from_json_dict({"doc": "d", "xpath": "//A", "limit": 5})
         assert request.xpath == "//A" and request.limit == 5
 
     def test_warm_requests_hit_the_caches(self, executor):
@@ -411,23 +405,22 @@ class TestContractFixes:
     def test_error_results_keep_attribution_fields(self, executor):
         """Regression: the error path of ``to_json_dict`` dropped
         ``elapsed_ms`` and ``propagator``, making failures unattributable in
-        latency accounting."""
-        result = executor.execute(
-            Request(doc="ghost", query="Q(x) <- A(x)", propagator="walk")
-        )
+        latency accounting.  Routing never reached a plan: ``"auto"``."""
+        result = executor.execute(Request(doc="ghost", query="Q(x) <- A(x)"))
         payload = result.to_json_dict()
         assert not result.ok
-        assert payload["propagator"] == "walk"
+        assert payload["propagator"] == "auto"
         assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0.0
 
-    @pytest.mark.parametrize("retired", ["ac4", "ac3", "hybrid", "horn"])
-    def test_retired_propagators_are_unknown(self, executor, retired):
-        """Only ``semijoin`` and ``walk`` remain: any other name is a typed client error."""
-        result = executor.execute(
-            Request(doc="sentence", query="Q(x) <- NP(x)", propagator=retired)
-        )
-        assert not result.ok and not result.error.startswith("internal:")
-        assert result.error == f"unknown propagator {retired!r}; expected one of semijoin, walk"
+    @pytest.mark.parametrize("name", ["semijoin", "walk", "auto", "ac4"])
+    def test_propagator_is_an_unknown_wire_field(self, name):
+        """The query fixes the propagator: naming one, even the plan's, is a client error."""
+        payload = {"doc": "sentence", "query": "Q(x) <- NP(x)", "propagator": name}
+        with pytest.raises(ValueError) as raised:
+            Request.from_json_dict(payload)
+        assert str(raised.value) == "unknown request field(s): propagator"
+        with pytest.raises(TypeError):
+            Request(doc="sentence", query="Q(x) <- NP(x)", propagator=name)
 
     def test_bool_limit_is_rejected(self):
         """Regression: ``True`` passes ``isinstance(x, int)``, so

@@ -439,7 +439,7 @@ class TestRoundTrip:
         batch = {
             "requests": [
                 {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
-                {"doc": "auction", "xpath": "//description//listitem", "propagator": "walk"},
+                {"doc": "auction", "xpath": "//description//listitem"},
                 {"doc": "sentence", "xpath": "//NP[NN]"},
                 {"doc": "ghost", "query": "Q(x) <- A(x)"},
             ]
@@ -455,8 +455,8 @@ class TestRoundTrip:
         assert payload["results"][2]["count"] == 2
         ghost = payload["results"][3]
         assert "unknown document" in ghost["error"]
-        # No explicit propagator and routing never resolved a plan: the
-        # attribution honestly reports the unresolved "auto" default.
+        # Routing never resolved a plan: the attribution honestly reports
+        # the unresolved "auto" default.
         assert "elapsed_ms" in ghost and ghost["propagator"] == "auto"
 
     def test_error_statuses_and_attribution(self, address):
@@ -474,11 +474,23 @@ class TestRoundTrip:
         assert _call(address, "DELETE", "/documents/ghost")[0] == 404
         # Regression: error results dropped ``elapsed_ms``/``propagator`` from
         # the wire schema, so failures vanished from latency accounting.
-        status, payload = _call(
-            address, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)", "propagator": "walk"}
-        )
+        status, payload = _call(address, "POST", "/query", {"doc": "ghost", "query": "Q <- A(x)"})
         assert status == 400 and "unknown document" in payload["error"]
-        assert payload["propagator"] == "walk" and payload["elapsed_ms"] >= 0
+        assert payload["propagator"] == "auto" and payload["elapsed_ms"] >= 0
+
+    def test_a_wire_propagator_is_a_400_naming_the_field(self, address):
+        """The query fixes the propagator: naming one is refused before dispatch."""
+        _call(address, "POST", "/documents", {"doc": "d", "sexpr": "(A (B))"})
+        refusal = b'{"error": "unknown request field(s): propagator"}'
+        query = {"doc": "d", "query": "Q(x) <- B(x)"}
+        for name in ("walk", "semijoin", "auto"):
+            status, payload = _call(address, "POST", "/query", {**query, "propagator": name})
+            assert status == 400 and json.dumps(payload).encode("utf-8") == refusal, name
+        batch = {"requests": [query, {**query, "propagator": "walk"}]}
+        status, payload = _call(address, "POST", "/batch", batch)
+        assert status == 400 and json.dumps(payload).encode("utf-8") == refusal
+        status, payload = _call(address, "POST", "/query", query)
+        assert status == 200 and payload["propagator"] == "semijoin"
 
     def test_bool_limit_and_max_workers_rejected(self, address):
         """Regression: JSON ``true`` passes ``isinstance(x, int)``, so
@@ -504,7 +516,7 @@ class TestRoundTrip:
         auction = auction_document(num_items=10, seed=9)
         item_query = "Q(i) <- item(i), Child(i, p), payment(p)"
         batch = [
-            {"doc": "auction", "xpath": "//description//listitem", "propagator": "walk"},
+            {"doc": "auction", "xpath": "//description//listitem"},
             {"doc": "sentence", "xpath": "//NP[NN]"},
             {"doc": "ghost", "query": "Q <- A(x)"},
         ]
@@ -516,6 +528,7 @@ class TestRoundTrip:
             ("GET", "/documents", None),
             ("POST", "/query", {"doc": "auction", "query": item_query}),
             ("POST", "/query", {"doc": "ghost", "query": "Q <- A(x)"}),
+            ("POST", "/query", {"doc": "auction", "query": item_query, "propagator": "walk"}),
             ("POST", "/batch", {"requests": batch}),
             ("DELETE", "/documents/sentence", None),
             ("DELETE", "/documents/sentence", None),

@@ -48,9 +48,9 @@ def _register_workload(executor, auction) -> None:
 def _workload_requests() -> list[Request]:
     return [
         Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)"),
-        Request(doc="auction", xpath="//description//listitem", propagator="walk"),
+        Request(doc="auction", xpath="//description//listitem"),
         Request(doc="sentence", xpath="//NP[NN]"),
-        Request(doc="sentence", query="Q(x) <- NP(x), Child(x, y), NN(y)", propagator="semijoin"),
+        Request(doc="sentence", query="Q(x) <- NP(x), Child(x, y), NN(y)"),
         Request(doc="ghost", query="Q(x) <- A(x)"),  # stays a per-request error
         # ``limit`` on every resident route: a fixpoint projection, a one-bag
         # and a multi-bag join tree, a cyclic body, a Boolean head, limit 0.

@@ -19,7 +19,6 @@ from repro.evaluation import (
     Engine,
     Propagator,
     compile_query,
-    initial_domains,
     is_satisfied,
     least_valuation,
     propagate,
@@ -250,7 +249,7 @@ class TestReviseAgreement:
             index = structure.index
             successors, predecessors = structure.axis_successors, structure.axis_predecessors
             for query in random_queries(rng):
-                domains = initial_domains(query, structure)
+                domains = oracle.initial_domains(query, structure)
                 for atom in query.axis_atoms():
                     source, target = domains[atom.source], domains[atom.target]
                     target_view, source_view = index.view(target), index.view(source)
@@ -299,7 +298,7 @@ def _assert_propagators_match_horn(query, structure, pinned=None):
     horn = oracle.maximal_arc_consistent_horn(query, structure, pinned)
     if compiled.shadow_is_forest:
         result = propagate(query, structure, pinned, Propagator.SEMIJOIN)
-        assert (None if result is None else result.domains) == horn
+        assert oracle.domains_of(result, compiled) == horn
     if compiled.order is not None:
         walk = least_valuation(compiled, structure, pinned)
         assert (walk is None) == (horn is None)
@@ -309,6 +308,6 @@ def _assert_propagators_match_horn(query, structure, pinned=None):
     supersets = candidate_supersets(compiled, structure, pinned)
     if horn is not None:
         assert supersets is not None
-        assert all(nodes <= supersets.domains[v] for v, nodes in horn.items())
+        assert all(nodes <= set(supersets.sorted_domain(v)) for v, nodes in horn.items())
     expected = bool(oracle.answers(query, structure, pinned))
     assert is_satisfied(query, structure, pinned=pinned, engine=Engine.BACKTRACKING) == expected
