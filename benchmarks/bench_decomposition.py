@@ -34,6 +34,15 @@ two engines on every measured instance, each under its default (the plan's)
 propagator: the semijoin sweeps, as candidate supersets, on these cyclic
 NP-hard shapes.
 
+``allowance_ablation`` holds ``yannakakis.SEARCH_TOUCHES_PER_CANDIDATE``, the
+share of the label columns a Boolean search may touch before it sweeps them:
+three Boolean shapes on the e2e documents (a satisfiable labelled triangle
+and two unsatisfiable ones whose refutation is the sweeps' work), each timed
+at allowance 0 (sweep first), the default (search first) and unbounded
+(never sweep).  Reported, not gated: the default pays at most its allowance
+over sweeping first (<= 1.15x on the unsatisfiable shapes when committed)
+and wins where the first witness comes early (the triangle at 10k).
+
 Run standalone (``python benchmarks/bench_decomposition.py``) to regenerate
 ``BENCH_decomposition.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
 """
@@ -48,9 +57,13 @@ import time
 import pytest
 from bench_config import SMOKE, scaled
 
+from unittest import mock
+
+from repro.decomposition import yannakakis
 from repro.evaluation import Engine, compile_query, evaluate
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
+from repro.workloads import auction_document, random_corpus
 
 SIZES = scaled((1_000, 10_000), (300, 1_000))
 
@@ -89,6 +102,31 @@ ABLATION_QUERIES = {
 
 QUERIES = {**PAIN_QUERIES, **ABLATION_QUERIES}
 
+#: Boolean shapes of the allowance ablation: (document, query).
+BOOLEAN_QUERIES = {
+    "bool_bidder_triangle": (
+        "auction",
+        "Q <- open_auction(a), Child(a, b1), bidder(b1), Child(a, b2), bidder(b2), "
+        "Following(b1, b2)",
+    ),
+    "bool_unsat_parents": ("auction", "Q <- item(d), Child(a, d), Child(b, d), Following(a, b)"),
+    "bool_unsat_siblings": (
+        "corpus",
+        "Q <- NP(x), Child(x, y), NN(y), Following(y, z), PP(z), Child(x, z)",
+    ),
+}
+#: The e2e documents' generator parameters per nominal size (seed 42).
+DOCUMENTS = {
+    300: (dict(num_items=17, num_people=9, num_bids=26), 13),
+    1_000: (dict(num_items=55, num_people=30, num_bids=85), 45),
+    10_000: (dict(num_items=560, num_people=300, num_bids=850), 440),
+}
+ALLOWANCES = {
+    "sweep_first": 0,
+    "default": yannakakis.SEARCH_TOUCHES_PER_CANDIDATE,
+    "unbounded": float("inf"),
+}
+
 
 def _tree(size: int):
     return random_tree(size, alphabet=LABELS, seed=42)
@@ -108,6 +146,63 @@ def _crosscheck(query, structure, size: int) -> None:
     backtracking_answers = sorted(evaluate(query, structure, engine=Engine.BACKTRACKING))
     if repr(decomposition_answers) != repr(backtracking_answers):
         raise AssertionError(f"answer mismatch on {query.name} (n={size})")
+
+
+def _best_time(function, repeats: int) -> float:
+    """Minimum over ``repeats`` runs: the Boolean shapes run in microseconds."""
+    timings = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        function()
+        timings.append(time.perf_counter() - start)
+    return min(timings)
+
+
+def _measure_allowances(sizes, repeats: int) -> list[dict]:
+    """Each Boolean shape at allowance 0, the default and unbounded; verdicts must agree."""
+    rows = []
+    for size in sizes:
+        auction, sentences = DOCUMENTS[size]
+        documents = {
+            "auction": TreeStructure(auction_document(seed=42, **auction)),
+            "corpus": TreeStructure(random_corpus(seed=42, num_sentences=sentences)),
+        }
+        for name, (document, text) in BOOLEAN_QUERIES.items():
+            query = parse_query(text)
+            compiled = compile_query(query)
+            structure = documents[document]
+
+            def holds():
+                return yannakakis.boolean_query_holds(query, structure, None, compiled)
+
+            seconds, verdicts = {}, set()
+            # Interleaved rounds, so drift hits every allowance alike.
+            for _ in range(repeats):
+                for label, allowance in ALLOWANCES.items():
+                    with mock.patch.object(
+                        yannakakis, "SEARCH_TOUCHES_PER_CANDIDATE", allowance
+                    ):
+                        verdicts.add(holds())
+                        best = _best_time(holds, 10)
+                    seconds[label] = min(seconds.get(label, best), best)
+            if len(verdicts) != 1:
+                raise AssertionError(f"allowance verdict mismatch on {name} (n={size})")
+            rows.append(
+                {
+                    "tree_size": size,
+                    "nodes": len(structure.tree),
+                    "query": name,
+                    "holds": verdicts.pop(),
+                    "seconds": seconds,
+                    "default_vs_sweep_first": seconds["default"] / seconds["sweep_first"],
+                }
+            )
+            print(
+                f"n={size:>6} {name:<22} "
+                + " ".join(f"{k}={v * 1e3:.3f}ms" for k, v in seconds.items())
+                + f" default/sweep_first={rows[-1]['default_vs_sweep_first']:.2f}x"
+            )
+    return rows
 
 
 def run(sizes=SIZES, repeats: int = 2) -> dict:
@@ -153,6 +248,7 @@ def run(sizes=SIZES, repeats: int = 2) -> dict:
                 f"bt={backtracking_seconds:.4f}s "
                 f"speedup={results[-1]['speedup']:.1f}x answers={answers}"
             )
+    allowance_rows = _measure_allowances(sizes, repeats * 5)
     largest = max(sizes)
     headline = min(
         entry["speedup"]
@@ -191,6 +287,13 @@ def run(sizes=SIZES, repeats: int = 2) -> dict:
                 "both engines' searches to refute"
             ),
         },
+        "allowance_ablation": {
+            "search_touches_per_candidate": yannakakis.SEARCH_TOUCHES_PER_CANDIDATE,
+            "rows": allowance_rows,
+            "max_default_vs_sweep_first": max(
+                row["default_vs_sweep_first"] for row in allowance_rows
+            ),
+        },
     }
 
 
@@ -205,7 +308,9 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(
         f"wrote {args.out}; headline min pain-case speedup on "
-        f"n={report['headline']['tree_size']}: {report['headline']['min_speedup']:.1f}x"
+        f"n={report['headline']['tree_size']}: {report['headline']['min_speedup']:.1f}x; "
+        "Boolean search first vs sweep first at most "
+        f"{report['allowance_ablation']['max_default_vs_sweep_first']:.2f}x"
     )
     if not report["headline"]["holds"]:
         if SMOKE:
@@ -263,6 +368,12 @@ def test_decomposition_speedup_meets_claim():
         lambda: evaluate(query, structure, engine=Engine.DECOMPOSITION), 3
     )
     assert backtracking >= 2.0 * decomposition
+
+
+def test_boolean_allowances_agree():
+    """Sweep first, search first and never sweep give one verdict per Boolean shape."""
+    rows = _measure_allowances((min(DOCUMENTS),), 1)
+    assert [row["holds"] for row in rows] == [True, False, False]
 
 
 def test_answers_byte_identical_across_engines():

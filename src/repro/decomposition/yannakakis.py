@@ -14,7 +14,9 @@ interval index:
    they are the reducer's two semijoin sweeps along a spanning forest
    (:func:`repro.evaluation.propagation.candidate_supersets`, the
    propagator :func:`~repro.evaluation.propagation.choose_propagator` picks
-   for this engine).  An empty column already decides unsatisfiable.
+   for this engine).  An empty column already decides unsatisfiable.  A
+   Boolean head sweeps only if it must: the label columns themselves are
+   sound supersets too (step 2).
 2. **the memoised search** -- Boolean heads, and monadic heads on a multi-bag
    tree (:class:`_JoinTreeSearch`): depth-first in the join tree's bag order,
    each bag walked one prefix at a time (:class:`_DepthFirst`) with its
@@ -22,9 +24,15 @@ interval index:
    memoised per ``(bag, separator assignment)`` for the whole request -- the
    goods and nogoods of Jegou & Terrioux (*AIJ* 2003).  First-witness speed
    when a witness exists, O(n^(width+1)) per bag when none does, and its own
-   stack instead of recursion along the tree.  A monadic head is one search
-   per head candidate, ascending, pinned at the root bag, sharing the memo:
-   its answers come out in wire order.
+   stack instead of recursion along the tree.  A Boolean head is searched
+   first over the unswept label columns (views resident per document),
+   allowed :data:`SEARCH_TOUCHES_PER_CANDIDATE` candidates touched per
+   label-column candidate; only when that runs out are the columns swept and
+   searched again, memo kept (:func:`_search_first`).  A monadic head is one
+   search per head candidate over the swept columns, ascending, pinned at the
+   root bag, sharing the memo: its answers come out in wire order.  The
+   per-bag set-up lives on the compiled query, keyed by the variables'
+   domain-size rank (:func:`_search_setup`).
 3. **bag materialization** -- every other head (k-ary, or monadic on one
    bag, where no separator is left to memoise on): each bag becomes an
    explicit relation, built *a level at a time* from the sorted candidate
@@ -60,6 +68,7 @@ Horn oracle across shapes and pinning).
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -67,6 +76,7 @@ from itertools import accumulate, compress, repeat
 from operator import and_, itemgetter, lt, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from ..observability import tracing
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import Axis
@@ -101,6 +111,15 @@ _RANGE_BACKWARD = frozenset({Axis.FOLLOWING, Axis.DOCUMENT_ORDER})
 #: Atoms with at most one witness per anchor: always the cheapest driver.
 _POINT_FORWARD = frozenset({Axis.NEXT_SIBLING, Axis.SUCC_PRE, Axis.SELF})
 _POINT_BACKWARD = frozenset({Axis.CHILD, Axis.NEXT_SIBLING, Axis.SUCC_PRE, Axis.SELF})
+
+#: A Boolean search's first attempt, over the unswept label columns, may touch
+#: this many candidates per candidate of those columns before it sweeps them
+#: and searches on (:func:`_search_first`).  ``benchmarks/bench_decomposition.py``'s
+#: ``ablation_allowance_*`` entries time it against 0 (sweep first) and
+#: unbounded (never sweep).
+SEARCH_TOUCHES_PER_CANDIDATE = 1 / 256
+#: Search set-ups kept per compiled query (one per head and domain-size rank).
+SEARCH_SETUPS_PER_QUERY = 16
 
 
 class _BagRelation:
@@ -361,10 +380,13 @@ class _DepthFirst:
         views: Mapping[Variable, object],
         index: "AxisIndex",
         ahead: Optional[list[list[tuple[Axis, bool, object]]]] = None,
+        ticks: Optional[Iterator[bool]] = None,
     ):
         self.plan = plan
         self.views = views
         self.index = index
+        # ``ticks``: one item is drawn per candidate touched (:func:`_allowance`).
+        self.ticks = ticks
         self.current = [0] * len(plan.order)
         # Per position: the atoms to variables outside the bag, as ``(axis,
         # whether the node is the source, the other end's view)``.  A node
@@ -400,7 +422,10 @@ class _DepthFirst:
             base = self.walked[depth].get(anchor)
             if base is None:
                 walk = self.index.successors_in if forward else self.index.predecessors_in
-                base = self.walked[depth][anchor] = list(walk(atom.axis, anchor, view))
+                base = walk(atom.axis, anchor, view)
+                if self.ticks is not None:
+                    base = compress(base, self.ticks)
+                base = self.walked[depth][anchor] = list(base)
         window = plan.ranges[depth]
         if not window:
             return base
@@ -434,7 +459,10 @@ class _DepthFirst:
         """First-witness search over the local existentials from ``depth`` on."""
         if depth == len(self.plan.order):
             return True
-        for node in self.candidates_at(depth):
+        candidates = self.candidates_at(depth)
+        if self.ticks is not None:
+            candidates = compress(candidates, self.ticks)
+        for node in candidates:
             if self.satisfies_checks(depth, node):
                 self.current[depth] = node
                 if self.witness(depth + 1):
@@ -447,7 +475,10 @@ class _DepthFirst:
             if self.witness(depth):
                 yield
             return
-        for node in self.candidates_at(depth):
+        candidates = self.candidates_at(depth)
+        if self.ticks is not None:
+            candidates = compress(candidates, self.ticks)
+        for node in candidates:
             if self.satisfies_checks(depth, node):
                 self.current[depth] = node
                 yield from self.prefixes(depth + 1)
@@ -675,6 +706,16 @@ def _materialize_bag(
     return _BagRelation(plan.columns, rows), count
 
 
+class _AllowanceSpent(Exception):
+    """A capped search has touched as many candidates as it was allowed."""
+
+
+def _allowance(touches: int) -> Iterator[bool]:
+    """``touches`` ticks, then :class:`_AllowanceSpent`: a C-level counter for ``compress``."""
+    yield from repeat(True, touches)
+    raise _AllowanceSpent
+
+
 class _JoinTreeSearch:
     """Depth-first search in the join tree's bag order, memoised per separator assignment.
 
@@ -682,49 +723,39 @@ class _JoinTreeSearch:
     of its separator to the parent (at a root: of its pinned head variable,
     or of nothing)?  A bag holds at the first completed prefix of its walk
     that every child accepts; each verdict is kept for the whole request.
+    The bags walk ``views``, candidate columns that need only be sound
+    supersets of the solutions' projections: a completed subtree is a real
+    partial solution, and a subtree with no completion among them is on no
+    solution.  So a ``memo`` carries over to a search on narrower columns.
     """
 
     def __init__(
         self,
-        decomposition: TreeDecomposition,
         compiled: "CompiledQuery",
-        candidates: "PropagationResult",
-        index: "AxisIndex",
         head: tuple[Variable, ...],
+        views: Mapping[Variable, object],
+        sizes: Mapping[Variable, int],
+        index: "AxisIndex",
+        ticks: Optional[Iterator[bool]] = None,
+        memo: Optional[dict[tuple[int, Row], bool]] = None,
     ):
-        self.decomposition = decomposition
-        self.candidates = candidates
-        self.pinned = _separators(decomposition)
-        for root in decomposition.roots:
-            self.pinned[root] = tuple(v for v in head if v in decomposition.bags[root])
-        self.memo: dict[tuple[int, Row], bool] = {}
+        self.decomposition = compiled.decomposition
+        self.memo = {} if memo is None else memo
+        self.pinned, setup = _search_setup(compiled, head, sizes)
         # Per bag: its walk, and each child with how to read its key off the walk.
-        self.walks: list[tuple[_DepthFirst, list]] = []
-        views, sizes = candidates.views, candidates.domain_sizes()
-        for bag, pinned, children in zip(decomposition.bags, self.pinned, decomposition.children()):
-            plan = _plan_bag(
-                bag,
-                [atom for atom in compiled.atoms if atom.source in bag and atom.target in bag],
-                sizes,
-                compiled.variable_index,
-                frozenset(pinned).union(*(self.pinned[c] for c in children)),
-                (),
-                merge_unions=False,
-                pinned=pinned,
+        self.walks: list[tuple[_DepthFirst, list]] = [
+            (
+                _DepthFirst(
+                    plan,
+                    views,
+                    index,
+                    [[(axis, source, views[other]) for axis, source, other in at] for at in ahead],
+                    ticks,
+                ),
+                requests,
             )
-            ahead = [
-                [
-                    (atom.axis, atom.source == variable, views[atom.other(variable)])
-                    for atom in compiled.atoms_of(variable)
-                    if atom.other(variable) not in bag
-                ]
-                for variable in plan.order
-            ]
-            requests = [
-                (child, _projector([plan.position[v] for v in self.pinned[child]]))
-                for child in children
-            ]
-            self.walks.append((_DepthFirst(plan, views, index, ahead), requests))
+            for plan, ahead, requests in setup
+        ]
 
     def _bag(self, i: int, key: Row):
         """One bag under ``key``: yields ``(child, child key)``, is sent each verdict."""
@@ -756,16 +787,69 @@ class _JoinTreeSearch:
                 stack.append((request, self._bag(*request)))
         return verdict
 
-    def answers(self) -> list[Row]:
-        """``[()]`` / ``[]`` for a Boolean head; a monadic head's answers, ascending."""
+    def satisfiable(self) -> bool:
+        """Does every unpinned root's subtree complete?  (A Boolean head's answer.)"""
         roots = self.decomposition.roots
-        if not all(self.holds(root, ()) for root in roots if not self.pinned[root]):
+        return all(self.holds(root, ()) for root in roots if not self.pinned[root])
+
+    def answers(self, column: Sequence[int]) -> list[Row]:
+        """A monadic head's answers among its candidates ``column``, ascending."""
+        if not self.satisfiable():
             return []
-        for root in roots:  # the monadic head's
-            for variable in self.pinned[root]:
-                column = self.candidates.sorted_domain(variable)
-                return [(node,) for node in column if self.holds(root, (node,))]
-        return [()]
+        root = next(root for root in self.decomposition.roots if self.pinned[root])
+        return [(node,) for node in column if self.holds(root, (node,))]
+
+
+def _search_setup(
+    compiled: "CompiledQuery", head: tuple[Variable, ...], sizes: Mapping[Variable, int]
+) -> tuple[list[tuple[Variable, ...]], list[tuple[_BagPlan, list, list]]]:
+    """Per bag: its pinned prefix, and ``(plan, look-ahead atoms, child requests)``.
+
+    Resident on ``compiled`` (its ``search_setups``), keyed by the head and
+    the variables ranked by candidate count -- all the bag orders look at,
+    bar the fan-out weights behind a pinned separator, which the sizes of the
+    first request with that rank settle.  At most
+    :data:`SEARCH_SETUPS_PER_QUERY` are kept.
+    """
+    rank = tuple(sorted(compiled.variables, key=sizes.__getitem__))
+    setups = compiled.search_setups
+    found = setups.get((head, rank))
+    if found is not None:
+        return found
+    decomposition = compiled.decomposition
+    pinned = _separators(decomposition)
+    for root in decomposition.roots:
+        pinned[root] = tuple(v for v in head if v in decomposition.bags[root])
+    setup = []
+    for bag, prefix, children in zip(decomposition.bags, pinned, decomposition.children()):
+        plan = _plan_bag(
+            bag,
+            [atom for atom in compiled.atoms if atom.source in bag and atom.target in bag],
+            sizes,
+            compiled.variable_index,
+            frozenset(prefix).union(*(pinned[c] for c in children)),
+            (),
+            merge_unions=False,
+            pinned=prefix,
+        )
+        # Per position: the atoms to variables outside the bag, as ``(axis,
+        # whether the variable is the source, the other end)``.
+        ahead = [
+            [
+                (atom.axis, atom.source == variable, atom.other(variable))
+                for atom in compiled.atoms_of(variable)
+                if atom.other(variable) not in bag
+            ]
+            for variable in plan.order
+        ]
+        requests = [
+            (child, _projector([plan.position[v] for v in pinned[child]])) for child in children
+        ]
+        setup.append((plan, ahead, requests))
+    found = (pinned, setup)
+    if len(setups) < SEARCH_SETUPS_PER_QUERY:
+        setups[(head, rank)] = found
+    return found
 
 
 def _separators(decomposition: TreeDecomposition) -> list[tuple[Variable, ...]]:
@@ -873,32 +957,24 @@ def _evaluate(
 ) -> tuple[list[Row], int]:
     """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
     from ..evaluation.compile import compile_query
-    from ..evaluation.propagation import candidate_supersets, choose_propagator
-    from ..observability import tracing
 
     if compiled is None:
         compiled = compile_query(query)
     if not compiled.variables:
         return [()], 1
-    # Sound supersets are all the bags need in front of them (they enforce
-    # every atom): on a cyclic body ``semijoin`` sweeps a spanning forest.
-    propagator = choose_propagator(compiled, decomposition=True)
-    result = candidate_supersets(compiled, structure, pinned, propagator)
+    head = query.head
+    if not head:
+        return ([()], 1) if _search_first(compiled, structure, pinned) else ([], 0)
+    result = _candidates(compiled, structure, pinned)
     if result is None:
         return [], 0
-    with tracing.span("decompose"):
-        decomposition = compiled.decomposition
-        tracing.annotate(
-            width=decomposition.width,
-            exact=decomposition.exact,
-            method=decomposition.method,
-            bags=len(decomposition.bags),
-        )
-    head = query.head
-    if not head or (len(head) == 1 and len(decomposition.bags) > 1):
+    decomposition = _decomposition(compiled)
+    if len(head) == 1 and len(decomposition.bags) > 1:
         with tracing.span("search", bags=len(decomposition.bags)):
-            search = _JoinTreeSearch(decomposition, compiled, result, structure.index, head)
-            answers = search.answers()
+            search = _JoinTreeSearch(
+                compiled, head, result.views, result.domain_sizes(), structure.index
+            )
+            answers = search.answers(result.sorted_domain(head[0]))
             tracing.annotate(memo=len(search.memo), answers=len(answers))
         return answers, len(answers)
     head_set = frozenset(head)
@@ -955,13 +1031,111 @@ def _evaluate(
     return answers, count
 
 
+def _candidates(
+    compiled: "CompiledQuery",
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]],
+) -> Optional["PropagationResult"]:
+    """Sound candidate supersets for the bags; ``None`` refutes the query.
+
+    The bags enforce every atom, so on a cyclic body ``semijoin`` sweeps a
+    spanning forest (:func:`~repro.evaluation.propagation.choose_propagator`).
+    """
+    from ..evaluation.propagation import candidate_supersets, choose_propagator
+
+    propagator = choose_propagator(compiled, decomposition=True)
+    return candidate_supersets(compiled, structure, pinned, propagator)
+
+
+def _decomposition(compiled: "CompiledQuery") -> TreeDecomposition:
+    with tracing.span("decompose"):
+        decomposition = compiled.decomposition
+        tracing.annotate(
+            width=decomposition.width,
+            exact=decomposition.exact,
+            method=decomposition.method,
+            bags=len(decomposition.bags),
+        )
+    return decomposition
+
+
+def _search_first(
+    compiled: "CompiledQuery",
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]],
+) -> bool:
+    """A Boolean head: search the initial columns first, and sweep only if that runs long.
+
+    The first attempt walks the label columns as they are (resident views,
+    :meth:`~repro.trees.structure.TreeStructure.resident_view`) and may touch
+    :data:`SEARCH_TOUCHES_PER_CANDIDATE` candidates per initial candidate;
+    none is made when that is fewer than the variables, since a witness
+    touches a candidate of each.  When it runs out, the columns are swept
+    (:func:`_candidates`) and the search starts over on them, its memo kept.
+    The ``search`` span records ``swept``.
+    """
+    from ..evaluation.reducer import initial_columns
+
+    columns = initial_columns(compiled, structure, pinned)
+    if not all(columns.values()):
+        return False
+    decomposition = _decomposition(compiled)
+    with tracing.span("search", bags=len(decomposition.bags)):
+        sizes = {variable: len(column) for variable, column in columns.items()}
+        touches = SEARCH_TOUCHES_PER_CANDIDATE * sum(sizes.values())
+        memo: dict[tuple[int, Row], bool] = {}
+        holds = None
+        # A witness touches a candidate of every variable: below that, sweep.
+        if touches >= len(sizes):
+            views = _unswept_views(compiled, structure, pinned, columns)
+            ticks = _allowance(int(touches)) if touches < math.inf else None
+            try:
+                holds = _JoinTreeSearch(
+                    compiled, (), views, sizes, structure.index, ticks, memo
+                ).satisfiable()
+            except _AllowanceSpent:
+                pass
+        swept = holds is None
+        if swept:
+            result = _candidates(compiled, structure, pinned)
+            holds = result is not None and _JoinTreeSearch(
+                compiled, (), result.views, result.domain_sizes(), structure.index, memo=memo
+            ).satisfiable()
+        tracing.annotate(swept=swept, memo=len(memo), answers=int(holds))
+    return holds
+
+
+def _unswept_views(
+    compiled: "CompiledQuery",
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]],
+    columns: Mapping[Variable, Sequence[int]],
+) -> dict[Variable, object]:
+    """Views of the initial columns: the resident ones wherever a label column is unnarrowed."""
+    narrowed = {loop.source for loop in compiled.loops}.union(pinned or ())
+    views: dict[Variable, object] = {}
+    for variable, column in columns.items():
+        labels = compiled.labels_by_variable.get(variable, ())
+        if variable in narrowed or len(labels) > 1:
+            views[variable] = structure.index.view(column, presorted=True)
+        else:
+            views[variable] = structure.resident_view(labels[0] if labels else None)
+    return views
+
+
 def boolean_query_holds(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
+    compiled: Optional["CompiledQuery"] = None,
 ) -> bool:
-    """Boolean evaluation: the memoised join-tree search, stopped at the first witness."""
-    _, count = _evaluate(query.as_boolean(), structure, pinned, None)
+    """Boolean evaluation: the memoised join-tree search, stopped at the first witness.
+
+    ``compiled`` (of the Boolean ``query``) skips the compile-cache lookup.
+    """
+    if not query.is_boolean:
+        query, compiled = query.as_boolean(), None
+    _, count = _evaluate(query, structure, pinned, compiled)
     return count > 0
 
 

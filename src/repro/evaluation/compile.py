@@ -172,6 +172,17 @@ class CompiledQuery:
         """
         return frozenset(self.variables).difference(child for child, _ in self.sweep_order)
 
+    @cached_property
+    def search_setups(self) -> dict:
+        """The join-tree search's per-bag set-up, by (head, domain-size rank).
+
+        Filled by :mod:`repro.decomposition.yannakakis` (bag plans and
+        look-ahead lists depend on the query and on which variables have the
+        fewest candidates, never on the nodes), and resident with the
+        compiled query like :attr:`decomposition`.
+        """
+        return {}
+
     # -- convenience -----------------------------------------------------------
 
     def atoms_of(self, variable: Variable) -> tuple[CompiledAtom, ...]:

@@ -19,11 +19,13 @@ It runs only under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
 ``backtracking``): the literal procedure, the independent oracle of the
 property tests, and the ablation baseline of the committed benchmarks.
 
-Every path prunes its candidate columns first, and the query fixes how
-(:func:`~repro.evaluation.propagation.choose_propagator`, which each engine
-calls itself): the Yannakakis semijoin sweeps on a forest-shaped body, where
-they are exact, and in front of the decomposition engine on any body (its
-bags enforce every atom, so supersets suffice); Theorem 3.5's pointer walk on
+Every path but one prunes its candidate columns first, and the query fixes
+how (:func:`~repro.evaluation.propagation.choose_propagator`, which each
+engine calls itself): the Yannakakis semijoin sweeps on a forest-shaped body,
+where they are exact, and in front of the decomposition engine on any body
+(its bags enforce every atom, so supersets suffice) -- except that the
+engine's Boolean search first tries the label columns unswept, under a small
+allowance, and sweeps only when that runs out; Theorem 3.5's pointer walk on
 every other cyclic body over a tractable signature, where its verdict is
 exact.  A cyclic body with no X-property order keeps the sweeps, whose
 supersets only the engines that enforce every atom themselves
@@ -46,7 +48,6 @@ from ..queries.apq import UnionQuery, as_union
 from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
 from ..trees.tree import Tree
-from ..xproperty.dichotomy import is_tractable
 from . import backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
@@ -95,8 +96,8 @@ def tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool = Fa
         return Engine.SQL
     if fixpoint_answers(query, compiled):
         # One fixpoint decides or is the answer: dispatch on the body's
-        # complexity class.
-        if is_tractable(query.signature()):
+        # complexity class, judged on the compiled edges as the walk is.
+        if compiled.order is not None:
             return Engine.XPROPERTY
         if compiled.shadow_is_forest:
             return Engine.ACYCLIC
@@ -122,6 +123,7 @@ def _acyclic_holds(
     query: ConjunctiveQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[str, int]] = None,
+    compiled: Optional[CompiledQuery] = None,
 ) -> bool:
     """Boolean evaluation of an *acyclic* query: the fixpoint exists iff it holds.
 
@@ -130,7 +132,7 @@ def _acyclic_holds(
     trees (Yannakakis).  Raises ``ValueError`` on cyclic queries, for which
     this equivalence does not hold.
     """
-    compiled = compile_query(query)
+    compiled = compiled or compile_query(query)
     if not compiled.shadow_is_forest:
         raise ValueError("the acyclic evaluator requires an acyclic query")
     return propagate(compiled, structure, pinned) is not None
@@ -142,31 +144,39 @@ def is_satisfied(
     engine: Engine = Engine.AUTO,
     pinned: Optional[Mapping[str, int]] = None,
     lowering: str = "tree",
+    compiled: Optional[CompiledQuery] = None,
 ) -> bool:
     """Boolean evaluation of (the existential closure of) a query.
 
     ``lowering`` only affects the SQL engine, where it picks the join-tree vs
     single-block translation; every in-memory engine ignores it.  A pinned head
     variable the body never mentions ranges over every node, so its pin
-    constrains nothing and is dropped.
+    constrains nothing and is dropped.  ``compiled`` is used only when
+    ``query`` is Boolean (it must be its compilation).
     """
-    boolean_query = query.as_boolean()
+    if query.is_boolean:
+        boolean_query = query
+    else:
+        boolean_query, compiled = query.as_boolean(), None
     if pinned:
         unsafe = set(query.head).difference(boolean_query.variables())
         if unsafe:
             pinned = {v: node for v, node in pinned.items() if v not in unsafe}
-    chosen = _resolve_engine(engine, boolean_query)
+    if compiled is None:
+        compiled = compile_query(boolean_query)
+    chosen = _resolve_engine(engine, boolean_query, compiled)
     if chosen is Engine.SQL:
         from ..backends.sqlite import structure_is_satisfied
 
         return structure_is_satisfied(boolean_query, structure, pinned=pinned, lowering=lowering)
+    if chosen is Engine.BACKTRACKING:
+        return backtracking.boolean_query_holds(boolean_query, structure, pinned=pinned)
     holds = {
         Engine.XPROPERTY: xprop_evaluator.boolean_query_holds,
         Engine.ACYCLIC: _acyclic_holds,
         Engine.DECOMPOSITION: yannakakis.boolean_query_holds,
-        Engine.BACKTRACKING: backtracking.boolean_query_holds,
     }[chosen]
-    return holds(boolean_query, structure, pinned=pinned)
+    return holds(boolean_query, structure, pinned=pinned, compiled=compiled)
 
 
 def check_answer(
@@ -246,7 +256,7 @@ def answer_page(
     """
     if query.is_boolean:
         with tracing.span("enumerate", strategy="boolean"):
-            satisfied = is_satisfied(query, structure, engine, lowering=lowering)
+            satisfied = is_satisfied(query, structure, engine, lowering=lowering, compiled=compiled)
             tracing.annotate(satisfied=satisfied)
         return ([()] if satisfied else [])[:limit], int(satisfied)
 
@@ -346,7 +356,7 @@ def satisfying_assignment(query: ConjunctiveQuery, structure: TreeStructure) -> 
     backtracking otherwise.
     """
     boolean_query = query.as_boolean()
-    if is_tractable(boolean_query.signature()):
+    if compile_query(boolean_query).order is not None:
         witness = xprop_evaluator.witness(boolean_query, structure)
         if witness is not None:
             return witness

@@ -43,7 +43,6 @@ from ..trees.axes import Axis
 from ..trees.index import AxisIndex
 from ..trees.orders import Order, rank
 from ..trees.structure import TreeStructure
-from ..xproperty.dichotomy import order_for
 from .compile import CompiledAtom, CompiledQuery, compile_query
 from .domains import Valuation, valuation_satisfies
 from .propagation import propagate
@@ -60,8 +59,13 @@ class XPropertyEvaluationError(RuntimeError):
 
 
 def choose_order(query: ConjunctiveQuery) -> Optional[Order]:
-    """Pick an order making all of the query's axes X (None if impossible)."""
-    return order_for(query.signature())
+    """Pick an order making all of the query's axes X (None if impossible).
+
+    The compiled query's :attr:`~repro.evaluation.compile.CompiledQuery.order`:
+    judged on the normalized edges, as :func:`repro.evaluation.planner.tier`
+    does, so ``Parent`` counts as ``Child`` and a self-loop counts not at all.
+    """
+    return compile_query(query).order
 
 
 def least_valuation(
@@ -298,6 +302,7 @@ def boolean_query_holds(
     order: Optional[Order] = None,
     pinned: Optional[Mapping[Variable, int]] = None,
     verify: bool = False,
+    compiled: Optional[CompiledQuery] = None,
 ) -> bool:
     """Evaluate a Boolean query using the Theorem 3.5 algorithm.
 
@@ -317,15 +322,17 @@ def boolean_query_holds(
         :class:`XPropertyEvaluationError` is raised if it fails.  This is how
         the tests certify Lemma 3.4 empirically.  Off, the plan's propagator
         (:func:`~repro.evaluation.propagation.choose_propagator`) decides.
+    compiled:
+        The compilation of ``query``, when the caller holds it.
     """
+    compiled = compiled or compile_query(query)
     if order is None:
-        order = choose_order(query)
+        order = compiled.order
         if order is None:
             raise ValueError(
                 f"signature {query.signature()} is not tractable; "
                 "use the backtracking evaluator instead"
             )
-    compiled = compile_query(query)
     if not verify:
         return propagate(compiled, structure, pinned) is not None
     suffixes = least_valuation(compiled, structure, pinned, order)

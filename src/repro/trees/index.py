@@ -61,7 +61,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Optional, Sequence
 
 from .axes import INVERSE, Axis
 from .columnar import COLUMN_TYPECODE
@@ -128,12 +128,20 @@ class DomainView:
         "_min_sibling_rank",
     )
 
-    def __init__(self, index: "AxisIndex", nodes: Iterable[int], presorted: bool = False):
+    def __init__(
+        self,
+        index: "AxisIndex",
+        nodes: Iterable[int],
+        presorted: bool = False,
+        members: Optional[Collection[int]] = None,
+    ):
         self.index = index
         # Snapshot: a view must stay internally consistent even if the caller
         # later mutates the set it was built from.  ``presorted``: ``nodes``
         # is already an ascending duplicate-free sequence, so skip the sort.
-        self.members = frozenset(nodes)
+        # ``members``: an immutable set of the same nodes the caller already
+        # holds (a resident label set), kept instead of a copy.
+        self.members = frozenset(nodes) if members is None else members
         self.array: array = array(COLUMN_TYPECODE, nodes if presorted else sorted(self.members))
         self._prefix_max_end: list[int] | None = None
         self._min_end: int | None = None
@@ -284,9 +292,14 @@ class AxisIndex:
 
     # -- sorted-array views ----------------------------------------------------
 
-    def view(self, nodes: Iterable[int], presorted: bool = False) -> DomainView:
+    def view(
+        self,
+        nodes: Iterable[int],
+        presorted: bool = False,
+        members: Optional[Collection[int]] = None,
+    ) -> DomainView:
         """Wrap a candidate set in a :class:`DomainView` bound to this index."""
-        return DomainView(self, nodes, presorted)
+        return DomainView(self, nodes, presorted, members)
 
 
     # -- witness tests ---------------------------------------------------------

@@ -100,6 +100,7 @@ class TreeStructure:
         self.oracle = AxisOracle(tree)
         self._extra_unary: dict[str, frozenset[int]] = {}
         self._unary_sets: dict[str, frozenset[int]] = {}
+        self._views: dict[Optional[str], DomainView] = {}
         if extra_unary:
             for name, members in extra_unary.items():
                 self.add_unary(name, members)
@@ -114,6 +115,7 @@ class TreeStructure:
                 raise ValueError(f"node id {node_id} outside the domain")
         self._extra_unary[name] = member_set
         self._unary_sets.pop(name, None)
+        self._views.pop(name, None)
 
     def with_singletons(self, assignment: Mapping[str, int]) -> "TreeStructure":
         """Return a copy with fresh singleton unary relations.
@@ -125,6 +127,7 @@ class TreeStructure:
         copy = TreeStructure(self.tree, self.signature, None)
         copy._extra_unary = dict(self._extra_unary)
         copy._unary_sets = dict(self._unary_sets)
+        copy._views = dict(self._views)
         for name, node_id in assignment.items():
             copy.add_unary(name, (node_id,))
         return copy
@@ -158,6 +161,28 @@ class TreeStructure:
                     return cached
             self._unary_sets[name] = cached
         return cached
+
+    def resident_view(self, name: Optional[str]) -> DomainView:
+        """The unary relation ``name`` (``None``: every node) as a memoized view.
+
+        Built once per structure on the :meth:`unary_member_set` frozenset and
+        the resident sorted column, for the searches that read a label column
+        no propagation has narrowed; it lives and dies with the structure, so
+        evicting or re-registering a document drops it.  Empty relations are
+        not memoized (see :meth:`unary_member_set`).
+        """
+        view = self._views.get(name)
+        if view is None:
+            index = self.tree.index
+            if name is None:
+                view = index.view(index.pre, presorted=True, members=range(index.n))
+            else:
+                members = self.unary_member_set(name)
+                view = index.view(self.unary_members(name), presorted=True, members=members)
+                if not members:
+                    return view
+            self._views[name] = view
+        return view
 
     def unary_holds(self, name: str, node_id: int) -> bool:
         if name in self._extra_unary:

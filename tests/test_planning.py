@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import oracle
 from repro.decomposition import Hypergraph, decompose_hypergraph
 from repro.decomposition.decompose import atom_pair_costs, prune_subset_bags
-from repro.evaluation import Engine, evaluate
+from repro.evaluation import Engine, evaluate, planner
 from repro.evaluation.propagation import Propagator
 from repro.planning import (
     DocumentStats,
@@ -275,28 +275,59 @@ def test_overrides_always_win():
 
 
 @pytest.mark.parametrize(
-    "text, engine",
+    "text, engine, planned",
     [
-        ("Q <- A(x), Child*(x, x), Following(x, y)", None),
-        ("Q(x) <- A(x), Child(x, y), Parent(y, x), Following(y, z)", None),
-        ("Q <- A(x), Child(x, x)", "acyclic"),
+        # The loop is a static filter: the edges are {Following}, a tractable signature.
+        ("Q <- A(x), Child*(x, x), Following(x, y)", None, "xproperty"),
+        ("Q(x) <- A(x), Child(x, y), Parent(y, x), Following(y, z)", None, "acyclic"),
+        ("Q <- A(x), Child(x, x)", "acyclic", "acyclic"),
     ],
 )
-def test_forest_bodies_with_loops_or_inverse_duplicates_plan_acyclic(text, engine):
-    """The dichotomy table judges forests as the sweep does: on the compiled edges."""
+def test_forest_bodies_with_loops_or_inverse_duplicates_plan_on_compiled_edges(
+    text, engine, planned
+):
+    """The dichotomy table judges forests and tractability as the sweep and walk do:
+    on the compiled edges."""
     tree = _tree(size=80)
     structure = TreeStructure(tree)
     query = parse_query(text)
     assert compile_query(query).shadow_is_forest
     forced = None if engine is None else Engine(engine)
-    assert plan_query(query, DocumentStats.of_tree(tree), engine=forced).engine is Engine.ACYCLIC
+    plan = plan_query(query, DocumentStats.of_tree(tree), engine=forced)
+    assert plan.engine is Engine(planned)
     expected = oracle.answers(query, structure)
     assert sorted(evaluate(query, structure, forced or Engine.AUTO)) == expected
     store = DocumentStore()
     store.register_tree("doc", tree)
     served = run_request(store, QueryCache(), Request(doc="doc", query=text, engine=engine))
     assert served.ok, served.error
-    assert (served.engine, served.answers) == ("acyclic", expected)
+    assert (served.engine, served.answers) == (planned, expected)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Q <- Parent(x, y), Parent(y, z), Parent(x, z)",
+        "Q <- PreviousSibling(x, y), Parent(y, z), Parent(x, z)",
+    ],
+)
+def test_inverse_axes_route_like_their_forward_mirrors(text):
+    """Tractability is judged on the normalized edges: ``Parent`` is ``Child`` reversed."""
+    tree = _tree(size=60)
+    structure = TreeStructure(tree)
+    query = parse_query(text)
+    mirror = compile_query(query)
+    forward = ConjunctiveQuery(
+        query.head,
+        tuple(AxisAtom(atom.axis, atom.source, atom.target) for atom in mirror.atoms),
+        query.name,
+    )
+    stats = DocumentStats.of_tree(tree)
+    assert plan_query(query, stats).engine is plan_query(forward, stats).engine
+    assert planner.tier(query, mirror) is Engine.XPROPERTY
+    expected = oracle.answers(query, structure)
+    assert sorted(evaluate(query, structure, Engine.XPROPERTY)) == expected
+    assert sorted(evaluate(query, structure)) == expected
 
 
 def test_accel_only_pins_sql():
@@ -398,15 +429,17 @@ def test_library_evaluate_takes_the_plans_engine_on_route_bool_cycle4(monkeypatc
     plan = plan_query(query, DocumentStats.of_tree(tree))
     assert plan.engine is Engine.DECOMPOSITION
     searched = []
-    search = yannakakis._JoinTreeSearch.answers
+    search = yannakakis._JoinTreeSearch.satisfiable
     monkeypatch.setattr(
         yannakakis._JoinTreeSearch,
-        "answers",
+        "satisfiable",
         lambda self: searched.append(self) or search(self),
     )
     monkeypatch.setattr(planner.backtracking, "boolean_query_holds", None)  # must not run
     assert planner.evaluate(query, TreeStructure(tree)) == frozenset({()})
-    assert len(searched) == 1 and searched[0].memo
+    # The capped attempt over the label columns, then the search over the
+    # swept ones, which carries its memo on.
+    assert searched and searched[-1].memo and searched[0].memo is searched[-1].memo
 
 
 def test_the_cyclic_residue_takes_the_sweeps_on_decomposition():
