@@ -17,17 +17,20 @@ Two query groups over random 16-label trees:
   NP-hard signatures ({Child+, Following} and {Child+, NextSibling+}):
   triangles, fused double triangles, sibling triangles.  The committed
   headline is the *minimum* decomposition speedup over this group at the
-  largest size and must meet the >= 5x acceptance bar; measured 50x-118x
-  at 10k nodes with both engines behind the plan's semijoin sweeps and
-  backtracking forward-checking (134x-735x while both paid an AC-4
-  fixpoint and backtracking checked against static domains).
+  largest size and must meet the >= 5x acceptance bar.  It no longer does:
+  2.4x-11.9x at 10k nodes since a ``Child+`` semijoin against one assigned
+  node costs backtracking's forward check a window of the staircase or a
+  short ancestor walk instead of a bisection per candidate (44x-118x
+  before, 134x-735x while both engines paid an AC-4 fixpoint and
+  backtracking checked against static domains).
 * ``ablation_*`` -- shapes kept to report where the win shrinks, excluded
   from the headline: the four-cycle (its materialized bag had a mid-bag
   local existential, genuinely quadratic in the subtree sizes at ~4.5x,
   ~83x with the union-of-ranges window merge; the memoised search never
-  builds that bag: ~65x) and an unsatisfiable diamond (arc consistency
-  would empty its domains, the spanning-forest sweeps do not, so both
-  engines search to refute it: 0.7-1.2x).
+  builds that bag: ~65x, ~18x against the faster forward checks) and an
+  unsatisfiable diamond (arc consistency would empty its domains, the
+  spanning-forest sweeps do not, so both engines search to refute it:
+  0.7-1.2x, 0.3-0.6x against the faster forward checks).
 
 Answer sets are cross-checked byte-identical (as sorted lists) between the
 two engines on every measured instance, each under its default (the plan's)

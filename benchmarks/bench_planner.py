@@ -21,7 +21,9 @@ decomposition engine against backtracking, and whichever lost, lost by two to
 three orders of magnitude.  It now always plans ``decomposition``, whose
 memoised join-tree search serves Boolean and monadic heads.  Each entry
 times that plan (``cost_seconds``) against forced backtracking; the headline
-holds when the plan is >= 2x faster at every size on its one entry:
+holds when the plan is >= 2x faster at every size on its one entry (2.0x /
+2.3x, down from 7.1x / 26x, since backtracking's forward checks read the
+support's staircase):
 
 * ``route_enum_wedge`` -- a monadic head over a width-2 cyclic wedge on a
   16-label tree, where backtracking pays one pinned Boolean evaluation per
@@ -32,7 +34,7 @@ four-cycle, backtracking's best case (one pruning pass plus a first-witness
 probe), where materializing the bags used to lose ~100x -- is measured the
 same way but reported as an ablation, out of the headline.  Since
 backtracking prunes with the plan's sweeps instead of an AC-4 fixpoint and
-forward-checks (one semijoin against the assigned node), it reads 0.4-0.8x
+forward-checks (one semijoin against the assigned node), it reads 0.3-0.4x
 here; the plan's search before the sweeps cannot close that gap within an
 allowance that keeps refutations cheap (unlabeled columns make its first
 attempt run out), so the plan pays the sweeps too.
@@ -50,7 +52,8 @@ labels through an ``EXISTS`` per accel row; with label-driven row sources
 the flat join is 3-8x behind, inside the 5x bar), the propagator the plan
 records -- the semijoin full reducer vs Theorem 3.5's pointer walk, both
 timed through ``propagate()`` -- on an unlabeled Boolean ``Child+`` chain, and
-the full reducer's bisection-vs-kernels crossover against either side forced.
+the full reducer's ``Child+``/``Child*`` size rule (bulk reads vs a bisection
+per candidate) against either read forced.
 
 Run standalone (``python benchmarks/bench_planner.py``) to regenerate
 ``BENCH_planner.json``; ``BENCH_SMOKE=1`` shrinks the sizes for CI.
@@ -239,30 +242,34 @@ def _measure_propagator_ablation(size, repeats):
     )
 
 
-#: The two regimes of the full reducer's ``Child+``/``Child*`` semijoin: both
-#: columns unlabeled (the cumulative-membership kernels' side of the crossover)
-#: and both label-selective (the per-candidate bisection's side).
+#: The two sides of the full reducer's ``Child+``/``Child*`` size rule: both
+#: columns unlabeled (the bulk reads' side: windows of the staircase, the
+#: ancestor walk) and both label-selective (the per-candidate bisection's).
 ABLATION_REDUCER = {
     "ablation_reducer_unlabeled": "Q(x) <- Child+(x, y), Child+(y, z)",
     "ablation_reducer_selective": "Q(x) <- L05(i), Child*(x, i), L03(x)",
 }
 
+#: ``reducer.WATCHED_PER_SUPPORT`` forced to either read: every semijoin in
+#: bulk, or every one bisecting per candidate.
+FORCED_READS = {"bulk": 0, "per_candidate": float("inf")}
 
-def _measure_reducer_kernel_ablation(name, size, repeats):
-    """``reducer.BISECT_STEPS_PER_NODE`` vs forcing either kernel everywhere."""
+
+def _measure_reducer_read_ablation(name, size, repeats):
+    """``reducer.WATCHED_PER_SUPPORT`` vs forcing either read everywhere."""
     compiled = compile_query(parse_query(ABLATION_REDUCER[name]))
     structure = TreeStructure(_resident_tree(size))
     reference = semijoin_sweeps(compiled, structure)
-    threshold = reducer.BISECT_STEPS_PER_NODE
+    ratio = reducer.WATCHED_PER_SUPPORT
     seconds = {}
-    for label, steps in (("threshold", threshold), ("bisect", float("inf")), ("kernels", 0)):
-        with mock.patch.object(reducer, "BISECT_STEPS_PER_NODE", steps):
+    for label, forced in (("rule", ratio), *FORCED_READS.items()):
+        with mock.patch.object(reducer, "WATCHED_PER_SUPPORT", forced):
             if semijoin_sweeps(compiled, structure) != reference:
-                raise AssertionError(f"reducer kernel mismatch on {name} (n={size}, {label})")
+                raise AssertionError(f"reducer read mismatch on {name} (n={size}, {label})")
             # Repeats x 5: the selective regime runs in tens of microseconds.
             seconds[label] = _best_time(lambda: semijoin_sweeps(compiled, structure), repeats * 5)
-    cost_seconds = seconds.pop("threshold")
-    return _entry(size, name, "ablation", cost_seconds, f"threshold={threshold}", seconds)
+    cost_seconds = seconds.pop("rule")
+    return _entry(size, name, "ablation", cost_seconds, f"ratio={ratio}", seconds)
 
 
 def run(repeats: int = 3) -> dict:
@@ -282,7 +289,7 @@ def run(repeats: int = 3) -> dict:
     for size in RESIDENT_SIZES:
         results.append(_measure_propagator_ablation(size, repeats))
         for name in ABLATION_REDUCER:
-            results.append(_measure_reducer_kernel_ablation(name, size, repeats))
+            results.append(_measure_reducer_read_ablation(name, size, repeats))
 
     gating = [entry for entry in results if entry["kind"] == "gating"]
     min_speedup = min(entry["speedup"] for entry in gating)

@@ -1035,16 +1035,18 @@ def _candidates(
     compiled: "CompiledQuery",
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]],
+    initial: Optional[Mapping[Variable, Sequence[int]]] = None,
 ) -> Optional["PropagationResult"]:
     """Sound candidate supersets for the bags; ``None`` refutes the query.
 
     The bags enforce every atom, so on a cyclic body ``semijoin`` sweeps a
     spanning forest (:func:`~repro.evaluation.propagation.choose_propagator`).
+    The sweeps start from ``initial`` when the caller built the columns.
     """
     from ..evaluation.propagation import candidate_supersets, choose_propagator
 
     propagator = choose_propagator(compiled, decomposition=True)
-    return candidate_supersets(compiled, structure, pinned, propagator)
+    return candidate_supersets(compiled, structure, pinned, propagator, initial)
 
 
 def _decomposition(compiled: "CompiledQuery") -> TreeDecomposition:
@@ -1071,7 +1073,8 @@ def _search_first(
     :data:`SEARCH_TOUCHES_PER_CANDIDATE` candidates per initial candidate;
     none is made when that is fewer than the variables, since a witness
     touches a candidate of each.  When it runs out, the columns are swept
-    (:func:`_candidates`) and the search starts over on them, its memo kept.
+    (:func:`_candidates`, from the columns already built) and the search
+    starts over on them, its memo kept.
     The ``search`` span records ``swept``.
     """
     from ..evaluation.reducer import initial_columns
@@ -1097,7 +1100,7 @@ def _search_first(
                 pass
         swept = holds is None
         if swept:
-            result = _candidates(compiled, structure, pinned)
+            result = _candidates(compiled, structure, pinned, columns)
             holds = result is not None and _JoinTreeSearch(
                 compiled, (), result.views, result.domain_sizes(), structure.index, memo=memo
             ).satisfiable()

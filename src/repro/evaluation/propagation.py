@@ -224,18 +224,29 @@ def propagate(
     """
     compiled = query if isinstance(query, CompiledQuery) else compile_query(query)
     chosen = choose_propagator(compiled) if propagator is None else as_propagator(propagator)
+    return _observed(compiled, structure, pinned, chosen)
+
+
+def _observed(
+    compiled: CompiledQuery,
+    structure: TreeStructure,
+    pinned: Optional[Mapping[Variable, int]],
+    chosen: Propagator,
+    initial: Optional[Mapping[Variable, Sequence[int]]] = None,
+) -> Optional[PropagationResult]:
+    """:func:`propagate`, timed and traced; ``initial`` as in :func:`candidate_supersets`."""
     if not tracing.is_active():
         started = time.perf_counter()
-        result = _propagate(compiled, structure, pinned, chosen)
+        result = _propagate(compiled, structure, pinned, chosen, initial)
         PROPAGATE_SECONDS.observe(time.perf_counter() - started, propagator=chosen.value)
         return result
     with tracing.span("propagate", propagator=chosen.value):
-        initial = initial_columns(compiled, structure, pinned)
+        before = initial_columns(compiled, structure, pinned) if initial is None else initial
         tracing.annotate(
-            domains_before={variable: len(initial[variable]) for variable in sorted(initial)}
+            domains_before={variable: len(before[variable]) for variable in sorted(before)}
         )
         started = time.perf_counter()
-        result = _propagate(compiled, structure, pinned, chosen)
+        result = _propagate(compiled, structure, pinned, chosen, initial)
         PROPAGATE_SECONDS.observe(time.perf_counter() - started, propagator=chosen.value)
         if result is None:
             tracing.annotate(satisfiable=False)
@@ -253,6 +264,7 @@ def _propagate(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]],
     chosen: Propagator,
+    initial: Optional[Mapping[Variable, Sequence[int]]],
 ) -> Optional[PropagationResult]:
     if chosen is Propagator.WALK:
         from .xprop_evaluator import least_valuation  # the walk's module imports this one
@@ -268,7 +280,7 @@ def _propagate(
             "propagator 'semijoin' needs a forest-shaped body; use walk on cyclic queries"
         )
     # A column that empties on the way up already refutes the query.
-    columns = upward_sweep(compiled, structure, pinned)
+    columns = upward_sweep(compiled, structure, pinned, initial)
     if columns is None:
         return None
     return PropagationResult(structure, columns, unswept=compiled)
@@ -279,18 +291,21 @@ def candidate_supersets(
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
     propagator: Optional[PropagatorLike] = None,
+    initial: Optional[Mapping[Variable, Sequence[int]]] = None,
 ) -> Optional[PropagationResult]:
     """Sound candidate supersets, for an engine that enforces every atom itself.
 
     ``semijoin`` on a cyclic body is the reducer's two sweeps along a spanning
     forest (:func:`~repro.evaluation.reducer.semijoin_sweeps`); everything
-    else is :func:`propagate`.  ``None`` still refutes the query.
+    else is :func:`propagate`.  ``None`` still refutes the query.  A caller
+    that has built :func:`~repro.evaluation.reducer.initial_columns` for these
+    arguments passes them as ``initial``, and the sweeps start from them.
     """
     chosen = choose_propagator(compiled) if propagator is None else as_propagator(propagator)
     if chosen is not Propagator.SEMIJOIN or compiled.shadow_is_forest:
-        return propagate(compiled, structure, pinned, chosen)
+        return _observed(compiled, structure, pinned, chosen, initial)
     started = time.perf_counter()
     with tracing.span("propagate", propagator=chosen.value, exact=False):
-        swept = semijoin_sweeps(compiled, structure, pinned)
+        swept = semijoin_sweeps(compiled, structure, pinned, initial)
     PROPAGATE_SECONDS.observe(time.perf_counter() - started, propagator=chosen.value)
     return None if swept is None else PropagationResult(structure, swept)

@@ -9,7 +9,15 @@ candidates with a partner in each child; root to leaves
 (:func:`downward_sweep`), every child keeps the candidates with a partner in
 its parent.  No worklist, no support counters, no deletions: one semijoin per
 edge per sweep, each producing a *sorted* survivor column from two sorted
-columns in a few C-level passes.
+columns, and none of them a pass over the document.  ``Child+`` and
+``Child*`` are pre-order intervals (``u`` is an ancestor of ``w`` iff ``u <
+w <= end(u)``), so a watched node that needs an ancestor in the support lies
+under the support's *staircase* -- the disjoint subtrees of its outermost
+nodes (the staircase join of Grust, van Keulen and Teubner, VLDB 2003) --
+read as one window of the watched column per stair.  One that needs a
+descendant is an ancestor of a support node: walking up from the support
+marks each such node once.  A few watched candidates against a large support
+bisect it (or its staircase) one by one instead.
 
 The first sweep alone already makes every component root's column exact (a
 kept root candidate extends to a solution of its whole component), and the
@@ -39,39 +47,34 @@ from typing import Mapping, Optional, Sequence
 
 from ..queries.atoms import Variable
 from ..trees.axes import Axis
-from ..trees.columnar import (
-    ancestor_counts,
-    cumulative_end_membership,
-    cumulative_membership,
-    descendant_counts,
-    membership_mask,
-    survivors,
-)
+from ..trees.columnar import expand_windows
 from ..trees.index import AxisIndex
 from ..trees.structure import TreeStructure
 from .compile import CompiledQuery
 
-#: Above this many bisection steps per tree node, one ``Child+``/``Child*``
-#: semijoin switches from a bisection per candidate to the O(n) cumulative
-#: membership kernels.  Bisection wins on label-selective columns, the kernels
-#: on unlabeled variables; ``benchmarks/bench_planner.py``'s
-#: ``ablation_reducer_*`` entries force either side and hold the crossover.
-BISECT_STEPS_PER_NODE = 4
+#: From this many watched candidates per support node (per stair, backward)
+#: on, a ``Child+``/``Child*`` semijoin reads the watched column in bulk -- one
+#: window per stair, or one mask lookup per candidate after the ancestor
+#: walk -- instead of bisecting per candidate.  ``benchmarks/bench_planner.py``'s
+#: ``ablation_reducer_*`` entries force either read and hold the crossover.
+WATCHED_PER_SUPPORT = 2
 
 
 def semijoin_sweeps(
     compiled: CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
+    initial: Optional[Mapping[Variable, Sequence[int]]] = None,
 ) -> Optional[dict[Variable, list[int]]]:
     """One leaves-to-root and one root-to-leaves sweep over ``sweep_order``.
 
     On a forest-shaped body this is the fixpoint; on a cyclic one the columns
     are arc consistent along the spanning forest only -- sorted supersets of
     the fixpoint's domains (and subsets of the initial ones), ``None`` when
-    one of them empties, which already refutes the query.
+    one of them empties, which already refutes the query.  ``initial`` is as
+    in :func:`upward_sweep`.
     """
-    columns = upward_sweep(compiled, structure, pinned)
+    columns = upward_sweep(compiled, structure, pinned, initial)
     if columns is None:
         return None
     downward_sweep(compiled, structure, columns)
@@ -83,14 +86,17 @@ def upward_sweep(
     compiled: CompiledQuery,
     structure: TreeStructure,
     pinned: Optional[Mapping[Variable, int]] = None,
+    initial: Optional[Mapping[Variable, Sequence[int]]] = None,
 ) -> Optional[dict[Variable, Sequence[int]]]:
     """The leaves-to-root half: every parent keeps the candidates with a partner in each child.
 
     ``None`` when a column empties.  The columns are sorted and may be the
     resident ones (a column no semijoin narrowed is not copied); on a forest
-    the roots' columns are exact, the others still supersets.
+    the roots' columns are exact, the others still supersets.  ``initial``
+    is :func:`initial_columns` of the same arguments, when the caller has
+    built it already; the sweep rebinds the entries of a copy.
     """
-    columns = initial_columns(compiled, structure, pinned)
+    columns = initial_columns(compiled, structure, pinned) if initial is None else dict(initial)
     if not all(columns.values()):
         return None
     for child, atom in reversed(compiled.sweep_order):
@@ -174,15 +180,13 @@ def _semijoin(
         members = range(index.n) if len(support) == index.n else set(support)
         return list(compress(watched, map(members.__contains__, map(parent.__getitem__, watched))))
     if axis is Axis.CHILD_PLUS or axis is Axis.CHILD_STAR:
-        if len(support) == index.n:
-            # Every node is a support: u has itself, a strict descendant iff
-            # its subtree is more than u, a strict ancestor iff it has a parent.
+        if forward and len(support) == index.n:
+            # Every node is a support: u has itself, and a strict descendant
+            # iff its subtree is more than u.
             if axis is Axis.CHILD_STAR:
                 return watched
-            if forward:
-                ends = map(index.subtree_end.__getitem__, watched)
-                return list(compress(watched, map(lt, watched, ends)))
-            return list(compress(watched, map((0).__le__, map(index.parent.__getitem__, watched))))
+            ends = map(index.subtree_end.__getitem__, watched)
+            return list(compress(watched, map(lt, watched, ends)))
         return _subtree_semijoin(watched, support, forward, axis is Axis.CHILD_STAR, index)
     if axis is Axis.FOLLOWING:
         end = index.subtree_end
@@ -210,35 +214,62 @@ def _subtree_semijoin(
     forward: bool,
     reflexive: bool,
     index: AxisIndex,
-) -> list[int]:
-    """``Child+`` (``Child*`` when ``reflexive``) semijoin over pre-order ranges."""
-    n = index.n
-    if len(watched) * len(support).bit_length() > BISECT_STEPS_PER_NODE * n:
-        cum = cumulative_membership(support, n)
-        if forward:
-            counts = descendant_counts(watched, index.subtree_end_plus1, cum, reflexive)
-        else:
-            counts = ancestor_counts(
-                watched,
-                cum,
-                cumulative_end_membership(support, index.subtree_end, n),
-                membership_mask(support, n) if reflexive else None,
-            )
-        return survivors(watched, counts)
-    if forward:
-        # The first support node after u (at u, when reflexive) still lies
-        # inside u's subtree.
-        following = map(bisect_left if reflexive else bisect_right, repeat(support), watched)
-        first = map([*support, n].__getitem__, following)
-        return list(compress(watched, map(le, first, map(index.subtree_end.__getitem__, watched))))
-    # Some support node s before w (at w, when reflexive) whose subtree still
-    # covers w: a prefix maximum of subtree ends over the sorted support.  (A
-    # plain loop: ``accumulate(..., max)`` pays a builtin call per element and
-    # measures 4x slower.)
-    ends, reach = [-1], -1
-    for end in map(index.subtree_end.__getitem__, support):
-        if end > reach:
-            reach = end
-        ends.append(reach)
-    before = map(bisect_right if reflexive else bisect_left, repeat(support), watched)
-    return list(compress(watched, map(le, watched, map(ends.__getitem__, before))))
+) -> Sequence[int]:
+    """``Child+`` (``Child*`` when ``reflexive``) semijoin over pre-order ranges.
+
+    ``u`` is a strict ancestor of ``w`` iff ``u < w <= end(u)``.  Backward
+    (every watched node needs an ancestor in the support) reads the support's
+    staircase; forward (a descendant) marks the support's ancestors once the
+    watched column outnumbers the support :data:`WATCHED_PER_SUPPORT` times,
+    and bisects the support per candidate below that.
+    """
+    if not forward:
+        return _under_staircase(watched, support, reflexive, index)
+    if len(watched) >= WATCHED_PER_SUPPORT * len(support):
+        # Walk up from every support node (from its parent, when strict),
+        # marking each ancestor once: a marked node's ancestors are marked
+        # already, and none below the first watched node is asked for.
+        parent, low = index.parent, watched[0]
+        mark = bytearray(index.n)
+        for node in support if reflexive else map(parent.__getitem__, support):
+            while node >= low and not mark[node]:
+                mark[node] = 1
+                node = parent[node]
+        return list(compress(watched, map(mark.__getitem__, watched)))
+    # The first support node after u (at u, when reflexive) still lies
+    # inside u's subtree.
+    following = map(bisect_left if reflexive else bisect_right, repeat(support), watched)
+    first = map([*support, index.n].__getitem__, following)
+    return list(compress(watched, map(le, first, map(index.subtree_end.__getitem__, watched))))
+
+
+def _under_staircase(
+    watched: Sequence[int], support: Sequence[int], reflexive: bool, index: AxisIndex
+) -> Sequence[int]:
+    """The watched nodes below (or at, when ``reflexive``) a support node.
+
+    Only the support's outermost nodes matter: their subtrees are disjoint,
+    ascending pre-order ranges that cover every other support node's (the
+    staircase of Grust, van Keulen and Teubner's staircase join), kept by a
+    prefix maximum of subtree ends.  (A plain loop: ``accumulate(..., max)``
+    pays a builtin call per element and measures 4x slower; bisecting past
+    each stair's subtree measures 5x slower on a support that does not
+    nest.)  A full support's staircase is the root.
+    """
+    subtree_end = index.subtree_end
+    tops, ends, reach = [], [], -1
+    for top in support[:1] if len(support) == index.n else support:
+        if top > reach:
+            reach = subtree_end[top]
+            tops.append(top)
+            ends.append(reach)
+    if watched is index.pre:
+        # The identity column: a stair's window is its own range.
+        lo = tops if reflexive else map((1).__add__, tops)
+        return expand_windows(watched, lo, map((1).__add__, ends))
+    if len(watched) >= WATCHED_PER_SUPPORT * len(tops):
+        lo = list(map(bisect_left if reflexive else bisect_right, repeat(watched), tops))
+        return expand_windows(watched, lo, map(bisect_right, repeat(watched), ends, lo))
+    # The last stair opening before w (at w, when reflexive) still covers w.
+    before = map(bisect_right if reflexive else bisect_left, repeat(tops), watched)
+    return list(compress(watched, map(le, watched, map([-1, *ends].__getitem__, before))))

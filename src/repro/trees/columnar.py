@@ -1,66 +1,51 @@
-"""Columnar axis kernels: staircase sweeps over sorted rank columns.
+"""Columnar axis kernels: windows of sorted rank columns.
 
 The per-candidate witness primitives of :mod:`repro.trees.index` answer "does
 ``u`` have an axis witness in ``S``?" one ``u`` at a time -- two bisections
-plus a method dispatch per candidate.  When a semijoin of the full reducer
-(:mod:`repro.evaluation.reducer`) asks that question for *every* candidate of
-a column, the per-call constant dominates: the work is a pure function of two
-sorted integer columns and can run as a handful of fused C-level passes
-instead of |column| interpreted loop iterations.
+plus a method dispatch per candidate.  When a whole column asks, the work is
+a pure function of sorted integer columns, and every axis makes a
+candidate's partners a *window* of one (the paper's Eq. (1) read as
+pre-order ranges: the descendants of ``u`` are ``(u, end(u)]``).  So a
+handful of fused C-level passes -- ``bisect`` pipelines, ``map`` over bound
+methods, ``itertools.chain`` -- replace |column| interpreted loop iterations.
+Everything is plain stdlib.
 
-This module holds those bulk kernels.  Everything is plain stdlib -- the
-``array`` module for contiguous columns, ``bytearray`` masks,
-``itertools.accumulate``/``compress`` and ``map`` over bound C methods -- so
-each kernel touches Python-level bytecode O(1) times regardless of input
-size.
+Two consumers read these windows:
 
-The central object is the *cumulative membership column* of a support set
-``S`` over a tree with ``n`` nodes:
+* the full reducer (:mod:`repro.evaluation.reducer`): a backward
+  ``Child+``/``Child*`` semijoin keeps the watched nodes under the support's
+  staircase, the disjoint subtrees of its outermost nodes (the staircase
+  join of Grust, van Keulen and Teubner, VLDB 2003), as one window per stair
+  (:func:`expand_windows`).  Its forward twin walks up from the support,
+  marking each ancestor once, and filters the watched column through the
+  mask;
+* the decomposition engine's bag materialization, which extends a table of
+  prefixes by one variable *per level* instead of one prefix at a time: one
+  pass per level gives every prefix its window and one more expands all of
+  them:
 
-    ``cum[j] = |{s in S : s < j}|``        (length ``n + 1``)
+  * :func:`window_bounds` -- per prefix, the index window ``[lo, hi)`` that
+    its key bounds (``>= max(lows)``, ``< min(highs)``) cut out of the
+    candidate column, one ``bisect`` pipeline per side;
+  * :func:`group_by_parent` / :func:`ancestor_paths` -- the candidate column
+    rearranged so that the local axes are windows too: children and later /
+    earlier siblings are a run of the column regrouped by parent, ancestors a
+    run of the concatenated ancestor paths;
+  * :func:`expand_windows` / :func:`repeat_each` -- the new column (all
+    windows concatenated) and the prefix columns repeated to match;
+  * :func:`holds_column` -- :meth:`AxisIndex.holds` over two columns, for the
+    residual checks a window cannot express.
 
-With ``end = subtree_end`` (descendants of ``u`` are exactly the pre-order
-range ``(u, end(u)]``), the interval-axis support counts become closed-form
-column lookups:
-
-* descendants of ``u`` in ``S``:       ``cum[end(u) + 1] - cum[u + 1]``
-* descendants-or-self:                 ``cum[end(u) + 1] - cum[u]``
-* strict ancestors of ``u`` in ``S``:  ``cum[u] - cum_end[u]`` where
-  ``cum_end[j] = |{s in S : end(s) < j}|`` -- because ``s`` is a strict
-  ancestor of ``u`` iff ``s < u <= end(s)``, the ancestor count is
-  "elements before ``u``" minus "elements whose subtree closed before ``u``".
-* ``Following(u, v)`` iff ``v > end(u)`` and ``DocumentOrder(u, v)`` iff
-  ``v > u`` stay single threshold comparisons against the support extremum.
-
-The second family serves the decomposition engine's bag materialization,
-which extends a table of prefixes by one variable *per level* instead of one
-prefix at a time.  Every axis makes the candidates of a prefix a window of a
-sorted column (the paper's Eq. (1) read as pre-order ranges), so one pass per
-level gives every prefix its window and one more expands all of them:
-
-* :func:`window_bounds` -- per prefix, the index window ``[lo, hi)`` that its
-  key bounds (``>= max(lows)``, ``< min(highs)``) cut out of the candidate
-  column, one ``bisect`` pipeline per side;
-* :func:`group_by_parent` / :func:`ancestor_paths` -- the candidate column
-  rearranged so that the local axes are windows too: children and later /
-  earlier siblings are a run of the column regrouped by parent, ancestors a
-  run of the concatenated ancestor paths;
-* :func:`expand_windows` / :func:`repeat_each` -- the new column (all windows
-  concatenated) and the prefix columns repeated to match;
-* :func:`holds_column` -- :meth:`AxisIndex.holds` over two columns, for the
-  residual checks a window cannot express.
-
-The kernels are cross-checked against the bisection primitives
-(:func:`repro.trees.index.range_count` et al.) by the hypothesis suite in
-``tests/test_columnar.py``; the speedups they buy are measured and pinned by
-``benchmarks/bench_columnar.py``.
+The kernels are pinned to brute force by ``tests/test_columnar.py`` (the
+reducer's reads by ``tests/test_reducer.py``); the speedups they buy are
+measured by ``benchmarks/bench_columnar.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, eq, le, lt, sub
+from itertools import chain, repeat
+from operator import and_, eq, le, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .axes import Axis
@@ -70,103 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the index imports us
 
 #: The array typecode used for all rank columns (signed, at least 32 bits).
 COLUMN_TYPECODE = "l"
-
-
-# ---------------------------------------------------------------------------
-# Cumulative membership columns.
-# ---------------------------------------------------------------------------
-
-
-def cumulative_membership(sorted_ids: Sequence[int], n: int) -> list[int]:
-    """The column ``cum[j] = |{s in sorted_ids : s < j}|`` (length ``n + 1``).
-
-    Built as a 0/1 byte mask shifted by one position and prefix-summed --
-    both passes run inside the interpreter's C loops.  Ids must be distinct
-    (they are node ids) and lie in ``range(n)``.
-    """
-    mask = bytearray(n + 1)
-    for node_id in sorted_ids:
-        mask[node_id + 1] = 1
-    return list(accumulate(mask))
-
-
-def cumulative_end_membership(
-    sorted_ids: Sequence[int], subtree_end: Sequence[int], n: int
-) -> list[int]:
-    """The column ``cum[j] = |{s in sorted_ids : subtree_end[s] < j}|``.
-
-    Distinct nodes may share a ``subtree_end`` (every ancestor on the
-    rightmost path to a deepest leaf closes at that leaf), so this histogram
-    uses integer buckets rather than a byte mask.
-    """
-    buckets = [0] * (n + 1)
-    for node_id in sorted_ids:
-        buckets[subtree_end[node_id] + 1] += 1
-    return list(accumulate(buckets))
-
-
-def membership_mask(sorted_ids: Sequence[int], n: int) -> bytearray:
-    """A 0/1 byte mask of the support set, for or-self count corrections."""
-    mask = bytearray(n)
-    for node_id in sorted_ids:
-        mask[node_id] = 1
-    return mask
-
-
-# ---------------------------------------------------------------------------
-# Interval-axis support counts (one fused pass per column).
-# ---------------------------------------------------------------------------
-
-
-def descendant_counts(
-    candidates: Sequence[int],
-    subtree_end_plus1: Sequence[int],
-    cum: Sequence[int],
-    include_self: bool,
-) -> list[int]:
-    """Per candidate ``u``: how many support nodes lie in ``u``'s subtree.
-
-    ``Child+`` counts over ``(u, end(u)]``; ``include_self`` (``Child*``)
-    widens to ``[u, end(u)]``.  ``cum`` is the support's cumulative
-    membership column; ``subtree_end_plus1[u] = subtree_end[u] + 1`` is the
-    index-cached shifted column, so the whole computation is three ``map``
-    pipelines over bound C methods.
-    """
-    upper = map(cum.__getitem__, map(subtree_end_plus1.__getitem__, candidates))
-    if include_self:
-        lower = map(cum.__getitem__, candidates)
-    else:
-        lower = map(cum.__getitem__, map((1).__add__, candidates))
-    return list(map(sub, upper, lower))
-
-
-def ancestor_counts(
-    candidates: Sequence[int],
-    cum: Sequence[int],
-    cum_end: Sequence[int],
-    self_mask: Sequence[int] | None = None,
-) -> list[int]:
-    """Per candidate ``u``: how many support nodes are ancestors of ``u``.
-
-    Uses the closed form ``cum[u] - cum_end[u]`` (strict ancestors are the
-    support nodes opening before ``u`` whose subtree has not closed before
-    ``u``).  Passing the support's :func:`membership_mask` as ``self_mask``
-    adds 1 for candidates that are support members themselves (``Child*``).
-    """
-    strict = map(sub, map(cum.__getitem__, candidates), map(cum_end.__getitem__, candidates))
-    if self_mask is None:
-        return list(strict)
-    return list(map(add, strict, map(self_mask.__getitem__, candidates)))
-
-
-# ---------------------------------------------------------------------------
-# Survivor selection.
-# ---------------------------------------------------------------------------
-
-
-def survivors(candidates: Sequence[int], counts: Sequence[int]) -> list[int]:
-    """The candidates whose support count is non-zero (one C pass)."""
-    return list(compress(candidates, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ class AxisIndex:
         self.parent: list[int] = tree.parent
         self.sibling_index: list[int] = tree.sibling_index
         self.subtree_end: list[int] = tree.subtree_end
-        #: ``subtree_end[u] + 1`` precomputed once, so the columnar kernels'
+        #: ``subtree_end[u] + 1`` precomputed once, so the bag level kernel's
         #: upper-bound lookups run as a single fused ``map`` pipeline.
         self.subtree_end_plus1: list[int] = [end + 1 for end in tree.subtree_end]
         next_sibling = [-1] * n

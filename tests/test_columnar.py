@@ -1,14 +1,11 @@
-"""Property tests pinning the columnar kernels to the bisection primitives.
+"""Property tests pinning the columnar kernels to brute force.
 
-The staircase-merge kernels of :mod:`repro.trees.columnar` must return
-byte-identical results to the per-candidate interval primitives of
-:mod:`repro.trees.index` (``range_count``, ``has_successor_in``,
-``has_predecessor_in``) on every axis and every support set -- the columnar
-paths are pure performance refactors, so any divergence is a bug.  One level
-up, the full reducer's semijoin built on them must equal a brute-force
-witness search on every axis, and the level-at-a-time bag materialization the
-Horn oracle (``tests/oracle.py``); the window kernels the levels are made of
-are pinned to brute force one by one.
+The window kernels of :mod:`repro.trees.columnar` are pure performance
+refactors, so any divergence from a brute-force reading is a bug: each is
+pinned one by one.  One level up, the full reducer's semijoin must equal a
+brute-force witness search on every axis (its ``Child+``/``Child*`` reads one
+by one in ``tests/test_reducer.py``), and the level-at-a-time bag
+materialization the Horn oracle (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,20 +23,13 @@ from repro.queries.query import ConjunctiveQuery
 from repro.trees import Axis, Tree, TreeStructure, random_tree
 from repro.trees.axes import holds
 from repro.trees.columnar import (
-    ancestor_counts,
     ancestor_paths,
-    cumulative_end_membership,
-    cumulative_membership,
-    descendant_counts,
     expand_windows,
     group_by_parent,
     holds_column,
-    membership_mask,
     repeat_each,
-    survivors,
     window_bounds,
 )
-from repro.trees.index import range_count
 
 SETTINGS = settings(
     max_examples=25,
@@ -101,75 +91,6 @@ def queries(draw, axes, max_variables: int = 4) -> ConjunctiveQuery:
         if rng.random() < 0.5:
             atoms.append(LabelAtom(rng.choice(ALPHABET), variable))
     return ConjunctiveQuery((), tuple(atoms), "H")
-
-
-class TestCumulativeColumns:
-    @SETTINGS
-    @given(tree_and_subsets())
-    def test_cumulative_membership_counts_prefix(self, data):
-        tree, _, support = data
-        n = len(tree)
-        cum = cumulative_membership(support, n)
-        assert len(cum) == n + 1
-        for j in range(n + 1):
-            assert cum[j] == sum(1 for s in support if s < j)
-            assert cum[j] == range_count(support, 0, j)
-
-    @SETTINGS
-    @given(tree_and_subsets())
-    def test_cumulative_end_membership_counts_closed_subtrees(self, data):
-        tree, _, support = data
-        n = len(tree)
-        end = tree.subtree_end
-        cum_end = cumulative_end_membership(support, end, n)
-        for j in range(n + 1):
-            assert cum_end[j] == sum(1 for s in support if end[s] < j)
-
-    @SETTINGS
-    @given(tree_and_subsets())
-    def test_membership_mask(self, data):
-        tree, _, support = data
-        mask = membership_mask(support, len(tree))
-        assert [i for i, bit in enumerate(mask) if bit] == support
-
-
-class TestCountKernels:
-    @SETTINGS
-    @given(tree_and_subsets(), st.booleans())
-    def test_descendant_counts_match_range_count(self, data, include_self):
-        tree, watched, support = data
-        index = tree.index
-        cum = cumulative_membership(support, len(tree))
-        counts = descendant_counts(watched, index.subtree_end_plus1, cum, include_self)
-        for u, count in zip(watched, counts):
-            lo = u if include_self else u + 1
-            assert count == range_count(support, lo, tree.subtree_end[u] + 1)
-
-    @SETTINGS
-    @given(tree_and_subsets(), st.booleans())
-    def test_ancestor_counts_match_parent_chain(self, data, include_self):
-        tree, watched, support = data
-        n = len(tree)
-        cum = cumulative_membership(support, n)
-        cum_end = cumulative_end_membership(support, tree.subtree_end, n)
-        mask = membership_mask(support, n) if include_self else None
-        counts = ancestor_counts(watched, cum, cum_end, mask)
-        support_set = set(support)
-        for u, count in zip(watched, counts):
-            expected = 1 if include_self and u in support_set else 0
-            node = tree.parent[u]
-            while node >= 0:
-                expected += node in support_set
-                node = tree.parent[node]
-            assert count == expected
-
-    @SETTINGS
-    @given(tree_and_subsets())
-    def test_survivors_keep_the_supported(self, data):
-        tree, watched, support = data
-        cum = cumulative_membership(support, len(tree))
-        counts = descendant_counts(watched, tree.index.subtree_end_plus1, cum, False)
-        assert survivors(watched, counts) == [u for u, count in zip(watched, counts) if count]
 
 
 class TestLevelKernels:

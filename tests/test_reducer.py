@@ -13,9 +13,11 @@ the subset-maximal arc-consistent prevaluation of the Horn program
   roots are exact before anything else is read, one non-root read runs the
   root-to-leaves sweep once, and a default-routed monadic or Boolean request
   (traced or not) makes one semijoin per edge;
-* both regimes of the ``Child+``/``Child*`` kernel (bisection, cumulative
-  membership columns) agree with a brute-force semijoin, and the closed form
-  for a support column holding every node agrees with both;
+* every read of the ``Child+``/``Child*`` semijoin -- one window per stair
+  of the support's staircase, the ancestor walk, a bisection per candidate --
+  agrees with a brute-force semijoin on random trees, deep paths, nested and
+  full supports and the identity column, and a full support costs one
+  window (backward) or a closed form (forward);
 * on a cyclic body the sweeps run along a spanning forest and land between
   the initial domains and the exact fixpoint (sound supersets -- all the
   decomposition engine, backtracking and the per-tuple reduction need), while
@@ -26,6 +28,7 @@ the subset-maximal arc-consistent prevaluation of the Horn program
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -48,8 +51,9 @@ from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.service.cache import QueryCache
 from repro.service.core import Request, run_request
 from repro.service.store import DocumentStore
-from repro.trees import Axis, TreeStructure, random_tree
+from repro.trees import Axis, Node, Tree, TreeStructure, random_path, random_tree
 from repro.trees.axes import INVERSE
+from repro.trees.columnar import expand_windows
 from repro.xproperty.dichotomy import is_tractable
 
 SETTINGS = settings(
@@ -295,50 +299,148 @@ class TestSweepsAreSoundSupersets:
             assert exact is not None
 
 
+#: The size rule forced to either read: at 0 every ``Child+``/``Child*``
+#: semijoin reads in bulk (one window per stair backward, the ancestor walk
+#: forward), at an unreachable ratio each candidate bisects.
+READS = {"bulk": 0, "per_candidate": 10**9}
+
+
+@st.composite
+def subtree_cases(draw):
+    """A random tree or a deep path, then a watched and a support column.
+
+    Supports are random, nested (every node on one root path, with some of
+    their subtrees), full or all nodes but one; watched columns random, or the
+    identity column itself (which the backward read cuts into ranges without
+    a bisection).
+    """
+    size = draw(st.integers(min_value=1, max_value=40), label="size")
+    seed = draw(st.integers(min_value=0, max_value=10_000), label="seed")
+    if draw(st.booleans(), label="deep path"):
+        tree = random_path(size, alphabet=ALPHABET, seed=seed)
+    else:
+        tree = random_tree(size, alphabet=ALPHABET, max_children=3, seed=seed)
+    structure = TreeStructure(tree)
+    index, rng = structure.index, random.Random(seed)
+    nodes = range(structure.domain_size)
+    kind = draw(st.sampled_from(["random", "nested", "full", "all but one"]), label="support")
+    if kind == "full":
+        support = index.pre
+    elif kind == "all but one" and len(nodes) > 1:
+        missing = rng.choice(nodes)
+        support = [node for node in nodes if node != missing]
+    elif kind == "nested":
+        bottom = rng.choice(nodes)
+        chain = set(tree.path_to_root(bottom))
+        below = [u for u in nodes if any(tree.is_descendant(a, u) for a in chain)]
+        support = sorted(chain.union(u for u in below if rng.random() < 0.3))
+    else:
+        support = sorted(rng.sample(nodes, rng.randint(1, len(nodes))))
+    if draw(st.booleans(), label="identity watched"):
+        watched = index.pre
+    else:
+        watched = sorted(rng.sample(nodes, rng.randint(1, len(nodes))))
+    return structure, watched, support
+
+
+def _brute_semijoin(tree, watched, support, forward, reflexive):
+    """The watched nodes with a ``Child+`` (``Child*``) partner in the support, by parent chains."""
+
+    def ancestors(node):
+        found = {node} if reflexive else set()
+        node = tree.parent[node]
+        while node >= 0:
+            found.add(node)
+            node = tree.parent[node]
+        return found
+
+    if forward:  # u needs a descendant: u is an ancestor of a support node
+        above = set().union(*map(ancestors, support))
+        return [u for u in watched if u in above]
+    members = set(support)
+    return [w for w in watched if ancestors(w) & members]
+
+
 class TestSubtreeKernel:
-    """Both regimes of the ``Child+``/``Child*`` semijoin vs brute force."""
+    """Every read of the ``Child+``/``Child*`` semijoin vs brute force."""
 
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize("reflexive", [False, True], ids=["strict", "reflexive"])
+    @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
     @SETTINGS
-    @given(structures(max_size=30), st.data())
-    def test_bisection_and_cumulative_columns_agree(self, structure, data):
-        index = structure.index
-        nodes = st.lists(st.integers(0, index.n - 1), min_size=1, unique=True).map(sorted)
-        watched = data.draw(nodes, label="watched")
-        support = data.draw(nodes, label="support")
-        tree = structure.tree
-        for reflexive in (False, True):
-            for forward in (False, True):
+    @given(case=subtree_cases())
+    def test_each_read_equals_brute_force(self, forward, reflexive, read, case):
+        structure, watched, support = case
+        expected = _brute_semijoin(structure.tree, watched, support, forward, reflexive)
+        with mock.patch.object(reducer, "WATCHED_PER_SUPPORT", READS[read]):
+            found = reducer._subtree_semijoin(watched, support, forward, reflexive, structure.index)
+            # The same column as a plain list, not the identity column itself.
+            copied = reducer._subtree_semijoin(
+                list(watched), support, forward, reflexive, structure.index
+            )
+        assert list(found) == list(copied) == expected
 
-                def related(u, w):
-                    ancestor, descendant = (u, w) if forward else (w, u)
-                    return tree.is_descendant(ancestor, descendant) or (reflexive and u == w)
+    def test_the_ancestor_walk_climbs_each_ancestor_once(self):
+        # A broom: 60 leaves below one 300-node handle.  Walking up from every
+        # leaf would read the handle's parents 60 times over; the walk stops
+        # at the first node already marked.
+        root = handle = Node(("A",))
+        for _ in range(299):
+            handle = handle.add(("A",))
+        for _ in range(60):
+            handle.add(("B",))
+        index = TreeStructure(Tree(root)).index
+        reads = []
 
-                expected = [u for u in watched if any(related(u, w) for w in support)]
-                for steps in (0, 10**9):  # always the columns, always bisection
-                    with mock.patch.object(reducer, "BISECT_STEPS_PER_NODE", steps):
-                        found = reducer._subtree_semijoin(
-                            watched, support, forward, reflexive, index
-                        )
-                    assert found == expected, (forward, reflexive, steps)
+        class CountingParents(list):
+            def __getitem__(self, node):
+                reads.append(node)
+                return list.__getitem__(self, node)
+
+        counted = SimpleNamespace(
+            n=index.n,
+            pre=index.pre,
+            subtree_end=index.subtree_end,
+            parent=CountingParents(index.parent),
+        )
+        leaves = list(range(300, 360))
+        found = reducer._subtree_semijoin(index.pre, leaves, True, False, counted)
+        assert found == list(range(300))
+        assert len(reads) <= 300 + len(leaves)
 
 
 class TestFullDomainSupport:
-    """A support column holding every node has a closed form: no cumulative build."""
+    """A support column holding every node: a closed form forward, the root's stair backward."""
 
     @SETTINGS
     @given(structures(max_size=30), st.data())
-    def test_closed_form_equals_the_subtree_kernel(self, structure, data):
+    def test_forward_closed_form_equals_the_subtree_kernel(self, structure, data):
         index = structure.index
         nodes = st.lists(st.integers(0, index.n - 1), min_size=1, unique=True).map(sorted)
         watched = data.draw(nodes, label="watched")
         for axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
-            for forward in (False, True):
-                expected = reducer._subtree_semijoin(
-                    watched, index.pre, forward, axis is Axis.CHILD_STAR, index
-                )
-                with mock.patch.object(reducer, "_subtree_semijoin", side_effect=AssertionError):
-                    found = reducer._semijoin(axis, watched, index.pre, forward, structure)
-                assert list(found) == expected, (axis, forward)
+            expected = reducer._subtree_semijoin(
+                watched, list(index.pre), True, axis is Axis.CHILD_STAR, index
+            )
+            with mock.patch.object(reducer, "_subtree_semijoin", side_effect=AssertionError):
+                found = reducer._semijoin(axis, watched, index.pre, True, structure)
+            assert list(found) == expected, axis
+
+    @SETTINGS
+    @given(structures(max_size=30), st.data())
+    def test_backward_reads_one_window_below_the_root(self, structure, data):
+        index = structure.index
+        nodes = st.lists(st.integers(0, index.n - 1), min_size=1, unique=True).map(sorted)
+        watched = data.draw(st.one_of(nodes, st.just(index.pre)), label="watched")
+        for axis in (Axis.CHILD_PLUS, Axis.CHILD_STAR):
+            windows = _recorded_windows()
+            with mock.patch.object(reducer, "expand_windows", windows):
+                found = reducer._semijoin(axis, watched, index.pre, False, structure)
+            strict = axis is Axis.CHILD_PLUS and watched[0] == 0
+            assert list(found) == list(watched[1:] if strict else watched), axis
+            # The staircase is the root alone: one window, or one stair to bisect.
+            bulk = watched is index.pre or len(watched) >= reducer.WATCHED_PER_SUPPORT
+            assert [len(lo) for _, lo, _ in windows.calls] == ([1] if bulk else []), axis
 
     @SETTINGS
     @given(structures(), st.data())
@@ -363,15 +465,30 @@ class TestFullDomainSupport:
         if result is not None:
             assert oracle.domains_of(result, query) == reference
 
-    def test_the_upward_semijoin_of_the_answers_slot_builds_no_column(self):
+    def test_the_upward_semijoin_of_the_answers_slot_reads_one_range(self):
         structure = TreeStructure(random_tree(200, alphabet=ALPHABET, max_children=3, seed=9))
         query = parse_query("Q(x) <- Child+(r, x)")
-        with mock.patch.object(reducer, "cumulative_end_membership", side_effect=AssertionError):
+        windows = _recorded_windows()
+        with mock.patch.object(reducer, "expand_windows", windows):
             result = propagate(query, structure, propagator="semijoin")
+        # Both columns are the identity: one stair (the root), cut unbisected.
+        assert windows.calls == [(structure.index.pre, [1], [200])]
         assert result.sorted_domain("x") == list(range(1, 200))
         assert oracle.domains_of(result, query) == oracle.maximal_arc_consistent_horn(
             query, structure
         )
+
+
+def _recorded_windows():
+    """A stand-in for ``reducer.expand_windows`` that records its windows."""
+
+    def windows(base, lo, hi):
+        lo, hi = list(lo), list(hi)
+        windows.calls.append((base, lo, hi))
+        return expand_windows(base, lo, hi)
+
+    windows.calls = []
+    return windows
 
 
 class TestNamedCases:

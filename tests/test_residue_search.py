@@ -19,6 +19,7 @@ monadic heads run one depth-first search along the join tree, memoised per
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import sys
 import threading
@@ -32,7 +33,14 @@ from hypothesis import strategies as st
 
 import oracle
 from repro.decomposition import yannakakis
-from repro.evaluation import Engine, compile_query, evaluate, is_satisfied
+from repro.evaluation import (
+    Engine,
+    compile_query,
+    evaluate,
+    is_satisfied,
+    propagation,
+    reducer,
+)
 from repro.hardness import grid_query, hard_workload, random_cyclic_query
 from repro.observability import tracing
 from repro.planning import DocumentStats, plan_query
@@ -220,6 +228,31 @@ def test_search_span_records_whether_the_sweeps_ran():
         search = root.find("search")
         assert search.attributes["swept"] is swept and search.attributes["answers"] == 1
         assert (root.find("propagate") is not None) is swept
+
+
+@pytest.mark.parametrize(
+    "text, allowance",
+    [
+        (None, 0),  # the bidder triangle: too small for a first attempt
+        (None, 1 / 64),  # the attempt runs out
+        ("Q <- open_auction(a), Child(a, b), bidder(b), Child+(a, c)", 0),  # a forest body
+    ],
+    ids=["too_small", "runs_out", "forest"],
+)
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_the_sweeps_start_from_the_columns_the_search_built(text, allowance, traced):
+    """A Boolean request that sweeps after its search builds its initial columns once."""
+    structure = TreeStructure(auction_document(seed=42, num_items=60, num_people=30, num_bids=90))
+    query = _bidder_triangle() if text is None else parse_query(text)
+    built = mock.Mock(wraps=reducer.initial_columns)
+    with mock.patch.object(yannakakis, "SEARCH_TOUCHES_PER_CANDIDATE", allowance):
+        with mock.patch.object(reducer, "initial_columns", built):
+            with mock.patch.object(propagation, "initial_columns", built):
+                with tracing.trace("request") if traced else contextlib.nullcontext() as root:
+                    assert is_satisfied(query, structure, Engine.DECOMPOSITION)
+    assert built.call_count == 1
+    if traced:
+        assert root.find("search").attributes["swept"] is True
 
 
 def test_resident_views_are_dropped_with_their_document():
