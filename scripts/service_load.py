@@ -45,8 +45,11 @@ size) against a real server process, in two phases per serve mode:
   (``... is not running``), and the other shard must still answer.
   Hard-fail, like wrong answers.
 
-After the phases, ``/stats`` must show a populated plan-vs-actual drift
-table and an HTTP latency summary for ``/query`` -- the closed loop.
+After the phases, a few workload requests are sent once more on
+``"engine": "sql"`` (answers checked), and ``/stats`` must show a drift ledger
+that holds exactly those -- only SQL plans carry estimates, so no resident
+request may be ledgered -- and an HTTP latency summary for ``/query``: the
+closed loop.
 
 Both serve modes run by default: the thread backend and the sharded backend
 (``--shards N``) behind the one front end.  A warm-up pass (one request per
@@ -105,6 +108,9 @@ WORKLOAD: list[dict] = [
     {"doc": "corpus", "query": "Q(v) <- VP(v), Child(v, w), VB(w)"},
     {"doc": "corpus", "xpath": "//VP[VB]/NP"},
 ]
+
+#: Workload slots sent once more on the SQL engine before the ledger check.
+SQL_SLOTS = (0, 4)
 
 QUERY_BUCKET_RE = re.compile(
     r'^cqtrees_http_request_seconds_bucket\{route="/query",le="([^"]+)"\} (\d+)$'
@@ -667,12 +673,24 @@ def run_mode(label: str, extra_args: list[str], args, documents, prepared) -> "d
         if report["malformed"] is None:
             return None
 
-        # The closed loop: the server must have *accounted* for what it just
-        # served -- a populated drift table and an HTTP latency summary.
+        # The closed loop: the server must have *accounted* for the SQL plans
+        # it served, and for nothing else -- a drift table of exactly those
+        # requests -- and keep an HTTP latency summary.
+        _bodies, answers, counts = prepared
+        for slot in SQL_SLOTS:
+            payload = call(base, "POST", "/query", {**WORKLOAD[slot], "engine": "sql"})
+            if payload.get("engine") != "sql" or not answer_matches(payload, slot, answers, counts):
+                print(f"FAIL [{label}]: SQL replay of workload slot {slot} is wrong: {payload}")
+                return None
         stats = call(base, "GET", "/stats")
         accounting = stats.get("plan_accounting", {})
         if not accounting.get("top_drift"):
             print(f"FAIL [{label}]: /stats plan_accounting.top_drift is empty after load")
+            return None
+        engines = {entry.get("engine") for entry in accounting["top_drift"]}
+        engines |= set(accounting.get("engines", {}))
+        if accounting.get("requests") != len(SQL_SLOTS) or engines != {"sql"}:
+            print(f"FAIL [{label}]: the drift ledger is not just the SQL requests: {accounting}")
             return None
         if "/query" not in stats.get("http", {}):
             print(f"FAIL [{label}]: /stats http summary lacks the /query route")

@@ -11,7 +11,9 @@ Two server modes are exercised:
 Each mode registers two documents, POSTs a batch of queries, scrapes
 ``/metrics`` (asserting a well-formed Prometheus exposition with nonzero
 request counters -- shard-merged in the sharded mode), evicts a document, and
-reads ``/stats``.  A request naming a ``propagator`` (the query fixes it, so it
+reads ``/stats``: its drift ledger must hold the batch's one ``engine: sql``
+request and nothing else (only SQL plans carry estimates).  A request naming a
+``propagator`` (the query fixes it, so it
 is no wire field) must get the same 400 body in both modes.  Answers are
 asserted byte-identical to
 direct in-process ``evaluate()`` calls -- and byte-identical *across the two
@@ -52,8 +54,12 @@ BATCH = {
         {"doc": "auction", "xpath": "//description//listitem"},
         {"doc": "sentence", "xpath": "//NP[NN]"},
         {"doc": "ghost", "query": "Q <- A(x)"},  # stays a per-request error
+        # The one SQL plan: the only request the drift ledger records.
+        {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)", "engine": "sql"},
     ]
 }
+#: Requests the ledger must hold: the SQL ones (resident plans carry no estimate).
+SQL_REQUESTS = sum(request.get("engine") == "sql" for request in BATCH["requests"])
 
 
 #: A request naming a propagator, and the one 400 body both modes answer it with.
@@ -215,6 +221,11 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
         accounting = stats.get("plan_accounting", {})
         if not accounting.get("top_drift"):
             print(f"FAIL [{label}]: /stats plan-vs-actual drift table is empty: {accounting}")
+            return None
+        engines = {entry.get("engine") for entry in accounting["top_drift"]}
+        engines |= set(accounting.get("engines", {}))
+        if accounting.get("requests") != SQL_REQUESTS or engines != {"sql"}:
+            print(f"FAIL [{label}]: the drift ledger is not just the SQL requests: {accounting}")
             return None
         if "/query" not in stats.get("http", {}) or "p50_ms" not in stats["http"]["/query"]:
             print(f"FAIL [{label}]: /stats http latency summary missing: {stats.get('http')}")

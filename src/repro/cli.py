@@ -310,7 +310,8 @@ def _command_drift(args: argparse.Namespace) -> int:
 
     The operator face of the accounting layer: per-engine calibration (how
     many cost-model work units one second of that engine's wall-clock
-    retires) and the worst over/under-estimated requests, worst first.
+    retires) and the worst over/under-estimated requests, worst first.  Only
+    SQL plans carry estimates, so only SQL requests are ledgered.
     """
     import json
     import urllib.error
@@ -341,7 +342,7 @@ def _command_drift(args: argparse.Namespace) -> int:
             print(f"    {engine:<14} {rendered:>14}  ({calibration.get('count', 0)} request(s))")
     entries = accounting.get("top_drift", [])[: args.limit]
     if not entries:
-        print("top drift: (no executed requests yet)")
+        print("top drift: (no executed SQL requests yet)")
         return 0
     print(f"top drift (worst {len(entries)} of capacity {accounting.get('capacity')}):")
     for entry in entries:
@@ -590,6 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     drift_parser = commands.add_parser(
         "drift",
         help="show a running server's plan-vs-actual drift table (reads /stats)",
+        description="Show a running server's plan-vs-actual drift table (reads /stats).  "
+        "Only SQL plans carry cost estimates (they choose the lowering), so the ledger "
+        "holds SQL requests only; resident engines are routed without estimates.",
     )
     drift_parser.add_argument(
         "--url",

@@ -48,8 +48,8 @@ component hangs from the bag sharing the most head variables).  That rooted
 tree is the one join tree of the query: the in-memory decomposition engine
 runs it and the SQL lowering prints it as one CTE per bag.  Decompositions
 depend only on the query, so the compiled query caches its decomposition
-(`CompiledQuery.decomposition`) and the serving layer's resident plans reuse
-it across requests for free.
+(`CompiledQuery.decomposition`), searched on the first request that needs a
+join tree and reused by every later one for free.
 """
 
 from __future__ import annotations

@@ -379,7 +379,7 @@ class _DepthFirst:
         plan: _BagPlan,
         views: Mapping[Variable, object],
         index: "AxisIndex",
-        ahead: Optional[list[list[tuple[Axis, bool, object]]]] = None,
+        ahead: Optional[list[list[tuple[Axis, bool, Variable]]]] = None,
         ticks: Optional[Iterator[bool]] = None,
     ):
         self.plan = plan
@@ -389,9 +389,9 @@ class _DepthFirst:
         self.ticks = ticks
         self.current = [0] * len(plan.order)
         # Per position: the atoms to variables outside the bag, as ``(axis,
-        # whether the node is the source, the other end's view)``.  A node
-        # with no witness there completes no subtree below; the views are
-        # static, so each node is looked at once per position.
+        # whether the node is the source, the other end)``.  A node with no
+        # witness in the other end's view completes no subtree below; the
+        # views are static, so each node is looked at once per position.
         self.ahead = ahead or [[] for _ in plan.order]
         self.looked: list[dict[int, bool]] = [{} for _ in plan.order]
         # What a walk yields depends on the anchor alone: kept per anchor.
@@ -447,11 +447,13 @@ class _DepthFirst:
                 return False
         if not self.ahead[depth]:
             return True
-        looked, index = self.looked[depth], self.index
+        looked, index, views = self.looked[depth], self.index, self.views
         if node not in looked:
             looked[node] = all(
-                (index.has_successor_in if forward else index.has_predecessor_in)(axis, node, view)
-                for axis, forward, view in self.ahead[depth]
+                (index.has_successor_in if forward else index.has_predecessor_in)(
+                    axis, node, views[other]
+                )
+                for axis, forward, other in self.ahead[depth]
             )
         return looked[node]
 
@@ -744,16 +746,7 @@ class _JoinTreeSearch:
         self.pinned, setup = _search_setup(compiled, head, sizes)
         # Per bag: its walk, and each child with how to read its key off the walk.
         self.walks: list[tuple[_DepthFirst, list]] = [
-            (
-                _DepthFirst(
-                    plan,
-                    views,
-                    index,
-                    [[(axis, source, views[other]) for axis, source, other in at] for at in ahead],
-                    ticks,
-                ),
-                requests,
-            )
+            (_DepthFirst(plan, views, index, ahead, ticks), requests)
             for plan, ahead, requests in setup
         ]
 

@@ -119,7 +119,8 @@ class CompiledQuery:
         resident for the lifetime of the compiled artifact -- the serving
         layer's query cache holds these, so a decomposition is searched once
         per distinct (alpha-equivalence class of) query, not per request.
-        Its bags are what the planner prices the decomposition engine by.
+        Forced only where a join tree is needed: by the decomposition engine,
+        a SQL plan (which prices the lowering by its bags) and ``explain``.
         """
         from ..decomposition.decompose import decompose
 

@@ -49,7 +49,7 @@ from ..observability import tracing
 from ..observability.metrics import REGISTRY
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
-from ..trees.index import DomainView
+from ..trees.index import AxisIndex, DomainView
 from ..trees.orders import Order
 from ..trees.structure import TreeStructure
 from .compile import CompiledQuery, compile_query
@@ -120,6 +120,30 @@ def check_propagator(
         )
 
 
+class _Views(Mapping):
+    """Each variable's :class:`DomainView` of its column, built on its first read."""
+
+    __slots__ = ("_columns", "_index", "_built")
+
+    def __init__(self, columns: Mapping[Variable, Sequence[int]], index: AxisIndex):
+        self._columns = columns
+        self._index = index
+        self._built: dict[Variable, DomainView] = {}
+
+    def __getitem__(self, variable: Variable) -> DomainView:
+        view = self._built.get(variable)
+        if view is None:
+            view = self._index.view(self._columns[variable], presorted=True)
+            self._built[variable] = view
+        return view
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
 class PropagationResult:
     """Each variable's surviving candidates as a sorted column, views on demand.
 
@@ -129,8 +153,8 @@ class PropagationResult:
     query) the columns are only swept leaves to root: exact at
     ``unswept.sweep_roots``, and the root-to-leaves sweep runs on the first
     read of anything else.  :attr:`views` (sorted arrays for the index
-    witness primitives) are built from the columns, without a sort, on first
-    access.
+    witness primitives) are built from the columns, without a sort, one
+    variable at a time on its first read.
     """
 
     __slots__ = ("_structure", "_columns", "_unswept", "_views")
@@ -144,7 +168,7 @@ class PropagationResult:
         self._structure = structure
         self._columns = columns
         self._unswept = unswept
-        self._views: Optional[dict[Variable, DomainView]] = None
+        self._views: Optional[_Views] = None
 
     def _swept_columns(self) -> Mapping[Variable, Sequence[int]]:
         """The columns, after the reducer's root-to-leaves sweep (run once, here)."""
@@ -161,13 +185,9 @@ class PropagationResult:
         return self._columns
 
     @property
-    def views(self) -> dict[Variable, DomainView]:
+    def views(self) -> Mapping[Variable, DomainView]:
         if self._views is None:
-            index = self._structure.index
-            self._views = {
-                variable: index.view(column, presorted=True)
-                for variable, column in self._swept_columns().items()
-            }
+            self._views = _Views(self._swept_columns(), self._structure.index)
         return self._views
 
     def sorted_domain(self, variable: Variable) -> Sequence[int]:

@@ -1,12 +1,13 @@
 """Plan-vs-actual accounting: how wrong were the cost model's estimates?
 
-The PR 9 planner attaches an ``estimated_cost`` (abstract work units) and
-per-bag row estimates to every :class:`~repro.planning.plan.QueryPlan`, and the
-metrics layer already histograms those estimates -- but nothing ever compared
-them to what execution *actually* cost.  This module closes that loop:
+The planner attaches an ``estimated_cost`` (abstract work units) and per-bag
+row estimates to every :class:`~repro.planning.plan.QueryPlan` SQL can run --
+the estimates chose its lowering -- and the metrics layer histograms them.
+This module compares them to what execution *actually* cost:
 
-* every successfully executed request is recorded with its actual elapsed
-  time, rows enumerated and per-stage durations next to the plan's estimates;
+* every successfully executed SQL request is recorded with its actual elapsed
+  time, rows enumerated and per-stage durations next to the plan's estimates
+  (a plan on any other engine carries no estimate, so it is not ledgered);
 * a per-engine **calibration** (running mean of ``log(cost units / second)``)
   converts abstract units into predicted seconds, so the **drift ratio**
   ``actual_seconds / predicted_seconds`` is dimensionless: ``1.0`` means the

@@ -150,15 +150,17 @@ class _Family:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        # Compared against each call's keyword names: no set is built per call.
+        self._labelset = frozenset(self.labelnames)
         self._lock = threading.Lock()
         self._values: dict[tuple[str, ...], object] = {}
 
     def _key(self, labels: dict) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
+        if labels.keys() != self._labelset:
             raise ValueError(
                 f"metric {self.name!r} expects labels {self.labelnames}, got {tuple(labels)}"
             )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        return tuple([str(labels[name]) for name in self.labelnames])
 
     def label_sets(self) -> list[tuple[str, ...]]:
         """Every label-value combination this family has seen, sorted."""

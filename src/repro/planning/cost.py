@@ -27,7 +27,6 @@ from typing import Optional
 
 from ..decomposition.decompose import TreeDecomposition
 from ..evaluation.compile import CompiledQuery
-from ..evaluation.propagation import Propagator, choose_propagator
 from ..trees.axes import Axis
 from .stats import DocumentStats
 
@@ -154,25 +153,6 @@ def decomposition_cost_estimate(
     """Per-bag row estimates and their sum (the Yannakakis pass is linear in both)."""
     bag_rows = tuple(bag_rows_estimate(bag, compiled, stats) for bag in decomposition.bags)
     return bag_rows, max(sum(bag_rows), 1.0)
-
-
-def fixpoint_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:
-    """One pruning pass in front of a fixpoint engine, by the propagator it runs.
-
-    The pointer walk is priced at nodes x atoms (a pointer crosses each
-    candidate once, probing every incident atom).  The semijoin full reducer
-    never touches a node outside the label columns: each edge costs its two
-    endpoint domains (once per sweep), so it is priced by their estimated
-    sizes instead.
-    """
-    if choose_propagator(compiled) is Propagator.SEMIJOIN:
-        touched = sum(
-            variable_domain_estimate(atom.source, compiled, stats)
-            + variable_domain_estimate(atom.target, compiled, stats)
-            for atom in compiled.edges
-        )
-        return max(touched, 1.0)
-    return float(stats.nodes) * max(1, len(compiled.atoms))
 
 
 def flat_cost_estimate(compiled: CompiledQuery, stats: DocumentStats) -> float:

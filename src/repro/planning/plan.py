@@ -22,37 +22,35 @@ plan then records the propagator that engine runs, which the query fixes
 engine calls itself): the semijoin sweeps on every forest-shaped body (the
 exact full reducer there) and in front of the decomposition engine on any
 body (supersets suffice), Theorem 3.5's pointer walk on any other cyclic body
-over a tractable signature.  It chooses the SQL lowering, by cost, only where
-SQL can run (accel residency or an explicit ``engine=sql``): ``"flat"`` when
-the single-block join is estimated cheaper than the join-tree CTE cascade.
-Elsewhere the flat join is never priced (its estimator is quartic in the
-variable count) and the plan reads ``lowering="tree"``.
+over a tractable signature.
 
-Plans are pure functions of (canonical query, stats bucket, engine override,
-residency), which is what makes them cacheable in
-:class:`~repro.service.cache.QueryCache` and alpha-renaming invariant
-(planning happens after canonicalization).
+Estimates decide one thing: the SQL lowering, and only where SQL can run
+(accel residency or an explicit ``engine=sql``, :func:`sql_can_run`) --
+``"flat"`` when the single-block join is estimated cheaper than the join-tree
+CTE cascade.  Only those plans read the document's stats, force the query's
+decomposition and carry estimates.  Every other plan records its engine and
+propagator and nothing else: it is a pure function of (canonical query,
+engine override, residency), a SQL plan of those and the stats bucket, which
+is what makes plans cacheable in :class:`~repro.service.cache.QueryCache` and
+alpha-renaming invariant (planning happens after canonicalization).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
-from ..evaluation.planner import Engine, fixpoint_answers, tier
+from ..evaluation.planner import Engine, tier
 from ..evaluation.propagation import Propagator, choose_propagator
 from ..queries.query import ConjunctiveQuery
-from .cost import (
-    decomposition_cost_estimate,
-    fixpoint_cost_estimate,
-    flat_cost_estimate,
-    variable_domain_estimate,
-)
+from .cost import decomposition_cost_estimate, flat_cost_estimate
 from .stats import DocumentStats
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..decomposition.decompose import TreeDecomposition
+
+def sql_can_run(engine: Optional[Engine], accel_only: bool) -> bool:
+    """Is a plan priced?  Only where SQL can run is there a lowering to choose."""
+    return accel_only or engine is Engine.SQL
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,22 +61,25 @@ class QueryPlan:
     #: What the engine runs (:func:`choose_propagator`): a record, not a choice.
     propagator: Propagator
     #: SQL lowering shape: chosen by cost where SQL can run, ``"tree"`` elsewhere.
-    lowering: str
-    decomposition: "TreeDecomposition"
-    stats_bucket: str
-    #: Estimated rows per decomposition bag, in ``decomposition.bags`` order.
-    bag_rows: tuple[float, ...]
-    #: Also the join-tree SQL lowering's estimate (one CTE per bag).
-    decomposition_cost: float
-    #: The single-block SQL join; ``None`` where SQL cannot run.
-    flat_cost: Optional[float]
-    #: The estimate for the engine/lowering actually chosen.
-    estimated_cost: float
+    lowering: str = "tree"
+    # The estimates that chose the lowering; ``None`` / empty where SQL cannot run.
+    stats_bucket: Optional[str] = None
+    #: Estimated rows per bag of ``compiled.decomposition``, in bag order.
+    bag_rows: tuple[float, ...] = ()
+    #: The join-tree SQL lowering (one CTE per bag): the sum of ``bag_rows``.
+    decomposition_cost: Optional[float] = None
+    #: The single-block SQL join.
+    flat_cost: Optional[float] = None
     # Not a field: benchmarks/e2e/layers.py still reads it as a SQL knob.
     materialize = False
 
+    @property
+    def estimated_cost(self) -> Optional[float]:
+        """The estimate for the lowering chosen; ``None`` where SQL cannot run."""
+        return self.flat_cost if self.lowering == "flat" else self.decomposition_cost
+
     def accounting_fields(self) -> dict:
-        """The plan attribution the plan-vs-actual ledger records per request.
+        """The plan attribution the plan-vs-actual ledger records per SQL request.
 
         ``estimated_rows`` is the widest bag: the cost model's proxy for the
         largest intermediate this plan expects to materialize (the quantity
@@ -90,28 +91,31 @@ class QueryPlan:
             "lowering": self.lowering,
             "stats_bucket": self.stats_bucket,
             "estimated_cost": self.estimated_cost,
-            "estimated_rows": max(self.bag_rows) if self.bag_rows else 0.0,
+            "estimated_rows": max(self.bag_rows, default=0.0),
         }
 
     def describe(self) -> dict:
-        """JSON-friendly rendering for EXPLAIN surfaces."""
+        """JSON-friendly rendering for EXPLAIN surfaces (``estimates``: SQL plans only)."""
+        estimates = None
+        if self.stats_bucket is not None:
+            estimates = {
+                "bag_rows": [round(rows, 1) for rows in self.bag_rows],
+                "decomposition_cost": round(self.decomposition_cost, 1),
+                "flat_cost": round(self.flat_cost, 1),
+                "estimated_cost": round(self.estimated_cost, 1),
+            }
         return {
             "engine": self.engine.value,
             "propagator": self.propagator.value,
             "lowering": self.lowering,
             "stats_bucket": self.stats_bucket,
-            "estimates": {
-                "bag_rows": [round(rows, 1) for rows in self.bag_rows],
-                "decomposition_cost": round(self.decomposition_cost, 1),
-                "flat_cost": None if self.flat_cost is None else round(self.flat_cost, 1),
-                "estimated_cost": round(self.estimated_cost, 1),
-            },
+            "estimates": estimates,
         }
 
 
 def plan_query(
     query: ConjunctiveQuery,
-    stats: DocumentStats,
+    stats: Optional[DocumentStats] = None,
     *,
     compiled: Optional[CompiledQuery] = None,
     engine: Optional[Engine] = None,
@@ -121,7 +125,8 @@ def plan_query(
 
     ``engine`` is an explicit user override and always wins.  ``accel_only``
     is the residency signal: such documents can only run on the SQL backend,
-    so the engine tier is pinned there.
+    so the engine tier is pinned there.  ``stats`` is read only where SQL can
+    run (:func:`sql_can_run`), and must be given there.
     """
     if compiled is None:
         compiled = compile_query(query)
@@ -130,39 +135,18 @@ def plan_query(
     else:
         chosen_engine = tier(query, compiled, accel_only)
     propagator = choose_propagator(compiled, decomposition=chosen_engine is Engine.DECOMPOSITION)
-
-    decomposition = compiled.decomposition
-    bag_rows, decomposition_total = decomposition_cost_estimate(decomposition, compiled, stats)
-
-    flat_cost: Optional[float] = None
-    lowering = "tree"
-    if accel_only or engine is Engine.SQL:
-        flat_cost = flat_cost_estimate(compiled, stats)
-        if flat_cost < decomposition_total:
-            lowering = "flat"
-
-    if chosen_engine is Engine.SQL:
-        estimated = flat_cost if lowering == "flat" else decomposition_total
-    elif chosen_engine is Engine.DECOMPOSITION:
-        estimated = decomposition_total
-    else:
-        # One fixpoint decides a Boolean head and *is* a monadic forest
-        # projection; forced onto any other head, a fixpoint engine (or
-        # backtracking) runs the per-candidate-tuple reduction: one fixpoint
-        # per tuple of the head's candidate product.
-        estimated = fixpoint_cost_estimate(compiled, stats)
-        if not fixpoint_answers(query, compiled):
-            for variable in dict.fromkeys(query.head):
-                estimated *= max(variable_domain_estimate(variable, compiled, stats), 1.0)
-
+    if not sql_can_run(engine, accel_only):
+        return QueryPlan(chosen_engine, propagator)
+    if stats is None:
+        raise ValueError("a plan SQL can run is priced: it needs the document's stats")
+    bag_rows, tree_cost = decomposition_cost_estimate(compiled.decomposition, compiled, stats)
+    flat_cost = flat_cost_estimate(compiled, stats)
     return QueryPlan(
         engine=chosen_engine,
         propagator=propagator,
-        lowering=lowering,
-        decomposition=decomposition,
+        lowering="flat" if flat_cost < tree_cost else "tree",
         stats_bucket=stats.bucket(),
         bag_rows=bag_rows,
-        decomposition_cost=decomposition_total,
+        decomposition_cost=tree_cost,
         flat_cost=flat_cost,
-        estimated_cost=estimated,
     )

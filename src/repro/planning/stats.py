@@ -13,12 +13,12 @@ downstream:
 * the **label histogram** gives per-variable domain selectivities
   (``count(label) / n``).
 
-Plans are cached per canonical query x *stats bucket*
-(:meth:`DocumentStats.bucket`): a stable string of log-scale size classes plus
-a digest of the log-bucketed histogram.  Re-registering a document with a
-materially different tree lands in a different bucket, so cached plans
-invalidate naturally; cosmetic changes (a handful of nodes) keep the bucket
-and reuse the plan.
+SQL plans -- the only plans that read stats -- are cached per canonical query
+x *stats bucket* (:meth:`DocumentStats.bucket`): a stable string of log-scale
+size classes plus a digest of the log-bucketed histogram.  Re-registering a
+document with a materially different tree lands in a different bucket, so
+cached estimates invalidate naturally; cosmetic changes (a handful of nodes)
+keep the bucket and reuse the plan.
 
 Accel-only documents have no resident tree, only a node count
 (:meth:`DocumentStats.approximate`): shape statistics fall back to

@@ -9,8 +9,9 @@ behind a renaming-invariant key (:func:`repro.queries.canonical.canonical_key`):
   so byte-identical resubmissions skip even the parser;
 * **entry cache** -- canonical key to :class:`CachedQuery`: the canonical
   representative query, its :class:`~repro.evaluation.compile.CompiledQuery`
-  and its plans per stats bucket and overrides (:meth:`QueryCache.plan_for`;
-  a :class:`~repro.planning.plan.QueryPlan` is what names an engine).
+  and its plans per overrides -- and per stats bucket where SQL can run
+  (:meth:`QueryCache.plan_for`; a :class:`~repro.planning.plan.QueryPlan` is
+  what names an engine).
   Alpha-equivalent submissions -- textually different, even mixed
   datalog/XPath -- share one entry, and because the entry holds the
   *canonical* query value, ``compile_query``'s per-value ``lru_cache`` is hit
@@ -32,7 +33,7 @@ from ..evaluation.compile import CompiledQuery, compile_query
 from ..evaluation.planner import Engine
 from ..observability import tracing
 from ..observability.metrics import REGISTRY
-from ..planning import DocumentStats, QueryPlan, plan_query
+from ..planning import DocumentStats, QueryPlan, plan_query, sql_can_run
 from ..queries.canonical import canonical_key, canonicalize
 from ..queries.simplify import simplify_query
 from ..queries.parser import parse_query
@@ -60,18 +61,21 @@ class CachedQuery:
     compiled: CompiledQuery
     hits: int = field(default=0)
     #: Memoized :class:`~repro.planning.plan.QueryPlan` values, keyed by
-    #: (stats bucket, engine override, accel_only).
-    #: Bucket-keying is the invalidation story: re-registering a document with
-    #: different contents moves it to another stats bucket, so stale plans are
-    #: never served (they only age out of the bounded map).
+    #: (stats bucket, engine override, accel_only).  Only a plan SQL can run
+    #: reads the stats, so every other plan keys its bucket as ``None``.
+    #: Bucket-keying is the invalidation story for the priced plans:
+    #: re-registering a document with different contents moves it to another
+    #: stats bucket, so stale estimates are never served (they only age out
+    #: of the bounded map).
     plans: dict = field(default_factory=dict)
 
     def describe(self) -> dict:
         # Report the decomposition width only when the lazy cached property
-        # was already materialized (planning forces it).  Forcing it here
-        # would run the exact treewidth search for entries never planned --
-        # tens of milliseconds per 12-variable entry, under the cache lock --
-        # just to describe them.
+        # was already materialized (the decomposition engine, a SQL plan or
+        # an explain forces it).  Forcing it here would run the exact
+        # treewidth search for entries that never needed one -- tens of
+        # milliseconds per 12-variable entry, under the cache lock -- just
+        # to describe them.
         decomposition = self.compiled.__dict__.get("decomposition")
         return {
             "key": self.key,
@@ -189,26 +193,28 @@ class QueryCache:
         return entry, False
 
     #: Distinct plans kept per cache entry.  Plans are small (a dataclass of
-    #: floats over the already-resident decomposition), so the bound only
-    #: guards against a pathological stream of distinct stats buckets.
+    #: a few floats at most), so the bound only guards against a
+    #: pathological stream of distinct stats buckets.
     PLANS_PER_ENTRY = 32
 
     def plan_for(
         self,
         entry: CachedQuery,
-        stats: DocumentStats,
+        stats: Optional[DocumentStats],
         *,
         engine: Optional[Engine] = None,
         accel_only: bool = False,
     ) -> QueryPlan:
         """The :class:`QueryPlan` for ``entry`` on a document in ``stats``'s bucket.
 
-        Plans are pure functions of (canonical query, stats bucket, engine
-        override, residency) -- ``entry`` holds the canonical query, so
-        alpha-equivalent submissions share plans exactly as they share
-        compiled artifacts.
+        Plans are pure functions of (canonical query, engine override,
+        residency), and a plan SQL can run of the stats bucket too -- only
+        there is ``stats`` read, and it may be ``None`` elsewhere.  ``entry``
+        holds the canonical query, so alpha-equivalent submissions share
+        plans exactly as they share compiled artifacts.
         """
-        plan_key = (stats.bucket(), engine.value if engine is not None else None, accel_only)
+        bucket = stats.bucket() if stats is not None and sql_can_run(engine, accel_only) else None
+        plan_key = (bucket, engine.value if engine is not None else None, accel_only)
         with self._lock:
             plan = entry.plans.get(plan_key)
             if plan is not None:

@@ -33,7 +33,7 @@ from ..evaluation.planner import Engine, answer_page
 from ..observability import tracing
 from ..observability.accounting import ACCOUNTING
 from ..observability.metrics import REGISTRY, SLOW_LOG
-from ..planning import QueryPlan
+from ..planning import QueryPlan, sql_can_run
 from ..queries.parser import QueryParseError
 from ..queries.query import ConjunctiveQuery
 from ..queries.xpath import XPathTranslationError
@@ -63,12 +63,13 @@ PLAN_CHOICES = REGISTRY.counter(
     ("engine", "lowering"),
 )
 #: Cost-model estimates span many orders of magnitude (label-selective bags
-#: vs cartesian n^(w+1) terms), so the histogram buckets by decade.  How the
-#: estimates compare with what requests actually cost is the drift ledger's
+#: vs cartesian n^(w+1) terms), so the histogram buckets by decade.  Only SQL
+#: plans carry one (it chose their lowering).  How the estimates compare with
+#: what requests actually cost is the drift ledger's
 #: (:mod:`repro.observability.accounting`).
 PLAN_ESTIMATED_COST = REGISTRY.histogram(
     "cqtrees_plan_estimated_cost",
-    "Estimated cost (cost-model work units) of the chosen plan, by engine.",
+    "Estimated cost (cost-model work units) of the chosen SQL plan, by engine.",
     ("engine",),
     buckets=tuple(10.0**exponent for exponent in range(13)),
 )
@@ -196,7 +197,8 @@ class RequestResult:
     trace: Optional[dict] = None
     #: The plan description of an ``explain: true`` request (JSON dict).
     explain: Optional[dict] = None
-    #: Plan attribution for the slow log (lowering, estimated cost, drift).
+    #: Plan attribution for the slow log: the lowering, and for a SQL plan
+    #: its estimated cost and drift.
     #: Deliberately NOT serialized: wire bodies must stay byte-identical
     #: whether or not the accounting layer recorded anything.
     plan_attribution: Optional[dict] = None
@@ -289,8 +291,9 @@ def _resolve_plan(
     """Shared routing front half: ``(plan, entry, cache_hit, residency)``.
 
     Produces the single :class:`~repro.planning.plan.QueryPlan` every entry
-    point runs from, memoized per (canonical query, stats bucket, engine
-    override, residency) in the query cache.  An explicit ``request.engine``
+    point runs from, memoized per (canonical query, engine override,
+    residency) in the query cache -- and per stats bucket where SQL can run,
+    the only plans that read the document's stats.  An explicit ``request.engine``
     override always wins; documents resident only in the accel store plan
     with ``accel_only=True`` and so pin :attr:`Engine.SQL` (the sole engine
     that can see them).  Raises :data:`REQUEST_ERRORS` members on routing
@@ -306,12 +309,8 @@ def _resolve_plan(
     if residency is None:
         raise DocumentNotFound(request.doc)
     accel_only = residency == "accel"
-    plan = cache.plan_for(
-        entry,
-        store.stats_for(request.doc),
-        engine=override,
-        accel_only=accel_only,
-    )
+    stats = store.stats_for(request.doc) if sql_can_run(override, accel_only) else None
+    plan = cache.plan_for(entry, stats, engine=override, accel_only=accel_only)
     if attribution is not None:
         attribution["engine"] = plan.engine.value
         attribution["propagator"] = plan.propagator.value
@@ -322,7 +321,8 @@ def _resolve_plan(
             f"engine {plan.engine.value!r} needs a resident document"
         )
     PLAN_CHOICES.inc(engine=plan.engine.value, lowering=plan.lowering)
-    PLAN_ESTIMATED_COST.observe(plan.estimated_cost, engine=plan.engine.value)
+    if plan.engine is Engine.SQL:
+        PLAN_ESTIMATED_COST.observe(plan.estimated_cost, engine=plan.engine.value)
     return plan, entry, cache_hit, residency
 
 
@@ -358,21 +358,26 @@ def _execute_request(
         truncated = count > len(answers)
     finished = time.perf_counter()
     elapsed_ms = (finished - started) * 1000.0
-    # Close the planning loop: ledger the actuals (elapsed, rows enumerated,
-    # stage split) against the plan's estimates.  The drift ratio feeds the
-    # /metrics histogram, the /stats top-drift table and the slow log.
-    drift = ACCOUNTING.record(
-        query_key=entry.key,
-        query_text=entry.query,
-        doc=request.doc,
-        rows=count,
-        elapsed_ms=elapsed_ms,
-        stage_ms={
-            "plan": (plan_ready - started) * 1000.0,
-            "execute": (finished - plan_ready) * 1000.0,
-        },
-        **plan.accounting_fields(),
-    )
+    plan_attribution = {"lowering": plan.lowering}
+    if plan.engine is Engine.SQL:
+        # Close the planning loop where estimates decided something: ledger
+        # the actuals (elapsed, rows enumerated, stage split) against the
+        # plan's estimates.  The drift ratio feeds the /metrics histogram,
+        # the /stats top-drift table and the slow log.
+        drift = ACCOUNTING.record(
+            query_key=entry.key,
+            query_text=entry.query,
+            doc=request.doc,
+            rows=count,
+            elapsed_ms=elapsed_ms,
+            stage_ms={
+                "plan": (plan_ready - started) * 1000.0,
+                "execute": (finished - plan_ready) * 1000.0,
+            },
+            **plan.accounting_fields(),
+        )
+        plan_attribution["estimated_cost"] = round(plan.estimated_cost, 1)
+        plan_attribution["drift"] = drift if drift is None else round(drift, 4)
     return RequestResult(
         doc=request.doc,
         query_key=entry.key,
@@ -384,11 +389,7 @@ def _execute_request(
         propagator=plan.propagator.value,
         engine=plan.engine.value,
         cache_hit=cache_hit,
-        plan_attribution={
-            "lowering": plan.lowering,
-            "estimated_cost": round(plan.estimated_cost, 1),
-            "drift": drift if drift is None else round(drift, 4),
-        },
+        plan_attribution=plan_attribution,
     )
 
 
@@ -437,12 +438,13 @@ def run_request(store: DocumentStore, cache: QueryCache, request: Request) -> Re
     its batch, kill its worker thread, or poison its shard process.
 
     Engine routing: an explicit ``request.engine`` always wins; otherwise the
-    planner's per-query choice applies (``result.engine``, the plan counters,
-    the slow log and the drift ledger all name the engine that ran: k-ary
-    heads enumerate on ``decomposition``), except that documents resident only
-    in the accel store auto-route to :attr:`Engine.SQL` (the sole engine that
-    can see them) with answers streamed out of SQLite in sorted order --
-    byte-identical to what the in-memory engines would produce.
+    planner's per-query choice applies (``result.engine``, the plan counters
+    and the slow log all name the engine that ran: k-ary heads enumerate on
+    ``decomposition``; the drift ledger holds SQL requests only), except that
+    documents resident only in the accel store auto-route to
+    :attr:`Engine.SQL` (the sole engine that can see them) with answers
+    streamed out of SQLite in sorted order -- byte-identical to what the
+    in-memory engines would produce.
 
     Observability: every executed request lands in the metrics registry
     (:data:`REQUESTS_TOTAL`, :data:`REQUEST_SECONDS`) and, past the latency
@@ -480,8 +482,9 @@ def explain_request(store: DocumentStore, cache: QueryCache, request: Request) -
 
     The ``explain`` payload reports the full :class:`QueryPlan`: the chosen
     engine and propagator, the SQL lowering that *would actually run*, the
-    document's residency and stats bucket, the cost-model estimates that
-    produced the choice, cache state, the compiled decomposition (achieved
+    document's residency, for SQL plans the stats bucket and the cost-model
+    estimates that chose the lowering (``null`` for every other plan), cache
+    state, the compiled decomposition (achieved
     width, exactness, method, bag structure as sorted variable lists plus the
     parent vector of the head-rooted join tree both engines run, the static
     per-bag cost the width tie-break uses) and -- for
@@ -496,7 +499,7 @@ def explain_request(store: DocumentStore, cache: QueryCache, request: Request) -
         plan, entry, cache_hit, residency = _resolve_plan(store, cache, request, attribution)
         from ..decomposition.decompose import atom_pair_costs, decomposition_cost
 
-        decomposition = plan.decomposition
+        decomposition = entry.compiled.decomposition
         static_cost = decomposition_cost(decomposition, atom_pair_costs(entry.compiled))
         payload = {
             "doc": request.doc,

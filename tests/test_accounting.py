@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -163,6 +164,9 @@ REQUESTS = [
     Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)"),
     Request(doc="auction", xpath="//description//listitem"),
 ]
+#: The same requests on the SQL engine: the only plans that carry estimates,
+#: and so the only requests the ledger records.
+SQL_REQUESTS = [replace(request, engine="sql") for request in REQUESTS]
 
 
 class TestServingIntegration:
@@ -171,12 +175,14 @@ class TestServingIntegration:
         executor = BatchExecutor()
         try:
             executor.store.register_xml("auction", auction_xml)
-            results = executor.execute_batch(REQUESTS)
+            results = executor.execute_batch(REQUESTS + SQL_REQUESTS)
             assert all(result.ok for result in results)
             accounting = executor.stats()["plan_accounting"]
         finally:
             executor.close()
-        assert accounting["requests"] == len(REQUESTS)
+        # Resident plans decide nothing by estimate: only the SQL ones are ledgered.
+        assert accounting["requests"] == len(SQL_REQUESTS)
+        assert set(accounting["engines"]) == {"sql"}
         assert accounting["top_drift"]
         entry = accounting["top_drift"][0]
         assert {"drift", "direction", "engine", "lowering", "estimated_cost", "stage_ms"} <= set(
@@ -191,26 +197,27 @@ class TestServingIntegration:
         executor = ShardedExecutor(shards=2)
         try:
             executor.register_payload({"doc": "auction", "xml": auction_xml})
-            results = executor.execute_batch(REQUESTS * 2)
+            results = executor.execute_batch((REQUESTS + SQL_REQUESTS) * 2)
             assert all(result.ok for result in results)
             accounting = executor.stats()["plan_accounting"]
         finally:
             executor.close()
         # Workers clear inherited state post-fork, so the merged ledger counts
-        # exactly what this executor served.
-        assert accounting["requests"] == 2 * len(REQUESTS)
-        assert accounting["engines"]
+        # exactly the SQL requests this executor served.
+        assert accounting["requests"] == 2 * len(SQL_REQUESTS)
+        assert set(accounting["engines"]) == {"sql"}
         assert accounting["top_drift"]
 
     def test_results_carry_attribution_but_not_on_the_wire(self, auction_xml):
         executor = BatchExecutor()
         try:
             executor.store.register_xml("auction", auction_xml)
-            result = executor.execute(REQUESTS[0])
+            resident = executor.execute(REQUESTS[0])
+            result = executor.execute(SQL_REQUESTS[0])
         finally:
             executor.close()
-        assert result.ok
-        assert result.plan_attribution is not None
+        assert resident.ok and result.ok
+        assert resident.plan_attribution == {"lowering": "tree"}
         assert set(result.plan_attribution) == {"lowering", "estimated_cost", "drift"}
         # The wire body must stay byte-identical to the pre-accounting era.
         assert sorted(result.to_json_dict()) == [
@@ -232,10 +239,14 @@ class TestServingIntegration:
         try:
             executor.store.register_xml("auction", auction_xml)
             assert executor.execute(REQUESTS[0]).ok
+            resident = SLOW_LOG.entries()[-1]
+            assert executor.execute(SQL_REQUESTS[0]).ok
             entry = SLOW_LOG.entries()[-1]
         finally:
             SLOW_LOG.threshold_ms = threshold
             executor.close()
+        assert "lowering" in resident
+        assert "estimated_cost" not in resident and "drift" not in resident
         assert {"lowering", "estimated_cost", "drift"} <= set(entry)
         assert "routing" not in entry
         assert entry["engine"] is not None

@@ -737,7 +737,11 @@ class TestServingIntegration:
 
         cache = QueryCache()
         entry, _ = cache.resolve_text(TRIANGLE)
-        cache.plan_for(entry, TestPlannerRouting.STATS)
+        # A resident plan forces no join tree; a SQL plan prices its bags.
+        fresh = compile_query.__wrapped__(entry.query)
+        plan_query(entry.query, compiled=fresh)
+        assert "decomposition" not in fresh.__dict__
+        cache.plan_for(entry, TestPlannerRouting.STATS, engine=Engine.SQL)
         assert entry.describe()["width"] == 2
         # The decomposition is resident on the shared compiled artifact.
         assert "decomposition" in entry.compiled.__dict__

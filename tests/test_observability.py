@@ -272,6 +272,28 @@ class TestPrometheusExposition:
         assert 'h_seconds_count{route="/query"} 5' in text
 
 
+class TestLabelKeys:
+    def test_missing_extra_or_other_labels_are_an_error(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c_total", "c", ("engine", "lowering"))
+        histogram = registry.histogram("h", "h", ("engine",))
+        counter.inc(lowering="tree", engine="sql")  # keyword order is free
+        assert counter.value(engine="sql", lowering="tree") == 1
+        for labels in (
+            {},
+            {"engine": "sql"},
+            {"engine": "sql", "lowering": "tree", "doc": "d"},
+            {"engine": "sql", "route": "tree"},
+        ):
+            with pytest.raises(ValueError, match="expects labels"):
+                counter.inc(**labels)
+        for labels in ({}, {"route": "sql"}, {"engine": "sql", "lowering": "tree"}):
+            with pytest.raises(ValueError, match="expects labels"):
+                histogram.observe(1.0, **labels)
+        assert counter.label_sets() == [("sql", "tree")]
+        assert histogram.label_sets() == []
+
+
 # ---------------------------------------------------------------------------
 # Slow-query ring buffer.
 # ---------------------------------------------------------------------------
@@ -424,6 +446,8 @@ class TestExplain:
         assert plan["width"] >= 1 and isinstance(plan["width_exact"], bool)
         assert plan["bags"] and len(plan["bag_parents"]) == len(plan["bags"])
         assert plan["engine"] == result.engine
+        # Only a SQL plan is priced: a resident one carries no estimates.
+        assert (plan["stats_bucket"], plan["estimates"]) == (None, None)
         payload = result.to_json_dict()
         # Explain responses describe the plan; they carry no answers.
         assert "answers" not in payload and "count" not in payload
@@ -447,6 +471,7 @@ class TestExplain:
         assert result.explain["residency"] == "accel"
         assert result.explain["engine"] == "sql"
         assert "SELECT" in result.explain["sql"].upper()
+        assert result.explain["estimates"]["estimated_cost"] > 0
 
     def test_explain_never_touches_backend_data(self):
         # The module-level helper lowers against an empty scratch database, so

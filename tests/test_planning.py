@@ -7,12 +7,12 @@ Covers the :class:`QueryPlan` contract end to end:
 * the estimators: domains bounded by label histograms, bag rows >= 1,
   the propagator rule;
 * ``plan_query``, the one routing rule: the dichotomy tiers, the cyclic
-  residue on the decomposition engine, the flat SQL join priced only where
-  SQL can run, overrides always win, the materialization threshold;
-* the serving layer: plans cached per (canonical query, stats bucket),
-  invalidated by re-registration through the bucket key, EXPLAIN reporting
-  the lowering that actually runs (the satellite bugfix), and every
-  attribution surface naming the engine that actually ran a k-ary head;
+  residue on the decomposition engine, estimates (and the decomposition they
+  read) only where SQL can run, overrides always win;
+* the serving layer: resident plans cached per canonical query, SQL plans
+  per stats bucket too and invalidated by re-registration through it,
+  EXPLAIN reporting the lowering that actually runs, and every attribution
+  surface naming the engine that actually ran a k-ary head;
 * the property suite: answers byte-identical between the default plan and
   every forced engine across cyclic and acyclic shapes,
   unsafe heads included; plan choice invariant under alpha-renaming.
@@ -38,11 +38,10 @@ from repro.planning import (
     QueryPlan,
     bag_rows_estimate,
     choose_propagator,
-    fixpoint_cost_estimate,
     plan_query,
     variable_domain_estimate,
 )
-from repro.evaluation.compile import compile_query
+from repro.evaluation.compile import CompiledQuery, compile_query
 from repro.hardness import theorem51_workload
 from repro.observability.accounting import ACCOUNTING
 from repro.observability.metrics import SLOW_LOG
@@ -173,35 +172,34 @@ def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
         assert searched.propagator is choose_propagator(compile_query(query)), text
 
 
-def test_semijoin_fixpoint_is_priced_by_label_columns():
+def test_fixpoint_plans_price_nothing_and_force_no_decomposition():
+    """Only the plans whose decision needs them read stats or a join tree."""
     stats = DocumentStats.of_tree(_tree(size=400))
-    query = parse_query("Q(a) <- A(a), Child(a, b), B(b)")
-    compiled = compile_query(query)
-    touched = variable_domain_estimate("a", compiled, stats) + variable_domain_estimate(
-        "b", compiled, stats
-    )
-    assert fixpoint_cost_estimate(compiled, stats) == touched
-    # The plan charges what its propagator does: a monadic forest projection
-    # costs one sweep.
-    assert plan_query(query, stats).estimated_cost == touched
-    # The walk on a cyclic tractable body is priced at nodes x atoms.
-    cycle = parse_query("Q <- A(a), Child+(a, b), Child+(b, c), Child+(a, c)")
-    walked = compile_query(cycle)
-    assert choose_propagator(walked) is Propagator.WALK
-    assert fixpoint_cost_estimate(walked, stats) == stats.nodes * len(walked.atoms)
-    assert plan_query(cycle, stats).estimated_cost == stats.nodes * len(walked.atoms)
-    # No edge at all: never a zero cost (the ledger divides by it).
-    lone = compile_query(parse_query("Q(a) <- A(a)"))
-    assert fixpoint_cost_estimate(lone, stats) == 1.0
+    for text, engine in (
+        (ACYCLIC_CHAIN, Engine.ACYCLIC),
+        ("Q <- A(a), Child+(a, b), Child+(b, c), Child+(a, c)", Engine.XPROPERTY),
+    ):
+        query = parse_query(text)
+        compiled = compile_query.__wrapped__(query)  # fresh: no shared cached property
+        plan = plan_query(query, compiled=compiled)
+        assert plan.engine is engine, text
+        assert "decomposition" not in compiled.__dict__, text
+        assert (plan.stats_bucket, plan.bag_rows, plan.estimated_cost) == (None, (), None)
+        assert plan.describe()["estimates"] is None
+        # Given stats or not, the plan is the same: it never reads them.
+        assert plan_query(query, stats, compiled=compiled).describe() == plan.describe()
+        assert "decomposition" not in compiled.__dict__, text
+    with pytest.raises(ValueError, match="stats"):
+        plan_query(parse_query(TRIANGLE), engine=Engine.SQL)
 
 
 # -- plan_query ----------------------------------------------------------------
 
 
 def _assert_residue(plan: QueryPlan) -> None:
-    """The cyclic residue runs on the decomposition engine, whatever the estimates."""
+    """The cyclic residue runs on the decomposition engine, priced by nothing."""
     assert plan.engine is Engine.DECOMPOSITION
-    assert plan.estimated_cost == plan.decomposition_cost
+    assert plan.estimated_cost is None
 
 
 def test_resident_plans_price_no_flat_join():
@@ -211,7 +209,7 @@ def test_resident_plans_price_no_flat_join():
         query = parse_query(text)
         plan = plan_query(query, stats)
         assert (plan.lowering, plan.flat_cost) == ("tree", None)
-        assert plan.describe()["estimates"]["flat_cost"] is None
+        assert plan.describe()["estimates"] is None
         for sql in (
             plan_query(query, stats, engine=Engine.SQL),
             plan_query(query, stats, accel_only=True),
@@ -235,9 +233,7 @@ def test_forest_heads_take_the_join_tree_tier_statically():
         "Q(a, c) <- A(a), Child+(a, b), B(b), Following(b, c), C(c)",  # NP-hard one
         "Q(a, c) <- A(a), C(c)",  # two components, no axis atom
     ):
-        plan = plan_query(parse_query(text), stats)
-        assert plan.engine is Engine.DECOMPOSITION
-        assert plan.estimated_cost == plan.decomposition_cost
+        _assert_residue(plan_query(parse_query(text), stats))
 
 
 def test_cyclic_heads_over_tractable_signatures_join_the_residue():
@@ -249,18 +245,13 @@ def test_cyclic_heads_over_tractable_signatures_join_the_residue():
     assert plan_query(parse_query(text.replace("Q(a, c)", "Q")), stats).engine is Engine.XPROPERTY
 
 
-def test_forced_per_tuple_engine_is_priced_as_the_reduction():
+def test_forced_per_tuple_engine_is_not_priced():
+    """A forced fixpoint engine decides nothing by cost: it carries no estimate."""
     stats = DocumentStats.of_tree(_tree())
     binary = parse_query("Q(a, b) <- A(a), Child+(a, b), B(b)")
     forced = plan_query(binary, stats, engine=Engine.XPROPERTY)
     assert forced.engine is Engine.XPROPERTY
-    compiled = compile_query(binary)
-    fixpoint = fixpoint_cost_estimate(compiled, stats)
-    candidates = [variable_domain_estimate(v, compiled, stats) for v in ("a", "b")]
-    assert forced.estimated_cost == fixpoint * candidates[0] * candidates[1]  # |D(a)|.|D(b)|
-    monadic = plan_query(parse_query("Q(a) <- A(a), Child+(a, b), B(b)"), stats)
-    assert monadic.engine is Engine.XPROPERTY
-    assert monadic.estimated_cost < forced.estimated_cost  # one fixpoint
+    assert forced.estimated_cost is None and forced.describe()["estimates"] is None
 
 
 def test_overrides_always_win():
@@ -344,21 +335,27 @@ def test_accel_only_pins_sql():
     assert big.lowering == "tree"
 
 
-def test_estimated_cost_tracks_chosen_engine():
+def test_estimated_cost_is_the_sql_lowering_chosen():
     stats = DocumentStats.of_tree(_tree())
     _assert_residue(plan_query(parse_query(FOUR_CYCLE), stats))
     forced = plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.BACKTRACKING)
-    assert forced.estimated_cost > forced.decomposition_cost  # the per-candidate reduction
-    sql = plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True)
-    assert sql.estimated_cost == (
-        sql.flat_cost if sql.lowering == "flat" else sql.decomposition_cost
-    )
+    assert forced.estimated_cost is None  # no lowering to choose
+    for sql in (
+        plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True),
+        plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.SQL),
+    ):
+        assert sql.estimated_cost == (
+            sql.flat_cost if sql.lowering == "flat" else sql.decomposition_cost
+        )
+        assert len(sql.bag_rows) == len(compile_query(parse_query(FOUR_CYCLE)).decomposition.bags)
 
 
 def test_describe_is_json_friendly():
-    plan = plan_query(parse_query(FOUR_CYCLE), DocumentStats.of_tree(_tree()))
-    assert isinstance(plan, QueryPlan)
-    described = plan.describe()
+    stats = DocumentStats.of_tree(_tree())
+    resident = plan_query(parse_query(FOUR_CYCLE), stats)
+    assert isinstance(resident, QueryPlan)
+    assert json.loads(json.dumps(resident.describe()))["estimates"] is None
+    described = plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True).describe()
     json.dumps(described)
     assert set(described["estimates"]) == {
         "bag_rows",
@@ -371,22 +368,25 @@ def test_describe_is_json_friendly():
 # -- ROADMAP item 1, probe rows 1-2: a cold plan is bounded --------------------
 
 
-def _cold_plan(query: ConjunctiveQuery) -> tuple[QueryPlan, float]:
-    """Simplify, canonicalize, compile, decompose and plan on a resident 1k tree."""
+def _cold_plan(query: ConjunctiveQuery) -> tuple[QueryPlan, CompiledQuery, float]:
+    """Simplify, canonicalize, compile and plan on a resident 1k tree, and
+    decompose when the plan's engine runs a join tree."""
     store, cache = DocumentStore(), QueryCache()
     store.register_tree("doc", random_tree(1000, alphabet=ALPHABET, seed=42))
     started = time.perf_counter()
     entry, cache_hit = cache.resolve_query(query)
     plan = cache.plan_for(entry, store.stats_for("doc"))
+    if plan.engine is Engine.DECOMPOSITION:
+        entry.compiled.decomposition  # noqa: B018 - forces the lazy property
     seconds = time.perf_counter() - started
     assert not cache_hit
-    return plan, seconds
+    return plan, entry.compiled, seconds
 
 
 def test_cold_200_variable_chain_plans_in_under_a_second():
     names = [f"x{i}" for i in range(200)]
     atoms = tuple(AxisAtom(Axis.CHILD_PLUS, a, b) for a, b in zip(names, names[1:]))
-    plan, seconds = _cold_plan(ConjunctiveQuery(("x0",), atoms, "Chain"))
+    plan, _compiled, seconds = _cold_plan(ConjunctiveQuery(("x0",), atoms, "Chain"))
     assert plan.engine is Engine.XPROPERTY and plan.flat_cost is None
     assert seconds < 1.0
 
@@ -412,8 +412,8 @@ def test_cold_200_variable_chain_plans_accel_only_in_under_two_seconds():
 
 def test_cold_theorem51_reduction_reaches_an_engine_in_under_five_seconds():
     reduction = theorem51_workload(8)
-    plan, seconds = _cold_plan(reduction.query)
-    assert len(set().union(*plan.decomposition.bags)) == 624
+    plan, compiled, seconds = _cold_plan(reduction.query)
+    assert len(set().union(*compiled.decomposition.bags)) == 624
     assert plan.engine is Engine.DECOMPOSITION
     assert plan.flat_cost is None
     assert seconds < 5.0
@@ -502,19 +502,22 @@ def test_stats_for_resident_exact_and_accel_approximate():
         store.stats_for("missing")
 
 
-def test_plans_cached_per_bucket_and_invalidated_by_reregistration():
+def test_sql_plans_cached_per_bucket_and_invalidated_by_reregistration():
     store, cache = _service()
     entry, _ = cache.resolve_text(FOUR_CYCLE)
-    first = cache.plan_for(entry, store.stats_for("doc"))
-    again = cache.plan_for(entry, store.stats_for("doc"))
+    first = cache.plan_for(entry, store.stats_for("doc"), engine=Engine.SQL)
+    again = cache.plan_for(entry, store.stats_for("doc"), engine=Engine.SQL)
     assert first is again  # memoized per (canonical query, stats bucket)
-    assert cache.stats()["plan_entries"] >= 1
+    resident = cache.plan_for(entry, None)
+    assert cache.stats()["plan_entries"] == 2
     # Re-registration with different contents moves the document to another
-    # stats bucket, so the stale plan can never be served again.
+    # stats bucket, so the stale estimates can never be served again.
     store.register_tree("doc", random_tree(2000, alphabet=ALPHABET, max_children=3, seed=99))
-    replanned = cache.plan_for(entry, store.stats_for("doc"))
+    replanned = cache.plan_for(entry, store.stats_for("doc"), engine=Engine.SQL)
     assert replanned is not first
     assert replanned.stats_bucket != first.stats_bucket
+    # The resident plan read no stats: it stays.
+    assert cache.plan_for(entry, store.stats_for("doc")) is resident
 
 
 def test_plan_cache_keeps_one_plan_per_bucket_engine_and_residency():
@@ -529,11 +532,10 @@ def test_plan_cache_keeps_one_plan_per_bucket_engine_and_residency():
     assert cache.plan_for(entry, stats) is automatic
     assert cache.plan_for(entry, stats, engine=Engine.BACKTRACKING) is forced
     assert cache.plan_for(entry, stats, accel_only=True) is accel
-    bucket = stats.bucket()
     assert set(entry.plans) == {
-        (bucket, None, False),
-        (bucket, "backtracking", False),
-        (bucket, None, True),
+        (None, None, False),
+        (None, "backtracking", False),
+        (stats.bucket(), None, True),
     }
     with pytest.raises(TypeError):
         cache.plan_for(entry, stats, propagator=Propagator.WALK)
@@ -596,9 +598,9 @@ def _plan_choices(engine: str) -> float:
 
 
 def test_kary_head_is_attributed_to_the_engine_that_ran():
-    """Response, explain, plan counter, slow log and drift ledger all say
-    ``decomposition`` -- no request is ledgered as one x-property fixpoint
-    while running one per candidate tuple -- identically on both backends."""
+    """Response, explain, plan counter and slow log all say ``decomposition``,
+    identically on both backends; no estimate prices it and the drift ledger,
+    which holds SQL requests only, stays empty."""
     corpus_xml = to_xml(random_corpus(seed=5, num_sentences=12))
     requests = [
         Request(doc="corpus", query=KARY_HEAD),
@@ -624,9 +626,8 @@ def test_kary_head_is_attributed_to_the_engine_that_ran():
     result, explained = ours
     assert result.ok and result.count > 0
     assert result.engine == "decomposition"
-    estimates = explained.explain["estimates"]
     assert explained.explain["engine"] == "decomposition"
-    assert estimates["estimated_cost"] == estimates["decomposition_cost"]
+    assert explained.explain["estimates"] is None
     for mine, other in zip(ours, theirs):
         assert json.dumps(_stable(mine.to_json_dict())) == json.dumps(
             _stable(other.to_json_dict())
@@ -634,10 +635,9 @@ def test_kary_head_is_attributed_to_the_engine_that_ran():
     assert after["decomposition"] - before["decomposition"] == len(requests)
     assert after["xproperty"] == before["xproperty"]
     assert slow_entry["engine"] == "decomposition"
+    assert "estimated_cost" not in slow_entry and "drift" not in slow_entry
     for ledger in ledgers:
-        assert ledger["requests"] == 1
-        assert set(ledger["engines"]) == {"decomposition"}
-        assert {entry["engine"] for entry in ledger["top_drift"]} == {"decomposition"}
+        assert (ledger["requests"], ledger["engines"], ledger["top_drift"]) == (0, {}, [])
 
 
 def test_routing_is_an_unknown_wire_field():

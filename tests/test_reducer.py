@@ -276,6 +276,23 @@ class TestOneSweepContract:
             assert result.domain_sizes() == {"x": 2, "y": 2, "z": 1}
             assert semijoin.call_count == 2 * edges
 
+    def test_views_are_built_one_variable_at_a_time(self, sentence_structure):
+        compiled = compile_query(
+            parse_query("Q(x) <- NP(x), Child(x, y), NN(y), Following(x, z), PP(z)")
+        )
+        index = sentence_structure.index
+        result = propagate(compiled, sentence_structure, propagator="semijoin")
+        with mock.patch.object(index, "view", wraps=index.view) as view:
+            views = result.views
+            assert view.call_count == 0
+            first = views["y"]
+            assert view.call_count == 1 and views["y"] is first
+            assert sorted(views) == sorted(compiled.variables) and len(views) == 3
+        # Each view is the one the whole mapping used to be built of at once.
+        for variable in compiled.variables:
+            eager = index.view(result.sorted_domain(variable), presorted=True)
+            assert views[variable].array == eager.array
+
 
 class TestSweepsAreSoundSupersets:
     @SETTINGS
