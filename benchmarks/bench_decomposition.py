@@ -9,7 +9,9 @@ decomposition from the pruned candidate columns, with one pruning pass
 its answers off the level-at-a-time bag kernel, and a monadic head over
 several bags runs the memoised join-tree search once per head candidate
 (one memo per request, keyed on (bag, separator assignment)).  It is now the
-planner's only engine for this residue; backtracking runs only when forced.
+planner's only engine for this residue; the backtracking side is
+:func:`repro.evaluation.backtracking.answers`, the per-tuple reduction, which
+no engine runs.
 
 Two query groups over random 16-label trees:
 
@@ -64,6 +66,7 @@ from unittest import mock
 
 from repro.decomposition import yannakakis
 from repro.evaluation import Engine, compile_query, evaluate
+from repro.evaluation.backtracking import answers as backtracking_answers
 from repro.queries import parse_query
 from repro.trees import TreeStructure, random_tree
 from repro.workloads import auction_document, random_corpus
@@ -146,8 +149,8 @@ def _median_time(function, repeats: int) -> float:
 
 def _crosscheck(query, structure, size: int) -> None:
     decomposition_answers = sorted(evaluate(query, structure, engine=Engine.DECOMPOSITION))
-    backtracking_answers = sorted(evaluate(query, structure, engine=Engine.BACKTRACKING))
-    if repr(decomposition_answers) != repr(backtracking_answers):
+    searched_answers = sorted(backtracking_answers(query, structure))
+    if repr(decomposition_answers) != repr(searched_answers):
         raise AssertionError(f"answer mismatch on {query.name} (n={size})")
 
 
@@ -226,7 +229,7 @@ def run(sizes=SIZES, repeats: int = 2) -> dict:
                 repeats,
             )
             backtracking_seconds = _median_time(
-                lambda: evaluate(query, structure, engine=Engine.BACKTRACKING),
+                lambda: backtracking_answers(query, structure),
                 repeats,
             )
             answers = len(evaluate(query, structure, engine=Engine.DECOMPOSITION))
@@ -351,7 +354,7 @@ def test_decomposition_pain_queries(benchmark, name):
 def test_backtracking_pain_queries(benchmark, name):
     query = parse_query(PAIN_QUERIES[name])
     structure = TreeStructure(BENCH_TREE)
-    benchmark(lambda: evaluate(query, structure, engine=Engine.BACKTRACKING))
+    benchmark(lambda: backtracking_answers(query, structure))
 
 
 def test_decomposition_speedup_meets_claim():
@@ -365,7 +368,7 @@ def test_decomposition_speedup_meets_claim():
     structure = TreeStructure(BENCH_TREE)
     query = parse_query(PAIN_QUERIES["pain_sibling_triangle"])
     backtracking = _median_time(
-        lambda: evaluate(query, structure, engine=Engine.BACKTRACKING), 3
+        lambda: backtracking_answers(query, structure), 3
     )
     decomposition = _median_time(
         lambda: evaluate(query, structure, engine=Engine.DECOMPOSITION), 3

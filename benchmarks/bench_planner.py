@@ -20,7 +20,8 @@ dichotomy leaves NP-hard.  The planner used to settle it by pricing the
 decomposition engine against backtracking, and whichever lost, lost by two to
 three orders of magnitude.  It now always plans ``decomposition``, whose
 memoised join-tree search serves Boolean and monadic heads.  Each entry
-times that plan (``cost_seconds``) against forced backtracking; the headline
+times that plan (``cost_seconds``) against the per-tuple backtracking
+reduction (:func:`repro.evaluation.backtracking.answers`); the headline
 holds when the plan is >= 2x faster at every size on its one entry (2.0x /
 2.3x, down from 7.1x / 26x, since backtracking's forward checks read the
 support's staircase):
@@ -72,6 +73,7 @@ from bench_config import SMOKE, scaled
 
 from repro.backends.sqlite import SQLiteBackend
 from repro.evaluation import Engine, evaluate, propagate, reducer
+from repro.evaluation.backtracking import answers as backtracking_answers
 from repro.evaluation.compile import compile_query
 from repro.evaluation.propagation import Propagator
 from repro.evaluation.reducer import semijoin_sweeps
@@ -173,7 +175,7 @@ def _entry(size, name, kind, cost_seconds, cost_choice, static_seconds):
 
 
 def _measure_residue(name, text, size, repeats, kind="residue"):
-    """The plan vs forced backtracking on a resident document."""
+    """The plan vs the per-tuple backtracking reduction on a resident document."""
     query = parse_query(text)
     tree = _resident_tree(size)
     structure = TreeStructure(tree)
@@ -183,7 +185,7 @@ def _measure_residue(name, text, size, repeats, kind="residue"):
         return evaluate(query, structure, engine=plan.engine)
 
     def backtracking():
-        return evaluate(query, structure, engine=Engine.BACKTRACKING)
+        return backtracking_answers(query, structure)
 
     if repr(sorted(planned())) != repr(sorted(backtracking())):
         raise AssertionError(f"answer mismatch on {name} (n={size})")
@@ -399,7 +401,7 @@ def test_cost_routing_beats_worst_static():
     assert plan.engine is Engine.DECOMPOSITION
     planned = _best_time(lambda: evaluate(query, BENCH_STRUCTURE, engine=plan.engine), 3)
     backtracking = _best_time(
-        lambda: evaluate(query, BENCH_STRUCTURE, engine=Engine.BACKTRACKING), 3
+        lambda: backtracking_answers(query, BENCH_STRUCTURE), 3
     )
     assert backtracking >= 2.0 * planned
 

@@ -311,14 +311,14 @@ def _hook_cost_seconds(iterations: int = 5_000) -> float:
     """
     started = time.perf_counter()
     for _ in range(iterations):
-        service_core.PLAN_CHOICES.inc(engine="xproperty", lowering="tree")
+        service_core.PLAN_CHOICES.inc(engine="fixpoint", lowering="tree")
         service_core.REQUESTS_TOTAL.inc(status="ok")
-        service_core.REQUEST_SECONDS.observe(0.001, engine="xproperty")
+        service_core.REQUEST_SECONDS.observe(0.001, engine="fixpoint")
         SLOW_LOG.maybe_record(
             1.0,
             doc="bench",
             query_key="bench:hook",
-            engine="xproperty",
+            engine="fixpoint",
             propagator="semijoin",
             ok=True,
             lowering="tree",

@@ -4,10 +4,10 @@ The classification itself is instantaneous; what the paper's Table I claims is
 a *complexity gap*, which these benchmarks make measurable:
 
 * ``test_tractable_*`` -- cyclic queries over tractable signatures, evaluated
-  by the X-property algorithm: time stays small and grows mildly with query
-  and tree size (combined complexity O(||A|| * |Q|)).
-* ``test_hard_*`` -- the same query shapes over NP-hard signatures evaluated
-  by the generic backtracking engine, plus the Theorem 5.1 reduction queries,
+  by the fixpoint engine (the X-property walk): time stays small and grows
+  mildly with query and tree size (combined complexity O(||A|| * |Q|)).
+* ``test_hard_*`` -- the same query shapes over NP-hard signatures decided
+  by the generic backtracking search, plus the Theorem 5.1 reduction queries,
   whose search effort grows combinatorially with the instance.
 """
 
@@ -41,7 +41,7 @@ def test_tractable_child_plus_star(benchmark, num_variables):
         seed=num_variables,
     )
     assert classify(query.signature()) is Complexity.PTIME
-    benchmark(lambda: is_satisfied(query, STRUCTURE, engine=Engine.XPROPERTY))
+    benchmark(lambda: is_satisfied(query, STRUCTURE, engine=Engine.FIXPOINT))
 
 
 @pytest.mark.parametrize("num_variables", scaled([6, 12, 24], [6]))
@@ -52,7 +52,7 @@ def test_tractable_following(benchmark, num_variables):
         num_extra_atoms=num_variables // 2,
         seed=num_variables,
     )
-    benchmark(lambda: is_satisfied(query, STRUCTURE, engine=Engine.XPROPERTY))
+    benchmark(lambda: is_satisfied(query, STRUCTURE, engine=Engine.FIXPOINT))
 
 
 @pytest.mark.parametrize("num_variables", scaled([6, 12, 24], [6]))
@@ -63,7 +63,7 @@ def test_tractable_bflr_group(benchmark, num_variables):
         num_extra_atoms=num_variables // 2,
         seed=num_variables,
     )
-    benchmark(lambda: is_satisfied(query, STRUCTURE, engine=Engine.XPROPERTY))
+    benchmark(lambda: is_satisfied(query, STRUCTURE, engine=Engine.FIXPOINT))
 
 
 @pytest.mark.parametrize("num_variables", scaled([6, 12, 24], [6]))

@@ -46,7 +46,7 @@ def main() -> None:
         query = random_cyclic_query(axes, num_variables=14, num_extra_atoms=7, seed=9)
         start = time.perf_counter()
         if label.startswith("tractable"):
-            result = is_satisfied(query, structure, engine=Engine.XPROPERTY)
+            result = is_satisfied(query, structure, engine=Engine.FIXPOINT)
         else:
             result = boolean_query_holds(query, structure)
         elapsed = (time.perf_counter() - start) * 1000

@@ -20,7 +20,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import evaluate_on_tree, to_apq
-from repro.evaluation import Engine, evaluate, is_satisfied
+from repro.evaluation import evaluate, is_satisfied
 from repro.queries.graph import is_acyclic
 from repro.trees import TreeStructure
 from repro.workloads import (
@@ -70,7 +70,7 @@ def main(num_sentences: int = 40) -> None:
     # Boolean view: is there any coordinated sentence at all?
     print(
         "  corpus contains a coordinated sentence:",
-        is_satisfied(cyclic, structure, engine=Engine.BACKTRACKING),
+        is_satisfied(cyclic, structure),
     )
 
 

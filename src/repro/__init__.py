@@ -7,9 +7,10 @@ Trees" (PODS 2004 / JACM 2006) as a working system:
   generators, XML import/export;
 * :mod:`repro.queries`      -- conjunctive queries, query graphs, APQs,
   parsing, the XPath fragment;
-* :mod:`repro.evaluation`   -- arc consistency (whose fixpoint decides
-  X-property and acyclic queries), backtracking, and the dichotomy table
-  that routes every other head to :mod:`repro.decomposition`'s join trees;
+* :mod:`repro.evaluation`   -- arc consistency (the ``fixpoint`` engine,
+  whose one fixpoint decides X-property and acyclic queries), the
+  backtracking search of the NP side, and the dichotomy table that routes
+  every other head to :mod:`repro.decomposition`'s join trees;
 * :mod:`repro.xproperty`    -- the X-property framework and the tractability
   classifier behind Table I;
 * :mod:`repro.hardness`     -- 1-in-3 3SAT, the Theorem 5.1 reduction and

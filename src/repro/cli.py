@@ -128,7 +128,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
         nodes = store.stats_for(doc_id).nodes
     forced = args.engine != Engine.AUTO.value
     if not result.ok:
-        # A forced engine can be inapplicable (e.g. --engine acyclic on a
+        # A forced engine can be inapplicable (e.g. --engine fixpoint on a
         # cyclic query); report it like any other bad-flag combination.
         raise SystemExit(f"--engine {args.engine}: {result.error}" if forced else result.error)
     print(f"query    : {query}")
@@ -453,12 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=Engine.AUTO.value,
             help=(
                 "evaluation engine override (default: auto = planner choice; "
+                "'fixpoint' is one arc-consistency fixpoint, the default for "
+                "Boolean heads over a forest or a tractable signature and for "
+                "monadic heads over a forest, and refuses every other query; "
                 "'decomposition' is the hypertree/Yannakakis engine, the "
                 "default for k-ary heads and for every cyclic query one fixpoint "
-                "cannot answer, 'backtracking' the exponential search, run only "
-                "when named here, 'sql' the SQLite accel-table backend; "
-                "'xproperty', 'acyclic' and 'backtracking' answer a k-ary head by "
-                "the paper's per-tuple reduction)"
+                "cannot answer; 'sql' the SQLite accel-table backend)"
             ),
         )
         subparser.add_argument(

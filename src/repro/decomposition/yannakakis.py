@@ -1161,8 +1161,8 @@ def evaluate_answers(
     """All answers of a (possibly cyclic) k-ary query via the join tree.
 
     :func:`answer_page` without a limit, as a set; the answer *set* is
-    identical to the backtracking engine's on every query, which the property
-    tests enforce.  ``propagator`` chooses nothing: it must be the plan's
+    identical to :func:`repro.evaluation.backtracking.answers` on every query,
+    which the property tests enforce.  ``propagator`` chooses nothing: it must be the plan's
     pick for this engine (``semijoin``), else ``ValueError``.
     """
     # benchmarks/e2e/layers.py still passes the plan's pick; the keyword

@@ -1,12 +1,13 @@
 """The generic backtracking evaluator (the exponential baseline).
 
 This evaluator works for every conjunctive query (cyclic or not, any axes).
-No plan routes to it -- evaluation runs it only under an explicit
-``engine=backtracking`` -- and it serves the reproduction as the *baseline*
-the polynomial-time algorithms are compared against (Table I and the forced
-columns of the committed benchmarks), as a reference of the correctness tests
-(beside the brute-force Horn oracle of ``tests/oracle.py``), and as a plain
-enumeration of satisfying valuations (``iter_solutions`` / ``find_solution``).
+It is no engine: no plan routes to it.  It is the NP side's search (Table I,
+the Theorem 5.1 reduction, :func:`~repro.evaluation.planner.satisfying_assignment`
+off the tractable side), the *baseline* the polynomial-time engines are timed
+against (:func:`answers`, the paper's singleton-relation reduction), a
+reference of the correctness tests (beside the brute-force Horn oracle of
+``tests/oracle.py``), and a plain enumeration of satisfying valuations
+(``iter_solutions`` / ``find_solution``).
 
 The search prunes its candidates first (sound supersets are all it needs,
 so :func:`~repro.evaluation.propagation.candidate_supersets` runs the plan's
@@ -24,8 +25,10 @@ remains exponential -- necessarily so, by Section 5.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ..observability import tracing
 from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.structure import TreeStructure
@@ -136,6 +139,77 @@ def boolean_query_holds(
     for _ in iter_solutions(query, structure, pinned, use_arc_consistency, statistics):
         return True
     return False
+
+
+def answers(query: ConjunctiveQuery, structure: TreeStructure) -> frozenset[tuple[int, ...]]:
+    """All answers by the singleton-relation reduction after Theorem 3.5.
+
+    Candidate head tuples come from :func:`candidate_supersets` (a sound
+    over-approximation of the answer projection), and each tuple that passes
+    the head atoms pays one pinned backtracking verdict: ``O(|A|^k)``
+    searches.  The quadratic baseline the committed benchmarks time the
+    engines against, and a reference of the tests.  A Boolean query answers
+    ``{()}`` when satisfied and the empty set otherwise.
+    """
+    if query.is_boolean:
+        return frozenset({()}) if boolean_query_holds(query, structure) else frozenset()
+    compiled = compile_query(query)
+    result = candidate_supersets(compiled, structure)
+    if result is None:
+        return frozenset()
+    # Atoms connecting two head variables can be checked in O(1) per candidate
+    # tuple from the tree's rank arrays, skipping the search for tuples that
+    # already violate one of them.
+    head_set = set(query.head)
+    head_atoms = [
+        atom
+        for atom in compiled.atoms
+        if atom.source in head_set and atom.target in head_set
+    ]
+    index = structure.index
+    candidate_sets = [result.sorted_domain(variable) for variable in query.head]
+    found: set[tuple[int, ...]] = set()
+    # Suppress tracing inside the loop: each search would otherwise add its
+    # own propagate span per candidate tuple.
+    with tracing.suppress():
+        for candidate in product(*candidate_sets):
+            # Head variables may repeat; a repeated variable must get one node.
+            pinned: dict[str, int] = {}
+            consistent = True
+            for variable, node in zip(query.head, candidate):
+                if variable in pinned and pinned[variable] != node:
+                    consistent = False
+                    break
+                pinned[variable] = node
+            if not consistent:
+                continue
+            if not all(
+                index.holds(atom.axis, pinned[atom.source], pinned[atom.target])
+                for atom in head_atoms
+            ):
+                continue
+            if _pinned_holds(query, structure, pinned):
+                found.add(tuple(candidate))
+    return frozenset(found)
+
+
+def _pinned_holds(
+    query: ConjunctiveQuery, structure: TreeStructure, pinned: Mapping[Variable, int]
+) -> bool:
+    """One candidate tuple's verdict: the Boolean closure, searched under ``pinned``.
+
+    The per-tuple work of ``is_satisfied(query, structure, pinned=...)`` --
+    the closure, the unsafe-pin filter, the compile-cache lookup -- which the
+    committed baselines of ``BENCH_planner.json`` and
+    ``BENCH_decomposition.json`` measured.  A pinned head variable the body
+    never mentions ranges over every node, so its pin is dropped.
+    """
+    boolean_query = query.as_boolean()
+    unsafe = set(query.head).difference(boolean_query.variables())
+    if unsafe:
+        pinned = {v: node for v, node in pinned.items() if v not in unsafe}
+    compile_query(boolean_query)
+    return boolean_query_holds(boolean_query, structure, pinned=pinned)
 
 
 def count_solutions(

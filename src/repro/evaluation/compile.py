@@ -2,7 +2,7 @@
 
 Every evaluator used to re-derive the same facts about a query on every call:
 ``axis_atoms()`` filtered the body, ``atoms_of``/adjacency maps were rebuilt by
-hand in the propagators, the acyclic evaluator and :mod:`backtracking`, and the
+hand in the propagators, the fixpoint evaluators and :mod:`backtracking`, and the
 initial-domain computation re-walked the body per evaluation.  This module
 factors all of that into a single :class:`CompiledQuery` produced (and cached)
 by :func:`compile_query`:

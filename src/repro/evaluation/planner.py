@@ -1,36 +1,31 @@
 """The evaluation entry points: one engine per request, chosen by the plan.
 
 The paper's dichotomy is a table, :func:`tier`, kept here beside
-:class:`Engine`: a head one fixpoint answers (:func:`fixpoint_answers`:
-Boolean, or monadic over a forest-shaped body) runs **X-property
-evaluation** (Theorem 3.5) on a tractable signature and **acyclic
-evaluation** (the same fixpoint, which on an acyclic body is the Yannakakis
-semijoin reduction) on an acyclic query graph; every other query, the cyclic
-residue included, runs on the **decomposition engine**.
+:class:`Engine`, and it has three rows:
+
+* **fixpoint** -- a head one arc-consistency fixpoint answers
+  (:func:`fixpoint_answers`): a Boolean head over a tractable signature
+  (Theorem 3.5) or a forest-shaped body (Prop. 3.1, where the fixpoint is
+  the Yannakakis semijoin reduction), or a monadic head over a forest-shaped
+  body, whose column the fixpoint *is*.  The engine runs one
+  :func:`~repro.evaluation.propagation.propagate`, which picks Theorem 3.5's
+  pointer walk on a cyclic body and the semijoin sweeps on a forest
+  (:func:`~repro.evaluation.propagation.choose_propagator`);
+* **decomposition** -- every other query, k-ary heads and the cyclic residue
+  included: enumerated or searched over the join tree, polynomial for
+  bounded width (Gottlob-Leone-Scarcello).  It prunes with the semijoin
+  sweeps (its bags enforce every atom, so supersets suffice), except that a
+  Boolean search first tries the label columns unswept;
+* **sql** -- accel-only documents, chosen by residency in
+  :func:`repro.planning.plan_query`.
+
 :func:`repro.planning.plan_query` (the one routing rule) and
 ``engine=Engine.AUTO`` here both read that table, which needs no document
-statistics; an explicit engine runs as named, and **backtracking** runs only
-so.
-
-The paper's own k-ary procedure -- the singleton-relation reduction after
-Theorem 3.5: one pinned Boolean evaluation per candidate head tuple,
-``O(|A|^k . ||A|| . |Q|)`` on the tractable side -- is therefore no default.
-It runs only under an explicit ``engine=`` (``xproperty`` / ``acyclic`` /
-``backtracking``): the literal procedure, the independent oracle of the
-property tests, and the ablation baseline of the committed benchmarks.
-
-Every path but one prunes its candidate columns first, and the query fixes
-how (:func:`~repro.evaluation.propagation.choose_propagator`, which each
-engine calls itself): the Yannakakis semijoin sweeps on a forest-shaped body,
-where they are exact, and in front of the decomposition engine on any body
-(its bags enforce every atom, so supersets suffice) -- except that the
-engine's Boolean search first tries the label columns unswept, under a small
-allowance, and sweeps only when that runs out; Theorem 3.5's pointer walk on
-every other cyclic body over a tractable signature, where its verdict is
-exact.  A cyclic body with no X-property order keeps the sweeps, whose
-supersets only the engines that enforce every atom themselves
-(decomposition, backtracking, the per-tuple reduction) can take; a fixpoint
-engine forced onto it is a ``ValueError``.
+statistics; an explicit engine runs as named, and ``fixpoint`` forced onto a
+query one fixpoint cannot answer is a ``ValueError``.  The exponential
+search of :mod:`~repro.evaluation.backtracking` is no engine: it is the NP
+side's search, and its :func:`~repro.evaluation.backtracking.answers` the
+paper's singleton-relation reduction the benchmarks time the engines against.
 
 Whatever the route, :func:`answer_page` is what comes out: the first ``limit``
 answers in ascending order plus the exact count (:func:`evaluate` is its set).
@@ -39,7 +34,6 @@ answers in ascending order plus the exact count (:func:`evaluate` is its set).
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
 from typing import Mapping, Optional
 
 from ..decomposition import yannakakis
@@ -51,22 +45,16 @@ from ..trees.tree import Tree
 from . import backtracking, xprop_evaluator
 from .compile import CompiledQuery, compile_query
 from .domains import Valuation
-from .propagation import (
-    PropagatorLike,
-    candidate_supersets,
-    check_propagator,
-    propagate,
-)
+from .propagation import PropagatorLike, check_propagator, propagate
 
 
 class Engine(str, Enum):
     """Available evaluation engines."""
 
     AUTO = "auto"
-    XPROPERTY = "xproperty"
-    ACYCLIC = "acyclic"
+    #: One arc-consistency fixpoint decides the query or is its answer.
+    FIXPOINT = "fixpoint"
     DECOMPOSITION = "decomposition"
-    BACKTRACKING = "backtracking"
     #: The SQLite accel-table backend (:mod:`repro.backends.sqlite`): the
     #: out-of-core path.  Auto-chosen only when the document lives solely in
     #: the accel store (``plan_query(..., accel_only=True)``, which the
@@ -79,15 +67,18 @@ class Engine(str, Enum):
 
 
 def fixpoint_answers(query: ConjunctiveQuery, compiled: CompiledQuery) -> bool:
-    """Does one arc-consistency fixpoint answer ``query``'s head?
+    """Does one arc-consistency fixpoint answer ``query``?
 
-    It decides a Boolean head (Prop. 3.1 / Theorem 3.5) and *is* the answer
-    of a monadic head over a forest-shaped body (the fixpoint is globally
-    consistent there, so the head's column lists the answers).  Forest-ness
-    is judged on the compiled (normalized, deduplicated) edges: distinct
-    parallel constraints on one variable pair count as a cycle.
+    It decides a Boolean head whose body is forest-shaped (Prop. 3.1) or over
+    a tractable signature (Theorem 3.5), and *is* the answer of a monadic
+    head over a forest-shaped body (the fixpoint is globally consistent
+    there, so the head's column lists the answers).  Both are judged on the
+    compiled (normalized, deduplicated) edges: distinct parallel constraints
+    on one variable pair count as a cycle.
     """
-    return query.is_boolean or (query.is_monadic and compiled.shadow_is_forest)
+    if compiled.shadow_is_forest:
+        return query.is_boolean or query.is_monadic
+    return query.is_boolean and compiled.order is not None
 
 
 def tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool = False) -> Engine:
@@ -95,47 +86,28 @@ def tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool = Fa
     if accel_only:
         return Engine.SQL
     if fixpoint_answers(query, compiled):
-        # One fixpoint decides or is the answer: dispatch on the body's
-        # complexity class, judged on the compiled edges as the walk is.
-        if compiled.order is not None:
-            return Engine.XPROPERTY
-        if compiled.shadow_is_forest:
-            return Engine.ACYCLIC
+        return Engine.FIXPOINT
     # Every other head is enumerated over the join tree (a forest-shaped body
     # has width 1), and the cyclic residue is searched over it.
     return Engine.DECOMPOSITION
 
 
-def _resolve_engine(
-    engine: Engine, query: ConjunctiveQuery, compiled: Optional[CompiledQuery] = None
-) -> Engine:
+def _resolve_engine(engine: Engine, query: ConjunctiveQuery, compiled: CompiledQuery) -> Engine:
     """``engine``, or for ``Engine.AUTO`` the dichotomy's :func:`tier`.
 
     That is what :func:`repro.planning.plan_query` picks for a resident
-    document: nothing about the document is priced.
+    document: nothing about the document is priced.  ``fixpoint`` forced
+    onto a query one fixpoint cannot answer raises ``ValueError``.
     """
-    if engine is not Engine.AUTO:
-        return engine
-    return tier(query, compiled or compile_query(query))
-
-
-def _acyclic_holds(
-    query: ConjunctiveQuery,
-    structure: TreeStructure,
-    pinned: Optional[Mapping[str, int]] = None,
-    compiled: Optional[CompiledQuery] = None,
-) -> bool:
-    """Boolean evaluation of an *acyclic* query: the fixpoint exists iff it holds.
-
-    On a forest-shaped body (judged on the compiled edges, as :func:`tier`
-    does) arc consistency is the full semijoin reduction, complete on join
-    trees (Yannakakis).  Raises ``ValueError`` on cyclic queries, for which
-    this equivalence does not hold.
-    """
-    compiled = compiled or compile_query(query)
-    if not compiled.shadow_is_forest:
-        raise ValueError("the acyclic evaluator requires an acyclic query")
-    return propagate(compiled, structure, pinned) is not None
+    if engine is Engine.AUTO:
+        return tier(query, compiled)
+    if engine is Engine.FIXPOINT and not fixpoint_answers(query, compiled):
+        raise ValueError(
+            "one fixpoint cannot answer this query (a k-ary head, a monadic head "
+            "over a cyclic body, or a cyclic body with no X-property order); "
+            "use the decomposition engine"
+        )
+    return engine
 
 
 def is_satisfied(
@@ -169,14 +141,11 @@ def is_satisfied(
         from ..backends.sqlite import structure_is_satisfied
 
         return structure_is_satisfied(boolean_query, structure, pinned=pinned, lowering=lowering)
-    if chosen is Engine.BACKTRACKING:
-        return backtracking.boolean_query_holds(boolean_query, structure, pinned=pinned)
-    holds = {
-        Engine.XPROPERTY: xprop_evaluator.boolean_query_holds,
-        Engine.ACYCLIC: _acyclic_holds,
-        Engine.DECOMPOSITION: yannakakis.boolean_query_holds,
-    }[chosen]
-    return holds(boolean_query, structure, pinned=pinned, compiled=compiled)
+    if chosen is Engine.DECOMPOSITION:
+        return yannakakis.boolean_query_holds(
+            boolean_query, structure, pinned=pinned, compiled=compiled
+        )
+    return propagate(compiled, structure, pinned) is not None
 
 
 def check_answer(
@@ -243,12 +212,8 @@ def answer_page(
     any other head is answered in wire order over the join tree
     (:func:`repro.decomposition.yannakakis.answer_page`, which prunes its own
     candidates, searches a monadic head over a cyclic body one candidate at a
-    time and stops building rows at ``limit``).  The singleton-relation
-    reduction -- candidate head tuples from the fixpoint (a sound
-    over-approximation of the answer projection), one pinned Boolean
-    evaluation each -- runs only under an explicit ``xproperty`` /
-    ``acyclic`` / ``backtracking``.  It, the SQL engine on a resident document
-    and Boolean heads produce a set, which is sorted here, once.
+    time and stops building rows at ``limit``).  The SQL engine on a resident
+    document and Boolean heads produce a set, which is sorted here, once.
 
     ``compiled`` lets callers that keep compiled artifacts resident (the
     serving layer's query cache) bypass the compile-cache lookup; it must be
@@ -272,56 +237,16 @@ def answer_page(
     chosen = _resolve_engine(engine, query, compiled)
     if chosen is Engine.DECOMPOSITION:
         return yannakakis.answer_page(query, structure, compiled=compiled, limit=limit)
-    # A monadic head over a forest (Boolean heads returned above) reads its
-    # answers off the reducer's columns: exact, and globally consistent there.
-    # Any other head takes the per-tuple reduction over candidate supersets.
-    project = fixpoint_answers(query, compiled)
-    result = (propagate if project else candidate_supersets)(compiled, structure)
+    # Engine.FIXPOINT on a monadic head over a forest (Boolean heads returned
+    # above) reads its answers off the reducer's columns: exact, and globally
+    # consistent there.
+    result = propagate(compiled, structure)
     if result is None:
         return [], 0
-    if project:
-        with tracing.span("enumerate", strategy="fixpoint_projection"):
-            column = result.sorted_domain(query.head[0])
-            tracing.annotate(answers=len(column))
-        return list(zip(column[:limit])), len(column)
-    # The singleton-relation reduction (explicit engine only).  Atoms
-    # connecting two head variables can be checked in O(1) per candidate tuple
-    # from the tree's rank arrays, skipping the full Boolean evaluation for
-    # tuples that already violate one of them.
-    head_set = set(query.head)
-    head_atoms = [
-        atom
-        for atom in compiled.atoms
-        if atom.source in head_set and atom.target in head_set
-    ]
-    index = structure.index
-    candidate_sets = [result.sorted_domain(variable) for variable in query.head]
-    answers: set[tuple[int, ...]] = set()
-    with tracing.span("enumerate", strategy="candidate_product"):
-        # Suppress tracing inside the loop: each Boolean-reduction check
-        # would otherwise add its own propagate span per candidate tuple.
-        with tracing.suppress():
-            for candidate in product(*candidate_sets):
-                # Head variables may repeat; a repeated variable must get one
-                # node.
-                pinned: dict[str, int] = {}
-                consistent = True
-                for variable, node in zip(query.head, candidate):
-                    if variable in pinned and pinned[variable] != node:
-                        consistent = False
-                        break
-                    pinned[variable] = node
-                if not consistent:
-                    continue
-                if not all(
-                    index.holds(atom.axis, pinned[atom.source], pinned[atom.target])
-                    for atom in head_atoms
-                ):
-                    continue
-                if is_satisfied(query, structure, chosen, pinned):
-                    answers.add(tuple(candidate))
-        tracing.annotate(answers=len(answers))
-    return sorted(answers)[:limit], len(answers)
+    with tracing.span("enumerate", strategy="fixpoint_projection"):
+        column = result.sorted_domain(query.head[0])
+        tracing.annotate(answers=len(column))
+    return list(zip(column[:limit])), len(column)
 
 
 def evaluate_union(

@@ -14,7 +14,7 @@ fixes which pruning is exact, so no caller above this module picks one:
   cyclic body the sweeps run along a spanning forest and yield supersets:
   :func:`propagate` refuses them (its verdict would not be exact), while
   :func:`candidate_supersets` hands them to the engines that enforce every
-  atom themselves (decomposition, backtracking, the per-tuple reduction);
+  atom themselves (the decomposition engine, the backtracking search);
 * :attr:`Propagator.WALK` -- the pointer walk of
   :func:`repro.evaluation.xprop_evaluator.least_valuation` (Theorem 3.5 /
   Lemma 3.4), for any body over a tractable signature: its verdict is exact

@@ -34,8 +34,8 @@ over a spanning forest (:attr:`CompiledQuery.sweep_order` drops the chord
 atoms) and compute a *superset* of the fixpoint: refused by ``propagate``
 (its verdict must be exact), swept by
 :func:`~repro.evaluation.propagation.candidate_supersets` for the engines
-that enforce every atom anyway (decomposition, backtracking, the per-tuple
-reduction).
+that enforce every atom anyway (the decomposition engine, the backtracking
+search).
 """
 
 from __future__ import annotations

@@ -25,9 +25,9 @@ over a post-sorted list, and the ancestors of a rising node a sliding window
 (both of its ends rise).
 
 For an order that lacks the X-property the walk still refutes soundly, but the
-nodes under its pointers may fail the query; :func:`boolean_query_holds`'s
-``verify`` mode checks them and raises (the tests use it to confirm Lemma 3.4
-on random trees, and to exhibit its failure beyond the tractability frontier).
+nodes under its pointers may fail the query; :func:`boolean_query_holds`
+checks them and raises (the tests use it to confirm Lemma 3.4 on random
+trees, and to exhibit its failure beyond the tractability frontier).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from ..trees.orders import Order, rank
 from ..trees.structure import TreeStructure
 from .compile import CompiledAtom, CompiledQuery, compile_query
 from .domains import Valuation, valuation_satisfies
-from .propagation import propagate
 from .reducer import initial_columns
 
 #: Does a node have a partner at or above the other end's pointer?
@@ -55,7 +54,7 @@ Bounds = Callable[[int], Optional[tuple[int, int]]]
 
 
 class XPropertyEvaluationError(RuntimeError):
-    """Raised in ``verify`` mode when the minimum valuation is not consistent."""
+    """Raised by :func:`boolean_query_holds` when the minimum valuation is not consistent."""
 
 
 def choose_order(query: ConjunctiveQuery) -> Optional[Order]:
@@ -87,7 +86,7 @@ def least_valuation(
         if order is None:
             raise ValueError(
                 "propagator 'walk' needs a tractable signature; "
-                "use the decomposition or backtracking engine"
+                "use the decomposition engine"
             )
     columns = initial_columns(compiled, structure, pinned)
     if not all(columns.values()):
@@ -301,10 +300,16 @@ def boolean_query_holds(
     structure: TreeStructure,
     order: Optional[Order] = None,
     pinned: Optional[Mapping[Variable, int]] = None,
-    verify: bool = False,
     compiled: Optional[CompiledQuery] = None,
 ) -> bool:
-    """Evaluate a Boolean query using the Theorem 3.5 algorithm.
+    """Decide a Boolean query by Theorem 3.5's walk, certifying Lemma 3.4.
+
+    The walk runs in ``order``, and the valuation under its pointers is
+    re-checked against the query: an :class:`XPropertyEvaluationError` is
+    raised if it fails.  This is how the tests certify Lemma 3.4 empirically
+    (and exhibit its failure beyond the tractability frontier); the
+    ``fixpoint`` engine reads the same verdict off
+    :func:`~repro.evaluation.propagation.propagate` without the check.
 
     Parameters
     ----------
@@ -314,14 +319,7 @@ def boolean_query_holds(
         ``ValueError`` is raised if the signature is not tractable, since the
         algorithm's correctness then has no guarantee.
     pinned:
-        Optional variable pinning (singleton domains), used to answer k-ary
-        queries tuple by tuple.
-    verify:
-        When True, the walk runs in ``order`` and the valuation under its
-        pointers is re-checked against the query; an
-        :class:`XPropertyEvaluationError` is raised if it fails.  This is how
-        the tests certify Lemma 3.4 empirically.  Off, the plan's propagator
-        (:func:`~repro.evaluation.propagation.choose_propagator`) decides.
+        Optional variable pinning (singleton domains).
     compiled:
         The compilation of ``query``, when the caller holds it.
     """
@@ -331,10 +329,8 @@ def boolean_query_holds(
         if order is None:
             raise ValueError(
                 f"signature {query.signature()} is not tractable; "
-                "use the backtracking evaluator instead"
+                "use the decomposition engine instead"
             )
-    if not verify:
-        return propagate(compiled, structure, pinned) is not None
     suffixes = least_valuation(compiled, structure, pinned, order)
     if suffixes is None:
         return False

@@ -100,7 +100,7 @@ def tractable_scaling(
             seed=seed + num_variables,
         )
         start = time.perf_counter()
-        is_satisfied(query, structure, engine=Engine.XPROPERTY)
+        is_satisfied(query, structure, engine=Engine.FIXPOINT)
         elapsed = time.perf_counter() - start
         points.append(ScalingPoint(parameter=query.size(), seconds=elapsed))
     return points

@@ -7,22 +7,23 @@ The engine is the paper's dichotomy as a table,
 ``evaluate(engine=AUTO)`` reads directly), decided by the query and the
 document's residency alone:
 
-* accel residency: SQL, the only engine that can see the document;
-* a Boolean head, or a monadic head over a forest-shaped body: one fixpoint
-  decides or *is* the answer -- X-property evaluation on a tractable
-  signature (Theorem 3.5), acyclic evaluation on an acyclic query graph;
+* accel residency: **sql**, the only engine that can see the document;
+* a head one arc-consistency fixpoint answers -- a Boolean head over a
+  forest-shaped body (Prop. 3.1) or a tractable signature (Theorem 3.5), a
+  monadic head over a forest-shaped body: **fixpoint**;
 * everything else, the **cyclic residue** included (NP-hard cyclic bodies,
-  and non-projection heads over cyclic bodies on any signature): the
-  decomposition engine, polynomial for bounded width -- what stays tractable
+  and non-projection heads over cyclic bodies on any signature):
+  **decomposition**, polynomial for bounded width -- what stays tractable
   outside the paper's axis sets (Section 5; Gottlob-Leone-Scarcello).
 
-An explicit ``engine=`` always wins; ``backtracking`` is only ever that.  The
-plan then records the propagator that engine runs, which the query fixes
+An explicit ``engine=`` always wins (a ``fixpoint`` forced onto a query one
+fixpoint cannot answer fails when it runs).  The plan then records the
+propagator that engine runs, which the query fixes
 (:func:`~repro.evaluation.propagation.choose_propagator`, the rule every
-engine calls itself): the semijoin sweeps on every forest-shaped body (the
-exact full reducer there) and in front of the decomposition engine on any
-body (supersets suffice), Theorem 3.5's pointer walk on any other cyclic body
-over a tractable signature.
+engine calls itself): Theorem 3.5's pointer walk (``walk``) on a cyclic body
+over a tractable signature in front of the fixpoint engine, the semijoin
+sweeps (``semijoin``) everywhere else -- the exact full reducer on a
+forest-shaped body, sound supersets in front of the decomposition engine.
 
 Estimates decide one thing: the SQL lowering, and only where SQL can run
 (accel residency or an explicit ``engine=sql``, :func:`sql_can_run`) --

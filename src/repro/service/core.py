@@ -125,8 +125,8 @@ class Request:
     Exactly one of ``query`` (datalog text or a
     :class:`~repro.queries.query.ConjunctiveQuery`) and ``xpath`` must be
     given.  ``limit`` truncates the *sorted* answer list; the total count is
-    reported either way.  ``engine`` forces a specific evaluation engine
-    (``"sql"``, ``"backtracking"``, ...); by default
+    reported either way.  ``engine`` forces one of the evaluation engines
+    (``"fixpoint"``, ``"decomposition"``, ``"sql"``); by default
     :func:`~repro.planning.plan_query` chooses from the query shape, the
     document's statistics and its residency (accel-only documents route to
     SQL automatically).  What prunes the candidates is no field: the query

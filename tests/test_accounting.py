@@ -44,17 +44,17 @@ def record(ledger: PlanAccounting, engine: str, cost: float, elapsed_ms: float, 
 class TestDriftMath:
     def test_first_request_seeds_calibration_at_drift_one(self):
         ledger = PlanAccounting()
-        assert record(ledger, "xproperty", 100.0, 100.0) == pytest.approx(1.0)
+        assert record(ledger, "fixpoint", 100.0, 100.0) == pytest.approx(1.0)
         stats = ledger.stats()
         assert stats["requests"] == 1
         # 100 units in 0.1s -> 1000 units/second.
-        assert stats["engines"]["xproperty"]["units_per_second"] == pytest.approx(1000.0)
+        assert stats["engines"]["fixpoint"]["units_per_second"] == pytest.approx(1000.0)
 
     def test_slower_than_calibrated_drifts_above_one(self):
         ledger = PlanAccounting()
-        record(ledger, "xproperty", 100.0, 100.0)  # calibrate: 1000 units/s
+        record(ledger, "fixpoint", 100.0, 100.0)  # calibrate: 1000 units/s
         # Same estimate, twice the time -> rate 500 u/s -> drift 1000/500 = 2.
-        drift = record(ledger, "xproperty", 100.0, 200.0)
+        drift = record(ledger, "fixpoint", 100.0, 200.0)
         assert drift == pytest.approx(2.0)
         entry = ledger.stats()["top_drift"][0]
         assert entry["drift"] == pytest.approx(2.0)
@@ -62,10 +62,10 @@ class TestDriftMath:
 
     def test_faster_than_calibrated_drifts_below_one(self):
         ledger = PlanAccounting()
-        record(ledger, "xproperty", 100.0, 100.0)
-        record(ledger, "xproperty", 100.0, 200.0)
+        record(ledger, "fixpoint", 100.0, 100.0)
+        record(ledger, "fixpoint", 100.0, 200.0)
         # Calibration is now the geometric mean of 1000 and 500 u/s.
-        drift = record(ledger, "xproperty", 100.0, 50.0)
+        drift = record(ledger, "fixpoint", 100.0, 50.0)
         assert drift == pytest.approx(math.sqrt(1000 * 500) / 2000)
         assert drift < 1.0
 
@@ -79,8 +79,8 @@ class TestDriftMath:
 
     def test_non_positive_cost_or_elapsed_is_skipped(self):
         ledger = PlanAccounting()
-        assert record(ledger, "xproperty", 0.0, 100.0) is None
-        assert record(ledger, "xproperty", 100.0, 0.0) is None
+        assert record(ledger, "fixpoint", 0.0, 100.0) is None
+        assert record(ledger, "fixpoint", 100.0, 0.0) is None
         stats = ledger.stats()
         assert stats["requests"] == 0
         assert stats["skipped"] == 2

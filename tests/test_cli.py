@@ -91,7 +91,7 @@ class TestEvaluateCommand:
         assert "engine   : decomposition (propagator: semijoin)" in output
         assert "answers  : 1" in output
 
-    def test_engine_override_forces_backtracking(self, capsys):
+    def test_engine_override_forces_sql(self, capsys):
         exit_code = main(
             [
                 "evaluate",
@@ -100,17 +100,41 @@ class TestEvaluateCommand:
                 "--query",
                 "Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z)",
                 "--engine",
-                "backtracking",
+                "sql",
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "engine   : backtracking (forced) (propagator: semijoin)" in output
+        assert "engine   : sql (forced) (propagator: semijoin, lowering: " in output
         assert "answers  : 1" in output
+
+    @pytest.mark.parametrize("retired", ["xproperty", "acyclic", "backtracking"])
+    def test_retired_engines_are_invalid_choices(self, retired, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["evaluate", "--sexpr", "(A)", "--query", "Q <- A(x)", "--engine", retired])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert f"invalid choice: '{retired}'" in error
+        assert "'auto', 'fixpoint', 'decomposition', 'sql'" in error
+
+    @pytest.mark.parametrize(
+        "query, propagator",
+        [
+            ("Q <- A(x), Child+(x, y), Child+(y, z), Child+(x, z)", "walk"),  # cyclic, tractable
+            ("Q(x) <- A(x), Child(x, y), Following(y, z)", "semijoin"),  # forest
+        ],
+    )
+    def test_explain_names_the_fixpoint_and_its_propagator(self, query, propagator, capsys):
+        exit_code = main(["explain", "--sexpr", "(A (B (C)) (B (C) (C)))", "--query", query])
+        assert exit_code == 0
+        explained = json.loads(capsys.readouterr().out)
+        assert (explained["engine"], explained["propagator"]) == ("fixpoint", propagator)
+        plan = explained["explain"]
+        assert (plan["engine"], plan["propagator"]) == ("fixpoint", propagator)
 
     def test_engine_overrides_agree_in_process(self, capsys):
         answer_lines = set()
-        for engine in ("auto", "decomposition", "backtracking"):
+        for engine in ("auto", "decomposition", "sql"):
             exit_code = main(
                 [
                     "evaluate",
@@ -144,8 +168,8 @@ class TestEvaluateCommand:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_engine_inapplicable_combination_reports_cleanly(self, capsys):
-        # Forcing the acyclic evaluator on a cyclic query is a client error,
-        # not a traceback.
+        # Forcing the fixpoint engine on a query one fixpoint cannot answer
+        # is a client error, not a traceback.
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -155,10 +179,11 @@ class TestEvaluateCommand:
                     "--query",
                     "Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z)",
                     "--engine",
-                    "acyclic",
+                    "fixpoint",
                 ]
             )
-        assert "--engine acyclic" in str(excinfo.value)
+        assert "--engine fixpoint" in str(excinfo.value)
+        assert "use the decomposition engine" in str(excinfo.value)
 
     def test_negative_limit_is_rejected(self, capsys):
         argv = ["evaluate", "--sexpr", "(A (B) (B) (B))", "--limit", "-1"]
@@ -462,7 +487,7 @@ class TestEndToEndSmoke:
 
     def test_evaluate_engines_agree_in_process(self, xml_file, capsys):
         outputs = []
-        for engine in ("auto", "xproperty", "acyclic", "decomposition", "backtracking"):
+        for engine in ("auto", "fixpoint", "decomposition"):
             exit_code = main(
                 [
                     "evaluate",

@@ -36,6 +36,8 @@ from repro.decomposition.decompose import (
 from repro.evaluation import (
     Engine,
     PropagationResult,
+    Propagator,
+    backtracking,
     compile_query,
     evaluate,
     is_satisfied,
@@ -270,14 +272,16 @@ class TestPlannerRouting:
     STATS = DocumentStats.of_tree(random_tree(60, alphabet=("A", "B", "C"), seed=7))
 
     def test_tractable_signature_still_wins(self):
-        # A cyclic query over {Child+, Child*} stays with the X-property
-        # evaluator: the dichotomy routing is unchanged.
+        # A cyclic Boolean query over {Child+, Child*} stays with the
+        # fixpoint (the pointer walk): the dichotomy routing is unchanged.
         query = parse_query("Q <- Child+(x, y), Child*(y, z), Child+(z, x)")
-        assert plan_query(query, self.STATS).engine is Engine.XPROPERTY
+        plan = plan_query(query, self.STATS)
+        assert (plan.engine, plan.propagator) == (Engine.FIXPOINT, Propagator.WALK)
 
     def test_acyclic_still_wins(self):
         query = parse_query("Q <- Child(x, y), Following(y, z)")
-        assert plan_query(query, self.STATS).engine is Engine.ACYCLIC
+        plan = plan_query(query, self.STATS)
+        assert (plan.engine, plan.propagator) == (Engine.FIXPOINT, Propagator.SEMIJOIN)
 
 
 class TestYannakakisEvaluation:
@@ -285,10 +289,14 @@ class TestYannakakisEvaluation:
     def structure(self):
         return TreeStructure(random_tree(160, alphabet=("A", "B", "C"), seed=11))
 
-    @pytest.mark.parametrize("engine", [Engine.DECOMPOSITION, Engine.BACKTRACKING])
-    def test_triangle_matches_the_oracle(self, structure, engine):
+    @pytest.mark.parametrize(
+        "answers",
+        [functools.partial(evaluate, engine=Engine.DECOMPOSITION), backtracking.answers],
+        ids=["decomposition", "backtracking"],
+    )
+    def test_triangle_matches_the_oracle(self, structure, answers):
         query = parse_query("Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z)")
-        assert sorted(evaluate(query, structure, engine=engine)) == oracle.answers(query, structure)
+        assert sorted(answers(query, structure)) == oracle.answers(query, structure)
 
     def test_unsatisfiable_diamond_is_empty(self, structure):
         # Following(y, z) contradicts y and z sharing the descendant w.
@@ -299,15 +307,13 @@ class TestYannakakisEvaluation:
         query = parse_query(
             "Q(x, y) <- A(x), B(y), Child+(x, y), Child+(x, z), Following(y, z)"
         )
-        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == evaluate(
-            query, structure, engine=Engine.BACKTRACKING
-        )
+        expected = backtracking.answers(query, structure)
+        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == expected
 
     def test_repeated_head_variable(self, structure):
         query = parse_query("Q(x, x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z)")
-        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == evaluate(
-            query, structure, engine=Engine.BACKTRACKING
-        )
+        expected = backtracking.answers(query, structure)
+        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == expected
 
     def test_forced_on_acyclic_query(self, structure):
         query = parse_query("Q(x) <- A(x), Child(x, y), B(y)")
@@ -317,23 +323,20 @@ class TestYannakakisEvaluation:
 
     def test_boolean_and_pinned(self, structure):
         query = parse_query(TRIANGLE)
-        assert is_satisfied(query, structure, Engine.DECOMPOSITION) == is_satisfied(
-            query, structure, Engine.BACKTRACKING
-        )
+        expected = backtracking.boolean_query_holds(query, structure)
+        assert is_satisfied(query, structure, Engine.DECOMPOSITION) == expected
         for node in (0, 1, 5, 17):
+            pinned = {"x": node}
             assert is_satisfied(
-                query, structure, Engine.DECOMPOSITION, pinned={"x": node}
-            ) == is_satisfied(
-                query, structure, Engine.BACKTRACKING, pinned={"x": node}
-            )
+                query, structure, Engine.DECOMPOSITION, pinned=pinned
+            ) == backtracking.boolean_query_holds(query, structure, pinned=pinned)
 
     def test_high_width_query_still_exact(self, structure):
         # Width 3: forcing the engine must still give exact answers (width
         # prices a plan, it does not limit the engine).
         query = parse_query(K4)
-        assert is_satisfied(query, structure, Engine.DECOMPOSITION) == is_satisfied(
-            query, structure, Engine.BACKTRACKING
-        )
+        expected = backtracking.boolean_query_holds(query, structure)
+        assert is_satisfied(query, structure, Engine.DECOMPOSITION) == expected
 
     def test_empty_body(self, structure):
         query = parse_query("Q <- true")
@@ -344,9 +347,8 @@ class TestYannakakisEvaluation:
             "Q(x, u) <- A(x), Child+(x, y), Child+(x, z), Following(y, z), "
             "B(u), Child(u, v), C(v)"
         )
-        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == evaluate(
-            query, structure, engine=Engine.BACKTRACKING
-        )
+        expected = backtracking.answers(query, structure)
+        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == expected
 
     def test_self_loop_atoms(self, structure):
         query = ConjunctiveQuery(
@@ -359,9 +361,8 @@ class TestYannakakisEvaluation:
             ),
             "Loop",
         )
-        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == evaluate(
-            query, structure, engine=Engine.BACKTRACKING
-        )
+        expected = backtracking.answers(query, structure)
+        assert evaluate(query, structure, engine=Engine.DECOMPOSITION) == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -767,10 +768,9 @@ class TestServingIntegration:
         assert result.engine == "decomposition"
         structure = TreeStructure(random_tree(80, alphabet=("A", "B", "C"), seed=3))
         expected = sorted(
-            evaluate(
+            backtracking.answers(
                 parse_query("Q(x) <- A(x), Child+(x, y), Child+(x, z), Following(y, z)"),
                 structure,
-                engine=Engine.BACKTRACKING,
             )
         )
         assert result.answers == [tuple(answer) for answer in expected]

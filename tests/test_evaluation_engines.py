@@ -1,8 +1,9 @@
-"""Tests for the evaluation engines: X-property, acyclic, backtracking, planner.
+"""Tests for the evaluation engines (fixpoint, decomposition), the backtracking
+search, the X-property evaluator and the planner.
 
 The central correctness property exercised here is *engine agreement*: on
 queries where several engines apply, they must produce identical results (the
-backtracking engine is the ground truth).
+backtracking search is the ground truth).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.evaluation import (
     Engine,
     Propagator,
     SearchStatistics,
+    backtracking,
     boolean_query_holds,
     check_answer,
     choose_order,
@@ -32,6 +34,7 @@ from repro.evaluation import (
     witness,
 )
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
+from repro.evaluation.planner import fixpoint_answers
 from repro.evaluation.propagation import PROPAGATE_SECONDS
 from repro.evaluation.xprop_evaluator import XPropertyEvaluationError
 from repro.hardness import random_cyclic_query
@@ -64,7 +67,7 @@ def _assert_residue(plan) -> None:
 class TestXPropertyEvaluator:
     def test_tractable_signature_positive(self, sentence_structure):
         query = parse_query("Q <- S(x), Child+(x, y), NP(y), Child+(y, z), NN(z)")
-        assert boolean_query_holds(query, sentence_structure, verify=True)
+        assert boolean_query_holds(query, sentence_structure)
 
     def test_tractable_signature_negative(self, sentence_structure):
         query = parse_query("Q <- PP(x), Child+(x, y), NN(y)")
@@ -72,13 +75,13 @@ class TestXPropertyEvaluator:
 
     def test_following_signature(self, sentence_structure):
         query = parse_query("Q <- Following(x, y), Following(y, z), PP(z)")
-        assert boolean_query_holds(query, sentence_structure, verify=True)
+        assert boolean_query_holds(query, sentence_structure)
 
     def test_bflr_signature(self, sentence_structure):
         query = parse_query(
             "Q <- NP(x), NextSibling(x, y), VP(y), NextSibling+(y, z), PP(z), Child(y, w), VB(w)"
         )
-        assert boolean_query_holds(query, sentence_structure, verify=True)
+        assert boolean_query_holds(query, sentence_structure)
 
     def test_rejects_intractable_signature_without_order(self, sentence_structure):
         query = parse_query("Q <- Child(x, y), Child+(y, z)")
@@ -117,7 +120,7 @@ class TestXPropertyEvaluator:
         # the evaluator either still answers True (if it happens to work) or
         # the verification raises -- it must never silently answer False.
         try:
-            result = boolean_query_holds(query, structure, order=Order.PRE, verify=True)
+            result = boolean_query_holds(query, structure, order=Order.PRE)
             assert result is True
         except XPropertyEvaluationError:
             pass
@@ -132,9 +135,7 @@ class TestXPropertyEvaluator:
                 num_extra_atoms=2,
                 seed=seed,
             )
-            assert boolean_query_holds(query, structure, verify=True) == bt_holds(
-                query, structure
-            )
+            assert boolean_query_holds(query, structure) == bt_holds(query, structure)
 
     def test_agreement_following_signature(self):
         for seed in range(6):
@@ -143,9 +144,7 @@ class TestXPropertyEvaluator:
             query = random_cyclic_query(
                 (Axis.FOLLOWING,), num_variables=4, num_extra_atoms=2, seed=seed
             )
-            assert boolean_query_holds(query, structure, verify=True) == bt_holds(
-                query, structure
-            )
+            assert boolean_query_holds(query, structure) == bt_holds(query, structure)
 
     def test_agreement_bflr_signature(self):
         for seed in range(6):
@@ -157,9 +156,7 @@ class TestXPropertyEvaluator:
                 num_extra_atoms=2,
                 seed=seed,
             )
-            assert boolean_query_holds(query, structure, verify=True) == bt_holds(
-                query, structure
-            )
+            assert boolean_query_holds(query, structure) == bt_holds(query, structure)
 
     def test_minimum_valuation_helper(self, sentence_structure):
         query = parse_query("Q <- NP(x), Child+(x, y)")
@@ -176,22 +173,22 @@ def _valuations(query, structure):
     return {frozenset(zip(variables, answer)) for answer in answers}
 
 
-class TestAcyclicEvaluator:
+class TestFixpointEngine:
     def test_boolean_and_enumeration(self, sentence_structure):
         query = parse_query("Q <- S(x), Child(x, y), NP(y), Child(y, z), NN(z)")
-        assert is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC)
+        assert is_satisfied(query, sentence_structure, engine=Engine.FIXPOINT)
         assert _valuations(query, sentence_structure) == {
             frozenset({("x", 0), ("y", 1), ("z", 3)})
         }
 
-    def test_rejects_cyclic_queries(self, sentence_structure):
+    def test_rejects_cyclic_queries_with_no_order(self, sentence_structure):
         query = parse_query("Q <- Child(x, y), Child+(x, y)")
-        with pytest.raises(ValueError):
-            is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC)
+        with pytest.raises(ValueError, match="use the decomposition engine"):
+            is_satisfied(query, sentence_structure, engine=Engine.FIXPOINT)
 
     def test_unsatisfiable(self, sentence_structure):
         query = parse_query("Q <- PP(x), Child(x, y)")
-        assert not is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC)
+        assert not is_satisfied(query, sentence_structure, engine=Engine.FIXPOINT)
         assert _valuations(query, sentence_structure) == set()
 
     def test_agreement_with_backtracking(self, sentence_structure):
@@ -203,7 +200,7 @@ class TestAcyclicEvaluator:
         ]
         for text in queries:
             query = parse_query(text)
-            assert is_satisfied(query, sentence_structure, engine=Engine.ACYCLIC) == bt_holds(
+            assert is_satisfied(query, sentence_structure, engine=Engine.FIXPOINT) == bt_holds(
                 query, sentence_structure
             )
             rhs = {
@@ -254,9 +251,10 @@ class TestBacktrackingEvaluator:
 
 class TestPlanner:
     def test_engine_choice(self, sentence_tree):
-        tractable = "Q <- Child+(x, y), Child*(y, z), Child+(z, x)"
-        assert _plan(tractable, sentence_tree).engine is Engine.XPROPERTY
-        assert _plan("Q <- Child(x, y), Following(y, z)", sentence_tree).engine is Engine.ACYCLIC
+        tractable = _plan("Q <- Child+(x, y), Child*(y, z), Child+(z, x)", sentence_tree)
+        assert (tractable.engine, tractable.propagator) == (Engine.FIXPOINT, Propagator.WALK)
+        forest = _plan("Q <- Child(x, y), Following(y, z)", sentence_tree)
+        assert (forest.engine, forest.propagator) == (Engine.FIXPOINT, Propagator.SEMIJOIN)
         # Cyclic (parallel edges / triangles) and, width 3, a K4 over an
         # NP-hard signature: the cyclic residue, searched over the join tree.
         for text in (
@@ -271,30 +269,30 @@ class TestPlanner:
         """Boolean and monadic-forest heads read one fixpoint; every other
         head is enumerated over the join tree, whatever the signature."""
         body = "NP(x), Child(x, y), NN(y)"  # tractable signature, forest
-        assert _plan(f"Q <- {body}", sentence_tree).engine is Engine.XPROPERTY
-        assert _plan(f"Q(x) <- {body}", sentence_tree).engine is Engine.XPROPERTY
+        assert _plan(f"Q <- {body}", sentence_tree).engine is Engine.FIXPOINT
+        assert _plan(f"Q(x) <- {body}", sentence_tree).engine is Engine.FIXPOINT
         assert _plan(f"Q(x, y) <- {body}", sentence_tree).engine is Engine.DECOMPOSITION
         assert _plan(f"Q(x, x) <- {body}", sentence_tree).engine is Engine.DECOMPOSITION
         mixed = "Child(x, y), Following(y, z)"  # NP-hard signature, forest
-        assert _plan(f"Q(z) <- {mixed}", sentence_tree).engine is Engine.ACYCLIC
+        assert _plan(f"Q(z) <- {mixed}", sentence_tree).engine is Engine.FIXPOINT
         assert _plan(f"Q(x, z) <- {mixed}", sentence_tree).engine is Engine.DECOMPOSITION
         # A monadic head over a cyclic shadow is no fixpoint projection: it
         # joins the cyclic residue even on a tractable signature.
         cyclic = "Child+(x, y), Child*(y, z), Child+(x, z)"
-        assert _plan(f"Q <- {cyclic}", sentence_tree).engine is Engine.XPROPERTY
+        assert _plan(f"Q <- {cyclic}", sentence_tree).engine is Engine.FIXPOINT
         _assert_residue(_plan(f"Q(x) <- {cyclic}", sentence_tree))
         k4 = (
             "Child+(a, b), Child+(a, c), Child+(a, d), "
             "Child+(b, c), Child+(b, d), Child+(c, d)"
         )
-        assert _plan(f"Q <- {k4}", sentence_tree).engine is Engine.XPROPERTY
+        assert _plan(f"Q <- {k4}", sentence_tree).engine is Engine.FIXPOINT
         _assert_residue(_plan(f"Q(a, d) <- {k4}", sentence_tree))
 
     @pytest.mark.parametrize(
         "text",
         [
             "Q(x) <- Child+(x, y), Child+(y, z), Child+(x, z)",  # decomposition
-            "Q <- Child+(x, y), Child+(y, z), Child+(x, z)",  # xproperty
+            "Q <- Child+(x, y), Child+(y, z), Child+(x, z)",  # fixpoint
             "Q(x, z) <- NP(x), Child+(x, y), Child*(y, z), Child+(x, z)",  # decomposition
             "Q(x) <- NP(x), Child(x, y), Following(y, z), Child+(x, z)",  # decomposition
         ],
@@ -327,11 +325,12 @@ class TestPlanner:
         """Each engine prunes with ``choose_propagator``'s pick: what its plan records."""
         query = parse_query(text)
         stats = DocumentStats.of_tree(sentence_structure.tree)
-        engines = [Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING]
-        if choose_order(query) is not None:
-            engines.append(Engine.XPROPERTY)
-        if compile_query(query).shadow_is_forest:
-            engines.append(Engine.ACYCLIC)
+        engines = [Engine.AUTO, Engine.DECOMPOSITION]
+        if fixpoint_answers(query, compile_query(query)):
+            engines.append(Engine.FIXPOINT)
+        else:
+            with pytest.raises(ValueError, match="use the decomposition engine"):
+                evaluate(query, sentence_structure, engine=Engine.FIXPOINT)
         expected = oracle.answers(query, sentence_structure)
         for engine in engines:
             plan = plan_query(query, stats, engine=engine)
@@ -366,7 +365,7 @@ class TestPlanner:
         cyclic = parse_query("Q <- Child+(x, y), Child+(y, z), Child+(x, z)")
         assert evaluate(cyclic, sentence_structure, propagator="walk") == frozenset({()})
         with pytest.raises(ValueError, match="this query runs 'walk'"):
-            evaluate(cyclic, sentence_structure, Engine.XPROPERTY, propagator="semijoin")
+            evaluate(cyclic, sentence_structure, Engine.FIXPOINT, propagator="semijoin")
         decomposition = Engine.DECOMPOSITION
         assert evaluate(cyclic, sentence_structure, decomposition, propagator="semijoin")
         with pytest.raises(TypeError):
@@ -390,13 +389,12 @@ class TestPlanner:
         assert len(answers) > 50  # the reduction pays a fixpoint per candidate tuple
         assert root.find("enumerate").attributes["strategy"] == "join_tree"
 
-        # The reduction is still there, behind an explicit engine only.
+        # The reduction is the backtracking baseline's, and no engine's.
         before = propagations()
-        with tracing.trace("forced") as root:
-            forced = evaluate(query, structure, engine=Engine.XPROPERTY)
-        assert forced == answers
+        assert backtracking.answers(query, structure) == answers
         assert propagations() - before > len(answers)
-        assert root.find("enumerate").attributes["strategy"] == "candidate_product"
+        with pytest.raises(ValueError, match="use the decomposition engine"):
+            evaluate(query, structure, engine=Engine.FIXPOINT)
 
     def test_default_routing_never_enumerates_per_tuple(self, sentence_structure):
         """Forest heads take the join tree; a cyclic monadic head is searched over it."""
@@ -430,15 +428,10 @@ class TestPlanner:
         query = parse_query("Q <- S(x), Child+(x, y), NP(y), Child+(x, z), PP(z)")
         results = {
             engine: is_satisfied(query, sentence_structure, engine)
-            for engine in (
-                Engine.AUTO,
-                Engine.XPROPERTY,
-                Engine.ACYCLIC,
-                Engine.DECOMPOSITION,
-                Engine.BACKTRACKING,
-            )
+            for engine in (Engine.AUTO, Engine.FIXPOINT, Engine.DECOMPOSITION, Engine.SQL)
         }
         assert set(results.values()) == {True}
+        assert bt_holds(query, sentence_structure)
 
     def test_evaluate_monadic(self, sentence_tree):
         query = parse_query("Q(z) <- S(x), Child(x, y), NP(y), Following(y, z), NP(z)")
@@ -465,7 +458,12 @@ class TestPlanner:
         body = parse_query("Q(x) <- A(x), Child(x, z)").body
         query = ConjunctiveQuery(("x", "y"), body, "Q")
         expected = frozenset((x, y) for x in (0, 2) for y in range(4))
-        assert evaluate(query, structure, engine=engine) == expected
+        if engine is Engine.FIXPOINT:  # a binary head: one fixpoint is no answer
+            with pytest.raises(ValueError, match="use the decomposition engine"):
+                evaluate(query, structure, engine=engine)
+            assert backtracking.answers(query, structure) == expected
+        else:
+            assert evaluate(query, structure, engine=engine) == expected
         for answer in product(range(4), repeat=2):
             assert check_answer(query, structure, answer, engine) == (answer in expected)
 

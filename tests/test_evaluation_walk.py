@@ -21,7 +21,7 @@ from repro.evaluation import (
     Engine,
     Propagator,
     answer_page,
-    choose_order,
+    backtracking,
     compile_query,
     evaluate,
     is_satisfied,
@@ -147,8 +147,9 @@ class TestWalk:
         expected = bool(oracle.answers(query, structure))
         # The plan's pick on this cyclic body is the walk.
         assert (propagate(query, structure) is not None) == expected
-        for engine in (Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING):
+        for engine in (Engine.AUTO, Engine.FIXPOINT, Engine.DECOMPOSITION):
             assert is_satisfied(query, structure, engine=engine) == expected, engine
+        assert backtracking.boolean_query_holds(query, structure) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +219,14 @@ class TestFixpointEquality:
         structure = TreeStructure(tree)
         expected = bool(oracle.answers(query, structure))
         assert is_satisfied(query, structure) == expected
-        for engine in (Engine.BACKTRACKING, Engine.DECOMPOSITION):
-            assert is_satisfied(query, structure, engine=engine) == expected
-        if choose_order(query) is not None:
-            assert is_satisfied(query, structure, engine=Engine.XPROPERTY) == expected
+        assert is_satisfied(query, structure, engine=Engine.DECOMPOSITION) == expected
+        assert backtracking.boolean_query_holds(query, structure) == expected
+        compiled = compile_query(query)
+        if compiled.order is not None or compiled.shadow_is_forest:
+            assert is_satisfied(query, structure, engine=Engine.FIXPOINT) == expected
+        else:
+            with pytest.raises(ValueError, match="use the decomposition engine"):
+                is_satisfied(query, structure, engine=Engine.FIXPOINT)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +257,10 @@ class TestPropagatorDimension:
         reference = evaluate(query, sentence_structure)
         assert reference  # non-trivial
         assert sorted(reference) == oracle.answers(query, sentence_structure)
-        for engine in (Engine.XPROPERTY, Engine.DECOMPOSITION, Engine.BACKTRACKING):
-            assert reference == evaluate(query, sentence_structure, engine=engine)
+        assert reference == evaluate(query, sentence_structure, engine=Engine.DECOMPOSITION)
+        assert reference == backtracking.answers(query, sentence_structure)
+        with pytest.raises(ValueError, match="use the decomposition engine"):
+            evaluate(query, sentence_structure, engine=Engine.FIXPOINT)
 
 
 class TestMonadicAcyclicFastPath:
@@ -302,12 +309,14 @@ class TestMonadicAcyclicFastPath:
             if is_satisfied(monadic, structure, pinned={body_variables[0]: node})
         )
         assert evaluate(monadic, structure) == expected
-        compiled = compile_query(monadic)
-        if compiled.order is not None:
-            # Cyclic: the per-tuple reduction over the walk's superset columns.
-            assert evaluate(monadic, structure, engine=Engine.XPROPERTY) == expected
-        # Forced backtracking takes candidate supersets on any body.
-        assert evaluate(monadic, structure, engine=Engine.BACKTRACKING) == expected
+        if compile_query(monadic).shadow_is_forest:
+            assert evaluate(monadic, structure, engine=Engine.FIXPOINT) == expected
+        else:
+            # Cyclic: one fixpoint is no projection there, on any signature.
+            with pytest.raises(ValueError, match="use the decomposition engine"):
+                evaluate(monadic, structure, engine=Engine.FIXPOINT)
+        # The per-tuple reduction takes candidate supersets on any body.
+        assert backtracking.answers(monadic, structure) == expected
 
 
 class TestDeterministicEnumeration:
@@ -316,9 +325,10 @@ class TestDeterministicEnumeration:
         query = parse_query("Q(x, y, z) <- A(x), Child(x, y), NextSibling+(y, z)")
         sequences = {
             engine: answer_page(query, structure, engine)[0]
-            for engine in (Engine.AUTO, Engine.XPROPERTY, Engine.BACKTRACKING)
+            for engine in (Engine.AUTO, Engine.DECOMPOSITION, Engine.SQL)
         }
-        assert sequences[Engine.AUTO] == sequences[Engine.XPROPERTY]
-        assert sequences[Engine.AUTO] == sequences[Engine.BACKTRACKING]
+        assert sequences[Engine.AUTO] == sequences[Engine.DECOMPOSITION]
+        assert sequences[Engine.AUTO] == sequences[Engine.SQL]
+        assert sequences[Engine.AUTO] == sorted(backtracking.answers(query, structure))
         assert list(sequences[Engine.AUTO]) == oracle.answers(query, structure)
         assert sequences[Engine.AUTO]  # non-empty on this tree

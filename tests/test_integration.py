@@ -17,7 +17,7 @@ from repro import (
     to_apq,
     xpath_to_cq,
 )
-from repro.evaluation import Engine, evaluate, evaluate_union, is_satisfied
+from repro.evaluation import Engine, backtracking, evaluate, evaluate_union, is_satisfied
 from repro.hardness import OneInThreeInstance, is_satisfiable, reduce_instance, decide_by_selection
 from repro.queries import cq_to_xpath, equivalent_on_samples
 from repro.rewriting import rewrite_child_nextsibling_apq
@@ -77,7 +77,7 @@ class TestLinguisticsPipeline:
         query = figure1_query()
         structure = TreeStructure(corpus)
         planner_answers = evaluate(query, structure)
-        backtracking_answers = evaluate(query, structure, engine=Engine.BACKTRACKING)
+        backtracking_answers = backtracking.answers(query, structure)
         assert planner_answers == backtracking_answers
         apq = to_apq(query)
         assert evaluate_union(apq, structure) == planner_answers
@@ -127,9 +127,8 @@ class TestDichotomyPipeline:
         assert classify(tractable.signature()) is Complexity.PTIME
         assert classify(hard_shape.signature()) is Complexity.NP_COMPLETE
         for query in (tractable, hard_shape):
-            assert is_satisfied(query, structure) == is_satisfied(
-                query, structure, engine=Engine.BACKTRACKING
-            )
+            expected = backtracking.boolean_query_holds(query, structure)
+            assert is_satisfied(query, structure) == expected
 
     def test_theorem51_reduction_end_to_end(self):
         instance = OneInThreeInstance.of(("a", "b", "c"), ("b", "c", "d"))

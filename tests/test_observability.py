@@ -89,13 +89,13 @@ class TestHistogramMerge:
         left, right = MetricsRegistry(), MetricsRegistry()
         left.histogram("h", "h", ("engine",)).observe(0.002, engine="sql")
         left.histogram("h", "h", ("engine",)).observe(0.2, engine="sql")
-        right.histogram("h", "h", ("engine",)).observe(0.002, engine="acyclic")
+        right.histogram("h", "h", ("engine",)).observe(0.002, engine="fixpoint")
         merged = MetricsRegistry()
         merged.merge_snapshot(left.snapshot())
         merged.merge_snapshot(right.snapshot())
         histogram = merged.histogram("h", "h", ("engine",))
         assert histogram.totals(engine="sql") == (2, pytest.approx(0.202))
-        assert histogram.totals(engine="acyclic") == (1, pytest.approx(0.002))
+        assert histogram.totals(engine="fixpoint") == (1, pytest.approx(0.002))
 
     def test_counters_and_gauges_sum_on_merge(self):
         left, right = MetricsRegistry(), MetricsRegistry()
@@ -518,12 +518,12 @@ class TestErrorAttribution:
         store = DocumentStore(accel_backend=SQLiteBackend())
         store.register_tree_accel_only("big", parse_sexpr(SEXPR))
         result = run_request(
-            store, QueryCache(), Request(doc="big", query="Q(x) <- b(x)", engine="xproperty")
+            store, QueryCache(), Request(doc="big", query="Q(x) <- b(x)", engine="fixpoint")
         )
         assert not result.ok
         assert "accel-only" in result.error
-        assert result.engine == "xproperty"
-        assert result.to_json_dict()["engine"] == "xproperty"
+        assert result.engine == "fixpoint"
+        assert result.to_json_dict()["engine"] == "fixpoint"
 
 
 # ---------------------------------------------------------------------------

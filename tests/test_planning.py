@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import oracle
 from repro.decomposition import Hypergraph, decompose_hypergraph
 from repro.decomposition.decompose import atom_pair_costs, prune_subset_bags
-from repro.evaluation import Engine, evaluate, planner
+from repro.evaluation import Engine, backtracking, evaluate, planner
 from repro.evaluation.propagation import Propagator
 from repro.planning import (
     DocumentStats,
@@ -156,7 +156,7 @@ def test_choose_propagator_rule():
         assert choose_propagator(compile_query(parse_query(text))) is Propagator.SEMIJOIN, text
 
 
-def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
+def test_decomposition_plans_sweep_and_forced_fixpoint_plans_keep_the_rules_pick():
     """The bags enforce every atom: supersets in front of them, on any body."""
     stats = DocumentStats.of_tree(_tree())
     unlabeled = "Q() <- Child+(x, y), Child+(y, z), Following(x, z)"
@@ -167,17 +167,17 @@ def test_decomposition_plans_sweep_and_per_tuple_plans_keep_a_fixpoint():
         routed = plan_query(query, stats)
         assert routed.engine is Engine.DECOMPOSITION, text
         assert routed.propagator is Propagator.SEMIJOIN, text
-        # Forced backtracking takes the rule's pick (supersets suffice there too).
-        searched = plan_query(query, stats, engine=Engine.BACKTRACKING)
-        assert searched.propagator is choose_propagator(compile_query(query)), text
+        # A forced fixpoint plan records the rule's pick (and refuses to run).
+        forced = plan_query(query, stats, engine=Engine.FIXPOINT)
+        assert forced.propagator is choose_propagator(compile_query(query)), text
 
 
 def test_fixpoint_plans_price_nothing_and_force_no_decomposition():
     """Only the plans whose decision needs them read stats or a join tree."""
     stats = DocumentStats.of_tree(_tree(size=400))
     for text, engine in (
-        (ACYCLIC_CHAIN, Engine.ACYCLIC),
-        ("Q <- A(a), Child+(a, b), Child+(b, c), Child+(a, c)", Engine.XPROPERTY),
+        (ACYCLIC_CHAIN, Engine.FIXPOINT),
+        ("Q <- A(a), Child+(a, b), Child+(b, c), Child+(a, c)", Engine.FIXPOINT),
     ):
         query = parse_query(text)
         compiled = compile_query.__wrapped__(query)  # fresh: no shared cached property
@@ -220,8 +220,10 @@ def test_resident_plans_price_no_flat_join():
 
 
 def test_plan_keeps_the_dichotomy_tiers():
+    # Three engines, one per tractable case, and the planner's choice.
+    assert [engine.value for engine in Engine] == ["auto", "fixpoint", "decomposition", "sql"]
     stats = DocumentStats.of_tree(_tree())
-    assert plan_query(parse_query(ACYCLIC_CHAIN), stats).engine is Engine.ACYCLIC
+    assert plan_query(parse_query(ACYCLIC_CHAIN), stats).engine is Engine.FIXPOINT
     for text in (TRIANGLE, FOUR_CYCLE):  # monadic heads over cyclic bodies
         _assert_residue(plan_query(parse_query(text), stats))
 
@@ -241,24 +243,25 @@ def test_cyclic_heads_over_tractable_signatures_join_the_residue():
     text = "Q(a, c) <- A(a), Child+(a, b), Child*(b, c), Child+(a, c), C(c)"
     for head in ("a", "a, c"):  # monadic over a cyclic shadow, and binary
         _assert_residue(plan_query(parse_query(text.replace("a, c", head, 1)), stats))
-    # The Boolean head over the same body stays on the X-property tier.
-    assert plan_query(parse_query(text.replace("Q(a, c)", "Q")), stats).engine is Engine.XPROPERTY
+    # The Boolean head over the same body stays with the fixpoint (the walk).
+    boolean = plan_query(parse_query(text.replace("Q(a, c)", "Q")), stats)
+    assert (boolean.engine, boolean.propagator) == (Engine.FIXPOINT, Propagator.WALK)
 
 
-def test_forced_per_tuple_engine_is_not_priced():
+def test_forced_fixpoint_engine_is_not_priced():
     """A forced fixpoint engine decides nothing by cost: it carries no estimate."""
     stats = DocumentStats.of_tree(_tree())
     binary = parse_query("Q(a, b) <- A(a), Child+(a, b), B(b)")
-    forced = plan_query(binary, stats, engine=Engine.XPROPERTY)
-    assert forced.engine is Engine.XPROPERTY
+    forced = plan_query(binary, stats, engine=Engine.FIXPOINT)
+    assert forced.engine is Engine.FIXPOINT
     assert forced.estimated_cost is None and forced.describe()["estimates"] is None
 
 
 def test_overrides_always_win():
     stats = DocumentStats.of_tree(_tree())
     query = parse_query(FOUR_CYCLE)
-    plan = plan_query(query, stats, engine=Engine.BACKTRACKING)
-    assert plan.engine is Engine.BACKTRACKING
+    plan = plan_query(query, stats, engine=Engine.FIXPOINT)
+    assert plan.engine is Engine.FIXPOINT
     # The propagator is no override: the plan records what that engine runs.
     assert plan.propagator is choose_propagator(compile_query(query)) is Propagator.SEMIJOIN
     with pytest.raises(TypeError):
@@ -269,9 +272,9 @@ def test_overrides_always_win():
     "text, engine, planned",
     [
         # The loop is a static filter: the edges are {Following}, a tractable signature.
-        ("Q <- A(x), Child*(x, x), Following(x, y)", None, "xproperty"),
-        ("Q(x) <- A(x), Child(x, y), Parent(y, x), Following(y, z)", None, "acyclic"),
-        ("Q <- A(x), Child(x, x)", "acyclic", "acyclic"),
+        ("Q <- A(x), Child*(x, x), Following(x, y)", None, "fixpoint"),
+        ("Q(x) <- A(x), Child(x, y), Parent(y, x), Following(y, z)", None, "fixpoint"),
+        ("Q <- A(x), Child(x, x)", "fixpoint", "fixpoint"),
     ],
 )
 def test_forest_bodies_with_loops_or_inverse_duplicates_plan_on_compiled_edges(
@@ -315,9 +318,9 @@ def test_inverse_axes_route_like_their_forward_mirrors(text):
     )
     stats = DocumentStats.of_tree(tree)
     assert plan_query(query, stats).engine is plan_query(forward, stats).engine
-    assert planner.tier(query, mirror) is Engine.XPROPERTY
+    assert planner.tier(query, mirror) is Engine.FIXPOINT
     expected = oracle.answers(query, structure)
-    assert sorted(evaluate(query, structure, Engine.XPROPERTY)) == expected
+    assert sorted(evaluate(query, structure, Engine.FIXPOINT)) == expected
     assert sorted(evaluate(query, structure)) == expected
 
 
@@ -338,7 +341,7 @@ def test_accel_only_pins_sql():
 def test_estimated_cost_is_the_sql_lowering_chosen():
     stats = DocumentStats.of_tree(_tree())
     _assert_residue(plan_query(parse_query(FOUR_CYCLE), stats))
-    forced = plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.BACKTRACKING)
+    forced = plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.FIXPOINT)
     assert forced.estimated_cost is None  # no lowering to choose
     for sql in (
         plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True),
@@ -387,7 +390,7 @@ def test_cold_200_variable_chain_plans_in_under_a_second():
     names = [f"x{i}" for i in range(200)]
     atoms = tuple(AxisAtom(Axis.CHILD_PLUS, a, b) for a, b in zip(names, names[1:]))
     plan, _compiled, seconds = _cold_plan(ConjunctiveQuery(("x0",), atoms, "Chain"))
-    assert plan.engine is Engine.XPROPERTY and plan.flat_cost is None
+    assert plan.engine is Engine.FIXPOINT and plan.flat_cost is None
     assert seconds < 1.0
 
 
@@ -452,7 +455,7 @@ def test_the_cyclic_residue_takes_the_sweeps_on_decomposition():
         query = parse_query(text)
         routed = plan_query(query, stats)
         assert (routed.engine, routed.propagator) == (Engine.DECOMPOSITION, Propagator.SEMIJOIN)
-        expected = evaluate(query, structure, Engine.BACKTRACKING)
+        expected = backtracking.answers(query, structure)
         assert evaluate(query, structure) == expected, text
 
 
@@ -526,15 +529,15 @@ def test_plan_cache_keeps_one_plan_per_bucket_engine_and_residency():
     stats = store.stats_for("doc")
     automatic = cache.plan_for(entry, stats)
     assert automatic.propagator is Propagator.SEMIJOIN
-    forced = cache.plan_for(entry, stats, engine=Engine.BACKTRACKING)
+    forced = cache.plan_for(entry, stats, engine=Engine.DECOMPOSITION)
     accel = cache.plan_for(entry, stats, accel_only=True)
     assert len({id(automatic), id(forced), id(accel)}) == 3
     assert cache.plan_for(entry, stats) is automatic
-    assert cache.plan_for(entry, stats, engine=Engine.BACKTRACKING) is forced
+    assert cache.plan_for(entry, stats, engine=Engine.DECOMPOSITION) is forced
     assert cache.plan_for(entry, stats, accel_only=True) is accel
     assert set(entry.plans) == {
         (None, None, False),
-        (None, "backtracking", False),
+        (None, "decomposition", False),
         (stats.bucket(), None, True),
     }
     with pytest.raises(TypeError):
@@ -613,7 +616,7 @@ def test_kary_head_is_attributed_to_the_engine_that_ran():
     try:
         threaded.register_payload({"doc": "corpus", "xml": corpus_xml})
         sharded.register_payload({"doc": "corpus", "xml": corpus_xml})
-        before = {engine: _plan_choices(engine) for engine in ("decomposition", "xproperty")}
+        before = {engine: _plan_choices(engine) for engine in ("decomposition", "fixpoint")}
         ours = threaded.execute_batch(requests)
         slow_entry = SLOW_LOG.entries()[-1]  # explain requests are not metered
         after = {engine: _plan_choices(engine) for engine in before}
@@ -633,7 +636,7 @@ def test_kary_head_is_attributed_to_the_engine_that_ran():
             _stable(other.to_json_dict())
         )
     assert after["decomposition"] - before["decomposition"] == len(requests)
-    assert after["xproperty"] == before["xproperty"]
+    assert after["fixpoint"] == before["fixpoint"]
     assert slow_entry["engine"] == "decomposition"
     assert "estimated_cost" not in slow_entry and "drift" not in slow_entry
     for ledger in ledgers:
@@ -683,9 +686,10 @@ def test_default_plan_and_forced_variants_are_byte_identical(query, size, seed):
     """The acceptance invariant: no engine choice changes answers.
 
     Exercised through ``run_request`` (the full serving path: cache, plan,
-    evaluate, sort) for the default plan against the two engine overrides that
+    evaluate, sort) for the default plan against the engine overrides that
     accept every query shape -- unsafe heads (a head variable no atom
-    mentions) included -- each running the propagator the rule picks for it.
+    mentions) included -- each running the propagator the rule picks for it,
+    and against a forced ``fixpoint``, which answers alike or refuses.
     """
     store = DocumentStore()
     cache = QueryCache()
@@ -693,8 +697,11 @@ def test_default_plan_and_forced_variants_are_byte_identical(query, size, seed):
     default = run_request(store, cache, Request(doc="doc", query=query))
     assert default.ok, default.error
     compiled = cache.resolve_query(query)[0].compiled
-    for engine in (None, "decomposition", "backtracking"):
+    for engine in (None, "decomposition", "sql", "fixpoint"):
         result = run_request(store, cache, Request(doc="doc", query=query, engine=engine))
+        if engine == "fixpoint" and not planner.fixpoint_answers(query, compiled):
+            assert not result.ok and "use the decomposition engine" in result.error
+            continue
         assert result.ok, (engine, result.error)
         assert result.answers == default.answers, engine
         assert result.count == default.count

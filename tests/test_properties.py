@@ -11,8 +11,10 @@ These cover the invariants the paper's machinery relies on:
 * the X-property evaluator agrees with backtracking on tractable signatures
   (Lemma 3.4 / Theorem 3.5),
 * default routing (one fixpoint + one join-tree traversal for every k-ary
-  head) answers exactly like the paper's per-tuple reduction under every
-  explicit engine and like the Horn-SAT oracle,
+  head) answers exactly like the paper's per-tuple reduction and like the
+  Horn-SAT oracle, and the engine set is the dichotomy: the table names
+  ``fixpoint``, ``decomposition`` or ``sql`` only, and a forced ``fixpoint``
+  answers exactly or refuses,
 * the answer contract of the serving core -- ``answer_page``: the first
   ``limit`` answers in ascending order plus the exact count -- holds for every
   plan the planner can emit and every forced engine, and the join-tree
@@ -28,6 +30,7 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,7 @@ from repro.evaluation import (
     Engine,
     Propagator,
     answer_page,
+    backtracking,
     compile_query,
     evaluate,
     evaluate_on_tree,
@@ -46,8 +50,10 @@ from repro.evaluation import (
     propagate,
 )
 from repro.evaluation.backtracking import boolean_query_holds as bt_holds
+from repro.evaluation.planner import fixpoint_answers, tier
 from repro.evaluation.propagation import candidate_supersets
 from repro.evaluation.xprop_evaluator import boolean_query_holds as xp_holds
+from repro.hardness import random_cyclic_query
 from repro.planning import DocumentStats, plan_query
 from repro.queries import ConjunctiveQuery, is_acyclic, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
@@ -55,7 +61,7 @@ from repro.rewriting import to_apq
 from repro.trees import Axis, Order, Tree, TreeStructure, chain, random_tree
 from repro.trees.axes import AX, INVERSE, holds
 from repro.trees.orders import rank
-from repro.xproperty import X_PROPERTY_AXES, has_x_property, is_tractable
+from repro.xproperty import X_PROPERTY_AXES, has_x_property
 
 SETTINGS = settings(
     max_examples=25,
@@ -256,13 +262,13 @@ class TestEvaluatorAgreementProperties:
     @given(trees(max_size=14), queries((Axis.CHILD_PLUS, Axis.CHILD_STAR)))
     def test_xproperty_agrees_with_backtracking_pre_group(self, tree, query):
         structure = TreeStructure(tree)
-        assert xp_holds(query, structure, verify=True) == bt_holds(query, structure)
+        assert xp_holds(query, structure) == bt_holds(query, structure)
 
     @SETTINGS
     @given(trees(max_size=14), queries((Axis.FOLLOWING,)))
     def test_xproperty_agrees_with_backtracking_following(self, tree, query):
         structure = TreeStructure(tree)
-        assert xp_holds(query, structure, verify=True) == bt_holds(query, structure)
+        assert xp_holds(query, structure) == bt_holds(query, structure)
 
     @SETTINGS
     @given(
@@ -271,7 +277,7 @@ class TestEvaluatorAgreementProperties:
     )
     def test_xproperty_agrees_with_backtracking_bflr_group(self, tree, query):
         structure = TreeStructure(tree)
-        assert xp_holds(query, structure, verify=True) == bt_holds(query, structure)
+        assert xp_holds(query, structure) == bt_holds(query, structure)
 
     @SETTINGS
     @given(trees(max_size=12), queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)))
@@ -309,10 +315,9 @@ class TestDecompositionEngineProperties:
     def test_answers_match_backtracking(self, tree, axes, data):
         query = data.draw(head_queries(axes), label="query")
         structure = TreeStructure(tree)
-        expected = oracle.answers(query, structure)
-        for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
-            answers = sorted(evaluate(query, structure, engine=engine))
-            assert repr(answers) == repr(expected), engine
+        expected = repr(oracle.answers(query, structure))
+        assert repr(sorted(evaluate(query, structure, engine=Engine.DECOMPOSITION))) == expected
+        assert repr(sorted(backtracking.answers(query, structure))) == expected
 
     @SETTINGS
     @given(
@@ -328,8 +333,8 @@ class TestDecompositionEngineProperties:
         variable = rng.choice(query.variables())
         pinned = {variable: rng.randrange(len(tree))}
         expected = bool(oracle.answers(query, structure, pinned))
-        for engine in (Engine.DECOMPOSITION, Engine.BACKTRACKING):
-            assert is_satisfied(query, structure, engine, pinned) == expected, engine
+        assert is_satisfied(query, structure, Engine.DECOMPOSITION, pinned) == expected
+        assert bt_holds(query, structure, pinned=pinned) == expected
 
     @SETTINGS
     @given(trees(max_size=12), head_queries((Axis.CHILD_STAR, Axis.NEXT_SIBLING_STAR)))
@@ -337,16 +342,16 @@ class TestDecompositionEngineProperties:
         structure = TreeStructure(tree)
         assert sorted(
             evaluate(query, structure, engine=Engine.DECOMPOSITION)
-        ) == sorted(evaluate(query, structure, engine=Engine.BACKTRACKING))
+        ) == sorted(backtracking.answers(query, structure))
 
     @SETTINGS
     @given(trees(max_size=12), head_queries((Axis.CHILD, Axis.CHILD_PLUS, Axis.FOLLOWING)))
     def test_planner_auto_matches_backtracking_with_heads(self, tree, query):
-        # Whatever engine the planner picks (xproperty / acyclic /
-        # decomposition / backtracking), the answer list is the same.
+        # Whatever engine the planner picks (fixpoint / decomposition), the
+        # answer list is the per-tuple reduction's.
         structure = TreeStructure(tree)
         assert sorted(evaluate(query, structure)) == sorted(
-            evaluate(query, structure, engine=Engine.BACKTRACKING)
+            backtracking.answers(query, structure)
         )
 
 
@@ -394,35 +399,34 @@ def edge_head_queries(draw) -> ConjunctiveQuery:
     return ConjunctiveQuery(head, tuple(atoms), "Q")
 
 
-def _per_tuple_engines(query: ConjunctiveQuery) -> list[Engine]:
-    """The explicit engines applicable to ``query`` (all run the reduction)."""
-    engines = [Engine.BACKTRACKING]
-    if is_tractable(query.signature()):
-        engines.append(Engine.XPROPERTY)
-    if is_acyclic(query):
-        engines.append(Engine.ACYCLIC)
-    return engines
+def _assert_fixpoint_refuses(query: ConjunctiveQuery, structure: TreeStructure) -> None:
+    """A forced ``fixpoint`` on a query one fixpoint cannot answer: the one error."""
+    with pytest.raises(ValueError, match="use the decomposition engine"):
+        evaluate(query, structure, engine=Engine.FIXPOINT)
 
 
 class TestDefaultEnumerationProperties:
     """Default routing vs the paper's per-tuple reduction vs the Horn oracle.
 
     ``evaluate()`` without an engine enumerates every non-projection head over
-    the join tree; the explicit ``xproperty`` / ``acyclic`` / ``backtracking``
-    engines still run one pinned Boolean evaluation per candidate head tuple.
-    The two must emit byte-identical sorted answers.
+    the join tree; :func:`repro.evaluation.backtracking.answers` runs one
+    pinned Boolean search per candidate head tuple.  The two must emit
+    byte-identical sorted answers.
     """
 
     @staticmethod
     def _assert_all_agree(query: ConjunctiveQuery, structure: TreeStructure) -> None:
         default = repr(sorted(evaluate(query, structure)))
-        for engine in _per_tuple_engines(query):
-            assert repr(sorted(evaluate(query, structure, engine=engine))) == default, engine
+        assert repr(sorted(backtracking.answers(query, structure))) == default
+        if fixpoint_answers(query, compile_query(query)):
+            assert repr(sorted(evaluate(query, structure, engine=Engine.FIXPOINT))) == default
+        else:
+            _assert_fixpoint_refuses(query, structure)
         assert repr(oracle.answers(query, structure)) == default
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(trees(max_size=10), edge_head_queries())
-    def test_default_matches_per_tuple_engines_and_horn_oracle(self, tree, query):
+    def test_default_matches_per_tuple_reduction_and_horn_oracle(self, tree, query):
         self._assert_all_agree(query, TreeStructure(tree))
 
     def test_named_edge_heads(self):
@@ -445,6 +449,36 @@ class TestDefaultEnumerationProperties:
                 self._assert_all_agree(parse_query(text), structure)
 
 
+class TestEngineSetIsTheDichotomy:
+    """Over cyclic bodies on every axis: three engines, and a fixpoint never lies."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        trees(max_size=10),
+        st.lists(st.sampled_from(tuple(Axis)), min_size=1, max_size=3, unique=True),
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_forced_fixpoint_answers_or_refuses(
+        self, tree, axes, num_variables, extra_atoms, arity, seed
+    ):
+        body = random_cyclic_query(axes, num_variables, extra_atoms, alphabet=ALPHABET, seed=seed)
+        rng = random.Random(seed)
+        query = body.with_head(tuple(rng.choice(body.variables()) for _ in range(arity)))
+        compiled = compile_query(query)
+        assert tier(query, compiled, accel_only=True) is Engine.SQL
+        routed = tier(query, compiled)
+        assert routed in (Engine.FIXPOINT, Engine.DECOMPOSITION)
+        structure = TreeStructure(tree)
+        if routed is Engine.DECOMPOSITION:
+            _assert_fixpoint_refuses(query, structure)
+            return
+        forced = sorted(evaluate(query, structure, engine=Engine.FIXPOINT))
+        assert forced == oracle.answers(query, structure)
+
+
 def _limits(count: int) -> list:
     return [None, 0, 1, 3, count, count + 1]
 
@@ -461,8 +495,7 @@ class TestAnswerPageContract:
     def _plans(query: ConjunctiveQuery, tree: Tree):
         """Every plan ``plan_query`` can emit for ``query``, forced engines included."""
         stats = DocumentStats.of_tree(tree)
-        engines = [None, Engine.DECOMPOSITION, Engine.SQL, *_per_tuple_engines(query)]
-        for engine in engines:
+        for engine in (None, Engine.DECOMPOSITION, Engine.SQL, Engine.FIXPOINT):
             yield plan_query(query, stats, engine=engine)
 
     def _assert_contract(self, query: ConjunctiveQuery, tree: Tree) -> None:
@@ -475,6 +508,9 @@ class TestAnswerPageContract:
             if knobs in seen:
                 continue
             seen.add(knobs)
+            if plan.engine is Engine.FIXPOINT and not fixpoint_answers(query, compiled):
+                _assert_fixpoint_refuses(query, structure)
+                continue
             for limit in _limits(len(expected)):
                 page = answer_page(query, structure, plan.engine, compiled, limit, plan.lowering)
                 assert page == (expected[:limit], len(expected)), (knobs, limit)

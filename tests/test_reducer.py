@@ -20,9 +20,10 @@ the subset-maximal arc-consistent prevaluation of the Horn program
   window (backward) or a closed form (forward);
 * on a cyclic body the sweeps run along a spanning forest and land between
   the initial domains and the exact fixpoint (sound supersets -- all the
-  decomposition engine, backtracking and the per-tuple reduction need), while
-  ``propagate`` and a fixpoint engine refuse them with a typed client error
-  that names the walk, end to end.
+  decomposition engine and the backtracking search need), while
+  ``propagate`` refuses them naming the walk, and the fixpoint engine refuses
+  the body with a typed client error that names the decomposition engine,
+  end to end.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ from repro.evaluation import (
     Engine,
     Propagator,
     answer_page,
+    backtracking,
     compile_query,
     evaluate,
     propagate,
     xprop_evaluator,
 )
 from repro.evaluation import reducer
+from repro.evaluation.planner import fixpoint_answers
 from repro.queries import ConjunctiveQuery, parse_query
 from repro.queries.atoms import AxisAtom, LabelAtom
 from repro.service.cache import QueryCache
@@ -54,7 +57,6 @@ from repro.service.store import DocumentStore
 from repro.trees import Axis, Node, Tree, TreeStructure, random_path, random_tree
 from repro.trees.axes import INVERSE
 from repro.trees.columnar import expand_windows
-from repro.xproperty.dichotomy import is_tractable
 
 SETTINGS = settings(
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -171,14 +173,13 @@ class TestFixpointEquality:
     @given(structures(max_size=10), forest_queries())
     def test_answers_equal_under_every_engine(self, structure, query):
         expected = oracle.answers(query, structure)
-        engines = [Engine.AUTO, Engine.DECOMPOSITION, Engine.BACKTRACKING]
-        if is_tractable(query.signature()):
-            engines.append(Engine.XPROPERTY)
-        if compile_query(query).shadow_is_forest:
-            engines.append(Engine.ACYCLIC)
+        engines = [Engine.AUTO, Engine.DECOMPOSITION]
+        if fixpoint_answers(query, compile_query(query)):
+            engines.append(Engine.FIXPOINT)
         for engine in engines:
             found = evaluate(query, structure, engine=engine)
             assert repr(sorted(found)) == repr(expected), engine
+        assert repr(sorted(backtracking.answers(query, structure))) == repr(expected)
 
 
 @st.composite
@@ -578,16 +579,12 @@ class TestNamedCases:
         joined = run_request(store, cache, Request(doc="doc", query=forest, engine="decomposition"))
         assert joined.propagator == "semijoin" and joined.answers == served.answers
         # A cyclic body gets the sweeps too, as candidate supersets in front
-        # of the decomposition engine and of forced backtracking; a fixpoint
-        # engine on a tractable cyclic body walks.
+        # of the decomposition engine; the fixpoint engine on a tractable
+        # cyclic body walks.
         cyclic = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
         assert cyclic.ok and (cyclic.engine, cyclic.propagator) == ("decomposition", "semijoin")
-        searched = run_request(
-            store, cache, Request(doc="doc", query=TRIANGLE, engine="backtracking")
-        )
-        assert searched.propagator == "semijoin" and searched.answers == cyclic.answers
         walked = run_request(store, cache, Request(doc="doc", query=TRACTABLE_CYCLE))
-        assert walked.ok and (walked.engine, walked.propagator) == ("xproperty", "walk")
+        assert walked.ok and (walked.engine, walked.propagator) == ("fixpoint", "walk")
 
 
 class TestCyclicBodiesAreRefused:
@@ -596,39 +593,24 @@ class TestCyclicBodiesAreRefused:
             propagate(parse_query(TRIANGLE), sentence_structure, propagator="semijoin")
 
     @pytest.mark.parametrize(
-        "engine, error", [("xproperty", "is not tractable"), ("acyclic", "requires an acyclic")]
+        "text", [TRIANGLE, TRIANGLE.replace("Q(a)", "Q")], ids=["monadic", "boolean"]
     )
-    def test_run_request_reports_a_client_error_with_attribution(self, engine, error):
-        """A fixpoint engine refuses a cyclic NP-hard body; the supersets engines serve it."""
+    def test_run_request_reports_a_client_error_with_attribution(self, text):
+        """The fixpoint engine refuses a cyclic NP-hard body; the decomposition engine serves it."""
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)
         store, cache = DocumentStore(), QueryCache()
         store.register_tree("doc", tree)
-        result = run_request(store, cache, Request(doc="doc", query=TRIANGLE, engine=engine))
+        result = run_request(store, cache, Request(doc="doc", query=text, engine="fixpoint"))
         assert not result.ok
-        assert error in result.error
+        assert "use the decomposition engine" in result.error
         assert not result.error.startswith("internal:")
-        assert (result.engine, result.propagator) == (engine, "semijoin")
+        assert (result.engine, result.propagator) == ("fixpoint", "semijoin")
         body = result.to_json_dict()
         assert body["propagator"] == "semijoin" and body["engine"] == result.engine
-        # The next request on the same store is unaffected, and the engines
-        # that take the sweeps as supersets serve the same body.
-        plain = run_request(store, cache, Request(doc="doc", query=TRIANGLE))
+        # The next request on the same store is unaffected, and the engine
+        # that takes the sweeps as supersets serves the same body.
+        plain = run_request(store, cache, Request(doc="doc", query=text))
         assert plain.ok and (plain.engine, plain.propagator) == ("decomposition", "semijoin")
-        for forced in ("decomposition", "backtracking"):
-            swept = run_request(store, cache, Request(doc="doc", query=TRIANGLE, engine=forced))
-            assert swept.ok and swept.propagator == "semijoin", forced
-            assert swept.answers == plain.answers, forced
-
-    def test_forced_backtracking_takes_the_sweeps_on_a_cyclic_body(self, sentence_tree):
-        store, cache = DocumentStore(), QueryCache()
-        store.register_tree("doc", sentence_tree)
-        text = "Q(y) <- NP(x), Child(x, y), Child(x, z), Child+(y, z)"
-        forced = run_request(
-            store,
-            cache,
-            Request(doc="doc", query=text, engine="backtracking"),
-        )
-        assert forced.ok, forced.error
-        assert (forced.engine, forced.propagator) == ("backtracking", "semijoin")
-        assert forced.answers == oracle.answers(parse_query(text), TreeStructure(sentence_tree))
-        assert forced.answers == run_request(store, cache, Request(doc="doc", query=text)).answers
+        swept = run_request(store, cache, Request(doc="doc", query=text, engine="decomposition"))
+        assert swept.ok and swept.propagator == "semijoin"
+        assert swept.answers == plain.answers

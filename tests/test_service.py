@@ -214,7 +214,7 @@ class TestBatchExecutor:
     def test_batch_results_identical_to_sequential_across_engines(self, executor):
         auction_tree = executor.store.get("auction").tree
         fresh = TreeStructure(auction_tree)
-        engines = (None, "decomposition", "backtracking")
+        engines = (None, "decomposition", "fixpoint")
         requests = [
             Request(doc="auction", query="Q(i) <- item(i), Child(i, p), payment(p)", engine=engine)
             for engine in engines

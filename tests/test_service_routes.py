@@ -32,7 +32,7 @@ OK_RESULT = RequestResult(
     count=2,
     elapsed_ms=1.23456,
     propagator="semijoin",
-    engine="acyclic",
+    engine="fixpoint",
 )
 ERROR_RESULT = RequestResult(doc="ghost", error="unknown document id 'ghost'", propagator="auto")
 METRICS_TEXT = "# TYPE fake counter\nfake 1\n"

@@ -492,6 +492,37 @@ class TestRoundTrip:
         status, payload = _call(address, "POST", "/query", query)
         assert status == 200 and payload["propagator"] == "semijoin"
 
+    @pytest.mark.parametrize("retired", ["xproperty", "acyclic", "backtracking"])
+    def test_a_retired_engine_is_a_400_listing_the_four(self, address, retired):
+        """The engine set is the dichotomy: fixpoint, decomposition, sql (and auto)."""
+        _call(address, "POST", "/documents", {"doc": "d", "sexpr": "(A (B))"})
+        refusal = {
+            "error": f"unknown engine {retired!r}; "
+            "expected one of: auto, fixpoint, decomposition, sql"
+        }
+        query = {"doc": "d", "query": "Q(x) <- B(x)", "engine": retired}
+        for body in (query, {**query, "explain": True}):
+            assert _call(address, "POST", "/query", body) == (400, refusal)
+        batch = {"requests": [{"doc": "d", "query": "Q(x) <- B(x)"}, query]}
+        assert _call(address, "POST", "/batch", batch) == (400, refusal)
+
+    @pytest.mark.parametrize(
+        "query, propagator",
+        [
+            ("Q <- A(x), Child+(x, y), Child+(y, z), Child+(x, z)", "walk"),  # cyclic, tractable
+            ("Q(x) <- A(x), Child(x, y), Following(y, z)", "semijoin"),  # forest
+        ],
+    )
+    def test_explain_names_the_fixpoint_and_its_propagator(self, address, query, propagator):
+        _call(address, "POST", "/documents", {"doc": "d", "sexpr": "(A (B (C)) (B (C)))"})
+        for engine in (None, "fixpoint"):
+            body = {"doc": "d", "query": query, "explain": True, "engine": engine}
+            status, payload = _call(address, "POST", "/query", body)
+            assert status == 200, payload
+            assert (payload["engine"], payload["propagator"]) == ("fixpoint", propagator)
+            plan = payload["explain"]
+            assert (plan["engine"], plan["propagator"]) == ("fixpoint", propagator)
+
     def test_bool_limit_and_max_workers_rejected(self, address):
         """Regression: JSON ``true`` passes ``isinstance(x, int)``, so
         ``{"limit": true}`` / ``{"max_workers": true}`` used to mean ``1``."""

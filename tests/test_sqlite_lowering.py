@@ -293,7 +293,7 @@ def test_explicit_engine_override_wins(routed):
     # A non-SQL engine cannot see an accel-only document: a client error, not
     # a silent wrong answer and not a batch abort.
     wrong = run_request(
-        store, cache, Request(doc="cold", query=ROUTING_QUERY, engine="backtracking")
+        store, cache, Request(doc="cold", query=ROUTING_QUERY, engine="decomposition")
     )
     assert not wrong.ok and "accel-only" in wrong.error
 

@@ -18,6 +18,7 @@ import oracle
 from repro.evaluation import (
     Engine,
     Propagator,
+    backtracking,
     compile_query,
     is_satisfied,
     least_valuation,
@@ -310,4 +311,4 @@ def _assert_propagators_match_horn(query, structure, pinned=None):
         assert supersets is not None
         assert all(nodes <= set(supersets.sorted_domain(v)) for v, nodes in horn.items())
     expected = bool(oracle.answers(query, structure, pinned))
-    assert is_satisfied(query, structure, pinned=pinned, engine=Engine.BACKTRACKING) == expected
+    assert backtracking.boolean_query_holds(query, structure, pinned=pinned) == expected
