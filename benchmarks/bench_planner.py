@@ -252,26 +252,30 @@ ABLATION_REDUCER = {
     "ablation_reducer_selective": "Q(x) <- L05(i), Child*(x, i), L03(x)",
 }
 
-#: ``reducer.WATCHED_PER_SUPPORT`` forced to either read: every semijoin in
-#: bulk, or every one bisecting per candidate.
+#: Both crossovers (``reducer.WATCHED_PER_STAIR`` backward,
+#: ``reducer.WATCHED_PER_SUPPORT`` forward) forced to either read: every
+#: semijoin in bulk, or every one bisecting per candidate.
 FORCED_READS = {"bulk": 0, "per_candidate": float("inf")}
 
 
 def _measure_reducer_read_ablation(name, size, repeats):
-    """``reducer.WATCHED_PER_SUPPORT`` vs forcing either read everywhere."""
+    """The two size rules vs forcing either read everywhere."""
     compiled = compile_query(parse_query(ABLATION_REDUCER[name]))
     structure = TreeStructure(_resident_tree(size))
     reference = semijoin_sweeps(compiled, structure)
-    ratio = reducer.WATCHED_PER_SUPPORT
+    rule = (reducer.WATCHED_PER_STAIR, reducer.WATCHED_PER_SUPPORT)
     seconds = {}
-    for label, forced in (("rule", ratio), *FORCED_READS.items()):
-        with mock.patch.object(reducer, "WATCHED_PER_SUPPORT", forced):
+    for label, forced in (("rule", rule), *((k, (v, v)) for k, v in FORCED_READS.items())):
+        with mock.patch.multiple(
+            reducer, WATCHED_PER_STAIR=forced[0], WATCHED_PER_SUPPORT=forced[1]
+        ):
             if semijoin_sweeps(compiled, structure) != reference:
                 raise AssertionError(f"reducer read mismatch on {name} (n={size}, {label})")
             # Repeats x 5: the selective regime runs in tens of microseconds.
             seconds[label] = _best_time(lambda: semijoin_sweeps(compiled, structure), repeats * 5)
     cost_seconds = seconds.pop("rule")
-    return _entry(size, name, "ablation", cost_seconds, f"ratio={ratio}", seconds)
+    detail = f"per_stair={rule[0]} per_support={rule[1]}"
+    return _entry(size, name, "ablation", cost_seconds, detail, seconds)
 
 
 def run(repeats: int = 3) -> dict:

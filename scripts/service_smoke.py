@@ -14,10 +14,14 @@ request counters -- shard-merged in the sharded mode), evicts a document, and
 reads ``/stats``: its drift ledger must hold the batch's one ``engine: sql``
 request and nothing else (only SQL plans carry estimates).  A request naming a
 ``propagator`` (the query fixes it, so it
-is no wire field) must get the same 400 body in both modes.  Answers are
-asserted byte-identical to
+is no wire field) must get the same 400 body in both modes.  Every page shape
+the response encoder writes from columns (:data:`PAGES`: a Boolean head, one-
+and multi-bag k-ary heads, ``limit: 3`` pages, the largest monadic answer on
+these documents) is asked for both in the batch and as a ``/query`` of its
+own.  Answers, counts and ``truncated`` are asserted byte-identical to
 direct in-process ``evaluate()`` calls -- and byte-identical *across the two
-modes*, which is the serving contract the sharded backend must uphold.  Each
+modes*, which is the serving contract the sharded backend (whose pages cross
+a socket pickled as columns) must uphold.  Each
 server is then stopped by SIGTERM with a keep-alive connection still open, and
 must exit 0 having written nothing to stderr.
 
@@ -48,6 +52,24 @@ from repro.workloads import auction_document  # noqa: E402
 
 SENTENCE_SEXPR = "(S (NP (DT) (NN)) (VP (VB) (NP (NN))) (PP))"
 
+#: The triangle of bidders: a k-ary head on one bag (62 rows on the auction).
+BIDDERS = (
+    "Q(a, b1, b2) <- open_auction(a), Child(a, b1), bidder(b1), Child(a, b2), bidder(b2), "
+    "Following(b1, b2)"
+)
+ITEM_PAYMENTS = "Q(i, p) <- item(i), Child(i, d), description(d), Child(i, p), payment(p)"
+#: One request per page shape the encoder writes from columns.
+PAGES = [
+    {"doc": "auction", "query": "Q <- item(i), Child(i, p), payment(p)"},  # Boolean
+    {"doc": "sentence", "query": "Q <- NP(x), Child(x, y), PP(y)"},  # Boolean, false
+    {"doc": "auction", "query": BIDDERS},  # k-ary, one bag
+    {"doc": "sentence", "query": "Q(x, y) <- NP(x), Child(x, y), NN(y)"},  # k-ary, one bag
+    {"doc": "auction", "query": ITEM_PAYMENTS},  # k-ary, two bags: {i, d} and {i, p}
+    {"doc": "auction", "query": BIDDERS, "limit": 3},
+    {"doc": "auction", "query": "Q(x) <- Child+(r, x)", "limit": 3},
+    {"doc": "auction", "query": "Q(x) <- Child+(r, x)"},  # the largest monadic answer
+]
+
 BATCH = {
     "requests": [
         {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)"},
@@ -56,6 +78,7 @@ BATCH = {
         {"doc": "ghost", "query": "Q <- A(x)"},  # stays a per-request error
         # The one SQL plan: the only request the drift ledger records.
         {"doc": "auction", "query": "Q(i) <- item(i), Child(i, p), payment(p)", "engine": "sql"},
+        *PAGES,
     ]
 }
 #: Requests the ledger must hold: the SQL ones (resident plans carry no estimate).
@@ -107,6 +130,25 @@ def check_metrics(label: str, base: str) -> bool:
         return False
     print(f"[{label}] metrics: {int(ok_requests.group(1))} ok request(s), "
           f"{len(families)} familie(s)")
+    return True
+
+
+def check_page(label: str, structures: dict, request: dict, result: dict) -> bool:
+    """``answers``, ``count`` and ``truncated`` against in-process ``evaluate()``."""
+    query = xpath_to_cq(request["xpath"]) if "xpath" in request else parse_query(request["query"])
+    direct = sorted(evaluate(query, structures[request["doc"]]))
+    limit = request.get("limit")
+    expected = {
+        "answers": [list(answer) for answer in direct[:limit]],
+        "count": len(direct),
+        "truncated": limit is not None and len(direct) > limit,
+    }
+    served = {key: result.get(key) for key in expected}
+    if json.dumps(served).encode() != json.dumps(expected).encode():
+        print(f"FAIL [{label}]: answers diverge for {request}: {served} != {expected}")
+        return False
+    print(f"[{label}] ok: {request.get('query', request.get('xpath'))}"
+          f"{'' if limit is None else f' (limit {limit})'} -> {result['count']} answer(s)")
     return True
 
 
@@ -171,21 +213,13 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
             "sentence": TreeStructure(parse_sexpr(SENTENCE_SEXPR)),
         }
         for request, result in zip(BATCH["requests"], response["results"]):
-            if request["doc"] not in structures:
-                continue
-            query = (
-                xpath_to_cq(request["xpath"])
-                if "xpath" in request
-                else parse_query(request["query"])
-            )
-            direct = sorted(evaluate(query, structures[request["doc"]]))
-            served = json.dumps(result["answers"]).encode()
-            expected = json.dumps([list(answer) for answer in direct]).encode()
-            if served != expected:
-                print(f"FAIL [{label}]: answers diverge for {request}: {served} != {expected}")
+            if request["doc"] in structures and not check_page(label, structures, request, result):
                 return None
-            print(f"[{label}] ok: {request.get('query', request.get('xpath'))} "
-                  f"-> {result['count']} answer(s)")
+        # The same pages one ``/query`` at a time: a body of its own each.
+        pages = [call(base, "POST", "/query", request) for request in PAGES]
+        for request, result in zip(PAGES, pages):
+            if not check_page(f"{label} /query", structures, request, result):
+                return None
 
         if not check_metrics(label, base):
             return None
@@ -236,7 +270,7 @@ def run_mode(label: str, extra_args: list[str], auction) -> "list | None":
         print(f"[{label}] stats: backend={stats['executor'].get('backend')}, "
               f"{stats['store']['documents']} document(s), "
               f"cache hit rate {stats['cache']['hit_rate']:.2f}")
-        results = response["results"]
+        results = response["results"] + pages
     finally:
         process.terminate()
         try:

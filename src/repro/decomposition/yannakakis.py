@@ -56,10 +56,11 @@ interval index:
    pass keeps, per bag, only the columns still needed above it (the separator
    to its parent plus the head variables collected in its subtree), so k-ary
    answers come out without ever materializing the full join, as one list
-   sorted once.  Bags instantiate their head variables first and in head
-   order wherever the atoms allow, so the rows of a one-bag join tree *are*
-   the answers, in wire order, and a ``limit`` stops building rows and only
-   counts the rest (:func:`answer_page`).
+   sorted once and transposed into the page's columns.  Bags instantiate
+   their head variables first and in head order wherever the atoms allow, so
+   the level kernel's columns of a one-bag join tree *are* the answer page,
+   in wire order and never zipped into rows, and a ``limit`` stops building
+   rows and only counts the rest (:func:`answer_page`).
 
 Correctness does not depend on the width: the engine is exact for every
 conjunctive query (the property tests pit it against backtracking and the
@@ -81,6 +82,7 @@ from ..queries.atoms import Variable
 from ..queries.query import ConjunctiveQuery
 from ..trees.axes import Axis
 from ..trees.columnar import (
+    AnswerPage,
     ancestor_paths,
     expand_windows,
     group_by_parent,
@@ -123,7 +125,12 @@ SEARCH_SETUPS_PER_QUERY = 16
 
 
 class _BagRelation:
-    """One materialized bag: an ordered column tuple plus its rows."""
+    """One materialized bag: an ordered column tuple plus its rows.
+
+    The rows are an :class:`AnswerPage` (the level kernel's columns) while
+    they ascend and are distinct, a list of tuples once a dedup, a sort still
+    owed or a semijoin has touched them.
+    """
 
     __slots__ = ("columns", "position", "rows")
 
@@ -493,7 +500,7 @@ _successor = (1).__add__
 
 def _expand_levels(
     plan: _BagPlan, candidates: "PropagationResult", index: "AxisIndex", limit: int
-) -> tuple[list[Row], int]:
+) -> tuple[AnswerPage, int]:
     """Enumerate the bag a level at a time over parallel prefix columns.
 
     The table of prefixes is one column per instantiated position.  For the
@@ -502,7 +509,7 @@ def _expand_levels(
 
     * **expanded** -- the new column is all windows concatenated, the prefix
       columns are repeated by window size, residual checks filter the result in
-      one ``compress``; rows are zipped once, at the very end;
+      one ``compress``; the kept columns are the bag's rows, never zipped;
     * **counted** -- the last level under a ``limit``: the count is the sum of
       the window sizes and only the prefixes that make up the first ``limit``
       rows are expanded;
@@ -641,7 +648,7 @@ def _expand_levels(
         table = expand(depth, table, base, lo, hi, sizes)
         rows = len(table[depth])
         if not rows:
-            return [], count or 0
+            return AnswerPage.from_rows((), len(plan.keep_positions)), count or 0
     if cut < len(order):
         if cut == len(order) - 1 and not plan.checks[cut]:
             # Tested: one more variable to witness, any candidate will do.
@@ -662,7 +669,7 @@ def _expand_levels(
     if count is None:
         count = rows
     kept = [table[p][:limit] if count > limit else table[p] for p in plan.keep_positions]
-    return (list(zip(*kept)) if kept else [()] * min(rows, limit)), count
+    return AnswerPage(kept, min(rows, limit)), count
 
 
 def _materialize_bag(
@@ -691,20 +698,25 @@ def _materialize_bag(
     over the sorted candidate columns of ``candidates``.  Candidates come out
     ascending at every level and the columns are the head variables in head
     order (then the other separators), so whenever the enumeration could
-    follow the columns the rows are emitted sorted and duplicate-free.  Only
-    then is ``limit`` honoured: rows past it are counted, not built.
-    Returns the relation and its exact row count.
+    follow the columns the rows are emitted sorted and duplicate-free, and
+    stay the kernel's columns.  Only then is ``limit`` honoured: rows past it
+    are counted, not built.  Rows that still need a dedup or a sort become a
+    list of tuples, transposed once.  Returns the relation and its exact row
+    count.
     """
     plan = _plan_bag(
         bag, atoms, candidates.domain_sizes(), variable_index, needed, head, merge_unions=True
     )
     keep = list(plan.keep_positions)
-    if limit is None or plan.must_deduplicate or keep != sorted(keep):
-        limit = sys.maxsize  # rows are not emitted in column order: build them all
-    rows, count = _expand_levels(plan, candidates, structure.index, limit)
+    in_order = not plan.must_deduplicate and keep == sorted(keep)
+    rows, count = _expand_levels(
+        plan, candidates, structure.index, sys.maxsize if limit is None or not in_order else limit
+    )
     if plan.must_deduplicate:
         rows = list(set(rows))
         count = len(rows)
+    elif not in_order:
+        rows = list(rows)
     return _BagRelation(plan.columns, rows), count
 
 
@@ -785,12 +797,12 @@ class _JoinTreeSearch:
         roots = self.decomposition.roots
         return all(self.holds(root, ()) for root in roots if not self.pinned[root])
 
-    def answers(self, column: Sequence[int]) -> list[Row]:
-        """A monadic head's answers among its candidates ``column``, ascending."""
+    def answers(self, column: Sequence[int]) -> list[int]:
+        """A monadic head's answers among its candidates ``column``: their column, ascending."""
         if not self.satisfiable():
             return []
         root = next(root for root in self.decomposition.roots if self.pinned[root])
-        return [(node,) for node in column if self.holds(root, (node,))]
+        return [node for node in column if self.holds(root, (node,))]
 
 
 def _search_setup(
@@ -896,9 +908,8 @@ def _collect_answers(
     hash join on their separator and a projection that drops columns is
     deduplicated immediately, so intermediate sizes stay polynomial in
     input + output for bounded width and arity.  Nothing is sorted before the
-    end, and that one sort is a linear scan when the rows arrive in wire
-    order -- as the rows of a one-bag tree do, for which every loop below is
-    empty.
+    end.  (A one-bag tree's rows are its answers: :func:`_evaluate` reads
+    them off the bag.)
     """
     parent = decomposition.parent
     bags = decomposition.bags
@@ -947,29 +958,31 @@ def _evaluate(
     pinned: Optional[Mapping[Variable, int]],
     compiled: Optional["CompiledQuery"],
     limit: Optional[int] = None,
-) -> tuple[list[Row], int]:
+) -> tuple[AnswerPage, int]:
     """``(sorted answers, exact count)``; the first ``limit`` answers at least are built."""
     from ..evaluation.compile import compile_query
 
     if compiled is None:
         compiled = compile_query(query)
     if not compiled.variables:
-        return [()], 1
+        return AnswerPage((), 1), 1
     head = query.head
     if not head:
-        return ([()], 1) if _search_first(compiled, structure, pinned) else ([], 0)
+        holds = _search_first(compiled, structure, pinned)
+        return AnswerPage((), int(holds)), int(holds)
+    nothing = AnswerPage.from_rows((), len(head))
     result = _candidates(compiled, structure, pinned)
     if result is None:
-        return [], 0
+        return nothing, 0
     decomposition = _decomposition(compiled)
     if len(head) == 1 and len(decomposition.bags) > 1:
         with tracing.span("search", bags=len(decomposition.bags)):
             search = _JoinTreeSearch(
                 compiled, head, result.views, result.domain_sizes(), structure.index
             )
-            answers = search.answers(result.sorted_domain(head[0]))
-            tracing.annotate(memo=len(search.memo), answers=len(answers))
-        return answers, len(answers)
+            column = search.answers(result.sorted_domain(head[0]))
+            tracing.annotate(memo=len(search.memo), answers=len(column))
+        return AnswerPage([column]), len(column)
     head_set = frozenset(head)
     children = decomposition.children()
     # The rows of a one-bag tree are the answers: only there can a limit stop
@@ -1005,7 +1018,7 @@ def _evaluate(
                 limit=bag_limit,
             )
             if not relation.rows:
-                return [], 0
+                return nothing, 0
             relations.append(relation)
             bag_rows.append(count)
         # Under a limit a bag counts rows it does not build: report both.
@@ -1015,13 +1028,24 @@ def _evaluate(
     with tracing.span("semijoin"):
         reduced = _reduce(decomposition, relations)
     if not reduced:
-        return [], 0
+        return nothing, 0
     with tracing.span("enumerate", strategy="join_tree"):
-        answers = _collect_answers(decomposition, relations, head)
-        if not single:
+        if single:
+            answers = _bag_answers(relations[0], head)
+        else:
+            rows = _collect_answers(decomposition, relations, head)
+            answers = AnswerPage.from_rows(rows, len(head))
             count = len(answers)
         tracing.annotate(answers=count)
     return answers, count
+
+
+def _bag_answers(relation: _BagRelation, head: tuple[Variable, ...]) -> AnswerPage:
+    """A one-bag tree's page: its columns in head order, or its rows sorted once."""
+    positions = relation.project_positions(head)
+    if isinstance(relation.rows, AnswerPage):
+        return relation.rows.select(positions)
+    return AnswerPage.from_rows(sorted(map(_projector(positions), relation.rows)), len(head))
 
 
 def _candidates(
@@ -1141,13 +1165,16 @@ def answer_page(
     pinned: Optional[Mapping[Variable, int]] = None,
     compiled: Optional["CompiledQuery"] = None,
     limit: Optional[int] = None,
-) -> tuple[list[Row], int]:
+) -> tuple[AnswerPage, int]:
     """The first ``limit`` answers in ascending order, and how many there are.
 
-    Boolean queries yield ``[()]`` / ``[]``.
+    The page holds one column per head variable; a Boolean query's has none
+    and one row or none.
     """
     answers, count = _evaluate(query, structure, pinned, compiled, limit)
-    return answers[:limit], count
+    if limit is not None and limit < len(answers):
+        answers = answers[:limit]
+    return answers, count
 
 
 def evaluate_answers(

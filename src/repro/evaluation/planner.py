@@ -28,7 +28,9 @@ side's search, and its :func:`~repro.evaluation.backtracking.answers` the
 paper's singleton-relation reduction the benchmarks time the engines against.
 
 Whatever the route, :func:`answer_page` is what comes out: the first ``limit``
-answers in ascending order plus the exact count (:func:`evaluate` is its set).
+answers in ascending order, as an :class:`~repro.trees.columnar.AnswerPage`
+(one column per head variable), plus the exact count (:func:`evaluate` is
+its set).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from ..decomposition import yannakakis
 from ..observability import tracing
 from ..queries.apq import UnionQuery, as_union
 from ..queries.query import ConjunctiveQuery
+from ..trees.columnar import AnswerPage
 from ..trees.structure import TreeStructure
 from ..trees.tree import Tree
 from . import backtracking, xprop_evaluator
@@ -92,12 +95,13 @@ def tier(query: ConjunctiveQuery, compiled: CompiledQuery, accel_only: bool = Fa
     return Engine.DECOMPOSITION
 
 
-def _resolve_engine(engine: Engine, query: ConjunctiveQuery, compiled: CompiledQuery) -> Engine:
+def resolve_engine(engine: Engine, query: ConjunctiveQuery, compiled: CompiledQuery) -> Engine:
     """``engine``, or for ``Engine.AUTO`` the dichotomy's :func:`tier`.
 
     That is what :func:`repro.planning.plan_query` picks for a resident
     document: nothing about the document is priced.  ``fixpoint`` forced
-    onto a query one fixpoint cannot answer raises ``ValueError``.
+    onto a query one fixpoint cannot answer raises ``ValueError``, here and
+    so already when it is planned (or explained).
     """
     if engine is Engine.AUTO:
         return tier(query, compiled)
@@ -136,7 +140,7 @@ def is_satisfied(
             pinned = {v: node for v, node in pinned.items() if v not in unsafe}
     if compiled is None:
         compiled = compile_query(boolean_query)
-    chosen = _resolve_engine(engine, boolean_query, compiled)
+    chosen = resolve_engine(engine, boolean_query, compiled)
     if chosen is Engine.SQL:
         from ..backends.sqlite import structure_is_satisfied
 
@@ -186,7 +190,7 @@ def evaluate(
     if propagator is not None:
         if compiled is None:
             compiled = compile_query(query)
-        chosen = _resolve_engine(engine, query, compiled)
+        chosen = resolve_engine(engine, query, compiled)
         check_propagator(compiled, propagator, decomposition=chosen is Engine.DECOMPOSITION)
     return frozenset(answer_page(query, structure, engine, compiled, None, lowering)[0])
 
@@ -198,11 +202,12 @@ def answer_page(
     compiled: Optional[CompiledQuery] = None,
     limit: Optional[int] = None,
     lowering: str = "tree",
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[AnswerPage, int]:
     """The first ``limit`` answers in ascending order, plus the exact count.
 
     The one thing an engine hands the serving core: rows sorted, already
-    truncated, and how many there are in all.  Under the plan's engine
+    truncated, and how many there are in all -- as columns, one per head
+    variable, which no route zips into rows.  Under the plan's engine
     (``Engine.AUTO``) every request costs **one** propagation pass: a
     monadic head over a forest-shaped body reads its answers straight off the
     arc-consistent fixpoint (globally consistent on shadow forests, so the
@@ -213,7 +218,8 @@ def answer_page(
     (:func:`repro.decomposition.yannakakis.answer_page`, which prunes its own
     candidates, searches a monadic head over a cyclic body one candidate at a
     time and stops building rows at ``limit``).  The SQL engine on a resident
-    document and Boolean heads produce a set, which is sorted here, once.
+    document produces a set, which is sorted and transposed here, once; a
+    Boolean head's page has no column, only its 0 or 1 rows.
 
     ``compiled`` lets callers that keep compiled artifacts resident (the
     serving layer's query cache) bypass the compile-cache lookup; it must be
@@ -223,7 +229,8 @@ def answer_page(
         with tracing.span("enumerate", strategy="boolean"):
             satisfied = is_satisfied(query, structure, engine, lowering=lowering, compiled=compiled)
             tracing.annotate(satisfied=satisfied)
-        return ([()] if satisfied else [])[:limit], int(satisfied)
+        rows = int(satisfied) if limit is None else min(int(satisfied), limit)
+        return AnswerPage((), rows), int(satisfied)
 
     if engine is Engine.SQL:
         from ..backends.sqlite import evaluate_structure
@@ -231,10 +238,10 @@ def answer_page(
         with tracing.span("sql_execute", engine="sql"):
             answers = evaluate_structure(query, structure, lowering=lowering)
             tracing.annotate(answers=len(answers))
-        return sorted(answers)[:limit], len(answers)
+        return AnswerPage.from_rows(sorted(answers)[:limit], query.arity), len(answers)
     if compiled is None:
         compiled = compile_query(query)
-    chosen = _resolve_engine(engine, query, compiled)
+    chosen = resolve_engine(engine, query, compiled)
     if chosen is Engine.DECOMPOSITION:
         return yannakakis.answer_page(query, structure, compiled=compiled, limit=limit)
     # Engine.FIXPOINT on a monadic head over a forest (Boolean heads returned
@@ -242,11 +249,13 @@ def answer_page(
     # consistent there.
     result = propagate(compiled, structure)
     if result is None:
-        return [], 0
+        return AnswerPage([[]]), 0
     with tracing.span("enumerate", strategy="fixpoint_projection"):
         column = result.sorted_domain(query.head[0])
         tracing.annotate(answers=len(column))
-    return list(zip(column[:limit])), len(column)
+    if limit is not None and limit < len(column):
+        return AnswerPage([column[:limit]]), len(column)
+    return AnswerPage([column]), len(column)
 
 
 def evaluate_union(

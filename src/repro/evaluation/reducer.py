@@ -52,12 +52,18 @@ from ..trees.index import AxisIndex
 from ..trees.structure import TreeStructure
 from .compile import CompiledQuery
 
-#: From this many watched candidates per support node (per stair, backward)
-#: on, a ``Child+``/``Child*`` semijoin reads the watched column in bulk -- one
-#: window per stair, or one mask lookup per candidate after the ancestor
-#: walk -- instead of bisecting per candidate.  ``benchmarks/bench_planner.py``'s
-#: ``ablation_reducer_*`` entries force either read and hold the crossover.
-WATCHED_PER_SUPPORT = 2
+#: From this many watched candidates per stair of the support's staircase on,
+#: a backward ``Child+``/``Child*`` semijoin reads the watched column as one
+#: window per stair instead of bisecting the stairs per candidate.
+WATCHED_PER_STAIR = 2
+#: From this many watched candidates per support node on, a forward
+#: ``Child+``/``Child*`` semijoin walks up from the support (one mask lookup per
+#: candidate after it) instead of bisecting the support per candidate.  The
+#: walk pays an interpreted step per support node, the bisection a C-level
+#: search per candidate: on a 10k-node tree they cross near one to one.
+#: ``benchmarks/bench_planner.py``'s ``ablation_reducer_*`` entries force
+#: either read of both crossovers and hold them.
+WATCHED_PER_SUPPORT = 1
 
 
 def semijoin_sweeps(
@@ -267,7 +273,7 @@ def _under_staircase(
         # The identity column: a stair's window is its own range.
         lo = tops if reflexive else map((1).__add__, tops)
         return expand_windows(watched, lo, map((1).__add__, ends))
-    if len(watched) >= WATCHED_PER_SUPPORT * len(tops):
+    if len(watched) >= WATCHED_PER_STAIR * len(tops):
         lo = list(map(bisect_left if reflexive else bisect_right, repeat(watched), tops))
         return expand_windows(watched, lo, map(bisect_right, repeat(watched), ends, lo))
     # The last stair opening before w (at w, when reflexive) still covers w.

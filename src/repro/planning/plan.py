@@ -16,8 +16,10 @@ document's residency alone:
   **decomposition**, polynomial for bounded width -- what stays tractable
   outside the paper's axis sets (Section 5; Gottlob-Leone-Scarcello).
 
-An explicit ``engine=`` always wins (a ``fixpoint`` forced onto a query one
-fixpoint cannot answer fails when it runs).  The plan then records the
+An explicit ``engine=`` always wins, except that a ``fixpoint`` forced onto a
+query one fixpoint cannot answer is refused here, with the ``ValueError``
+evaluation would raise: no plan, and so no explain, describes a run that
+cannot happen.  The plan then records the
 propagator that engine runs, which the query fixes
 (:func:`~repro.evaluation.propagation.choose_propagator`, the rule every
 engine calls itself): Theorem 3.5's pointer walk (``walk``) on a cyclic body
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..evaluation.compile import CompiledQuery, compile_query
-from ..evaluation.planner import Engine, tier
+from ..evaluation.planner import Engine, resolve_engine, tier
 from ..evaluation.propagation import Propagator, choose_propagator
 from ..queries.query import ConjunctiveQuery
 from .cost import decomposition_cost_estimate, flat_cost_estimate
@@ -124,17 +126,19 @@ def plan_query(
 ) -> QueryPlan:
     """Produce the :class:`QueryPlan` for ``query`` over a document with ``stats``.
 
-    ``engine`` is an explicit user override and always wins.  ``accel_only``
-    is the residency signal: such documents can only run on the SQL backend,
-    so the engine tier is pinned there.  ``stats`` is read only where SQL can
+    ``engine`` is an explicit user override and always wins; a forced
+    ``fixpoint`` the query refuses raises ``ValueError``
+    (:func:`~repro.evaluation.planner.resolve_engine`).  ``accel_only`` is
+    the residency signal: such documents can only run on the SQL backend, so
+    the engine tier is pinned there.  ``stats`` is read only where SQL can
     run (:func:`sql_can_run`), and must be given there.
     """
     if compiled is None:
         compiled = compile_query(query)
-    if engine is not None and engine is not Engine.AUTO:
-        chosen_engine = engine
-    else:
+    if engine is None or engine is Engine.AUTO:
         chosen_engine = tier(query, compiled, accel_only)
+    else:
+        chosen_engine = resolve_engine(engine, query, compiled)
     propagator = choose_propagator(compiled, decomposition=chosen_engine is Engine.DECOMPOSITION)
     if not sql_can_run(engine, accel_only):
         return QueryPlan(chosen_engine, propagator)

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from ..evaluation.planner import Engine, answer_page
+from ..evaluation.propagation import choose_propagator
 from ..observability import tracing
 from ..observability.accounting import ACCOUNTING
 from ..observability.metrics import REGISTRY, SLOW_LOG
@@ -37,6 +38,7 @@ from ..planning import QueryPlan, sql_can_run
 from ..queries.parser import QueryParseError
 from ..queries.query import ConjunctiveQuery
 from ..queries.xpath import XPathTranslationError
+from ..trees.columnar import AnswerPage
 from ..trees.xmlio import XMLParseError
 from .cache import CachedQuery, QueryCache
 from .store import DocumentNotFound, DocumentStore
@@ -183,7 +185,9 @@ class RequestResult:
 
     doc: str
     query_key: Optional[str] = None
-    answers: Optional[list[tuple[int, ...]]] = None
+    #: The page of answers: an :class:`~repro.trees.columnar.AnswerPage` (any
+    #: sequence of row tuples will do), ``None`` on an error or an explain.
+    answers: Optional[Sequence[tuple[int, ...]]] = None
     count: int = 0
     truncated: bool = False
     satisfied: Optional[bool] = None
@@ -208,7 +212,18 @@ class RequestResult:
         return self.error is None
 
     def to_json_dict(self) -> dict:
-        """A stable JSON rendering (HTTP responses and JSONL output)."""
+        """A stable JSON rendering (JSONL output); HTTP bodies are its bytes."""
+        payload = self.wire_fields()
+        if "answers" in payload:
+            payload["answers"] = list(payload["answers"])
+        return payload
+
+    def wire_fields(self) -> dict:
+        """:meth:`to_json_dict` with the page as it is under ``answers`` (empty: ``()``).
+
+        The response encoder (:mod:`repro.service.routes`) writes every other
+        field with ``json.dumps`` and joins the page's columns itself.
+        """
         # Every shape carries the attribution fields, error results included:
         # latency accounting must be able to see what a failed request cost
         # and which engine/propagator pair it was (or would have been) routed to.
@@ -232,7 +247,7 @@ class RequestResult:
             payload = {
                 "doc": self.doc,
                 "query_key": self.query_key,
-                "answers": self.answers or [],
+                "answers": self.answers or (),
                 "count": self.count,
                 "truncated": self.truncated,
                 **attribution,
@@ -264,22 +279,24 @@ def resolve_entry(cache: QueryCache, request: Request) -> tuple[CachedQuery, boo
 
 def _stream_sql_answers(
     backend, request: Request, query: ConjunctiveQuery, plan: QueryPlan
-) -> tuple[list[tuple[int, ...]], int, bool]:
+) -> tuple[AnswerPage, int, bool]:
     """Streamed ``(answers, count, truncated)`` for an accel-only document.
 
     The answers arrive already sorted (the SQL carries a deterministic
     ``ORDER BY``) and the ``limit`` is pushed into the statement, so a
     truncated request never materializes the full answer set in Python; the
     exact total rides on the same statement as a window count.  The plan's
-    lowering shape applies throughout.
+    lowering shape applies throughout.  The cursor's rows are transposed
+    into the page's columns once.
     """
     if request.limit is None:
-        answers = list(backend.stream_answers(request.doc, query, lowering=plan.lowering))
-        return answers, len(answers), False
-    answers, count = backend.page_answers(
-        request.doc, query, limit=request.limit, lowering=plan.lowering
-    )
-    return answers, count, count > len(answers)
+        rows = list(backend.stream_answers(request.doc, query, lowering=plan.lowering))
+        count = len(rows)
+    else:
+        rows, count = backend.page_answers(
+            request.doc, query, limit=request.limit, lowering=plan.lowering
+        )
+    return AnswerPage.from_rows(rows, query.arity), count, count > len(rows)
 
 
 def _resolve_plan(
@@ -310,7 +327,14 @@ def _resolve_plan(
         raise DocumentNotFound(request.doc)
     accel_only = residency == "accel"
     stats = store.stats_for(request.doc) if sql_can_run(override, accel_only) else None
-    plan = cache.plan_for(entry, stats, engine=override, accel_only=accel_only)
+    try:
+        plan = cache.plan_for(entry, stats, engine=override, accel_only=accel_only)
+    except ValueError:
+        # A forced engine the query refuses: attributed to what it would run.
+        if attribution is not None:
+            attribution["propagator"] = choose_propagator(entry.compiled).value
+            attribution["query_key"] = entry.key
+        raise
     if attribution is not None:
         attribution["engine"] = plan.engine.value
         attribution["propagator"] = plan.propagator.value

@@ -6,7 +6,12 @@ and writes a response -- and every row is *validate the input -> call the
 executor -> render*.
 
 A request object is the wire form of :class:`~repro.service.core.Request`;
-responses mirror :meth:`~repro.service.core.RequestResult.to_json_dict`.
+responses are the bytes of ``json.dumps`` of
+:meth:`~repro.service.core.RequestResult.to_json_dict`, but built from the
+page's columns (:func:`_answer`): the scalar fields go through
+``json.dumps``, the ``answers`` array is joined from :data:`_DECIMALS`, a
+process-wide table of node-id decimal strings, so no row becomes a tuple and
+no node id is formatted twice.
 Malformed bodies answer 400, unknown paths 404 and unsupported methods 501.
 Unknown document *ids* are request-level failures, not path lookups:
 ``/query`` answers 400 with the error, and inside a batch they stay
@@ -22,11 +27,24 @@ each happen once.
 from __future__ import annotations
 
 import json
+import math
+import threading
 import time
-from typing import Any, Callable, NamedTuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .core import REQUEST_ERRORS, Request
+from ..trees.columnar import AnswerPage
+from .core import REQUEST_ERRORS, Request, RequestResult
 from .http_metrics import METRICS_CONTENT_TYPE, observe_http, route_latency_summary
+
+#: Node ids below this are formatted once per process, into :data:`_DECIMALS`
+#: (about 60 bytes each); a column holding one at or past it is formatted
+#: with ``str``.
+DECIMAL_TABLE_CAP = 1 << 18
+#: ``_DECIMALS[i] == str(i)``, grown on demand (under :data:`_DECIMALS_LOCK`)
+#: to the largest id a response has asked for, up to :data:`DECIMAL_TABLE_CAP`.
+_DECIMALS: list[str] = []
+_DECIMALS_LOCK = threading.Lock()
 
 
 class Response(NamedTuple):
@@ -90,11 +108,9 @@ def _render_stats(stats: dict) -> tuple[int, dict]:
     return 200, stats
 
 
-def _render_batch(results, *_arguments) -> tuple[int, dict]:
-    return 200, {
-        "results": [result.to_json_dict() for result in results],
-        "errors": sum(1 for result in results if not result.ok),
-    }
+def _render_batch(results, *_arguments) -> tuple[int, list]:
+    # The list of results is the payload: :func:`_answer` encodes it as a batch.
+    return 200, results
 
 
 def _render_eviction(evicted: bool, doc_id: str) -> tuple[int, dict]:
@@ -132,7 +148,7 @@ ROUTES: dict[tuple[str, str], Route] = {
     ("POST", "/query"): Route(
         "execute",
         lambda payload: (Request.from_json_dict(payload),),
-        lambda result, _request: (200 if result.ok else 400, result.to_json_dict()),
+        lambda result, _request: (200 if result.ok else 400, result),
     ),
     # ``{"requests": [request object, ...], "max_workers"?: N}``.
     ("POST", "/batch"): Route("execute_batch", _batch_arguments, _render_batch),
@@ -141,20 +157,73 @@ ROUTES: dict[tuple[str, str], Route] = {
 _METHODS = frozenset(method for method, _path in ROUTES)
 
 
+def _decimals(column: Sequence[int], ascending: bool) -> Iterable[str]:
+    """The decimal strings of ``column``: looked up in :data:`_DECIMALS`, or
+    formatted for a column of fewer than two ids or one holding an id past the cap."""
+    if len(column) < 2:
+        return map(str, column)
+    low, high = (column[0], column[-1]) if ascending else (min(column), max(column))
+    if low < 0 or high >= DECIMAL_TABLE_CAP:
+        return map(str, column)
+    if high >= len(_DECIMALS):
+        with _DECIMALS_LOCK:
+            # Only appended to, so a reader never sees an entry change.
+            _DECIMALS.extend(map(str, range(len(_DECIMALS), high + 1)))
+    # One C call fetches them all (an ``itemgetter`` of two or more is a tuple).
+    return itemgetter(*column)(_DECIMALS)
+
+
+def _answers_json(page: Sequence[tuple[int, ...]]) -> str:
+    """``json.dumps(list(page))``, joined from the page's columns."""
+    if not isinstance(page, AnswerPage):
+        page = AnswerPage.from_rows(page, len(page[0]))
+    if not page.columns:  # a Boolean head: rows of nothing
+        return "[" + ", ".join(["[]"] * len(page)) + "]"
+    # The rows ascend, so the first column does.
+    texts = [_decimals(column, i == 0) for i, column in enumerate(page.columns)]
+    rows = texts[0] if len(texts) == 1 else map(", ".join, zip(*texts))
+    return "[[" + "], [".join(rows) + "]]"
+
+
+def _result_json(result: RequestResult) -> str:
+    """``json.dumps(result.to_json_dict())``, its ``answers`` joined from columns."""
+    fields = result.wire_fields()
+    page = fields.get("answers")
+    # ``json.dumps`` with no options reuses one encoder; its cycle check only
+    # meets the scalar fields (and a trace) now that the answers are joined aside.
+    if not page:
+        return json.dumps(fields)
+    # A stand-in, written ``NaN``.  Only strings come before it, and a string
+    # cannot hold the bare quotes around ``answers``: the first match is it.
+    fields["answers"] = math.nan
+    head, _, tail = json.dumps(fields).partition('"answers": NaN')
+    return f'{head}"answers": {_answers_json(page)}{tail}'
+
+
 def _answer(started: float, method: str, path: str, status: int, payload: Any) -> Response:
     """Encode one answer and count it: the only place a response body is built.
 
+    A :class:`RequestResult` (``/query``) or a list of them (``/batch``) is
+    written by :func:`_result_json`; every other payload is ``json.dumps``'d.
     Counted before the loop writes it (not after): a client that reads this
     response and immediately scrapes ``/metrics`` must find it there.
     """
     if isinstance(payload, str):
         content_type, body = METRICS_CONTENT_TYPE, payload.encode("utf-8")
     else:
-        # Payloads are trees built by ``to_json_dict`` / the render functions:
-        # the encoder's cycle check (an ``id()`` insert and delete per
-        # container, 40 % of a 79 kB body's encode) has nothing to find.
         content_type = "application/json"
-        body = json.dumps(payload, check_circular=False).encode("utf-8")
+        if isinstance(payload, RequestResult):
+            text = _result_json(payload)
+        elif isinstance(payload, list):
+            errors = sum(1 for result in payload if not result.ok)
+            results = ", ".join(map(_result_json, payload))
+            text = f'{{"results": [{results}], "errors": {errors}}}'
+        else:
+            # Payloads are trees built by the render functions: the encoder's
+            # cycle check (an ``id()`` insert and delete per container) has
+            # nothing to find.
+            text = json.dumps(payload, check_circular=False)
+        body = text.encode("utf-8")
     observe_http(path, method, status, time.perf_counter() - started)
     return Response(status, content_type, body, payload)
 

@@ -36,6 +36,10 @@ Two consumers read these windows:
   * :func:`holds_column` -- :meth:`AxisIndex.holds` over two columns, for the
     residual checks a window cannot express.
 
+What an engine hands the serving core is an :class:`AnswerPage`: the
+answers as those same columns, one per head variable, read as rows only by
+whoever asks for rows.
+
 The kernels are pinned to brute force by ``tests/test_columnar.py`` (the
 reducer's reads by ``tests/test_reducer.py``); the speedups they buy are
 measured by ``benchmarks/bench_columnar.py``.
@@ -176,3 +180,65 @@ def holds_column(
     if axis is Axis.SELF:
         return map(eq, sources, targets)
     raise NotImplementedError(f"axis not supported by the column kernels: {axis}")
+
+
+# ---------------------------------------------------------------------------
+# Pages of answers: rows read off one column per head variable.
+# ---------------------------------------------------------------------------
+
+
+class AnswerPage(Sequence[tuple[int, ...]]):
+    """A read-only page of answers, held as one column per head variable.
+
+    Row ``i`` is ``tuple(column[i] for column in columns)``; a Boolean head
+    has no column, only a row count (0 or 1).  The rows ascend, so the first
+    column does.  It is a ``Sequence`` of row tuples, equal to the list of
+    the same rows, and iterating it is one ``zip`` -- but the serving core
+    never iterates it: the response encoder joins the columns as they are,
+    and a pickle carries one sequence per column instead of a tuple per row.
+    Whoever builds a page hands its columns over and mutates them no more.
+    """
+
+    __slots__ = ("columns", "_length")
+
+    def __init__(self, columns: Sequence[Sequence[int]] = (), length: Optional[int] = None):
+        self.columns = tuple(columns)
+        if length is None:
+            length = len(self.columns[0]) if self.columns else 0
+        self._length = length
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[int, ...]], width: int) -> "AnswerPage":
+        """The page of ``rows`` (tuples of ``width`` nodes, already in order): one transpose."""
+        if not rows:
+            return cls([()] * width, 0)
+        return cls(list(zip(*rows)), len(rows))
+
+    def select(self, positions: Sequence[int]) -> "AnswerPage":
+        """The page of columns ``positions`` (a column may repeat): no row is touched."""
+        return AnswerPage([self.columns[p] for p in positions], self._length)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return zip(*self.columns) if self.columns else repeat((), self._length)
+
+    def __getitem__(self, index):
+        rows = range(self._length)[index]  # bounds and slice arithmetic, IndexError included
+        if isinstance(index, slice):
+            return AnswerPage([column[index] for column in self.columns], len(rows))
+        return tuple(column[rows] for column in self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (AnswerPage, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # equal to lists, which do not hash
+
+    def __reduce__(self):
+        return AnswerPage, (self.columns, self._length)
+
+    def __repr__(self) -> str:
+        return f"AnswerPage({list(self)!r})"

@@ -185,6 +185,18 @@ class TestEvaluateCommand:
         assert "--engine fixpoint" in str(excinfo.value)
         assert "use the decomposition engine" in str(excinfo.value)
 
+    def test_explain_refuses_a_forced_fixpoint_evaluation_refuses(self, capsys):
+        # No plan describes a run that cannot happen: explain fails as evaluate does.
+        argv = ["--sexpr", "(A (B) (B))", "--engine", "fixpoint"]
+        argv += ["--query", "Q(x, y) <- A(x), Child(x, y)"]
+        assert main(["explain", *argv]) == 1
+        explained = json.loads(capsys.readouterr().out)
+        assert "use the decomposition engine" in explained["error"]
+        assert "explain" not in explained and explained["engine"] == "fixpoint"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", *argv])
+        assert str(excinfo.value) == f"--engine fixpoint: {explained['error']}"
+
     def test_negative_limit_is_rejected(self, capsys):
         argv = ["evaluate", "--sexpr", "(A (B) (B) (B))", "--limit", "-1"]
         with pytest.raises(SystemExit, match="'limit' must be a non-negative integer"):

@@ -167,9 +167,14 @@ def test_decomposition_plans_sweep_and_forced_fixpoint_plans_keep_the_rules_pick
         routed = plan_query(query, stats)
         assert routed.engine is Engine.DECOMPOSITION, text
         assert routed.propagator is Propagator.SEMIJOIN, text
-        # A forced fixpoint plan records the rule's pick (and refuses to run).
-        forced = plan_query(query, stats, engine=Engine.FIXPOINT)
-        assert forced.propagator is choose_propagator(compile_query(query)), text
+        # A forced fixpoint plan records the rule's pick where one fixpoint
+        # answers the query, and is refused where evaluation would refuse it.
+        if planner.fixpoint_answers(query, compile_query(query)):
+            forced = plan_query(query, stats, engine=Engine.FIXPOINT)
+            assert forced.propagator is choose_propagator(compile_query(query)), text
+        else:
+            with pytest.raises(ValueError, match="use the decomposition engine"):
+                plan_query(query, stats, engine=Engine.FIXPOINT)
 
 
 def test_fixpoint_plans_price_nothing_and_force_no_decomposition():
@@ -251,19 +256,24 @@ def test_cyclic_heads_over_tractable_signatures_join_the_residue():
 def test_forced_fixpoint_engine_is_not_priced():
     """A forced fixpoint engine decides nothing by cost: it carries no estimate."""
     stats = DocumentStats.of_tree(_tree())
-    binary = parse_query("Q(a, b) <- A(a), Child+(a, b), B(b)")
-    forced = plan_query(binary, stats, engine=Engine.FIXPOINT)
+    monadic = parse_query("Q(a) <- A(a), Child+(a, b), B(b)")
+    forced = plan_query(monadic, stats, engine=Engine.FIXPOINT)
     assert forced.engine is Engine.FIXPOINT
     assert forced.estimated_cost is None and forced.describe()["estimates"] is None
+    # A binary head is no fixpoint's to answer: nothing is planned, priced or not.
+    with pytest.raises(ValueError, match="use the decomposition engine"):
+        plan_query(parse_query("Q(a, b) <- A(a), B(b)"), stats, engine=Engine.FIXPOINT)
 
 
 def test_overrides_always_win():
     stats = DocumentStats.of_tree(_tree())
-    query = parse_query(FOUR_CYCLE)
-    plan = plan_query(query, stats, engine=Engine.FIXPOINT)
-    assert plan.engine is Engine.FIXPOINT
+    query = parse_query(ACYCLIC_CHAIN)
+    assert plan_query(query, stats).engine is Engine.FIXPOINT
+    plan = plan_query(query, stats, engine=Engine.DECOMPOSITION)
+    assert plan.engine is Engine.DECOMPOSITION
     # The propagator is no override: the plan records what that engine runs.
-    assert plan.propagator is choose_propagator(compile_query(query)) is Propagator.SEMIJOIN
+    runs = choose_propagator(compile_query(query), decomposition=True)
+    assert plan.propagator is runs is Propagator.SEMIJOIN
     with pytest.raises(TypeError):
         plan_query(query, stats, propagator=Propagator.WALK)
 
@@ -341,7 +351,7 @@ def test_accel_only_pins_sql():
 def test_estimated_cost_is_the_sql_lowering_chosen():
     stats = DocumentStats.of_tree(_tree())
     _assert_residue(plan_query(parse_query(FOUR_CYCLE), stats))
-    forced = plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.FIXPOINT)
+    forced = plan_query(parse_query(FOUR_CYCLE), stats, engine=Engine.DECOMPOSITION)
     assert forced.estimated_cost is None  # no lowering to choose
     for sql in (
         plan_query(parse_query(FOUR_CYCLE), stats, accel_only=True),

@@ -493,9 +493,19 @@ class TestAnswerPageContract:
 
     @staticmethod
     def _plans(query: ConjunctiveQuery, tree: Tree):
-        """Every plan ``plan_query`` can emit for ``query``, forced engines included."""
+        """Every plan ``plan_query`` can emit for ``query``, forced engines included.
+
+        A forced ``fixpoint`` the query refuses is no plan: planning refuses it
+        with the error evaluation raises.
+        """
         stats = DocumentStats.of_tree(tree)
+        compiled = compile_query(query)
         for engine in (None, Engine.DECOMPOSITION, Engine.SQL, Engine.FIXPOINT):
+            if engine is Engine.FIXPOINT and not fixpoint_answers(query, compiled):
+                with pytest.raises(ValueError, match="use the decomposition engine"):
+                    plan_query(query, stats, engine=engine)
+                _assert_fixpoint_refuses(query, TreeStructure(tree))
+                continue
             yield plan_query(query, stats, engine=engine)
 
     def _assert_contract(self, query: ConjunctiveQuery, tree: Tree) -> None:
@@ -508,9 +518,6 @@ class TestAnswerPageContract:
             if knobs in seen:
                 continue
             seen.add(knobs)
-            if plan.engine is Engine.FIXPOINT and not fixpoint_answers(query, compiled):
-                _assert_fixpoint_refuses(query, structure)
-                continue
             for limit in _limits(len(expected)):
                 page = answer_page(query, structure, plan.engine, compiled, limit, plan.lowering)
                 assert page == (expected[:limit], len(expected)), (knobs, limit)

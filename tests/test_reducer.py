@@ -29,6 +29,7 @@ the subset-maximal arc-consistent prevaluation of the Horn program
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from types import SimpleNamespace
 from unittest import mock
 
@@ -317,10 +318,13 @@ class TestSweepsAreSoundSupersets:
             assert exact is not None
 
 
-#: The size rule forced to either read: at 0 every ``Child+``/``Child*``
-#: semijoin reads in bulk (one window per stair backward, the ancestor walk
-#: forward), at an unreachable ratio each candidate bisects.
-READS = {"bulk": 0, "per_candidate": 10**9}
+#: The size rules forced to either read, or left as they are (``rule``): at 0
+#: every ``Child+``/``Child*`` semijoin reads in bulk (one window per stair
+#: backward, the ancestor walk forward), at an unreachable ratio each candidate
+#: bisects.
+READS = {"bulk": 0, "per_candidate": 10**9, "rule": None}
+#: Each direction's crossover: backward per stair, forward per support node.
+CROSSOVERS = {False: "WATCHED_PER_STAIR", True: "WATCHED_PER_SUPPORT"}
 
 
 @st.composite
@@ -390,13 +394,53 @@ class TestSubtreeKernel:
     def test_each_read_equals_brute_force(self, forward, reflexive, read, case):
         structure, watched, support = case
         expected = _brute_semijoin(structure.tree, watched, support, forward, reflexive)
-        with mock.patch.object(reducer, "WATCHED_PER_SUPPORT", READS[read]):
+        crossover = CROSSOVERS[forward]
+        forced = getattr(reducer, crossover) if READS[read] is None else READS[read]
+        # The other direction's crossover is forced the other way: it must not matter.
+        other = 10**9 if READS[read] == 0 else 0
+        with mock.patch.multiple(reducer, **{crossover: forced, CROSSOVERS[not forward]: other}):
             found = reducer._subtree_semijoin(watched, support, forward, reflexive, structure.index)
             # The same column as a plain list, not the identity column itself.
             copied = reducer._subtree_semijoin(
                 list(watched), support, forward, reflexive, structure.index
             )
         assert list(found) == list(copied) == expected
+
+    @pytest.mark.parametrize("forward", [False, True], ids=["backward", "forward"])
+    def test_each_direction_reads_by_its_own_crossover(self, forward):
+        """Forward walks from one watched candidate per support node, backward
+        reads windows from two per stair; each rule moves its own read only."""
+        index = TreeStructure(random_tree(200, alphabet=ALPHABET, max_children=3, seed=4)).index
+        # Ten leaves: ten support nodes, and as many stairs.
+        support = [u for u in range(100, 200) if index.subtree_end[u] == u][:10]
+        bisections, windows = [], _recorded_windows()
+
+        def counted(*arguments):
+            bisections.append(arguments)
+            return bisect_right(*arguments)
+
+        other = CROSSOVERS[not forward]
+
+        def read(size, forced_other=None):
+            bisections.clear()
+            windows.calls.clear()
+            if forced_other is None:
+                forced_other = getattr(reducer, other)
+            with mock.patch.multiple(
+                reducer, bisect_right=counted, expand_windows=windows, **{other: forced_other}
+            ):
+                reducer._subtree_semijoin(list(range(size)), support, forward, False, index)
+            # Forward bisects only per candidate; backward cuts windows only in bulk.
+            bulk = not bisections if forward else bool(windows.calls)
+            return "bulk" if bulk else "per_candidate"
+
+        assert len(support) == 10
+        at = 10 * (reducer.WATCHED_PER_SUPPORT if forward else reducer.WATCHED_PER_STAIR)
+        assert (read(at), read(at - 1)) == ("bulk", "per_candidate")
+        # Forcing the other direction's crossover either way changes nothing here.
+        for forced in (0, 10**9):
+            assert (read(at, forced), read(at - 1, forced)) == ("bulk", "per_candidate")
+        assert (reducer.WATCHED_PER_SUPPORT, reducer.WATCHED_PER_STAIR) == (1, 2)
 
     def test_the_ancestor_walk_climbs_each_ancestor_once(self):
         # A broom: 60 leaves below one 300-node handle.  Walking up from every
@@ -457,7 +501,7 @@ class TestFullDomainSupport:
             strict = axis is Axis.CHILD_PLUS and watched[0] == 0
             assert list(found) == list(watched[1:] if strict else watched), axis
             # The staircase is the root alone: one window, or one stair to bisect.
-            bulk = watched is index.pre or len(watched) >= reducer.WATCHED_PER_SUPPORT
+            bulk = watched is index.pre or len(watched) >= reducer.WATCHED_PER_STAIR
             assert [len(lo) for _, lo, _ in windows.calls] == ([1] if bulk else []), axis
 
     @SETTINGS

@@ -365,6 +365,23 @@ class TestBatchExecutor:
 
 
 class TestContractFixes:
+    def test_explaining_a_forced_fixpoint_it_cannot_run_is_the_same_400(self, executor):
+        """The plan refuses what evaluation refuses, so ``explain`` cannot describe it."""
+        from repro.service import routes
+
+        query = "Q(x, y) <- NP(x), Child(x, y)"
+        request = {"doc": "sentence", "query": query, "engine": "fixpoint"}
+        bodies = {}
+        for explain in (False, True):
+            wire = json.dumps({**request, "explain": explain}).encode("utf-8")
+            response = routes.respond(executor, "POST", "/query", wire)
+            assert response.status == 400
+            bodies[explain] = json.loads(response.body)
+            bodies[explain].pop("elapsed_ms")
+        assert bodies[True] == bodies[False]
+        assert "use the decomposition engine" in bodies[True]["error"]
+        assert (bodies[True]["engine"], bodies[True]["propagator"]) == ("fixpoint", "semijoin")
+
     def test_internal_crash_stays_per_request_not_batch_abort(self, executor, monkeypatch):
         """Regression: a non-client exception inside ``execute`` used to
         escape ``pool.map`` and void the whole batch; it must come back as an

@@ -85,7 +85,9 @@ class FakeExecutor:
 
 QUERY = {"doc": "d", "query": "Q(x) <- B(x)"}
 
-#: Every row of the table: ``(method, path, JSON body, status, JSON payload)``.
+#: Every row of the table: ``(method, path, JSON body, status, JSON payload)``,
+#: plus, where it is not that payload, what the body is encoded from (it rides
+#: along in the response): the result of ``/query``, the results of ``/batch``.
 ROWS = [
     ("GET", "/healthz", None, 200, {"status": "ok", "documents": 3}),
     ("GET", "/documents", None, 200, {"documents": [{"doc": "d", "nodes": 2}]}),
@@ -94,13 +96,14 @@ ROWS = [
     ("POST", "/documents", {"doc": "new", "sexpr": "(A)"}, 200, {"doc": "new", "nodes": 1}),
     ("DELETE", "/documents/d", None, 200, {"evicted": "d"}),
     ("DELETE", "/documents/ghost", None, 404, {"error": "unknown document id 'ghost'"}),
-    ("POST", "/query", QUERY, 200, OK_RESULT.to_json_dict()),
+    ("POST", "/query", QUERY, 200, OK_RESULT.to_json_dict(), OK_RESULT),
     (
         "POST",
         "/batch",
         {"requests": [QUERY, {"doc": "ghost", "query": "Q <- A(x)"}], "max_workers": 2},
         200,
         {"results": [OK_RESULT.to_json_dict(), ERROR_RESULT.to_json_dict()], "errors": 1},
+        [OK_RESULT, ERROR_RESULT],
     ),
 ]
 ROW_IDS = [f"{method} {path}" for method, path, *_ in ROWS]
@@ -126,18 +129,26 @@ def _encode(body) -> bytes:
     return b"" if body is None else json.dumps(body).encode("utf-8")
 
 
-def _json(status: int, payload) -> routes.Response:
-    """What the table makes of a JSON ``payload`` (which rides along, see ``Response``)."""
+def _json(status: int, payload, rides=None) -> routes.Response:
+    """What the table makes of a JSON ``payload``, encoded from ``rides`` (default:
+    the payload itself), which rides along (see ``Response``)."""
     return routes.Response(
-        status, "application/json", json.dumps(payload).encode("utf-8"), payload
+        status,
+        "application/json",
+        json.dumps(payload).encode("utf-8"),
+        payload if rides is None else rides,
     )
 
 
 class TestEveryRow:
-    @pytest.mark.parametrize(("method", "path", "body", "status", "payload"), ROWS, ids=ROW_IDS)
-    def test_ok(self, method, path, body, status, payload):
+    @pytest.mark.parametrize(
+        ("method", "path", "body", "status", "payload", "rides"),
+        [row if len(row) == 6 else (*row, None) for row in ROWS],
+        ids=ROW_IDS,
+    )
+    def test_ok(self, method, path, body, status, payload, rides):
         response = routes.respond(FakeExecutor(), method, path, _encode(body))
-        assert response == _json(status, payload)
+        assert response == _json(status, payload, rides)
 
     def test_stats_merges_the_front_ends_latency_summary(self):
         expected = {"executor": {"backend": "fake"}, "http": route_latency_summary()}
@@ -150,7 +161,7 @@ class TestEveryRow:
     def test_query_failure_is_a_400_with_the_result_as_body(self):
         executor = FakeExecutor(result=ERROR_RESULT)
         response = routes.respond(executor, "POST", "/query", _encode(QUERY))
-        assert response == _json(400, ERROR_RESULT.to_json_dict())
+        assert response == _json(400, ERROR_RESULT.to_json_dict(), ERROR_RESULT)
 
     def test_rows_pass_validated_arguments_to_the_executor(self):
         executor = FakeExecutor()
