@@ -1,7 +1,7 @@
 """Benchmark: join-tree SQL lowering vs the flat-join lowering, plus the
 out-of-core soak that proves streamed answers run in bounded memory.
 
-Three sections, all emitted into ``BENCH_sqlite.json``:
+Four sections, all emitted into ``BENCH_sqlite.json``:
 
 * ``results``/``headline`` -- the PR 6 flat lowering joins every query
   variable in one SELECT, so each witness-only variable multiplies the
@@ -15,12 +15,21 @@ Three sections, all emitted into ``BENCH_sqlite.json``:
   the ``CLAIM_BAR`` acceptance bar.  The bar was 5x while both lowerings read
   labels through an ``EXISTS`` per accel row; since both start from the label
   index the flat join is 9-1000x faster on this set (the tree lowering ~2x),
-  the measured minimum is 3.2x at 500 nodes and 5.7x at 1000, and the bar
-  is 2x -- the ratio is reported as measured, the chains still differ by
-  100x+.  ``ablation_*`` entries are kept honest and out of the headline: a
-  dense 4-cycle where both lowerings must enumerate the cyclic core (the
-  flat join now wins it, 0.2-0.4x) and a two-variable pair query where the
-  lowerings emit essentially the same join (parity).
+  and the bar is 2x -- the ratio is reported as measured (the minimum was
+  5.7x at 1000 nodes with text-keyed label rows, 11.5x since they carry
+  their ranks), the chains still differ by 100x+.  ``ablation_*`` entries
+  are kept honest and out of the headline: a dense 4-cycle where both
+  lowerings must enumerate the cyclic core (0.7-1.2x) and a two-variable
+  pair query where the lowerings emit essentially the same join (parity).
+  Each side is timed as the best of ``--repeats`` (>= 5) runs, with the
+  interquartile range of those runs beside it (``*_iqr_seconds``).
+* ``accel_shapes`` -- the 13 request shapes of the end-to-end ``accel_10k``
+  workload (``e2e/workloads.py``: the mixed batch plus the two k-ary
+  extras) on its two documents, as the serving core runs them (the
+  cached, simplified query, answers streamed): both
+  lowerings as best of ``--repeats`` with the interquartile range, and the
+  lowering the planner chooses for an accel-only document.  Report only: no
+  bar reads it.
 * ``crosscheck`` -- byte-identity of the tree lowering against the
   in-memory engines (planner evaluation and the decomposition engine's
   Yannakakis enumeration) at 10k-100k nodes.
@@ -60,14 +69,19 @@ import tracemalloc
 
 import pytest
 from bench_config import SMOKE, scaled
+from e2e.workloads import ACCEL_EXTRA, DOCUMENT_SEED, MIXED
+from e2e.workloads import SIZES as E2E_SIZES
 
 from repro.backends.sqlite import SQLiteBackend
 from repro.decomposition.yannakakis import evaluate_answers
 from repro.evaluation.planner import evaluate
+from repro.planning import DocumentStats
 from repro.queries import parse_query
+from repro.service import QueryCache
 from repro.trees import TreeStructure, random_tree
 from repro.trees.node import Node
 from repro.trees.tree import Tree
+from repro.workloads import auction_document, random_corpus
 
 # The 500 size is shared between the full and smoke grids on purpose:
 # check_regression.py matches entries on (query, tree_size), so the smoke run
@@ -79,6 +93,13 @@ CROSSCHECK_SIZES = scaled((10_000, 100_000), (2_000, 5_000))
 
 #: Minimum tree-over-flat speedup on the pain set the headline claims.
 CLAIM_BAR = 2.0
+
+#: Document size of the ``accel_shapes`` section (``e2e/workloads.py`` sizes).
+ACCEL_SHAPES_SIZE = scaled("10k", "1k")
+
+#: The 13 request shapes of the ``accel_10k`` mix, each once: the mixed batch
+#: (its byte-identical resubmission dropped) plus the two k-ary extras.
+ACCEL_SHAPES = [spec for i, spec in enumerate(MIXED) if spec not in MIXED[:i]] + list(ACCEL_EXTRA)
 
 #: Node count of the out-of-core soak document.
 SOAK_NODES = scaled(1_000_000, 50_000)
@@ -136,22 +157,36 @@ def _tree(size: int):
 
 
 def _median_time(function, repeats: int) -> float:
+    return statistics.median(_timings(function, repeats))
+
+
+def _timings(function, repeats: int) -> list[float]:
     timings = []
     for _ in range(repeats):
         start = time.perf_counter()
         function()
         timings.append(time.perf_counter() - start)
-    return statistics.median(timings)
+    return timings
+
+
+def _best_and_iqr(function, repeats: int) -> tuple[float, float]:
+    """Best of ``repeats`` runs and the interquartile range of all of them."""
+    timings = _timings(function, repeats)
+    low, _median, high = statistics.quantiles(timings, n=4)
+    return min(timings), high - low
 
 
 def _entry(size, name, kind, pain, flat, tree):
+    (flat, flat_iqr), (tree, tree_iqr) = flat, tree
     entry = {
         "tree_size": size,
         "query": name,
         "kind": kind,
         "pain_case": pain,
         "flat_seconds": flat,
+        "flat_iqr_seconds": flat_iqr,
         "tree_seconds": tree,
+        "tree_iqr_seconds": tree_iqr,
         "speedup": flat / tree if tree > 0 else float("inf"),
     }
     print(
@@ -162,15 +197,61 @@ def _entry(size, name, kind, pain, flat, tree):
 
 
 def _measure_lowering(backend, doc_id, query, repeats):
-    """Byte-identity check plus median timings for one query, both lowerings."""
+    """Byte-identity check plus ``(best, IQR)`` timings for one query, both lowerings."""
     tree_rows = backend.evaluate(doc_id, query, lowering="tree")
     flat_rows = backend.evaluate(doc_id, query, lowering="flat")
     if tree_rows != flat_rows:
         raise AssertionError(f"tree/flat lowering mismatch: {query}")
     # The tree side is a millisecond: more repeats keep the ratio's denominator steady.
-    tree = _median_time(lambda: backend.evaluate(doc_id, query, lowering="tree"), 3 * repeats)
-    flat = _median_time(lambda: backend.evaluate(doc_id, query, lowering="flat"), repeats)
+    tree = _best_and_iqr(lambda: backend.evaluate(doc_id, query, lowering="tree"), 3 * repeats)
+    flat = _best_and_iqr(lambda: backend.evaluate(doc_id, query, lowering="flat"), repeats)
     return flat, tree
+
+
+def _accel_shapes(repeats: int) -> dict:
+    """The ``accel_10k`` shapes in process: both lowerings and the planner's choice."""
+    size = E2E_SIZES[ACCEL_SHAPES_SIZE]
+    trees = {
+        "auction": auction_document(seed=DOCUMENT_SEED, **size["auction"]),
+        "corpus": random_corpus(seed=DOCUMENT_SEED, num_sentences=size["sentences"]),
+    }
+    cache = QueryCache()
+    shapes = []
+    with SQLiteBackend() as backend:
+        for doc, tree in trees.items():
+            backend.register_tree(doc, tree)
+        for spec in ACCEL_SHAPES:
+            doc = spec["doc"]
+            text, kind = (spec["xpath"], "xpath") if "xpath" in spec else (spec["query"], "datalog")
+            entry, _ = cache.resolve_text(text, kind)
+            stats = DocumentStats.approximate_from_nodes(len(trees[doc]))
+            chosen = cache.plan_for(entry, stats, accel_only=True).lowering
+            shape = {"doc": doc, "nodes": len(trees[doc]), kind: text, "chosen": chosen}
+            answers = {}
+            for lowering in ("tree", "flat"):
+
+                def stream(lowering=lowering):
+                    return list(backend.stream_answers(doc, entry.query, lowering=lowering))
+
+                answers[lowering] = stream()
+                best, iqr = _best_and_iqr(stream, repeats)
+                shape[f"{lowering}_seconds"] = best
+                shape[f"{lowering}_iqr_seconds"] = iqr
+            if answers["tree"] != answers["flat"]:
+                raise AssertionError(f"tree/flat lowering mismatch: {text}")
+            shape["rows"] = len(answers["tree"])
+            shape["chosen_seconds"] = shape[f"{chosen}_seconds"]
+            print(
+                f"accel {text[:56]:<56} tree={shape['tree_seconds'] * 1e3:7.3f}ms "
+                f"flat={shape['flat_seconds'] * 1e3:7.3f}ms chosen={chosen}"
+            )
+            shapes.append(shape)
+    return {
+        "size": ACCEL_SHAPES_SIZE,
+        "repeats": repeats,
+        "chosen_total_seconds": sum(shape["chosen_seconds"] for shape in shapes),
+        "shapes": shapes,
+    }
 
 
 def _crosscheck_in_memory(size: int) -> dict:
@@ -303,8 +384,8 @@ def _soak(nodes: int) -> dict:
     return soak
 
 
-def run(sizes=SIZES, repeats: int = 3) -> dict:
-    """Measure tree vs flat lowerings, cross-check, and run the soak."""
+def run(sizes=SIZES, repeats: int = 5) -> dict:
+    """Measure tree vs flat lowerings and the accel shapes, cross-check, run the soak."""
     results = []
     for size in sizes:
         tree = _tree(size)
@@ -316,6 +397,7 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
                 pain = name in PAIN_QUERIES
                 kind = "pain" if pain else "ablation"
                 results.append(_entry(size, name, kind, pain, flat, fast))
+    accel_shapes = _accel_shapes(max(repeats, 10))
     crosscheck = {size: _crosscheck_in_memory(size) for size in CROSSCHECK_SIZES}
     soak = _soak(SOAK_NODES)
     largest = max(sizes)
@@ -348,6 +430,7 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
             "min_speedup": min(e["speedup"] for e in ablation_at_largest),
             "max_speedup": max(e["speedup"] for e in ablation_at_largest),
         },
+        "accel_shapes": accel_shapes,
         "crosscheck": {
             "sizes": list(CROSSCHECK_SIZES),
             "rows": {str(size): rows for size, rows in crosscheck.items()},
@@ -360,8 +443,10 @@ def run(sizes=SIZES, repeats: int = 3) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_sqlite.json", help="output JSON path")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5, help="runs per timing (>= 5)")
     args = parser.parse_args(argv)
+    if args.repeats < 5:
+        parser.error("--repeats must be at least 5: a best-of and a spread need the runs")
     report = run(repeats=args.repeats)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -3,22 +3,30 @@
 The same pre/post-order interval encoding that powers the in-memory engines
 (descendants of ``u`` are exactly the pre-order range ``(u, subtree_end(u)]``;
 ``Following(u, v)`` iff ``v > subtree_end(u)``) externalises directly to a
-relational accel table::
+relational layout, keyed by integers::
 
-    accel(doc, id, pre_order, post_order, parent, depth,
-          subtree_end, sibling_index)      -- + index accel_parent(doc, parent)
-    label(doc, node, name)                 -- primary key (doc, name, node)
-    documents(doc, nodes, registered_at)
-    digests(doc, digest)                   -- content digest: when rows are reused
+    label(lid, node, parent, subtree_end, sibling_index)
+                              -- primary key (lid, node) + index label_parent(lid, parent)
+    labels(lid, doc, name)    -- one lid per (document, label name)
+    accel(doc, id, parent, subtree_end, sibling_index)
+                              -- primary key (doc, id) + index accel_parent(doc, parent)
+    documents(doc, num, nodes, registered_at)  -- num: the integer ``accel.doc``
+    digests(doc, digest)      -- content digest: when rows are reused
 
 Every forward axis becomes a constant-size SQL predicate over two aliases
 (compilation rewrites inverse axes away).  **Labels are the access path, not
-a filter**: the ``label`` primary key *is* the sorted label column the
-in-memory engines start from, so a labelled variable's rows come from a range
-scan of it and an interval atom towards a labelled endpoint is the bisection
-window ``l.node > s.id AND l.node <= s.subtree_end`` -- the work is bounded
+a filter**: one ``lid``'s range of the ``label`` primary key *is* the sorted
+label column the in-memory engines start from, and its rows carry the rank
+columns the axes compare, so a labelled variable's rows are one covering
+range scan and an interval atom towards a labelled endpoint is the bisection
+window ``l.node > s.node AND l.node <= s.subtree_end`` -- the work is bounded
 by the label relations, never by the document (:meth:`_TreeLowering._bind`
-holds the rule).  Two lowerings share that vocabulary and that rule:
+holds the rule).  Only an unlabelled variable reads ``accel``.  A statement
+binds its keys as scalar subqueries over ``documents`` and ``labels``, so
+its text depends on the query alone.  The file's ``PRAGMA user_version``
+stamps the layout; a file written before it (text-keyed ``accel`` with
+pre/post/depth columns, ``label(doc, node, name)``) is migrated once, in
+SQL, when it is opened.  Two lowerings share that vocabulary and that rule:
 
 * ``lowering="tree"`` (the default) -- **join-tree lowering**: the query's
   join tree (``CompiledQuery.decomposition``, rooted at the head by
@@ -62,6 +70,7 @@ import sqlite3
 import threading
 import time
 from array import array
+from itertools import chain, repeat, starmap
 from typing import Iterable, Iterator, Mapping, Optional
 from weakref import WeakKeyDictionary
 
@@ -93,12 +102,11 @@ SQL_STREAM_ROWS = REGISTRY.histogram(
 )
 
 #: Axis -> SQL predicate template over a source ``{s}`` and a target ``{t}``
-#: (accel aliases) with id expressions ``{si}`` / ``{ti}``.  ``id`` *is* the
-#: pre-order rank, so the interval axes are pure range comparisons; the local
-#: axes use the parent / sibling_index columns.  A side whose alias never
-#: appears (only its id does) reads no rank column: its rows can come from the
-#: label index alone.  Inverse axes never reach the lowering -- compilation
-#: rewrites them to these ten with the endpoints swapped.
+#: (``label`` or ``accel`` aliases: both carry the rank columns) with id
+#: expressions ``{si}`` / ``{ti}``.  The id *is* the pre-order rank, so the
+#: interval axes are pure range comparisons; the local axes use the parent /
+#: sibling_index columns.  Inverse axes never reach the lowering --
+#: compilation rewrites them to these ten with the endpoints swapped.
 _AXIS_SQL: dict[Axis, str] = {
     Axis.CHILD: "{t}.parent = {si}",
     Axis.CHILD_PLUS: "{ti} > {si} AND {ti} <= {s}.subtree_end",
@@ -115,8 +123,9 @@ _AXIS_SQL: dict[Axis, str] = {
 #: How an atom's far endpoint is reached from its bound near one -- the SQL
 #: mirror of the bag materializer's point / walk / range rule
 #: (``decomposition/yannakakis.py``).  Cheaper classes are joined first, and a
-#: variable reached by a point or a walk rides the accel indexes with its
-#: label as a point check instead of starting from the label index.
+#: labelled variable reached by a point or a walk seeks its label's rows by
+#: node (the primary key) or by parent (``label_parent``) instead of scanning
+#: its label's range.
 _POINT, _WALK, _WINDOW, _PREFIX, _UNREACHED = range(5)
 _POINT_AXES = frozenset({Axis.SUCC_PRE, Axis.SELF})
 _WALK_AXES = frozenset(
@@ -129,7 +138,7 @@ def _reach(axis: Axis, forward: bool) -> int:
     if axis in _POINT_AXES or (axis is Axis.CHILD and not forward):
         return _POINT  # at most one node: a primary-key seek
     if axis in _WALK_AXES:
-        return _WALK  # children / siblings: one accel_parent range
+        return _WALK  # children / siblings: one label_parent / accel_parent range
     if forward or axis is Axis.DOCUMENT_ORDER:
         return _WINDOW  # one pre-order window: a label (or accel) range scan
     return _PREFIX  # ancestors / preceding: a prefix plus a residual check
@@ -158,35 +167,100 @@ _HAS_WINDOW_FUNCTIONS = sqlite3.sqlite_version_info >= (3, 25, 0)
 #: Recognised values for the ``lowering=`` knobs.
 LOWERINGS = ("tree", "flat")
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS documents (
+#: ``PRAGMA user_version`` of the layout below.  A file at 0 that holds an
+#: ``accel`` table was written in the layout before it and migrates once.
+_LAYOUT_VERSION = 1
+
+_SCHEMA = (
+    """CREATE TABLE IF NOT EXISTS documents (
     doc            TEXT PRIMARY KEY,
+    num            INTEGER NOT NULL UNIQUE,
     nodes          INTEGER NOT NULL,
     registered_at  REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS accel (
-    doc            TEXT NOT NULL,
+)""",
+    """CREATE TABLE IF NOT EXISTS accel (
+    doc            INTEGER NOT NULL,
     id             INTEGER NOT NULL,
-    pre_order      INTEGER NOT NULL,
-    post_order     INTEGER NOT NULL,
     parent         INTEGER NOT NULL,
-    depth          INTEGER NOT NULL,
     subtree_end    INTEGER NOT NULL,
     sibling_index  INTEGER NOT NULL,
     PRIMARY KEY (doc, id)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS accel_parent ON accel (doc, parent);
-CREATE TABLE IF NOT EXISTS label (
+) WITHOUT ROWID""",
+    "CREATE INDEX IF NOT EXISTS accel_parent ON accel (doc, parent)",
+    """CREATE TABLE IF NOT EXISTS labels (
+    lid   INTEGER PRIMARY KEY,
     doc   TEXT NOT NULL,
-    node  INTEGER NOT NULL,
     name  TEXT NOT NULL,
-    PRIMARY KEY (doc, name, node)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS digests (
+    UNIQUE (doc, name)
+)""",
+    """CREATE TABLE IF NOT EXISTS label (
+    lid            INTEGER NOT NULL,
+    node           INTEGER NOT NULL,
+    parent         INTEGER NOT NULL,
+    subtree_end    INTEGER NOT NULL,
+    sibling_index  INTEGER NOT NULL,
+    PRIMARY KEY (lid, node)
+) WITHOUT ROWID""",
+    "CREATE INDEX IF NOT EXISTS label_parent ON label (lid, parent)",
+    """CREATE TABLE IF NOT EXISTS digests (
     doc     TEXT PRIMARY KEY,
     digest  TEXT NOT NULL
-);
-"""
+)""",
+)
+
+#: The layout before :data:`_LAYOUT_VERSION` 1 -- ``accel(doc TEXT, id,
+#: pre_order, post_order, parent, depth, subtree_end, sibling_index)`` and
+#: ``label(doc, node, name)`` -- rewritten in place: its rows already hold
+#: every column of the new tables.
+_MIGRATION = (
+    "DROP INDEX IF EXISTS accel_parent",
+    "ALTER TABLE documents RENAME TO documents_v0",
+    "ALTER TABLE accel RENAME TO accel_v0",
+    "ALTER TABLE label RENAME TO label_v0",
+    *_SCHEMA,
+    "INSERT INTO documents SELECT doc, rowid, nodes, registered_at FROM documents_v0",
+    "INSERT INTO labels (doc, name) SELECT DISTINCT doc, name FROM label_v0 ORDER BY doc, name",
+    "INSERT INTO accel SELECT d.num, a.id, a.parent, a.subtree_end, a.sibling_index "
+    "FROM accel_v0 a JOIN documents d ON d.doc = a.doc ORDER BY d.num, a.id",
+    "INSERT INTO label SELECT s.lid, l.node, a.parent, a.subtree_end, a.sibling_index "
+    "FROM labels s JOIN label_v0 l ON l.doc = s.doc AND l.name = s.name "
+    "JOIN accel_v0 a ON a.doc = l.doc AND a.id = l.node ORDER BY s.lid, l.node",
+    "DROP TABLE documents_v0",
+    "DROP TABLE accel_v0",
+    "DROP TABLE label_v0",
+)
+
+#: The integer keys a statement binds: its document's number and the ``lid``
+#: of one of its labels.  Scalar subqueries over the two dictionaries, run
+#: once per statement, so the text names no data.
+_DOC_KEY = "(SELECT num FROM documents WHERE doc = ?)"
+_LABEL_KEY = "(SELECT lid FROM labels WHERE doc = ? AND name = ?)"
+
+
+def _open_layout(connection: sqlite3.Connection) -> None:
+    """Create the schema in a new file, migrate an old one; stamp the version."""
+    (version,) = connection.execute("PRAGMA user_version").fetchone()
+    if version == _LAYOUT_VERSION:
+        return
+    connection.execute("BEGIN IMMEDIATE")
+    try:
+        # Another connection may have stamped the file while this one waited.
+        (version,) = connection.execute("PRAGMA user_version").fetchone()
+        if version == 0:
+            old = connection.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'accel'"
+            ).fetchone()
+            for statement in _MIGRATION if old else _SCHEMA:
+                connection.execute(statement)
+            connection.execute(f"PRAGMA user_version = {_LAYOUT_VERSION}")
+        elif version != _LAYOUT_VERSION:
+            raise ValueError(
+                f"accel layout {version} is newer than this build's {_LAYOUT_VERSION}"
+            )
+        connection.commit()
+    except BaseException:
+        connection.rollback()
+        raise
 
 
 def _content_digest(tree: Tree) -> str:
@@ -217,34 +291,36 @@ class _TreeLowering:
 
     **Witnesses** cost one pass over their label, never a probe per outer
     row.  (a) A labelled ``Child`` witness of an unpinned parent is
-    ``parent IN (SELECT w.parent FROM label lw CROSS JOIN accel w ...)``:
-    an uncorrelated list, built once and probed per outer row; a pinned
+    ``parent IN (SELECT w.parent FROM label w WHERE w.lid = ...)``: an
+    uncorrelated covering list, built once and probed per outer row; a pinned
     parent has one outer row and keeps the correlated probe.  (b) In a
     headless bag (``SELECT 1 ... LIMIT 1``) a witness pair joined by
     ``Following`` keeps its source, so the dropped target is the index seek
-    ``v.subtree_end < (SELECT MAX(id) ...)`` and the scan stops at the first
+    ``v.subtree_end < (SELECT MAX(node) ...)`` and the scan stops at the first
     witness.  A bag that keeps columns scans all its rows whichever endpoint
     it keeps, so it keeps the higher-index one, as before.
 
     **Row sources** (:meth:`_bind`, shared by bags, witnesses and the flat
-    join).  (1) A labelled variable's rows come from the label index --
-    ``label l CROSS JOIN accel v``, or ``l.node`` alone when no rank column of
-    ``v`` is read; further labels, extra-unary relations, pins and loops are
-    residual filters.  (2) An interval atom towards a labelled endpoint is a
-    range scan of that label.  (3) A variable reached over a local axis
-    (``Child``, siblings) rides ``accel_parent`` / the accel primary key with
-    its label as a point check.  Four measured traps shape the SQL text:
+    join).  (1) A labelled variable's rows are its label's rows -- ``label
+    v`` with ``v.lid`` bound, the rank columns read off the same row; further
+    labels, extra-unary relations, pins and loops are residual filters; only
+    an unlabelled variable reads ``accel v``.  (2) An interval atom towards a
+    labelled endpoint is a range scan of that label.  (3) A variable reached
+    over a local axis (``Child``, siblings) seeks one point of the primary key
+    (its parent) or one ``label_parent`` / ``accel_parent`` range (its
+    children, siblings).  Four measured traps shape the SQL text:
 
     * a plain ``JOIN`` is not enough -- on default statistics SQLite puts
-      ``accel`` outermost again (and prefers ``doc = ?`` on the primary key
-      to ``accel_parent``), so join order and the walk index are pinned with
-      ``CROSS JOIN`` / ``INDEXED BY``; no plan depends on ``ANALYZE``;
+      an unfiltered alias outermost again (and prefers the primary key's
+      leading column to the ``*_parent`` index), so join order and the walk
+      index are pinned with ``CROSS JOIN`` / ``INDEXED BY``; no plan depends
+      on ``ANALYZE``;
     * label-first *inside a correlated local-axis probe* rescans the label
       once per outer row (94-218 ms for a ``Child`` witness at 10k nodes) --
       hence rule 3;
     * a child-bag ``IN (SELECT c FROM bag_k)`` on a walked variable becomes
       the index driver (one probe per bag member per outer row) unless it is
-      shielded as ``+w.id IN (...)``;
+      shielded as ``+w.node IN (...)``;
     * a per-row ``Child`` probe costs fan-out: it walks every child of every
       outer row to find one labelled witness (1.35 ms for ``item`` /
       ``payment`` at 10k nodes, 0.60 ms as one pass over ``payment``) --
@@ -290,14 +366,6 @@ class _TreeLowering:
 
     # -- row sources -------------------------------------------------------------
 
-    def _reads_rank(self, variable: Variable, atoms: Iterable) -> bool:
-        """Whether any atom reads a column of ``variable`` other than its id."""
-        return any(
-            (atom.source == variable and "{s}." in _AXIS_SQL[atom.axis])
-            or (atom.target == variable and "{t}." in _AXIS_SQL[atom.axis])
-            for atom in (*atoms, *self.loops_by_variable.get(variable, ()))
-        )
-
     @staticmethod
     def _atom_condition(atom, names: Mapping[Variable, tuple[str, str]]) -> str:
         (s, si), (t, ti) = names[atom.source], names[atom.target]
@@ -314,7 +382,7 @@ class _TreeLowering:
     ) -> tuple[str, list[str]]:
         """Row sources for ``variables``, joined in a pinned order after ``names``.
 
-        ``names`` is the scope -- ``variable -> (accel alias, id expression)``
+        ``names`` is the scope -- ``variable -> (alias, id expression)``
         of everything already bound (the outer query of a correlated probe)
         -- and is extended with the new variables.  Returns the ``CROSS JOIN``
         chain plus, in lockstep with ``params``, each variable's document,
@@ -325,8 +393,9 @@ class _TreeLowering:
         Variables are placed cheapest-reach-first: pins, then points, walks,
         windows; labelled before unlabelled; ties towards the variable whose
         neighbours are cheapest to reach from it.  A labelled variable reached
-        by a window (or by nothing) starts from the label primary key; one
-        reached by a point or a walk stays on ``accel`` (class docstring).
+        by a window (or by nothing) scans its ``lid``'s range of the label
+        primary key; one reached by a point or a walk seeks into it by node
+        or through ``label_parent`` (class docstring).
         """
         vix = self.vix
         pending = sorted(variables, key=vix.__getitem__)
@@ -359,30 +428,23 @@ class _TreeLowering:
             local = reached <= _WALK
             alias = f"{prefix}{vix[variable]}"
             labels = self.stored_labels[variable]
-            if labels and not local:
-                ident = f"l{alias}.node"
-                sources.append(f"label l{alias}")
-                conditions.append(f"l{alias}.doc = ? AND l{alias}.name = ?")
+            if labels:
+                table, ident = "label", f"{alias}.node"
+                conditions.append(f"{alias}.lid = {_LABEL_KEY}")
                 params.extend((self.doc_id, labels[0]))
                 labels = labels[1:]
-                if self._reads_rank(variable, atoms):
-                    sources.append(f"accel {alias}")
-                    conditions.append(f"{alias}.doc = ? AND {alias}.id = {ident}")
-                    params.append(self.doc_id)
             else:
-                # A walk constrains ``parent``.  Pin its index: on default
-                # statistics SQLite rates ``doc = ?`` on the primary key
-                # cheaper whenever accel_parent does not cover the columns read.
-                ident = f"{alias}.id"
-                sources.append(
-                    f"accel {alias}" + (" INDEXED BY accel_parent" if reached == _WALK else "")
-                )
-                conditions.append(f"{alias}.doc = ?")
+                table, ident = "accel", f"{alias}.id"
+                conditions.append(f"{alias}.doc = {_DOC_KEY}")
                 params.append(self.doc_id)
+            # A walk constrains ``parent``.  Pin its index: on default
+            # statistics SQLite rates the primary key's leading column cheaper.
+            walk = f" INDEXED BY {table}_parent" if reached == _WALK else ""
+            sources.append(f"{table} {alias}{walk}")
             names[variable] = (alias, ident)
             for label in labels:
                 conditions.append(
-                    f"EXISTS (SELECT 1 FROM label WHERE doc = ? AND name = ? AND node = {ident})"
+                    f"EXISTS (SELECT 1 FROM label WHERE lid = {_LABEL_KEY} AND node = {ident})"
                 )
                 params.extend((self.doc_id, label))
             for label in self.compiled.labels_by_variable.get(variable, ()):
@@ -680,8 +742,11 @@ class SQLiteBackend:
         self._lock = threading.Lock()
         self._temp_counter = 0
         with self._lock:
-            self._connection.executescript(_SCHEMA)
-            self._connection.commit()
+            try:
+                _open_layout(self._connection)
+            except BaseException:
+                self._connection.close()
+                raise
 
     # -- document registration -------------------------------------------------
 
@@ -691,39 +756,49 @@ class SQLiteBackend:
 
     def _materialise(self, doc_id: str, tree: Tree, digest: str) -> None:
         n = len(tree)
-        subtree_end = tree.subtree_end
-        accel_rows = (
-            (
-                doc_id,
-                node_id,
-                node_id,  # pre_order: node ids ARE pre-order ranks
-                tree.post[node_id],
-                tree.parent[node_id],
-                tree.depth[node_id],
-                subtree_end[node_id],
-                tree.sibling_index[node_id],
-            )
-            for node_id in range(n)
-        )
-        label_rows = (
-            (doc_id, node_id, name)
-            for node_id in range(n)
-            for name in tree.labels_of[node_id]
-        )
-        with self._lock:
+        ranks = (tree.parent, tree.subtree_end, tree.sibling_index)
+        with self._lock, self._connection:
             cursor = self._connection.cursor()
-            cursor.execute("DELETE FROM accel WHERE doc = ?", (doc_id,))
-            cursor.execute("DELETE FROM label WHERE doc = ?", (doc_id,))
+            # Write-locked from the first read: a process registering another
+            # document into the same file cannot take the same number.
+            cursor.execute("BEGIN IMMEDIATE")
+            row = cursor.execute("SELECT num FROM documents WHERE doc = ?", (doc_id,)).fetchone()
+            if row is None:
+                row = cursor.execute("SELECT COALESCE(MAX(num), 0) + 1 FROM documents").fetchone()
+            else:
+                cursor.execute("DELETE FROM accel WHERE doc = ?", row)
+                cursor.execute(
+                    "DELETE FROM label WHERE lid IN (SELECT lid FROM labels WHERE doc = ?)",
+                    (doc_id,),
+                )
+                cursor.execute("DELETE FROM labels WHERE doc = ?", (doc_id,))
+            (num,) = row
+            # Rows go in in primary-key order: every insert appends to its B-tree.
             cursor.executemany(
-                "INSERT INTO accel VALUES (?, ?, ?, ?, ?, ?, ?, ?)", accel_rows
+                "INSERT INTO accel VALUES (?, ?, ?, ?, ?)",
+                zip(repeat(num), range(n), *ranks),
             )
-            cursor.executemany("INSERT INTO label VALUES (?, ?, ?)", label_rows)
+            cursor.executemany(
+                "INSERT INTO labels (doc, name) VALUES (?, ?)",
+                zip(repeat(doc_id), sorted(tree.alphabet())),
+            )
+
+            def label_rows(lid: int, name: str) -> Iterator[tuple[int, ...]]:
+                nodes = tree.nodes_with_label(name)
+                return zip(repeat(lid), nodes, *(map(rank.__getitem__, nodes) for rank in ranks))
+
+            lids = cursor.execute(
+                "SELECT lid, name FROM labels WHERE doc = ? ORDER BY lid", (doc_id,)
+            ).fetchall()
+            cursor.executemany(
+                "INSERT INTO label VALUES (?, ?, ?, ?, ?)",
+                chain.from_iterable(starmap(label_rows, lids)),
+            )
             cursor.execute(
-                "INSERT OR REPLACE INTO documents VALUES (?, ?, ?)",
-                (doc_id, n, time.time()),
+                "INSERT OR REPLACE INTO documents VALUES (?, ?, ?, ?)",
+                (doc_id, num, n, time.time()),
             )
             cursor.execute("INSERT OR REPLACE INTO digests VALUES (?, ?)", (doc_id, digest))
-            self._connection.commit()
 
     def ensure_document(self, doc_id: str, tree: Tree) -> bool:
         """Register ``tree`` unless ``doc_id`` already holds exactly its rows.
@@ -760,7 +835,7 @@ class SQLiteBackend:
         """Distinct label names of a registered document."""
         with self._lock:
             (count,) = self._connection.execute(
-                "SELECT COUNT(DISTINCT name) FROM label WHERE doc = ?", (doc_id,)
+                "SELECT COUNT(*) FROM labels WHERE doc = ?", (doc_id,)
             ).fetchone()
         return count
 

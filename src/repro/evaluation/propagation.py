@@ -197,10 +197,13 @@ class PropagationResult:
         column consumers (a monadic head's projection, the decomposition
         engine's level kernel) leave :attr:`views` to those that probe them.
         A root read before the root-to-leaves sweep does not run it: its
-        column is already exact, and copied (it may be a resident one).
+        column is already exact.  It is handed over as it is, and may be a
+        resident one (a label's member list, the document's pre-order):
+        every consumer only reads it, and the sweep replaces columns rather
+        than editing them.
         """
         if self._unswept is not None and variable in self._unswept.sweep_roots:
-            return list(self._columns[variable])
+            return self._columns[variable]
         return self._swept_columns()[variable]
 
     def domain_sizes(self) -> dict[Variable, int]:

@@ -11,7 +11,9 @@ node-id decimal strings.  Pinned here:
   check_circular=False)`` of ``to_json_dict()``, byte for byte, over drawn
   pages, errors, explains, traces and awkward document ids;
 * the decimal table: grown on demand from 8 threads at once, bypassed past
-  its cap.
+  its cap;
+* a fixpoint page is the resident label column itself, not a copy, and
+  building and encoding it leaves that column as it was.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.service import RequestResult, routes
+from repro.service import DocumentStore, QueryCache, Request, RequestResult, routes, run_request
+from repro.trees import random_tree
 from repro.trees.columnar import AnswerPage
 
 SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -256,3 +259,24 @@ class TestDecimalTable:
         monkeypatch.setattr(routes, "DECIMAL_TABLE_CAP", 8)
         assert _answers(AnswerPage([[5, 6, 8]])) == "[[5], [6], [8]]"
         assert len(routes._DECIMALS) == 3
+
+
+class TestResidentColumnsAreHandedOver:
+    """A fixpoint page of a sweep root is the resident column itself, read only."""
+
+    @pytest.mark.parametrize("limit", [None, 5])
+    def test_the_page_and_its_body_leave_the_resident_column_as_it_was(self, limit):
+        store = DocumentStore()
+        tree = random_tree(300, alphabet=("A", "B"), seed=5)
+        structure = store.register_tree("doc", tree).structure
+        resident = structure.unary_members("A")
+        before = list(resident)
+        request = Request(doc="doc", query="Q(x) <- A(x)", limit=limit)
+        result = run_request(store, QueryCache(), request)
+        assert result.ok and result.engine == "fixpoint"
+        if limit is None:
+            assert result.answers.columns[0] is resident  # handed over, not copied
+        body = routes._answer(0.0, "POST", "/query", 200, result).body
+        assert json.loads(body)["answers"] == [[node] for node in before[:limit]]
+        assert resident == before
+        assert structure.unary_members("A") is resident

@@ -587,13 +587,22 @@ class TestNamedCases:
         with pytest.raises(ValueError, match="not in the query"):
             propagate(parse_query("Q(x) <- NP(x)"), sentence_structure, {"z": 1}, "semijoin")
 
-    def test_results_never_alias_resident_columns(self, sentence_structure):
-        # An isolated variable's column goes through no semijoin at all.
+    def test_roots_hand_over_resident_columns_and_swept_ones_are_fresh(
+        self, sentence_structure
+    ):
+        # An isolated variable's column goes through no semijoin at all: read
+        # as a sweep root, it is the resident label column itself.
         query = parse_query("Q(x, y) <- NP(x), NN(y), Child*(y, y)")
-        before = list(sentence_structure.tree.nodes_with_label("NP"))
+        resident = sentence_structure.unary_members("NP")
+        before = list(resident)
         result = propagate(query, sentence_structure, propagator="semijoin")
-        assert result.sorted_domain("x") == before
-        result.sorted_domain("x").append(-1)
+        assert result.sorted_domain("x") is resident
+        # Once the root-to-leaves sweep has run, every column is a fresh list.
+        result.domain_sizes()
+        column = result.sorted_domain("x")
+        assert column == before and column is not resident
+        column.append(-1)
+        assert resident == before
         assert sentence_structure.tree.nodes_with_label("NP") == before
         unlabeled = propagate(
             parse_query("Q(x) <- Self(x, x)"), sentence_structure, propagator="semijoin"
@@ -601,17 +610,12 @@ class TestNamedCases:
         unlabeled.sorted_domain("x").clear()
         assert sentence_structure.index.pre == list(range(9))
         # A monadic head without edges is a root the upward sweep never
-        # narrowed: read before (and instead of) the downward sweep.
+        # narrowed: its page is the resident column, which reading leaves as it was.
         monadic = parse_query("Q(x) <- NP(x), NN(y), Child*(y, y)")
-        rows, count = answer_page(monadic, sentence_structure)
-        assert (rows, count) == ([(node,) for node in before], len(before))
-        result = propagate(monadic, sentence_structure, propagator="semijoin")
-        column = result.sorted_domain("x")
-        assert column is not sentence_structure.unary_members("NP")
-        column.append(-1)
-        assert result.sorted_domain("x") == before
-        assert sentence_structure.tree.nodes_with_label("NP") == before
-        assert sentence_structure.unary_members("NP") == before
+        page, count = answer_page(monadic, sentence_structure)
+        assert (page, count) == ([(node,) for node in before], len(before))
+        assert page.columns[0] is resident
+        assert resident == before
 
     def test_planner_picks_it_for_forests_and_decomposition(self):
         tree = random_tree(60, alphabet=ALPHABET, max_children=3, seed=3)

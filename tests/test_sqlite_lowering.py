@@ -28,6 +28,12 @@ The concern groups:
   benchmark entries' SQL text stays byte-identical.
 * **Stale rows**: accel rows are reused by content digest, never by node
   count.
+* **Layout**: a labelled variable's rows carry its ranks, so no served
+  ``accel_10k`` shape reads ``accel`` (the tables a statement reads are taken
+  from SQLite's authorizer while ``EXPLAIN QUERY PLAN`` prepares it); the
+  integer keys keep documents sharing label names apart, an absent label
+  empty, pins and staged extra-unary relations exact; a file written in the
+  text-keyed layout before it migrates once, on its first open.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import random
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -42,6 +49,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends.sqlite import (
+    _IN_LIST_LIMIT,
     SQLiteBackend,
     evaluate_structure,
     explain_sql,
@@ -584,15 +592,16 @@ def _bench_queries(monkeypatch) -> dict[str, str]:
 
 #: ``sha256(explain_sql(...))[:16]`` per lowering of the benchmark entries:
 #: the witness rules above rewrite none of them, so their headlines measure
-#: the same statements as before.
+#: the same statements as before.  Pinned in the integer-keyed layout, where
+#: a labelled variable's ranks are read off its label rows.
 BENCH_SQL_DIGESTS = {
-    "pain_following_chain3": ("12c80e89344e0327", "c843e14400592b79"),
-    "pain_mixed_chain4": ("8df8124f437db49c", "98d2c5eed8c21382"),
-    "pain_triangle_w2": ("be775548d06cca60", "5c11b4ac5945fc74"),
-    "pain_triangle_fan": ("297135eaf9492047", "60ab24931ed3a3c4"),
-    "ablation_cycle4": ("60dc30e877ce822e", "992a76f6de846a42"),
-    "ablation_pair_child": ("87f03e644ab5aff1", "7c8aca360ed84d35"),
-    "route_sql_chain": ("8df8124f437db49c", "98d2c5eed8c21382"),
+    "pain_following_chain3": ("e43e2e904cd62b2c", "e109c12eb19dc171"),
+    "pain_mixed_chain4": ("5c0f12bcfa6d1fb9", "07e0ad6601ba5dae"),
+    "pain_triangle_w2": ("d45744b567f4b330", "36c97ae3e3670612"),
+    "pain_triangle_fan": ("48797949a1f68a9d", "64fb60cc311ee871"),
+    "ablation_cycle4": ("2755de21c14a96eb", "d278601be91f66b3"),
+    "ablation_pair_child": ("0a46fc52092dd97e", "cc5219b1af1df210"),
+    "route_sql_chain": ("5c0f12bcfa6d1fb9", "07e0ad6601ba5dae"),
 }
 
 
@@ -634,6 +643,252 @@ def test_stale_rows_database_without_digests_rematerialises_once(tmp_path):
         assert backend.ensure_document("d", tree) is True
         assert backend.ensure_document("d", tree) is False
         assert backend.evaluate("d", parse_query("Q(x) <- B(x)")) == frozenset({(1,)})
+
+
+# ---------------------------------------------------------------------------
+# Layout: label rows carry their ranks, keys are integers, old files migrate.
+# ---------------------------------------------------------------------------
+
+
+def _served(kind: str, text: str):
+    """The query the serving core runs for a request: simplified and canonical."""
+    return QueryCache().resolve_text(text, kind if kind == "xpath" else "datalog")[0].query
+
+
+def _tables_read(backend, doc, query, lowering):
+    """``(tables read, EXPLAIN QUERY PLAN details)`` of the statement ``evaluate`` runs."""
+    sql, params, temp_tables = backend._lower(doc, query, None, {}, query.is_boolean, lowering)
+    assert not temp_tables
+    tables = set()
+
+    def authorize(action, table, *_):
+        if action == sqlite3.SQLITE_READ:
+            tables.add(table)
+        return sqlite3.SQLITE_OK
+
+    connection = backend._connection
+    connection.set_authorizer(authorize)
+    try:
+        # Setting an authorizer expires every prepared statement: a cached
+        # one is prepared again under it.
+        plan = connection.execute(f"EXPLAIN QUERY PLAN {sql}", params).fetchall()
+    finally:
+        connection.set_authorizer(None)
+    return tables, [row[-1] for row in plan]
+
+
+@pytest.mark.parametrize("lowering", ["tree", "flat"])
+@pytest.mark.parametrize("doc, kind, text", ACCEL_SHAPES, ids=[s[2] for s in ACCEL_SHAPES])
+def test_served_shapes_read_their_ranks_off_the_label_rows(
+    padded_backend, doc, kind, text, lowering
+):
+    """Every served shape labels all of its variables: no statement reads ``accel``."""
+    tables, plan = _tables_read(padded_backend, doc, _served(kind, text), lowering)
+    assert "label" in tables and "accel" not in tables, tables
+    assert not any("accel" in detail for detail in plan), plan
+
+
+def test_an_unlabelled_variable_reads_accel(padded_backend):
+    """The probe above can see ``accel``: a variable without a label reads it."""
+    tables, _plan = _tables_read(
+        padded_backend, "auction", parse_query("Q(x) <- item(i), Child(i, x)"), "tree"
+    )
+    assert {"label", "accel"} <= tables
+
+
+def _assert_matches_in_memory(backend, doc, tree, texts):
+    structure = TreeStructure(tree)
+    for text in texts:
+        query = parse_query(text)
+        expected = evaluate(query, structure)
+        for lowering in ("tree", "flat"):
+            answers = backend.evaluate(doc, query, lowering=lowering)
+            assert answers == expected, (doc, text, lowering)
+
+
+SHARED_LABEL_QUERIES = (
+    "Q(x) <- A(x), Child(x, y), B(y)",
+    "Q(x, y) <- A(x), Child+(x, y), B(y)",
+    "Q(x) <- B(x), Following(x, y), A(y)",
+    "Q(x, y) <- A(x), NextSibling+(x, y), B(y)",
+    "Q() <- B(x), Child(x, y), B(y)",
+)
+
+
+def test_two_documents_sharing_label_names_stay_apart(tmp_path):
+    first = random_tree(150, alphabet=("A", "B"), max_children=3, seed=21)
+    second = random_tree(90, alphabet=("A", "B"), max_children=4, seed=22)
+    with SQLiteBackend(str(tmp_path / "accel.db")) as backend:
+        backend.register_tree("first", first)
+        backend.register_tree("second", second)
+        _assert_matches_in_memory(backend, "first", first, SHARED_LABEL_QUERIES)
+        _assert_matches_in_memory(backend, "second", second, SHARED_LABEL_QUERIES)
+        # Re-registering one document leaves the other's rows and keys alone.
+        backend.register_tree("first", second)
+        _assert_matches_in_memory(backend, "first", second, SHARED_LABEL_QUERIES)
+        _assert_matches_in_memory(backend, "second", second, SHARED_LABEL_QUERIES)
+        assert backend.document_label_count("first") == 2
+
+
+def test_a_label_absent_from_the_document_matches_nothing():
+    """``Z`` has a key in the other document only: absent here, in every role."""
+    tree = random_tree(80, alphabet=("A", "B"), max_children=3, seed=23)
+    with SQLiteBackend() as backend:
+        backend.register_tree("doc", tree)
+        backend.register_tree("other", parse_sexpr("(Z (Z) (A))"))
+        _assert_matches_in_memory(
+            backend,
+            "doc",
+            tree,
+            (
+                "Q(x) <- Z(x)",
+                "Q(x) <- A(x), Z(x)",
+                "Q(x) <- A(x), Child(x, y), Z(y)",
+                "Q(x) <- A(x), Following(x, y), Z(y)",
+                "Q() <- Z(x), Child+(x, y), A(y)",
+            ),
+        )
+
+
+def test_pinned_kary_reduction_matches_in_memory():
+    """The per-tuple check of the k-ary reduction: both head variables pinned."""
+    tree = random_tree(60, alphabet=("A", "B"), max_children=3, seed=24)
+    query = parse_query("Q(x, y) <- A(x), Child+(x, y), B(y), Following(y, z), A(z)")
+    expected = evaluate(query, TreeStructure(tree))
+    assert expected
+    a_nodes = [n for n, labels in enumerate(tree.labels_of) if "A" in labels]
+    b_nodes = [n for n, labels in enumerate(tree.labels_of) if "B" in labels]
+    with SQLiteBackend() as backend:
+        backend.register_tree("doc", tree)
+        for x in a_nodes[:8]:
+            column = frozenset(row for row in expected if row[0] == x)
+            for lowering in ("tree", "flat"):
+                assert backend.evaluate("doc", query, {"x": x}, lowering=lowering) == column
+            for y in b_nodes[:8]:
+                pinned = {"x": x, "y": y}
+                for lowering in ("tree", "flat"):
+                    assert backend.is_satisfied("doc", query, pinned, lowering=lowering) == (
+                        (x, y) in expected
+                    ), (pinned, lowering)
+
+
+def test_staged_extra_unary_beside_stored_labels_matches_in_memory():
+    """A relation past the IN-list limit, on a labelled variable that is walked to."""
+    tree = random_tree(1_500, alphabet=("A", "B"), max_children=4, seed=25)
+    structure = TreeStructure(tree)
+    structure.add_unary("Hot", range(0, len(tree), 2))
+    assert len(structure.unary_member_set("Hot")) > _IN_LIST_LIMIT
+    for text in (
+        "Q(x, y) <- A(x), Child(x, y), B(y), Hot(y)",
+        "Q(y) <- Hot(x), A(x), NextSibling(x, y), B(y)",
+        "Q(x) <- Hot(x), B(x), Child+(x, y), A(y), Hot(y)",
+    ):
+        query = parse_query(text)
+        expected = evaluate(query, structure)
+        assert expected, text
+        for lowering in ("tree", "flat"):
+            assert evaluate_structure(query, structure, lowering=lowering) == expected, text
+
+
+#: The layout before ``PRAGMA user_version`` 1, as those files were written.
+TEXT_KEYED_DDL = """
+CREATE TABLE documents (
+    doc            TEXT PRIMARY KEY,
+    nodes          INTEGER NOT NULL,
+    registered_at  REAL NOT NULL
+);
+CREATE TABLE accel (
+    doc            TEXT NOT NULL,
+    id             INTEGER NOT NULL,
+    pre_order      INTEGER NOT NULL,
+    post_order     INTEGER NOT NULL,
+    parent         INTEGER NOT NULL,
+    depth          INTEGER NOT NULL,
+    subtree_end    INTEGER NOT NULL,
+    sibling_index  INTEGER NOT NULL,
+    PRIMARY KEY (doc, id)
+) WITHOUT ROWID;
+CREATE INDEX accel_parent ON accel (doc, parent);
+CREATE TABLE label (
+    doc   TEXT NOT NULL,
+    node  INTEGER NOT NULL,
+    name  TEXT NOT NULL,
+    PRIMARY KEY (doc, name, node)
+) WITHOUT ROWID;
+CREATE TABLE digests (
+    doc     TEXT PRIMARY KEY,
+    digest  TEXT NOT NULL
+);
+"""
+
+
+def _write_text_keyed(path: str, trees: dict) -> None:
+    from repro.backends.sqlite import _content_digest
+
+    connection = sqlite3.connect(path)
+    connection.executescript(TEXT_KEYED_DDL)
+    for doc, tree in trees.items():
+        connection.executemany(
+            "INSERT INTO accel VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                (doc, node, node, tree.post[node], tree.parent[node], tree.depth[node])
+                + (tree.subtree_end[node], tree.sibling_index[node])
+                for node in range(len(tree))
+            ),
+        )
+        connection.executemany(
+            "INSERT INTO label VALUES (?, ?, ?)",
+            ((doc, node, name) for node in range(len(tree)) for name in tree.labels_of[node]),
+        )
+        connection.execute("INSERT INTO documents VALUES (?, ?, 0)", (doc, len(tree)))
+        connection.execute("INSERT INTO digests VALUES (?, ?)", (doc, _content_digest(tree)))
+    connection.commit()
+    connection.close()
+
+
+def test_a_text_keyed_file_migrates_once_and_stays_queryable(tmp_path):
+    path = str(tmp_path / "old.db")
+    trees = {
+        "auction": auction_document(num_items=20, num_people=10, num_bids=30, seed=42),
+        "corpus": random_corpus(num_sentences=15, seed=42),
+    }
+    _write_text_keyed(path, trees)
+    shapes = {doc: [] for doc in trees}
+    for doc, kind, text in ACCEL_SHAPES:
+        shapes[doc].append(_served(kind, text))
+    with SQLiteBackend(path) as backend:
+        assert backend._connection.total_changes > 0  # the migration wrote the new tables
+        (version,) = backend._connection.execute("PRAGMA user_version").fetchone()
+        assert version == 1
+        assert backend.document_ids() == sorted(trees)
+        for doc, tree in trees.items():
+            structure = TreeStructure(tree)
+            for query in shapes[doc]:
+                expected = evaluate(query, structure)
+                for lowering in ("tree", "flat"):
+                    assert backend.evaluate(doc, query, lowering=lowering) == expected, query
+            # The rows are this tree's: its digest carried over, nothing is rewritten.
+            assert backend.ensure_document(doc, tree) is False
+    with SQLiteBackend(path) as backend:
+        assert backend._connection.total_changes == 0  # opened, not migrated again
+        # A lazily attached document is answered from the migrated rows.
+        store = DocumentStore(accel_backend=backend)
+        assert store.residency("corpus") == "accel"
+        result = run_request(store, QueryCache(), Request(doc="corpus", xpath="//NP[NN]"))
+        assert result.ok and result.engine == "sql"
+        expected = sorted(evaluate(xpath_to_cq("//NP[NN]"), TreeStructure(trees["corpus"])))
+        assert result.answers == expected and expected
+    tables = sqlite3.connect(path).execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    assert {name for (name,) in tables} == {"documents", "accel", "labels", "label", "digests"}
+
+
+def test_a_file_from_a_newer_layout_is_refused(tmp_path):
+    path = str(tmp_path / "new.db")
+    connection = sqlite3.connect(path)
+    connection.execute("PRAGMA user_version = 99")
+    connection.close()
+    with pytest.raises(ValueError, match="newer"):
+        SQLiteBackend(path)
 
 
 # ---------------------------------------------------------------------------
